@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-fast profile shards parallel interconnect treetop trace serve soak chaos examples gallery audit clean
+.PHONY: install test bench bench-fast perf perf-smoke profile shards parallel interconnect treetop trace serve soak chaos examples gallery audit clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -18,6 +18,13 @@ bench:
 
 bench-fast:
 	REPRO_FAST=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+perf:
+	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py
+
+perf-smoke:
+	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --smoke
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf
 
 profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_throughput.py
@@ -69,5 +76,5 @@ audit:
 	$(PYTHON) -m repro audit -w ocean_c -s dyn
 
 clean:
-	rm -rf build src/repro.egg-info .pytest_cache .hypothesis
+	rm -rf build src/repro.egg-info .pytest_cache .hypothesis perf_out .perf_tmp_*
 	find . -name __pycache__ -type d -exec rm -rf {} +

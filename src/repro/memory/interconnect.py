@@ -162,7 +162,9 @@ class FlatInterconnect(MemoryInterconnect):
 class ChannelState:
     """One DRAM channel: per-bank timing, open-row tracking, a data bus.
 
-    The scheduling rules generalize ``DRAMBackend._schedule``:
+    The scheduling rules (applied by
+    :meth:`ChannelInterconnect.path_completion`) generalize
+    ``DRAMBackend._schedule``:
 
     * an array access to a bank must wait for that bank's previous access
       (``bank_free``), then occupies the bank for the access latency --
@@ -179,9 +181,6 @@ class ChannelState:
     """
 
     __slots__ = (
-        "latency_cycles",
-        "row_hit_cycles",
-        "open_page",
         "bank_free",
         "open_row",
         "bus_free",
@@ -193,10 +192,7 @@ class ChannelState:
         "bank_wait_cycles",
     )
 
-    def __init__(self, dram: DRAMConfig):
-        self.latency_cycles = dram.latency_cycles
-        self.row_hit_cycles = dram.row_hit_cycles
-        self.open_page = dram.page_policy == "open"
+    def __init__(self):
         self.bank_free: Dict[int, int] = {}
         self.open_row: Dict[int, int] = {}
         self.bus_free = 0
@@ -206,32 +202,6 @@ class ChannelState:
         self.bytes_moved = 0
         self.busy_cycles = 0
         self.bank_wait_cycles = 0
-
-    def array_access(self, bank: int, row: int, now: int) -> int:
-        """Issue one array access; returns when its data is ready."""
-        ready = self.bank_free.get(bank, 0)
-        start = ready if ready > now else now
-        self.bank_wait_cycles += start - now
-        if self.open_page and self.open_row.get(bank) == row:
-            latency = self.row_hit_cycles
-            self.row_hits += 1
-        else:
-            latency = self.latency_cycles
-            self.row_misses += 1
-        done = start + latency
-        self.bank_free[bank] = done
-        if self.open_page:
-            self.open_row[bank] = row
-        self.requests += 1
-        return done
-
-    def reserve_bus(self, ready: int, cycles: int, nbytes: int) -> int:
-        """Stream ``nbytes`` over the data bus once data is ``ready``."""
-        start = self.bus_free if self.bus_free > ready else ready
-        self.bus_free = start + cycles
-        self.busy_cycles += cycles
-        self.bytes_moved += nbytes
-        return self.bus_free
 
     def state_dict(self) -> Dict[str, object]:
         return {
@@ -262,13 +232,14 @@ class ChannelInterconnect(MemoryInterconnect):
     """Bucket-level path streaming over channel/bank-aware DRAM.
 
     A path access to functional leaf ``s`` is embedded into the nominal
-    tree (``nominal_leaf = s << (nominal_levels - levels)``), its buckets
-    mapped through the :class:`PhysicalLayout`, consecutive buckets in
-    the same subtree tile coalesced into one array access, and the
-    resulting per-channel request streams issued concurrently at
-    ``start``.  The access completes when every channel has delivered
-    its share (each bucket is both read and written back, so a bucket
-    contributes ``2 * Z * block_bytes`` to its channel's burst).
+    tree (``nominal_leaf = s << (nominal_levels - levels)``), the one
+    subtree tile it crosses per tier placed by the
+    :class:`PhysicalLayout` (one array access per tile: its buckets share
+    a row), and the resulting per-channel request streams issued
+    concurrently at ``start``.  The access completes when every channel
+    has delivered its share (each bucket is both read and written back,
+    so a bucket contributes ``2 * Z * block_bytes`` to its channel's
+    burst).
 
     ``bandwidth_gbps`` is per-channel pin bandwidth: the aggregate bus
     capacity grows with ``num_channels``, which is where the path-latency
@@ -300,17 +271,21 @@ class ChannelInterconnect(MemoryInterconnect):
         self.bytes_per_path = self.offchip_levels * self.bucket_bytes
         self.num_channels = dram.num_channels
         self.path_cycles = self.path_cycles_for(self.offchip_levels)
-        self.channels = [ChannelState(dram) for _ in range(dram.num_channels)]
+        self._latency_cycles = dram.latency_cycles
+        self._row_hit_cycles = dram.row_hit_cycles
+        self._open_page = dram.page_policy == "open"
+        self.channels = [ChannelState() for _ in range(dram.num_channels)]
+        #: (bus cycles, bytes) of a burst carrying n bucket-levels
+        self._bursts = [
+            (transfer_cycles(dram, n * self.bucket_bytes), n * self.bucket_bytes)
+            for n in range(self.offchip_levels + 1)
+        ]
         self.streamed_paths = 0
         self.untracked_paths = 0
         self.streamed_cycles_total = 0
         self.last_completion = 0
         self.treetop_hits = 0
         self.treetop_bytes_saved = 0
-        # leaf -> ((channel, ((bank, row), ...), transfer_cycles, bytes), ...)
-        self._plans: Dict[
-            int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int, int], ...]
-        ] = {}
 
     def path_cycles_for(self, levels: int) -> int:
         """Idle-memory completion of a balanced path of ``levels`` buckets."""
@@ -331,59 +306,80 @@ class ChannelInterconnect(MemoryInterconnect):
     def _plan(
         self, leaf: int
     ) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int, int], ...]:
-        """Per-channel request streams for the path to a functional leaf.
+        """Per-channel request streams for the path to a functional leaf:
+        ``((channel, ((bank, row), ...), bus cycles, bytes), ...)``.
 
         Only the off-chip suffix of the path (nominal levels
         ``>= treetop_levels``) is planned: subtree tiles that lie entirely
         inside the treetop contribute no bank request at all, and a tile
         straddling the boundary is activated once for its off-chip part.
+        One request per tile is all the coalescing there is to do: slots
+        are injective per channel, so two tiles of one channel never share
+        a ``(bank, row)``.  Plans are recomputed, not memoized: a per-leaf
+        table measured slower and grew by kilobytes per distinct leaf
+        (DESIGN.md section 11).
         """
-        plan = self._plans.get(leaf)
-        if plan is not None:
-            return plan
-        nominal_leaf = leaf << self._leaf_shift
-        accesses: Dict[int, List[Tuple[int, int]]] = {}
-        path_bytes: Dict[int, int] = {}
-        addresses = self.layout.path_addresses(nominal_leaf)[self.treetop_levels:]
-        for address in addresses:
-            requests = accesses.setdefault(address.channel, [])
-            # Buckets in the same subtree tile share a (bank, row): one
-            # row activation streams the whole tile segment.
-            if not requests or requests[-1] != (address.bank, address.row):
-                requests.append((address.bank, address.row))
-            path_bytes[address.channel] = (
-                path_bytes.get(address.channel, 0) + self.bucket_bytes
-            )
-        plan = tuple(
-            (
-                channel,
-                tuple(requests),
-                transfer_cycles(self.dram, path_bytes[channel]),
-                path_bytes[channel],
-            )
-            for channel, requests in sorted(accesses.items())
+        requests: List[Tuple[Tuple[int, int], ...]] = [()] * self.num_channels
+        levels = [0] * self.num_channels
+        for channel, bank, row, tile_levels in self.layout.path_tiles(
+            leaf << self._leaf_shift, self.treetop_levels
+        ):
+            requests[channel] += ((bank, row),)
+            levels[channel] += tile_levels
+        return tuple(
+            [
+                (channel, requests[channel], *self._bursts[streamed])
+                for channel, streamed in enumerate(levels)
+                if streamed
+            ]
         )
-        self._plans[leaf] = plan
-        return plan
 
     def path_completion(self, leaf: int, start: int) -> int:
+        latency_cycles = self._latency_cycles
+        row_hit_cycles = self._row_hit_cycles
+        open_page = self._open_page
+        channels = self.channels
         completion = start
         for channel_index, requests, cycles, nbytes in self._plan(leaf):
-            state = self.channels[channel_index]
-            first_ready = 0
-            last_ready = 0
+            # The bank/bus rules of ChannelState, inlined: every channel
+            # counter is added once per path, not once per request.
+            state = channels[channel_index]
+            bank_free = state.bank_free
+            open_row = state.open_row
+            first_ready = last_ready = wait = hits = misses = 0
             for bank, row in requests:
-                done = state.array_access(bank, row, start)
+                begin = start
+                if bank in bank_free and bank_free[bank] > start:
+                    begin = bank_free[bank]
+                    wait += begin - start
+                if open_page and bank in open_row and open_row[bank] == row:
+                    done = begin + row_hit_cycles
+                    hits += 1
+                else:
+                    done = begin + latency_cycles
+                    misses += 1
+                bank_free[bank] = done
+                if open_page:
+                    open_row[bank] = row
                 if not first_ready:
                     first_ready = done
                 if done > last_ready:
                     last_ready = done
             # The burst streams behind the first activation's data but
             # cannot finish before the last bank has delivered.
-            bus_done = state.reserve_bus(first_ready, cycles, nbytes)
-            channel_done = bus_done if bus_done > last_ready else last_ready
+            bus_free = state.bus_free
+            bus_start = bus_free if bus_free > first_ready else first_ready
+            channel_done = state.bus_free = bus_start + cycles
+            if last_ready > channel_done:
+                channel_done = last_ready
             if channel_done > completion:
                 completion = channel_done
+            state.requests += hits + misses
+            state.row_hits += hits
+            state.row_misses += misses
+            state.bank_wait_cycles += wait
+            state.busy_cycles += cycles
+            state.bytes_moved += nbytes
         self.streamed_paths += 1
         self.streamed_cycles_total += completion - start
         self.treetop_hits += self.treetop_levels
@@ -441,8 +437,21 @@ class ChannelInterconnect(MemoryInterconnect):
                 round(100.0 * occupancy, 3)
             )
 
+    def _geometry(self) -> Dict[str, object]:
+        """What bank/row numbers in a checkpoint mean; must match to restore."""
+        layout = self.layout
+        return {
+            "levels": layout.levels,
+            "channels": layout.num_channels,
+            "banks": layout.num_banks,
+            "subtree_levels": layout.subtree_levels,
+            "treetop_levels": self.treetop_levels,
+            "page_policy": self.dram.page_policy,
+        }
+
     def state_dict(self) -> Dict[str, object]:
         return {
+            "geometry": self._geometry(),
             "streamed_paths": self.streamed_paths,
             "untracked_paths": self.untracked_paths,
             "streamed_cycles_total": self.streamed_cycles_total,
@@ -458,6 +467,13 @@ class ChannelInterconnect(MemoryInterconnect):
             raise ValueError(
                 f"checkpoint has {len(saved)} channels, config has "
                 f"{len(self.channels)}"
+            )
+        # Checkpoints older than the geometry entry load unchecked.
+        configured = self._geometry()
+        if state.get("geometry", configured) != configured:
+            raise ValueError(
+                f"checkpoint DRAM geometry {state['geometry']} does not match "
+                f"the configured {configured}"
             )
         self.streamed_paths = int(state["streamed_paths"])
         self.untracked_paths = int(state["untracked_paths"])

@@ -79,22 +79,25 @@ class PhysicalLayout:
             count += 1 << root_level
         self._tier_base: Tuple[int, ...] = tuple(base)
         self.num_subtrees = count
-        # offsets[t][c] = slots channel c has handed out to tiers < t.
-        # Tier t assigns within-tier index x to channel (x + t) % C, so
-        # channel c receives the x's congruent to (c - t) mod C -- their
-        # count per tier is a closed form, accumulated here once.
+        # Per tier t: (t, shift, offsets, height).  ``leaf >> shift`` is the
+        # within-tier index of the tile a path crosses, ``height`` how many
+        # levels the tile spans (the bottom tile may be partial), and
+        # offsets[c] = slots channel c has handed out to tiers < t.  Tier t
+        # assigns within-tier index x to channel (x + t) % C, so channel c
+        # receives the x's congruent to (c - t) mod C -- their count per
+        # tier is a closed form, accumulated here once.
         channels = num_channels
         running = [0] * channels
-        offsets: List[Tuple[int, ...]] = []
+        tiers: List[Tuple[int, int, Tuple[int, ...], int]] = []
         for tier, root_level in enumerate(range(0, levels + 1, subtree_levels)):
-            offsets.append(tuple(running))
+            height = min(subtree_levels, levels + 1 - root_level)
+            tiers.append((tier, levels - root_level, tuple(running), height))
             size = 1 << root_level
             for channel in range(channels):
                 first = (channel - tier) % channels
                 if first < size:
                     running[channel] += (size - first + channels - 1) // channels
-        self._tier_offsets: Tuple[Tuple[int, ...], ...] = tuple(offsets)
-        self._path_cache: Dict[int, Tuple[PhysicalAddress, ...]] = {}
+        self._tiers = tuple(tiers)
 
     def subtree_id(self, level: int, leaf: int) -> int:
         """Breadth-first id of the subtree containing bucket (level, leaf)."""
@@ -104,6 +107,35 @@ class PhysicalLayout:
         return self._tier_base[root_level // self.subtree_levels] + (
             leaf >> (self.levels - root_level)
         )
+
+    def path_tiles(
+        self, leaf: int, first_level: int = 0
+    ) -> List[Tuple[int, int, int, int]]:
+        """The placement rule: one ``(channel, bank, row, levels)`` per tier.
+
+        A root-to-leaf path crosses exactly one subtree tile per tier, so
+        its physical footprint from ``first_level`` down is one entry per
+        tier, root-most first; ``levels`` counts the path's buckets inside
+        the tile at or below ``first_level``.  Tiers entirely above
+        ``first_level`` are omitted.  Every other address in this class
+        derives from this method.
+        """
+        if not 0 <= leaf < (1 << self.levels):
+            raise ValueError(f"leaf {leaf} out of range [0, {1 << self.levels})")
+        if not 0 <= first_level <= self.levels:
+            raise ValueError(f"level {first_level} out of range [0, {self.levels}]")
+        channels = self.num_channels
+        banks = self.num_banks
+        first_tier = first_level // self.subtree_levels
+        above = first_level % self.subtree_levels  # cut from the first tile
+        tiles = []
+        for tier, shift, offsets, height in self._tiers[first_tier:]:
+            index = leaf >> shift
+            channel = (index + tier) % channels
+            slot = offsets[channel] + index // channels
+            tiles.append((channel, slot % banks, slot // banks, height - above))
+            above = 0
+        return tiles
 
     def subtree_address(self, subtree: int) -> PhysicalAddress:
         """Physical placement of one subtree tile."""
@@ -116,38 +148,26 @@ class PhysicalLayout:
             tier + 1 < len(self._tier_base) and self._tier_base[tier + 1] <= subtree
         ):
             tier += 1
-        return self._place(subtree - self._tier_base[tier], tier)
-
-    def _place(self, index: int, tier: int) -> PhysicalAddress:
-        """Place within-tier subtree ``index`` of ``tier`` (see class doc)."""
-        channel = (index + tier) % self.num_channels
-        slot = self._tier_offsets[tier][channel] + index // self.num_channels
-        return PhysicalAddress(
-            channel=channel, bank=slot % self.num_banks, row=slot // self.num_banks
-        )
+        root_level = tier * self.subtree_levels
+        index = subtree - self._tier_base[tier]
+        return self.address_of(root_level, index << (self.levels - root_level))
 
     def address_of(self, level: int, leaf: int) -> PhysicalAddress:
         """Physical address of the bucket at ``level`` on the path to ``leaf``."""
-        root_level = level - level % self.subtree_levels
-        tier = root_level // self.subtree_levels
-        return self._place(leaf >> (self.levels - root_level), tier)
+        channel, bank, row, _ = self.path_tiles(leaf, level)[0]
+        return PhysicalAddress(channel, bank, row)
 
     def path_addresses(self, leaf: int) -> Sequence[PhysicalAddress]:
-        """Physical addresses of the root-to-leaf path, root first (memoized).
+        """Physical addresses of the root-to-leaf path, root first.
 
         Consecutive entries repeat while the path stays inside one
-        subtree tile; the interconnect coalesces those repeats into a
-        single array access.
+        subtree tile.  Test/debug view of :meth:`path_tiles`; not memoized.
         """
-        path = self._path_cache.get(leaf)
-        if path is None:
-            if not 0 <= leaf < (1 << self.levels):
-                raise ValueError(f"leaf {leaf} out of range [0, {1 << self.levels})")
-            path = tuple(
-                self.address_of(level, leaf) for level in range(self.levels + 1)
-            )
-            self._path_cache[leaf] = path
-        return path
+        return tuple(
+            PhysicalAddress(channel, bank, row)
+            for channel, bank, row, levels in self.path_tiles(leaf)
+            for _ in range(levels)
+        )
 
 
 class TreetopCache:
@@ -276,9 +296,13 @@ class BinaryTree:
             if not 0 <= leaf < self.num_leaves:
                 raise ValueError(f"leaf {leaf} out of range [0, {self.num_leaves})")
             levels = self.levels
+            # A list comprehension, not a generator: one frame per path
+            # instead of one resume per level.
             path = tuple(
-                (1 << level) - 1 + (leaf >> (levels - level))
-                for level in range(levels + 1)
+                [
+                    (1 << level) - 1 + (leaf >> (levels - level))
+                    for level in range(levels + 1)
+                ]
             )
             self._path_cache[leaf] = path
         return path

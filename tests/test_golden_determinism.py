@@ -6,8 +6,11 @@ outcome* so an optimization that changes behaviour -- a different block
 placement, a perturbed ``DeterministicRng`` call order, an altered counter
 update -- fails loudly instead of silently skewing every figure.
 
-The golden snapshot lives in ``tests/data/golden_dyn_locality80.json``.
-Regenerate it (only after an *intentional* behaviour change, e.g. a bugfix)
+The golden snapshots live in ``tests/data/``: ``golden_dyn_locality80.json``
+(flat interconnect, no treetop) and ``golden_dyn_channel4_treetop4.json``
+(the memory side: channel model, 4 channels, 4-level treetop; a read and a
+write trace, ``extra`` included so every interconnect counter is pinned).
+Regenerate them (only after an *intentional* behaviour change, e.g. a bugfix)
 with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_determinism.py
@@ -33,9 +36,11 @@ from repro.core.thresholds import StaticThresholdPolicy
 from repro.oram.path_oram import PathORAM
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
+from repro.workloads import tpcc_trace
 from repro.workloads.synthetic import locality_mix_trace
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_dyn_locality80.json"
+GOLDEN_MEMORY_PATH = Path(__file__).parent / "data" / "golden_dyn_channel4_treetop4.json"
 
 #: Float-valued SimResult fields compared approximately (everything else
 #: must match bit-for-bit).
@@ -53,10 +58,46 @@ def golden_run():
     return result
 
 
+def golden_memory_runs():
+    """The memory-side scenario: channel interconnect + treetop cache.
+
+    The read trace warms the prefetcher (348 merges); the TPC-C trace
+    drives the write-back entry (740 dirty evictions).
+    """
+    config = experiment_config(treetop_levels=4)
+    config = dataclasses.replace(
+        config, dram=dataclasses.replace(config.dram, model="channel", num_channels=4)
+    )
+    traces = {
+        "read": locality_mix_trace(0.8, footprint_blocks=5120, accesses=6000),
+        "write": tpcc_trace(transactions=150),
+    }
+    results = {}
+    for name, trace in traces.items():
+        system = SecureSystem.build("dyn", trace.footprint_blocks, config)
+        results[name] = dataclasses.asdict(system.run(trace))
+        system.backend.oram.check_invariants()
+    return results
+
+
 def result_to_dict(result):
     data = dataclasses.asdict(result)
     data.pop("extra", None)
     return data
+
+
+def assert_matches_snapshot(actual, expected, where=""):
+    """Field-by-field comparison so a drift names the field that moved."""
+    assert set(actual) == set(expected), f"{where}SimResult field set changed"
+    for field, want in expected.items():
+        got = actual[field]
+        if field in FLOAT_FIELDS:
+            assert got == pytest.approx(want, rel=1e-12), field
+        else:
+            assert got == want, (
+                f"{where}SimResult.{field} drifted from golden snapshot: "
+                f"{got!r} != {want!r}"
+            )
 
 
 class TestGoldenDeterminism:
@@ -70,22 +111,25 @@ class TestGoldenDeterminism:
             f"missing golden snapshot {GOLDEN_PATH}; regenerate with "
             "REPRO_UPDATE_GOLDEN=1"
         )
-        expected = json.loads(GOLDEN_PATH.read_text())
-        assert set(actual) == set(expected), "SimResult field set changed"
-        for field, want in expected.items():
-            got = actual[field]
-            if field in FLOAT_FIELDS:
-                assert got == pytest.approx(want, rel=1e-12), field
-            else:
-                assert got == want, (
-                    f"SimResult.{field} drifted from golden snapshot: "
-                    f"{got!r} != {want!r}"
-                )
+        assert_matches_snapshot(actual, json.loads(GOLDEN_PATH.read_text()))
 
     def test_back_to_back_runs_identical(self):
         first = result_to_dict(golden_run())
         second = result_to_dict(golden_run())
         assert first == second
+
+    def test_memory_side_matches_snapshot(self):
+        """Channel model + treetop: the contract for memory-side refactors."""
+        actual = golden_memory_runs()
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN_MEMORY_PATH.write_text(
+                json.dumps(actual, indent=2, sort_keys=True) + "\n"
+            )
+            pytest.skip(f"golden snapshot regenerated at {GOLDEN_MEMORY_PATH}")
+        expected = json.loads(GOLDEN_MEMORY_PATH.read_text())
+        assert set(actual) == set(expected)
+        for name, want in expected.items():
+            assert_matches_snapshot(actual[name], want, where=f"{name}: ")
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,11 @@ state must survive a checkpoint round-trip.
 """
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +32,16 @@ from repro.memory.interconnect import (
     FlatInterconnect,
     build_interconnect,
 )
+from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.memory.timing import ORAMTimingModel, dram_access_cycles, transfer_cycles
 from repro.observability.collect import collect_system
 from repro.observability.recorder import InMemoryRecorder
+from repro.oram.checkpoint import (
+    CheckpointError,
+    dump_backend_state,
+    restore_backend_state,
+)
 from repro.oram.super_block import BaselineScheme
 from repro.oram.tree import PhysicalLayout
 from repro.sim.system import SecureSystem
@@ -288,6 +297,85 @@ class TestCheckpointRoundTrip:
             pass
         else:
             raise AssertionError("expected a channel-count mismatch error")
+
+
+    def test_geometry_mismatch_rejected(self):
+        """Bank/row numbers only mean something under the layout that
+        produced them: every geometry field must match to restore."""
+        oram = ORAMConfig(capacity_bytes=SMALL_CAPACITY, levels=6, bucket_size=4)
+        base = dict(model="channel", num_channels=4)
+        source = build_interconnect(oram, DRAMConfig(**base))
+        source.path_completion(5, 0)
+        state = source.state_dict()
+        mismatches = [
+            (oram, DRAMConfig(num_banks=16, **base)),
+            (oram, DRAMConfig(subtree_levels=3, **base)),
+            (oram, DRAMConfig(page_policy="closed", **base)),
+            (dataclasses.replace(oram, treetop_levels=2), DRAMConfig(**base)),
+            (dataclasses.replace(oram, capacity_bytes=SMALL_CAPACITY * 4), DRAMConfig(**base)),
+        ]
+        for other_oram, other_dram in mismatches:
+            target = build_interconnect(other_oram, other_dram)
+            before = target.state_dict()
+            with pytest.raises(ValueError, match="geometry"):
+                target.load_state_dict(state)
+            assert target.state_dict() == before  # rejected before any write
+
+    def test_checkpoint_without_geometry_still_loads(self):
+        oram = ORAMConfig(capacity_bytes=SMALL_CAPACITY, levels=6, bucket_size=4)
+        dram = DRAMConfig(model="channel", num_channels=4)
+        source = build_interconnect(oram, dram)
+        source.path_completion(5, 0)
+        legacy = source.state_dict()
+        del legacy["geometry"]
+        target = build_interconnect(oram, dram)
+        target.load_state_dict(legacy)
+        assert target.state_dict() == source.state_dict()
+
+    def test_backend_restore_surfaces_geometry_mismatch(self):
+        oram = ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5)
+
+        def backend(subtree_levels):
+            dram = DRAMConfig(
+                model="channel", num_channels=4, subtree_levels=subtree_levels
+            )
+            return ORAMBackend(oram, dram, BaselineScheme(), DeterministicRng(8))
+
+        source = backend(2)
+        source.demand_access(3, now=0, is_write=False)
+        payload = dump_backend_state(source)
+        restore_backend_state(backend(2), payload)
+        with pytest.raises(CheckpointError, match="geometry"):
+            restore_backend_state(backend(3), payload)
+
+    def test_flat_checkpoint_is_unchanged(self):
+        flat = build_interconnect(ORAMConfig(levels=6, bucket_size=4), DRAMConfig())
+        flat.path_completion(5, 0)
+        assert flat.state_dict() == {}
+
+
+class TestPerLeafRetention:
+    def test_streaming_distinct_leaves_retains_no_plan(self):
+        """Regression: ``PhysicalLayout._path_cache`` kept a 26-address
+        tuple (~3 KB) for every distinct leaf ever streamed."""
+        oram = ORAMConfig(levels=13, bucket_size=4)
+        assert oram.nominal_levels + 1 == 26
+        interconnect = build_interconnect(
+            oram, DRAMConfig(model="channel", num_channels=4)
+        )
+        now = interconnect.path_completion(0, 0)  # bank dicts reach full size
+        leaves = 5000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for leaf in range(1, leaves + 1):
+                now = interconnect.path_completion(leaf, now)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / leaves < 400
 
 
 class TestMetricsExport:
