@@ -29,6 +29,14 @@ fixed, so a run is bit-reproducible for any shard count; with ``N == 1``
 builders bypass the bank entirely and the golden single-controller result
 is trivially unchanged.
 
+Results: the bank keeps no aggregate accounting of its own beyond the
+``stats``/``busy_until`` views.  :func:`snapshot_shard_stats` samples one
+controller's counters, and every route to a
+:class:`~repro.sim.results.SimResult` -- a standalone controller, this
+bank, the worker runtime, the serving front end -- hands those snapshots
+to the one fold in :mod:`repro.parallel.merge`, so their agreement is
+structural rather than a property tests have to chase.
+
 This module is intentionally *not* re-exported from
 ``repro.controller.__init__``: it imports :mod:`repro.memory`, which
 imports the controller package, and the indirection keeps that cycle open.
@@ -44,18 +52,26 @@ from repro.memory.oram_backend import ORAMBackend
 
 
 def snapshot_shard_stats(shard: ORAMBackend) -> dict:
-    """Sample every merge-relevant counter of one bank channel.
+    """Sample every result-relevant counter of one ORAM controller.
 
-    The returned dict is plain ints (picklable, JSON-able): the
-    process-parallel runtime ships it over a queue from each worker, and
-    the serial reference path samples the same function in-process, so the
-    merged :class:`~repro.sim.results.SimResult` is built from identical
-    material either way -- bit-identity of the aggregate is structural,
-    not coincidental.
+    This is the only reader of a controller's counters on the way to a
+    :class:`~repro.sim.results.SimResult`: a standalone backend, every
+    channel of an in-process bank and every worker of the process-parallel
+    runtime (which ships the dict over a queue) are sampled by this one
+    function and folded by :func:`repro.parallel.merge.fold_shard_snapshots`,
+    so the result is built from identical material on every route --
+    bit-identity of the aggregate is structural, not coincidental.
+
+    The returned dict is plain data (picklable, JSON-able).  ``injected``
+    is the fault injector's own counters (``None`` without one),
+    ``fault_model`` says whether the retry/degradation ladder is wired at
+    all, and ``interconnect`` is the interconnect's scalar summary, or
+    ``None`` for the flat model, whose results carry no such extras.
     """
     from repro.oram.checkpoint import _BACKEND_STAT_FIELDS, _SCHEME_STAT_FIELDS
 
     hierarchy = shard.posmap_hierarchy
+    interconnect = shard.interconnect
     return {
         "stats": {name: getattr(shard.stats, name) for name in _BACKEND_STAT_FIELDS},
         "scheme_stats": {
@@ -67,6 +83,13 @@ def snapshot_shard_stats(shard: ORAMBackend) -> dict:
         "posmap_cache_hits": hierarchy.cache_hits,
         "phase_cycles": shard.pipeline.breakdown(),
         "busy_until": shard.busy_until,
+        "fault_model": shard.resilience is not None,
+        "injected": (
+            shard.injector.stats.as_dict() if shard.injector is not None else None
+        ),
+        "interconnect": (
+            interconnect.summary() if interconnect.model != "flat" else None
+        ),
     }
 
 
@@ -346,26 +369,6 @@ class ShardedORAMBank(MemoryBackend):
     def stats(self, value: BackendStats) -> None:
         raise AttributeError("bank stats are an aggregate view over the shards")
 
-    def stash_max_occupancy(self) -> int:
-        """Worst stash watermark across the channels."""
-        return max(shard.oram.stash.max_occupancy for shard in self.shards)
-
-    def stash_soft_overflows(self) -> int:
-        return sum(shard.oram.stash_soft_overflows for shard in self.shards)
-
-    def aggregate_posmap_hit_rate(self) -> float:
-        """Lookup-weighted PosMap cache hit rate over all shards.
-
-        Guarded for the no-lookup case (e.g. a bank that never saw a
-        miss): returns 0.0 instead of dividing by zero, matching
-        :meth:`repro.oram.recursion.PosMapHierarchy.hit_rate`.
-        """
-        lookups = sum(shard.posmap_hierarchy.lookups for shard in self.shards)
-        if lookups == 0:
-            return 0.0
-        hits = sum(shard.posmap_hierarchy.cache_hits for shard in self.shards)
-        return hits / lookups
-
     def phase_breakdown(self) -> dict:
         """Per-phase cycle attribution summed over every shard's pipeline."""
         total: dict = {}
@@ -375,8 +378,22 @@ class ShardedORAMBank(MemoryBackend):
         return total
 
     def snapshot_shards(self) -> List[dict]:
-        """Per-channel counter snapshots (:func:`snapshot_shard_stats`)."""
-        return [snapshot_shard_stats(shard) for shard in self.shards]
+        """Per-channel counter snapshots (:func:`snapshot_shard_stats`).
+
+        Channels built by :meth:`SecureSystem.build` share one fault
+        injector, whose counters are then already bank-wide: they are
+        reported on the first channel that carries it, not once per
+        channel.
+        """
+        snapshots = []
+        reported = set()
+        for shard in self.shards:
+            snapshot = snapshot_shard_stats(shard)
+            if id(shard.injector) in reported:
+                snapshot["injected"] = None
+            reported.add(id(shard.injector))
+            snapshots.append(snapshot)
+        return snapshots
 
     def check_invariants(self) -> None:
         """Audit every channel's ORAM (tests / fsck)."""

@@ -118,6 +118,21 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     return registry
 
 
+def _copy_instruments(source: MetricsRegistry, registry: MetricsRegistry) -> None:
+    """Copy every live instrument of *source* into *registry* (create-or-
+    get: gauges and counters take the live value, histograms its buckets)."""
+    for instrument in source:
+        if isinstance(instrument, CycleHistogram):
+            target = registry.histogram(instrument.name)
+            target.counts = list(instrument.counts)
+            target.total = instrument.total
+            target.sum = instrument.sum
+        elif instrument.kind == "gauge":
+            registry.gauge(instrument.name).set(instrument.value)
+        else:
+            registry.counter(instrument.name).set(instrument.value)
+
+
 #: serve.* counters forced to exist (as zero) in every collection -- a
 #: report that says 0 sheds beats one that silently omits the counter
 _SERVE_COUNTERS = (
@@ -151,16 +166,7 @@ def collect_serve(frontend, registry: Optional[MetricsRegistry] = None) -> Metri
     call gives the full serving picture.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    for instrument in frontend.registry:
-        if isinstance(instrument, CycleHistogram):
-            target = registry.histogram(instrument.name)
-            target.counts = list(instrument.counts)
-            target.total = instrument.total
-            target.sum = instrument.sum
-        elif instrument.kind == "gauge":
-            registry.gauge(instrument.name).set(instrument.value)
-        else:
-            registry.counter(instrument.name).set(instrument.value)
+    _copy_instruments(frontend.registry, registry)
     for name in _SERVE_COUNTERS:
         registry.counter(name)
     registry.gauge("bank.num_shards").set(frontend.bank.num_shards)
@@ -184,16 +190,7 @@ def collect_parallel(runtime, registry: Optional[MetricsRegistry] = None) -> Met
     plane, when attached, lands under its usual ``health.*`` names.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    for instrument in runtime.registry:
-        if isinstance(instrument, CycleHistogram):
-            target = registry.histogram(instrument.name)
-            target.counts = list(instrument.counts)
-            target.total = instrument.total
-            target.sum = instrument.sum
-        elif instrument.kind == "gauge":
-            registry.gauge(instrument.name).set(instrument.value)
-        else:
-            registry.counter(instrument.name).set(instrument.value)
+    _copy_instruments(runtime.registry, registry)
     registry.gauge("parallel.num_workers").set(runtime.num_workers)
     for index, restarts in enumerate(runtime.worker_restarts()):
         registry.counter(f"parallel.worker{index}.restarts").set(restarts)

@@ -1,15 +1,18 @@
-"""Merging per-shard results into the aggregate the serial bank reports.
+"""Folding per-controller counter snapshots into a ``SimResult``.
 
 The contract that makes the parallel runtime testable: running a request
 stream through ``N`` worker processes and merging must produce the *same*
 :class:`~repro.sim.results.SimResult` -- bit-identical, field for field --
 as replaying the stream through an in-process
 :class:`~repro.controller.sharded.ShardedORAMBank` of the same width.
-Both sides funnel through this module: the snapshots come from
-:func:`repro.controller.sharded.snapshot_shard_stats` either way, and
-:func:`merge_shard_snapshots` is the only place aggregate semantics live
-(sum the counters, max the watermarks, lookup-weight the hit rate), so
-identity is structural rather than a property to chase.
+Every route funnels through this module: :meth:`SecureSystem.run` (one
+controller or a bank), the serial reference, the worker runtime and the
+serving front end all sample their controllers with
+:func:`repro.controller.sharded.snapshot_shard_stats`, and
+:func:`fold_shard_snapshots` is the only place ORAM-side result fields are
+assigned and aggregate semantics live (sum the counters, max the
+watermarks, lookup-weight the hit rate, which ``extra`` keys exist and in
+what order), so identity is structural rather than a property to chase.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
+from repro.oram.checkpoint import _SCHEME_STAT_FIELDS
 from repro.sim.results import SimResult
 
-#: merged-counter fields summed straight off each shard's ``stats`` dict
-_SUMMED_STAT_FIELDS = (
+#: result fields summed straight off each controller's ``stats`` dict (also
+#: what :meth:`SecureSystem._collect` copies off a DRAM backend's stats)
+BACKEND_RESULT_FIELDS = (
     "demand_requests",
     "prefetch_requests",
     "write_accesses",
@@ -28,6 +33,14 @@ _SUMMED_STAT_FIELDS = (
     "dummy_accesses",
     "posmap_accesses",
     "busy_cycles",
+)
+
+#: ``stats`` fields reported in ``extra`` when the fault ladder is wired
+_FAULT_EXTRA_FIELDS = (
+    "transient_faults",
+    "fault_retries",
+    "fault_delay_cycles",
+    "forced_evictions",
 )
 
 
@@ -47,6 +60,67 @@ def requests_from_trace(trace) -> List[Tuple[int, int, bool]]:
     return requests
 
 
+def _summed(dicts: Sequence[Optional[dict]], assigned: str = "") -> dict:
+    """Key-wise sum of the dicts that are present, in first-seen key order
+    (the *assigned* key, equal on every shard, is taken instead of summed)."""
+    total: dict = {}
+    for counters in dicts:
+        for name, value in (counters or {}).items():
+            total[name] = value if name == assigned else total.get(name, 0) + value
+    return total
+
+
+def fold_shard_snapshots(
+    result: SimResult, snapshots: Sequence[dict], *, bank: bool
+) -> SimResult:
+    """Fill the ORAM-side fields of *result* from controller snapshots.
+
+    Args:
+        result: carries the core-side fields already (workload, scheme,
+            cycles, trace entries, cache hits and misses).
+        snapshots: one :func:`snapshot_shard_stats` dict per controller,
+            in shard order.
+        bank: the controllers are channels of a bank, which reports its
+            width as ``extra["num_shards"]``; a standalone controller
+            does not.
+
+    Robustness, injector and interconnect counters ride in ``extra`` --
+    present only when a snapshot says a fault ladder / injector / non-flat
+    interconnect is wired (a snapshot without those keys says it is not)
+    -- so the pinned golden result schema (and every fault-free,
+    flat-model consumer) is untouched.  Insertion order is part of the
+    contract: result digests hash the dict's ``repr``.
+    """
+    for name in BACKEND_RESULT_FIELDS:
+        setattr(result, name, sum(snap["stats"][name] for snap in snapshots))
+    for name in _SCHEME_STAT_FIELDS:  # same names on SimResult
+        setattr(result, name, sum(snap["scheme_stats"][name] for snap in snapshots))
+    result.stash_max_occupancy = max(
+        snap["stash_max_occupancy"] for snap in snapshots
+    )
+    lookups = sum(snap["posmap_lookups"] for snap in snapshots)
+    hits = sum(snap["posmap_cache_hits"] for snap in snapshots)
+    result.posmap_cache_hit_rate = hits / lookups if lookups else 0.0
+    extra = result.extra
+    if bank:
+        extra["num_shards"] = len(snapshots)
+    extra["stash_soft_overflows"] = sum(
+        snap["stash_soft_overflows"] for snap in snapshots
+    )
+    for name, cycles in _summed([snap["phase_cycles"] for snap in snapshots]).items():
+        extra[f"phase_{name}_cycles"] = cycles
+    if any(snap.get("fault_model") for snap in snapshots):
+        for name in _FAULT_EXTRA_FIELDS:
+            extra[name] = sum(snap["stats"][name] for snap in snapshots)
+    for name, value in _summed([snap.get("injected") for snap in snapshots]).items():
+        extra[f"injected_{name}"] = value
+    for name, value in _summed(
+        [snap.get("interconnect") for snap in snapshots], assigned="channels"
+    ).items():
+        extra[f"interconnect_{name}"] = value
+    return result
+
+
 def merge_shard_snapshots(
     snapshots: Sequence[dict],
     completions: Sequence[int],
@@ -64,39 +138,17 @@ def merge_shard_snapshots(
         workload: label for the result's workload field.
         scheme: label for the result's scheme field.
     """
-    result = SimResult(
-        workload=workload,
-        scheme=scheme,
-        cycles=max(completions, default=0),
-        trace_entries=len(completions),
-        llc_misses=len(completions),
+    return fold_shard_snapshots(
+        SimResult(
+            workload=workload,
+            scheme=scheme,
+            cycles=max(completions, default=0),
+            trace_entries=len(completions),
+            llc_misses=len(completions),
+        ),
+        snapshots,
+        bank=True,
     )
-    for name in _SUMMED_STAT_FIELDS:
-        setattr(result, name, sum(snap["stats"][name] for snap in snapshots))
-    result.stash_max_occupancy = max(
-        snap["stash_max_occupancy"] for snap in snapshots
-    )
-    lookups = sum(snap["posmap_lookups"] for snap in snapshots)
-    hits = sum(snap["posmap_cache_hits"] for snap in snapshots)
-    result.posmap_cache_hit_rate = hits / lookups if lookups else 0.0
-    for snap in snapshots:
-        scheme_stats = snap["scheme_stats"]
-        result.merges += scheme_stats["merges"]
-        result.breaks += scheme_stats["breaks"]
-        result.prefetched_blocks += scheme_stats["prefetched_blocks"]
-        result.prefetch_hits += scheme_stats["prefetch_hits"]
-        result.prefetch_misses += scheme_stats["prefetch_misses"]
-    result.extra["num_shards"] = len(snapshots)
-    result.extra["stash_soft_overflows"] = sum(
-        snap["stash_soft_overflows"] for snap in snapshots
-    )
-    phase_totals: dict = {}
-    for snap in snapshots:
-        for name, cycles in snap["phase_cycles"].items():
-            phase_totals[name] = phase_totals.get(name, 0) + cycles
-    for name, cycles in phase_totals.items():
-        result.extra[f"phase_{name}_cycles"] = cycles
-    return result
 
 
 def run_serial_reference(

@@ -1,10 +1,12 @@
-"""Wire protocol between the parallel front-end and its shard workers.
+"""Wire protocol between the parallel front-end and its shard executors.
 
 Everything that crosses a process boundary is defined here: the
-:class:`ShardSpec` a worker is spawned with, and the shapes of the
-command/reply tuples exchanged over the two ``multiprocessing`` queues.
-Tuples (not classes) cross the queues so a reply is cheap to pickle and
-the protocol is trivially versionable by shape.
+:class:`ShardSpec` a shard is opened with, and the shapes of the
+command/reply tuples a :class:`~repro.parallel.worker.ShardExecutor`
+takes and yields -- over two ``multiprocessing`` queues when it runs in a
+worker process, over an in-process channel of the same shape when it
+runs inline.  Tuples (not classes) cross the queues so a reply is cheap
+to pickle and the protocol is trivially versionable by shape.
 
 Commands (front-end -> worker)::
 

@@ -34,13 +34,16 @@ Health control plane (optional): constructed with a
 Workers emit mid-batch ``heartbeat`` replies; a worker whose in-flight
 batches make no progress (no ack, no heartbeat) for ``batch_deadline_s``
 is declared *hung*, terminated, and -- like a killed worker -- lands in
-QUARANTINE instead of being respawned immediately.  While quarantined,
-its shard is served by an in-process fallback backend restored from the
-worker's checkpoint, one batch at a time, with one dummy-path access
-padding every request so fallback traffic keeps the uniform-leaf access
-shape.  After the breaker's cooldown the fallback state is checkpointed
-back and a fresh worker is respawned half-open (PROBING, inflight capped
-at 1); enough successful probe batches re-admit it to full pipelining.
+QUARANTINE instead of being respawned immediately.  A failed shard is
+always healed the same way -- reopen it from its checkpoint, replay what
+the checkpoint lacks -- and quarantine only changes the transport: the
+same :class:`~repro.parallel.worker.ShardExecutor` runs in this process
+behind an :class:`~repro.parallel.worker.InlineShardChannel`, one batch in
+flight, with one dummy-path access padding every request so that traffic
+keeps the uniform-leaf access shape.  After the breaker's cooldown the
+inline shard is told to ``checkpoint`` and a fresh worker process is
+opened from that file half-open (PROBING, inflight still capped at 1);
+enough successful probe batches re-admit it to full pipelining.
 DEGRADED workers (tripped latency window) run with halved inflight and
 their backend's super-block merges / prefetcher throttled via the
 ``throttle`` command.  Without a policy, behavior is bit-identical to
@@ -53,6 +56,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -61,7 +65,7 @@ from repro.health import HealthControlPlane, HealthPolicy, HealthState
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.parallel.protocol import ShardSpec
-from repro.parallel.worker import shard_worker_main
+from repro.parallel.worker import InlineShardChannel, shard_worker_main
 from repro.sim.results import SimResult
 
 #: liveness-poll interval while waiting on a reply queue (seconds)
@@ -69,7 +73,15 @@ _POLL_S = 0.02
 
 
 class WorkerFailure(RuntimeError):
-    """A shard worker failed beyond what the recovery ladder can heal."""
+    """A shard worker failed beyond what the recovery ladder can heal.
+
+    ``reason`` says how: ``"hang"`` (alive but silent past the deadline),
+    ``"death"`` (the process exited), or ``"error"`` for everything else.
+    """
+
+    def __init__(self, message: str, reason: str = "error"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class _Worker:
@@ -77,6 +89,7 @@ class _Worker:
 
     def __init__(self, index: int):
         self.index = index
+        #: the worker process, or ``None`` while the shard is open inline
         self.process = None
         self.commands = None
         self.replies = None
@@ -93,17 +106,17 @@ class _Worker:
         self.last_progress = 0.0
         #: whether the worker process was told to run degraded
         self.throttled = False
-        # quarantine bookkeeping: the in-process stand-in backend, the
-        # last seq applied to it, and its recent seq -> completions window
-        self.fallback = None
-        self.fallback_seq = -1
-        self.fallback_window: Dict[int, List[int]] = {}
-        #: restart budget exhausted: stay on the fallback, never probe
+        #: restart budget exhausted: stay inline, never probe
         self.no_probe = False
 
     @property
     def inflight(self) -> int:
         return len(self.pending)
+
+    @property
+    def alive(self) -> bool:
+        """An inline shard lives in this process, so it cannot have died."""
+        return self.process is None or self.process.is_alive()
 
 
 def _drain_nowait(replies):
@@ -119,6 +132,22 @@ def _drain_nowait(replies):
         return None
     except Exception:
         return None
+
+
+def _record(results: list, positions: List[int], completions) -> bool:
+    """Write one batch's completions into *results* unless an earlier
+    acknowledgement of the same batch already did; True if it wrote."""
+    if results[positions[0]] is not None:
+        return False
+    for position, cycle in zip(positions, completions):
+        results[position] = cycle
+    return True
+
+
+def _forget_checkpointed(worker: _Worker, checkpointed_seq: int) -> None:
+    """Drop replay fodder a checkpoint now covers."""
+    for covered in [s for s in worker.unckpt if s <= checkpointed_seq]:
+        del worker.unckpt[covered]
 
 
 class ParallelShardRuntime:
@@ -145,9 +174,9 @@ class ParallelShardRuntime:
         max_restarts: per-worker respawn budget before giving up.
         metrics: optional shared registry for the per-worker gauges.
         health_policy: enable the health control plane (per-worker
-            circuit breakers, quarantine fallback routing, half-open
-            probing).  Requires ``checkpoint_dir`` -- the fallback path
-            is restored from the worker's checkpoint.  Also supplies
+            circuit breakers, quarantined shards served inline,
+            half-open probing).  Requires ``checkpoint_dir`` -- the
+            inline shard is restored from the worker's checkpoint.  Also supplies
             defaults for the three enforcement knobs below.
         batch_deadline_s: wall-clock seconds an in-flight worker may go
             without progress (ack or heartbeat) before it is declared
@@ -190,8 +219,8 @@ class ParallelShardRuntime:
             raise ValueError("batch_size and max_inflight must be positive")
         if health_policy is not None and not checkpoint_dir:
             raise ValueError(
-                "the health control plane needs checkpoint_dir: quarantine "
-                "routing restores the fallback path from worker checkpoints"
+                "the health control plane needs checkpoint_dir: a quarantined "
+                "shard is reopened inline from its worker's checkpoint"
             )
         self.scheme = scheme
         self.footprint_blocks = footprint_blocks
@@ -233,9 +262,15 @@ class ParallelShardRuntime:
                 path = self._checkpoint_path(worker.index)
                 if os.path.exists(path):
                     os.remove(path)
-        for worker in self._workers:
-            self._spawn(worker)
         self._closed = False
+        try:
+            for worker in self._workers:
+                self._open(worker)
+        except BaseException:
+            # The caller never gets an object to close: take down the
+            # workers that did start before reporting the one that did not.
+            self.close()
+            raise
 
     # ------------------------------------------------------------- lifecycle
     def _checkpoint_path(self, index: int) -> str:
@@ -259,18 +294,36 @@ class ParallelShardRuntime:
             fault_config=self.fault_config,
         )
 
-    def _spawn(self, worker: _Worker) -> Tuple[int, list]:
-        """Start (or restart) a worker; returns its ready announcement."""
-        worker.commands = self._ctx.Queue()
-        worker.replies = self._ctx.Queue()
+    def _open(self, worker: _Worker, *, inline: bool = False) -> Tuple[int, list]:
+        """Open a shard's executor behind one of its two transports -- a
+        fresh worker process, or this process when *inline* -- and return
+        its ready announcement ``(last_seq, reply window)``.  Opening a
+        shard that was open before starts a new incarnation: the restart
+        count, which salts its RNG, advances."""
+        if worker.commands is not None:
+            worker.restarts += 1
+            self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
         spec = self._spec(worker.index, worker.restarts)
-        worker.process = self._ctx.Process(
-            target=shard_worker_main,
-            args=(spec, worker.commands, worker.replies),
-            daemon=True,
-            name=f"repro-shard-{worker.index}",
-        )
-        worker.process.start()
+        if inline:
+            # This process is the trusted domain (injected faults model
+            # worker memory) and cannot hang on itself, so the inline
+            # shard runs without injector or heartbeats; it pads every
+            # request with a dummy path so its traffic keeps one shape.
+            worker.process = None
+            worker.commands = worker.replies = InlineShardChannel(
+                replace(spec, fault_config=None, heartbeat_every=0),
+                pad_with_dummies=True,
+            )
+        else:
+            worker.commands = self._ctx.Queue()
+            worker.replies = self._ctx.Queue()
+            worker.process = self._ctx.Process(
+                target=shard_worker_main,
+                args=(spec, worker.commands, worker.replies),
+                daemon=True,
+                name=f"repro-shard-{worker.index}",
+            )
+            worker.process.start()
         worker.last_progress = time.perf_counter()
         worker.throttled = False
         reply = self._await_reply(worker)
@@ -296,13 +349,9 @@ class ParallelShardRuntime:
             except (OSError, ValueError):
                 pass
         for worker in self._workers:
-            process = worker.process
-            if process is None:
-                continue
-            process.join(timeout=self.join_timeout_s)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=self.join_timeout_s)
+            if worker.process is not None:
+                worker.process.join(timeout=self.join_timeout_s)
+                self.kill_worker(worker.index)
 
     def __enter__(self) -> "ParallelShardRuntime":
         return self
@@ -317,53 +366,62 @@ class ParallelShardRuntime:
             and time.perf_counter() - worker.last_progress > self.batch_deadline_s
         )
 
-    def _terminate_hung(self, worker: _Worker) -> None:
-        """Declare a live-but-silent worker hung and take it down."""
-        worker.hangs += 1
-        self.registry.counter(f"parallel.worker{worker.index}.hangs").inc()
-        process = worker.process
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(timeout=self.join_timeout_s)
+    def _poll(self, worker: _Worker, *, block: bool = False, deadline: bool = True):
+        """One look at *worker*'s reply queue: the next reply (heartbeats
+        included), or ``None`` when there is none (with *block*: none
+        within the liveness-poll interval).
 
-    def _await_reply(self, worker: _Worker, *, deadline: bool = False):
-        """Block until *worker* replies; raise :class:`WorkerFailure` if it
-        dies first (the caller owns recovery, since only it knows which
-        commands the dead incarnation's queue took with it).  Heartbeats
-        are consumed here -- they refresh the progress clock but are never
-        surfaced.  With ``deadline=True`` a worker that stays silent past
-        ``batch_deadline_s`` is terminated and reported as a failure."""
-        while True:
-            try:
-                reply = worker.replies.get(timeout=_POLL_S)
-            except queue_module.Empty:
-                if worker.process.is_alive():
-                    if deadline and self._deadline_expired(worker):
-                        self._terminate_hung(worker)
-                        raise WorkerFailure(
-                            f"worker {worker.index} hung: no progress for "
-                            f"{self.batch_deadline_s:.3f}s"
-                        )
-                    continue
-                # One last drain: the worker may have replied, then died.
-                reply = _drain_nowait(worker.replies)
-                if reply is not None:
-                    worker.last_progress = time.perf_counter()
-                    return reply
+        This is the only place a failed worker is detected.  A dead one
+        raises :class:`WorkerFailure` with reason ``"death"``; with
+        *deadline*, one that is alive but has been silent past
+        ``batch_deadline_s`` is terminated and raises with reason
+        ``"hang"``.  The caller owns recovery, since only it knows which
+        commands the dead incarnation's queue took with it.
+        """
+        try:
+            reply = worker.replies.get(block, _POLL_S)
+        except queue_module.Empty:
+            if worker.alive:
+                if not (deadline and self._deadline_expired(worker)):
+                    return None
+                worker.hangs += 1
+                self.registry.counter(f"parallel.worker{worker.index}.hangs").inc()
+                self.kill_worker(worker.index)
+                raise WorkerFailure(
+                    f"worker {worker.index} hung: no progress for "
+                    f"{self.batch_deadline_s:.3f}s",
+                    reason="hang",
+                )
+            # One last drain: the worker may have replied, then died.
+            reply = _drain_nowait(worker.replies)
+            if reply is None:
                 raise WorkerFailure(
                     f"worker {worker.index} died "
-                    f"(exitcode {worker.process.exitcode})"
+                    f"(exitcode {worker.process.exitcode})",
+                    reason="death",
                 )
-            worker.last_progress = time.perf_counter()
-            if reply[0] == "heartbeat":
-                continue
-            return reply
+        worker.last_progress = time.perf_counter()
+        return reply
+
+    def _await_reply(self, worker: _Worker, *, deadline: bool = False):
+        """Block until *worker* replies (:meth:`_poll` in a loop).
+        Heartbeats are consumed here -- they refresh the progress clock but
+        are never surfaced."""
+        while True:
+            reply = self._poll(worker, block=True, deadline=deadline)
+            if reply is not None and reply[0] != "heartbeat":
+                return reply
 
     def _send_batch(
         self, worker: _Worker, positions: List[int], batch: list
     ) -> None:
         seq = worker.next_seq
         worker.next_seq += 1
+        self._send(worker, seq, positions, batch)
+
+    def _send(
+        self, worker: _Worker, seq: int, positions: List[int], batch: list
+    ) -> None:
         worker.pending[seq] = (positions, batch)
         worker.sent_at[seq] = time.perf_counter()
         # A send restarts the progress clock: deadlines measure silence
@@ -392,10 +450,7 @@ class ParallelShardRuntime:
         entry = worker.pending.pop(seq, None)
         if entry is not None:
             positions, _batch = entry
-            if results[positions[0]] is None:
-                for position, cycle in zip(positions, completions):
-                    results[position] = cycle
-                newly_recorded = True
+            newly_recorded = _record(results, positions, completions)
             if seq > checkpointed_seq:
                 worker.unckpt[seq] = entry
             sent = worker.sent_at.pop(seq, None)
@@ -406,21 +461,31 @@ class ParallelShardRuntime:
                     f"parallel.worker{worker.index}.batch_roundtrip_us"
                 ).record(roundtrip_us)
             self.registry.counter(f"parallel.worker{worker.index}.batches").inc()
-            self._feed_health_ack(worker, roundtrip_us)
-        for covered in [s for s in worker.unckpt if s <= checkpointed_seq]:
-            del worker.unckpt[covered]
+            self._feed_health_ack(worker, roundtrip_us, len(positions))
+        _forget_checkpointed(worker, checkpointed_seq)
         self.registry.gauge(f"parallel.worker{worker.index}.queue_depth").set(
             worker.inflight
         )
         return newly_recorded
 
     # --------------------------------------------------------- health feeding
-    def _feed_health_ack(self, worker: _Worker, roundtrip_us: int) -> None:
+    def _feed_health_ack(
+        self, worker: _Worker, roundtrip_us: int, accesses: int
+    ) -> None:
         """One batch acknowledgement reached the front-end: feed the
-        breaker.  Probe acks count toward re-admission; normal acks feed
-        the latency window (microseconds stand in for cycles -- the policy
-        knob is documented as round-trip µs for the parallel runtime)."""
+        breaker.  Acks of an inline (quarantined) shard count its accesses
+        toward the cooldown; probe acks count toward re-admission; normal
+        acks feed the latency window (microseconds stand in for cycles --
+        the policy knob is documented as round-trip µs for the parallel
+        runtime)."""
         if self.health is None:
+            return
+        if worker.process is None:
+            for _ in range(accesses):
+                self.health.record_fallback(worker.index)
+            self.registry.counter(
+                f"parallel.worker{worker.index}.fallback_batches"
+            ).inc()
             return
         state = self.health.state(worker.index)
         if state is HealthState.PROBING:
@@ -444,159 +509,76 @@ class ParallelShardRuntime:
 
     # -------------------------------------------------------------- recovery
     def _fail_worker(self, worker: _Worker, reason: str, results) -> int:
-        """Route one dead/hung worker through the configured ladder.
+        """Heal one dead/hung worker: reopen its shard from the checkpoint
+        and replay what the checkpoint lacks (:meth:`_reopen`).
 
-        Without a health plane this is the original immediate
-        respawn-and-replay (:meth:`_recover`).  With one, the worker is
-        quarantined: its outstanding batches are resolved against an
-        in-process fallback backend and subsequent traffic is served
-        there until the breaker re-admits it.  Returns how many batches
-        were newly recorded into *results* (0 on the respawn path, where
-        replayed batches are acknowledged through the queues instead).
+        Without a health plane the shard comes back as a fresh worker
+        process, within the restart budget.  With one, the breaker trips
+        and the shard is reopened inline, where it serves traffic until
+        :meth:`_try_readmit` hands it back to a process.  Returns how many
+        batches were newly recorded into *results*.
         """
-        if self.health is None:
-            self._recover(worker)
-            return 0
-        return self._quarantine(worker, reason, results)
-
-    def _recover(self, worker: _Worker) -> None:
-        """Respawn a dead worker from its checkpoint and replay the gap."""
-        if not self.checkpoint_dir:
+        if self.health is not None:
+            self.health.record_hard_failure(worker.index, reason)
+        elif not self.checkpoint_dir:
             raise WorkerFailure(
                 f"worker {worker.index} died (exitcode "
                 f"{worker.process.exitcode}) and checkpointing is disabled"
             )
-        if worker.restarts >= self.max_restarts:
+        elif worker.restarts >= self.max_restarts:
             raise WorkerFailure(
                 f"worker {worker.index} exceeded its restart budget "
                 f"({self.max_restarts})"
             )
-        worker.process.join(timeout=self.join_timeout_s)
-        worker.restarts += 1
-        self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
-        # Fresh queues (via _spawn): the old ones may hold a torn pickle.
-        restored_seq, window = self._spawn(worker)
-        stored = {seq for seq, _completions in window}
-        # Everything un-acknowledged or un-checkpointed goes back through
-        # the worker.  Batches the restored checkpoint already covers are
-        # answered from its reply window without re-execution; the rest
-        # re-run from the checkpointed state.
-        replay = dict(worker.unckpt)
-        replay.update(worker.pending)
-        worker.unckpt = {}
-        worker.pending = {}
-        worker.sent_at = {}
-        for seq in sorted(replay):
-            positions, batch = replay[seq]
-            if seq <= restored_seq and seq not in stored:
-                raise WorkerFailure(
-                    f"worker {worker.index}: batch {seq} is inside the "
-                    f"restored checkpoint but outside its reply window"
-                )
-            worker.pending[seq] = (positions, batch)
-            worker.sent_at[seq] = time.perf_counter()
-            worker.commands.put(("batch", seq, batch))
+        self.kill_worker(worker.index)
+        return self._reopen(worker, results, inline=self.health is not None)
 
-    def _quarantine(self, worker: _Worker, reason: str, results) -> int:
-        """Trip the breaker and swing the shard onto its fallback path.
+    def _reopen(self, worker: _Worker, results, *, inline: bool) -> int:
+        """Reopen a shard from its checkpoint and replay ``unckpt`` and
+        ``pending``: everything un-acknowledged or un-checkpointed.
 
-        The fallback backend is rebuilt in-process from the worker's
-        checkpoint (without the worker's fault injector: the front-end
-        process is the trusted domain, faults model worker memory).
-        Outstanding batches are resolved immediately -- answered from the
-        checkpoint's reply window when it already covers them, re-executed
-        on the fallback otherwise -- so no completion is ever lost.
+        Batches the restored checkpoint already covers are answered from
+        its reply window, here, without re-execution; the rest go back
+        through the (new) transport and re-run from the checkpointed
+        state, so no completion is ever lost.  Returns the number of
+        batches newly recorded.
         """
-        self.health.record_hard_failure(worker.index, reason)
-        process = worker.process
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=self.join_timeout_s)
-        # The fallback is the shard's next incarnation: it advances the
-        # restart salt so its leaf stream is fresh, like any respawn.
-        worker.restarts += 1
-        self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
-        from repro.oram.checkpoint import restore_backend
-        from repro.sim.system import build_shard_backend
-
-        backend = build_shard_backend(
-            self.scheme,
-            self.footprint_blocks,
-            self.config,
-            worker.index,
-            self.num_workers,
-            static_sbsize=self.static_sbsize,
-            rng_restart_salt=worker.restarts,
-        )
-        runtime_state = restore_backend(
-            backend, self._checkpoint_path(worker.index)
-        )
-        restored_seq = runtime_state.get("last_seq", -1)
-        window = {
-            seq: list(completions)
-            for seq, completions in runtime_state.get("replies", [])
-        }
-        worker.fallback = backend
-        worker.fallback_seq = restored_seq
-        worker.fallback_window = window
-        replay = dict(worker.unckpt)
-        replay.update(worker.pending)
+        # Fresh queues (via _open): the old ones may hold a torn pickle.
+        restored_seq, window = self._open(worker, inline=inline)
+        stored = {seq: completions for seq, completions in window}
+        replay = {**worker.unckpt, **worker.pending}
         worker.unckpt = {}
         worker.pending = {}
         worker.sent_at = {}
         recorded = 0
         for seq in sorted(replay):
             positions, batch = replay[seq]
-            if seq <= restored_seq:
-                completions = window.get(seq)
-                if completions is None:
-                    raise WorkerFailure(
-                        f"worker {worker.index}: batch {seq} is inside the "
-                        f"restored checkpoint but outside its reply window"
-                    )
+            if seq > restored_seq:
+                self._send(worker, seq, positions, batch)
+            elif seq in stored:
+                recorded += _record(results, positions, stored[seq])
             else:
-                completions = self._fallback_execute(worker, seq, batch)
-            if results[positions[0]] is None:
-                for position, cycle in zip(positions, completions):
-                    results[position] = cycle
-                recorded += 1
+                raise WorkerFailure(
+                    f"worker {worker.index}: batch {seq} is inside the "
+                    f"restored checkpoint but outside its reply window"
+                )
         return recorded
 
-    def _fallback_execute(
-        self, worker: _Worker, seq: int, batch: list
-    ) -> List[int]:
-        """Serve one batch on the quarantined shard's fallback backend.
-
-        Every request is padded with one dummy-path access, so fallback
-        (and probe) traffic presents the same fixed two-path shape and
-        the leaf distribution the shard exposes stays uniform.
-        """
-        backend = worker.fallback
-        health = self.health
-        completions = []
-        for addr, now, is_write in batch:
-            result = backend.demand_access(addr, now, is_write)
-            completions.append(backend.dummy_path_access(result.completion_cycle))
-            health.record_fallback(worker.index)
-        worker.fallback_seq = seq
-        worker.fallback_window[seq] = completions
-        keep = max(2 * self.max_inflight, 8)
-        for old in sorted(worker.fallback_window)[:-keep]:
-            del worker.fallback_window[old]
-        self.registry.counter(
-            f"parallel.worker{worker.index}.fallback_batches"
-        ).inc()
-        return completions
-
     def _try_readmit(self, worker: _Worker) -> bool:
-        """Checkpoint the fallback and respawn the worker half-open.
+        """Hand a quarantined shard past its cooldown back to a process.
 
-        Returns True when the worker was respawned into PROBING.  A
-        worker whose restart budget is exhausted stays on its fallback
-        permanently (degraded-but-correct beats fatal)."""
+        The inline shard checkpoints itself (the executor's ``checkpoint``
+        command) and a worker process is opened from that file half-open.
+        Returns True when the worker was opened into PROBING.  A worker
+        whose restart budget is exhausted stays inline permanently
+        (degraded-but-correct beats fatal)."""
         health = self.health
-        if worker.no_probe or not health.breakers[worker.index].ready_to_probe:
+        if (
+            health is None
+            or worker.no_probe
+            or worker.pending
+            or not health.breakers[worker.index].ready_to_probe
+        ):
             return False
         if worker.restarts >= self.max_restarts:
             worker.no_probe = True
@@ -604,71 +586,35 @@ class ParallelShardRuntime:
                 f"parallel.worker{worker.index}.probe_denied"
             ).inc()
             return False
-        from repro.oram.checkpoint import save_backend
-
-        save_backend(
-            worker.fallback,
-            self._checkpoint_path(worker.index),
-            {
-                "last_seq": worker.fallback_seq,
-                "replies": [
-                    [seq, completions]
-                    for seq, completions in sorted(worker.fallback_window.items())
-                ],
-            },
-        )
+        worker.commands.put(("checkpoint", worker.next_seq))
+        worker.next_seq += 1
+        reply = self._await_reply(worker)
+        if reply[0] != "checkpoint_done":
+            raise WorkerFailure(
+                f"worker {worker.index} could not checkpoint for "
+                f"re-admission: {reply[-1]}"
+            )
+        _forget_checkpointed(worker, reply[2])
         health.begin_probe_if_ready(worker.index)
-        worker.fallback = None
-        worker.fallback_window = {}
-        worker.restarts += 1
-        self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
-        self._spawn(worker)
+        self._open(worker)
         # Probe under throttle: the shard earns full rate back only once
         # the breaker re-admits it.
         self._set_worker_throttle(worker, True)
         return True
 
-    def _is_quarantined(self, worker: _Worker) -> bool:
-        return (
-            self.health is not None
-            and self.health.state(worker.index) is HealthState.QUARANTINED
-        )
-
     def _inflight_cap(self, worker: _Worker) -> int:
-        """Pipelining depth by health state: probes go one at a time,
-        degraded workers at half rate, healthy ones at full depth."""
+        """Pipelining depth by health state: quarantined shards and probes
+        go one batch at a time (so the other workers' queues are serviced
+        in between), degraded workers at half rate, healthy ones at full
+        depth."""
         if self.health is None:
             return self.max_inflight
         state = self.health.state(worker.index)
-        if state is HealthState.PROBING:
+        if state in (HealthState.QUARANTINED, HealthState.PROBING):
             return 1
         if state is HealthState.DEGRADED:
             return max(1, self.max_inflight // 2)
         return self.max_inflight
-
-    def _pump_quarantined(
-        self, worker: _Worker, chunks, cursors, results
-    ) -> int:
-        """Advance a quarantined shard by at most one fallback batch.
-
-        One batch per pump iteration keeps the scheduler fair: the other
-        workers' queues are serviced between fallback batches.  Returns
-        the number of batches newly recorded (0 or 1)."""
-        if self._try_readmit(worker):
-            return 0
-        if cursors[worker.index] >= len(chunks):
-            return 0
-        positions, batch = chunks[cursors[worker.index]]
-        cursors[worker.index] += 1
-        seq = worker.next_seq
-        worker.next_seq += 1
-        completions = self._fallback_execute(worker, seq, batch)
-        recorded = 0
-        if results[positions[0]] is None:
-            for position, cycle in zip(positions, completions):
-                results[position] = cycle
-            recorded = 1
-        return recorded
 
     # ------------------------------------------------------------------- run
     def run(
@@ -714,14 +660,8 @@ class ParallelShardRuntime:
             progressed = False
             for worker in self._workers:
                 chunks = batches[worker.index]
-                if self._is_quarantined(worker):
-                    recorded = self._pump_quarantined(
-                        worker, chunks, cursors, results
-                    )
-                    if recorded:
-                        unrecorded -= recorded
-                        progressed = True
-                    continue
+                if self._try_readmit(worker):
+                    progressed = True
                 cap = self._inflight_cap(worker)
                 while (
                     cursors[worker.index] < len(chunks)
@@ -735,24 +675,15 @@ class ParallelShardRuntime:
                 if not worker.pending:
                     continue
                 try:
-                    reply = worker.replies.get_nowait()
-                except queue_module.Empty:
-                    if worker.process.is_alive():
-                        if self._deadline_expired(worker):
-                            self._terminate_hung(worker)
-                            unrecorded -= self._fail_worker(
-                                worker, "hang", results
-                            )
-                            progressed = True
-                        continue
-                    reply = _drain_nowait(worker.replies)
-                    if reply is None:
-                        unrecorded -= self._fail_worker(worker, "death", results)
-                        progressed = True
-                        continue
-                worker.last_progress = time.perf_counter()
-                if reply[0] == "heartbeat":
+                    reply = self._poll(worker)
+                except WorkerFailure as failure:
+                    unrecorded -= self._fail_worker(worker, failure.reason, results)
                     progressed = True
+                    continue
+                if reply is None:
+                    continue
+                progressed = True
+                if reply[0] == "heartbeat":
                     continue
                 if reply[0] == "error":
                     raise WorkerFailure(
@@ -792,31 +723,17 @@ class ParallelShardRuntime:
         snapshots: List[Optional[dict]] = [None] * self.num_workers
         fsck_failures: List[str] = []
         for worker in self._workers:
-            if not self._is_quarantined(worker):
-                self._send_barrier_commands(worker, horizon, fsck)
+            self._send_barrier_commands(worker, horizon, fsck)
         for worker in self._workers:
             while snapshots[worker.index] is None:
-                if self._is_quarantined(worker):
-                    # The shard lives in the front-end process now; the
-                    # barrier runs directly against its fallback backend.
-                    snapshots[worker.index] = self._fallback_barrier(
-                        worker, horizon, fsck, fsck_failures
-                    )
-                    break
                 try:
                     reply = self._await_reply(worker, deadline=True)
                 except WorkerFailure as failure:
                     # Death (or hang) at the barrier: heal, then re-issue
                     # the barrier commands the old command queue took with
-                    # it -- unless the health plane quarantined the shard,
-                    # in which case the loop snapshots its fallback.
-                    self._fail_worker(
-                        worker,
-                        "hang" if "hung" in str(failure) else "death",
-                        results,
-                    )
-                    if not self._is_quarantined(worker):
-                        self._send_barrier_commands(worker, horizon, fsck)
+                    # it.
+                    self._fail_worker(worker, failure.reason, results)
+                    self._send_barrier_commands(worker, horizon, fsck)
                     continue
                 if reply[0] == "error":
                     raise WorkerFailure(
@@ -849,23 +766,6 @@ class ParallelShardRuntime:
         worker.commands.put(("stats", worker.next_seq))
         worker.next_seq += 1
 
-    def _fallback_barrier(
-        self, worker: _Worker, horizon: int, fsck: bool, fsck_failures: List[str]
-    ) -> dict:
-        """Drain + fsck + snapshot a quarantined shard's fallback backend
-        -- the in-process mirror of the worker barrier commands."""
-        from repro.controller.sharded import snapshot_shard_stats
-
-        backend = worker.fallback
-        backend.finalize(max(horizon, backend.busy_until))
-        if fsck:
-            from repro.faults.fsck import run_fsck
-
-            report = run_fsck(backend.oram)
-            if not report.ok:
-                fsck_failures.append(report.summary())
-        return snapshot_shard_stats(backend)
-
     # ------------------------------------------------------------ inspection
     def metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
         """Return (or merge into) the registry holding the worker gauges."""
@@ -890,8 +790,9 @@ class ParallelShardRuntime:
     def kill_worker(self, index: int) -> None:
         """Hard-kill one worker process (fault-injection hook for tests)."""
         process = self._workers[index].process
-        if process is not None and process.is_alive():
-            process.terminate()
+        if process is not None:
+            if process.is_alive():
+                process.terminate()
             process.join(timeout=self.join_timeout_s)
 
     def hang_worker(self, index: int, seconds: float = 3600.0) -> None:

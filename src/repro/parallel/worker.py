@@ -1,18 +1,26 @@
-"""The shard worker: one process, one ORAM controller, one command loop.
+"""The shard executor: one ORAM controller, one command loop, two transports.
 
-A worker owns exactly one channel of the bank -- a complete
+A :class:`ShardExecutor` owns exactly one channel of the bank -- a complete
 :class:`~repro.memory.oram_backend.ORAMBackend` with its own tree, stash,
-position-map hierarchy, and access pipeline -- rebuilt inside the child
-process from the :class:`~repro.parallel.protocol.ShardSpec` (specs are
-data; live backends never cross a process boundary).  It drains command
-tuples from its queue and pushes reply tuples back; the shapes are
-documented in :mod:`repro.parallel.protocol`.
+position-map hierarchy, and access pipeline -- rebuilt from the
+:class:`~repro.parallel.protocol.ShardSpec` (specs are data; live backends
+never cross a process boundary).  It turns one command tuple into its
+reply tuples; the shapes are documented in :mod:`repro.parallel.protocol`.
+The executor is the only implementation of a shard's state machine (seq
+de-duplication, reply window, checkpoint cadence, drain/fsck/stats), and
+it is reached through one of two transports:
 
-Durability: when the spec carries a checkpoint path, the worker persists
+* :func:`shard_worker_main` -- the worker process: pump a command queue
+  into the executor and its replies onto a reply queue;
+* :class:`InlineShardChannel` -- the same executor in the caller's
+  process behind the same ``put``/``get`` surface, which is how the
+  runtime serves a quarantined shard.
+
+Durability: when the spec carries a checkpoint path, the executor persists
 its entire backend (via :func:`repro.oram.checkpoint.save_backend`) every
 ``checkpoint_every`` batches, *before* acknowledging the batch, and keeps
 a window of recent ``(seq, completions)`` replies inside the checkpoint's
-runtime section.  A respawned worker therefore reports exactly which
+runtime section.  A reopened shard therefore reports exactly which
 batches survived (``last_seq``) and can re-serve acknowledgements the
 crash swallowed -- the front-end replays only what is genuinely missing.
 """
@@ -20,7 +28,11 @@ crash swallowed -- the front-end replays only what is genuinely missing.
 from __future__ import annotations
 
 import os
+import queue as queue_module
+import time
 import traceback
+from collections import deque
+from typing import Iterator
 
 from repro.controller.sharded import snapshot_shard_stats
 from repro.oram.checkpoint import restore_backend, save_backend
@@ -57,109 +69,79 @@ def build_worker_backend(spec: ShardSpec):
     )
 
 
-def _checkpoint(backend, spec: ShardSpec, last_seq: int, window) -> int:
-    save_backend(
-        backend,
-        spec.checkpoint_path,
-        {"last_seq": last_seq, "replies": [list(entry) for entry in window]},
-    )
-    return last_seq
+class ShardExecutor:
+    """One shard's backend plus the state machine that applies commands.
 
+    Args:
+        spec: how to build the shard and where it checkpoints.  An existing
+            checkpoint is restored (backend, ``last_seq`` and reply
+            window); otherwise a genesis checkpoint is written so a crash
+            before the first periodic one still leaves something to
+            restore from.
+        pad_with_dummies: follow every demand access of a batch with one
+            dummy path access.  The runtime sets it when it opens a
+            quarantined shard inline, so that traffic keeps a fixed
+            two-path shape and the leaves the shard exposes stay uniform.
+    """
 
-def shard_worker_main(spec: ShardSpec, commands, replies) -> None:
-    """Entry point of the worker process (target of ``Process``)."""
-    try:
-        backend = build_worker_backend(spec)
-        last_seq = -1
-        window = []  # recent [seq, completions] pairs, oldest first
+    def __init__(self, spec: ShardSpec, *, pad_with_dummies: bool = False):
+        self.spec = spec
+        self.pad_with_dummies = pad_with_dummies
+        self.backend = build_worker_backend(spec)
+        self.last_seq = -1
+        #: recent [seq, completions] pairs, oldest first
+        self.window: list = []
+        self.checkpointed_seq = -1
+        self.batches_since_checkpoint = 0
         if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
-            runtime = restore_backend(backend, spec.checkpoint_path)
-            last_seq = runtime.get("last_seq", -1)
-            window = [list(entry) for entry in runtime.get("replies", [])]
-            checkpointed_seq = last_seq
+            runtime = restore_backend(self.backend, spec.checkpoint_path)
+            self.last_seq = runtime.get("last_seq", -1)
+            self.window = [list(entry) for entry in runtime.get("replies", [])]
+            self.checkpointed_seq = self.last_seq
         elif spec.checkpoint_path:
-            # Genesis checkpoint: a crash before the first periodic
-            # checkpoint must still leave something to restore from.
-            checkpointed_seq = _checkpoint(backend, spec, last_seq, window)
-        else:
-            checkpointed_seq = last_seq
-        replies.put(("ready", last_seq, [list(entry) for entry in window]))
-    except Exception:
-        replies.put(("error", None, traceback.format_exc()))
-        return
+            self._checkpoint()
 
-    batches_since_checkpoint = 0
-    while True:
-        command = commands.get()
+    def ready(self) -> tuple:
+        """The announcement a transport sends before any command's reply."""
+        return ("ready", self.last_seq, [list(entry) for entry in self.window])
+
+    def _checkpoint(self) -> None:
+        save_backend(
+            self.backend,
+            self.spec.checkpoint_path,
+            {
+                "last_seq": self.last_seq,
+                "replies": [list(entry) for entry in self.window],
+            },
+        )
+        self.checkpointed_seq = self.last_seq
+        self.batches_since_checkpoint = 0
+
+    def handle(self, command: tuple) -> Iterator[tuple]:
+        """Apply one command; yield its replies as they become available
+        (a batch's heartbeats precede its ``batch_done``).  A failure
+        inside the backend becomes an ``error`` reply, never an exception:
+        the front-end decides what a broken shard means."""
         op = command[0]
         seq = command[1] if len(command) > 1 else None
+        backend = self.backend
         try:
-            if op == "shutdown":
-                return
             if op == "batch":
-                batch = command[2]
-                if seq <= last_seq:
-                    # Replay of already-applied work: the crash swallowed
-                    # the acknowledgement, not the effects.  Answer from
-                    # the stored window instead of re-executing.
-                    for stored_seq, stored in window:
-                        if stored_seq == seq:
-                            replies.put(
-                                ("batch_done", seq, stored, checkpointed_seq)
-                            )
-                            break
-                    else:
-                        replies.put(
-                            (
-                                "error",
-                                seq,
-                                f"batch {seq} predates the replay window "
-                                f"(last_seq={last_seq})",
-                            )
-                        )
-                    continue
-                completions = []
-                for addr, now, is_write in batch:
-                    completions.append(
-                        backend.demand_access(addr, now, is_write).completion_cycle
-                    )
-                    # Mid-batch liveness proof: under deadline enforcement
-                    # the front-end must tell "slow" from "hung", and the
-                    # only evidence that crosses the process boundary is a
-                    # reply.  The final completion is announced by
-                    # batch_done itself, so no heartbeat follows it.
-                    if (
-                        spec.heartbeat_every
-                        and len(completions) % spec.heartbeat_every == 0
-                        and len(completions) < len(batch)
-                    ):
-                        replies.put(("heartbeat", seq, len(completions)))
-                last_seq = seq
-                window.append([seq, completions])
-                del window[: -max(spec.replay_window, 1)]
-                batches_since_checkpoint += 1
-                if (
-                    spec.checkpoint_path
-                    and spec.checkpoint_every
-                    and batches_since_checkpoint >= spec.checkpoint_every
-                ):
-                    checkpointed_seq = _checkpoint(backend, spec, last_seq, window)
-                    batches_since_checkpoint = 0
-                replies.put(("batch_done", seq, completions, checkpointed_seq))
+                yield from self._apply_batch(seq, command[2])
             elif op == "drain":
                 backend.finalize(max(command[2], backend.busy_until))
-                replies.put(("drained", seq))
+                yield ("drained", seq)
             elif op == "stats":
-                replies.put(("stats", seq, snapshot_shard_stats(backend)))
+                yield ("stats", seq, snapshot_shard_stats(backend))
             elif op == "fsck":
                 from repro.faults.fsck import run_fsck
 
                 report = run_fsck(backend.oram)
-                replies.put(("fsck_done", seq, report.ok, report.summary()))
+                yield ("fsck_done", seq, report.ok, report.summary())
             elif op == "checkpoint":
-                if spec.checkpoint_path:
-                    checkpointed_seq = _checkpoint(backend, spec, last_seq, window)
-                replies.put(("checkpoint_done", seq, checkpointed_seq))
+                if self.spec.checkpoint_path:
+                    self._checkpoint()
+                yield ("checkpoint_done", seq, self.checkpointed_seq)
             elif op == "throttle":
                 # Degraded-mode switch from the front-end's breaker: no
                 # reply, so it never perturbs the seq/ack bookkeeping.
@@ -169,10 +151,97 @@ def shard_worker_main(spec: ShardSpec, commands, replies) -> None:
                 # batches queued behind this command stop being served,
                 # which is exactly the failure deadline enforcement must
                 # catch (a kill is detectable by liveness; a hang is not).
-                import time
-
                 time.sleep(command[2])
             else:
-                replies.put(("error", seq, f"unknown command {op!r}"))
+                yield ("error", seq, f"unknown command {op!r}")
         except Exception:
-            replies.put(("error", seq, traceback.format_exc()))
+            yield ("error", seq, traceback.format_exc())
+
+    def _apply_batch(self, seq: int, batch: list) -> Iterator[tuple]:
+        if seq <= self.last_seq:
+            # Replay of already-applied work: the crash swallowed the
+            # acknowledgement, not the effects.  Answer from the stored
+            # window instead of re-executing.
+            for stored_seq, stored in self.window:
+                if stored_seq == seq:
+                    yield ("batch_done", seq, stored, self.checkpointed_seq)
+                    return
+            yield (
+                "error",
+                seq,
+                f"batch {seq} predates the replay window "
+                f"(last_seq={self.last_seq})",
+            )
+            return
+        backend = self.backend
+        spec = self.spec
+        completions = []
+        for addr, now, is_write in batch:
+            completion = backend.demand_access(addr, now, is_write).completion_cycle
+            if self.pad_with_dummies:
+                completion = backend.dummy_path_access(completion)
+            completions.append(completion)
+            # Mid-batch liveness proof: under deadline enforcement the
+            # front-end must tell "slow" from "hung", and the only
+            # evidence that crosses the process boundary is a reply.  The
+            # final completion is announced by batch_done itself, so no
+            # heartbeat follows it.
+            if (
+                spec.heartbeat_every
+                and len(completions) % spec.heartbeat_every == 0
+                and len(completions) < len(batch)
+            ):
+                yield ("heartbeat", seq, len(completions))
+        self.last_seq = seq
+        self.window.append([seq, completions])
+        del self.window[: -max(spec.replay_window, 1)]
+        self.batches_since_checkpoint += 1
+        if (
+            spec.checkpoint_path
+            and spec.checkpoint_every
+            and self.batches_since_checkpoint >= spec.checkpoint_every
+        ):
+            self._checkpoint()
+        yield ("batch_done", seq, completions, self.checkpointed_seq)
+
+
+def shard_worker_main(spec: ShardSpec, commands, replies) -> None:
+    """Process transport (target of ``Process``): build the executor,
+    announce it, pump the command queue until ``shutdown``."""
+    try:
+        executor = ShardExecutor(spec)
+    except Exception:
+        replies.put(("error", None, traceback.format_exc()))
+        return
+    replies.put(executor.ready())
+    while True:
+        command = commands.get()
+        if command[0] == "shutdown":
+            return
+        for reply in executor.handle(command):
+            replies.put(reply)
+
+
+class InlineShardChannel:
+    """Inline transport: a :class:`ShardExecutor` in the caller's process
+    behind the two-queue surface a worker process has.
+
+    One object stands for both queues: ``put`` applies the command at once
+    and buffers its replies, ``get`` hands them back oldest first
+    (``queue.Empty`` when none is buffered -- an inline shard never makes
+    its caller wait, whatever ``block``/``timeout`` say).  A failure while
+    *opening* the shard raises here, in the caller, instead of becoming an
+    ``error`` reply.
+    """
+
+    def __init__(self, spec: ShardSpec, *, pad_with_dummies: bool = False):
+        self.executor = ShardExecutor(spec, pad_with_dummies=pad_with_dummies)
+        self._replies = deque([self.executor.ready()])
+
+    def put(self, command: tuple) -> None:
+        self._replies.extend(self.executor.handle(command))
+
+    def get(self, block: bool = True, timeout=None) -> tuple:
+        if not self._replies:
+            raise queue_module.Empty
+        return self._replies.popleft()

@@ -16,11 +16,11 @@ exactly like the paper's legends.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
-from repro.controller.sharded import ShardedORAMBank
+from repro.controller.sharded import ShardedORAMBank, snapshot_shard_stats
 from repro.core.dynamic import DynamicSuperBlockScheme
 from repro.core.thresholds import (
     AdaptiveThresholdPolicy,
@@ -32,6 +32,7 @@ from repro.memory.dram import DRAMBackend
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme, SuperBlockScheme
+from repro.parallel.merge import BACKEND_RESULT_FIELDS, fold_shard_snapshots
 from repro.prefetch.stream import StreamPrefetcher
 from repro.sim.results import SimResult
 from repro.sim.trace import Trace
@@ -416,7 +417,6 @@ class SecureSystem:
         misses: int,
         entries_processed: int,
     ) -> SimResult:
-        stats = self.backend.stats
         result = SimResult(
             workload=trace.name,
             scheme=self.label,
@@ -425,75 +425,21 @@ class SecureSystem:
             l1_hits=l1_hits,
             llc_hits=llc_hits,
             llc_misses=misses,
-            demand_requests=stats.demand_requests,
-            prefetch_requests=stats.prefetch_requests,
-            write_accesses=stats.write_accesses,
-            memory_accesses=stats.memory_accesses,
-            dummy_accesses=stats.dummy_accesses,
-            posmap_accesses=stats.posmap_accesses,
-            busy_cycles=stats.busy_cycles,
         )
-        if isinstance(self.backend, ORAMBackend):
-            backend = self.backend
-            result.stash_max_occupancy = backend.oram.stash.max_occupancy
-            result.posmap_cache_hit_rate = backend.posmap_hierarchy.hit_rate()
-            scheme_stats = backend.scheme.stats
-            result.merges = scheme_stats.merges
-            result.breaks = scheme_stats.breaks
-            result.prefetched_blocks = scheme_stats.prefetched_blocks
-            result.prefetch_hits = scheme_stats.prefetch_hits
-            result.prefetch_misses = scheme_stats.prefetch_misses
-            # Robustness counters ride in ``extra`` so the pinned golden
-            # result schema (and every fault-free consumer) is untouched.
-            result.extra["stash_soft_overflows"] = backend.oram.stash_soft_overflows
-            for name, cycles in backend.pipeline.breakdown().items():
-                result.extra[f"phase_{name}_cycles"] = cycles
-            if backend.injector is not None or backend.resilience is not None:
-                result.extra["transient_faults"] = stats.transient_faults
-                result.extra["fault_retries"] = stats.fault_retries
-                result.extra["fault_delay_cycles"] = stats.fault_delay_cycles
-                result.extra["forced_evictions"] = stats.forced_evictions
-            if backend.injector is not None:
-                for name, value in backend.injector.stats.as_dict().items():
-                    result.extra[f"injected_{name}"] = value
-            if backend.interconnect.model != "flat":
-                for name, value in backend.interconnect.summary().items():
-                    result.extra[f"interconnect_{name}"] = value
-        elif isinstance(self.backend, ShardedORAMBank):
-            bank = self.backend
-            result.stash_max_occupancy = bank.stash_max_occupancy()
-            result.posmap_cache_hit_rate = bank.aggregate_posmap_hit_rate()
-            for shard in bank.shards:
-                scheme_stats = shard.scheme.stats
-                result.merges += scheme_stats.merges
-                result.breaks += scheme_stats.breaks
-                result.prefetched_blocks += scheme_stats.prefetched_blocks
-                result.prefetch_hits += scheme_stats.prefetch_hits
-                result.prefetch_misses += scheme_stats.prefetch_misses
-            result.extra["num_shards"] = bank.num_shards
-            result.extra["stash_soft_overflows"] = bank.stash_soft_overflows()
-            for name, cycles in bank.phase_breakdown().items():
-                result.extra[f"phase_{name}_cycles"] = cycles
-            injected = bank.shards[0].injector
-            if injected is not None or bank.shards[0].resilience is not None:
-                result.extra["transient_faults"] = stats.transient_faults
-                result.extra["fault_retries"] = stats.fault_retries
-                result.extra["fault_delay_cycles"] = stats.fault_delay_cycles
-                result.extra["forced_evictions"] = stats.forced_evictions
-            if injected is not None:
-                for name, value in injected.stats.as_dict().items():
-                    result.extra[f"injected_{name}"] = value
-            if bank.shards[0].interconnect.model != "flat":
-                merged: Dict[str, int] = {}
-                for shard in bank.shards:
-                    for name, value in shard.interconnect.summary().items():
-                        if name == "channels":
-                            merged[name] = value
-                        else:
-                            merged[name] = merged.get(name, 0) + value
-                for name, value in merged.items():
-                    result.extra[f"interconnect_{name}"] = value
-        return result
+        backend = self.backend
+        if isinstance(backend, DRAMBackend):
+            for name in BACKEND_RESULT_FIELDS:
+                setattr(result, name, getattr(backend.stats, name))
+            return result
+        # Everything ORAM-side comes from controller snapshots through the
+        # one fold every other route (serial reference, worker runtime,
+        # serving front end) uses.
+        single = isinstance(backend, ORAMBackend)
+        return fold_shard_snapshots(
+            result,
+            [snapshot_shard_stats(backend)] if single else backend.snapshot_shards(),
+            bank=not single,
+        )
 
 
 def build_shard_backend(

@@ -434,3 +434,7 @@ class TestParallelRuntimeWithChannels:
         with ParallelShardRuntime("dyn", 128, config, 2, batch_size=23) as runtime:
             parallel = runtime.run(requests)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
+        # ... which now includes the interconnect's own counters, folded
+        # from the workers' snapshots exactly as from the serial bank's
+        assert parallel.extra["interconnect_channels"] == 4
+        assert parallel.extra["interconnect_streamed_paths"] > 0

@@ -1,0 +1,333 @@
+"""Route equivalence by construction: one shard executor, one result fold.
+
+* **One executor, two transports** -- the same scripted command sequence
+  through an :class:`~repro.parallel.worker.InlineShardChannel` and
+  through a real worker process (:func:`shard_worker_main`) yields
+  identical reply tuples, so a quarantined (inline) shard and a healthy
+  (process) shard cannot drift apart.
+* **One fold** -- :meth:`SecureSystem.run`, the serial reference and the
+  worker runtime all report the same ``extra`` keys in the same order,
+  including the interconnect and fault-injection counters the snapshot
+  route used to drop.
+* The runtime's failure handling around them: constructor clean-up,
+  failure reasons, and dummy padding of quarantined traffic.
+"""
+
+import dataclasses
+import multiprocessing
+import queue
+import time
+
+import pytest
+
+from repro.config import SystemConfig
+from repro.faults import FaultConfig, FaultInjector
+from repro.health import HealthPolicy
+from repro.observability.collect import collect_parallel
+from repro.parallel import ParallelShardRuntime, WorkerFailure, run_serial_reference
+from repro.parallel.protocol import ShardSpec
+from repro.parallel.worker import InlineShardChannel, shard_worker_main
+from repro.sim.system import SecureSystem
+from repro.utils.rng import DeterministicRng
+from repro.workloads.synthetic import locality_mix_trace
+
+FOOTPRINT = 128
+
+
+def small_stream(accesses=300, footprint=FOOTPRINT, seed=9):
+    rng = DeterministicRng(seed)
+    requests = []
+    now = 0
+    for index in range(accesses):
+        now += rng.randint(1, 40)
+        requests.append((rng.randint(0, footprint - 1), now, index % 4 == 0))
+    return requests
+
+
+def channel_config(channels=4):
+    config = SystemConfig()
+    return dataclasses.replace(
+        config,
+        dram=dataclasses.replace(config.dram, model="channel", num_channels=channels),
+    )
+
+
+# ------------------------------------------------------ transport equivalence
+def scripted_commands():
+    """Batches (one replayed, one far outside the reply window), every
+    barrier command, a forced checkpoint, a throttle (no reply) and an
+    unknown op."""
+    rng = DeterministicRng(5)
+    now = 0
+    commands = []
+    for seq in range(6):
+        batch = []
+        for index in range(7):
+            now += rng.randint(1, 30)
+            batch.append((rng.randint(0, FOOTPRINT // 2 - 1), now, index % 3 == 0))
+        commands.append(("batch", seq, batch))
+    replayed = commands[4]
+    out_of_window = commands[0]
+    commands += [
+        replayed,  # already applied: answered from the window
+        ("throttle", None, True),
+        out_of_window,  # replay_window=3 forgot it: an error reply
+        ("checkpoint", 6),
+        ("drain", 7, now + 10_000),
+        ("fsck", 8),
+        ("stats", 9),
+        ("reticulate", 10),
+    ]
+    return commands
+
+
+def spec_for(path, heartbeat_every=3):
+    return ShardSpec(
+        base_scheme="dyn",
+        footprint_blocks=FOOTPRINT,
+        num_shards=2,
+        shard_index=1,
+        config=SystemConfig(),
+        checkpoint_path=str(path),
+        checkpoint_every=2,
+        replay_window=3,
+        heartbeat_every=heartbeat_every,
+    )
+
+
+def drain(channel):
+    replies = []
+    while True:
+        try:
+            replies.append(channel.get())
+        except queue.Empty:
+            return replies
+
+
+def through_inline(spec, commands):
+    channel = InlineShardChannel(spec)
+    for command in commands:
+        channel.put(command)
+    return drain(channel)
+
+
+def through_process(spec, commands, expected):
+    context = multiprocessing.get_context()
+    command_queue, reply_queue = context.Queue(), context.Queue()
+    process = context.Process(
+        target=shard_worker_main, args=(spec, command_queue, reply_queue), daemon=True
+    )
+    process.start()
+    try:
+        for command in commands:
+            command_queue.put(command)
+        replies = [reply_queue.get(timeout=60) for _ in range(expected)]
+        command_queue.put(("shutdown",))
+        process.join(timeout=30)
+        assert not process.is_alive()
+        assert reply_queue.empty()
+        return replies
+    finally:
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=30)
+
+
+class TestTransportEquivalence:
+    def test_inline_and_process_transports_reply_identically(self, tmp_path):
+        commands = scripted_commands()
+        inline = through_inline(spec_for(tmp_path / "inline.ckpt"), commands)
+        process = through_process(
+            spec_for(tmp_path / "process.ckpt"), commands, len(inline)
+        )
+        assert process == inline
+        ops = [reply[0] for reply in inline]
+        assert ops[0] == "ready"
+        assert ops.count("batch_done") == 7  # six applied + one re-served
+        assert ops.count("heartbeat") == 6 * 2
+        assert ops.count("error") == 2  # out-of-window replay, unknown op
+        assert {"checkpoint_done", "drained", "fsck_done", "stats"} <= set(ops)
+        # the re-served acknowledgement is the stored one, verbatim
+        done = [reply for reply in inline if reply[0] == "batch_done"]
+        assert done[-1][1:3] == done[4][1:3]
+
+    def test_reopened_executor_resumes_from_its_checkpoint(self, tmp_path):
+        """Either transport restores what the other one checkpointed."""
+        commands = scripted_commands()[:6]
+        spec = spec_for(tmp_path / "shared.ckpt", heartbeat_every=0)
+        first = through_process(spec, commands, 1 + len(commands))
+        reopened = InlineShardChannel(spec)
+        ready = reopened.get()
+        assert ready[0] == "ready" and ready[1] == 5
+        assert [seq for seq, _ in ready[2]] == [3, 4, 5]
+        assert ready[2][-1][1] == first[-1][2]
+
+    def test_padding_is_chosen_by_whoever_opens_the_channel(self, tmp_path):
+        batch = scripted_commands()[0]
+        plain = InlineShardChannel(spec_for(tmp_path / "plain.ckpt"))
+        padded = InlineShardChannel(
+            spec_for(tmp_path / "padded.ckpt"), pad_with_dummies=True
+        )
+        for channel in (plain, padded):
+            channel.put(batch)
+            channel.put(("stats", 1))
+        plain_stats = drain(plain)[-1][2]["stats"]
+        padded_stats = drain(padded)[-1][2]["stats"]
+        assert plain_stats["demand_requests"] == padded_stats["demand_requests"]
+        assert (
+            padded_stats["dummy_accesses"]
+            >= plain_stats["dummy_accesses"] + len(batch[2])
+        )
+
+
+# ------------------------------------------------------------------ one fold
+class TestFoldedExtras:
+    def test_interconnect_extras_on_every_route(self):
+        """Regression: the snapshot route dropped ``interconnect_*``."""
+        config = channel_config()
+        requests = small_stream(accesses=200)
+        trace = locality_mix_trace(0.8, footprint_blocks=FOOTPRINT, accesses=600)
+        system = SecureSystem.build("dyn", FOOTPRINT, config, num_shards=2).run(trace)
+        serial = run_serial_reference("dyn", FOOTPRINT, requests, config, num_shards=2)
+        with ParallelShardRuntime("dyn", FOOTPRINT, config, 2, batch_size=23) as runtime:
+            parallel = runtime.run(requests)
+        assert list(serial.extra) == list(system.extra)
+        assert list(parallel.extra) == list(system.extra)
+        assert parallel.extra == serial.extra
+        keys = list(system.extra)
+        assert keys[0] == "num_shards"
+        interconnect = [key for key in keys if key.startswith("interconnect_")]
+        assert len(interconnect) == 9
+        assert keys[-9:] == interconnect
+        for result in (system, serial):
+            assert result.extra["interconnect_channels"] == 4  # assigned, not summed
+            assert result.extra["interconnect_streamed_paths"] > 0
+            assert result.extra["interconnect_row_hits"] > 0
+
+    def test_single_controller_reports_no_bank_width(self):
+        trace = locality_mix_trace(0.8, footprint_blocks=FOOTPRINT, accesses=400)
+        single = SecureSystem.build("dyn", FOOTPRINT, channel_config()).run(trace)
+        bank = SecureSystem.build(
+            "dyn", FOOTPRINT, channel_config(), num_shards=2
+        ).run(trace)
+        assert "num_shards" not in single.extra
+        assert list(bank.extra)[1:] == list(single.extra)
+
+    def test_flat_fault_free_results_carry_no_new_extras(self):
+        requests = small_stream(accesses=120)
+        serial = run_serial_reference("dyn", FOOTPRINT, requests, num_shards=2)
+        assert not any(
+            key.startswith(("interconnect_", "injected_"))
+            or key in ("transient_faults", "fault_retries", "forced_evictions")
+            for key in serial.extra
+        )
+
+    def test_fault_extras_on_the_worker_route(self):
+        """Regression: the snapshot route dropped the fault counters the
+        snapshot carried; workers' injector counters are summed."""
+        fault_config = FaultConfig(seed=3, transient_rate=0.05, delay_rate=0.05)
+        trace = locality_mix_trace(0.8, footprint_blocks=FOOTPRINT, accesses=600)
+        system = SecureSystem.build(
+            "dyn", FOOTPRINT, num_shards=2, fault_injector=FaultInjector(fault_config)
+        )
+        bank_result = system.run(trace)
+        with ParallelShardRuntime(
+            "dyn", FOOTPRINT, None, 2, batch_size=23, fault_config=fault_config
+        ) as runtime:
+            parallel = runtime.run(small_stream(accesses=300))
+        assert list(parallel.extra) == list(bank_result.extra)
+        assert parallel.extra["transient_faults"] > 0
+        assert parallel.extra["fault_retries"] >= parallel.extra["transient_faults"]
+        assert parallel.extra["injected_transients"] == parallel.extra["transient_faults"]
+        # one injector shared by both channels of the in-process bank is
+        # reported once, not once per channel
+        shared = system.backend.shards[0].injector
+        assert system.backend.shards[1].injector is shared
+        assert bank_result.extra["injected_transients"] == shared.stats.transients
+
+
+# ------------------------------------------------------------ failure handling
+class TestRuntimeFailureHandling:
+    def test_failed_constructor_leaves_no_worker_behind(self, tmp_path, monkeypatch):
+        """Regression: a later worker failing to start used to leak the
+        ones already running (``close()`` was a no-op before ``_closed``
+        existed, and the caller never got an object to close)."""
+        real_spec = ParallelShardRuntime._spec
+
+        def broken_spec(self, index, restart_salt):
+            spec = real_spec(self, index, restart_salt)
+            if index == 1:
+                spec = dataclasses.replace(spec, base_scheme="no_such_scheme")
+            return spec
+
+        monkeypatch.setattr(ParallelShardRuntime, "_spec", broken_spec)
+        with pytest.raises(WorkerFailure, match="worker 1 failed to start"):
+            ParallelShardRuntime(
+                "dyn", FOOTPRINT, num_workers=3, checkpoint_dir=str(tmp_path)
+            )
+        deadline = time.perf_counter() + 30
+        while time.perf_counter() < deadline and any(
+            child.name.startswith("repro-shard-")
+            for child in multiprocessing.active_children()
+        ):
+            time.sleep(0.05)
+        assert not [
+            child.name
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        ]
+
+    def test_failure_reason_is_an_attribute(self, tmp_path):
+        assert WorkerFailure("anything").reason == "error"
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            num_workers=2,
+            checkpoint_dir=str(tmp_path),
+            batch_deadline_s=0.3,
+            join_timeout_s=2.0,
+        ) as runtime:
+            runtime.kill_worker(0)
+            with pytest.raises(WorkerFailure) as died:
+                runtime._await_reply(runtime._workers[0], deadline=True)
+            assert died.value.reason == "death"
+            runtime.hang_worker(1, seconds=60.0)
+            runtime._workers[1].last_progress = time.perf_counter()
+            with pytest.raises(WorkerFailure) as hung:
+                runtime._await_reply(runtime._workers[1], deadline=True)
+            assert hung.value.reason == "hang"
+            # a worker that merely *mentions* hanging did not hang
+            assert "hung" in str(hung.value) and "hung" not in str(died.value)
+
+    def test_quarantined_traffic_is_dummy_padded(self, tmp_path):
+        """Every access a quarantined shard serves inline is followed by
+        one dummy path access, so the merged dummy count covers them."""
+        requests = small_stream(accesses=300)
+        policy = HealthPolicy(
+            quarantine_cooldown=8,
+            probe_batch=8,
+            probe_successes=2,
+            heartbeat_every=4,
+            batch_deadline_s=1.0,
+            join_timeout_s=2.0,
+        )
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            num_workers=2,
+            checkpoint_dir=str(tmp_path),
+            batch_size=16,
+            max_restarts=8,
+            health_policy=policy,
+        ) as runtime:
+            runtime.hang_worker(0, seconds=120.0)
+            result = runtime.run(requests, fsck=True)
+            registry = collect_parallel(runtime)
+        fallback = registry.counter("health.shard0.fallback_accesses").value
+        assert fallback >= policy.quarantine_cooldown
+        assert registry.counter("parallel.worker0.fallback_batches").value >= 1
+        assert registry.counter("health.shard1.fallback_accesses").value == 0
+        assert result.demand_requests == len(requests)
+        assert result.dummy_accesses >= fallback
+        # re-admission went through the executor's own checkpoint command
+        assert runtime.health.total_readmissions() >= 1

@@ -12,7 +12,9 @@ import pytest
 from repro.controller.sharded import ShardedORAMBank
 from repro.faults import FaultConfig, FaultInjector, run_fsck_bank
 from repro.memory.oram_backend import ORAMBackend
+from repro.parallel.merge import merge_shard_snapshots
 from repro.sim.system import SecureSystem
+from repro.sim.trace import Trace
 from repro.workloads.synthetic import locality_mix_trace
 
 FOOTPRINT = 512
@@ -189,14 +191,24 @@ class TestPosmapRateRegression:
         assert backend.posmap_hierarchy.average_extra_accesses() == 0.0
 
     def test_fresh_bank_aggregate_rate_is_zero(self):
+        """A bank that never saw a lookup folds to 0.0, not a
+        ZeroDivisionError -- on the one fold every route shares."""
         bank = build_sharded(num_shards=4).backend
-        assert bank.aggregate_posmap_hit_rate() == 0.0
+        folded = merge_shard_snapshots(
+            bank.snapshot_shards(), [], workload="fresh", scheme="dyn"
+        )
+        assert folded.posmap_cache_hit_rate == 0.0
+        empty_run = build_sharded(num_shards=4).run(Trace("empty", FOOTPRINT))
+        assert empty_run.posmap_cache_hit_rate == 0.0
 
     def test_used_bank_rate_in_unit_interval(self):
         system = build_sharded(num_shards=4)
-        system.run(short_trace())
-        rate = system.backend.aggregate_posmap_hit_rate()
-        assert 0.0 <= rate <= 1.0
+        result = system.run(short_trace())
+        hierarchies = [shard.posmap_hierarchy for shard in system.backend.shards]
+        assert 0.0 < result.posmap_cache_hit_rate <= 1.0
+        assert result.posmap_cache_hit_rate == sum(
+            h.cache_hits for h in hierarchies
+        ) / sum(h.lookups for h in hierarchies)
 
 
 class TestBankFsck:

@@ -311,6 +311,11 @@ class TestBitIdentityAtK:
         with ParallelShardRuntime("dyn", 128, config, 2, batch_size=23) as runtime:
             parallel = runtime.run(requests)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
+        # ... which now includes the interconnect's own counters, folded
+        # from the workers' snapshots exactly as from the serial bank's
+        assert parallel.extra["interconnect_channels"] == 4
+        assert parallel.extra["interconnect_streamed_paths"] > 0
+        assert parallel.extra["interconnect_treetop_hits"] > 0
 
     def test_sharded_bank_matches_single_controller_public_costs(self):
         """Every shard of a bank prices paths at the same truncated cost."""
