@@ -27,7 +27,6 @@ perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf
 
 profile:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_throughput.py
 	PYTHONPATH=src $(PYTHON) -m repro run -w locality:80 -s dyn --accesses 20000 --warmup 0 --profile
 
 shards:

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
                 config,
                 workers,
                 checkpoint_dir=ckpt,
-                checkpoint_every=0,  # genesis only: measure compute, not I/O
+                checkpoint_every=0,  # none mid-run (one at the barrier): compute, not I/O
                 batch_size=args.batch,
             ) as runtime:
                 begin = time.perf_counter()

@@ -70,7 +70,7 @@ def run_schemes(
             :meth:`SecureSystem.run`).
         system_hook: optional ``(scheme, system)`` callable invoked after
             each system is built and before it runs -- the CLI uses this to
-            attach a :class:`repro.profiling.Profiler` per scheme.
+            install host timers or a span recorder per scheme.
         build_kwargs: extra keyword arguments for
             :meth:`SecureSystem.build` -- either a dict (shared by every
             scheme) or a ``scheme -> dict`` callable for per-system state

@@ -81,9 +81,9 @@ def stash_occupancy_profile(
     """
     config = config or experiment_config()
     system = SecureSystem.build(scheme, trace.footprint_blocks, config)
-    backend = system.backend
-    if not hasattr(backend, "oram"):
+    if not system.backend.shards:
         raise ValueError(f"scheme '{scheme}' has no stash to profile")
+    (backend,) = system.backend.shards  # a default build is one controller
     profile = StashProfile(scheme=scheme, capacity=backend.oram.stash.capacity)
     backend.stash_sampler = profile.samples.append
     result = system.run(trace, warmup_entries=int(len(trace) * warmup_fraction))

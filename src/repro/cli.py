@@ -22,17 +22,40 @@ heavy lifting lives in :mod:`repro.analysis`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
+import tempfile
+import time
 from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.experiments import experiment_config, run_schemes
 from repro.analysis.tables import format_table
-from repro.profiling import Profiler
+from repro.config import ServeConfig
+from repro.controller.scheme import SCHEME_FACTORIES, build_scheme
+from repro.faults import FaultConfig, FaultInjector
+from repro.faults.chaos import ChaosScenario, chaos_policy, run_chaos
+from repro.faults.fsck import run_fsck
+from repro.health import HealthPolicy
+from repro.observability import (
+    InMemoryRecorder,
+    JsonlTraceRecorder,
+    LeafUniformityMonitor,
+    collect_serve,
+    collect_trace,
+    read_jsonl_trace,
+    render_profile,
+    time_system,
+)
+from repro.parallel import ParallelShardRuntime, run_serial_reference
+from repro.parallel.merge import requests_from_trace
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
+from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
 from repro.sim.system import SecureSystem
 from repro.sim.trace import Trace
+from repro.utils.rng import DeterministicRng
 from repro.workloads.base import trace_for
 from repro.workloads.dbms import DBMS_PROFILES, dbms_trace
 from repro.workloads.spec06 import SPEC06_BY_NAME, SPEC06_PROFILES
@@ -46,27 +69,138 @@ KNOWN_SCHEMES = [
 ]
 
 
-def build_trace(workload: str, accesses: int, seed: int = 42) -> Trace:
-    """Trace for any named workload (real benchmark or ``locality:<pct>``)."""
+def build_trace(workload: str, accesses: int, seed: Optional[int] = None) -> Trace:
+    """Trace for any named workload (real benchmark or ``locality:<pct>``).
+
+    ``seed=None`` keeps each generator's own default seed.
+    """
+    seeded = {} if seed is None else {"seed": seed}
     if workload.startswith("locality:"):
         fraction = float(workload.split(":", 1)[1]) / 100.0
-        return locality_mix_trace(fraction, accesses=accesses)
+        return locality_mix_trace(fraction, accesses=accesses, **seeded)
     if workload in SPLASH2_BY_NAME:
-        return trace_for(SPLASH2_BY_NAME[workload], accesses=accesses)
+        return trace_for(SPLASH2_BY_NAME[workload], accesses=accesses, **seeded)
     if workload in SPEC06_BY_NAME:
-        return trace_for(SPEC06_BY_NAME[workload], accesses=accesses)
+        return trace_for(SPEC06_BY_NAME[workload], accesses=accesses, **seeded)
     if workload in ("YCSB", "TPCC"):
-        return dbms_trace(workload, accesses=accesses)
+        return dbms_trace(workload, accesses=accesses, **seeded)
     raise SystemExit(f"unknown workload '{workload}' (see `repro list`)")
 
 
 def _parse_schemes(raw: str) -> List[str]:
     schemes = [s.strip() for s in raw.split(",") if s.strip()]
     for scheme in schemes:
-        base = scheme
-        if base not in KNOWN_SCHEMES:
+        if scheme not in KNOWN_SCHEMES:
             raise SystemExit(f"unknown scheme '{scheme}' (see `repro list`)")
     return schemes
+
+
+# ------------------------------------------------------------- option groups
+# Each group of flags is declared once (``add_*``) and read once (the
+# function below it); a subcommand attaches exactly the groups it reads.
+def add_workload_options(parser, *, required: bool = True, accesses: int = 60_000):
+    parser.add_argument("-w", "--workload", required=required, default="ocean_c")
+    parser.add_argument("--accesses", type=int, default=accesses)
+    parser.add_argument("--warmup", type=float, default=0.5)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="trace-generator seed (default: the generator's own)",
+    )
+
+
+def workload_trace(args) -> Trace:
+    return build_trace(args.workload, args.accesses, seed=args.seed)
+
+
+def add_memory_options(parser, *, interconnect: bool = True):
+    if interconnect:
+        parser.add_argument(
+            "--dram-model",
+            choices=["flat", "channel"],
+            default=None,
+            help="memory interconnect of every ORAM controller: 'flat' (the "
+            "paper's scalar path cost, default) or 'channel' (stream each "
+            "path's buckets over channel/bank-aware DRAM)",
+        )
+        parser.add_argument(
+            "--channels",
+            type=int,
+            default=None,
+            metavar="N",
+            help="DRAM channels for the channel interconnect (implies "
+            "--dram-model channel; bandwidth_gbps is per channel)",
+        )
+    else:
+        parser.set_defaults(dram_model=None, channels=None)
+    parser.add_argument(
+        "--treetop",
+        type=int,
+        default=None,
+        metavar="K",
+        help="pin the top K levels of the nominal ORAM tree in on-chip "
+        "SRAM (in every shard of a bank); every path access streams only "
+        "the bottom levels (DESIGN.md §13)",
+    )
+
+
+def memory_config(args):
+    """The experiment config with the memory options applied."""
+    config = experiment_config()
+    if args.treetop is not None:
+        try:
+            config = replace(
+                config, oram=replace(config.oram, treetop_levels=args.treetop)
+            )
+        except ValueError as exc:
+            raise SystemExit(f"--treetop: {exc}")
+    model, channels = args.dram_model, args.channels
+    if model is None and channels is None:
+        return config
+    if model is None:
+        model = "channel"  # --channels alone selects the channel model
+    if channels is None:
+        channels = 4 if model == "channel" else 1
+    if channels < 1:
+        raise SystemExit("--channels must be at least 1")
+    return replace(
+        config, dram=replace(config.dram, model=model, num_channels=channels)
+    )
+
+
+def add_health_option(parser, help: str):
+    parser.add_argument(
+        "--health-policy", metavar="KEY=VAL[,...]", default=None, help=help
+    )
+
+
+def health_policy(args) -> Optional[HealthPolicy]:
+    if not args.health_policy:
+        return None
+    try:
+        return HealthPolicy.parse(args.health_policy)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
+def add_scheme_option(parser):
+    parser.add_argument("-s", "--scheme", default="dyn")
+
+
+def bank_scheme(args) -> str:
+    """``--scheme`` for commands that build a sharded bank themselves."""
+    scheme = args.scheme
+    if (
+        scheme not in KNOWN_SCHEMES
+        or scheme.startswith("dram")
+        or scheme.endswith(("_pre", "_spre", "_mpre", "_intvl"))
+    ):
+        raise SystemExit(
+            f"scheme '{scheme}' cannot run on a sharded bank "
+            "(base ORAM schemes only; no prefetch/periodic suffixes)"
+        )
+    return scheme
 
 
 # ------------------------------------------------------------------ commands
@@ -92,16 +226,12 @@ def _fault_build_kwargs(args):
     injector (they hold a private RNG stream), all seeded identically so
     schemes see the same fault schedule.
     """
-    transient = getattr(args, "fault_transient", 0.0)
-    delay = getattr(args, "fault_delay", 0.0)
-    if not transient and not delay:
+    if not args.fault_transient and not args.fault_delay:
         return None
-    from repro.faults import FaultConfig, FaultInjector
-
     fault_config = FaultConfig(
         seed=args.fault_seed,
-        transient_rate=transient,
-        delay_rate=delay,
+        transient_rate=args.fault_transient,
+        delay_rate=args.fault_delay,
         delay_cycles=args.fault_delay_cycles,
     )
 
@@ -117,20 +247,12 @@ def _run_build_kwargs(args):
     """Compose the ``--fault-*``, ``--shards``, and ``--health-policy``
     flags into build kwargs."""
     faults = _fault_build_kwargs(args)
-    shards = getattr(args, "shards", 1)
-    policy_spec = getattr(args, "health_policy", None)
-    if faults is None and shards == 1 and policy_spec is None:
+    shards = args.shards
+    if args.health_policy is not None and shards == 1:
+        raise SystemExit("--health-policy needs a sharded bank (--shards > 1)")
+    policy = health_policy(args)
+    if faults is None and shards == 1:
         return None
-    policy = None
-    if policy_spec is not None:
-        if shards == 1:
-            raise SystemExit("--health-policy needs a sharded bank (--shards > 1)")
-        from repro.health import HealthPolicy
-
-        try:
-            policy = HealthPolicy.parse(policy_spec)
-        except ValueError as error:
-            raise SystemExit(str(error))
 
     def build_kwargs(scheme):
         kwargs = dict(faults(scheme)) if faults is not None else {}
@@ -153,37 +275,11 @@ def _trace_out_path(template: str, scheme: str, schemes: List[str]) -> str:
     return f"{stem}.{scheme}.{suffix}"
 
 
-def _dram_config(args, config):
-    """Apply ``--dram-model`` / ``--channels`` / ``--treetop`` to an
-    experiment config."""
-    treetop = getattr(args, "treetop", None)
-    if treetop is not None:
-        try:
-            config = replace(
-                config, oram=replace(config.oram, treetop_levels=treetop)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"--treetop: {exc}")
-    model = getattr(args, "dram_model", None)
-    channels = getattr(args, "channels", None)
-    if model is None and channels is None:
-        return config
-    if channels is not None and model is None:
-        model = "channel"  # --channels alone selects the channel model
-    if channels is None:
-        channels = 4 if model == "channel" else 1
-    if channels < 1:
-        raise SystemExit("--channels must be at least 1")
-    return replace(
-        config, dram=replace(config.dram, model=model, num_channels=channels)
-    )
-
-
 def cmd_run(args) -> int:
-    trace = build_trace(args.workload, args.accesses, seed=args.seed)
+    trace = workload_trace(args)
     schemes = _parse_schemes(args.schemes)
-    shards = getattr(args, "shards", 1)
-    config = _dram_config(args, experiment_config())
+    shards = args.shards
+    config = memory_config(args)
     print(
         f"{trace.name}: {len(trace)} references over {trace.footprint_blocks} "
         f"blocks ({trace.write_fraction:.0%} writes)"
@@ -194,29 +290,17 @@ def cmd_run(args) -> int:
             else ""
         )
     )
-    profilers = {}
+    profiles = {}
     recorders = {}
-    hooks = []
-    if getattr(args, "profile", False):
-        hooks.append(lambda scheme, system: profilers.__setitem__(
-            scheme, Profiler().attach(system)
-        ))
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        from repro.observability import JsonlTraceRecorder
 
-        def attach_trace(scheme, system):
-            if scheme.startswith("dram"):
-                return  # DRAM baselines have no pipeline to trace
-            path = _trace_out_path(trace_out, scheme, schemes)
+    def system_hook(scheme, system):
+        if args.profile:
+            profiles[scheme] = (system, time_system(system))
+        if args.trace_out and not scheme.startswith("dram"):
+            # (DRAM baselines have no pipeline to trace)
+            path = _trace_out_path(args.trace_out, scheme, schemes)
             recorders[scheme] = system.attach_recorder(JsonlTraceRecorder(path))
 
-        hooks.append(attach_trace)
-    system_hook = None
-    if hooks:
-        def system_hook(scheme, system):
-            for hook in hooks:
-                hook(scheme, system)
     faults_on = _fault_build_kwargs(args)
     results = run_schemes(
         trace,
@@ -295,11 +379,9 @@ def cmd_run(args) -> int:
                 fault_rows,
             )
         )
-    for scheme in schemes:
-        profiler = profilers.get(scheme)
-        if profiler is not None and profiler.profile is not None:
-            print()
-            print(profiler.profile.report())
+    for system, registry in profiles.values():
+        print()
+        print(render_profile(system, registry, trace.name))
     for scheme, recorder in recorders.items():
         recorder.close()
         print(
@@ -323,7 +405,7 @@ def cmd_sweep(args) -> int:
         print(format_table(["locality"] + schemes, rows))
         return 0
     if args.parameter == "stash":
-        trace = build_trace(args.workload, args.accesses, seed=args.seed)
+        trace = workload_trace(args)
         for stash in (25, 50, 100, 200, 400):
             cfg = experiment_config(stash_blocks=stash)
             res = run_schemes(trace, ["oram"] + schemes, config=cfg, warmup_fraction=args.warmup)
@@ -333,7 +415,7 @@ def cmd_sweep(args) -> int:
         print(format_table(["stash"] + schemes, rows))
         return 0
     if args.parameter == "z":
-        trace = build_trace(args.workload, args.accesses, seed=args.seed)
+        trace = workload_trace(args)
         for z in (3, 4, 5):
             cfg = experiment_config(bucket_size=z)
             res = run_schemes(trace, ["oram"] + schemes, config=cfg, warmup_fraction=args.warmup)
@@ -345,8 +427,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     if args.report:
-        from repro.observability import InMemoryRecorder, collect_trace, read_jsonl_trace
-
         recorder = InMemoryRecorder()
         recorder.records = read_jsonl_trace(args.report)
         starts = [r for r in recorder.events() if r["event"] == "run_start"]
@@ -360,7 +440,7 @@ def cmd_trace(args) -> int:
         return 0
     if not args.output:
         raise SystemExit("either -o/--output (export) or --report is required")
-    trace = build_trace(args.workload, args.accesses, seed=args.seed)
+    trace = workload_trace(args)
     trace.save(args.output)
     print(
         f"wrote {len(trace)} entries ({trace.footprint_blocks} blocks) "
@@ -371,13 +451,7 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """One traced run: metrics registry report + live uniformity monitor."""
-    from repro.observability import (
-        InMemoryRecorder,
-        LeafUniformityMonitor,
-        collect_trace,
-    )
-
-    trace = build_trace(args.workload, args.accesses, seed=args.seed)
+    trace = workload_trace(args)
     if args.scheme not in KNOWN_SCHEMES or args.scheme.startswith("dram"):
         raise SystemExit(f"metrics needs an ORAM scheme, not '{args.scheme}'")
     # Probe geometry first: the monitor needs the scaled tree's leaf count.
@@ -402,7 +476,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    trace = build_trace(args.workload, args.accesses, seed=args.seed)
+    trace = workload_trace(args)
     observer = AccessObserver()
     system = SecureSystem.build(
         args.scheme, trace.footprint_blocks, experiment_config(), observer=observer
@@ -422,10 +496,6 @@ def cmd_audit(args) -> int:
 
 def cmd_parity(args) -> int:
     """Drive every ORAMScheme implementation with one shared seeded trace."""
-    from repro.controller.scheme import SCHEME_FACTORIES, build_scheme
-    from repro.faults.fsck import run_fsck
-    from repro.utils.rng import DeterministicRng
-
     if args.scheme == "all":
         names = list(SCHEME_FACTORIES)
     elif args.scheme in SCHEME_FACTORIES:
@@ -463,36 +533,11 @@ def cmd_parity(args) -> int:
 
 def cmd_parallel(args) -> int:
     """Race the process-parallel shard runtime against the serial bank."""
-    import dataclasses
-    import tempfile
-    import time
-
-    scheme = args.scheme
-    unsupported = (
-        scheme not in KNOWN_SCHEMES
-        or scheme.startswith("dram")
-        or scheme.endswith(("_pre", "_spre", "_mpre", "_intvl"))
-    )
-    if unsupported:
-        raise SystemExit(
-            f"scheme '{scheme}' cannot run on a sharded bank "
-            "(base ORAM schemes only; no prefetch/periodic suffixes)"
-        )
-    from repro.parallel import ParallelShardRuntime, run_serial_reference
-    from repro.parallel.merge import requests_from_trace
-
-    health_policy = None
-    if getattr(args, "health_policy", None):
-        from repro.health import HealthPolicy
-
-        try:
-            health_policy = HealthPolicy.parse(args.health_policy)
-        except ValueError as error:
-            raise SystemExit(str(error))
-
-    trace = build_trace(args.workload, args.accesses, seed=args.seed)
+    scheme = bank_scheme(args)
+    policy = health_policy(args)
+    trace = workload_trace(args)
     requests = requests_from_trace(trace)
-    config = _dram_config(args, experiment_config())
+    config = memory_config(args)
     workers = args.parallel_workers
     print(
         f"{trace.name}: {len(requests)} demand requests over "
@@ -522,7 +567,7 @@ def cmd_parallel(args) -> int:
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             batch_size=args.batch,
-            health_policy=health_policy,
+            health_policy=policy,
         ) as runtime:
             begin = time.perf_counter()
             parallel = runtime.run(requests, workload=trace.name, fsck=args.fsck)
@@ -545,21 +590,7 @@ def cmd_parallel(args) -> int:
 
 def cmd_serve(args) -> int:
     """Drive the deadline-aware serving front end over a sharded bank."""
-    from repro.config import ServeConfig
-    from repro.observability import collect_serve
-    from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
-
-    scheme = args.scheme
-    unsupported = (
-        scheme not in KNOWN_SCHEMES
-        or scheme.startswith("dram")
-        or scheme.endswith(("_pre", "_spre", "_mpre", "_intvl"))
-    )
-    if unsupported:
-        raise SystemExit(
-            f"scheme '{scheme}' cannot run on a sharded bank "
-            "(base ORAM schemes only; no prefetch/periodic suffixes)"
-        )
+    scheme = bank_scheme(args)
     weights = None
     if args.weights:
         weights = [int(w) for w in args.weights.split(",") if w.strip()]
@@ -568,14 +599,7 @@ def cmd_serve(args) -> int:
                 f"--weights names {len(weights)} tenants, --tenants says "
                 f"{args.tenants}"
             )
-    health_policy = None
-    if args.health_policy:
-        from repro.health import HealthPolicy
-
-        try:
-            health_policy = HealthPolicy.parse(args.health_policy)
-        except ValueError as error:
-            raise SystemExit(str(error))
+    policy = health_policy(args)
     if args.mode == "open":
         source = OpenLoopSource.synthetic(
             args.tenants,
@@ -601,7 +625,6 @@ def cmd_serve(args) -> int:
             seed=args.seed,
         )
     serve_config = ServeConfig(
-        enabled=not args.bypass,
         batch_size=args.batch,
         deadline_cycles=args.deadline,
         queue_capacity=args.queue_capacity,
@@ -612,14 +635,14 @@ def cmd_serve(args) -> int:
     # One shared config for the live bank AND the replay check below --
     # a --treetop override must shape both identically or the replayed
     # SimResult diverges on public timing alone.
-    config = _dram_config(args, experiment_config())
+    config = memory_config(args)
     frontend = ServingFrontEnd.build(
         scheme,
         source.footprint_blocks,
         config,
         args.shards,
         serve_config=serve_config,
-        health_policy=health_policy,
+        health_policy=policy,
         workload=workload,
     )
     mode_desc = (
@@ -636,24 +659,15 @@ def cmd_serve(args) -> int:
     if args.metrics:
         print(collect_serve(frontend).render("serve metrics"))
     if args.parallel_check:
-        if health_policy is not None:
+        if policy is not None:
             raise SystemExit(
                 "--parallel-check needs a health-free bank: quarantine "
                 "dummy padding is invisible to the replayed schedule"
             )
-        import dataclasses
-
-        from repro.parallel.merge import replay_issued_schedule
-
-        replayed = replay_issued_schedule(
-            scheme,
-            source.footprint_blocks,
-            frontend.issued,
-            config,
-            args.shards,
-            workload=workload,
-            parallel=True,
-        )
+        with ParallelShardRuntime(
+            scheme, source.footprint_blocks, config, args.shards
+        ) as runtime:
+            replayed = runtime.run(frontend.issued, workload=workload)
         if replayed == report.sim:
             print(
                 f"parallel check: {len(frontend.issued)} issued accesses "
@@ -672,11 +686,6 @@ def cmd_serve(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Cross-layer chaos storm: KV ladder + parallel runtime + bank plane."""
-    import json
-
-    from repro.faults.chaos import ChaosScenario, chaos_policy, run_chaos
-    from repro.health import HealthPolicy
-
     if args.ops < 0:
         raise SystemExit("--ops must be >= 0")
     # The default 20k-op soak splits 40/20/40 across the layers.
@@ -691,12 +700,7 @@ def cmd_chaos(args) -> int:
         kv_ops=kv_ops,
         bank_ops=(2 * args.ops) // 5,
     )
-    policy = chaos_policy()
-    if args.health_policy:
-        try:
-            policy = HealthPolicy.parse(args.health_policy)
-        except ValueError as error:
-            raise SystemExit(str(error))
+    policy = health_policy(args) or chaos_policy()
     layers = tuple(
         layer.strip() for layer in args.layers.split(",") if layer.strip()
     )
@@ -719,14 +723,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list workloads and schemes").set_defaults(func=cmd_list)
 
-    def common(p, workload_required=True):
-        p.add_argument("-w", "--workload", required=workload_required, default="ocean_c")
-        p.add_argument("--accesses", type=int, default=60_000)
-        p.add_argument("--warmup", type=float, default=0.5)
-        p.add_argument("--seed", type=int, default=42)
-
     run_p = sub.add_parser("run", help="run one workload through schemes")
-    common(run_p)
+    add_workload_options(run_p)
     run_p.add_argument("-s", "--schemes", default="oram,stat,dyn")
     run_p.add_argument(
         "--profile",
@@ -769,11 +767,9 @@ def make_parser() -> argparse.ArgumentParser:
         help="channel-interleave the ORAM over N independent controller "
         "instances (1 = the paper's single serialized controller)",
     )
-    run_p.add_argument(
-        "--health-policy",
-        metavar="KEY=VAL,...",
-        default=None,
-        help="attach a per-shard circuit-breaker control plane to the "
+    add_health_option(
+        run_p,
+        "attach a per-shard circuit-breaker control plane to the "
         "sharded bank (requires --shards > 1); keys are HealthPolicy "
         "fields, e.g. window=32,quarantine_cooldown=16",
     )
@@ -783,44 +779,19 @@ def make_parser() -> argparse.ArgumentParser:
         help="write a per-access span trace (JSONL) per ORAM scheme; "
         "multi-scheme runs insert the scheme name before the suffix",
     )
-    run_p.add_argument(
-        "--dram-model",
-        choices=["flat", "channel"],
-        default=None,
-        help="memory interconnect: 'flat' (the paper's scalar path cost, "
-        "default) or 'channel' (stream each path's buckets over "
-        "channel/bank-aware DRAM)",
-    )
-    run_p.add_argument(
-        "--channels",
-        type=int,
-        default=None,
-        metavar="N",
-        help="DRAM channels for the channel interconnect (implies "
-        "--dram-model channel; bandwidth_gbps is per channel)",
-    )
-    run_p.add_argument(
-        "--treetop",
-        dest="treetop",
-        type=int,
-        default=None,
-        metavar="K",
-        help="pin the top K levels of the nominal ORAM tree in on-chip "
-        "SRAM; every path access streams only the bottom levels "
-        "(DESIGN.md §13)",
-    )
+    add_memory_options(run_p)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="parameter sweeps (locality/stash/z)")
     sweep_p.add_argument("parameter", choices=["locality", "stash", "z"])
-    common(sweep_p, workload_required=False)
+    add_workload_options(sweep_p, required=False)
     sweep_p.add_argument("-s", "--schemes", default="stat,dyn")
     sweep_p.set_defaults(func=cmd_sweep)
 
     trace_p = sub.add_parser(
         "trace", help="export a workload trace, or summarize a span trace"
     )
-    common(trace_p, workload_required=False)
+    add_workload_options(trace_p, required=False)
     trace_p.add_argument("-o", "--output", default=None)
     trace_p.add_argument(
         "--report",
@@ -833,8 +804,8 @@ def make_parser() -> argparse.ArgumentParser:
     metrics_p = sub.add_parser(
         "metrics", help="metrics registry + leaf-uniformity report for one run"
     )
-    common(metrics_p)
-    metrics_p.add_argument("-s", "--scheme", default="dyn")
+    add_workload_options(metrics_p)
+    add_scheme_option(metrics_p)
     metrics_p.add_argument(
         "--window",
         type=int,
@@ -845,17 +816,16 @@ def make_parser() -> argparse.ArgumentParser:
     metrics_p.set_defaults(func=cmd_metrics)
 
     audit_p = sub.add_parser("audit", help="obliviousness audit of a scheme")
-    common(audit_p)
-    audit_p.add_argument("-s", "--scheme", default="dyn")
+    add_workload_options(audit_p)
+    add_scheme_option(audit_p)
     audit_p.set_defaults(func=cmd_audit)
 
     parallel_p = sub.add_parser(
         "parallel",
         help="race the process-parallel shard runtime against the serial bank",
     )
-    common(parallel_p, workload_required=False)
-    parallel_p.set_defaults(accesses=8_000)
-    parallel_p.add_argument("-s", "--scheme", default="dyn")
+    add_workload_options(parallel_p, required=False, accesses=8_000)
+    add_scheme_option(parallel_p)
     parallel_p.add_argument(
         "--parallel-workers",
         type=int,
@@ -882,34 +852,12 @@ def make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="audit every shard's ORAM invariants in-worker after the run",
     )
-    parallel_p.add_argument(
-        "--health-policy",
-        metavar="KEY=VAL[,...]",
-        help="supervise workers with per-shard circuit breakers "
+    add_health_option(
+        parallel_p,
+        "supervise workers with per-shard circuit breakers "
         "(heartbeats, deadlines, quarantine fallback); see DESIGN.md §10",
     )
-    parallel_p.add_argument(
-        "--dram-model",
-        choices=["flat", "channel"],
-        default=None,
-        help="memory interconnect inside each worker's shard (see `run`)",
-    )
-    parallel_p.add_argument(
-        "--channels",
-        type=int,
-        default=None,
-        metavar="N",
-        help="DRAM channels per shard (implies --dram-model channel)",
-    )
-    parallel_p.add_argument(
-        "--treetop",
-        dest="treetop",
-        type=int,
-        default=None,
-        metavar="K",
-        help="pin the top K nominal tree levels on-chip in every shard "
-        "(see `run`)",
-    )
+    add_memory_options(parallel_p)
     parallel_p.set_defaults(func=cmd_parallel)
 
     serve_p = sub.add_parser(
@@ -917,7 +865,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="deadline-aware multi-tenant serving front end over a "
         "sharded bank (open/closed-loop load generator)",
     )
-    serve_p.add_argument("-s", "--scheme", default="dyn")
+    add_scheme_option(serve_p)
     serve_p.add_argument("--mode", choices=["open", "closed"], default="open")
     serve_p.add_argument("--shards", type=int, default=4, metavar="N")
     serve_p.add_argument("--tenants", type=int, default=3, metavar="K")
@@ -960,15 +908,9 @@ def make_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--max-backlog", type=int, default=512, metavar="N")
     serve_p.add_argument("--no-coalesce", action="store_true",
                          help="disable super-block request coalescing")
-    serve_p.add_argument(
-        "--bypass",
-        action="store_true",
-        help="disable every serving policy (bit-identical to the raw bank)",
-    )
-    serve_p.add_argument(
-        "--health-policy",
-        metavar="KEY=VAL[,...]",
-        help="attach per-shard circuit breakers; DEGRADED shards get "
+    add_health_option(
+        serve_p,
+        "attach per-shard circuit breakers; DEGRADED shards get "
         "smaller batch quotas, QUARANTINED shards reroute at admission",
     )
     serve_p.add_argument(
@@ -980,15 +922,7 @@ def make_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--metrics", action="store_true",
                          help="print the serve.* metrics registry")
     serve_p.add_argument("--seed", type=int, default=42)
-    serve_p.add_argument(
-        "--treetop",
-        dest="treetop",
-        type=int,
-        default=None,
-        metavar="K",
-        help="pin the top K nominal tree levels on-chip in every shard "
-        "(see `run`)",
-    )
+    add_memory_options(serve_p, interconnect=False)
     serve_p.set_defaults(func=cmd_serve)
 
     chaos_p = sub.add_parser(
@@ -1000,18 +934,16 @@ def make_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--ops", type=int, default=20_000,
                          help="total ops, split 40/20/40 over parallel/kv/bank")
     chaos_p.add_argument("--shards", type=int, default=4, metavar="N")
-    chaos_p.add_argument("-s", "--scheme", default="dyn")
+    add_scheme_option(chaos_p)
     chaos_p.add_argument("--seed", type=int, default=11)
     chaos_p.add_argument(
         "--layers",
         default="kv,parallel,bank",
         help="comma-separated subset of kv,parallel,bank",
     )
-    chaos_p.add_argument(
-        "--health-policy",
-        metavar="KEY=VAL,...",
-        default=None,
-        help="override the storm-tuned HealthPolicy (same grammar as "
+    add_health_option(
+        chaos_p,
+        "override the storm-tuned HealthPolicy (same grammar as "
         "`repro run --health-policy`)",
     )
     chaos_p.add_argument("-o", "--output", default=None, metavar="FILE",

@@ -251,9 +251,6 @@ class ServeConfig:
     batch efficiency.
 
     Attributes:
-        enabled: ``False`` bypasses every serving policy -- requests are
-            issued directly at their arrival cycles in arrival order, which
-            is bit-identical to driving the bank without a front end.
         batch_size: per-shard batch quota for HEALTHY shards; a batch is
             issued as soon as it holds this many distinct accesses.
         deadline_cycles: default admission->completion budget stamped on
@@ -274,7 +271,6 @@ class ServeConfig:
             control firing *before* the stash overflows.  ``0`` disables.
     """
 
-    enabled: bool = True
     batch_size: int = 8
     deadline_cycles: int = 30_000
     deadline_close_fraction: float = 0.5

@@ -25,12 +25,26 @@ channel choices.
 
 Determinism: shard construction order, the round-robin order of
 :meth:`ShardedORAMBank.access_batch`, and each shard's forked RNG are all
-fixed, so a run is bit-reproducible for any shard count; with ``N == 1``
-builders bypass the bank entirely and the golden single-controller result
-is trivially unchanged.
+fixed, so a run is bit-reproducible for any shard count.
+
+One controller is a bank of one, by protocol rather than by wrapping: a
+lone :class:`~repro.memory.oram_backend.ORAMBackend` already answers
+``shards``/``num_blocks``/``snapshot_shards()`` itself, so ``num_shards ==
+1`` builds exactly that object (:func:`build_shard_backend` with index 0 of
+1) and nothing is added to its access path; a :class:`ShardedORAMBank` is
+only assembled for real interleaving (or by callers that want the bank's
+batch API at width 1).
+
+Construction: this module is the one place ORAM controllers are made.
+:func:`build_shard_backend` is the only constructor call of
+``ORAMBackend``/``PeriodicORAMBackend`` and :func:`build_bank` the only
+assembly of a bank and its health plane; the system builder, the serving
+front end, the serial reference and the shard workers all import them from
+here.
 
 Results: the bank keeps no aggregate accounting of its own beyond the
-``stats``/``busy_until`` views.  :func:`snapshot_shard_stats` samples one
+``stats``/``busy_until`` views.
+:func:`~repro.memory.oram_backend.snapshot_shard_stats` samples one
 controller's counters, and every route to a
 :class:`~repro.sim.results.SimResult` -- a standalone controller, this
 bank, the worker runtime, the serving front end -- hands those snapshots
@@ -44,53 +58,25 @@ imports the controller package, and the indirection keeps that cycle open.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.config import SystemConfig
+from repro.core.dynamic import DynamicSuperBlockScheme
+from repro.core.strided import StridedDynamicScheme
+from repro.core.thresholds import (
+    AdaptiveThresholdPolicy,
+    StaticThresholdPolicy,
+    ThresholdPolicy,
+)
 from repro.health.breaker import HealthState
+from repro.health.plane import HealthControlPlane
 from repro.memory.backend import BackendStats, DemandResult, MemoryBackend
-from repro.memory.oram_backend import ORAMBackend
-
-
-def snapshot_shard_stats(shard: ORAMBackend) -> dict:
-    """Sample every result-relevant counter of one ORAM controller.
-
-    This is the only reader of a controller's counters on the way to a
-    :class:`~repro.sim.results.SimResult`: a standalone backend, every
-    channel of an in-process bank and every worker of the process-parallel
-    runtime (which ships the dict over a queue) are sampled by this one
-    function and folded by :func:`repro.parallel.merge.fold_shard_snapshots`,
-    so the result is built from identical material on every route --
-    bit-identity of the aggregate is structural, not coincidental.
-
-    The returned dict is plain data (picklable, JSON-able).  ``injected``
-    is the fault injector's own counters (``None`` without one),
-    ``fault_model`` says whether the retry/degradation ladder is wired at
-    all, and ``interconnect`` is the interconnect's scalar summary, or
-    ``None`` for the flat model, whose results carry no such extras.
-    """
-    from repro.oram.checkpoint import _BACKEND_STAT_FIELDS, _SCHEME_STAT_FIELDS
-
-    hierarchy = shard.posmap_hierarchy
-    interconnect = shard.interconnect
-    return {
-        "stats": {name: getattr(shard.stats, name) for name in _BACKEND_STAT_FIELDS},
-        "scheme_stats": {
-            name: getattr(shard.scheme.stats, name) for name in _SCHEME_STAT_FIELDS
-        },
-        "stash_max_occupancy": shard.oram.stash.max_occupancy,
-        "stash_soft_overflows": shard.oram.stash_soft_overflows,
-        "posmap_lookups": hierarchy.lookups,
-        "posmap_cache_hits": hierarchy.cache_hits,
-        "phase_cycles": shard.pipeline.breakdown(),
-        "busy_until": shard.busy_until,
-        "fault_model": shard.resilience is not None,
-        "injected": (
-            shard.injector.stats.as_dict() if shard.injector is not None else None
-        ),
-        "interconnect": (
-            interconnect.summary() if interconnect.model != "flat" else None
-        ),
-    }
+from repro.memory.oram_backend import ORAMBackend, snapshot_shard_stats
+from repro.memory.periodic import PeriodicORAMBackend
+from repro.oram.checkpoint import _BACKEND_STAT_FIELDS
+from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme, SuperBlockScheme
+from repro.utils.rng import DeterministicRng
 
 
 class ShardedORAMBank(MemoryBackend):
@@ -108,7 +94,7 @@ class ShardedORAMBank(MemoryBackend):
         if not shards:
             raise ValueError("need at least one shard")
         self.shards: List[ORAMBackend] = list(shards)
-        self.num_shards = len(self.shards)
+        self.num_shards = self.bank_width = len(self.shards)
         for index, shard in enumerate(self.shards):
             # Spans emitted by a channel's pipeline carry the channel index
             # and the *global* address (local * stride + index).
@@ -348,21 +334,13 @@ class ShardedORAMBank(MemoryBackend):
 
     @property
     def stats(self) -> BackendStats:  # type: ignore[override]
-        """Aggregate counters summed over every shard (a fresh snapshot)."""
+        """Aggregate counters summed over every shard (a fresh snapshot),
+        field for field what :func:`snapshot_shard_stats` samples."""
         total = BackendStats()
-        for shard in self.shards:
-            s = shard.stats
-            total.demand_requests += s.demand_requests
-            total.prefetch_requests += s.prefetch_requests
-            total.write_accesses += s.write_accesses
-            total.memory_accesses += s.memory_accesses
-            total.dummy_accesses += s.dummy_accesses
-            total.posmap_accesses += s.posmap_accesses
-            total.busy_cycles += s.busy_cycles
-            total.transient_faults += s.transient_faults
-            total.fault_retries += s.fault_retries
-            total.fault_delay_cycles += s.fault_delay_cycles
-            total.forced_evictions += s.forced_evictions
+        for name in _BACKEND_STAT_FIELDS:
+            setattr(
+                total, name, sum(getattr(shard.stats, name) for shard in self.shards)
+            )
         return total
 
     @stats.setter
@@ -371,16 +349,16 @@ class ShardedORAMBank(MemoryBackend):
 
     def phase_breakdown(self) -> dict:
         """Per-phase cycle attribution summed over every shard's pipeline."""
-        total: dict = {}
-        for shard in self.shards:
-            for name, cycles in shard.pipeline.breakdown().items():
-                total[name] = total.get(name, 0) + cycles
-        return total
+        breakdowns = [shard.pipeline.breakdown() for shard in self.shards]
+        return {
+            name: sum(breakdown[name] for breakdown in breakdowns)
+            for name in breakdowns[0]
+        }
 
     def snapshot_shards(self) -> List[dict]:
         """Per-channel counter snapshots (:func:`snapshot_shard_stats`).
 
-        Channels built by :meth:`SecureSystem.build` share one fault
+        Channels built by :func:`build_bank` share one fault
         injector, whose counters are then already bank-wide: they are
         reported on the first channel that carries it, not once per
         channel.
@@ -405,3 +383,147 @@ class ShardedORAMBank(MemoryBackend):
         stats = self.stats
         total = stats.demand_requests + stats.dummy_accesses
         return stats.dummy_accesses / total if total else 0.0
+
+
+# ------------------------------------------------------------- construction
+def make_scheme(
+    name: str,
+    config: SystemConfig,
+    policy: Optional[ThresholdPolicy] = None,
+    static_sbsize: Optional[int] = None,
+) -> SuperBlockScheme:
+    """The super block scheme behind a base scheme name."""
+    if name == "oram":
+        return BaselineScheme()
+    if name == "stat":
+        return StaticSuperBlockScheme(static_sbsize or config.oram.max_super_block_size)
+    if name == "dyn_strided":
+        # Future-work extension (section 6.2): strided pair merging.
+        return StridedDynamicScheme(policy=policy)
+    if name == "dyn" or name.startswith("dyn_"):
+        # Figure 6b variants: dyn_{sm|am}_{nb|ab} selects static/adaptive
+        # merge thresholding and no/adaptive breaking; bare "dyn" is the
+        # full PrORAM (adaptive merge + adaptive break).
+        variants = {
+            "dyn": (AdaptiveThresholdPolicy, True),
+            "dyn_am_ab": (AdaptiveThresholdPolicy, True),
+            "dyn_sm_nb": (StaticThresholdPolicy, False),
+            "dyn_am_nb": (AdaptiveThresholdPolicy, False),
+            "dyn_sm_ab": (StaticThresholdPolicy, True),
+        }
+        if name not in variants:
+            raise ValueError(f"unknown dynamic-scheme variant '{name}'")
+        default_policy, break_enabled = variants[name]
+        return DynamicSuperBlockScheme(
+            max_sbsize=config.oram.max_super_block_size,
+            policy=policy or default_policy(),
+            break_enabled=break_enabled,
+        )
+    raise ValueError(f"unknown scheme '{name}'")
+
+
+def build_shard_backend(
+    base_scheme: str,
+    footprint_blocks: int,
+    config: SystemConfig,
+    shard_index: int,
+    num_shards: int,
+    *,
+    policy: Optional[ThresholdPolicy] = None,
+    periodic: bool = False,
+    static_sbsize: Optional[int] = None,
+    observer=None,
+    fault_injector=None,
+    resilience=None,
+    rng_restart_salt: int = 0,
+) -> ORAMBackend:
+    """Build channel ``shard_index`` of an ``num_shards``-way ORAM bank.
+
+    This is the single construction path for ORAM controllers: index 0 of
+    1 is the paper's lone controller (:meth:`SecureSystem.build`),
+    :func:`build_bank` loops over it, and a :mod:`repro.parallel` worker
+    calls it for just its own index.  The RNG derivation is pure in
+    ``(config.seed, shard_index)`` -- ``fork`` hashes an integer tuple,
+    untouched by hash randomization -- so a worker process rebuilds shard
+    ``i`` bit-identically to the serial bank without ever seeing the other
+    shards.
+
+    Args:
+        base_scheme: scheme name with any prefetch/periodic suffix already
+            stripped ("oram", "stat", "dyn", ...).
+        footprint_blocks: the *global* workload footprint; each shard's
+            tree is scaled to its ceil-divided slice.
+        shard_index: which channel to build, in ``range(num_shards)``.
+        policy: threshold policy for a ``dyn`` controller (stateful, so
+            only a lone controller may be handed one).
+        periodic: wrap the controller in periodic accesses (Figure 15;
+            ``Oint`` defaults to 100 cycles when the config leaves it 0).
+        rng_restart_salt: 0 for a first boot (bit-identical to the serial
+            bank); a respawned worker passes its restart attempt number so
+            the recovered shard draws a fresh, still-deterministic leaf
+            stream instead of replaying the seed stream from the start.
+    """
+    if not 0 <= shard_index < num_shards:
+        raise ValueError(f"shard index {shard_index} outside 0..{num_shards - 1}")
+    per_shard_blocks = (footprint_blocks + num_shards - 1) // num_shards
+    rng = DeterministicRng(config.seed).fork(11 + 101 * shard_index)
+    if rng_restart_salt:
+        rng = rng.fork(0x5EC0 + rng_restart_salt)
+    oram_config = config.oram.scaled_to_footprint(per_shard_blocks)
+    scheme = make_scheme(base_scheme, config, policy, static_sbsize)
+    wiring = dict(
+        observer=observer, fault_injector=fault_injector, resilience=resilience
+    )
+    if periodic:
+        protection = config.timing_protection
+        if not protection.interval_cycles:
+            protection = replace(protection, interval_cycles=100)
+        backend: ORAMBackend = PeriodicORAMBackend(
+            oram_config, config.dram, scheme, rng, protection, **wiring
+        )
+    else:
+        backend = ORAMBackend(oram_config, config.dram, scheme, rng, **wiring)
+    backend.shard_index = shard_index
+    backend.addr_stride = num_shards
+    return backend
+
+
+def build_bank(
+    base_scheme: str,
+    footprint_blocks: int,
+    config: SystemConfig,
+    num_shards: int,
+    *,
+    health_policy=None,
+    static_sbsize: Optional[int] = None,
+    observer=None,
+    fault_injector=None,
+    resilience=None,
+) -> ShardedORAMBank:
+    """Assemble an ``num_shards``-way bank (the only place one is made).
+
+    Each channel gets its own controller -- scheme instance, tree scaled
+    to its slice of the footprint, a distinct RNG fork -- from
+    :func:`build_shard_backend`; ``health_policy`` (a
+    :class:`~repro.health.HealthPolicy`) attaches a control plane as wide
+    as the bank.
+    """
+    bank = ShardedORAMBank(
+        [
+            build_shard_backend(
+                base_scheme,
+                footprint_blocks,
+                config,
+                index,
+                num_shards,
+                static_sbsize=static_sbsize,
+                observer=observer,
+                fault_injector=fault_injector,
+                resilience=resilience,
+            )
+            for index in range(num_shards)
+        ]
+    )
+    if health_policy is not None:
+        bank.attach_health(HealthControlPlane(num_shards, health_policy))
+    return bank

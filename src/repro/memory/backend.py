@@ -8,16 +8,22 @@ for :meth:`MemoryBackend.prefetch_access`.
 
 Implementations: :class:`repro.memory.dram.DRAMBackend` (insecure
 baseline), :class:`repro.memory.oram_backend.ORAMBackend` (Path ORAM with a
-pluggable super block scheme), and
+pluggable super block scheme),
 :class:`repro.memory.periodic.PeriodicORAMBackend` (timing-channel
-protected wrapper).
+protected wrapper), and :class:`repro.controller.sharded.ShardedORAMBank`
+(N address-interleaved controllers).
+
+How many ORAM controllers sit behind the LLC is part of the interface, not
+a kind to test for: every backend exposes them as :attr:`MemoryBackend.shards`
+-- none for DRAM, ``(self,)`` for one controller, the channels for a bank --
+and the simulators, collectors and studies iterate that.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -64,11 +70,35 @@ class BackendStats:
 
 
 class MemoryBackend(ABC):
-    """Timing + functional model of everything behind the LLC."""
+    """Timing + functional model of everything behind the LLC.
+
+    The class attributes are the inert answers of a backend with no ORAM
+    behind it; the ORAM backends override them.
+    """
+
+    #: the ORAM controllers behind the LLC, in channel order
+    shards: Sequence["MemoryBackend"] = ()
+    #: interleave width a bank reports (``extra["num_shards"]``, the
+    #: ``bank.num_shards`` gauge); ``None`` for DRAM and a lone controller
+    bank_width: Optional[int] = None
+    #: addresses ``0 .. num_blocks - 1`` are valid (DRAM: unbounded)
+    num_blocks = 1 << 62
+    #: span sink of the ORAM controllers; ``None`` = tracing off
+    recorder = None
 
     def __init__(self) -> None:
         self.stats = BackendStats()
         self.busy_until = 0
+
+    def set_llc_probe(self, probe: Callable[[int], bool]) -> None:
+        """Hand the backend the LLC tag probe (default: nobody asks)."""
+
+    def set_recorder(self, recorder) -> None:
+        """Install a span recorder (default: nothing emits spans)."""
+
+    def snapshot_shards(self) -> List[dict]:
+        """One counter snapshot per ORAM controller, in channel order."""
+        return []
 
     @abstractmethod
     def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:

@@ -17,11 +17,16 @@ DRAM-replacement interface of the secure-processor literature:
 Timing is strictly serialized -- "a single ORAM access saturates the
 available DRAM bandwidth [so] it brings no benefits to serve multiple ORAM
 requests in parallel" (section 2.6).
+
+A lone controller answers the bank questions of
+:class:`~repro.memory.backend.MemoryBackend` itself, as a bank of width 1
+(``shards == (self,)``); nothing wraps it and nothing sits on its access
+path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.config import DRAMConfig, ORAMConfig
 from repro.controller.pipeline import AccessPipeline
@@ -29,10 +34,51 @@ from repro.faults.injector import TransientReadError
 from repro.memory.backend import DemandResult, MemoryBackend
 from repro.memory.interconnect import build_interconnect
 from repro.memory.timing import ORAMTimingModel
+from repro.oram.checkpoint import _BACKEND_STAT_FIELDS, _SCHEME_STAT_FIELDS
 from repro.oram.path_oram import PathORAM
 from repro.oram.recursion import PosMapHierarchy
 from repro.oram.super_block import SuperBlockScheme
 from repro.utils.rng import DeterministicRng
+
+
+def snapshot_shard_stats(shard: "ORAMBackend") -> dict:
+    """Sample every result-relevant counter of one ORAM controller.
+
+    This is the only reader of a controller's counters on the way to a
+    :class:`~repro.sim.results.SimResult`: a standalone backend, every
+    channel of an in-process bank and every worker of the process-parallel
+    runtime (which ships the dict over a queue) are sampled by this one
+    function and folded by :func:`repro.parallel.merge.fold_shard_snapshots`,
+    so the result is built from identical material on every route --
+    bit-identity of the aggregate is structural, not coincidental.
+
+    The returned dict is plain data (picklable, JSON-able).  ``injected``
+    is the fault injector's own counters (``None`` without one),
+    ``fault_model`` says whether the retry/degradation ladder is wired at
+    all, and ``interconnect`` is the interconnect's scalar summary, or
+    ``None`` for the flat model, whose results carry no such extras.
+    """
+    hierarchy = shard.posmap_hierarchy
+    interconnect = shard.interconnect
+    return {
+        "stats": {name: getattr(shard.stats, name) for name in _BACKEND_STAT_FIELDS},
+        "scheme_stats": {
+            name: getattr(shard.scheme.stats, name) for name in _SCHEME_STAT_FIELDS
+        },
+        "stash_max_occupancy": shard.oram.stash.max_occupancy,
+        "stash_soft_overflows": shard.oram.stash_soft_overflows,
+        "posmap_lookups": hierarchy.lookups,
+        "posmap_cache_hits": hierarchy.cache_hits,
+        "phase_cycles": shard.pipeline.breakdown(),
+        "busy_until": shard.busy_until,
+        "fault_model": shard.resilience is not None,
+        "injected": (
+            shard.injector.stats.as_dict() if shard.injector is not None else None
+        ),
+        "interconnect": (
+            interconnect.summary() if interconnect.model != "flat" else None
+        ),
+    }
 
 
 class ORAMBackend(MemoryBackend):
@@ -82,6 +128,7 @@ class ORAMBackend(MemoryBackend):
         #: buckets across DRAM channels (DESIGN.md section 11)
         self.interconnect = build_interconnect(oram_config, dram_config)
         self.oram = PathORAM(oram_config, rng, observer=observer, populate=False)
+        self.num_blocks = self.oram.position_map.num_blocks
         self.posmap_hierarchy = PosMapHierarchy(
             num_hierarchies=oram_config.num_hierarchies,
             entries_per_block=oram_config.posmap_entries_per_block,
@@ -129,6 +176,14 @@ class ORAMBackend(MemoryBackend):
                 int(self.oram.stash.capacity * self.resilience.stash_soft_fraction),
             )
             self._backoff_rng = rng.fork(0xBACF)
+
+    # ------------------------------------------------------------ bank of one
+    @property
+    def shards(self) -> Tuple["ORAMBackend", ...]:  # type: ignore[override]
+        return (self,)
+
+    def snapshot_shards(self) -> List[dict]:
+        return [snapshot_shard_stats(self)]
 
     # ----------------------------------------------------------------- wiring
     def set_recorder(self, recorder) -> None:

@@ -11,9 +11,11 @@ The subsystem has four parts (see DESIGN.md section 8):
   ``SimResult`` is bit-identical); :class:`InMemoryRecorder` backs tests
   and CLI reports; :class:`JsonlTraceRecorder` writes deterministic
   one-object-per-line trace files.
-* **Metrics** (:mod:`.metrics`, :mod:`.collect`) -- counters, gauges and
-  cycle-bucketed histograms in a :class:`MetricsRegistry`, populated by
-  snapshot collectors that replace the ad-hoc stats dicts.
+* **Metrics** (:mod:`.metrics`, :mod:`.collect`) -- counters, gauges,
+  cycle-bucketed histograms and host wall-clock timers in a
+  :class:`MetricsRegistry`, populated by snapshot collectors that replace
+  the ad-hoc stats dicts (and by :func:`time_system` for the host-time
+  profile of a run).
 * **Uniformity** (:mod:`.uniformity`) -- a live leaf-histogram
   chi-squared monitor built on :mod:`repro.security.statistics`.
 """
@@ -24,9 +26,10 @@ from .collect import (
     collect_serve,
     collect_system,
     collect_trace,
-    system_counters,
+    render_profile,
+    time_system,
 )
-from .metrics import Counter, CycleHistogram, Gauge, MetricsRegistry
+from .metrics import Counter, CycleHistogram, Gauge, MetricsRegistry, Timer
 from .recorder import (
     InMemoryRecorder,
     JsonlTraceRecorder,
@@ -49,6 +52,7 @@ __all__ = [
     "NullRecorder",
     "SPAN_FIELDS",
     "Span",
+    "Timer",
     "TraceRecorder",
     "UniformityCheck",
     "attach_recorder",
@@ -59,5 +63,6 @@ __all__ = [
     "collect_trace",
     "is_span",
     "read_jsonl_trace",
-    "system_counters",
+    "render_profile",
+    "time_system",
 ]

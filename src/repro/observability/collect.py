@@ -5,9 +5,9 @@ profiler built one ad-hoc ``Dict[str, int]``, benchmarks another, and the
 CLI a third.  This module centralizes that walk: :func:`collect_system`
 samples a finished :class:`~repro.sim.system.SecureSystem` into a
 :class:`~repro.observability.metrics.MetricsRegistry` under stable
-dot-separated names, and :func:`system_counters` flattens the registry
-back into the legacy profiler key set (the part after the first dot), so
-existing artifacts keep their schema.
+dot-separated names.  Host time goes through the same registry:
+:func:`time_system` shims a system's entry points through ``host.*``
+timers and :func:`render_profile` is the ``repro run --profile`` report.
 
 Collection is snapshot-style: components keep owning their cheap inline
 counters (dataclass fields, bare attributes -- the hot path never touches
@@ -16,29 +16,24 @@ a registry), and the registry is populated by copying after the run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
+
+from repro.oram.checkpoint import _SCHEME_STAT_FIELDS
 
 from .metrics import CycleHistogram, MetricsRegistry
 from .recorder import InMemoryRecorder
 from .spans import is_span
 
 
-def _treetop_flushes(registry: MetricsRegistry, prefix: str, oram) -> None:
-    """Export ``{prefix}.treetop_flushes`` / ``.treetop_flushed_buckets``
-    when the controller's tree carries a treetop cache."""
-    cache = getattr(getattr(oram, "tree", None), "treetop", None)
-    if cache is None:
-        return
-    registry.counter(f"{prefix}.treetop_flushes").set(cache.flushes)
-    registry.counter(f"{prefix}.treetop_flushed_buckets").set(cache.flushed_buckets)
-
-
 def collect_system(system, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Sample every component counter of a finished system run.
 
     Registry names group by component: ``cache.*``, ``backend.*``,
-    ``oram.*``, ``pipeline.*``, ``bank.*``, ``faults.*``, ``scheme.*``.
-    The flat legacy key of each metric is the name after the first dot.
+    ``oram.*``, ``pipeline.*``, ``bank.*``, ``faults.*``, ``scheme.*``,
+    ``interconnect.*``.  Everything ORAM-side aggregates over
+    ``backend.shards`` -- none for DRAM, one for a lone controller, the
+    channels for a bank (sums, except the stash watermark, which is the
+    worst channel's) -- so a bank reports the same names a controller does.
     """
     registry = registry if registry is not None else MetricsRegistry()
     hierarchy = system.hierarchy
@@ -57,64 +52,60 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     registry.counter("backend.dummy_accesses").set(stats.dummy_accesses)
     registry.counter("backend.memory_accesses").set(stats.memory_accesses)
 
-    oram = getattr(backend, "oram", None)
-    if oram is not None:
-        registry.gauge("oram.stash_max_occupancy").set(oram.stash.max_occupancy)
-        registry.counter("oram.stash_soft_overflows").set(oram.stash_soft_overflows)
-        registry.counter("oram.real_path_accesses").set(oram.real_accesses)
-        registry.counter("oram.dummy_path_accesses").set(oram.dummy_accesses)
+    shards = backend.shards
+    if not shards:
+        return registry
+    orams = [shard.oram for shard in shards]
+    registry.gauge("oram.stash_max_occupancy").set(
+        max(oram.stash.max_occupancy for oram in orams)
+    )
+    registry.counter("oram.stash_soft_overflows").set(
+        sum(oram.stash_soft_overflows for oram in orams)
+    )
+    registry.counter("oram.real_path_accesses").set(
+        sum(oram.real_accesses for oram in orams)
+    )
+    registry.counter("oram.dummy_path_accesses").set(
+        sum(oram.dummy_accesses for oram in orams)
+    )
+    for shard in shards:
+        for name, cycles in shard.pipeline.breakdown().items():
+            registry.counter(f"pipeline.phase_{name}_cycles").inc(cycles)
+        for name in _SCHEME_STAT_FIELDS:
+            registry.counter(f"scheme.{name}").inc(getattr(shard.scheme.stats, name))
 
-    # Per-phase pipeline attribution: a single controller exposes its
-    # pipeline directly; a sharded bank sums over its channels.
-    pipeline = getattr(backend, "pipeline", None)
-    if pipeline is not None:
-        for name, cycles in pipeline.breakdown().items():
-            registry.counter(f"pipeline.phase_{name}_cycles").set(cycles)
-    elif hasattr(backend, "phase_breakdown"):
-        for name, cycles in backend.phase_breakdown().items():
-            registry.counter(f"pipeline.phase_{name}_cycles").set(cycles)
-        registry.gauge("bank.num_shards").set(backend.num_shards)
-        health = getattr(backend, "health", None)
-        if health is not None:
-            health.to_registry(registry)
-
-    # Memory-interconnect occupancy: per-channel gauges/counters for a
-    # single controller, per-shard prefixes for a sharded bank.  The
+    # Memory-interconnect occupancy, one prefix per controller.  The
     # treetop flush counter lives on the functional tree (write-back is a
-    # tree-side event) but is exported under the interconnect namespace
-    # next to its hit/bytes-saved siblings.
-    interconnect = getattr(backend, "interconnect", None)
-    if interconnect is not None:
-        interconnect.to_registry(registry)
-        _treetop_flushes(registry, "interconnect", getattr(backend, "oram", None))
-    elif hasattr(backend, "shards"):
-        for index, shard in enumerate(backend.shards):
-            shard_interconnect = getattr(shard, "interconnect", None)
-            if shard_interconnect is not None:
-                shard_interconnect.to_registry(
-                    registry, prefix=f"interconnect.shard{index}"
-                )
-                _treetop_flushes(
-                    registry,
-                    f"interconnect.shard{index}",
-                    getattr(shard, "oram", None),
-                )
+    # tree-side event) but is exported next to its hit/bytes-saved siblings.
+    width = backend.bank_width
+    for index, shard in enumerate(shards):
+        prefix = "interconnect" if width is None else f"interconnect.shard{index}"
+        shard.interconnect.to_registry(registry, prefix=prefix)
+        cache = shard.oram.tree.treetop
+        if cache is not None:
+            registry.counter(f"{prefix}.treetop_flushes").set(cache.flushes)
+            registry.counter(f"{prefix}.treetop_flushed_buckets").set(
+                cache.flushed_buckets
+            )
+    if width is not None:
+        registry.gauge("bank.num_shards").set(width)
+        if backend.health is not None:
+            backend.health.to_registry(registry)
 
-    injector = getattr(backend, "injector", None)
-    if injector is not None:
+    # Channels of one bank share an injector; count each injector once.
+    injectors = {
+        id(shard.injector): shard.injector
+        for shard in shards
+        if shard.injector is not None
+    }
+    if injectors:
         registry.counter("faults.transient_faults").set(stats.transient_faults)
         registry.counter("faults.fault_retries").set(stats.fault_retries)
         registry.counter("faults.fault_delay_cycles").set(stats.fault_delay_cycles)
         registry.counter("faults.forced_evictions").set(stats.forced_evictions)
-        registry.counter("faults.injected_faults").set(injector.stats.total_injected)
-
-    scheme = getattr(backend, "scheme", None)
-    if scheme is not None:
-        registry.counter("scheme.merges").set(scheme.stats.merges)
-        registry.counter("scheme.breaks").set(scheme.stats.breaks)
-        registry.counter("scheme.prefetched_blocks").set(scheme.stats.prefetched_blocks)
-        registry.counter("scheme.prefetch_hits").set(scheme.stats.prefetch_hits)
-        registry.counter("scheme.prefetch_misses").set(scheme.stats.prefetch_misses)
+        registry.counter("faults.injected_faults").set(
+            sum(injector.stats.total_injected for injector in injectors.values())
+        )
     return registry
 
 
@@ -241,15 +232,52 @@ def collect_trace(
     return registry
 
 
-def system_counters(system) -> Dict[str, int]:
-    """Legacy flat counter dict (the profiler/benchmark artifact schema).
+def time_system(system, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+    """Shim a system's ``run`` and the four entry points a run drives
+    through ``host.*`` registry timers (call before ``run``).
 
-    Key = registry name after the first dot; the key set is exactly what
-    ``Profiler._collect_counters`` used to hand-build.
+    ``run`` re-binds ``hierarchy.access`` and the backend's entry points
+    when it is called, so instance-attribute shims installed here cover the
+    whole replay; the simulation itself is untouched (same SimResult).
     """
-    counters: Dict[str, int] = {}
-    for instrument in collect_system(system):
-        if isinstance(instrument, CycleHistogram):
-            continue
-        counters[instrument.name.split(".", 1)[1]] = instrument.value
-    return counters
+    registry = registry if registry is not None else MetricsRegistry()
+    for name, holder, attr in (
+        ("host.run", system, "run"),
+        ("host.cache_hierarchy", system.hierarchy, "access"),
+        ("host.backend_demand", system.backend, "demand_access"),
+        ("host.backend_writeback", system.backend, "evict_line"),
+        ("host.backend_prefetch", system.backend, "prefetch_access"),
+    ):
+        setattr(holder, attr, registry.timer(name).wrap(getattr(holder, attr)))
+    return registry
+
+
+def render_profile(system, registry: MetricsRegistry, workload: str) -> str:
+    """The ``repro run --profile`` report of a finished :func:`time_system`
+    run: accesses/sec, each entry point's share of the run's wall time,
+    then the timers and every :func:`collect_system` counter."""
+    collect_system(system, registry)
+    run = registry.timer("host.run")
+    wall = run.seconds or float("inf")  # an untimed system reports zeros
+    entries = registry.timer("host.cache_hierarchy").calls
+    phases = sorted(
+        (
+            timer
+            for timer in registry
+            if timer.kind == "timer" and timer is not run and timer.calls
+        ),
+        key=lambda timer: -timer.seconds,
+    )
+    shares = ", ".join(
+        f"{timer.name.split('.', 1)[1]} {timer.seconds / wall:.1%}"
+        for timer in phases
+    )
+    return "\n".join(
+        [
+            f"profile: {system.label} on {workload}",
+            f"  {entries} accesses in {run.seconds:.3f} s "
+            f"({entries / wall:,.0f} accesses/sec)",
+            f"  share of the run's wall time: {shares}",
+            registry.render("  counters"),
+        ]
+    )

@@ -5,14 +5,17 @@ The simulator accumulated its operational statistics in ad-hoc shapes: the
 :class:`~repro.oram.path_oram.PathORAM`, the recovery ladder's
 ``RecoveryStats.as_dict``, and several hand-rolled ``Dict[str, int]``
 builders in the profiler and the system collector.  The
-:class:`MetricsRegistry` gives all of them one sink with three first-class
+:class:`MetricsRegistry` gives all of them one sink with four first-class
 instrument kinds:
 
 * :class:`Counter` -- monotonically increasing event count;
 * :class:`Gauge` -- last-written value (watermarks, rates, occupancy);
 * :class:`CycleHistogram` -- power-of-two bucketed latency distribution,
   the shape per-access cycle counts naturally take (one path access is
-  ~1348 cycles; a PosMap-missing access is a small multiple of that).
+  ~1348 cycles; a PosMap-missing access is a small multiple of that);
+* :class:`Timer` -- host wall-clock seconds and calls of a shimmed
+  function: the one instrument that measures the simulator itself rather
+  than the simulated machine.
 
 Everything is plain Python and allocation-free on the update paths, so
 metrics can be refreshed after a run (or periodically during one) without
@@ -22,7 +25,8 @@ name, which keeps exports deterministic for a fixed run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from time import perf_counter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -126,7 +130,42 @@ class CycleHistogram:
         ]
 
 
-Instrument = Union[Counter, Gauge, CycleHistogram]
+class Timer:
+    """Host wall-clock time and call count accumulated around a callable.
+
+    :meth:`wrap` returns the callable shimmed to add each call's duration
+    (raising calls included).  The shim costs roughly a microsecond per
+    call, so timed runs are slower than bare ones: read shares off a timed
+    run, never throughput against an untimed one (``make perf`` measures
+    bare runs with quartiles).
+    """
+
+    __slots__ = ("name", "calls", "seconds")
+
+    kind = "timer"
+
+    def __init__(self, name: str):
+        self.name = name
+        self.calls = 0
+        self.seconds = 0.0
+
+    @property
+    def value(self) -> float:
+        return self.seconds
+
+    def wrap(self, fn: Callable) -> Callable:
+        def timed(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds += perf_counter() - start
+                self.calls += 1
+
+        return timed
+
+
+Instrument = Union[Counter, Gauge, CycleHistogram, Timer]
 
 
 class MetricsRegistry:
@@ -161,6 +200,9 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> CycleHistogram:
         return self._get(name, CycleHistogram)  # type: ignore[return-value]
+
+    def timer(self, name: str) -> Timer:
+        return self._get(name, Timer)  # type: ignore[return-value]
 
     # --------------------------------------------------------------- queries
     def __contains__(self, name: str) -> bool:
@@ -197,6 +239,12 @@ class MetricsRegistry:
                     "sum": instrument.sum,
                     "buckets": instrument.nonzero_buckets(),
                 }
+            elif isinstance(instrument, Timer):
+                out[instrument.name] = {
+                    "kind": instrument.kind,
+                    "calls": instrument.calls,
+                    "seconds": instrument.seconds,
+                }
             else:
                 out[instrument.name] = {
                     "kind": instrument.kind,
@@ -219,6 +267,11 @@ class MetricsRegistry:
                     f"mean={instrument.mean:>12,.1f}  "
                     f"p50<={instrument.quantile(0.5):,}  "
                     f"p99<={instrument.quantile(0.99):,}"
+                )
+            elif isinstance(instrument, Timer):
+                lines.append(
+                    f"    {instrument.name:<38} {instrument.seconds:>12.3f} s"
+                    f"  {instrument.calls:>10,} calls"
                 )
             elif isinstance(instrument.value, float):
                 lines.append(f"    {instrument.name:<38} {instrument.value:>14.4f}")

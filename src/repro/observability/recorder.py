@@ -143,9 +143,7 @@ def attach_recorder(backend, recorder: Optional[TraceRecorder]):
     """Attach ``recorder`` to a backend (single controller or sharded bank).
 
     Returns the recorder for chaining.  Backends without tracing support
-    (plain DRAM / insecure baselines) are left untouched.
+    (plain DRAM / insecure baselines) ignore it.
     """
-    setter = getattr(backend, "set_recorder", None)
-    if setter is not None:
-        setter(recorder)
+    backend.set_recorder(recorder)
     return recorder

@@ -8,7 +8,7 @@ as replaying the stream through an in-process
 Every route funnels through this module: :meth:`SecureSystem.run` (one
 controller or a bank), the serial reference, the worker runtime and the
 serving front end all sample their controllers with
-:func:`repro.controller.sharded.snapshot_shard_stats`, and
+:func:`repro.memory.oram_backend.snapshot_shard_stats`, and
 :func:`fold_shard_snapshots` is the only place ORAM-side result fields are
 assigned and aggregate semantics live (sum the counters, max the
 watermarks, lookup-weight the hit rate, which ``extra`` keys exist and in
@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
+from repro.controller.sharded import build_bank
+from repro.faults.fsck import run_fsck_bank
 from repro.oram.checkpoint import _SCHEME_STAT_FIELDS
 from repro.sim.results import SimResult
 
@@ -165,84 +167,26 @@ def run_serial_reference(
     """Replay a request stream through an in-process sharded bank.
 
     This is the golden oracle for the parallel runtime: same shard
-    construction (:func:`~repro.sim.system.build_shard_backend`), same
-    per-shard request sub-streams, same snapshot/merge path -- just no
+    construction (:func:`~repro.controller.sharded.build_shard_backend`),
+    same per-shard request sub-streams, same snapshot/merge path -- just no
     processes.  ``ParallelShardRuntime.run`` must match its return value
-    exactly.
+    exactly, and so must a serving front end whose ``issued`` schedule is
+    passed as *requests*.
     """
-    from repro.controller.sharded import ShardedORAMBank
-    from repro.sim.system import build_shard_backend
-
-    config = config or SystemConfig()
-    shards = [
-        build_shard_backend(
-            scheme,
-            footprint_blocks,
-            config,
-            index,
-            num_shards,
-            static_sbsize=static_sbsize,
-        )
-        for index in range(num_shards)
-    ]
-    bank = ShardedORAMBank(shards)
+    bank = build_bank(
+        scheme,
+        footprint_blocks,
+        config or SystemConfig(),
+        num_shards,
+        static_sbsize=static_sbsize,
+    )
     results = bank.access_batch(list(requests))
     completions: List[int] = [r.completion_cycle for r in results]
     bank.finalize(max(completions, default=0))
     if fsck:
-        from repro.faults.fsck import run_fsck_bank
-
         report = run_fsck_bank(bank)
         if not report.ok:
             raise RuntimeError(f"serial reference fsck failed: {report.summary()}")
     return merge_shard_snapshots(
         bank.snapshot_shards(), completions, workload=workload, scheme=scheme
     )
-
-
-def replay_issued_schedule(
-    scheme: str,
-    footprint_blocks: int,
-    issued: Sequence[Tuple[int, int, bool]],
-    config: Optional[SystemConfig] = None,
-    num_shards: int = 1,
-    *,
-    static_sbsize: Optional[int] = None,
-    workload: str = "serve",
-    parallel: bool = False,
-    checkpoint_dir: Optional[str] = None,
-) -> SimResult:
-    """Replay a serving front end's issued-access schedule.
-
-    :attr:`repro.serve.ServingFrontEnd.issued` records every ORAM access
-    the front end performed as ``(addr, issue_cycle, is_write)`` in issue
-    order.  Replaying that schedule through a fresh bank of the same shape
-    must merge to the exact SimResult the front end reported -- serially
-    (the default) or through a :class:`~repro.parallel.runtime.
-    ParallelShardRuntime` when ``parallel`` is set, which pins the front
-    end as a drop-in scheduler for the process-parallel executor.
-    """
-    if not parallel:
-        return run_serial_reference(
-            scheme,
-            footprint_blocks,
-            issued,
-            config,
-            num_shards,
-            static_sbsize=static_sbsize,
-            workload=workload,
-        )
-    from repro.parallel.runtime import ParallelShardRuntime
-
-    runtime = ParallelShardRuntime(
-        scheme,
-        footprint_blocks,
-        config,
-        num_shards,
-        static_sbsize=static_sbsize,
-        checkpoint_dir=checkpoint_dir,
-    )
-    try:
-        return runtime.run(issued, workload=workload)
-    finally:
-        runtime.close()

@@ -49,7 +49,7 @@ class ShardSpec:
     """Everything a worker process needs to rebuild its shard from scratch.
 
     The spec is pure data (picklable) and the backend construction it
-    drives -- :func:`repro.sim.system.build_shard_backend` -- derives the
+    drives -- :func:`repro.controller.sharded.build_shard_backend` -- derives the
     shard RNG from ``(config.seed, shard_index)`` alone, so a worker
     reconstructs a shard bit-identical to the one the serial
     :class:`~repro.controller.sharded.ShardedORAMBank` would build.
@@ -63,8 +63,9 @@ class ShardSpec:
         checkpoint_path: where this worker persists its backend state
             (``None`` disables checkpointing -- a death is then fatal).
         checkpoint_every: batches between periodic checkpoints; ``0``
-            keeps only the genesis checkpoint, so recovery replays the
-            whole history (bounded memory requires ``>= 1``).
+            leaves only the genesis checkpoint and the ones the front-end
+            commands (one per finished ``run()``), so recovery replays the
+            whole current run.
         replay_window: how many recent batch replies the worker stores
             inside its checkpoint; must cover the front-end's maximum
             in-flight batches or a reply lost in a crash is unrecoverable.

@@ -17,7 +17,8 @@ Failure model: workers checkpoint their whole backend after every
 (liveness poll while waiting on its reply queue), respawns it from the
 latest checkpoint, re-serves acknowledgements the crash swallowed out of
 the checkpoint's reply window, and replays only the batches the
-checkpoint had not yet captured.  Every demand access is therefore
+checkpoint had not yet captured -- always batches of the current
+``run()``, because each run's closing barrier checkpoints the rest.  Every demand access is therefore
 applied and counted exactly once -- "zero lost writes" in a timing
 simulator means the merged accounting is indistinguishable from a run
 that never crashed (completions of replayed batches may differ, since a
@@ -165,8 +166,10 @@ class ParallelShardRuntime:
             owns the directory).  ``None`` disables durability: a worker
             death becomes fatal.
         checkpoint_every: batches between worker checkpoints (1 = durable
-            after every batch; 0 = genesis checkpoint only, recovery then
-            replays the full history).
+            after every batch; 0 = none inside a run, recovery then replays
+            the run so far).  Whatever the cadence, the barrier that ends a
+            ``run()`` checkpoints what is still uncovered, so replay never
+            reaches back into an earlier run.
         batch_size: requests per shipped batch.
         max_inflight: per-worker cap on unacknowledged batches; bounded by
             the worker's reply replay window (sized to ``2 * max_inflight``)
@@ -719,7 +722,8 @@ class ParallelShardRuntime:
     def _barrier(
         self, horizon: int, fsck: bool, results: List[Optional[int]]
     ) -> List[dict]:
-        """Drain + (optionally) fsck + snapshot every worker."""
+        """Drain + (optionally) fsck + checkpoint what no checkpoint covers
+        yet + snapshot every worker."""
         snapshots: List[Optional[dict]] = [None] * self.num_workers
         fsck_failures: List[str] = []
         for worker in self._workers:
@@ -746,6 +750,8 @@ class ParallelShardRuntime:
                     self._record_ack(
                         worker, seq, completions, checkpointed_seq, results
                     )
+                elif reply[0] == "checkpoint_done":
+                    _forget_checkpointed(worker, reply[2])
                 elif reply[0] == "stats":
                     snapshots[worker.index] = reply[2]
                 elif reply[0] == "fsck_done" and not reply[2]:
@@ -762,6 +768,13 @@ class ParallelShardRuntime:
         worker.next_seq += 1
         if fsck:
             worker.commands.put(("fsck", worker.next_seq))
+            worker.next_seq += 1
+        if self.checkpoint_dir and (worker.unckpt or worker.pending):
+            # Acknowledged batches no checkpoint covers yet (cadence != 1)
+            # carry positions into *this* run's results list: make the
+            # finished run durable so a crash in the next run() never
+            # replays them into that run's list.
+            worker.commands.put(("checkpoint", worker.next_seq))
             worker.next_seq += 1
         worker.commands.put(("stats", worker.next_seq))
         worker.next_seq += 1

@@ -32,23 +32,20 @@ import queue as queue_module
 import time
 import traceback
 from collections import deque
+from dataclasses import replace
 from typing import Iterator
 
-from repro.controller.sharded import snapshot_shard_stats
+from repro.controller.sharded import build_shard_backend, snapshot_shard_stats
+from repro.faults.fsck import run_fsck
+from repro.faults.injector import FaultInjector
 from repro.oram.checkpoint import restore_backend, save_backend
 from repro.parallel.protocol import ShardSpec
 
 
 def build_worker_backend(spec: ShardSpec):
     """Rebuild this worker's shard exactly as the serial bank would."""
-    from repro.sim.system import build_shard_backend
-
     injector = None
     if spec.fault_config is not None:
-        from dataclasses import replace
-
-        from repro.faults.injector import FaultInjector
-
         injector = FaultInjector(
             replace(
                 spec.fault_config,
@@ -134,8 +131,6 @@ class ShardExecutor:
             elif op == "stats":
                 yield ("stats", seq, snapshot_shard_stats(backend))
             elif op == "fsck":
-                from repro.faults.fsck import run_fsck
-
                 report = run_fsck(backend.oram)
                 yield ("fsck_done", seq, report.ok, report.summary())
             elif op == "checkpoint":

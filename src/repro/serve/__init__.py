@@ -3,8 +3,8 @@
 The production-shaped layer DESIGN.md section 12 describes: bounded
 weighted-fair tenant queues, super-block request coalescing, deadline-aware
 batch formation, and health-plane backpressure -- all cycle-clocked and
-seed-deterministic, with a bypass mode bit-identical to driving the bank
-directly.
+seed-deterministic.  The front end only schedules: replaying its issued
+accesses straight through the bank reproduces its SimResult bit for bit.
 """
 
 from repro.serve.frontend import ServingFrontEnd

@@ -26,10 +26,13 @@ batches; QUARANTINED shards are rerouted at admission onto a serial
 fallback lane whose accesses the bank pads with dummy paths.
 
 Everything ties are broken on (cycle, sequence) pairs, so a run is a pure
-function of (source, config, bank seed).  With ``ServeConfig.enabled``
-False the loop degenerates to issuing each request at its arrival cycle
-in arrival order -- bit-identical, via the shared snapshot/merge path, to
-:func:`repro.parallel.merge.run_serial_reference` over the same stream.
+function of (source, config, bank seed).  The front end only decides
+*when* to call ``bank.demand_access``; :attr:`ServingFrontEnd.issued`
+records those calls, and feeding that schedule to
+:func:`repro.parallel.merge.run_serial_reference` (or
+``ParallelShardRuntime.run``) over a fresh bank of the same shape returns
+the identical SimResult -- the replay contract that pins the front end to
+the raw bank, with every policy on.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ServeConfig, SystemConfig
+from repro.controller.sharded import build_bank
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.serve.loadgen import LoadSource
@@ -134,22 +138,10 @@ class ServingFrontEnd:
         ``health_policy`` (a :class:`~repro.health.HealthPolicy`) attaches
         a control plane so admission rerouting and degraded quotas engage.
         """
-        from repro.controller.sharded import ShardedORAMBank
-        from repro.sim.system import build_shard_backend
-
-        config = config or SystemConfig()
-        shards = [
-            build_shard_backend(
-                scheme, footprint_blocks, config, index, num_shards,
-                static_sbsize=static_sbsize,
-            )
-            for index in range(num_shards)
-        ]
-        bank = ShardedORAMBank(shards)
-        if health_policy is not None:
-            from repro.health.plane import HealthControlPlane
-
-            bank.attach_health(HealthControlPlane(num_shards, health_policy))
+        bank = build_bank(
+            scheme, footprint_blocks, config or SystemConfig(), num_shards,
+            health_policy=health_policy, static_sbsize=static_sbsize,
+        )
         return cls(
             bank, serve_config, workload=workload, scheme=scheme,
             registry=registry,
@@ -163,13 +155,10 @@ class ServingFrontEnd:
         self._ran = True
         self.queues = TenantQueues(source.weights, self.config.queue_capacity)
         self._tenant_counts = [TenantReport(tenant=t) for t in range(source.num_tenants)]
-        if self.config.enabled:
-            self._serve_loop(source)
-        else:
-            self._bypass_loop(source)
+        self._serve_loop(source)
         return self._finish(source)
 
-    # ------------------------------------------------------------ event loops
+    # ------------------------------------------------------------- event loop
     def _serve_loop(self, source: LoadSource) -> None:
         now = 0
         while True:
@@ -189,56 +178,6 @@ class ServingFrontEnd:
             for request in source.take_arrivals(now):
                 self._admit(request, source, now)
             self._pump(source, now)
-
-    def _bypass_loop(self, source: LoadSource) -> None:
-        """Front end disabled: issue each request at its arrival cycle.
-
-        Per-shard issue order equals arrival order and ``now`` equals the
-        arrival cycle, which is exactly the request stream
-        ``run_serial_reference`` replays -- so the merged SimResult is
-        bit-identical to the no-front-end bank.
-        """
-        counters = self._tenant_counts
-        latency_hist = self.registry.histogram("serve.latency_cycles")
-        while True:
-            next_arrival = source.next_arrival_cycle()
-            next_completion = self._comp_heap[0][0] if self._comp_heap else None
-            if next_arrival is None and next_completion is None:
-                break
-            now = min(c for c in (next_arrival, next_completion) if c is not None)
-            while self._comp_heap and self._comp_heap[0][0] <= now:
-                _, _, access = heapq.heappop(self._comp_heap)
-                request = access.requests[0]
-                source.on_completion(request, access.completion_cycle)
-            for request in source.take_arrivals(now):
-                self.all_requests.append(request)
-                tenant = counters[request.tenant]
-                tenant.offered += 1
-                tenant.admitted += 1
-                access = _Access(request, None)
-                access.shard = self.bank.shard_of(request.addr)
-                result = self.bank.demand_access(
-                    request.addr, request.arrival_cycle, request.is_write
-                )
-                access.completion_cycle = result.completion_cycle
-                self.issued.append(
-                    (request.addr, request.arrival_cycle, request.is_write)
-                )
-                self.access_completions.append(result.completion_cycle)
-                request.status = SERVED
-                request.completion_cycle = result.completion_cycle
-                self._makespan = max(self._makespan, result.completion_cycle)
-                self._sum_latency += request.latency
-                latency_hist.record(request.latency)
-                self.registry.histogram(
-                    f"serve.tenant{request.tenant}.latency_cycles"
-                ).record(request.latency)
-                tenant.served += 1
-                heapq.heappush(
-                    self._comp_heap,
-                    (result.completion_cycle, self._event_seq, access),
-                )
-                self._event_seq += 1
 
     # -------------------------------------------------------------- admission
     def _admit(self, request: Request, source: LoadSource, now: int) -> None:
@@ -518,9 +457,9 @@ class ServingFrontEnd:
             report.mean_latency = self._sum_latency / report.served
         report.p50_latency = latency_hist.quantile(0.5)
         report.p99_latency = latency_hist.quantile(0.99)
-        # Deliberately no serve-specific keys in sim.extra: with the front
-        # end bypassed this SimResult must compare equal, field for field,
-        # to the no-front-end bank's (the pinned golden).
+        # Deliberately no serve-specific keys in sim.extra: replaying
+        # ``issued`` through the raw bank must give this SimResult back,
+        # field for field.
         report.sim = merge_shard_snapshots(
             bank.snapshot_shards(),
             self.access_completions,

@@ -81,9 +81,9 @@ class ServeReport:
     """Everything one front-end run produces.
 
     ``sim`` is the access-level :class:`SimResult` merged from the bank's
-    per-shard snapshots -- with the front end bypassed it is bit-identical
-    to replaying the same request stream straight through the bank, which
-    is what the determinism tests pin.
+    per-shard snapshots -- bit-identical to replaying the front end's
+    issued accesses straight through a fresh bank, which is what the
+    replay tests pin.
     """
 
     workload: str

@@ -39,11 +39,7 @@ class MultiCoreSystem:
         self._now_global = 0
         self.llc = SetAssociativeCache(config.llc, name="llc")
         self.l1s = [SetAssociativeCache(config.l1, name=f"l1.{i}") for i in range(num_cores)]
-        from repro.controller.sharded import ShardedORAMBank
-        from repro.memory.oram_backend import ORAMBackend
-
-        if isinstance(backend, (ORAMBackend, ShardedORAMBank)):
-            backend.set_llc_probe(self.llc.contains)
+        backend.set_llc_probe(self.llc.contains)
         #: optional miss-stream tap: when a list is installed via
         #: :meth:`capture_requests_into`, every demand access the backend
         #: sees is appended as ``(addr, now, is_write)`` in issue order --

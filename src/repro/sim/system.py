@@ -20,23 +20,18 @@ from typing import Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
-from repro.controller.sharded import ShardedORAMBank, snapshot_shard_stats
-from repro.core.dynamic import DynamicSuperBlockScheme
-from repro.core.thresholds import (
-    AdaptiveThresholdPolicy,
-    StaticThresholdPolicy,
-    ThresholdPolicy,
-)
+from repro.controller.sharded import build_bank, build_shard_backend
+from repro.core.thresholds import ThresholdPolicy
 from repro.memory.backend import MemoryBackend
 from repro.memory.dram import DRAMBackend
-from repro.memory.oram_backend import ORAMBackend
-from repro.memory.periodic import PeriodicORAMBackend
-from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme, SuperBlockScheme
+from repro.observability.collect import collect_system
+from repro.observability.recorder import attach_recorder
 from repro.parallel.merge import BACKEND_RESULT_FIELDS, fold_shard_snapshots
+from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.stream import StreamPrefetcher
+from repro.prefetch.stride import StridePrefetcher
 from repro.sim.results import SimResult
 from repro.sim.trace import Trace
-from repro.utils.rng import DeterministicRng
 
 
 class SecureSystem:
@@ -56,18 +51,14 @@ class SecureSystem:
         self.hierarchy = CacheHierarchy(
             config.l1, config.llc, victim_callback=self._on_llc_victim
         )
-        if isinstance(backend, (ORAMBackend, ShardedORAMBank)):
-            # hierarchy.contains is a pure delegation to llc.contains; hand
-            # the backend the LLC's bound method directly (the merge
-            # algorithm probes it on every miss).  The sharded bank wraps
-            # the probe with each channel's address translation.
-            backend.set_llc_probe(self.hierarchy.llc.contains)
+        # hierarchy.contains is a pure delegation to llc.contains; hand the
+        # backend the LLC's bound method directly (the merge algorithm
+        # probes it on every miss).  A sharded bank wraps the probe with
+        # each channel's address translation; DRAM ignores it.
+        backend.set_llc_probe(self.hierarchy.llc.contains)
         self._now = 0
         #: prefetched lines not yet usable: addr -> fill completion cycle
         self._pending_fills = {}
-        #: optional :class:`repro.profiling.Profiler`; set by its attach().
-        #: Costs one None check per run when absent.
-        self.profiler = None
 
     # ----------------------------------------------------------------- build
     @classmethod
@@ -124,25 +115,18 @@ class SecureSystem:
                 (the default) leaves the access path untouched.
         """
         config = config or SystemConfig()
-        rng = DeterministicRng(config.seed)
         periodic = scheme.endswith("_intvl")
         base_scheme = scheme[: -len("_intvl")] if periodic else scheme
         prefetcher = None
-        if base_scheme.endswith("_pre"):
-            base_scheme = base_scheme[: -len("_pre")]
-            prefetcher = StreamPrefetcher(replace(config.prefetch, enabled=True))
-        elif base_scheme.endswith("_spre"):
-            # Stride-prefetcher variant (the section 6.2 extension).
-            from repro.prefetch.stride import StridePrefetcher
-
-            base_scheme = base_scheme[: -len("_spre")]
-            prefetcher = StridePrefetcher(replace(config.prefetch, enabled=True))
-        elif base_scheme.endswith("_mpre"):
-            # Markov/correlation prefetcher variant.
-            from repro.prefetch.markov import MarkovPrefetcher
-
-            base_scheme = base_scheme[: -len("_mpre")]
-            prefetcher = MarkovPrefetcher(replace(config.prefetch, enabled=True))
+        for suffix, prefetcher_cls in (
+            ("_pre", StreamPrefetcher),
+            ("_spre", StridePrefetcher),  # the section 6.2 extension
+            ("_mpre", MarkovPrefetcher),
+        ):
+            if base_scheme.endswith(suffix):
+                base_scheme = base_scheme[: -len(suffix)]
+                prefetcher = prefetcher_cls(replace(config.prefetch, enabled=True))
+                break
 
         if num_shards < 1:
             raise ValueError("need at least one shard")
@@ -152,6 +136,13 @@ class SecureSystem:
                 "num_shards > 1 (a single controller has no quarantine "
                 "fallback to route through)"
             )
+        wiring = dict(
+            static_sbsize=static_sbsize,
+            observer=observer,
+            fault_injector=fault_injector,
+            resilience=resilience,
+        )
+        backend: MemoryBackend
         if base_scheme == "dram":
             if periodic:
                 raise ValueError("periodic accesses only apply to ORAM backends")
@@ -159,10 +150,8 @@ class SecureSystem:
                 raise ValueError("fault injection models ORAM storage, not DRAM")
             if num_shards != 1:
                 raise ValueError("sharded banks model ORAM channels, not DRAM")
-            backend: MemoryBackend = DRAMBackend(config.dram, config.oram.block_bytes)
-            return cls(config, backend, label=scheme, prefetcher=prefetcher)
-
-        if num_shards > 1:
+            backend = DRAMBackend(config.dram, config.oram.block_bytes)
+        elif num_shards > 1:
             if periodic:
                 raise ValueError(
                     "periodic accesses are not supported on sharded banks"
@@ -172,55 +161,15 @@ class SecureSystem:
                     "a threshold policy is stateful and cannot be shared "
                     "across shards; let each shard build its own default"
                 )
-            # Each channel gets its own controller: scheme instance, tree
-            # scaled to its slice of the footprint, and a distinct RNG fork.
-            shards = [
-                build_shard_backend(
-                    base_scheme,
-                    footprint_blocks,
-                    config,
-                    index,
-                    num_shards,
-                    static_sbsize=static_sbsize,
-                    observer=observer,
-                    fault_injector=fault_injector,
-                    resilience=resilience,
-                )
-                for index in range(num_shards)
-            ]
-            bank = ShardedORAMBank(shards)
-            if health_policy is not None:
-                from repro.health import HealthControlPlane
-
-                bank.attach_health(
-                    HealthControlPlane(num_shards, health_policy)
-                )
-            return cls(config, bank, label=scheme, prefetcher=prefetcher)
-
-        sb_scheme = cls._make_scheme(base_scheme, config, policy, static_sbsize)
-        oram_config = config.oram.scaled_to_footprint(footprint_blocks)
-        if periodic:
-            backend = PeriodicORAMBackend(
-                oram_config,
-                config.dram,
-                sb_scheme,
-                rng.fork(11),
-                config.timing_protection
-                if config.timing_protection.interval_cycles
-                else replace(config.timing_protection, interval_cycles=100),
-                observer=observer,
-                fault_injector=fault_injector,
-                resilience=resilience,
+            backend = build_bank(
+                base_scheme, footprint_blocks, config, num_shards,
+                health_policy=health_policy, **wiring,
             )
         else:
-            backend = ORAMBackend(
-                oram_config,
-                config.dram,
-                sb_scheme,
-                rng.fork(11),
-                observer=observer,
-                fault_injector=fault_injector,
-                resilience=resilience,
+            # The paper's machine: one serialized controller, a bank of one.
+            backend = build_shard_backend(
+                base_scheme, footprint_blocks, config, 0, 1,
+                policy=policy, periodic=periodic, **wiring,
             )
         return cls(config, backend, label=scheme, prefetcher=prefetcher)
 
@@ -231,55 +180,11 @@ class SecureSystem:
         Only ORAM backends (single controller or sharded bank) emit spans;
         attaching to a DRAM baseline is a no-op.  Returns the recorder.
         """
-        from repro.observability import attach_recorder
-
         return attach_recorder(self.backend, recorder)
 
     def metrics(self, registry=None):
         """Snapshot every component counter into a ``MetricsRegistry``."""
-        from repro.observability.collect import collect_system
-
         return collect_system(self, registry)
-
-    @staticmethod
-    def _make_scheme(
-        name: str,
-        config: SystemConfig,
-        policy: Optional[ThresholdPolicy],
-        static_sbsize: Optional[int],
-    ) -> SuperBlockScheme:
-        if name == "oram":
-            return BaselineScheme()
-        if name == "stat":
-            return StaticSuperBlockScheme(static_sbsize or config.oram.max_super_block_size)
-        if name == "dyn_strided":
-            # Future-work extension (section 6.2): strided pair merging.
-            from repro.core.strided import StridedDynamicScheme
-
-            return StridedDynamicScheme(policy=policy)
-        if name == "dyn" or name.startswith("dyn_"):
-            # Figure 6b variants: dyn_{sm|am}_{nb|ab} selects static/adaptive
-            # merge thresholding and no/adaptive breaking; bare "dyn" is the
-            # full PrORAM (adaptive merge + adaptive break).
-            break_enabled = True
-            if name in ("dyn", "dyn_am_ab"):
-                chosen = policy or AdaptiveThresholdPolicy()
-            elif name == "dyn_sm_nb":
-                chosen = policy or StaticThresholdPolicy()
-                break_enabled = False
-            elif name == "dyn_am_nb":
-                chosen = policy or AdaptiveThresholdPolicy()
-                break_enabled = False
-            elif name == "dyn_sm_ab":
-                chosen = policy or StaticThresholdPolicy()
-            else:
-                raise ValueError(f"unknown dynamic-scheme variant '{name}'")
-            return DynamicSuperBlockScheme(
-                max_sbsize=config.oram.max_super_block_size,
-                policy=chosen,
-                break_enabled=break_enabled,
-            )
-        raise ValueError(f"unknown scheme '{name}'")
 
     # ------------------------------------------------------------------- run
     def run(self, trace: Trace, warmup_entries: int = 0) -> SimResult:
@@ -293,13 +198,10 @@ class SecureSystem:
                 training) is negligible; short traces approximate that by
                 measuring only the steady-state window.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.begin_run()
         hierarchy = self.hierarchy
         backend = self.backend
         prefetcher = self.prefetcher
-        recorder = getattr(backend, "recorder", None)
+        recorder = backend.recorder
         if recorder is not None:
             recorder.record_event(
                 "run_start",
@@ -372,15 +274,13 @@ class SecureSystem:
         final = self._collect(trace, now, l1_hits, llc_hits, misses, len(trace.entries))
         if warmup_snapshot is not None:
             final = SimResult.delta(final, warmup_snapshot)
-        if profiler is not None:
-            profiler.end_run(self, trace, final)
         return final
 
     def _issue_prefetches(self, miss_addr: int, now: int) -> None:
         """Feed the traditional prefetcher and issue its predictions."""
         assert self.prefetcher is not None
         for candidate in self.prefetcher.on_demand_miss(miss_addr):
-            if candidate < 0 or candidate >= self._address_limit():
+            if not 0 <= candidate < self.backend.num_blocks:
                 continue
             if self.hierarchy.contains(candidate):
                 continue
@@ -390,13 +290,6 @@ class SecureSystem:
             for fill_addr, _ in result.filled:
                 self.hierarchy.fill_prefetch(fill_addr)
                 self._pending_fills[fill_addr] = result.completion_cycle
-
-    def _address_limit(self) -> int:
-        if isinstance(self.backend, ORAMBackend):
-            return self.backend.oram.position_map.num_blocks
-        if isinstance(self.backend, ShardedORAMBank):
-            return self.backend.num_blocks
-        return 1 << 62
 
     # --------------------------------------------------------------- plumbing
     def _on_llc_victim(self, addr: int, dirty: bool) -> None:
@@ -427,71 +320,14 @@ class SecureSystem:
             llc_misses=misses,
         )
         backend = self.backend
-        if isinstance(backend, DRAMBackend):
+        snapshots = backend.snapshot_shards()
+        if not snapshots:  # DRAM: no controller, the counters are its own
             for name in BACKEND_RESULT_FIELDS:
                 setattr(result, name, getattr(backend.stats, name))
             return result
         # Everything ORAM-side comes from controller snapshots through the
         # one fold every other route (serial reference, worker runtime,
         # serving front end) uses.
-        single = isinstance(backend, ORAMBackend)
         return fold_shard_snapshots(
-            result,
-            [snapshot_shard_stats(backend)] if single else backend.snapshot_shards(),
-            bank=not single,
+            result, snapshots, bank=backend.bank_width is not None
         )
-
-
-def build_shard_backend(
-    base_scheme: str,
-    footprint_blocks: int,
-    config: SystemConfig,
-    shard_index: int,
-    num_shards: int,
-    *,
-    static_sbsize: Optional[int] = None,
-    observer=None,
-    fault_injector=None,
-    resilience=None,
-    rng_restart_salt: int = 0,
-) -> ORAMBackend:
-    """Build channel ``shard_index`` of an ``num_shards``-way ORAM bank.
-
-    This is the single construction path for bank channels: the in-process
-    :meth:`SecureSystem.build` loops over it, and a
-    :mod:`repro.parallel` worker calls it for just its own index.  The RNG
-    derivation is pure in ``(config.seed, shard_index)`` -- ``fork`` hashes
-    an integer tuple, untouched by hash randomization -- so a worker
-    process rebuilds shard ``i`` bit-identically to the serial bank
-    without ever seeing the other shards.
-
-    Args:
-        base_scheme: scheme name with any prefetch/periodic suffix already
-            stripped ("oram", "stat", "dyn", ...).
-        footprint_blocks: the *global* workload footprint; each shard's
-            tree is scaled to its ceil-divided slice.
-        shard_index: which channel to build, in ``range(num_shards)``.
-        rng_restart_salt: 0 for a first boot (bit-identical to the serial
-            bank); a respawned worker passes its restart attempt number so
-            the recovered shard draws a fresh, still-deterministic leaf
-            stream instead of replaying the seed stream from the start.
-    """
-    if not 0 <= shard_index < num_shards:
-        raise ValueError(f"shard index {shard_index} outside 0..{num_shards - 1}")
-    per_shard_blocks = (footprint_blocks + num_shards - 1) // num_shards
-    shard_config = config.oram.scaled_to_footprint(per_shard_blocks)
-    rng = DeterministicRng(config.seed).fork(11 + 101 * shard_index)
-    if rng_restart_salt:
-        rng = rng.fork(0x5EC0 + rng_restart_salt)
-    backend = ORAMBackend(
-        shard_config,
-        config.dram,
-        SecureSystem._make_scheme(base_scheme, config, None, static_sbsize),
-        rng,
-        observer=observer,
-        fault_injector=fault_injector,
-        resilience=resilience,
-    )
-    backend.shard_index = shard_index
-    backend.addr_stride = num_shards
-    return backend

@@ -19,6 +19,7 @@ draws uniform or Zipfian addresses over the footprint.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -61,7 +62,11 @@ class MixtureWorkload:
 
     def __init__(self, profile: WorkloadProfile, seed: int = 42):
         self.profile = profile
-        self._rng = DeterministicRng(seed).fork(hash(profile.name) & 0xFFFF)
+        # A stable digest of the name (``hash(str)`` is salted per process),
+        # so a named trace is the same in every interpreter.
+        self._rng = DeterministicRng(seed).fork(
+            zlib.crc32(profile.name.encode()) & 0xFFFF
+        )
 
     def generate(self, accesses: Optional[int] = None) -> Trace:
         """Render ``accesses`` memory references (profile default if None)."""

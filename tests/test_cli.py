@@ -25,6 +25,32 @@ class TestBuildTrace:
         with pytest.raises(SystemExit):
             build_trace("nonexistent", accesses=10)
 
+    @pytest.mark.parametrize("workload", ["ocean_c", "YCSB", "locality:60"])
+    def test_seed_reaches_the_generator(self, workload):
+        """Regression: ``seed`` was accepted and dropped, so ``--seed`` was
+        a dead flag on every subcommand that takes a workload."""
+        default = build_trace(workload, accesses=300).entries
+        assert build_trace(workload, accesses=300, seed=7).entries != default
+        assert (
+            build_trace(workload, accesses=300, seed=7).entries
+            == build_trace(workload, accesses=300, seed=7).entries
+        )
+        assert build_trace(workload, accesses=300, seed=None).entries == default
+
+    def test_seed_flag_changes_exported_trace(self, tmp_path):
+        from repro.sim.trace import Trace
+
+        def export(name, *flags):
+            path = tmp_path / name
+            argv = ["trace", "-w", "locality:60", "--accesses", "200", "-o", str(path)]
+            assert main(argv + list(flags)) == 0
+            return Trace.load(str(path)).entries
+
+        unseeded = export("a.trace")
+        assert unseeded == build_trace("locality:60", accesses=200).entries
+        assert export("b.trace", "--seed", "7") != unseeded
+        assert export("c.trace", "--seed", "7") == export("d.trace", "--seed", "7")
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -30,8 +30,12 @@ from repro.observability import (
     attach_recorder,
     read_jsonl_trace,
 )
-from repro.observability.collect import collect_system, collect_trace, system_counters
-from repro.profiling import Profiler
+from repro.observability.collect import (
+    collect_system,
+    collect_trace,
+    render_profile,
+    time_system,
+)
 from repro.security.observer import AccessObserver
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
@@ -93,6 +97,20 @@ class TestInstruments:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
+        with pytest.raises(TypeError):
+            registry.timer("x")
+
+    def test_timer_is_a_registry_instrument(self):
+        registry = MetricsRegistry()
+        timer = registry.timer("host.work")
+        assert registry.timer("host.work") is timer
+        assert timer.wrap(sorted)([2, 1]) == [1, 2]
+        assert timer.calls == 1
+        assert registry.value("host.work") == timer.seconds >= 0.0
+        assert registry.to_dict()["host.work"] == {
+            "kind": "timer", "calls": 1, "seconds": timer.seconds,
+        }
+        assert "1 calls" in registry.render()
 
     def test_registry_exports_sorted_and_deterministic(self):
         registry = MetricsRegistry()
@@ -266,16 +284,22 @@ class TestCollection:
         assert merged.to_dict() == registry.to_dict()
 
     def test_profiler_counters_come_from_collector(self):
+        """The --profile report adds host timers to the collector's
+        counters and nothing else: one walk owns every counter name."""
         trace = locality_mix_trace(0.8, accesses=500)
         system = SecureSystem.build("dyn", trace.footprint_blocks, experiment_config())
-        profiler = Profiler()
-        profiler.attach(system)
+        registry = time_system(system)
         system.run(trace)
-        assert profiler.profile is not None
-        assert profiler.profile.counters == system_counters(system)
-        # The flat keys are the registry names after the first dot.
-        assert "demand_requests" in profiler.profile.counters
-        assert "phase_posmap_cycles" in profiler.profile.counters
+        render_profile(system, registry, trace.name)
+        profiled = registry.to_dict()
+        timers = {name for name, entry in profiled.items() if entry["kind"] == "timer"}
+        assert timers == {
+            "host.run", "host.cache_hierarchy", "host.backend_demand",
+            "host.backend_writeback", "host.backend_prefetch",
+        }
+        for name in timers:
+            del profiled[name]
+        assert profiled == collect_system(system).to_dict()
 
     def test_collect_trace_summarizes_spans(self):
         recorder = InMemoryRecorder()

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.config import SystemConfig
+from repro.controller.sharded import build_shard_backend
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import (
     ParallelShardRuntime,
@@ -26,7 +27,6 @@ from repro.parallel import (
     run_serial_reference,
 )
 from repro.parallel.merge import requests_from_trace
-from repro.sim.system import build_shard_backend
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
 
@@ -162,6 +162,31 @@ class TestParallelRecovery:
             "write_accesses",
         ):
             assert getattr(parallel, field) == getattr(serial, field)
+
+    def test_crash_in_second_run_replays_only_that_run(self, tmp_path):
+        """Regression: with a cadence other than 1 the batches a finished
+        run() left un-checkpointed stayed queued as replay fodder, so a
+        crash in the next run() replayed them -- carrying positions of the
+        *first* run's request list -- into the second run's results."""
+        first = small_stream(accesses=300)
+        second = small_stream(accesses=40, seed=10)
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            SystemConfig(),
+            2,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=4,
+            batch_size=8,
+        ) as runtime:
+            runtime.run(first)
+            runtime.kill_worker(0)
+            result = runtime.run(second, fsck=True)
+            assert runtime.total_restarts() == 1
+        assert result.trace_entries == result.llc_misses == len(second)
+        # Counters are cumulative over the runtime's life: every access of
+        # both runs applied exactly once, none of the first run's twice.
+        assert result.demand_requests == len(first) + len(second)
 
     def test_death_without_checkpointing_is_fatal(self):
         requests = small_stream(accesses=600)

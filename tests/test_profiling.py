@@ -1,12 +1,13 @@
-"""Tests for the simulator throughput-profiling harness."""
+"""Tests for host-side profiling: the registry's wall-clock ``Timer`` and
+the ``repro run --profile`` report built on it (:func:`time_system`,
+:func:`render_profile`)."""
 
 from __future__ import annotations
 
 import json
 
 from repro.cli import main as cli_main
-from repro.profiling import PhaseTimer, Profiler
-from repro.profiling.profiler import dump_profiles
+from repro.observability import MetricsRegistry, render_profile, time_system
 from repro.sim.system import SecureSystem
 from repro.workloads.synthetic import locality_mix_trace
 
@@ -15,9 +16,17 @@ def _small_trace():
     return locality_mix_trace(0.8, accesses=1500)
 
 
+def _timed_run(scheme="dyn"):
+    trace = _small_trace()
+    system = SecureSystem.build(scheme, trace.footprint_blocks)
+    registry = time_system(system)
+    result = system.run(trace)
+    return trace, system, registry, result
+
+
 class TestPhaseTimer:
     def test_wrap_accumulates_calls_and_time(self):
-        timer = PhaseTimer("work")
+        timer = MetricsRegistry().timer("host.work")
         wrapped = timer.wrap(lambda x: x * 2)
         assert wrapped(21) == 42
         assert wrapped(5) == 10
@@ -25,7 +34,7 @@ class TestPhaseTimer:
         assert timer.seconds >= 0.0
 
     def test_wrap_counts_raising_calls(self):
-        timer = PhaseTimer("boom")
+        timer = MetricsRegistry().timer("host.boom")
 
         def boom():
             raise RuntimeError("nope")
@@ -37,68 +46,44 @@ class TestPhaseTimer:
             pass
         assert timer.calls == 1
 
-    def test_context_manager(self):
-        timer = PhaseTimer("block")
-        with timer:
-            pass
-        assert timer.calls == 1
-        assert timer.seconds >= 0.0
-
 
 class TestProfiler:
     def test_profile_populated_after_run(self):
-        trace = _small_trace()
-        system = SecureSystem.build("dyn", trace.footprint_blocks)
-        profiler = Profiler().attach(system)
-        assert system.profiler is profiler
-        system.run(trace)
-        profile = profiler.profile
-        assert profile is not None
-        assert profile.entries == len(trace)
-        assert profile.wall_seconds > 0.0
-        assert profile.accesses_per_sec > 0.0
+        trace, system, registry, _ = _timed_run()
+        run = registry.timer("host.run")
+        assert run.calls == 1 and run.seconds > 0.0
         # The demand path must have been exercised and timed.
-        assert profile.phases["backend_demand"]["calls"] > 0
-        assert profile.phases["cache_hierarchy"]["calls"] == len(trace)
+        assert registry.timer("host.backend_demand").calls > 0
+        assert registry.timer("host.cache_hierarchy").calls == len(trace)
         # Component counters sampled from the finished system.
-        assert profile.counters["demand_requests"] > 0
-        assert profile.counters["l1_misses"] > 0
-        assert "stash_max_occupancy" in profile.counters
+        render_profile(system, registry, trace.name)
+        assert registry.value("backend.demand_requests") > 0
+        assert registry.value("cache.l1_misses") > 0
+        assert "oram.stash_max_occupancy" in registry
 
-    def test_profile_serializes_and_reports(self, tmp_path):
-        trace = _small_trace()
-        system = SecureSystem.build("dyn", trace.footprint_blocks)
-        profiler = Profiler().attach(system)
-        system.run(trace)
-        payload = json.dumps(profiler.profile.to_json())
-        parsed = json.loads(payload)
-        assert parsed["entries"] == len(trace)
-        report = profiler.profile.report()
+    def test_profile_serializes_and_reports(self):
+        trace, system, registry, _ = _timed_run()
+        report = render_profile(system, registry, trace.name)
+        assert f"profile: {system.label} on {trace.name}" in report
         assert "accesses/sec" in report
         assert "backend_demand" in report
-        out = tmp_path / "profiles.json"
-        dump_profiles([profiler.profile], str(out))
-        assert json.loads(out.read_text())[0]["label"] == system.label
+        parsed = json.loads(json.dumps(registry.to_dict()))
+        assert parsed["host.cache_hierarchy"]["calls"] == len(trace)
+        assert parsed["host.run"]["kind"] == "timer"
 
     def test_profiling_does_not_change_simulated_outcome(self):
         """The shims must be observers only: bit-identical SimResult."""
         trace = _small_trace()
-        bare = SecureSystem.build("dyn", trace.footprint_blocks)
-        bare_result = bare.run(trace)
-        profiled = SecureSystem.build("dyn", trace.footprint_blocks)
-        Profiler().attach(profiled)
-        profiled_result = profiled.run(trace)
-        assert profiled_result == bare_result
+        bare_result = SecureSystem.build("dyn", trace.footprint_blocks).run(trace)
+        _, _, _, timed_result = _timed_run()
+        assert timed_result == bare_result
 
     def test_dram_backend_profiles_without_oram_counters(self):
-        trace = _small_trace()
-        system = SecureSystem.build("dram", trace.footprint_blocks)
-        profiler = Profiler().attach(system)
-        system.run(trace)
-        counters = profiler.profile.counters
-        assert "stash_max_occupancy" not in counters
-        assert "merges" not in counters
-        assert counters["demand_requests"] > 0
+        trace, system, registry, _ = _timed_run("dram")
+        render_profile(system, registry, trace.name)
+        assert "oram.stash_max_occupancy" not in registry
+        assert "scheme.merges" not in registry
+        assert registry.value("backend.demand_requests") > 0
 
 
 class TestCliProfileFlag:

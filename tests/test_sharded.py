@@ -1,17 +1,20 @@
 """Tests for the channel-interleaved sharded ORAM bank.
 
 Covers the :class:`~repro.controller.sharded.ShardedORAMBank` acceptance
-surface: builder guards, the 1-shard bypass (bit-identical to the plain
-controller), address interleaving, deterministic batching, aggregate
+surface: builder guards, the bank protocol every backend answers (a lone
+controller is a bank of one; ``num_shards=1`` builds exactly that), address
+interleaving, deterministic batching, aggregate
 statistics views, the merged ``fsck`` audit, fault injection through a
 bank, and the divide-by-zero regression on aggregate posmap rates.
 """
 
 import pytest
 
-from repro.controller.sharded import ShardedORAMBank
+from repro.config import SystemConfig
+from repro.controller.sharded import ShardedORAMBank, build_bank
 from repro.faults import FaultConfig, FaultInjector, run_fsck_bank
-from repro.memory.oram_backend import ORAMBackend
+from repro.memory.oram_backend import ORAMBackend, snapshot_shard_stats
+from repro.memory.periodic import PeriodicORAMBackend
 from repro.parallel.merge import merge_shard_snapshots
 from repro.sim.system import SecureSystem
 from repro.sim.trace import Trace
@@ -60,6 +63,106 @@ class TestBuildGuards:
         system = build_sharded(num_shards=4)
         assert isinstance(system.backend, ShardedORAMBank)
         assert system.backend.num_shards == 4
+
+
+# What collect_system exports, by how many controllers sit behind the LLC.
+CORE_KEYS = {
+    f"cache.{name}"
+    for name in (
+        "l1_hits", "l1_misses", "llc_hits", "llc_misses", "llc_evictions",
+        "llc_tag_probes",
+    )
+} | {
+    f"backend.{name}"
+    for name in (
+        "demand_requests", "write_accesses", "posmap_accesses",
+        "dummy_accesses", "memory_accesses",
+    )
+}
+CONTROLLER_KEYS = (
+    {
+        f"oram.{name}"
+        for name in (
+            "stash_max_occupancy", "stash_soft_overflows",
+            "real_path_accesses", "dummy_path_accesses",
+        )
+    }
+    | {
+        f"pipeline.phase_{name}_cycles"
+        for name in ("posmap", "path_read", "remap", "writeback", "fault")
+    }
+    | {
+        f"scheme.{name}"
+        for name in (
+            "merges", "breaks", "prefetched_blocks", "prefetch_hits",
+            "prefetch_misses",
+        )
+    }
+)
+INTERCONNECT_KEYS = (
+    "path_cycles", "streamed_paths", "untracked_paths", "treetop_hits",
+    "treetop_bytes_saved",
+)
+
+
+def one_shard_bank_system():
+    """A bank assembled at width 1 (what the serve/replay routes build)."""
+    config = SystemConfig()
+    return SecureSystem(config, build_bank("dyn", FOOTPRINT, config, 1), label="dyn")
+
+
+class TestBankProtocol:
+    """Every backend says how many controllers it holds; nobody asks what
+    kind of object it is."""
+
+    @pytest.mark.parametrize(
+        "build, backend_type, width, bank_width",
+        [
+            (lambda: build_sharded(1, "dram"), None, 0, None),
+            (lambda: build_sharded(1, "dyn"), ORAMBackend, 1, None),
+            (lambda: build_sharded(1, "dyn_intvl"), PeriodicORAMBackend, 1, None),
+            (lambda: SecureSystem.build("dyn", FOOTPRINT), ORAMBackend, 1, None),
+            (lambda: build_sharded(4), ShardedORAMBank, 4, 4),
+            (one_shard_bank_system, ShardedORAMBank, 1, 1),
+        ],
+        ids=["dram", "dyn-shards1", "dyn_intvl", "dyn", "shards4", "bank-of-1"],
+    )
+    def test_protocol(self, build, backend_type, width, bank_width):
+        system = build()
+        backend = system.backend
+        if backend_type is not None:
+            assert type(backend) is backend_type
+        shards = tuple(backend.shards)
+        assert len(shards) == width
+        assert backend.bank_width == bank_width
+        if bank_width is None and width:
+            assert shards == (backend,)  # a lone controller is never wrapped
+        assert all(isinstance(shard, ORAMBackend) for shard in shards)
+        if width:
+            assert backend.num_blocks == width * min(
+                shard.oram.position_map.num_blocks for shard in shards
+            )
+        else:
+            assert backend.num_blocks > 1 << 40
+
+        result = system.run(short_trace(accesses=600))
+        assert backend.snapshot_shards() == [
+            snapshot_shard_stats(shard) for shard in shards
+        ]
+        assert result.extra.get("num_shards") == bank_width
+
+        expected = set(CORE_KEYS)
+        if width:
+            expected |= CONTROLLER_KEYS
+        for index in range(width):
+            prefix = (
+                "interconnect" if bank_width is None
+                else f"interconnect.shard{index}"
+            )
+            expected |= {f"{prefix}.{name}" for name in INTERCONNECT_KEYS}
+        if bank_width is not None:
+            expected.add("bank.num_shards")
+        assert {instrument.name for instrument in system.metrics()} == expected
 
 
 class TestOneShardEquivalence:

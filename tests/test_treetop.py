@@ -72,18 +72,18 @@ class TestConfigValidation:
         assert scaled.treetop_levels == 4
 
     def test_cli_override_helper_applies_and_validates(self):
-        from repro.cli import _dram_config
+        from repro.cli import memory_config
 
         class Args:
             treetop = 4
             dram_model = None
             channels = None
 
-        config = _dram_config(Args(), SystemConfig())
+        config = memory_config(Args())
         assert config.oram.treetop_levels == 4
         Args.treetop = 99
         with pytest.raises(SystemExit, match="--treetop"):
-            _dram_config(Args(), SystemConfig())
+            memory_config(Args())
 
 
 # ----------------------------------------------------------------- the tree
@@ -330,25 +330,24 @@ class TestBitIdentityAtK:
             assert shard.interconnect.treetop_levels == 4
 
     def test_serve_replay_contract_with_treetop(self):
-        from repro.parallel.merge import replay_issued_schedule
+        from repro.parallel import ParallelShardRuntime
         from repro.serve import OpenLoopSource, ServingFrontEnd
 
         config = _treetop_system_config()
         trace = locality_mix_trace(0.6, footprint_blocks=512, accesses=300)
-        frontend = ServingFrontEnd.build(
-            "dyn", trace.footprint_blocks, config, 2, workload="serve_open"
-        )
-        report = frontend.run(OpenLoopSource.from_trace(trace, num_tenants=2))
-        replayed = replay_issued_schedule(
-            "dyn",
-            trace.footprint_blocks,
-            frontend.issued,
-            config,
-            2,
-            workload="serve_open",
-            parallel=True,
-        )
-        assert dataclasses.asdict(replayed) == dataclasses.asdict(report.sim)
+        for shards in (1, 2, 4):
+            frontend = ServingFrontEnd.build(
+                "dyn", trace.footprint_blocks, config, shards,
+                workload="serve_open",
+            )
+            report = frontend.run(OpenLoopSource.from_trace(trace, num_tenants=2))
+            with ParallelShardRuntime(
+                "dyn", trace.footprint_blocks, config, shards
+            ) as runtime:
+                replayed = runtime.run(frontend.issued, workload="serve_open")
+            assert dataclasses.asdict(replayed) == dataclasses.asdict(
+                report.sim
+            ), f"{shards}-worker replay differs"
 
 
 # --------------------------------------------------------------- hypothesis

@@ -74,6 +74,30 @@ class TestMixtureGenerator:
         b = MixtureWorkload(p, seed=1).generate(300)
         assert a.entries == b.entries
 
+    def test_named_trace_identical_across_interpreters(self):
+        """Regression: the per-profile RNG fork used ``hash(name)``, which
+        is salted per process, so named traces differed from run to run."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.workloads.base import trace_for;"
+            "from repro.workloads.splash2 import SPLASH2_BY_NAME;"
+            "print(trace_for(SPLASH2_BY_NAME['ocean_c'], accesses=400).entries)"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(outputs) == 1
+
     def test_seed_changes_trace(self):
         p = SPLASH2_PROFILES[5]
         a = MixtureWorkload(p, seed=1).generate(300)
