@@ -599,6 +599,8 @@ def cmd_serve(args) -> int:
                 f"--weights names {len(weights)} tenants, --tenants says "
                 f"{args.tenants}"
             )
+    if args.deadline < 1:
+        raise SystemExit("--deadline must be at least 1 cycle")
     policy = health_policy(args)
     if args.mode == "open":
         source = OpenLoopSource.synthetic(
@@ -626,7 +628,6 @@ def cmd_serve(args) -> int:
         )
     serve_config = ServeConfig(
         batch_size=args.batch,
-        deadline_cycles=args.deadline,
         queue_capacity=args.queue_capacity,
         max_backlog=args.max_backlog,
         coalesce=not args.no_coalesce,

@@ -253,8 +253,6 @@ class ServeConfig:
     Attributes:
         batch_size: per-shard batch quota for HEALTHY shards; a batch is
             issued as soon as it holds this many distinct accesses.
-        deadline_cycles: default admission->completion budget stamped on
-            requests whose source does not set one explicitly.
         deadline_close_fraction: a batch also closes when its oldest
             member has spent this fraction of its deadline budget waiting
             (the "half-spent" rule at the default 0.5).
@@ -272,7 +270,6 @@ class ServeConfig:
     """
 
     batch_size: int = 8
-    deadline_cycles: int = 30_000
     deadline_close_fraction: float = 0.5
     queue_capacity: int = 64
     max_backlog: int = 512
@@ -283,8 +280,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.deadline_cycles < 1:
-            raise ValueError("deadline budget must be at least 1 cycle")
         if not 0.0 < self.deadline_close_fraction <= 1.0:
             raise ValueError("deadline close fraction must be in (0, 1]")
         if self.queue_capacity < 1:

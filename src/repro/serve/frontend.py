@@ -33,16 +33,26 @@ records those calls, and feeding that schedule to
 ``ParallelShardRuntime.run``) over a fresh bank of the same shape returns
 the identical SimResult -- the replay contract that pins the front end to
 the raw bank, with every policy on.
+
+Cost of an event: the front end is bookkeeping in front of the scarce
+resource (the ORAM path access), so no event re-scans the open batches.
+The state each decision reads is maintained where it changes --
+``_unissued`` (the backlog), ``_close_at`` (per-shard deadline close),
+``_quotas`` (per-shard batch quota), ``_keys`` (coalesce-key memo) and a
+request's ``shard`` stamp -- under the four invariants of DESIGN.md
+section 12, which ``tests/test_serve_incremental.py`` checks against the
+scan-based definitions after every event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import ServeConfig, SystemConfig
 from repro.controller.sharded import build_bank
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.serve.loadgen import LoadSource
 from repro.serve.queue import TenantQueues
@@ -61,12 +71,36 @@ class _Access:
         self.addr = request.addr
         self.is_write = request.is_write
         self.requests: List[Request] = [request]
+        #: stamped at issue time (completions free this shard's slot)
         self.shard = -1
         #: open-group coalescing key (None with coalescing off)
         self.key = key
         #: in-flight coalescing key, stamped at issue time
         self.inflight_key = None
         self.completion_cycle = -1
+
+
+class _ServeInstruments:
+    """The run's ``serve.*`` counters and histograms, bound once each.
+
+    First use of an attribute creates ``serve.<attr>`` in the registry (so a
+    run registers exactly the names it touches) and stores the instrument
+    on the instance; every later use is a plain attribute read.
+    """
+
+    _HISTOGRAMS = ("latency_cycles", "queue_wait_cycles", "batch_occupancy")
+
+    def __init__(self, registry: MetricsRegistry):
+        self._registry = registry
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        registry = self._registry
+        make = registry.histogram if name in self._HISTOGRAMS else registry.counter
+        instrument = make(f"serve.{name}")
+        setattr(self, name, instrument)
+        return instrument
 
 
 class ServingFrontEnd:
@@ -99,13 +133,23 @@ class ServingFrontEnd:
         self.workload = workload
         self.scheme = scheme
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._bound = _ServeInstruments(self.registry)
         num_shards = bank.num_shards
         self.queues: Optional[TenantQueues] = None
         self._open_batches: List[List[_Access]] = [[] for _ in range(num_shards)]
         self._open_groups: Dict[Tuple[int, int], _Access] = {}
         self._inflight_groups: Dict[Tuple[int, int], _Access] = {}
         self._outstanding: List[int] = [0] * num_shards
-        self._fallback: List[List[Request]] = [[] for _ in range(num_shards)]
+        self._fallback: List[Deque[Request]] = [deque() for _ in range(num_shards)]
+        #: admitted-but-unissued requests: queued + open-batch + fallback
+        self._unissued = 0
+        #: deadline-close cycle of each shard's open batch (min over its
+        #: member requests); ``None`` iff the batch is empty
+        self._close_at: List[Optional[int]] = [None] * num_shards
+        #: batch quota per shard, valid between two accesses on the shard
+        self._quotas: List[int] = []
+        #: addr -> coalesce key, valid between two ORAM accesses
+        self._keys: Dict[int, Tuple[int, int]] = {}
         self._comp_heap: List[Tuple[int, int, _Access]] = []
         self._event_seq = 0
         #: (addr, issue_cycle, is_write) in issue order -- replayable
@@ -155,26 +199,31 @@ class ServingFrontEnd:
         self._ran = True
         self.queues = TenantQueues(source.weights, self.config.queue_capacity)
         self._tenant_counts = [TenantReport(tenant=t) for t in range(source.num_tenants)]
+        self._tenant_latency = [
+            self.registry.histogram(f"serve.tenant{t}.latency_cycles")
+            for t in range(source.num_tenants)
+        ]
+        self._quotas = [self._quota(s) for s in range(self.bank.num_shards)]
         self._serve_loop(source)
         return self._finish(source)
 
     # ------------------------------------------------------------- event loop
     def _serve_loop(self, source: LoadSource) -> None:
         now = 0
+        heap = self._comp_heap
         while True:
-            next_arrival = source.next_arrival_cycle()
-            next_completion = self._comp_heap[0][0] if self._comp_heap else None
-            next_close = self._next_close()
-            candidates = [
-                c for c in (next_arrival, next_completion, next_close)
-                if c is not None
-            ]
-            if not candidates:
+            wake = source.next_arrival_cycle()
+            if heap and (wake is None or heap[0][0] < wake):
+                wake = heap[0][0]
+            close = self._next_close()
+            if close is not None and (wake is None or close < wake):
+                wake = close
+            if wake is None:
                 break
-            now = max(now, min(candidates))
-            while self._comp_heap and self._comp_heap[0][0] <= now:
-                _, _, access = heapq.heappop(self._comp_heap)
-                self._complete(access, source)
+            if wake > now:
+                now = wake
+            while heap and heap[0][0] <= now:
+                self._complete(heapq.heappop(heap)[2], source)
             for request in source.take_arrivals(now):
                 self._admit(request, source, now)
             self._pump(source, now)
@@ -182,115 +231,111 @@ class ServingFrontEnd:
     # -------------------------------------------------------------- admission
     def _admit(self, request: Request, source: LoadSource, now: int) -> None:
         config = self.config
+        bound = self._bound
+        counts = self._tenant_counts[request.tenant]
         self.all_requests.append(request)
-        self._tenant_counts[request.tenant].offered += 1
-        self.registry.counter("serve.offered").inc()
-        shard = self.bank.shard_of(request.addr)
+        counts.offered += 1
+        bound.offered.inc()
+        shard = request.shard = self.bank.shard_of(request.addr)
         if self.health is not None and self.health.should_reroute(shard):
-            if len(self._fallback[shard]) >= config.queue_capacity:
-                self._shed(request, source, now, "queue_full")
+            lane = self._fallback[shard]
+            if len(lane) >= config.queue_capacity:
+                self._shed(request, source, now, bound.shed_queue_full)
                 return
             request.rerouted = True
-            self._fallback[shard].append(request)
-            self._tenant_counts[request.tenant].admitted += 1
-            self.registry.counter("serve.admitted").inc()
-            self.registry.counter("serve.rerouted").inc()
-            return
-        if (
+            lane.append(request)
+            bound.rerouted.inc()
+        elif (
             config.stash_shed_fraction > 0.0
             and self.bank.stash_fraction(shard) >= config.stash_shed_fraction
         ):
-            self._shed(request, source, now, "pressure")
+            self._shed(request, source, now, bound.shed_pressure)
             return
-        if config.max_backlog and self._backlog() >= config.max_backlog:
-            self._shed(request, source, now, "backlog")
+        elif config.max_backlog and self._unissued >= config.max_backlog:
+            self._shed(request, source, now, bound.shed_backlog)
             return
-        if not self.queues.push(request):
-            self._shed(request, source, now, "queue_full")
+        elif not self.queues.push(request):
+            self._shed(request, source, now, bound.shed_queue_full)
             return
-        self._tenant_counts[request.tenant].admitted += 1
-        self.registry.counter("serve.admitted").inc()
+        self._unissued += 1
+        counts.admitted += 1
+        bound.admitted.inc()
 
     def _shed(
-        self, request: Request, source: LoadSource, now: int, reason: str
+        self, request: Request, source: LoadSource, now: int, cause: Counter
     ) -> None:
+        """Refuse a request; ``cause`` is its ``serve.shed_<cause>`` counter."""
         request.status = SHED
         self._tenant_counts[request.tenant].shed += 1
-        self.registry.counter("serve.shed").inc()
-        self.registry.counter(f"serve.shed_{reason}").inc()
+        self._bound.shed.inc()
+        cause.inc()
         source.on_shed(request, now)
-
-    def _backlog(self) -> int:
-        """Admitted-but-unissued requests (queued, batched, or fallback)."""
-        return (
-            self.queues.total_depth()
-            + sum(
-                len(access.requests)
-                for batch in self._open_batches
-                for access in batch
-            )
-            + sum(len(lane) for lane in self._fallback)
-        )
 
     # ----------------------------------------------------- batching/coalescing
     def _quota(self, shard: int) -> int:
         throttled = self.health is not None and self.health.throttled(shard)
         return self.config.quota_for(throttled)
 
-    def _close_cycle(self, shard: int) -> int:
-        """Deadline-close cycle of a shard's open batch (min over members)."""
-        fraction = self.config.deadline_close_fraction
-        return min(
-            request.arrival_cycle + int(request.deadline_cycles * fraction)
-            for access in self._open_batches[shard]
-            for request in access.requests
-        )
-
     def _next_close(self) -> Optional[int]:
-        cycles = [
-            self._close_cycle(shard)
-            for shard in range(self.bank.num_shards)
-            if self._open_batches[shard] and not self._outstanding[shard]
-        ]
-        return min(cycles) if cycles else None
+        """Earliest deadline close among shards free to issue their batch."""
+        earliest = None
+        outstanding = self._outstanding
+        for shard, close in enumerate(self._close_at):
+            if close is not None and not outstanding[shard]:
+                if earliest is None or close < earliest:
+                    earliest = close
+        return earliest
 
-    def _placeable(self, request: Request, now: int) -> bool:
-        shard = self.bank.shard_of(request.addr)
+    def _key(self, addr: int) -> Tuple[int, int]:
+        """Memoised ``bank.coalesce_key``; :meth:`_issue_one` invalidates."""
+        key = self._keys.get(addr)
+        if key is None:
+            key = self._keys[addr] = self.bank.coalesce_key(addr)
+        return key
+
+    def _placeable(self, request: Request) -> bool:
         if self.config.coalesce:
-            key = self.bank.coalesce_key(request.addr)
+            key = self._key(request.addr)
             if key in self._open_groups:
                 return True
             if key in self._inflight_groups and not request.is_write:
                 return True
-        return len(self._open_batches[shard]) < self._quota(shard)
+        shard = request.shard
+        return len(self._open_batches[shard]) < self._quotas[shard]
 
-    def _place(self, request: Request, now: int) -> None:
-        shard = self.bank.shard_of(request.addr)
-        key = self.bank.coalesce_key(request.addr) if self.config.coalesce else None
-        if key is not None:
-            open_access = self._open_groups.get(key)
-            if open_access is not None:
-                open_access.requests.append(request)
-                open_access.is_write = open_access.is_write or request.is_write
-                self._mark_coalesced(request)
-                return
+    def _place(self, request: Request) -> None:
+        shard = request.shard
+        key = self._key(request.addr) if self.config.coalesce else None
+        # ``None`` (coalescing off) is never a group key: both gets miss.
+        access = self._open_groups.get(key)
+        if access is not None:
+            access.requests.append(request)
+            access.is_write = access.is_write or request.is_write
+            self._mark_coalesced(request)
+        else:
             inflight = self._inflight_groups.get(key)
             if inflight is not None and not request.is_write:
                 # MSHR-style: the super block is already on its way; ride
                 # the pending access and share its completion.
                 inflight.requests.append(request)
+                self._unissued -= 1
                 self._mark_coalesced(request)
                 return
-        access = _Access(request, key)
-        access.shard = shard
-        self._open_batches[shard].append(access)
-        if key is not None:
-            self._open_groups[key] = access
+            access = _Access(request, key)
+            self._open_batches[shard].append(access)
+            if key is not None:
+                self._open_groups[key] = access
+        # The request joined the shard's open batch: fold its close cycle in.
+        close = request.arrival_cycle + int(
+            request.deadline_cycles * self.config.deadline_close_fraction
+        )
+        if self._close_at[shard] is None or close < self._close_at[shard]:
+            self._close_at[shard] = close
 
     def _mark_coalesced(self, request: Request) -> None:
         request.coalesced = True
         self._tenant_counts[request.tenant].coalesced += 1
-        self.registry.counter("serve.coalesced").inc()
+        self._bound.coalesced.inc()
 
     def _pump(self, source: LoadSource, now: int) -> None:
         """Fill batches from the fair queues and issue every ready one.
@@ -298,17 +343,16 @@ class ServingFrontEnd:
         Runs to a fixpoint: closing a batch frees quota, which may make
         more queued requests placeable, which may fill another batch.
         """
+        queues = self.queues
+        bound = self._bound
         while True:
             progress = False
             while True:
-                request = self.queues.pop_where(
-                    lambda r: self._placeable(r, now)
-                )
+                request = queues.pop_where(self._placeable)
                 if request is None:
                     break
-                self._place(request, now)
+                self._place(request)
                 progress = True
-            drain = source.exhausted and not self.queues
             for shard in range(self.bank.num_shards):
                 if self._outstanding[shard]:
                     continue
@@ -319,15 +363,15 @@ class ServingFrontEnd:
                 batch = self._open_batches[shard]
                 if not batch:
                     continue
-                if len(batch) >= self._quota(shard):
-                    reason = "full"
-                elif now >= self._close_cycle(shard):
-                    reason = "deadline"
-                elif drain and not self._fallback[shard]:
-                    reason = "drain"
+                if len(batch) >= self._quotas[shard]:
+                    closes = bound.full_closes
+                elif now >= self._close_at[shard]:
+                    closes = bound.deadline_closes
+                elif source.exhausted and not queues:
+                    closes = bound.drain_closes
                 else:
                     continue
-                self._issue_batch(shard, now, reason)
+                self._issue_batch(shard, now, closes)
                 progress = True
             if not progress:
                 break
@@ -335,32 +379,37 @@ class ServingFrontEnd:
     # ---------------------------------------------------------------- issuing
     def _issue_one(self, access: _Access, shard: int, now: int) -> None:
         result = self.bank.demand_access(access.addr, now, access.is_write)
+        # The only place super-block membership and the shard's breaker
+        # move during a run: drop the key memo, re-read the shard's quota.
+        self._keys.clear()
+        if self.health is not None:
+            self._quotas[shard] = self._quota(shard)
         access.shard = shard
-        access.completion_cycle = result.completion_cycle
+        completion = access.completion_cycle = result.completion_cycle
         self.issued.append((access.addr, now, access.is_write))
-        self.access_completions.append(result.completion_cycle)
+        self.access_completions.append(completion)
         self._outstanding[shard] += 1
+        self._unissued -= len(access.requests)
         if self.config.coalesce:
-            access.inflight_key = self.bank.coalesce_key(access.addr)
+            access.inflight_key = self._key(access.addr)
             self._inflight_groups[access.inflight_key] = access
-        wait_hist = self.registry.histogram("serve.queue_wait_cycles")
+        wait_hist = self._bound.queue_wait_cycles
         for request in access.requests:
             wait_hist.record(now - request.arrival_cycle)
-        heapq.heappush(
-            self._comp_heap, (result.completion_cycle, self._event_seq, access)
-        )
+        heapq.heappush(self._comp_heap, (completion, self._event_seq, access))
         self._event_seq += 1
 
     def _issue_fallback(self, shard: int, now: int) -> None:
         """Serial fallback lane: one rerouted request, one padded access."""
-        request = self._fallback[shard].pop(0)
-        access = _Access(request, None)
-        self.registry.counter("serve.fallback_issues").inc()
+        access = _Access(self._fallback[shard].popleft(), None)
+        self._bound.fallback_issues.inc()
         self._issue_one(access, shard, now)
 
-    def _issue_batch(self, shard: int, now: int, reason: str) -> None:
+    def _issue_batch(self, shard: int, now: int, closes: Counter) -> None:
+        """Issue a shard's open batch; ``closes`` counts its close reason."""
         batch = self._open_batches[shard]
         self._open_batches[shard] = []
+        self._close_at[shard] = None
         for access in batch:
             if access.key is not None:
                 self._open_groups.pop(access.key, None)
@@ -386,9 +435,9 @@ class ServingFrontEnd:
             if len(keep) != len(access.requests):
                 access.requests = keep
                 access.is_write = any(r.is_write for r in keep)
-        self.registry.counter("serve.batches").inc()
-        self.registry.counter(f"serve.{reason}_closes").inc()
-        self.registry.histogram("serve.batch_occupancy").record(len(final))
+        self._bound.batches.inc()
+        closes.inc()
+        self._bound.batch_occupancy.record(len(final))
         for access in final:
             self._issue_one(access, shard, now)
 
@@ -402,43 +451,39 @@ class ServingFrontEnd:
         ):
             del self._inflight_groups[access.inflight_key]
         cycle = access.completion_cycle
-        self._makespan = max(self._makespan, cycle)
-        latency_hist = self.registry.histogram("serve.latency_cycles")
+        if cycle > self._makespan:
+            self._makespan = cycle
+        bound = self._bound
         for request in access.requests:
             request.status = SERVED
             request.completion_cycle = cycle
-            latency = request.latency
+            latency = cycle - request.arrival_cycle
             self._sum_latency += latency
-            latency_hist.record(latency)
-            self.registry.histogram(
-                f"serve.tenant{request.tenant}.latency_cycles"
-            ).record(latency)
+            bound.latency_cycles.record(latency)
+            self._tenant_latency[request.tenant].record(latency)
             self._tenant_counts[request.tenant].served += 1
-            self.registry.counter("serve.served").inc()
-            if request.missed_deadline:
-                self.registry.counter("serve.deadline_misses").inc()
+            bound.served.inc()
+            if latency > request.deadline_cycles:
+                bound.deadline_misses.inc()
             source.on_completion(request, cycle)
 
     # --------------------------------------------------------------- report
     def _finish(self, source: LoadSource) -> ServeReport:
         registry = self.registry
+        bound = self._bound
         bank = self.bank
         bank.finalize(self._makespan)
         for tenant in range(source.num_tenants):
             registry.gauge(f"serve.tenant{tenant}.queue_peak").set(
                 self.queues.peak_depth[tenant]
             )
-        latency_hist = registry.histogram("serve.latency_cycles")
         report = ServeReport(
             workload=self.workload,
             scheme=self.scheme,
             num_shards=bank.num_shards,
             makespan_cycles=self._makespan,
         )
-        for counts in self._tenant_counts:
-            hist = registry.histogram(
-                f"serve.tenant{counts.tenant}.latency_cycles"
-            )
+        for counts, hist in zip(self._tenant_counts, self._tenant_latency):
             counts.p50_latency = hist.quantile(0.5)
             counts.p99_latency = hist.quantile(0.99)
             report.tenants.append(counts)
@@ -447,16 +492,16 @@ class ServingFrontEnd:
             report.shed += counts.shed
             report.served += counts.served
             report.coalesced += counts.coalesced
-        report.rerouted = registry.counter("serve.rerouted").value
-        report.batches = registry.counter("serve.batches").value
-        report.full_closes = registry.counter("serve.full_closes").value
-        report.deadline_closes = registry.counter("serve.deadline_closes").value
-        report.drain_closes = registry.counter("serve.drain_closes").value
-        report.deadline_misses = registry.counter("serve.deadline_misses").value
+        report.rerouted = bound.rerouted.value
+        report.batches = bound.batches.value
+        report.full_closes = bound.full_closes.value
+        report.deadline_closes = bound.deadline_closes.value
+        report.drain_closes = bound.drain_closes.value
+        report.deadline_misses = bound.deadline_misses.value
         if report.served:
             report.mean_latency = self._sum_latency / report.served
-        report.p50_latency = latency_hist.quantile(0.5)
-        report.p99_latency = latency_hist.quantile(0.99)
+        report.p50_latency = bound.latency_cycles.quantile(0.5)
+        report.p99_latency = bound.latency_cycles.quantile(0.99)
         # Deliberately no serve-specific keys in sim.extra: replaying
         # ``issued`` through the raw bank must give this SimResult back,
         # field for field.

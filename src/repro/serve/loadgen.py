@@ -220,6 +220,8 @@ class ClosedLoopSource(LoadSource):
         self._rngs: List[DeterministicRng] = []
         self._remaining: List[int] = []
         self._tenant_of: List[int] = []
+        #: clients that still hold request credit (``_remaining > 0``)
+        self._with_credit = num_tenants * clients_per_tenant
         client = 0
         for tenant in range(num_tenants):
             for _ in range(clients_per_tenant):
@@ -239,6 +241,8 @@ class ClosedLoopSource(LoadSource):
         )
         is_write = rng.random() < self.write_fraction
         self._remaining[client] -= 1
+        if not self._remaining[client]:
+            self._with_credit -= 1
         self._schedule(
             cycle, tenant, addr, is_write, self.deadline_cycles, client=client
         )
@@ -259,7 +263,7 @@ class ClosedLoopSource(LoadSource):
         # Clients blocked on an in-flight request will schedule again from
         # completion feedback; only a drained heap with no credits left is
         # truly done.
-        return not self._heap and all(r == 0 for r in self._remaining)
+        return not self._heap and not self._with_credit
 
     @property
     def footprint_blocks(self) -> int:

@@ -20,7 +20,7 @@ SERVED = "served"
 SHED = "shed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One block operation offered to the front end.
 
@@ -38,6 +38,7 @@ class Request:
         status: one of ``pending`` / ``served`` / ``shed``.
         coalesced: served by attaching to another request's ORAM access.
         rerouted: admitted via the quarantine fallback lane.
+        shard: owning bank channel (``addr % N``), stamped once at admission.
     """
 
     req_id: int
@@ -51,15 +52,12 @@ class Request:
     status: str = PENDING
     coalesced: bool = False
     rerouted: bool = False
+    shard: int = -1
 
     @property
     def latency(self) -> int:
         """Admission->completion cycles (valid once served)."""
         return self.completion_cycle - self.arrival_cycle
-
-    @property
-    def missed_deadline(self) -> bool:
-        return self.status == SERVED and self.latency > self.deadline_cycles
 
 
 @dataclass

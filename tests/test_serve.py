@@ -144,7 +144,7 @@ class TestCoalescing:
     """1-shard 'stat' bank with static super-block pairs (2k, 2k+1)."""
 
     def run_entries(self, entries, **config_kwargs):
-        serve_config = ServeConfig(**{"deadline_cycles": 50_000, **config_kwargs})
+        serve_config = ServeConfig(**config_kwargs)
         frontend = build_frontend(
             scheme="stat", static_sbsize=2, serve_config=serve_config
         )
@@ -209,7 +209,7 @@ class TestInflightRead:
         # Distinct from TestCoalescing.test_read_latches...: assert the
         # exact single-access outcome with the second arrival strictly
         # inside the first access's flight window.
-        serve_config = ServeConfig(batch_size=1, deadline_cycles=50_000)
+        serve_config = ServeConfig(batch_size=1)
         frontend = build_frontend(
             scheme="stat", static_sbsize=2, serve_config=serve_config
         )
@@ -300,9 +300,10 @@ class TestBackpressure:
         # Light load, huge quota: batches can only ever close by deadline
         # (or final drain), never by filling.
         source = OpenLoopSource.synthetic(
-            1, 30, footprint_per_tenant=128, gap_mean=3_000.0, seed=3
+            1, 30, footprint_per_tenant=128, gap_mean=3_000.0,
+            deadline_cycles=8_000, seed=3,
         )
-        serve_config = ServeConfig(batch_size=64, deadline_cycles=8_000)
+        serve_config = ServeConfig(batch_size=64)
         frontend = build_frontend(
             footprint=source.footprint_blocks, serve_config=serve_config
         )
@@ -310,10 +311,22 @@ class TestBackpressure:
         assert report.full_closes == 0
         assert report.deadline_closes > 0
         assert report.served == 30
+        # No request sits in an open batch past half its 8,000-cycle budget
+        # -- unless the shard was still busy then, in which case its batch
+        # issues the cycle the previous one completes.
+        issue_of = dict(
+            zip(frontend.access_completions, (c for _, c, _ in frontend.issued))
+        )
+        waits = []
+        for request in frontend.all_requests:
+            issue = issue_of[request.completion_cycle]
+            waits.append(issue - request.arrival_cycle)
+            assert waits[-1] <= 4_000 or issue in issue_of
+        assert max(waits) >= 4_000  # the bound is what closed the batches
 
     def test_drain_close_flushes_trailing_partial_batch(self):
         entries = [(0, 0, addr, False) for addr in range(3)]
-        serve_config = ServeConfig(batch_size=64, deadline_cycles=10**6)
+        serve_config = ServeConfig(batch_size=64)
         frontend = build_frontend(serve_config=serve_config)
         report = frontend.run(make_source(entries, deadline=10**6))
         assert report.drain_closes == 1

@@ -1,0 +1,386 @@
+"""Differential test: the front end's incremental per-event state vs the
+scan-based definitions it replaced.
+
+``ServingFrontEnd`` keeps a backlog counter, a per-shard close cycle, a
+per-shard quota, a coalesce-key memo and a shard stamp on each request
+instead of recomputing them on every arrival.  The functions below are the
+pre-refactor definitions, kept here (and only here) as the oracle:
+
+* :func:`reference_backlog` re-sums every queue, every request of every
+  open batch and every fallback lane -- the old ``_backlog``;
+* :func:`reference_close_cycle` re-takes the min over every request of a
+  shard's open batch -- the old ``_close_cycle`` -- and
+  :func:`reference_next_close` the old ``_next_close`` over it;
+* :func:`reference_quota` asks the health plane afresh;
+* :func:`reference_placeable` is the old ``_placeable``: a fresh
+  ``bank.coalesce_key`` and a live quota for every tenant head;
+* :func:`reference_exhausted` is the old closed-loop ``exhausted`` scan.
+
+:class:`CheckedFrontEnd` compares them after every admission, placement,
+issue, completion and pump round of a run, and on every eligibility
+decision.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import ServeConfig, SystemConfig
+from repro.health import HealthPolicy
+from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
+
+
+# ------------------------------------------------------------- the reference
+def reference_backlog(frontend):
+    return (
+        frontend.queues.total_depth()
+        + sum(
+            len(access.requests)
+            for batch in frontend._open_batches
+            for access in batch
+        )
+        + sum(len(lane) for lane in frontend._fallback)
+    )
+
+
+def reference_close_cycle(frontend, shard):
+    """Min over the open batch's requests; ``None`` for an empty batch."""
+    fraction = frontend.config.deadline_close_fraction
+    return min(
+        (
+            request.arrival_cycle + int(request.deadline_cycles * fraction)
+            for access in frontend._open_batches[shard]
+            for request in access.requests
+        ),
+        default=None,
+    )
+
+
+def reference_next_close(frontend):
+    cycles = [
+        reference_close_cycle(frontend, shard)
+        for shard in range(frontend.bank.num_shards)
+        if frontend._open_batches[shard] and not frontend._outstanding[shard]
+    ]
+    return min(cycles) if cycles else None
+
+
+def reference_quota(frontend, shard):
+    health = frontend.health
+    return frontend.config.quota_for(
+        health is not None and health.throttled(shard)
+    )
+
+
+def reference_placeable(frontend, request):
+    bank = frontend.bank
+    shard = bank.shard_of(request.addr)
+    if frontend.config.coalesce:
+        key = bank.coalesce_key(request.addr)
+        if key in frontend._open_groups:
+            return True
+        if key in frontend._inflight_groups and not request.is_write:
+            return True
+    return len(frontend._open_batches[shard]) < reference_quota(frontend, shard)
+
+
+def reference_exhausted(source):
+    if isinstance(source, ClosedLoopSource):
+        return not source._heap and all(r == 0 for r in source._remaining)
+    return not source._heap
+
+
+# ---------------------------------------------------------- the checked run
+class CheckedFrontEnd(ServingFrontEnd):
+    """A front end that audits its incremental state as it runs."""
+
+    checks = 0
+    #: accesses `_issue_batch` added because a group's members had drifted
+    splits = 0
+
+    def run(self, source):
+        self.source = source
+        #: distinct quota vectors seen (a mid-run change shows up as > 1)
+        self.quota_vectors = set()
+        return super().run(source)
+
+    def check(self):
+        self.checks += 1
+        bank = self.bank
+        assert self._unissued == reference_backlog(self)
+        assert self._next_close() == reference_next_close(self)
+        for shard in range(bank.num_shards):
+            assert self._close_at[shard] == reference_close_cycle(self, shard)
+            assert (self._close_at[shard] is None) == (not self._open_batches[shard])
+            assert self._quotas[shard] == reference_quota(self, shard)
+        for addr, key in self._keys.items():
+            assert key == bank.coalesce_key(addr)
+        for queue in self.queues._queues:
+            for request in queue:
+                assert request.shard == bank.shard_of(request.addr)
+        assert self.source.exhausted == reference_exhausted(self.source)
+        self.quota_vectors.add(tuple(self._quotas))
+
+    def _placeable(self, request):
+        answer = super()._placeable(request)
+        assert answer == reference_placeable(self, request)
+        return answer
+
+    def _issue_batch(self, shard, now, closes):
+        accesses = len(self._open_batches[shard])
+        before = len(self.issued)
+        super()._issue_batch(shard, now, closes)
+        self.splits += len(self.issued) - before - accesses
+        self.check()
+
+
+def _checked(name):
+    def method(self, *args):
+        result = getattr(ServingFrontEnd, name)(self, *args)
+        self.check()
+        return result
+
+    method.__name__ = name
+    return method
+
+
+for _name in ("_admit", "_place", "_issue_fallback", "_complete", "_pump"):
+    setattr(CheckedFrontEnd, _name, _checked(_name))
+
+
+def tight_oram():
+    """2-slot buckets: a block or two lingers in the stash between accesses,
+    so a low ``stash_shed_fraction`` / ``stash_pressure_fraction`` fires."""
+    base = SystemConfig()
+    return dataclasses.replace(
+        base, oram=dataclasses.replace(base.oram, bucket_size=2, utilization=0.5)
+    )
+
+
+def build(source, shards=1, scheme="dyn", config=None, serve_config=None,
+          health_policy=None, static_sbsize=None):
+    return CheckedFrontEnd.build(
+        scheme, source.footprint_blocks, config or SystemConfig(), shards,
+        serve_config=serve_config, health_policy=health_policy,
+        static_sbsize=static_sbsize, workload="incremental",
+    )
+
+
+def run_checked(frontend, source):
+    report = frontend.run(source)
+    assert frontend.checks > report.offered
+    assert frontend._unissued == 0
+    assert frontend._close_at == [None] * frontend.bank.num_shards
+    assert report.served + report.shed == report.offered
+    frontend.bank.check_invariants()
+    return report
+
+
+# --------------------------------------------------- fixed, named mechanisms
+def test_all_three_shed_causes():
+    source = OpenLoopSource.synthetic(
+        2, 300, footprint_per_tenant=256, gap_mean=250.0, weights=[2, 1], seed=21
+    )
+    frontend = build(
+        source, config=tight_oram(),
+        serve_config=ServeConfig(
+            queue_capacity=8, max_backlog=22, stash_shed_fraction=0.02
+        ),
+    )
+    run_checked(frontend, source)
+    for cause in ("queue_full", "backlog", "pressure"):
+        assert frontend.registry.value(f"serve.shed_{cause}") > 0
+
+
+def test_quarantined_shard_fallback_probes_and_readmission():
+    source = OpenLoopSource.synthetic(
+        2, 120, footprint_per_tenant=64, gap_mean=1_200.0, seed=6
+    )
+    frontend = build(source, shards=2, health_policy=HealthPolicy())
+    frontend.bank.quarantine_shard(0)
+    report = run_checked(frontend, source)
+    assert report.rerouted > 0
+    assert frontend.health.total_readmissions() == 1
+    # quota 4 while shard 0 was quarantined/probing, 8 once re-admitted
+    assert len(frontend.quota_vectors) > 1
+
+
+def test_fallback_lane_overflow_sheds():
+    source = OpenLoopSource.synthetic(
+        2, 150, footprint_per_tenant=64, gap_mean=150.0, seed=6
+    )
+    frontend = build(
+        source, shards=2, health_policy=HealthPolicy(),
+        serve_config=ServeConfig(queue_capacity=4),
+    )
+    frontend.bank.quarantine_shard(0)
+    report = run_checked(frontend, source)
+    assert report.rerouted > 0 and report.shed > 0
+
+
+def test_shard_degrades_mid_run():
+    source = OpenLoopSource.synthetic(
+        2, 150, footprint_per_tenant=128, gap_mean=500.0, seed=8
+    )
+    policy = HealthPolicy(window=8, degrade_latency_cycles=1)
+    frontend = build(source, shards=2, health_policy=policy)
+    run_checked(frontend, source)
+    assert frontend.health.total_transitions() > 0
+    assert len(frontend.quota_vectors) > 1
+
+
+def test_static_super_blocks_coalesce_and_recheck_members():
+    source = OpenLoopSource.synthetic(
+        2, 150, footprint_per_tenant=32, gap_mean=300.0, locality=0.9, seed=4
+    )
+    frontend = build(source, scheme="stat", static_sbsize=2)
+    report = run_checked(frontend, source)
+    assert report.coalesced > 10
+
+
+def test_stale_members_split_at_issue():
+    """A group formed while its shard was probing can outlive a fallback
+    access that breaks its super block; the batch then issues the drifted
+    member on its own access."""
+    source, frontend = stale_split_scenario()
+    run_checked(frontend, source)
+    assert frontend.splits > 0
+
+
+def stale_split_scenario():
+    source = OpenLoopSource.synthetic(
+        2, 200, footprint_per_tenant=8, gap_mean=150.0, locality=0.5, seed=1
+    )
+    policy = HealthPolicy(quarantine_cooldown=6, probe_batch=16, probe_successes=16)
+    frontend = build(source, shards=1, health_policy=policy)
+    frontend.bank.quarantine_shard(0)
+    return source, frontend
+
+
+def test_coalescing_off():
+    source = OpenLoopSource.synthetic(
+        2, 120, footprint_per_tenant=32, gap_mean=300.0, locality=0.9, seed=4
+    )
+    frontend = build(source, serve_config=ServeConfig(coalesce=False))
+    report = run_checked(frontend, source)
+    assert report.coalesced == 0
+    assert not frontend._keys
+
+
+def test_closed_loop_source():
+    source = ClosedLoopSource(
+        2, 4, 20, footprint_per_tenant=64, think_mean=800.0, seed=3
+    )
+    frontend = build(
+        source, shards=2, serve_config=ServeConfig(queue_capacity=2, batch_size=2)
+    )
+    report = run_checked(frontend, source)
+    assert report.offered == 2 * 4 * 20
+    assert source.exhausted
+
+
+# ------------------------------------------------------ generated scenarios
+@st.composite
+def scenarios(draw):
+    tenants = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        source = OpenLoopSource.synthetic(
+            tenants, draw(st.integers(5, 150)),
+            footprint_per_tenant=draw(st.sampled_from([8, 32, 128])),
+            gap_mean=draw(st.sampled_from([60.0, 400.0, 2_500.0])),
+            locality=draw(st.sampled_from([0.0, 0.5, 0.95])),
+            deadline_cycles=draw(st.sampled_from([2_000, 30_000])),
+            weights=draw(st.sampled_from([None, list(range(1, tenants + 1))])),
+            seed=seed,
+        )
+    else:
+        source = ClosedLoopSource(
+            tenants, draw(st.integers(1, 4)), draw(st.integers(1, 30)),
+            footprint_per_tenant=draw(st.sampled_from([8, 64])),
+            think_mean=draw(st.sampled_from([50.0, 1_500.0])),
+            deadline_cycles=draw(st.sampled_from([2_000, 30_000])),
+            seed=seed,
+        )
+    serve_config = ServeConfig(
+        batch_size=draw(st.sampled_from([1, 2, 8, 64])),
+        queue_capacity=draw(st.sampled_from([1, 4, 64])),
+        max_backlog=draw(st.sampled_from([0, 5, 512])),
+        coalesce=draw(st.booleans()),
+        stash_shed_fraction=draw(st.sampled_from([0.0, 0.02, 0.9])),
+    )
+    scheme = draw(st.sampled_from(["dyn", "stat", "oram"]))
+    shards = draw(st.sampled_from([1, 2, 4]))
+    health = draw(st.sampled_from(["none", "default", "jumpy"]))
+    policy = {
+        "none": None,
+        "default": HealthPolicy(),
+        # trips, recovers, re-trips: quotas keep moving during the run
+        "jumpy": HealthPolicy(
+            window=4, degrade_latency_cycles=1_400, stash_pressure_fraction=0.02,
+            quarantine_cooldown=3, probe_batch=4, probe_successes=2,
+        ),
+    }[health]
+    frontend = build(
+        source, shards=shards, scheme=scheme,
+        config=tight_oram() if draw(st.booleans()) else None,
+        serve_config=serve_config, health_policy=policy,
+        static_sbsize=2 if scheme == "stat" else None,
+    )
+    if policy is not None:
+        for shard in range(shards):
+            start = draw(st.sampled_from(["healthy", "healthy", "quarantined", "degraded"]))
+            if start == "quarantined":
+                frontend.bank.quarantine_shard(shard)
+            elif start == "degraded":
+                frontend.health.record_pressure(shard)
+    return frontend, source
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios())
+def test_incremental_state_matches_scans(scenario):
+    frontend, source = scenario
+    run_checked(frontend, source)
+
+
+# ------------------------------------------------- event cost, in call counts
+def serve_calls_per_request(batch_size):
+    """Python + C calls made from ``repro/serve`` code per offered request,
+    over one fixed 2,000-request overload run (1 shard, arrivals ~10x faster
+    than it serves, so queues and the open batch stay full)."""
+    import os
+    import sys
+
+    source = OpenLoopSource.synthetic(
+        4, 500, footprint_per_tenant=512, gap_mean=400.0, seed=13
+    )
+    frontend = ServingFrontEnd.build(
+        "dyn", source.footprint_blocks, SystemConfig(), 1,
+        serve_config=ServeConfig(batch_size=batch_size),
+    )
+    marker = os.path.join("repro", "serve") + os.sep
+    calls = 0
+
+    def hook(frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call") and marker in frame.f_code.co_filename:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        report = frontend.run(source)
+    finally:
+        sys.setprofile(None)
+    assert report.offered == 2_000 and report.shed > 0
+    return calls / report.offered
+
+
+def test_event_cost_does_not_grow_with_the_open_batch():
+    """An event is O(1) in front-end work: a 16x larger batch quota (a 16x
+    larger open batch under overload) must not change the calls a request
+    costs.  With per-arrival scans over the open batch it tripled."""
+    small = serve_calls_per_request(4)
+    large = serve_calls_per_request(64)
+    assert abs(large - small) / small < 0.15, (small, large)
