@@ -483,6 +483,9 @@ def cmd_audit(args) -> int:
     )
     system.run(trace)
     leaves = observer.leaves()
+    if len(leaves) <= 2:  # lag-1 autocorrelation needs three samples
+        print(f"too few path accesses to audit ({len(leaves)})")
+        return 2
     num_leaves = system.backend.oram.config.num_leaves
     _, p = chi_square_uniformity(leaves, num_leaves)
     corr = lag_autocorrelation(leaves, lag=1)

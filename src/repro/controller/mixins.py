@@ -43,26 +43,37 @@ class SharedLeafMixin:
 class DeepestPlacementMixin:
     """Initial placement: a block goes as deep on its path as room allows."""
 
-    def _place_deepest(
+    def _place_all_deepest(
         self,
-        block: Block,
-        levels: int,
+        leaves: Sequence[int],
         capacity: int,
-        bucket_for: Callable[[int, int], List[Block]],
-    ) -> bool:
-        """Append ``block`` to the deepest non-full bucket on its path.
+        buckets: Sequence[List[Block]],
+    ) -> List[Block]:
+        """Build the working set: block ``addr`` is mapped to ``leaves[addr]``.
 
-        ``bucket_for(level, leaf)`` must return the mutable block list of
-        the bucket at ``level`` on the path to ``leaf``.  Returns False
-        when every bucket on the path is full (the caller sends the block
-        to its stash/overflow area).
+        Blocks are placed in address order, each appended to the deepest
+        bucket on its path that holds fewer than ``capacity`` blocks.
+        ``buckets`` holds the tree's live bucket lists in heap order (root
+        at 0, leaf ``s`` at ``len(buckets) // 2 + s``), so the walk up a
+        path is one shift per level.  Returns the blocks whose whole path
+        was full, in address order -- the caller sends them to its
+        stash/overflow area.
         """
-        for level in range(levels, -1, -1):
-            bucket = bucket_for(level, block.leaf)
-            if len(bucket) < capacity:
-                bucket.append(block)
-                return True
-        return False
+        from repro.oram.block import Block
+
+        first_leaf_bucket = len(buckets) >> 1
+        spilled: List[Block] = []
+        for addr, leaf in enumerate(leaves):
+            block = Block(addr, leaf)
+            index = first_leaf_bucket + leaf
+            while len(buckets[index]) >= capacity:
+                if not index:
+                    spilled.append(block)
+                    break
+                index = (index - 1) >> 1
+            else:
+                buckets[index].append(block)
+        return spilled
 
 
 class GreedyWritebackMixin:

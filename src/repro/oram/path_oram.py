@@ -142,19 +142,13 @@ class PathORAM(
         if self._populated:
             raise RuntimeError("ORAM already populated")
         self._populated = True
-        levels = self.config.levels
-        z = self.config.bucket_size
-        tree = self.tree
-
-        def bucket_for(level: int, leaf: int) -> List[Block]:
-            return tree.bucket(tree.bucket_index(level, leaf))
-
-        for addr in range(self.position_map.num_blocks):
-            leaf = self.position_map.leaf(addr)
-            block = Block(addr, leaf)
-            if not self._place_deepest(block, levels, z, bucket_for):
-                self.stash.add(block)
-        cache = tree.treetop
+        for block in self._place_all_deepest(
+            self.position_map._leaves,
+            self.config.bucket_size,
+            self.tree.live_buckets(),
+        ):
+            self.stash.add(block)
+        cache = self.tree.treetop
         if cache is not None:
             # Deferred population (populate=False at construction, scheme
             # calls populate() later) writes into an already-attached

@@ -67,7 +67,7 @@ class PositionMap:
         # Compact typed storage: one machine word per entry instead of a
         # list of boxed ints, and C-speed slice comparisons for the leaf
         # equality scans below.
-        self._leaves = array("q", (rng.random_leaf(num_leaves) for _ in range(num_blocks)))
+        self._leaves = rng.random_leaves(num_leaves, num_blocks)
         self._merge_bits = bytearray(num_blocks)
         self._break_bits = bytearray(num_blocks)
         self._prefetch_bits = bytearray(num_blocks)

@@ -111,7 +111,7 @@ class RingORAM(
         self.observer = observer
         self.num_blocks = num_blocks
         self._buckets = [_RingBucket() for _ in range(self.num_buckets)]
-        self._leaves = [self.rng.random_leaf(self.num_leaves) for _ in range(num_blocks)]
+        self._leaves = self.rng.random_leaves(self.num_leaves, num_blocks)
         self.stash: Dict[int, Block] = {}
         self.stash_capacity = (
             stash_capacity if stash_capacity is not None else max(32, 4 * levels)
@@ -135,13 +135,10 @@ class RingORAM(
         return [self._bucket_index(level, leaf) for level in range(self.levels + 1)]
 
     def _populate(self) -> None:
-        def bucket_for(level: int, leaf: int) -> List[Block]:
-            return self._buckets[self._bucket_index(level, leaf)].blocks
-
-        for addr in range(self.num_blocks):
-            block = Block(addr, self._leaves[addr])
-            if not self._place_deepest(block, self.levels, self.z, bucket_for):
-                self.stash[addr] = block
+        for block in self._place_all_deepest(
+            self._leaves, self.z, [bucket.blocks for bucket in self._buckets]
+        ):
+            self.stash[block.addr] = block
 
     def leaf_of(self, addr: int) -> int:
         return self._leaves[addr]

@@ -317,6 +317,17 @@ class BinaryTree:
             return self.treetop.store[index]
         return self._buckets[index]
 
+    def live_buckets(self) -> List[List[Block]]:
+        """Every bucket's live block list, in heap order (build-time view).
+
+        Pinned indices come from the on-chip store, the rest from the
+        off-chip array; the lists are the tree's own, so appending to one
+        places a block.
+        """
+        if self.treetop is None:
+            return self._buckets
+        return self.treetop.store + self._buckets[self._treetop_buckets:]
+
     def read_path(self, leaf: int) -> List[Block]:
         """Remove and return every real block on the path to ``leaf``.
 

@@ -22,7 +22,7 @@ reduction super blocks buy here, mirroring the Path ORAM result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.controller.mixins import (
     BoundedDrainMixin,
@@ -76,9 +76,7 @@ class ShiTreeORAM(SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin):
         self.evictions_per_level = evictions_per_level
         self.rng = rng or DeterministicRng(17)
         self.observer = observer
-        self._leaves: List[int] = [
-            self.rng.random_leaf(self.tree.num_leaves) for _ in range(num_blocks)
-        ]
+        self._leaves = self.rng.random_leaves(self.tree.num_leaves, num_blocks)
         #: overflow area for blocks that find no room (counted, bounded)
         self.overflow: Dict[int, Block] = {}
         #: soft overflow bound used by ``drain_stash``
@@ -92,17 +90,12 @@ class ShiTreeORAM(SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin):
         self._pending_access = False
         # Populate: every block starts at the leaf bucket of its leaf (or
         # the closest ancestor with room).
-        for addr in range(num_blocks):
-            self._place(Block(addr, self._leaves[addr]))
-
-    # ------------------------------------------------------------- plumbing
-    def _place(self, block: Block) -> None:
-        def bucket_for(level: int, leaf: int) -> List[Block]:
-            return self.tree.bucket(self.tree.bucket_index(level, leaf))
-
-        if not self._place_deepest(block, self.levels, self.bucket_size, bucket_for):
+        for block in self._place_all_deepest(
+            self._leaves, self.bucket_size, self.tree.live_buckets()
+        ):
             self.overflow[block.addr] = block
 
+    # ------------------------------------------------------------- plumbing
     def leaf_of(self, addr: int) -> int:
         return self._leaves[addr]
 

@@ -267,8 +267,13 @@ class ParallelShardRuntime:
                     os.remove(path)
         self._closed = False
         try:
+            # Start them all, then wait: the builds (and genesis
+            # checkpoints) overlap, so opening the bank costs the slowest
+            # shard rather than the sum.
             for worker in self._workers:
-                self._open(worker)
+                self._start(worker)
+            for worker in self._workers:
+                self._await_ready(worker)
         except BaseException:
             # The caller never gets an object to close: take down the
             # workers that did start before reporting the one that did not.
@@ -300,8 +305,13 @@ class ParallelShardRuntime:
     def _open(self, worker: _Worker, *, inline: bool = False) -> Tuple[int, list]:
         """Open a shard's executor behind one of its two transports -- a
         fresh worker process, or this process when *inline* -- and return
-        its ready announcement ``(last_seq, reply window)``.  Opening a
-        shard that was open before starts a new incarnation: the restart
+        its ready announcement ``(last_seq, reply window)``."""
+        self._start(worker, inline=inline)
+        return self._await_ready(worker)
+
+    def _start(self, worker: _Worker, *, inline: bool = False) -> None:
+        """Set the shard's executor going without waiting for it.  Starting
+        a shard that was open before begins a new incarnation: the restart
         count, which salts its RNG, advances."""
         if worker.commands is not None:
             worker.restarts += 1
@@ -329,6 +339,10 @@ class ParallelShardRuntime:
             worker.process.start()
         worker.last_progress = time.perf_counter()
         worker.throttled = False
+
+    def _await_ready(self, worker: _Worker) -> Tuple[int, list]:
+        """Block until a started shard announces ``ready``; return its
+        ``(last_seq, reply window)``."""
         reply = self._await_reply(worker)
         if reply[0] == "error":
             raise WorkerFailure(f"worker {worker.index} failed to start: {reply[2]}")

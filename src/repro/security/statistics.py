@@ -17,7 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Sequence, Tuple
 
-from scipy import stats as scipy_stats
+# scipy and numpy are imported inside the three functions that compute
+# with them: every ``repro`` process imports this module (through the
+# live uniformity monitor), only the statistical audit ever runs it.
 
 #: Returned by the chi-squared helpers when the sample is too small to
 #: test (empty sequences, or bin coarsening collapses below two bins).
@@ -55,6 +57,8 @@ def chi_square_uniformity(
         return INSUFFICIENT_DATA
     counts = Counter(leaf >> shift for leaf in leaves)
     observed = [counts.get(i, 0) for i in range(bins)]
+    from scipy import stats as scipy_stats
+
     statistic, p_value = scipy_stats.chisquare(observed)
     return float(statistic), float(p_value)
 
@@ -116,6 +120,8 @@ def sequences_indistinguishable(
     if len(cols) < 2:
         return INSUFFICIENT_DATA
     contingency = [[col[0] for col in cols], [col[1] for col in cols]]
+    from scipy import stats as scipy_stats
+
     statistic, p_value, _, _ = scipy_stats.chi2_contingency(contingency)
     return float(statistic), float(p_value)
 

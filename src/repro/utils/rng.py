@@ -10,6 +10,7 @@ explicit wrapper around :class:`random.Random`; we avoid the module-level
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -48,6 +49,31 @@ class DeterministicRng:
     def random_leaf(self, num_leaves: int) -> int:
         """Uniform leaf label in [0, num_leaves)."""
         return self._random.randrange(num_leaves)
+
+    def random_leaves(self, num_leaves: int, count: int) -> array:
+        """``count`` uniform leaf labels in [0, num_leaves) as an ``array('q')``.
+
+        Draw-order contract: the result equals
+        ``[self.random_leaf(num_leaves) for _ in range(count)]`` element for
+        element and leaves the generator in the same state, because it runs
+        the loop ``randrange`` runs -- ``getrandbits(num_leaves.bit_length())``,
+        redrawn while the value is ``>= num_leaves`` -- once per label, in
+        order.  Every tree build draws its initial leaves through here, so
+        the contract is what keeps a build bit-identical to the per-block
+        draws it replaced (``tests/test_build_differential.py``).
+        """
+        if num_leaves < 1:
+            raise ValueError("need at least one leaf to draw from")
+        getrandbits = self._random.getrandbits
+        bits = num_leaves.bit_length()
+        leaves = array("q")
+        append = leaves.append
+        for _ in range(count):
+            leaf = getrandbits(bits)
+            while leaf >= num_leaves:
+                leaf = getrandbits(bits)
+            append(leaf)
+        return leaves
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""

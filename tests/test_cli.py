@@ -90,6 +90,15 @@ class TestCommands:
         assert "verdict" in out
         assert code == 0  # healthy ORAM passes the audit
 
+    def test_audit_of_a_run_too_short_to_test_exits_2(self, capsys):
+        """Regression: ``lag_autocorrelation`` raised ``ValueError`` (a
+        traceback) on <= 2 path accesses."""
+        code = main(["audit", "-w", "locality:50", "-s", "dyn", "--accesses", "2"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "too few path accesses to audit" in out
+        assert "verdict" not in out
+
     def test_sweep_z(self, capsys):
         code = main(
             ["sweep", "z", "-w", "locality:60", "-s", "dyn", "--accesses", "1200",

@@ -15,7 +15,10 @@
 
 import dataclasses
 import multiprocessing
+import os
 import queue
+import subprocess
+import sys
 import time
 
 import pytest
@@ -26,7 +29,7 @@ from repro.health import HealthPolicy
 from repro.observability.collect import collect_parallel
 from repro.parallel import ParallelShardRuntime, WorkerFailure, run_serial_reference
 from repro.parallel.protocol import ShardSpec
-from repro.parallel.worker import InlineShardChannel, shard_worker_main
+from repro.parallel.worker import InlineShardChannel, ShardExecutor, shard_worker_main
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
@@ -247,35 +250,132 @@ class TestFoldedExtras:
 
 
 # ------------------------------------------------------------ failure handling
+def live_shard_workers():
+    return [
+        child.name
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-shard-")
+    ]
+
+
+def break_spec_of(monkeypatch, failing):
+    """Worker *failing* is handed a spec it cannot build."""
+    real_spec = ParallelShardRuntime._spec
+
+    def broken_spec(self, index, restart_salt):
+        spec = real_spec(self, index, restart_salt)
+        if index == failing:
+            spec = dataclasses.replace(spec, base_scheme="no_such_scheme")
+        return spec
+
+    monkeypatch.setattr(ParallelShardRuntime, "_spec", broken_spec)
+
+
+def slow_builds(monkeypatch, seconds):
+    """Every shard executor opened from now on (forked workers included)
+    takes *seconds* longer to build."""
+    real_init = ShardExecutor.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(seconds)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardExecutor, "__init__", slow_init)
+
+
+SPAWN_SCRIPT = """
+import multiprocessing
+
+from repro.parallel import ParallelShardRuntime, run_serial_reference
+from repro.utils.rng import DeterministicRng
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    rng = DeterministicRng(9)
+    requests, now = [], 0
+    for index in range(300):
+        now += rng.randint(1, 40)
+        requests.append((rng.randint(0, 127), now, index % 4 == 0))
+    serial = run_serial_reference("dyn", 128, requests, num_shards=2)
+    with ParallelShardRuntime("dyn", 128, None, 2, batch_size=23) as runtime:
+        parallel = runtime.run(requests)
+    assert parallel == serial, (parallel, serial)
+    print("spawn bit-identical")
+"""
+
+
 class TestRuntimeFailureHandling:
     def test_failed_constructor_leaves_no_worker_behind(self, tmp_path, monkeypatch):
         """Regression: a later worker failing to start used to leak the
         ones already running (``close()`` was a no-op before ``_closed``
         existed, and the caller never got an object to close)."""
-        real_spec = ParallelShardRuntime._spec
-
-        def broken_spec(self, index, restart_salt):
-            spec = real_spec(self, index, restart_salt)
-            if index == 1:
-                spec = dataclasses.replace(spec, base_scheme="no_such_scheme")
-            return spec
-
-        monkeypatch.setattr(ParallelShardRuntime, "_spec", broken_spec)
+        break_spec_of(monkeypatch, 1)
         with pytest.raises(WorkerFailure, match="worker 1 failed to start"):
             ParallelShardRuntime(
                 "dyn", FOOTPRINT, num_workers=3, checkpoint_dir=str(tmp_path)
             )
         deadline = time.perf_counter() + 30
-        while time.perf_counter() < deadline and any(
-            child.name.startswith("repro-shard-")
-            for child in multiprocessing.active_children()
-        ):
+        while time.perf_counter() < deadline and live_shard_workers():
             time.sleep(0.05)
-        assert not [
-            child.name
-            for child in multiprocessing.active_children()
-            if child.name.startswith("repro-shard-")
-        ]
+        assert not live_shard_workers()
+
+    def test_failed_start_reaps_workers_never_awaited(self, tmp_path, monkeypatch):
+        """All workers are started before the first ``ready`` is awaited:
+        when the first one fails, the rest are mid-build and were never
+        waited for -- the constructor must still take every one down."""
+        break_spec_of(monkeypatch, 0)
+        slow_builds(monkeypatch, 0.3)
+        with pytest.raises(WorkerFailure, match="worker 0 failed to start"):
+            ParallelShardRuntime(
+                "dyn", FOOTPRINT, num_workers=4, checkpoint_dir=str(tmp_path)
+            )
+        assert not live_shard_workers()  # close() joined them: no grace period
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the build delay reaches the workers by fork inheritance",
+    )
+    def test_workers_are_opened_together(self, tmp_path, monkeypatch):
+        """Opening a bank costs the slowest shard's build, not the sum."""
+        slow_builds(monkeypatch, 0.5)
+
+        def open_seconds(num_workers):
+            start = time.perf_counter()
+            with ParallelShardRuntime(
+                "dyn",
+                FOOTPRINT,
+                num_workers=num_workers,
+                checkpoint_dir=str(tmp_path / str(num_workers)),
+            ):
+                return time.perf_counter() - start
+
+        one = open_seconds(1)
+        assert one >= 0.5
+        assert open_seconds(4) < 2.5 * one
+
+    def test_spawned_workers_are_bit_identical_and_import_light(self, tmp_path):
+        """Under ``spawn`` a worker unpickles its :class:`ShardSpec` and
+        imports ``repro`` afresh; with numpy and scipy made unimportable
+        in the children's environment, that import path must not need
+        them.  No start-method option exists -- the script sets the
+        process-wide default, as an embedding application would."""
+        for blocked in ("numpy", "scipy"):
+            (tmp_path / blocked).mkdir()
+            (tmp_path / blocked / "__init__.py").write_text(
+                f"raise ImportError('{blocked} is blocked in this test')\n"
+            )
+        script = tmp_path / "spawn_identity.py"
+        script.write_text(SPAWN_SCRIPT)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src])),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "spawn bit-identical"
 
     def test_failure_reason_is_an_attribute(self, tmp_path):
         assert WorkerFailure("anything").reason == "error"
