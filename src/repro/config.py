@@ -226,7 +226,6 @@ class DRAMConfig:
 class PrefetchConfig:
     """Traditional stream prefetcher parameters (section 5.2 strawman)."""
 
-    enabled: bool = False
     num_streams: int = 4
     depth: int = 2
     #: accesses with ascending addresses needed before a stream trains
@@ -237,7 +236,6 @@ class PrefetchConfig:
 class TimingProtectionConfig:
     """Periodic ORAM access configuration (sections 2.5 and 5.6)."""
 
-    enabled: bool = False
     interval_cycles: int = 100
 
 

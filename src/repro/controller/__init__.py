@@ -1,27 +1,24 @@
-"""The ORAM controller layer: one protocol, one pipeline, many schemes.
-
-Historically every ORAM scheme in this repository re-implemented its own
-access loop and ``ORAMBackend._perform_access`` was welded to
-:class:`~repro.oram.path_oram.PathORAM` internals.  This package is the
-seam that separates *what an ORAM scheme must provide* from *how the
-memory controller drives it*:
+"""The ORAM controller layer: the scheme protocol, the access function, banks.
 
 * :mod:`repro.controller.scheme` -- the :class:`ORAMScheme` protocol
   (begin/finish access, background eviction, stash drain, invariant
   check) that Path ORAM, Ring ORAM, the Shi et al. tree ORAM, and the
   square-root ORAM all implement, plus a registry for building any of
-  them by name;
+  them by name.  It serves ``repro parity``, the cross-scheme parity
+  suite and ``fsck``; the timing backend is *not* scheme-generic --
+  :class:`~repro.memory.oram_backend.ORAMBackend` constructs a
+  :class:`~repro.oram.path_oram.PathORAM` and reads its ``position_map``,
+  ``stash`` and ``_pending_writeback``;
 * :mod:`repro.controller.mixins` -- the stash/eviction/placement logic
-  that used to be duplicated across the scheme zoo, hoisted into shared
-  mixins;
-* :mod:`repro.controller.pipeline` -- the explicit access-phase pipeline
-  (PosMap -> PathRead -> Remap -> Writeback) the memory backend executes
-  per request, with per-phase cycle and fault accounting;
+  the scheme zoo shares;
+* :mod:`repro.controller.pipeline` -- :class:`AccessPipeline`, the one
+  function every ``ORAMBackend`` request runs (PosMap walk -> path read ->
+  remap -> write-back), with per-phase cycle and fault accounting;
 * :mod:`repro.controller.sharded` -- the channel-interleaved
   :class:`ShardedORAMBank` that fans requests out over N independent
-  scheme instances behind the single :class:`MemoryBackend` interface
-  (imported directly, not re-exported here, to keep the package import
-  acyclic with :mod:`repro.memory`).
+  ``ORAMBackend`` controllers behind the single :class:`MemoryBackend`
+  interface (imported directly, not re-exported here, to keep the package
+  import acyclic with :mod:`repro.memory`).
 """
 
 from repro.controller.mixins import (
@@ -30,13 +27,7 @@ from repro.controller.mixins import (
     GreedyWritebackMixin,
     SharedLeafMixin,
 )
-from repro.controller.pipeline import (
-    AccessPipeline,
-    PathReadPhase,
-    PosMapPhase,
-    RemapPhase,
-    WritebackPhase,
-)
+from repro.controller.pipeline import AccessPipeline
 from repro.controller.scheme import ORAMScheme, SCHEME_FACTORIES, build_scheme
 
 __all__ = [
@@ -45,11 +36,7 @@ __all__ = [
     "DeepestPlacementMixin",
     "GreedyWritebackMixin",
     "ORAMScheme",
-    "PathReadPhase",
-    "PosMapPhase",
-    "RemapPhase",
     "SCHEME_FACTORIES",
     "SharedLeafMixin",
-    "WritebackPhase",
     "build_scheme",
 ]

@@ -1,185 +1,57 @@
-"""The explicit access-phase pipeline behind ``ORAMBackend``.
+"""The access function of ``ORAMBackend``: one oblivious access, start to end.
 
-One LLC-side request used to run as a single inlined blob in
-``ORAMBackend._perform_access``.  The pipeline names the four protocol
-phases of the paper's access (posmap lookup -> path read -> remap ->
-write-back) as first-class objects, threads one :class:`AccessContext`
-through them, and meters each phase's cycles and faults separately --
-the breakdown the profiler and the sharded bank both need.
+The paper states an access as five steps (section 2.2: PosMap lookup,
+path read, return the block, remap, path write-back) and runs the
+super-block scheme (Algorithms 1 and 2) in one gap of it -- after the path
+is read, before it is written back, while every member of the super block
+sits in the stash.  :meth:`AccessPipeline.execute` is that sequence as
+four straight-line blocks:
 
-Bit-identity contract: for the 1-shard Path ORAM configuration the
-pipeline performs *exactly* the operations of the pre-refactor inlined
-body, in the same order, with the same RNG draws -- the golden
-determinism test pins this.  New accounting (per-phase cycles, fault
-attribution) only ever lands in pipeline-owned counters and
-``SimResult.extra``, never in the pinned result fields.
+1. **before the path** -- fault-model hook, stash drain + degradation
+   relief (section 2.4: background evictions run before real requests),
+   then the recursive position-map walk (section 2.3);
+2. **path read** -- super-block membership, the path read + remap half of
+   the scheme access, and the interconnect's streamed completion of that
+   one path;
+3. **remap** -- the scheme's merge/break decision over the members that
+   came from ORAM, run while they are all on-chip;
+4. **write-back** -- the path write-back committing the remap.
 
-Phase responsibilities (section numbers refer to the paper):
+Latency identity: a request's latency is ``extra * T + streamed +
+evictions * T + fault_delay`` (``T`` = the interconnect's public per-path
+cost), and those same three cycle terms are its ``posmap`` / ``path_read``
+/ ``writeback`` attribution (``remap`` is on-chip and charged nothing), so
+``sum(phase_cycles.values())`` plus the health plane's padding paths is
+``stats.busy_cycles`` by construction, and a span's ``end - start`` is
+the sum of its ``phases`` plus ``fault_delay``.
 
-* :class:`PosMapPhase` -- fault-model hook, stash drain + degradation
-  relief (section 2.4: background evictions run before real requests),
-  then the recursive position-map walk (section 2.3);
-* :class:`PathReadPhase` -- super-block membership resolution and the
-  path read + remap half of the scheme access;
-* :class:`RemapPhase` -- the dynamic scheme's merge/break decision over
-  the fetched members (Algorithms 1 and 2), run while every member is
-  physically on-chip;
-* :class:`WritebackPhase` -- the path write-back committing the remap.
+This is the backend's own access path, not a layer apart from it: it
+reads the backend's fault/relief helpers, LLC probe and policy listener
+directly, and the leaf ``PathORAM.begin_access`` parked for the
+write-back.  Per-phase attribution lands only in pipeline-owned counters
+and ``SimResult.extra``; the pinned result fields keep flowing into
+:class:`~repro.memory.backend.BackendStats`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-
-class AccessContext:
-    """Mutable per-request state threaded through the pipeline phases."""
-
-    __slots__ = (
-        "addr",
-        "start",
-        "run_scheme",
-        "evictions",
-        "extra",
-        "fault_delay",
-        "members",
-        "blocks",
-        "outcome",
-        "leaf",
-        "streamed_cycles",
-    )
-
-    def __init__(self, addr: int, start: int, run_scheme: bool):
-        self.addr = addr
-        self.start = start
-        self.run_scheme = run_scheme
-        self.evictions = 0  # background evictions charged to this request
-        self.extra = 0  # extra path accesses from the posmap walk
-        self.fault_delay = 0  # injected-fault latency (cycles)
-        self.members: Tuple[int, ...] = ()
-        self.blocks: Any = None
-        self.outcome: Any = None
-        self.leaf = 0  # path the demand access read (streamed by the interconnect)
-        self.streamed_cycles = 0  # interconnect completion - issue of the path read
-
-
-class PosMapPhase:
-    """Fault hook, stash drain/relief, and the PosMap hierarchy walk."""
-
-    name = "posmap"
-
-    def run(self, backend, ctx: AccessContext) -> None:
-        if backend.injector is not None:
-            ctx.fault_delay = backend._fault_delay()
-        oram = backend.oram
-        stats = backend.stats
-        evictions = oram.drain_stash()
-        if backend._stash_soft_limit is not None:
-            evictions += backend._relieve_stash()
-        ctx.evictions = evictions
-        stats.dummy_accesses += evictions
-        ctx.extra = backend.posmap_hierarchy.lookup(ctx.addr)
-        stats.posmap_accesses += ctx.extra
-
-    def cycles(self, backend, ctx: AccessContext) -> int:
-        # Each posmap hierarchy miss is a full path access on the smaller
-        # trees, modeled at the public per-path cost (section 2.3) -- the
-        # walk's leaves are part of the recursion's access pattern, so it
-        # is never streamed through the leaf-aware scheduler.
-        return ctx.extra * backend.interconnect.path_cycles
-
-
-class PathReadPhase:
-    """Resolve super-block membership and read + remap the path."""
-
-    name = "path_read"
-
-    def run(self, backend, ctx: AccessContext) -> None:
-        ctx.members = backend.scheme.members_for(ctx.addr)
-        ctx.blocks = backend.oram.begin_access(ctx.members)
-        # begin_access parked the read path's leaf for the write-back;
-        # that same leaf is the bucket stream the interconnect times.
-        ctx.leaf = backend.oram._pending_writeback
-
-    def cycles(self, backend, ctx: AccessContext) -> int:
-        # The demand path is the one access the interconnect streams
-        # bucket-by-bucket: it issues after the serialized background
-        # evictions and PosMap paths, and its read + write-back share one
-        # full-path pass.  The flat model returns exactly path_cycles.
-        interconnect = backend.interconnect
-        issue = ctx.start + (ctx.evictions + ctx.extra) * interconnect.path_cycles
-        ctx.streamed_cycles = interconnect.path_completion(ctx.leaf, issue) - issue
-        return ctx.streamed_cycles
-
-
-class RemapPhase:
-    """Run the super-block scheme over the fetched members (on-chip)."""
-
-    name = "remap"
-
-    def run(self, backend, ctx: AccessContext) -> None:
-        if not ctx.run_scheme:
-            return
-        # Members whose copies are already LLC-resident are not "coming
-        # from ORAM" for the scheme's purposes (Algorithm 2).  The
-        # singleton case (most accesses) skips the comprehension frame.
-        members = ctx.members
-        blocks = ctx.blocks
-        llc_contains = backend._llc_contains
-        if len(members) == 1:
-            member = members[0]
-            fetched = {} if llc_contains(member) else {member: blocks[member]}
-        else:
-            fetched = {
-                member: blocks[member]
-                for member in members
-                if not llc_contains(member)
-            }
-        ctx.outcome = backend.scheme.process_fetch(ctx.addr, members, fetched)
-
-    def cycles(self, backend, ctx: AccessContext) -> int:
-        # Remap decisions happen on-chip within the path-read shadow; the
-        # timing model charges them no memory cycles.
-        return 0
-
-
-class WritebackPhase:
-    """Commit the access: path write-back plus charged background evictions."""
-
-    name = "writeback"
-
-    def run(self, backend, ctx: AccessContext) -> None:
-        backend.oram.finish_access()
-
-    def cycles(self, backend, ctx: AccessContext) -> int:
-        # The demand path's write-back shares its path access with the
-        # read (one full-path R/W); what this phase owns in the latency
-        # formula is the background evictions drained up front -- each a
-        # full dummy path access (section 2.4) charged at the public
-        # per-path cost (their leaves are uniform draws, never streamed).
-        return ctx.evictions * backend.interconnect.path_cycles
-
-
-#: The canonical phase order of one oblivious access.
-DEFAULT_PHASES = (PosMapPhase(), PathReadPhase(), RemapPhase(), WritebackPhase())
+from typing import Dict
 
 
 class AccessPipeline:
-    """Drives the four phases for each request and meters the breakdown.
+    """Executes every access of one backend and meters the breakdown."""
 
-    The pipeline owns the per-phase counters (``phase_cycles``,
-    ``fault_cycles``); aggregate stats keep flowing into the backend's
-    :class:`~repro.memory.backend.BackendStats` exactly as before, so the
-    pinned golden result is untouched.
-    """
-
-    def __init__(self, backend, phases=DEFAULT_PHASES):
+    def __init__(self, backend):
         self.backend = backend
-        self.phases = tuple(phases)
         #: phase name -> cycles attributed to that phase, plus injected
         #: fault latency under its own key (it belongs to no phase).
-        self.phase_cycles: Dict[str, int] = {p.name: 0 for p in self.phases}
-        self.phase_cycles["fault"] = 0
+        self.phase_cycles: Dict[str, int] = {
+            "posmap": 0,
+            "path_read": 0,
+            "remap": 0,
+            "writeback": 0,
+            "fault": 0,
+        }
         self.requests = 0
 
     def execute(
@@ -191,49 +63,85 @@ class AccessPipeline:
         "writeback"); it has no effect on the access itself.
         """
         backend = self.backend
-        ctx = AccessContext(addr, start, run_scheme)
-        phase_cycles = self.phase_cycles
-        recorder = backend.recorder
-        if recorder is None:
-            # Disabled-tracing fast path: identical to the pre-tracing loop.
-            for phase in self.phases:
-                phase.run(backend, ctx)
-                phase_cycles[phase.name] += phase.cycles(backend, ctx)
-        else:
-            scheme_stats = backend.scheme.stats
-            merges_before = scheme_stats.merges
-            breaks_before = scheme_stats.breaks
-            retries_before = backend.stats.fault_retries
-            span_phases: Dict[str, int] = {}
-            for phase in self.phases:
-                phase.run(backend, ctx)
-                cycles = phase.cycles(backend, ctx)
-                phase_cycles[phase.name] += cycles
-                span_phases[phase.name] = cycles
-        phase_cycles["fault"] += ctx.fault_delay
-        self.requests += 1
-        # ----------------------------------------------------------- timing
+        oram = backend.oram
+        scheme = backend.scheme
         stats = backend.stats
         interconnect = backend.interconnect
-        serialized = ctx.evictions + ctx.extra
-        if serialized:
-            interconnect.note_untracked(serialized)
-        # Serialized dummy/PosMap paths at the public per-path cost, then
-        # the streamed demand path (PathReadPhase recorded its cycles);
-        # under the flat model this is the pre-refactor constant multiply.
-        latency = (
-            serialized * interconnect.path_cycles
-            + ctx.streamed_cycles
-            + ctx.fault_delay
-        )
+        path_cycles = interconnect.path_cycles
+        recorder = backend.recorder
+        if recorder is not None:
+            scheme_stats = scheme.stats
+            merges_before = scheme_stats.merges
+            breaks_before = scheme_stats.breaks
+            retries_before = stats.fault_retries
+
+        # ------------------------------------------------ 1. before the path
+        fault_delay = backend._fault_delay() if backend.injector is not None else 0
+        evictions = oram.drain_stash()
+        if backend._stash_soft_limit is not None:
+            evictions += backend._relieve_stash()
+        stats.dummy_accesses += evictions
+        extra = backend.posmap_hierarchy.lookup(addr)
+        stats.posmap_accesses += extra
+        # Each PosMap miss is a full path access on the smaller trees and
+        # each background eviction a full dummy path access; both are
+        # charged the public per-path cost and never streamed through the
+        # leaf-aware scheduler (the walk's leaves belong to the recursion's
+        # access pattern, the evictions' are uniform draws).
+        posmap_cycles = extra * path_cycles
+        evict_cycles = evictions * path_cycles
+
+        # ------------------------------------------------------ 2. path read
+        members = scheme.members_for(addr)
+        blocks = oram.begin_access(members)
+        # The demand path is the one access the interconnect streams
+        # bucket by bucket: it issues after the serialized evictions and
+        # PosMap paths, and its read + write-back share one full-path pass
+        # (the flat model returns exactly path_cycles).  begin_access
+        # parked the read path's leaf for the write-back; that leaf is the
+        # bucket stream being timed.
+        issue = start + evict_cycles + posmap_cycles
+        streamed = interconnect.path_completion(oram._pending_writeback, issue) - issue
+
+        # ---------------------------------------------------------- 3. remap
+        outcome = None
+        if run_scheme:
+            # Members whose copies are already LLC-resident are not "coming
+            # from ORAM" for the scheme's purposes (Algorithm 2).  The
+            # singleton case (most accesses) skips the comprehension frame.
+            llc_contains = backend._llc_contains
+            if len(members) == 1:
+                member = members[0]
+                fetched = {} if llc_contains(member) else {member: blocks[member]}
+            else:
+                fetched = {
+                    member: blocks[member]
+                    for member in members
+                    if not llc_contains(member)
+                }
+            outcome = scheme.process_fetch(addr, members, fetched)
+
+        # ----------------------------------------------------- 4. write-back
+        oram.finish_access()
+
+        # ------------------------------------------------------- accounting
+        latency = posmap_cycles + streamed + evict_cycles + fault_delay
         completion = start + latency
+        phase_cycles = self.phase_cycles
+        phase_cycles["posmap"] += posmap_cycles
+        phase_cycles["path_read"] += streamed
+        phase_cycles["writeback"] += evict_cycles
+        phase_cycles["fault"] += fault_delay
+        self.requests += 1
+        if evictions or extra:
+            interconnect.note_untracked(evictions + extra)
         backend.busy_until = completion
-        stats.memory_accesses += ctx.extra + 1
+        stats.memory_accesses += extra + 1
         stats.busy_cycles += latency
         policy = backend._policy_listener
         if policy is not None:
-            if ctx.evictions:
-                policy.on_background_eviction(ctx.evictions)
+            if evictions:
+                policy.on_background_eviction(evictions)
             # A same-cycle burst (sharded batches) may land elapsed == 0;
             # the policy guards that boundary itself (Equation 1).
             policy.on_request(
@@ -250,17 +158,22 @@ class AccessPipeline:
                     "shard": backend.shard_index,
                     "start": start,
                     "end": completion,
-                    "phases": span_phases,
-                    "fault_delay": ctx.fault_delay,
-                    "retries": backend.stats.fault_retries - retries_before,
-                    "evictions": ctx.evictions,
-                    "posmap_extra": ctx.extra,
-                    "stash": len(backend.oram.stash),
+                    "phases": {
+                        "posmap": posmap_cycles,
+                        "path_read": streamed,
+                        "remap": 0,
+                        "writeback": evict_cycles,
+                    },
+                    "fault_delay": fault_delay,
+                    "retries": stats.fault_retries - retries_before,
+                    "evictions": evictions,
+                    "posmap_extra": extra,
+                    "stash": len(oram.stash),
                     "merges": scheme_stats.merges - merges_before,
                     "breaks": scheme_stats.breaks - breaks_before,
                 }
             )
-        return completion, ctx.outcome
+        return completion, outcome
 
     def breakdown(self) -> Dict[str, int]:
         """A copy of the per-phase cycle attribution (profiler export)."""

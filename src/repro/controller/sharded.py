@@ -58,7 +58,6 @@ imports the controller package, and the indirection keeps that cycle open.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -456,8 +455,8 @@ def build_shard_backend(
         shard_index: which channel to build, in ``range(num_shards)``.
         policy: threshold policy for a ``dyn`` controller (stateful, so
             only a lone controller may be handed one).
-        periodic: wrap the controller in periodic accesses (Figure 15;
-            ``Oint`` defaults to 100 cycles when the config leaves it 0).
+        periodic: wrap the controller in periodic accesses (Figure 15)
+            at ``config.timing_protection.interval_cycles`` (``Oint``).
         rng_restart_salt: 0 for a first boot (bit-identical to the serial
             bank); a respawned worker passes its restart attempt number so
             the recovered shard draws a fresh, still-deterministic leaf
@@ -475,11 +474,8 @@ def build_shard_backend(
         observer=observer, fault_injector=fault_injector, resilience=resilience
     )
     if periodic:
-        protection = config.timing_protection
-        if not protection.interval_cycles:
-            protection = replace(protection, interval_cycles=100)
         backend: ORAMBackend = PeriodicORAMBackend(
-            oram_config, config.dram, scheme, rng, protection, **wiring
+            oram_config, config.dram, scheme, rng, config.timing_protection, **wiring
         )
     else:
         backend = ORAMBackend(oram_config, config.dram, scheme, rng, **wiring)

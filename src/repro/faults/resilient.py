@@ -95,6 +95,22 @@ class ResilienceConfig:
         if not 0.0 < self.stash_soft_fraction <= 1.0:
             raise ValueError("stash_soft_fraction must be in (0, 1]")
 
+    def backoff_cycles(self, attempt: int, rng: DeterministicRng) -> int:
+        """Cycles to wait before retry ``attempt`` (0-based).
+
+        The exponential term stops doubling after ``max_retries`` steps
+        and saturates at ``backoff_max_cycles``; one jitter draw from
+        ``rng`` keeps repeated runs replaying exactly.  The KV store's
+        retry ladder and the timing backend's in-place retries both charge
+        this.
+        """
+        base = self.backoff_base_cycles
+        ceiling = self.backoff_max_cycles
+        # Clamp the shift as well: ``base << attempt`` materializes a huge
+        # integer before min() could discard it.
+        shift = min(attempt, self.max_retries, ceiling.bit_length())
+        return min(base << shift, ceiling) + rng.randbelow(max(1, base))
+
 
 @dataclass
 class RecoveryStats:
@@ -277,7 +293,9 @@ class ResilientKVStore(ObliviousKVStore):
                 stats.transient_faults += 1
                 if retries < resilience.max_retries:
                     stats.retries += 1
-                    stats.backoff_cycles += self._backoff(retries)
+                    stats.backoff_cycles += resilience.backoff_cycles(
+                        retries, self._backoff_rng
+                    )
                     retries += 1
                     continue
                 # Retries exhausted: the "transient" fault is persistent.
@@ -299,19 +317,6 @@ class ResilientKVStore(ObliviousKVStore):
                     )
                 self._recover()
                 retries = 0
-
-    def _backoff(self, attempt: int) -> int:
-        """Exponential backoff cycles for retry ``attempt`` (0-based), with
-        deterministic jitter so repeated runs replay exactly.  The
-        exponential term saturates at ``backoff_max_cycles`` -- an
-        unbounded shift would charge absurd waits under deep retry
-        budgets (and overflow any realistic cycle budget)."""
-        base = self.resilience.backoff_base_cycles
-        # Cap the shift amount too: (base << attempt) materializes a
-        # huge integer before min() could discard it.
-        capped_attempt = min(attempt, self.resilience.backoff_max_cycles.bit_length())
-        wait = min(base << capped_attempt, self.resilience.backoff_max_cycles)
-        return wait + self._backoff_rng.randbelow(max(1, base))
 
     # --------------------------------------------------------------- recovery
     def _recover(self) -> None:

@@ -85,9 +85,9 @@ class ORAMBackend(MemoryBackend):
     """Path ORAM behind the LLC, with a pluggable super block scheme.
 
     Tracing contract: ``recorder`` is ``None`` by default and the access
-    pipeline checks exactly that before building a span, so a backend with
-    tracing disabled performs the identical operations (and RNG draws) as
-    one built before tracing existed -- the golden ``SimResult`` pins this.
+    pipeline checks exactly that before building a span, so tracing never
+    changes which operations (and RNG draws) an access performs -- the
+    golden ``SimResult`` pins this.
     ``shard_index`` labels spans when the backend serves as a channel of a
     :class:`~repro.controller.sharded.ShardedORAMBank`.
 
@@ -136,7 +136,7 @@ class ORAMBackend(MemoryBackend):
         )
         self._llc_contains: Callable[[int], bool] = lambda addr: False
         #: optional span sink (:mod:`repro.observability`); ``None`` is the
-        #: zero-cost disabled state the pipeline fast-paths on
+        #: disabled state -- the only thing the pipeline tests
         self.recorder = None
         #: channel index when owned by a ShardedORAMBank (spans carry it)
         self.shard_index = 0
@@ -153,8 +153,8 @@ class ORAMBackend(MemoryBackend):
         # The threshold listener never changes after construction; caching
         # it avoids a per-access virtual call in the pipeline.
         self._policy_listener = scheme.threshold_listener()
-        #: the explicit phase pipeline executing every access (PosMap ->
-        #: PathRead -> Remap -> Writeback) with per-phase accounting
+        #: the access function every request runs (PosMap walk -> path read
+        #: -> remap -> write-back) with per-phase accounting
         self.pipeline = AccessPipeline(self)
         #: optional callback(occupancy) sampled after every demand access
         #: (the stash-occupancy study hooks in here)
@@ -190,8 +190,8 @@ class ORAMBackend(MemoryBackend):
         """Install (or remove, with ``None``) a span recorder.
 
         Disabled recorders (``enabled`` false, e.g. ``NullRecorder``) are
-        normalized to ``None`` so the pipeline keeps its single
-        ``is None`` fast-path check.
+        normalized to ``None`` so the pipeline only ever tests
+        ``is None``.
         """
         if recorder is not None and not getattr(recorder, "enabled", True):
             recorder = None
@@ -254,14 +254,14 @@ class ORAMBackend(MemoryBackend):
 
         Transient read failures are retried in place -- the timing backend
         carries no payloads, so a retry is purely a latency event: each
-        attempt charges exponential backoff (capped exponent, deterministic
-        jitter) until the storage responds.  Delayed responses simply add
-        their cycles.  Returns the total extra latency.
+        attempt charges :meth:`ResilienceConfig.backoff_cycles` (capped
+        exponential, deterministic jitter) until the storage responds.
+        Delayed responses simply add their cycles.  Returns the total
+        extra latency.
         """
         injector = self.injector
         stats = self.stats
-        resilience = self.resilience
-        base = resilience.backoff_base_cycles
+        backoff_cycles = self.resilience.backoff_cycles
         delay = 0
         attempt = 0
         while True:
@@ -271,8 +271,7 @@ class ORAMBackend(MemoryBackend):
             except TransientReadError:
                 stats.transient_faults += 1
                 stats.fault_retries += 1
-                shift = min(attempt, resilience.max_retries)
-                delay += (base << shift) + self._backoff_rng.randbelow(max(1, base))
+                delay += backoff_cycles(attempt, self._backoff_rng)
                 attempt += 1
         stats.fault_delay_cycles += delay
         return delay
@@ -309,20 +308,21 @@ class ORAMBackend(MemoryBackend):
                 f"{self.oram.position_map.num_blocks} blocks"
             )
 
-    def _perform_access(
-        self, addr: int, start: int, run_scheme: bool, kind: str = "demand"
-    ) -> tuple:
-        """Shared functional + timing core of read/write/prefetch accesses.
+    def _issue(self, addr: int, now: int, run_scheme: bool, kind: str) -> tuple:
+        """The one point where a request enters the access pipeline.
 
-        Delegates to the explicit phase pipeline (PosMap -> PathRead ->
-        Remap -> Writeback); the scheme hook (Algorithms 1 and 2) runs in
-        the remap phase, between the path read and the path write-back,
-        while every member of the super block is physically in the stash.
-        ``kind`` only labels the span when tracing is enabled.
+        Demand misses, prefetches and dirty write-backs all issue here:
+        queued behind whatever the controller is doing (timing is strictly
+        serialized, section 2.6), then one
+        :meth:`~repro.controller.pipeline.AccessPipeline.execute`.
+        ``run_scheme`` is false for write-backs (Algorithms 1 and 2 only
+        run on fetches); ``kind`` only labels the span when tracing is on.
 
         Returns (completion_cycle, FetchOutcome-or-None).
         """
-        return self.pipeline.execute(addr, start, run_scheme, kind)
+        return self.pipeline.execute(
+            addr, max(now, self.busy_until), run_scheme, kind
+        )
 
     # ----------------------------------------------------------------- access
     def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
@@ -333,8 +333,7 @@ class ORAMBackend(MemoryBackend):
                 f"{self.oram.position_map.num_blocks} blocks"
             )
         self.stats.demand_requests += 1
-        start = max(now, self.busy_until)
-        completion, outcome = self._perform_access(addr, start, run_scheme=True)
+        completion, outcome = self._issue(addr, now, True, "demand")
         if self.stash_sampler is not None:
             self.stash_sampler(len(self.oram.stash))
         return DemandResult(completion, outcome.to_llc)
@@ -358,10 +357,7 @@ class ORAMBackend(MemoryBackend):
         if not 0 <= addr < self.oram.position_map.num_blocks:
             return None
         self.stats.prefetch_requests += 1
-        start = max(now, self.busy_until)
-        completion, outcome = self._perform_access(
-            addr, start, run_scheme=True, kind="prefetch"
-        )
+        completion, outcome = self._issue(addr, now, True, "prefetch")
         # Every line a prefetch brings in is a prefetched line, including
         # the nominal "demand" member.
         for member_addr, _ in outcome.to_llc:
@@ -382,11 +378,7 @@ class ORAMBackend(MemoryBackend):
             return
         self._check_addr(addr)
         self.stats.write_accesses += 1
-        start = max(now, self.busy_until)
-        self._perform_access(addr, start, run_scheme=False, kind="writeback")
-
-    def on_llc_hit(self, addr: int) -> None:
-        self.scheme.on_llc_hit(addr)
+        self._issue(addr, now, False, "writeback")
 
     def finalize(self, now: int) -> None:
         """End-of-run housekeeping: drain the treetop write-back queue.
@@ -398,9 +390,7 @@ class ORAMBackend(MemoryBackend):
         (DESIGN.md section 13) -- so no cycles are added to ``now``.
         Windowed statistics roll on request boundaries as before.
         """
-        flush = getattr(self.oram.tree, "flush_treetop", None)
-        if flush is not None:
-            flush()
+        self.oram.tree.flush_treetop()
 
     # ------------------------------------------------------------------ stats
     @property

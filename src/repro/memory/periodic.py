@@ -19,15 +19,14 @@ compute-bound workloads simulable without changing any observable metric.
 
 Scheduling invariant: every access -- real or dummy -- issues exactly on
 the periodic grid, i.e. at a cycle congruent to 0 modulo
-``path_cycles + Oint``.  An earlier version reset the schedule from each
-access's *completion* cycle (``_next_slot = completion + Oint``), which
-silently drifted the public cadence off the grid whenever an access train
-ran long (PosMap misses, background evictions, fault retries) or a request
-arrived mid-slot after a backlogged burst -- precisely the data-dependent
-jitter the timing channel is supposed to hide.  The schedule now only ever
-advances in whole periods, and a request arriving after a slot opened
-waits for the next grid point (the open slot fires as the dummy it would
-have been in hardware).
+``path_cycles + Oint``.  Scheduling from each access's *completion* cycle
+(``_next_slot = completion + Oint``) would drift the public cadence off
+the grid whenever an access train ran long (PosMap misses, background
+evictions, fault retries) or a request arrived mid-slot after a backlogged
+burst -- precisely the data-dependent jitter the timing channel is
+supposed to hide.  So the schedule only ever advances in whole periods,
+and a request arriving after a slot opened waits for the next grid point
+(the open slot fires as the dummy it would have been in hardware).
 """
 
 from __future__ import annotations
@@ -133,33 +132,21 @@ class PeriodicORAMBackend(ORAMBackend):
         gaps = -(-(completion + self.interval - slot) // period)
         self._next_slot = slot + gaps * period
 
-    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
+    def _issue(self, addr: int, now: int, run_scheme: bool, kind: str) -> tuple:
+        """Every request -- demand, prefetch, dirty write-back -- issues at
+        its grid slot, and the schedule resumes on the grid after it."""
         slot = self._claim_slot(now)
-        result = super().demand_access(addr, slot, is_write)
-        # super() serialized on busy_until <= slot; the issue time is the
-        # grid slot exactly, and the schedule resumes on the grid.
-        self._schedule_after(slot, result.completion_cycle)
-        return result
+        issued = super()._issue(addr, slot, run_scheme, kind)
+        self._schedule_after(slot, issued[0])
+        return issued
 
     def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
-        slot = self._claim_slot(now)
-        result = super().prefetch_access(addr, slot)
-        if result is not None:
-            self._schedule_after(slot, result.completion_cycle)
-        return result
-
-    def evict_line(self, addr: int, dirty: bool, now: int) -> None:
-        """Dirty write-backs also ride the periodic schedule."""
-        self.scheme.on_llc_evict(addr)
-        if not dirty:
-            return
-        self._check_addr(addr)
-        self.stats.write_accesses += 1
-        slot = self._claim_slot(now)
-        completion, _ = self._perform_access(
-            addr, slot, run_scheme=False, kind="writeback"
-        )
-        self._schedule_after(slot, completion)
+        # The slot is claimed *before* the base class decides whether to
+        # decline: its backlog check must see the grid slot, not the
+        # arrival cycle, and the slots that elapsed before the arrival
+        # fire as dummies whether or not the prefetch is then taken.
+        # (_issue's own claim, at the slot it is handed, is a no-op.)
+        return super().prefetch_access(addr, self._claim_slot(now))
 
     def finalize(self, now: int) -> None:
         """Account the dummy slots up to the end of the run, then let the

@@ -401,6 +401,7 @@ def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:
             replay window of recent batch replies here).
     """
     hierarchy = backend.posmap_hierarchy
+    injector = backend.injector
     state = {
         "version": BACKEND_FORMAT_VERSION,
         "kind": "oram-backend",
@@ -424,6 +425,7 @@ def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:
             "phase_cycles": backend.pipeline.breakdown(),
             "pipeline_requests": backend.pipeline.requests,
             "interconnect": backend.interconnect.state_dict(),
+            "injector": injector.stats.as_dict() if injector is not None else None,
         },
         "runtime": runtime_state or {},
     }
@@ -479,6 +481,16 @@ def restore_backend_state(backend, payload: str) -> dict:
         interconnect_state = saved.get("interconnect")
         if interconnect_state:
             backend.interconnect.load_state_dict(interconnect_state)
+        # Likewise optional.  Without the injector's own counters a
+        # reopened shard's fresh injector would restart at zero: its
+        # ``injected_*`` totals would fall behind the restored
+        # ``BackendStats`` and ``start_after`` would grant a second
+        # fault-free warm-up.
+        injected = saved.get("injector")
+        if injected and backend.injector is not None:
+            injector_stats = backend.injector.stats
+            for name in vars(injector_stats):
+                setattr(injector_stats, name, injected[name])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed backend checkpoint: {exc!r}") from exc
     runtime = state.get("runtime", {})

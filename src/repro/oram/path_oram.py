@@ -193,8 +193,9 @@ class PathORAM(
         self.real_accesses += 1
         if self.observer is not None:
             self.observer.on_path_access(leaf, "real")
-        # Step 2: read the whole path into the stash (stash.absorb_path
-        # inlined -- this runs once per access).
+        # Step 2: read the whole path straight into the stash's backing
+        # dict (no intermediate list), with one amortized duplicate check
+        # and one watermark update.
         if self._hooks_active:
             self._before_path_read(leaf)
         stash = self.stash
@@ -267,10 +268,10 @@ class PathORAM(
             self.observer.on_path_access(leaf, kind)
         if self._hooks_active:
             self._before_path_read(leaf)
-        # stash.absorb_path inlined (as in begin_access); the watermark
-        # cannot rise here -- a dummy access never adds net blocks, and the
-        # eviction below runs before the next occupancy reading -- but the
-        # duplicate check is kept: it guards the same invariant.
+        # Same path read as begin_access.  The watermark cannot rise here
+        # -- a dummy access never adds net blocks, and the eviction below
+        # runs before the next occupancy reading -- but the duplicate check
+        # is kept: it guards the same invariant.
         stash = self.stash
         store = stash._blocks
         before = len(store)
@@ -395,7 +396,8 @@ class PathORAM(
                 else:
                     buckets[path[level]] = flat[pos : pos + take]
                 pos += take
-        # stash.remove_all inlined: drop the placed blocks from the stash.
+        # Drop the placed blocks from the stash (eviction only places
+        # blocks it took from there, so every one is present).
         for block in flat[:pos]:
             del stash_blocks[block.addr]
 

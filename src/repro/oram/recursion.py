@@ -105,7 +105,13 @@ class PosMapHierarchy:
             self._cache.popitem(last=False)
 
     def hit_rate(self) -> float:
-        """Fraction of lookups whose level-1 PosMap block was cached."""
+        """Fraction of lookups whose walk ended on a cached PosMap block.
+
+        ``cache_hits`` counts the hit that stops a walk at *any* level, so
+        a lookup that missed its level-1 block and found the level-2 block
+        cached (one extra path access) still counts as a hit; only walks
+        that ran all the way to the on-chip root map do not.
+        """
         if self.lookups == 0:
             return 0.0
         return self.cache_hits / self.lookups

@@ -56,36 +56,9 @@ class Stash:
         if after > self.max_occupancy:
             self.max_occupancy = after
 
-    def absorb_path(self, tree, leaf: int) -> None:
-        """Move a whole tree path into the stash (step 2 of every access).
-
-        Hands the backing dict to :meth:`BinaryTree.read_path_into` so path
-        blocks land directly in the stash with no intermediate list, with
-        the same amortized duplicate check and single watermark update as
-        :meth:`add_all`.
-        """
-        store = self._blocks
-        before = len(store)
-        moved = tree.read_path_into(leaf, store)
-        after = len(store)
-        if after != before + moved:
-            raise ValueError("duplicate block in stash (path/stash overlap)")
-        if after > self.max_occupancy:
-            self.max_occupancy = after
-
     def pop(self, addr: int) -> Optional[Block]:
         """Remove and return the block with ``addr`` if present."""
         return self._blocks.pop(addr, None)
-
-    def remove_all(self, blocks: List[Block]) -> None:
-        """Remove blocks just written back onto a path (hot eviction path).
-
-        Every block must be present; eviction only places blocks it took
-        from this stash.
-        """
-        store = self._blocks
-        for block in blocks:
-            del store[block.addr]
 
     def peek(self, addr: int) -> Optional[Block]:
         """Return the block with ``addr`` without removing it."""

@@ -320,11 +320,17 @@ class ParallelShardRuntime:
         if inline:
             # This process is the trusted domain (injected faults model
             # worker memory) and cannot hang on itself, so the inline
-            # shard runs without injector or heartbeats; it pads every
-            # request with a dummy path so its traffic keeps one shape.
+            # shard runs with a silent injector and no heartbeats; it pads
+            # every request with a dummy path so its traffic keeps one
+            # shape.  Silent rather than absent: the injector's counters
+            # are part of the shard's checkpoint, and an incarnation with
+            # nowhere to restore them would drop them for good.
+            silent = spec.fault_config and replace(
+                spec.fault_config, transient_rate=0.0, delay_rate=0.0
+            )
             worker.process = None
             worker.commands = worker.replies = InlineShardChannel(
-                replace(spec, fault_config=None, heartbeat_every=0),
+                replace(spec, fault_config=silent, heartbeat_every=0),
                 pad_with_dummies=True,
             )
         else:

@@ -15,7 +15,6 @@ exactly like the paper's legends.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -125,7 +124,7 @@ class SecureSystem:
         ):
             if base_scheme.endswith(suffix):
                 base_scheme = base_scheme[: -len(suffix)]
-                prefetcher = prefetcher_cls(replace(config.prefetch, enabled=True))
+                prefetcher = prefetcher_cls(config.prefetch)
                 break
 
         if num_shards < 1:

@@ -1,16 +1,25 @@
 """Edge-case coverage across modules: boundary geometries and parameters."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.set_associative import SetAssociativeCache
-from repro.config import CacheConfig, DRAMConfig, ORAMConfig, TimingProtectionConfig
+from repro.config import (
+    CacheConfig,
+    DRAMConfig,
+    ORAMConfig,
+    SystemConfig,
+    TimingProtectionConfig,
+)
 from repro.memory.dram import DRAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.oram.checkpoint import dump_oram, load_oram
 from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme
+from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 
 
@@ -60,11 +69,22 @@ class TestBackendEdges:
             DRAMConfig(),
             BaselineScheme(),
             DeterministicRng(3),
-            TimingProtectionConfig(enabled=True, interval_cycles=0),
+            TimingProtectionConfig(interval_cycles=0),
         )
         first = backend.demand_access(1, 0, False)
         second = backend.demand_access(2, first.completion_cycle, False)
         assert second.completion_cycle == first.completion_cycle + backend.timing.path_cycles
+
+    def test_builder_honours_an_explicit_zero_interval(self):
+        """Regression: the builder turned ``interval_cycles=0`` into 100."""
+        for interval in (0, 100, 250):
+            config = dataclasses.replace(
+                SystemConfig(),
+                timing_protection=TimingProtectionConfig(interval_cycles=interval),
+            )
+            backend = SecureSystem.build("oram_intvl", 256, config).backend
+            assert backend.interval == interval
+        assert SecureSystem.build("oram_intvl", 256).backend.interval == 100
 
     def test_periodic_rejects_negative_interval(self):
         with pytest.raises(ValueError):
@@ -73,7 +93,7 @@ class TestBackendEdges:
                 DRAMConfig(),
                 BaselineScheme(),
                 DeterministicRng(3),
-                TimingProtectionConfig(enabled=True, interval_cycles=-1),
+                TimingProtectionConfig(interval_cycles=-1),
             )
 
 

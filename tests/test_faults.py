@@ -304,6 +304,30 @@ def store_values(store, shadow):
     return {key: store.get(key) for key in sorted(shadow)}
 
 
+class TestBackoffCycles:
+    """The one formula behind the KV store's ladder and the backend's
+    in-place retries: exponent stops at ``max_retries``, term at the
+    ceiling, jitter below one base period."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ResilienceConfig(),
+            ResilienceConfig(max_retries=2),
+            ResilienceConfig(max_retries=20, backoff_max_cycles=1 << 10),
+            ResilienceConfig(max_retries=10**6, backoff_base_cycles=1),
+        ],
+    )
+    def test_capped_exponential_plus_jitter(self, config):
+        rng = DeterministicRng(1)
+        base = config.backoff_base_cycles
+        for attempt in (0, 1, 2, 5, 19, 64, 10**5):
+            term = min(
+                base << min(attempt, config.max_retries), config.backoff_max_cycles
+            )
+            assert 0 <= config.backoff_cycles(attempt, rng) - term < base
+
+
 # ==================================================== timing backend
 class TestBackendFaults:
     def run_system(self, fault_injector=None, resilience=None, scheme="dyn"):
@@ -356,6 +380,31 @@ class TestBackendFaults:
             resilience=ResilienceConfig(stash_soft_fraction=0.02, max_forced_evictions=4)
         )
         assert result.extra["forced_evictions"] > 0
+
+    def test_retry_backoff_honours_the_ceiling(self):
+        """Regression: the backend charged ``base << attempt`` with no
+        ceiling, the runaway ``backoff_max_cycles`` exists to stop."""
+
+        class FailsFirst(FaultInjector):
+            left = 12
+
+            def on_memory_access(self):
+                if self.left:
+                    self.left -= 1
+                    raise TransientReadError("scripted")
+                return 0
+
+        resilience = ResilienceConfig(max_retries=20, backoff_max_cycles=256)
+        backend = SecureSystem.build(
+            "oram",
+            footprint_blocks=256,
+            fault_injector=FailsFirst(FaultConfig()),
+            resilience=resilience,
+        ).backend
+        backend.demand_access(0, 0, False)
+        assert backend.stats.fault_retries == 12
+        capped = sum(min(16 << attempt, 256) for attempt in range(12))
+        assert capped <= backend.stats.fault_delay_cycles < capped + 12 * 16
 
     def test_dram_rejects_faults(self):
         with pytest.raises(ValueError, match="DRAM"):

@@ -6,7 +6,7 @@ from repro.prefetch.markov import MarkovPrefetcher
 
 def make(depth=2, width=4, entries=16):
     return MarkovPrefetcher(
-        PrefetchConfig(enabled=True, num_streams=width, depth=depth),
+        PrefetchConfig(num_streams=width, depth=depth),
         table_entries=entries,
     )
 

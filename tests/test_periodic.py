@@ -14,7 +14,7 @@ def make_backend(interval=100, observer=None):
         DRAMConfig(),
         BaselineScheme(),
         DeterministicRng(4),
-        TimingProtectionConfig(enabled=True, interval_cycles=interval),
+        TimingProtectionConfig(interval_cycles=interval),
         observer=observer,
     )
 

@@ -1,0 +1,452 @@
+"""Differential test: the straight-line access function vs the phase
+objects it replaced, plus the latency identity it makes structural.
+
+The reference below is the parent commit's access path, kept here (and
+only here) as an oracle:
+
+* :class:`AccessContext`, the four ``*Phase`` classes and
+  :class:`ReferencePipeline` are ``controller/pipeline.py`` as it stood
+  -- a context object threaded through ``run()`` / ``cycles()`` pairs,
+  the phase loop written once per recorder state, and the latency formula
+  a second time in ``execute`` for the clock;
+* :class:`ReferencePeriodicBackend` is ``PeriodicORAMBackend`` with its
+  three re-implemented LLC-side entries (``evict_line`` a copy of the base
+  body with a slot claim spliced in) instead of the one ``_issue``
+  override.
+
+Both worlds are driven by the same seeded mix of demand misses,
+prefetches, dirty and clean LLC evictions, LLC hits, degraded-mode
+toggles and idle gaps, and must agree on every completion cycle,
+``phase_cycles``, every ``BackendStats`` / scheme counter, the
+interconnect summary, the emitted records (key order included), the stash
+in order and the state every RNG is left in.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import SystemConfig
+from repro.controller.sharded import make_scheme
+from repro.faults import FaultConfig, FaultInjector, ResilienceConfig
+from repro.memory.oram_backend import ORAMBackend
+from repro.memory.periodic import PeriodicORAMBackend
+from repro.observability import InMemoryRecorder
+from repro.utils.rng import DeterministicRng
+
+FOOTPRINT = 192
+
+
+# ------------------------------------------------------------- the reference
+class AccessContext:
+    __slots__ = (
+        "addr", "start", "run_scheme", "evictions", "extra", "fault_delay",
+        "members", "blocks", "outcome", "leaf", "streamed_cycles",
+    )
+
+    def __init__(self, addr, start, run_scheme):
+        self.addr = addr
+        self.start = start
+        self.run_scheme = run_scheme
+        self.evictions = 0
+        self.extra = 0
+        self.fault_delay = 0
+        self.members = ()
+        self.blocks = None
+        self.outcome = None
+        self.leaf = 0
+        self.streamed_cycles = 0
+
+
+class PosMapPhase:
+    name = "posmap"
+
+    def run(self, backend, ctx):
+        if backend.injector is not None:
+            ctx.fault_delay = backend._fault_delay()
+        oram = backend.oram
+        stats = backend.stats
+        evictions = oram.drain_stash()
+        if backend._stash_soft_limit is not None:
+            evictions += backend._relieve_stash()
+        ctx.evictions = evictions
+        stats.dummy_accesses += evictions
+        ctx.extra = backend.posmap_hierarchy.lookup(ctx.addr)
+        stats.posmap_accesses += ctx.extra
+
+    def cycles(self, backend, ctx):
+        return ctx.extra * backend.interconnect.path_cycles
+
+
+class PathReadPhase:
+    name = "path_read"
+
+    def run(self, backend, ctx):
+        ctx.members = backend.scheme.members_for(ctx.addr)
+        ctx.blocks = backend.oram.begin_access(ctx.members)
+        ctx.leaf = backend.oram._pending_writeback
+
+    def cycles(self, backend, ctx):
+        interconnect = backend.interconnect
+        issue = ctx.start + (ctx.evictions + ctx.extra) * interconnect.path_cycles
+        ctx.streamed_cycles = interconnect.path_completion(ctx.leaf, issue) - issue
+        return ctx.streamed_cycles
+
+
+class RemapPhase:
+    name = "remap"
+
+    def run(self, backend, ctx):
+        if not ctx.run_scheme:
+            return
+        members = ctx.members
+        blocks = ctx.blocks
+        llc_contains = backend._llc_contains
+        if len(members) == 1:
+            member = members[0]
+            fetched = {} if llc_contains(member) else {member: blocks[member]}
+        else:
+            fetched = {
+                member: blocks[member]
+                for member in members
+                if not llc_contains(member)
+            }
+        ctx.outcome = backend.scheme.process_fetch(ctx.addr, members, fetched)
+
+    def cycles(self, backend, ctx):
+        return 0
+
+
+class WritebackPhase:
+    name = "writeback"
+
+    def run(self, backend, ctx):
+        backend.oram.finish_access()
+
+    def cycles(self, backend, ctx):
+        return ctx.evictions * backend.interconnect.path_cycles
+
+
+DEFAULT_PHASES = (PosMapPhase(), PathReadPhase(), RemapPhase(), WritebackPhase())
+
+
+class ReferencePipeline:
+    def __init__(self, backend, phases=DEFAULT_PHASES):
+        self.backend = backend
+        self.phases = tuple(phases)
+        self.phase_cycles = {p.name: 0 for p in self.phases}
+        self.phase_cycles["fault"] = 0
+        self.requests = 0
+
+    def execute(self, addr, start, run_scheme, kind="demand"):
+        backend = self.backend
+        ctx = AccessContext(addr, start, run_scheme)
+        phase_cycles = self.phase_cycles
+        recorder = backend.recorder
+        if recorder is None:
+            for phase in self.phases:
+                phase.run(backend, ctx)
+                phase_cycles[phase.name] += phase.cycles(backend, ctx)
+        else:
+            scheme_stats = backend.scheme.stats
+            merges_before = scheme_stats.merges
+            breaks_before = scheme_stats.breaks
+            retries_before = backend.stats.fault_retries
+            span_phases = {}
+            for phase in self.phases:
+                phase.run(backend, ctx)
+                cycles = phase.cycles(backend, ctx)
+                phase_cycles[phase.name] += cycles
+                span_phases[phase.name] = cycles
+        phase_cycles["fault"] += ctx.fault_delay
+        self.requests += 1
+        stats = backend.stats
+        interconnect = backend.interconnect
+        serialized = ctx.evictions + ctx.extra
+        if serialized:
+            interconnect.note_untracked(serialized)
+        latency = (
+            serialized * interconnect.path_cycles
+            + ctx.streamed_cycles
+            + ctx.fault_delay
+        )
+        completion = start + latency
+        backend.busy_until = completion
+        stats.memory_accesses += ctx.extra + 1
+        stats.busy_cycles += latency
+        policy = backend._policy_listener
+        if policy is not None:
+            if ctx.evictions:
+                policy.on_background_eviction(ctx.evictions)
+            policy.on_request(
+                busy_cycles=latency,
+                elapsed_cycles=completion - backend._last_request_cycle,
+            )
+        backend._last_request_cycle = completion
+        if recorder is not None:
+            recorder.record_span(
+                {
+                    "seq": recorder.next_seq(),
+                    "kind": kind,
+                    "addr": addr * backend.addr_stride + backend.shard_index,
+                    "shard": backend.shard_index,
+                    "start": start,
+                    "end": completion,
+                    "phases": span_phases,
+                    "fault_delay": ctx.fault_delay,
+                    "retries": backend.stats.fault_retries - retries_before,
+                    "evictions": ctx.evictions,
+                    "posmap_extra": ctx.extra,
+                    "stash": len(backend.oram.stash),
+                    "merges": scheme_stats.merges - merges_before,
+                    "breaks": scheme_stats.breaks - breaks_before,
+                }
+            )
+        return completion, ctx.outcome
+
+    def breakdown(self):
+        return dict(self.phase_cycles)
+
+
+class ReferencePeriodicBackend(PeriodicORAMBackend):
+    """The three entries each claiming the slot themselves."""
+
+    _issue = ORAMBackend._issue
+
+    def demand_access(self, addr, now, is_write):
+        slot = self._claim_slot(now)
+        result = ORAMBackend.demand_access(self, addr, slot, is_write)
+        self._schedule_after(slot, result.completion_cycle)
+        return result
+
+    def prefetch_access(self, addr, now):
+        slot = self._claim_slot(now)
+        result = ORAMBackend.prefetch_access(self, addr, slot)
+        if result is not None:
+            self._schedule_after(slot, result.completion_cycle)
+        return result
+
+    def evict_line(self, addr, dirty, now):
+        self.scheme.on_llc_evict(addr)
+        if not dirty:
+            return
+        self._check_addr(addr)
+        self.stats.write_accesses += 1
+        slot = self._claim_slot(now)
+        completion, _ = self.pipeline.execute(addr, slot, False, "writeback")
+        self._schedule_after(slot, completion)
+
+
+# ------------------------------------------------------------------ building
+def system_config(model, treetop):
+    """Small stash, tiny PosMap cache: background evictions, stash relief
+    and multi-level PosMap walks all fire within a few hundred requests."""
+    config = SystemConfig()
+    return dataclasses.replace(
+        config,
+        oram=dataclasses.replace(
+            config.oram,
+            stash_blocks=3,
+            posmap_entries_per_block=4,
+            posmap_cache_entries=3,
+            treetop_levels=treetop,
+        ),
+        dram=dataclasses.replace(
+            config.dram, model=model, num_channels=4 if model == "channel" else 1
+        ),
+    )
+
+
+def build_backend(
+    config, scheme, *, faults=False, periodic=False, traced=False, reference=False
+):
+    wiring = {}
+    if faults:
+        wiring["fault_injector"] = FaultInjector(
+            FaultConfig(seed=5, transient_rate=0.1, delay_rate=0.1, delay_cycles=77)
+        )
+        wiring["resilience"] = ResilienceConfig(stash_soft_fraction=0.5)
+    args = (
+        config.oram.scaled_to_footprint(FOOTPRINT),
+        config.dram,
+        make_scheme(scheme, config),
+        DeterministicRng(config.seed).fork(11),
+    )
+    if periodic:
+        cls = ReferencePeriodicBackend if reference else PeriodicORAMBackend
+        backend = cls(*args, config.timing_protection, **wiring)
+    else:
+        backend = ORAMBackend(*args, **wiring)
+    if reference:
+        backend.pipeline = ReferencePipeline(backend)
+    recorder = InMemoryRecorder() if traced else None
+    backend.set_recorder(recorder)
+    return backend, recorder
+
+
+# ------------------------------------------------------------------- driving
+def drive(backend, ops, seed=17):
+    """A seeded LLC-side request mix; returns what the LLC side saw.
+
+    ``resident`` stands in for the LLC tags: demand and prefetch fills add
+    to it, evictions remove, and the backend's probe reads it -- so the
+    remap block's LLC filter and Algorithm 2's neighbour checks see
+    copies that are, and are not, already cached.
+    """
+    rng = DeterministicRng(seed)
+    resident = {}
+    backend.set_llc_probe(resident.__contains__)
+    seen = []
+    now = 0
+    cursor = 0
+    for _ in range(ops):
+        roll = rng.random()
+        if roll < 0.08:
+            now += rng.randint(5_000, 60_000)  # idle: periodic slots elapse unused
+            continue
+        now += rng.randint(0, 400)
+        if rng.random() < 0.6:
+            cursor = (cursor + 1) % FOOTPRINT  # sequential runs train merges
+        else:
+            cursor = rng.randint(0, FOOTPRINT - 1)
+        if roll < 0.55:
+            result = backend.demand_access(cursor, now, is_write=roll < 0.2)
+            seen.append(("demand", result.completion_cycle, result.filled))
+            resident.update(result.filled)
+            now = max(now, result.completion_cycle - rng.randint(0, 2_000))
+        elif roll < 0.70:
+            result = backend.prefetch_access(cursor, now)
+            seen.append(("prefetch", result and (result.completion_cycle, result.filled)))
+            if result is not None:
+                resident.update(result.filled)
+        elif roll < 0.90 and resident:
+            victim = list(resident)[rng.randint(0, len(resident) - 1)]
+            del resident[victim]
+            backend.evict_line(victim, dirty=rng.random() < 0.7, now=now)
+            seen.append(("evict", victim, backend.busy_until))
+        elif roll < 0.93:
+            # health-plane degraded mode: merges throttled, prefetches shed
+            backend.set_degraded(not backend.prefetch_throttled)
+        elif resident:
+            backend.on_llc_hit(list(resident)[rng.randint(0, len(resident) - 1)])
+    backend.finalize(max(now, backend.busy_until))
+    return seen
+
+
+def rngs_of(backend):
+    rngs = [backend.oram.rng, backend.oram.position_map._rng]
+    if backend.injector is not None:
+        rngs += [backend.injector.rng, backend._backoff_rng]
+    return rngs
+
+
+def observable_state(backend, recorder):
+    return {
+        "phase_cycles": list(backend.pipeline.phase_cycles.items()),
+        "requests": backend.pipeline.requests,
+        "stats": dataclasses.asdict(backend.stats),
+        "scheme_stats": dataclasses.asdict(backend.scheme.stats),
+        "busy_until": backend.busy_until,
+        "next_slot": getattr(backend, "_next_slot", None),
+        "posmap": (
+            backend.posmap_hierarchy.lookups,
+            backend.posmap_hierarchy.cache_hits,
+            backend.posmap_hierarchy.posmap_block_accesses,
+        ),
+        "interconnect": backend.interconnect.summary(),
+        "injected": backend.injector and backend.injector.stats.as_dict(),
+        "records": recorder
+        and [
+            [(k, list(v.items()) if k == "phases" else v) for k, v in record.items()]
+            for record in recorder.records
+        ],
+        "stash": [(block.addr, block.leaf) for block in backend.oram.stash.iter_blocks()],
+        "stash_max": backend.oram.stash.max_occupancy,
+        "oram_counts": (backend.oram.real_accesses, backend.oram.dummy_accesses),
+        "rng_draws": [[rng.randbelow(1 << 30) for _ in range(3)] for rng in rngs_of(backend)],
+    }
+
+
+# ------------------------------------------------------------------ the tests
+@pytest.mark.parametrize("periodic", [False, True], ids=["plain", "periodic"])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulty"])
+@pytest.mark.parametrize("scheme", ["oram", "stat", "dyn"])
+@pytest.mark.parametrize("treetop", [0, 4])
+@pytest.mark.parametrize("model", ["flat", "channel"])
+def test_access_function_matches_the_phase_objects(
+    model, treetop, scheme, faults, traced, periodic
+):
+    config = system_config(model, treetop)
+    options = dict(faults=faults, periodic=periodic, traced=traced)
+    new, new_recorder = build_backend(config, scheme, **options)
+    old, old_recorder = build_backend(config, scheme, reference=True, **options)
+    assert drive(new, ops=200) == drive(old, ops=200)
+    assert observable_state(new, new_recorder) == observable_state(old, old_recorder)
+
+
+def test_the_mix_reaches_every_term():
+    """The oracle comparison is only worth its matrix if the driven mix
+    makes every cycle term, fault class and request kind nonzero."""
+    backend, recorder = build_backend(
+        system_config("channel", 4), "dyn", faults=True, periodic=True, traced=True
+    )
+    seen = drive(backend, ops=200)
+    assert all(backend.pipeline.phase_cycles[name] for name in
+               ("posmap", "path_read", "writeback", "fault"))
+    stats = backend.stats
+    assert stats.prefetch_requests and stats.write_accesses and stats.fault_retries
+    assert stats.forced_evictions and backend.scheme.stats.merges
+    assert any(kind == "prefetch" and result is None for kind, result, *_ in seen)
+    assert any(record.get("event") == "periodic_dummy" for record in recorder.records)
+    assert {span.kind for span in recorder.spans()} == {"demand", "prefetch", "writeback"}
+
+
+REQUEST = st.tuples(
+    st.sampled_from(["demand", "prefetch", "writeback", "padding"]),
+    st.integers(0, FOOTPRINT - 1),
+    st.integers(0, 3_000),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    requests=st.lists(REQUEST, max_size=60),
+    model=st.sampled_from(["flat", "channel"]),
+    scheme=st.sampled_from(["oram", "stat", "dyn"]),
+    faults=st.booleans(),
+)
+def test_latency_identity(requests, model, scheme, faults):
+    """Attributed cycles are busy cycles: the three cycle terms feed both.
+
+    ``dummy_path_access`` (health-plane padding) is the one way a backend
+    is busy outside the pipeline, at the public per-path cost.
+    """
+    backend, recorder = build_backend(
+        system_config(model, 0), scheme, faults=faults, traced=True
+    )
+    now = padding_paths = 0
+    for kind, addr, gap in requests:
+        now += gap
+        if kind == "demand":
+            backend.demand_access(addr, now, is_write=False)
+        elif kind == "prefetch":
+            backend.prefetch_access(addr, now)
+        elif kind == "writeback":
+            backend.evict_line(addr, dirty=True, now=now)
+        else:
+            backend.dummy_path_access(now)
+            padding_paths += 1
+    pipeline = backend.pipeline
+    assert (
+        sum(pipeline.phase_cycles.values())
+        + padding_paths * backend.interconnect.path_cycles
+        == backend.stats.busy_cycles
+    )
+    assert pipeline.phase_cycles["remap"] == 0
+    assert recorder.span_count() == pipeline.requests
+    for span in recorder.spans():
+        assert list(span.phases) == ["posmap", "path_read", "remap", "writeback"]
+        assert span.end - span.start == sum(span.phases.values()) + span.fault_delay

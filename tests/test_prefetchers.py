@@ -14,7 +14,7 @@ from repro.prefetch.stride import StridePrefetcher
 
 def make_stream(num_streams=4, depth=2, train=2):
     return StreamPrefetcher(
-        PrefetchConfig(enabled=True, num_streams=num_streams, depth=depth, train_threshold=train)
+        PrefetchConfig(num_streams=num_streams, depth=depth, train_threshold=train)
     )
 
 
@@ -101,7 +101,7 @@ class TestStreamPrefetcher:
 
 class TestStridePrefetcher:
     def make(self, depth=2, train=2):
-        return StridePrefetcher(PrefetchConfig(enabled=True, depth=depth, train_threshold=train))
+        return StridePrefetcher(PrefetchConfig(depth=depth, train_threshold=train))
 
     def test_detects_constant_stride(self):
         pf = self.make()

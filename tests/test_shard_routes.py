@@ -14,6 +14,7 @@
 """
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import queue
@@ -24,9 +25,11 @@ import time
 import pytest
 
 from repro.config import SystemConfig
+from repro.controller.sharded import build_shard_backend
 from repro.faults import FaultConfig, FaultInjector
 from repro.health import HealthPolicy
 from repro.observability.collect import collect_parallel
+from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import ParallelShardRuntime, WorkerFailure, run_serial_reference
 from repro.parallel.protocol import ShardSpec
 from repro.parallel.worker import InlineShardChannel, ShardExecutor, shard_worker_main
@@ -247,6 +250,65 @@ class TestFoldedExtras:
         shared = system.backend.shards[0].injector
         assert system.backend.shards[1].injector is shared
         assert bank_result.extra["injected_transients"] == shared.stats.transients
+
+    @pytest.mark.parametrize("reopened", ["process", "inline"])
+    def test_injector_counters_survive_a_reopened_shard(self, tmp_path, reopened):
+        """Regression: checkpoints carried ``BackendStats`` but not the
+        injector's own counters, so a shard reopened after a kill (as a
+        fresh process, or inline under a health policy) reported restored
+        ``transient_faults`` next to ``injected_transients`` that had
+        restarted at zero."""
+        requests = small_stream(accesses=300)
+        policy = HealthPolicy(batch_deadline_s=5.0, join_timeout_s=2.0)
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            num_workers=2,
+            checkpoint_dir=str(tmp_path),
+            batch_size=23,
+            fault_config=FaultConfig(seed=3, transient_rate=0.05, delay_rate=0.05),
+            health_policy=policy if reopened == "inline" else None,
+        ) as runtime:
+            before = runtime.run(requests)
+            runtime.kill_worker(0)
+            after = runtime.run([(addr, now + 50_000, w) for addr, now, w in requests])
+            assert runtime.total_restarts() >= 1
+            if reopened == "inline":
+                assert runtime.health.total_quarantines() == 1
+        assert before.extra["transient_faults"] > 0
+        assert after.extra["transient_faults"] > before.extra["transient_faults"]
+        for result in (before, after):
+            assert result.extra["injected_transients"] == result.extra["transient_faults"]
+            assert result.extra["injected_delay_cycles"] > 0
+
+    def test_injector_counters_are_an_optional_checkpoint_key(self):
+        """A restored injector gets no second ``start_after`` warm-up, and
+        a checkpoint written before the key existed still loads (its
+        injector simply restarts at zero)."""
+        fault_config = FaultConfig(seed=3, delay_rate=1.0, start_after=40)
+
+        def shard():
+            return build_shard_backend(
+                "dyn", FOOTPRINT, SystemConfig(), 0, 2,
+                fault_injector=FaultInjector(fault_config),
+            )
+
+        source = shard()
+        for addr, now, is_write in small_stream(accesses=40, footprint=FOOTPRINT // 2):
+            source.demand_access(addr, now, is_write)
+        assert source.injector.stats.delays == 0  # still warming up
+        payload = dump_backend_state(source)
+        restored = shard()
+        restore_backend_state(restored, payload)
+        assert restored.injector.stats == source.injector.stats
+        restored.demand_access(1, restored.busy_until, False)
+        assert restored.injector.stats.delays == 1
+        document = json.loads(payload)
+        del document["backend"]["injector"]
+        older = shard()
+        restore_backend_state(older, json.dumps(document))
+        assert older.injector.stats.memory_accesses == 0
+        assert older.stats.memory_accesses == source.stats.memory_accesses
 
 
 # ------------------------------------------------------------ failure handling

@@ -247,7 +247,7 @@ class TestPeriodicGridWithTreetop:
             DRAMConfig(model="channel", num_channels=4),
             BaselineScheme(),
             DeterministicRng(4),
-            TimingProtectionConfig(enabled=True, interval_cycles=100),
+            TimingProtectionConfig(interval_cycles=100),
         )
         recorder = InMemoryRecorder()
         backend.set_recorder(recorder)
