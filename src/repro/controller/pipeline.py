@@ -174,7 +174,3 @@ class AccessPipeline:
                 }
             )
         return completion, outcome
-
-    def breakdown(self) -> Dict[str, int]:
-        """A copy of the per-phase cycle attribution (profiler export)."""
-        return dict(self.phase_cycles)

@@ -44,7 +44,7 @@ here.
 
 Results: the bank keeps no aggregate accounting of its own beyond the
 ``stats``/``busy_until`` views.
-:func:`~repro.memory.oram_backend.snapshot_shard_stats` samples one
+:meth:`~repro.memory.oram_backend.ORAMBackend.counters` walks one
 controller's counters, and every route to a
 :class:`~repro.sim.results.SimResult` -- a standalone controller, this
 bank, the worker runtime, the serving front end -- hands those snapshots
@@ -58,6 +58,7 @@ imports the controller package, and the indirection keeps that cycle open.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -70,10 +71,9 @@ from repro.core.thresholds import (
 )
 from repro.health.breaker import HealthState
 from repro.health.plane import HealthControlPlane
-from repro.memory.backend import BackendStats, DemandResult, MemoryBackend
-from repro.memory.oram_backend import ORAMBackend, snapshot_shard_stats
+from repro.memory.backend import BackendStats, DemandResult, MemoryBackend, sum_counters
+from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
-from repro.oram.checkpoint import _BACKEND_STAT_FIELDS
 from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme, SuperBlockScheme
 from repro.utils.rng import DeterministicRng
 
@@ -333,55 +333,34 @@ class ShardedORAMBank(MemoryBackend):
 
     @property
     def stats(self) -> BackendStats:  # type: ignore[override]
-        """Aggregate counters summed over every shard (a fresh snapshot),
-        field for field what :func:`snapshot_shard_stats` samples."""
-        total = BackendStats()
-        for name in _BACKEND_STAT_FIELDS:
-            setattr(
-                total, name, sum(getattr(shard.stats, name) for shard in self.shards)
-            )
-        return total
+        """Aggregate counters summed over every shard (a fresh snapshot)."""
+        return BackendStats(
+            **sum_counters(asdict(shard.stats) for shard in self.shards)
+        )
 
     @stats.setter
     def stats(self, value: BackendStats) -> None:
         raise AttributeError("bank stats are an aggregate view over the shards")
 
-    def phase_breakdown(self) -> dict:
-        """Per-phase cycle attribution summed over every shard's pipeline."""
-        breakdowns = [shard.pipeline.breakdown() for shard in self.shards]
-        return {
-            name: sum(breakdown[name] for breakdown in breakdowns)
-            for name in breakdowns[0]
-        }
-
     def snapshot_shards(self) -> List[dict]:
-        """Per-channel counter snapshots (:func:`snapshot_shard_stats`).
+        """Per-channel ``counters()`` walks.
 
         Channels built by :func:`build_bank` share one fault
         injector, whose counters are then already bank-wide: they are
         reported on the first channel that carries it, not once per
         channel.
         """
-        snapshots = []
-        reported = set()
-        for shard in self.shards:
-            snapshot = snapshot_shard_stats(shard)
-            if id(shard.injector) in reported:
-                snapshot["injected"] = None
-            reported.add(id(shard.injector))
-            snapshots.append(snapshot)
+        snapshots = [shard.counters() for shard in self.shards]
+        injectors = [shard.injector for shard in self.shards]
+        for index, injector in enumerate(injectors):
+            if any(injector is earlier for earlier in injectors[:index]):
+                snapshots[index]["injector"] = None
         return snapshots
 
     def check_invariants(self) -> None:
         """Audit every channel's ORAM (tests / fsck)."""
         for shard in self.shards:
             shard.oram.check_invariants()
-
-    @property
-    def background_eviction_rate(self) -> float:
-        stats = self.stats
-        total = stats.demand_requests + stats.dummy_accesses
-        return stats.dummy_accesses / total if total else 0.0
 
 
 # ------------------------------------------------------------- construction

@@ -30,7 +30,7 @@ tests rely on this.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.oram.block import Block
@@ -108,17 +108,8 @@ class FaultStats:
         return self.bitflips + self.replays + self.transients + self.delays
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "path_reads": self.path_reads,
-            "memory_accesses": self.memory_accesses,
-            "bitflips": self.bitflips,
-            "replays": self.replays,
-            "transients": self.transients,
-            "delays": self.delays,
-            "delay_cycles": self.delay_cycles,
-            "snapshots": self.snapshots,
-            "total_injected": self.total_injected,
-        }
+        """Every counter by name, then the derived ``total_injected``."""
+        return {**asdict(self), "total_injected": self.total_injected}
 
 
 #: serialized image of one bucket: ((addr, leaf, data), ...)

@@ -32,12 +32,13 @@ exactly the acknowledged state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.config import ORAMConfig
 from repro.faults.fsck import FsckReport, run_fsck
 from repro.faults.injector import FaultConfig, FaultInjector, TransientReadError
+from repro.observability.metrics import MetricsRegistry
 from repro.oram.checkpoint import dump_oram, load_oram, restore_oram
 from repro.oram.crypto import ProbabilisticCipher
 from repro.oram.integrity import IntegrityViolationError, VerifiedPathORAM
@@ -128,28 +129,8 @@ class RecoveryStats:
     degraded_events: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "transient_faults": self.transient_faults,
-            "retries": self.retries,
-            "backoff_cycles": self.backoff_cycles,
-            "integrity_violations": self.integrity_violations,
-            "recoveries": self.recoveries,
-            "replayed_ops": self.replayed_ops,
-            "fsck_runs": self.fsck_runs,
-            "checkpoints": self.checkpoints,
-            "forced_evictions": self.forced_evictions,
-            "degraded_events": self.degraded_events,
-        }
-
-    def to_registry(self, registry=None):
-        """Snapshot into a metrics registry under ``recovery.*`` names.
-
-        The dict above stays the journal/benchmark schema; registry
-        consumers (``repro metrics``, dashboards) get typed instruments.
-        """
-        from repro.observability.collect import collect_recovery
-
-        return collect_recovery(self, registry)
+        """Every counter by name: the journal/benchmark schema."""
+        return asdict(self)
 
 
 class ResilientKVStore(ObliviousKVStore):
@@ -399,7 +380,6 @@ class ResilientKVStore(ObliviousKVStore):
         """One registry with the ladder's ``recovery.*`` counters plus the
         injector's ``faults.injected_*`` totals (the ``repro metrics``
         surface for resilient stores)."""
-        registry = self.recovery.to_registry(registry)
-        for name, value in self.injector.stats.as_dict().items():
-            registry.counter(f"faults.injected_{name}").set(value)
-        return registry
+        registry = registry if registry is not None else MetricsRegistry()
+        registry.absorb(self.recovery.as_dict(), "recovery.")
+        return registry.absorb(self.injector.stats.as_dict(), "faults.injected_")

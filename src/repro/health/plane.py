@@ -161,14 +161,9 @@ class HealthControlPlane:
     ) -> MetricsRegistry:
         """Copy the plane's ``health.*`` instruments into *registry*."""
         registry = registry if registry is not None else MetricsRegistry()
-        for instrument in self.registry:
-            if not instrument.name.startswith("health."):
-                continue
-            if instrument.kind == "gauge":
-                registry.gauge(instrument.name).set(instrument.value)
-            else:
-                registry.counter(instrument.name).set(instrument.value)
-        return registry
+        return registry.absorb(
+            i for i in self.registry if i.name.startswith("health.")
+        )
 
     def render(self) -> str:
         lines = [f"health plane: {self.num_shards} shards"]

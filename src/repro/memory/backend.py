@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -63,10 +63,26 @@ class BackendStats:
     #: background evictions forced by the degradation path (stash pressure)
     forced_evictions: int = 0
 
-    @property
-    def total_accesses(self) -> int:
-        """The paper's energy proxy: every access the memory performs."""
-        return self.memory_accesses + self.dummy_accesses
+
+#: the :class:`BackendStats` fields only a wired fault ladder moves.  A
+#: ``SimResult`` has no field for them: they ride in ``extra`` (and under
+#: ``faults.*`` in a registry) when a ladder is wired and nowhere otherwise.
+FAULT_COUNTERS = (
+    "transient_faults",
+    "fault_retries",
+    "fault_delay_cycles",
+    "forced_evictions",
+)
+
+
+def sum_counters(snapshots: Iterable[Optional[Dict[str, int]]]) -> Dict[str, int]:
+    """Key-wise sum of ``{name: count}`` snapshots, in first-seen key order;
+    ``None`` entries (a component that is not wired) are skipped."""
+    total: Dict[str, int] = {}
+    for counters in snapshots:
+        for name, value in (counters or {}).items():
+            total[name] = total.get(name, 0) + value
+    return total
 
 
 class MemoryBackend(ABC):

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import DRAMConfig, ORAMConfig
 from repro.memory.timing import ORAMTimingModel, transfer_cycles
-from repro.observability.metrics import MetricsRegistry
+from repro.oram.checkpoint import load_counters
 from repro.oram.tree import PhysicalLayout
 
 
@@ -57,9 +57,21 @@ class MemoryInterconnect:
             dummy accesses, prefetch backpressure).
         bytes_per_path: total bytes moved by one path access (read +
             write-back of every bucket).
+        COUNTERS: the integer attributes an implementation counts in --
+            declared once; :meth:`state_dict`, :meth:`load_state_dict` and
+            through them :func:`summarize`, the registry export, the backend
+            checkpoint and ``SimResult.extra`` all follow the declaration.
     """
 
     model = "abstract"
+
+    #: counted by both models (and exported under ``interconnect.*``)
+    COUNTERS: Tuple[str, ...] = (
+        "streamed_paths",
+        "untracked_paths",
+        "treetop_hits",
+        "treetop_bytes_saved",
+    )
 
     path_cycles: int
     bytes_per_path: int
@@ -82,22 +94,61 @@ class MemoryInterconnect:
         without streaming (PosMap walk, evictions, dummies)."""
         raise NotImplementedError
 
-    def summary(self) -> Dict[str, int]:
-        """Scalar counters for ``SimResult.extra``."""
-        raise NotImplementedError
-
-    def to_registry(
-        self, registry: MetricsRegistry, prefix: str = "interconnect"
-    ) -> None:
-        """Export occupancy gauges / counters under ``{prefix}.*``."""
-        raise NotImplementedError
-
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable scheduler state for checkpointing."""
-        return {}
+        """Everything the interconnect counts, as JSON-able plain data.
+
+        This is the one reading of the counters: the checkpoint stores it,
+        a controller's :meth:`~repro.memory.oram_backend.ORAMBackend.counters`
+        walk carries it, and :meth:`summary` and the registry export
+        (:func:`repro.observability.collect.register_interconnect`) are views
+        of it.  ``model`` and ``path_cycles`` are configuration, carried so
+        those views need nothing but the dict; a restore ignores them.
+        """
+        state = {"model": self.model, "path_cycles": self.path_cycles}
+        state.update((name, getattr(self, name)) for name in self.COUNTERS)
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore scheduler state captured by :meth:`state_dict`."""
+        """Restore what :meth:`state_dict` captured (declared names only).
+
+        A document older than one of the shared counters restarts it at
+        zero: flat-model documents used to carry none, channel-model ones
+        predating the treetop lack its two.
+        """
+        defaults = dict.fromkeys(MemoryInterconnect.COUNTERS, 0)
+        load_counters(self, self.COUNTERS, {**defaults, **state}, "interconnect")
+
+    def summary(self) -> Dict[str, int]:
+        """Scalar counters (benchmarks, ``SimResult.extra``)."""
+        return summarize(self.state_dict())
+
+
+#: what ``summary()`` reports, in order: ``state_dict()`` entries by name
+#: (less a ``_total`` suffix); a name only the channels carry is their sum,
+#: and one a model's state lacks altogether is left out -- which is all
+#: that separates the flat summary from the channel one
+_SUMMARY = (
+    "streamed_paths",
+    "untracked_paths",
+    "streamed_cycles_total",
+    "row_hits",
+    "row_misses",
+    "bank_wait_cycles",
+    "treetop_hits",
+    "treetop_bytes_saved",
+)
+
+
+def summarize(state: Dict[str, object]) -> Dict[str, int]:
+    """The scalar view of a :meth:`MemoryInterconnect.state_dict`."""
+    channels = state.get("channels")
+    summary = {"channels": 1 if channels is None else len(channels)}
+    for name in _SUMMARY:
+        if name in state:
+            summary[name.removesuffix("_total")] = state[name]
+        elif channels is not None:
+            summary[name] = sum(channel[name] for channel in channels)
+    return summary
 
 
 class FlatInterconnect(MemoryInterconnect):
@@ -117,10 +168,8 @@ class FlatInterconnect(MemoryInterconnect):
         self.offchip_levels = oram.nominal_levels + 1 - oram.treetop_levels
         self.path_cycles = timing.path_cycles_for(self.offchip_levels)
         self.bytes_per_path = self.offchip_levels * timing.bucket_bytes
-        self.streamed_paths = 0
-        self.untracked_paths = 0
-        self.treetop_hits = 0
-        self.treetop_bytes_saved = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def path_cycles_for(self, levels: int) -> int:
         return self._timing.path_cycles_for(levels)
@@ -136,26 +185,6 @@ class FlatInterconnect(MemoryInterconnect):
         self.treetop_hits += self.treetop_levels * count
         self.treetop_bytes_saved += (
             self.treetop_levels * self._timing.bucket_bytes * count
-        )
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "channels": 1,
-            "streamed_paths": self.streamed_paths,
-            "untracked_paths": self.untracked_paths,
-            "treetop_hits": self.treetop_hits,
-            "treetop_bytes_saved": self.treetop_bytes_saved,
-        }
-
-    def to_registry(
-        self, registry: MetricsRegistry, prefix: str = "interconnect"
-    ) -> None:
-        registry.gauge(f"{prefix}.path_cycles").set(self.path_cycles)
-        registry.counter(f"{prefix}.streamed_paths").set(self.streamed_paths)
-        registry.counter(f"{prefix}.untracked_paths").set(self.untracked_paths)
-        registry.counter(f"{prefix}.treetop_hits").set(self.treetop_hits)
-        registry.counter(f"{prefix}.treetop_bytes_saved").set(
-            self.treetop_bytes_saved
         )
 
 
@@ -180,10 +209,8 @@ class ChannelState:
     nothing.
     """
 
-    __slots__ = (
-        "bank_free",
-        "open_row",
-        "bus_free",
+    #: the event counts; with the scheduler state they are the ``__slots__``
+    COUNTERS = (
         "requests",
         "row_hits",
         "row_misses",
@@ -191,41 +218,31 @@ class ChannelState:
         "busy_cycles",
         "bank_wait_cycles",
     )
+    #: the integer slots (``bank_free`` / ``open_row`` are per-bank dicts)
+    INT_SLOTS = ("bus_free",) + COUNTERS
+    __slots__ = ("bank_free", "open_row") + INT_SLOTS
 
     def __init__(self):
         self.bank_free: Dict[int, int] = {}
         self.open_row: Dict[int, int] = {}
-        self.bus_free = 0
-        self.requests = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.bytes_moved = 0
-        self.busy_cycles = 0
-        self.bank_wait_cycles = 0
+        for name in self.INT_SLOTS:
+            setattr(self, name, 0)
 
     def state_dict(self) -> Dict[str, object]:
-        return {
-            "bus_free": self.bus_free,
+        """Every slot by name (JSON objects key on strings)."""
+        state: Dict[str, object] = {
             "bank_free": {str(k): v for k, v in self.bank_free.items()},
             "open_row": {str(k): v for k, v in self.open_row.items()},
-            "requests": self.requests,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "bytes_moved": self.bytes_moved,
-            "busy_cycles": self.busy_cycles,
-            "bank_wait_cycles": self.bank_wait_cycles,
         }
+        state.update((name, getattr(self, name)) for name in self.INT_SLOTS)
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.bus_free = int(state["bus_free"])
-        self.bank_free = {int(k): int(v) for k, v in state["bank_free"].items()}
-        self.open_row = {int(k): int(v) for k, v in state["open_row"].items()}
-        self.requests = int(state["requests"])
-        self.row_hits = int(state["row_hits"])
-        self.row_misses = int(state["row_misses"])
-        self.bytes_moved = int(state["bytes_moved"])
-        self.busy_cycles = int(state["busy_cycles"])
-        self.bank_wait_cycles = int(state["bank_wait_cycles"])
+        bank_free = {int(k): int(v) for k, v in state["bank_free"].items()}
+        open_row = {int(k): int(v) for k, v in state["open_row"].items()}
+        load_counters(self, self.INT_SLOTS, state, "interconnect channel")
+        self.bank_free = bank_free
+        self.open_row = open_row
 
 
 class ChannelInterconnect(MemoryInterconnect):
@@ -250,6 +267,12 @@ class ChannelInterconnect(MemoryInterconnect):
     """
 
     model = "channel"
+
+    #: the streamed-cycle total and the scheduling horizon come on top
+    COUNTERS = MemoryInterconnect.COUNTERS + (
+        "streamed_cycles_total",
+        "last_completion",
+    )
 
     def __init__(self, oram: ORAMConfig, dram: DRAMConfig):
         self.dram = dram
@@ -280,12 +303,8 @@ class ChannelInterconnect(MemoryInterconnect):
             (transfer_cycles(dram, n * self.bucket_bytes), n * self.bucket_bytes)
             for n in range(self.offchip_levels + 1)
         ]
-        self.streamed_paths = 0
-        self.untracked_paths = 0
-        self.streamed_cycles_total = 0
-        self.last_completion = 0
-        self.treetop_hits = 0
-        self.treetop_bytes_saved = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def path_cycles_for(self, levels: int) -> int:
         """Idle-memory completion of a balanced path of ``levels`` buckets."""
@@ -393,50 +412,6 @@ class ChannelInterconnect(MemoryInterconnect):
         self.treetop_hits += self.treetop_levels * count
         self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes * count
 
-    def summary(self) -> Dict[str, int]:
-        return {
-            "channels": self.num_channels,
-            "streamed_paths": self.streamed_paths,
-            "untracked_paths": self.untracked_paths,
-            "streamed_cycles": self.streamed_cycles_total,
-            "row_hits": sum(c.row_hits for c in self.channels),
-            "row_misses": sum(c.row_misses for c in self.channels),
-            "bank_wait_cycles": sum(c.bank_wait_cycles for c in self.channels),
-            "treetop_hits": self.treetop_hits,
-            "treetop_bytes_saved": self.treetop_bytes_saved,
-        }
-
-    def to_registry(
-        self, registry: MetricsRegistry, prefix: str = "interconnect"
-    ) -> None:
-        registry.gauge(f"{prefix}.path_cycles").set(self.path_cycles)
-        registry.gauge(f"{prefix}.num_channels").set(self.num_channels)
-        registry.counter(f"{prefix}.streamed_paths").set(self.streamed_paths)
-        registry.counter(f"{prefix}.untracked_paths").set(self.untracked_paths)
-        registry.counter(f"{prefix}.treetop_hits").set(self.treetop_hits)
-        registry.counter(f"{prefix}.treetop_bytes_saved").set(
-            self.treetop_bytes_saved
-        )
-        if self.streamed_paths:
-            registry.histogram(f"{prefix}.path_stream_cycles").record(
-                self.streamed_cycles_total // self.streamed_paths
-            )
-        horizon = self.last_completion
-        for index, channel in enumerate(self.channels):
-            name = f"{prefix}.channel{index}"
-            registry.counter(f"{name}.requests").set(channel.requests)
-            registry.counter(f"{name}.row_hits").set(channel.row_hits)
-            registry.counter(f"{name}.row_misses").set(channel.row_misses)
-            registry.counter(f"{name}.bytes_moved").set(channel.bytes_moved)
-            registry.counter(f"{name}.busy_cycles").set(channel.busy_cycles)
-            registry.counter(f"{name}.bank_wait_cycles").set(
-                channel.bank_wait_cycles
-            )
-            occupancy = channel.busy_cycles / horizon if horizon else 0.0
-            registry.gauge(f"{name}.bus_occupancy_pct").set(
-                round(100.0 * occupancy, 3)
-            )
-
     def _geometry(self) -> Dict[str, object]:
         """What bank/row numbers in a checkpoint mean; must match to restore."""
         layout = self.layout
@@ -450,16 +425,10 @@ class ChannelInterconnect(MemoryInterconnect):
         }
 
     def state_dict(self) -> Dict[str, object]:
-        return {
-            "geometry": self._geometry(),
-            "streamed_paths": self.streamed_paths,
-            "untracked_paths": self.untracked_paths,
-            "streamed_cycles_total": self.streamed_cycles_total,
-            "last_completion": self.last_completion,
-            "treetop_hits": self.treetop_hits,
-            "treetop_bytes_saved": self.treetop_bytes_saved,
-            "channels": [channel.state_dict() for channel in self.channels],
-        }
+        state = super().state_dict()
+        state["geometry"] = self._geometry()
+        state["channels"] = [channel.state_dict() for channel in self.channels]
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         saved = state.get("channels", [])
@@ -475,13 +444,7 @@ class ChannelInterconnect(MemoryInterconnect):
                 f"checkpoint DRAM geometry {state['geometry']} does not match "
                 f"the configured {configured}"
             )
-        self.streamed_paths = int(state["streamed_paths"])
-        self.untracked_paths = int(state["untracked_paths"])
-        self.streamed_cycles_total = int(state["streamed_cycles_total"])
-        self.last_completion = int(state["last_completion"])
-        # Pre-treetop checkpoints lack the counters; they restart at zero.
-        self.treetop_hits = int(state.get("treetop_hits", 0))
-        self.treetop_bytes_saved = int(state.get("treetop_bytes_saved", 0))
+        super().load_state_dict(state)
         for channel, channel_state in zip(self.channels, saved):
             channel.load_state_dict(channel_state)
 

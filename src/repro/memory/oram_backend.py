@@ -26,6 +26,7 @@ path.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, List, Optional, Tuple
 
 from repro.config import DRAMConfig, ORAMConfig
@@ -33,52 +34,17 @@ from repro.controller.pipeline import AccessPipeline
 from repro.faults.injector import TransientReadError
 from repro.memory.backend import DemandResult, MemoryBackend
 from repro.memory.interconnect import build_interconnect
-from repro.memory.timing import ORAMTimingModel
-from repro.oram.checkpoint import _BACKEND_STAT_FIELDS, _SCHEME_STAT_FIELDS
+from repro.oram.checkpoint import checked_counters, load_counters
 from repro.oram.path_oram import PathORAM
 from repro.oram.recursion import PosMapHierarchy
 from repro.oram.super_block import SuperBlockScheme
+from repro.oram.tree import TreetopCache
 from repro.utils.rng import DeterministicRng
 
 
-def snapshot_shard_stats(shard: "ORAMBackend") -> dict:
-    """Sample every result-relevant counter of one ORAM controller.
-
-    This is the only reader of a controller's counters on the way to a
-    :class:`~repro.sim.results.SimResult`: a standalone backend, every
-    channel of an in-process bank and every worker of the process-parallel
-    runtime (which ships the dict over a queue) are sampled by this one
-    function and folded by :func:`repro.parallel.merge.fold_shard_snapshots`,
-    so the result is built from identical material on every route --
-    bit-identity of the aggregate is structural, not coincidental.
-
-    The returned dict is plain data (picklable, JSON-able).  ``injected``
-    is the fault injector's own counters (``None`` without one),
-    ``fault_model`` says whether the retry/degradation ladder is wired at
-    all, and ``interconnect`` is the interconnect's scalar summary, or
-    ``None`` for the flat model, whose results carry no such extras.
-    """
-    hierarchy = shard.posmap_hierarchy
-    interconnect = shard.interconnect
-    return {
-        "stats": {name: getattr(shard.stats, name) for name in _BACKEND_STAT_FIELDS},
-        "scheme_stats": {
-            name: getattr(shard.scheme.stats, name) for name in _SCHEME_STAT_FIELDS
-        },
-        "stash_max_occupancy": shard.oram.stash.max_occupancy,
-        "stash_soft_overflows": shard.oram.stash_soft_overflows,
-        "posmap_lookups": hierarchy.lookups,
-        "posmap_cache_hits": hierarchy.cache_hits,
-        "phase_cycles": shard.pipeline.breakdown(),
-        "busy_until": shard.busy_until,
-        "fault_model": shard.resilience is not None,
-        "injected": (
-            shard.injector.stats.as_dict() if shard.injector is not None else None
-        ),
-        "interconnect": (
-            interconnect.summary() if interconnect.model != "flat" else None
-        ),
-    }
+def _field_names(stats) -> List[str]:
+    """The counters a stats dataclass declares: its fields."""
+    return [f.name for f in fields(stats)]
 
 
 class ORAMBackend(MemoryBackend):
@@ -122,9 +88,8 @@ class ORAMBackend(MemoryBackend):
         super().__init__()
         self.config = oram_config
         self.scheme = scheme
-        self.timing = ORAMTimingModel.from_config(oram_config, dram_config)
-        #: pluggable memory interconnect: the flat default reproduces
-        #: ``self.timing`` exactly; the channel model streams each path's
+        #: pluggable memory interconnect: the flat default is the paper's
+        #: one scalar per path; the channel model streams each path's
         #: buckets across DRAM channels (DESIGN.md section 11)
         self.interconnect = build_interconnect(oram_config, dram_config)
         self.oram = PathORAM(oram_config, rng, observer=observer, populate=False)
@@ -183,7 +148,98 @@ class ORAMBackend(MemoryBackend):
         return (self,)
 
     def snapshot_shards(self) -> List[dict]:
-        return [snapshot_shard_stats(self)]
+        return [self.counters()]
+
+    # ---------------------------------------------------------------- counters
+    def _counted(self) -> tuple:
+        """``(section, component, its declared counters)`` for the
+        counter-bearing parts of this controller.
+
+        The declarations are the components' own: the two stats dataclasses
+        by their fields, ``COUNTERS`` tuples elsewhere.
+        """
+        oram = self.oram
+        hierarchy = self.posmap_hierarchy
+        return (
+            ("stats", self.stats, _field_names(self.stats)),
+            ("scheme_stats", self.scheme.stats, _field_names(self.scheme.stats)),
+            ("posmap_hierarchy", hierarchy, hierarchy.COUNTERS),
+            ("oram", oram, oram.COUNTERS),
+            ("treetop", oram.tree.treetop, TreetopCache.COUNTERS),
+        )
+
+    def counters(self) -> dict:
+        """Walk this controller into one plain-data dict of all it counts.
+
+        This is the only walk over a controller's counters, and its three
+        consumers read the dict and nothing else:
+        :func:`repro.parallel.merge.fold_shard_snapshots` builds every
+        route's ``SimResult`` from it (a standalone backend, each channel
+        of a bank, each worker of the process-parallel runtime, which ships
+        the dict over a queue), the backend checkpoint stores it verbatim
+        as its ``"backend"`` section (:meth:`load_counters` restores from
+        it), and :func:`repro.observability.collect.collect_controllers`
+        registers it -- so a counter that is declared is folded, persisted
+        and reported by construction.
+
+        Plain data (picklable, JSON-able).  ``interconnect`` is the
+        interconnect's full ``state_dict()``; ``fault_model`` says whether
+        the retry/degradation ladder is wired at all; ``injector`` is the
+        fault injector's own counters; it and ``treetop`` are ``None``
+        without one.
+        """
+        walk: dict = {"busy_until": self.busy_until}
+        for section, part, names in self._counted():
+            walk[section] = (
+                None if part is None else {name: getattr(part, name) for name in names}
+            )
+        walk["stash_max_occupancy"] = self.oram.stash.max_occupancy
+        walk["phase_cycles"] = dict(self.pipeline.phase_cycles)
+        walk["pipeline_requests"] = self.pipeline.requests
+        walk["interconnect"] = self.interconnect.state_dict()
+        walk["fault_model"] = self.resilience is not None
+        walk["injector"] = self.injector and self.injector.stats.as_dict()
+        return walk
+
+    def load_counters(self, saved: dict) -> None:
+        """Install a :meth:`counters` dict: the checkpoint's restore half.
+
+        Only declared names are read and written -- a key the document
+        carries beyond them is ignored, never ``setattr``'d -- and a
+        missing or non-integer counter raises
+        :class:`~repro.oram.checkpoint.CheckpointError`.  The ``oram`` and
+        ``treetop`` sections are not read: those counters are the ORAM's,
+        and its own document (restored first) is their one source.
+        Sections older documents lack are optional: without
+        ``interconnect`` the scheduler state resets, without ``injector``
+        a fresh injector restarts at zero (its ``injected_*`` totals would
+        fall behind the restored ``BackendStats`` and ``start_after`` would
+        grant a second fault-free warm-up, which is why the section exists).
+
+        The Equation 1 clock restarts at the restored ``busy_until`` -- a
+        rebooted device starts its clock now.  The policy's training state
+        resets on recovery, but its first window must not be fed the whole
+        simulated history as idle time.
+        """
+        pipeline = self.pipeline
+        top = checked_counters(
+            ("busy_until", "stash_max_occupancy", "pipeline_requests"), saved, "backend"
+        )
+        phases = checked_counters(
+            pipeline.phase_cycles, saved["phase_cycles"], "phase_cycles"
+        )
+        for section, owner, names in self._counted():
+            if section not in ("oram", "treetop"):  # the ORAM document's
+                load_counters(owner, names, saved[section], section)
+        self.busy_until = self._last_request_cycle = top["busy_until"]
+        self.oram.stash.max_occupancy = top["stash_max_occupancy"]
+        pipeline.requests = top["pipeline_requests"]
+        pipeline.phase_cycles.update(phases)
+        if saved.get("interconnect"):
+            self.interconnect.load_state_dict(saved["interconnect"])
+        if saved.get("injector") and self.injector is not None:
+            stats = self.injector.stats
+            load_counters(stats, _field_names(stats), saved["injector"], "injector")
 
     # ----------------------------------------------------------------- wiring
     def set_recorder(self, recorder) -> None:
@@ -391,9 +447,3 @@ class ORAMBackend(MemoryBackend):
         Windowed statistics roll on request boundaries as before.
         """
         self.oram.tree.flush_treetop()
-
-    # ------------------------------------------------------------------ stats
-    @property
-    def background_eviction_rate(self) -> float:
-        total = self.stats.demand_requests + self.stats.dummy_accesses
-        return self.stats.dummy_accesses / total if total else 0.0

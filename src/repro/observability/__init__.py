@@ -21,8 +21,8 @@ The subsystem has four parts (see DESIGN.md section 8):
 """
 
 from .collect import (
+    collect_controllers,
     collect_parallel,
-    collect_recovery,
     collect_serve,
     collect_system,
     collect_trace,
@@ -56,8 +56,8 @@ __all__ = [
     "TraceRecorder",
     "UniformityCheck",
     "attach_recorder",
+    "collect_controllers",
     "collect_parallel",
-    "collect_recovery",
     "collect_serve",
     "collect_system",
     "collect_trace",

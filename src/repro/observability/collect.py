@@ -1,26 +1,29 @@
-"""Metric collection: one place that knows where every counter lives.
+"""Metric collection: snapshots in, one registry out.
 
-Historically each consumer walked the component graph itself -- the
-profiler built one ad-hoc ``Dict[str, int]``, benchmarks another, and the
-CLI a third.  This module centralizes that walk: :func:`collect_system`
-samples a finished :class:`~repro.sim.system.SecureSystem` into a
+Components keep owning their cheap inline counters (dataclass fields, bare
+attributes named by a ``COUNTERS`` tuple -- the hot path never touches a
+registry) and nothing here walks them.  A controller is read by the one
+walk it has, :meth:`~repro.memory.oram_backend.ORAMBackend.counters` -- the
+same plain dict the result fold and the checkpoint read -- and
+:func:`collect_controllers` turns such dicts into a
 :class:`~repro.observability.metrics.MetricsRegistry` under stable
-dot-separated names.  Host time goes through the same registry:
-:func:`time_system` shims a system's entry points through ``host.*``
-timers and :func:`render_profile` is the ``repro run --profile`` report.
-
-Collection is snapshot-style: components keep owning their cheap inline
-counters (dataclass fields, bare attributes -- the hot path never touches
-a registry), and the registry is populated by copying after the run.
+dot-separated names, so the report is the same for a live system and for
+snapshots a worker process shipped over a queue.  :func:`collect_system`
+adds the cache side of a finished
+:class:`~repro.sim.system.SecureSystem`.  Host time goes through the same
+registry: :func:`time_system` shims a system's entry points through
+``host.*`` timers and :func:`render_profile` is the ``repro run --profile``
+report.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.oram.checkpoint import _SCHEME_STAT_FIELDS
+from repro.memory.backend import FAULT_COUNTERS, sum_counters
+from repro.memory.interconnect import ChannelState, MemoryInterconnect
 
-from .metrics import CycleHistogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .recorder import InMemoryRecorder
 from .spans import is_span
 
@@ -28,12 +31,11 @@ from .spans import is_span
 def collect_system(system, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Sample every component counter of a finished system run.
 
-    Registry names group by component: ``cache.*``, ``backend.*``,
-    ``oram.*``, ``pipeline.*``, ``bank.*``, ``faults.*``, ``scheme.*``,
-    ``interconnect.*``.  Everything ORAM-side aggregates over
-    ``backend.shards`` -- none for DRAM, one for a lone controller, the
-    channels for a bank (sums, except the stash watermark, which is the
-    worst channel's) -- so a bank reports the same names a controller does.
+    Registry names group by component: ``cache.*``, ``backend.*``, and --
+    through :func:`collect_controllers` over ``backend.snapshot_shards()``
+    (none for DRAM, one for a lone controller, the channels for a bank) --
+    ``oram.*``, ``pipeline.*``, ``scheme.*``, ``interconnect.*``,
+    ``bank.*``, ``faults.*``.
     """
     registry = registry if registry is not None else MetricsRegistry()
     hierarchy = system.hierarchy
@@ -52,76 +54,95 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     registry.counter("backend.dummy_accesses").set(stats.dummy_accesses)
     registry.counter("backend.memory_accesses").set(stats.memory_accesses)
 
-    shards = backend.shards
-    if not shards:
+    collect_controllers(backend.snapshot_shards(), registry, backend.bank_width)
+    if backend.bank_width is not None and backend.health is not None:
+        backend.health.to_registry(registry)
+    return registry
+
+
+def collect_controllers(
+    snapshots: Sequence[dict],
+    registry: Optional[MetricsRegistry] = None,
+    bank_width: Optional[int] = None,
+) -> MetricsRegistry:
+    """Register ORAM controllers from their ``counters()`` snapshots.
+
+    Sums over the controllers, except the stash watermark, which is the
+    worst one's, and the interconnect, which gets one prefix per controller
+    (``interconnect`` for a lone one, ``interconnect.shard<i>`` when
+    *bank_width* says they are the channels of a bank) -- so a bank reports
+    the same names a controller does.  No snapshots (DRAM) registers
+    nothing.
+    """
+    registry = registry if registry is not None else MetricsRegistry()
+    if not snapshots:
         return registry
-    orams = [shard.oram for shard in shards]
     registry.gauge("oram.stash_max_occupancy").set(
-        max(oram.stash.max_occupancy for oram in orams)
+        max(snap["stash_max_occupancy"] for snap in snapshots)
     )
-    registry.counter("oram.stash_soft_overflows").set(
-        sum(oram.stash_soft_overflows for oram in orams)
-    )
-    registry.counter("oram.real_path_accesses").set(
-        sum(oram.real_accesses for oram in orams)
-    )
-    registry.counter("oram.dummy_path_accesses").set(
-        sum(oram.dummy_accesses for oram in orams)
-    )
-    for shard in shards:
-        for name, cycles in shard.pipeline.breakdown().items():
-            registry.counter(f"pipeline.phase_{name}_cycles").inc(cycles)
-        for name in _SCHEME_STAT_FIELDS:
-            registry.counter(f"scheme.{name}").inc(getattr(shard.scheme.stats, name))
+    oram = sum_counters(snap["oram"] for snap in snapshots)
+    registry.counter("oram.stash_soft_overflows").set(oram["stash_soft_overflows"])
+    registry.counter("oram.real_path_accesses").set(oram["real_accesses"])
+    registry.counter("oram.dummy_path_accesses").set(oram["dummy_accesses"])
+    phases = sum_counters(snap["phase_cycles"] for snap in snapshots)
+    for name, cycles in phases.items():
+        registry.counter(f"pipeline.phase_{name}_cycles").set(cycles)
+    scheme_stats = sum_counters(snap["scheme_stats"] for snap in snapshots)
+    registry.absorb(scheme_stats, "scheme.")
 
     # Memory-interconnect occupancy, one prefix per controller.  The
-    # treetop flush counter lives on the functional tree (write-back is a
-    # tree-side event) but is exported next to its hit/bytes-saved siblings.
-    width = backend.bank_width
-    for index, shard in enumerate(shards):
-        prefix = "interconnect" if width is None else f"interconnect.shard{index}"
-        shard.interconnect.to_registry(registry, prefix=prefix)
-        cache = shard.oram.tree.treetop
-        if cache is not None:
-            registry.counter(f"{prefix}.treetop_flushes").set(cache.flushes)
+    # treetop flush counters live on the functional tree (write-back is a
+    # tree-side event) but are exported next to their hit/bytes-saved
+    # siblings.
+    for index, snap in enumerate(snapshots):
+        prefix = "interconnect"
+        if bank_width is not None:
+            prefix += f".shard{index}"
+        register_interconnect(snap["interconnect"], registry, prefix)
+        treetop = snap["treetop"]
+        if treetop is not None:
+            registry.counter(f"{prefix}.treetop_flushes").set(treetop["flushes"])
             registry.counter(f"{prefix}.treetop_flushed_buckets").set(
-                cache.flushed_buckets
+                treetop["flushed_buckets"]
             )
-    if width is not None:
-        registry.gauge("bank.num_shards").set(width)
-        if backend.health is not None:
-            backend.health.to_registry(registry)
+    if bank_width is not None:
+        registry.gauge("bank.num_shards").set(bank_width)
 
-    # Channels of one bank share an injector; count each injector once.
-    injectors = {
-        id(shard.injector): shard.injector
-        for shard in shards
-        if shard.injector is not None
-    }
-    if injectors:
-        registry.counter("faults.transient_faults").set(stats.transient_faults)
-        registry.counter("faults.fault_retries").set(stats.fault_retries)
-        registry.counter("faults.fault_delay_cycles").set(stats.fault_delay_cycles)
-        registry.counter("faults.forced_evictions").set(stats.forced_evictions)
+    # A bank's snapshots report an injector its channels share only once.
+    injected = [snap["injector"] for snap in snapshots if snap["injector"]]
+    if injected:
+        stats = sum_counters(snap["stats"] for snap in snapshots)
+        registry.absorb({name: stats[name] for name in FAULT_COUNTERS}, "faults.")
         registry.counter("faults.injected_faults").set(
-            sum(injector.stats.total_injected for injector in injectors.values())
+            sum(counters["total_injected"] for counters in injected)
         )
     return registry
 
 
-def _copy_instruments(source: MetricsRegistry, registry: MetricsRegistry) -> None:
-    """Copy every live instrument of *source* into *registry* (create-or-
-    get: gauges and counters take the live value, histograms its buckets)."""
-    for instrument in source:
-        if isinstance(instrument, CycleHistogram):
-            target = registry.histogram(instrument.name)
-            target.counts = list(instrument.counts)
-            target.total = instrument.total
-            target.sum = instrument.sum
-        elif instrument.kind == "gauge":
-            registry.gauge(instrument.name).set(instrument.value)
-        else:
-            registry.counter(instrument.name).set(instrument.value)
+def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -> None:
+    """Export a :meth:`MemoryInterconnect.state_dict` under ``{prefix}.*``:
+    the shared counters, and for the channel model the mean streamed path
+    and every channel's own counters plus its bus occupancy."""
+    registry.gauge(f"{prefix}.path_cycles").set(state["path_cycles"])
+    registry.absorb(
+        {name: state[name] for name in MemoryInterconnect.COUNTERS}, f"{prefix}."
+    )
+    channels = state.get("channels")
+    if channels is None:
+        return
+    registry.gauge(f"{prefix}.num_channels").set(len(channels))
+    if state["streamed_paths"]:
+        registry.histogram(f"{prefix}.path_stream_cycles").record(
+            state["streamed_cycles_total"] // state["streamed_paths"]
+        )
+    horizon = state["last_completion"]
+    for index, channel in enumerate(channels):
+        name = f"{prefix}.channel{index}"
+        registry.absorb(
+            {slot: channel[slot] for slot in ChannelState.COUNTERS}, f"{name}."
+        )
+        occupancy = channel["busy_cycles"] / horizon if horizon else 0.0
+        registry.gauge(f"{name}.bus_occupancy_pct").set(round(100.0 * occupancy, 3))
 
 
 #: serve.* counters forced to exist (as zero) in every collection -- a
@@ -157,13 +178,12 @@ def collect_serve(frontend, registry: Optional[MetricsRegistry] = None) -> Metri
     call gives the full serving picture.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    _copy_instruments(frontend.registry, registry)
+    registry.absorb(frontend.registry)
     for name in _SERVE_COUNTERS:
         registry.counter(name)
     registry.gauge("bank.num_shards").set(frontend.bank.num_shards)
-    health = getattr(frontend.bank, "health", None)
-    if health is not None:
-        health.to_registry(registry)
+    if frontend.bank.health is not None:
+        frontend.bank.health.to_registry(registry)
     return registry
 
 
@@ -181,24 +201,14 @@ def collect_parallel(runtime, registry: Optional[MetricsRegistry] = None) -> Met
     plane, when attached, lands under its usual ``health.*`` names.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    _copy_instruments(runtime.registry, registry)
+    registry.absorb(runtime.registry)
     registry.gauge("parallel.num_workers").set(runtime.num_workers)
     for index, restarts in enumerate(runtime.worker_restarts()):
         registry.counter(f"parallel.worker{index}.restarts").set(restarts)
     for index, hangs in enumerate(runtime.worker_hangs()):
         registry.counter(f"parallel.worker{index}.hangs").set(hangs)
-    health = getattr(runtime, "health", None)
-    if health is not None:
-        health.to_registry(registry)
-    return registry
-
-
-def collect_recovery(recovery, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Register a :class:`~repro.faults.resilient.RecoveryStats` snapshot
-    under ``recovery.*`` names."""
-    registry = registry if registry is not None else MetricsRegistry()
-    for key, value in recovery.as_dict().items():
-        registry.counter(f"recovery.{key}").set(value)
+    if runtime.health is not None:
+        runtime.health.to_registry(registry)
     return registry
 
 

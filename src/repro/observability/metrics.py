@@ -1,12 +1,11 @@
 """Counters, gauges, and cycle-bucketed histograms behind one registry.
 
-The simulator accumulated its operational statistics in ad-hoc shapes: the
-``BackendStats`` dataclass, the scheme's ``SchemeStats``, bare attributes on
-:class:`~repro.oram.path_oram.PathORAM`, the recovery ladder's
-``RecoveryStats.as_dict``, and several hand-rolled ``Dict[str, int]``
-builders in the profiler and the system collector.  The
-:class:`MetricsRegistry` gives all of them one sink with four first-class
-instrument kinds:
+Components count in cheap inline shapes -- the ``BackendStats`` and
+``SchemeStats`` dataclasses, bare attributes named by a ``COUNTERS`` tuple
+on :class:`~repro.oram.path_oram.PathORAM` and its neighbours, the recovery
+ladder's ``RecoveryStats`` -- and hand plain ``{name: count}`` snapshots
+to :meth:`MetricsRegistry.absorb`.  The :class:`MetricsRegistry` gives all
+of them one sink with four first-class instrument kinds:
 
 * :class:`Counter` -- monotonically increasing event count;
 * :class:`Gauge` -- last-written value (watermarks, rates, occupancy);
@@ -26,7 +25,7 @@ name, which keeps exports deterministic for a fixed run.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -226,6 +225,33 @@ class MetricsRegistry:
         if isinstance(instrument, CycleHistogram):
             return instrument.mean
         return instrument.value
+
+    # ----------------------------------------------------------------- intake
+    def absorb(self, other, prefix: str = "") -> "MetricsRegistry":
+        """Take on *other*'s live values under ``prefix + name``; returns self.
+
+        *other* is a plain ``{name: count}`` mapping -- a component's
+        counter snapshot, registered as counters -- or an iterable of
+        instruments (another registry, or a selection of one): gauges and
+        counters take the live value, histograms the buckets.  Create-or-
+        get, so absorbing again refreshes the same instruments.
+        """
+        if isinstance(other, Mapping):
+            for name, value in other.items():
+                self.counter(prefix + name).set(value)
+            return self
+        for instrument in other:
+            name = prefix + instrument.name
+            if isinstance(instrument, CycleHistogram):
+                target = self.histogram(name)
+                target.counts = list(instrument.counts)
+                target.total = instrument.total
+                target.sum = instrument.sum
+            elif instrument.kind == "gauge":
+                self.gauge(name).set(instrument.value)
+            else:
+                self.counter(name).set(instrument.value)
+        return self
 
     # --------------------------------------------------------------- exports
     def to_dict(self) -> Dict[str, Dict]:

@@ -89,7 +89,7 @@ class InMemoryRecorder(TraceRecorder):
     def phase_totals(self) -> Dict[str, int]:
         """Sum of per-phase cycles over all spans (+ ``fault`` delays).
 
-        Mirrors the shape of ``AccessPipeline.breakdown()`` so traces can
+        Mirrors the shape of ``AccessPipeline.phase_cycles`` so traces can
         be reconciled against ``SimResult.extra`` phase accounting.
         """
         totals: Dict[str, int] = {}

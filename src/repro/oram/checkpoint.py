@@ -31,7 +31,7 @@ import binascii
 import json
 import os
 import tempfile
-from typing import Callable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.config import ORAMConfig
 from repro.oram.block import Block
@@ -43,6 +43,38 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     """A checkpoint document is malformed or inconsistent with its config."""
+
+
+def checked_counters(names: Iterable[str], saved, where: str) -> Dict[str, int]:
+    """``{name: saved[name]}`` for the integer counters *names* of a
+    document section -- unknown keys of the section are ignored.
+
+    Raises:
+        CheckpointError: a named counter is missing or not an integer.
+    """
+    try:
+        values = {name: saved[name] for name in names}
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{where}: missing counter {exc}") from exc
+    for name, value in values.items():
+        if type(value) is not int:
+            raise CheckpointError(
+                f"{where}: counter {name!r} is not an integer: {value!r}"
+            )
+    return values
+
+
+def load_counters(owner, names: Iterable[str], saved, where: str) -> None:
+    """Write the counters *names* of a document section onto *owner*.
+
+    The inverse of reading ``{name: getattr(owner, name) for name in
+    names}``, and the only way a document reaches a component's counters:
+    the component's declaration chooses the attributes, never the
+    document's keys, and every value is checked before the first is
+    written.
+    """
+    for name, value in checked_counters(names, saved, where).items():
+        setattr(owner, name, value)
 
 
 def _encode_block(block: Block) -> dict:
@@ -91,11 +123,7 @@ def _oram_state_dict(oram: PathORAM) -> dict:
             for i in range(oram.tree.num_buckets)
         ],
         "stash": [_encode_block(b) for b in oram.stash.iter_blocks()],
-        "counters": {
-            "real_accesses": oram.real_accesses,
-            "dummy_accesses": oram.dummy_accesses,
-            "stash_soft_overflows": oram.stash_soft_overflows,
-        },
+        "counters": {name: getattr(oram, name) for name in oram.COUNTERS},
     }
     cache = oram.tree.treetop
     if cache is not None:
@@ -110,9 +138,7 @@ def _oram_state_dict(oram: PathORAM) -> dict:
                 [_encode_block(b) for b in oram.tree._buckets[i]]
                 for i in range(cache.num_buckets)
             ],
-            "hits": cache.hits,
-            "flushes": cache.flushes,
-            "flushed_buckets": cache.flushed_buckets,
+            **{name: getattr(cache, name) for name in cache.COUNTERS},
         }
     return state
 
@@ -249,13 +275,7 @@ def _install_oram_state(oram: PathORAM, state: dict) -> None:
     oram.stash._blocks.clear()
     for raw in state["stash"]:
         oram.stash.add(_decode_block(raw, "stash"))
-    counters = state["counters"]
-    try:
-        oram.real_accesses = counters["real_accesses"]
-        oram.dummy_accesses = counters["dummy_accesses"]
-        oram.stash_soft_overflows = counters["stash_soft_overflows"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed checkpoint counters: {exc!r}") from exc
+    load_counters(oram, oram.COUNTERS, state["counters"], "checkpoint counters")
     oram.rebuild_auxiliary()
     try:
         oram.check_invariants()
@@ -301,9 +321,7 @@ def _install_treetop_state(oram: PathORAM, state: dict) -> None:
                 )
             dirty[index] = 1
         cache.dirty = dirty
-        cache.hits = int(saved["hits"])
-        cache.flushes = int(saved["flushes"])
-        cache.flushed_buckets = int(saved["flushed_buckets"])
+        load_counters(cache, cache.COUNTERS, saved, "treetop section")
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed treetop section: {exc!r}") from exc
 
@@ -358,37 +376,20 @@ def restore_oram(
 # A :class:`~repro.memory.oram_backend.ORAMBackend` is more than its ORAM:
 # the merged SimResult also draws on the backend's counters, the scheme's
 # statistics, the PosMap hierarchy's cache accounting, the pipeline's
-# per-phase attribution, and ``busy_until``.  A shard worker checkpoints
-# all of it so a respawned worker resumes accounting exactly where the
-# dead one stopped.  What is deliberately *not* captured (and therefore
-# resets on recovery, exactly like a rebooted device): RNG state, the
-# adaptive threshold policy's training state, and the prefetch tracker's
-# block-side hit bits -- none of them affect correctness, only warm-up.
+# per-phase attribution, the interconnect's scheduler state and
+# ``busy_until``.  What that state *is* is decided in one place: the
+# document's ``"backend"`` section is the controller's own
+# :meth:`~repro.memory.oram_backend.ORAMBackend.counters` walk -- the dict
+# the result fold and the metrics registry read -- and
+# :meth:`~repro.memory.oram_backend.ORAMBackend.load_counters` restores
+# from it, so a respawned worker resumes accounting exactly where the dead
+# one stopped and a counter cannot be folded but not persisted.  What is
+# deliberately *not* captured (and therefore resets on recovery, exactly
+# like a rebooted device): RNG state, the adaptive threshold policy's
+# training state, and the prefetch tracker's block-side hit bits -- none of
+# them affect correctness, only warm-up.
 
 BACKEND_FORMAT_VERSION = 1
-
-#: BackendStats fields round-tripped through a backend checkpoint.
-_BACKEND_STAT_FIELDS = (
-    "demand_requests",
-    "prefetch_requests",
-    "write_accesses",
-    "memory_accesses",
-    "dummy_accesses",
-    "posmap_accesses",
-    "busy_cycles",
-    "transient_faults",
-    "fault_retries",
-    "fault_delay_cycles",
-    "forced_evictions",
-)
-
-_SCHEME_STAT_FIELDS = (
-    "merges",
-    "breaks",
-    "prefetched_blocks",
-    "prefetch_hits",
-    "prefetch_misses",
-)
 
 
 def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:
@@ -400,33 +401,11 @@ def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:
             (the shard worker keeps its last-applied sequence number and a
             replay window of recent batch replies here).
     """
-    hierarchy = backend.posmap_hierarchy
-    injector = backend.injector
     state = {
         "version": BACKEND_FORMAT_VERSION,
         "kind": "oram-backend",
         "oram": _oram_state_dict(backend.oram),
-        "backend": {
-            "busy_until": backend.busy_until,
-            "stats": {
-                name: getattr(backend.stats, name)
-                for name in _BACKEND_STAT_FIELDS
-            },
-            "scheme_stats": {
-                name: getattr(backend.scheme.stats, name)
-                for name in _SCHEME_STAT_FIELDS
-            },
-            "posmap_hierarchy": {
-                "lookups": hierarchy.lookups,
-                "posmap_block_accesses": hierarchy.posmap_block_accesses,
-                "cache_hits": hierarchy.cache_hits,
-            },
-            "stash_max_occupancy": backend.oram.stash.max_occupancy,
-            "phase_cycles": backend.pipeline.breakdown(),
-            "pipeline_requests": backend.pipeline.requests,
-            "interconnect": backend.interconnect.state_dict(),
-            "injector": injector.stats.as_dict() if injector is not None else None,
-        },
+        "backend": backend.counters(),
         "runtime": runtime_state or {},
     }
     return json.dumps(state)
@@ -458,39 +437,8 @@ def restore_backend_state(backend, payload: str) -> dict:
         if key not in state:
             raise CheckpointError(f"backend checkpoint missing key: {key!r}")
     _install_oram_state(backend.oram, _parse_oram_state(state["oram"]))
-    saved = state["backend"]
     try:
-        backend.busy_until = saved["busy_until"]
-        for name in _BACKEND_STAT_FIELDS:
-            setattr(backend.stats, name, saved["stats"][name])
-        for name in _SCHEME_STAT_FIELDS:
-            setattr(backend.scheme.stats, name, saved["scheme_stats"][name])
-        hierarchy = backend.posmap_hierarchy
-        hierarchy.lookups = saved["posmap_hierarchy"]["lookups"]
-        hierarchy.posmap_block_accesses = saved["posmap_hierarchy"][
-            "posmap_block_accesses"
-        ]
-        hierarchy.cache_hits = saved["posmap_hierarchy"]["cache_hits"]
-        backend.oram.stash.max_occupancy = saved["stash_max_occupancy"]
-        for name, cycles in saved["phase_cycles"].items():
-            backend.pipeline.phase_cycles[name] = cycles
-        backend.pipeline.requests = saved["pipeline_requests"]
-        # Older checkpoints predate the interconnect; its scheduler state
-        # then simply resets (flat has none, so only channel-model bus /
-        # bank timing and occupancy counters are at stake).
-        interconnect_state = saved.get("interconnect")
-        if interconnect_state:
-            backend.interconnect.load_state_dict(interconnect_state)
-        # Likewise optional.  Without the injector's own counters a
-        # reopened shard's fresh injector would restart at zero: its
-        # ``injected_*`` totals would fall behind the restored
-        # ``BackendStats`` and ``start_after`` would grant a second
-        # fault-free warm-up.
-        injected = saved.get("injector")
-        if injected and backend.injector is not None:
-            injector_stats = backend.injector.stats
-            for name in vars(injector_stats):
-                setattr(injector_stats, name, injected[name])
+        backend.load_counters(state["backend"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed backend checkpoint: {exc!r}") from exc
     runtime = state.get("runtime", {})

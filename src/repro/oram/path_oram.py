@@ -65,6 +65,10 @@ class PathORAM(
         populate: install ``config.num_blocks`` blocks at construction.
     """
 
+    #: the integer attributes this ORAM counts in: what a checkpoint's
+    #: ``counters`` section and a controller's ``counters()`` walk carry
+    COUNTERS = ("real_accesses", "dummy_accesses", "stash_soft_overflows")
+
     def __init__(
         self,
         config: ORAMConfig,
@@ -83,10 +87,8 @@ class PathORAM(
             entries_per_block=config.posmap_entries_per_block,
             rng=rng.fork(salt=0x9E3779B9),
         )
-        # Statistics
-        self.real_accesses = 0
-        self.dummy_accesses = 0
-        self.stash_soft_overflows = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
         self._populated = False
         self._pending_writeback: Optional[int] = None
         # Scratch depth buckets reused by every _evict_path call (allocating

@@ -37,6 +37,10 @@ class PosMapHierarchy:
         cache_entries: capacity of the on-chip PosMap block cache.
     """
 
+    #: the integer attributes the walk counts in (checkpointed and reported
+    #: through the owning controller's ``counters()`` walk)
+    COUNTERS = ("lookups", "posmap_block_accesses", "cache_hits")
+
     def __init__(self, num_hierarchies: int, entries_per_block: int, cache_entries: int):
         if num_hierarchies < 1:
             raise ValueError("need at least the data ORAM hierarchy")
@@ -46,10 +50,8 @@ class PosMapHierarchy:
         self.cache_entries = cache_entries
         # Keys are (hierarchy << 56) | block_id -- see :meth:`lookup`.
         self._cache: "OrderedDict[int, None]" = OrderedDict()
-        # Statistics
-        self.lookups = 0
-        self.posmap_block_accesses = 0
-        self.cache_hits = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def posmap_block_ids(self, addr: int) -> List[tuple]:
         """(hierarchy, block id) keys for the PosMap blocks covering ``addr``.

@@ -185,7 +185,10 @@ class TreetopCache:
     on-chip -- is public information; hiding them leaks nothing.
     """
 
-    __slots__ = ("levels", "num_buckets", "store", "dirty", "hits", "flushes", "flushed_buckets")
+    #: ``hits``: buckets served from SRAM instead of DRAM (one per pinned
+    #: level per path read); the other two count write-backs of the dirty set
+    COUNTERS = ("hits", "flushes", "flushed_buckets")
+    __slots__ = ("levels", "num_buckets", "store", "dirty") + COUNTERS
 
     def __init__(self, levels: int):
         if levels < 1:
@@ -194,11 +197,8 @@ class TreetopCache:
         self.num_buckets = (1 << levels) - 1
         self.store: List[List[Block]] = [[] for _ in range(self.num_buckets)]
         self.dirty = bytearray(self.num_buckets)
-        #: buckets served from SRAM instead of DRAM (one per pinned level
-        #: per path read)
-        self.hits = 0
-        self.flushes = 0
-        self.flushed_buckets = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
 
 class BinaryTree:

@@ -8,7 +8,7 @@ as replaying the stream through an in-process
 Every route funnels through this module: :meth:`SecureSystem.run` (one
 controller or a bank), the serial reference, the worker runtime and the
 serving front end all sample their controllers with
-:func:`repro.memory.oram_backend.snapshot_shard_stats`, and
+:meth:`repro.memory.oram_backend.ORAMBackend.counters`, and
 :func:`fold_shard_snapshots` is the only place ORAM-side result fields are
 assigned and aggregate semantics live (sum the counters, max the
 watermarks, lookup-weight the hit rate, which ``extra`` keys exist and in
@@ -17,33 +17,15 @@ what order), so identity is structural rather than a property to chase.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.controller.sharded import build_bank
 from repro.faults.fsck import run_fsck_bank
-from repro.oram.checkpoint import _SCHEME_STAT_FIELDS
+from repro.memory.backend import FAULT_COUNTERS, sum_counters
+from repro.memory.interconnect import summarize
 from repro.sim.results import SimResult
-
-#: result fields summed straight off each controller's ``stats`` dict (also
-#: what :meth:`SecureSystem._collect` copies off a DRAM backend's stats)
-BACKEND_RESULT_FIELDS = (
-    "demand_requests",
-    "prefetch_requests",
-    "write_accesses",
-    "memory_accesses",
-    "dummy_accesses",
-    "posmap_accesses",
-    "busy_cycles",
-)
-
-#: ``stats`` fields reported in ``extra`` when the fault ladder is wired
-_FAULT_EXTRA_FIELDS = (
-    "transient_faults",
-    "fault_retries",
-    "fault_delay_cycles",
-    "forced_evictions",
-)
 
 
 def requests_from_trace(trace) -> List[Tuple[int, int, bool]]:
@@ -62,14 +44,29 @@ def requests_from_trace(trace) -> List[Tuple[int, int, bool]]:
     return requests
 
 
-def _summed(dicts: Sequence[Optional[dict]], assigned: str = "") -> dict:
-    """Key-wise sum of the dicts that are present, in first-seen key order
-    (the *assigned* key, equal on every shard, is taken instead of summed)."""
-    total: dict = {}
-    for counters in dicts:
-        for name, value in (counters or {}).items():
-            total[name] = value if name == assigned else total.get(name, 0) + value
-    return total
+def _assign_backend_stats(result: SimResult, stats: dict) -> None:
+    """Copy ``BackendStats`` counters onto the result fields of the same
+    name (all of them but the fault ladder's, which ride in ``extra``)."""
+    for name, value in stats.items():
+        if name not in FAULT_COUNTERS:
+            setattr(result, name, value)
+
+
+def fold_backend(result: SimResult, backend) -> SimResult:
+    """Fill the memory-side fields of *result* from the backend of a run.
+
+    Both simulators end here.  Everything ORAM-side comes from
+    ``backend.snapshot_shards()`` through :func:`fold_shard_snapshots`,
+    the fold every other route uses; DRAM has no controller, so the
+    counters are the backend's own.
+    """
+    snapshots = backend.snapshot_shards()
+    if not snapshots:
+        _assign_backend_stats(result, asdict(backend.stats))
+        return result
+    return fold_shard_snapshots(
+        result, snapshots, bank=backend.bank_width is not None
+    )
 
 
 def fold_shard_snapshots(
@@ -80,46 +77,52 @@ def fold_shard_snapshots(
     Args:
         result: carries the core-side fields already (workload, scheme,
             cycles, trace entries, cache hits and misses).
-        snapshots: one :func:`snapshot_shard_stats` dict per controller,
-            in shard order.
+        snapshots: one ``ORAMBackend.counters()`` dict per controller, in
+            shard order.
         bank: the controllers are channels of a bank, which reports its
             width as ``extra["num_shards"]``; a standalone controller
             does not.
 
     Robustness, injector and interconnect counters ride in ``extra`` --
     present only when a snapshot says a fault ladder / injector / non-flat
-    interconnect is wired (a snapshot without those keys says it is not)
-    -- so the pinned golden result schema (and every fault-free,
-    flat-model consumer) is untouched.  Insertion order is part of the
-    contract: result digests hash the dict's ``repr``.
+    interconnect is wired -- so the pinned golden result schema (and every
+    fault-free, flat-model consumer) is untouched.  Insertion order is
+    part of the contract: result digests hash the dict's ``repr``.
     """
-    for name in BACKEND_RESULT_FIELDS:
-        setattr(result, name, sum(snap["stats"][name] for snap in snapshots))
-    for name in _SCHEME_STAT_FIELDS:  # same names on SimResult
-        setattr(result, name, sum(snap["scheme_stats"][name] for snap in snapshots))
+    stats = sum_counters(snap["stats"] for snap in snapshots)
+    _assign_backend_stats(result, stats)
+    scheme_stats = sum_counters(snap["scheme_stats"] for snap in snapshots)
+    for name, value in scheme_stats.items():  # same names on SimResult
+        setattr(result, name, value)
     result.stash_max_occupancy = max(
         snap["stash_max_occupancy"] for snap in snapshots
     )
-    lookups = sum(snap["posmap_lookups"] for snap in snapshots)
-    hits = sum(snap["posmap_cache_hits"] for snap in snapshots)
-    result.posmap_cache_hit_rate = hits / lookups if lookups else 0.0
+    posmap = sum_counters(snap["posmap_hierarchy"] for snap in snapshots)
+    lookups = posmap["lookups"]
+    result.posmap_cache_hit_rate = posmap["cache_hits"] / lookups if lookups else 0.0
     extra = result.extra
     if bank:
         extra["num_shards"] = len(snapshots)
     extra["stash_soft_overflows"] = sum(
-        snap["stash_soft_overflows"] for snap in snapshots
+        snap["oram"]["stash_soft_overflows"] for snap in snapshots
     )
-    for name, cycles in _summed([snap["phase_cycles"] for snap in snapshots]).items():
+    phases = sum_counters(snap["phase_cycles"] for snap in snapshots)
+    for name, cycles in phases.items():
         extra[f"phase_{name}_cycles"] = cycles
-    if any(snap.get("fault_model") for snap in snapshots):
-        for name in _FAULT_EXTRA_FIELDS:
-            extra[name] = sum(snap["stats"][name] for snap in snapshots)
-    for name, value in _summed([snap.get("injected") for snap in snapshots]).items():
+    if any(snap["fault_model"] for snap in snapshots):
+        for name in FAULT_COUNTERS:
+            extra[name] = stats[name]
+    for name, value in sum_counters(snap["injector"] for snap in snapshots).items():
         extra[f"injected_{name}"] = value
-    for name, value in _summed(
-        [snap.get("interconnect") for snap in snapshots], assigned="channels"
-    ).items():
+    summaries = [
+        summarize(snap["interconnect"])
+        for snap in snapshots
+        if snap["interconnect"]["model"] != "flat"
+    ]
+    for name, value in sum_counters(summaries).items():
         extra[f"interconnect_{name}"] = value
+    if summaries:  # a per-controller constant, equal on every shard: not summed
+        extra["interconnect_channels"] = summaries[0]["channels"]
     return result
 
 
@@ -133,8 +136,8 @@ def merge_shard_snapshots(
     """Fold per-shard counter snapshots into one bank-level result.
 
     Args:
-        snapshots: one :func:`snapshot_shard_stats` dict per shard, in
-            shard order.
+        snapshots: one ``ORAMBackend.counters()`` dict per shard, in shard
+            order.
         completions: completion cycle of every request, in input order;
             the run's cycle count is the last finishing one.
         workload: label for the result's workload field.

@@ -12,7 +12,7 @@ Commands (front-end -> worker)::
 
     ("batch", seq, [(local_addr, now, is_write), ...])
     ("drain", seq, now)      # barrier: finalize the backend at `now`
-    ("stats", seq)           # sample a counter snapshot
+    ("stats", seq)           # sample the backend's counters() walk
     ("fsck", seq)            # audit the shard's ORAM invariants
     ("checkpoint", seq)      # force a checkpoint outside the cadence
     ("throttle", None, flag) # degraded-mode switch; no reply

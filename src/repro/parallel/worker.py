@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Iterator
 
-from repro.controller.sharded import build_shard_backend, snapshot_shard_stats
+from repro.controller.sharded import build_shard_backend
 from repro.faults.fsck import run_fsck
 from repro.faults.injector import FaultInjector
 from repro.oram.checkpoint import restore_backend, save_backend
@@ -129,7 +129,7 @@ class ShardExecutor:
                 backend.finalize(max(command[2], backend.busy_until))
                 yield ("drained", seq)
             elif op == "stats":
-                yield ("stats", seq, snapshot_shard_stats(backend))
+                yield ("stats", seq, backend.counters())
             elif op == "fsck":
                 report = run_fsck(backend.oram)
                 yield ("fsck_done", seq, report.ok, report.summary())

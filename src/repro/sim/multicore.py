@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 from repro.cache.set_associative import SetAssociativeCache
 from repro.config import SystemConfig
 from repro.memory.backend import MemoryBackend
+from repro.parallel.merge import fold_backend
 from repro.sim.results import SimResult
 from repro.sim.system import SecureSystem
 from repro.sim.trace import Trace
@@ -146,17 +147,18 @@ class MultiCoreSystem:
 
     # --------------------------------------------------------------- results
     def _collect(self, trace: Trace, cycles: int, stat, core: int) -> SimResult:
-        return SimResult(
-            workload=f"{trace.name}@core{core}",
-            scheme="shared",
-            cycles=cycles,
-            trace_entries=len(trace),
-            l1_hits=stat["l1"],
-            llc_hits=stat["llc"],
-            llc_misses=stat["miss"],
-            demand_requests=self.backend.stats.demand_requests,
-            memory_accesses=self.backend.stats.memory_accesses,
-            dummy_accesses=self.backend.stats.dummy_accesses,
+        # Every core reports the shared backend's totals.
+        return fold_backend(
+            SimResult(
+                workload=f"{trace.name}@core{core}",
+                scheme="shared",
+                cycles=cycles,
+                trace_entries=len(trace),
+                l1_hits=stat["l1"],
+                llc_hits=stat["llc"],
+                llc_misses=stat["miss"],
+            ),
+            self.backend,
         )
 
 

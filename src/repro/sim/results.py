@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict
 
 
 @dataclass
@@ -90,41 +90,17 @@ class SimResult:
     def delta(final: "SimResult", start: "SimResult") -> "SimResult":
         """Measurement-window result: ``final`` minus a warmup snapshot.
 
-        Additive counters are differenced; watermark/rate fields keep the
-        final values.  Used to discard cache/ORAM warmup so short traces
-        measure steady-state behaviour like the paper's long runs.
+        Additive counters -- every ``int`` field but the stash watermark --
+        are differenced; watermark/rate fields keep the final values.  Used
+        to discard cache/ORAM warmup so short traces measure steady-state
+        behaviour like the paper's long runs.
         """
-        additive = [
-            "cycles",
-            "trace_entries",
-            "l1_hits",
-            "llc_hits",
-            "llc_misses",
-            "demand_requests",
-            "prefetch_requests",
-            "write_accesses",
-            "memory_accesses",
-            "dummy_accesses",
-            "posmap_accesses",
-            "busy_cycles",
-            "merges",
-            "breaks",
-            "prefetched_blocks",
-            "prefetch_hits",
-            "prefetch_misses",
-        ]
-        out = SimResult(
-            workload=final.workload,
-            scheme=final.scheme,
-            cycles=0,
-            trace_entries=0,
-        )
-        for name in additive:
-            setattr(out, name, getattr(final, name) - getattr(start, name))
-        out.stash_max_occupancy = final.stash_max_occupancy
-        out.posmap_cache_hit_rate = final.posmap_cache_hit_rate
-        out.extra = dict(final.extra)
-        return out
+        differences = {
+            f.name: getattr(final, f.name) - getattr(start, f.name)
+            for f in fields(SimResult)
+            if f.type in (int, "int") and f.name != "stash_max_occupancy"
+        }
+        return replace(final, extra=dict(final.extra), **differences)
 
     def summary(self) -> str:
         """One-line human-readable digest."""

@@ -25,7 +25,7 @@ from repro.memory.backend import MemoryBackend
 from repro.memory.dram import DRAMBackend
 from repro.observability.collect import collect_system
 from repro.observability.recorder import attach_recorder
-from repro.parallel.merge import BACKEND_RESULT_FIELDS, fold_shard_snapshots
+from repro.parallel.merge import fold_backend
 from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.stream import StreamPrefetcher
 from repro.prefetch.stride import StridePrefetcher
@@ -309,24 +309,15 @@ class SecureSystem:
         misses: int,
         entries_processed: int,
     ) -> SimResult:
-        result = SimResult(
-            workload=trace.name,
-            scheme=self.label,
-            cycles=now,
-            trace_entries=entries_processed,
-            l1_hits=l1_hits,
-            llc_hits=llc_hits,
-            llc_misses=misses,
-        )
-        backend = self.backend
-        snapshots = backend.snapshot_shards()
-        if not snapshots:  # DRAM: no controller, the counters are its own
-            for name in BACKEND_RESULT_FIELDS:
-                setattr(result, name, getattr(backend.stats, name))
-            return result
-        # Everything ORAM-side comes from controller snapshots through the
-        # one fold every other route (serial reference, worker runtime,
-        # serving front end) uses.
-        return fold_shard_snapshots(
-            result, snapshots, bank=backend.bank_width is not None
+        return fold_backend(
+            SimResult(
+                workload=trace.name,
+                scheme=self.label,
+                cycles=now,
+                trace_entries=entries_processed,
+                l1_hits=l1_hits,
+                llc_hits=llc_hits,
+                llc_misses=misses,
+            ),
+            self.backend,
         )

@@ -73,7 +73,7 @@ class TestBackendEdges:
         )
         first = backend.demand_access(1, 0, False)
         second = backend.demand_access(2, first.completion_cycle, False)
-        assert second.completion_cycle == first.completion_cycle + backend.timing.path_cycles
+        assert second.completion_cycle == first.completion_cycle + backend.interconnect.path_cycles
 
     def test_builder_honours_an_explicit_zero_interval(self):
         """Regression: the builder turned ``interval_cycles=0`` into 100."""

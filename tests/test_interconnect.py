@@ -17,6 +17,7 @@ state must survive a checkpoint round-trip.
 """
 
 import dataclasses
+import json
 import gc
 import random
 import tracemalloc
@@ -143,7 +144,8 @@ class TestFlatInterconnect:
         trace = locality_mix_trace(0.8, accesses=50)
         system = SecureSystem.build("dyn", trace.footprint_blocks, experiment_config())
         assert isinstance(system.backend.interconnect, FlatInterconnect)
-        assert system.backend.interconnect.path_cycles == system.backend.timing.path_cycles
+        timing = ORAMTimingModel.from_config(system.backend.config, system.config.dram)
+        assert system.backend.interconnect.path_cycles == timing.path_cycles
 
 
 class TestDegenerateEquivalence:
@@ -349,9 +351,24 @@ class TestCheckpointRoundTrip:
             restore_backend_state(backend(3), payload)
 
     def test_flat_checkpoint_is_unchanged(self):
-        flat = build_interconnect(ORAMConfig(levels=6, bucket_size=4), DRAMConfig())
-        flat.path_completion(5, 0)
-        assert flat.state_dict() == {}
+        """The flat model's counters come back from a checkpoint unchanged
+        (they used to be dropped: its ``state_dict()`` was empty)."""
+        oram = ORAMConfig(levels=6, bucket_size=4, treetop_levels=4)
+        source = build_interconnect(oram, DRAMConfig())
+        for leaf in range(9):
+            source.path_completion(leaf, 0)
+        source.note_untracked(5)
+        state = json.loads(json.dumps(source.state_dict()))
+        assert state["streamed_paths"] == 9 and state["untracked_paths"] == 5
+        assert state["treetop_hits"] == 4 * 14 and state["treetop_bytes_saved"] > 0
+        target = build_interconnect(oram, DRAMConfig())
+        target.load_state_dict(state)
+        assert target.state_dict() == source.state_dict()
+        assert target.summary() == source.summary()
+        # A document written before the flat model kept state restores at zero.
+        legacy = build_interconnect(oram, DRAMConfig())
+        legacy.load_state_dict({})
+        assert legacy.summary() == build_interconnect(oram, DRAMConfig()).summary()
 
 
 class TestPerLeafRetention:

@@ -247,7 +247,7 @@ class TestTracedRuns:
         recorder = InMemoryRecorder()
         system, _ = build_and_run("dyn_intvl", accesses=250, recorder=recorder)
         backend = system.backend
-        period = backend.timing.path_cycles + backend.interval
+        period = backend.interconnect.path_cycles + backend.interval
         spans = list(recorder.spans())
         assert spans
         assert all(span.start % period == 0 for span in spans)

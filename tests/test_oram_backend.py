@@ -6,6 +6,8 @@ from repro.config import DRAMConfig, ORAMConfig
 from repro.core.dynamic import DynamicSuperBlockScheme
 from repro.memory.oram_backend import ORAMBackend
 from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme
+from repro.parallel.merge import fold_backend
+from repro.sim.results import SimResult
 from repro.utils.rng import DeterministicRng
 
 
@@ -23,13 +25,13 @@ class TestDemand:
         first = backend.demand_access(1, now=0, is_write=False)
         second = backend.demand_access(2, now=0, is_write=False)
         # A single ORAM access saturates the channel: no overlap.
-        assert second.completion_cycle >= first.completion_cycle + backend.timing.path_cycles
+        assert second.completion_cycle >= first.completion_cycle + backend.interconnect.path_cycles
 
     def test_latency_includes_posmap_walk(self):
         backend = make_backend()
         cold = backend.demand_access(1, now=0, is_write=False)
         # The cold access paid extra path accesses for the PosMap walk.
-        assert cold.completion_cycle >= backend.timing.access_cycles(2)
+        assert cold.completion_cycle >= 2 * backend.interconnect.path_cycles
         assert backend.stats.posmap_accesses > 0
 
     def test_fill_contains_demand(self):
@@ -86,7 +88,7 @@ class TestWriteback:
         backend = make_backend()
         backend.evict_line(3, dirty=True, now=0)
         blocked = backend.demand_access(4, now=0, is_write=False)
-        assert blocked.completion_cycle >= 2 * backend.timing.path_cycles
+        assert blocked.completion_cycle >= 2 * backend.interconnect.path_cycles
 
 
 class TestPrefetch:
@@ -137,4 +139,8 @@ class TestDynamicIntegration:
             backend.demand_access(rng.randint(0, n - 1), now=0, is_write=False)
         # With a tiny stash and pair fetches, background evictions happen.
         assert backend.stats.dummy_accesses > 0
-        assert backend.background_eviction_rate > 0.0
+        result = fold_backend(SimResult("random", "stat", 0, 300), backend)
+        assert result.dummy_accesses == backend.stats.dummy_accesses
+        assert result.background_eviction_rate == pytest.approx(
+            result.dummy_accesses / (300 + result.dummy_accesses)
+        )

@@ -257,41 +257,13 @@ class TestParallelMetrics:
 # ------------------------------------------------------- merge & checkpoint
 class TestMergeAndCheckpoint:
     def test_merge_empty_snapshots(self):
+        fresh = build_shard_backend("dyn", FOOTPRINT, SystemConfig(), 0, 1)
         merged = merge_shard_snapshots(
-            [
-                {
-                    "stats": {
-                        name: 0
-                        for name in (
-                            "demand_requests",
-                            "prefetch_requests",
-                            "write_accesses",
-                            "memory_accesses",
-                            "dummy_accesses",
-                            "posmap_accesses",
-                            "busy_cycles",
-                        )
-                    },
-                    "scheme_stats": {
-                        "merges": 0,
-                        "breaks": 0,
-                        "prefetched_blocks": 0,
-                        "prefetch_hits": 0,
-                        "prefetch_misses": 0,
-                    },
-                    "stash_max_occupancy": 0,
-                    "stash_soft_overflows": 0,
-                    "posmap_lookups": 0,
-                    "posmap_cache_hits": 0,
-                    "phase_cycles": {},
-                    "busy_until": 0,
-                }
-            ],
-            [],
-            workload="empty",
-            scheme="dyn",
+            [fresh.counters()], [], workload="empty", scheme="dyn"
         )
         assert merged.cycles == 0
+        assert merged.trace_entries == 0
+        assert merged.memory_accesses == 0
         assert merged.posmap_cache_hit_rate == 0.0
         assert merged.extra["num_shards"] == 1
 
@@ -307,9 +279,7 @@ class TestMergeAndCheckpoint:
         clone = build_shard_backend("dyn", FOOTPRINT, config, 0, 2)
         runtime_state = restore_backend_state(clone, payload)
         assert runtime_state == {"last_seq": 5, "replies": [[5, [1]]]}
-        from repro.controller.sharded import snapshot_shard_stats
-
-        assert snapshot_shard_stats(clone) == snapshot_shard_stats(source)
+        assert clone.counters() == source.counters()
         clone.oram.check_invariants()
 
     def test_worker_seed_derivation_matches_serial_bank(self):

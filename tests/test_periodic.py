@@ -26,13 +26,13 @@ class TestSchedule:
         second = backend.demand_access(2, now=first.completion_cycle, is_write=False)
         # The second access starts exactly Oint after the first finishes.
         gap = second.completion_cycle - first.completion_cycle
-        assert gap >= 100 + backend.timing.path_cycles
+        assert gap >= 100 + backend.interconnect.path_cycles
 
     def test_idle_periods_filled_with_dummies(self):
         backend = make_backend(interval=100)
         first = backend.demand_access(1, now=0, is_write=False)
         # Arrive a long time later: slots in between must have fired.
-        idle = 20 * (backend.timing.path_cycles + 100)
+        idle = 20 * (backend.interconnect.path_cycles + 100)
         backend.demand_access(2, now=first.completion_cycle + idle, is_write=False)
         assert backend.stats.dummy_accesses >= 18
 
@@ -47,7 +47,7 @@ class TestSchedule:
         backend = make_backend(interval=100)
         backend.demand_access(1, now=0, is_write=False)
         before = backend.stats.dummy_accesses
-        backend.finalize(now=50 * (backend.timing.path_cycles + 100))
+        backend.finalize(now=50 * (backend.interconnect.path_cycles + 100))
         assert backend.stats.dummy_accesses > before
 
 
@@ -66,7 +66,7 @@ class TestSlotGridInvariant:
         backend = make_backend(interval=100)
         recorder = InMemoryRecorder()
         backend.set_recorder(recorder)
-        period = backend.timing.path_cycles + backend.interval
+        period = backend.interconnect.path_cycles + backend.interval
         rng = DeterministicRng(9)
         now = 0
         for i in range(60):
@@ -100,7 +100,7 @@ class TestSlotGridInvariant:
 
     def test_mid_slot_arrival_burns_open_slot_as_dummy(self):
         backend = make_backend(interval=100)
-        period = backend.timing.path_cycles + backend.interval
+        period = backend.interconnect.path_cycles + backend.interval
         backend.demand_access(1, now=0, is_write=False)
         open_slot = backend._next_slot
         assert open_slot % period == 0

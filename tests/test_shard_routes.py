@@ -281,6 +281,57 @@ class TestFoldedExtras:
             assert result.extra["injected_transients"] == result.extra["transient_faults"]
             assert result.extra["injected_delay_cycles"] > 0
 
+    @pytest.mark.parametrize("reopened", ["process", "inline"])
+    def test_flat_interconnect_counters_survive_a_reopened_shard(
+        self, tmp_path, monkeypatch, reopened
+    ):
+        """Regression: ``FlatInterconnect`` had no ``state_dict``, so on the
+        default model every checkpoint -> restore zeroed the path and
+        treetop counters.  The registry built from the snapshots a killed
+        and reopened shard ships equals the one from before the kill."""
+        from repro.observability import collect_controllers
+        from repro.parallel import runtime as runtime_module
+
+        shipped = []
+        merge = runtime_module.merge_shard_snapshots
+
+        def capture(snapshots, *args, **kwargs):
+            shipped.append(snapshots)
+            return merge(snapshots, *args, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "merge_shard_snapshots", capture)
+        base = SystemConfig()
+        config = dataclasses.replace(
+            base, oram=dataclasses.replace(base.oram, treetop_levels=4)
+        )
+        policy = HealthPolicy(batch_deadline_s=5.0, join_timeout_s=2.0)
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            config,
+            2,
+            checkpoint_dir=str(tmp_path),
+            batch_size=23,
+            health_policy=policy if reopened == "inline" else None,
+        ) as runtime:
+            runtime.run(small_stream(accesses=300))
+            runtime.kill_worker(0)
+            runtime.run([])  # nothing new: the barrier reopens and samples
+            assert runtime.total_restarts() >= 1
+            if reopened == "inline":
+                assert runtime.health.total_quarantines() == 1
+        source, restored = (
+            collect_controllers(snapshots, bank_width=2) for snapshots in shipped
+        )
+        for name in (
+            "streamed_paths", "untracked_paths", "treetop_hits", "treetop_bytes_saved"
+        ):
+            for shard in (0, 1):
+                counter = f"interconnect.shard{shard}.{name}"
+                assert restored.counter(counter).value == source.counter(counter).value
+                assert source.counter(counter).value > 0
+        assert shipped[1][0]["interconnect"] == shipped[0][0]["interconnect"]
+
     def test_injector_counters_are_an_optional_checkpoint_key(self):
         """A restored injector gets no second ``start_after`` warm-up, and
         a checkpoint written before the key existed still loads (its

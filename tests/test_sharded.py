@@ -13,7 +13,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.controller.sharded import ShardedORAMBank, build_bank
 from repro.faults import FaultConfig, FaultInjector, run_fsck_bank
-from repro.memory.oram_backend import ORAMBackend, snapshot_shard_stats
+from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.parallel.merge import merge_shard_snapshots
 from repro.sim.system import SecureSystem
@@ -146,9 +146,7 @@ class TestBankProtocol:
             assert backend.num_blocks > 1 << 40
 
         result = system.run(short_trace(accesses=600))
-        assert backend.snapshot_shards() == [
-            snapshot_shard_stats(shard) for shard in shards
-        ]
+        assert backend.snapshot_shards() == [shard.counters() for shard in shards]
         assert result.extra.get("num_shards") == bank_width
 
         expected = set(CORE_KEYS)
@@ -276,13 +274,12 @@ class TestAggregateViews:
 
     def test_phase_breakdown_sums_pipelines(self):
         system = build_sharded(num_shards=4)
-        system.run(short_trace())
-        bank = system.backend
-        breakdown = bank.phase_breakdown()
+        result = system.run(short_trace())
         for name in ("posmap", "path_read", "writeback"):
-            assert breakdown[name] == sum(
-                shard.pipeline.breakdown()[name] for shard in bank.shards
+            assert result.extra[f"phase_{name}_cycles"] == sum(
+                shard.pipeline.phase_cycles[name] for shard in system.backend.shards
             )
+        assert result.extra["phase_path_read_cycles"] > 0
 
 
 class TestPosmapRateRegression:

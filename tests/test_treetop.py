@@ -232,7 +232,7 @@ class TestTruncatedTiming:
             small_config(4), DRAMConfig(), BaselineScheme(), DeterministicRng(3)
         )
         public = backend.interconnect.path_cycles
-        assert public == backend.timing.path_cycles_for(
+        assert public == backend.interconnect.path_cycles_for(
             backend.config.nominal_levels + 1 - 4
         )
         done = backend.dummy_path_access(0)
