@@ -1,6 +1,6 @@
 """Tests for the cross-layer chaos harness (``repro.faults.chaos``).
 
-The full soak lives in ``benchmarks/bench_chaos.py``; here the scenario
+The full soak is ``repro chaos --ops N`` at any size; here the scenario
 grammar, event scaling, determinism, and each layer's gates are pinned
 on storms small enough for the unit suite.  The parallel layer -- the
 slow one, since it spawns real processes and rides a wall-clock

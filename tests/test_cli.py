@@ -174,3 +174,41 @@ class TestObservabilityCommands:
     def test_metrics_rejects_dram(self):
         with pytest.raises(SystemExit):
             main(["metrics", "-w", "locality:50", "-s", "dram", "--accesses", "100"])
+
+
+RUN = "run -w locality:80 -s dyn --accesses 1500 --warmup 0 "
+
+#: one tiny in-process run per feature command line, and the output line
+#: that shows the flags reached their layer (the verdict, where there is one)
+FEATURE_SMOKES = [
+    (RUN + "--shards 4", "4-shard ORAM bank"),
+    (RUN + "--dram-model channel --channels 4 --treetop 4", "channel interconnect (4 channels)"),
+    (RUN + "--channels 2 --shards 2", "2-shard ORAM bank, 2-channel DRAM"),
+    (RUN + "--treetop 6 --shards 2", "2-shard ORAM bank"),
+    (RUN + "--fault-transient 0.02 --fault-delay 0.02", "fault injection (seed 1)"),
+    (RUN + "--shards 4 --health-policy window=32", "4-shard ORAM bank"),
+    ("parity --scheme all --accesses 300", "clean"),
+    (
+        "parallel -w locality:80 -s dyn --parallel-workers 2 --accesses 1000 --fsck",
+        "bit-identical to serial",
+    ),
+    ("serve -s dyn --shards 4 --tenants 4 --requests 60 --metrics", "serve.tenant3.queue_peak"),
+    (
+        "serve -s dyn --mode closed --shards 2 --tenants 2 --clients 3 --requests 20",
+        "closed loop, 3 clients/tenant",
+    ),
+    (
+        "serve -s dyn --shards 2 --tenants 2 --requests 60 --parallel-check",
+        "replay bit-identically",
+    ),
+    ("chaos --ops 1500 --shards 2 --layers kv,bank", "verdict: PASS"),
+]
+
+
+class TestFeatureCommands:
+    @pytest.mark.parametrize(
+        "argv, line", FEATURE_SMOKES, ids=[argv for argv, _ in FEATURE_SMOKES]
+    )
+    def test_exits_zero_and_prints_its_line(self, argv, line, capsys):
+        assert main(argv.split()) == 0
+        assert line in capsys.readouterr().out

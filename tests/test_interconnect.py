@@ -227,14 +227,26 @@ class TestChannelSpeedup:
     def test_full_system_faster_with_channels(self):
         trace = locality_mix_trace(0.8, accesses=3000)
         config = experiment_config()
-        flat_result = SecureSystem.build("dyn", trace.footprint_blocks, config).run(trace)
+        flat_system = SecureSystem.build("dyn", trace.footprint_blocks, config)
+        flat_result = flat_system.run(trace)
         fast = dataclasses.replace(
             config, dram=dataclasses.replace(config.dram, model="channel", num_channels=4)
         )
-        fast_result = SecureSystem.build("dyn", trace.footprint_blocks, fast).run(trace)
+        fast_system = SecureSystem.build("dyn", trace.footprint_blocks, fast)
+        fast_result = fast_system.run(trace)
         assert fast_result.cycles < flat_result.cycles
         assert fast_result.extra["interconnect_channels"] == 4
         assert fast_result.extra["interconnect_streamed_paths"] > 0
+        # The layer's acceptance gate: >= 1.3x mean demand-path read
+        # latency (streamed path_read cycles per pipeline request) at 4
+        # channels over the flat model.  The cell is pinned so a
+        # simulated-cycle drift fails here with a number.
+        for system in (flat_system, fast_system):
+            assert system.backend.pipeline.requests == 2_956
+        flat_read = flat_result.extra["phase_path_read_cycles"]
+        fast_read = fast_result.extra["phase_path_read_cycles"]
+        assert (flat_read, fast_read) == (5_214_384, 2_085_246)
+        assert flat_read / fast_read >= 1.3  # 1764.0 -> 705.43 cycles = 2.50x
 
 
 class TestPeriodicGridWithChannels:

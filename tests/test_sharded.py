@@ -10,14 +10,17 @@ bank, and the divide-by-zero regression on aggregate posmap rates.
 
 import pytest
 
+from repro.analysis.experiments import experiment_config
 from repro.config import SystemConfig
 from repro.controller.sharded import ShardedORAMBank, build_bank
 from repro.faults import FaultConfig, FaultInjector, run_fsck_bank
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.parallel.merge import merge_shard_snapshots
+from repro.sim.multicore import MultiCoreSystem
 from repro.sim.system import SecureSystem
 from repro.sim.trace import Trace
+from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
 
 FOOTPRINT = 512
@@ -206,6 +209,39 @@ class TestShardedRuns:
         assert report.expected_blocks == sum(
             shard.oram.position_map.num_blocks for shard in system.backend.shards
         )
+
+    def test_four_shards_scale_simulated_throughput(self):
+        """The bank's acceptance gate: >= 1.3x simulated throughput at 4
+        shards on 4 cores chasing pointers through disjoint regions (80%
+        sequential, 20% random -- every miss reaches the ORAM, the worst
+        case for one shared channel).  The cycle counts are pinned so a
+        simulated-cycle drift fails here with a number."""
+        region, cores = 2_048, 4
+
+        def pointer_chase(core):
+            rng = DeterministicRng(10 + core)
+            trace = Trace(f"hungry{core}", footprint_blocks=region * cores)
+            pointer = 0
+            for _ in range(1_000):
+                if rng.random() < 0.8:
+                    addr = core * region + pointer
+                    pointer = (pointer + 1) % region
+                else:
+                    addr = core * region + rng.randint(0, region - 1)
+                trace.append(rng.expovariate_int(120), addr)
+            return trace
+
+        traces = [pointer_chase(core) for core in range(cores)]
+        cycles = {}
+        for num_shards in (1, 2, 4):
+            system = MultiCoreSystem.build(
+                "dyn", traces, config=experiment_config(), num_shards=num_shards
+            )
+            cycles[num_shards] = max(r.cycles for r in system.run(traces))
+            report = run_fsck_bank(system.backend)
+            assert report.ok, report.summary()
+        assert cycles == {1: 7_224_718, 2: 3_778_362, 4: 2_479_818}
+        assert cycles[1] / cycles[4] >= 1.3  # measured 2.91x
 
 
 class TestAddressInterleaving:

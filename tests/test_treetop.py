@@ -238,6 +238,41 @@ class TestTruncatedTiming:
         done = backend.dummy_path_access(0)
         assert done == public
 
+    def test_k4_cuts_streamed_path_latency_by_the_gate(self):
+        """The treetop's acceptance gate: >= 1.25x mean demand-path read
+        latency at k = 4 over k = 0 under the 4-channel model.
+
+        The measured bank is one *shard* of a sharded deployment -- a
+        32 MB slice (17-level nominal tree) with LPDDR-class 4 GB/s
+        channels, so streaming is bandwidth-dominated and 4 of 18
+        bucket-levels is a meaningful fraction -- and the layout's subtree
+        tiles are as tall as the treetop, so pinning removes exactly the
+        root tile (the one the per-tier rotation always puts on channel
+        0).  The margin is thin, which is why the cell is pinned: a
+        simulated-cycle drift fails here with a number.
+        """
+        trace = locality_mix_trace(0.8, accesses=2000)
+        path_read = {}
+        for k in (0, 4):
+            config = experiment_config(capacity_bytes=32 << 20, treetop_levels=k)
+            config = dataclasses.replace(
+                config,
+                dram=dataclasses.replace(
+                    config.dram,
+                    model="channel",
+                    num_channels=4,
+                    bandwidth_gbps=4.0,
+                    latency_cycles=50,
+                    subtree_levels=4,
+                ),
+            )
+            system = SecureSystem.build("dyn", trace.footprint_blocks, config)
+            result = system.run(trace)
+            assert system.backend.pipeline.requests == 1_982
+            path_read[k] = result.extra["phase_path_read_cycles"]
+        assert path_read == {0: 5_009_031, 4: 3_921_517}
+        assert path_read[0] / path_read[4] >= 1.25  # 2527.26 -> 1978.57 = 1.277x
+
 
 # ------------------------------------------------------- periodic grid
 class TestPeriodicGridWithTreetop:
