@@ -30,19 +30,19 @@ profile:
 	PYTHONPATH=src $(PYTHON) -m repro run -w locality:80 -s dyn --accesses 20000 --warmup 0 --profile
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/oblivious_kv_store.py
-	$(PYTHON) examples/database_oram.py
-	$(PYTHON) examples/timing_channel_demo.py
-	$(PYTHON) examples/real_programs.py
-	$(PYTHON) examples/stash_pressure.py
-	$(PYTHON) examples/multicore_contention.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/oblivious_kv_store.py
+	PYTHONPATH=src $(PYTHON) examples/database_oram.py
+	PYTHONPATH=src $(PYTHON) examples/timing_channel_demo.py
+	PYTHONPATH=src $(PYTHON) examples/real_programs.py
+	PYTHONPATH=src $(PYTHON) examples/stash_pressure.py
+	PYTHONPATH=src $(PYTHON) examples/multicore_contention.py
 
 gallery:
-	$(PYTHON) examples/figure_gallery.py
+	PYTHONPATH=src $(PYTHON) examples/figure_gallery.py
 
 audit:
-	$(PYTHON) -m repro audit -w ocean_c -s dyn
+	PYTHONPATH=src $(PYTHON) -m repro audit -w ocean_c -s dyn
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache .hypothesis perf_out .perf_tmp_*

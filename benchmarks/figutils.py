@@ -20,10 +20,7 @@ from repro.analysis.tables import format_table
 from repro.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sim.trace import Trace
-from repro.workloads.base import trace_for
-from repro.workloads.dbms import dbms_trace
-from repro.workloads.spec06 import SPEC06_BY_NAME
-from repro.workloads.splash2 import SPLASH2_BY_NAME
+from repro.workloads import named_trace
 
 FAST = bool(int(os.environ.get("REPRO_FAST", "0")))
 
@@ -43,15 +40,8 @@ _RESULT_CACHE: Dict[tuple, SimResult] = {}
 
 
 def benchmark_trace(name: str, accesses: Optional[int] = None) -> Trace:
-    """Trace for a named real benchmark (Splash2 / SPEC06 / DBMS)."""
-    n = accesses if accesses is not None else ACCESSES
-    if name in SPLASH2_BY_NAME:
-        return trace_for(SPLASH2_BY_NAME[name], accesses=n)
-    if name in SPEC06_BY_NAME:
-        return trace_for(SPEC06_BY_NAME[name], accesses=n)
-    if name in ("YCSB", "TPCC"):
-        return dbms_trace(name, accesses=n)
-    raise KeyError(f"unknown benchmark '{name}'")
+    """``named_trace`` at the figure benches' default length."""
+    return named_trace(name, accesses if accesses is not None else ACCESSES)
 
 
 def _config_key(config: SystemConfig) -> tuple:

@@ -13,21 +13,15 @@ import sys
 
 from repro.analysis.experiments import experiment_config, run_schemes
 from repro.analysis.tables import format_table
-from repro.workloads.base import trace_for
-from repro.workloads.dbms import dbms_trace
-from repro.workloads.spec06 import SPEC06_BY_NAME
-from repro.workloads.splash2 import SPLASH2_BY_NAME
+from repro.workloads import SUITES, named_trace
 
 
 def build_trace(name: str, accesses: int):
-    if name in SPLASH2_BY_NAME:
-        return trace_for(SPLASH2_BY_NAME[name], accesses=accesses)
-    if name in SPEC06_BY_NAME:
-        return trace_for(SPEC06_BY_NAME[name], accesses=accesses)
-    if name in ("YCSB", "TPCC"):
-        return dbms_trace(name, accesses=accesses)
-    known = list(SPLASH2_BY_NAME) + list(SPEC06_BY_NAME) + ["YCSB", "TPCC"]
-    raise SystemExit(f"unknown benchmark '{name}'; choose from: {', '.join(known)}")
+    try:
+        return named_trace(name, accesses)
+    except KeyError:
+        known = [p.name for _suite, profiles in SUITES for p in profiles]
+        raise SystemExit(f"unknown benchmark '{name}'; choose from: {', '.join(known)}")
 
 
 def main() -> None:

@@ -43,7 +43,6 @@ class CacheHierarchy:
         self.llc = SetAssociativeCache(llc_config, name="llc")
         #: called as (addr, dirty) for every line leaving the LLC
         self.victim_callback = victim_callback
-        self.llc_hits_on_prefetch_path = 0
         # Access outcomes are value objects with config-constant latencies;
         # reusing three shared instances avoids one allocation per
         # processor access.  Callers treat them as read-only.

@@ -28,7 +28,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.analysis.experiments import experiment_config, run_schemes
 from repro.analysis.tables import format_table
@@ -53,45 +53,30 @@ from repro.parallel.merge import requests_from_trace
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
 from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
-from repro.sim.system import SecureSystem
+from repro.sim.system import SchemeLabel, SecureSystem
 from repro.sim.trace import Trace
 from repro.utils.rng import DeterministicRng
-from repro.workloads.base import trace_for
-from repro.workloads.dbms import DBMS_PROFILES, dbms_trace
-from repro.workloads.spec06 import SPEC06_BY_NAME, SPEC06_PROFILES
-from repro.workloads.splash2 import SPLASH2_BY_NAME, SPLASH2_PROFILES
-from repro.workloads.synthetic import locality_mix_trace
-
-KNOWN_SCHEMES = [
-    "dram", "dram_pre", "oram", "oram_pre", "stat", "dyn",
-    "dyn_sm_nb", "dyn_am_nb", "dyn_am_ab", "dyn_sm_ab",
-    "oram_intvl", "stat_intvl", "dyn_intvl",
-]
+from repro.workloads import SUITES, locality_mix_trace, named_trace
 
 
-def build_trace(workload: str, accesses: int, seed: Optional[int] = None) -> Trace:
-    """Trace for any named workload (real benchmark or ``locality:<pct>``).
+def scheme_error(message) -> NoReturn:
+    """A ``--scheme(s)`` value this command cannot run: one line, exit 2."""
+    print(f"repro: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    ``seed=None`` keeps each generator's own default seed.
-    """
-    seeded = {} if seed is None else {"seed": seed}
-    if workload.startswith("locality:"):
-        fraction = float(workload.split(":", 1)[1]) / 100.0
-        return locality_mix_trace(fraction, accesses=accesses, **seeded)
-    if workload in SPLASH2_BY_NAME:
-        return trace_for(SPLASH2_BY_NAME[workload], accesses=accesses, **seeded)
-    if workload in SPEC06_BY_NAME:
-        return trace_for(SPEC06_BY_NAME[workload], accesses=accesses, **seeded)
-    if workload in ("YCSB", "TPCC"):
-        return dbms_trace(workload, accesses=accesses, **seeded)
-    raise SystemExit(f"unknown workload '{workload}' (see `repro list`)")
+
+def scheme_label(scheme: str) -> SchemeLabel:
+    """Parse one ``--scheme(s)`` label (the grammar ``repro list`` prints)."""
+    try:
+        return SchemeLabel.parse(scheme)
+    except ValueError as error:
+        scheme_error(error)
 
 
 def _parse_schemes(raw: str) -> List[str]:
     schemes = [s.strip() for s in raw.split(",") if s.strip()]
     for scheme in schemes:
-        if scheme not in KNOWN_SCHEMES:
-            raise SystemExit(f"unknown scheme '{scheme}' (see `repro list`)")
+        scheme_label(scheme)
     return schemes
 
 
@@ -111,7 +96,10 @@ def add_workload_options(parser, *, required: bool = True, accesses: int = 60_00
 
 
 def workload_trace(args) -> Trace:
-    return build_trace(args.workload, args.accesses, seed=args.seed)
+    try:
+        return named_trace(args.workload, args.accesses, seed=args.seed)
+    except KeyError:
+        raise SystemExit(f"unknown workload '{args.workload}' (see `repro list`)")
 
 
 def add_memory_options(parser, *, interconnect: bool = True):
@@ -188,31 +176,31 @@ def add_scheme_option(parser):
     parser.add_argument("-s", "--scheme", default="dyn")
 
 
+def oram_scheme(args, command: str) -> str:
+    """``--scheme`` for commands that observe an ORAM (any suffix)."""
+    if scheme_label(args.scheme).is_dram:
+        scheme_error(f"{command} needs an ORAM scheme, not '{args.scheme}'")
+    return args.scheme
+
+
 def bank_scheme(args) -> str:
     """``--scheme`` for commands that build a sharded bank themselves."""
-    scheme = args.scheme
-    if (
-        scheme not in KNOWN_SCHEMES
-        or scheme.startswith("dram")
-        or scheme.endswith(("_pre", "_spre", "_mpre", "_intvl"))
-    ):
-        raise SystemExit(
-            f"scheme '{scheme}' cannot run on a sharded bank "
+    if not scheme_label(args.scheme).is_base_oram:
+        scheme_error(
+            f"scheme '{args.scheme}' cannot run on a sharded bank "
             "(base ORAM schemes only; no prefetch/periodic suffixes)"
         )
-    return scheme
+    return args.scheme
 
 
 # ------------------------------------------------------------------ commands
 def cmd_list(args) -> int:
-    print("Schemes:")
-    print("  " + ", ".join(KNOWN_SCHEMES))
+    print(f"Schemes: {SchemeLabel.GRAMMAR}")
+    print("  base: " + ", ".join(SchemeLabel.BASES))
+    print("  _pre / _spre / _mpre: + stream / stride / Markov prefetcher")
+    print("  _intvl: periodic accesses (ORAM bases only)")
     print("\nWorkloads:")
-    for title, profiles in [
-        ("Splash2", SPLASH2_PROFILES),
-        ("SPEC06", SPEC06_PROFILES),
-        ("DBMS", DBMS_PROFILES),
-    ]:
+    for title, profiles in SUITES:
         names = ", ".join(p.name for p in profiles)
         print(f"  {title}: {names}")
     print("  synthetic: locality:<percent>  (e.g. locality:80)")
@@ -236,7 +224,7 @@ def _fault_build_kwargs(args):
     )
 
     def build_kwargs(scheme):
-        if scheme.startswith("dram"):
+        if scheme_label(scheme).is_dram:
             return {}
         return {"fault_injector": FaultInjector(fault_config)}
 
@@ -256,7 +244,7 @@ def _run_build_kwargs(args):
 
     def build_kwargs(scheme):
         kwargs = dict(faults(scheme)) if faults is not None else {}
-        if shards != 1 and not scheme.startswith("dram"):
+        if shards != 1 and not scheme_label(scheme).is_dram:
             kwargs["num_shards"] = shards
             if policy is not None:
                 kwargs["health_policy"] = policy
@@ -296,7 +284,7 @@ def cmd_run(args) -> int:
     def system_hook(scheme, system):
         if args.profile:
             profiles[scheme] = (system, time_system(system))
-        if args.trace_out and not scheme.startswith("dram"):
+        if args.trace_out and not scheme_label(scheme).is_dram:
             # (DRAM baselines have no pipeline to trace)
             path = _trace_out_path(args.trace_out, scheme, schemes)
             recorders[scheme] = system.attach_recorder(JsonlTraceRecorder(path))
@@ -451,20 +439,19 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """One traced run: metrics registry report + live uniformity monitor."""
+    scheme = oram_scheme(args, "metrics")
     trace = workload_trace(args)
-    if args.scheme not in KNOWN_SCHEMES or args.scheme.startswith("dram"):
-        raise SystemExit(f"metrics needs an ORAM scheme, not '{args.scheme}'")
     # Probe geometry first: the monitor needs the scaled tree's leaf count.
     config = experiment_config()
     num_leaves = config.oram.scaled_to_footprint(trace.footprint_blocks).num_leaves
     monitor = LeafUniformityMonitor(num_leaves, window=args.window)
     system = SecureSystem.build(
-        args.scheme, trace.footprint_blocks, config, observer=monitor
+        scheme, trace.footprint_blocks, config, observer=monitor
     )
     recorder = system.attach_recorder(InMemoryRecorder())
     result = system.run(trace)
     print(
-        f"{trace.name} on {args.scheme}: {result.cycles:,} cycles, "
+        f"{trace.name} on {scheme}: {result.cycles:,} cycles, "
         f"{result.llc_misses:,} LLC misses"
     )
     registry = system.metrics()
@@ -476,10 +463,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    scheme = oram_scheme(args, "audit")
     trace = workload_trace(args)
     observer = AccessObserver()
     system = SecureSystem.build(
-        args.scheme, trace.footprint_blocks, experiment_config(), observer=observer
+        scheme, trace.footprint_blocks, experiment_config(), observer=observer
     )
     system.run(trace)
     leaves = observer.leaves()
@@ -698,7 +686,7 @@ def cmd_chaos(args) -> int:
     scenario = ChaosScenario(
         name=args.name,
         seed=args.seed,
-        scheme=args.scheme,
+        scheme=bank_scheme(args),
         num_shards=args.shards,
         parallel_ops=parallel_ops,
         kv_ops=kv_ops,

@@ -104,7 +104,6 @@ class ShardedORAMBank(MemoryBackend):
         self.num_blocks = self.num_shards * min(
             shard.oram.position_map.num_blocks for shard in self.shards
         )
-        self._llc_probe_installed = False
         #: optional :class:`~repro.health.HealthControlPlane`; ``None``
         #: keeps the access path bit-identical to the pre-health bank
         self.health = None
@@ -135,7 +134,6 @@ class ShardedORAMBank(MemoryBackend):
             shard.set_llc_probe(
                 lambda local, _i=index: probe(local * num_shards + _i)
             )
-        self._llc_probe_installed = True
 
     def attach_health(self, plane) -> None:
         """Install a :class:`~repro.health.HealthControlPlane`.
@@ -364,6 +362,21 @@ class ShardedORAMBank(MemoryBackend):
 
 
 # ------------------------------------------------------------- construction
+#: Figure 6b variants: dyn_{sm|am}_{nb|ab} selects static/adaptive merge
+#: thresholding and no/adaptive breaking; bare "dyn" is the full PrORAM
+#: (adaptive merge + adaptive break).
+_DYN_VARIANTS = {
+    "dyn": (AdaptiveThresholdPolicy, True),
+    "dyn_am_ab": (AdaptiveThresholdPolicy, True),
+    "dyn_sm_nb": (StaticThresholdPolicy, False),
+    "dyn_am_nb": (AdaptiveThresholdPolicy, False),
+    "dyn_sm_ab": (StaticThresholdPolicy, True),
+}
+
+#: every base scheme name :func:`make_scheme` builds
+ORAM_SCHEMES = ("oram", "stat", *_DYN_VARIANTS, "dyn_strided")
+
+
 def make_scheme(
     name: str,
     config: SystemConfig,
@@ -378,20 +391,8 @@ def make_scheme(
     if name == "dyn_strided":
         # Future-work extension (section 6.2): strided pair merging.
         return StridedDynamicScheme(policy=policy)
-    if name == "dyn" or name.startswith("dyn_"):
-        # Figure 6b variants: dyn_{sm|am}_{nb|ab} selects static/adaptive
-        # merge thresholding and no/adaptive breaking; bare "dyn" is the
-        # full PrORAM (adaptive merge + adaptive break).
-        variants = {
-            "dyn": (AdaptiveThresholdPolicy, True),
-            "dyn_am_ab": (AdaptiveThresholdPolicy, True),
-            "dyn_sm_nb": (StaticThresholdPolicy, False),
-            "dyn_am_nb": (AdaptiveThresholdPolicy, False),
-            "dyn_sm_ab": (StaticThresholdPolicy, True),
-        }
-        if name not in variants:
-            raise ValueError(f"unknown dynamic-scheme variant '{name}'")
-        default_policy, break_enabled = variants[name]
+    if name in _DYN_VARIANTS:
+        default_policy, break_enabled = _DYN_VARIANTS[name]
         return DynamicSuperBlockScheme(
             max_sbsize=config.oram.max_super_block_size,
             policy=policy or default_policy(),

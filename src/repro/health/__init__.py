@@ -10,7 +10,7 @@ sustained stash pressure.  This package supplies the decision layer
   ``HEALTHY -> DEGRADED -> QUARANTINED -> PROBING -> HEALTHY`` driven by
   deterministic failure-rate and latency windows;
 * :class:`HealthControlPlane` (:mod:`repro.health.plane`) -- one breaker
-  per shard, mirrored into a metrics registry under ``health.*`` names,
+  per shard, reported under ``health.*`` names by ``to_registry()``,
   shared by the in-process :class:`~repro.controller.sharded.
   ShardedORAMBank` and the :class:`~repro.parallel.runtime.
   ParallelShardRuntime`.

@@ -179,6 +179,15 @@ class CircuitBreaker:
     of any simulator coupling.
     """
 
+    #: cumulative event counts -> the ``health.shard<i>.<name>`` they are
+    #: reported under (:meth:`HealthControlPlane.to_registry`), with
+    #: ``len(transitions)`` beside them
+    COUNTERS = {
+        "hard_failures": "hard_failures",
+        "fallbacks_total": "fallback_accesses",
+        "probes_total": "probes",
+    }
+
     def __init__(self, policy: Optional[HealthPolicy] = None, name: str = "shard"):
         self.policy = policy or HealthPolicy()
         self.name = name
@@ -196,8 +205,9 @@ class CircuitBreaker:
         self._probes = 0
         self._probe_streak = 0
         self.hard_failures = 0
-        self.quarantines = 0
+        self.fallbacks_total = 0
         self.probes_total = 0
+        self.quarantines = 0
         self.readmissions = 0
 
     # ------------------------------------------------------------ transitions
@@ -258,6 +268,7 @@ class CircuitBreaker:
     def record_fallback(self) -> None:
         """One quarantined access served by the fallback path."""
         self.events += 1
+        self.fallbacks_total += 1
         self._fallback_served += 1
 
     def record_probe(self, ok: bool) -> None:

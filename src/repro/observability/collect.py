@@ -145,42 +145,23 @@ def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -
         registry.gauge(f"{name}.bus_occupancy_pct").set(round(100.0 * occupancy, 3))
 
 
-#: serve.* counters forced to exist (as zero) in every collection -- a
-#: report that says 0 sheds beats one that silently omits the counter
-_SERVE_COUNTERS = (
-    "serve.offered",
-    "serve.admitted",
-    "serve.served",
-    "serve.shed",
-    "serve.shed_queue_full",
-    "serve.shed_backlog",
-    "serve.shed_pressure",
-    "serve.coalesced",
-    "serve.rerouted",
-    "serve.fallback_issues",
-    "serve.batches",
-    "serve.full_closes",
-    "serve.deadline_closes",
-    "serve.drain_closes",
-    "serve.deadline_misses",
-)
-
-
 def collect_serve(frontend, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Copy a :class:`~repro.serve.ServingFrontEnd`'s telemetry across.
+    """Report a :class:`~repro.serve.ServingFrontEnd` into *registry*.
 
-    The front end populates its own registry as the event loop runs
-    (``serve.*`` counters, per-tenant queue-peak gauges, and
-    admission->completion / queue-wait :class:`CycleHistogram`\\ s); this
-    copies the live values into *registry*, forces the standard counter
-    set to exist, and adds the bank-level ``bank.num_shards`` gauge plus
-    any attached health plane's ``health.*`` instruments -- one collection
-    call gives the full serving picture.
+    The front end counts in bare attributes; this names its one walk:
+    ``frontend.counters()`` as the fifteen ``serve.*`` counters (zeros
+    included -- a report that says 0 sheds beats one that omits the line),
+    ``frontend.histograms()`` under their own names, the per-tenant
+    queue-peak gauges of a run that started, plus ``bank.num_shards`` and
+    any attached health plane's ``health.*`` -- one collection call gives
+    the full serving picture.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    registry.absorb(frontend.registry)
-    for name in _SERVE_COUNTERS:
-        registry.counter(name)
+    registry.absorb(frontend.counters(), "serve.")
+    registry.absorb(frontend.histograms())
+    if frontend.queues is not None:
+        for tenant, peak in enumerate(frontend.queues.peak_depth):
+            registry.gauge(f"serve.tenant{tenant}.queue_peak").set(peak)
     registry.gauge("bank.num_shards").set(frontend.bank.num_shards)
     if frontend.bank.health is not None:
         frontend.bank.health.to_registry(registry)
@@ -188,25 +169,31 @@ def collect_serve(frontend, registry: Optional[MetricsRegistry] = None) -> Metri
 
 
 def collect_parallel(runtime, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Merge a ``ParallelShardRuntime``'s worker telemetry into *registry*.
+    """Report a ``ParallelShardRuntime``'s workers into *registry*.
 
-    The runtime populates ``parallel.worker<i>.queue_depth`` gauges,
-    ``.batches`` / ``.restarts`` / ``.hangs`` / ``.fallback_batches``
-    counters, and a ``.batch_roundtrip_us`` latency histogram in its own
-    registry as it pumps batches; this copies the current values across
-    (create-or-get, so repeated collection is idempotent for gauges and
-    overwrites counters with the live totals).  Restart and hang counters
-    are forced to exist for every worker -- a report that says ``0`` beats
-    one that silently omits the healthy shards -- and a health control
-    plane, when attached, lands under its usual ``health.*`` names.
+    Names ``runtime.worker_snapshots()`` under ``parallel.worker<i>.*``:
+    the ``queue_depth`` gauge and the ``restarts`` / ``hangs`` counters for
+    every worker (a report that says ``0`` beats one that silently omits
+    the healthy shards), ``batches`` / ``fallback_batches`` /
+    ``probe_denied`` and the ``batch_roundtrip_us`` histogram once they
+    hold an event; a health control plane, when attached, lands under its
+    usual ``health.*`` names.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    registry.absorb(runtime.registry)
     registry.gauge("parallel.num_workers").set(runtime.num_workers)
-    for index, restarts in enumerate(runtime.worker_restarts()):
-        registry.counter(f"parallel.worker{index}.restarts").set(restarts)
-    for index, hangs in enumerate(runtime.worker_hangs()):
-        registry.counter(f"parallel.worker{index}.hangs").set(hangs)
+    for index, snap in enumerate(runtime.worker_snapshots()):
+        prefix = f"parallel.worker{index}."
+        registry.gauge(prefix + "queue_depth").set(snap["queue_depth"])
+        if snap["batch_roundtrip_us"].total:
+            registry.absorb([snap["batch_roundtrip_us"]], prefix)
+        registry.absorb(
+            {
+                name: count
+                for name, count in snap["counters"].items()
+                if count or name in ("restarts", "hangs")
+            },
+            prefix,
+        )
     if runtime.health is not None:
         runtime.health.to_registry(registry)
     return registry

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import json
 import os
 import tempfile
@@ -101,19 +102,8 @@ def _oram_state_dict(oram: PathORAM) -> dict:
     n = posmap.num_blocks
     state = {
         "version": FORMAT_VERSION,
-        "config": {
-            "levels": config.levels,
-            "bucket_size": config.bucket_size,
-            "stash_blocks": config.stash_blocks,
-            "utilization": config.utilization,
-            "block_bytes": config.block_bytes,
-            "capacity_bytes": config.capacity_bytes,
-            "num_hierarchies": config.num_hierarchies,
-            "max_super_block_size": config.max_super_block_size,
-            "posmap_entries_per_block": config.posmap_entries_per_block,
-            "posmap_cache_entries": config.posmap_cache_entries,
-            "treetop_levels": config.treetop_levels,
-        },
+        # every ORAMConfig field, so a new one cannot be dropped on the way
+        "config": dataclasses.asdict(config),
         "leaves": [posmap.leaf(a) for a in range(n)],
         "merge_bits": [posmap.merge_bit(a) for a in range(n)],
         "break_bits": [posmap.break_bit(a) for a in range(n)],

@@ -24,9 +24,10 @@ simulator means the merged accounting is indistinguishable from a run
 that never crashed (completions of replayed batches may differ, since a
 recovered shard draws a fresh deterministic RNG stream).
 
-Observability: per-worker queue-depth gauges, batch round-trip latency
-histograms, and restart counters land in a
-:class:`~repro.observability.metrics.MetricsRegistry` under
+Observability: each worker's bookkeeping counts its own events in bare
+attributes (``_Worker.COUNTERS``) next to a batch round-trip histogram;
+:meth:`ParallelShardRuntime.worker_snapshots` is the one walk over them and
+:meth:`ParallelShardRuntime.metrics` reports it under
 ``parallel.worker<i>.*``.
 
 Health control plane (optional): constructed with a
@@ -63,7 +64,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig
 from repro.faults.injector import FaultConfig
 from repro.health import HealthControlPlane, HealthPolicy, HealthState
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.collect import collect_parallel
+from repro.observability.metrics import CycleHistogram, MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.parallel.protocol import ShardSpec
 from repro.parallel.worker import InlineShardChannel, shard_worker_main
@@ -88,6 +90,10 @@ class WorkerFailure(RuntimeError):
 class _Worker:
     """Front-end bookkeeping for one shard worker process."""
 
+    #: event counts, one bare attribute each (``restarts`` also salts the
+    #: shard's RNG, see :meth:`ParallelShardRuntime._start`)
+    COUNTERS = ("batches", "fallback_batches", "probe_denied", "restarts", "hangs")
+
     def __init__(self, index: int):
         self.index = index
         #: the worker process, or ``None`` while the shard is open inline
@@ -100,8 +106,9 @@ class _Worker:
         #: acknowledged but not yet covered by a checkpoint (replay fodder)
         self.unckpt: Dict[int, Tuple[List[int], list]] = {}
         self.sent_at: Dict[int, float] = {}
-        self.restarts = 0
-        self.hangs = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        self.roundtrip_us = CycleHistogram("batch_roundtrip_us")
         #: last wall-clock instant this worker proved progress (spawn,
         #: send, heartbeat, or any reply) -- the deadline reference point
         self.last_progress = 0.0
@@ -175,7 +182,6 @@ class ParallelShardRuntime:
             the worker's reply replay window (sized to ``2 * max_inflight``)
             so a lost acknowledgement is always recoverable.
         max_restarts: per-worker respawn budget before giving up.
-        metrics: optional shared registry for the per-worker gauges.
         health_policy: enable the health control plane (per-worker
             circuit breakers, quarantined shards served inline,
             half-open probing).  Requires ``checkpoint_dir`` -- the
@@ -207,7 +213,6 @@ class ParallelShardRuntime:
         batch_size: int = 64,
         max_inflight: int = 4,
         max_restarts: int = 2,
-        metrics: Optional[MetricsRegistry] = None,
         health_policy: Optional[HealthPolicy] = None,
         batch_deadline_s: Optional[float] = None,
         heartbeat_every: Optional[int] = None,
@@ -235,9 +240,8 @@ class ParallelShardRuntime:
         self.batch_size = batch_size
         self.max_inflight = max_inflight
         self.max_restarts = max_restarts
-        self.registry = metrics if metrics is not None else MetricsRegistry()
         self.health = (
-            HealthControlPlane(num_workers, health_policy, metrics=self.registry)
+            HealthControlPlane(num_workers, health_policy)
             if health_policy is not None
             else None
         )
@@ -315,7 +319,6 @@ class ParallelShardRuntime:
         count, which salts its RNG, advances."""
         if worker.commands is not None:
             worker.restarts += 1
-            self.registry.counter(f"parallel.worker{worker.index}.restarts").inc()
         spec = self._spec(worker.index, worker.restarts)
         if inline:
             # This process is the trusted domain (injected faults model
@@ -408,7 +411,6 @@ class ParallelShardRuntime:
                 if not (deadline and self._deadline_expired(worker)):
                     return None
                 worker.hangs += 1
-                self.registry.counter(f"parallel.worker{worker.index}.hangs").inc()
                 self.kill_worker(worker.index)
                 raise WorkerFailure(
                     f"worker {worker.index} hung: no progress for "
@@ -451,9 +453,6 @@ class ParallelShardRuntime:
         # *after* work was handed over, not idle time between batches.
         worker.last_progress = worker.sent_at[seq]
         worker.commands.put(("batch", seq, batch))
-        self.registry.gauge(f"parallel.worker{worker.index}.queue_depth").set(
-            worker.inflight
-        )
 
     def _record_ack(
         self,
@@ -480,15 +479,10 @@ class ParallelShardRuntime:
             roundtrip_us = 0
             if sent is not None:
                 roundtrip_us = int((time.perf_counter() - sent) * 1e6)
-                self.registry.histogram(
-                    f"parallel.worker{worker.index}.batch_roundtrip_us"
-                ).record(roundtrip_us)
-            self.registry.counter(f"parallel.worker{worker.index}.batches").inc()
+                worker.roundtrip_us.record(roundtrip_us)
+            worker.batches += 1
             self._feed_health_ack(worker, roundtrip_us, len(positions))
         _forget_checkpointed(worker, checkpointed_seq)
-        self.registry.gauge(f"parallel.worker{worker.index}.queue_depth").set(
-            worker.inflight
-        )
         return newly_recorded
 
     # --------------------------------------------------------- health feeding
@@ -506,9 +500,7 @@ class ParallelShardRuntime:
         if worker.process is None:
             for _ in range(accesses):
                 self.health.record_fallback(worker.index)
-            self.registry.counter(
-                f"parallel.worker{worker.index}.fallback_batches"
-            ).inc()
+            worker.fallback_batches += 1
             return
         state = self.health.state(worker.index)
         if state is HealthState.PROBING:
@@ -605,9 +597,7 @@ class ParallelShardRuntime:
             return False
         if worker.restarts >= self.max_restarts:
             worker.no_probe = True
-            self.registry.counter(
-                f"parallel.worker{worker.index}.probe_denied"
-            ).inc()
+            worker.probe_denied += 1
             return False
         worker.commands.put(("checkpoint", worker.next_seq))
         worker.next_seq += 1
@@ -800,12 +790,21 @@ class ParallelShardRuntime:
         worker.next_seq += 1
 
     # ------------------------------------------------------------ inspection
-    def metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Return (or merge into) the registry holding the worker gauges."""
-        if registry is None:
-            return self.registry
-        from repro.observability.collect import collect_parallel
+    def worker_snapshots(self) -> List[dict]:
+        """The one walk over the workers' telemetry: per worker, its
+        ``_Worker.COUNTERS`` by name, the batches in flight right now
+        (``queue_depth``) and the round-trip histogram."""
+        return [
+            {
+                "counters": {name: getattr(worker, name) for name in _Worker.COUNTERS},
+                "queue_depth": worker.inflight,
+                "batch_roundtrip_us": worker.roundtrip_us,
+            }
+            for worker in self._workers
+        ]
 
+    def metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+        """Report the walk (and the health plane's) into a registry."""
         return collect_parallel(self, registry)
 
     def total_restarts(self) -> int:
@@ -816,9 +815,6 @@ class ParallelShardRuntime:
 
     def worker_restarts(self) -> List[int]:
         return [worker.restarts for worker in self._workers]
-
-    def worker_hangs(self) -> List[int]:
-        return [worker.hangs for worker in self._workers]
 
     def kill_worker(self, index: int) -> None:
         """Hard-kill one worker process (fault-injection hook for tests)."""

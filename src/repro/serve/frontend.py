@@ -48,11 +48,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from dataclasses import fields
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import ServeConfig, SystemConfig
 from repro.controller.sharded import build_bank
-from repro.observability.metrics import Counter, MetricsRegistry
+from repro.observability.collect import collect_serve
+from repro.observability.metrics import CycleHistogram, MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.serve.loadgen import LoadSource
 from repro.serve.queue import TenantQueues
@@ -80,29 +82,6 @@ class _Access:
         self.completion_cycle = -1
 
 
-class _ServeInstruments:
-    """The run's ``serve.*`` counters and histograms, bound once each.
-
-    First use of an attribute creates ``serve.<attr>`` in the registry (so a
-    run registers exactly the names it touches) and stores the instrument
-    on the instance; every later use is a plain attribute read.
-    """
-
-    _HISTOGRAMS = ("latency_cycles", "queue_wait_cycles", "batch_occupancy")
-
-    def __init__(self, registry: MetricsRegistry):
-        self._registry = registry
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        registry = self._registry
-        make = registry.histogram if name in self._HISTOGRAMS else registry.counter
-        instrument = make(f"serve.{name}")
-        setattr(self, name, instrument)
-        return instrument
-
-
 class ServingFrontEnd:
     """Deadline-aware serving layer over a sharded ORAM bank.
 
@@ -112,11 +91,25 @@ class ServingFrontEnd:
         serve_config: policies (:class:`~repro.config.ServeConfig`).
         workload: label stamped on the report and merged SimResult.
         scheme: scheme label for the same.
-        registry: metrics sink; a private one is created when omitted.
 
     A front end drives its bank's state forward, so :meth:`run` may be
     called once per instance.
+
+    Counting: every event is a bare-attribute increment where it happens --
+    per tenant in a :class:`TenantReport`, front-end wide in the
+    :attr:`COUNTERS` attributes -- and the three :class:`CycleHistogram`
+    attributes record on the event path.  :meth:`counters` is the one walk
+    over them; the report and ``collect_serve`` both read it.
     """
+
+    #: per-tenant counts (``TenantReport`` fields), summed by the walk
+    TENANT_COUNTERS = ("offered", "admitted", "shed", "served", "coalesced")
+    #: front-end-wide counts, one bare attribute each
+    COUNTERS = (
+        "shed_queue_full", "shed_backlog", "shed_pressure", "rerouted",
+        "fallback_issues", "batches", "full_closes", "deadline_closes",
+        "drain_closes", "deadline_misses",
+    )
 
     def __init__(
         self,
@@ -125,15 +118,19 @@ class ServingFrontEnd:
         *,
         workload: str = "serve",
         scheme: str = "dyn",
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.bank = bank
         self.config = serve_config or ServeConfig()
         self.health = bank.health
         self.workload = workload
         self.scheme = scheme
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._bound = _ServeInstruments(self.registry)
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        self.latency_cycles = CycleHistogram("serve.latency_cycles")
+        self.queue_wait_cycles = CycleHistogram("serve.queue_wait_cycles")
+        self.batch_occupancy = CycleHistogram("serve.batch_occupancy")
+        self._tenant_counts: List[TenantReport] = []
+        self._tenant_latency: List[CycleHistogram] = []
         num_shards = bank.num_shards
         self.queues: Optional[TenantQueues] = None
         self._open_batches: List[List[_Access]] = [[] for _ in range(num_shards)]
@@ -175,7 +172,6 @@ class ServingFrontEnd:
         health_policy=None,
         static_sbsize: Optional[int] = None,
         workload: str = "serve",
-        registry: Optional[MetricsRegistry] = None,
     ) -> "ServingFrontEnd":
         """Build a bank exactly as the serial reference does and wrap it.
 
@@ -186,10 +182,7 @@ class ServingFrontEnd:
             scheme, footprint_blocks, config or SystemConfig(), num_shards,
             health_policy=health_policy, static_sbsize=static_sbsize,
         )
-        return cls(
-            bank, serve_config, workload=workload, scheme=scheme,
-            registry=registry,
-        )
+        return cls(bank, serve_config, workload=workload, scheme=scheme)
 
     # ------------------------------------------------------------------- run
     def run(self, source: LoadSource) -> ServeReport:
@@ -200,12 +193,12 @@ class ServingFrontEnd:
         self.queues = TenantQueues(source.weights, self.config.queue_capacity)
         self._tenant_counts = [TenantReport(tenant=t) for t in range(source.num_tenants)]
         self._tenant_latency = [
-            self.registry.histogram(f"serve.tenant{t}.latency_cycles")
+            CycleHistogram(f"serve.tenant{t}.latency_cycles")
             for t in range(source.num_tenants)
         ]
         self._quotas = [self._quota(s) for s in range(self.bank.num_shards)]
         self._serve_loop(source)
-        return self._finish(source)
+        return self._finish()
 
     # ------------------------------------------------------------- event loop
     def _serve_loop(self, source: LoadSource) -> None:
@@ -231,44 +224,41 @@ class ServingFrontEnd:
     # -------------------------------------------------------------- admission
     def _admit(self, request: Request, source: LoadSource, now: int) -> None:
         config = self.config
-        bound = self._bound
         counts = self._tenant_counts[request.tenant]
         self.all_requests.append(request)
         counts.offered += 1
-        bound.offered.inc()
         shard = request.shard = self.bank.shard_of(request.addr)
         if self.health is not None and self.health.should_reroute(shard):
             lane = self._fallback[shard]
             if len(lane) >= config.queue_capacity:
-                self._shed(request, source, now, bound.shed_queue_full)
+                self.shed_queue_full += 1
+                self._shed(request, source, now)
                 return
             request.rerouted = True
             lane.append(request)
-            bound.rerouted.inc()
+            self.rerouted += 1
         elif (
             config.stash_shed_fraction > 0.0
             and self.bank.stash_fraction(shard) >= config.stash_shed_fraction
         ):
-            self._shed(request, source, now, bound.shed_pressure)
+            self.shed_pressure += 1
+            self._shed(request, source, now)
             return
         elif config.max_backlog and self._unissued >= config.max_backlog:
-            self._shed(request, source, now, bound.shed_backlog)
+            self.shed_backlog += 1
+            self._shed(request, source, now)
             return
         elif not self.queues.push(request):
-            self._shed(request, source, now, bound.shed_queue_full)
+            self.shed_queue_full += 1
+            self._shed(request, source, now)
             return
         self._unissued += 1
         counts.admitted += 1
-        bound.admitted.inc()
 
-    def _shed(
-        self, request: Request, source: LoadSource, now: int, cause: Counter
-    ) -> None:
-        """Refuse a request; ``cause`` is its ``serve.shed_<cause>`` counter."""
+    def _shed(self, request: Request, source: LoadSource, now: int) -> None:
+        """Refuse a request (the caller counted its ``shed_<cause>``)."""
         request.status = SHED
         self._tenant_counts[request.tenant].shed += 1
-        self._bound.shed.inc()
-        cause.inc()
         source.on_shed(request, now)
 
     # ----------------------------------------------------- batching/coalescing
@@ -335,7 +325,6 @@ class ServingFrontEnd:
     def _mark_coalesced(self, request: Request) -> None:
         request.coalesced = True
         self._tenant_counts[request.tenant].coalesced += 1
-        self._bound.coalesced.inc()
 
     def _pump(self, source: LoadSource, now: int) -> None:
         """Fill batches from the fair queues and issue every ready one.
@@ -344,7 +333,6 @@ class ServingFrontEnd:
         more queued requests placeable, which may fill another batch.
         """
         queues = self.queues
-        bound = self._bound
         while True:
             progress = False
             while True:
@@ -364,14 +352,14 @@ class ServingFrontEnd:
                 if not batch:
                     continue
                 if len(batch) >= self._quotas[shard]:
-                    closes = bound.full_closes
+                    self.full_closes += 1
                 elif now >= self._close_at[shard]:
-                    closes = bound.deadline_closes
+                    self.deadline_closes += 1
                 elif source.exhausted and not queues:
-                    closes = bound.drain_closes
+                    self.drain_closes += 1
                 else:
                     continue
-                self._issue_batch(shard, now, closes)
+                self._issue_batch(shard, now)
                 progress = True
             if not progress:
                 break
@@ -393,20 +381,20 @@ class ServingFrontEnd:
         if self.config.coalesce:
             access.inflight_key = self._key(access.addr)
             self._inflight_groups[access.inflight_key] = access
-        wait_hist = self._bound.queue_wait_cycles
+        record_wait = self.queue_wait_cycles.record
         for request in access.requests:
-            wait_hist.record(now - request.arrival_cycle)
+            record_wait(now - request.arrival_cycle)
         heapq.heappush(self._comp_heap, (completion, self._event_seq, access))
         self._event_seq += 1
 
     def _issue_fallback(self, shard: int, now: int) -> None:
         """Serial fallback lane: one rerouted request, one padded access."""
         access = _Access(self._fallback[shard].popleft(), None)
-        self._bound.fallback_issues.inc()
+        self.fallback_issues += 1
         self._issue_one(access, shard, now)
 
-    def _issue_batch(self, shard: int, now: int, closes: Counter) -> None:
-        """Issue a shard's open batch; ``closes`` counts its close reason."""
+    def _issue_batch(self, shard: int, now: int) -> None:
+        """Issue a shard's open batch (the caller counted its close reason)."""
         batch = self._open_batches[shard]
         self._open_batches[shard] = []
         self._close_at[shard] = None
@@ -435,9 +423,8 @@ class ServingFrontEnd:
             if len(keep) != len(access.requests):
                 access.requests = keep
                 access.is_write = any(r.is_write for r in keep)
-        self._bound.batches.inc()
-        closes.inc()
-        self._bound.batch_occupancy.record(len(final))
+        self.batches += 1
+        self.batch_occupancy.record(len(final))
         for access in final:
             self._issue_one(access, shard, now)
 
@@ -453,55 +440,68 @@ class ServingFrontEnd:
         cycle = access.completion_cycle
         if cycle > self._makespan:
             self._makespan = cycle
-        bound = self._bound
         for request in access.requests:
             request.status = SERVED
             request.completion_cycle = cycle
             latency = cycle - request.arrival_cycle
             self._sum_latency += latency
-            bound.latency_cycles.record(latency)
+            self.latency_cycles.record(latency)
             self._tenant_latency[request.tenant].record(latency)
             self._tenant_counts[request.tenant].served += 1
-            bound.served.inc()
             if latency > request.deadline_cycles:
-                bound.deadline_misses.inc()
+                self.deadline_misses += 1
             source.on_completion(request, cycle)
 
     # --------------------------------------------------------------- report
-    def _finish(self, source: LoadSource) -> ServeReport:
-        registry = self.registry
-        bound = self._bound
+    def counters(self) -> Dict[str, int]:
+        """The one walk: every ``serve.*`` count by its bare name -- the
+        :attr:`TENANT_COUNTERS` summed over tenants, then :attr:`COUNTERS`."""
+        counts = {
+            name: sum(getattr(tenant, name) for tenant in self._tenant_counts)
+            for name in self.TENANT_COUNTERS
+        }
+        counts.update((name, getattr(self, name)) for name in self.COUNTERS)
+        return counts
+
+    def histograms(self) -> List[CycleHistogram]:
+        """The distributions beside :meth:`counters`: request latency (whole
+        run and per tenant) always, queue wait and batch occupancy once they
+        hold a sample."""
+        optional = (self.queue_wait_cycles, self.batch_occupancy)
+        return (
+            [self.latency_cycles]
+            + [hist for hist in optional if hist.total]
+            + self._tenant_latency
+        )
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """Read view: a fresh ``collect_serve`` walk."""
+        return collect_serve(self)
+
+    def _finish(self) -> ServeReport:
         bank = self.bank
         bank.finalize(self._makespan)
-        for tenant in range(source.num_tenants):
-            registry.gauge(f"serve.tenant{tenant}.queue_peak").set(
-                self.queues.peak_depth[tenant]
-            )
+        totals = self.counters()
         report = ServeReport(
             workload=self.workload,
             scheme=self.scheme,
             num_shards=bank.num_shards,
             makespan_cycles=self._makespan,
+            **{
+                field.name: totals[field.name]
+                for field in fields(ServeReport)
+                if field.name in totals
+            },
         )
         for counts, hist in zip(self._tenant_counts, self._tenant_latency):
             counts.p50_latency = hist.quantile(0.5)
             counts.p99_latency = hist.quantile(0.99)
             report.tenants.append(counts)
-            report.offered += counts.offered
-            report.admitted += counts.admitted
-            report.shed += counts.shed
-            report.served += counts.served
-            report.coalesced += counts.coalesced
-        report.rerouted = bound.rerouted.value
-        report.batches = bound.batches.value
-        report.full_closes = bound.full_closes.value
-        report.deadline_closes = bound.deadline_closes.value
-        report.drain_closes = bound.drain_closes.value
-        report.deadline_misses = bound.deadline_misses.value
         if report.served:
             report.mean_latency = self._sum_latency / report.served
-        report.p50_latency = bound.latency_cycles.quantile(0.5)
-        report.p99_latency = bound.latency_cycles.quantile(0.99)
+        report.p50_latency = self.latency_cycles.quantile(0.5)
+        report.p99_latency = self.latency_cycles.quantile(0.99)
         # Deliberately no serve-specific keys in sim.extra: replaying
         # ``issued`` through the raw bank must give this SimResult back,
         # field for field.

@@ -15,11 +15,12 @@ exactly like the paper's legends.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
-from repro.controller.sharded import build_bank, build_shard_backend
+from repro.controller.sharded import ORAM_SCHEMES, build_bank, build_shard_backend
 from repro.core.thresholds import ThresholdPolicy
 from repro.memory.backend import MemoryBackend
 from repro.memory.dram import DRAMBackend
@@ -31,6 +32,57 @@ from repro.prefetch.stream import StreamPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.results import SimResult
 from repro.sim.trace import Trace
+
+
+@dataclass(frozen=True)
+class SchemeLabel:
+    """A parsed scheme label, the one reading of :attr:`GRAMMAR`.
+
+    ``base`` is ``dram`` or a super-block policy of
+    :data:`~repro.controller.sharded.ORAM_SCHEMES`; ``prefetcher`` the
+    core-side prefetcher suffix (a :attr:`PREFETCHERS` key) or ``None``;
+    ``periodic`` the ``_intvl`` suffix (Figure 15, ORAM only).
+    """
+
+    base: str
+    prefetcher: Optional[str] = None
+    periodic: bool = False
+
+    GRAMMAR = "<base>[_pre|_spre|_mpre][_intvl]"
+    BASES = ("dram",) + ORAM_SCHEMES
+    PREFETCHERS = {
+        "_pre": StreamPrefetcher,
+        "_spre": StridePrefetcher,  # the section 6.2 extension
+        "_mpre": MarkovPrefetcher,
+    }
+
+    @property
+    def is_dram(self) -> bool:
+        return self.base == "dram"
+
+    @property
+    def is_base_oram(self) -> bool:
+        """No suffix, not DRAM: what a sharded bank or worker runs."""
+        return not (self.is_dram or self.prefetcher or self.periodic)
+
+    @classmethod
+    def parse(cls, label: str) -> "SchemeLabel":
+        """Read a label; ``ValueError`` (one line) on anything else."""
+        periodic = label.endswith("_intvl")
+        base = label[: -len("_intvl")] if periodic else label
+        prefetcher = None
+        for suffix in cls.PREFETCHERS:
+            if base.endswith(suffix):
+                base, prefetcher = base[: -len(suffix)], suffix
+                break
+        if base not in cls.BASES:
+            raise ValueError(
+                f"unknown scheme '{label}' (grammar: {cls.GRAMMAR}, base one "
+                f"of {', '.join(cls.BASES)}; see `repro list`)"
+            )
+        if periodic and base == "dram":
+            raise ValueError("periodic accesses only apply to ORAM backends")
+        return cls(base, prefetcher, periodic)
 
 
 class SecureSystem:
@@ -78,17 +130,17 @@ class SecureSystem:
         """Assemble a system for one of the paper's configurations.
 
         Args:
-            scheme: one of
+            scheme: a :class:`SchemeLabel` label --
 
                 * ``dram`` -- insecure DRAM baseline;
-                * ``dram_pre`` -- DRAM + traditional stream prefetcher;
                 * ``oram`` -- baseline Path ORAM (unified recursion);
-                * ``oram_pre`` -- baseline ORAM + traditional prefetcher;
                 * ``stat`` -- static super block scheme;
                 * ``dyn`` -- PrORAM (dynamic super blocks), plus the
-                  Figure 6b variants ``dyn_{sm|am}_{nb|ab}``;
-                * any base scheme suffixed ``_spre`` -- stride prefetcher
-                  instead of the stream prefetcher (section 6.2);
+                  Figure 6b variants ``dyn_{sm|am}_{nb|ab}`` and the
+                  strided extension ``dyn_strided``;
+                * any of them suffixed ``_pre`` / ``_spre`` / ``_mpre`` --
+                  plus a traditional stream / stride (section 6.2) /
+                  Markov prefetcher;
                 * any of the ORAM variants suffixed ``_intvl`` -- wrapped
                   in periodic accesses (Figure 15).
             footprint_blocks: workload footprint; the functional tree is
@@ -114,18 +166,11 @@ class SecureSystem:
                 (the default) leaves the access path untouched.
         """
         config = config or SystemConfig()
-        periodic = scheme.endswith("_intvl")
-        base_scheme = scheme[: -len("_intvl")] if periodic else scheme
+        label = SchemeLabel.parse(scheme)
+        base_scheme, periodic = label.base, label.periodic
         prefetcher = None
-        for suffix, prefetcher_cls in (
-            ("_pre", StreamPrefetcher),
-            ("_spre", StridePrefetcher),  # the section 6.2 extension
-            ("_mpre", MarkovPrefetcher),
-        ):
-            if base_scheme.endswith(suffix):
-                base_scheme = base_scheme[: -len(suffix)]
-                prefetcher = prefetcher_cls(config.prefetch)
-                break
+        if label.prefetcher:
+            prefetcher = label.PREFETCHERS[label.prefetcher](config.prefetch)
 
         if num_shards < 1:
             raise ValueError("need at least one shard")
@@ -142,9 +187,7 @@ class SecureSystem:
             resilience=resilience,
         )
         backend: MemoryBackend
-        if base_scheme == "dram":
-            if periodic:
-                raise ValueError("periodic accesses only apply to ORAM backends")
+        if label.is_dram:
             if fault_injector is not None or resilience is not None:
                 raise ValueError("fault injection models ORAM storage, not DRAM")
             if num_shards != 1:

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.cli import KNOWN_SCHEMES, build_trace, main
+from repro.cli import main
+from repro.sim.system import SchemeLabel, SecureSystem
+from repro.workloads import named_trace as build_trace
 
 
 class TestBuildTrace:
+    """The one name -> trace lookup (``repro.workloads.named_trace``) as the
+    CLI reaches it."""
+
     def test_splash2_workload(self):
         trace = build_trace("ocean_c", accesses=500)
         assert trace.name == "ocean_c"
@@ -22,8 +27,10 @@ class TestBuildTrace:
         assert trace.name == "locality_75"
 
     def test_unknown_workload(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(KeyError):
             build_trace("nonexistent", accesses=10)
+        with pytest.raises(SystemExit, match="unknown workload 'nonexistent'"):
+            main(["trace", "-w", "nonexistent", "--accesses", "10", "-o", "unused"])
 
     @pytest.mark.parametrize("workload", ["ocean_c", "YCSB", "locality:60"])
     def test_seed_reaches_the_generator(self, workload):
@@ -108,13 +115,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Z" in out
 
-    def test_known_schemes_all_buildable(self):
-        # The CLI's advertised scheme list matches what the factory accepts.
+    def test_known_schemes_all_buildable(self, capsys):
+        # Every label of the grammar `repro list` prints is one the factory
+        # builds: each base, bare and under every suffix combination.
         from repro.analysis.experiments import experiment_config
-        from repro.sim.system import SecureSystem
 
-        for scheme in KNOWN_SCHEMES:
-            SecureSystem.build(scheme, footprint_blocks=256, config=experiment_config())
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert SchemeLabel.GRAMMAR in out
+        suffixes = ["", *SchemeLabel.PREFETCHERS]
+        for base in SchemeLabel.BASES:
+            assert base in out
+            for suffix in suffixes:
+                for periodic in ("", "_intvl") if base != "dram" else ("",):
+                    label = SchemeLabel.parse(base + suffix + periodic)
+                    assert (label.base, label.prefetcher or "") == (base, suffix)
+                    assert label.periodic == bool(periodic)
+                    SecureSystem.build(
+                        base + suffix + periodic,
+                        footprint_blocks=256,
+                        config=experiment_config(),
+                    )
 
 
 class TestObservabilityCommands:
@@ -174,6 +195,53 @@ class TestObservabilityCommands:
     def test_metrics_rejects_dram(self):
         with pytest.raises(SystemExit):
             main(["metrics", "-w", "locality:50", "-s", "dram", "--accesses", "100"])
+
+
+class TestSchemeLabels:
+    """One parser reads ``--scheme(s)`` for every subcommand; each case
+    failed at the parent (refused, or died with a ``ValueError`` traceback)."""
+
+    @pytest.mark.parametrize(
+        "scheme", ["dyn_spre", "oram_mpre", "dyn_strided", "oram_pre_intvl"]
+    )
+    def test_run_and_metrics_take_every_buildable_label(self, scheme, capsys):
+        sized = ["-w", "locality:80", "-s", scheme, "--accesses", "1200"]
+        assert main(["run", *sized, "--warmup", "0"]) == 0
+        assert scheme in capsys.readouterr().out
+        assert main(["metrics", *sized, "--window", "256"]) == 0
+        assert f"on {scheme}:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("audit -w locality:50 -s nonsense --accesses 100", "unknown scheme 'nonsense'"),
+            ("chaos -s dram --ops 100", "cannot run on a sharded bank"),
+            ("chaos -s dyn_pre --ops 100", "cannot run on a sharded bank"),
+            ("audit -w locality:50 -s dram --accesses 100", "audit needs an ORAM scheme"),
+            ("metrics -w locality:50 -s dram_pre --accesses 100", "metrics needs an ORAM scheme"),
+            ("run -w locality:50 -s dyn,dram_intvl --accesses 100", "only apply to ORAM"),
+            ("serve -s stat_intvl", "cannot run on a sharded bank"),
+            ("parallel -s oram_spre", "cannot run on a sharded bank"),
+        ],
+    )
+    def test_unrunnable_label_exits_2_with_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_parse_rejects_what_is_not_in_the_grammar(self):
+        for label in ("", "dyn_", "pre", "dyn_intvl_pre", "dyn_pre_spre", "DYN"):
+            with pytest.raises(ValueError):
+                SchemeLabel.parse(label)
+        assert SchemeLabel.parse("dyn_sm_nb_mpre_intvl") == SchemeLabel(
+            "dyn_sm_nb", "_mpre", True
+        )
+        assert SchemeLabel.parse("dram_spre").is_dram
+        assert SchemeLabel.parse("stat").is_base_oram
+        assert not SchemeLabel.parse("stat_pre").is_base_oram
 
 
 RUN = "run -w locality:80 -s dyn --accesses 1500 --warmup 0 "

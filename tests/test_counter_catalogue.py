@@ -23,7 +23,13 @@ dict.  These tests make the property durable:
   what the parent restored, a document with a missing or non-integer counter
   raises ``CheckpointError`` and an unknown key is ignored;
 * the two bugs the walk fixed: flat-interconnect counters survive a restore,
-  and the first Equation 1 window after one is not fed the whole history.
+  and the first Equation 1 window after one is not fed the whole history;
+* **above the bank** (last three sections) -- the serving front end, the
+  health plane and the worker runtime count the same way: every declared
+  counter reaches its documented registry name, an integer that moves
+  undeclared fails, and the reported names and values equal what the
+  deleted live registries held (the ``golden_serve_*`` dumps, a recorded
+  runtime scenario, the plane's old event-path mirror as ``MirroredPlane``).
 
 The fixtures are frozen artifacts of the parent commit (f7db917), written
 with its sources on the path: for each entry of ``FIXTURES``,
@@ -1118,3 +1124,334 @@ class TestAbsorb:
             i for i in source if i.name.startswith("health.")
         )
         assert [i.name for i in picked] == ["health.a"]
+
+
+# ==================================================== checkpoint geometry
+def test_every_oram_config_field_is_in_the_checkpoint_document():
+    """The geometry section is derived from the dataclass, so a new
+    ``ORAMConfig`` field cannot be dropped and restored at its default."""
+    from repro.config import ORAMConfig
+    from repro.oram.checkpoint import _oram_state_dict
+
+    backend = build_controller(treetop=4)
+    section = _oram_state_dict(backend.oram)["config"]
+    assert list(section) == [f.name for f in dataclasses.fields(ORAMConfig)]
+    assert ORAMConfig(**section) == backend.oram.config
+    # and it is what the parent wrote by hand, key for key
+    parent = json.loads(fixture_path("flat_k4").read_text())["document"]
+    assert sorted(parent["oram"]["config"]) == sorted(section)
+
+
+# ===================================================== above the bank: serve
+# Layers 8-10 count the way layers 1-7 do: bare attributes declared once,
+# one walk, names given at collection.  The oracle is what the parent's live
+# registries held: the three ``golden_serve_*`` dumps, one recorded runtime
+# scenario (``parent_runtime_health_metrics.json``, written at 8a2ee5e by the
+# ``runtime_kill_scenario`` below with that commit's sources on the path),
+# and the parent plane's event-path mirror kept here as ``MirroredPlane``.
+from repro.health import HealthControlPlane, HealthState  # noqa: E402
+from repro.health.breaker import CircuitBreaker  # noqa: E402
+from repro.observability import collect_parallel, collect_serve  # noqa: E402
+from repro.parallel.runtime import ParallelShardRuntime, _Worker  # noqa: E402
+from repro.serve import ServingFrontEnd  # noqa: E402
+from repro.serve.request import ServeReport, TenantReport  # noqa: E402
+from repro.utils.rng import DeterministicRng  # noqa: E402
+from tests.test_serve_golden import SCENARIOS  # noqa: E402
+
+#: front-end integers that move but are event-loop state, not counts
+SERVE_SCRATCH = {"_unissued", "_event_seq", "_makespan", "_sum_latency"}
+
+
+class TestServeWalk:
+    def test_fifteen_counters_declared_once(self):
+        declared = ServingFrontEnd.TENANT_COUNTERS + ServingFrontEnd.COUNTERS
+        assert len(declared) == len(set(declared)) == 15
+        tenant_fields = {f.name for f in dataclasses.fields(TenantReport)}
+        assert set(ServingFrontEnd.TENANT_COUNTERS) <= tenant_fields
+        # every total the report prints is one of them
+        report_ints = {
+            f.name
+            for f in dataclasses.fields(ServeReport)
+            if f.type == "int" and f.default == 0
+        } - {"makespan_cycles", "p50_latency", "p99_latency"}
+        assert report_ints <= set(declared)
+
+    def test_every_declared_counter_reaches_the_registry(self):
+        frontend, _source = SCENARIOS["overload1_shed3"]()
+        frontend._tenant_counts = [TenantReport(tenant=t) for t in range(2)]
+        planted = {}
+        for index, name in enumerate(ServingFrontEnd.TENANT_COUNTERS):
+            setattr(frontend._tenant_counts[0], name, 100 + index)
+            setattr(frontend._tenant_counts[1], name, 1_000 * (index + 1))
+            planted[name] = 100 + index + 1_000 * (index + 1)
+        for index, name in enumerate(ServingFrontEnd.COUNTERS):
+            setattr(frontend, name, 7 + 3 * index)
+            planted[name] = 7 + 3 * index
+        assert frontend.counters() == planted
+        dump = collect_serve(frontend).to_dict()
+        for name, value in planted.items():
+            assert dump[f"serve.{name}"] == {"kind": "counter", "value": value}
+
+    def test_every_moved_integer_is_in_the_walk(self):
+        frontend, source = SCENARIOS["overload1_shed3"]()
+        before = _int_attributes(frontend)
+        frontend.run(source)
+        walk = frontend.counters()
+        moved = {
+            name
+            for name, value in _int_attributes(frontend).items()
+            if value != before.get(name)
+        }
+        assert moved - SERVE_SCRATCH <= set(walk)
+        assert {"shed_queue_full", "shed_backlog", "shed_pressure"} <= moved
+        for tenant in frontend._tenant_counts:
+            assert set(_int_attributes(tenant)) - set(walk) == {
+                "tenant", "p50_latency", "p99_latency"
+            }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_walk_reports_what_the_live_registry_held(self, name):
+        """Values *and* the set of names: a count-on-first-event instrument
+        is there only once it counted, the forced fifteen always."""
+        frontend, source = SCENARIOS[name]()
+        report = frontend.run(source)
+        golden = json.loads((DATA / f"golden_serve_{name}.json").read_text())
+        dump = json.loads(json.dumps(collect_serve(frontend).to_dict()))
+        assert dump == golden["metrics"]
+        assert json.loads(json.dumps(frontend.registry.to_dict())) == dump
+        # the report is the same walk
+        totals = frontend.counters()
+        for field in dataclasses.fields(ServeReport):
+            if field.name in totals:
+                assert getattr(report, field.name) == totals[field.name]
+        declared = {
+            f"serve.{counter}"
+            for counter in ServingFrontEnd.TENANT_COUNTERS + ServingFrontEnd.COUNTERS
+        }
+        assert declared == {
+            key for key, entry in dump.items()
+            if key.startswith("serve.") and entry["kind"] == "counter"
+        }
+
+    def test_a_front_end_that_never_ran_reports_zeros(self):
+        frontend, _source = SCENARIOS["open4_dyn_health"]()
+        dump = collect_serve(frontend).to_dict()
+        assert all(
+            dump[f"serve.{name}"]["value"] == 0 for name in frontend.counters()
+        )
+        assert "serve.queue_wait_cycles" not in dump
+        assert "serve.tenant0.queue_peak" not in dump
+        assert dump["health.shard3.state"]["value"] == 0
+
+
+# ==================================================== above the bank: health
+class MirroredPlane(HealthControlPlane):
+    """The parent's event-path mirror: every ``record_*`` also updates a live
+    registry (``_sync`` after a ``before = len(transitions)`` preamble)."""
+
+    def __init__(self, num_shards, policy=None):
+        super().__init__(num_shards, policy)
+        self.live = MetricsRegistry()
+        for index in range(num_shards):
+            self.live.gauge(f"health.shard{index}.state").set(HealthState.HEALTHY.code)
+
+    def _mirrored(self, index, event, counter=None):
+        breaker = self.breakers[index]
+        before = len(breaker.transitions)
+        result = event()
+        if counter is not None:
+            self.live.counter(f"health.shard{index}.{counter}").inc()
+        if len(breaker.transitions) != before:
+            self.live.gauge(f"health.shard{index}.state").set(breaker.state.code)
+            for transition in breaker.transitions[before:]:
+                self.live.counter(f"health.shard{index}.transitions").inc()
+                self.live.counter(
+                    "health.transitions."
+                    f"{transition.previous.value}_to_{transition.state.value}"
+                ).inc()
+        return result
+
+    def record_access(self, index, ok, latency_cycles=0):
+        return self._mirrored(
+            index, lambda: super(MirroredPlane, self).record_access(index, ok, latency_cycles)
+        )
+
+    def record_pressure(self, index):
+        return self._mirrored(index, lambda: super(MirroredPlane, self).record_pressure(index))
+
+    def record_hard_failure(self, index, reason="hard_failure"):
+        return self._mirrored(
+            index,
+            lambda: super(MirroredPlane, self).record_hard_failure(index, reason),
+            "hard_failures",
+        )
+
+    def record_fallback(self, index):
+        return self._mirrored(
+            index,
+            lambda: super(MirroredPlane, self).record_fallback(index),
+            "fallback_accesses",
+        )
+
+    def record_probe(self, index, ok):
+        return self._mirrored(
+            index, lambda: super(MirroredPlane, self).record_probe(index, ok), "probes"
+        )
+
+    def begin_probe_if_ready(self, index):
+        return self._mirrored(
+            index, lambda: super(MirroredPlane, self).begin_probe_if_ready(index)
+        )
+
+
+def storm(plane, seed, events=600):
+    """A seeded walk over every plane event, routed the way the owners do."""
+    rng = DeterministicRng(seed)
+    for _ in range(events):
+        index = rng.randint(0, plane.num_shards - 1)
+        state = plane.state(index)
+        roll = rng.randint(0, 99)
+        if state is HealthState.QUARANTINED:
+            plane.record_fallback(index)
+            plane.begin_probe_if_ready(index)
+        elif state is HealthState.PROBING:
+            plane.record_probe(index, roll >= 15)
+        elif roll < 2:
+            plane.record_hard_failure(index, "death")
+        elif roll < 5:
+            plane.record_pressure(index)
+        else:
+            plane.record_access(index, roll >= 12, latency_cycles=roll)
+
+
+class TestHealthWalk:
+    POLICY = HealthPolicy(
+        window=8, quarantine_cooldown=4, probe_batch=4, probe_successes=2
+    )
+
+    def test_every_declared_counter_reaches_the_registry(self):
+        plane = HealthControlPlane(2, self.POLICY)
+        breaker = plane.breakers[1]
+        for index, attr in enumerate(CircuitBreaker.COUNTERS):
+            assert getattr(breaker, attr) == 0
+            setattr(breaker, attr, 11 + index)
+        dump = plane.to_registry().to_dict()
+        for index, name in enumerate(CircuitBreaker.COUNTERS.values()):
+            assert dump[f"health.shard1.{name}"] == {"kind": "counter", "value": 11 + index}
+            assert f"health.shard0.{name}" not in dump  # nothing counted yet
+        assert dump["health.shard0.state"] == {"kind": "gauge", "value": 0}
+        assert set(CircuitBreaker.COUNTERS.values()) == {
+            "hard_failures", "fallback_accesses", "probes"
+        }
+
+    def test_every_moved_breaker_integer_is_declared_or_window_state(self):
+        plane = HealthControlPlane(3, self.POLICY)
+        before = [_int_attributes(b) for b in plane.breakers]
+        storm(plane, seed=4)
+        moved = set()
+        for breaker, start in zip(plane.breakers, before):
+            moved |= {
+                name for name, value in _int_attributes(breaker).items()
+                if value != start.get(name)
+            }
+        public = {name for name in moved if not name.startswith("_")}
+        # ``events`` is the transition clock; quarantines / readmissions are
+        # reported by ``total_*`` and ``summary()``, never were registry names
+        assert public - {"events", "quarantines", "readmissions"} == set(
+            CircuitBreaker.COUNTERS
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_walk_reports_what_the_event_path_mirror_held(self, seed):
+        plane = MirroredPlane(3, self.POLICY)
+        storm(plane, seed)
+        assert plane.total_transitions() > 0 and plane.total_readmissions() > 0
+        assert plane.to_registry().to_dict() == plane.live.to_dict()
+        assert plane.registry.to_dict() == plane.live.to_dict()
+
+    def test_the_storm_reaches_every_instrument(self):
+        plane = MirroredPlane(3, self.POLICY)
+        storm(plane, seed=0, events=2_000)
+        names = set(plane.live.to_dict())
+        for suffix in ("state", "transitions", "hard_failures", "fallback_accesses", "probes"):
+            assert f"health.shard0.{suffix}" in names
+        assert {
+            "health.transitions.healthy_to_degraded",
+            "health.transitions.quarantined_to_probing",
+            "health.transitions.probing_to_healthy",
+            "health.transitions.probing_to_quarantined",
+        } <= names
+
+
+# ================================================== above the bank: parallel
+def runtime_kill_scenario(checkpoint_dir):
+    """Worker 0 is dead before the first batch: quarantined, served inline
+    through its cooldown, re-opened half-open, probed, re-admitted.  Returns
+    the collected dump with the wall-clock histograms reduced to their
+    sample counts."""
+    rng = DeterministicRng(9)
+    requests, now = [], 0
+    for index in range(320):
+        now += rng.randint(1, 40)
+        requests.append((rng.randint(0, 127), now, index % 4 == 0))
+    policy = HealthPolicy(
+        quarantine_cooldown=8, probe_batch=8, probe_successes=2,
+        heartbeat_every=4, join_timeout_s=2.0,
+    )
+    with ParallelShardRuntime(
+        "dyn", 128, num_workers=2, checkpoint_dir=checkpoint_dir, batch_size=16,
+        max_restarts=8, health_policy=policy,
+    ) as runtime:
+        runtime.kill_worker(0)
+        runtime.run(requests)
+        dump = collect_parallel(runtime).to_dict()
+        assert runtime.metrics().to_dict().keys() == dump.keys()
+    for name, entry in dump.items():
+        if name.endswith(".batch_roundtrip_us"):
+            dump[name] = {"kind": entry["kind"], "total": entry["total"]}
+    return dump
+
+
+class TestParallelWalk:
+    def stub_runtime(self, workers, health=None):
+        import types
+
+        stub = types.SimpleNamespace(
+            _workers=workers, num_workers=len(workers), health=health
+        )
+        stub.worker_snapshots = lambda: ParallelShardRuntime.worker_snapshots(stub)
+        return stub
+
+    def test_every_declared_counter_reaches_the_registry(self):
+        workers = [_Worker(0), _Worker(1)]
+        for index, name in enumerate(_Worker.COUNTERS):
+            assert getattr(workers[1], name) == 0
+            setattr(workers[1], name, 5 + index)
+        workers[1].pending = {3: ([0], []), 4: ([1], [])}
+        workers[1].roundtrip_us.record(900)
+        dump = collect_parallel(self.stub_runtime(workers)).to_dict()
+        for index, name in enumerate(_Worker.COUNTERS):
+            assert dump[f"parallel.worker1.{name}"] == {"kind": "counter", "value": 5 + index}
+        assert dump["parallel.worker1.queue_depth"] == {"kind": "gauge", "value": 2}
+        assert dump["parallel.worker1.batch_roundtrip_us"]["total"] == 1
+        assert dump["parallel.num_workers"] == {"kind": "gauge", "value": 2}
+        # an idle worker: the forced names at zero, nothing else
+        assert {key for key in dump if key.startswith("parallel.worker0.")} == {
+            "parallel.worker0.queue_depth",
+            "parallel.worker0.restarts",
+            "parallel.worker0.hangs",
+        }
+
+    def test_every_worker_integer_is_declared_or_a_cursor(self):
+        ints = set(_int_attributes(_Worker(0)))
+        assert ints - {"index", "next_seq"} == set(_Worker.COUNTERS)
+
+    def test_kill_quarantine_probe_readmit_matches_the_parent_dump(self, tmp_path):
+        golden = json.loads((DATA / "parent_runtime_health_metrics.json").read_text())
+        dump = json.loads(json.dumps(runtime_kill_scenario(str(tmp_path))))
+        assert dump == golden
+        # the scenario fired what it names
+        assert golden["parallel.worker0.restarts"]["value"] == 2
+        assert golden["parallel.worker0.fallback_batches"]["value"] > 0
+        assert golden["health.shard0.probes"]["value"] == 2
+        assert golden["health.transitions.probing_to_healthy"]["value"] == 1

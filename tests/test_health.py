@@ -268,13 +268,20 @@ class TestHealthControlPlane:
         assert plane.total_transitions() == 3
 
     def test_to_registry_copies_only_health_names(self):
+        """The walk writes ``health.*`` and nothing else, into a registry
+        that may already hold a runtime's ``parallel.*`` instruments."""
         plane = HealthControlPlane(1, tight_policy())
-        plane.registry.counter("parallel.worker0.batches").inc()
         plane.record_hard_failure(0, "death")
-        out = plane.to_registry()
-        names = {instrument.name for instrument in out}
-        assert "health.shard0.state" in names
-        assert all(name.startswith("health.") for name in names)
+        shared = MetricsRegistry()
+        shared.counter("parallel.worker0.batches").inc()
+        assert plane.to_registry(shared) is shared
+        added = {instrument.name for instrument in shared} - {
+            "parallel.worker0.batches"
+        }
+        assert added == {instrument.name for instrument in plane.to_registry()}
+        assert "health.shard0.state" in added
+        assert all(name.startswith("health.") for name in added)
+        assert shared.value("parallel.worker0.batches") == 1
 
 
 # ---------------------------------------------------- parallel integration

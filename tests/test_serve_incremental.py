@@ -127,10 +127,10 @@ class CheckedFrontEnd(ServingFrontEnd):
         assert answer == reference_placeable(self, request)
         return answer
 
-    def _issue_batch(self, shard, now, closes):
+    def _issue_batch(self, shard, now):
         accesses = len(self._open_batches[shard])
         before = len(self.issued)
-        super()._issue_batch(shard, now, closes)
+        super()._issue_batch(shard, now)
         self.splits += len(self.issued) - before - accesses
         self.check()
 
@@ -384,3 +384,49 @@ def test_event_cost_does_not_grow_with_the_open_batch():
     small = serve_calls_per_request(4)
     large = serve_calls_per_request(64)
     assert abs(large - small) / small < 0.15, (small, large)
+
+
+def test_the_only_registry_frames_of_a_served_request_are_histogram_records():
+    """Counting is a bare-attribute increment where the event happens, so a
+    run of the ``open4_dyn_health`` golden scenario enters
+    ``observability/metrics.py`` for one thing only: ``CycleHistogram.record``
+    (a distribution is state, not derivable afterwards).  With
+    the live-registry mirror ``Counter.inc`` fired per event here too, and
+    the health plane's ``_sync`` per access."""
+    import os
+    import sys
+    from collections import Counter
+
+    from tests.test_serve_golden import open4_dyn_health
+
+    frontend, source = open4_dyn_health()
+    marker = os.path.join("observability", "metrics.py")
+    frames = Counter()
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.endswith(marker):
+                frames[code.co_name] += 1
+            elif code.co_name == "_sync":
+                frames["_sync"] += 1
+
+    sys.setprofile(hook)
+    try:
+        report = frontend.run(source)
+    finally:
+        sys.setprofile(None)
+    assert report.served > 0 and report.batches > 0
+    tenants = source.num_tenants
+    assert frames == {
+        # latency + tenant latency per served request, queue wait per request
+        # that waited for an issue (an MSHR-latched one did not), one
+        # occupancy sample per batch
+        "record": 2 * report.served
+        + frontend.queue_wait_cycles.total
+        + report.batches,
+        # per run, not per request: the tenant histograms made at the start,
+        # the report's p50/p99 (whole run + each tenant) read at the end
+        "__init__": tenants,
+        "quantile": 2 + 2 * tenants,
+    }
