@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-fast perf perf-smoke profile examples gallery audit clean
+.PHONY: install test test-report bench bench-fast perf perf-smoke profile examples gallery audit loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -37,12 +37,17 @@ examples:
 	PYTHONPATH=src $(PYTHON) examples/real_programs.py
 	PYTHONPATH=src $(PYTHON) examples/stash_pressure.py
 	PYTHONPATH=src $(PYTHON) examples/multicore_contention.py
+	PYTHONPATH=src $(PYTHON) examples/secure_processor_sim.py
 
 gallery:
 	PYTHONPATH=src $(PYTHON) examples/figure_gallery.py
 
 audit:
 	PYTHONPATH=src $(PYTHON) -m repro audit -w ocean_c -s dyn
+
+# Code-only lines (no docstrings, comments or blanks) per package of src/repro.
+loc:
+	$(PYTHON) tools/loc.py
 
 clean:
 	rm -rf build src/repro.egg-info .pytest_cache .hypothesis perf_out .perf_tmp_*

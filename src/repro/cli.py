@@ -680,9 +680,10 @@ def cmd_chaos(args) -> int:
     """Cross-layer chaos storm: KV ladder + parallel runtime + bank plane."""
     if args.ops < 0:
         raise SystemExit("--ops must be >= 0")
-    # The default 20k-op soak splits 40/20/40 across the layers.
-    parallel_ops = (2 * args.ops) // 5
-    kv_ops = args.ops - 2 * ((2 * args.ops) // 5)
+    # --ops splits 40/20/40 over parallel/kv/bank; the report's header
+    # says how many of them the chosen --layers ran.
+    parallel_ops = bank_ops = (2 * args.ops) // 5
+    kv_ops = args.ops - parallel_ops - bank_ops
     scenario = ChaosScenario(
         name=args.name,
         seed=args.seed,
@@ -690,7 +691,7 @@ def cmd_chaos(args) -> int:
         num_shards=args.shards,
         parallel_ops=parallel_ops,
         kv_ops=kv_ops,
-        bank_ops=(2 * args.ops) // 5,
+        bank_ops=bank_ops,
     )
     policy = health_policy(args) or chaos_policy()
     layers = tuple(

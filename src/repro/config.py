@@ -5,7 +5,7 @@ Two layers of configuration exist:
 * The *nominal* configuration describes the machine the paper models: an
   8 GB Path ORAM behind a 16 GB/s pin interface on a 1 GHz chip.  All
   latency charging is derived from these numbers
-  (see :mod:`repro.memory.timing`), so the default Path ORAM access costs
+  (see :mod:`repro.memory.interconnect`), so the default Path ORAM access costs
   roughly the paper's 2364 cycles.
 * The *functional* configuration describes the Python-scale tree actually
   simulated (a few thousand leaves).  Stash pressure, background eviction

@@ -443,10 +443,13 @@ class ChaosReport:
 
     def render(self) -> str:
         gate = lambda flag: "PASS" if flag else "FAIL"  # noqa: E731
+        scenario = self.scenario
+        ran = sum(layer["ops"] for layer in (self.kv, self.parallel, self.bank) if layer)
         lines = [
-            f"chaos storm '{self.scenario.name}' "
-            f"(seed {self.scenario.seed}, {self.scenario.num_shards} shards, "
-            f"{self.scenario.total_ops} total ops)"
+            f"chaos storm '{scenario.name}' "
+            f"(seed {scenario.seed}, {scenario.num_shards} shards, {ran} ops run; "
+            f"the {scenario.total_ops}-op scenario splits {scenario.parallel_ops}/"
+            f"{scenario.kv_ops}/{scenario.bank_ops} over parallel/kv/bank)"
         ]
         if self.kv:
             lines.append(

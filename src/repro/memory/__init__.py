@@ -10,7 +10,6 @@ from repro.memory.interconnect import (
 )
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
-from repro.memory.timing import ORAMTimingModel
 
 __all__ = [
     "BackendStats",
@@ -21,7 +20,6 @@ __all__ = [
     "MemoryBackend",
     "MemoryInterconnect",
     "ORAMBackend",
-    "ORAMTimingModel",
     "PeriodicORAMBackend",
     "build_interconnect",
 ]

@@ -38,10 +38,10 @@ serializes just like the flat model's saturated pin interface.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import DRAMConfig, ORAMConfig
-from repro.memory.timing import ORAMTimingModel, transfer_cycles
+from repro.memory.timing import transfer_cycles
 from repro.oram.checkpoint import load_counters
 from repro.oram.tree import PhysicalLayout
 
@@ -73,17 +73,37 @@ class MemoryInterconnect:
         "treetop_bytes_saved",
     )
 
-    path_cycles: int
-    bytes_per_path: int
+    def __init__(self, oram: ORAMConfig, dram: DRAMConfig, channels: int = 1):
+        self.dram = dram
+        self.num_channels = channels
+        #: bytes one bucket moves per path access: Z blocks, read + write-back
+        self.bucket_bytes = oram.bucket_size * oram.block_bytes * 2
+        #: pinned nominal levels (the treetop cache, DESIGN.md section 13):
+        #: every path streams only its off-chip suffix over the pins
+        self.treetop_levels = oram.treetop_levels
+        self.offchip_levels = oram.nominal_levels + 1 - oram.treetop_levels
+        self.bytes_per_path = self.offchip_levels * self.bucket_bytes
+        self.path_cycles = self.path_cycles_for(self.offchip_levels)
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def path_cycles_for(self, levels: int) -> int:
-        """Public cost of a path access streaming ``levels`` bucket-levels.
+        """Public cost of a path access streaming ``levels`` bucket-levels:
+        the idle-memory completion of a perfectly balanced path,
+        ``latency + ceil(levels * bucket_bytes / (C * bytes_per_cycle))``.
 
-        ``path_cycles == path_cycles_for(offchip_levels)`` where
-        ``offchip_levels = nominal_levels + 1 - treetop_levels`` -- the
-        treetop cache truncates every path to its off-chip suffix.
+        This is the one definition of the per-path cost (sections 2.6,
+        5.1): the flat model is ``C = 1`` (a single ORAM access saturates
+        the pins), the channel model spreads the bytes over its ``C``
+        buses.  ``path_cycles == path_cycles_for(offchip_levels)``; at
+        ``treetop_levels = 0`` that is the full ``nominal_levels + 1``.
         """
-        raise NotImplementedError
+        if levels < 1:
+            raise ValueError("a path access must stream at least one level")
+        per_cycle = self.num_channels * self.dram.bytes_per_cycle
+        return self.dram.latency_cycles + max(
+            1, int(math.ceil(levels * self.bucket_bytes / per_cycle))
+        )
 
     def path_completion(self, leaf: int, start: int) -> int:
         """Completion cycle of a path access to ``leaf`` issued at ``start``."""
@@ -92,7 +112,9 @@ class MemoryInterconnect:
     def note_untracked(self, count: int) -> None:
         """Record ``count`` path accesses charged at the public nominal cost
         without streaming (PosMap walk, evictions, dummies)."""
-        raise NotImplementedError
+        self.untracked_paths += count
+        self.treetop_hits += self.treetop_levels * count
+        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes * count
 
     def state_dict(self) -> Dict[str, object]:
         """Everything the interconnect counts, as JSON-able plain data.
@@ -162,30 +184,11 @@ class FlatInterconnect(MemoryInterconnect):
 
     model = "flat"
 
-    def __init__(self, oram: ORAMConfig, dram: DRAMConfig):
-        self._timing = timing = ORAMTimingModel.from_config(oram, dram)
-        self.treetop_levels = oram.treetop_levels
-        self.offchip_levels = oram.nominal_levels + 1 - oram.treetop_levels
-        self.path_cycles = timing.path_cycles_for(self.offchip_levels)
-        self.bytes_per_path = self.offchip_levels * timing.bucket_bytes
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-
-    def path_cycles_for(self, levels: int) -> int:
-        return self._timing.path_cycles_for(levels)
-
     def path_completion(self, leaf: int, start: int) -> int:
         self.streamed_paths += 1
         self.treetop_hits += self.treetop_levels
-        self.treetop_bytes_saved += self.treetop_levels * self._timing.bucket_bytes
+        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes
         return start + self.path_cycles
-
-    def note_untracked(self, count: int) -> None:
-        self.untracked_paths += count
-        self.treetop_hits += self.treetop_levels * count
-        self.treetop_bytes_saved += (
-            self.treetop_levels * self._timing.bucket_bytes * count
-        )
 
 
 class ChannelState:
@@ -275,7 +278,7 @@ class ChannelInterconnect(MemoryInterconnect):
     )
 
     def __init__(self, oram: ORAMConfig, dram: DRAMConfig):
-        self.dram = dram
+        super().__init__(oram, dram, channels=dram.num_channels)
         levels = oram.nominal_levels
         self.layout = PhysicalLayout(
             levels=levels,
@@ -284,16 +287,6 @@ class ChannelInterconnect(MemoryInterconnect):
             subtree_levels=dram.subtree_levels,
         )
         self._leaf_shift = max(0, levels - oram.levels)
-        #: bytes moved per bucket: Z blocks, read + write-back
-        self.bucket_bytes = oram.bucket_size * oram.block_bytes * 2
-        #: pinned nominal levels (the treetop cache); the plan streams only
-        #: levels >= treetop_levels, so DRAM tiers fully inside the treetop
-        #: never issue a bank request.
-        self.treetop_levels = oram.treetop_levels
-        self.offchip_levels = levels + 1 - oram.treetop_levels
-        self.bytes_per_path = self.offchip_levels * self.bucket_bytes
-        self.num_channels = dram.num_channels
-        self.path_cycles = self.path_cycles_for(self.offchip_levels)
         self._latency_cycles = dram.latency_cycles
         self._row_hit_cycles = dram.row_hit_cycles
         self._open_page = dram.page_policy == "open"
@@ -303,24 +296,6 @@ class ChannelInterconnect(MemoryInterconnect):
             (transfer_cycles(dram, n * self.bucket_bytes), n * self.bucket_bytes)
             for n in range(self.offchip_levels + 1)
         ]
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-
-    def path_cycles_for(self, levels: int) -> int:
-        """Idle-memory completion of a balanced path of ``levels`` buckets."""
-        if levels < 1:
-            raise ValueError("a path access must stream at least one level")
-        dram = self.dram
-        return dram.latency_cycles + max(
-            1,
-            int(
-                math.ceil(
-                    levels
-                    * self.bucket_bytes
-                    / (dram.num_channels * dram.bytes_per_cycle)
-                )
-            ),
-        )
 
     def _plan(
         self, leaf: int
@@ -407,11 +382,6 @@ class ChannelInterconnect(MemoryInterconnect):
             self.last_completion = completion
         return completion
 
-    def note_untracked(self, count: int) -> None:
-        self.untracked_paths += count
-        self.treetop_hits += self.treetop_levels * count
-        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes * count
-
     def _geometry(self) -> Dict[str, object]:
         """What bank/row numbers in a checkpoint mean; must match to restore."""
         layout = self.layout
@@ -449,17 +419,10 @@ class ChannelInterconnect(MemoryInterconnect):
             channel.load_state_dict(channel_state)
 
 
-def build_interconnect(
-    oram: ORAMConfig, dram: DRAMConfig, model: Optional[str] = None
-) -> MemoryInterconnect:
-    """Instantiate the interconnect selected by ``dram.model``.
-
-    ``model`` overrides the config string (the CLI passes the parsed
-    ``--dram-model`` through here).
-    """
-    selected = model if model is not None else dram.model
-    if selected == "flat":
+def build_interconnect(oram: ORAMConfig, dram: DRAMConfig) -> MemoryInterconnect:
+    """Instantiate the interconnect selected by ``dram.model``."""
+    if dram.model == "flat":
         return FlatInterconnect(oram, dram)
-    if selected == "channel":
+    if dram.model == "channel":
         return ChannelInterconnect(oram, dram)
-    raise ValueError(f"unknown DRAM model {selected!r}")
+    raise ValueError(f"unknown DRAM model {dram.model!r}")

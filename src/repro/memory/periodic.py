@@ -132,6 +132,20 @@ class PeriodicORAMBackend(ORAMBackend):
         gaps = -(-(completion + self.interval - slot) // period)
         self._next_slot = slot + gaps * period
 
+    def load_counters(self, saved: dict) -> None:
+        """Restore the counters, then re-derive the grid cursor.
+
+        ``_next_slot`` is not stored: like the Equation 1 clock it follows
+        from the restored ``busy_until`` -- the first grid point at least
+        ``Oint`` after it, which is what :meth:`_schedule_after` left when
+        the last access completed.  (Left at 0, the first request after a
+        restore counted every slot since cycle 0 as a fresh dummy.)
+        """
+        super().load_counters(saved)
+        self._next_slot = 0  # a device that never served starts on slot 0
+        if self.busy_until:
+            self._schedule_after(0, self.busy_until)
+
     def _issue(self, addr: int, now: int, run_scheme: bool, kind: str) -> tuple:
         """Every request -- demand, prefetch, dirty write-back -- issues at
         its grid slot, and the schedule resumes on the grid after it."""

@@ -1,4 +1,4 @@
-"""ORAM latency model derived from the nominal geometry (sections 2.6, 5.1).
+"""The one ceil of the latency model (sections 2.6, 5.1).
 
 The paper's DRAM is "simply modeled by a flat latency", with 16 GB/s of pin
 bandwidth on a 1 GHz chip (16 bytes/cycle), and "a single ORAM access
@@ -14,79 +14,26 @@ misses the PosMap block cache pays one extra path access per uncached
 recursion level, which lands the *average* access latency in the
 neighbourhood of the paper's quoted 2364 cycles (the exact figure depends
 on PosMap locality; bench_table1 prints both).
+
+The path-cost formula itself lives on
+:meth:`repro.memory.interconnect.MemoryInterconnect.path_cycles_for` (one
+definition under both interconnects); a DRAM line fill is
+``latency_cycles + transfer_cycles(dram, block_bytes)``, scheduled by
+:class:`repro.memory.dram.DRAMBackend`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.config import DRAMConfig, ORAMConfig
+from repro.config import DRAMConfig
 
 
 def transfer_cycles(dram: DRAMConfig, nbytes: int) -> int:
     """Cycles to move ``nbytes`` over one channel's pins (at least one).
 
-    Every timing consumer (the flat path model, the insecure DRAM
-    backend, the channel interconnect) derives its bus occupancy from
-    this one ceil so the arithmetic cannot drift between models.
+    Every timing consumer (the insecure DRAM backend, the channel
+    interconnect's bursts) derives its bus occupancy from this one ceil so
+    the arithmetic cannot drift between models.
     """
     return max(1, int(math.ceil(nbytes / dram.bytes_per_cycle)))
-
-
-@dataclass(frozen=True)
-class ORAMTimingModel:
-    """Charges cycle costs for path accesses of the nominal ORAM.
-
-    ``path_cycles`` is the full-path cost; :meth:`path_cycles_for` prices
-    a *truncated* path -- the treetop cache pins the top ``k`` levels
-    on-chip, so every access streams only ``nominal_levels + 1 - k``
-    buckets over the pins (DESIGN.md section 13).
-    """
-
-    path_cycles: int
-    bytes_per_path: int
-    #: bytes one bucket moves per path access (Z blocks, read + write-back)
-    bucket_bytes: int = 0
-    latency_cycles: int = 0
-    bytes_per_cycle: float = 0.0
-
-    @classmethod
-    def from_config(cls, oram: ORAMConfig, dram: DRAMConfig) -> "ORAMTimingModel":
-        levels = oram.nominal_levels
-        bucket_bytes = oram.bucket_size * oram.block_bytes * 2
-        bytes_per_path = (levels + 1) * bucket_bytes
-        return cls(
-            path_cycles=transfer_cycles(dram, bytes_per_path) + dram.latency_cycles,
-            bytes_per_path=bytes_per_path,
-            bucket_bytes=bucket_bytes,
-            latency_cycles=dram.latency_cycles,
-            bytes_per_cycle=dram.bytes_per_cycle,
-        )
-
-    def path_cycles_for(self, levels: int) -> int:
-        """Public cost of a path access streaming ``levels`` bucket-levels.
-
-        ``path_cycles_for(nominal_levels + 1)`` reproduces ``path_cycles``
-        exactly (same ceil, same latency), so a zero-level treetop is
-        bit-identical to the untruncated model.
-        """
-        if levels < 1:
-            raise ValueError("a path access must stream at least one level")
-        return self.latency_cycles + max(
-            1, int(math.ceil(levels * self.bucket_bytes / self.bytes_per_cycle))
-        )
-
-    def access_cycles(self, path_accesses: int = 1) -> int:
-        """Latency of a request needing ``path_accesses`` serialized paths.
-
-        A request costs one path access for the data (super) block plus one
-        per PosMap block fetched by the recursion walk; background
-        evictions and periodic dummies cost one each.
-        """
-        return path_accesses * self.path_cycles
-
-
-def dram_access_cycles(dram: DRAMConfig, block_bytes: int) -> int:
-    """Latency of one DRAM line fill: flat latency + line transfer time."""
-    return dram.latency_cycles + transfer_cycles(dram, block_bytes)

@@ -39,8 +39,8 @@ def collect_system(system, registry: Optional[MetricsRegistry] = None) -> Metric
     """
     registry = registry if registry is not None else MetricsRegistry()
     hierarchy = system.hierarchy
-    registry.counter("cache.l1_hits").set(hierarchy.l1.hits)
-    registry.counter("cache.l1_misses").set(hierarchy.l1.misses)
+    registry.counter("cache.l1_hits").set(sum(l1.hits for l1 in hierarchy.l1s))
+    registry.counter("cache.l1_misses").set(sum(l1.misses for l1 in hierarchy.l1s))
     registry.counter("cache.llc_hits").set(hierarchy.llc.hits)
     registry.counter("cache.llc_misses").set(hierarchy.llc.misses)
     registry.counter("cache.llc_evictions").set(hierarchy.llc.evictions)

@@ -2,7 +2,7 @@
 
 This is the *functional* ORAM: it moves real :class:`~repro.oram.block.Block`
 objects between the binary tree and the stash.  Timing is charged separately
-by :mod:`repro.memory.timing`; obliviousness can be audited by attaching an
+by :mod:`repro.memory.interconnect`; obliviousness can be audited by attaching an
 :class:`~repro.security.observer.AccessObserver`.
 
 Domain model

@@ -16,7 +16,7 @@ exactly like the paper's legends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
@@ -85,8 +85,121 @@ class SchemeLabel:
         return cls(base, prefetcher, periodic)
 
 
+def build_backend(
+    scheme: str,
+    footprint_blocks: int,
+    config: SystemConfig,
+    *,
+    policy: Optional[ThresholdPolicy] = None,
+    static_sbsize: Optional[int] = None,
+    observer=None,
+    fault_injector=None,
+    resilience=None,
+    num_shards: int = 1,
+    health_policy=None,
+) -> Tuple[MemoryBackend, Optional[StreamPrefetcher]]:
+    """Build the memory side of one of the paper's configurations.
+
+    The one label -> {DRAM, lone controller, sharded bank} + core-side
+    prefetcher dispatch; returns ``(backend, prefetcher)`` for a tile
+    (:class:`SecureSystem` or a subclass) to be wired around.
+
+    Args:
+        scheme: a :class:`SchemeLabel` label --
+
+            * ``dram`` -- insecure DRAM baseline;
+            * ``oram`` -- baseline Path ORAM (unified recursion);
+            * ``stat`` -- static super block scheme;
+            * ``dyn`` -- PrORAM (dynamic super blocks), plus the
+              Figure 6b variants ``dyn_{sm|am}_{nb|ab}`` and the
+              strided extension ``dyn_strided``;
+            * any of them suffixed ``_pre`` / ``_spre`` / ``_mpre`` --
+              plus a traditional stream / stride (section 6.2) /
+              Markov prefetcher;
+            * any of the ORAM variants suffixed ``_intvl`` -- wrapped
+              in periodic accesses (Figure 15).
+        footprint_blocks: workload footprint; the functional tree is
+            scaled to hold it at the configured utilization.
+        config: system configuration.
+        policy: threshold policy for ``dyn`` (default: adaptive, C=1).
+        static_sbsize: super block size for ``stat`` (default: the
+            configured max super block size).
+        observer: optional adversary observer for ORAM variants.
+        fault_injector: optional :class:`repro.faults.FaultInjector`
+            attached to ORAM backends (storage fault modelling);
+            rejected for ``dram``.
+        resilience: optional :class:`repro.faults.ResilienceConfig`
+            for the backend's retry/degradation ladder.
+        num_shards: channel-interleave the ORAM over this many
+            independent controller instances
+            (:class:`~repro.controller.sharded.ShardedORAMBank`).
+            The default ``1`` builds the plain single-controller
+            backend -- bit-identical to the pre-sharding simulator.
+        health_policy: optional :class:`repro.health.HealthPolicy`;
+            attaches a per-shard circuit-breaker control plane to the
+            sharded bank (requires ``num_shards > 1``).  ``None``
+            (the default) leaves the access path untouched.
+    """
+    label = SchemeLabel.parse(scheme)
+    base_scheme, periodic = label.base, label.periodic
+    prefetcher = None
+    if label.prefetcher:
+        prefetcher = label.PREFETCHERS[label.prefetcher](config.prefetch)
+
+    if num_shards < 1:
+        raise ValueError("need at least one shard")
+    if health_policy is not None and num_shards == 1:
+        raise ValueError(
+            "the health control plane wraps sharded banks; use "
+            "num_shards > 1 (a single controller has no quarantine "
+            "fallback to route through)"
+        )
+    wiring = dict(
+        static_sbsize=static_sbsize,
+        observer=observer,
+        fault_injector=fault_injector,
+        resilience=resilience,
+    )
+    backend: MemoryBackend
+    if label.is_dram:
+        if fault_injector is not None or resilience is not None:
+            raise ValueError("fault injection models ORAM storage, not DRAM")
+        if num_shards != 1:
+            raise ValueError("sharded banks model ORAM channels, not DRAM")
+        backend = DRAMBackend(config.dram, config.oram.block_bytes)
+    elif num_shards > 1:
+        if periodic:
+            raise ValueError(
+                "periodic accesses are not supported on sharded banks"
+            )
+        if policy is not None:
+            raise ValueError(
+                "a threshold policy is stateful and cannot be shared "
+                "across shards; let each shard build its own default"
+            )
+        backend = build_bank(
+            base_scheme, footprint_blocks, config, num_shards,
+            health_policy=health_policy, **wiring,
+        )
+    else:
+        # The paper's machine: one serialized controller, a bank of one.
+        backend = build_shard_backend(
+            base_scheme, footprint_blocks, config, 0, 1,
+            policy=policy, periodic=periodic, **wiring,
+        )
+    return backend, prefetcher
+
+
 class SecureSystem:
-    """One tile: core + L1 + LLC + memory backend."""
+    """One tile: cores + private L1s + shared LLC + memory backend.
+
+    The tile is built once, here: this constructor is the only place the
+    LLC tag probe (Algorithm 1) and the LLC victim callback (Algorithm 2,
+    dirty write-backs) are wired to a backend.  :meth:`run` drives it with
+    one core; :class:`~repro.sim.multicore.MultiCoreSystem` subclasses it
+    to interleave ``num_cores`` of them over the same hierarchy, backend,
+    prefetcher plumbing and result fold.
+    """
 
     def __init__(
         self,
@@ -94,13 +207,14 @@ class SecureSystem:
         backend: MemoryBackend,
         label: str,
         prefetcher: Optional[StreamPrefetcher] = None,
+        num_cores: int = 1,
     ):
         self.config = config
         self.backend = backend
         self.label = label
         self.prefetcher = prefetcher
         self.hierarchy = CacheHierarchy(
-            config.l1, config.llc, victim_callback=self._on_llc_victim
+            config.l1, config.llc, self._on_llc_victim, num_cores
         )
         # hierarchy.contains is a pure delegation to llc.contains; hand the
         # backend the LLC's bound method directly (the merge algorithm
@@ -118,101 +232,13 @@ class SecureSystem:
         scheme: str,
         footprint_blocks: int,
         config: Optional[SystemConfig] = None,
-        *,
-        policy: Optional[ThresholdPolicy] = None,
-        static_sbsize: Optional[int] = None,
-        observer=None,
-        fault_injector=None,
-        resilience=None,
-        num_shards: int = 1,
-        health_policy=None,
+        **wiring,
     ) -> "SecureSystem":
-        """Assemble a system for one of the paper's configurations.
-
-        Args:
-            scheme: a :class:`SchemeLabel` label --
-
-                * ``dram`` -- insecure DRAM baseline;
-                * ``oram`` -- baseline Path ORAM (unified recursion);
-                * ``stat`` -- static super block scheme;
-                * ``dyn`` -- PrORAM (dynamic super blocks), plus the
-                  Figure 6b variants ``dyn_{sm|am}_{nb|ab}`` and the
-                  strided extension ``dyn_strided``;
-                * any of them suffixed ``_pre`` / ``_spre`` / ``_mpre`` --
-                  plus a traditional stream / stride (section 6.2) /
-                  Markov prefetcher;
-                * any of the ORAM variants suffixed ``_intvl`` -- wrapped
-                  in periodic accesses (Figure 15).
-            footprint_blocks: workload footprint; the functional tree is
-                scaled to hold it at the configured utilization.
-            config: system configuration (Table 1 defaults when omitted).
-            policy: threshold policy for ``dyn`` (default: adaptive, C=1).
-            static_sbsize: super block size for ``stat`` (default: the
-                configured max super block size).
-            observer: optional adversary observer for ORAM variants.
-            fault_injector: optional :class:`repro.faults.FaultInjector`
-                attached to ORAM backends (storage fault modelling);
-                rejected for ``dram``.
-            resilience: optional :class:`repro.faults.ResilienceConfig`
-                for the backend's retry/degradation ladder.
-            num_shards: channel-interleave the ORAM over this many
-                independent controller instances
-                (:class:`~repro.controller.sharded.ShardedORAMBank`).
-                The default ``1`` builds the plain single-controller
-                backend -- bit-identical to the pre-sharding simulator.
-            health_policy: optional :class:`repro.health.HealthPolicy`;
-                attaches a per-shard circuit-breaker control plane to the
-                sharded bank (requires ``num_shards > 1``).  ``None``
-                (the default) leaves the access path untouched.
-        """
+        """Assemble a single-core system for one of the paper's
+        configurations: :func:`build_backend` (which documents ``scheme``
+        and every ``wiring`` keyword) behind a fresh tile."""
         config = config or SystemConfig()
-        label = SchemeLabel.parse(scheme)
-        base_scheme, periodic = label.base, label.periodic
-        prefetcher = None
-        if label.prefetcher:
-            prefetcher = label.PREFETCHERS[label.prefetcher](config.prefetch)
-
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
-        if health_policy is not None and num_shards == 1:
-            raise ValueError(
-                "the health control plane wraps sharded banks; use "
-                "num_shards > 1 (a single controller has no quarantine "
-                "fallback to route through)"
-            )
-        wiring = dict(
-            static_sbsize=static_sbsize,
-            observer=observer,
-            fault_injector=fault_injector,
-            resilience=resilience,
-        )
-        backend: MemoryBackend
-        if label.is_dram:
-            if fault_injector is not None or resilience is not None:
-                raise ValueError("fault injection models ORAM storage, not DRAM")
-            if num_shards != 1:
-                raise ValueError("sharded banks model ORAM channels, not DRAM")
-            backend = DRAMBackend(config.dram, config.oram.block_bytes)
-        elif num_shards > 1:
-            if periodic:
-                raise ValueError(
-                    "periodic accesses are not supported on sharded banks"
-                )
-            if policy is not None:
-                raise ValueError(
-                    "a threshold policy is stateful and cannot be shared "
-                    "across shards; let each shard build its own default"
-                )
-            backend = build_bank(
-                base_scheme, footprint_blocks, config, num_shards,
-                health_policy=health_policy, **wiring,
-            )
-        else:
-            # The paper's machine: one serialized controller, a bank of one.
-            backend = build_shard_backend(
-                base_scheme, footprint_blocks, config, 0, 1,
-                policy=policy, periodic=periodic, **wiring,
-            )
+        backend, prefetcher = build_backend(scheme, footprint_blocks, config, **wiring)
         return cls(config, backend, label=scheme, prefetcher=prefetcher)
 
     # ---------------------------------------------------------- observability
@@ -239,6 +265,15 @@ class SecureSystem:
                 long enough that cache/ORAM warmup (and PrORAM's merge
                 training) is negligible; short traces approximate that by
                 measuring only the steady-state window.
+
+        The loop body is the hand-inlined, single-core specialisation of
+        :meth:`repro.sim.multicore.MultiCoreSystem._step` (bound-method
+        locals, no per-reference call: the benchmark traces miss the LLC on
+        most references, so sharing the miss block would cost a call per
+        miss) -- the same arrangement as ``PathORAM._evict_path`` and
+        ``GreedyWritebackMixin`` (DESIGN.md section 5).  A change to either
+        must be made to both; ``tests/test_multicore.py``'s 1-core
+        differential matrix holds them together.
         """
         hierarchy = self.hierarchy
         backend = self.backend

@@ -152,3 +152,9 @@ class TestChaosReport:
         for token in ("zero_lost", "all_readmitted", "leaf_uniform",
                       "hang_detection", "verdict"):
             assert token in text
+
+    def test_header_counts_the_layers_that_ran(self):
+        """``--layers kv`` used to print the whole scenario's op count."""
+        header = run_chaos(SMALL, chaos_policy(), layers=("kv",)).render().splitlines()[0]
+        assert "400 ops run" in header
+        assert "2200-op scenario splits 600/400/1200 over parallel/kv/bank" in header

@@ -554,7 +554,8 @@ class TestRoundTrip:
 SCRATCH = {
     # the Equation 1 clock: restored *from* busy_until, never stored
     ("backend", "_last_request_cycle"),
-    # the periodic grid cursor restarts with the rebooted device's clock
+    # the periodic grid cursor: derived from busy_until on restore (the first
+    # grid point >= busy_until + Oint), never stored
     ("backend", "_next_slot"),
 }
 

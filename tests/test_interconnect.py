@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import experiment_config
 from repro.config import DRAMConfig, ORAMConfig, TimingProtectionConfig
+from repro.memory.dram import DRAMBackend
 from repro.memory.interconnect import (
     ChannelInterconnect,
     FlatInterconnect,
@@ -35,7 +36,7 @@ from repro.memory.interconnect import (
 )
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
-from repro.memory.timing import ORAMTimingModel, dram_access_cycles, transfer_cycles
+from repro.memory.timing import transfer_cycles
 from repro.observability.collect import collect_system
 from repro.observability.recorder import InMemoryRecorder
 from repro.oram.checkpoint import (
@@ -57,6 +58,15 @@ DEGENERATE = dict(model="channel", num_channels=1, num_banks=1 << 30, page_polic
 SMALL_CAPACITY = 1 << 20
 
 
+def nominal_path_cycles(oram, dram, levels=None):
+    """The paper's flat path cost, written out (sections 2.6, 5.1): flat
+    latency + the streamed bucket-levels' bytes over one channel's pins."""
+    levels = oram.nominal_levels + 1 if levels is None else levels
+    return dram.latency_cycles + transfer_cycles(
+        dram, levels * oram.bucket_size * oram.block_bytes * 2
+    )
+
+
 def degenerate_dram(**overrides):
     return DRAMConfig(**{**DEGENERATE, **overrides})
 
@@ -65,7 +75,8 @@ class TestSharedLatencyHelper:
     def test_transfer_cycles_matches_dram_backend(self):
         dram = DRAMConfig()
         assert transfer_cycles(dram, 128) == 8
-        assert dram_access_cycles(dram, 128) == 108
+        fill = DRAMBackend(dram, 128).demand_access(0, 0, False)
+        assert fill.completion_cycle == dram.latency_cycles + 8 == 108
 
     def test_transfer_cycles_floor(self):
         assert transfer_cycles(DRAMConfig(bandwidth_gbps=1000.0), 1) == 1
@@ -73,7 +84,7 @@ class TestSharedLatencyHelper:
     def test_timing_model_uses_helper(self):
         oram = ORAMConfig(levels=9, bucket_size=4)
         dram = DRAMConfig()
-        timing = ORAMTimingModel.from_config(oram, dram)
+        timing = build_interconnect(oram, dram)
         bytes_per_path = (oram.nominal_levels + 1) * 4 * 128 * 2
         assert timing.path_cycles == dram.latency_cycles + transfer_cycles(
             dram, bytes_per_path
@@ -134,18 +145,32 @@ class TestFlatInterconnect:
         oram = ORAMConfig(levels=9, bucket_size=4)
         dram = DRAMConfig()
         flat = build_interconnect(oram, dram)
-        timing = ORAMTimingModel.from_config(oram, dram)
         assert isinstance(flat, FlatInterconnect)
-        assert flat.path_cycles == timing.path_cycles
-        assert flat.bytes_per_path == timing.bytes_per_path
-        assert flat.path_completion(5, 1000) == 1000 + timing.path_cycles
+        assert flat.path_cycles == nominal_path_cycles(oram, dram)
+        assert flat.bytes_per_path == (oram.nominal_levels + 1) * 4 * 128 * 2
+        assert flat.path_completion(5, 1000) == 1000 + nominal_path_cycles(oram, dram)
+
+    def test_flat_is_the_one_formula_at_one_channel(self):
+        """``path_cycles_for`` has one definition; the flat model reads it
+        at C = 1 whatever ``num_channels`` says, the channel model at C."""
+        oram = ORAMConfig(levels=9, bucket_size=4)
+        assert FlatInterconnect.path_cycles_for is ChannelInterconnect.path_cycles_for
+        assert FlatInterconnect.note_untracked is ChannelInterconnect.note_untracked
+        flat = build_interconnect(oram, DRAMConfig(num_channels=4))
+        one = build_interconnect(oram, DRAMConfig(model="channel", num_channels=1))
+        four = build_interconnect(oram, DRAMConfig(model="channel", num_channels=4))
+        for levels in (1, 7, oram.nominal_levels + 1):
+            assert flat.path_cycles_for(levels) == nominal_path_cycles(oram, DRAMConfig(), levels)
+            assert one.path_cycles_for(levels) == flat.path_cycles_for(levels)
+            assert four.path_cycles_for(levels) <= flat.path_cycles_for(levels)
 
     def test_default_system_builds_flat(self):
         trace = locality_mix_trace(0.8, accesses=50)
         system = SecureSystem.build("dyn", trace.footprint_blocks, experiment_config())
         assert isinstance(system.backend.interconnect, FlatInterconnect)
-        timing = ORAMTimingModel.from_config(system.backend.config, system.config.dram)
-        assert system.backend.interconnect.path_cycles == timing.path_cycles
+        assert system.backend.interconnect.path_cycles == nominal_path_cycles(
+            system.backend.config, system.config.dram
+        )
 
 
 class TestDegenerateEquivalence:

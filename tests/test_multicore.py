@@ -1,11 +1,30 @@
-"""Integration tests for the shared-memory multi-core simulator."""
+"""Integration tests for the shared-memory multi-core simulator.
+
+``MultiCoreSystem`` is a second driver of ``SecureSystem``'s one tile, and
+``SecureSystem.run`` hand-inlines what ``MultiCoreSystem._step`` does for
+core 0: ``TestOneCoreDifferential`` is what holds the two loop bodies
+together.
+"""
+
+import dataclasses
+import functools
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import experiment_config
 from repro.config import CacheConfig, ORAMConfig, SystemConfig
+from repro.observability.recorder import InMemoryRecorder
 from repro.sim.multicore import MultiCoreSystem
+from repro.sim.system import SecureSystem
 from repro.sim.trace import Trace
 from repro.utils.rng import DeterministicRng
+from repro.workloads import named_trace
+
+PERF = Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
 
 
 def small_config():
@@ -109,3 +128,116 @@ class TestMultiCore:
         system.run([even_trace(), odd_trace()])
         assert system.backend.scheme.stats.merges > 0
         system.backend.oram.check_invariants()
+
+
+    def test_prefetcher_labels_work_across_cores(self):
+        # One core-side prefetcher trained on the merged miss stream: both
+        # cores walk private sequential regions, so the stream prefetcher
+        # fires, and its fills land in the shared LLC.
+        def walk(name, base):
+            trace = Trace(name, footprint_blocks=512)
+            for addr in range(base, base + 256):
+                trace.append(400, addr)
+            return trace
+
+        traces = [walk("low", 0), walk("high", 256)]
+        system = MultiCoreSystem.build("dyn_pre", traces, config=small_config())
+        results = system.run(traces)
+        assert system.prefetcher is not None
+        assert results[0].prefetch_requests > 0
+        assert results[0].prefetch_requests == system.backend.stats.prefetch_requests
+        assert sum(r.llc_hits for r in results) > 0  # prefetched lines got used
+        system.backend.oram.check_invariants()
+
+    def test_in_flight_prefetch_is_waited_for_on_any_core(self):
+        # The _pending_fills rule of the single-core loop: a line one core's
+        # prefetch brought in is not usable by another core before its
+        # fill completes.
+        system = MultiCoreSystem.build(
+            "oram_pre", [make_trace("a"), make_trace("b", seed=2)], config=small_config()
+        )
+        system.hierarchy.fill_prefetch(7)
+        system._pending_fills[7] = 5_000
+        level, done = system._step(1, 7, False, 100)
+        assert level == "llc"
+        assert done == 5_000 + system.config.l1.hit_latency + system.config.llc.hit_latency
+        # ... once, and not after it has landed
+        assert system._step(0, 7, False, 200) == (
+            "llc", 200 + system.config.l1.hit_latency + system.config.llc.hit_latency
+        )
+
+    def test_metrics_and_recorder_come_with_the_tile(self):
+        traces = [make_trace("a", seed=4), make_trace("b", seed=5)]
+        system = MultiCoreSystem.build("dyn", traces, config=small_config())
+        recorder = system.attach_recorder(InMemoryRecorder())
+        results = system.run(traces)
+        assert len(list(recorder.spans())) == system.backend.pipeline.requests > 0
+        exported = system.metrics().to_dict()
+        assert exported["cache.l1_hits"]["value"] == sum(r.l1_hits for r in results)
+        assert exported["cache.llc_misses"]["value"] == sum(r.llc_misses for r in results)
+
+
+# ------------------------------------------------------- 1-core differential
+WORKLOADS = ("locality:80", "ocean_c", "TPCC")
+LABELS = [
+    base + prefetcher + periodic
+    for base in ("dram", "oram", "stat", "dyn")
+    for prefetcher in ("", "_pre", "_spre", "_mpre")
+    for periodic in (("",) if base == "dram" else ("", "_intvl"))
+]
+
+
+@functools.lru_cache(maxsize=None)
+def workload_trace(workload, accesses=2_500):
+    return named_trace(workload, accesses)
+
+
+def comparable(result):
+    fields = dataclasses.asdict(result)
+    del fields["workload"], fields["scheme"]
+    return fields
+
+
+class TestOneCoreDifferential:
+    """A 1-core ``MultiCoreSystem`` is ``SecureSystem.run``, field for field."""
+
+    @pytest.mark.parametrize("label", LABELS)
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_every_field_but_the_labels(self, workload, label):
+        trace = workload_trace(workload)
+        single = SecureSystem.build(label, trace.footprint_blocks, experiment_config())
+        multi = MultiCoreSystem.build(label, [trace], experiment_config())
+        assert comparable(multi.run([trace])[0]) == comparable(single.run(trace))
+
+    def test_prefetcher_label_is_honoured(self):
+        """``build`` used to drop the core-side prefetcher silently."""
+        trace = workload_trace("locality:80", 8_000)
+        for label, requests in (("oram_pre", 4_181), ("dram_pre", 2_086)):
+            system = MultiCoreSystem.build(label, [trace], experiment_config())
+            assert system.run([trace])[0].prefetch_requests == requests
+
+
+# ------------------------------------------------------- captured miss stream
+def load_perf_workloads(monkeypatch):
+    """``benchmarks/perf/workloads.py`` as the benchmark driver imports it."""
+    modules = {}
+    for name in ("spec", "workloads"):
+        location = importlib.util.spec_from_file_location(
+            f"perf_{name}", PERF / f"{name}.py"
+        )
+        modules[name] = importlib.util.module_from_spec(location)
+        monkeypatch.setitem(sys.modules, name, modules[name])  # `import spec`
+        location.loader.exec_module(modules[name])
+    return modules["workloads"]
+
+
+class TestCapturedMissStream:
+    @pytest.mark.parametrize("size", ["smoke", "full"])
+    def test_parallel_durable_inputs_match_the_lock(self, monkeypatch, size):
+        """The 4-core, 2-shard ``capture_miss_stream`` the benchmark replays
+        is byte-identical to the one ``inputs.lock.json`` pinned."""
+        workloads = load_perf_workloads(monkeypatch)
+        lock = json.loads((PERF / "inputs.lock.json").read_text())
+        workload = workloads.ParallelDurable(tmp_root="unused")
+        inputs = workload.make_inputs(lock["seed"], smoke=size == "smoke")
+        assert workload.input_digests(inputs) == lock[size][workload.name]

@@ -34,7 +34,7 @@ from repro.config import (
 from repro.memory.interconnect import ChannelInterconnect, build_interconnect
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
-from repro.memory.timing import ORAMTimingModel
+from repro.memory.timing import transfer_cycles
 from repro.observability.collect import collect_system
 from repro.observability.recorder import InMemoryRecorder
 from repro.oram.checkpoint import CheckpointError, dump_oram, load_oram
@@ -53,6 +53,10 @@ SMALL_ORAM = dict(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5)
 
 def small_config(treetop: int) -> ORAMConfig:
     return ORAMConfig(treetop_levels=treetop, **SMALL_ORAM)
+
+
+#: bytes one bucket of ``small_config`` moves per path (Z blocks, read + write)
+BUCKET_BYTES = 4 * ORAMConfig().block_bytes * 2
 
 
 # ------------------------------------------------------------------- config
@@ -196,27 +200,33 @@ class TestTruncatedTiming:
         for k in (0, 2, 4, 6):
             config = small_config(k)
             dram = DRAMConfig()
-            timing = ORAMTimingModel.from_config(config, dram)
+            untruncated = build_interconnect(small_config(0), dram)
             flat = build_interconnect(config, dram)
             offchip = config.nominal_levels + 1 - k
             assert flat.offchip_levels == offchip
-            assert flat.path_cycles == timing.path_cycles_for(offchip)
-            assert flat.bytes_per_path == offchip * timing.bucket_bytes
+            assert flat.path_cycles == untruncated.path_cycles_for(offchip)
+            assert flat.path_cycles == dram.latency_cycles + transfer_cycles(
+                dram, offchip * BUCKET_BYTES
+            )
+            assert flat.bytes_per_path == offchip * BUCKET_BYTES
 
     def test_zero_treetop_is_the_full_path_cost(self):
         config = small_config(0)
         dram = DRAMConfig()
-        timing = ORAMTimingModel.from_config(config, dram)
+        timing = build_interconnect(config, dram)
         assert (
             timing.path_cycles_for(config.nominal_levels + 1)
             == timing.path_cycles
         )
-        assert build_interconnect(config, dram).path_cycles == timing.path_cycles
+        assert timing.path_cycles == dram.latency_cycles + transfer_cycles(
+            dram, (config.nominal_levels + 1) * BUCKET_BYTES
+        )
 
     def test_path_cycles_for_rejects_empty_paths(self):
-        timing = ORAMTimingModel.from_config(small_config(0), DRAMConfig())
-        with pytest.raises(ValueError):
-            timing.path_cycles_for(0)
+        for dram in (DRAMConfig(), DRAMConfig(model="channel", num_channels=4)):
+            timing = build_interconnect(small_config(0), dram)
+            with pytest.raises(ValueError):
+                timing.path_cycles_for(0)
 
     def test_channel_public_cost_shrinks_with_k(self):
         dram = DRAMConfig(model="channel", num_channels=4)
@@ -613,7 +623,7 @@ class TestTreetopMetrics:
         flat.note_untracked(2)
         summary = flat.summary()
         assert summary["treetop_hits"] == 4 * 3
-        assert summary["treetop_bytes_saved"] == 4 * 3 * flat._timing.bucket_bytes
+        assert summary["treetop_bytes_saved"] == 4 * 3 * BUCKET_BYTES
 
 
 # ------------------------------------------------------------------- fsck
