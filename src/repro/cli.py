@@ -59,8 +59,8 @@ from repro.utils.rng import DeterministicRng
 from repro.workloads import SUITES, locality_mix_trace, named_trace
 
 
-def scheme_error(message) -> NoReturn:
-    """A ``--scheme(s)`` value this command cannot run: one line, exit 2."""
+def usage_error(message) -> NoReturn:
+    """An option value this command cannot run: one line, exit 2."""
     print(f"repro: {message}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -70,7 +70,7 @@ def scheme_label(scheme: str) -> SchemeLabel:
     try:
         return SchemeLabel.parse(scheme)
     except ValueError as error:
-        scheme_error(error)
+        usage_error(error)
 
 
 def _parse_schemes(raw: str) -> List[str]:
@@ -151,7 +151,12 @@ def memory_config(args):
     if channels is None:
         channels = 4 if model == "channel" else 1
     if channels < 1:
-        raise SystemExit("--channels must be at least 1")
+        usage_error("--channels must be at least 1")
+    if model == "flat" and channels > 1:
+        usage_error(
+            f"--dram-model flat is the one-channel model; --channels {channels} "
+            "needs --dram-model channel"
+        )
     return replace(
         config, dram=replace(config.dram, model=model, num_channels=channels)
     )
@@ -179,14 +184,14 @@ def add_scheme_option(parser):
 def oram_scheme(args, command: str) -> str:
     """``--scheme`` for commands that observe an ORAM (any suffix)."""
     if scheme_label(args.scheme).is_dram:
-        scheme_error(f"{command} needs an ORAM scheme, not '{args.scheme}'")
+        usage_error(f"{command} needs an ORAM scheme, not '{args.scheme}'")
     return args.scheme
 
 
 def bank_scheme(args) -> str:
     """``--scheme`` for commands that build a sharded bank themselves."""
     if not scheme_label(args.scheme).is_base_oram:
-        scheme_error(
+        usage_error(
             f"scheme '{args.scheme}' cannot run on a sharded bank "
             "(base ORAM schemes only; no prefetch/periodic suffixes)"
         )
@@ -336,12 +341,18 @@ def cmd_run(args) -> int:
                     int(r.extra["interconnect_row_hits"]),
                     int(r.extra["interconnect_row_misses"]),
                     int(r.extra["interconnect_bank_wait_cycles"]),
+                    int(r.extra["interconnect_path_cycles"]),
+                    "%.1f" % (
+                        r.extra["interconnect_streamed_cycles"]
+                        / max(1, r.extra["interconnect_streamed_paths"])
+                    ),
+                    "%.3f" % r.extra["interconnect_stream_efficiency"],
                 ]
             )
         print(
             format_table(
-                ["scheme", "streamed", "untracked", "row_hits",
-                 "row_misses", "bank_wait_cyc"],
+                ["scheme", "streamed", "untracked", "row_hits", "row_misses",
+                 "bank_wait_cyc", "T", "mean_stream_cyc", "stream_eff"],
                 channel_rows,
             )
         )

@@ -173,17 +173,19 @@ class DRAMConfig:
 
     * ``"flat"`` (default, the paper's model): one scalar ``path_cycles``
       per path access -- a single access saturates the pin bandwidth.
-    * ``"channel"``: the path's buckets are laid out across
-      ``num_channels`` independent channels (subtree-to-channel tiling,
-      see DESIGN.md section 11) and streamed through a per-channel
-      bank/row scheduler.  ``bandwidth_gbps`` is then *per-channel* pin
-      bandwidth, so channels multiply aggregate bandwidth.
+    * ``"channel"``: every bucket is striped evenly over ``num_channels``
+      *ganged* channels (DESIGN.md section 11), so each path loads every
+      channel with ``1/num_channels`` of its bytes and the channels run
+      in lockstep through one bank/row scheduler.  ``bandwidth_gbps`` is
+      then *per-channel* pin bandwidth, so channels multiply aggregate
+      bandwidth.
 
     ``page_policy`` applies to the channel model only: ``"open"`` leaves
     rows open so consecutive hits pay ``row_hit_latency_cycles``
     (default ``latency_cycles // 2``); ``"closed"`` precharges after
     every access, so every array access pays the full latency.
-    ``subtree_levels`` is the height of the layout's subtree tiles.
+    ``subtree_levels`` is the height of the layout's subtree tiles (one
+    DRAM row, at the same ``(bank, row)`` of every channel).
     """
 
     bandwidth_gbps: float = 16.0

@@ -12,13 +12,14 @@ into a subsystem:
   which leaf it touches.  It is the default and keeps the golden
   ``SimResult`` identical.
 * :class:`ChannelInterconnect` streams a path's buckets over
-  ``num_channels`` independent DRAM channels using the subtree-to-channel
-  :class:`~repro.oram.tree.PhysicalLayout`.  Each channel runs a small
-  bank/row scheduler (a generalization of ``DRAMBackend._schedule``):
-  array accesses serialize per bank, open rows discount repeat hits, and
-  each channel's data bus carries that channel's share of the path.  The
-  path completes when the slowest channel finishes, so aggregate
-  bandwidth -- and therefore path latency -- scales with channel count.
+  ``num_channels`` *ganged* DRAM channels: the bucket-striped
+  :class:`~repro.oram.tree.PhysicalLayout` splits every bucket evenly
+  over all of them, so the channels see identical request streams and
+  run in lockstep.  One small bank/row scheduler (a generalization of
+  ``DRAMBackend._schedule``) therefore stands for all ``C``: array
+  accesses serialize per bank, open rows discount repeat hits, and each
+  data bus carries exactly ``1/C`` of the path, so aggregate bandwidth
+  -- and therefore path latency -- scales with channel count.
 
 Obliviousness note: the *public* per-path cost (``path_cycles``, used for
 the periodic grid, PosMap walk charges, background evictions, and
@@ -30,7 +31,7 @@ variation off the public timing grid (DESIGN.md section 11).
 Degenerate equivalence (property-tested): one channel, more banks than
 subtrees, and a closed page policy make :class:`ChannelInterconnect`
 reproduce :class:`FlatInterconnect` exactly -- every array access pays
-the full latency, bucket bursts coalesce into one bus reservation of
+the full latency, the path's one burst is a bus reservation of
 ``ceil(path_bytes / bytes_per_cycle)`` cycles, and the single channel
 serializes just like the flat model's saturated pin interface.
 """
@@ -41,7 +42,6 @@ import math
 from typing import Dict, List, Tuple
 
 from repro.config import DRAMConfig, ORAMConfig
-from repro.memory.timing import transfer_cycles
 from repro.oram.checkpoint import load_counters
 from repro.oram.tree import PhysicalLayout
 
@@ -161,7 +161,15 @@ _SUMMARY = (
 )
 
 
-def summarize(state: Dict[str, object]) -> Dict[str, int]:
+def stream_efficiency(streamed_paths: int, path_cycles: int, streamed_cycles: int) -> float:
+    """``streamed_paths x T / streamed cycles``: the share of the streamed
+    time a perfectly balanced path needs.  1.0 when every streamed path
+    completes at the public cost ``T``; row hits push it above, bank or
+    bus waits -- or paths that load the channels unevenly -- below."""
+    return streamed_paths * path_cycles / streamed_cycles if streamed_cycles else 1.0
+
+
+def summarize(state: Dict[str, object]) -> Dict[str, object]:
     """The scalar view of a :meth:`MemoryInterconnect.state_dict`."""
     channels = state.get("channels")
     summary = {"channels": 1 if channels is None else len(channels)}
@@ -170,6 +178,11 @@ def summarize(state: Dict[str, object]) -> Dict[str, int]:
             summary[name.removesuffix("_total")] = state[name]
         elif channels is not None:
             summary[name] = sum(channel[name] for channel in channels)
+    if channels is not None:
+        summary["path_cycles"] = state["path_cycles"]
+        summary["stream_efficiency"] = stream_efficiency(
+            summary["streamed_paths"], state["path_cycles"], summary["streamed_cycles"]
+        )
     return summary
 
 
@@ -192,7 +205,9 @@ class FlatInterconnect(MemoryInterconnect):
 
 
 class ChannelState:
-    """One DRAM channel: per-bank timing, open-row tracking, a data bus.
+    """The bank/bus state of the channel gang: per-bank timing, open-row
+    tracking, a data bus -- one object, because ganged channels receive
+    identical requests and so stay identical (DESIGN.md section 11).
 
     The scheduling rules (applied by
     :meth:`ChannelInterconnect.path_completion`) generalize
@@ -203,9 +218,9 @@ class ChannelState:
       the full ``latency_cycles`` on a row miss (or under a closed page
       policy), the discounted ``row_hit_cycles`` when the open-page
       policy finds the row already open;
-    * the channel's data bus is a single shared resource: each burst
-      waits for the bus to drain (``bus_free``) and then occupies it for
-      the transfer time.
+    * the data bus is a single shared resource: each burst waits for the
+      bus to drain (``bus_free``) and then occupies it for the transfer
+      time.
 
     Bank state is kept in dicts keyed by bank index, so "more banks than
     subtrees" configurations (the degenerate-equivalence tests) cost
@@ -213,14 +228,10 @@ class ChannelState:
     """
 
     #: the event counts; with the scheduler state they are the ``__slots__``
-    COUNTERS = (
-        "requests",
-        "row_hits",
-        "row_misses",
-        "bytes_moved",
-        "busy_cycles",
-        "bank_wait_cycles",
-    )
+    COUNTERS = ("requests", "row_hits", "row_misses", "bank_wait_cycles")
+    #: what one channel reports: the two extra names follow from the path
+    #: count (:meth:`ChannelInterconnect.state_dict`), nothing counts them
+    REPORTED = COUNTERS + ("bytes_moved", "busy_cycles")
     #: the integer slots (``bank_free`` / ``open_row`` are per-bank dicts)
     INT_SLOTS = ("bus_free",) + COUNTERS
     __slots__ = ("bank_free", "open_row") + INT_SLOTS
@@ -249,22 +260,24 @@ class ChannelState:
 
 
 class ChannelInterconnect(MemoryInterconnect):
-    """Bucket-level path streaming over channel/bank-aware DRAM.
+    """Bucket-level path streaming over ganged, bank-aware DRAM channels.
 
     A path access to functional leaf ``s`` is embedded into the nominal
-    tree (``nominal_leaf = s << (nominal_levels - levels)``), the one
-    subtree tile it crosses per tier placed by the
+    tree (``nominal_leaf = s << (nominal_levels - levels)``) and the one
+    subtree tile it crosses per off-chip tier placed by the
     :class:`PhysicalLayout` (one array access per tile: its buckets share
-    a row), and the resulting per-channel request streams issued
-    concurrently at ``start``.  The access completes when every channel
-    has delivered its share (each bucket is both read and written back,
-    so a bucket contributes ``2 * Z * block_bytes`` to its channel's
-    burst).
+    a row).  Every bucket is striped over all ``C`` channels, so each
+    channel issues that same request list at ``start`` and moves ``1/C``
+    of the path's bytes (each bucket is both read and written back:
+    ``2 * Z * block_bytes``) in one burst of ``path_cycles - latency``
+    cycles.  Identical requests on identical state: the channels run in
+    lockstep, :attr:`gang` is the state of each, and the access completes
+    when the gang has delivered.
 
     ``bandwidth_gbps`` is per-channel pin bandwidth: the aggregate bus
     capacity grows with ``num_channels``, which is where the path-latency
     reduction comes from.  ``path_cycles`` (the public cost) is the
-    idle-memory completion of a perfectly balanced path:
+    idle-memory completion of a path whose banks keep up:
     ``latency + ceil(path_bytes / (C * bytes_per_cycle))`` -- at one
     channel this equals the flat model's scalar exactly.
     """
@@ -282,7 +295,6 @@ class ChannelInterconnect(MemoryInterconnect):
         levels = oram.nominal_levels
         self.layout = PhysicalLayout(
             levels=levels,
-            num_channels=dram.num_channels,
             num_banks=dram.num_banks,
             subtree_levels=dram.subtree_levels,
         )
@@ -290,90 +302,71 @@ class ChannelInterconnect(MemoryInterconnect):
         self._latency_cycles = dram.latency_cycles
         self._row_hit_cycles = dram.row_hit_cycles
         self._open_page = dram.page_policy == "open"
-        self.channels = [ChannelState() for _ in range(dram.num_channels)]
-        #: (bus cycles, bytes) of a burst carrying n bucket-levels
-        self._bursts = [
-            (transfer_cycles(dram, n * self.bucket_bytes), n * self.bucket_bytes)
-            for n in range(self.offchip_levels + 1)
+        self.gang = ChannelState()
+        #: bus cycles of any path's burst on every channel
+        self._burst_cycles = self.path_cycles - dram.latency_cycles
+        #: bytes of one path on channel i: a bucket's bytes dealt as evenly
+        #: as C allows (the first ``bucket_bytes % C`` stripes hold one more)
+        whole, spare = divmod(self.bucket_bytes, dram.num_channels)
+        self._stripe_bytes = [
+            self.offchip_levels * (whole + (channel < spare))
+            for channel in range(dram.num_channels)
         ]
 
-    def _plan(
-        self, leaf: int
-    ) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int, int], ...]:
-        """Per-channel request streams for the path to a functional leaf:
-        ``((channel, ((bank, row), ...), bus cycles, bytes), ...)``.
+    def _plan(self, leaf: int) -> List[Tuple[int, int]]:
+        """The request list every channel issues for the path to a
+        functional leaf: one ``(bank, row)`` per off-chip tier.
 
         Only the off-chip suffix of the path (nominal levels
         ``>= treetop_levels``) is planned: subtree tiles that lie entirely
         inside the treetop contribute no bank request at all, and a tile
         straddling the boundary is activated once for its off-chip part.
-        One request per tile is all the coalescing there is to do: slots
-        are injective per channel, so two tiles of one channel never share
-        a ``(bank, row)``.  Plans are recomputed, not memoized: a per-leaf
-        table measured slower and grew by kilobytes per distinct leaf
-        (DESIGN.md section 11).
+        One request per tile is all the coalescing there is to do: the
+        tile-to-``(bank, row)`` map is injective.  Plans are recomputed,
+        not memoized: a per-leaf table measured slower and grew by
+        kilobytes per distinct leaf (DESIGN.md section 11).
         """
-        requests: List[Tuple[Tuple[int, int], ...]] = [()] * self.num_channels
-        levels = [0] * self.num_channels
-        for channel, bank, row, tile_levels in self.layout.path_tiles(
-            leaf << self._leaf_shift, self.treetop_levels
-        ):
-            requests[channel] += ((bank, row),)
-            levels[channel] += tile_levels
-        return tuple(
-            [
-                (channel, requests[channel], *self._bursts[streamed])
-                for channel, streamed in enumerate(levels)
-                if streamed
-            ]
-        )
+        return self.layout.path_tiles(leaf << self._leaf_shift, self.treetop_levels)
 
     def path_completion(self, leaf: int, start: int) -> int:
         latency_cycles = self._latency_cycles
         row_hit_cycles = self._row_hit_cycles
         open_page = self._open_page
-        channels = self.channels
-        completion = start
-        for channel_index, requests, cycles, nbytes in self._plan(leaf):
-            # The bank/bus rules of ChannelState, inlined: every channel
-            # counter is added once per path, not once per request.
-            state = channels[channel_index]
-            bank_free = state.bank_free
-            open_row = state.open_row
-            first_ready = last_ready = wait = hits = misses = 0
-            for bank, row in requests:
-                begin = start
-                if bank in bank_free and bank_free[bank] > start:
-                    begin = bank_free[bank]
-                    wait += begin - start
-                if open_page and bank in open_row and open_row[bank] == row:
-                    done = begin + row_hit_cycles
-                    hits += 1
-                else:
-                    done = begin + latency_cycles
-                    misses += 1
-                bank_free[bank] = done
-                if open_page:
-                    open_row[bank] = row
-                if not first_ready:
-                    first_ready = done
-                if done > last_ready:
-                    last_ready = done
-            # The burst streams behind the first activation's data but
-            # cannot finish before the last bank has delivered.
-            bus_free = state.bus_free
-            bus_start = bus_free if bus_free > first_ready else first_ready
-            channel_done = state.bus_free = bus_start + cycles
-            if last_ready > channel_done:
-                channel_done = last_ready
-            if channel_done > completion:
-                completion = channel_done
-            state.requests += hits + misses
-            state.row_hits += hits
-            state.row_misses += misses
-            state.bank_wait_cycles += wait
-            state.busy_cycles += cycles
-            state.bytes_moved += nbytes
+        # The bank/bus rules of ChannelState, inlined: every counter is
+        # added once per path, not once per request.
+        gang = self.gang
+        bank_free = gang.bank_free
+        open_row = gang.open_row
+        first_ready = last_ready = wait = hits = misses = 0
+        for bank, row in self._plan(leaf):
+            begin = start
+            if bank in bank_free and bank_free[bank] > start:
+                begin = bank_free[bank]
+                wait += begin - start
+            if open_page and bank in open_row and open_row[bank] == row:
+                done = begin + row_hit_cycles
+                hits += 1
+            else:
+                done = begin + latency_cycles
+                misses += 1
+            bank_free[bank] = done
+            if open_page:
+                open_row[bank] = row
+            if not first_ready:
+                first_ready = done
+            if done > last_ready:
+                last_ready = done
+        # The burst streams behind the first activation's data but
+        # cannot finish before the last bank has delivered.
+        bus_free = gang.bus_free
+        bus_start = bus_free if bus_free > first_ready else first_ready
+        completion = gang.bus_free = bus_start + self._burst_cycles
+        if last_ready > completion:
+            completion = last_ready
+        gang.requests += hits + misses
+        gang.row_hits += hits
+        gang.row_misses += misses
+        gang.bank_wait_cycles += wait
         self.streamed_paths += 1
         self.streamed_cycles_total += completion - start
         self.treetop_hits += self.treetop_levels
@@ -386,8 +379,9 @@ class ChannelInterconnect(MemoryInterconnect):
         """What bank/row numbers in a checkpoint mean; must match to restore."""
         layout = self.layout
         return {
+            "layout": "striped",
             "levels": layout.levels,
-            "channels": layout.num_channels,
+            "channels": self.num_channels,
             "banks": layout.num_banks,
             "subtree_levels": layout.subtree_levels,
             "treetop_levels": self.treetop_levels,
@@ -395,17 +389,27 @@ class ChannelInterconnect(MemoryInterconnect):
         }
 
     def state_dict(self) -> Dict[str, object]:
+        """The gang is reported once per channel.  What a channel's bus
+        carried follows from the path count: every path the controller
+        charges -- streamed, or untracked at the public cost -- occupies
+        each bus for the one burst and crosses it with that channel's
+        stripe."""
         state = super().state_dict()
         state["geometry"] = self._geometry()
-        state["channels"] = [channel.state_dict() for channel in self.channels]
+        gang = self.gang.state_dict()
+        paths = self.streamed_paths + self.untracked_paths
+        gang["busy_cycles"] = paths * self._burst_cycles
+        state["channels"] = [
+            dict(gang, bytes_moved=paths * stripe) for stripe in self._stripe_bytes
+        ]
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         saved = state.get("channels", [])
-        if len(saved) != len(self.channels):
+        if len(saved) != self.num_channels:
             raise ValueError(
                 f"checkpoint has {len(saved)} channels, config has "
-                f"{len(self.channels)}"
+                f"{self.num_channels}"
             )
         # Checkpoints older than the geometry entry load unchecked.
         configured = self._geometry()
@@ -414,9 +418,17 @@ class ChannelInterconnect(MemoryInterconnect):
                 f"checkpoint DRAM geometry {state['geometry']} does not match "
                 f"the configured {configured}"
             )
+        if any(
+            channel.get(slot) != saved[0].get(slot)
+            for channel in saved[1:]
+            for slot in ChannelState.__slots__
+        ):
+            raise ValueError(
+                "checkpoint channels differ: ganged channels run in lockstep "
+                "(a document of the old tile-per-channel layout?)"
+            )
         super().load_state_dict(state)
-        for channel, channel_state in zip(self.channels, saved):
-            channel.load_state_dict(channel_state)
+        self.gang.load_state_dict(saved[0])
 
 
 def build_interconnect(oram: ORAMConfig, dram: DRAMConfig) -> MemoryInterconnect:

@@ -88,6 +88,7 @@ class PeriodicORAMBackend(ORAMBackend):
             # Identical no-op path read/write; charge and count only.
             self.oram.dummy_accesses += 1
         self.stats.dummy_accesses += 1
+        self.interconnect.note_untracked(1)
         recorder = self.recorder
         if recorder is not None:
             recorder.record_event(

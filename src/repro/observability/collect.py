@@ -21,7 +21,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.memory.backend import FAULT_COUNTERS, sum_counters
-from repro.memory.interconnect import ChannelState, MemoryInterconnect
+from repro.memory.interconnect import (
+    ChannelState,
+    MemoryInterconnect,
+    stream_efficiency,
+)
 
 from .metrics import MetricsRegistry
 from .recorder import InMemoryRecorder
@@ -121,8 +125,9 @@ def collect_controllers(
 
 def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -> None:
     """Export a :meth:`MemoryInterconnect.state_dict` under ``{prefix}.*``:
-    the shared counters, and for the channel model the mean streamed path
-    and every channel's own counters plus its bus occupancy."""
+    the shared counters, and for the channel model the mean streamed path,
+    its ratio to the public cost and every channel's report plus its bus
+    occupancy."""
     registry.gauge(f"{prefix}.path_cycles").set(state["path_cycles"])
     registry.absorb(
         {name: state[name] for name in MemoryInterconnect.COUNTERS}, f"{prefix}."
@@ -135,11 +140,15 @@ def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -
         registry.histogram(f"{prefix}.path_stream_cycles").record(
             state["streamed_cycles_total"] // state["streamed_paths"]
         )
+    efficiency = stream_efficiency(
+        state["streamed_paths"], state["path_cycles"], state["streamed_cycles_total"]
+    )
+    registry.gauge(f"{prefix}.stream_efficiency").set(round(efficiency, 6))
     horizon = state["last_completion"]
     for index, channel in enumerate(channels):
         name = f"{prefix}.channel{index}"
         registry.absorb(
-            {slot: channel[slot] for slot in ChannelState.COUNTERS}, f"{name}."
+            {slot: channel[slot] for slot in ChannelState.REPORTED}, f"{name}."
         )
         occupancy = channel["busy_cycles"] / horizon if horizon else 0.0
         registry.gauge(f"{name}.bus_occupancy_pct").set(round(100.0 * occupancy, 3))

@@ -20,142 +20,82 @@ _ADDR_OF = attrgetter("addr")
 
 @dataclass(frozen=True)
 class PhysicalAddress:
-    """Where one bucket lives in DRAM: ``(channel, bank, row)``."""
+    """Where one bucket lives on every channel of the gang: ``(bank, row)``."""
 
-    channel: int
     bank: int
     row: int
 
 
 class PhysicalLayout:
-    """Subtree-to-channel tiling of the bucket tree onto physical DRAM.
+    """Bucket-striped tiling of the bucket tree onto ganged DRAM channels.
 
     The tree is partitioned into complete subtrees of height
     ``subtree_levels`` (``h``): tier 0 is the single subtree rooted at
     the root, tier 1 the ``2**h`` subtrees rooted at level ``h``, and so
-    on.  Subtrees are striped across channels with a per-tier rotation
-    (``channel = (index_within_tier + tier) % C``): the rotation makes
-    the one subtree a path touches per tier land on a *different*
-    channel tier after tier, even for leaves whose within-tier index is
-    constant (the functional-to-nominal leaf embedding produces exactly
-    such paths).  Each channel then packs the subtrees it owns densely
-    -- tiers occupy disjoint slot ranges, so the bucket-to-location map
-    is injective -- with the slot striped across banks and the
-    remainder selecting the DRAM row.  One subtree's ``Z * (2**h - 1)``
-    blocks sit contiguously in a single row, so reading a path segment
-    that crosses the subtree is one row activation + one burst.
+    on.  Every bucket is striped evenly over all the channels, so a tile
+    has no channel: it occupies the *same* ``(bank, row)`` on each of
+    them, and this class maps tiles to banks and rows only.  One
+    subtree's ``Z * (2**h - 1)`` blocks sit contiguously in a single row
+    (of every channel), so reading a path segment that crosses the
+    subtree is one row activation + one burst per channel.
 
-    This is the layout Path ORAM's geometry invites (every access touches
-    exactly one subtree per tier, and consecutive tiers land on
-    *different* channels for almost every leaf), which is what lets the
-    channel interconnect overlap a path's bucket transfers.  The layout
-    is built over the **nominal** tree -- the paper-scale geometry that
-    timing is charged against -- not the small functional tree.
+    Tier ``t`` starts on a row of its own (``first_row[t]``) and places
+    within-tier index ``x`` at ``bank = (x + t) % B``, ``row =
+    first_row[t] + x // B``: tiers occupy disjoint row ranges and ``x ->
+    (x % B, x // B)`` is a bijection, so the map is injective, and every
+    tier spreads evenly over the banks.  The per-tier bank rotation
+    matters: the functional-to-nominal leaf embedding makes the deep
+    tiers' ``x`` constant with zero low bits, and without the rotation
+    they would all queue on one bank (DESIGN.md section 11).
+
+    The layout is built over the **nominal** tree -- the paper-scale
+    geometry that timing is charged against -- not the small functional
+    tree.
     """
 
-    def __init__(
-        self,
-        levels: int,
-        num_channels: int,
-        num_banks: int,
-        subtree_levels: int = 2,
-    ):
+    def __init__(self, levels: int, num_banks: int, subtree_levels: int = 2):
         if levels < 1:
             raise ValueError("layout needs a tree with at least 1 level")
-        if num_channels < 1 or num_banks < 1:
-            raise ValueError("layout needs at least one channel and bank")
+        if num_banks < 1:
+            raise ValueError("layout needs at least one bank")
         if subtree_levels < 1:
             raise ValueError("subtree tiles must be at least one level tall")
         self.levels = levels
-        self.num_channels = num_channels
         self.num_banks = num_banks
         self.subtree_levels = subtree_levels
-        # base[t] = number of subtrees in tiers < t (tier t roots sit at
-        # level t * subtree_levels and there are 2**(t*h) of them).
-        base: List[int] = []
-        count = 0
-        for root_level in range(0, levels + 1, subtree_levels):
-            base.append(count)
-            count += 1 << root_level
-        self._tier_base: Tuple[int, ...] = tuple(base)
-        self.num_subtrees = count
-        # Per tier t: (t, shift, offsets, height).  ``leaf >> shift`` is the
-        # within-tier index of the tile a path crosses, ``height`` how many
-        # levels the tile spans (the bottom tile may be partial), and
-        # offsets[c] = slots channel c has handed out to tiers < t.  Tier t
-        # assigns within-tier index x to channel (x + t) % C, so channel c
-        # receives the x's congruent to (c - t) mod C -- their count per
-        # tier is a closed form, accumulated here once.
-        channels = num_channels
-        running = [0] * channels
-        tiers: List[Tuple[int, int, Tuple[int, ...], int]] = []
+        # Per tier t (roots at level t * h, 2**(t*h) of them):
+        # (t, shift, first_row).  ``leaf >> shift`` is the within-tier
+        # index of the tile a path crosses; first_row[t] = rows handed out
+        # to tiers < t, each rounded up to a whole number of rows.
+        tiers: List[Tuple[int, int, int]] = []
+        rows = 0
         for tier, root_level in enumerate(range(0, levels + 1, subtree_levels)):
-            height = min(subtree_levels, levels + 1 - root_level)
-            tiers.append((tier, levels - root_level, tuple(running), height))
-            size = 1 << root_level
-            for channel in range(channels):
-                first = (channel - tier) % channels
-                if first < size:
-                    running[channel] += (size - first + channels - 1) // channels
+            tiers.append((tier, levels - root_level, rows))
+            rows += -(-(1 << root_level) // num_banks)
         self._tiers = tuple(tiers)
 
-    def subtree_id(self, level: int, leaf: int) -> int:
-        """Breadth-first id of the subtree containing bucket (level, leaf)."""
-        if not 0 <= level <= self.levels:
-            raise ValueError(f"level {level} out of range [0, {self.levels}]")
-        root_level = level - level % self.subtree_levels
-        return self._tier_base[root_level // self.subtree_levels] + (
-            leaf >> (self.levels - root_level)
-        )
-
-    def path_tiles(
-        self, leaf: int, first_level: int = 0
-    ) -> List[Tuple[int, int, int, int]]:
-        """The placement rule: one ``(channel, bank, row, levels)`` per tier.
+    def path_tiles(self, leaf: int, first_level: int = 0) -> List[Tuple[int, int]]:
+        """The placement rule: one ``(bank, row)`` per tier, root-most first.
 
         A root-to-leaf path crosses exactly one subtree tile per tier, so
         its physical footprint from ``first_level`` down is one entry per
-        tier, root-most first; ``levels`` counts the path's buckets inside
-        the tile at or below ``first_level``.  Tiers entirely above
-        ``first_level`` are omitted.  Every other address in this class
-        derives from this method.
+        tier; tiers entirely above ``first_level`` are omitted.
         """
         if not 0 <= leaf < (1 << self.levels):
             raise ValueError(f"leaf {leaf} out of range [0, {1 << self.levels})")
         if not 0 <= first_level <= self.levels:
             raise ValueError(f"level {first_level} out of range [0, {self.levels}]")
-        channels = self.num_channels
         banks = self.num_banks
-        first_tier = first_level // self.subtree_levels
-        above = first_level % self.subtree_levels  # cut from the first tile
-        tiles = []
-        for tier, shift, offsets, height in self._tiers[first_tier:]:
-            index = leaf >> shift
-            channel = (index + tier) % channels
-            slot = offsets[channel] + index // channels
-            tiles.append((channel, slot % banks, slot // banks, height - above))
-            above = 0
-        return tiles
-
-    def subtree_address(self, subtree: int) -> PhysicalAddress:
-        """Physical placement of one subtree tile."""
-        if not 0 <= subtree < self.num_subtrees:
-            raise ValueError(
-                f"subtree {subtree} out of range [0, {self.num_subtrees})"
-            )
-        tier = 0
-        while (
-            tier + 1 < len(self._tier_base) and self._tier_base[tier + 1] <= subtree
-        ):
-            tier += 1
-        root_level = tier * self.subtree_levels
-        index = subtree - self._tier_base[tier]
-        return self.address_of(root_level, index << (self.levels - root_level))
+        # One comprehension frame per path, not one ``append`` per tier;
+        # ``index`` is the tile's within-tier index.
+        return [
+            (((index := leaf >> shift) + tier) % banks, first_row + index // banks)
+            for tier, shift, first_row in self._tiers[first_level // self.subtree_levels:]
+        ]
 
     def address_of(self, level: int, leaf: int) -> PhysicalAddress:
         """Physical address of the bucket at ``level`` on the path to ``leaf``."""
-        channel, bank, row, _ = self.path_tiles(leaf, level)[0]
-        return PhysicalAddress(channel, bank, row)
+        return PhysicalAddress(*self.path_tiles(leaf, level)[0])
 
     def path_addresses(self, leaf: int) -> Sequence[PhysicalAddress]:
         """Physical addresses of the root-to-leaf path, root first.
@@ -163,11 +103,7 @@ class PhysicalLayout:
         Consecutive entries repeat while the path stays inside one
         subtree tile.  Test/debug view of :meth:`path_tiles`; not memoized.
         """
-        return tuple(
-            PhysicalAddress(channel, bank, row)
-            for channel, bank, row, levels in self.path_tiles(leaf)
-            for _ in range(levels)
-        )
+        return tuple(self.address_of(level, leaf) for level in range(self.levels + 1))
 
 
 class TreetopCache:

@@ -24,7 +24,7 @@ from repro.config import SystemConfig
 from repro.controller.sharded import build_bank
 from repro.faults.fsck import run_fsck_bank
 from repro.memory.backend import FAULT_COUNTERS, sum_counters
-from repro.memory.interconnect import summarize
+from repro.memory.interconnect import stream_efficiency, summarize
 from repro.sim.results import SimResult
 
 
@@ -121,8 +121,14 @@ def fold_shard_snapshots(
     ]
     for name, value in sum_counters(summaries).items():
         extra[f"interconnect_{name}"] = value
-    if summaries:  # a per-controller constant, equal on every shard: not summed
+    if summaries:  # per-controller constants, equal on every shard: not summed
         extra["interconnect_channels"] = summaries[0]["channels"]
+        extra["interconnect_path_cycles"] = summaries[0]["path_cycles"]
+        extra["interconnect_stream_efficiency"] = stream_efficiency(
+            extra["interconnect_streamed_paths"],
+            extra["interconnect_path_cycles"],
+            extra["interconnect_streamed_cycles"],
+        )
     return result
 
 

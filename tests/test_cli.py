@@ -280,3 +280,33 @@ class TestFeatureCommands:
     def test_exits_zero_and_prints_its_line(self, argv, line, capsys):
         assert main(argv.split()) == 0
         assert line in capsys.readouterr().out
+
+
+class TestMemoryOptions:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # was accepted, and silently ran flat on one channel
+            ("--dram-model flat --channels 4", "--channels 4 needs --dram-model channel"),
+            ("--channels 0", "--channels must be at least 1"),
+        ],
+    )
+    def test_contradictory_channel_flags_exit_2_with_one_line(
+        self, flags, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main((RUN + flags).split())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_flat_with_one_channel_is_still_the_default_model(self, capsys):
+        assert main((RUN + "--dram-model flat --channels 1").split()) == 0
+        assert "channel interconnect" not in capsys.readouterr().out
+
+    def test_channel_table_reports_the_stream_efficiency(self, capsys):
+        assert main((RUN + "--channels 4").split()) == 0
+        out = capsys.readouterr().out
+        header = next(line for line in out.splitlines() if "stream_eff" in line)
+        assert header.split()[-3:] == ["T", "mean_stream_cyc", "stream_eff"]

@@ -18,10 +18,12 @@ dict.  These tests make the property durable:
   section, ``SimResult.delta``'s name list) live on below as the oracle and
   an 81-cell matrix compares ``repr(SimResult)``, ``metrics().to_dict()``,
   ``interconnect.summary()`` and the checkpoint section against them;
-* **compatibility** -- three backend checkpoints written at the parent
-  commit (``tests/data/parent_backend_checkpoint_*.json``) restore here to
-  what the parent restored, a document with a missing or non-integer counter
-  raises ``CheckpointError`` and an unknown key is ignored;
+* **compatibility** -- the two flat-model backend checkpoints written at
+  the parent commit (``tests/data/parent_backend_checkpoint_*.json``) restore
+  here to what the parent restored and the channel-model one is refused (its
+  tile-per-channel geometry is not the striped layout's), a document with a
+  missing or non-integer counter raises ``CheckpointError`` and an unknown
+  key is ignored;
 * the two bugs the walk fixed: flat-interconnect counters survive a restore,
   and the first Equation 1 window after one is not fed the whole history;
 * **above the bank** (last three sections) -- the serving front end, the
@@ -179,6 +181,32 @@ def oracle_fault_stats(stats):
     return out
 
 
+def oracle_channel_reports(interconnect):
+    """What each channel of the gang reports, written out: the lockstep
+    bank/bus state, plus what its bus carried -- every path the controller
+    charged occupies the bus for the burst (``T - latency``) and crosses it
+    with the channel's stripe of the off-chip bucket-levels."""
+    gang = interconnect.gang
+    channels = interconnect.num_channels
+    paths = interconnect.streamed_paths + interconnect.untracked_paths
+    burst = interconnect.path_cycles - interconnect.dram.latency_cycles
+    whole, spare = divmod(interconnect.bucket_bytes, channels)
+    return [
+        {
+            "bus_free": gang.bus_free,
+            "bank_free": {str(k): v for k, v in gang.bank_free.items()},
+            "open_row": {str(k): v for k, v in gang.open_row.items()},
+            "requests": gang.requests,
+            "row_hits": gang.row_hits,
+            "row_misses": gang.row_misses,
+            "bytes_moved": paths * interconnect.offchip_levels * (whole + (index < spare)),
+            "busy_cycles": paths * burst,
+            "bank_wait_cycles": gang.bank_wait_cycles,
+        }
+        for index in range(channels)
+    ]
+
+
 def oracle_interconnect_summary(interconnect):
     if interconnect.model == "flat":
         return {
@@ -188,16 +216,24 @@ def oracle_interconnect_summary(interconnect):
             "treetop_hits": interconnect.treetop_hits,
             "treetop_bytes_saved": interconnect.treetop_bytes_saved,
         }
+    reports = oracle_channel_reports(interconnect)
+    streamed = interconnect.streamed_cycles_total
     return {
         "channels": interconnect.num_channels,
         "streamed_paths": interconnect.streamed_paths,
         "untracked_paths": interconnect.untracked_paths,
-        "streamed_cycles": interconnect.streamed_cycles_total,
-        "row_hits": sum(c.row_hits for c in interconnect.channels),
-        "row_misses": sum(c.row_misses for c in interconnect.channels),
-        "bank_wait_cycles": sum(c.bank_wait_cycles for c in interconnect.channels),
+        "streamed_cycles": streamed,
+        "row_hits": sum(c["row_hits"] for c in reports),
+        "row_misses": sum(c["row_misses"] for c in reports),
+        "bank_wait_cycles": sum(c["bank_wait_cycles"] for c in reports),
         "treetop_hits": interconnect.treetop_hits,
         "treetop_bytes_saved": interconnect.treetop_bytes_saved,
+        "path_cycles": interconnect.path_cycles,
+        "stream_efficiency": (
+            interconnect.streamed_paths * interconnect.path_cycles / streamed
+            if streamed
+            else 1.0
+        ),
     }
 
 
@@ -217,16 +253,19 @@ def oracle_interconnect_to_registry(interconnect, registry, prefix):
         registry.histogram(f"{prefix}.path_stream_cycles").record(
             interconnect.streamed_cycles_total // interconnect.streamed_paths
         )
+    registry.gauge(f"{prefix}.stream_efficiency").set(
+        round(oracle_interconnect_summary(interconnect)["stream_efficiency"], 6)
+    )
     horizon = interconnect.last_completion
-    for index, channel in enumerate(interconnect.channels):
+    for index, channel in enumerate(oracle_channel_reports(interconnect)):
         name = f"{prefix}.channel{index}"
-        registry.counter(f"{name}.requests").set(channel.requests)
-        registry.counter(f"{name}.row_hits").set(channel.row_hits)
-        registry.counter(f"{name}.row_misses").set(channel.row_misses)
-        registry.counter(f"{name}.bytes_moved").set(channel.bytes_moved)
-        registry.counter(f"{name}.busy_cycles").set(channel.busy_cycles)
-        registry.counter(f"{name}.bank_wait_cycles").set(channel.bank_wait_cycles)
-        occupancy = channel.busy_cycles / horizon if horizon else 0.0
+        registry.counter(f"{name}.requests").set(channel["requests"])
+        registry.counter(f"{name}.row_hits").set(channel["row_hits"])
+        registry.counter(f"{name}.row_misses").set(channel["row_misses"])
+        registry.counter(f"{name}.bytes_moved").set(channel["bytes_moved"])
+        registry.counter(f"{name}.busy_cycles").set(channel["busy_cycles"])
+        registry.counter(f"{name}.bank_wait_cycles").set(channel["bank_wait_cycles"])
+        occupancy = channel["busy_cycles"] / horizon if horizon else 0.0
         registry.gauge(f"{name}.bus_occupancy_pct").set(round(100.0 * occupancy, 3))
 
 
@@ -236,8 +275,9 @@ def oracle_interconnect_state(interconnect):
     layout = interconnect.layout
     return {
         "geometry": {
+            "layout": "striped",
             "levels": layout.levels,
-            "channels": layout.num_channels,
+            "channels": interconnect.num_channels,
             "banks": layout.num_banks,
             "subtree_levels": layout.subtree_levels,
             "treetop_levels": interconnect.treetop_levels,
@@ -249,20 +289,7 @@ def oracle_interconnect_state(interconnect):
         "last_completion": interconnect.last_completion,
         "treetop_hits": interconnect.treetop_hits,
         "treetop_bytes_saved": interconnect.treetop_bytes_saved,
-        "channels": [
-            {
-                "bus_free": channel.bus_free,
-                "bank_free": {str(k): v for k, v in channel.bank_free.items()},
-                "open_row": {str(k): v for k, v in channel.open_row.items()},
-                "requests": channel.requests,
-                "row_hits": channel.row_hits,
-                "row_misses": channel.row_misses,
-                "bytes_moved": channel.bytes_moved,
-                "busy_cycles": channel.busy_cycles,
-                "bank_wait_cycles": channel.bank_wait_cycles,
-            }
-            for channel in interconnect.channels
-        ],
+        "channels": oracle_channel_reports(interconnect),
     }
 
 
@@ -339,9 +366,17 @@ def oracle_fold(result, snapshots, bank):
             extra[name] = sum(snap["stats"][name] for snap in snapshots)
     for name, value in _oracle_summed([s.get("injected") for s in snapshots]).items():
         extra[f"injected_{name}"] = value
-    for name, value in _oracle_summed(
-        [s.get("interconnect") for s in snapshots], assigned="channels"
-    ).items():
+    summaries = [s["interconnect"] for s in snapshots if s.get("interconnect")]
+    folded = _oracle_summed(summaries, assigned="channels")
+    if summaries:  # T is a per-controller constant, the ratio is over the sums
+        folded["path_cycles"] = summaries[0]["path_cycles"]
+        streamed = folded["streamed_cycles"]
+        folded["stream_efficiency"] = (
+            folded["streamed_paths"] * folded["path_cycles"] / streamed
+            if streamed
+            else 1.0
+        )
+    for name, value in folded.items():
         extra[f"interconnect_{name}"] = value
     return result
 
@@ -601,10 +636,10 @@ def _components(backend):
         )
     if backend.injector is not None:
         parts["injector.stats"] = (backend.injector.stats, lambda: walk()["injector"])
-    for index, channel in enumerate(getattr(backend.interconnect, "channels", ())):
-        parts[f"interconnect.channels[{index}]"] = (
-            channel,
-            lambda index=index: walk()["interconnect"]["channels"][index],
+    if backend.interconnect.model == "channel":  # one state, reported C times
+        parts["interconnect.gang"] = (
+            backend.interconnect.gang,
+            lambda: walk()["interconnect"]["channels"][-1],
         )
     return parts
 
@@ -809,11 +844,26 @@ def parent_fixture(request):
 
 class TestCheckpointCompatibility:
     def test_parent_written_checkpoint_restores(self, parent_fixture):
-        """``stats``, ``scheme_stats``, PosMap, pipeline, injector and
-        channel-interconnect state come back as the parent restored them."""
+        """``stats``, ``scheme_stats``, PosMap, pipeline and injector state
+        come back as the parent restored them -- under the flat model.  The
+        channel fixture is *refused*: its bank/row numbers and per-channel
+        states belong to the tile-per-channel layout, and mean nothing
+        under bucket striping."""
         backend = build_controller(**parent_fixture["build"])
         document = parent_fixture["document"]
         assert "oram" not in document["backend"]  # really the old shape
+        if parent_fixture["build"]["model"] == "channel":
+            assert "layout" not in document["backend"]["interconnect"]["geometry"]
+            before = backend.interconnect.state_dict()
+            with pytest.raises(CheckpointError, match="'layout': 'striped'"):
+                restore_backend_state(backend, json.dumps(document))
+            assert backend.interconnect.state_dict() == before
+            # ... and without its geometry entry, by the lockstep check
+            del document["backend"]["interconnect"]["geometry"]
+            with pytest.raises(CheckpointError, match="lockstep"):
+                restore_backend_state(backend, json.dumps(document))
+            assert backend.interconnect.state_dict() == before
+            return
         runtime = restore_backend_state(backend, json.dumps(document))
         assert runtime == {"last_seq": 4, "replies": [[4, [7, 9]]]}
         assert restored_view(backend) == parent_fixture["parent_restored"]
@@ -822,10 +872,7 @@ class TestCheckpointCompatibility:
         assert walk["stats"]["demand_requests"] > 0
         assert walk["busy_until"] == document["backend"]["busy_until"] > 0
         # the flat model's counters are not in a parent-written document
-        if parent_fixture["build"]["model"] == "flat":
-            assert walk["interconnect"]["streamed_paths"] == 0
-        else:
-            assert walk["interconnect"]["streamed_paths"] > 0
+        assert walk["interconnect"]["streamed_paths"] == 0
         backend.oram.check_invariants()
         backend.demand_access(3, backend.busy_until, True)
 
@@ -837,6 +884,10 @@ class TestCheckpointCompatibility:
         path = tmp_path / "shard.json"
         path.write_text(json.dumps(parent_fixture["document"]))
         backend = build_controller(**parent_fixture["build"])
+        if parent_fixture["build"]["model"] == "channel":  # refused, as above
+            with pytest.raises(CheckpointError, match="geometry"):
+                restore_backend(backend, str(path))
+            return
         assert restore_backend(backend, str(path))["last_seq"] == 4
 
     @staticmethod

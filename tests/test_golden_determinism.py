@@ -13,7 +13,10 @@ write trace, ``extra`` included so every interconnect counter is pinned).
 Regenerate them (only after an *intentional* behaviour change, e.g. a bugfix)
 with::
 
-    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_determinism.py
+    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest -s tests/test_golden_determinism.py
+
+which prints, per snapshot, every field it is about to move as ``name: old →
+new`` (``-s`` shows it) before overwriting; paste that list into the PR.
 
 A property test additionally drives randomized merge -> break -> merge
 histories through the dynamic scheme and asserts the ORAM's structural
@@ -63,6 +66,20 @@ def golden_memory_runs():
 
     The read trace warms the prefetcher (348 merges); the TPC-C trace
     drives the write-back entry (740 dirty evictions).
+
+    The pinned cycles, by arithmetic (ganged channels, DESIGN.md section
+    11): 26 - 4 = 22 off-chip bucket-levels x 1,024 B over 4 x 16 B/cycle
+    is a 352-cycle burst, T = 100 + 352 = 452, and every path is 11 tiles
+    on each of the 4 channels (44 array accesses).  Read: 5,335 paths at
+    T and 88 whose first tile is a 50-cycle row hit (402) = 2,446,796
+    streamed cycles, stream efficiency 5,423 x 452 / 2,446,796 = 1.0018.
+    Write: 5,165 at T, 130 at 402, 111 at 500 and 4 at 600 (one bank
+    serving 5 or 6 of the 11 tiles) = 2,444,740.  ``busy_cycles`` moves
+    by exactly the streamed-cycle saving against the tile-per-channel
+    layout (3,233,250 - 2,446,796 = 786,454 and 3,419,182 - 2,444,740 =
+    974,442), ``cycles`` by the same on the read trace and by 963,054 on
+    the write trace (the rest was already hidden behind core compute); no
+    functional field moves.
     """
     config = experiment_config(treetop_levels=4)
     config = dataclasses.replace(
@@ -78,6 +95,29 @@ def golden_memory_runs():
         results[name] = dataclasses.asdict(system.run(trace))
         system.backend.oram.check_invariants()
     return results
+
+
+def flattened(snapshot, prefix=""):
+    """``{"read": {"extra": {"x": 1}}}`` -> ``{"read.extra.x": 1}``."""
+    flat = {}
+    for name, value in snapshot.items():
+        if isinstance(value, dict):
+            flat.update(flattened(value, f"{prefix}{name}."))
+        else:
+            flat[f"{prefix}{name}"] = value
+    return flat
+
+
+def regenerate(path, actual):
+    """``REPRO_UPDATE_GOLDEN``: say what moves, then overwrite and skip."""
+    old = flattened(json.loads(path.read_text())) if path.exists() else {}
+    new = flattened(actual)
+    moved = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+    print(f"\n{path.name}: {len(moved)} field(s) move")
+    for name in moved:
+        print(f"  {name}: {old.get(name, '(absent)')} → {new.get(name, '(absent)')}")
+    path.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
+    pytest.skip(f"golden snapshot regenerated at {path}")
 
 
 def result_to_dict(result):
@@ -104,9 +144,7 @@ class TestGoldenDeterminism:
     def test_simresult_matches_snapshot(self):
         actual = result_to_dict(golden_run())
         if os.environ.get("REPRO_UPDATE_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN_PATH.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
-            pytest.skip(f"golden snapshot regenerated at {GOLDEN_PATH}")
+            regenerate(GOLDEN_PATH, actual)
         assert GOLDEN_PATH.exists(), (
             f"missing golden snapshot {GOLDEN_PATH}; regenerate with "
             "REPRO_UPDATE_GOLDEN=1"
@@ -122,10 +160,7 @@ class TestGoldenDeterminism:
         """Channel model + treetop: the contract for memory-side refactors."""
         actual = golden_memory_runs()
         if os.environ.get("REPRO_UPDATE_GOLDEN"):
-            GOLDEN_MEMORY_PATH.write_text(
-                json.dumps(actual, indent=2, sort_keys=True) + "\n"
-            )
-            pytest.skip(f"golden snapshot regenerated at {GOLDEN_MEMORY_PATH}")
+            regenerate(GOLDEN_MEMORY_PATH, actual)
         expected = json.loads(GOLDEN_MEMORY_PATH.read_text())
         assert set(actual) == set(expected)
         for name, want in expected.items():

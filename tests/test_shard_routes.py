@@ -193,7 +193,8 @@ class TestFoldedExtras:
         config = channel_config()
         requests = small_stream(accesses=200)
         trace = locality_mix_trace(0.8, footprint_blocks=FOOTPRINT, accesses=600)
-        system = SecureSystem.build("dyn", FOOTPRINT, config, num_shards=2).run(trace)
+        bank = SecureSystem.build("dyn", FOOTPRINT, config, num_shards=2)
+        system = bank.run(trace)
         serial = run_serial_reference("dyn", FOOTPRINT, requests, config, num_shards=2)
         with ParallelShardRuntime("dyn", FOOTPRINT, config, 2, batch_size=23) as runtime:
             parallel = runtime.run(requests)
@@ -203,10 +204,19 @@ class TestFoldedExtras:
         keys = list(system.extra)
         assert keys[0] == "num_shards"
         interconnect = [key for key in keys if key.startswith("interconnect_")]
-        assert len(interconnect) == 9
-        assert keys[-9:] == interconnect
+        assert len(interconnect) == 11  # + path_cycles, stream_efficiency
+        assert keys[-11:] == interconnect
         for result in (system, serial):
-            assert result.extra["interconnect_channels"] == 4  # assigned, not summed
+            # per-controller constants and the ratio: assigned, not summed
+            assert result.extra["interconnect_channels"] == 4
+            assert result.extra["interconnect_path_cycles"] == (
+                bank.backend.shards[0].interconnect.path_cycles
+            )
+            assert result.extra["interconnect_stream_efficiency"] == (
+                result.extra["interconnect_streamed_paths"]
+                * result.extra["interconnect_path_cycles"]
+                / result.extra["interconnect_streamed_cycles"]
+            )
             assert result.extra["interconnect_streamed_paths"] > 0
             assert result.extra["interconnect_row_hits"] > 0
 
