@@ -11,19 +11,22 @@ four straight-line blocks:
    relief (section 2.4: background evictions run before real requests),
    then the recursive position-map walk (section 2.3);
 2. **path read** -- super-block membership, the path read + remap half of
-   the scheme access, and the interconnect's streamed completion of that
-   one path;
+   the scheme access, and the interconnect's schedule of the whole train
+   (evictions, PosMap paths, the one streamed demand path);
 3. **remap** -- the scheme's merge/break decision over the members that
    came from ORAM, run while they are all on-chip;
 4. **write-back** -- the path write-back committing the remap.
 
-Latency identity: a request's latency is ``extra * T + streamed +
-evictions * T + fault_delay`` (``T`` = the interconnect's public per-path
-cost), and those same three cycle terms are its ``posmap`` / ``path_read``
-/ ``writeback`` attribution (``remap`` is on-chip and charged nothing), so
-``sum(phase_cycles.values())`` plus the health plane's padding paths is
-``stats.busy_cycles`` by construction, and a span's ``end - start`` is
-the sum of its ``phases`` plus ``fault_delay``.
+Latency identity: the interconnect's one ``train`` call returns the
+request's start and three marks -- evictions done, PosMap walk done,
+demand path done -- and the differences between them are at once the
+request's latency (plus ``fault_delay``) and its ``writeback`` /
+``posmap`` / ``path_read`` attribution (``remap`` is on-chip and charged
+nothing), so ``sum(phase_cycles.values())`` plus the cycles of the health
+plane's padding paths is ``stats.busy_cycles`` by construction, and a
+span's ``end - start`` is the sum of its ``phases`` plus ``fault_delay``.
+What a path costs -- the paper's serial ``T`` each, or the channel model's
+pipelined train -- is the interconnect's business alone.
 
 This is the backend's own access path, not a layer apart from it: it
 reads the backend's fault/relief helpers, LLC probe and policy listener
@@ -55,9 +58,10 @@ class AccessPipeline:
         self.requests = 0
 
     def execute(
-        self, addr: int, start: int, run_scheme: bool, kind: str = "demand"
+        self, addr: int, now: int, run_scheme: bool, kind: str = "demand"
     ) -> tuple:
-        """One full oblivious access; returns (completion_cycle, outcome).
+        """One full oblivious access of the request that arrived at ``now``;
+        returns (completion_cycle, outcome).
 
         ``kind`` labels the request for tracing ("demand" / "prefetch" /
         "writeback"); it has no effect on the access itself.
@@ -66,8 +70,6 @@ class AccessPipeline:
         oram = backend.oram
         scheme = backend.scheme
         stats = backend.stats
-        interconnect = backend.interconnect
-        path_cycles = interconnect.path_cycles
         recorder = backend.recorder
         if recorder is not None:
             scheme_stats = scheme.stats
@@ -83,25 +85,26 @@ class AccessPipeline:
         stats.dummy_accesses += evictions
         extra = backend.posmap_hierarchy.lookup(addr)
         stats.posmap_accesses += extra
-        # Each PosMap miss is a full path access on the smaller trees and
-        # each background eviction a full dummy path access; both are
-        # charged the public per-path cost and never streamed through the
-        # leaf-aware scheduler (the walk's leaves belong to the recursion's
-        # access pattern, the evictions' are uniform draws).
-        posmap_cycles = extra * path_cycles
-        evict_cycles = evictions * path_cycles
 
         # ------------------------------------------------------ 2. path read
         members = scheme.members_for(addr)
         blocks = oram.begin_access(members)
-        # The demand path is the one access the interconnect streams
-        # bucket by bucket: it issues after the serialized evictions and
-        # PosMap paths, and its read + write-back share one full-path pass
-        # (the flat model returns exactly path_cycles).  begin_access
-        # parked the read path's leaf for the write-back; that leaf is the
-        # bucket stream being timed.
-        issue = start + evict_cycles + posmap_cycles
-        streamed = interconnect.path_completion(oram._pending_writeback, issue) - issue
+        # The interconnect schedules the whole train behind whatever the
+        # controller was doing.  Each background eviction is a full dummy
+        # path access and each PosMap miss a full path access on the
+        # smaller trees: both are charged at public marks and never
+        # streamed through the leaf-aware scheduler (the evictions' leaves
+        # are uniform draws, the walk's belong to the recursion's access
+        # pattern).  The demand path is the one access streamed bucket by
+        # bucket, its read + write-back sharing one full-path pass;
+        # begin_access parked the read path's leaf for the write-back, and
+        # that leaf is the bucket stream being timed.
+        start, evicted, walked, done = backend.interconnect.train(
+            now, backend.busy_until, evictions, extra, oram._pending_writeback
+        )
+        evict_cycles = evicted - start
+        posmap_cycles = walked - evicted
+        streamed = done - walked
 
         # ---------------------------------------------------------- 3. remap
         outcome = None
@@ -125,16 +128,14 @@ class AccessPipeline:
         oram.finish_access()
 
         # ------------------------------------------------------- accounting
-        latency = posmap_cycles + streamed + evict_cycles + fault_delay
-        completion = start + latency
+        completion = done + fault_delay
+        latency = completion - start
         phase_cycles = self.phase_cycles
         phase_cycles["posmap"] += posmap_cycles
         phase_cycles["path_read"] += streamed
         phase_cycles["writeback"] += evict_cycles
         phase_cycles["fault"] += fault_delay
         self.requests += 1
-        if evictions or extra:
-            interconnect.note_untracked(evictions + extra)
         backend.busy_until = completion
         stats.memory_accesses += extra + 1
         stats.busy_cycles += latency

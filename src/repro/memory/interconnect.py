@@ -21,19 +21,32 @@ into a subsystem:
   data bus carries exactly ``1/C`` of the path, so aggregate bandwidth
   -- and therefore path latency -- scales with channel count.
 
+Both models schedule a whole request -- background evictions, PosMap
+paths, the demand path -- through one entry, :meth:`MemoryInterconnect.
+train`.  The flat model keeps the paper's serial train (every path pays
+``path_cycles`` in full, one after the other).  The channel model
+pipelines it: consecutive paths depend on each other only through the
+leaf, known once the predecessor's read half is on chip, so a path's row
+activations run under the predecessor's write-back half and a train of
+``n`` paths costs ``latency + n * burst`` instead of
+``n * (latency + burst)`` (DESIGN.md section 11, "The path train").
+
 Obliviousness note: the *public* per-path cost (``path_cycles``, used for
-the periodic grid, PosMap walk charges, background evictions, and
-prefetch backpressure) stays data-independent in both models.  Only the
-streamed completion of the channel model varies with the accessed leaf,
-and the periodic backend's whole-period slot quantization keeps that
-variation off the public timing grid (DESIGN.md section 11).
+the periodic grid and prefetch backpressure) and every mark of a train
+short of the demand path's completion are functions of the arrival cycle,
+the controller's clock, two counts and config constants in both models.
+Only the streamed completion of the channel model varies with the
+accessed leaf, and the periodic backend's whole-period slot quantization
+keeps that variation off the public timing grid (DESIGN.md section 11).
 
 Degenerate equivalence (property-tested): one channel, more banks than
-subtrees, and a closed page policy make :class:`ChannelInterconnect`
-reproduce :class:`FlatInterconnect` exactly -- every array access pays
-the full latency, the path's one burst is a bus reservation of
-``ceil(path_bytes / bytes_per_cycle)`` cycles, and the single channel
-serializes just like the flat model's saturated pin interface.
+subtrees, and a closed page policy make a *lone* path on
+:class:`ChannelInterconnect` cost exactly what it costs on
+:class:`FlatInterconnect` -- every array access pays the full latency,
+the path's one burst is a bus reservation of
+``ceil(path_bytes / bytes_per_cycle)`` cycles.  Over a whole run the two
+then differ by exactly the latency the pipelined train hid
+(``hidden_latency_cycles``) and by nothing else.
 """
 
 from __future__ import annotations
@@ -49,12 +62,19 @@ from repro.oram.tree import PhysicalLayout
 class MemoryInterconnect:
     """Protocol between the ORAM controller and the physical memory.
 
+    The surface: :meth:`train` charges a request's whole path train and is
+    what the controller calls, once per request (and once per padding
+    dummy); :meth:`path_completion` streams one lone path (the demand path
+    inside a train); :meth:`note_untracked` counts paths charged without
+    streaming (inside a train, and one per periodic slot dummy);
+    :meth:`path_cycles_for` is the one cost formula.
+
     Attributes:
         model: the config string selecting this implementation.
-        path_cycles: the **public** cost of one path access -- the value
-            used wherever timing must stay data-independent (periodic
-            slot grid, PosMap recursion charges, background evictions,
-            dummy accesses, prefetch backpressure).
+        path_cycles: the **public** cost of one lone path access on idle
+            memory -- the value used wherever timing must stay
+            data-independent without a train to schedule (periodic slot
+            grid, prefetch backpressure) and the serial train's step.
         bytes_per_path: total bytes moved by one path access (read +
             write-back of every bucket).
         COUNTERS: the integer attributes an implementation counts in --
@@ -106,12 +126,33 @@ class MemoryInterconnect:
         )
 
     def path_completion(self, leaf: int, start: int) -> int:
-        """Completion cycle of a path access to ``leaf`` issued at ``start``."""
+        """Completion cycle of one streamed path access to ``leaf`` issued
+        at ``start``: the demand path of a train, or a lone path."""
+        raise NotImplementedError
+
+    def train(self, arrival, busy_until, evictions, extra, leaf) -> Tuple[int, ...]:
+        """Schedule one request's whole path train: ``evictions`` background
+        evictions, then ``extra`` PosMap paths, then the demand path to
+        ``leaf`` (``None``: no demand path -- a padding dummy is a train of
+        one eviction).
+
+        ``arrival`` is when the request reached the controller and
+        ``busy_until`` the controller's one clock (fault delays and padding
+        included).  Returns ``(start, evicted, walked, completion)``: the
+        cycle the train comes onto the controller's clock
+        (``max(arrival, busy_until)``), the two public marks at which the
+        evictions and then the PosMap walk are done, and the cycle the
+        demand path's write-back ends.  The differences are the request's
+        ``writeback`` / ``posmap`` / ``path_read`` cycles; ``start`` and both
+        marks depend on the arguments before ``leaf`` and on config
+        constants only.  This is the one place a path is charged.
+        """
         raise NotImplementedError
 
     def note_untracked(self, count: int) -> None:
-        """Record ``count`` path accesses charged at the public nominal cost
-        without streaming (PosMap walk, evictions, dummies)."""
+        """Record ``count`` path accesses charged without streaming through
+        the leaf-aware scheduler (PosMap walk, evictions, dummies: their
+        leaves are the recursion's or uniform draws)."""
         self.untracked_paths += count
         self.treetop_hits += self.treetop_levels * count
         self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes * count
@@ -156,16 +197,21 @@ _SUMMARY = (
     "row_hits",
     "row_misses",
     "bank_wait_cycles",
+    "hidden_latency_cycles",
     "treetop_hits",
     "treetop_bytes_saved",
 )
 
 
 def stream_efficiency(streamed_paths: int, path_cycles: int, streamed_cycles: int) -> float:
-    """``streamed_paths x T / streamed cycles``: the share of the streamed
-    time a perfectly balanced path needs.  1.0 when every streamed path
-    completes at the public cost ``T``; row hits push it above, bank or
-    bus waits -- or paths that load the channels unevenly -- below."""
+    """``streamed_paths x T / streamed cycles``, the streamed cycles being
+    the part of each demand path on its request's clock.  1.0 when every
+    one is there for the public cost ``T`` -- lone paths on idle memory,
+    balanced over the gang.  A path whose array latency ran under its
+    predecessor's write-back is visible for its burst alone, so a fully
+    pipelined stream reads ``T / burst``; row hits push the ratio up as
+    well, bank or bus waits -- or paths that load the channels unevenly --
+    down."""
     return streamed_paths * path_cycles / streamed_cycles if streamed_cycles else 1.0
 
 
@@ -202,6 +248,17 @@ class FlatInterconnect(MemoryInterconnect):
         self.treetop_hits += self.treetop_levels
         self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes
         return start + self.path_cycles
+
+    def train(self, arrival, busy_until, evictions, extra, leaf):
+        """The paper's serial train: every path pays ``path_cycles`` in full,
+        one after the other, behind whatever the controller was doing."""
+        start = arrival if arrival > busy_until else busy_until
+        evicted = start + evictions * self.path_cycles
+        walked = evicted + extra * self.path_cycles
+        if evictions or extra:
+            self.note_untracked(evictions + extra)
+        done = walked if leaf is None else self.path_completion(leaf, walked)
+        return start, evicted, walked, done
 
 
 class ChannelState:
@@ -267,12 +324,13 @@ class ChannelInterconnect(MemoryInterconnect):
     subtree tile it crosses per off-chip tier placed by the
     :class:`PhysicalLayout` (one array access per tile: its buckets share
     a row).  Every bucket is striped over all ``C`` channels, so each
-    channel issues that same request list at ``start`` and moves ``1/C``
-    of the path's bytes (each bucket is both read and written back:
-    ``2 * Z * block_bytes``) in one burst of ``path_cycles - latency``
-    cycles.  Identical requests on identical state: the channels run in
-    lockstep, :attr:`gang` is the state of each, and the access completes
-    when the gang has delivered.
+    channel issues that same request list at the same cycle and moves
+    ``1/C`` of the path's bytes (each bucket is both read and written
+    back: ``2 * Z * block_bytes``) in one burst of ``path_cycles -
+    latency`` cycles.  Identical requests on identical state: the channels
+    run in lockstep, :attr:`gang` is the state of each, and the access
+    completes when the gang has delivered.  :meth:`train` overlaps each
+    path's activations with its predecessor's write-back half.
 
     ``bandwidth_gbps`` is per-channel pin bandwidth: the aggregate bus
     capacity grows with ``num_channels``, which is where the path-latency
@@ -284,10 +342,13 @@ class ChannelInterconnect(MemoryInterconnect):
 
     model = "channel"
 
-    #: the streamed-cycle total and the scheduling horizon come on top
+    #: the streamed-cycle total (the part of the demand paths on their
+    #: requests' clock), the scheduling horizon and the cycles the
+    #: pipelined train hid under write-back bursts come on top
     COUNTERS = MemoryInterconnect.COUNTERS + (
         "streamed_cycles_total",
         "last_completion",
+        "hidden_latency_cycles",
     )
 
     def __init__(self, oram: ORAMConfig, dram: DRAMConfig):
@@ -305,6 +366,14 @@ class ChannelInterconnect(MemoryInterconnect):
         self.gang = ChannelState()
         #: bus cycles of any path's burst on every channel
         self._burst_cycles = self.path_cycles - dram.latency_cycles
+        #: W, the write-back half of a burst: how far ahead of its burst's
+        #: turn a successor's activations may issue (its leaf is known once
+        #: the read half is on chip)
+        self._overlap_cycles = self._burst_cycles // 2
+        #: burst-to-burst distance in a train: what of the array latency
+        #: does not fit under W stays exposed, once per path
+        exposed = max(0, dram.latency_cycles - self._overlap_cycles)
+        self._step_cycles = self._burst_cycles + exposed
         #: bytes of one path on channel i: a bucket's bytes dealt as evenly
         #: as C allows (the first ``bucket_bytes % C`` stripes hold one more)
         whole, spare = divmod(self.bucket_bytes, dram.num_channels)
@@ -328,7 +397,11 @@ class ChannelInterconnect(MemoryInterconnect):
         """
         return self.layout.path_tiles(leaf << self._leaf_shift, self.treetop_levels)
 
-    def path_completion(self, leaf: int, start: int) -> int:
+    def path_completion(self, leaf: int, start: int, head: int = 0) -> int:
+        """Stream the path to ``leaf``.  ``start`` is the cycle the path
+        comes onto the request's clock -- its burst's turn on the bus; its
+        row activations were issued ``head`` cycles earlier, under the
+        predecessor's write-back (:meth:`train`; a lone path has none)."""
         latency_cycles = self._latency_cycles
         row_hit_cycles = self._row_hit_cycles
         open_page = self._open_page
@@ -337,12 +410,13 @@ class ChannelInterconnect(MemoryInterconnect):
         gang = self.gang
         bank_free = gang.bank_free
         open_row = gang.open_row
+        activate = start - head
         first_ready = last_ready = wait = hits = misses = 0
         for bank, row in self._plan(leaf):
-            begin = start
-            if bank in bank_free and bank_free[bank] > start:
+            begin = activate
+            if bank in bank_free and bank_free[bank] > activate:
                 begin = bank_free[bank]
-                wait += begin - start
+                wait += begin - activate
             if open_page and bank in open_row and open_row[bank] == row:
                 done = begin + row_hit_cycles
                 hits += 1
@@ -356,10 +430,12 @@ class ChannelInterconnect(MemoryInterconnect):
                 first_ready = done
             if done > last_ready:
                 last_ready = done
-        # The burst streams behind the first activation's data but
+        # The burst streams behind the first activation's data -- not before
+        # its turn, however early a head start made the data ready -- and
         # cannot finish before the last bank has delivered.
-        bus_free = gang.bus_free
-        bus_start = bus_free if bus_free > first_ready else first_ready
+        bus_start = first_ready if first_ready > start else start
+        if gang.bus_free > bus_start:
+            bus_start = gang.bus_free
         completion = gang.bus_free = bus_start + self._burst_cycles
         if last_ready > completion:
             completion = last_ready
@@ -369,11 +445,46 @@ class ChannelInterconnect(MemoryInterconnect):
         gang.bank_wait_cycles += wait
         self.streamed_paths += 1
         self.streamed_cycles_total += completion - start
+        # of the first access's array latency, what ran ahead of the turn
+        self.hidden_latency_cycles += head if first_ready > start else first_ready - activate
         self.treetop_hits += self.treetop_levels
         self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes
         if completion > self.last_completion:
             self.last_completion = completion
         return completion
+
+    def train(self, arrival, busy_until, evictions, extra, leaf):
+        """The pipelined train.  The only dependency between consecutive
+        paths is the leaf, known once the predecessor's *read half* is on
+        chip, so a path's row activations run under the predecessor's
+        write-back half (``W = burst // 2`` cycles) and only its burst
+        queues for the bus: ``n`` paths on idle memory cost
+        ``latency + n * burst`` whenever ``W >= latency``.
+
+        Untracked paths follow ``burst_start = max(bus_free, activate +
+        latency)``, ``bus_free = burst_start + burst``, ``activate =
+        burst_start + (burst - W)`` with ``bus_free`` starting at
+        ``busy_until`` -- in closed form below, no per-path loop.
+        """
+        start = arrival if arrival > busy_until else busy_until
+        early = busy_until - self._overlap_cycles
+        activate = arrival if arrival > early else early
+        evicted = walked = start
+        untracked = evictions + extra
+        if untracked:
+            first = activate + self._latency_cycles
+            if busy_until > first:
+                first = busy_until
+            walked = first + (untracked - 1) * self._step_cycles + self._burst_cycles
+            if evictions:
+                evicted = walked - extra * self._step_cycles
+            activate = walked - self._overlap_cycles
+            self.gang.bus_free = walked
+            self.hidden_latency_cycles += untracked * self.path_cycles - (walked - start)
+            self.note_untracked(untracked)
+        if leaf is None:
+            return start, evicted, walked, walked
+        return start, evicted, walked, self.path_completion(leaf, walked, walked - activate)
 
     def _geometry(self) -> Dict[str, object]:
         """What bank/row numbers in a checkpoint mean; must match to restore."""
@@ -427,7 +538,8 @@ class ChannelInterconnect(MemoryInterconnect):
                 "checkpoint channels differ: ganged channels run in lockstep "
                 "(a document of the old tile-per-channel layout?)"
             )
-        super().load_state_dict(state)
+        # A document older than the pipelined train hid nothing yet.
+        super().load_state_dict({"hidden_latency_cycles": 0, **state})
         self.gang.load_state_dict(saved[0])
 
 

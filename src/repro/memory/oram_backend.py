@@ -14,9 +14,11 @@ DRAM-replacement interface of the secure-processor literature:
   occupies the controller but does not stall the core;
 * a **clean eviction** just drops the copy.
 
-Timing is strictly serialized -- "a single ORAM access saturates the
-available DRAM bandwidth [so] it brings no benefits to serve multiple ORAM
-requests in parallel" (section 2.6).
+Requests are served strictly one at a time -- "a single ORAM access
+saturates the available DRAM bandwidth [so] it brings no benefits to serve
+multiple ORAM requests in parallel" (section 2.6); how the paths of one
+request's train follow each other on the pins is the interconnect's
+schedule (``MemoryInterconnect.train``).
 
 A lone controller answers the bank questions of
 :class:`~repro.memory.backend.MemoryBackend` itself, as a bank of width 1
@@ -290,18 +292,18 @@ class ORAMBackend(MemoryBackend):
         a full path access that occupies the channel.  Returns the
         completion cycle.
         """
-        start = max(now, self.busy_until)
         self.oram.dummy_access(kind="padding")
         self.stats.dummy_accesses += 1
         self.stats.memory_accesses += 1
-        # Padding must look identical to every other dummy: charged at
-        # the public per-path cost, never streamed through the leaf-aware
-        # scheduler (its leaf is secret by construction).
-        path_cycles = self.interconnect.path_cycles
-        self.interconnect.note_untracked(1)
-        completion = start + path_cycles
+        # Padding must look identical to every other dummy: a train of one
+        # eviction, charged by the interconnect's rule for untracked paths
+        # and never streamed through the leaf-aware scheduler (its leaf is
+        # secret by construction).
+        start, _, _, completion = self.interconnect.train(
+            now, self.busy_until, 1, 0, None
+        )
         self.busy_until = completion
-        self.stats.busy_cycles += path_cycles
+        self.stats.busy_cycles += completion - start
         return completion
 
     # ------------------------------------------------------- fault resilience
@@ -368,17 +370,15 @@ class ORAMBackend(MemoryBackend):
         """The one point where a request enters the access pipeline.
 
         Demand misses, prefetches and dirty write-backs all issue here:
-        queued behind whatever the controller is doing (timing is strictly
-        serialized, section 2.6), then one
-        :meth:`~repro.controller.pipeline.AccessPipeline.execute`.
+        one :meth:`~repro.controller.pipeline.AccessPipeline.execute`,
+        whose train the interconnect queues behind whatever the controller
+        is doing (requests are served one at a time, section 2.6).
         ``run_scheme`` is false for write-backs (Algorithms 1 and 2 only
         run on fetches); ``kind`` only labels the span when tracing is on.
 
         Returns (completion_cycle, FetchOutcome-or-None).
         """
-        return self.pipeline.execute(
-            addr, max(now, self.busy_until), run_scheme, kind
-        )
+        return self.pipeline.execute(addr, now, run_scheme, kind)
 
     # ----------------------------------------------------------------- access
     def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:

@@ -126,9 +126,11 @@ class PeriodicORAMBackend(ORAMBackend):
         """Advance the schedule past an access train, staying on the grid.
 
         The next slot is the first grid point at least ``Oint`` after the
-        train completes.  ``completion >= slot + path_cycles`` always, so
-        at least one whole period elapses.
+        train completes.  ``completion > slot`` is all that holds -- an
+        open-page row hit streams a path in less than ``path_cycles`` --
+        and all it takes: the ceiling still rounds up to one whole period.
         """
+        assert completion > slot, (slot, completion)
         period = self._period
         gaps = -(-(completion + self.interval - slot) // period)
         self._next_slot = slot + gaps * period
@@ -149,7 +151,10 @@ class PeriodicORAMBackend(ORAMBackend):
 
     def _issue(self, addr: int, now: int, run_scheme: bool, kind: str) -> tuple:
         """Every request -- demand, prefetch, dirty write-back -- issues at
-        its grid slot, and the schedule resumes on the grid after it."""
+        its grid slot, and the schedule resumes on the grid after it.  The
+        slot is the arrival the interconnect's train sees: the controller
+        went idle at least ``Oint`` before it, so no activation of the
+        train starts before the slot."""
         slot = self._claim_slot(now)
         issued = super()._issue(addr, slot, run_scheme, kind)
         self._schedule_after(slot, issued[0])

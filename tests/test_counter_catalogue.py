@@ -226,6 +226,7 @@ def oracle_interconnect_summary(interconnect):
         "row_hits": sum(c["row_hits"] for c in reports),
         "row_misses": sum(c["row_misses"] for c in reports),
         "bank_wait_cycles": sum(c["bank_wait_cycles"] for c in reports),
+        "hidden_latency_cycles": interconnect.hidden_latency_cycles,
         "treetop_hits": interconnect.treetop_hits,
         "treetop_bytes_saved": interconnect.treetop_bytes_saved,
         "path_cycles": interconnect.path_cycles,
@@ -255,6 +256,9 @@ def oracle_interconnect_to_registry(interconnect, registry, prefix):
         )
     registry.gauge(f"{prefix}.stream_efficiency").set(
         round(oracle_interconnect_summary(interconnect)["stream_efficiency"], 6)
+    )
+    registry.counter(f"{prefix}.hidden_latency_cycles").set(
+        interconnect.hidden_latency_cycles
     )
     horizon = interconnect.last_completion
     for index, channel in enumerate(oracle_channel_reports(interconnect)):
@@ -287,6 +291,7 @@ def oracle_interconnect_state(interconnect):
         "untracked_paths": interconnect.untracked_paths,
         "streamed_cycles_total": interconnect.streamed_cycles_total,
         "last_completion": interconnect.last_completion,
+        "hidden_latency_cycles": interconnect.hidden_latency_cycles,
         "treetop_hits": interconnect.treetop_hits,
         "treetop_bytes_saved": interconnect.treetop_bytes_saved,
         "channels": oracle_channel_reports(interconnect),

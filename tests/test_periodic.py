@@ -1,5 +1,7 @@
 """Unit tests for the periodic (timing-channel protected) ORAM backend."""
 
+import pytest
+
 from repro.config import DRAMConfig, ORAMConfig, TimingProtectionConfig
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.observability import InMemoryRecorder
@@ -9,10 +11,10 @@ from repro.security.observer import AccessObserver
 from repro.utils.rng import DeterministicRng
 
 
-def make_backend(interval=100, observer=None):
+def make_backend(interval=100, observer=None, oram=None, dram=None):
     return PeriodicORAMBackend(
-        ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5),
-        DRAMConfig(),
+        oram or ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5),
+        dram or DRAMConfig(),
         BaselineScheme(),
         DeterministicRng(4),
         TimingProtectionConfig(interval_cycles=interval),
@@ -63,16 +65,16 @@ class TestSlotGridInvariant:
     issues at a cycle congruent to 0 modulo ``path_cycles + Oint``.
     """
 
-    def test_issue_times_congruent_mod_period(self):
-        backend = make_backend(interval=100)
+    @staticmethod
+    def drive_bursty_mix(backend):
+        """Back-to-back demands, dirty write-backs, prefetches, and idle
+        stretches that land arrivals mid-slot; returns the recorder."""
         recorder = InMemoryRecorder()
         backend.set_recorder(recorder)
         period = backend.interconnect.path_cycles + backend.interval
         rng = DeterministicRng(9)
         now = 0
         for i in range(60):
-            # Bursty mix: back-to-back demands, dirty write-backs,
-            # prefetches, and idle stretches that land arrivals mid-slot.
             choice = rng.randbelow(4)
             if choice == 0:
                 result = backend.demand_access(
@@ -98,6 +100,50 @@ class TestSlotGridInvariant:
         ]
         assert dummy_slots
         assert all(slot % period == 0 for slot in dummy_slots)
+        return recorder
+
+    def test_issue_times_congruent_mod_period(self):
+        self.drive_bursty_mix(make_backend(interval=100))
+
+    @pytest.mark.parametrize("model, k", [("flat", 0), ("channel", 0), ("channel", 4)])
+    def test_trains_issue_on_the_grid_and_activate_inside_their_slot(self, model, k):
+        """Multi-path trains (a 3-entry PosMap cache: most requests walk)
+        under both interconnects.  The channel model's train may start
+        activating ``W`` cycles before the controller's clock runs out --
+        but never before its slot: the grid leaves the controller idle for
+        ``Oint`` ahead of every slot, so the slot is the train's first
+        activation and nothing of the train is visible earlier."""
+        backend = make_backend(
+            interval=100,
+            oram=ORAMConfig(
+                levels=7, bucket_size=4, stash_blocks=50, utilization=0.5,
+                posmap_entries_per_block=4, posmap_cache_entries=3, treetop_levels=k,
+            ),
+            dram=DRAMConfig(model=model, num_channels=4 if model == "channel" else 1),
+        )
+        interconnect = backend.interconnect
+        trains, activations = [], []
+        train, path_completion = interconnect.train, interconnect.path_completion
+
+        def spy_train(arrival, busy_until, evictions, extra, leaf):
+            marks = train(arrival, busy_until, evictions, extra, leaf)
+            trains.append((arrival, busy_until, extra, marks))
+            return marks
+
+        def spy_path(leaf, start, *head):
+            activations.append(start - sum(head))
+            return path_completion(leaf, start, *head)
+
+        interconnect.train, interconnect.path_completion = spy_train, spy_path
+        recorder = self.drive_bursty_mix(backend)
+        assert len(trains) == len(activations) == recorder.span_count()
+        assert sum(extra > 0 for _, _, extra, _ in trains) >= 10
+        for (slot, busy_until, _extra, marks), activate in zip(trains, activations):
+            assert slot % backend._period == 0
+            assert busy_until + backend.interval <= slot
+            assert marks[0] == slot <= activate
+        if model == "channel":  # the demand path did run ahead of its turn
+            assert interconnect.hidden_latency_cycles > 0
 
     def test_mid_slot_arrival_burns_open_slot_as_dummy(self):
         backend = make_backend(interval=100)

@@ -14,6 +14,19 @@ only here) as an oracle:
   body with a slot claim spliced in) instead of the one ``_issue``
   override.
 
+Under the flat interconnect that reference is unchanged: the serial train
+``extra * T + streamed + evictions * T`` behind ``max(now, busy_until)``
+(the parent's ``_issue`` line, which now opens :meth:`ReferencePipeline.
+execute` because the production backend hands the arrival to the
+interconnect instead).  Under the channel model the three ``Channel*Phase``
+classes charge the pipelined train of DESIGN.md section 11, written for
+clarity rather than speed: an explicit per-path event list -- one loop
+iteration per path, ``max()`` spelled out -- built for the evictions and
+the PosMap walk *before the demand leaf exists* (the marks are public),
+then the demand path through the bank/row rules one request at a time, and
+the hidden latency as its definition (the first access's array latency
+minus what the request's clock saw of it).
+
 Both worlds are driven by the same seeded mix of demand misses,
 prefetches, dirty and clean LLC evictions, LLC hits, degraded-mode
 toggles and idle gaps, and must agree on every completion cycle,
@@ -22,6 +35,7 @@ interconnect summary, the emitted records (key order included), the stash
 in order and the state every RNG is left in.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -44,6 +58,7 @@ class AccessContext:
     __slots__ = (
         "addr", "start", "run_scheme", "evictions", "extra", "fault_delay",
         "members", "blocks", "outcome", "leaf", "streamed_cycles",
+        "arrival", "busy_until", "events",
     )
 
     def __init__(self, addr, start, run_scheme):
@@ -132,6 +147,108 @@ class WritebackPhase:
 DEFAULT_PHASES = (PosMapPhase(), PathReadPhase(), RemapPhase(), WritebackPhase())
 
 
+# ---------------------------------- the channel model's train, path by path
+#: One path of a train: when its row activations issue, when it came onto
+#: the request's clock (``mark``: the end of its predecessor's burst, or the
+#: train's start) and when its burst holds the bus.
+PathEvent = collections.namedtuple(
+    "PathEvent", "kind activate mark burst_start burst_end"
+)
+
+
+def train_constants(interconnect):
+    latency = interconnect.dram.latency_cycles
+    burst = interconnect.path_cycles - latency
+    return latency, burst, burst // 2  # L, B, W: the write-back half
+
+
+class ChannelPosMapPhase(PosMapPhase):
+    """Lays out the untracked paths of the train -- every eviction, then
+    every PosMap path -- from public values only: the demand leaf is not
+    known yet."""
+
+    def cycles(self, backend, ctx):
+        latency, burst, overlap = train_constants(backend.interconnect)
+        bus_free = ctx.busy_until
+        mark = ctx.start
+        activate = max(ctx.arrival, ctx.busy_until - overlap)
+        ctx.events = []
+        for kind in ["writeback"] * ctx.evictions + ["posmap"] * ctx.extra:
+            burst_start = max(bus_free, activate + latency)
+            bus_free = burst_start + burst
+            ctx.events.append(PathEvent(kind, activate, mark, burst_start, bus_free))
+            mark = bus_free
+            activate = burst_start + (burst - overlap)  # its read half is on chip
+        backend.interconnect.hidden_latency_cycles += sum(
+            latency - (event.burst_start - event.mark) for event in ctx.events
+        )
+        return sum(
+            event.burst_end - event.mark for event in ctx.events if event.kind == "posmap"
+        )
+
+
+class ChannelPathReadPhase(PathReadPhase):
+    """The demand path: the bank/row rules request by request from its
+    activation cycle, its burst queued behind the bus."""
+
+    def cycles(self, backend, ctx):
+        interconnect = backend.interconnect
+        dram = interconnect.dram
+        gang = interconnect.gang
+        latency, burst, overlap = train_constants(interconnect)
+        if ctx.events:
+            last = ctx.events[-1]
+            activate = last.burst_start + (burst - overlap)
+            bus_free = mark = last.burst_end
+        else:
+            activate = max(ctx.arrival, ctx.busy_until - overlap)
+            bus_free = ctx.busy_until
+            mark = ctx.start
+        ready = []
+        for bank, row in interconnect._plan(ctx.leaf):
+            begin = max(activate, gang.bank_free.get(bank, 0))
+            gang.bank_wait_cycles += begin - activate
+            if dram.page_policy == "open" and gang.open_row.get(bank) == row:
+                done = begin + dram.row_hit_cycles
+                gang.row_hits += 1
+            else:
+                done = begin + latency
+                gang.row_misses += 1
+            gang.requests += 1
+            gang.bank_free[bank] = done
+            if dram.page_policy == "open":
+                gang.open_row[bank] = row
+            ready.append(done)
+        burst_start = max(bus_free, ready[0])
+        gang.bus_free = burst_start + burst
+        completion = max(gang.bus_free, max(ready))
+        ctx.events.append(PathEvent("path_read", activate, mark, burst_start, completion))
+        interconnect.streamed_paths += 1
+        interconnect.streamed_cycles_total += completion - mark
+        interconnect.hidden_latency_cycles += (ready[0] - activate) - (burst_start - mark)
+        interconnect.treetop_hits += interconnect.treetop_levels
+        interconnect.treetop_bytes_saved += (
+            interconnect.treetop_levels * interconnect.bucket_bytes
+        )
+        interconnect.last_completion = max(interconnect.last_completion, completion)
+        ctx.streamed_cycles = completion - mark
+        return ctx.streamed_cycles
+
+
+class ChannelWritebackPhase(WritebackPhase):
+    def cycles(self, backend, ctx):
+        return sum(
+            event.burst_end - event.mark
+            for event in ctx.events
+            if event.kind == "writeback"
+        )
+
+
+CHANNEL_PHASES = (
+    ChannelPosMapPhase(), ChannelPathReadPhase(), RemapPhase(), ChannelWritebackPhase()
+)
+
+
 class ReferencePipeline:
     def __init__(self, backend, phases=DEFAULT_PHASES):
         self.backend = backend
@@ -140,15 +257,20 @@ class ReferencePipeline:
         self.phase_cycles["fault"] = 0
         self.requests = 0
 
-    def execute(self, addr, start, run_scheme, kind="demand"):
+    def execute(self, addr, now, run_scheme, kind="demand"):
         backend = self.backend
+        start = max(now, backend.busy_until)  # the parent's ``_issue``
         ctx = AccessContext(addr, start, run_scheme)
+        ctx.arrival = now
+        ctx.busy_until = backend.busy_until
         phase_cycles = self.phase_cycles
         recorder = backend.recorder
         if recorder is None:
+            span_phases = {}
             for phase in self.phases:
                 phase.run(backend, ctx)
-                phase_cycles[phase.name] += phase.cycles(backend, ctx)
+                span_phases[phase.name] = phase.cycles(backend, ctx)
+                phase_cycles[phase.name] += span_phases[phase.name]
         else:
             scheme_stats = backend.scheme.stats
             merges_before = scheme_stats.merges
@@ -167,11 +289,14 @@ class ReferencePipeline:
         serialized = ctx.evictions + ctx.extra
         if serialized:
             interconnect.note_untracked(serialized)
-        latency = (
-            serialized * interconnect.path_cycles
-            + ctx.streamed_cycles
-            + ctx.fault_delay
-        )
+        if interconnect.model == "flat":
+            latency = (
+                serialized * interconnect.path_cycles
+                + ctx.streamed_cycles
+                + ctx.fault_delay
+            )
+        else:
+            latency = sum(span_phases.values()) + ctx.fault_delay
         completion = start + latency
         backend.busy_until = completion
         stats.memory_accesses += ctx.extra + 1
@@ -280,7 +405,8 @@ def build_backend(
     else:
         backend = ORAMBackend(*args, **wiring)
     if reference:
-        backend.pipeline = ReferencePipeline(backend)
+        phases = DEFAULT_PHASES if config.dram.model == "flat" else CHANNEL_PHASES
+        backend.pipeline = ReferencePipeline(backend, phases)
     recorder = InMemoryRecorder() if traced else None
     backend.set_recorder(recorder)
     return backend, recorder
@@ -422,12 +548,14 @@ def test_latency_identity(requests, model, scheme, faults):
     """Attributed cycles are busy cycles: the three cycle terms feed both.
 
     ``dummy_path_access`` (health-plane padding) is the one way a backend
-    is busy outside the pipeline, at the public per-path cost.
+    is busy outside the pipeline: a train of one eviction, so its cycles
+    are counted as the interconnect charged them -- ``T`` on the flat model
+    and on idle memory, the burst alone when it queued behind a real path.
     """
     backend, recorder = build_backend(
         system_config(model, 0), scheme, faults=faults, traced=True
     )
-    now = padding_paths = 0
+    now = padding_cycles = 0
     for kind, addr, gap in requests:
         now += gap
         if kind == "demand":
@@ -437,14 +565,13 @@ def test_latency_identity(requests, model, scheme, faults):
         elif kind == "writeback":
             backend.evict_line(addr, dirty=True, now=now)
         else:
-            backend.dummy_path_access(now)
-            padding_paths += 1
+            start = max(now, backend.busy_until)
+            padding = backend.dummy_path_access(now) - start
+            assert 0 < padding <= backend.interconnect.path_cycles
+            assert model == "channel" or padding == backend.interconnect.path_cycles
+            padding_cycles += padding
     pipeline = backend.pipeline
-    assert (
-        sum(pipeline.phase_cycles.values())
-        + padding_paths * backend.interconnect.path_cycles
-        == backend.stats.busy_cycles
-    )
+    assert sum(pipeline.phase_cycles.values()) + padding_cycles == backend.stats.busy_cycles
     assert pipeline.phase_cycles["remap"] == 0
     assert recorder.span_count() == pipeline.requests
     for span in recorder.spans():

@@ -262,18 +262,23 @@ class TestTruncatedTiming:
         so T(k=0) = 50 + 18 x 64 = 1,202 and T(k=4) = 50 + 14 x 64 = 946:
         1,202 / 946 = 1.2706x.  Subtree tiles are as tall as the treetop
         (h = 4), so pinning removes exactly the root tile.  With ganged
-        channels a path streams in T, or in T - 25 when its first tile's row
-        is still open (a 25-cycle row hit instead of the 50-cycle miss).
-        At k = 0 the first tile is the root tile every path shares: 1,359
-        of the 1,982 requests hit it, 1,359 x 1,177 + 623 x 1,202 =
-        2,348,389 (1184.86).  At k = 4 it is one of 16 tier-1 tiles: 257
-        hits, 257 x 921 + 1,725 x 946 = 1,868,547 (942.76).  The measured
-        ratio is therefore 1.257x, just under the analytic one (the treetop
-        also pins the row the hits came from).  The old 1.25x floor is
-        still honest -- 0.5% of margin, as thin as before -- and the
-        analytic ratio bounds the cell from above.  (The tile-per-channel
-        layout this replaced measured
-        5,009,031 -> 3,921,517 = 1.277x at more than twice the cycles.)
+        channels a lone path streams in T, or in T - 25 when its first tile's
+        row is still open (a 25-cycle row hit instead of the 50-cycle miss);
+        160 of the 1,982 requests walk the PosMap first, and their demand
+        path's first access -- hit or miss -- runs under the last PosMap
+        path's write-back half, leaving the burst alone (T - 50) on the
+        request's clock.  At k = 0 the first tile is the root tile every
+        path shares: 160 x 1,152 + 1,252 x 1,177 + 570 x 1,202 = 2,343,064
+        (1182.17).  At k = 4 it is one of 16 tier-1 tiles, so hits are rare:
+        160 x 896 + 237 x 921 + 1,585 x 946 = 1,861,047 (938.97).  The
+        measured ratio is therefore 1.259x, just under the analytic one (the
+        treetop also pins the row the hits came from).  The old 1.25x floor
+        is still honest -- 0.7% of margin, as thin as before -- and the
+        analytic ratio bounds the cell from above.  (The serial train this
+        replaced charged the 160 paths like lone ones: 2,348,389 ->
+        1,868,547 = 1.257x.  The tile-per-channel layout before that
+        measured 5,009,031 -> 3,921,517 = 1.277x at more than twice the
+        cycles.)
         """
         trace = locality_mix_trace(0.8, accesses=2000)
         path_read = {}
@@ -294,8 +299,8 @@ class TestTruncatedTiming:
             result = system.run(trace)
             assert system.backend.pipeline.requests == 1_982
             path_read[k] = result.extra["phase_path_read_cycles"]
-        assert path_read == {0: 2_348_389, 4: 1_868_547}
-        # 1184.86 -> 942.76 = 1.257x, between the floor and T(0) / T(4)
+        assert path_read == {0: 2_343_064, 4: 1_861_047}
+        # 1182.17 -> 938.97 = 1.259x, between the floor and T(0) / T(4)
         assert 1.25 <= path_read[0] / path_read[4] <= 1_202 / 946
 
 
