@@ -7,7 +7,8 @@ pairing blocks halves both the access count and the bucket traffic of a
 sequential workload, exactly as on Path ORAM.
 """
 
-from repro.oram.tree_oram import ShiTreeORAM, merge_pairs
+from repro.controller.mixins import merge_pairs
+from repro.oram.tree_oram import ShiTreeORAM
 from repro.utils.rng import DeterministicRng
 
 from benchmarks.figutils import FAST, record_table

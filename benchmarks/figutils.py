@@ -35,27 +35,14 @@ RESULTS_DIR = Path(__file__).parent / "results"
 RECORDED_TABLES: "Dict[str, str]" = {}
 
 #: session-wide simulation cache so figures sharing runs (8a/8b/8c and 9)
-#: pay for each (workload, scheme, config) once
+#: pay for each (workload, scheme, config) once; the key holds the whole
+#: (frozen, hashable) ``SystemConfig``, so a bench varying any field misses
 _RESULT_CACHE: Dict[tuple, SimResult] = {}
 
 
 def benchmark_trace(name: str, accesses: Optional[int] = None) -> Trace:
     """``named_trace`` at the figure benches' default length."""
     return named_trace(name, accesses if accesses is not None else ACCESSES)
-
-
-def _config_key(config: SystemConfig) -> tuple:
-    oram = config.oram
-    return (
-        oram.bucket_size,
-        oram.utilization,
-        oram.stash_blocks,
-        oram.block_bytes,
-        oram.max_super_block_size,
-        config.dram.bandwidth_gbps,
-        config.llc.capacity_bytes,
-        config.timing_protection.interval_cycles,
-    )
 
 
 def run_benchmark_schemes(
@@ -71,7 +58,7 @@ def run_benchmark_schemes(
     missing = []
     out: Dict[str, SimResult] = {}
     for scheme in schemes:
-        key = (workload, scheme, n, _config_key(config))
+        key = (workload, scheme, n, config)
         if key in _RESULT_CACHE:
             out[scheme] = _RESULT_CACHE[key]
         else:
@@ -80,7 +67,7 @@ def run_benchmark_schemes(
         trace = benchmark_trace(workload, accesses=n)
         fresh = run_schemes(trace, missing, config=config, warmup_fraction=WARMUP, **kwargs)
         for scheme, result in fresh.items():
-            _RESULT_CACHE[(workload, scheme, n, _config_key(config))] = result
+            _RESULT_CACHE[(workload, scheme, n, config)] = result
             out[scheme] = result
     return out
 

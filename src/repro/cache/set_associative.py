@@ -46,11 +46,6 @@ class SetAssociativeCache:
         self.evictions = 0
         self.probe_count = 0
 
-    def _set_for(self, addr: int) -> "OrderedDict[int, bool]":
-        # Kept for tests/introspection; the access methods below inline the
-        # index arithmetic (they are called millions of times per run).
-        return self._sets[addr % self._num_sets]
-
     # ----------------------------------------------------------------- access
     def lookup(self, addr: int, is_write: bool = False) -> bool:
         """Demand access: True on hit.  Updates LRU order and dirty state."""

@@ -10,7 +10,8 @@
   :class:`~repro.oram.path_oram.PathORAM` and reads its ``position_map``,
   ``stash`` and ``_pending_writeback``;
 * :mod:`repro.controller.mixins` -- the stash/eviction/placement logic
-  the scheme zoo shares;
+  the scheme zoo shares, the tree schemes' one invariant audit, and
+  ``merge_pairs``;
 * :mod:`repro.controller.pipeline` -- :class:`AccessPipeline`, the one
   function every ``ORAMBackend`` request runs (PosMap walk -> path read ->
   remap -> write-back), with per-phase cycle and fault accounting;

@@ -5,7 +5,10 @@ et al. tree ORAM each carried private copies of the same four routines:
 validating that super-block members share a leaf, placing a block as deep
 as possible on its path at population time, writing the stash back onto a
 path greedily (deepest level first), and draining the stash with bounded
-background evictions.  These mixins are the single home of that logic.
+background evictions.  These mixins are the single home of that logic,
+together with the invariant check the three tree schemes share
+(:class:`TreeAuditMixin`) and the static pairing that demonstrates the
+paper's section 6.1 claim on Ring ORAM and the Shi tree (:func:`merge_pairs`).
 
 The hot-path exception: :meth:`PathORAM._evict_path` keeps its
 hand-inlined specialization of :meth:`GreedyWritebackMixin._greedy_writeback`
@@ -18,7 +21,9 @@ agreement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Sequence, Tuple
+
+from repro.utils.bitops import is_power_of_two
 
 if TYPE_CHECKING:  # imported lazily: repro.oram modules import these mixins
     from repro.oram.block import Block
@@ -152,3 +157,54 @@ class BoundedDrainMixin:
             self.dummy_access()
             evictions += 1
         return evictions
+
+
+class TreeAuditMixin:
+    """``check_invariants`` for the tree schemes: one audit, first finding.
+
+    Path ORAM, Ring ORAM and the Shi tree keep their blocks in a
+    :class:`~repro.oram.tree.BinaryTree` and share one invariant -- every
+    block lives on the path of its mapped leaf or on-chip -- so all three
+    are audited by :func:`repro.faults.fsck.audit_tree`.  Implementors have
+    ``tree`` and ``num_blocks`` (and ``merkle`` when they verify integrity)
+    and provide :meth:`_audit_view`.
+    """
+
+    def _audit_view(self) -> Tuple[Callable[[int], int], Mapping[int, Block]]:
+        """``(mapped leaf of an address, on-chip blocks by address)``."""
+        raise NotImplementedError
+
+    def audit(self, max_errors: int = 16):
+        """The :class:`~repro.faults.fsck.FsckReport` of this tree ORAM."""
+        from repro.faults.fsck import audit_tree
+
+        leaf_of, on_chip = self._audit_view()
+        return audit_tree(
+            self.tree, leaf_of, on_chip, self.num_blocks,
+            getattr(self, "merkle", None), max_errors,
+        )
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` on the audit's first finding."""
+        report = self.audit(max_errors=1)
+        if not report.ok:
+            raise AssertionError(report.errors[0])
+
+
+def merge_pairs(oram, sbsize: int = 2) -> None:
+    """Statically merge aligned groups on a leaf-mapped tree scheme.
+
+    The super block invariant on Ring ORAM or the Shi tree: each member of
+    every aligned ``sbsize`` group is fetched individually (they may sit on
+    different paths) and remapped to the group's one random leaf, exactly
+    as the static scheme's initialization does for Path ORAM.
+    """
+    if not is_power_of_two(sbsize):
+        raise ValueError("super block size must be a power of two")
+    for base in range(0, oram.num_blocks, sbsize):
+        members = range(base, min(base + sbsize, oram.num_blocks))
+        if len(members) < 2:
+            continue
+        target = oram.rng.random_leaf(oram.tree.num_leaves)
+        for addr in members:
+            oram.access([addr], new_leaf=target)

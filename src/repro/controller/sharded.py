@@ -356,9 +356,12 @@ class ShardedORAMBank(MemoryBackend):
         return snapshots
 
     def check_invariants(self) -> None:
-        """Audit every channel's ORAM (tests / fsck)."""
-        for shard in self.shards:
-            shard.oram.check_invariants()
+        """Raise ``AssertionError`` on the first finding of the bank audit."""
+        from repro.faults.fsck import run_fsck_bank
+
+        report = run_fsck_bank(self, max_errors=1)
+        if not report.ok:
+            raise AssertionError(report.errors[0])
 
 
 # ------------------------------------------------------------- construction

@@ -1,31 +1,33 @@
 """Consistency checker for an ORAM instance (the recovery ladder's auditor).
 
-``fsck`` for an oblivious store: walks the position map, the tree, and the
-stash, and accumulates every violation of the Path ORAM invariants into a
-:class:`FsckReport` instead of dying on the first assert (the point of a
-recovery audit is a complete picture).  For Merkle-verified ORAMs it also
-recomputes the whole hash tree from the bucket contents and compares the
-fresh root against the trusted on-chip root -- the rollback adversary's
-last hiding place.
+``fsck`` for an oblivious store: walks the tree and the on-chip blocks
+against the position map, and accumulates every violation of the tree-ORAM
+invariants into a :class:`FsckReport` instead of dying on the first assert
+(the point of a recovery audit is a complete picture).  For Merkle-verified
+ORAMs it also recomputes the whole hash tree from the bucket contents and
+compares the fresh root against the trusted on-chip root -- the rollback
+adversary's last hiding place.
 
 The resilient access path runs this after every checkpoint restore and
 before every checkpoint capture; tests use it to prove recovery really
 reconverged rather than merely stopped raising.
 
-:func:`run_fsck` dispatches on the store's shape: Path ORAM instances
-(anything with ``tree``/``position_map``/``stash``) get the deep
-bucket-by-bucket audit below; every other
-:class:`~repro.controller.scheme.ORAMScheme` implementation (Ring ORAM,
-the Shi tree ORAM, the square-root ORAM) is audited through its own
-``check_invariants`` with violations folded into the same
-:class:`FsckReport`.  :func:`run_fsck_bank` audits every channel of a
+:func:`audit_tree` is the one audit of the three tree schemes (Path ORAM,
+Ring ORAM, the Shi tree ORAM): :func:`run_fsck` reports it, and their
+``check_invariants`` (:class:`~repro.controller.mixins.TreeAuditMixin`)
+raises its first finding.  The square-root ORAM keeps its own permutation
+audit, folded into the same :class:`FsckReport` by :func:`_fsck_scheme`.
+:func:`run_fsck_bank` audits every channel of a
 :class:`~repro.controller.sharded.ShardedORAMBank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from itertools import islice
+from typing import Iterator, List
+
+from repro.controller.mixins import TreeAuditMixin
 
 
 class FsckError(RuntimeError):
@@ -64,141 +66,127 @@ class FsckReport:
 def run_fsck(oram, max_errors: int = 16) -> FsckReport:
     """Audit an oblivious store and report every violation found.
 
-    Path ORAM instances get the deep audit of
-    :func:`_fsck_path_oram`; any other scheme implementing the
-    ``ORAMScheme`` protocol is audited via :func:`_fsck_scheme` (its own
-    ``check_invariants`` plus an on-chip census).
+    The tree schemes (Path ORAM, Ring ORAM, the Shi tree) get
+    :func:`audit_tree`; the square-root ORAM, which has no tree, is
+    audited via :func:`_fsck_scheme` (its own permutation audit plus an
+    on-chip census).
     """
-    if (
-        hasattr(oram, "tree")
-        and hasattr(oram, "position_map")
-        and hasattr(oram, "stash")
-    ):
-        return _fsck_path_oram(oram, max_errors)
+    if isinstance(oram, TreeAuditMixin):
+        return oram.audit(max_errors)
     return _fsck_scheme(oram, max_errors)
 
 
-def _fsck_path_oram(oram, max_errors: int = 16) -> FsckReport:
-    """Audit posmap<->tree<->stash consistency and root-hash agreement.
+def audit_tree(
+    tree, leaf_of, on_chip, num_blocks: int, merkle=None, max_errors: int = 16
+) -> FsckReport:
+    """The tree-ORAM audit: one walk over the buckets and the on-chip blocks.
 
-    Checks, in order:
+    ``tree`` is the scheme's :class:`~repro.oram.tree.BinaryTree`,
+    ``leaf_of(addr)`` the mapped leaf of an address, ``on_chip`` the
+    blocks held on-chip by address (stash or overflow area), and
+    ``merkle`` the trusted hash tree of a Merkle-verified ORAM.  Checks:
 
     * every bucket holds at most ``Z`` blocks;
-    * every block appears exactly once across tree + stash;
-    * every block's leaf field matches its position map entry;
-    * every tree-resident block sits on the path of its mapped leaf;
-    * every position-map address resolves to exactly one location
-      (missing addresses are reported by name, not just as a census
-      delta);
-    * for Merkle-verified ORAMs: a from-scratch recomputation of the hash
-      tree reproduces the trusted root.
+    * every block address is in ``[0, num_blocks)``;
+    * every block appears exactly once across tree and on-chip blocks;
+    * every block's own leaf equals its mapped leaf (eviction routes a
+      block by the former, placement is judged by the latter);
+    * every tree block sits on the path of its mapped leaf;
+    * every address is present -- a missing one is reported by name --
+      and the census adds up;
+    * with ``merkle``: a from-scratch recomputation of the hash tree
+      reproduces the trusted root.
 
-    One address -> location index is built in a single tree walk and
-    reused by every later check: the audit is O(B) in the total block
-    count.  (An earlier revision re-scanned the tree per address --
-    ``ORAMTree.find()`` style O(N * B) -- which made post-recovery audits
-    of large shards the slowest step of the recovery ladder.)
-
-    Error accumulation stops at ``max_errors`` (a badly mangled tree would
-    otherwise produce one error per block).
+    Each block is judged where the walk meets it, so the audit is O(B)
+    in the block count, and its only scratch space is one
+    ``bytearray(num_blocks)`` of presence flags.  Findings stop at
+    ``max_errors`` (a badly mangled tree would otherwise produce one per
+    block); ``check_invariants`` asks for one.
     """
-    report = FsckReport(expected_blocks=oram.position_map.num_blocks)
-    errors = report.errors
+    report = FsckReport(expected_blocks=num_blocks)
+    report.errors.extend(
+        islice(_tree_findings(report, tree, leaf_of, on_chip, merkle), max_errors)
+    )
+    return report
 
-    def record(message: str) -> bool:
-        if len(errors) < max_errors:
-            errors.append(message)
-        return len(errors) >= max_errors
 
-    tree = oram.tree
-    posmap = oram.position_map
-    z = oram.config.bucket_size
-    # Pass 1 -- the only full tree walk: bucket bounds, duplicate
-    # detection, and the address -> (location, block) index every
-    # subsequent check reuses.
-    seen: Dict[int, str] = {}
-    located: Dict[int, tuple] = {}  # addr -> (bucket index | None, block)
-    for index in range(tree.num_buckets):
-        bucket = tree.bucket(index)
-        if len(bucket) > z:
-            if record(f"bucket {index} holds {len(bucket)} blocks > Z={z}"):
-                return report
-        for block in bucket:
-            report.blocks_in_tree += 1
-            if not 0 <= block.addr < report.expected_blocks:
-                if record(f"bucket {index}: block address {block.addr} out of range"):
-                    return report
-                continue
-            if block.addr in seen:
-                if record(
-                    f"block {block.addr} duplicated (tree bucket {index} "
-                    f"and {seen[block.addr]})"
-                ):
-                    return report
-                continue
-            seen[block.addr] = f"tree bucket {index}"
-            located[block.addr] = (index, block)
-    for addr, block in oram.stash.items():
+def _tree_findings(report: FsckReport, tree, leaf_of, on_chip, merkle) -> Iterator[str]:
+    """The findings of :func:`audit_tree`, lazily, counting into ``report``."""
+    num_blocks = report.expected_blocks
+    present = bytearray(num_blocks)
+    z = tree.bucket_size
+    for level in range(tree.levels + 1):
+        # Bucket ``index`` of this level lies on the path of ``leaf`` iff
+        # ``first + (leaf >> shift) == index``.
+        first, shift = (1 << level) - 1, tree.levels - level
+        for index in range(first, 2 * first + 1):
+            bucket = tree.bucket(index)
+            if len(bucket) > z:
+                yield f"bucket {index} holds {len(bucket)} blocks > Z={z}"
+            for block in bucket:
+                report.blocks_in_tree += 1
+                addr = block.addr
+                if not 0 <= addr < num_blocks:
+                    yield f"bucket {index}: block address {addr} out of range"
+                    continue
+                if present[addr]:
+                    yield (
+                        f"block {addr} duplicated (tree bucket {index} "
+                        "and an earlier bucket)"
+                    )
+                    continue
+                present[addr] = 1
+                mapped = leaf_of(addr)
+                if block.leaf != mapped:
+                    yield (
+                        f"block {addr} (tree bucket {index}): copy leaf "
+                        f"{block.leaf} != mapped leaf {mapped}"
+                    )
+                if first + (mapped >> shift) != index:
+                    yield f"block {addr} (leaf {mapped}) off-path at bucket {index}"
+    for addr, block in on_chip.items():
         report.blocks_in_stash += 1
-        if addr in seen:
-            if record(f"block {addr} in both stash and {seen[addr]}"):
-                return report
+        if not 0 <= addr < num_blocks:
+            yield f"stash: block address {addr} out of range"
             continue
-        seen[addr] = "stash"
-        located[addr] = (None, block)
-    # Pass 2 -- per-address invariants, all answered from the index (dict
-    # lookups, no tree scans): presence, leaf agreement, path placement.
-    for addr in range(report.expected_blocks):
-        location = located.get(addr)
-        if location is None:
-            if record(f"block {addr} missing from both tree and stash"):
-                return report
+        if present[addr]:
+            yield f"block {addr} in both stash and tree"
             continue
-        index, block = location
-        mapped = posmap.leaf(addr)
+        present[addr] = 1
+        mapped = leaf_of(addr)
         if block.leaf != mapped:
-            where = "stash" if index is None else f"tree bucket {index}"
-            if record(
-                f"block {addr} ({where}): copy leaf {block.leaf} != "
-                f"posmap leaf {mapped}"
-            ):
-                return report
-        if index is not None:
-            level = (index + 1).bit_length() - 1
-            if tree.bucket_index(level, mapped) != index:
-                if record(
-                    f"block {addr} (leaf {mapped}) off-path at bucket {index}"
-                ):
-                    return report
-    if len(seen) != report.expected_blocks:
-        record(
-            f"block census mismatch: {len(seen)} distinct blocks found, "
-            f"{report.expected_blocks} expected"
+            yield f"block {addr} (stash): copy leaf {block.leaf} != mapped leaf {mapped}"
+    missing = present.find(0)
+    while missing >= 0:
+        yield f"block {missing} missing from both tree and stash"
+        missing = present.find(0, missing + 1)
+    found = num_blocks - present.count(0)
+    if found != num_blocks:
+        yield (
+            f"block census mismatch: {found} distinct blocks found, "
+            f"{num_blocks} expected"
         )
-    merkle = getattr(oram, "merkle", None)
     if merkle is not None:
         # Recompute the whole hash tree from scratch and compare roots:
         # agreement proves the bucket contents are exactly what the trusted
         # root commits to (no stale image survived recovery).
         from repro.oram.integrity import MerkleTree
 
-        fresh_root = MerkleTree(tree).root
         report.root_hash_checked = True
-        if fresh_root != merkle.root:
-            record(
+        if MerkleTree(tree).root != merkle.root:
+            yield (
                 "root hash disagreement: recomputed root does not match the "
                 "trusted on-chip root"
             )
-    return report
 
 
 def _fsck_scheme(oram, max_errors: int = 16) -> FsckReport:
-    """Generic audit for any ``ORAMScheme`` without Path ORAM internals.
+    """Audit an ``ORAMScheme`` without a tree (the square-root ORAM).
 
-    Runs the scheme's own :meth:`check_invariants` (structural audit:
-    path invariant, bucket bounds, block conservation, permutation
-    bijectivity -- whatever the construction guarantees) and folds the
-    first violation into the report, then records the on-chip census.
+    Runs the scheme's own :meth:`check_invariants` (permutation
+    bijectivity, block conservation -- whatever the construction
+    guarantees) and folds the first violation into the report, then
+    records the on-chip census.
     """
     expected = getattr(oram, "num_blocks", 0)
     report = FsckReport(expected_blocks=expected)

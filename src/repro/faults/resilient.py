@@ -35,12 +35,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from repro.config import ORAMConfig
 from repro.faults.fsck import FsckReport, run_fsck
 from repro.faults.injector import FaultConfig, FaultInjector, TransientReadError
 from repro.observability.metrics import MetricsRegistry
-from repro.oram.checkpoint import dump_oram, load_oram, restore_oram
-from repro.oram.crypto import ProbabilisticCipher
+from repro.oram.checkpoint import dump_oram, load_oram
 from repro.oram.integrity import IntegrityViolationError, VerifiedPathORAM
 from repro.oram.kv_store import ObliviousKVStore
 from repro.oram.path_oram import PathORAM
@@ -136,6 +134,9 @@ class RecoveryStats:
 class ResilientKVStore(ObliviousKVStore):
     """Oblivious KV store that survives faulty untrusted storage.
 
+    Built (and reopened) by the base class; the two extra keyword arguments
+    reach :meth:`_configure`, the Merkle-verified ORAM :meth:`_make_oram`.
+
     Args:
         config: ORAM geometry (as for :class:`ObliviousKVStore`).
         key: symmetric key for the probabilistic cipher.
@@ -148,29 +149,24 @@ class ResilientKVStore(ObliviousKVStore):
         resilience: ladder parameters (defaults are sensible).
     """
 
-    def __init__(
+    def _configure(
         self,
-        config: Optional[ORAMConfig] = None,
-        key: bytes = b"\x13" * 16,
-        seed: int = 7,
-        observer=None,
         fault_config: Optional[FaultConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
-    ):
+    ) -> None:
         self.resilience = resilience or ResilienceConfig()
         self.injector = FaultInjector(fault_config or FaultConfig())
         self.recovery = RecoveryStats()
-        super().__init__(config=config, key=key, seed=seed, observer=observer)
+
+    def _make_oram(self, config, rng, observer=None, populate=True) -> PathORAM:
+        return VerifiedPathORAM(
+            config, rng, observer=observer, populate=populate, injector=self.injector
+        )
+
+    def _attach(self, oram, key, seed, observer) -> None:
+        super()._attach(oram, key, seed, observer)
         self._seed = seed
-        self._finish_init()
-
-    # ------------------------------------------------------------- assembly
-    def _make_oram(self, config, rng, observer) -> PathORAM:
-        return VerifiedPathORAM(config, rng, observer=observer, injector=self.injector)
-
-    def _finish_init(self) -> None:
-        """Shared tail of ``__init__`` and :meth:`open`."""
-        rng = DeterministicRng(self._seed)
+        rng = DeterministicRng(seed)
         self._backoff_rng = rng.fork(0xBACF)
         self._recovery_forks = 0
         self._journal: List[Tuple[str, int, Optional[bytes]]] = []
@@ -183,46 +179,6 @@ class ResilientKVStore(ObliviousKVStore):
         with self.injector.paused():
             self._last_checkpoint = dump_oram(self._oram)
         self.recovery.checkpoints += 1
-
-    @classmethod
-    def open(
-        cls,
-        path: str,
-        key: bytes = b"\x13" * 16,
-        seed: int = 7,
-        observer=None,
-        fault_config: Optional[FaultConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
-    ) -> "ResilientKVStore":
-        """Reopen a checkpoint file as a resilient store."""
-        store = cls.__new__(cls)
-        store.resilience = resilience or ResilienceConfig()
-        store.injector = FaultInjector(fault_config or FaultConfig())
-        store.recovery = RecoveryStats()
-        rng = DeterministicRng(seed)
-        with store.injector.paused():
-            store._oram = restore_oram(
-                path, rng=rng.fork(1), oram_factory=store._oram_factory()
-            )
-        store.config = store._oram.config
-        store.observer = observer
-        store._oram.observer = observer
-        store._cipher = ProbabilisticCipher(key, rng.fork(2))
-        store.capacity = store._oram.position_map.num_blocks
-        store.payload_bytes = store.config.block_bytes
-        store._seed = seed
-        store._finish_init()
-        return store
-
-    def _oram_factory(self) -> Callable[..., PathORAM]:
-        injector = self.injector
-
-        def factory(config, rng, observer=None, populate=True):
-            return VerifiedPathORAM(
-                config, rng, observer=observer, populate=populate, injector=injector
-            )
-
-        return factory
 
     # ------------------------------------------------------------ operations
     def get(self, key: int) -> Optional[bytes]:
@@ -246,13 +202,8 @@ class ResilientKVStore(ObliviousKVStore):
         """Reset ``key`` to the unwritten state (journaled like a put)."""
         self._check_key(key)
         self._journal.append(("del", key, None))
-        self._guarded(lambda: self._raw_delete(key))
+        self._guarded(lambda: self._erase(key))
         self._note_write()
-
-    def _raw_delete(self, key: int) -> None:
-        self._oram.begin_access([key])[key].data = None
-        self._oram.finish_access()
-        self._oram.drain_stash()
 
     def _note_write(self) -> None:
         self._writes_since_checkpoint += 1
@@ -314,13 +265,13 @@ class ResilientKVStore(ObliviousKVStore):
                 self._last_checkpoint,
                 rng=rng,
                 observer=self.observer,
-                oram_factory=self._oram_factory(),
+                oram_factory=self._make_oram,
             )
             for op, key, value in self._journal:
                 if op == "put":
                     self._access(key, value)
                 else:
-                    self._raw_delete(key)
+                    self._erase(key)
                 self.recovery.replayed_ops += 1
             report = self._audit()
             if not report.ok:

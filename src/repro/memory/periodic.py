@@ -11,11 +11,17 @@ access may begin ``Oint`` cycles after the previous one finished, and one
 paper evaluates ``Oint = 100`` cycles, which keeps ORAM bandwidth almost
 maximized (Figure 15).
 
-Functional note: idle-period dummies are performed functionally only while
-the stash holds enough blocks for them to matter (they are background
-evictions); beyond that they are identical no-op path reads/writes, so they
-are charged and counted but not executed block-by-block.  This keeps
-compute-bound workloads simulable without changing any observable metric.
+Functional note: idle-period dummies are performed functionally (as
+background evictions) only while the stash holds blocks, and at most
+``MAX_FUNCTIONAL_DUMMIES_PER_GAP`` per idle gap; the rest are identical
+no-op path reads/writes, charged and counted but not executed
+block-by-block.  This keeps compute-bound workloads simulable.  The cap
+decides which dummies move blocks, so it changes the stash contents and
+with them the reported stash high-water mark; the slot grid, every issue
+cycle and the dummy count do not depend on it (stash contents reach timing
+only through the background evictions of a request that finds the stash
+over capacity).  ``tests/test_periodic.py::TestFunctionalDummyCap`` runs
+``dyn_intvl`` at cap 0, 16 and unbounded and pins both sides.
 
 Scheduling invariant: every access -- real or dummy -- issues exactly on
 the periodic grid, i.e. at a cycle congruent to 0 modulo
@@ -44,6 +50,7 @@ class PeriodicORAMBackend(ORAMBackend):
     """ORAM backend whose access schedule is fixed by ``Oint``."""
 
     #: functional dummies per idle gap are capped; the rest are counted only
+    #: (moves the stash, not the schedule -- see the module docstring)
     MAX_FUNCTIONAL_DUMMIES_PER_GAP = 16
 
     def __init__(

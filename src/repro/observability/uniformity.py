@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.security.statistics import INSUFFICIENT_DATA, chi_square_uniformity
+from repro.security.statistics import chi_square_uniformity
 
 
 @dataclass
@@ -32,10 +32,6 @@ class UniformityCheck:
     samples: int
     statistic: float
     p_value: float
-
-    @property
-    def sufficient(self) -> bool:
-        return (self.statistic, self.p_value) != INSUFFICIENT_DATA or self.samples > 0
 
 
 class LeafUniformityMonitor:

@@ -42,19 +42,34 @@ class ObliviousKVStore:
         key: bytes = b"\x13" * 16,
         seed: int = 7,
         observer: Optional[AccessObserver] = None,
+        **options,
     ):
-        self.config = config or ORAMConfig(levels=8)
-        rng = DeterministicRng(seed)
-        self.observer = observer
-        self._oram = self._make_oram(self.config, rng.fork(1), observer)
-        self._cipher = ProbabilisticCipher(key, rng.fork(2))
-        self.capacity = self._oram.position_map.num_blocks
-        self.payload_bytes = self.config.block_bytes
+        self._configure(**options)
+        oram = self._make_oram(
+            config or ORAMConfig(levels=8), DeterministicRng(seed).fork(1), observer
+        )
+        self._attach(oram, key, seed, observer)
 
-    def _make_oram(self, config: ORAMConfig, rng: DeterministicRng, observer) -> PathORAM:
-        """ORAM constructor hook; the resilient store swaps in the
-        Merkle-verified variant with a fault injector attached."""
-        return PathORAM(config, rng, observer=observer)
+    def _configure(self) -> None:
+        """Take a subclass's extra constructor ``options`` (both construction
+        paths run it before :meth:`_make_oram`); the plain store has none."""
+
+    def _make_oram(
+        self, config: ORAMConfig, rng: DeterministicRng, observer=None, populate=True
+    ) -> PathORAM:
+        """The ORAM constructor hook (the :func:`~repro.oram.checkpoint.load_oram`
+        factory signature); the resilient store swaps in the Merkle-verified
+        variant with a fault injector attached."""
+        return PathORAM(config, rng, observer=observer, populate=populate)
+
+    def _attach(self, oram: PathORAM, key: bytes, seed: int, observer) -> None:
+        """Adopt a built or restored ORAM (shared tail of both construction paths)."""
+        self._oram = oram
+        self.config = oram.config
+        self.observer = oram.observer = observer
+        self._cipher = ProbabilisticCipher(key, DeterministicRng(seed).fork(2))
+        self.capacity = oram.position_map.num_blocks
+        self.payload_bytes = self.config.block_bytes
 
     def _check_key(self, key: int) -> None:
         if not 0 <= key < self.capacity:
@@ -101,6 +116,9 @@ class ObliviousKVStore:
     def delete(self, key: int) -> None:
         """Reset a key to the unwritten state (obliviously: same as a put)."""
         self._check_key(key)
+        self._erase(key)
+
+    def _erase(self, key: int) -> None:
         self._oram.begin_access([key])[key].data = None
         self._oram.finish_access()
         self._oram.drain_stash()
@@ -132,17 +150,19 @@ class ObliviousKVStore:
         key: bytes = b"\x13" * 16,
         seed: int = 7,
         observer: Optional[AccessObserver] = None,
+        **options,
     ) -> "ObliviousKVStore":
-        """Reopen a checkpointed store with the original cipher key."""
+        """Reopen a checkpointed store with the original cipher key.
+
+        ``options`` are the extra constructor arguments of a subclass (the
+        resilient store's ``fault_config`` / ``resilience``).
+        """
         from repro.oram.checkpoint import restore_oram
 
-        rng = DeterministicRng(seed)
         store = cls.__new__(cls)
-        store._oram = restore_oram(path, rng=rng.fork(1))
-        store.config = store._oram.config
-        store.observer = observer
-        store._oram.observer = observer
-        store._cipher = ProbabilisticCipher(key, rng.fork(2))
-        store.capacity = store._oram.position_map.num_blocks
-        store.payload_bytes = store.config.block_bytes
+        store._configure(**options)
+        oram = restore_oram(
+            path, rng=DeterministicRng(seed).fork(1), oram_factory=store._make_oram
+        )
+        store._attach(oram, key, seed, observer)
         return store

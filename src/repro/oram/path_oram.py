@@ -35,6 +35,7 @@ from repro.controller.mixins import (
     DeepestPlacementMixin,
     GreedyWritebackMixin,
     SharedLeafMixin,
+    TreeAuditMixin,
 )
 from repro.controller.scheme import ORAMScheme
 from repro.oram.block import Block
@@ -47,7 +48,11 @@ _LEAF_OF = attrgetter("leaf")
 
 
 class PathORAM(
-    SharedLeafMixin, DeepestPlacementMixin, GreedyWritebackMixin, BoundedDrainMixin
+    SharedLeafMixin,
+    DeepestPlacementMixin,
+    GreedyWritebackMixin,
+    BoundedDrainMixin,
+    TreeAuditMixin,
 ):
     """Functional Path ORAM over a binary tree with a stash and position map.
 
@@ -403,42 +408,10 @@ class PathORAM(
         for block in flat[:pos]:
             del stash_blocks[block.addr]
 
-    # ------------------------------------------------------------- invariants
-    def check_invariants(self) -> None:
-        """Verify the path invariant, block conservation, and bucket sizes.
-
-        Used by tests and debug builds only: this walks the whole tree.
-
-        Raises:
-            AssertionError: if any invariant is violated.
-        """
-        seen: Dict[int, str] = {}
-        z = self.config.bucket_size
-        for index in range(self.tree.num_buckets):
-            bucket = self.tree.bucket(index)
-            assert len(bucket) <= z, f"bucket {index} holds {len(bucket)} > Z={z}"
-            for block in bucket:
-                assert block.addr not in seen, f"block {block.addr} duplicated"
-                seen[block.addr] = "tree"
-                mapped = self.position_map.leaf(block.addr)
-                assert block.leaf == mapped, (
-                    f"block {block.addr}: tree copy leaf {block.leaf} != posmap {mapped}"
-                )
-                # The bucket must lie on the path of the mapped leaf.
-                level = (index + 1).bit_length() - 1
-                expected = self.tree.bucket_index(level, mapped)
-                assert expected == index, (
-                    f"block {block.addr} (leaf {mapped}) found off-path at bucket {index}"
-                )
-        for addr, block in self.stash.items():
-            assert addr not in seen, f"block {addr} in both tree and stash"
-            seen[addr] = "stash"
-            assert block.leaf == self.position_map.leaf(addr)
-        assert len(seen) == self.position_map.num_blocks, (
-            f"{self.position_map.num_blocks - len(seen)} blocks lost"
-        )
-
     # --------------------------------------------------------------- queries
+    def _audit_view(self):
+        return self.position_map.leaf, self.stash
+
     @property
     def num_blocks(self) -> int:
         """Logical address-space size (ORAMScheme protocol)."""

@@ -80,10 +80,6 @@ class PositionMap:
     def set_leaf(self, addr: int, leaf: int) -> None:
         self._leaves[addr] = leaf
 
-    def new_random_leaf(self) -> int:
-        """Fresh uniformly random leaf label (protocol step 4)."""
-        return self._randbelow(self.num_leaves)
-
     def remap(self, addrs, leaf: Optional[int] = None) -> int:
         """Map every address in ``addrs`` to one (new random) leaf.
 

@@ -37,9 +37,11 @@ from repro.controller.mixins import (
     DeepestPlacementMixin,
     GreedyWritebackMixin,
     SharedLeafMixin,
+    TreeAuditMixin,
 )
 from repro.controller.scheme import ORAMScheme
 from repro.oram.block import Block
+from repro.oram.tree import BinaryTree
 from repro.utils.rng import DeterministicRng
 
 
@@ -52,18 +54,12 @@ def reverse_bits(value: int, width: int) -> int:
     return out
 
 
-class _RingBucket:
-    """A bucket with Z real slots, S dummy slots, and an access budget."""
-
-    __slots__ = ("blocks", "accesses")
-
-    def __init__(self):
-        self.blocks: List[Block] = []
-        self.accesses = 0
-
-
 class RingORAM(
-    SharedLeafMixin, DeepestPlacementMixin, GreedyWritebackMixin, BoundedDrainMixin
+    SharedLeafMixin,
+    DeepestPlacementMixin,
+    GreedyWritebackMixin,
+    BoundedDrainMixin,
+    TreeAuditMixin,
 ):
     """Functional Ring ORAM with super block support.
 
@@ -73,6 +69,11 @@ class RingORAM(
     / EarlyReshuffle maintenance), and background pressure is relieved by
     :meth:`dummy_access` (one forced EvictPath) under the shared bounded
     drain.
+
+    The real blocks live in a :class:`~repro.oram.tree.BinaryTree` of
+    ``Z``-block buckets -- the heap layout Path ORAM and the Shi tree use;
+    the ``S`` dummy slots are implicit, and each bucket's access budget is
+    one int of ``_budget`` beside the tree.
 
     Args:
         levels: tree depth ``L``.
@@ -102,16 +103,16 @@ class RingORAM(
         if s < a:
             raise ValueError("dummy budget S must cover the eviction period A")
         self.levels = levels
-        self.num_leaves = 1 << levels
-        self.num_buckets = (1 << (levels + 1)) - 1
         self.z = z
         self.s = s
         self.a = a
         self.rng = rng or DeterministicRng(31)
         self.observer = observer
         self.num_blocks = num_blocks
-        self._buckets = [_RingBucket() for _ in range(self.num_buckets)]
-        self._leaves = self.rng.random_leaves(self.num_leaves, num_blocks)
+        self.tree = BinaryTree(levels, z)
+        #: slots touched per bucket since its last rewrite (the budget S caps)
+        self._budget = [0] * self.tree.num_buckets
+        self._leaves = self.rng.random_leaves(self.tree.num_leaves, num_blocks)
         self.stash: Dict[int, Block] = {}
         self.stash_capacity = (
             stash_capacity if stash_capacity is not None else max(32, 4 * levels)
@@ -124,24 +125,16 @@ class RingORAM(
         self.dummy_accesses = 0
         self.stash_soft_overflows = 0
         self._evict_counter = 0
-        self._pending_path: Optional[List[int]] = None
-        self._populate()
-
-    # ------------------------------------------------------------- plumbing
-    def _bucket_index(self, level: int, leaf: int) -> int:
-        return (1 << level) - 1 + (leaf >> (self.levels - level))
-
-    def _path_indices(self, leaf: int) -> List[int]:
-        return [self._bucket_index(level, leaf) for level in range(self.levels + 1)]
-
-    def _populate(self) -> None:
-        for block in self._place_all_deepest(
-            self._leaves, self.z, [bucket.blocks for bucket in self._buckets]
-        ):
+        self._pending_path: Optional[Sequence[int]] = None
+        for block in self._place_all_deepest(self._leaves, z, self.tree.live_buckets()):
             self.stash[block.addr] = block
 
+    # ------------------------------------------------------------- plumbing
     def leaf_of(self, addr: int) -> int:
         return self._leaves[addr]
+
+    def _audit_view(self):
+        return self.leaf_of, self.stash
 
     # ----------------------------------------------------------------- access
     def begin_access(
@@ -163,16 +156,17 @@ class RingORAM(
             self.observer.on_path_access(leaf, "real")
         wanted = set(addrs)
         found: Dict[int, Block] = {}
-        for index in self._path_indices(leaf):
-            bucket = self._buckets[index]
-            hits = [b for b in bucket.blocks if b.addr in wanted]
+        path = self.tree.path_indices(leaf)
+        for index in path:
+            bucket = self.tree.bucket(index)
+            hits = [b for b in bucket if b.addr in wanted]
             # One touch minimum (dummy if no member here); one per member
             # beyond the first costs an extra touch of this bucket.
             touches = max(1, len(hits))
-            bucket.accesses += touches
+            self._budget[index] += touches
             self.blocks_transferred += touches
             for block in hits:
-                bucket.blocks.remove(block)
+                bucket.remove(block)
                 found[block.addr] = block
         for addr in wanted - set(found):
             if addr in self.stash:
@@ -180,13 +174,13 @@ class RingORAM(
         missing = wanted - set(found)
         if missing:
             raise KeyError(f"blocks {sorted(missing)} not on their path")
-        assigned = new_leaf if new_leaf is not None else self.rng.random_leaf(self.num_leaves)
+        assigned = new_leaf if new_leaf is not None else self.rng.random_leaf(self.tree.num_leaves)
         for addr in addrs:
             block = found[addr]
             block.leaf = assigned
             self._leaves[addr] = assigned
             self.stash[addr] = block
-        self._pending_path = self._path_indices(leaf)
+        self._pending_path = path
         return found
 
     def finish_access(self) -> None:
@@ -209,7 +203,7 @@ class RingORAM(
 
     def remap_group(self, addrs: Sequence[int], leaf: Optional[int] = None) -> int:
         """Re-point a group whose members are all stash-resident (merge/break)."""
-        assigned = leaf if leaf is not None else self.rng.random_leaf(self.num_leaves)
+        assigned = leaf if leaf is not None else self.rng.random_leaf(self.tree.num_leaves)
         for addr in addrs:
             self._leaves[addr] = assigned
             block = self.stash.get(addr)
@@ -218,23 +212,23 @@ class RingORAM(
         return assigned
 
     # --------------------------------------------------------------- eviction
+    def _next_evict_leaf(self) -> int:
+        return reverse_bits(self.evict_paths % self.tree.num_leaves, self.levels)
+
     def _evict_path(self) -> None:
         """Full read+write of the next reverse-lexicographic path."""
-        leaf = reverse_bits(self.evict_paths % self.num_leaves, self.levels)
+        leaf = self._next_evict_leaf()
         self.evict_paths += 1
-        indices = self._path_indices(leaf)
-        # Read every real block on the path into the stash.
-        for index in indices:
-            bucket = self._buckets[index]
-            self.blocks_transferred += self.z + self.s  # full bucket read
-            for block in bucket.blocks:
-                self.stash[block.addr] = block
-            bucket.blocks = []
-            bucket.accesses = 0
+        # Read every real block on the path into the stash; every bucket
+        # on it is rewritten, so its budget starts over.
+        self.tree.read_path_into(leaf, self.stash)
+        for index in self.tree.path_indices(leaf):
+            self._budget[index] = 0
+        self.blocks_transferred += (self.levels + 1) * (self.z + self.s)
 
         # Greedy write-back, deepest first (the shared mixin algorithm).
         def write_bucket(level: int, blocks: List[Block]) -> None:
-            self._buckets[self._bucket_index(level, leaf)].blocks = blocks
+            self.tree.write_bucket(level, leaf, blocks)
             self.blocks_transferred += self.z + self.s  # full bucket write
 
         self._greedy_writeback(leaf, self.levels, self.z, self.stash, write_bucket)
@@ -247,8 +241,7 @@ class RingORAM(
         """
         self.dummy_accesses += 1
         if self.observer is not None:
-            leaf = reverse_bits(self.evict_paths % self.num_leaves, self.levels)
-            self.observer.on_path_access(leaf, kind)
+            self.observer.on_path_access(self._next_evict_leaf(), kind)
         self._evict_path()
 
     # drain_stash comes from BoundedDrainMixin.
@@ -260,29 +253,12 @@ class RingORAM(
 
     def _early_reshuffle(self, indices: Sequence[int]) -> None:
         """Rewrite buckets whose dummy budget is exhausted."""
+        budget = self._budget
         for index in indices:
-            bucket = self._buckets[index]
-            if bucket.accesses >= self.s:
+            if budget[index] >= self.s:
                 self.early_reshuffles += 1
                 self.blocks_transferred += 2 * (self.z + self.s)
-                bucket.accesses = 0
-
-    # ------------------------------------------------------------ invariants
-    def check_invariants(self) -> None:
-        seen = set()
-        for index in range(self.num_buckets):
-            level = (index + 1).bit_length() - 1
-            bucket = self._buckets[index]
-            assert len(bucket.blocks) <= self.z, f"bucket {index} over Z"
-            for block in bucket.blocks:
-                assert block.addr not in seen, f"duplicate {block.addr}"
-                seen.add(block.addr)
-                expected = self._bucket_index(level, self._leaves[block.addr])
-                assert expected == index, f"block {block.addr} off-path"
-        for addr in self.stash:
-            assert addr not in seen
-            seen.add(addr)
-        assert len(seen) == self.num_blocks, "blocks lost"
+                budget[index] = 0
 
     # -------------------------------------------------------------- analysis
     @property
@@ -296,14 +272,3 @@ class RingORAM(
 
 
 ORAMScheme.register(RingORAM)
-
-
-def merge_pairs(oram: RingORAM, sbsize: int = 2) -> None:
-    """Statically pair aligned groups (the super block invariant) on Ring ORAM."""
-    for base in range(0, oram.num_blocks - 1, sbsize):
-        members = list(range(base, min(base + sbsize, oram.num_blocks)))
-        if len(members) < 2:
-            continue
-        target = oram.rng.random_leaf(oram.num_leaves)
-        for addr in members:
-            oram.access([addr], new_leaf=target)

@@ -91,9 +91,6 @@ class PrefetchTracker:
         #: optional adaptive-threshold policy notified of hit/miss events
         self.listener = listener
 
-    def hit_bit(self, addr: int) -> int:
-        return self._hit_bits[addr]
-
     def mark_prefetched(self, addr: int) -> None:
         """Block enters the LLC as a prefetch (Algorithm 2 else-branch)."""
         self._prefetch_bits[addr] = 1

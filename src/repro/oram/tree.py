@@ -386,12 +386,10 @@ class BinaryTree:
     def address_index(self) -> Dict[int, int]:
         """One-pass address -> heap-index map over the live tree contents.
 
-        Built once per audit pass and reused across invariant checks (see
-        :mod:`repro.faults.fsck`): a consistency audit that checks every
-        position-map address against the tree this way costs O(B) total
-        instead of the O(N * B) of one :meth:`find` scan per address.
-        Duplicate addresses keep the first index seen (the audit detects
-        duplicates in its own bucket walk).
+        A test/debug view (:meth:`PathORAM.locate`): one O(B) pass instead
+        of one :meth:`find` scan per address.  Duplicate addresses keep the
+        first index seen (the audit in :mod:`repro.faults.fsck` reports
+        duplicates).
         """
         index_of: Dict[int, int] = {}
         for index in range(self.num_buckets):

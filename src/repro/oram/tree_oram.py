@@ -28,15 +28,17 @@ from repro.controller.mixins import (
     BoundedDrainMixin,
     DeepestPlacementMixin,
     SharedLeafMixin,
+    TreeAuditMixin,
 )
 from repro.controller.scheme import ORAMScheme
 from repro.oram.block import Block
 from repro.oram.tree import BinaryTree
-from repro.utils.bitops import is_power_of_two
 from repro.utils.rng import DeterministicRng
 
 
-class ShiTreeORAM(SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin):
+class ShiTreeORAM(
+    SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin, TreeAuditMixin
+):
     """Functional binary-tree ORAM with root insertion and random eviction.
 
     Implements the :class:`~repro.controller.scheme.ORAMScheme` protocol:
@@ -98,6 +100,9 @@ class ShiTreeORAM(SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin):
     # ------------------------------------------------------------- plumbing
     def leaf_of(self, addr: int) -> int:
         return self._leaves[addr]
+
+    def _audit_view(self):
+        return self.leaf_of, self.overflow
 
     # ---------------------------------------------------------------- access
     def begin_access(
@@ -223,42 +228,5 @@ class ShiTreeORAM(SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin):
             _, block = self.overflow.popitem()
             root.append(block)
 
-    # ------------------------------------------------------------ invariants
-    def check_invariants(self) -> None:
-        """Every block sits on the path of its mapped leaf (or overflow)."""
-        seen = set()
-        for index in range(self.tree.num_buckets):
-            level = (index + 1).bit_length() - 1
-            for block in self.tree.bucket(index):
-                assert block.addr not in seen, f"duplicate block {block.addr}"
-                seen.add(block.addr)
-                expected = self.tree.bucket_index(level, self._leaves[block.addr])
-                assert expected == index, (
-                    f"block {block.addr} off its path at bucket {index}"
-                )
-        for addr in self.overflow:
-            assert addr not in seen
-            seen.add(addr)
-        assert len(seen) == self.num_blocks, "blocks lost"
-
 
 ORAMScheme.register(ShiTreeORAM)
-
-
-def merge_pairs(oram: ShiTreeORAM, sbsize: int = 2) -> None:
-    """Statically merge aligned groups (the super block invariant).
-
-    Physically relocates members onto their common leaf's path, exactly as
-    the static scheme's initialization does for Path ORAM.
-    """
-    if not is_power_of_two(sbsize):
-        raise ValueError("super block size must be a power of two")
-    for base in range(0, oram.num_blocks, sbsize):
-        members = list(range(base, min(base + sbsize, oram.num_blocks)))
-        if len(members) < 2:
-            continue
-        # Fetch each member individually (they may sit on different paths),
-        # then re-fetch the group under one leaf.
-        target = oram.rng.random_leaf(oram.tree.num_leaves)
-        for addr in members:
-            oram.access([addr], new_leaf=target)

@@ -185,17 +185,14 @@ class ParallelShardRuntime:
         health_policy: enable the health control plane (per-worker
             circuit breakers, quarantined shards served inline,
             half-open probing).  Requires ``checkpoint_dir`` -- the
-            inline shard is restored from the worker's checkpoint.  Also supplies
-            defaults for the three enforcement knobs below.
-        batch_deadline_s: wall-clock seconds an in-flight worker may go
-            without progress (ack or heartbeat) before it is declared
-            hung and terminated.  ``None`` takes the policy's value, or
-            disables enforcement when no policy is given; 0 disables.
-        heartbeat_every: completions between mid-batch worker heartbeats
-            (``None``: policy value, or 0 without a policy).
-        join_timeout_s: ``Process.join`` timeout for every lifecycle
-            path -- shutdown, terminate-after-hang, post-mortem join
-            (``None``: policy value, or 5 s without a policy).
+            inline shard is restored from the worker's checkpoint.  It also
+            sets the enforcement knobs -- ``batch_deadline_s`` (seconds an
+            in-flight worker may go without an ack or heartbeat before it
+            is declared hung and terminated), ``heartbeat_every``
+            (completions between mid-batch heartbeats) and
+            ``join_timeout_s`` (the ``Process.join`` timeout of every
+            lifecycle path); without a policy they are 0 (no hang
+            detection), 0 (no heartbeats) and 5 s.
         fault_config: in-worker fault injection (seed salted per shard
             and per respawn); the chaos harness's storm knob.
     """
@@ -214,9 +211,6 @@ class ParallelShardRuntime:
         max_inflight: int = 4,
         max_restarts: int = 2,
         health_policy: Optional[HealthPolicy] = None,
-        batch_deadline_s: Optional[float] = None,
-        heartbeat_every: Optional[int] = None,
-        join_timeout_s: Optional[float] = None,
         fault_config: Optional[FaultConfig] = None,
     ):
         if num_workers < 1:
@@ -245,21 +239,9 @@ class ParallelShardRuntime:
             if health_policy is not None
             else None
         )
-        self.join_timeout_s = (
-            join_timeout_s
-            if join_timeout_s is not None
-            else (health_policy.join_timeout_s if health_policy else 5.0)
-        )
-        self.batch_deadline_s = (
-            batch_deadline_s
-            if batch_deadline_s is not None
-            else (health_policy.batch_deadline_s if health_policy else 0.0)
-        )
-        self.heartbeat_every = (
-            heartbeat_every
-            if heartbeat_every is not None
-            else (health_policy.heartbeat_every if health_policy else 0)
-        )
+        self.batch_deadline_s = health_policy.batch_deadline_s if health_policy else 0.0
+        self.heartbeat_every = health_policy.heartbeat_every if health_policy else 0
+        self.join_timeout_s = health_policy.join_timeout_s if health_policy else 5.0
         self.fault_config = fault_config
         self._ctx = multiprocessing.get_context()
         self._workers = [_Worker(index) for index in range(num_workers)]

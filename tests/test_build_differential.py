@@ -179,7 +179,7 @@ def test_ring_oram_build_matches_reference(levels, z, num_blocks):
     leaves = reference_leaves(twin, 1 << levels, num_blocks)
     buckets, spilled = reference_heap(leaves, levels, z)
     assert ring._leaves == leaves
-    assert [contents(b.blocks) for b in ring._buckets] == [contents(b) for b in buckets]
+    assert tree_image(ring.tree)[0] == [contents(b) for b in buckets]
     assert list(ring.stash) == spilled
     assert contents(ring.stash.values()) == [(a, leaves[a]) for a in spilled]
     assert next_draws(rng) == next_draws(twin)

@@ -7,6 +7,8 @@ escalation, checkpoint durability), and the timing backend's retry /
 degradation wiring (including bit-identical behaviour with faults off).
 """
 
+import re
+
 import pytest
 
 from repro.config import ORAMConfig
@@ -24,6 +26,9 @@ from repro.faults import (
 from repro.oram.block import Block
 from repro.oram.integrity import IntegrityViolationError, VerifiedPathORAM
 from repro.oram.kv_store import ObliviousKVStore
+from repro.oram.path_oram import PathORAM
+from repro.oram.ring_oram import RingORAM
+from repro.oram.tree_oram import ShiTreeORAM
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
@@ -204,6 +209,113 @@ class TestFsck:
                 block.leaf ^= 1
         report = run_fsck(oram, max_errors=4)
         assert len(report.errors) == 4
+
+
+def tree_blocks(tree):
+    """``(bucket index, block)`` for every block in the tree, heap order."""
+    return [
+        (index, block)
+        for index in range(tree.num_buckets)
+        for block in tree.bucket(index)
+    ]
+
+
+def plant_duplicate(oram, on_chip):
+    _index, block = tree_blocks(oram.tree)[-1]
+    on_chip[block.addr] = Block(block.addr, block.leaf)
+
+
+def plant_dropped(oram, on_chip):
+    index, block = tree_blocks(oram.tree)[-1]
+    oram.tree.bucket(index).remove(block)
+
+
+def plant_off_path(oram, on_chip):
+    # The sibling's subtree is disjoint from the block's path.
+    tree = oram.tree
+    for index, block in tree_blocks(tree):
+        sibling = index + 1 if index % 2 else index - 1
+        if index and len(tree.bucket(sibling)) < tree.bucket_size:
+            tree.bucket(index).remove(block)
+            tree.bucket(sibling).append(block)
+            return
+    raise AssertionError("no block with room beside it")
+
+
+def plant_leaf_mismatch(oram, on_chip):
+    _index, block = tree_blocks(oram.tree)[-1]
+    block.leaf ^= 1  # the copy is rerouted; its mapping and bucket are not
+
+
+def plant_over_z(oram, on_chip):
+    # The root is on every path: moving blocks up into it keeps each one
+    # on its own path and overfills nothing but the root.
+    tree = oram.tree
+    root = tree.bucket(0)
+    for index, block in tree_blocks(tree)[::-1]:
+        if len(root) > tree.bucket_size:
+            return
+        tree.bucket(index).remove(block)
+        root.append(block)
+
+
+def plant_out_of_range(oram, on_chip):
+    tree = oram.tree
+    room = next(
+        i for i in range(tree.num_buckets) if len(tree.bucket(i)) < tree.bucket_size
+    )
+    tree.bucket(room).append(Block(oram.num_blocks, 0))
+
+
+#: damage -> (planter, what the report and the raised assertion say)
+PLANTED_DAMAGE = {
+    "duplicate": (plant_duplicate, "in both stash and tree"),
+    "dropped": (plant_dropped, "missing from both tree and stash"),
+    "off_path": (plant_off_path, "off-path"),
+    "leaf_mismatch": (plant_leaf_mismatch, "copy leaf"),
+    "over_z": (plant_over_z, "> Z="),
+    "out_of_range": (plant_out_of_range, "out of range"),
+}
+
+
+def tree_scheme(name):
+    """A tree ORAM after some traffic, and its on-chip blocks by address."""
+    if name in ("path", "merkle_path"):
+        cls = VerifiedPathORAM if name == "merkle_path" else PathORAM
+        oram = cls(small_config(), DeterministicRng(3))
+        on_chip = oram.stash._blocks
+    elif name == "shi":
+        oram = ShiTreeORAM(levels=5, num_blocks=64, rng=DeterministicRng(4))
+        on_chip = oram.overflow
+    else:
+        oram = RingORAM(levels=5, num_blocks=96, rng=DeterministicRng(4))
+        on_chip = oram.stash
+    for addr in range(0, oram.num_blocks, 3):
+        oram.access([addr])
+    return oram, on_chip
+
+
+class TestPlantedDamageMatrix:
+    """Every tree scheme x every damage: one audit reports it and
+    ``check_invariants`` raises it -- the same finding both ways."""
+
+    @pytest.mark.parametrize("damage", sorted(PLANTED_DAMAGE))
+    @pytest.mark.parametrize("scheme", ["path", "merkle_path", "shi", "ring"])
+    def test_audit_reports_and_check_invariants_raises(self, scheme, damage):
+        oram, on_chip = tree_scheme(scheme)
+        report = run_fsck(oram)
+        assert report.ok, report.summary()
+        assert report.blocks_in_tree + report.blocks_in_stash == oram.num_blocks
+        assert report.root_hash_checked == (scheme == "merkle_path")
+        oram.check_invariants()
+        plant, finding = PLANTED_DAMAGE[damage]
+        plant(oram, on_chip)
+        report = run_fsck(oram)
+        assert any(finding in error for error in report.errors), report.summary()
+        if damage == "dropped":
+            assert any("census" in error for error in report.errors)
+        with pytest.raises(AssertionError, match=re.escape(finding)):
+            oram.check_invariants()
 
 
 # ==================================================== resilient store

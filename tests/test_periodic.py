@@ -1,14 +1,20 @@
 """Unit tests for the periodic (timing-channel protected) ORAM backend."""
 
+import dataclasses
+from dataclasses import replace
+
 import pytest
 
-from repro.config import DRAMConfig, ORAMConfig, TimingProtectionConfig
+import repro.controller.sharded as sharded
+from repro.config import DRAMConfig, ORAMConfig, SystemConfig, TimingProtectionConfig
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.observability import InMemoryRecorder
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.oram.super_block import BaselineScheme
 from repro.security.observer import AccessObserver
+from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
+from repro.workloads.synthetic import locality_mix_trace
 
 
 def make_backend(interval=100, observer=None, oram=None, dram=None):
@@ -234,3 +240,58 @@ class TestRestoreKeepsTheGrid:
         assert used._next_slot == used.busy_until == 0
         used.demand_access(1, 0, False)  # issues at slot 0: nothing burnt
         assert used.stats.dummy_accesses == 0
+
+
+class TestFunctionalDummyCap:
+    """``MAX_FUNCTIONAL_DUMMIES_PER_GAP`` decides which idle-slot dummies
+    move blocks, and nothing the adversary sees.
+
+    ``dyn_intvl`` on a locality trace with long compute gaps (most slots
+    idle) over a crowded tree (Z=4 at 90% utilization, so the stash is
+    rarely empty when a gap opens), at cap 0, 16 and unbounded: the grid
+    -- every issue cycle and every dummy slot -- and the whole
+    ``SimResult`` except the stash high-water mark are identical; the
+    functional dummy count and that high-water mark move, and are pinned.
+    """
+
+    CAPS = (0, 16, 1 << 30)
+
+    @staticmethod
+    def run_capped(monkeypatch, cap):
+        class Capped(PeriodicORAMBackend):
+            MAX_FUNCTIONAL_DUMMIES_PER_GAP = cap
+
+        monkeypatch.setattr(sharded, "PeriodicORAMBackend", Capped)
+        base = SystemConfig()
+        config = replace(base, oram=replace(base.oram, bucket_size=4, utilization=0.9))
+        trace = locality_mix_trace(
+            0.8, footprint_blocks=2048, accesses=2000, gap_mean=20_000
+        )
+        system = SecureSystem.build("dyn_intvl", trace.footprint_blocks, config)
+        recorder = system.attach_recorder(InMemoryRecorder())
+        result = system.run(trace)
+        issued = [r["start"] for r in recorder.records if "event" not in r]
+        dummies = [
+            (r["slot"], r["functional"])
+            for r in recorder.records
+            if r.get("event") == "periodic_dummy"
+        ]
+        return result, issued, dummies
+
+    def test_cap_moves_the_stash_not_the_schedule(self, monkeypatch):
+        runs = {cap: self.run_capped(monkeypatch, cap) for cap in self.CAPS}
+        result, issued, dummies = runs[16]
+        assert len(issued) > 1000 and len(dummies) > 10 * len(issued)
+        fields = [f.name for f in dataclasses.fields(result)]
+        for cap in self.CAPS:
+            other, other_issued, other_dummies = runs[cap]
+            assert other_issued == issued
+            assert [slot for slot, _ in other_dummies] == [slot for slot, _ in dummies]
+            assert other.dummy_accesses == result.dummy_accesses
+            for name in fields:
+                if name != "stash_max_occupancy":
+                    assert getattr(other, name) == getattr(result, name), (cap, name)
+        functional = {cap: sum(f for _, f in runs[cap][2]) for cap in self.CAPS}
+        assert functional == {0: 1752, 16: 16674, 1 << 30: 21932}
+        stash_max = {cap: runs[cap][0].stash_max_occupancy for cap in self.CAPS}
+        assert stash_max == {0: 81, 16: 69, 1 << 30: 68}

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oram.ring_oram import RingORAM, merge_pairs, reverse_bits
+from repro.controller.mixins import merge_pairs
+from repro.oram.ring_oram import RingORAM, reverse_bits
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
 from repro.utils.rng import DeterministicRng
@@ -37,7 +38,7 @@ class TestBasics:
     def test_access_returns_and_remaps(self):
         oram = make_oram()
         before = oram.leaf_of(7)
-        blocks = oram.access([7], new_leaf=(before + 1) % oram.num_leaves)
+        blocks = oram.access([7], new_leaf=(before + 1) % oram.tree.num_leaves)
         assert blocks[7].addr == 7
         assert oram.leaf_of(7) != before
         oram.check_invariants()
@@ -54,7 +55,7 @@ class TestBasics:
     def test_split_group_rejected(self):
         oram = make_oram()
         if oram.leaf_of(0) == oram.leaf_of(1):
-            oram.access([1], new_leaf=(oram.leaf_of(1) + 1) % oram.num_leaves)
+            oram.access([1], new_leaf=(oram.leaf_of(1) + 1) % oram.tree.num_leaves)
         with pytest.raises(ValueError):
             oram.access([0, 1])
 
@@ -115,6 +116,6 @@ class TestSecurity:
         for i in range(2500):
             oram.access([i % 96])
         leaves = observer.leaves()
-        _, p = chi_square_uniformity(leaves, oram.num_leaves)
+        _, p = chi_square_uniformity(leaves, oram.tree.num_leaves)
         assert p > 1e-4
         assert abs(lag_autocorrelation(leaves, lag=1)) < 0.07

@@ -507,8 +507,7 @@ class TestRuntimeFailureHandling:
             FOOTPRINT,
             num_workers=2,
             checkpoint_dir=str(tmp_path),
-            batch_deadline_s=0.3,
-            join_timeout_s=2.0,
+            health_policy=HealthPolicy(batch_deadline_s=0.3, join_timeout_s=2.0),
         ) as runtime:
             runtime.kill_worker(0)
             with pytest.raises(WorkerFailure) as died:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oram.tree_oram import ShiTreeORAM, merge_pairs
+from repro.controller.mixins import merge_pairs
+from repro.oram.tree_oram import ShiTreeORAM
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity
 from repro.utils.rng import DeterministicRng
