@@ -29,19 +29,12 @@ def run_variant(trace, literal):
     config = experiment_config()
     system = SecureSystem.build("dyn", trace.footprint_blocks, config)
     # Swap in the requested scheme variant before running.
-    backend = system.backend
     scheme = DynamicSuperBlockScheme(
         max_sbsize=config.oram.max_super_block_size,
         policy=AdaptiveThresholdPolicy(),
         literal_merge_decrement=literal,
     )
-    scheme.attach(backend.oram, backend._probe_llc)
-    backend.scheme = scheme
-    # The backend caches two of the scheme's bound hooks at construction;
-    # without re-binding them the swapped-in scheme never hears LLC hits or
-    # threshold updates and under-reports its own gain (+0.314 vs +0.384).
-    backend.on_llc_hit = scheme.on_llc_hit
-    backend._policy_listener = scheme.threshold_listener()
+    system.backend.set_policy(scheme)
     result = system.run(trace, warmup_entries=int(len(trace) * WARMUP))
     # Merges counted over the whole run, not just the window:
     total_merges = scheme.stats.merges

@@ -5,10 +5,7 @@
   check) that Path ORAM, Ring ORAM, the Shi et al. tree ORAM, and the
   square-root ORAM all implement, plus a registry for building any of
   them by name.  It serves ``repro parity``, the cross-scheme parity
-  suite and ``fsck``; the timing backend is *not* scheme-generic --
-  :class:`~repro.memory.oram_backend.ORAMBackend` constructs a
-  :class:`~repro.oram.path_oram.PathORAM` and reads its ``position_map``,
-  ``stash`` and ``_pending_writeback``;
+  suite and ``fsck``;
 * :mod:`repro.controller.mixins` -- the stash/eviction/placement logic
   the scheme zoo shares, the tree schemes' one invariant audit, and
   ``merge_pairs``;

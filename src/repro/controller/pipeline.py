@@ -28,12 +28,15 @@ span's ``end - start`` is the sum of its ``phases`` plus ``fault_delay``.
 What a path costs -- the paper's serial ``T`` each, or the channel model's
 pipelined train -- is the interconnect's business alone.
 
-This is the backend's own access path, not a layer apart from it: it
-reads the backend's fault/relief helpers, LLC probe and policy listener
-directly, and the leaf ``PathORAM.begin_access`` parked for the
-write-back.  Per-phase attribution lands only in pipeline-owned counters
-and ``SimResult.extra``; the pinned result fields keep flowing into
-:class:`~repro.memory.backend.BackendStats`.
+The pipeline reads nothing private of the objects it drives.  It sees the
+backend's public controller surface (``fault_delay()``,
+``stash_soft_limit`` / ``relieve_stash()``, ``injector``, ``busy_until``),
+the ORAM's ``pending_leaf`` (the leaf ``begin_access`` parked for the
+write-back) and the super-block policy's ``llc_contains`` / ``listener``
+-- plain attributes, so reading one costs the access path no call.  The
+Equation 1 clock (``last_request_cycle``) is the pipeline's own.  Per-phase attribution lands only in pipeline-owned
+counters and ``SimResult.extra``; the pinned result fields keep flowing
+into :class:`~repro.memory.backend.BackendStats`.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class AccessPipeline:
             "fault": 0,
         }
         self.requests = 0
+        #: completion cycle of the previous request: Equation 1's elapsed
+        #: time is measured from here (the backend's load_counters restarts
+        #: it at the restored busy_until)
+        self.last_request_cycle = 0
 
     def execute(
         self, addr: int, now: int, run_scheme: bool, kind: str = "demand"
@@ -78,10 +85,10 @@ class AccessPipeline:
             retries_before = stats.fault_retries
 
         # ------------------------------------------------ 1. before the path
-        fault_delay = backend._fault_delay() if backend.injector is not None else 0
+        fault_delay = backend.fault_delay() if backend.injector is not None else 0
         evictions = oram.drain_stash()
-        if backend._stash_soft_limit is not None:
-            evictions += backend._relieve_stash()
+        if backend.stash_soft_limit is not None:
+            evictions += backend.relieve_stash()
         stats.dummy_accesses += evictions
         extra = backend.posmap_hierarchy.lookup(addr)
         stats.posmap_accesses += extra
@@ -100,7 +107,7 @@ class AccessPipeline:
         # begin_access parked the read path's leaf for the write-back, and
         # that leaf is the bucket stream being timed.
         start, evicted, walked, done = backend.interconnect.train(
-            now, backend.busy_until, evictions, extra, oram._pending_writeback
+            now, backend.busy_until, evictions, extra, oram.pending_leaf
         )
         evict_cycles = evicted - start
         posmap_cycles = walked - evicted
@@ -112,7 +119,7 @@ class AccessPipeline:
             # Members whose copies are already LLC-resident are not "coming
             # from ORAM" for the scheme's purposes (Algorithm 2).  The
             # singleton case (most accesses) skips the comprehension frame.
-            llc_contains = backend._llc_contains
+            llc_contains = scheme.llc_contains
             if len(members) == 1:
                 member = members[0]
                 fetched = {} if llc_contains(member) else {member: blocks[member]}
@@ -139,7 +146,7 @@ class AccessPipeline:
         backend.busy_until = completion
         stats.memory_accesses += extra + 1
         stats.busy_cycles += latency
-        policy = backend._policy_listener
+        policy = scheme.listener
         if policy is not None:
             if evictions:
                 policy.on_background_eviction(evictions)
@@ -147,9 +154,9 @@ class AccessPipeline:
             # the policy guards that boundary itself (Equation 1).
             policy.on_request(
                 busy_cycles=latency,
-                elapsed_cycles=completion - backend._last_request_cycle,
+                elapsed_cycles=completion - self.last_request_cycle,
             )
-        backend._last_request_cycle = completion
+        self.last_request_cycle = completion
         if recorder is not None:
             recorder.record_span(
                 {

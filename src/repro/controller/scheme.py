@@ -4,11 +4,9 @@ Every oblivious-memory construction in this repository -- Path ORAM, Ring
 ORAM, the Shi et al. binary-tree ORAM, and the Goldreich-Ostrovsky
 square-root ORAM -- implements this protocol, so ``repro parity``, the
 cross-scheme parity suite and ``fsck`` can drive any of them without
-knowing which one they hold.  The timing backend cannot:
-:class:`~repro.memory.oram_backend.ORAMBackend` (and so the access
-pipeline and every sharded bank) constructs a
-:class:`~repro.oram.path_oram.PathORAM` and reads its ``position_map``,
-``stash`` and ``_pending_writeback``.
+knowing which one they hold.  (:func:`build_scheme` builds such an ORAM
+*construction*; the super block *policy* a controller runs on top of one
+comes from :func:`repro.controller.sharded.make_policy`.)
 
 The protocol splits one oblivious access into the two halves the paper's
 pipeline needs (everything between them runs with the accessed blocks

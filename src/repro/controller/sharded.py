@@ -37,7 +37,8 @@ batch API at width 1).
 
 Construction: this module is the one place ORAM controllers are made.
 :func:`build_shard_backend` is the only constructor call of
-``ORAMBackend``/``PeriodicORAMBackend`` and :func:`build_bank` the only
+``ORAMBackend``/``PeriodicORAMBackend`` (and of the ORAM each one is
+handed) and :func:`build_bank` the only
 assembly of a bank and its health plane; the system builder, the serving
 front end, the serial reference and the shard workers all import them from
 here.
@@ -74,6 +75,7 @@ from repro.health.plane import HealthControlPlane
 from repro.memory.backend import BackendStats, DemandResult, MemoryBackend, sum_counters
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
+from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme, SuperBlockScheme
 from repro.utils.rng import DeterministicRng
 
@@ -265,7 +267,7 @@ class ShardedORAMBank(MemoryBackend):
             if len(shard.oram.stash) > self._pressure_limits[shard_index]:
                 health.record_pressure(shard_index)
         throttled = health.state(shard_index).throttled
-        if throttled != shard._health_degraded:
+        if throttled != shard.degraded:
             shard.set_degraded(throttled)
         return self._globalize(shard_index, result)
 
@@ -376,29 +378,33 @@ _DYN_VARIANTS = {
     "dyn_sm_ab": (StaticThresholdPolicy, True),
 }
 
-#: every base scheme name :func:`make_scheme` builds
+#: every base scheme name :func:`make_policy` builds
 ORAM_SCHEMES = ("oram", "stat", *_DYN_VARIANTS, "dyn_strided")
 
 
-def make_scheme(
+def make_policy(
     name: str,
     config: SystemConfig,
-    policy: Optional[ThresholdPolicy] = None,
+    thresholds: Optional[ThresholdPolicy] = None,
     static_sbsize: Optional[int] = None,
 ) -> SuperBlockScheme:
-    """The super block scheme behind a base scheme name."""
+    """The super block *policy* behind a base scheme name.
+
+    (The ORAM *construction* a controller drives is a different choice:
+    :func:`repro.controller.scheme.build_scheme` names those.)
+    """
     if name == "oram":
         return BaselineScheme()
     if name == "stat":
         return StaticSuperBlockScheme(static_sbsize or config.oram.max_super_block_size)
     if name == "dyn_strided":
         # Future-work extension (section 6.2): strided pair merging.
-        return StridedDynamicScheme(policy=policy)
+        return StridedDynamicScheme(policy=thresholds)
     if name in _DYN_VARIANTS:
-        default_policy, break_enabled = _DYN_VARIANTS[name]
+        default_thresholds, break_enabled = _DYN_VARIANTS[name]
         return DynamicSuperBlockScheme(
             max_sbsize=config.oram.max_super_block_size,
-            policy=policy or default_policy(),
+            policy=thresholds or default_thresholds(),
             break_enabled=break_enabled,
         )
     raise ValueError(f"unknown scheme '{name}'")
@@ -428,7 +434,9 @@ def build_shard_backend(
     ``(config.seed, shard_index)`` -- ``fork`` hashes an integer tuple,
     untouched by hash randomization -- so a worker process rebuilds shard
     ``i`` bit-identically to the serial bank without ever seeing the other
-    shards.
+    shards.  The ORAM (built unpopulated, with the observer) and the super
+    block policy are made here and handed to the backend, which attaches
+    the one to the other and populates.
 
     Args:
         base_scheme: scheme name with any prefetch/periodic suffix already
@@ -452,16 +460,15 @@ def build_shard_backend(
     if rng_restart_salt:
         rng = rng.fork(0x5EC0 + rng_restart_salt)
     oram_config = config.oram.scaled_to_footprint(per_shard_blocks)
-    scheme = make_scheme(base_scheme, config, policy, static_sbsize)
-    wiring = dict(
-        observer=observer, fault_injector=fault_injector, resilience=resilience
-    )
+    oram = PathORAM(oram_config, rng, observer=observer, populate=False)
+    scheme = make_policy(base_scheme, config, policy, static_sbsize)
+    wiring = dict(fault_injector=fault_injector, resilience=resilience)
     if periodic:
         backend: ORAMBackend = PeriodicORAMBackend(
-            oram_config, config.dram, scheme, rng, config.timing_protection, **wiring
+            oram, config.dram, scheme, config.timing_protection, **wiring
         )
     else:
-        backend = ORAMBackend(oram_config, config.dram, scheme, rng, **wiring)
+        backend = ORAMBackend(oram, config.dram, scheme, **wiring)
     backend.shard_index = shard_index
     backend.addr_stride = num_shards
     return backend

@@ -78,6 +78,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
             raise ValueError("max super block size must be a power of two")
         self.max_sbsize = max_sbsize
         self.policy = policy if policy is not None else StaticThresholdPolicy()
+        self.listener = self.policy
         self.break_enabled = break_enabled
         self.literal_merge_decrement = literal_merge_decrement
         self._coresident = bytearray(0)
@@ -94,9 +95,6 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         self._break_bits = oram.position_map._break_bits
         self._pf_bits = self._tracker._prefetch_bits
         self._hit_bits = self._tracker._hit_bits
-
-    def threshold_listener(self):
-        return self.policy
 
     # ------------------------------------------------------------ membership
     def members_for(self, addr: int) -> List[int]:
@@ -242,7 +240,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
             neighbor = cb if cb != base else base + 1
             m = self._merge_bits
             value = (m[cb] << 1) | m[cb + 1]
-            if self._llc_contains(neighbor):
+            if self.llc_contains(neighbor):
                 coresident = self._coresident
                 coresident[cb] = 1
                 coresident[cb + 1] = 1
@@ -278,7 +276,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         value = counters.bits_to_value(
             posmap.merge_bits_raw(combined_base, result_size)
         )
-        llc_contains = self._llc_contains
+        llc_contains = self.llc_contains
         coresident = True
         for addr in neighbor:
             if not llc_contains(addr):

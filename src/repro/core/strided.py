@@ -56,6 +56,7 @@ class StridedDynamicScheme(SuperBlockScheme):
             raise ValueError("strides must be positive")
         self.strides = tuple(strides)
         self.policy = policy if policy is not None else StaticThresholdPolicy()
+        self.listener = self.policy
         #: addr -> partner addr for currently merged pairs (symmetric)
         self._partner: Dict[int, int] = {}
         #: (low addr, stride) -> merge evidence counter
@@ -63,9 +64,6 @@ class StridedDynamicScheme(SuperBlockScheme):
         #: low addr of pair -> break counter
         self._break_counters: Dict[int, int] = {}
         self._coresident: Dict[int, bool] = {}
-
-    def threshold_listener(self):
-        return self.policy
 
     # ------------------------------------------------------------ membership
     def members_for(self, addr: int) -> List[int]:
@@ -140,7 +138,7 @@ class StridedDynamicScheme(SuperBlockScheme):
                     continue
                 if partner in self._partner or addr in self._partner:
                     continue
-                if not self._llc_contains(partner):
+                if not self.llc_contains(partner):
                     continue
                 low = min(addr, partner)
                 key = (low, stride)

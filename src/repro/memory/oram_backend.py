@@ -1,7 +1,8 @@
 """The ORAM memory controller backend.
 
-Glues together the functional Path ORAM, a super block scheme, the
-recursion/PosMap-cache model, and the latency model, behind the standard
+Glues together the functional Path ORAM (handed in built, not yet
+populated), a super block policy, the recursion/PosMap-cache model, and
+the latency model, behind the standard
 DRAM-replacement interface of the secure-processor literature:
 
 * an LLC **miss** is an ORAM read access: background evictions drain an
@@ -24,6 +25,12 @@ A lone controller answers the bank questions of
 :class:`~repro.memory.backend.MemoryBackend` itself, as a bank of width 1
 (``shards == (self,)``); nothing wraps it and nothing sits on its access
 path.
+
+The controller surface the access pipeline reads is public and plain:
+``fault_delay()``, ``stash_soft_limit`` / ``relieve_stash()``,
+``degraded``, ``injector``, ``busy_until``; the policy wiring -- the LLC
+probe and the threshold listener -- lives on the policy itself, and
+:meth:`ORAMBackend.set_policy` is the one method that attaches a policy.
 """
 
 from __future__ import annotations
@@ -31,17 +38,15 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Callable, List, Optional, Tuple
 
-from repro.config import DRAMConfig, ORAMConfig
+from repro.config import DRAMConfig
 from repro.controller.pipeline import AccessPipeline
 from repro.faults.injector import TransientReadError
 from repro.memory.backend import DemandResult, MemoryBackend
 from repro.memory.interconnect import build_interconnect
 from repro.oram.checkpoint import checked_counters, load_counters
-from repro.oram.path_oram import PathORAM
 from repro.oram.recursion import PosMapHierarchy
 from repro.oram.super_block import SuperBlockScheme
 from repro.oram.tree import TreetopCache
-from repro.utils.rng import DeterministicRng
 
 
 def _field_names(stats) -> List[str]:
@@ -60,13 +65,14 @@ class ORAMBackend(MemoryBackend):
     :class:`~repro.controller.sharded.ShardedORAMBank`.
 
     Args:
-        oram_config: functional + nominal ORAM parameters (already scaled
-            to the workload footprint by the caller).
+        oram: the functional ORAM, built but not yet populated (its config
+            already scaled to the workload footprint; its observer, if
+            any, already attached).  The constructor populates it after the
+            policy's ``initialize`` had its chance to rewrite the position
+            map.
         dram_config: the physical channel the tree lives on (bandwidth and
             flat latency feed the path-access cost).
-        scheme: super block strategy (baseline / static / dynamic).
-        rng: deterministic randomness.
-        observer: optional adversary observer forwarded to the ORAM.
+        scheme: super block policy (baseline / static / dynamic).
         fault_injector: optional :class:`repro.faults.FaultInjector`; its
             ``on_memory_access`` hook runs once per ORAM access and may
             raise transient failures or add response delay.  ``None`` (the
@@ -79,29 +85,25 @@ class ORAMBackend(MemoryBackend):
 
     def __init__(
         self,
-        oram_config: ORAMConfig,
+        oram,
         dram_config: DRAMConfig,
         scheme: SuperBlockScheme,
-        rng: DeterministicRng,
-        observer=None,
         fault_injector=None,
         resilience=None,
     ):
         super().__init__()
-        self.config = oram_config
-        self.scheme = scheme
+        self.oram = oram
+        self.config = config = oram.config
         #: pluggable memory interconnect: the flat default is the paper's
         #: one scalar per path; the channel model streams each path's
         #: buckets across DRAM channels (DESIGN.md section 11)
-        self.interconnect = build_interconnect(oram_config, dram_config)
-        self.oram = PathORAM(oram_config, rng, observer=observer, populate=False)
-        self.num_blocks = self.oram.position_map.num_blocks
+        self.interconnect = build_interconnect(config, dram_config)
+        self.num_blocks = oram.position_map.num_blocks
         self.posmap_hierarchy = PosMapHierarchy(
-            num_hierarchies=oram_config.num_hierarchies,
-            entries_per_block=oram_config.posmap_entries_per_block,
-            cache_entries=oram_config.posmap_cache_entries,
+            num_hierarchies=config.num_hierarchies,
+            entries_per_block=config.posmap_entries_per_block,
+            cache_entries=config.posmap_cache_entries,
         )
-        self._llc_contains: Callable[[int], bool] = lambda addr: False
         #: optional span sink (:mod:`repro.observability`); ``None`` is the
         #: disabled state -- the only thing the pipeline tests
         self.recorder = None
@@ -110,39 +112,34 @@ class ORAMBackend(MemoryBackend):
         #: address interleave stride (num_shards when owned by a bank);
         #: spans report the global address ``local * stride + shard_index``
         self.addr_stride = 1
-        scheme.attach(self.oram, self._probe_llc)
-        # attach() just re-bound the scheme's on_llc_hit to the tracker;
-        # re-export it so the system's hit loop calls the tracker directly.
-        self.on_llc_hit = scheme.on_llc_hit
+        #: health-plane degraded mode: merges throttled, prefetches shed
+        #: at the door (read by the bank on every health-routed access)
+        self.degraded = False
+        self.scheme = scheme  # set_policy keeps the probe of the one it replaces
+        self.set_policy(scheme)
         scheme.initialize()
-        self.oram.populate()
-        self._last_request_cycle = 0
-        # The threshold listener never changes after construction; caching
-        # it avoids a per-access virtual call in the pipeline.
-        self._policy_listener = scheme.threshold_listener()
+        oram.populate()
         #: the access function every request runs (PosMap walk -> path read
         #: -> remap -> write-back) with per-phase accounting
         self.pipeline = AccessPipeline(self)
         #: optional callback(occupancy) sampled after every demand access
         #: (the stash-occupancy study hooks in here)
         self.stash_sampler: Optional[Callable[[int], None]] = None
-        #: health-plane degraded mode: merges throttled, prefetches shed
-        self._health_degraded = False
-        #: when degraded, prefetch_access sheds requests before they queue
-        self.prefetch_throttled = False
         # ----------------------------------------------- fault resilience
         self.injector = fault_injector
         self.resilience = resilience
-        self._stash_soft_limit: Optional[int] = None
+        #: stash occupancy above which relieve_stash runs (``None``: no
+        #: resilience ladder wired, and the pipeline skips the rung)
+        self.stash_soft_limit: Optional[int] = None
         if fault_injector is not None or resilience is not None:
             from repro.faults.resilient import ResilienceConfig
 
             self.resilience = resilience or ResilienceConfig()
-            self._stash_soft_limit = max(
+            self.stash_soft_limit = max(
                 1,
-                int(self.oram.stash.capacity * self.resilience.stash_soft_fraction),
+                int(oram.stash.capacity * self.resilience.stash_soft_fraction),
             )
-            self._backoff_rng = rng.fork(0xBACF)
+            self._backoff_rng = oram.rng.fork(0xBACF)
 
     # ------------------------------------------------------------ bank of one
     @property
@@ -233,7 +230,7 @@ class ORAMBackend(MemoryBackend):
         for section, owner, names in self._counted():
             if section not in ("oram", "treetop"):  # the ORAM document's
                 load_counters(owner, names, saved[section], section)
-        self.busy_until = self._last_request_cycle = top["busy_until"]
+        self.busy_until = pipeline.last_request_cycle = top["busy_until"]
         self.oram.stash.max_occupancy = top["stash_max_occupancy"]
         pipeline.requests = top["pipeline_requests"]
         pipeline.phase_cycles.update(phases)
@@ -257,15 +254,23 @@ class ORAMBackend(MemoryBackend):
 
     def set_llc_probe(self, probe: Callable[[int], bool]) -> None:
         """Install the LLC tag-probe callback (the system wires this after
-        building the cache hierarchy)."""
-        self._llc_contains = probe
-        # Flatten the probe chain for the scheme too: it was attached with
-        # the _probe_llc indirection only because the hierarchy did not
-        # exist yet.
-        self.scheme.set_llc_probe(probe)
+        building the cache hierarchy).  It lives on the policy, where both
+        the merge algorithm and the pipeline's LLC filter read it."""
+        self.scheme.llc_contains = probe
 
-    def _probe_llc(self, addr: int) -> bool:
-        return self._llc_contains(addr)
+    def set_policy(self, policy: SuperBlockScheme) -> None:
+        """Attach a super block policy to this controller's ORAM.
+
+        The one wiring method: the constructor calls it, and so does
+        anything that swaps a policy.  The new policy keeps the LLC probe
+        the current one holds, and its ``on_llc_hit`` -- bound to its
+        prefetch tracker by ``attach`` -- is re-exported so the system's
+        hit loop calls the tracker directly.  A swap after construction
+        does not re-run ``initialize`` (the ORAM is populated by then).
+        """
+        policy.attach(self.oram, self.scheme.llc_contains)
+        self.scheme = policy
+        self.on_llc_hit = policy.on_llc_hit
 
     # ----------------------------------------------------------- health plane
     def set_degraded(self, degraded: bool) -> None:
@@ -278,8 +283,7 @@ class ORAMBackend(MemoryBackend):
         the stash-relief rung below re-asserts the merge throttle so the
         two mechanisms compose instead of fighting.
         """
-        self._health_degraded = degraded
-        self.prefetch_throttled = degraded
+        self.degraded = degraded
         self.scheme.set_merge_throttled(degraded)
 
     def dummy_path_access(self, now: int) -> int:
@@ -307,7 +311,7 @@ class ORAMBackend(MemoryBackend):
         return completion
 
     # ------------------------------------------------------- fault resilience
-    def _fault_delay(self) -> int:
+    def fault_delay(self) -> int:
         """Model the untrusted channel misbehaving on this access.
 
         Transient read failures are retried in place -- the timing backend
@@ -334,7 +338,7 @@ class ORAMBackend(MemoryBackend):
         stats.fault_delay_cycles += delay
         return delay
 
-    def _relieve_stash(self) -> int:
+    def relieve_stash(self) -> int:
         """Degradation rung: merge throttling + forced background evictions.
 
         Called after the regular ``drain_stash`` pass.  While occupancy
@@ -344,9 +348,9 @@ class ORAMBackend(MemoryBackend):
         evictions are charged as ordinary path accesses by the caller.
         """
         oram = self.oram
-        limit = self._stash_soft_limit
+        limit = self.stash_soft_limit
         throttled = len(oram.stash) > limit
-        self.scheme.set_merge_throttled(throttled or self._health_degraded)
+        self.scheme.set_merge_throttled(throttled or self.degraded)
         if not throttled:
             return 0
         forced = 0
@@ -355,7 +359,7 @@ class ORAMBackend(MemoryBackend):
             forced += 1
         self.stats.forced_evictions += forced
         if len(oram.stash) <= limit:
-            self.scheme.set_merge_throttled(self._health_degraded)
+            self.scheme.set_merge_throttled(self.degraded)
         return forced
 
     # -------------------------------------------------------------- internals
@@ -404,7 +408,7 @@ class ORAMBackend(MemoryBackend):
         ORAM controller and there is no idle time for prefetching",
         section 3.1).
         """
-        if self.prefetch_throttled:
+        if self.degraded:
             # Health-plane degraded mode: shed prefetches before they
             # occupy the controller (demand traffic keeps its slot).
             return None

@@ -39,15 +39,19 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import DRAMConfig, ORAMConfig, TimingProtectionConfig
+from repro.config import DRAMConfig, TimingProtectionConfig
 from repro.memory.backend import DemandResult
 from repro.memory.oram_backend import ORAMBackend
 from repro.oram.super_block import SuperBlockScheme
-from repro.utils.rng import DeterministicRng
 
 
 class PeriodicORAMBackend(ORAMBackend):
-    """ORAM backend whose access schedule is fixed by ``Oint``."""
+    """ORAM backend whose access schedule is fixed by ``Oint``.
+
+    Takes :class:`ORAMBackend`'s arguments plus ``timing_protection``
+    after the policy; ``**wiring`` passes the base class's keyword
+    arguments through.
+    """
 
     #: functional dummies per idle gap are capped; the rest are counted only
     #: (moves the stash, not the schedule -- see the module docstring)
@@ -55,24 +59,13 @@ class PeriodicORAMBackend(ORAMBackend):
 
     def __init__(
         self,
-        oram_config: ORAMConfig,
+        oram,
         dram_config: DRAMConfig,
         scheme: SuperBlockScheme,
-        rng: DeterministicRng,
         timing_protection: TimingProtectionConfig,
-        observer=None,
-        fault_injector=None,
-        resilience=None,
+        **wiring,
     ):
-        super().__init__(
-            oram_config,
-            dram_config,
-            scheme,
-            rng,
-            observer=observer,
-            fault_injector=fault_injector,
-            resilience=resilience,
-        )
+        super().__init__(oram, dram_config, scheme, **wiring)
         if timing_protection.interval_cycles < 0:
             raise ValueError("Oint must be non-negative")
         self.interval = timing_protection.interval_cycles

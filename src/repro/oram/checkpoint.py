@@ -95,7 +95,7 @@ def _decode_block(raw: dict, where: str) -> Block:
 
 def _oram_state_dict(oram: PathORAM) -> dict:
     """The checkpoint document of one Path ORAM, as a plain dict."""
-    if oram._pending_writeback is not None:
+    if oram.pending_leaf is not None:
         raise RuntimeError("cannot checkpoint mid-access")
     config = oram.config
     posmap = oram.position_map
@@ -373,7 +373,10 @@ def restore_oram(
 # the result fold and the metrics registry read -- and
 # :meth:`~repro.memory.oram_backend.ORAMBackend.load_counters` restores
 # from it, so a respawned worker resumes accounting exactly where the dead
-# one stopped and a counter cannot be folded but not persisted.  What is
+# one stopped and a counter cannot be folded but not persisted.  Beside it,
+# ``"posmap_cache"`` holds the on-chip PosMap block cache's keys in LRU
+# order, so a restored shard's PosMap walks are as long as the dead one's
+# would have been (a document without it restores a cold cache).  What is
 # deliberately *not* captured (and therefore resets on recovery, exactly
 # like a rebooted device): RNG state, the adaptive threshold policy's
 # training state, and the prefetch tracker's block-side hit bits -- none of
@@ -396,6 +399,7 @@ def dump_backend_state(backend, runtime_state: Optional[dict] = None) -> str:
         "kind": "oram-backend",
         "oram": _oram_state_dict(backend.oram),
         "backend": backend.counters(),
+        "posmap_cache": backend.posmap_hierarchy.cached_keys(),
         "runtime": runtime_state or {},
     }
     return json.dumps(state)
@@ -431,6 +435,17 @@ def restore_backend_state(backend, payload: str) -> dict:
         backend.load_counters(state["backend"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed backend checkpoint: {exc!r}") from exc
+    hierarchy = backend.posmap_hierarchy
+    keys = state.get("posmap_cache", [])  # older documents: a cold cache
+    if not (
+        isinstance(keys, list)
+        and all(type(key) is int for key in keys)
+        and len(keys) <= max(0, hierarchy.cache_entries)
+    ):
+        raise CheckpointError(
+            f"posmap_cache must list at most {hierarchy.cache_entries} integer keys"
+        )
+    hierarchy.load_cache(keys)
     runtime = state.get("runtime", {})
     if not isinstance(runtime, dict):
         raise CheckpointError("backend checkpoint runtime section must be a dict")

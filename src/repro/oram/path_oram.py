@@ -95,7 +95,9 @@ class PathORAM(
         for name in self.COUNTERS:
             setattr(self, name, 0)
         self._populated = False
-        self._pending_writeback: Optional[int] = None
+        #: the leaf begin_access read, parked for finish_access's write-back
+        #: (``None`` between accesses); the timing pipeline streams it
+        self.pending_leaf: Optional[int] = None
         # Scratch depth buckets reused by every _evict_path call (allocating
         # levels+1 lists per access showed up in profiles).  Entries are
         # always left empty between calls.
@@ -195,7 +197,7 @@ class PathORAM(
             leaf = posmap.leaf(addrs[0])
         else:
             leaf = self._validated_shared_leaf(addrs, posmap.leaf)
-        if self._pending_writeback is not None:
+        if self.pending_leaf is not None:
             raise RuntimeError("previous access not finished")
         self.real_accesses += 1
         if self.observer is not None:
@@ -226,15 +228,15 @@ class PathORAM(
                 raise KeyError(f"block {addr} in neither tree nor stash")
             block.leaf = assigned
             fetched[addr] = block
-        self._pending_writeback = leaf
+        self.pending_leaf = leaf
         return fetched
 
     def finish_access(self) -> None:
         """Protocol step 5: write the accessed path back from the stash."""
-        if self._pending_writeback is None:
+        if self.pending_leaf is None:
             raise RuntimeError("no access in progress")
-        leaf = self._pending_writeback
-        self._pending_writeback = None
+        leaf = self.pending_leaf
+        self.pending_leaf = None
         self._evict_path(leaf)
         if self._hooks_active:
             self._after_path_write(leaf)

@@ -106,6 +106,15 @@ class PosMapHierarchy:
         while len(self._cache) > self.cache_entries:
             self._cache.popitem(last=False)
 
+    def cached_keys(self) -> List[int]:
+        """The cached PosMap blocks' keys, least recently used first (what
+        a backend checkpoint stores)."""
+        return list(self._cache)
+
+    def load_cache(self, keys: List[int]) -> None:
+        """Replace the cache with :meth:`cached_keys` output, LRU order kept."""
+        self._cache = OrderedDict.fromkeys(keys)
+
     def hit_rate(self) -> float:
         """Fraction of lookups whose walk ended on a cached PosMap block.
 

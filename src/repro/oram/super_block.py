@@ -133,6 +133,12 @@ class SuperBlockScheme(ABC):
     map), then the backend populates the ORAM and starts calling
     :meth:`members_for` / :meth:`process_fetch` per miss and
     :meth:`on_llc_hit` / :meth:`on_llc_evict` per cache event.
+
+    Two plain attributes are the policy's wiring, read by the merge
+    algorithm and the access pipeline on every access (an attribute read,
+    never a call): ``llc_contains`` is the LLC tag probe (the backend's
+    ``set_llc_probe`` installs the system's), and ``listener`` the
+    adaptive-threshold policy fed prefetch and request events, or ``None``.
     """
 
     name: str = "abstract"
@@ -140,33 +146,19 @@ class SuperBlockScheme(ABC):
     def __init__(self) -> None:
         self.stats = SchemeStats()
         self._oram: Optional[PathORAM] = None
-        self._llc_contains: Callable[[int], bool] = lambda addr: False
+        self.llc_contains: Callable[[int], bool] = lambda addr: False
+        self.listener = None
         self._tracker: Optional[PrefetchTracker] = None
         self._merge_throttled = False
 
     def attach(self, oram: PathORAM, llc_contains: Callable[[int], bool]) -> None:
         self._oram = oram
-        self._llc_contains = llc_contains
-        self._tracker = PrefetchTracker(oram, self.stats, listener=self.threshold_listener())
+        self.llc_contains = llc_contains
+        self._tracker = PrefetchTracker(oram, self.stats, listener=self.listener)
         # Flatten the per-LLC-hit delegation: no scheme overrides
         # on_llc_hit, so the instance attribute routes hits straight to the
         # tracker (the backend re-exports this bound method in turn).
         self.on_llc_hit = self._tracker.on_use
-
-    def set_llc_probe(self, llc_contains: Callable[[int], bool]) -> None:
-        """Swap in the final LLC tag-probe callable.
-
-        Attach happens before the cache hierarchy exists, so the backend
-        first hands the scheme an indirection; once the system wires the
-        real probe it is installed here directly -- the merge algorithm
-        probes the LLC on every access, and each skipped delegation frame
-        is measurable.
-        """
-        self._llc_contains = llc_contains
-
-    def threshold_listener(self):
-        """Adaptive-threshold policy to notify of prefetch events (or None)."""
-        return None
 
     def set_merge_throttled(self, throttled: bool) -> None:
         """Graceful degradation under stash pressure.

@@ -593,7 +593,7 @@ class TestRoundTrip:
 #: integer attributes that move but are scheduler scratch, not counters
 SCRATCH = {
     # the Equation 1 clock: restored *from* busy_until, never stored
-    ("backend", "_last_request_cycle"),
+    ("pipeline", "last_request_cycle"),
     # the periodic grid cursor: derived from busy_until on restore (the first
     # grid point >= busy_until + Oint), never stored
     ("backend", "_next_slot"),
@@ -1037,7 +1037,7 @@ class TestCheckpointCompatibility:
 class TestRestoredEquationOneWindow:
     def test_first_window_after_a_restore_is_not_fed_the_whole_history(self):
         """3,000 back-to-back accesses, checkpoint -> restore, then one
-        1,000-request window.  With ``_last_request_cycle`` left at 0 the
+        1,000-request window.  With the clock left at 0 the
         restored shard's first ``on_request`` reported the whole simulated
         history as idle time and the window read ``access_rate`` ~0.25
         where the uninterrupted run reads ~0.97."""
@@ -1052,12 +1052,12 @@ class TestRestoredEquationOneWindow:
         run(uninterrupted, 0, 3_000)
         restored = build_controller()
         restore_backend_state(restored, dump_backend_state(uninterrupted))
-        assert restored._last_request_cycle == restored.busy_until > 0
-        policy = restored.scheme.threshold_listener()
+        assert restored.pipeline.last_request_cycle == restored.busy_until > 0
+        policy = restored.scheme.listener
         assert policy.access_rate == 0.0  # training state resets (documented)
         run(uninterrupted, 3_000, 1_000)
         run(restored, 3_000, 1_000)
-        expected = uninterrupted.scheme.threshold_listener().access_rate
+        expected = uninterrupted.scheme.listener.access_rate
         assert expected > 0.9
         assert abs(policy.access_rate - expected) < 0.05
 

@@ -64,11 +64,11 @@ class TestBackendEdges:
         assert second.completion_cycle >= first.completion_cycle + 100
 
     def test_periodic_with_zero_interval_is_back_to_back(self):
+        config = ORAMConfig(levels=6, bucket_size=4, stash_blocks=30, utilization=0.5)
         backend = PeriodicORAMBackend(
-            ORAMConfig(levels=6, bucket_size=4, stash_blocks=30, utilization=0.5),
+            PathORAM(config, DeterministicRng(3), populate=False),
             DRAMConfig(),
             BaselineScheme(),
-            DeterministicRng(3),
             TimingProtectionConfig(interval_cycles=0),
         )
         first = backend.demand_access(1, 0, False)
@@ -89,10 +89,13 @@ class TestBackendEdges:
     def test_periodic_rejects_negative_interval(self):
         with pytest.raises(ValueError):
             PeriodicORAMBackend(
-                ORAMConfig(levels=6, bucket_size=4, stash_blocks=30),
+                PathORAM(
+                    ORAMConfig(levels=6, bucket_size=4, stash_blocks=30),
+                    DeterministicRng(3),
+                    populate=False,
+                ),
                 DRAMConfig(),
                 BaselineScheme(),
-                DeterministicRng(3),
                 TimingProtectionConfig(interval_cycles=-1),
             )
 

@@ -44,6 +44,7 @@ from repro.oram.checkpoint import (
     dump_backend_state,
     restore_backend_state,
 )
+from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme
 from repro.oram.tree import PhysicalLayout
 from repro.sim.system import SecureSystem
@@ -315,11 +316,11 @@ class TestChannelSpeedup:
 
 class TestPeriodicGridWithChannels:
     def test_issue_times_stay_on_the_grid(self):
+        config = ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5)
         backend = PeriodicORAMBackend(
-            ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5),
+            PathORAM(config, DeterministicRng(4), populate=False),
             DRAMConfig(model="channel", num_channels=4),
             BaselineScheme(),
-            DeterministicRng(4),
             TimingProtectionConfig(interval_cycles=100),
         )
         recorder = InMemoryRecorder()
@@ -417,7 +418,8 @@ class TestCheckpointRoundTrip:
             dram = DRAMConfig(
                 model="channel", num_channels=4, subtree_levels=subtree_levels
             )
-            return ORAMBackend(oram, dram, BaselineScheme(), DeterministicRng(8))
+            tree = PathORAM(oram, DeterministicRng(8), populate=False)
+            return ORAMBackend(tree, dram, BaselineScheme())
 
         source = backend(2)
         source.demand_access(3, now=0, is_write=False)

@@ -37,6 +37,7 @@ from repro.memory.interconnect import (
 )
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
+from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme
 from repro.oram.tree import PhysicalLayout
 from repro.utils.rng import DeterministicRng
@@ -426,7 +427,8 @@ class TestEveryChargedPathReachesTheInterconnect:
             levels=7, bucket_size=4, stash_blocks=50, utilization=0.5, treetop_levels=k
         )
         dram = DRAMConfig(model=model, num_channels=channels if model == "channel" else 1)
-        args = (oram, dram, BaselineScheme(), DeterministicRng(seed))
+        tree = PathORAM(oram, DeterministicRng(seed), populate=False)
+        args = (tree, dram, BaselineScheme())
         if periodic:
             backend = PeriodicORAMBackend(*args, TimingProtectionConfig(interval_cycles=100))
         else:

@@ -1,22 +1,35 @@
 """Unit tests for the ORAM memory backend."""
 
+import dataclasses
+import json
+import random
+
 import pytest
 
+from repro.analysis.experiments import experiment_config
 from repro.config import DRAMConfig, ORAMConfig
+from repro.controller.sharded import build_shard_backend, make_policy
 from repro.core.dynamic import DynamicSuperBlockScheme
 from repro.memory.oram_backend import ORAMBackend
+from repro.oram.checkpoint import (
+    CheckpointError,
+    dump_backend_state,
+    restore_backend_state,
+)
+from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme
 from repro.parallel.merge import fold_backend
 from repro.sim.results import SimResult
+from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
+from repro.workloads.synthetic import sequential_trace
 
 
 def make_backend(scheme=None, levels=7, stash=50, bucket_size=4, utilization=0.5):
     config = ORAMConfig(levels=levels, bucket_size=bucket_size, stash_blocks=stash,
                         utilization=utilization)
-    return ORAMBackend(
-        config, DRAMConfig(), scheme or BaselineScheme(), DeterministicRng(8)
-    )
+    oram = PathORAM(config, DeterministicRng(8), populate=False)
+    return ORAMBackend(oram, DRAMConfig(), scheme or BaselineScheme())
 
 
 class TestDemand:
@@ -144,3 +157,71 @@ class TestDynamicIntegration:
         assert result.background_eviction_rate == pytest.approx(
             result.dummy_accesses / (300 + result.dummy_accesses)
         )
+
+
+class TestSetPolicy:
+    @pytest.mark.parametrize("variant", ["dyn", "dyn_sm_nb"])
+    def test_swapped_policy_runs_like_a_built_one(self, variant):
+        """``set_policy`` is the whole swap: the fresh policy keeps the LLC
+        probe the system installed and the hit loop reaches its tracker,
+        so the run equals building that policy directly (a swap that lost
+        the probe merges nothing; one that lost the hit hook counts no
+        prefetch hits)."""
+        config = experiment_config()
+        trace = sequential_trace(footprint_blocks=5120, accesses=12_000)
+        direct = SecureSystem.build(variant, trace.footprint_blocks, config)
+        swapped = SecureSystem.build("dyn", trace.footprint_blocks, config)
+        policy = make_policy(variant, config)
+        swapped.backend.set_policy(policy)
+        expected = direct.run(trace, warmup_entries=3000)
+        result = swapped.run(trace, warmup_entries=3000)
+        assert dataclasses.replace(result, scheme=variant) == expected
+        assert swapped.backend.scheme is policy
+        assert expected.merges > 0 and expected.prefetch_hits > 0
+
+
+class TestPosMapCacheCheckpoint:
+    FOOTPRINT = 16_384  # 512 level-1 PosMap blocks against a 128-block cache
+
+    def build(self):
+        return build_shard_backend("dyn", self.FOOTPRINT, experiment_config(), 0, 1)
+
+    @staticmethod
+    def run(backend, addrs):
+        before = backend.stats.posmap_accesses
+        for addr in addrs:
+            backend.demand_access(addr, backend.busy_until, False)
+        return backend.stats.posmap_accesses - before
+
+    def test_restored_walks_are_as_long_as_the_uninterrupted_ones(self):
+        """Walk lengths only, not completions: a restore re-seeds the leaf
+        RNG by design.  The window's 4,096 addresses need 133 PosMap blocks,
+        so the 128-block cache evicts and its LRU order matters.  (With a
+        cold cache the restored shard's next 300 walks ran long.)"""
+        rng = random.Random(5)
+        window = [rng.randrange(4096) for _ in range(600)]
+        uninterrupted = self.build()
+        self.run(uninterrupted, window[:300])
+        restored = self.build()
+        restore_backend_state(restored, dump_backend_state(uninterrupted))
+        keys = restored.posmap_hierarchy.cached_keys()
+        assert keys and keys == uninterrupted.posmap_hierarchy.cached_keys()
+        assert self.run(restored, window[300:]) == self.run(uninterrupted, window[300:])
+
+    def test_older_documents_restore_a_cold_cache(self):
+        source = self.build()
+        self.run(source, range(0, 4096, 32))
+        document = json.loads(dump_backend_state(source))
+        del document["posmap_cache"]
+        target = self.build()
+        self.run(target, range(64))
+        assert target.posmap_hierarchy.cached_keys()
+        restore_backend_state(target, json.dumps(document))
+        assert target.posmap_hierarchy.cached_keys() == []
+
+    @pytest.mark.parametrize("bad", ["12", [1.5], [True], list(range(129))])
+    def test_malformed_cache_is_a_checkpoint_error(self, bad):
+        document = json.loads(dump_backend_state(self.build()))
+        document["posmap_cache"] = bad
+        with pytest.raises(CheckpointError, match="posmap_cache"):
+            restore_backend_state(self.build(), json.dumps(document))

@@ -10,6 +10,7 @@ from repro.config import DRAMConfig, ORAMConfig, SystemConfig, TimingProtectionC
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.observability import InMemoryRecorder
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
+from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme
 from repro.security.observer import AccessObserver
 from repro.sim.system import SecureSystem
@@ -18,13 +19,12 @@ from repro.workloads.synthetic import locality_mix_trace
 
 
 def make_backend(interval=100, observer=None, oram=None, dram=None):
+    config = oram or ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5)
     return PeriodicORAMBackend(
-        oram or ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5),
+        PathORAM(config, DeterministicRng(4), observer=observer, populate=False),
         dram or DRAMConfig(),
         BaselineScheme(),
-        DeterministicRng(4),
         TimingProtectionConfig(interval_cycles=interval),
-        observer=observer,
     )
 
 

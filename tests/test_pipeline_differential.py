@@ -43,11 +43,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
-from repro.controller.sharded import make_scheme
+from repro.controller.sharded import make_policy
 from repro.faults import FaultConfig, FaultInjector, ResilienceConfig
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.observability import InMemoryRecorder
+from repro.oram.path_oram import PathORAM
 from repro.utils.rng import DeterministicRng
 
 FOOTPRINT = 192
@@ -80,12 +81,12 @@ class PosMapPhase:
 
     def run(self, backend, ctx):
         if backend.injector is not None:
-            ctx.fault_delay = backend._fault_delay()
+            ctx.fault_delay = backend.fault_delay()
         oram = backend.oram
         stats = backend.stats
         evictions = oram.drain_stash()
-        if backend._stash_soft_limit is not None:
-            evictions += backend._relieve_stash()
+        if backend.stash_soft_limit is not None:
+            evictions += backend.relieve_stash()
         ctx.evictions = evictions
         stats.dummy_accesses += evictions
         ctx.extra = backend.posmap_hierarchy.lookup(ctx.addr)
@@ -101,7 +102,7 @@ class PathReadPhase:
     def run(self, backend, ctx):
         ctx.members = backend.scheme.members_for(ctx.addr)
         ctx.blocks = backend.oram.begin_access(ctx.members)
-        ctx.leaf = backend.oram._pending_writeback
+        ctx.leaf = backend.oram.pending_leaf
 
     def cycles(self, backend, ctx):
         interconnect = backend.interconnect
@@ -118,7 +119,7 @@ class RemapPhase:
             return
         members = ctx.members
         blocks = ctx.blocks
-        llc_contains = backend._llc_contains
+        llc_contains = backend.scheme.llc_contains
         if len(members) == 1:
             member = members[0]
             fetched = {} if llc_contains(member) else {member: blocks[member]}
@@ -256,6 +257,7 @@ class ReferencePipeline:
         self.phase_cycles = {p.name: 0 for p in self.phases}
         self.phase_cycles["fault"] = 0
         self.requests = 0
+        self.last_request_cycle = 0
 
     def execute(self, addr, now, run_scheme, kind="demand"):
         backend = self.backend
@@ -301,15 +303,15 @@ class ReferencePipeline:
         backend.busy_until = completion
         stats.memory_accesses += ctx.extra + 1
         stats.busy_cycles += latency
-        policy = backend._policy_listener
+        policy = backend.scheme.listener
         if policy is not None:
             if ctx.evictions:
                 policy.on_background_eviction(ctx.evictions)
             policy.on_request(
                 busy_cycles=latency,
-                elapsed_cycles=completion - backend._last_request_cycle,
+                elapsed_cycles=completion - self.last_request_cycle,
             )
-        backend._last_request_cycle = completion
+        self.last_request_cycle = completion
         if recorder is not None:
             recorder.record_span(
                 {
@@ -393,11 +395,11 @@ def build_backend(
             FaultConfig(seed=5, transient_rate=0.1, delay_rate=0.1, delay_cycles=77)
         )
         wiring["resilience"] = ResilienceConfig(stash_soft_fraction=0.5)
+    rng = DeterministicRng(config.seed).fork(11)
     args = (
-        config.oram.scaled_to_footprint(FOOTPRINT),
+        PathORAM(config.oram.scaled_to_footprint(FOOTPRINT), rng, populate=False),
         config.dram,
-        make_scheme(scheme, config),
-        DeterministicRng(config.seed).fork(11),
+        make_policy(scheme, config),
     )
     if periodic:
         cls = ReferencePeriodicBackend if reference else PeriodicORAMBackend
@@ -454,7 +456,7 @@ def drive(backend, ops, seed=17):
             seen.append(("evict", victim, backend.busy_until))
         elif roll < 0.93:
             # health-plane degraded mode: merges throttled, prefetches shed
-            backend.set_degraded(not backend.prefetch_throttled)
+            backend.set_degraded(not backend.degraded)
         elif resident:
             backend.on_llc_hit(list(resident)[rng.randint(0, len(resident) - 1)])
     backend.finalize(max(now, backend.busy_until))

@@ -170,6 +170,6 @@ class TestZeroElapsedBoundary:
         first = backend.demand_access(0, now=0, is_write=False)
         elapsed_first = policy._window.elapsed_cycles
         assert elapsed_first == first.completion_cycle
-        backend._last_request_cycle = backend.busy_until + 10 ** 9
+        backend.pipeline.last_request_cycle = backend.busy_until + 10 ** 9
         backend.demand_access(1, now=backend.busy_until, is_write=False)
         assert policy._window.elapsed_cycles == elapsed_first

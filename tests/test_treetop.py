@@ -238,9 +238,8 @@ class TestTruncatedTiming:
         assert costs[-1] < costs[0]
 
     def test_backend_charges_truncated_cost_everywhere(self):
-        backend = ORAMBackend(
-            small_config(4), DRAMConfig(), BaselineScheme(), DeterministicRng(3)
-        )
+        oram = PathORAM(small_config(4), DeterministicRng(3), populate=False)
+        backend = ORAMBackend(oram, DRAMConfig(), BaselineScheme())
         public = backend.interconnect.path_cycles
         assert public == backend.interconnect.path_cycles_for(
             backend.config.nominal_levels + 1 - 4
@@ -308,10 +307,9 @@ class TestTruncatedTiming:
 class TestPeriodicGridWithTreetop:
     def test_issue_times_stay_on_the_truncated_grid(self):
         backend = PeriodicORAMBackend(
-            small_config(4),
+            PathORAM(small_config(4), DeterministicRng(4), populate=False),
             DRAMConfig(model="channel", num_channels=4),
             BaselineScheme(),
-            DeterministicRng(4),
             TimingProtectionConfig(interval_cycles=100),
         )
         recorder = InMemoryRecorder()
