@@ -50,7 +50,6 @@ def run_schemes(
     config: Optional[SystemConfig] = None,
     *,
     policy_factory=None,
-    static_sbsize: Optional[int] = None,
     warmup_fraction: float = 0.0,
     system_hook=None,
     build_kwargs=None,
@@ -64,7 +63,6 @@ def run_schemes(
         policy_factory: zero-argument callable returning a fresh
             :class:`ThresholdPolicy` per dynamic-scheme system (policies
             hold windowed state and must not be shared between runs).
-        static_sbsize: super block size for the static scheme.
         warmup_fraction: leading fraction of the trace simulated but not
             measured (steady-state comparison; see
             :meth:`SecureSystem.run`).
@@ -96,7 +94,6 @@ def run_schemes(
             footprint_blocks=trace.footprint_blocks,
             config=config,
             policy=policy,
-            static_sbsize=static_sbsize,
             **extra_kwargs,
         )
         if system_hook is not None:

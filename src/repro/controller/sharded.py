@@ -70,7 +70,6 @@ from repro.core.thresholds import (
     StaticThresholdPolicy,
     ThresholdPolicy,
 )
-from repro.health.breaker import HealthState
 from repro.health.plane import HealthControlPlane
 from repro.memory.backend import BackendStats, DemandResult, MemoryBackend, sum_counters
 from repro.memory.oram_backend import ORAMBackend
@@ -142,11 +141,12 @@ class ShardedORAMBank(MemoryBackend):
 
         The plane must be as wide as the bank.  Once attached, every
         demand access feeds its shard's breaker (fault outcome +
-        latency), breaker state drives per-shard mitigation (degraded
-        mode throttling, quarantine fallback with dummy padding,
-        half-open probes), and stash occupancy above the policy's
-        pressure watermark degrades the shard immediately.  Detach with
-        ``None`` (mitigations are lifted).
+        latency), the breaker state's ``padded`` / ``throttled`` drive
+        per-shard mitigation (dummy-path padding, degraded mode), a
+        quarantined shard past its cooldown is half-opened, and stash
+        occupancy above the policy's pressure watermark degrades the
+        shard immediately.  Detach with ``None`` (mitigations are
+        lifted).
         """
         if plane is not None and plane.num_shards != self.num_shards:
             raise ValueError(
@@ -169,8 +169,8 @@ class ShardedORAMBank(MemoryBackend):
         """Hard-quarantine one channel (chaos/fault hook; needs a plane)."""
         if self.health is None:
             raise ValueError("no health plane attached")
-        self.health.record_hard_failure(index, reason)
-        self.shards[index].set_degraded(True)
+        state = self.health.record_hard_failure(index, reason)
+        self.shards[index].set_degraded(state.throttled)
 
     def _split(self, addr: int) -> Tuple[ORAMBackend, int]:
         return self.shards[addr % self.num_shards], addr // self.num_shards
@@ -223,52 +223,43 @@ class ShardedORAMBank(MemoryBackend):
         self, shard_index: int, shard: ORAMBackend, local: int, now: int,
         is_write: bool,
     ) -> DemandResult:
-        """One demand access routed through the health state machine.
+        """One demand access under the health protocol.
 
-        Quarantined channels serve their own addresses (the blocks live
-        in their tree; there is nowhere else to read them) but do so on
-        the *serial fallback path*: one access at a time, each padded
-        with a dummy path access so every quarantined-channel request --
-        fallback or half-open probe -- presents the same two-path shape
-        to the storage adversary.  Both paths draw uniformly random
-        leaves, so the access sequence stays indistinguishable from the
-        healthy one (the chaos harness gates this with the
-        :class:`~repro.observability.LeafUniformityMonitor`).
+        A sick channel (quarantined fallback or half-open probe: the
+        state is ``padded``) still serves its own addresses -- the blocks
+        live in its tree; there is nowhere else to read them -- but pads
+        each access with a dummy path access, so every request presents
+        the same two-path shape to the storage adversary.  Both paths draw
+        uniformly random leaves, so the access sequence stays
+        indistinguishable from the healthy one (the chaos harness gates
+        this with the :class:`~repro.observability.LeafUniformityMonitor`).
+        The outcome is fed to the breaker whatever the state; stash
+        pressure only while unpadded; then the shard's degraded mode
+        follows the state's ``throttled``.
         """
         health = self.health
-        state = health.state(shard_index)
-        if state is HealthState.QUARANTINED and health.begin_probe_if_ready(
-            shard_index
-        ):
-            state = HealthState.PROBING
+        padded = health.state(shard_index).padded
+        if padded:
+            # Half-opening a quarantined shard past its cooldown turns this
+            # access into a probe; both states pad.
+            health.begin_probe_if_ready(shard_index)
         stats = shard.stats
         faults_before = stats.transient_faults
         start = max(now, shard.busy_until)
         result = shard.demand_access(local, now, is_write)
-        ok = stats.transient_faults == faults_before
-        if state is HealthState.QUARANTINED:
+        if padded:
             result.completion_cycle = shard.dummy_path_access(
                 result.completion_cycle
             )
-            health.record_fallback(shard_index)
-            if not ok:
-                # A fault on the fallback path restarts the cooldown:
-                # the shard is demonstrably still sick.
-                health.record_hard_failure(shard_index, "fallback_fault")
-        elif state is HealthState.PROBING:
-            result.completion_cycle = shard.dummy_path_access(
-                result.completion_cycle
-            )
-            health.record_probe(shard_index, ok)
-        else:
-            health.record_access(
-                shard_index, ok, result.completion_cycle - start
-            )
-            if len(shard.oram.stash) > self._pressure_limits[shard_index]:
-                health.record_pressure(shard_index)
-        throttled = health.state(shard_index).throttled
-        if throttled != shard.degraded:
-            shard.set_degraded(throttled)
+        state = health.record_access(
+            shard_index,
+            stats.transient_faults == faults_before,
+            result.completion_cycle - start,
+        )
+        if not padded and len(shard.oram.stash) > self._pressure_limits[shard_index]:
+            state = health.record_pressure(shard_index)
+        if state.throttled != shard.degraded:
+            shard.set_degraded(state.throttled)
         return self._globalize(shard_index, result)
 
     def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
@@ -386,17 +377,18 @@ def make_policy(
     name: str,
     config: SystemConfig,
     thresholds: Optional[ThresholdPolicy] = None,
-    static_sbsize: Optional[int] = None,
 ) -> SuperBlockScheme:
     """The super block *policy* behind a base scheme name.
 
-    (The ORAM *construction* a controller drives is a different choice:
+    Both ``stat`` and the ``dyn`` family cap super blocks at
+    ``config.oram.max_super_block_size``.  (The ORAM *construction* a
+    controller drives is a different choice:
     :func:`repro.controller.scheme.build_scheme` names those.)
     """
     if name == "oram":
         return BaselineScheme()
     if name == "stat":
-        return StaticSuperBlockScheme(static_sbsize or config.oram.max_super_block_size)
+        return StaticSuperBlockScheme(config.oram.max_super_block_size)
     if name == "dyn_strided":
         # Future-work extension (section 6.2): strided pair merging.
         return StridedDynamicScheme(policy=thresholds)
@@ -419,7 +411,6 @@ def build_shard_backend(
     *,
     policy: Optional[ThresholdPolicy] = None,
     periodic: bool = False,
-    static_sbsize: Optional[int] = None,
     observer=None,
     fault_injector=None,
     resilience=None,
@@ -461,7 +452,7 @@ def build_shard_backend(
         rng = rng.fork(0x5EC0 + rng_restart_salt)
     oram_config = config.oram.scaled_to_footprint(per_shard_blocks)
     oram = PathORAM(oram_config, rng, observer=observer, populate=False)
-    scheme = make_policy(base_scheme, config, policy, static_sbsize)
+    scheme = make_policy(base_scheme, config, policy)
     wiring = dict(fault_injector=fault_injector, resilience=resilience)
     if periodic:
         backend: ORAMBackend = PeriodicORAMBackend(
@@ -481,7 +472,6 @@ def build_bank(
     num_shards: int,
     *,
     health_policy=None,
-    static_sbsize: Optional[int] = None,
     observer=None,
     fault_injector=None,
     resilience=None,
@@ -502,7 +492,6 @@ def build_bank(
                 config,
                 index,
                 num_shards,
-                static_sbsize=static_sbsize,
                 observer=observer,
                 fault_injector=fault_injector,
                 resilience=resilience,

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import ORAMConfig, SystemConfig
 from repro.faults.fsck import run_fsck
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.health import HealthPolicy, HealthState
+from repro.health import HealthPolicy
 from repro.utils.rng import DeterministicRng
 
 _ACTIONS = ("kill", "hang", "quarantine")
@@ -163,7 +163,7 @@ def run_kv_storm(scenario: ChaosScenario) -> Dict:
     Every read is checked against a shadow dict as it happens and a final
     sweep re-reads every acknowledged key: *zero lost writes* is literal.
     """
-    from repro.faults.resilient import ResilienceConfig, ResilientKVStore
+    from repro.faults.resilient import ResilientKVStore
 
     config = ORAMConfig(levels=6, bucket_size=4, stash_blocks=60, utilization=0.5)
     store = ResilientKVStore(
@@ -177,7 +177,6 @@ def run_kv_storm(scenario: ChaosScenario) -> Dict:
             delay_cycles=scenario.delay_cycles,
             start_after=scenario.start_after,
         ),
-        resilience=ResilienceConfig(checkpoint_interval=128),
         seed=scenario.seed,
     )
     rng = DeterministicRng(scenario.seed).fork(0xC4A0)
@@ -283,7 +282,7 @@ def run_parallel_storm(
                 if segment_hangs:
                     hang_segment_s = max(hang_segment_s, segment_s)
             health = runtime.health
-            states = [health.state(i).value for i in range(scenario.num_shards)]
+            states = [health.state(i) for i in range(scenario.num_shards)]
             report = {
                 "ops": len(requests),
                 "elapsed_s": time.perf_counter() - begin,
@@ -294,9 +293,8 @@ def run_parallel_storm(
                 "restarts": runtime.worker_restarts(),
                 "quarantines": health.total_quarantines(),
                 "readmissions": health.total_readmissions(),
-                "final_states": states,
-                "all_readmitted": not health.quarantined()
-                and all(s != HealthState.PROBING.value for s in states),
+                "final_states": [state.value for state in states],
+                "all_readmitted": not any(state.padded for state in states),
                 "hang_segment_s": hang_segment_s,
                 "segment_s": segment_times,
             }
@@ -360,15 +358,12 @@ def run_bank_storm(
     begin = time.perf_counter()
     for index, (addr, now, is_write) in enumerate(requests):
         shard = trips.get(index)
-        if shard is not None and bank.health.state(shard) not in (
-            HealthState.QUARANTINED,
-            HealthState.PROBING,
-        ):
+        if shard is not None and not bank.health.state(shard).padded:
             bank.quarantine_shard(shard, reason="chaos")
         bank.demand_access(addr, now, is_write)
     monitor.flush()
     health = bank.health
-    states = [health.state(i).value for i in range(scenario.num_shards)]
+    states = [health.state(i) for i in range(scenario.num_shards)]
     flagged = len(monitor.flagged)
     return {
         "ops": len(requests),
@@ -376,9 +371,8 @@ def run_bank_storm(
         "quarantines": health.total_quarantines(),
         "readmissions": health.total_readmissions(),
         "transitions": health.total_transitions(),
-        "final_states": states,
-        "all_readmitted": not health.quarantined()
-        and all(s != HealthState.PROBING.value for s in states),
+        "final_states": [state.value for state in states],
+        "all_readmitted": not any(state.padded for state in states),
         "uniformity_windows": len(monitor.checks),
         "uniformity_flagged": flagged,
         "leaf_uniform": monitor.healthy,

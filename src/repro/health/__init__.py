@@ -8,16 +8,19 @@ sustained stash pressure.  This package supplies the decision layer
 * :class:`HealthState` / :class:`HealthPolicy` / :class:`CircuitBreaker`
   (:mod:`repro.health.breaker`) -- the per-shard state machine
   ``HEALTHY -> DEGRADED -> QUARANTINED -> PROBING -> HEALTHY`` driven by
-  deterministic failure-rate and latency windows;
+  deterministic failure-rate and latency windows, fed one
+  ``record(ok, latency)`` per access outcome in every state;
 * :class:`HealthControlPlane` (:mod:`repro.health.plane`) -- one breaker
   per shard, reported under ``health.*`` names by ``to_registry()``,
   shared by the in-process :class:`~repro.controller.sharded.
   ShardedORAMBank` and the :class:`~repro.parallel.runtime.
   ParallelShardRuntime`.
 
-The enforcement (merge/prefetch throttling, serial fallback routing with
-dummy-access padding, heartbeat deadlines, half-open probe batches)
-lives with the component owners; the plane only decides.
+The protocol lives here: a state's ``throttled`` (merges and prefetches
+throttled, reduced quota) and ``padded`` (one dummy path per access) are
+the one table every owner obeys.  The enforcement (set_degraded, the
+dummy path, the serial fallback route, heartbeat deadlines) stays with the
+component owners; the plane only decides.
 """
 
 from repro.health.breaker import (

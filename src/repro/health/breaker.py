@@ -17,6 +17,12 @@ parallel worker) into four states:
   against the shard; enough consecutive successes re-admit it, any
   failure sends it back to quarantine.
 
+What a state does to traffic is answered here, once, by
+:attr:`HealthState.throttled` and :attr:`HealthState.padded`; what an
+access outcome counts as is answered by the breaker's one feed,
+:meth:`CircuitBreaker.record`.  Owners (the bank, the parallel runtime)
+read both and spell out no state switch of their own.
+
 Every decision is driven by *event counts* (windows of recorded
 successes/failures, cooldown access counts, probe budgets) -- never by
 wall-clock time -- so a fixed access sequence walks a fixed state
@@ -31,30 +37,33 @@ from typing import List, Optional, Tuple
 
 
 class HealthState(enum.Enum):
-    """The four health states of one shard."""
+    """The four health states of one shard, and what each does to traffic.
 
-    HEALTHY = "healthy"
-    DEGRADED = "degraded"
-    QUARANTINED = "quarantined"
-    PROBING = "probing"
+    Attributes:
+        value: the state's name (``"healthy"`` ..), how it crosses a
+            process boundary.
+        code: stable numeric code for gauges (0 = healthy .. 3 = probing).
+        throttled: the shard runs degraded -- super-block merges
+            suspended, traditional prefetches shed, a reduced batch quota
+            / inflight cap.
+        padded: every access of the shard is followed by one dummy path
+            access (the fallback and probe traffic of a sick shard), so it
+            keeps the fixed two-path shape.
+    """
 
-    @property
-    def code(self) -> int:
-        """Stable numeric code for gauges (0 = healthy .. 3 = probing)."""
-        return _STATE_CODES[self]
+    # (value, code, throttled, padded)
+    HEALTHY = ("healthy", 0, False, False)
+    DEGRADED = ("degraded", 1, True, False)
+    QUARANTINED = ("quarantined", 2, True, True)
+    PROBING = ("probing", 3, True, True)
 
-    @property
-    def throttled(self) -> bool:
-        """Whether mitigation (merge/prefetch throttling) applies."""
-        return self is not HealthState.HEALTHY
-
-
-_STATE_CODES = {
-    HealthState.HEALTHY: 0,
-    HealthState.DEGRADED: 1,
-    HealthState.QUARANTINED: 2,
-    HealthState.PROBING: 3,
-}
+    def __new__(cls, value: str, code: int, throttled: bool, padded: bool):
+        self = object.__new__(cls)
+        self._value_ = value
+        self.code = code
+        self.throttled = throttled
+        self.padded = padded
+        return self
 
 
 @dataclass(frozen=True)
@@ -169,14 +178,13 @@ class HealthTransition:
 class CircuitBreaker:
     """The deterministic health state machine for one shard.
 
-    The owner feeds it one call per observed access --
-    :meth:`record_success` / :meth:`record_failure` for routed traffic,
-    :meth:`record_fallback` while quarantined, :meth:`record_probe`
-    while half-open -- plus :meth:`record_hard_failure` for
-    process-level events (death, hang).  The breaker answers with its
-    :attr:`state`; the owner is responsible for the matching routing
-    (throttle / fallback / probe), which keeps the machine itself free
-    of any simulator coupling.
+    The owner feeds it one :meth:`record` per observed access outcome,
+    whatever the state (the breaker decides what the outcome counts as),
+    plus :meth:`record_pressure` for stash pressure and
+    :meth:`record_hard_failure` for process-level events (death, hang).
+    The breaker answers with its :attr:`state`, whose ``throttled`` /
+    ``padded`` say what the owner does to the shard's traffic; the
+    machine itself stays free of any simulator coupling.
     """
 
     #: cumulative event counts -> the ``health.shard<i>.<name>`` they are
@@ -224,10 +232,7 @@ class CircuitBreaker:
         elif state is HealthState.PROBING:
             self._probes = 0
             self._probe_streak = 0
-        elif state is HealthState.HEALTHY and self.transitions[-1].previous in (
-            HealthState.PROBING,
-            HealthState.QUARANTINED,
-        ):
+        elif state is HealthState.HEALTHY and self.transitions[-1].previous.padded:
             self.readmissions += 1
         self._reset_window()
 
@@ -238,20 +243,42 @@ class CircuitBreaker:
         self._window_pressure = False
 
     # ---------------------------------------------------------------- feeding
-    def record_success(self, latency_cycles: int = 0) -> None:
-        """One routed access completed without a fault."""
-        self.events += 1
-        self._window_events += 1
-        self._window_latency += latency_cycles
-        self._maybe_evaluate()
+    def record(self, ok: bool, latency_cycles: int = 0) -> None:
+        """One access outcome (*ok*: no fault), counted by the state:
 
-    def record_failure(self, latency_cycles: int = 0) -> None:
-        """One routed access hit a (recoverable) fault."""
+        * QUARANTINED -- a fallback access toward the cooldown; a fault on
+          the fallback path is also a hard failure (``fallback_fault``);
+        * PROBING -- a probe: a failure re-quarantines, ``probe_successes``
+          in a row re-admit, an exhausted ``probe_batch`` re-quarantines;
+        * HEALTHY / DEGRADED -- one event of the failure-rate and latency
+          window (*latency_cycles* is read here only).
+        """
         self.events += 1
-        self._window_events += 1
-        self._window_failures += 1
-        self._window_latency += latency_cycles
-        self._maybe_evaluate()
+        state = self.state
+        if state is HealthState.QUARANTINED:
+            self.fallbacks_total += 1
+            self._fallback_served += 1
+            if not ok:
+                self.record_hard_failure("fallback_fault")
+        elif state is HealthState.PROBING:
+            self.probes_total += 1
+            self._probes += 1
+            if not ok:
+                self._transition(HealthState.QUARANTINED, "probe_failed")
+                return
+            self._probe_streak += 1
+            if self._probe_streak >= self.policy.probe_successes:
+                self._transition(HealthState.HEALTHY, "probe_passed")
+            elif self._probes >= self.policy.probe_batch:
+                # Budget exhausted without the required streak: not healthy.
+                self._transition(HealthState.QUARANTINED, "probe_budget_exhausted")
+        else:
+            self._window_events += 1
+            self._window_latency += latency_cycles
+            if not ok:
+                self._window_failures += 1
+            if self._window_events >= self.policy.window:
+                self._evaluate()
 
     def record_pressure(self) -> None:
         """Stash-pressure signal: degrade *now*, before load is shed."""
@@ -264,27 +291,6 @@ class CircuitBreaker:
         self.events += 1
         self.hard_failures += 1
         self._transition(HealthState.QUARANTINED, reason)
-
-    def record_fallback(self) -> None:
-        """One quarantined access served by the fallback path."""
-        self.events += 1
-        self.fallbacks_total += 1
-        self._fallback_served += 1
-
-    def record_probe(self, ok: bool) -> None:
-        """Outcome of one half-open probe access."""
-        self.events += 1
-        self.probes_total += 1
-        self._probes += 1
-        if not ok:
-            self._transition(HealthState.QUARANTINED, "probe_failed")
-            return
-        self._probe_streak += 1
-        if self._probe_streak >= self.policy.probe_successes:
-            self._transition(HealthState.HEALTHY, "probe_passed")
-        elif self._probes >= self.policy.probe_batch:
-            # Budget exhausted without the required streak: not healthy.
-            self._transition(HealthState.QUARANTINED, "probe_budget_exhausted")
 
     # ------------------------------------------------------------- evaluation
     @property
@@ -301,10 +307,9 @@ class CircuitBreaker:
             raise ValueError(f"cannot probe from {self.state.value}")
         self._transition(HealthState.PROBING, "cooldown_elapsed")
 
-    def _maybe_evaluate(self) -> None:
+    def _evaluate(self) -> None:
+        """Judge a full window (:meth:`record` calls this once one is)."""
         policy = self.policy
-        if self._window_events < policy.window:
-            return
         failure_rate = self._window_failures / self._window_events
         mean_latency = self._window_latency / self._window_events
         slow = (

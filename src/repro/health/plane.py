@@ -2,12 +2,16 @@
 
 :class:`HealthControlPlane` owns the :class:`~repro.health.breaker.
 CircuitBreaker` of every shard in a bank (or every worker of a parallel
-runtime) and answers the routing questions the owners ask (*is this shard
-quarantined? may it be probed? should its merges be throttled?*).  It
-never touches a shard itself -- the bank and the parallel runtime remain
-the only actors on their components -- so the plane stays a pure,
-deterministic decision layer that both integrations (and the chaos
-harness) share.  The breakers count their own events in bare attributes;
+runtime): owners feed it access outcomes (:meth:`~HealthControlPlane.
+record_access`, whatever the state), pressure and hard failures, and read
+back a :class:`~repro.health.breaker.HealthState` whose ``throttled`` /
+``padded`` say what to do with the shard's traffic; the serving front end
+asks its two admission queries (:meth:`~HealthControlPlane.should_reroute`,
+:meth:`~HealthControlPlane.throttled`).  The plane never touches a shard
+itself -- the bank and the parallel runtime remain the only actors on their
+components -- so it stays a pure, deterministic decision layer that both
+integrations (and the chaos harness) share.  The breakers count their own
+events in bare attributes;
 :meth:`HealthControlPlane.to_registry` is the one walk that reports them,
 under ``health.shard<i>.*`` names.
 """
@@ -42,12 +46,11 @@ class HealthControlPlane:
     def record_access(
         self, index: int, ok: bool, latency_cycles: int = 0
     ) -> HealthState:
-        """Feed one routed access outcome; returns the (new) state."""
+        """Feed one access outcome to the shard's breaker, which counts it
+        by its own state (:meth:`CircuitBreaker.record`); returns the (new)
+        state."""
         breaker = self.breakers[index]
-        if ok:
-            breaker.record_success(latency_cycles)
-        else:
-            breaker.record_failure(latency_cycles)
+        breaker.record(ok, latency_cycles)
         return breaker.state
 
     def record_pressure(self, index: int) -> HealthState:
@@ -60,14 +63,6 @@ class HealthControlPlane:
     ) -> HealthState:
         breaker = self.breakers[index]
         breaker.record_hard_failure(reason)
-        return breaker.state
-
-    def record_fallback(self, index: int) -> None:
-        self.breakers[index].record_fallback()
-
-    def record_probe(self, index: int, ok: bool) -> HealthState:
-        breaker = self.breakers[index]
-        breaker.record_probe(ok)
         return breaker.state
 
     def begin_probe_if_ready(self, index: int) -> bool:

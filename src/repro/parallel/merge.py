@@ -169,7 +169,6 @@ def run_serial_reference(
     config: Optional[SystemConfig] = None,
     num_shards: int = 1,
     *,
-    static_sbsize: Optional[int] = None,
     workload: str = "parallel",
     fsck: bool = False,
 ) -> SimResult:
@@ -187,7 +186,6 @@ def run_serial_reference(
         footprint_blocks,
         config or SystemConfig(),
         num_shards,
-        static_sbsize=static_sbsize,
     )
     results = bank.access_batch(list(requests))
     completions: List[int] = [r.completion_cycle for r in results]

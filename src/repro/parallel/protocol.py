@@ -15,7 +15,9 @@ Commands (front-end -> worker)::
     ("stats", seq)           # sample the backend's counters() walk
     ("fsck", seq)            # audit the shard's ORAM invariants
     ("checkpoint", seq)      # force a checkpoint outside the cadence
-    ("throttle", None, flag) # degraded-mode switch; no reply
+    ("health", None, state)  # the breaker's HealthState value: the executor
+                             # runs degraded iff `throttled`, pads every
+                             # access with a dummy path iff `padded`; no reply
     ("hang", None, seconds)  # chaos hook: stall the command loop; no reply
     ("shutdown",)
 
@@ -29,6 +31,10 @@ Replies (worker -> front-end)::
     ("fsck_done", seq, ok, summary)
     ("checkpoint_done", seq, checkpointed_seq)
     ("error", seq_or_None, traceback_text)
+
+An executor starts healthy (neither degraded nor padded); a runtime with a
+health plane sends ``health`` on every open and whenever the shard's
+breaker moves, over either transport.
 
 Sequence numbers are per-worker and strictly increasing; a worker that
 receives a batch it already applied (a replay after the reply was lost in
@@ -87,7 +93,6 @@ class ShardSpec:
     num_shards: int
     shard_index: int
     config: SystemConfig
-    static_sbsize: Optional[int] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 1
     replay_window: int = 8

@@ -40,16 +40,17 @@ QUARANTINE instead of being respawned immediately.  A failed shard is
 always healed the same way -- reopen it from its checkpoint, replay what
 the checkpoint lacks -- and quarantine only changes the transport: the
 same :class:`~repro.parallel.worker.ShardExecutor` runs in this process
-behind an :class:`~repro.parallel.worker.InlineShardChannel`, one batch in
-flight, with one dummy-path access padding every request so that traffic
-keeps the uniform-leaf access shape.  After the breaker's cooldown the
-inline shard is told to ``checkpoint`` and a fresh worker process is
-opened from that file half-open (PROBING, inflight still capped at 1);
-enough successful probe batches re-admit it to full pipelining.
-DEGRADED workers (tripped latency window) run with halved inflight and
-their backend's super-block merges / prefetcher throttled via the
-``throttle`` command.  Without a policy, behavior is bit-identical to
-the pre-health runtime.
+behind an :class:`~repro.parallel.worker.InlineShardChannel`.  After the
+breaker's cooldown the inline shard is told to ``checkpoint`` and a fresh
+worker process is opened from that file half-open (PROBING); enough
+successful probe batches re-admit it to full pipelining.  What a state
+does to the traffic is the breaker's table, obeyed as the bank obeys it:
+every open and every move of the breaker sends the executor a ``health``
+command, so quarantined and probing batches are padded with one dummy
+path per request (the uniform-leaf access shape) and run degraded
+(super-block merges / prefetcher throttled), like DEGRADED ones; the
+inflight cap is 1 while padded, halved while otherwise throttled.
+Without a policy, behavior is bit-identical to the pre-health runtime.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ class _Worker:
         #: last wall-clock instant this worker proved progress (spawn,
         #: send, heartbeat, or any reply) -- the deadline reference point
         self.last_progress = 0.0
-        #: whether the worker process was told to run degraded
-        self.throttled = False
+        #: the breaker state the shard's executor was last told (``None``
+        #: until the first ``health`` command of an incarnation)
+        self.told = None
         #: restart budget exhausted: stay inline, never probe
         self.no_probe = False
 
@@ -204,7 +206,6 @@ class ParallelShardRuntime:
         config: Optional[SystemConfig] = None,
         num_workers: int = 2,
         *,
-        static_sbsize: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 1,
         batch_size: int = 64,
@@ -228,7 +229,6 @@ class ParallelShardRuntime:
         self.footprint_blocks = footprint_blocks
         self.config = config or SystemConfig()
         self.num_workers = num_workers
-        self.static_sbsize = static_sbsize
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.batch_size = batch_size
@@ -277,7 +277,6 @@ class ParallelShardRuntime:
             num_shards=self.num_workers,
             shard_index=index,
             config=self.config,
-            static_sbsize=self.static_sbsize,
             checkpoint_path=(
                 self._checkpoint_path(index) if self.checkpoint_dir else None
             ),
@@ -305,18 +304,16 @@ class ParallelShardRuntime:
         if inline:
             # This process is the trusted domain (injected faults model
             # worker memory) and cannot hang on itself, so the inline
-            # shard runs with a silent injector and no heartbeats; it pads
-            # every request with a dummy path so its traffic keeps one
-            # shape.  Silent rather than absent: the injector's counters
-            # are part of the shard's checkpoint, and an incarnation with
-            # nowhere to restore them would drop them for good.
+            # shard runs with a silent injector and no heartbeats.  Silent
+            # rather than absent: the injector's counters are part of the
+            # shard's checkpoint, and an incarnation with nowhere to
+            # restore them would drop them for good.
             silent = spec.fault_config and replace(
                 spec.fault_config, transient_rate=0.0, delay_rate=0.0
             )
             worker.process = None
             worker.commands = worker.replies = InlineShardChannel(
-                replace(spec, fault_config=silent, heartbeat_every=0),
-                pad_with_dummies=True,
+                replace(spec, fault_config=silent, heartbeat_every=0)
             )
         else:
             worker.commands = self._ctx.Queue()
@@ -329,7 +326,8 @@ class ParallelShardRuntime:
             )
             worker.process.start()
         worker.last_progress = time.perf_counter()
-        worker.throttled = False
+        worker.told = None
+        self._tell_health(worker)
 
     def _await_ready(self, worker: _Worker) -> Tuple[int, list]:
         """Block until a started shard announces ``ready``; return its
@@ -472,37 +470,33 @@ class ParallelShardRuntime:
         self, worker: _Worker, roundtrip_us: int, accesses: int
     ) -> None:
         """One batch acknowledgement reached the front-end: feed the
-        breaker.  Acks of an inline (quarantined) shard count its accesses
-        toward the cooldown; probe acks count toward re-admission; normal
-        acks feed the latency window (microseconds stand in for cycles --
-        the policy knob is documented as round-trip µs for the parallel
+        breaker, then tell the executor if its state moved.  The breaker
+        decides what an outcome counts as; the runtime only picks the
+        unit -- one feed per access while quarantined (the cooldown counts
+        fallback accesses), one per batch otherwise (a probe, or one
+        latency-window event: microseconds stand in for cycles -- the
+        policy knob is documented as round-trip µs for the parallel
         runtime)."""
+        health = self.health
+        if health is None:
+            return
+        feeds = 1
+        if health.state(worker.index) is HealthState.QUARANTINED:
+            feeds = accesses
+            worker.fallback_batches += 1
+        for _ in range(feeds):
+            health.record_access(worker.index, True, roundtrip_us)
+        self._tell_health(worker)
+
+    def _tell_health(self, worker: _Worker) -> None:
+        """Send the shard's executor its breaker state (``health``
+        command) unless it was the last one sent; no plane, no command."""
         if self.health is None:
             return
-        if worker.process is None:
-            for _ in range(accesses):
-                self.health.record_fallback(worker.index)
-            worker.fallback_batches += 1
-            return
         state = self.health.state(worker.index)
-        if state is HealthState.PROBING:
-            self.health.record_probe(worker.index, True)
-            if self.health.state(worker.index) is HealthState.HEALTHY:
-                self._set_worker_throttle(worker, False)
-            return
-        self.health.record_access(worker.index, True, roundtrip_us)
-        self._set_worker_throttle(
-            worker, self.health.state(worker.index) is HealthState.DEGRADED
-        )
-
-    def _set_worker_throttle(self, worker: _Worker, flag: bool) -> None:
-        if worker.throttled == flag:
-            return
-        process = worker.process
-        if process is None or not process.is_alive():
-            return
-        worker.commands.put(("throttle", None, flag))
-        worker.throttled = flag
+        if state is not worker.told:
+            worker.commands.put(("health", None, state.value))
+            worker.told = state
 
     # -------------------------------------------------------------- recovery
     def _fail_worker(self, worker: _Worker, reason: str, results) -> int:
@@ -591,23 +585,22 @@ class ParallelShardRuntime:
             )
         _forget_checkpointed(worker, reply[2])
         health.begin_probe_if_ready(worker.index)
+        # Opened while PROBING: the worker probes padded and throttled, and
+        # earns full rate back only once the breaker re-admits it.
         self._open(worker)
-        # Probe under throttle: the shard earns full rate back only once
-        # the breaker re-admits it.
-        self._set_worker_throttle(worker, True)
         return True
 
     def _inflight_cap(self, worker: _Worker) -> int:
-        """Pipelining depth by health state: quarantined shards and probes
-        go one batch at a time (so the other workers' queues are serviced
-        in between), degraded workers at half rate, healthy ones at full
-        depth."""
+        """Pipelining depth by health state: padded shards (quarantined,
+        probing) go one batch at a time (so the other workers' queues are
+        serviced in between), other throttled ones at half rate, healthy
+        ones at full depth."""
         if self.health is None:
             return self.max_inflight
         state = self.health.state(worker.index)
-        if state in (HealthState.QUARANTINED, HealthState.PROBING):
+        if state.padded:
             return 1
-        if state is HealthState.DEGRADED:
+        if state.throttled:
             return max(1, self.max_inflight // 2)
         return self.max_inflight
 

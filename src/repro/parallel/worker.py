@@ -16,6 +16,10 @@ it is reached through one of two transports:
   process behind the same ``put``/``get`` surface, which is how the
   runtime serves a quarantined shard.
 
+Neither transport decides anything about health: the ``health`` command
+carries the breaker's state and the executor applies what that state
+means (``throttled`` / ``padded``, :class:`~repro.health.HealthState`).
+
 Durability: when the spec carries a checkpoint path, the executor persists
 its entire backend (via :func:`repro.oram.checkpoint.save_backend`) every
 ``checkpoint_every`` batches, *before* acknowledging the batch, and keeps
@@ -38,6 +42,7 @@ from typing import Iterator
 from repro.controller.sharded import build_shard_backend
 from repro.faults.fsck import run_fsck
 from repro.faults.injector import FaultInjector
+from repro.health.breaker import HealthState
 from repro.oram.checkpoint import restore_backend, save_backend
 from repro.parallel.protocol import ShardSpec
 
@@ -60,7 +65,6 @@ def build_worker_backend(spec: ShardSpec):
         spec.config,
         spec.shard_index,
         spec.num_shards,
-        static_sbsize=spec.static_sbsize,
         fault_injector=injector,
         rng_restart_salt=spec.rng_restart_salt,
     )
@@ -75,15 +79,18 @@ class ShardExecutor:
             window); otherwise a genesis checkpoint is written so a crash
             before the first periodic one still leaves something to
             restore from.
-        pad_with_dummies: follow every demand access of a batch with one
-            dummy path access.  The runtime sets it when it opens a
-            quarantined shard inline, so that traffic keeps a fixed
-            two-path shape and the leaves the shard exposes stay uniform.
+
+    What the shard's health state does to its traffic arrives as the
+    ``health`` command and is read off the state itself: the backend runs
+    degraded iff ``state.throttled``, and iff ``state.padded`` every demand
+    access of a batch is followed by one dummy path access, so a sick
+    shard's traffic keeps a fixed two-path shape and the leaves it exposes
+    stay uniform.  Both transports obey it alike.
     """
 
-    def __init__(self, spec: ShardSpec, *, pad_with_dummies: bool = False):
+    def __init__(self, spec: ShardSpec):
         self.spec = spec
-        self.pad_with_dummies = pad_with_dummies
+        self.padded = False
         self.backend = build_worker_backend(spec)
         self.last_seq = -1
         #: recent [seq, completions] pairs, oldest first
@@ -137,10 +144,12 @@ class ShardExecutor:
                 if self.spec.checkpoint_path:
                     self._checkpoint()
                 yield ("checkpoint_done", seq, self.checkpointed_seq)
-            elif op == "throttle":
-                # Degraded-mode switch from the front-end's breaker: no
-                # reply, so it never perturbs the seq/ack bookkeeping.
-                backend.set_degraded(bool(command[2]))
+            elif op == "health":
+                # The front-end's breaker moved: no reply, so it never
+                # perturbs the seq/ack bookkeeping.
+                state = HealthState(command[2])
+                self.padded = state.padded
+                backend.set_degraded(state.throttled)
             elif op == "hang":
                 # Chaos hook: stall the command loop without dying.  The
                 # batches queued behind this command stop being served,
@@ -173,7 +182,7 @@ class ShardExecutor:
         completions = []
         for addr, now, is_write in batch:
             completion = backend.demand_access(addr, now, is_write).completion_cycle
-            if self.pad_with_dummies:
+            if self.padded:
                 completion = backend.dummy_path_access(completion)
             completions.append(completion)
             # Mid-batch liveness proof: under deadline enforcement the
@@ -229,8 +238,8 @@ class InlineShardChannel:
     ``error`` reply.
     """
 
-    def __init__(self, spec: ShardSpec, *, pad_with_dummies: bool = False):
-        self.executor = ShardExecutor(spec, pad_with_dummies=pad_with_dummies)
+    def __init__(self, spec: ShardSpec):
+        self.executor = ShardExecutor(spec)
         self._replies = deque([self.executor.ready()])
 
     def put(self, command: tuple) -> None:

@@ -170,7 +170,6 @@ class ServingFrontEnd:
         *,
         serve_config: Optional[ServeConfig] = None,
         health_policy=None,
-        static_sbsize: Optional[int] = None,
         workload: str = "serve",
     ) -> "ServingFrontEnd":
         """Build a bank exactly as the serial reference does and wrap it.
@@ -180,7 +179,7 @@ class ServingFrontEnd:
         """
         bank = build_bank(
             scheme, footprint_blocks, config or SystemConfig(), num_shards,
-            health_policy=health_policy, static_sbsize=static_sbsize,
+            health_policy=health_policy,
         )
         return cls(bank, serve_config, workload=workload, scheme=scheme)
 

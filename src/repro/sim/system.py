@@ -91,7 +91,6 @@ def build_backend(
     config: SystemConfig,
     *,
     policy: Optional[ThresholdPolicy] = None,
-    static_sbsize: Optional[int] = None,
     observer=None,
     fault_injector=None,
     resilience=None,
@@ -122,8 +121,6 @@ def build_backend(
             scaled to hold it at the configured utilization.
         config: system configuration.
         policy: threshold policy for ``dyn`` (default: adaptive, C=1).
-        static_sbsize: super block size for ``stat`` (default: the
-            configured max super block size).
         observer: optional adversary observer for ORAM variants.
         fault_injector: optional :class:`repro.faults.FaultInjector`
             attached to ORAM backends (storage fault modelling);
@@ -155,7 +152,6 @@ def build_backend(
             "fallback to route through)"
         )
     wiring = dict(
-        static_sbsize=static_sbsize,
         observer=observer,
         fault_injector=fault_injector,
         resilience=resilience,

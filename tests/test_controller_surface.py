@@ -8,13 +8,18 @@ the bank reads ``shard.degraded``.  An ``_``-prefixed attribute may be
 touched on ``self`` / ``cls`` (or through ``super()``) and nowhere else, so
 a private read of another object cannot come back unnoticed.
 ``core/dynamic.py``'s handles on the position map's bit arrays are PrORAM's
-own fast path and out of scope.
+own fast path and out of scope.  The same guard holds the layers above the
+bank -- ``health``, ``parallel``, ``sim`` and ``observability`` -- so an
+owner reaches a circuit breaker only through its public feed
+(``record`` / ``record_pressure`` / ``record_hard_failure``).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -40,3 +45,11 @@ def private_reads(package: str):
 def test_controller_and_memory_read_no_private_attribute_of_another_object():
     found = [hit for name in ("controller", "memory") for hit in private_reads(name)]
     assert found == []
+
+
+@pytest.mark.parametrize("package", ["health", "parallel", "sim", "observability"])
+def test_layers_above_read_no_private_attribute_of_another_object(package):
+    """The bank, the runtime, the tile and the collectors reach a breaker,
+    a worker or a shard through its public names only -- the breaker
+    through its one feed."""
+    assert list(private_reads(package)) == []

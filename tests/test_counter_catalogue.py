@@ -1312,11 +1312,11 @@ class MirroredPlane(HealthControlPlane):
         for index in range(num_shards):
             self.live.gauge(f"health.shard{index}.state").set(HealthState.HEALTHY.code)
 
-    def _mirrored(self, index, event, counter=None):
+    def _mirrored(self, index, event, *counters):
         breaker = self.breakers[index]
         before = len(breaker.transitions)
         result = event()
-        if counter is not None:
+        for counter in counters:
             self.live.counter(f"health.shard{index}.{counter}").inc()
         if len(breaker.transitions) != before:
             self.live.gauge(f"health.shard{index}.state").set(breaker.state.code)
@@ -1329,8 +1329,18 @@ class MirroredPlane(HealthControlPlane):
         return result
 
     def record_access(self, index, ok, latency_cycles=0):
+        # the parent's owners called record_fallback (+ record_hard_failure
+        # on a fault) while quarantined and record_probe while probing
+        state = self.state(index)
+        counters = ()
+        if state is HealthState.QUARANTINED:
+            counters = ("fallback_accesses",) + (() if ok else ("hard_failures",))
+        elif state is HealthState.PROBING:
+            counters = ("probes",)
         return self._mirrored(
-            index, lambda: super(MirroredPlane, self).record_access(index, ok, latency_cycles)
+            index,
+            lambda: super(MirroredPlane, self).record_access(index, ok, latency_cycles),
+            *counters,
         )
 
     def record_pressure(self, index):
@@ -1343,18 +1353,6 @@ class MirroredPlane(HealthControlPlane):
             "hard_failures",
         )
 
-    def record_fallback(self, index):
-        return self._mirrored(
-            index,
-            lambda: super(MirroredPlane, self).record_fallback(index),
-            "fallback_accesses",
-        )
-
-    def record_probe(self, index, ok):
-        return self._mirrored(
-            index, lambda: super(MirroredPlane, self).record_probe(index, ok), "probes"
-        )
-
     def begin_probe_if_ready(self, index):
         return self._mirrored(
             index, lambda: super(MirroredPlane, self).begin_probe_if_ready(index)
@@ -1362,17 +1360,17 @@ class MirroredPlane(HealthControlPlane):
 
 
 def storm(plane, seed, events=600):
-    """A seeded walk over every plane event, routed the way the owners do."""
+    """A seeded walk over every plane event: a sick shard sees access
+    outcomes (and is half-opened once ready), a healthy or degraded one
+    also hard failures and pressure; the breaker counts each outcome by
+    its own state."""
     rng = DeterministicRng(seed)
     for _ in range(events):
         index = rng.randint(0, plane.num_shards - 1)
-        state = plane.state(index)
         roll = rng.randint(0, 99)
-        if state is HealthState.QUARANTINED:
-            plane.record_fallback(index)
+        if plane.state(index).padded:
+            plane.record_access(index, roll >= 15)
             plane.begin_probe_if_ready(index)
-        elif state is HealthState.PROBING:
-            plane.record_probe(index, roll >= 15)
         elif roll < 2:
             plane.record_hard_failure(index, "death")
         elif roll < 5:

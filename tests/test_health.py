@@ -15,6 +15,8 @@ Three layers are covered:
 """
 
 import dataclasses
+import json
+import multiprocessing
 import time
 
 import pytest
@@ -29,10 +31,21 @@ from repro.health import (
 from repro.observability.collect import collect_parallel
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import ParallelShardRuntime, run_serial_reference
+from repro.parallel.worker import ShardExecutor
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
+from tests.test_counter_catalogue import runtime_kill_scenario
 
 FOOTPRINT = 128
+
+#: DESIGN section 10's table restated as the oracle: what each state does
+#: to traffic, ``state value -> (throttled, padded)``
+TRAFFIC = {
+    "healthy": (False, False),
+    "degraded": (True, False),
+    "quarantined": (True, True),
+    "probing": (True, True),
+}
 
 
 def small_stream(accesses=400, footprint=FOOTPRINT, seed=9):
@@ -43,6 +56,35 @@ def small_stream(accesses=400, footprint=FOOTPRINT, seed=9):
         now += rng.randint(1, 40)
         requests.append((rng.randint(0, footprint - 1), now, index % 4 == 0))
     return requests
+
+
+def log_applied_batches(monkeypatch, path):
+    """Every batch a shard executor applies -- inline, or in a worker forked
+    after this call -- appends ``[shard, incarnation, seq, padding paths,
+    degraded, size]`` to *path* as one JSON line.  Re-served batches (seq
+    inside the reply window) are not applied, so not logged."""
+    apply_batch = ShardExecutor._apply_batch
+
+    def logged(executor, seq, batch):
+        backend = executor.backend
+        if seq <= executor.last_seq:
+            yield from apply_batch(executor, seq, batch)
+            return
+        padding = []
+        dummy_path_access = backend.dummy_path_access
+        backend.dummy_path_access = lambda now: padding.append(now) or dummy_path_access(now)
+        degraded = backend.degraded
+        try:
+            replies = list(apply_batch(executor, seq, batch))
+        finally:
+            del backend.dummy_path_access
+        spec = executor.spec
+        entry = [spec.shard_index, spec.rng_restart_salt, seq, len(padding), degraded, len(batch)]
+        with open(path, "a") as log:
+            log.write(json.dumps(entry) + "\n")
+        yield from replies
+
+    monkeypatch.setattr(ShardExecutor, "_apply_batch", logged)
 
 
 # ------------------------------------------------------------------ policy
@@ -101,13 +143,31 @@ def tight_policy(**overrides):
 
 
 class TestCircuitBreaker:
+    def test_traffic_table(self):
+        assert {s.value: (s.throttled, s.padded) for s in HealthState} == TRAFFIC
+        assert [state.code for state in HealthState] == [0, 1, 2, 3]
+        assert HealthState("probing") is HealthState.PROBING
+
+    def test_one_feed_counts_by_state(self):
+        breaker = CircuitBreaker(tight_policy())
+        breaker.record(False, latency_cycles=5)  # a window event
+        assert (breaker.fallbacks_total, breaker.probes_total) == (0, 0)
+        breaker.record_hard_failure("death")
+        breaker.record(True)
+        breaker.record(False)  # a fallback, and a fault on the fallback path
+        assert breaker.fallbacks_total == 2
+        assert breaker.hard_failures == 2
+        assert breaker.state is HealthState.QUARANTINED
+        for _ in range(2):
+            breaker.record(True)
+        breaker.begin_probe()
+        breaker.record(True)
+        assert (breaker.fallbacks_total, breaker.probes_total) == (4, 1)
+
     def test_failure_window_degrades(self):
         breaker = CircuitBreaker(tight_policy())
         for index in range(8):
-            if index < 2:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
+            breaker.record(index >= 2)
         assert breaker.state is HealthState.DEGRADED
         assert breaker.transition_pairs() == [("healthy", "degraded")]
         assert breaker.transitions[0].reason == "failure_window"
@@ -115,37 +175,37 @@ class TestCircuitBreaker:
     def test_clean_window_recovers(self):
         breaker = CircuitBreaker(tight_policy())
         for _ in range(4):
-            breaker.record_failure()
+            breaker.record(False)
         for _ in range(4):
-            breaker.record_success()
+            breaker.record(True)
         # 50% failures: straight to quarantine, not degraded
         assert breaker.state is HealthState.QUARANTINED
 
         breaker = CircuitBreaker(tight_policy())
         for index in range(8):
-            breaker.record_failure() if index < 2 else breaker.record_success()
+            breaker.record(index >= 2)
         assert breaker.state is HealthState.DEGRADED
         for _ in range(8):
-            breaker.record_success()
+            breaker.record(True)
         assert breaker.state is HealthState.HEALTHY
         assert breaker.transition_pairs()[-1] == ("degraded", "healthy")
 
     def test_recover_windows_requires_consecutive_clean(self):
         breaker = CircuitBreaker(tight_policy(recover_windows=2))
         for index in range(8):
-            breaker.record_failure() if index < 2 else breaker.record_success()
+            breaker.record(index >= 2)
         assert breaker.state is HealthState.DEGRADED
         for _ in range(8):  # one clean window: not yet
-            breaker.record_success()
+            breaker.record(True)
         assert breaker.state is HealthState.DEGRADED
         for _ in range(8):  # second consecutive clean window: recovered
-            breaker.record_success()
+            breaker.record(True)
         assert breaker.state is HealthState.HEALTHY
 
     def test_latency_window_degrades(self):
         breaker = CircuitBreaker(tight_policy(degrade_latency_cycles=10))
         for _ in range(8):
-            breaker.record_success(latency_cycles=100)
+            breaker.record(True, latency_cycles=100)
         assert breaker.state is HealthState.DEGRADED
         assert breaker.transitions[0].reason == "latency_window"
 
@@ -167,7 +227,7 @@ class TestCircuitBreaker:
         breaker.record_hard_failure("death")
         assert not breaker.ready_to_probe
         for _ in range(4):
-            breaker.record_fallback()
+            breaker.record(True)
         assert breaker.ready_to_probe
         breaker.begin_probe()
         assert breaker.state is HealthState.PROBING
@@ -181,23 +241,23 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(tight_policy())
         breaker.record_hard_failure("death")
         for _ in range(4):
-            breaker.record_fallback()
+            breaker.record(True)
         breaker.begin_probe()
         return breaker
 
     def test_probe_streak_readmits(self):
         breaker = self._quarantined_and_probing()
-        breaker.record_probe(True)
+        breaker.record(True)
         assert breaker.state is HealthState.PROBING
-        breaker.record_probe(True)
+        breaker.record(True)
         assert breaker.state is HealthState.HEALTHY
         assert breaker.readmissions == 1
         assert breaker.transition_pairs()[-1] == ("probing", "healthy")
 
     def test_probe_failure_requarantines(self):
         breaker = self._quarantined_and_probing()
-        breaker.record_probe(True)
-        breaker.record_probe(False)
+        breaker.record(True)
+        breaker.record(False)
         assert breaker.state is HealthState.QUARANTINED
         assert breaker.transitions[-1].reason == "probe_failed"
         assert breaker.quarantines == 2
@@ -210,12 +270,12 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(tight_policy(probe_batch=3, probe_successes=3))
         breaker.record_hard_failure("death")
         for _ in range(4):
-            breaker.record_fallback()
+            breaker.record(True)
         breaker.begin_probe()
-        breaker.record_probe(True)
-        breaker.record_probe(True)
+        breaker.record(True)
+        breaker.record(True)
         # third probe fails: batch exhausted via the failure edge
-        breaker.record_probe(False)
+        breaker.record(False)
         assert breaker.state is HealthState.QUARANTINED
 
     def test_deterministic_trajectory(self):
@@ -223,16 +283,9 @@ class TestCircuitBreaker:
             breaker = CircuitBreaker(tight_policy())
             rng = DeterministicRng(3)
             for _ in range(200):
-                if breaker.state is HealthState.QUARANTINED:
-                    breaker.record_fallback()
-                    if breaker.ready_to_probe:
-                        breaker.begin_probe()
-                elif breaker.state is HealthState.PROBING:
-                    breaker.record_probe(rng.randint(0, 9) > 0)
-                elif rng.randint(0, 9) < 2:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
+                if breaker.ready_to_probe:
+                    breaker.begin_probe()
+                breaker.record(rng.randint(0, 9) >= 2)
             return breaker.transition_pairs(), breaker.state
 
         assert drive() == drive()
@@ -258,10 +311,10 @@ class TestHealthControlPlane:
         plane = HealthControlPlane(1, tight_policy())
         plane.record_hard_failure(0, "death")
         for _ in range(4):
-            plane.record_fallback(0)
+            plane.record_access(0, True)
         assert plane.begin_probe_if_ready(0)
-        plane.record_probe(0, True)
-        plane.record_probe(0, True)
+        plane.record_access(0, True)
+        plane.record_access(0, True)
         assert plane.state(0) is HealthState.HEALTHY
         assert plane.total_quarantines() == 1
         assert plane.total_readmissions() == 1
@@ -344,6 +397,45 @@ class TestRuntimeHealth:
             # must finish far below the 120 s hang it was injected with
             assert elapsed < 60.0
         assert result.demand_requests == len(requests)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the executor log reaches the workers by fork inheritance",
+    )
+    def test_sick_batches_are_padded_and_degraded_on_both_transports(
+        self, tmp_path, monkeypatch
+    ):
+        """The runtime obeys the bank's table: in ``runtime_kill_scenario``
+        worker 0 serves its cooldown inline (QUARANTINED), probes in a
+        fresh process (PROBING) and is re-admitted.  Every batch applied
+        while its breaker is padded carries one dummy path per request and
+        runs degraded; every healthy batch does neither."""
+        applied = tmp_path / "applied.jsonl"
+        log_applied_batches(monkeypatch, applied)
+        sent = {}
+        send = ParallelShardRuntime._send
+
+        def logged_send(runtime, worker, seq, positions, batch):
+            state = runtime.health.state(worker.index)
+            sent[worker.index, worker.restarts, seq] = (state, worker.process is None)
+            send(runtime, worker, seq, positions, batch)
+
+        monkeypatch.setattr(ParallelShardRuntime, "_send", logged_send)
+        runtime_kill_scenario(str(tmp_path / "ckpt"))
+        transports = {state: set() for state in HealthState}
+        for line in applied.read_text().splitlines():
+            shard, incarnation, seq, padding, degraded, size = json.loads(line)
+            state, inline = sent[shard, incarnation, seq]
+            transports[state].add(inline)
+            throttled, padded = TRAFFIC[state.value]
+            assert (padding, degraded) == (size if padded else 0, throttled), (
+                state, inline
+            )
+        # both sick states were seen, quarantine inline and probing in a
+        # process, beside healthy traffic
+        assert transports[HealthState.QUARANTINED] == {True}
+        assert transports[HealthState.PROBING] == {False}
+        assert transports[HealthState.HEALTHY] == {False}
 
     def test_collect_parallel_surfaces_health(self, tmp_path):
         requests = small_stream(accesses=200)

@@ -26,14 +26,13 @@ def make_source(entries, num_tenants=1, weights=None, deadline=30_000):
 
 
 def build_frontend(scheme="dyn", footprint=64, shards=1, serve_config=None,
-                   static_sbsize=None, health_policy=None, workload="t"):
+                   health_policy=None, workload="t"):
     return ServingFrontEnd.build(
         scheme,
         footprint,
         SystemConfig(),
         shards,
         serve_config=serve_config,
-        static_sbsize=static_sbsize,
         health_policy=health_policy,
         workload=workload,
     )
@@ -145,9 +144,7 @@ class TestCoalescing:
 
     def run_entries(self, entries, **config_kwargs):
         serve_config = ServeConfig(**config_kwargs)
-        frontend = build_frontend(
-            scheme="stat", static_sbsize=2, serve_config=serve_config
-        )
+        frontend = build_frontend(scheme="stat", serve_config=serve_config)
         report = frontend.run(make_source(entries, deadline=50_000))
         return frontend, report
 
@@ -210,9 +207,7 @@ class TestInflightRead:
         # exact single-access outcome with the second arrival strictly
         # inside the first access's flight window.
         serve_config = ServeConfig(batch_size=1)
-        frontend = build_frontend(
-            scheme="stat", static_sbsize=2, serve_config=serve_config
-        )
+        frontend = build_frontend(scheme="stat", serve_config=serve_config)
         report = frontend.run(
             make_source(
                 [(0, 0, 4, False), (10, 0, 4, False)], deadline=50_000

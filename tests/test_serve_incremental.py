@@ -159,11 +159,11 @@ def tight_oram():
 
 
 def build(source, shards=1, scheme="dyn", config=None, serve_config=None,
-          health_policy=None, static_sbsize=None):
+          health_policy=None):
     return CheckedFrontEnd.build(
         scheme, source.footprint_blocks, config or SystemConfig(), shards,
         serve_config=serve_config, health_policy=health_policy,
-        static_sbsize=static_sbsize, workload="incremental",
+        workload="incremental",
     )
 
 
@@ -234,7 +234,7 @@ def test_static_super_blocks_coalesce_and_recheck_members():
     source = OpenLoopSource.synthetic(
         2, 150, footprint_per_tenant=32, gap_mean=300.0, locality=0.9, seed=4
     )
-    frontend = build(source, scheme="stat", static_sbsize=2)
+    frontend = build(source, scheme="stat")
     report = run_checked(frontend, source)
     assert report.coalesced > 10
 
@@ -326,7 +326,6 @@ def scenarios(draw):
         source, shards=shards, scheme=scheme,
         config=tight_oram() if draw(st.booleans()) else None,
         serve_config=serve_config, health_policy=policy,
-        static_sbsize=2 if scheme == "stat" else None,
     )
     if policy is not None:
         for shard in range(shards):

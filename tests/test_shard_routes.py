@@ -27,7 +27,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.controller.sharded import build_shard_backend
 from repro.faults import FaultConfig, FaultInjector
-from repro.health import HealthPolicy
+from repro.health import HealthPolicy, HealthState
 from repro.observability.collect import collect_parallel
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import ParallelShardRuntime, WorkerFailure, run_serial_reference
@@ -61,7 +61,7 @@ def channel_config(channels=4):
 # ------------------------------------------------------ transport equivalence
 def scripted_commands():
     """Batches (one replayed, one far outside the reply window), every
-    barrier command, a forced checkpoint, a throttle (no reply) and an
+    barrier command, a forced checkpoint, a health state (no reply) and an
     unknown op."""
     rng = DeterministicRng(5)
     now = 0
@@ -76,7 +76,7 @@ def scripted_commands():
     out_of_window = commands[0]
     commands += [
         replayed,  # already applied: answered from the window
-        ("throttle", None, True),
+        ("health", None, "degraded"),
         out_of_window,  # replay_window=3 forgot it: an error reply
         ("checkpoint", 6),
         ("drain", 7, now + 10_000),
@@ -169,11 +169,12 @@ class TestTransportEquivalence:
         assert ready[2][-1][1] == first[-1][2]
 
     def test_padding_is_chosen_by_whoever_opens_the_channel(self, tmp_path):
+        """The opener tells the executor its health state; a padded one
+        adds one dummy path per request and no demand access."""
         batch = scripted_commands()[0]
         plain = InlineShardChannel(spec_for(tmp_path / "plain.ckpt"))
-        padded = InlineShardChannel(
-            spec_for(tmp_path / "padded.ckpt"), pad_with_dummies=True
-        )
+        padded = InlineShardChannel(spec_for(tmp_path / "padded.ckpt"))
+        padded.put(("health", None, "quarantined"))
         for channel in (plain, padded):
             channel.put(batch)
             channel.put(("stats", 1))
@@ -184,6 +185,23 @@ class TestTransportEquivalence:
             padded_stats["dummy_accesses"]
             >= plain_stats["dummy_accesses"] + len(batch[2])
         )
+
+    @pytest.mark.parametrize("state", list(HealthState), ids=lambda state: state.value)
+    def test_the_health_command_sets_padding_and_degraded_mode(self, tmp_path, state):
+        """After ``("health", None, state)`` a batch carries exactly one
+        dummy path per request iff the state is padded, and the backend
+        runs degraded iff the state is throttled."""
+        channel = InlineShardChannel(spec_for(tmp_path / "shard.ckpt"))
+        channel.put(("health", None, state.value))
+        backend = channel.executor.backend
+        padding = []
+        dummy_path_access = backend.dummy_path_access
+        backend.dummy_path_access = lambda now: padding.append(now) or dummy_path_access(now)
+        batch = scripted_commands()[0]
+        channel.put(batch)
+        assert drain(channel)[-1][0] == "batch_done"
+        assert len(padding) == (len(batch[2]) if state.padded else 0)
+        assert backend.degraded == state.throttled
 
 
 # ------------------------------------------------------------------ one fold
