@@ -342,6 +342,7 @@ def cmd_run(args) -> int:
                     int(r.extra["interconnect_row_misses"]),
                     int(r.extra["interconnect_bank_wait_cycles"]),
                     int(r.extra["interconnect_hidden_latency_cycles"]),
+                    int(r.extra["interconnect_early_return_cycles"]),
                     int(r.extra["interconnect_path_cycles"]),
                     "%.1f" % (
                         r.extra["interconnect_streamed_cycles"]
@@ -353,8 +354,8 @@ def cmd_run(args) -> int:
         print(
             format_table(
                 ["scheme", "streamed", "untracked", "row_hits", "row_misses",
-                 "bank_wait_cyc", "hidden_lat_cyc", "T", "mean_stream_cyc",
-                 "stream_eff"],
+                 "bank_wait_cyc", "hidden_lat_cyc", "early_ret_cyc", "T",
+                 "mean_stream_cyc", "stream_eff"],
                 channel_rows,
             )
         )

@@ -28,6 +28,12 @@ span's ``end - start`` is the sum of its ``phases`` plus ``fault_delay``.
 What a path costs -- the paper's serial ``T`` each, or the channel model's
 pipelined train -- is the interconnect's business alone.
 
+Early data return: ``train`` also returns ``ready``, the cycle the demand
+block is on chip (step 3 of section 2.2, "return the block", comes before
+the write-back).  It goes back to the caller for the core and nowhere
+else: the controller's clock, Equation 1, ``phase_cycles`` and the span
+keep the completion.  On the flat model the two are the same cycle.
+
 The pipeline reads nothing private of the objects it drives.  It sees the
 backend's public controller surface (``fault_delay()``,
 ``stash_soft_limit`` / ``relieve_stash()``, ``injector``, ``busy_until``),
@@ -68,7 +74,8 @@ class AccessPipeline:
         self, addr: int, now: int, run_scheme: bool, kind: str = "demand"
     ) -> tuple:
         """One full oblivious access of the request that arrived at ``now``;
-        returns (completion_cycle, outcome).
+        returns (completion_cycle, ready_cycle, outcome): when the
+        controller is done, when the demand block is on chip.
 
         ``kind`` labels the request for tracing ("demand" / "prefetch" /
         "writeback"); it has no effect on the access itself.
@@ -106,7 +113,7 @@ class AccessPipeline:
         # bucket, its read + write-back sharing one full-path pass;
         # begin_access parked the read path's leaf for the write-back, and
         # that leaf is the bucket stream being timed.
-        start, evicted, walked, done = backend.interconnect.train(
+        start, evicted, walked, ready, done = backend.interconnect.train(
             now, backend.busy_until, evictions, extra, oram.pending_leaf
         )
         evict_cycles = evicted - start
@@ -181,4 +188,4 @@ class AccessPipeline:
                     "breaks": scheme_stats.breaks - breaks_before,
                 }
             )
-        return completion, outcome
+        return completion, ready + fault_delay, outcome

@@ -247,14 +247,15 @@ class ShardedORAMBank(MemoryBackend):
         faults_before = stats.transient_faults
         start = max(now, shard.busy_until)
         result = shard.demand_access(local, now, is_write)
+        # The padding path and the breaker's latency both go by the
+        # controller's clock -- the demand path's write-back end -- not by
+        # when its block came back to the core.
         if padded:
-            result.completion_cycle = shard.dummy_path_access(
-                result.completion_cycle
-            )
+            result.completion_cycle = shard.dummy_path_access(shard.busy_until)
         state = health.record_access(
             shard_index,
             stats.transient_faults == faults_before,
-            result.completion_cycle - start,
+            shard.busy_until - start,
         )
         if not padded and len(shard.oram.stash) > self._pressure_limits[shard_index]:
             state = health.record_pressure(shard_index)

@@ -29,13 +29,17 @@ pipelines it: consecutive paths depend on each other only through the
 leaf, known once the predecessor's read half is on chip, so a path's row
 activations run under the predecessor's write-back half and a train of
 ``n`` paths costs ``latency + n * burst`` instead of
-``n * (latency + burst)`` (DESIGN.md section 11, "The path train").
+``n * (latency + burst)`` (DESIGN.md section 11, "The path train").  The
+channel model also returns the demand block early: it is on chip once the
+demand path's read half has streamed, ``burst - burst // 2`` into its
+burst, and the core resumes then; the controller stays busy until the
+write-back half ends (DESIGN.md section 11, "Early data return").
 
 Obliviousness note: the *public* per-path cost (``path_cycles``, used for
 the periodic grid and prefetch backpressure) and every mark of a train
-short of the demand path's completion are functions of the arrival cycle,
-the controller's clock, two counts and config constants in both models.
-Only the streamed completion of the channel model varies with the
+short of the demand path's read-done and completion are functions of the
+arrival cycle, the controller's clock, two counts and config constants in
+both models.  Only those two marks of the channel model vary with the
 accessed leaf, and the periodic backend's whole-period slot quantization
 keeps that variation off the public timing grid (DESIGN.md section 11).
 
@@ -44,9 +48,11 @@ subtrees, and a closed page policy make a *lone* path on
 :class:`ChannelInterconnect` cost exactly what it costs on
 :class:`FlatInterconnect` -- every array access pays the full latency,
 the path's one burst is a bus reservation of
-``ceil(path_bytes / bytes_per_cycle)`` cycles.  Over a whole run the two
-then differ by exactly the latency the pipelined train hid
-(``hidden_latency_cycles``) and by nothing else.
+``ceil(path_bytes / bytes_per_cycle)`` cycles.  Over a whole run the
+controllers' busy cycles then differ by exactly the latency the pipelined
+train hid (``hidden_latency_cycles``), and the run by no more than that
+plus what the core gained from early data return
+(``early_return_cycles``).
 """
 
 from __future__ import annotations
@@ -138,14 +144,17 @@ class MemoryInterconnect:
 
         ``arrival`` is when the request reached the controller and
         ``busy_until`` the controller's one clock (fault delays and padding
-        included).  Returns ``(start, evicted, walked, completion)``: the
-        cycle the train comes onto the controller's clock
+        included).  Returns ``(start, evicted, walked, ready, completion)``:
+        the cycle the train comes onto the controller's clock
         (``max(arrival, busy_until)``), the two public marks at which the
-        evictions and then the PosMap walk are done, and the cycle the
-        demand path's write-back ends.  The differences are the request's
-        ``writeback`` / ``posmap`` / ``path_read`` cycles; ``start`` and both
-        marks depend on the arguments before ``leaf`` and on config
-        constants only.  This is the one place a path is charged.
+        evictions and then the PosMap walk are done, the cycle the demand
+        block is on chip (early data return: the core may resume) and the
+        cycle the demand path's write-back ends (the controller may not).
+        The differences of ``start``, the two marks and ``completion`` are
+        the request's ``writeback`` / ``posmap`` / ``path_read`` cycles;
+        ``start`` and both marks depend on the arguments before ``leaf``
+        and on config constants only.  Without a demand path ``ready`` is
+        ``completion``.  This is the one place a path is charged.
         """
         raise NotImplementedError
 
@@ -198,6 +207,7 @@ _SUMMARY = (
     "row_misses",
     "bank_wait_cycles",
     "hidden_latency_cycles",
+    "early_return_cycles",
     "treetop_hits",
     "treetop_bytes_saved",
 )
@@ -251,14 +261,16 @@ class FlatInterconnect(MemoryInterconnect):
 
     def train(self, arrival, busy_until, evictions, extra, leaf):
         """The paper's serial train: every path pays ``path_cycles`` in full,
-        one after the other, behind whatever the controller was doing."""
+        one after the other, behind whatever the controller was doing.  The
+        opaque ``T`` has no read/write split, so the demand block is ready
+        when the path completes."""
         start = arrival if arrival > busy_until else busy_until
         evicted = start + evictions * self.path_cycles
         walked = evicted + extra * self.path_cycles
         if evictions or extra:
             self.note_untracked(evictions + extra)
         done = walked if leaf is None else self.path_completion(leaf, walked)
-        return start, evicted, walked, done
+        return start, evicted, walked, done, done
 
 
 class ChannelState:
@@ -343,12 +355,14 @@ class ChannelInterconnect(MemoryInterconnect):
     model = "channel"
 
     #: the streamed-cycle total (the part of the demand paths on their
-    #: requests' clock), the scheduling horizon and the cycles the
-    #: pipelined train hid under write-back bursts come on top
+    #: requests' clock), the scheduling horizon, the cycles the pipelined
+    #: train hid under write-back bursts and the cycles the demand blocks
+    #: were on chip before their paths completed come on top
     COUNTERS = MemoryInterconnect.COUNTERS + (
         "streamed_cycles_total",
         "last_completion",
         "hidden_latency_cycles",
+        "early_return_cycles",
     )
 
     def __init__(self, oram: ORAMConfig, dram: DRAMConfig):
@@ -370,6 +384,11 @@ class ChannelInterconnect(MemoryInterconnect):
         #: turn a successor's activations may issue (its leaf is known once
         #: the read half is on chip)
         self._overlap_cycles = self._burst_cycles // 2
+        #: B - W, the read half (ceil on odd bursts: the conservative side)
+        self._read_cycles = self._burst_cycles - self._overlap_cycles
+        #: when the last streamed path's read half was on chip: the demand
+        #: block's early-return cycle, read by train right after the path
+        self.ready = 0
         #: burst-to-burst distance in a train: what of the array latency
         #: does not fit under W stays exposed, once per path
         exposed = max(0, dram.latency_cycles - self._overlap_cycles)
@@ -401,7 +420,10 @@ class ChannelInterconnect(MemoryInterconnect):
         """Stream the path to ``leaf``.  ``start`` is the cycle the path
         comes onto the request's clock -- its burst's turn on the bus; its
         row activations were issued ``head`` cycles earlier, under the
-        predecessor's write-back (:meth:`train`; a lone path has none)."""
+        predecessor's write-back (:meth:`train`; a lone path has none).
+        Returns the completion and leaves the read-done cycle in
+        :attr:`ready`: the read half of the burst has streamed and every
+        bank has delivered."""
         latency_cycles = self._latency_cycles
         row_hit_cycles = self._row_hit_cycles
         open_page = self._open_page
@@ -439,6 +461,11 @@ class ChannelInterconnect(MemoryInterconnect):
         completion = gang.bus_free = bus_start + self._burst_cycles
         if last_ready > completion:
             completion = last_ready
+        ready = bus_start + self._read_cycles
+        if last_ready > ready:
+            ready = last_ready
+        self.ready = ready
+        self.early_return_cycles += completion - ready
         gang.requests += hits + misses
         gang.row_hits += hits
         gang.row_misses += misses
@@ -465,6 +492,11 @@ class ChannelInterconnect(MemoryInterconnect):
         latency)``, ``bus_free = burst_start + burst``, ``activate =
         burst_start + (burst - W)`` with ``bus_free`` starting at
         ``busy_until`` -- in closed form below, no per-path loop.
+
+        The demand block is on chip with the demand path's read half --
+        ``B - W`` into its burst, once every bank has delivered -- and
+        that is the ``ready`` mark (early data return); the write-back half
+        still holds the bus and the controller until ``completion``.
         """
         start = arrival if arrival > busy_until else busy_until
         early = busy_until - self._overlap_cycles
@@ -483,8 +515,9 @@ class ChannelInterconnect(MemoryInterconnect):
             self.hidden_latency_cycles += untracked * self.path_cycles - (walked - start)
             self.note_untracked(untracked)
         if leaf is None:
-            return start, evicted, walked, walked
-        return start, evicted, walked, self.path_completion(leaf, walked, walked - activate)
+            return start, evicted, walked, walked, walked
+        done = self.path_completion(leaf, walked, walked - activate)
+        return start, evicted, walked, self.ready, done
 
     def _geometry(self) -> Dict[str, object]:
         """What bank/row numbers in a checkpoint mean; must match to restore."""
@@ -538,8 +571,11 @@ class ChannelInterconnect(MemoryInterconnect):
                 "checkpoint channels differ: ganged channels run in lockstep "
                 "(a document of the old tile-per-channel layout?)"
             )
-        # A document older than the pipelined train hid nothing yet.
-        super().load_state_dict({"hidden_latency_cycles": 0, **state})
+        # A document older than the pipelined train hid nothing yet, one
+        # older than early data return returned nothing early.
+        super().load_state_dict(
+            {"hidden_latency_cycles": 0, "early_return_cycles": 0, **state}
+        )
         self.gang.load_state_dict(saved[0])
 
 

@@ -303,7 +303,7 @@ class ORAMBackend(MemoryBackend):
         # eviction, charged by the interconnect's rule for untracked paths
         # and never streamed through the leaf-aware scheduler (its leaf is
         # secret by construction).
-        start, _, _, completion = self.interconnect.train(
+        start, *_, completion = self.interconnect.train(
             now, self.busy_until, 1, 0, None
         )
         self.busy_until = completion
@@ -380,7 +380,9 @@ class ORAMBackend(MemoryBackend):
         ``run_scheme`` is false for write-backs (Algorithms 1 and 2 only
         run on fetches); ``kind`` only labels the span when tracing is on.
 
-        Returns (completion_cycle, FetchOutcome-or-None).
+        Returns (completion_cycle, ready_cycle, FetchOutcome-or-None): the
+        controller is busy until the first, the fetched blocks are on chip
+        at the second (early data return; equal on the flat model).
         """
         return self.pipeline.execute(addr, now, run_scheme, kind)
 
@@ -393,10 +395,12 @@ class ORAMBackend(MemoryBackend):
                 f"{self.oram.position_map.num_blocks} blocks"
             )
         self.stats.demand_requests += 1
-        completion, outcome = self._issue(addr, now, True, "demand")
+        # The core resumes when the block is on chip; the next request
+        # still queues behind busy_until, the write-back's end.
+        _, ready, outcome = self._issue(addr, now, True, "demand")
         if self.stash_sampler is not None:
             self.stash_sampler(len(self.oram.stash))
-        return DemandResult(completion, outcome.to_llc)
+        return DemandResult(ready, outcome.to_llc)
 
     def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
         """Traditional prefetching on ORAM (the section 5.2 experiment).
@@ -417,13 +421,13 @@ class ORAMBackend(MemoryBackend):
         if not 0 <= addr < self.oram.position_map.num_blocks:
             return None
         self.stats.prefetch_requests += 1
-        completion, outcome = self._issue(addr, now, True, "prefetch")
+        _, ready, outcome = self._issue(addr, now, True, "prefetch")
         # Every line a prefetch brings in is a prefetched line, including
         # the nominal "demand" member.
         for member_addr, _ in outcome.to_llc:
             self.scheme.tracker.mark_prefetched(member_addr)
         filled = [(member_addr, True) for member_addr, _ in outcome.to_llc]
-        return DemandResult(completion, filled)
+        return DemandResult(ready, filled)
 
     # ----------------------------------------------------------- cache events
     def evict_line(self, addr: int, dirty: bool, now: int) -> None:

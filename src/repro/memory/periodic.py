@@ -154,7 +154,8 @@ class PeriodicORAMBackend(ORAMBackend):
         its grid slot, and the schedule resumes on the grid after it.  The
         slot is the arrival the interconnect's train sees: the controller
         went idle at least ``Oint`` before it, so no activation of the
-        train starts before the slot."""
+        train starts before the slot.  The grid resumes after the
+        controller's completion, never after the early data return."""
         slot = self._claim_slot(now)
         issued = super()._issue(addr, slot, run_scheme, kind)
         self._schedule_after(slot, issued[0])

@@ -126,8 +126,9 @@ def collect_controllers(
 def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -> None:
     """Export a :meth:`MemoryInterconnect.state_dict` under ``{prefix}.*``:
     the shared counters, and for the channel model the mean streamed path,
-    its ratio to the public cost, the array latency the pipelined train hid
-    and every channel's report plus its bus occupancy."""
+    its ratio to the public cost, the array latency the pipelined train hid,
+    the cycles early data return gave the core and every channel's report
+    plus its bus occupancy."""
     registry.gauge(f"{prefix}.path_cycles").set(state["path_cycles"])
     registry.absorb(
         {name: state[name] for name in MemoryInterconnect.COUNTERS}, f"{prefix}."
@@ -147,6 +148,7 @@ def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -
     registry.counter(f"{prefix}.hidden_latency_cycles").set(
         state["hidden_latency_cycles"]
     )
+    registry.counter(f"{prefix}.early_return_cycles").set(state["early_return_cycles"])
     horizon = state["last_completion"]
     for index, channel in enumerate(channels):
         name = f"{prefix}.channel{index}"

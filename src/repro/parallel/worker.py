@@ -183,7 +183,8 @@ class ShardExecutor:
         for addr, now, is_write in batch:
             completion = backend.demand_access(addr, now, is_write).completion_cycle
             if self.padded:
-                completion = backend.dummy_path_access(completion)
+                # queued behind the write-back, as in the bank
+                completion = backend.dummy_path_access(backend.busy_until)
             completions.append(completion)
             # Mid-batch liveness proof: under deadline enforcement the
             # front-end must tell "slow" from "hung", and the only

@@ -227,6 +227,7 @@ def oracle_interconnect_summary(interconnect):
         "row_misses": sum(c["row_misses"] for c in reports),
         "bank_wait_cycles": sum(c["bank_wait_cycles"] for c in reports),
         "hidden_latency_cycles": interconnect.hidden_latency_cycles,
+        "early_return_cycles": interconnect.early_return_cycles,
         "treetop_hits": interconnect.treetop_hits,
         "treetop_bytes_saved": interconnect.treetop_bytes_saved,
         "path_cycles": interconnect.path_cycles,
@@ -260,6 +261,9 @@ def oracle_interconnect_to_registry(interconnect, registry, prefix):
     registry.counter(f"{prefix}.hidden_latency_cycles").set(
         interconnect.hidden_latency_cycles
     )
+    registry.counter(f"{prefix}.early_return_cycles").set(
+        interconnect.early_return_cycles
+    )
     horizon = interconnect.last_completion
     for index, channel in enumerate(oracle_channel_reports(interconnect)):
         name = f"{prefix}.channel{index}"
@@ -292,6 +296,7 @@ def oracle_interconnect_state(interconnect):
         "streamed_cycles_total": interconnect.streamed_cycles_total,
         "last_completion": interconnect.last_completion,
         "hidden_latency_cycles": interconnect.hidden_latency_cycles,
+        "early_return_cycles": interconnect.early_return_cycles,
         "treetop_hits": interconnect.treetop_hits,
         "treetop_bytes_saved": interconnect.treetop_bytes_saved,
         "channels": oracle_channel_reports(interconnect),
@@ -597,6 +602,9 @@ SCRATCH = {
     # the periodic grid cursor: derived from busy_until on restore (the first
     # grid point >= busy_until + Oint), never stored
     ("backend", "_next_slot"),
+    # the last streamed path's read-done cycle: handed out by the train that
+    # streamed it, never read by a later one
+    ("interconnect", "ready"),
 }
 
 

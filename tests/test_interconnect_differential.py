@@ -156,7 +156,7 @@ class ReferenceInterconnect(ChannelInterconnect):
         )
 
     def path_completion(self, leaf, start):
-        completion = start
+        completion = read_done = start
         for channel_index, requests, cycles, nbytes in self._plan(leaf):
             state = self.channels[channel_index]
             first_ready = 0
@@ -171,6 +171,10 @@ class ReferenceInterconnect(ChannelInterconnect):
             channel_done = bus_done if bus_done > last_ready else last_ready
             if channel_done > completion:
                 completion = channel_done
+            # the read half is on chip when the write-back half starts
+            read_done = max(read_done, bus_done - cycles // 2, last_ready)
+        self.ready = read_done
+        self.early_return_cycles += completion - read_done
         self.streamed_paths += 1
         self.streamed_cycles_total += completion - start
         self.treetop_hits += self.treetop_levels
@@ -268,6 +272,7 @@ class TestAgainstTheOldPlanner:
             start = max(0, now + rng.choice((0, 0, 0, -50, 7, 400)))
             now = fused.path_completion(leaf, start)
             assert now == reference.path_completion(leaf, start)
+            assert fused.ready == reference.ready
             untracked = rng.choice((0, 0, 1, 3))  # PosMap walk, evictions
             fused.note_untracked(untracked)
             reference.note_untracked(untracked)

@@ -8,13 +8,20 @@ its predecessor's write-back half (``W = B // 2``).  What must hold for
 any geometry, including odd bursts and arrays slower than half a burst
 (``W < L``):
 
-* everything but the completion is public: the two marks, the start and
-  the cycle the demand path activates are the same for any two leaves;
-* the completion is monotone in the arrival and in the controller's clock;
+* everything but the completion and the read-done mark is public: the two
+  marks, the start and the cycle the demand path activates are the same
+  for any two leaves;
+* the completion and the read-done mark (``ready``, when the demand block
+  is on chip: early data return) are monotone in the arrival and in the
+  controller's clock;
+* ``ready`` is the completion on the flat model (the opaque ``T`` has no
+  read/write split) and on the channel model lies between the PosMap mark
+  and the completion, at most ``W`` before it;
 * on idle banks ``L + n*B <= cost <= n*T``, the left side met iff
   ``W >= L``, and with ``W < L`` every step exposes exactly ``L - W``;
-* a lone path on idle memory costs ``T`` on both models, and every charged
-  path is counted exactly once.
+* a lone path on idle memory costs ``T`` on both models and its block is
+  ready after ``L + (B - W)`` on the channel model, and every charged path
+  is counted exactly once.
 """
 
 import copy
@@ -135,17 +142,32 @@ class TestPublicMarks:
         self, arrival, busy_until, evictions, extra, seed, **geometry
     ):
         for interconnect in interconnects(**geometry):
-            start, evicted, walked, done = interconnect.train(
+            start, evicted, walked, ready, done = interconnect.train(
                 arrival, busy_until, evictions, extra, seed % 16
             )
             assert start == max(arrival, busy_until)
-            assert start <= evicted <= walked < done
+            assert start <= evicted <= walked < ready <= done
             assert (evicted == start) == (evictions == 0)
             assert (walked == evicted) == (extra == 0)
         for interconnect in interconnects(**geometry):
             padding = interconnect.train(arrival, busy_until, 1, 0, None)
-            assert padding == (start, padding[1], padding[1], padding[1])
+            assert padding == (start,) + (padding[1],) * 4
             assert start < padding[1] <= start + interconnect.path_cycles
+
+
+def delayed_trains(interconnect, later, arrival, busy_until, evictions, extra, seed):
+    """The marks of one train on warmed state, of its twin arriving
+    ``later`` cycles later and of its twin behind a clock ``later`` cycles
+    later."""
+    clock = warmed(interconnect, seed) if interconnect.model == "channel" else 0
+    arrival_twin = copy.deepcopy(interconnect)
+    clock_twin = copy.deepcopy(interconnect)
+    base = (clock + arrival, clock + busy_until)
+    return (
+        interconnect.train(*base, evictions, extra, 3),
+        arrival_twin.train(base[0] + later, base[1], evictions, extra, 3),
+        clock_twin.train(base[0], base[1] + later, evictions, extra, 3),
+    )
 
 
 class TestMonotone:
@@ -155,19 +177,69 @@ class TestMonotone:
         self, later, arrival, busy_until, evictions, extra, seed, **geometry
     ):
         for interconnect in interconnects(**geometry):
-            clock = warmed(interconnect, seed) if interconnect.model == "channel" else 0
-            arrival_twin = copy.deepcopy(interconnect)
-            clock_twin = copy.deepcopy(interconnect)
-            base = (clock + arrival, clock + busy_until)
-            *_, done = interconnect.train(*base, evictions, extra, 3)
-            *_, done_arrival = arrival_twin.train(
-                base[0] + later, base[1], evictions, extra, 3
+            marks = delayed_trains(
+                interconnect, later, arrival, busy_until, evictions, extra, seed
             )
-            *_, done_clock = clock_twin.train(
-                base[0], base[1] + later, evictions, extra, 3
-            )
+            done, done_arrival, done_clock = (train[-1] for train in marks)
             assert done <= done_arrival <= done + later
             assert done <= done_clock <= done + later
+
+    @given(later=st.integers(min_value=0, max_value=3_000), **GEOMETRY, **TRAIN)
+    @settings(max_examples=60, deadline=None)
+    def test_ready_is_monotone_in_arrival_and_in_the_clock(
+        self, later, arrival, busy_until, evictions, extra, seed, **geometry
+    ):
+        for interconnect in interconnects(**geometry):
+            marks = delayed_trains(
+                interconnect, later, arrival, busy_until, evictions, extra, seed
+            )
+            ready, ready_arrival, ready_clock = (train[3] for train in marks)
+            assert ready <= ready_arrival <= ready + later
+            assert ready <= ready_clock <= ready + later
+
+
+class TestEarlyDataReturn:
+    @given(**GEOMETRY, **TRAIN)
+    @settings(max_examples=60, deadline=None)
+    def test_ready_is_the_completion_on_flat_and_inside_the_write_back_half_on_channel(
+        self, arrival, busy_until, evictions, extra, seed, **geometry
+    ):
+        flat, channel = interconnects(**geometry)
+        *_, ready, done = flat.train(arrival, busy_until, evictions, extra, seed % 16)
+        assert ready == done
+        clock = warmed(channel, seed)
+        overlap = constants(channel)[2]
+        early = channel.early_return_cycles
+        # arrivals on both sides of the clock, the write-back half included
+        _, _, walked, ready, done = channel.train(
+            max(0, clock + arrival - 2_500), clock, evictions, extra, seed % 16
+        )
+        assert walked <= ready <= done
+        assert done - ready <= overlap
+        assert channel.early_return_cycles - early == done - ready
+
+    @given(start=st.integers(min_value=0, max_value=10_000), **GEOMETRY)
+    @settings(max_examples=40, deadline=None)
+    def test_a_lone_path_on_idle_memory_is_ready_after_its_read_half(
+        self, start, **geometry
+    ):
+        flat, channel = idle(**geometry)
+        latency, burst, overlap = constants(channel)
+        assert flat.train(start, 0, 0, 0, 5)[3] == start + flat.path_cycles
+        assert channel.train(start, 0, 0, 0, 5)[3] == start + latency + (burst - overlap)
+        assert channel.early_return_cycles == overlap
+
+    def test_the_read_half_of_the_tpcc_geometry(self):
+        """``trace_tpcc_write``'s geometry: 26 nominal levels, a 4-level
+        treetop, 22 off-chip bucket-levels x 1,024 B (Z = 4, 128 B blocks,
+        read + write-back) over 4 x 16 B/cycle is B = 352 behind L = 100,
+        T = 452.  W = 176, so the block is on chip at L + (B - W) = 276,
+        the path done at 452."""
+        oram = ORAMConfig(bucket_size=4, treetop_levels=4)
+        dram = DRAMConfig(model="channel", num_channels=4)
+        interconnect = build_interconnect(oram, dram)
+        assert constants(interconnect) == (100, 352, 176)
+        assert interconnect.train(0, 0, 0, 0, 5)[3:] == (276, 452)
 
 
 class TestIdleBanks:
@@ -179,7 +251,7 @@ class TestIdleBanks:
         flat, channel = idle(**geometry)
         latency, burst, overlap = constants(channel)
         paths = evictions + extra + 1
-        start, _, _, done = channel.train(arrival, arrival, evictions, extra, seed % 16)
+        start, *_, done = channel.train(arrival, arrival, evictions, extra, seed % 16)
         cost = done - start
         assert latency + paths * burst <= cost <= paths * channel.path_cycles
         # what does not fit under the write-back half stays exposed, once
@@ -190,7 +262,7 @@ class TestIdleBanks:
             assert (cost == latency + paths * burst) == (overlap >= latency)
         assert channel.hidden_latency_cycles == paths * channel.path_cycles - cost
         # the flat model keeps the paper's serial train
-        flat_start, _, _, flat_done = flat.train(
+        flat_start, *_, flat_done = flat.train(
             arrival, busy_until, evictions, extra, seed % 16
         )
         assert flat_done - flat_start == paths * flat.path_cycles
@@ -204,7 +276,7 @@ class TestIdleBanks:
         latency, burst, overlap = constants(channel)
         paths = evictions + extra + 1
         clock = arrival + overlap + busy_until  # arrived >= W before the clock
-        start, _, _, done = channel.train(arrival, clock, evictions, extra, seed % 16)
+        start, *_, done = channel.train(arrival, clock, evictions, extra, seed % 16)
         assert start == clock
         assert done - start == paths * (burst + max(0, latency - overlap))
 
@@ -215,9 +287,10 @@ class TestIdleBanks:
     ):
         for interconnect in idle(**geometry):
             marks = interconnect.train(start, 0, 0, 0, 5)
-            assert marks == (start, start, start, start + interconnect.path_cycles)
-            assert interconnect.path_completion(5, marks[3] + 7) == (
-                marks[3] + 7 + interconnect.path_cycles
+            assert marks[:3] == (start, start, start)
+            assert marks[4] == start + interconnect.path_cycles
+            assert interconnect.path_completion(5, marks[4] + 7) == (
+                marks[4] + 7 + interconnect.path_cycles
             )
             assert interconnect.summary().get("hidden_latency_cycles", 0) == 0
 

@@ -25,7 +25,12 @@ iteration per path, ``max()`` spelled out -- built for the evictions and
 the PosMap walk *before the demand leaf exists* (the marks are public),
 then the demand path through the bank/row rules one request at a time, and
 the hidden latency as its definition (the first access's array latency
-minus what the request's clock saw of it).
+minus what the request's clock saw of it).  Every path carries a read-done
+event, ``B - W`` into its burst: an untracked path's is its successor's
+activation, the demand path's (no earlier than its last bank's data) is
+the cycle the core gets the block back -- early data return -- while the
+controller's clock, the periodic grid and every phase term keep the
+completion.
 
 Both worlds are driven by the same seeded mix of demand misses,
 prefetches, dirty and clean LLC evictions, LLC hits, degraded-mode
@@ -151,9 +156,11 @@ DEFAULT_PHASES = (PosMapPhase(), PathReadPhase(), RemapPhase(), WritebackPhase()
 # ---------------------------------- the channel model's train, path by path
 #: One path of a train: when its row activations issue, when it came onto
 #: the request's clock (``mark``: the end of its predecessor's burst, or the
-#: train's start) and when its burst holds the bus.
+#: train's start), when its burst holds the bus and when its read half is on
+#: chip (``read_done``: the successor's leaf is known -- or, for the demand
+#: path, the block goes back to the core).
 PathEvent = collections.namedtuple(
-    "PathEvent", "kind activate mark burst_start burst_end"
+    "PathEvent", "kind activate mark burst_start burst_end read_done"
 )
 
 
@@ -177,9 +184,12 @@ class ChannelPosMapPhase(PosMapPhase):
         for kind in ["writeback"] * ctx.evictions + ["posmap"] * ctx.extra:
             burst_start = max(bus_free, activate + latency)
             bus_free = burst_start + burst
-            ctx.events.append(PathEvent(kind, activate, mark, burst_start, bus_free))
+            read_done = burst_start + (burst - overlap)
+            ctx.events.append(
+                PathEvent(kind, activate, mark, burst_start, bus_free, read_done)
+            )
             mark = bus_free
-            activate = burst_start + (burst - overlap)  # its read half is on chip
+            activate = read_done
         backend.interconnect.hidden_latency_cycles += sum(
             latency - (event.burst_start - event.mark) for event in ctx.events
         )
@@ -199,7 +209,7 @@ class ChannelPathReadPhase(PathReadPhase):
         latency, burst, overlap = train_constants(interconnect)
         if ctx.events:
             last = ctx.events[-1]
-            activate = last.burst_start + (burst - overlap)
+            activate = last.read_done
             bus_free = mark = last.burst_end
         else:
             activate = max(ctx.arrival, ctx.busy_until - overlap)
@@ -223,10 +233,15 @@ class ChannelPathReadPhase(PathReadPhase):
         burst_start = max(bus_free, ready[0])
         gang.bus_free = burst_start + burst
         completion = max(gang.bus_free, max(ready))
-        ctx.events.append(PathEvent("path_read", activate, mark, burst_start, completion))
+        # the block is on chip with the read half, once every bank delivered
+        read_done = max(burst_start + (burst - overlap), max(ready))
+        ctx.events.append(
+            PathEvent("path_read", activate, mark, burst_start, completion, read_done)
+        )
         interconnect.streamed_paths += 1
         interconnect.streamed_cycles_total += completion - mark
         interconnect.hidden_latency_cycles += (ready[0] - activate) - (burst_start - mark)
+        interconnect.early_return_cycles += completion - read_done
         interconnect.treetop_hits += interconnect.treetop_levels
         interconnect.treetop_bytes_saved += (
             interconnect.treetop_levels * interconnect.bucket_bytes
@@ -300,6 +315,12 @@ class ReferencePipeline:
         else:
             latency = sum(span_phases.values()) + ctx.fault_delay
         completion = start + latency
+        # the core gets the block at the demand path's read-done event; the
+        # flat model's opaque T has none
+        if interconnect.model == "flat":
+            ready = completion
+        else:
+            ready = ctx.events[-1].read_done + ctx.fault_delay
         backend.busy_until = completion
         stats.memory_accesses += ctx.extra + 1
         stats.busy_cycles += latency
@@ -331,28 +352,30 @@ class ReferencePipeline:
                     "breaks": scheme_stats.breaks - breaks_before,
                 }
             )
-        return completion, ctx.outcome
+        return completion, ready, ctx.outcome
 
     def breakdown(self):
         return dict(self.phase_cycles)
 
 
 class ReferencePeriodicBackend(PeriodicORAMBackend):
-    """The three entries each claiming the slot themselves."""
+    """The three entries each claiming the slot themselves.  The grid
+    resumes after the controller's clock (``busy_until``), not after the
+    block the core got back early."""
 
     _issue = ORAMBackend._issue
 
     def demand_access(self, addr, now, is_write):
         slot = self._claim_slot(now)
         result = ORAMBackend.demand_access(self, addr, slot, is_write)
-        self._schedule_after(slot, result.completion_cycle)
+        self._schedule_after(slot, self.busy_until)
         return result
 
     def prefetch_access(self, addr, now):
         slot = self._claim_slot(now)
         result = ORAMBackend.prefetch_access(self, addr, slot)
         if result is not None:
-            self._schedule_after(slot, result.completion_cycle)
+            self._schedule_after(slot, self.busy_until)
         return result
 
     def evict_line(self, addr, dirty, now):
@@ -362,7 +385,7 @@ class ReferencePeriodicBackend(PeriodicORAMBackend):
         self._check_addr(addr)
         self.stats.write_accesses += 1
         slot = self._claim_slot(now)
-        completion, _ = self.pipeline.execute(addr, slot, False, "writeback")
+        completion, _, _ = self.pipeline.execute(addr, slot, False, "writeback")
         self._schedule_after(slot, completion)
 
 

@@ -222,8 +222,8 @@ class TestFoldedExtras:
         keys = list(system.extra)
         assert keys[0] == "num_shards"
         interconnect = [key for key in keys if key.startswith("interconnect_")]
-        assert len(interconnect) == 12  # + path_cycles, stream_efficiency
-        assert keys[-12:] == interconnect
+        assert len(interconnect) == 13  # + path_cycles, stream_efficiency
+        assert keys[-13:] == interconnect
         for result in (system, serial):
             # per-controller constants and the ratio: assigned, not summed
             assert result.extra["interconnect_channels"] == 4
