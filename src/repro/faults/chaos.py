@@ -281,7 +281,7 @@ def run_parallel_storm(
                 segment_times.append(segment_s)
                 if segment_hangs:
                     hang_segment_s = max(hang_segment_s, segment_s)
-            health = runtime.health
+            health, walk = runtime.health, runtime.worker_snapshots()
             states = [health.state(i) for i in range(scenario.num_shards)]
             report = {
                 "ops": len(requests),
@@ -289,8 +289,8 @@ def run_parallel_storm(
                 "events": fired,
                 "demand_requests": result.demand_requests if result else 0,
                 "conserved": bool(result) and result.demand_requests == len(requests),
-                "hangs": runtime.total_hangs(),
-                "restarts": runtime.worker_restarts(),
+                "hangs": sum(snap["counters"]["hangs"] for snap in walk),
+                "restarts": [snap["counters"]["restarts"] for snap in walk],
                 "quarantines": health.total_quarantines(),
                 "readmissions": health.total_readmissions(),
                 "final_states": [state.value for state in states],

@@ -3,10 +3,9 @@
 Everything that crosses a process boundary is defined here: the
 :class:`ShardSpec` a shard is opened with, and the shapes of the
 command/reply tuples a :class:`~repro.parallel.worker.ShardExecutor`
-takes and yields -- over two ``multiprocessing`` queues when it runs in a
-worker process, over an in-process channel of the same shape when it
-runs inline.  Tuples (not classes) cross the queues so a reply is cheap
-to pickle and the protocol is trivially versionable by shape.
+takes and yields over the two ``multiprocessing`` queues of its worker
+process.  Tuples (not classes) cross the queues so a reply is cheap to
+pickle and the protocol is trivially versionable by shape.
 
 Commands (front-end -> worker)::
 
@@ -34,7 +33,13 @@ Replies (worker -> front-end)::
 
 An executor starts healthy (neither degraded nor padded); a runtime with a
 health plane sends ``health`` on every open and whenever the shard's
-breaker moves, over either transport.
+breaker moves -- quarantine, probing and re-admission included, so a sick
+shard stays the same worker process until it dies.
+
+The runtime replays the seq-numbered commands (batches and the
+drain/fsck/checkpoint/stats barrier that ends a run) through one
+pending/replay bookkeeping: after a reopen, every command the restored
+checkpoint does not cover is sent again in sequence order.
 
 Sequence numbers are per-worker and strictly increasing; a worker that
 receives a batch it already applied (a replay after the reply was lost in

@@ -16,9 +16,11 @@ Failure model: workers checkpoint their whole backend after every
 :mod:`repro.parallel.worker`).  The front-end detects a dead worker
 (liveness poll while waiting on its reply queue), respawns it from the
 latest checkpoint, re-serves acknowledgements the crash swallowed out of
-the checkpoint's reply window, and replays only the batches the
-checkpoint had not yet captured -- always batches of the current
-``run()``, because each run's closing barrier checkpoints the rest.  Every demand access is therefore
+the checkpoint's reply window, and replays every command the checkpoint
+had not yet captured -- batches and the barrier commands that end a run
+alike, through one pending/replay bookkeeping and one reply dispatch --
+always commands of the current ``run()``, because each run's closing
+barrier checkpoints the rest.  Every demand access is therefore
 applied and counted exactly once -- "zero lost writes" in a timing
 simulator means the merged accounting is indistinguishable from a run
 that never crashed (completions of replayed batches may differ, since a
@@ -35,21 +37,18 @@ Health control plane (optional): constructed with a
 :class:`~repro.health.CircuitBreaker` and enforces wall-clock deadlines.
 Workers emit mid-batch ``heartbeat`` replies; a worker whose in-flight
 batches make no progress (no ack, no heartbeat) for ``batch_deadline_s``
-is declared *hung*, terminated, and -- like a killed worker -- lands in
-QUARANTINE instead of being respawned immediately.  A failed shard is
-always healed the same way -- reopen it from its checkpoint, replay what
-the checkpoint lacks -- and quarantine only changes the transport: the
-same :class:`~repro.parallel.worker.ShardExecutor` runs in this process
-behind an :class:`~repro.parallel.worker.InlineShardChannel`.  After the
-breaker's cooldown the inline shard is told to ``checkpoint`` and a fresh
-worker process is opened from that file half-open (PROBING); enough
-successful probe batches re-admit it to full pipelining.  What a state
-does to the traffic is the breaker's table, obeyed as the bank obeys it:
-every open and every move of the breaker sends the executor a ``health``
-command, so quarantined and probing batches are padded with one dummy
-path per request (the uniform-leaf access shape) and run degraded
-(super-block merges / prefetcher throttled), like DEGRADED ones; the
-inflight cap is 1 while padded, halved while otherwise throttled.
+is declared *hung* and terminated.  A dead or hung shard is healed the
+same way with or without a plane -- a fresh worker process reopened from
+its checkpoint, within the restart budget -- and the plane only trips the
+breaker into QUARANTINE.  Quarantine, probing and re-admission are breaker
+moves told to that same process: every open and every move sends the
+executor a ``health`` command, so quarantined and probing batches are
+padded with one dummy path per request (the uniform-leaf access shape)
+and run degraded (super-block merges / prefetcher throttled), like
+DEGRADED ones; the inflight cap is 1 while padded, halved while otherwise
+throttled.  Once the cooldown is served and nothing sent while
+quarantined is still in flight, the breaker half-opens (PROBING), and
+enough successful probe batches re-admit the shard to full pipelining.
 Without a policy, behavior is bit-identical to the pre-health runtime.
 """
 
@@ -59,7 +58,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
@@ -69,7 +67,7 @@ from repro.observability.collect import collect_parallel
 from repro.observability.metrics import CycleHistogram, MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
 from repro.parallel.protocol import ShardSpec
-from repro.parallel.worker import InlineShardChannel, shard_worker_main
+from repro.parallel.worker import shard_worker_main
 from repro.sim.results import SimResult
 
 #: liveness-poll interval while waiting on a reply queue (seconds)
@@ -93,20 +91,19 @@ class _Worker:
 
     #: event counts, one bare attribute each (``restarts`` also salts the
     #: shard's RNG, see :meth:`ParallelShardRuntime._start`)
-    COUNTERS = ("batches", "fallback_batches", "probe_denied", "restarts", "hangs")
+    COUNTERS = ("batches", "fallback_batches", "restarts", "hangs")
 
     def __init__(self, index: int):
         self.index = index
-        #: the worker process, or ``None`` while the shard is open inline
         self.process = None
         self.commands = None
         self.replies = None
         self.next_seq = 0
-        #: sent, not yet acknowledged: seq -> (positions, batch)
-        self.pending: Dict[int, Tuple[List[int], list]] = {}
-        #: acknowledged but not yet covered by a checkpoint (replay fodder)
-        self.unckpt: Dict[int, Tuple[List[int], list]] = {}
-        self.sent_at: Dict[int, float] = {}
+        #: sent, not yet answered: seq -> (positions, command, sent at);
+        #: positions is ``None`` for the barrier commands that end a run
+        self.pending: Dict[int, Tuple[Optional[List[int]], tuple, float]] = {}
+        #: acknowledged batches no checkpoint covers yet (replay fodder)
+        self.unckpt: Dict[int, Tuple[Optional[List[int]], tuple, float]] = {}
         for name in self.COUNTERS:
             setattr(self, name, 0)
         self.roundtrip_us = CycleHistogram("batch_roundtrip_us")
@@ -116,17 +113,10 @@ class _Worker:
         #: the breaker state the shard's executor was last told (``None``
         #: until the first ``health`` command of an incarnation)
         self.told = None
-        #: restart budget exhausted: stay inline, never probe
-        self.no_probe = False
 
     @property
     def inflight(self) -> int:
         return len(self.pending)
-
-    @property
-    def alive(self) -> bool:
-        """An inline shard lives in this process, so it cannot have died."""
-        return self.process is None or self.process.is_alive()
 
 
 def _drain_nowait(replies):
@@ -183,11 +173,13 @@ class ParallelShardRuntime:
         max_inflight: per-worker cap on unacknowledged batches; bounded by
             the worker's reply replay window (sized to ``2 * max_inflight``)
             so a lost acknowledgement is always recoverable.
-        max_restarts: per-worker respawn budget before giving up.
+        max_restarts: per-worker respawn budget; a failure past it raises
+            :class:`WorkerFailure`, with or without a health plane.
         health_policy: enable the health control plane (per-worker
-            circuit breakers, quarantined shards served inline,
-            half-open probing).  Requires ``checkpoint_dir`` -- the
-            inline shard is restored from the worker's checkpoint.  It also
+            circuit breakers; quarantined and probing shards padded and
+            throttled in their worker process, half-open probing).
+            Requires ``checkpoint_dir`` -- a quarantined shard is reopened
+            from its checkpoint.  It also
             sets the enforcement knobs -- ``batch_deadline_s`` (seconds an
             in-flight worker may go without an ack or heartbeat before it
             is declared hung and terminated), ``heartbeat_every``
@@ -223,7 +215,7 @@ class ParallelShardRuntime:
         if health_policy is not None and not checkpoint_dir:
             raise ValueError(
                 "the health control plane needs checkpoint_dir: a quarantined "
-                "shard is reopened inline from its worker's checkpoint"
+                "shard is reopened from its worker's checkpoint"
             )
         self.scheme = scheme
         self.footprint_blocks = footprint_blocks
@@ -287,44 +279,22 @@ class ParallelShardRuntime:
             fault_config=self.fault_config,
         )
 
-    def _open(self, worker: _Worker, *, inline: bool = False) -> Tuple[int, list]:
-        """Open a shard's executor behind one of its two transports -- a
-        fresh worker process, or this process when *inline* -- and return
-        its ready announcement ``(last_seq, reply window)``."""
-        self._start(worker, inline=inline)
-        return self._await_ready(worker)
-
-    def _start(self, worker: _Worker, *, inline: bool = False) -> None:
-        """Set the shard's executor going without waiting for it.  Starting
-        a shard that was open before begins a new incarnation: the restart
-        count, which salts its RNG, advances."""
+    def _start(self, worker: _Worker) -> None:
+        """Start the shard's worker process without waiting for it.
+        Starting a shard that was open before begins a new incarnation:
+        the restart count, which salts its RNG, advances."""
         if worker.commands is not None:
             worker.restarts += 1
+        worker.commands = self._ctx.Queue()
+        worker.replies = self._ctx.Queue()
         spec = self._spec(worker.index, worker.restarts)
-        if inline:
-            # This process is the trusted domain (injected faults model
-            # worker memory) and cannot hang on itself, so the inline
-            # shard runs with a silent injector and no heartbeats.  Silent
-            # rather than absent: the injector's counters are part of the
-            # shard's checkpoint, and an incarnation with nowhere to
-            # restore them would drop them for good.
-            silent = spec.fault_config and replace(
-                spec.fault_config, transient_rate=0.0, delay_rate=0.0
-            )
-            worker.process = None
-            worker.commands = worker.replies = InlineShardChannel(
-                replace(spec, fault_config=silent, heartbeat_every=0)
-            )
-        else:
-            worker.commands = self._ctx.Queue()
-            worker.replies = self._ctx.Queue()
-            worker.process = self._ctx.Process(
-                target=shard_worker_main,
-                args=(spec, worker.commands, worker.replies),
-                daemon=True,
-                name=f"repro-shard-{worker.index}",
-            )
-            worker.process.start()
+        worker.process = self._ctx.Process(
+            target=shard_worker_main,
+            args=(spec, worker.commands, worker.replies),
+            daemon=True,
+            name=f"repro-shard-{worker.index}",
+        )
+        worker.process.start()
         worker.last_progress = time.perf_counter()
         worker.told = None
         self._tell_health(worker)
@@ -387,7 +357,7 @@ class ParallelShardRuntime:
         try:
             reply = worker.replies.get(block, _POLL_S)
         except queue_module.Empty:
-            if worker.alive:
+            if worker.process.is_alive():
                 if not (deadline and self._deadline_expired(worker)):
                     return None
                 worker.hangs += 1
@@ -417,22 +387,41 @@ class ParallelShardRuntime:
             if reply is not None and reply[0] != "heartbeat":
                 return reply
 
-    def _send_batch(
-        self, worker: _Worker, positions: List[int], batch: list
+    def _issue(
+        self, worker: _Worker, op: str, *args, positions: Optional[List[int]] = None
     ) -> None:
+        """Send one seq-numbered command; *positions* (a batch's slots in
+        the results list) rides along for the acknowledgement."""
         seq = worker.next_seq
         worker.next_seq += 1
-        self._send(worker, seq, positions, batch)
+        self._send(worker, seq, positions, (op, seq) + args)
 
     def _send(
-        self, worker: _Worker, seq: int, positions: List[int], batch: list
+        self, worker: _Worker, seq: int, positions: Optional[List[int]], command: tuple
     ) -> None:
-        worker.pending[seq] = (positions, batch)
-        worker.sent_at[seq] = time.perf_counter()
+        sent = time.perf_counter()
+        worker.pending[seq] = (positions, command, sent)
         # A send restarts the progress clock: deadlines measure silence
         # *after* work was handed over, not idle time between batches.
-        worker.last_progress = worker.sent_at[seq]
-        worker.commands.put(("batch", seq, batch))
+        worker.last_progress = sent
+        worker.commands.put(command)
+
+    def _issue_run_end(self, worker: _Worker, horizon: int, fsck: bool) -> None:
+        """The commands that end a run: drain at *horizon*, (optionally)
+        fsck, checkpoint what no checkpoint covers yet, snapshot.  They are
+        pending like batches until the ``stats`` reply, so a reopen
+        replays them like anything else."""
+        # Acknowledged batches no checkpoint covers yet (cadence != 1)
+        # carry positions into *this* run's results list: make the
+        # finished run durable so a crash in the next run() never replays
+        # them into that run's list.  Judged before the drain joins pending.
+        durable = bool(self.checkpoint_dir and (worker.unckpt or worker.pending))
+        self._issue(worker, "drain", horizon)
+        if fsck:
+            self._issue(worker, "fsck")
+        if durable:
+            self._issue(worker, "checkpoint")
+        self._issue(worker, "stats")
 
     def _record_ack(
         self,
@@ -451,15 +440,12 @@ class ParallelShardRuntime:
         newly_recorded = False
         entry = worker.pending.pop(seq, None)
         if entry is not None:
-            positions, _batch = entry
+            positions, _command, sent = entry
             newly_recorded = _record(results, positions, completions)
             if seq > checkpointed_seq:
                 worker.unckpt[seq] = entry
-            sent = worker.sent_at.pop(seq, None)
-            roundtrip_us = 0
-            if sent is not None:
-                roundtrip_us = int((time.perf_counter() - sent) * 1e6)
-                worker.roundtrip_us.record(roundtrip_us)
+            roundtrip_us = int((time.perf_counter() - sent) * 1e6)
+            worker.roundtrip_us.record(roundtrip_us)
             worker.batches += 1
             self._feed_health_ack(worker, roundtrip_us, len(positions))
         _forget_checkpointed(worker, checkpointed_seq)
@@ -498,54 +484,65 @@ class ParallelShardRuntime:
             worker.commands.put(("health", None, state.value))
             worker.told = state
 
+    def _readmit_if_ready(self, worker: _Worker) -> bool:
+        """Half-open a quarantined shard past its cooldown: a breaker move
+        told to the same process.  Waits until nothing sent while
+        quarantined is still in flight, so every ack of a padded fallback
+        batch is counted as one.  True if the breaker moved."""
+        if (
+            self.health is None
+            or worker.pending
+            or not self.health.begin_probe_if_ready(worker.index)
+        ):
+            return False
+        self._tell_health(worker)
+        return True
+
     # -------------------------------------------------------------- recovery
     def _fail_worker(self, worker: _Worker, reason: str, results) -> int:
-        """Heal one dead/hung worker: reopen its shard from the checkpoint
-        and replay what the checkpoint lacks (:meth:`_reopen`).
-
-        Without a health plane the shard comes back as a fresh worker
-        process, within the restart budget.  With one, the breaker trips
-        and the shard is reopened inline, where it serves traffic until
-        :meth:`_try_readmit` hands it back to a process.  Returns how many
-        batches were newly recorded into *results*.
+        """Heal one dead/hung worker: trip its breaker (when there is a
+        plane), then reopen the shard as a fresh worker process from its
+        checkpoint, within the restart budget, and replay what the
+        checkpoint lacks (:meth:`_reopen`).  Returns how many batches were
+        newly recorded into *results*.
         """
         if self.health is not None:
             self.health.record_hard_failure(worker.index, reason)
-        elif not self.checkpoint_dir:
+        if not self.checkpoint_dir:
             raise WorkerFailure(
                 f"worker {worker.index} died (exitcode "
                 f"{worker.process.exitcode}) and checkpointing is disabled"
             )
-        elif worker.restarts >= self.max_restarts:
+        if worker.restarts >= self.max_restarts:
             raise WorkerFailure(
                 f"worker {worker.index} exceeded its restart budget "
                 f"({self.max_restarts})"
             )
         self.kill_worker(worker.index)
-        return self._reopen(worker, results, inline=self.health is not None)
+        return self._reopen(worker, results)
 
-    def _reopen(self, worker: _Worker, results, *, inline: bool) -> int:
+    def _reopen(self, worker: _Worker, results) -> int:
         """Reopen a shard from its checkpoint and replay ``unckpt`` and
         ``pending``: everything un-acknowledged or un-checkpointed.
 
         Batches the restored checkpoint already covers are answered from
-        its reply window, here, without re-execution; the rest go back
-        through the (new) transport and re-run from the checkpointed
-        state, so no completion is ever lost.  Returns the number of
-        batches newly recorded.
+        its reply window, here, without re-execution; every other command
+        (later batches, barrier commands) goes back to the new process and
+        re-runs from the checkpointed state, so no completion is ever
+        lost.  Returns the number of batches newly recorded.
         """
-        # Fresh queues (via _open): the old ones may hold a torn pickle.
-        restored_seq, window = self._open(worker, inline=inline)
-        stored = {seq: completions for seq, completions in window}
+        # Fresh queues (via _start): the old ones may hold a torn pickle.
+        self._start(worker)
+        restored_seq, window = self._await_ready(worker)
+        stored = dict(window)
         replay = {**worker.unckpt, **worker.pending}
         worker.unckpt = {}
         worker.pending = {}
-        worker.sent_at = {}
         recorded = 0
         for seq in sorted(replay):
-            positions, batch = replay[seq]
+            positions, command, _sent = replay[seq]
             if seq > restored_seq:
-                self._send(worker, seq, positions, batch)
+                self._send(worker, seq, positions, command)
             elif seq in stored:
                 recorded += _record(results, positions, stored[seq])
             else:
@@ -554,41 +551,6 @@ class ParallelShardRuntime:
                     f"restored checkpoint but outside its reply window"
                 )
         return recorded
-
-    def _try_readmit(self, worker: _Worker) -> bool:
-        """Hand a quarantined shard past its cooldown back to a process.
-
-        The inline shard checkpoints itself (the executor's ``checkpoint``
-        command) and a worker process is opened from that file half-open.
-        Returns True when the worker was opened into PROBING.  A worker
-        whose restart budget is exhausted stays inline permanently
-        (degraded-but-correct beats fatal)."""
-        health = self.health
-        if (
-            health is None
-            or worker.no_probe
-            or worker.pending
-            or not health.breakers[worker.index].ready_to_probe
-        ):
-            return False
-        if worker.restarts >= self.max_restarts:
-            worker.no_probe = True
-            worker.probe_denied += 1
-            return False
-        worker.commands.put(("checkpoint", worker.next_seq))
-        worker.next_seq += 1
-        reply = self._await_reply(worker)
-        if reply[0] != "checkpoint_done":
-            raise WorkerFailure(
-                f"worker {worker.index} could not checkpoint for "
-                f"re-admission: {reply[-1]}"
-            )
-        _forget_checkpointed(worker, reply[2])
-        health.begin_probe_if_ready(worker.index)
-        # Opened while PROBING: the worker probes padded and throttled, and
-        # earns full rate back only once the breaker re-admits it.
-        self._open(worker)
-        return True
 
     def _inflight_cap(self, worker: _Worker) -> int:
         """Pipelining depth by health state: padded shards (quarantined,
@@ -642,23 +604,35 @@ class ParallelShardRuntime:
                 )
             batches.append(chunks)
         results: List[Optional[int]] = [None] * len(requests)
+        snapshots: List[Optional[dict]] = [None] * num_workers
+        fsck_failures: List[str] = []
         cursors = [0] * num_workers
         unrecorded = sum(len(chunks) for chunks in batches)
-        while unrecorded:
+        barrier = False
+        while None in snapshots:
             progressed = False
-            for worker in self._workers:
-                chunks = batches[worker.index]
-                if self._try_readmit(worker):
-                    progressed = True
-                cap = self._inflight_cap(worker)
-                while (
-                    cursors[worker.index] < len(chunks)
-                    and worker.inflight < cap
-                ):
-                    positions, batch = chunks[cursors[worker.index]]
-                    cursors[worker.index] += 1
-                    self._send_batch(worker, positions, batch)
-                    progressed = True
+            if unrecorded:
+                for worker in self._workers:
+                    chunks = batches[worker.index]
+                    if self._readmit_if_ready(worker):
+                        progressed = True
+                    cap = self._inflight_cap(worker)
+                    while (
+                        cursors[worker.index] < len(chunks)
+                        and worker.inflight < cap
+                    ):
+                        positions, batch = chunks[cursors[worker.index]]
+                        cursors[worker.index] += 1
+                        self._issue(worker, "batch", batch, positions=positions)
+                        progressed = True
+            elif not barrier:
+                # Barrier: drain every worker at the globally last
+                # completion so finalize semantics match the serial
+                # reference, then snapshot.
+                horizon = max((c for c in results if c is not None), default=0)
+                for worker in self._workers:
+                    self._issue_run_end(worker, horizon, fsck)
+                barrier = progressed = True
             for worker in self._workers:
                 if not worker.pending:
                     continue
@@ -671,29 +645,33 @@ class ParallelShardRuntime:
                 if reply is None:
                     continue
                 progressed = True
-                if reply[0] == "heartbeat":
-                    continue
-                if reply[0] == "error":
+                op = reply[0]
+                if op == "batch_done":
+                    _op, seq, completions, checkpointed_seq = reply
+                    if self._record_ack(
+                        worker, seq, completions, checkpointed_seq, results
+                    ):
+                        unrecorded -= 1
+                elif op == "checkpoint_done":
+                    _forget_checkpointed(worker, reply[2])
+                elif op == "fsck_done":
+                    if not reply[2]:
+                        fsck_failures.append(reply[3])
+                elif op == "stats":
+                    # The barrier's last command: every reply before it
+                    # has been read, so the whole barrier is answered.
+                    worker.pending.clear()
+                    snapshots[worker.index] = reply[2]
+                elif op == "error":
+                    raise WorkerFailure(f"worker {worker.index} failed: {reply[2]}")
+                elif op not in ("heartbeat", "drained"):
                     raise WorkerFailure(
-                        f"worker {worker.index} failed: {reply[2]}"
+                        f"worker {worker.index} sent unexpected {op!r} during a run"
                     )
-                if reply[0] != "batch_done":
-                    raise WorkerFailure(
-                        f"worker {worker.index} sent unexpected "
-                        f"{reply[0]!r} during a run"
-                    )
-                _op, seq, completions, checkpointed_seq = reply
-                if self._record_ack(
-                    worker, seq, completions, checkpointed_seq, results
-                ):
-                    unrecorded -= 1
-                progressed = True
             if not progressed:
                 time.sleep(0.001)
-        # Barrier: drain every worker at the globally last completion so
-        # finalize semantics match the serial reference, then snapshot.
-        horizon = max((c for c in results if c is not None), default=0)
-        snapshots = self._barrier(horizon, fsck, results)
+        if fsck and fsck_failures:
+            raise WorkerFailure("parallel fsck failed: " + "; ".join(fsck_failures))
         completions_final = [c for c in results if c is not None]
         if len(completions_final) != len(requests):
             raise WorkerFailure("lost completions: merge would under-count")
@@ -703,66 +681,6 @@ class ParallelShardRuntime:
             workload=workload,
             scheme=self.scheme,
         )
-
-    def _barrier(
-        self, horizon: int, fsck: bool, results: List[Optional[int]]
-    ) -> List[dict]:
-        """Drain + (optionally) fsck + checkpoint what no checkpoint covers
-        yet + snapshot every worker."""
-        snapshots: List[Optional[dict]] = [None] * self.num_workers
-        fsck_failures: List[str] = []
-        for worker in self._workers:
-            self._send_barrier_commands(worker, horizon, fsck)
-        for worker in self._workers:
-            while snapshots[worker.index] is None:
-                try:
-                    reply = self._await_reply(worker, deadline=True)
-                except WorkerFailure as failure:
-                    # Death (or hang) at the barrier: heal, then re-issue
-                    # the barrier commands the old command queue took with
-                    # it.
-                    self._fail_worker(worker, failure.reason, results)
-                    self._send_barrier_commands(worker, horizon, fsck)
-                    continue
-                if reply[0] == "error":
-                    raise WorkerFailure(
-                        f"worker {worker.index} failed: {reply[2]}"
-                    )
-                if reply[0] == "batch_done":
-                    # Ack of a recovery replay: route through the normal
-                    # bookkeeping (already-recorded completions are kept).
-                    _op, seq, completions, checkpointed_seq = reply
-                    self._record_ack(
-                        worker, seq, completions, checkpointed_seq, results
-                    )
-                elif reply[0] == "checkpoint_done":
-                    _forget_checkpointed(worker, reply[2])
-                elif reply[0] == "stats":
-                    snapshots[worker.index] = reply[2]
-                elif reply[0] == "fsck_done" and not reply[2]:
-                    fsck_failures.append(reply[3])
-        if fsck and fsck_failures:
-            raise WorkerFailure("parallel fsck failed: " + "; ".join(fsck_failures))
-        return snapshots  # type: ignore[return-value]
-
-    def _send_barrier_commands(
-        self, worker: _Worker, horizon: int, fsck: bool
-    ) -> None:
-        worker.last_progress = time.perf_counter()
-        worker.commands.put(("drain", worker.next_seq, horizon))
-        worker.next_seq += 1
-        if fsck:
-            worker.commands.put(("fsck", worker.next_seq))
-            worker.next_seq += 1
-        if self.checkpoint_dir and (worker.unckpt or worker.pending):
-            # Acknowledged batches no checkpoint covers yet (cadence != 1)
-            # carry positions into *this* run's results list: make the
-            # finished run durable so a crash in the next run() never
-            # replays them into that run's list.
-            worker.commands.put(("checkpoint", worker.next_seq))
-            worker.next_seq += 1
-        worker.commands.put(("stats", worker.next_seq))
-        worker.next_seq += 1
 
     # ------------------------------------------------------------ inspection
     def worker_snapshots(self) -> List[dict]:
@@ -785,19 +703,12 @@ class ParallelShardRuntime:
     def total_restarts(self) -> int:
         return sum(worker.restarts for worker in self._workers)
 
-    def total_hangs(self) -> int:
-        return sum(worker.hangs for worker in self._workers)
-
-    def worker_restarts(self) -> List[int]:
-        return [worker.restarts for worker in self._workers]
-
     def kill_worker(self, index: int) -> None:
         """Hard-kill one worker process (fault-injection hook for tests)."""
         process = self._workers[index].process
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=self.join_timeout_s)
+        if process.is_alive():
+            process.terminate()
+        process.join(timeout=self.join_timeout_s)
 
     def hang_worker(self, index: int, seconds: float = 3600.0) -> None:
         """Stall one worker's command loop (chaos hook).
@@ -807,5 +718,5 @@ class ParallelShardRuntime:
         out.  With deadline enforcement the front-end detects the silence,
         terminates the process, and runs the recovery ladder."""
         worker = self._workers[index]
-        if worker.process is not None and worker.process.is_alive():
+        if worker.process.is_alive():
             worker.commands.put(("hang", None, seconds))

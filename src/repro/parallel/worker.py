@@ -1,4 +1,4 @@
-"""The shard executor: one ORAM controller, one command loop, two transports.
+"""The shard executor: one ORAM controller, one command loop, one transport.
 
 A :class:`ShardExecutor` owns exactly one channel of the bank -- a complete
 :class:`~repro.memory.oram_backend.ORAMBackend` with its own tree, stash,
@@ -8,15 +8,11 @@ never cross a process boundary).  It turns one command tuple into its
 reply tuples; the shapes are documented in :mod:`repro.parallel.protocol`.
 The executor is the only implementation of a shard's state machine (seq
 de-duplication, reply window, checkpoint cadence, drain/fsck/stats), and
-it is reached through one of two transports:
+:func:`shard_worker_main` is its one transport: a worker process that
+pumps a command queue into the executor and its replies onto a reply
+queue, in every health state of the shard.
 
-* :func:`shard_worker_main` -- the worker process: pump a command queue
-  into the executor and its replies onto a reply queue;
-* :class:`InlineShardChannel` -- the same executor in the caller's
-  process behind the same ``put``/``get`` surface, which is how the
-  runtime serves a quarantined shard.
-
-Neither transport decides anything about health: the ``health`` command
+The transport decides nothing about health: the ``health`` command
 carries the breaker's state and the executor applies what that state
 means (``throttled`` / ``padded``, :class:`~repro.health.HealthState`).
 
@@ -32,10 +28,8 @@ crash swallowed -- the front-end replays only what is genuinely missing.
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import time
 import traceback
-from collections import deque
 from dataclasses import replace
 from typing import Iterator
 
@@ -85,7 +79,7 @@ class ShardExecutor:
     degraded iff ``state.throttled``, and iff ``state.padded`` every demand
     access of a batch is followed by one dummy path access, so a sick
     shard's traffic keeps a fixed two-path shape and the leaves it exposes
-    stay uniform.  Both transports obey it alike.
+    stay uniform.
     """
 
     def __init__(self, spec: ShardSpec):
@@ -226,27 +220,3 @@ def shard_worker_main(spec: ShardSpec, commands, replies) -> None:
         for reply in executor.handle(command):
             replies.put(reply)
 
-
-class InlineShardChannel:
-    """Inline transport: a :class:`ShardExecutor` in the caller's process
-    behind the two-queue surface a worker process has.
-
-    One object stands for both queues: ``put`` applies the command at once
-    and buffers its replies, ``get`` hands them back oldest first
-    (``queue.Empty`` when none is buffered -- an inline shard never makes
-    its caller wait, whatever ``block``/``timeout`` say).  A failure while
-    *opening* the shard raises here, in the caller, instead of becoming an
-    ``error`` reply.
-    """
-
-    def __init__(self, spec: ShardSpec):
-        self.executor = ShardExecutor(spec)
-        self._replies = deque([self.executor.ready()])
-
-    def put(self, command: tuple) -> None:
-        self._replies.extend(self.executor.handle(command))
-
-    def get(self, block: bool = True, timeout=None) -> tuple:
-        if not self._replies:
-            raise queue_module.Empty
-        return self._replies.popleft()

@@ -12,6 +12,8 @@ The two contracts under test (DESIGN.md section 9):
 """
 
 import dataclasses
+import multiprocessing
+import os
 import threading
 import time
 
@@ -19,6 +21,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.controller.sharded import build_shard_backend
+from repro.health import HealthPolicy
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import (
     ParallelShardRuntime,
@@ -26,7 +29,9 @@ from repro.parallel import (
     merge_shard_snapshots,
     run_serial_reference,
 )
+from repro.parallel import runtime as runtime_module
 from repro.parallel.merge import requests_from_trace
+from repro.parallel.worker import ShardExecutor
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
 
@@ -188,6 +193,56 @@ class TestParallelRecovery:
         # both runs applied exactly once, none of the first run's twice.
         assert result.demand_requests == len(first) + len(second)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the planted death reaches the workers by fork inheritance",
+    )
+    def test_death_inside_the_barrier_replays_the_barrier(
+        self, tmp_path, monkeypatch
+    ):
+        """The commands that end a run stay pending until its ``stats``
+        reply, like batches until their ack: a worker that answers
+        ``drain`` and dies before ``stats`` is reopened from its pre-drain
+        checkpoint and drained again, so the snapshot it ships equals the
+        uninterrupted one (the treetop flush counters tell)."""
+        base = SystemConfig()
+        config = dataclasses.replace(
+            base, oram=dataclasses.replace(base.oram, treetop_levels=4)
+        )
+        requests = small_stream(accesses=300)
+        shipped = []
+        merge = runtime_module.merge_shard_snapshots
+        monkeypatch.setattr(
+            runtime_module,
+            "merge_shard_snapshots",
+            lambda snapshots, *args, **kwargs: shipped.append(snapshots)
+            or merge(snapshots, *args, **kwargs),
+        )
+
+        def run(checkpoint_dir):
+            with ParallelShardRuntime(
+                "dyn", FOOTPRINT, config, 2,
+                checkpoint_dir=str(checkpoint_dir), batch_size=16,
+            ) as runtime:
+                return runtime.run(requests), runtime.total_restarts()
+
+        clean, clean_restarts = run(tmp_path / "clean")
+        handle = ShardExecutor.handle
+
+        def dies_at_first_stats(executor, command):
+            spec = executor.spec
+            if command[0] == "stats" and (spec.shard_index, spec.rng_restart_salt) == (0, 0):
+                time.sleep(0.3)  # let the queue's feeder ship "drained"
+                os._exit(1)
+            return handle(executor, command)
+
+        monkeypatch.setattr(ShardExecutor, "handle", dies_at_first_stats)
+        killed, killed_restarts = run(tmp_path / "killed")
+        assert (clean_restarts, killed_restarts) == (0, 1)
+        assert shipped[1] == shipped[0]
+        assert shipped[0][0]["treetop"]["flushes"] == 1
+        assert dataclasses.asdict(killed) == dataclasses.asdict(clean)
+
     def test_death_without_checkpointing_is_fatal(self):
         requests = small_stream(accesses=600)
         with ParallelShardRuntime(
@@ -197,7 +252,14 @@ class TestParallelRecovery:
             with pytest.raises(WorkerFailure):
                 runtime.run(requests)
 
-    def test_restart_budget_enforced(self, tmp_path):
+    @pytest.mark.parametrize(
+        "policy",
+        [None, HealthPolicy(join_timeout_s=2.0)],
+        ids=["no_plane", "plane"],
+    )
+    def test_restart_budget_enforced(self, tmp_path, policy):
+        """One rule, plane or not: a failure past ``max_restarts`` is fatal.
+        (A plane used to park the shard in the front-end process instead.)"""
         requests = small_stream(accesses=600)
         with ParallelShardRuntime(
             "dyn",
@@ -207,6 +269,7 @@ class TestParallelRecovery:
             checkpoint_dir=str(tmp_path),
             max_restarts=0,
             batch_size=8,
+            health_policy=policy,
         ) as runtime:
             runtime.kill_worker(0)
             with pytest.raises(WorkerFailure, match="restart budget"):

@@ -1,10 +1,10 @@
 """Route equivalence by construction: one shard executor, one result fold.
 
-* **One executor, two transports** -- the same scripted command sequence
-  through an :class:`~repro.parallel.worker.InlineShardChannel` and
-  through a real worker process (:func:`shard_worker_main`) yields
-  identical reply tuples, so a quarantined (inline) shard and a healthy
-  (process) shard cannot drift apart.
+* **One executor, one transport** -- the same scripted command sequence
+  driven straight through :meth:`ShardExecutor.handle` in this process
+  and through a real worker process (:func:`shard_worker_main`) yields
+  identical reply tuples: the process replies exactly what the executor
+  yields, in every health state of the shard.
 * **One fold** -- :meth:`SecureSystem.run`, the serial reference and the
   worker runtime all report the same ``extra`` keys in the same order,
   including the interconnect and fault-injection counters the snapshot
@@ -17,7 +17,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import queue
 import subprocess
 import sys
 import time
@@ -32,7 +31,7 @@ from repro.observability.collect import collect_parallel
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import ParallelShardRuntime, WorkerFailure, run_serial_reference
 from repro.parallel.protocol import ShardSpec
-from repro.parallel.worker import InlineShardChannel, ShardExecutor, shard_worker_main
+from repro.parallel.worker import ShardExecutor, shard_worker_main
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
@@ -101,20 +100,9 @@ def spec_for(path, heartbeat_every=3):
     )
 
 
-def drain(channel):
-    replies = []
-    while True:
-        try:
-            replies.append(channel.get())
-        except queue.Empty:
-            return replies
-
-
-def through_inline(spec, commands):
-    channel = InlineShardChannel(spec)
-    for command in commands:
-        channel.put(command)
-    return drain(channel)
+def apply(executor, *commands):
+    """Drive *executor* directly: the replies it yields to *commands*."""
+    return [reply for command in commands for reply in executor.handle(command)]
 
 
 def through_process(spec, commands, expected):
@@ -141,8 +129,11 @@ def through_process(spec, commands, expected):
 
 class TestTransportEquivalence:
     def test_inline_and_process_transports_reply_identically(self, tmp_path):
+        """The process replies exactly what the executor yields when this
+        process drives it inline."""
         commands = scripted_commands()
-        inline = through_inline(spec_for(tmp_path / "inline.ckpt"), commands)
+        executor = ShardExecutor(spec_for(tmp_path / "inline.ckpt"))
+        inline = [executor.ready()] + apply(executor, *commands)
         process = through_process(
             spec_for(tmp_path / "process.ckpt"), commands, len(inline)
         )
@@ -158,12 +149,12 @@ class TestTransportEquivalence:
         assert done[-1][1:3] == done[4][1:3]
 
     def test_reopened_executor_resumes_from_its_checkpoint(self, tmp_path):
-        """Either transport restores what the other one checkpointed."""
+        """An executor opened on a worker process's checkpoint announces
+        what that process had applied."""
         commands = scripted_commands()[:6]
         spec = spec_for(tmp_path / "shared.ckpt", heartbeat_every=0)
         first = through_process(spec, commands, 1 + len(commands))
-        reopened = InlineShardChannel(spec)
-        ready = reopened.get()
+        ready = ShardExecutor(spec).ready()
         assert ready[0] == "ready" and ready[1] == 5
         assert [seq for seq, _ in ready[2]] == [3, 4, 5]
         assert ready[2][-1][1] == first[-1][2]
@@ -172,14 +163,11 @@ class TestTransportEquivalence:
         """The opener tells the executor its health state; a padded one
         adds one dummy path per request and no demand access."""
         batch = scripted_commands()[0]
-        plain = InlineShardChannel(spec_for(tmp_path / "plain.ckpt"))
-        padded = InlineShardChannel(spec_for(tmp_path / "padded.ckpt"))
-        padded.put(("health", None, "quarantined"))
-        for channel in (plain, padded):
-            channel.put(batch)
-            channel.put(("stats", 1))
-        plain_stats = drain(plain)[-1][2]["stats"]
-        padded_stats = drain(padded)[-1][2]["stats"]
+        plain = ShardExecutor(spec_for(tmp_path / "plain.ckpt"))
+        padded = ShardExecutor(spec_for(tmp_path / "padded.ckpt"))
+        apply(padded, ("health", None, "quarantined"))
+        plain_stats = apply(plain, batch, ("stats", 1))[-1][2]["stats"]
+        padded_stats = apply(padded, batch, ("stats", 1))[-1][2]["stats"]
         assert plain_stats["demand_requests"] == padded_stats["demand_requests"]
         assert (
             padded_stats["dummy_accesses"]
@@ -191,15 +179,14 @@ class TestTransportEquivalence:
         """After ``("health", None, state)`` a batch carries exactly one
         dummy path per request iff the state is padded, and the backend
         runs degraded iff the state is throttled."""
-        channel = InlineShardChannel(spec_for(tmp_path / "shard.ckpt"))
-        channel.put(("health", None, state.value))
-        backend = channel.executor.backend
+        executor = ShardExecutor(spec_for(tmp_path / "shard.ckpt"))
+        apply(executor, ("health", None, state.value))
+        backend = executor.backend
         padding = []
         dummy_path_access = backend.dummy_path_access
         backend.dummy_path_access = lambda now: padding.append(now) or dummy_path_access(now)
         batch = scripted_commands()[0]
-        channel.put(batch)
-        assert drain(channel)[-1][0] == "batch_done"
+        assert apply(executor, batch)[-1][0] == "batch_done"
         assert len(padding) == (len(batch[2]) if state.padded else 0)
         assert backend.degraded == state.throttled
 
@@ -279,13 +266,13 @@ class TestFoldedExtras:
         assert system.backend.shards[1].injector is shared
         assert bank_result.extra["injected_transients"] == shared.stats.transients
 
-    @pytest.mark.parametrize("reopened", ["process", "inline"])
-    def test_injector_counters_survive_a_reopened_shard(self, tmp_path, reopened):
+    @pytest.mark.parametrize("plane", [False, True], ids=["process", "in_quarantine"])
+    def test_injector_counters_survive_a_reopened_shard(self, tmp_path, plane):
         """Regression: checkpoints carried ``BackendStats`` but not the
-        injector's own counters, so a shard reopened after a kill (as a
-        fresh process, or inline under a health policy) reported restored
-        ``transient_faults`` next to ``injected_transients`` that had
-        restarted at zero."""
+        injector's own counters, so a shard reopened after a kill reported
+        restored ``transient_faults`` next to ``injected_transients`` that
+        had restarted at zero.  With or without a health plane the shard
+        comes back as a live worker process (quarantined under a plane)."""
         requests = small_stream(accesses=300)
         policy = HealthPolicy(batch_deadline_s=5.0, join_timeout_s=2.0)
         with ParallelShardRuntime(
@@ -295,13 +282,14 @@ class TestFoldedExtras:
             checkpoint_dir=str(tmp_path),
             batch_size=23,
             fault_config=FaultConfig(seed=3, transient_rate=0.05, delay_rate=0.05),
-            health_policy=policy if reopened == "inline" else None,
+            health_policy=policy if plane else None,
         ) as runtime:
             before = runtime.run(requests)
             runtime.kill_worker(0)
             after = runtime.run([(addr, now + 50_000, w) for addr, now, w in requests])
             assert runtime.total_restarts() >= 1
-            if reopened == "inline":
+            assert runtime._workers[0].process.is_alive()
+            if plane:
                 assert runtime.health.total_quarantines() == 1
         assert before.extra["transient_faults"] > 0
         assert after.extra["transient_faults"] > before.extra["transient_faults"]
@@ -309,14 +297,15 @@ class TestFoldedExtras:
             assert result.extra["injected_transients"] == result.extra["transient_faults"]
             assert result.extra["injected_delay_cycles"] > 0
 
-    @pytest.mark.parametrize("reopened", ["process", "inline"])
+    @pytest.mark.parametrize("plane", [False, True], ids=["process", "in_quarantine"])
     def test_flat_interconnect_counters_survive_a_reopened_shard(
-        self, tmp_path, monkeypatch, reopened
+        self, tmp_path, monkeypatch, plane
     ):
         """Regression: ``FlatInterconnect`` had no ``state_dict``, so on the
         default model every checkpoint -> restore zeroed the path and
         treetop counters.  The registry built from the snapshots a killed
-        and reopened shard ships equals the one from before the kill."""
+        and reopened shard ships equals the one from before the kill; the
+        reopened shard is a live worker process, plane off or on."""
         from repro.observability import collect_controllers
         from repro.parallel import runtime as runtime_module
 
@@ -340,13 +329,14 @@ class TestFoldedExtras:
             2,
             checkpoint_dir=str(tmp_path),
             batch_size=23,
-            health_policy=policy if reopened == "inline" else None,
+            health_policy=policy if plane else None,
         ) as runtime:
             runtime.run(small_stream(accesses=300))
             runtime.kill_worker(0)
             runtime.run([])  # nothing new: the barrier reopens and samples
             assert runtime.total_restarts() >= 1
-            if reopened == "inline":
+            assert runtime._workers[0].process.is_alive()
+            if plane:
                 assert runtime.health.total_quarantines() == 1
         source, restored = (
             collect_controllers(snapshots, bank_width=2) for snapshots in shipped
@@ -540,8 +530,8 @@ class TestRuntimeFailureHandling:
             assert "hung" in str(hung.value) and "hung" not in str(died.value)
 
     def test_quarantined_traffic_is_dummy_padded(self, tmp_path):
-        """Every access a quarantined shard serves inline is followed by
-        one dummy path access, so the merged dummy count covers them."""
+        """Every access a quarantined worker serves is followed by one
+        dummy path access, so the merged dummy count covers them."""
         requests = small_stream(accesses=300)
         policy = HealthPolicy(
             quarantine_cooldown=8,
@@ -569,5 +559,6 @@ class TestRuntimeFailureHandling:
         assert registry.counter("health.shard1.fallback_accesses").value == 0
         assert result.demand_requests == len(requests)
         assert result.dummy_accesses >= fallback
-        # re-admission went through the executor's own checkpoint command
+        # re-admitted as a breaker move: the hang is worker 0's one restart
         assert runtime.health.total_readmissions() >= 1
+        assert runtime.worker_snapshots()[0]["counters"]["restarts"] == 1
