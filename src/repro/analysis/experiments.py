@@ -69,11 +69,11 @@ def run_schemes(
         system_hook: optional ``(scheme, system)`` callable invoked after
             each system is built and before it runs -- the CLI uses this to
             install host timers or a span recorder per scheme.
-        build_kwargs: extra keyword arguments for
-            :meth:`SecureSystem.build` -- either a dict (shared by every
-            scheme) or a ``scheme -> dict`` callable for per-system state
-            such as a fresh :class:`repro.faults.FaultInjector` (injectors
-            hold a private RNG stream and must not be shared between runs).
+        build_kwargs: optional ``scheme -> dict`` callable returning extra
+            keyword arguments for :meth:`SecureSystem.build`; it is called
+            once per system, so per-system state such as a fresh
+            :class:`repro.faults.FaultInjector` (injectors hold a private
+            RNG stream and must not be shared between runs) stays unshared.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup fraction must be in [0, 1)")
@@ -83,12 +83,7 @@ def run_schemes(
         policy: Optional[ThresholdPolicy] = None
         if policy_factory is not None and scheme.startswith("dyn"):
             policy = policy_factory()
-        if build_kwargs is None:
-            extra_kwargs = {}
-        elif callable(build_kwargs):
-            extra_kwargs = build_kwargs(scheme) or {}
-        else:
-            extra_kwargs = dict(build_kwargs)
+        extra_kwargs = build_kwargs(scheme) if build_kwargs is not None else {}
         system = SecureSystem.build(
             scheme,
             footprint_blocks=trace.footprint_blocks,

@@ -16,7 +16,9 @@ Usage (also via ``python -m repro``):
     repro parity --scheme all                # one trace, every ORAMScheme
 
 Every command prints the same tables the benchmark harness records; the
-heavy lifting lives in :mod:`repro.analysis`.
+heavy lifting lives in :mod:`repro.analysis`.  A flag that sets a library
+parameter takes that parameter's default by reference, and every option
+value a command cannot run ends in :func:`usage_error`.
 """
 
 from __future__ import annotations
@@ -53,24 +55,37 @@ from repro.parallel.merge import requests_from_trace
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
 from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
+from repro.serve.loadgen import DEFAULT_DEADLINE
 from repro.sim.system import SchemeLabel, SecureSystem
 from repro.sim.trace import Trace
 from repro.utils.rng import DeterministicRng
-from repro.workloads import SUITES, locality_mix_trace, named_trace
+from repro.workloads import SUITES, named_trace
 
 
 def usage_error(message) -> NoReturn:
-    """An option value this command cannot run: one line, exit 2."""
+    """An option value this command cannot run: one line, exit 2.
+
+    The raised ``SystemExit`` carries ``message`` (``str(exc)``) and
+    exit code 2.
+    """
     print(f"repro: {message}", file=sys.stderr)
-    raise SystemExit(2)
+    exc = SystemExit(message)
+    exc.code = 2
+    raise exc
+
+
+def from_options(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on option values: the ``ValueError`` a
+    library parser or config raises for a bad value is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        usage_error(error)
 
 
 def scheme_label(scheme: str) -> SchemeLabel:
     """Parse one ``--scheme(s)`` label (the grammar ``repro list`` prints)."""
-    try:
-        return SchemeLabel.parse(scheme)
-    except ValueError as error:
-        usage_error(error)
+    return from_options(SchemeLabel.parse, scheme)
 
 
 def _parse_schemes(raw: str) -> List[str]:
@@ -81,25 +96,33 @@ def _parse_schemes(raw: str) -> List[str]:
 
 
 # ------------------------------------------------------------- option groups
-# Each group of flags is declared once (``add_*``) and read once (the
-# function below it); a subcommand attaches exactly the groups it reads.
+# Each flag is declared once (``add_*``) and read once (the function below
+# it); a subcommand attaches exactly the flags it reads, passing its own
+# default where commands differ.
+def add_seed_option(parser, default: Optional[int], help: Optional[str] = None):
+    parser.add_argument("--seed", type=int, default=default, help=help)
+
+
+def add_shards_option(parser, default: int, help: Optional[str] = None):
+    parser.add_argument("--shards", type=int, default=default, metavar="N", help=help)
+
+
 def add_workload_options(parser, *, required: bool = True, accesses: int = 60_000):
     parser.add_argument("-w", "--workload", required=required, default="ocean_c")
     parser.add_argument("--accesses", type=int, default=accesses)
     parser.add_argument("--warmup", type=float, default=0.5)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="trace-generator seed (default: the generator's own)",
+    add_seed_option(
+        parser, None, help="trace-generator seed (default: the generator's own)"
     )
 
 
-def workload_trace(args) -> Trace:
+def workload_trace(args, name: Optional[str] = None) -> Trace:
+    """The ``name`` (default ``--workload``) trace at ``--accesses``/``--seed``."""
+    name = name or args.workload
     try:
-        return named_trace(args.workload, args.accesses, seed=args.seed)
+        return named_trace(name, args.accesses, seed=args.seed)
     except KeyError:
-        raise SystemExit(f"unknown workload '{args.workload}' (see `repro list`)")
+        usage_error(f"unknown workload '{name}' (see `repro list`)")
 
 
 def add_memory_options(parser, *, interconnect: bool = True):
@@ -107,7 +130,6 @@ def add_memory_options(parser, *, interconnect: bool = True):
         parser.add_argument(
             "--dram-model",
             choices=["flat", "channel"],
-            default=None,
             help="memory interconnect of every ORAM controller: 'flat' (the "
             "paper's scalar path cost, default) or 'channel' (stream each "
             "path's buckets over channel/bank-aware DRAM)",
@@ -115,7 +137,6 @@ def add_memory_options(parser, *, interconnect: bool = True):
         parser.add_argument(
             "--channels",
             type=int,
-            default=None,
             metavar="N",
             help="DRAM channels for the channel interconnect (implies "
             "--dram-model channel; bandwidth_gbps is per channel)",
@@ -125,7 +146,6 @@ def add_memory_options(parser, *, interconnect: bool = True):
     parser.add_argument(
         "--treetop",
         type=int,
-        default=None,
         metavar="K",
         help="pin the top K levels of the nominal ORAM tree in on-chip "
         "SRAM (in every shard of a bank); every path access streams only "
@@ -142,7 +162,7 @@ def memory_config(args):
                 config, oram=replace(config.oram, treetop_levels=args.treetop)
             )
         except ValueError as exc:
-            raise SystemExit(f"--treetop: {exc}")
+            usage_error(f"--treetop: {exc}")
     model, channels = args.dram_model, args.channels
     if model is None and channels is None:
         return config
@@ -162,19 +182,23 @@ def memory_config(args):
     )
 
 
+def channel_banner(config) -> str:
+    """The banner suffix naming a channel-model DRAM (empty when flat)."""
+    if config.dram.model != "channel":
+        return ""
+    return f", {config.dram.num_channels}-channel DRAM"
+
+
 def add_health_option(parser, help: str):
     parser.add_argument(
-        "--health-policy", metavar="KEY=VAL[,...]", default=None, help=help
+        "--health-policy", metavar="KEY=VAL[,...]", help=help
     )
 
 
 def health_policy(args) -> Optional[HealthPolicy]:
     if not args.health_policy:
         return None
-    try:
-        return HealthPolicy.parse(args.health_policy)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    return from_options(HealthPolicy.parse, args.health_policy)
 
 
 def add_scheme_option(parser):
@@ -198,6 +222,32 @@ def bank_scheme(args) -> str:
     return args.scheme
 
 
+def fault_config(args) -> Optional[FaultConfig]:
+    """The ``--fault-*`` flags as one config; None when injection is off."""
+    if not args.fault_transient and not args.fault_delay:
+        return None
+    return from_options(
+        FaultConfig,
+        seed=args.fault_seed,
+        transient_rate=args.fault_transient,
+        delay_rate=args.fault_delay,
+        delay_cycles=args.fault_delay_cycles,
+    )
+
+
+def scheme_build_kwargs(scheme, faults, shards, policy) -> dict:
+    """``SecureSystem.build`` kwargs of one ``repro run`` scheme.
+
+    Each ORAM scheme gets a *fresh* injector (injectors hold a private RNG
+    stream), all from one config so schemes see the same fault schedule;
+    DRAM baselines get neither faults nor a bank.
+    """
+    if scheme_label(scheme).is_dram:
+        return {}
+    injector = FaultInjector(faults) if faults is not None else None
+    return dict(fault_injector=injector, num_shards=shards, health_policy=policy)
+
+
 # ------------------------------------------------------------------ commands
 def cmd_list(args) -> int:
     print(f"Schemes: {SchemeLabel.GRAMMAR}")
@@ -212,52 +262,6 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _fault_build_kwargs(args):
-    """Per-scheme ``SecureSystem.build`` kwargs for the ``--fault-*`` flags.
-
-    Returns None when fault injection is off.  Each scheme gets a *fresh*
-    injector (they hold a private RNG stream), all seeded identically so
-    schemes see the same fault schedule.
-    """
-    if not args.fault_transient and not args.fault_delay:
-        return None
-    fault_config = FaultConfig(
-        seed=args.fault_seed,
-        transient_rate=args.fault_transient,
-        delay_rate=args.fault_delay,
-        delay_cycles=args.fault_delay_cycles,
-    )
-
-    def build_kwargs(scheme):
-        if scheme_label(scheme).is_dram:
-            return {}
-        return {"fault_injector": FaultInjector(fault_config)}
-
-    return build_kwargs
-
-
-def _run_build_kwargs(args):
-    """Compose the ``--fault-*``, ``--shards``, and ``--health-policy``
-    flags into build kwargs."""
-    faults = _fault_build_kwargs(args)
-    shards = args.shards
-    if args.health_policy is not None and shards == 1:
-        raise SystemExit("--health-policy needs a sharded bank (--shards > 1)")
-    policy = health_policy(args)
-    if faults is None and shards == 1:
-        return None
-
-    def build_kwargs(scheme):
-        kwargs = dict(faults(scheme)) if faults is not None else {}
-        if shards != 1 and not scheme_label(scheme).is_dram:
-            kwargs["num_shards"] = shards
-            if policy is not None:
-                kwargs["health_policy"] = policy
-        return kwargs
-
-    return build_kwargs
-
-
 def _trace_out_path(template: str, scheme: str, schemes: List[str]) -> str:
     """Span-trace output path; multi-scheme runs get one file per scheme."""
     if len(schemes) == 1:
@@ -268,20 +272,60 @@ def _trace_out_path(template: str, scheme: str, schemes: List[str]) -> str:
     return f"{stem}.{scheme}.{suffix}"
 
 
+def _counter(key):
+    """A table cell: the integer ``SimResult.extra[key]`` (0 when absent)."""
+    return lambda r: int(r.extra.get(key, 0))
+
+
+def _mean_streamed_cycles(r) -> str:
+    streamed = r.extra["interconnect_streamed_cycles"]
+    return "%.1f" % (streamed / max(1, r.extra["interconnect_streamed_paths"]))
+
+
+#: ``repro run``'s channel-interconnect and fault-injection tables, one
+#: (column header, cell of a ``SimResult``) per column
+CHANNEL_COLUMNS = [
+    ("streamed", _counter("interconnect_streamed_paths")),
+    ("untracked", _counter("interconnect_untracked_paths")),
+    ("row_hits", _counter("interconnect_row_hits")),
+    ("row_misses", _counter("interconnect_row_misses")),
+    ("bank_wait_cyc", _counter("interconnect_bank_wait_cycles")),
+    ("hidden_lat_cyc", _counter("interconnect_hidden_latency_cycles")),
+    ("early_ret_cyc", _counter("interconnect_early_return_cycles")),
+    ("T", _counter("interconnect_path_cycles")),
+    ("mean_stream_cyc", _mean_streamed_cycles),
+    ("stream_eff", lambda r: "%.3f" % r.extra["interconnect_stream_efficiency"]),
+]
+FAULT_COLUMNS = [
+    ("transients", _counter("injected_transients")),
+    ("delays", _counter("injected_delays")),
+    ("retries", _counter("fault_retries")),
+    ("delay_cycles", _counter("fault_delay_cycles")),
+    ("forced_evict", _counter("forced_evictions")),
+]
+
+
+def _table(ran, columns) -> str:
+    """One row per ``(scheme, SimResult)`` of ``ran``, cells from ``columns``."""
+    return format_table(
+        ["scheme"] + [header for header, _cell in columns],
+        [[scheme] + [cell(r) for _header, cell in columns] for scheme, r in ran],
+    )
+
+
 def cmd_run(args) -> int:
     trace = workload_trace(args)
     schemes = _parse_schemes(args.schemes)
-    shards = args.shards
     config = memory_config(args)
+    if args.health_policy is not None and args.shards == 1:
+        usage_error("--health-policy needs a sharded bank (--shards > 1)")
+    policy = health_policy(args)
+    faults = fault_config(args)
     print(
         f"{trace.name}: {len(trace)} references over {trace.footprint_blocks} "
         f"blocks ({trace.write_fraction:.0%} writes)"
-        + (f", {shards}-shard ORAM bank" if shards != 1 else "")
-        + (
-            f", {config.dram.num_channels}-channel DRAM"
-            if config.dram.model == "channel"
-            else ""
-        )
+        + (f", {args.shards}-shard ORAM bank" if args.shards != 1 else "")
+        + channel_banner(config)
     )
     profiles = {}
     recorders = {}
@@ -294,93 +338,36 @@ def cmd_run(args) -> int:
             path = _trace_out_path(args.trace_out, scheme, schemes)
             recorders[scheme] = system.attach_recorder(JsonlTraceRecorder(path))
 
-    faults_on = _fault_build_kwargs(args)
     results = run_schemes(
         trace,
         schemes,
         config=config,
         warmup_fraction=args.warmup,
         system_hook=system_hook,
-        build_kwargs=_run_build_kwargs(args),
+        build_kwargs=lambda scheme: scheme_build_kwargs(
+            scheme, faults, args.shards, policy
+        ),
     )
     baseline = results.get("oram") or next(iter(results.values()))
-    rows = []
-    for scheme in schemes:
-        r = results[scheme]
-        rows.append(
-            [
-                scheme,
-                r.cycles,
-                r.llc_misses,
-                r.total_memory_accesses,
-                r.speedup_over(baseline),
-                r.merges,
-                r.breaks,
-                int(r.extra.get("stash_soft_overflows", 0)),
-            ]
-        )
-    print(
-        format_table(
-            ["scheme", "cycles", "llc_misses", "mem_accesses",
-             f"speedup_vs_{baseline.scheme}", "merges", "breaks", "soft_ovf"],
-            rows,
-        )
-    )
+    ran = [(scheme, results[scheme]) for scheme in schemes]
+    columns = [
+        ("cycles", lambda r: r.cycles),
+        ("llc_misses", lambda r: r.llc_misses),
+        ("mem_accesses", lambda r: r.total_memory_accesses),
+        (f"speedup_vs_{baseline.scheme}", lambda r: r.speedup_over(baseline)),
+        ("merges", lambda r: r.merges),
+        ("breaks", lambda r: r.breaks),
+        ("soft_ovf", _counter("stash_soft_overflows")),
+    ]
+    print(_table(ran, columns))
     if config.dram.model == "channel":
         print(f"\nchannel interconnect ({config.dram.num_channels} channels):")
-        channel_rows = []
-        for scheme in schemes:
-            r = results[scheme]
-            if "interconnect_streamed_paths" not in r.extra:
-                continue  # DRAM baselines have no ORAM interconnect
-            channel_rows.append(
-                [
-                    scheme,
-                    int(r.extra["interconnect_streamed_paths"]),
-                    int(r.extra["interconnect_untracked_paths"]),
-                    int(r.extra["interconnect_row_hits"]),
-                    int(r.extra["interconnect_row_misses"]),
-                    int(r.extra["interconnect_bank_wait_cycles"]),
-                    int(r.extra["interconnect_hidden_latency_cycles"]),
-                    int(r.extra["interconnect_early_return_cycles"]),
-                    int(r.extra["interconnect_path_cycles"]),
-                    "%.1f" % (
-                        r.extra["interconnect_streamed_cycles"]
-                        / max(1, r.extra["interconnect_streamed_paths"])
-                    ),
-                    "%.3f" % r.extra["interconnect_stream_efficiency"],
-                ]
-            )
-        print(
-            format_table(
-                ["scheme", "streamed", "untracked", "row_hits", "row_misses",
-                 "bank_wait_cyc", "hidden_lat_cyc", "early_ret_cyc", "T",
-                 "mean_stream_cyc", "stream_eff"],
-                channel_rows,
-            )
-        )
-    if faults_on is not None:
+        # DRAM baselines have no ORAM interconnect
+        oram = [(s, r) for s, r in ran if "interconnect_streamed_paths" in r.extra]
+        print(_table(oram, CHANNEL_COLUMNS))
+    if faults is not None:
         print("\nfault injection (seed %d):" % args.fault_seed)
-        fault_rows = []
-        for scheme in schemes:
-            r = results[scheme]
-            fault_rows.append(
-                [
-                    scheme,
-                    int(r.extra.get("injected_transients", 0)),
-                    int(r.extra.get("injected_delays", 0)),
-                    int(r.extra.get("fault_retries", 0)),
-                    int(r.extra.get("fault_delay_cycles", 0)),
-                    int(r.extra.get("forced_evictions", 0)),
-                ]
-            )
-        print(
-            format_table(
-                ["scheme", "transients", "delays", "retries",
-                 "delay_cycles", "forced_evict"],
-                fault_rows,
-            )
-        )
+        print(_table(ran, FAULT_COLUMNS))
     for system, registry in profiles.values():
         print()
         print(render_profile(system, registry, trace.name))
@@ -395,36 +382,30 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes)
-    config = experiment_config()
-    rows = []
     if args.parameter == "locality":
-        for pct in (0, 20, 40, 60, 80, 100):
-            trace = locality_mix_trace(pct / 100.0, accesses=args.accesses)
-            res = run_schemes(trace, ["oram"] + schemes, config=config, warmup_fraction=args.warmup)
-            rows.append(
-                [f"{pct}%"] + [res[s].speedup_over(res["oram"]) for s in schemes]
-            )
-        print(format_table(["locality"] + schemes, rows))
-        return 0
-    if args.parameter == "stash":
+        header, points = "locality", (
+            (f"{pct}%", workload_trace(args, f"locality:{pct}"), experiment_config())
+            for pct in (0, 20, 40, 60, 80, 100)
+        )
+    elif args.parameter == "stash":
         trace = workload_trace(args)
-        for stash in (25, 50, 100, 200, 400):
-            cfg = experiment_config(stash_blocks=stash)
-            res = run_schemes(trace, ["oram"] + schemes, config=cfg, warmup_fraction=args.warmup)
-            rows.append(
-                [stash] + [res[s].speedup_over(res["oram"]) for s in schemes]
-            )
-        print(format_table(["stash"] + schemes, rows))
-        return 0
-    if args.parameter == "z":
+        header, points = "stash", (
+            (stash, trace, experiment_config(stash_blocks=stash))
+            for stash in (25, 50, 100, 200, 400)
+        )
+    else:
         trace = workload_trace(args)
-        for z in (3, 4, 5):
-            cfg = experiment_config(bucket_size=z)
-            res = run_schemes(trace, ["oram"] + schemes, config=cfg, warmup_fraction=args.warmup)
-            rows.append([z] + [res[s].speedup_over(res["oram"]) for s in schemes])
-        print(format_table(["Z"] + schemes, rows))
-        return 0
-    raise SystemExit(f"unknown sweep parameter '{args.parameter}'")
+        header, points = "Z", (
+            (z, trace, experiment_config(bucket_size=z)) for z in (3, 4, 5)
+        )
+    rows = []
+    for label, trace, config in points:
+        res = run_schemes(
+            trace, ["oram"] + schemes, config=config, warmup_fraction=args.warmup
+        )
+        rows.append([label] + [res[s].speedup_over(res["oram"]) for s in schemes])
+    print(format_table([header] + schemes, rows))
+    return 0
 
 
 def cmd_trace(args) -> int:
@@ -441,7 +422,7 @@ def cmd_trace(args) -> int:
         print(registry.render(f"trace report ({args.report})"))
         return 0
     if not args.output:
-        raise SystemExit("either -o/--output (export) or --report is required")
+        usage_error("either -o/--output (export) or --report is required")
     trace = workload_trace(args)
     trace.save(args.output)
     print(
@@ -507,7 +488,7 @@ def cmd_parity(args) -> int:
         names = [args.scheme]
     else:
         known = ", ".join(sorted(SCHEME_FACTORIES)) + ", all"
-        raise SystemExit(f"unknown ORAM scheme '{args.scheme}' (known: {known})")
+        usage_error(f"unknown ORAM scheme '{args.scheme}' (known: {known})")
     rng = DeterministicRng(args.seed)
     addrs = [rng.randint(0, args.blocks - 1) for _ in range(args.accesses)]
     rows = []
@@ -547,11 +528,7 @@ def cmd_parallel(args) -> int:
     print(
         f"{trace.name}: {len(requests)} demand requests over "
         f"{trace.footprint_blocks} blocks, {workers}-worker parallel bank"
-        + (
-            f", {config.dram.num_channels}-channel DRAM"
-            if config.dram.model == "channel"
-            else ""
-        )
+        + channel_banner(config)
     )
     begin = time.perf_counter()
     serial = run_serial_reference(
@@ -598,40 +575,36 @@ def cmd_serve(args) -> int:
     scheme = bank_scheme(args)
     weights = None
     if args.weights:
-        weights = [int(w) for w in args.weights.split(",") if w.strip()]
-        if len(weights) != args.tenants:
-            raise SystemExit(
-                f"--weights names {len(weights)} tenants, --tenants says "
-                f"{args.tenants}"
-            )
+        weights = [from_options(int, w) for w in args.weights.split(",") if w.strip()]
     if args.deadline < 1:
-        raise SystemExit("--deadline must be at least 1 cycle")
+        usage_error("--deadline must be at least 1 cycle")
     policy = health_policy(args)
+    if args.parallel_check and policy is not None:
+        usage_error(
+            "--parallel-check needs a health-free bank: quarantine "
+            "dummy padding is invisible to the replayed schedule"
+        )
+    load = dict(
+        footprint_per_tenant=args.footprint,
+        write_fraction=args.write_frac,
+        deadline_cycles=args.deadline,
+        weights=weights,
+        seed=args.seed,
+    )
     if args.mode == "open":
-        source = OpenLoopSource.synthetic(
-            args.tenants,
-            args.requests,
-            footprint_per_tenant=args.footprint,
-            gap_mean=args.gap,
-            locality=args.locality,
-            write_fraction=args.write_frac,
-            deadline_cycles=args.deadline,
-            weights=weights,
-            seed=args.seed,
+        source = from_options(
+            OpenLoopSource.synthetic, args.tenants, args.requests,
+            gap_mean=args.gap, locality=args.locality, **load,
         )
+        mode_desc = f"open loop, mean gap {args.gap:g}"
     else:
-        source = ClosedLoopSource(
-            args.tenants,
-            args.clients,
-            args.requests,
-            footprint_per_tenant=args.footprint,
-            think_mean=args.think,
-            write_fraction=args.write_frac,
-            deadline_cycles=args.deadline,
-            weights=weights,
-            seed=args.seed,
+        source = from_options(
+            ClosedLoopSource, args.tenants, args.clients, args.requests,
+            think_mean=args.think, **load,
         )
-    serve_config = ServeConfig(
+        mode_desc = f"closed loop, {args.clients} clients/tenant, think {args.think:g}"
+    serve_config = from_options(
+        ServeConfig,
         batch_size=args.batch,
         queue_capacity=args.queue_capacity,
         max_backlog=args.max_backlog,
@@ -651,11 +624,6 @@ def cmd_serve(args) -> int:
         health_policy=policy,
         workload=workload,
     )
-    mode_desc = (
-        f"open loop, mean gap {args.gap:g}"
-        if args.mode == "open"
-        else f"closed loop, {args.clients} clients/tenant, think {args.think:g}"
-    )
     print(
         f"{workload}: {args.tenants} tenants over a {args.shards}-shard "
         f"'{scheme}' bank ({mode_desc}, deadline {args.deadline:,})"
@@ -665,11 +633,6 @@ def cmd_serve(args) -> int:
     if args.metrics:
         print(collect_serve(frontend).render("serve metrics"))
     if args.parallel_check:
-        if policy is not None:
-            raise SystemExit(
-                "--parallel-check needs a health-free bank: quarantine "
-                "dummy padding is invisible to the replayed schedule"
-            )
         with ParallelShardRuntime(
             scheme, source.footprint_blocks, config, args.shards
         ) as runtime:
@@ -692,13 +655,12 @@ def cmd_serve(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Cross-layer chaos storm: KV ladder + parallel runtime + bank plane."""
-    if args.ops < 0:
-        raise SystemExit("--ops must be >= 0")
     # --ops splits 40/20/40 over parallel/kv/bank; the report's header
     # says how many of them the chosen --layers ran.
     parallel_ops = bank_ops = (2 * args.ops) // 5
     kv_ops = args.ops - parallel_ops - bank_ops
-    scenario = ChaosScenario(
+    scenario = from_options(
+        ChaosScenario,
         name=args.name,
         seed=args.seed,
         scheme=bank_scheme(args),
@@ -742,21 +704,21 @@ def make_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--fault-transient",
         type=float,
-        default=0.0,
+        default=FaultConfig.transient_rate,
         metavar="RATE",
         help="per-access transient read-failure probability (ORAM schemes)",
     )
     run_p.add_argument(
         "--fault-delay",
         type=float,
-        default=0.0,
+        default=FaultConfig.delay_rate,
         metavar="RATE",
         help="per-access delayed-response probability (ORAM schemes)",
     )
     run_p.add_argument(
         "--fault-delay-cycles",
         type=int,
-        default=200,
+        default=FaultConfig.delay_cycles,
         metavar="CYCLES",
         help="extra latency per delayed response",
     )
@@ -766,11 +728,9 @@ def make_parser() -> argparse.ArgumentParser:
         default=1,
         help="fault-schedule seed (same seed -> same schedule)",
     )
-    run_p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
+    add_shards_option(
+        run_p,
+        1,
         help="channel-interleave the ORAM over N independent controller "
         "instances (1 = the paper's single serialized controller)",
     )
@@ -799,11 +759,10 @@ def make_parser() -> argparse.ArgumentParser:
         "trace", help="export a workload trace, or summarize a span trace"
     )
     add_workload_options(trace_p, required=False)
-    trace_p.add_argument("-o", "--output", default=None)
+    trace_p.add_argument("-o", "--output")
     trace_p.add_argument(
         "--report",
         metavar="FILE",
-        default=None,
         help="summarize a span-trace JSONL written by `repro run --trace-out`",
     )
     trace_p.set_defaults(func=cmd_trace)
@@ -874,11 +833,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_scheme_option(serve_p)
     serve_p.add_argument("--mode", choices=["open", "closed"], default="open")
-    serve_p.add_argument("--shards", type=int, default=4, metavar="N")
+    add_shards_option(serve_p, 4)
     serve_p.add_argument("--tenants", type=int, default=3, metavar="K")
     serve_p.add_argument(
         "--weights",
-        default=None,
         metavar="W0,W1,...",
         help="per-tenant fair-share weights (default: equal)",
     )
@@ -907,12 +865,14 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--locality", type=float, default=0.5)
     serve_p.add_argument("--write-frac", type=float, default=0.2)
-    serve_p.add_argument("--batch", type=int, default=8, metavar="N",
-                         help="per-shard batch quota")
-    serve_p.add_argument("--deadline", type=int, default=30_000,
+    serve_p.add_argument("--batch", type=int, default=ServeConfig.batch_size,
+                         metavar="N", help="per-shard batch quota")
+    serve_p.add_argument("--deadline", type=int, default=DEFAULT_DEADLINE,
                          metavar="CYCLES")
-    serve_p.add_argument("--queue-capacity", type=int, default=64, metavar="N")
-    serve_p.add_argument("--max-backlog", type=int, default=512, metavar="N")
+    serve_p.add_argument("--queue-capacity", type=int,
+                         default=ServeConfig.queue_capacity, metavar="N")
+    serve_p.add_argument("--max-backlog", type=int,
+                         default=ServeConfig.max_backlog, metavar="N")
     serve_p.add_argument("--no-coalesce", action="store_true",
                          help="disable super-block request coalescing")
     add_health_option(
@@ -928,7 +888,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--metrics", action="store_true",
                          help="print the serve.* metrics registry")
-    serve_p.add_argument("--seed", type=int, default=42)
+    add_seed_option(serve_p, 42)
     add_memory_options(serve_p, interconnect=False)
     serve_p.set_defaults(func=cmd_serve)
 
@@ -937,12 +897,12 @@ def make_parser() -> argparse.ArgumentParser:
         help="seed-deterministic multi-fault storm across all resilience "
         "layers (KV ladder, parallel runtime, in-process bank)",
     )
-    chaos_p.add_argument("--name", default="storm")
+    chaos_p.add_argument("--name", default=ChaosScenario.name)
     chaos_p.add_argument("--ops", type=int, default=20_000,
                          help="total ops, split 40/20/40 over parallel/kv/bank")
-    chaos_p.add_argument("--shards", type=int, default=4, metavar="N")
+    add_shards_option(chaos_p, ChaosScenario.num_shards)
     add_scheme_option(chaos_p)
-    chaos_p.add_argument("--seed", type=int, default=11)
+    add_seed_option(chaos_p, ChaosScenario.seed)
     chaos_p.add_argument(
         "--layers",
         default="kv,parallel,bank",
@@ -953,7 +913,7 @@ def make_parser() -> argparse.ArgumentParser:
         "override the storm-tuned HealthPolicy (same grammar as "
         "`repro run --health-policy`)",
     )
-    chaos_p.add_argument("-o", "--output", default=None, metavar="FILE",
+    chaos_p.add_argument("-o", "--output", metavar="FILE",
                          help="write the full JSON report")
     chaos_p.set_defaults(func=cmd_chaos)
 
@@ -968,7 +928,7 @@ def make_parser() -> argparse.ArgumentParser:
     parity_p.add_argument("--accesses", type=int, default=2_000)
     parity_p.add_argument("--blocks", type=int, default=96)
     parity_p.add_argument("--levels", type=int, default=6)
-    parity_p.add_argument("--seed", type=int, default=7)
+    add_seed_option(parity_p, 7)
     parity_p.set_defaults(func=cmd_parity)
 
     return parser

@@ -36,7 +36,10 @@ class LoadSource:
         self.num_tenants = num_tenants
         self.weights: List[int] = list(weights) if weights else [1] * num_tenants
         if len(self.weights) != num_tenants:
-            raise ValueError("one weight per tenant")
+            raise ValueError(
+                f"one weight per tenant ({len(self.weights)} weights, "
+                f"{num_tenants} tenants)"
+            )
         self._heap: List[Tuple[int, int, Request]] = []
         self._next_id = 0
         self._max_addr = -1

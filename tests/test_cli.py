@@ -1,8 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import json
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import main, make_parser
 from repro.sim.system import SchemeLabel, SecureSystem
 from repro.workloads import named_trace as build_trace
 
@@ -310,3 +315,142 @@ class TestMemoryOptions:
         out = capsys.readouterr().out
         header = next(line for line in out.splitlines() if "stream_eff" in line)
         assert header.split()[-3:] == ["T", "mean_stream_cyc", "stream_eff"]
+
+
+# ---------------------------------------------------------- option contract
+REPO = Path(__file__).resolve().parents[1]
+OPTION_TABLE = REPO / "tests" / "data" / "cli_options.json"
+
+
+def describe_parser(parser):
+    """Every action of every subcommand, as plain data.
+
+    ``tests/data/cli_options.json`` is this function applied to
+    ``make_parser()`` before the CLI declared each flag once; it is frozen
+    (re-record with ``json.dump(describe_parser(make_parser()), fh,
+    indent=1, sort_keys=True)`` only for a deliberate option change).
+    """
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    table = {}
+    for command, sub in subparsers.choices.items():
+        actions = []
+        for action in sub._actions:
+            actions.append(
+                {
+                    "options": list(action.option_strings),
+                    "dest": action.dest,
+                    "default": action.default,
+                    "type": getattr(action.type, "__name__", None),
+                    "choices": list(action.choices) if action.choices else None,
+                    "metavar": action.metavar,
+                    "required": action.required,
+                    "action": type(action).__name__,
+                }
+            )
+        defaults = {k: v for k, v in sub._defaults.items() if k != "func"}
+        table[command] = {"actions": actions, "set_defaults": defaults}
+    return table
+
+
+def documented_invocations():
+    """Every ``-m repro ...`` line of the README, the tutorial and the
+    Makefile, as an argv (a trailing ``# comment`` dropped)."""
+    lines = []
+    for name in ("README.md", "docs/tutorial.md", "Makefile"):
+        for line in (REPO / name).read_text().splitlines():
+            if "-m repro " in line:
+                command = line.split("-m repro ", 1)[1].split(" #", 1)[0]
+                lines.append(shlex.split(command))
+    return lines
+
+
+class TestOptionContract:
+    def test_parser_matches_the_recorded_option_table(self):
+        recorded = json.loads(OPTION_TABLE.read_text())
+        assert describe_parser(make_parser()) == recorded
+
+    @pytest.mark.parametrize(
+        "argv", documented_invocations(), ids=" ".join
+    )
+    def test_documented_invocation_parses(self, argv):
+        args = make_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+
+class TestOneErrorConvention:
+    """Each of these exited 1 with a bare message; a bad option value now
+    exits 2 with one ``repro:`` line, like an unrunnable scheme label."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "run -w locality:80 -s dyn --shards 1 --health-policy window=32 --accesses 100",
+            "run -w nonexistent --accesses 100",
+            "run -w locality:80 -s dyn --treetop 99 --accesses 100",
+            "serve -s dyn --tenants 3 --weights 1,2",
+            "serve -s dyn --deadline 0",
+            "parity --scheme nope",
+            "chaos --ops -5",
+            "run -w locality:80 -s dyn --shards 2 --health-policy bogus=1 --accesses 100",
+            "trace -w locality:30 --accesses 100",
+            # a library ValueError (a traceback before) reaches the same path
+            "run -w locality:80 -s dyn --accesses 100 --fault-transient 2",
+            "serve -s dyn --batch 0",
+            "serve -s dyn --requests 0",
+            "serve -s dyn --tenants 2 --weights 1,x",
+            "chaos --shards 1 --ops 10",
+        ],
+    )
+    def test_bad_value_exits_2_with_one_repro_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_parallel_check_with_a_health_plane_refuses_before_serving(
+        self, monkeypatch, capsys
+    ):
+        from repro.serve import ServingFrontEnd
+
+        def build(*args, **kwargs):
+            raise AssertionError("the bank was built before the refusal")
+
+        monkeypatch.setattr(ServingFrontEnd, "build", build)
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                "serve -s dyn --shards 2 --tenants 2 --requests 10 "
+                "--health-policy window=32 --parallel-check".split()
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: --parallel-check needs a health-free bank")
+
+
+class TestSweepSeed:
+    """Regression: ``sweep locality`` built its traces without ``--seed``."""
+
+    ARGV = "sweep locality -s stat --accesses 800 --warmup 0".split()
+
+    def table(self, capsys, *flags):
+        assert main(self.ARGV + list(flags)) == 0
+        return capsys.readouterr().out
+
+    def test_seed_reaches_the_locality_traces(self, capsys):
+        from repro.analysis.experiments import experiment_config, run_schemes
+        from repro.analysis.tables import format_table
+        from repro.workloads import locality_mix_trace
+
+        rows = []
+        for pct in (0, 20, 40, 60, 80, 100):
+            trace = locality_mix_trace(pct / 100.0, accesses=800)
+            res = run_schemes(trace, ["oram", "stat"], config=experiment_config())
+            rows.append([f"{pct}%", res["stat"].speedup_over(res["oram"])])
+        unseeded = format_table(["locality", "stat"], rows) + "\n"
+        assert self.table(capsys) == unseeded
+        assert self.table(capsys, "--seed", "3") != self.table(capsys, "--seed", "7")
+        assert self.table(capsys, "--seed", "3") != unseeded
