@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-fast perf perf-smoke profile examples gallery audit loc clean
+.PHONY: install test test-report bench bench-fast perf perf-smoke perf-exact profile examples gallery audit loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -25,6 +25,17 @@ perf:
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --smoke
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf
+
+# One 1-second, untraced run of every benchmark workload at SEED: the header
+# (with sim_digest) and the result line of each.  sim_cycles_per_op,
+# sim_digest and host_pycalls_per_op repeat to the digit per (commit, seed),
+# so two checkouts' outputs can be diffed.
+SEED ?= 1
+perf-exact:
+	@for workload in $$(cd benchmarks/perf && $(PYTHON) -c "import spec; print(*spec.ALL)"); do \
+		PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --workload $$workload --seed $(SEED) \
+			--seconds 1 --trace 0 | grep -E '^(# [a-z0-9_]+ \(|\{)' || exit 1; \
+	done
 
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro run -w locality:80 -s dyn --accesses 20000 --warmup 0 --profile

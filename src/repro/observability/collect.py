@@ -247,9 +247,10 @@ def time_system(system, registry: Optional[MetricsRegistry] = None) -> MetricsRe
     """Shim a system's ``run`` and the four entry points a run drives
     through ``host.*`` registry timers (call before ``run``).
 
-    ``run`` re-binds ``hierarchy.access`` and the backend's entry points
-    when it is called, so instance-attribute shims installed here cover the
-    whole replay; the simulation itself is untouched (same SimResult).
+    The reference loop ``run`` enters (one core or N) binds
+    ``hierarchy.access`` and the backend's entry points when it starts, so
+    instance-attribute shims installed here cover the whole replay; the
+    simulation itself is untouched (same SimResult).
     """
     registry = registry if registry is not None else MetricsRegistry()
     for name, holder, attr in (

@@ -15,8 +15,10 @@ exactly like the paper's legends.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import repeat
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
@@ -31,7 +33,7 @@ from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.stream import StreamPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.results import SimResult
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceEntry
 
 
 @dataclass(frozen=True)
@@ -186,15 +188,39 @@ def build_backend(
     return backend, prefetcher
 
 
+def _interleave(traces: Sequence[Trace], clocks: List[int]) -> Iterator[Tuple[int, TraceEntry]]:
+    """``(core, entry)`` pairs of N traces in simulated-time order.
+
+    At every step the core whose next reference issues earliest goes next
+    (ties to the lower core), so memory-bound cores queue behind each other
+    at the shared backend.  A core's issue time is its clock in ``clocks``
+    plus the entry's gap, read when the generator resumes -- by then the
+    consuming loop has written the clock of the reference just yielded.
+    """
+    streams = [iter(trace.entries) for trace in traces]
+    heap = []
+    for core, stream in enumerate(streams):
+        head = next(stream, None)
+        if head is not None:
+            heap.append((clocks[core] + head[0], core, head))
+    heapq.heapify(heap)
+    while heap:
+        _, core, head = heapq.heappop(heap)
+        yield core, head
+        head = next(streams[core], None)
+        if head is not None:
+            heapq.heappush(heap, (clocks[core] + head[0], core, head))
+
+
 class SecureSystem:
     """One tile: cores + private L1s + shared LLC + memory backend.
 
     The tile is built once, here: this constructor is the only place the
     LLC tag probe (Algorithm 1) and the LLC victim callback (Algorithm 2,
-    dirty write-backs) are wired to a backend.  :meth:`run` drives it with
-    one core; :class:`~repro.sim.multicore.MultiCoreSystem` subclasses it
-    to interleave ``num_cores`` of them over the same hierarchy, backend,
-    prefetcher plumbing and result fold.
+    dirty write-backs) are wired to a backend.  It is driven by one
+    reference loop, :meth:`_replay`: :meth:`run` feeds it one core, and
+    :class:`~repro.sim.multicore.MultiCoreSystem` feeds it ``num_cores``
+    interleaved ones.
     """
 
     def __init__(
@@ -217,9 +243,16 @@ class SecureSystem:
         # probes it on every miss).  A sharded bank wraps the probe with
         # each channel's address translation; DRAM ignores it.
         backend.set_llc_probe(self.hierarchy.llc.contains)
+        #: the tile clock: where the next run starts its cores
         self._now = 0
         #: prefetched lines not yet usable: addr -> fill completion cycle
         self._pending_fills = {}
+        #: optional miss-stream tap: while this is a list, every demand
+        #: access the backend sees is appended as ``(addr, now, is_write)``
+        #: in issue order -- exactly the request stream a
+        #: :class:`~repro.parallel.runtime.ParallelShardRuntime` replays
+        #: (:func:`~repro.sim.multicore.capture_miss_stream` installs one).
+        self.request_capture: Optional[list] = None
 
     # ----------------------------------------------------------------- build
     @classmethod
@@ -252,7 +285,7 @@ class SecureSystem:
 
     # ------------------------------------------------------------------- run
     def run(self, trace: Trace, warmup_entries: int = 0) -> SimResult:
-        """Replay a trace to completion and collect every statistic.
+        """Replay a trace on core 0 to completion and collect every statistic.
 
         Args:
             trace: the workload.
@@ -262,14 +295,22 @@ class SecureSystem:
                 training) is negligible; short traces approximate that by
                 measuring only the steady-state window.
 
-        The loop body is the hand-inlined, single-core specialisation of
-        :meth:`repro.sim.multicore.MultiCoreSystem._step` (bound-method
-        locals, no per-reference call: the benchmark traces miss the LLC on
-        most references, so sharing the miss block would cost a call per
-        miss) -- the same arrangement as ``PathORAM._evict_path`` and
-        ``GreedyWritebackMixin`` (DESIGN.md section 5).  A change to either
-        must be made to both; ``tests/test_multicore.py``'s 1-core
-        differential matrix holds them together.
+        The replay starts at the tile clock (0 on a fresh tile), so a
+        second ``run`` continues where the first one ended.
+        """
+        return self._replay([trace], warmup_entries)[0]
+
+    def _replay(self, traces: Sequence[Trace], warmup_entries: int = 0) -> List[SimResult]:
+        """The one reference loop: trace ``i`` runs on core ``i``; one
+        result per core, each reporting the shared backend's totals.
+
+        The loop walks ``(core, entry)`` pairs with per-core clocks and hit
+        counts in lists, every core starting at the tile clock.  One core
+        is fed by ``zip(repeat(0), entries)`` -- C iterators, so the body
+        runs with no call per reference beyond the hierarchy and backend
+        entry points (bound to locals here; the benchmark traces miss the
+        LLC on most references).  N cores are fed by :func:`_interleave`.
+        ``warmup_entries`` counts references over all cores.
         """
         hierarchy = self.hierarchy
         backend = self.backend
@@ -278,13 +319,11 @@ class SecureSystem:
         if recorder is not None:
             recorder.record_event(
                 "run_start",
-                workload=getattr(trace, "name", "trace"),
+                workload="+".join(trace.name for trace in traces),
                 scheme=self.label,
-                entries=len(trace.entries),
+                entries=sum(len(trace.entries) for trace in traces),
                 start_cycle=self._now,
             )
-        # Bound-method locals: this loop body runs once per trace entry and
-        # dominates the DRAM configurations' runtime.
         hierarchy_access = hierarchy.access
         fill_demand = hierarchy.fill_demand
         fill_prefetch = hierarchy.fill_prefetch
@@ -292,61 +331,67 @@ class SecureSystem:
         on_llc_hit = backend.on_llc_hit
         pop_pending = self._pending_fills.pop
         l1_hit_latency = self.config.l1.hit_latency
-        l1_hits = 0
-        llc_hits = 0
-        misses = 0
-        now = self._now
+        capture = self.request_capture
+        cores = len(traces)
+        clocks = [self._now] * cores
+        l1_hits = [0] * cores
+        llc_hits = [0] * cores
+        misses = [0] * cores
+        refs = zip(repeat(0), traces[0].entries) if cores == 1 else _interleave(traces, clocks)
         warmup_snapshot = None
         index = 0
-        for gap, addr, is_write in trace.entries:
+        for core, (gap, addr, is_write) in refs:
             if warmup_entries and index == warmup_entries:
-                warmup_snapshot = self._collect(trace, now, l1_hits, llc_hits, misses, index)
+                warmup_snapshot = self._collect_cores(traces, clocks, l1_hits, llc_hits, misses)
             index += 1
-            now += gap
-            outcome = hierarchy_access(addr, bool(is_write))
+            now = clocks[core] + gap
+            is_write = bool(is_write)
+            outcome = hierarchy_access(addr, is_write, core)
             level = outcome.level
             if level != "miss":
-                # A hit on a still-in-flight prefetched line waits for the
-                # fill to actually arrive (MSHR-hit semantics): prefetched
-                # data is not usable before its access completes.
+                # A hit on a still-in-flight prefetched line -- whichever
+                # core's prefetch brought it in -- waits for the fill to
+                # actually arrive (MSHR-hit semantics): prefetched data is
+                # not usable before its access completes.
                 pending = pop_pending(addr, None)
                 if pending is not None and pending > now:
                     now = pending
-                now += outcome.latency
+                clocks[core] = now + outcome.latency
                 if level == "l1":
-                    l1_hits += 1
+                    l1_hits[core] += 1
                 else:
-                    llc_hits += 1
+                    llc_hits[core] += 1
                     on_llc_hit(addr)
                 continue
-            # ----- full miss: the in-order core stalls on the backend.
-            misses += 1
+            # ----- full miss: the in-order core stalls on the shared backend.
+            misses[core] += 1
             self._now = now  # visible to the victim callback
-            result = demand_access(addr, now, bool(is_write))
-            for fill_addr, prefetched in result.filled:
+            if capture is not None:
+                capture.append((addr, now, is_write))
+            result = demand_access(addr, now, is_write)
+            for fill_addr, _prefetched in result.filled:
                 if fill_addr == addr:
-                    fill_demand(fill_addr, bool(is_write))
+                    fill_demand(addr, is_write, core)
                 else:
                     fill_prefetch(fill_addr)
-            now = result.completion_cycle + l1_hit_latency
-            self._now = now
+            self._now = now = clocks[core] = result.completion_cycle + l1_hit_latency
             if prefetcher is not None:
                 # Prefetches never stall the core; they only occupy the
                 # backend (and their fills become usable at completion).
                 self._issue_prefetches(addr, now)
-        self._now = now
+        self._now = now = max(clocks)
         backend.finalize(now)
         if recorder is not None:
             recorder.record_event(
                 "run_end",
                 cycles=now,
-                llc_misses=misses,
-                l1_hits=l1_hits,
-                llc_hits=llc_hits,
+                llc_misses=sum(misses),
+                l1_hits=sum(l1_hits),
+                llc_hits=sum(llc_hits),
             )
-        final = self._collect(trace, now, l1_hits, llc_hits, misses, len(trace.entries))
+        final = self._collect_cores(traces, clocks, l1_hits, llc_hits, misses)
         if warmup_snapshot is not None:
-            final = SimResult.delta(final, warmup_snapshot)
+            final = [SimResult.delta(*pair) for pair in zip(final, warmup_snapshot)]
         return final
 
     def _issue_prefetches(self, miss_addr: int, now: int) -> None:
@@ -373,6 +418,12 @@ class SecureSystem:
         # LLC capacity on long traces.
         self._pending_fills.pop(addr, None)
         self.backend.evict_line(addr, dirty, self._now)
+
+    def _collect_cores(self, traces, clocks, l1_hits, llc_hits, misses) -> List[SimResult]:
+        return [
+            self._collect(trace, now, l1, llc, miss, l1 + llc + miss)
+            for trace, now, l1, llc, miss in zip(traces, clocks, l1_hits, llc_hits, misses)
+        ]
 
     def _collect(
         self,

@@ -160,6 +160,7 @@ class TestCircuitBreaker:
         assert breaker.state is HealthState.QUARANTINED
         for _ in range(2):
             breaker.record(True)
+        assert breaker.ready_to_probe  # the fallback fault left the cooldown running
         breaker.begin_probe()
         breaker.record(True)
         assert (breaker.fallbacks_total, breaker.probes_total) == (4, 1)

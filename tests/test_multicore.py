@@ -1,9 +1,10 @@
 """Integration tests for the shared-memory multi-core simulator.
 
-``MultiCoreSystem`` is a second driver of ``SecureSystem``'s one tile, and
-``SecureSystem.run`` hand-inlines what ``MultiCoreSystem._step`` does for
-core 0: ``TestOneCoreDifferential`` is what holds the two loop bodies
-together.
+``MultiCoreSystem`` runs ``SecureSystem``'s one tile through the same
+reference loop with N cores: ``TestOneCoreDifferential`` checks that one
+core fed through the multi-core entry point is ``SecureSystem.run``, and
+``TestCapturedMissStream`` pins the 4-core miss stream the parallel
+benchmark replays.
 """
 
 import dataclasses
@@ -150,21 +151,64 @@ class TestMultiCore:
         system.backend.oram.check_invariants()
 
     def test_in_flight_prefetch_is_waited_for_on_any_core(self):
-        # The _pending_fills rule of the single-core loop: a line one core's
-        # prefetch brought in is not usable by another core before its
-        # fill completes.
-        system = MultiCoreSystem.build(
-            "oram_pre", [make_trace("a"), make_trace("b", seed=2)], config=small_config()
+        # A line core 0's prefetch brought in is still in flight when core 1
+        # hits it: core 1 waits for the fill -- once, so core 0 hitting the
+        # same line later (still before the fill lands) does not wait again.
+        config = small_config()
+        llc_hit = config.l1.hit_latency + config.llc.hit_latency
+
+        def replay(*cores):
+            traces = []
+            for name, refs in cores:
+                trace = Trace(name, footprint_blocks=512)
+                for gap, addr in refs:
+                    trace.append(gap, addr)
+                traces.append(trace)
+            system = MultiCoreSystem.build("oram_pre", traces, config=config)
+            prefetches, issue = [], system.backend.prefetch_access
+
+            def spy(addr, now):
+                result = issue(addr, now)
+                prefetches.append((addr, now, result.completion_cycle))
+                return result
+
+            system.backend.prefetch_access = spy
+            return system.run(traces), prefetches
+
+        walk = [(10, 0), (10, 1), (10, 2)]  # trains the stream: prefetch 3, 4
+        _, prefetches = replay(("walk", walk))
+        addr, issued, landed = prefetches[0]
+        assert addr == 3 and landed - issued > 3
+        third = (landed - issued) // 3
+        results, shared = replay(
+            ("walk", walk + [(2 * third, 3)]), ("late", [(issued + third, 3)])
         )
-        system.hierarchy.fill_prefetch(7)
-        system._pending_fills[7] = 5_000
-        level, done = system._step(1, 7, False, 100)
-        assert level == "llc"
-        assert done == 5_000 + system.config.l1.hit_latency + system.config.llc.hit_latency
-        # ... once, and not after it has landed
-        assert system._step(0, 7, False, 200) == (
-            "llc", 200 + system.config.l1.hit_latency + system.config.llc.hit_latency
-        )
+        assert shared[0] == prefetches[0]
+        assert results[1].llc_hits == 1
+        assert results[1].cycles == landed + llc_hit
+        assert results[0].llc_hits == 1
+        assert results[0].cycles == issued + 2 * third + llc_hit
+
+    def test_a_second_run_continues_from_the_first_runs_end(self):
+        # Every core starts at the tile clock: 0 on a fresh tile, and where
+        # the first run ended (its latest core) on a second run.
+        config = small_config()
+
+        def lines(name, base):
+            trace = Trace(name, footprint_blocks=64)
+            for addr in range(base, base + 8):
+                trace.append(10, addr)
+            return trace
+
+        traces = [lines("a", 0), lines("b", 8)]
+        system = MultiCoreSystem.build("oram", traces, config=config)
+        first = system.run(traces)
+        end = max(r.cycles for r in first)
+        assert min(r.cycles for r in first) < end
+        # Replayed, every reference hits its own core's L1.
+        second = system.run(traces)
+        assert [r.l1_hits for r in second] == [8, 8]
+        assert [r.cycles for r in second] == [end + 8 * (10 + config.l1.hit_latency)] * 2
 
     def test_metrics_and_recorder_come_with_the_tile(self):
         traces = [make_trace("a", seed=4), make_trace("b", seed=5)]
