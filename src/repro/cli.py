@@ -11,8 +11,7 @@ Usage (also via ``python -m repro``):
     repro run -w mcf -s dyn --trace-out mcf.jsonl   # per-access span trace
     repro trace -w mcf -o mcf.trace          # export a trace file
     repro trace --report mcf.jsonl           # summarize a span trace
-    repro metrics -w ocean_c -s dyn          # metrics registry + uniformity
-    repro audit -w ocean_c                   # obliviousness statistics
+    repro audit -w ocean_c                   # the obliviousness verdict
     repro parity --scheme all                # one trace, every ORAMScheme
 
 Every command prints the same tables the benchmark harness records; the
@@ -52,6 +51,7 @@ from repro.observability import (
 )
 from repro.parallel import ParallelShardRuntime, run_serial_reference
 from repro.parallel.merge import requests_from_trace
+from repro.parallel.runtime import check_health_policy
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
 from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
@@ -432,52 +432,36 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    """One traced run: metrics registry report + live uniformity monitor."""
-    scheme = oram_scheme(args, "metrics")
-    trace = workload_trace(args)
-    # Probe geometry first: the monitor needs the scaled tree's leaf count.
-    config = experiment_config()
-    num_leaves = config.oram.scaled_to_footprint(trace.footprint_blocks).num_leaves
-    monitor = LeafUniformityMonitor(num_leaves, window=args.window)
-    system = SecureSystem.build(
-        scheme, trace.footprint_blocks, config, observer=monitor
-    )
-    recorder = system.attach_recorder(InMemoryRecorder())
-    result = system.run(trace)
-    print(
-        f"{trace.name} on {scheme}: {result.cycles:,} cycles, "
-        f"{result.llc_misses:,} LLC misses"
-    )
-    registry = system.metrics()
-    collect_trace(recorder, registry)
-    print(registry.render("metrics"))
-    monitor.flush()
-    print(monitor.render())
-    return 0 if monitor.healthy else 1
-
-
 def cmd_audit(args) -> int:
+    """The obliviousness verdict: the whole run's leaf sequence must be
+    uniform and lag-1 uncorrelated, and every window of it uniform (a
+    leak confined to some windows dilutes into a healthy whole run)."""
     scheme = oram_scheme(args, "audit")
     trace = workload_trace(args)
+    config = experiment_config()
+    # The monitor needs the scaled tree's leaf count before the build.
+    num_leaves = config.oram.scaled_to_footprint(trace.footprint_blocks).num_leaves
     observer = AccessObserver()
-    system = SecureSystem.build(
-        scheme, trace.footprint_blocks, experiment_config(), observer=observer
+    monitor = from_options(
+        LeafUniformityMonitor, num_leaves, window=args.window, forward_to=observer
     )
-    system.run(trace)
+    SecureSystem.build(
+        scheme, trace.footprint_blocks, config, observer=monitor
+    ).run(trace)
     leaves = observer.leaves()
     if len(leaves) <= 2:  # lag-1 autocorrelation needs three samples
         print(f"too few path accesses to audit ({len(leaves)})")
         return 2
-    num_leaves = system.backend.oram.config.num_leaves
     _, p = chi_square_uniformity(leaves, num_leaves)
     corr = lag_autocorrelation(leaves, lag=1)
     print(f"{len(leaves)} path accesses over {num_leaves} leaves")
     print(f"uniformity chi^2 p-value: {p:.4f}")
     print(f"lag-1 autocorrelation:    {corr:+.4f}")
-    verdict = "OBLIVIOUS" if p > 1e-3 and abs(corr) < 0.05 else "SUSPECT"
-    print(f"verdict: {verdict}")
-    return 0 if verdict == "OBLIVIOUS" else 1
+    monitor.flush()
+    print(monitor.render())
+    oblivious = p > 1e-3 and abs(corr) < 0.05 and monitor.healthy
+    print(f"verdict: {'OBLIVIOUS' if oblivious else 'SUSPECT'}")
+    return 0 if oblivious else 1
 
 
 def cmd_parity(args) -> int:
@@ -521,6 +505,7 @@ def cmd_parallel(args) -> int:
     """Race the process-parallel shard runtime against the serial bank."""
     scheme = bank_scheme(args)
     policy = health_policy(args)
+    from_options(check_health_policy, policy)
     trace = workload_trace(args)
     requests = requests_from_trace(trace)
     config = memory_config(args)
@@ -579,11 +564,6 @@ def cmd_serve(args) -> int:
     if args.deadline < 1:
         usage_error("--deadline must be at least 1 cycle")
     policy = health_policy(args)
-    if args.parallel_check and policy is not None:
-        usage_error(
-            "--parallel-check needs a health-free bank: quarantine "
-            "dummy padding is invisible to the replayed schedule"
-        )
     load = dict(
         footprint_per_tenant=args.footprint,
         write_fraction=args.write_frac,
@@ -611,14 +591,10 @@ def cmd_serve(args) -> int:
         coalesce=not args.no_coalesce,
     )
     workload = f"serve_{args.mode}"
-    # One shared config for the live bank AND the replay check below --
-    # a --treetop override must shape both identically or the replayed
-    # SimResult diverges on public timing alone.
-    config = memory_config(args)
     frontend = ServingFrontEnd.build(
         scheme,
         source.footprint_blocks,
-        config,
+        memory_config(args),
         args.shards,
         serve_config=serve_config,
         health_policy=policy,
@@ -632,24 +608,6 @@ def cmd_serve(args) -> int:
     print(report.render())
     if args.metrics:
         print(collect_serve(frontend).render("serve metrics"))
-    if args.parallel_check:
-        with ParallelShardRuntime(
-            scheme, source.footprint_blocks, config, args.shards
-        ) as runtime:
-            replayed = runtime.run(frontend.issued, workload=workload)
-        if replayed == report.sim:
-            print(
-                f"parallel check: {len(frontend.issued)} issued accesses "
-                "replay bit-identically through the worker runtime"
-            )
-        else:
-            print("parallel check FAILED: replayed SimResult differs")
-            for field in dataclasses.fields(replayed):
-                ours = getattr(report.sim, field.name)
-                theirs = getattr(replayed, field.name)
-                if ours != theirs:
-                    print(f"  {field.name}: serve={ours} replay={theirs}")
-            return 1
     return 0
 
 
@@ -673,6 +631,8 @@ def cmd_chaos(args) -> int:
     layers = tuple(
         layer.strip() for layer in args.layers.split(",") if layer.strip()
     )
+    if "parallel" in layers:
+        from_options(check_health_policy, policy)
     report = run_chaos(scenario, policy, layers=layers)
     print(report.render())
     if args.output:
@@ -767,23 +727,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     trace_p.set_defaults(func=cmd_trace)
 
-    metrics_p = sub.add_parser(
-        "metrics", help="metrics registry + leaf-uniformity report for one run"
-    )
-    add_workload_options(metrics_p)
-    add_scheme_option(metrics_p)
-    metrics_p.add_argument(
+    audit_p = sub.add_parser("audit", help="obliviousness audit of a scheme")
+    add_workload_options(audit_p)
+    add_scheme_option(audit_p)
+    audit_p.add_argument(
         "--window",
         type=int,
         default=4096,
         metavar="N",
         help="leaf observations per uniformity test window",
     )
-    metrics_p.set_defaults(func=cmd_metrics)
-
-    audit_p = sub.add_parser("audit", help="obliviousness audit of a scheme")
-    add_workload_options(audit_p)
-    add_scheme_option(audit_p)
     audit_p.set_defaults(func=cmd_audit)
 
     parallel_p = sub.add_parser(
@@ -879,12 +832,6 @@ def make_parser() -> argparse.ArgumentParser:
         serve_p,
         "attach per-shard circuit breakers; DEGRADED shards get "
         "smaller batch quotas, QUARANTINED shards reroute at admission",
-    )
-    serve_p.add_argument(
-        "--parallel-check",
-        action="store_true",
-        help="replay the issued schedule through the process-parallel "
-        "runtime and require a bit-identical SimResult",
     )
     serve_p.add_argument("--metrics", action="store_true",
                          help="print the serve.* metrics registry")

@@ -252,7 +252,8 @@ class ServeConfig:
 
     Attributes:
         batch_size: per-shard batch quota for HEALTHY shards; a batch is
-            issued as soon as it holds this many distinct accesses.
+            issued as soon as it holds this many distinct accesses.  A
+            throttled (DEGRADED) shard's quota is half of it, at least 1.
         deadline_close_fraction: a batch also closes when its oldest
             member has spent this fraction of its deadline budget waiting
             (the "half-spent" rule at the default 0.5).
@@ -262,8 +263,6 @@ class ServeConfig:
             requests; ``0`` disables the global cap.
         coalesce: dedupe concurrent requests for the same super block onto
             one pending ORAM access and fan the completion back out.
-        degraded_quota_fraction: batch-quota multiplier for DEGRADED
-            shards (smaller batches -> less merge/stash pressure).
         stash_shed_fraction: shed new arrivals for a shard whose stash
             occupancy exceeds this fraction of capacity -- admission
             control firing *before* the stash overflows.  ``0`` disables.
@@ -274,7 +273,6 @@ class ServeConfig:
     queue_capacity: int = 64
     max_backlog: int = 512
     coalesce: bool = True
-    degraded_quota_fraction: float = 0.5
     stash_shed_fraction: float = 0.9
 
     def __post_init__(self) -> None:
@@ -286,16 +284,8 @@ class ServeConfig:
             raise ValueError("per-tenant queues need capacity >= 1")
         if self.max_backlog < 0:
             raise ValueError("max backlog cannot be negative")
-        if not 0.0 <= self.degraded_quota_fraction <= 1.0:
-            raise ValueError("degraded quota fraction must be in [0, 1]")
         if not 0.0 <= self.stash_shed_fraction <= 1.0:
             raise ValueError("stash shed fraction must be in [0, 1]")
-
-    def quota_for(self, throttled: bool) -> int:
-        """Per-shard batch quota given the shard's health throttle state."""
-        if not throttled:
-            return self.batch_size
-        return max(1, int(self.batch_size * self.degraded_quota_fraction))
 
 
 @dataclass(frozen=True)

@@ -116,15 +116,8 @@ class StridedDynamicScheme(SuperBlockScheme):
             self._partner.pop(b, None)
             self._break_counters.pop(low, None)
             self.stats.breaks += 1
-            for addr in members:
-                if addr in fetched:
-                    if addr == demand:
-                        outcome.to_llc.append((addr, False))
-                    elif addr != demand:
-                        # the non-demand half stays in the ORAM
-                        pass
-            if demand not in fetched:
-                outcome.to_llc.append((demand, False))
+            # only the demand goes to the LLC; the other half stays in the ORAM
+            outcome.to_llc.append((demand, False))
             return True
         self._break_counters[low] = max(0, counter)
         return False

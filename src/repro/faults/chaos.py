@@ -24,9 +24,10 @@ the ROADMAP's production target promises:
   accesses instead of changing shape.
 
 Scenario grammar (DESIGN.md section 10): a :class:`ChaosScenario` is a
-frozen value -- per-layer op counts, fault rates, and a tuple of
-:class:`ChaosEvent` marks ``(at_op, action, shard)`` with actions
-``kill`` / ``hang`` / ``quarantine``.  Everything downstream of the seed
+frozen value -- per-layer op counts and fault rates; its storm is
+:func:`default_storm`'s :class:`ChaosEvent` marks ``(at_op, action,
+shard)`` with actions ``kill`` / ``hang``, scaled onto each layer's
+stream.  Everything downstream of the seed
 is deterministic except wall-clock (kills and hangs race the scheduler,
 so *which batch* dies varies; the invariants above hold regardless --
 that is the point of the harness).
@@ -45,7 +46,7 @@ from repro.faults.injector import FaultConfig, FaultInjector
 from repro.health import HealthPolicy
 from repro.utils.rng import DeterministicRng
 
-_ACTIONS = ("kill", "hang", "quarantine")
+_ACTIONS = ("kill", "hang")
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,9 @@ class ChaosEvent:
     """One scheduled disturbance inside a storm.
 
     ``kill`` terminates a worker process, ``hang`` stalls its command
-    loop (detectable only through deadline enforcement), ``quarantine``
-    trips an in-process bank breaker directly (the operator hook).  The
-    parallel storm honours kill/hang; the bank storm maps every action
-    onto ``quarantine`` since banks have no processes to kill.
+    loop (detectable only through deadline enforcement).  The bank storm
+    maps every action onto an operator quarantine, since banks have no
+    processes to kill.
     """
 
     at_op: int
@@ -116,7 +116,6 @@ class ChaosScenario:
     start_after: int = 64
     batch_size: int = 16
     max_inflight: int = 2
-    events: Tuple[ChaosEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if min(self.parallel_ops, self.kv_ops, self.bank_ops) < 0:
@@ -129,8 +128,8 @@ class ChaosScenario:
         return self.parallel_ops + self.kv_ops + self.bank_ops
 
     def storm_events(self, ops: int) -> Tuple[ChaosEvent, ...]:
-        """The event schedule scaled onto a stream of *ops* requests."""
-        events = self.events or default_storm(self.parallel_ops, self.num_shards)
+        """:func:`default_storm` scaled onto a stream of *ops* requests."""
+        events = default_storm(self.parallel_ops, self.num_shards)
         reference = max(self.parallel_ops, 1)
         return tuple(
             ChaosEvent(
@@ -232,11 +231,7 @@ def run_parallel_storm(
 
     policy = policy or chaos_policy()
     requests = scenario.requests(scenario.parallel_ops, salt=0x9A11)
-    events = [
-        event
-        for event in scenario.storm_events(len(requests))
-        if event.action in ("kill", "hang")
-    ]
+    events = scenario.storm_events(len(requests))
     marks = sorted({event.at_op for event in events if 0 < event.at_op < len(requests)})
     bounds = [0] + marks + [len(requests)]
     fired: List[str] = []

@@ -329,8 +329,8 @@ class ResilientKVStore(ObliviousKVStore):
 
     def metrics(self, registry=None):
         """One registry with the ladder's ``recovery.*`` counters plus the
-        injector's ``faults.injected_*`` totals (the ``repro metrics``
-        surface for resilient stores)."""
+        injector's ``faults.injected_*`` totals (the metrics surface for
+        resilient stores)."""
         registry = registry if registry is not None else MetricsRegistry()
         registry.absorb(self.recovery.as_dict(), "recovery.")
         return registry.absorb(self.injector.stats.as_dict(), "faults.injected_")

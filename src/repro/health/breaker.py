@@ -79,7 +79,8 @@ class HealthPolicy:
             -- the fault-storm trip.
         degrade_latency_cycles: mean per-access latency (cycles) over a
             window above which the shard degrades; ``0`` disables the
-            latency trip.
+            latency trip.  The parallel runtime has no simulated latency
+            to feed and refuses a nonzero value.
         recover_windows: consecutive clean windows (no trip) required to
             leave DEGRADED.
         quarantine_cooldown: fallback-served accesses a quarantined

@@ -54,6 +54,8 @@ class LeafUniformityMonitor:
     ):
         if num_leaves < 2:
             raise ValueError("need at least two leaves to test uniformity")
+        if window < 1:
+            raise ValueError("a uniformity window needs at least 1 observation")
         self.num_leaves = num_leaves
         self.window = window
         self.alpha = alpha

@@ -144,7 +144,7 @@ class BinaryTree:
     ``(1 << l) - 1 + (s >> (levels - l))``: the high ``l`` bits of the leaf
     label select the node within the level.  Path index vectors are
     memoized per leaf (the geometry never changes after construction), so
-    the per-access ``read_path``/write-back pair never recomputes them.
+    the per-access ``read_path_into``/write-back pair never recomputes them.
 
     With a :class:`TreetopCache` attached (:meth:`attach_treetop`), the
     heap prefix ``[0, 2**k - 1)`` -- equivalently every bucket at a level
@@ -264,33 +264,13 @@ class BinaryTree:
             return self._buckets
         return self.treetop.store + self._buckets[self._treetop_buckets:]
 
-    def read_path(self, leaf: int) -> List[Block]:
-        """Remove and return every real block on the path to ``leaf``.
-
-        This is step 2 of the access protocol: all buckets on the path are
-        read and their real blocks are handed to the caller (who puts them
-        in the stash).  The buckets are left empty.
-        """
-        blocks: List[Block] = []
-        extend = blocks.extend
-        path = self.path_indices(leaf)
-        if self._treetop_levels:
-            path = self._drain_treetop(path, extend)
-        buckets = self._buckets
-        for index in path:
-            bucket = buckets[index]
-            if bucket:
-                extend(bucket)
-                buckets[index] = []
-        return blocks
-
     def read_path_into(self, leaf: int, store: Dict[int, Block]) -> int:
         """Move every real block on the path to ``leaf`` into ``store``.
 
-        Fused variant of :meth:`read_path` for the access hot path: blocks
-        are keyed by address directly into the caller's dict (the stash's
-        backing store) instead of materializing an intermediate list.
-        Returns the number of blocks moved; the path buckets are left empty.
+        This is step 2 of the access protocol: all buckets on the path are
+        read and their real blocks are keyed by address directly into the
+        caller's dict (the stash's backing store).  Returns the number of
+        blocks moved; the path buckets are left empty.
         """
         path = self._path_cache.get(leaf)
         if path is None:

@@ -150,6 +150,21 @@ def _forget_checkpointed(worker: _Worker, checkpointed_seq: int) -> None:
         del worker.unckpt[covered]
 
 
+def check_health_policy(policy: Optional[HealthPolicy]) -> None:
+    """Refuse a policy whose latency trip the runtime cannot feed.
+
+    A breaker's latency window counts simulated cycles per access; the
+    runtime only has wall-clock round trips, which would make breaker
+    decisions depend on host timing.  It feeds no latency, so a policy
+    with ``degrade_latency_cycles > 0`` could never trip as written.
+    """
+    if policy is not None and policy.degrade_latency_cycles > 0:
+        raise ValueError(
+            "the parallel runtime feeds its breakers no latency: "
+            "degrade_latency_cycles must be 0"
+        )
+
+
 class ParallelShardRuntime:
     """Run each channel of a sharded ORAM bank in its own process.
 
@@ -206,6 +221,7 @@ class ParallelShardRuntime:
         health_policy: Optional[HealthPolicy] = None,
         fault_config: Optional[FaultConfig] = None,
     ):
+        check_health_policy(health_policy)
         if num_workers < 1:
             raise ValueError("need at least one worker")
         if scheme == "dram":
@@ -447,22 +463,20 @@ class ParallelShardRuntime:
             roundtrip_us = int((time.perf_counter() - sent) * 1e6)
             worker.roundtrip_us.record(roundtrip_us)
             worker.batches += 1
-            self._feed_health_ack(worker, roundtrip_us, len(positions))
+            self._feed_health_ack(worker, len(positions))
         _forget_checkpointed(worker, checkpointed_seq)
         return newly_recorded
 
     # --------------------------------------------------------- health feeding
-    def _feed_health_ack(
-        self, worker: _Worker, roundtrip_us: int, accesses: int
-    ) -> None:
+    def _feed_health_ack(self, worker: _Worker, accesses: int) -> None:
         """One batch acknowledgement reached the front-end: feed the
         breaker, then tell the executor if its state moved.  The breaker
         decides what an outcome counts as; the runtime only picks the
         unit -- one feed per access while quarantined (the cooldown counts
         fallback accesses), one per batch otherwise (a probe, or one
-        latency-window event: microseconds stand in for cycles -- the
-        policy knob is documented as round-trip µs for the parallel
-        runtime)."""
+        window event).  It feeds no latency: the only one it has is a
+        wall-clock round trip, and breaker decisions go by event counts
+        (see :func:`check_health_policy`)."""
         health = self.health
         if health is None:
             return
@@ -471,7 +485,7 @@ class ParallelShardRuntime:
             feeds = accesses
             worker.fallback_batches += 1
         for _ in range(feeds):
-            health.record_access(worker.index, True, roundtrip_us)
+            health.record_access(worker.index, True)
         self._tell_health(worker)
 
     def _tell_health(self, worker: _Worker) -> None:

@@ -21,8 +21,8 @@ completions, and batch deadline closes -- that applies four policies:
    its deadline budget waiting -- and drains immediately once the source
    is exhausted.
 
-Health integration: DEGRADED shards get ``quota_for(throttled)``-sized
-batches; QUARANTINED shards are rerouted at admission onto a serial
+Health integration: DEGRADED shards get half-sized batches (the
+runtime's ``_inflight_cap`` halves the same way); QUARANTINED shards are rerouted at admission onto a serial
 fallback lane whose accesses the bank pads with dummy paths.
 
 Everything ties are broken on (cycle, sequence) pairs, so a run is a pure
@@ -262,8 +262,11 @@ class ServingFrontEnd:
 
     # ----------------------------------------------------- batching/coalescing
     def _quota(self, shard: int) -> int:
-        throttled = self.health is not None and self.health.throttled(shard)
-        return self.config.quota_for(throttled)
+        """The batch quota; half of it (at least 1) for a throttled shard."""
+        batch_size = self.config.batch_size
+        if self.health is not None and self.health.throttled(shard):
+            return max(1, batch_size // 2)
+        return batch_size
 
     def _next_close(self) -> Optional[int]:
         """Earliest deadline close among shards free to issue their batch."""

@@ -367,6 +367,40 @@ class TestRuntimeHealth:
                 "dyn", FOOTPRINT, num_workers=2, health_policy=HealthPolicy()
             )
 
+    def test_breakers_are_fed_no_latency(self, tmp_path, monkeypatch):
+        """Regression: batch round-trip microseconds reached the breakers
+        as ``latency_cycles``, so with a latency trip set their decisions
+        depended on host timing instead of event counts."""
+        fed = []
+        record_access = HealthControlPlane.record_access
+
+        def spy(self, index, ok, latency_cycles=0):
+            fed.append(latency_cycles)
+            return record_access(self, index, ok, latency_cycles)
+
+        monkeypatch.setattr(HealthControlPlane, "record_access", spy)
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            SystemConfig(),
+            2,
+            checkpoint_dir=str(tmp_path),
+            batch_size=16,
+            health_policy=HealthPolicy(),
+        ) as runtime:
+            runtime.run(small_stream())
+        assert fed and set(fed) == {0}
+
+    def test_latency_trip_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="feeds its breakers no latency"):
+            ParallelShardRuntime(
+                "dyn",
+                FOOTPRINT,
+                num_workers=2,
+                checkpoint_dir=str(tmp_path),
+                health_policy=HealthPolicy(degrade_latency_cycles=5),
+            )
+
     def test_hung_worker_detected_within_deadline(self, tmp_path):
         """ISSUE acceptance: a worker stuck mid-batch trips the deadline,
         is quarantined, and the run still conserves every access."""

@@ -2,7 +2,7 @@
 
 Every ``repro`` process (CLI line, benchmark child, shard worker) imports
 ``repro.security.statistics`` through the live uniformity monitor; only
-``repro audit`` / ``repro metrics`` / the chaos uniformity gate ever
+``repro audit`` / the chaos uniformity gate ever
 compute a p-value.  Each case runs in a fresh interpreter so modules an
 earlier test loaded cannot hide a top-level import.
 """
@@ -117,6 +117,9 @@ def test_audit_cli_prints_the_recorded_p_values():
         "2867 path accesses over 4096 leaves",
         "uniformity chi^2 p-value: 0.4883",
         "lag-1 autocorrelation:    +0.0148",
+        "leaf uniformity: 1 windows of 4096 (alpha=0.0001)",
+        "  worst window #0: chi2=511.3 p=0.4883 over 2867 samples",
+        "  status: healthy",
         "verdict: OBLIVIOUS",
         "exit 0",
     ]

@@ -377,15 +377,14 @@ class TestHealthIntegration:
         frontend = build_frontend(shards=2, health_policy=HealthPolicy())
         assert frontend._quota(0) == ServeConfig().batch_size
         frontend.bank.health.record_pressure(0)
-        assert frontend._quota(0) == ServeConfig().quota_for(True)
+        assert frontend._quota(0) == ServeConfig().batch_size // 2
         assert frontend._quota(1) == ServeConfig().batch_size
-
-    def test_quota_for(self):
-        config = ServeConfig(batch_size=8, degraded_quota_fraction=0.5)
-        assert config.quota_for(False) == 8
-        assert config.quota_for(True) == 4
-        tiny = ServeConfig(batch_size=2, degraded_quota_fraction=0.1)
-        assert tiny.quota_for(True) == 1  # never starves a shard entirely
+        tiny = build_frontend(
+            shards=2, serve_config=ServeConfig(batch_size=1),
+            health_policy=HealthPolicy(),
+        )
+        tiny.bank.health.record_pressure(0)
+        assert tiny._quota(0) == 1  # never starves a shard entirely
 
 
 class TestServeConfig:

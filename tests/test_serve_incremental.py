@@ -67,10 +67,12 @@ def reference_next_close(frontend):
 
 
 def reference_quota(frontend, shard):
+    """A throttled shard's quota is half the batch size, never below 1."""
+    batch_size = frontend.config.batch_size
     health = frontend.health
-    return frontend.config.quota_for(
-        health is not None and health.throttled(shard)
-    )
+    if health is not None and health.throttled(shard):
+        return max(1, batch_size // 2)
+    return batch_size
 
 
 def reference_placeable(frontend, request):

@@ -64,15 +64,17 @@ class TestStorage:
         tree = BinaryTree(levels=3, bucket_size=2)
         tree.write_bucket(0, 0, [Block(1, 0)])
         tree.write_bucket(3, 5, [Block(2, 5), Block(3, 5)])
-        blocks = tree.read_path(5)
-        assert {b.addr for b in blocks} == {1, 2, 3}
+        blocks = {}
+        assert tree.read_path_into(5, blocks) == 3
+        assert set(blocks) == {1, 2, 3}
         assert tree.occupancy() == 0
 
     def test_read_path_leaves_other_paths(self):
         tree = BinaryTree(levels=3, bucket_size=2)
         tree.write_bucket(3, 0, [Block(9, 0)])
-        blocks = tree.read_path(7)
-        assert blocks == []
+        blocks = {}
+        assert tree.read_path_into(7, blocks) == 0
+        assert blocks == {}
         assert tree.occupancy() == 1
 
     def test_write_bucket_overflow(self):

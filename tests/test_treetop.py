@@ -145,8 +145,9 @@ class TestTreetopCacheTree:
 
     def test_read_path_drains_treetop_and_dirties_emptied_buckets(self):
         tree = self.build(treetop=3)
-        blocks = tree.read_path(0)
-        assert sorted(b.addr for b in blocks) == [0, 1]
+        blocks = {}
+        tree.read_path_into(0, blocks)
+        assert sorted(blocks) == [0, 1]
         # Draining a pinned non-empty bucket dirties it (its on-chip copy
         # became empty while the image still holds the block).
         assert tree.treetop.dirty[0] == 1 and tree.treetop.dirty[1] == 1
