@@ -12,6 +12,27 @@ Prefetched blocks are inserted into the LLC only (not the L1), matching
 "the other blocks are prefetched and put into the LLC" (section 3.2); their
 first use is therefore an LLC hit, which is where the scheme's hit-bit
 update hooks in.
+
+Each processor event is resolved in one frame, directly on the levels'
+sets (:class:`~repro.cache.set_associative.SetAssociativeCache` holds only
+the sets, the counters and the tag probe): :meth:`CacheHierarchy.access`
+for a load/store, :meth:`CacheHierarchy.fill_demand` for a demand fill.
+The LRU rules live here and nowhere else:
+
+* *hit promote* -- a hit moves the line to its set's MRU end, and a write
+  sets its dirty bit (an L1 write hit also marks the LLC copy, the point
+  of coherence with the memory domain); an LLC hit also installs the line
+  in the core's L1;
+* *fill with victim* -- a fill into a full set pops the LRU line as the
+  ``(addr, dirty)`` pair ``popitem`` returns.  An L1 victim is dropped
+  silently (its data and dirtiness are in the LLC); an LLC victim is
+  back-invalidated from every L1 and reported to the victim callback;
+* *dirty OR on refill* -- filling a line already present keeps its dirty
+  bit, OR-ed with the fill's, and moves it to the MRU end;
+* *back-invalidate* -- part of the LLC fill: the victim leaves every L1.
+
+A prefetch fill (:meth:`CacheHierarchy.fill_prefetch`) is the LLC half of
+a demand fill, so it reaches the same rules through ``fill_demand``.
 """
 
 from __future__ import annotations
@@ -19,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.cache.set_associative import EvictedLine, SetAssociativeCache
+from repro.cache.set_associative import SetAssociativeCache
 from repro.config import CacheConfig
 
 
@@ -50,6 +71,14 @@ class CacheHierarchy:
         self.llc = SetAssociativeCache(llc_config, name="llc")
         #: called as (addr, dirty) for every line leaving the LLC
         self.victim_callback = victim_callback
+        # Geometry and set lists read by every event (none of them is
+        # ever reassigned by a level).
+        self._l1_num_sets = l1_config.num_sets
+        self._l1_ways = l1_config.associativity
+        self._l1_sets = [l1.sets for l1 in self.l1s]
+        self._llc_num_sets = llc_config.num_sets
+        self._llc_ways = llc_config.associativity
+        self._llc_sets = self.llc.sets
         # Access outcomes are value objects with config-constant latencies;
         # reusing three shared instances avoids one allocation per
         # processor access.  Callers treat them as read-only.
@@ -67,55 +96,75 @@ class CacheHierarchy:
         miss the caller must fetch from memory and then call
         :meth:`fill_demand`.
         """
-        if self.l1s[core].lookup(addr, is_write):
+        l1 = self.l1s[core]
+        l1_set = self._l1_sets[core][addr % self._l1_num_sets]
+        if addr in l1_set:
+            l1.hits += 1
+            l1_set.move_to_end(addr)
             if is_write:
-                # Write-through of the dirty bit to the LLC keeps eviction
-                # bookkeeping simple (the LLC is the point of coherence with
-                # the ORAM domain).
-                self.llc.mark_dirty(addr)
+                l1_set[addr] = True
+                # Write-through of the dirty bit to the LLC (inclusive: the
+                # line is there) keeps eviction bookkeeping in one level.
+                self._llc_sets[addr % self._llc_num_sets][addr] = True
             return self._l1_outcome
-        if self.llc.lookup(addr, is_write):
-            self._promote_to_l1(addr, core)
+        l1.misses += 1
+        llc = self.llc
+        llc_set = self._llc_sets[addr % self._llc_num_sets]
+        if addr in llc_set:
+            llc.hits += 1
+            llc_set.move_to_end(addr)
+            if is_write:
+                llc_set[addr] = True
+            # Promote into the L1 (the line just missed there).  The L1
+            # victim's data is still in the LLC, so its eviction is silent.
+            if len(l1_set) >= self._l1_ways:
+                l1_set.popitem(last=False)
+                l1.evictions += 1
+            l1_set[addr] = False
             return self._llc_outcome
+        llc.misses += 1
         return self._miss_outcome
 
-    def _promote_to_l1(self, addr: int, core: int) -> None:
-        victim = self.l1s[core].insert(addr, dirty=False)
-        # Inclusive hierarchy: the L1 victim's data is still in the LLC
-        # (dirtiness was written through), so the eviction is silent.
-        del victim
-
     # ------------------------------------------------------------------ fills
-    def fill_demand(self, addr: int, is_write: bool, core: int = 0) -> None:
-        """Install a demand-fetched line in the LLC and ``core``'s L1."""
-        self._insert_llc(addr, dirty=is_write)
-        self._promote_to_l1(addr, core)
+    def fill_demand(self, addr: int, is_write: bool, core: Optional[int] = 0) -> None:
+        """Install a fetched line in the LLC and, unless ``core`` is None,
+        in ``core``'s L1 (a demand fill; ``None`` is a prefetch fill)."""
+        llc_set = self._llc_sets[addr % self._llc_num_sets]
+        if addr in llc_set:
+            if is_write:
+                llc_set[addr] = True
+            llc_set.move_to_end(addr)
+        else:
+            victim = None
+            if len(llc_set) >= self._llc_ways:
+                victim, victim_dirty = llc_set.popitem(last=False)
+                self.llc.evictions += 1
+            llc_set[addr] = is_write
+            if victim is not None:
+                # Inclusive: pull the victim out of every L1 as well; an L1
+                # copy's dirtiness is already in the LLC (write-through of
+                # the dirty bit in :meth:`access`).
+                index = victim % self._l1_num_sets
+                for sets in self._l1_sets:
+                    l1_set = sets[index]
+                    if victim in l1_set:
+                        del l1_set[victim]
+                if self.victim_callback is not None:
+                    self.victim_callback(victim, victim_dirty)
+        if core is None:
+            return
+        l1_set = self._l1_sets[core][addr % self._l1_num_sets]
+        if addr in l1_set:
+            l1_set.move_to_end(addr)
+        else:
+            if len(l1_set) >= self._l1_ways:
+                l1_set.popitem(last=False)
+                self.l1s[core].evictions += 1
+            l1_set[addr] = False
 
     def fill_prefetch(self, addr: int) -> None:
         """Install a prefetched line in the LLC only."""
-        self._insert_llc(addr, dirty=False)
-
-    def _insert_llc(self, addr: int, dirty: bool) -> None:
-        victim = self.llc.insert(addr, dirty=dirty)
-        if victim is not None:
-            self._handle_llc_eviction(victim)
-
-    def _handle_llc_eviction(self, victim: EvictedLine) -> None:
-        # Inclusive: pull the line out of every L1 as well; an L1 copy's
-        # dirtiness is already reflected in the LLC state (write-through of
-        # the dirty bit in :meth:`access`).
-        for l1 in self.l1s:
-            l1.invalidate(victim.addr)
-        if self.victim_callback is not None:
-            self.victim_callback(victim.addr, victim.dirty)
-
-    def invalidate(self, addr: int) -> None:
-        """Drop a line entirely (tests)."""
-        for l1 in self.l1s:
-            l1.invalidate(addr)
-        victim = self.llc.invalidate(addr)
-        if victim is not None and self.victim_callback is not None:
-            self.victim_callback(victim.addr, victim.dirty)
+        self.fill_demand(addr, False, None)
 
     # ------------------------------------------------------------------- misc
     def contains(self, addr: int) -> bool:

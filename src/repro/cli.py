@@ -36,7 +36,7 @@ from repro.analysis.tables import format_table
 from repro.config import ServeConfig
 from repro.controller.scheme import SCHEME_FACTORIES, build_scheme
 from repro.faults import FaultConfig, FaultInjector
-from repro.faults.chaos import ChaosScenario, chaos_policy, run_chaos
+from repro.faults.chaos import ChaosScenario, chaos_policy, check_chaos_layers, run_chaos
 from repro.faults.fsck import run_fsck
 from repro.health import HealthPolicy
 from repro.observability import (
@@ -631,6 +631,7 @@ def cmd_chaos(args) -> int:
     layers = tuple(
         layer.strip() for layer in args.layers.split(",") if layer.strip()
     )
+    from_options(check_chaos_layers, layers)
     if "parallel" in layers:
         from_options(check_health_policy, policy)
     report = run_chaos(scenario, policy, layers=layers)

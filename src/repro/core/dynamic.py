@@ -302,7 +302,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         # this residency is final.
 
     def on_llc_evict(self, addr: int) -> None:
-        super().on_llc_evict(addr)  # prefetch-miss statistics
+        self._tracker.on_llc_evict(addr)  # prefetch-miss statistics
         if self.literal_merge_decrement:
             return  # ablation mode: no eviction-time decrement
         if self._coresident[addr]:

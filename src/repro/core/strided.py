@@ -157,7 +157,7 @@ class StridedDynamicScheme(SuperBlockScheme):
 
     # ---------------------------------------------------------------- events
     def on_llc_evict(self, addr: int) -> None:
-        super().on_llc_evict(addr)
+        self._tracker.on_llc_evict(addr)
         if self._coresident.pop(addr, False):
             return
         # Decay merge evidence for this block's candidate pairs.

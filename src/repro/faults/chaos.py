@@ -475,16 +475,25 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+#: the storm's layers, in the order :func:`run_chaos` runs them
+CHAOS_LAYERS: Tuple[str, ...] = ("kv", "parallel", "bank")
+
+
+def check_chaos_layers(layers: Tuple[str, ...]) -> None:
+    """Refuse a layer name the storm does not have (``ValueError``)."""
+    unknown = set(layers) - set(CHAOS_LAYERS)
+    if unknown:
+        raise ValueError(f"unknown chaos layers: {sorted(unknown)}")
+
+
 def run_chaos(
     scenario: Optional[ChaosScenario] = None,
     policy: Optional[HealthPolicy] = None,
-    layers: Tuple[str, ...] = ("kv", "parallel", "bank"),
+    layers: Tuple[str, ...] = CHAOS_LAYERS,
 ) -> ChaosReport:
     """Run one composed storm; each named layer gets its own sub-storm."""
     scenario = scenario or ChaosScenario()
-    unknown = set(layers) - {"kv", "parallel", "bank"}
-    if unknown:
-        raise ValueError(f"unknown chaos layers: {sorted(unknown)}")
+    check_chaos_layers(layers)
     report = ChaosReport(scenario)
     if "kv" in layers and scenario.kv_ops:
         report.kv = run_kv_storm(scenario)

@@ -28,25 +28,31 @@ class DRAMBackend(MemoryBackend):
         self.config = config
         self.block_bytes = block_bytes
         self.transfer_cycles = transfer_cycles(config, block_bytes)
+        self._num_banks = config.num_banks
+        self._latency = config.latency_cycles
         self._bank_free: List[int] = [0] * config.num_banks
         self._bus_free = 0
 
-    def _bank_for(self, addr: int) -> int:
-        return addr % self.config.num_banks
-
     def _schedule(self, addr: int, now: int) -> int:
-        """Common timing for any line transfer; returns completion cycle."""
-        bank = self._bank_for(addr)
-        start = max(now, self._bank_free[bank])
+        """The one bank/bus schedule of any line transfer; returns its
+        completion cycle.  Line ``addr`` lives in bank ``addr % num_banks``."""
+        bank_free = self._bank_free
+        bank = addr % self._num_banks
+        start = bank_free[bank]
+        if start < now:
+            start = now
         # The line crosses the pins after the array access; pin slots are
         # granted in arrival order.
-        transfer_start = max(start + self.config.latency_cycles, self._bus_free)
-        completion = transfer_start + self.transfer_cycles
-        self._bank_free[bank] = start + self.config.latency_cycles
-        self._bus_free = completion
-        self.busy_until = max(self.busy_until, completion)
-        self.stats.memory_accesses += 1
-        self.stats.busy_cycles += self.transfer_cycles
+        ready = bank_free[bank] = start + self._latency
+        transfer_start = self._bus_free
+        if transfer_start < ready:
+            transfer_start = ready
+        completion = self._bus_free = transfer_start + self.transfer_cycles
+        if completion > self.busy_until:
+            self.busy_until = completion
+        stats = self.stats
+        stats.memory_accesses += 1
+        stats.busy_cycles += self.transfer_cycles
         return completion
 
     def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:

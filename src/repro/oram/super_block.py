@@ -155,10 +155,15 @@ class SuperBlockScheme(ABC):
         self._oram = oram
         self.llc_contains = llc_contains
         self._tracker = PrefetchTracker(oram, self.stats, listener=self.listener)
-        # Flatten the per-LLC-hit delegation: no scheme overrides
+        # Flatten the per-LLC-event delegation: no scheme overrides
         # on_llc_hit, so the instance attribute routes hits straight to the
-        # tracker (the backend re-exports this bound method in turn).
+        # tracker (the backend re-exports this bound method in turn).  An
+        # eviction goes straight to the tracker too, unless the scheme
+        # extends on_llc_evict -- its override then calls the tracker
+        # itself, with no hop through this class.
         self.on_llc_hit = self._tracker.on_use
+        if type(self).on_llc_evict is SuperBlockScheme.on_llc_evict:
+            self.on_llc_evict = self._tracker.on_llc_evict
 
     def set_merge_throttled(self, throttled: bool) -> None:
         """Graceful degradation under stash pressure.

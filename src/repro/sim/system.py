@@ -415,8 +415,11 @@ class SecureSystem:
         # completes no longer has an in-flight fill to wait for: drop the
         # pending completion cycle so a later re-fetch of the same address
         # cannot stall on the stale cycle, and the dict stays bounded by
-        # LLC capacity on long traces.
-        self._pending_fills.pop(addr, None)
+        # LLC capacity on long traces.  The membership test makes no call,
+        # and the dict is empty unless a prefetcher is wired.
+        pending = self._pending_fills
+        if addr in pending:
+            del pending[addr]
         self.backend.evict_line(addr, dirty, self._now)
 
     def _collect_cores(self, traces, clocks, l1_hits, llc_hits, misses) -> List[SimResult]:

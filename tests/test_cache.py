@@ -1,142 +1,147 @@
-"""Unit tests for the set-associative cache."""
+"""LRU rules of one cache level.
 
-import pytest
+A :class:`SetAssociativeCache` holds only its sets, counters and tag probe;
+the rules that move lines (hit promote, fill with victim, dirty OR on
+refill) are :class:`CacheHierarchy` events.  These cases pin each rule on
+the level it is easiest to see in: the LLC, driven through
+:meth:`CacheHierarchy.fill_prefetch` (an LLC-only fill) and
+:meth:`CacheHierarchy.access`, with LLC victims read off the victim
+callback.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.set_associative import SetAssociativeCache
 from repro.config import CacheConfig
 
+#: an L1 of 2 sets x 1 way: big enough to hold a line, too small to matter
+TINY_L1 = CacheConfig(256, 1, 128)
 
-def make_cache(capacity=2048, assoc=2, block=128):
-    return SetAssociativeCache(CacheConfig(capacity, assoc, block))
+
+def make_llc(capacity=2048, assoc=2, block=128):
+    """A hierarchy whose LLC is the level under test; returns it and the
+    list its LLC victims are appended to as ``(addr, dirty)``."""
+    victims = []
+    hierarchy = CacheHierarchy(
+        TINY_L1,
+        CacheConfig(capacity, assoc, block),
+        victim_callback=lambda addr, dirty: victims.append((addr, dirty)),
+    )
+    return hierarchy, victims
 
 
 class TestBasics:
     def test_miss_then_hit(self):
-        cache = make_cache()
-        assert not cache.lookup(5)
-        cache.insert(5)
-        assert cache.lookup(5)
-        assert cache.hits == 1 and cache.misses == 1
+        h, _ = make_llc()
+        assert h.access(5, False).level == "miss"
+        h.fill_prefetch(5)
+        assert h.access(5, False).level == "llc"
+        assert h.llc.hits == 1 and h.llc.misses == 1
 
     def test_contains_no_lru_side_effect(self):
-        cache = make_cache(capacity=512, assoc=2)  # 2 sets, 2 ways
-        cache.insert(0)
-        cache.insert(2)  # same set as 0 (addr % 2 == 0)
-        cache.contains(0)  # probe must NOT refresh 0
-        cache.insert(4)  # evicts LRU = 0
-        assert not cache.contains(0)
-        assert cache.contains(2)
+        h, victims = make_llc(capacity=512, assoc=2)  # 2 sets, 2 ways
+        h.fill_prefetch(0)
+        h.fill_prefetch(2)  # same set as 0 (addr % 2 == 0)
+        h.contains(0)  # probe must NOT refresh 0
+        h.fill_prefetch(4)  # evicts LRU = 0
+        assert victims == [(0, False)]
+        assert not h.contains(0)
+        assert h.contains(2)
 
     def test_lookup_refreshes_lru(self):
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(0)
-        cache.insert(2)
-        cache.lookup(0)  # 0 becomes MRU
-        victim = cache.insert(4)
-        assert victim is not None and victim.addr == 2
+        h, victims = make_llc(capacity=512, assoc=2)
+        h.fill_prefetch(0)
+        h.fill_prefetch(2)
+        assert h.access(0, False).level == "llc"  # 0 becomes MRU
+        h.fill_prefetch(4)
+        assert victims == [(2, False)]
 
     def test_insert_returns_victim(self):
-        cache = make_cache(capacity=512, assoc=2)
-        assert cache.insert(0) is None
-        assert cache.insert(2) is None
-        victim = cache.insert(4)
-        assert victim is not None and victim.addr == 0
+        h, victims = make_llc(capacity=512, assoc=2)
+        h.fill_prefetch(0)
+        h.fill_prefetch(2)
+        assert victims == []
+        h.fill_prefetch(4)
+        assert victims == [(0, False)]
+        assert h.llc.evictions == 1
 
     def test_dirty_tracking(self):
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(0)
-        cache.lookup(0, is_write=True)
-        cache.insert(2)
-        victim = cache.insert(4)
-        assert victim.addr == 0 and victim.dirty
+        h, victims = make_llc(capacity=512, assoc=2)
+        h.fill_prefetch(0)
+        h.access(0, True)  # LLC write hit
+        h.fill_prefetch(2)
+        h.fill_prefetch(4)
+        assert victims == [(0, True)]
 
     def test_mark_dirty(self):
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(0)
-        cache.mark_dirty(0)
-        victim = cache.invalidate(0)
-        assert victim.dirty
+        # An L1 write hit marks the LLC copy dirty (write-through of the bit).
+        h, victims = make_llc(capacity=512, assoc=2)
+        h.fill_demand(0, False)
+        assert h.access(0, True).level == "l1"
+        h.fill_prefetch(2)
+        h.fill_prefetch(4)
+        assert victims == [(0, True)]
 
     def test_insert_existing_merges_dirty(self):
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(0, dirty=True)
-        cache.insert(0, dirty=False)
-        victim = cache.invalidate(0)
-        assert victim.dirty  # dirtiness is sticky
-
-    def test_insert_at_lru_is_next_victim(self):
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(0)
-        cache.insert(2, at_mru=False)  # low-priority fill lands at LRU
-        victim = cache.insert(4)
-        assert victim is not None and victim.addr == 2
-
-    def test_insert_present_line_demoted_with_at_mru_false(self):
-        # Regression: a low-priority re-fill of an already-present line must
-        # demote it to the LRU position, not leave it where it was.
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(2)
-        cache.insert(0)  # LRU order now: 2, 0
-        cache.insert(0, at_mru=False)  # demote 0 from MRU to LRU
-        victim = cache.insert(4)
-        assert victim is not None and victim.addr == 0
-
-    def test_insert_present_line_demotion_keeps_dirty(self):
-        cache = make_cache(capacity=512, assoc=2)
-        cache.insert(2)
-        cache.insert(0, dirty=True)
-        cache.insert(0, at_mru=False)
-        victim = cache.insert(4)
-        assert victim.addr == 0 and victim.dirty
+        h, victims = make_llc(capacity=512, assoc=2)
+        h.fill_demand(0, True)
+        h.fill_demand(0, False)  # refill: dirtiness is sticky
+        h.fill_prefetch(2)
+        h.fill_prefetch(4)
+        assert victims == [(0, True)]
 
     def test_invalidate_missing(self):
-        cache = make_cache()
-        assert cache.invalidate(99) is None
+        # Back-invalidating an LLC victim the L1 does not hold leaves the
+        # L1 untouched.
+        h, victims = make_llc(capacity=512, assoc=2)
+        h.fill_demand(1, False)  # in the L1 and LLC set 1
+        h.fill_prefetch(0)
+        h.fill_prefetch(2)
+        h.fill_prefetch(4)  # evicts 0 from LLC set 0; the L1 never held it
+        assert victims == [(0, False)]
+        assert h.l1.contains(1) and h.access(1, False).level == "l1"
 
     def test_occupancy_and_residents(self):
-        cache = make_cache(capacity=1024, assoc=2)
+        h, _ = make_llc(capacity=1024, assoc=2)
         for addr in range(4):
-            cache.insert(addr)
-        assert cache.occupancy() == 4
-        assert sorted(cache.resident_addresses()) == [0, 1, 2, 3]
+            h.fill_prefetch(addr)
+        assert sorted(h.resident_addresses()) == [0, 1, 2, 3]
 
 
 class TestSetMapping:
     def test_different_sets_do_not_conflict(self):
-        cache = make_cache(capacity=512, assoc=2)  # 2 sets
-        cache.insert(0)
-        cache.insert(1)  # other set
-        cache.insert(2)
-        cache.insert(3)
-        assert cache.occupancy() == 4  # no evictions
+        h, victims = make_llc(capacity=512, assoc=2)  # 2 sets
+        for addr in range(4):  # two per set
+            h.fill_prefetch(addr)
+        assert victims == [] and len(h.resident_addresses()) == 4
 
     def test_adjacent_addresses_map_to_different_sets(self):
         # Pair members (addr, addr+1) never evict each other -- relied on
         # by the super block fill path.
-        cache = make_cache(capacity=2048, assoc=2)  # 8 sets
+        cache = SetAssociativeCache(CacheConfig(2048, 2, 128))  # 8 sets
         for addr in range(0, 64, 2):
-            assert addr % 8 != (addr + 1) % 8
+            assert addr % cache.num_sets != (addr + 1) % cache.num_sets
 
 
 class TestProperty:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
     def test_occupancy_never_exceeds_ways(self, addrs):
-        cache = make_cache(capacity=1024, assoc=2)  # 4 sets x 2 ways
+        h, _ = make_llc(capacity=1024, assoc=2)  # 4 sets x 2 ways
         for addr in addrs:
-            if not cache.lookup(addr):
-                cache.insert(addr)
-        assert cache.occupancy() <= 8
+            if h.access(addr, False).level == "miss":
+                h.fill_demand(addr, False)
+        assert len(h.resident_addresses()) <= 8
         # Per-set constraint.
-        for s in cache._sets:
+        for s in h.llc.sets:
             assert len(s) <= 2
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
     def test_most_recent_insert_is_resident(self, addrs):
-        cache = make_cache(capacity=1024, assoc=2)
+        h, _ = make_llc(capacity=1024, assoc=2)
         for addr in addrs:
-            cache.insert(addr)
-            assert cache.contains(addr)
+            h.fill_prefetch(addr)
+            assert h.contains(addr)

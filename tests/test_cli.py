@@ -421,6 +421,7 @@ class TestOneErrorConvention:
             "serve -s dyn --requests 0",
             "serve -s dyn --tenants 2 --weights 1,x",
             "chaos --shards 1 --ops 10",
+            "chaos --layers bogus",
             "audit -w locality:50 --accesses 100 --window 0",
         ],
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.hierarchy import CacheHierarchy
 from repro.config import (
     CacheConfig,
     DRAMConfig,
@@ -41,11 +41,12 @@ class TestTinyGeometries:
         oram.check_invariants()
 
     def test_direct_mapped_cache(self):
-        cache = SetAssociativeCache(CacheConfig(1024, 1, 128))  # 8 sets, 1 way
-        cache.insert(0)
-        assert cache.contains(0)
-        cache.insert(8)  # same set: evicts 0
-        assert not cache.contains(0)
+        llc = CacheConfig(1024, 1, 128)  # 8 sets, 1 way
+        h = CacheHierarchy(llc, llc)
+        h.fill_prefetch(0)
+        assert h.contains(0)
+        h.fill_prefetch(8)  # same set: evicts 0
+        assert not h.contains(0)
 
     def test_scaled_to_footprint_tiny_and_large(self):
         config = ORAMConfig()

@@ -1,7 +1,19 @@
 """Unit tests for the two-level inclusive cache hierarchy."""
 
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.cache
+import repro.memory.dram
 from repro.cache.hierarchy import CacheHierarchy
-from repro.config import CacheConfig
+from repro.config import CacheConfig, SystemConfig
+from repro.sim.system import SecureSystem
+from repro.sim.trace import Trace
 
 #: (L1s in the tile, the core that accesses): an end core and a middle core
 #: of a shared tile.  The cases run their single-core body on the defaults
@@ -16,6 +28,13 @@ def make_hierarchy(callback=None, l1_kb=2, llc_kb=8, num_cores=1):
         victim_callback=callback,
         num_cores=num_cores,
     )
+
+
+def evict(h, addr):
+    """Push ``addr`` out of the LLC (and so every L1) with conflicting
+    prefetch fills into its set; the set must hold nothing else."""
+    for k in range(1, h.llc.associativity + 1):
+        h.fill_prefetch(addr + k * h.llc.num_sets)
 
 
 class TestAccessPath:
@@ -94,7 +113,7 @@ class TestDirtyPropagation:
         h = make_hierarchy(callback=lambda a, d: dirty_flags.append((a, d)))
         h.fill_demand(3, False)
         assert h.access(3, True).level == "l1"  # write hits the L1
-        h.invalidate(3)
+        evict(h, 3)
         assert dirty_flags == [(3, True)]
         for num_cores, core in CORES:
             del dirty_flags[:]
@@ -103,7 +122,7 @@ class TestDirtyPropagation:
             )
             h.fill_demand(3, False, core)
             assert h.access(3, True, core).level == "l1"  # that core's L1
-            h.invalidate(3)
+            evict(h, 3)
             assert dirty_flags == [(3, True)]
             assert not any(l1.contains(3) for l1 in h.l1s)
 
@@ -111,7 +130,7 @@ class TestDirtyPropagation:
         flags = []
         h = make_hierarchy(callback=lambda a, d: flags.append((a, d)))
         h.fill_demand(4, True)
-        h.invalidate(4)
+        evict(h, 4)
         assert flags == [(4, True)]
         for num_cores, core in CORES:
             del flags[:]
@@ -119,14 +138,14 @@ class TestDirtyPropagation:
                 callback=lambda a, d: flags.append((a, d)), num_cores=num_cores
             )
             h.fill_demand(4, True, core)
-            h.invalidate(4)
+            evict(h, 4)
             assert flags == [(4, True)]
 
     def test_clean_line_reported_clean(self):
         flags = []
         h = make_hierarchy(callback=lambda a, d: flags.append((a, d)))
         h.fill_demand(4, False)
-        h.invalidate(4)
+        evict(h, 4)
         assert flags == [(4, False)]
 
 
@@ -136,3 +155,193 @@ class TestProbe:
         h.fill_prefetch(9)
         assert h.contains(9)
         assert not h.contains(10)
+
+
+# ----------------------------------------------------------- host cost guard
+#: the frames the guard counts: every cache level and the DRAM backend
+COUNTED = (str(Path(repro.cache.__file__).parent) + os.sep, repro.memory.dram.__file__)
+
+
+class TestOneFramePerEvent:
+    """Each processor event is resolved in one hierarchy frame.
+
+    A one-reference trace runs through ``SecureSystem.build("dram", ...)``
+    under ``sys.setprofile``; every Python frame whose code lives under
+    ``repro/cache/`` or in ``repro/memory/dram.py`` is counted by function
+    name.  A hit is one ``access``; a miss adds one ``fill_demand`` and the
+    DRAM schedule of the fetch, plus, when the LLC victim is dirty, the
+    write-back's ``evict_line`` and schedule.
+    """
+
+    MISS = {"access": 1, "fill_demand": 1, "demand_access": 1, "_schedule": 1}
+
+    def system(self):
+        config = SystemConfig(
+            l1=CacheConfig(512, 2, 128),  # 2 sets x 2 ways
+            llc=CacheConfig(2048, 4, 128, hit_latency=8),  # 4 sets x 4 ways
+        )
+        return SecureSystem.build("dram", 64, config)
+
+    def frames(self, system, addr, is_write=False):
+        trace = Trace("one", footprint_blocks=64)
+        trace.append(10, addr, is_write)
+        frames = Counter()
+
+        def hook(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(COUNTED):
+                frames[frame.f_code.co_name] += 1
+
+        sys.setprofile(hook)
+        try:
+            system.run(trace)
+        finally:
+            sys.setprofile(None)
+        return dict(frames)
+
+    def test_l1_hit(self):
+        system = self.system()
+        system.hierarchy.fill_demand(5, False)
+        assert self.frames(system, 5, is_write=True) == {"access": 1}
+
+    def test_llc_hit(self):
+        system = self.system()
+        system.hierarchy.fill_prefetch(5)
+        assert self.frames(system, 5, is_write=True) == {"access": 1}
+
+    def test_clean_miss(self):
+        system = self.system()
+        assert self.frames(system, 5) == self.MISS
+
+    def test_miss_evicting_a_clean_line(self):
+        system = self.system()
+        for addr in (1, 5, 9, 13):  # fill LLC set 1; 1 is its LRU line
+            system.hierarchy.fill_prefetch(addr)
+        assert self.frames(system, 17) == {**self.MISS, "evict_line": 1}
+        assert not system.hierarchy.contains(1)
+
+    def test_miss_evicting_a_dirty_line(self):
+        system = self.system()
+        system.hierarchy.fill_demand(1, True)  # dirty, and in the L1 too
+        for addr in (5, 9, 13):
+            system.hierarchy.fill_prefetch(addr)
+        assert self.frames(system, 17) == {**self.MISS, "evict_line": 1, "_schedule": 2}
+        assert not system.hierarchy.contains(1)
+        assert not system.hierarchy.l1.contains(1)
+        assert system.backend.stats.write_accesses == 1
+
+
+# ------------------------------------------------------------ the LRU model
+class LruModel:
+    """The inclusive L1s + LLC written as plain lists, one rule per line.
+
+    A set is a list in LRU -> MRU order; dirty bits live in dicts.
+    """
+
+    def __init__(self, l1: CacheConfig, llc: CacheConfig, cores: int):
+        self.l1_geometry = (l1.num_sets, l1.associativity)
+        self.llc_geometry = (llc.num_sets, llc.associativity)
+        self.l1 = [[[] for _ in range(l1.num_sets)] for _ in range(cores)]
+        self.llc = [[] for _ in range(llc.num_sets)]
+        self.dirty = {}  # LLC dirty bits
+        self.victims = []
+        self.l1_counts = [[0, 0, 0] for _ in range(cores)]  # hits, misses, evictions
+        self.llc_counts = [0, 0, 0]
+
+    def l1_set(self, core, addr):
+        return self.l1[core][addr % self.l1_geometry[0]]
+
+    def install_l1(self, core, addr):
+        lines = self.l1_set(core, addr)
+        if addr in lines:
+            lines.remove(addr)
+        elif len(lines) == self.l1_geometry[1]:
+            lines.pop(0)  # silent: the LLC holds its data and dirtiness
+            self.l1_counts[core][2] += 1
+        lines.append(addr)
+
+    def access(self, addr, is_write, core):
+        lines = self.l1_set(core, addr)
+        if addr in lines:
+            self.l1_counts[core][0] += 1
+            lines.remove(addr)
+            lines.append(addr)
+            if is_write:
+                self.dirty[addr] = True
+            return "l1"
+        self.l1_counts[core][1] += 1
+        lines = self.llc[addr % self.llc_geometry[0]]
+        if addr in lines:
+            self.llc_counts[0] += 1
+            lines.remove(addr)
+            lines.append(addr)
+            if is_write:
+                self.dirty[addr] = True
+            self.install_l1(core, addr)
+            return "llc"
+        self.llc_counts[1] += 1
+        return "miss"
+
+    def fill(self, addr, is_write, core):
+        lines = self.llc[addr % self.llc_geometry[0]]
+        if addr in lines:
+            lines.remove(addr)
+            self.dirty[addr] = self.dirty[addr] or is_write
+        else:
+            if len(lines) == self.llc_geometry[1]:
+                victim = lines.pop(0)
+                self.llc_counts[2] += 1
+                for l1 in self.l1:
+                    victim_lines = l1[victim % self.l1_geometry[0]]
+                    if victim in victim_lines:
+                        victim_lines.remove(victim)
+                self.victims.append((victim, self.dirty.pop(victim)))
+            self.dirty[addr] = is_write
+        lines.append(addr)
+        if core is not None:
+            self.install_l1(core, addr)
+
+
+REFERENCE = st.tuples(
+    st.integers(min_value=0, max_value=1),  # core (folded onto 0 for one core)
+    st.integers(min_value=0, max_value=47),  # line address
+    st.booleans(),  # is_write
+    st.booleans(),  # a miss also prefetches the next line into the LLC
+)
+
+
+class TestAgainstLruModel:
+    L1 = CacheConfig(512, 2, 128)  # 2 sets x 2 ways
+    LLC = CacheConfig(2048, 4, 128, hit_latency=8)  # 4 sets x 4 ways
+
+    def check(self, references, cores):
+        victims = []
+        h = CacheHierarchy(
+            self.L1, self.LLC, lambda a, d: victims.append((a, d)), num_cores=cores
+        )
+        model = LruModel(self.L1, self.LLC, cores)
+        for core, addr, is_write, prefetch in references:
+            core %= cores
+            level = h.access(addr, is_write, core).level
+            assert level == model.access(addr, is_write, core)
+            if level == "miss":
+                h.fill_demand(addr, is_write, core)
+                model.fill(addr, is_write, core)
+                if prefetch:
+                    h.fill_prefetch(addr + 1)
+                    model.fill(addr + 1, False, None)
+        assert victims == model.victims
+        assert h.resident_addresses() == [a for lines in model.llc for a in lines]
+        for core, l1 in enumerate(h.l1s):
+            assert l1.resident_addresses() == [a for lines in model.l1[core] for a in lines]
+            assert [l1.hits, l1.misses, l1.evictions] == model.l1_counts[core]
+        assert [h.llc.hits, h.llc.misses, h.llc.evictions] == model.llc_counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(REFERENCE, max_size=300))
+    def test_one_core_matches_the_model(self, references):
+        self.check(references, cores=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(REFERENCE, max_size=300))
+    def test_two_cores_match_the_model(self, references):
+        self.check(references, cores=2)

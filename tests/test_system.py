@@ -145,6 +145,14 @@ class TestSchemeComparisons:
         assert 1.0 <= slowdown < 1.5
 
 
+def evict_from_llc(system, addr):
+    """Push ``addr`` out of the LLC with conflicting prefetch fills."""
+    llc = system.hierarchy.llc
+    for k in range(1, llc.associativity + 1):
+        system.hierarchy.fill_prefetch(addr + k * llc.num_sets)
+    assert not llc.contains(addr)
+
+
 class TestPendingFills:
     """Regression: stale in-flight prefetch fills must be purged when the
     line leaves the LLC, so a later re-fetch of the same address cannot
@@ -154,7 +162,7 @@ class TestPendingFills:
         system = SecureSystem.build("dram_pre", footprint_blocks=256, config=small_config())
         system.hierarchy.fill_prefetch(7)
         system._pending_fills[7] = 10**15  # fill still "in flight"
-        system.hierarchy.invalidate(7)  # line leaves the LLC before use
+        evict_from_llc(system, 7)  # line leaves the LLC before use
         assert 7 not in system._pending_fills
 
     def test_pending_fills_bounded_by_llc_capacity(self):
@@ -169,7 +177,7 @@ class TestPendingFills:
         system = SecureSystem.build("dram_pre", footprint_blocks=256, config=small_config())
         system.hierarchy.fill_prefetch(9)
         system._pending_fills[9] = 10**15
-        system.hierarchy.invalidate(9)
+        evict_from_llc(system, 9)
         # Re-fetch on demand and hit it: the run loop must not pick up the
         # stale completion cycle.
         trace = Trace("refetch", footprint_blocks=256)
