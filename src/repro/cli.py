@@ -51,7 +51,6 @@ from repro.observability import (
 )
 from repro.parallel import ParallelShardRuntime, run_serial_reference
 from repro.parallel.merge import requests_from_trace
-from repro.parallel.runtime import check_health_policy
 from repro.security.observer import AccessObserver
 from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
 from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
@@ -505,7 +504,6 @@ def cmd_parallel(args) -> int:
     """Race the process-parallel shard runtime against the serial bank."""
     scheme = bank_scheme(args)
     policy = health_policy(args)
-    from_options(check_health_policy, policy)
     trace = workload_trace(args)
     requests = requests_from_trace(trace)
     config = memory_config(args)
@@ -523,6 +521,7 @@ def cmd_parallel(args) -> int:
         config,
         num_shards=workers,
         workload=trace.name,
+        health_policy=policy,
     )
     serial_s = time.perf_counter() - begin
     with tempfile.TemporaryDirectory(prefix="repro-parallel-") as checkpoint_dir:
@@ -632,8 +631,6 @@ def cmd_chaos(args) -> int:
         layer.strip() for layer in args.layers.split(",") if layer.strip()
     )
     from_options(check_chaos_layers, layers)
-    if "parallel" in layers:
-        from_options(check_health_policy, policy)
     report = run_chaos(scenario, policy, layers=layers)
     print(report.render())
     if args.output:

@@ -70,6 +70,7 @@ from repro.core.thresholds import (
     StaticThresholdPolicy,
     ThresholdPolicy,
 )
+from repro.health.breaker import HealthPolicy
 from repro.health.plane import HealthControlPlane
 from repro.memory.backend import BackendStats, DemandResult, MemoryBackend, sum_counters
 from repro.memory.oram_backend import ORAMBackend
@@ -108,7 +109,7 @@ class ShardedORAMBank(MemoryBackend):
         #: optional :class:`~repro.health.HealthControlPlane`; ``None``
         #: keeps the access path bit-identical to the pre-health bank
         self.health = None
-        self._pressure_limits: List[int] = []
+        self._stash_limits: List[int] = []
 
     # ----------------------------------------------------------------- wiring
     def set_recorder(self, recorder) -> None:
@@ -155,22 +156,19 @@ class ShardedORAMBank(MemoryBackend):
             )
         self.health = plane
         if plane is None:
-            self._pressure_limits = []
+            self._stash_limits = []
             for shard in self.shards:
                 shard.set_degraded(False)
             return
-        fraction = plane.policy.stash_pressure_fraction
-        self._pressure_limits = [
-            max(1, int(shard.oram.stash.capacity * fraction))
-            for shard in self.shards
+        self._stash_limits = [
+            pressure_limit(shard, plane.policy) for shard in self.shards
         ]
 
     def quarantine_shard(self, index: int, reason: str = "operator") -> None:
         """Hard-quarantine one channel (chaos/fault hook; needs a plane)."""
         if self.health is None:
             raise ValueError("no health plane attached")
-        state = self.health.record_hard_failure(index, reason)
-        self.shards[index].set_degraded(state.throttled)
+        quarantine(self.health, index, self.shards[index], reason)
 
     def _split(self, addr: int) -> Tuple[ORAMBackend, int]:
         return self.shards[addr % self.num_shards], addr // self.num_shards
@@ -214,53 +212,11 @@ class ShardedORAMBank(MemoryBackend):
         shard = self.shards[shard_index]
         if self.health is None:
             result = shard.demand_access(addr // self.num_shards, now, is_write)
-            return self._globalize(shard_index, result)
-        return self._health_access(
-            shard_index, shard, addr // self.num_shards, now, is_write
-        )
-
-    def _health_access(
-        self, shard_index: int, shard: ORAMBackend, local: int, now: int,
-        is_write: bool,
-    ) -> DemandResult:
-        """One demand access under the health protocol.
-
-        A sick channel (quarantined fallback or half-open probe: the
-        state is ``padded``) still serves its own addresses -- the blocks
-        live in its tree; there is nowhere else to read them -- but pads
-        each access with a dummy path access, so every request presents
-        the same two-path shape to the storage adversary.  Both paths draw
-        uniformly random leaves, so the access sequence stays
-        indistinguishable from the healthy one (the chaos harness gates
-        this with the :class:`~repro.observability.LeafUniformityMonitor`).
-        The outcome is fed to the breaker whatever the state; stash
-        pressure only while unpadded; then the shard's degraded mode
-        follows the state's ``throttled``.
-        """
-        health = self.health
-        padded = health.state(shard_index).padded
-        if padded:
-            # Half-opening a quarantined shard past its cooldown turns this
-            # access into a probe; both states pad.
-            health.begin_probe_if_ready(shard_index)
-        stats = shard.stats
-        faults_before = stats.transient_faults
-        start = max(now, shard.busy_until)
-        result = shard.demand_access(local, now, is_write)
-        # The padding path and the breaker's latency both go by the
-        # controller's clock -- the demand path's write-back end -- not by
-        # when its block came back to the core.
-        if padded:
-            result.completion_cycle = shard.dummy_path_access(shard.busy_until)
-        state = health.record_access(
-            shard_index,
-            stats.transient_faults == faults_before,
-            shard.busy_until - start,
-        )
-        if not padded and len(shard.oram.stash) > self._pressure_limits[shard_index]:
-            state = health.record_pressure(shard_index)
-        if state.throttled != shard.degraded:
-            shard.set_degraded(state.throttled)
+        else:
+            result = health_access(
+                self.health, shard_index, shard, addr // self.num_shards, now,
+                is_write, self._stash_limits[shard_index],
+            )
         return self._globalize(shard_index, result)
 
     def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
@@ -356,6 +312,69 @@ class ShardedORAMBank(MemoryBackend):
         report = run_fsck_bank(self, max_errors=1)
         if not report.ok:
             raise AssertionError(report.errors[0])
+
+
+# ------------------------------------------------------------ health step
+# One shard's health protocol, whoever holds the shard: a bank channel
+# (``index`` = the channel) and a shard worker (a 1-wide plane, index 0) call
+# the same functions, so a breaker is fed the same events per access
+# in-process and in a worker.
+
+def pressure_limit(shard: ORAMBackend, policy: HealthPolicy) -> int:
+    """Stash occupancy above which *policy* counts a pressure signal."""
+    return max(1, int(shard.oram.stash.capacity * policy.stash_pressure_fraction))
+
+
+def health_access(
+    health: HealthControlPlane, index: int, shard: ORAMBackend, local: int,
+    now: int, is_write: bool, stash_limit: int,
+) -> DemandResult:
+    """One demand access of *shard* under breaker ``health.breakers[index]``.
+
+    A sick shard (quarantined fallback or half-open probe: the state is
+    ``padded``) still serves its own addresses -- the blocks live in its
+    tree; there is nowhere else to read them -- but pads each access with
+    a dummy path access, so every request presents the same two-path shape
+    to the storage adversary.  Both paths draw uniformly random leaves, so
+    the access sequence stays indistinguishable from the healthy one (the
+    chaos harness gates this with the
+    :class:`~repro.observability.LeafUniformityMonitor`).  The outcome and
+    its simulated latency are fed to the breaker whatever the state; stash
+    pressure (occupancy above *stash_limit*, :func:`pressure_limit`) only
+    while unpadded; then the shard's degraded mode follows the state's
+    ``throttled``.  Returns the shard's (local) result.
+    """
+    padded = health.state(index).padded
+    if padded:
+        # Half-opening a quarantined shard past its cooldown turns this
+        # access into a probe; both states pad.
+        health.begin_probe_if_ready(index)
+    stats = shard.stats
+    faults_before = stats.transient_faults
+    start = max(now, shard.busy_until)
+    result = shard.demand_access(local, now, is_write)
+    # The padding path and the breaker's latency both go by the
+    # controller's clock -- the demand path's write-back end -- not by
+    # when its block came back to the core.
+    if padded:
+        result.completion_cycle = shard.dummy_path_access(shard.busy_until)
+    state = health.record_access(
+        index, stats.transient_faults == faults_before, shard.busy_until - start
+    )
+    if not padded and len(shard.oram.stash) > stash_limit:
+        state = health.record_pressure(index)
+    if state.throttled != shard.degraded:
+        shard.set_degraded(state.throttled)
+    return result
+
+
+def quarantine(
+    health: HealthControlPlane, index: int, shard: ORAMBackend, reason: str
+) -> None:
+    """Hard-quarantine *shard* (an operator's or a supervisor's verdict:
+    chaos, a dead or hung worker) and throttle it at once."""
+    state = health.record_hard_failure(index, reason)
+    shard.set_degraded(state.throttled)
 
 
 # ------------------------------------------------------------- construction

@@ -11,10 +11,11 @@ sustained stash pressure.  This package supplies the decision layer
   deterministic failure-rate and latency windows, fed one
   ``record(ok, latency)`` per access outcome in every state;
 * :class:`HealthControlPlane` (:mod:`repro.health.plane`) -- one breaker
-  per shard, reported under ``health.*`` names by ``to_registry()``,
-  shared by the in-process :class:`~repro.controller.sharded.
-  ShardedORAMBank` and the :class:`~repro.parallel.runtime.
-  ParallelShardRuntime`.
+  per shard, reported under ``health.*`` names by ``to_registry()``, fed
+  by one health step (:func:`repro.controller.sharded.health_access`)
+  whether the shard is a channel of an in-process
+  :class:`~repro.controller.sharded.ShardedORAMBank` or a worker of a
+  :class:`~repro.parallel.runtime.ParallelShardRuntime`.
 
 The protocol lives here: a state's ``throttled`` (merges and prefetches
 throttled, reduced quota) and ``padded`` (one dummy path per access) are

@@ -9,8 +9,8 @@ parallel worker) into four states:
   queueing); entered on a tripped failure-rate / latency window or a
   stash-pressure signal, left after clean windows;
 * **QUARANTINED** -- the shard is not trusted with demand traffic.  The
-  owner routes its addresses through a serial fallback path with
-  dummy-access padding (see the bank / parallel runtime integrations);
+  shard serves its own addresses as fallback accesses, each padded with
+  a dummy path access (the shard's health step, in a bank or a worker);
   entered on a hard failure (worker death, hung heartbeat, deadline
   violation) or a failure storm;
 * **PROBING** -- half-open: a bounded batch of probe accesses runs
@@ -20,8 +20,10 @@ parallel worker) into four states:
 What a state does to traffic is answered here, once, by
 :attr:`HealthState.throttled` and :attr:`HealthState.padded`; what an
 access outcome counts as is answered by the breaker's one feed,
-:meth:`CircuitBreaker.record`.  Owners (the bank, the parallel runtime)
-read both and spell out no state switch of their own.
+:meth:`CircuitBreaker.record`.  The one owner, the shard's health step
+(:func:`repro.controller.sharded.health_access`, run by a bank channel and
+a shard worker alike), reads both and spells out no state switch of its
+own.
 
 Every decision is driven by *event counts* (windows of recorded
 successes/failures, cooldown access counts, probe budgets) -- never by
@@ -44,8 +46,8 @@ class HealthState(enum.Enum):
             process boundary.
         code: stable numeric code for gauges (0 = healthy .. 3 = probing).
         throttled: the shard runs degraded -- super-block merges
-            suspended, traditional prefetches shed, a reduced batch quota
-            / inflight cap.
+            suspended, traditional prefetches shed, a reduced serve batch
+            quota.
         padded: every access of the shard is followed by one dummy path
             access (the fallback and probe traffic of a sick shard), so it
             keeps the fixed two-path shape.
@@ -70,6 +72,9 @@ class HealthState(enum.Enum):
 class HealthPolicy:
     """Knobs of the health state machine and its enforcement deadlines.
 
+    The shard's breaker reads (wherever the shard runs: a bank channel or
+    a worker process, which gets the policy in its spec):
+
     Attributes:
         window: accesses per breaker evaluation window.
         degrade_failure_rate: windowed failure fraction at or above which
@@ -77,10 +82,9 @@ class HealthPolicy:
         quarantine_failure_rate: windowed failure fraction at or above
             which a shard (healthy or degraded) is QUARANTINED outright
             -- the fault-storm trip.
-        degrade_latency_cycles: mean per-access latency (cycles) over a
-            window above which the shard degrades; ``0`` disables the
-            latency trip.  The parallel runtime has no simulated latency
-            to feed and refuses a nonzero value.
+        degrade_latency_cycles: mean per-access latency (simulated
+            cycles) over a window above which the shard degrades; ``0``
+            disables the latency trip.
         recover_windows: consecutive clean windows (no trip) required to
             leave DEGRADED.
         quarantine_cooldown: fallback-served accesses a quarantined
@@ -91,15 +95,19 @@ class HealthPolicy:
             shard (must be <= probe_batch).
         stash_pressure_fraction: stash occupancy fraction that counts as
             a pressure signal and degrades the shard immediately.
-        heartbeat_every: accesses between worker heartbeat replies in
-            the parallel runtime (0 disables heartbeats).
+
+    The supervisor's process fields, read only by the parallel runtime
+    (they watch worker processes, not traffic):
+
+    Attributes:
         batch_deadline_s: wall-clock seconds without progress (ack or
-            heartbeat) after which an in-flight parallel worker is
-            declared hung and its breaker trips; ``0`` disables
-            deadline enforcement.
-        join_timeout_s: ``Process.join`` timeout used by the parallel
-            runtime's lifecycle paths (hoisted from the former
-            hard-coded 5 s constants so chaos tests can shrink it).
+            heartbeat) after which an in-flight worker is declared hung,
+            terminated and reopened with a ``hard_failure``; ``0``
+            disables deadline enforcement.
+        heartbeat_every: accesses between worker heartbeat replies (0
+            disables heartbeats).
+        join_timeout_s: ``Process.join`` timeout of every lifecycle path
+            of the runtime.
     """
 
     window: int = 64
@@ -196,6 +204,8 @@ class CircuitBreaker:
         "fallbacks_total": "fallback_accesses",
         "probes_total": "probes",
     }
+    #: attributes :meth:`state_dict` does not carry as plain values
+    _NOT_PLAIN = ("policy", "name", "state", "transitions")
 
     def __init__(self, policy: Optional[HealthPolicy] = None, name: str = "shard"):
         self.policy = policy or HealthPolicy()
@@ -342,6 +352,34 @@ class CircuitBreaker:
                     self._transition(HealthState.HEALTHY, "window_recovered")
                     return
             self._reset_window()
+
+    # ------------------------------------------------------------ persistence
+    def state_dict(self) -> dict:
+        """Everything the breaker has counted, JSON-ready: a shard worker's
+        checkpoint carries it, and so does its run-end ``stats`` reply."""
+        state = {
+            name: value
+            for name, value in vars(self).items()
+            if name not in self._NOT_PLAIN
+        }
+        state["state"] = self.state.value
+        state["transitions"] = [
+            [t.event_index, t.previous.value, t.state.value, t.reason]
+            for t in self.transitions
+        ]
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Become the breaker :meth:`state_dict` captured (policy and name
+        stay this breaker's own; only its own attribute names are read)."""
+        for name in vars(self):
+            if name not in self._NOT_PLAIN:
+                setattr(self, name, state[name])
+        self.state = HealthState(state["state"])
+        self.transitions = [
+            HealthTransition(index, HealthState(previous), HealthState(new), reason)
+            for index, previous, new, reason in state["transitions"]
+        ]
 
     # ---------------------------------------------------------------- queries
     def transition_pairs(self) -> List[Tuple[str, str]]:

@@ -8,9 +8,11 @@ back a :class:`~repro.health.breaker.HealthState` whose ``throttled`` /
 ``padded`` say what to do with the shard's traffic; the serving front end
 asks its two admission queries (:meth:`~HealthControlPlane.should_reroute`,
 :meth:`~HealthControlPlane.throttled`).  The plane never touches a shard
-itself -- the bank and the parallel runtime remain the only actors on their
-components -- so it stays a pure, deterministic decision layer that both
-integrations (and the chaos harness) share.  The breakers count their own
+itself -- the shard's health step
+(:func:`repro.controller.sharded.health_access`) is the one actor, in a bank
+channel and in a shard worker (which holds a 1-wide plane) alike -- so it
+stays a pure, deterministic decision layer.  A parallel runtime's plane is
+a report view: its breakers are loaded from the ones the workers ship.  The breakers count their own
 events in bare attributes;
 :meth:`HealthControlPlane.to_registry` is the one walk that reports them,
 under ``health.shard<i>.*`` names.

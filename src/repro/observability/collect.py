@@ -188,10 +188,9 @@ def collect_parallel(runtime, registry: Optional[MetricsRegistry] = None) -> Met
     Names ``runtime.worker_snapshots()`` under ``parallel.worker<i>.*``:
     the ``queue_depth`` gauge and the ``restarts`` / ``hangs`` counters for
     every worker (a report that says ``0`` beats one that silently omits
-    the healthy shards), ``batches`` / ``fallback_batches`` (batches a
-    quarantined worker served) and the ``batch_roundtrip_us`` histogram
-    once they hold an event; a health control plane, when attached, lands
-    under its usual ``health.*`` names.
+    the healthy shards), ``batches`` and the ``batch_roundtrip_us``
+    histogram once they hold an event; under a health policy the breakers
+    the workers shipped land under their usual ``health.*`` names.
     """
     registry = registry if registry is not None else MetricsRegistry()
     registry.gauge("parallel.num_workers").set(runtime.num_workers)

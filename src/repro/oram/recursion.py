@@ -53,19 +53,6 @@ class PosMapHierarchy:
         for name in self.COUNTERS:
             setattr(self, name, 0)
 
-    def posmap_block_ids(self, addr: int) -> List[tuple]:
-        """(hierarchy, block id) keys for the PosMap blocks covering ``addr``.
-
-        Entry 0 is the level-1 PosMap block (the one holding the data
-        block's leaf), entry 1 the level-2 block, and so on.
-        """
-        ids = []
-        block_id = addr
-        for hierarchy in range(1, self.num_hierarchies):
-            block_id >>= self._shift
-            ids.append((hierarchy, block_id))
-        return ids
-
     def lookup(self, addr: int) -> int:
         """Walk the hierarchy for one request; return *extra* path accesses.
 

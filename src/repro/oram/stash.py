@@ -10,7 +10,7 @@ next real request when the stash is over capacity, section 2.4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.oram.block import Block
 
@@ -38,23 +38,6 @@ class Stash:
         self._blocks[block.addr] = block
         if len(self._blocks) > self.max_occupancy:
             self.max_occupancy = len(self._blocks)
-
-    def add_all(self, blocks: List[Block]) -> None:
-        """Insert many blocks (path read).
-
-        Hot path: one bulk insert with an amortized duplicate check and a
-        single high-watermark update instead of per-block bookkeeping.
-        """
-        store = self._blocks
-        before = len(store)
-        for block in blocks:
-            store[block.addr] = block
-        after = len(store)
-        if after != before + len(blocks):
-            # Slow path purely for the error message: find the duplicate.
-            raise ValueError("duplicate block in stash (path/stash overlap)")
-        if after > self.max_occupancy:
-            self.max_occupancy = after
 
     def pop(self, addr: int) -> Optional[Block]:
         """Remove and return the block with ``addr`` if present."""

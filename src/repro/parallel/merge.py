@@ -171,21 +171,24 @@ def run_serial_reference(
     *,
     workload: str = "parallel",
     fsck: bool = False,
+    health_policy=None,
 ) -> SimResult:
     """Replay a request stream through an in-process sharded bank.
 
     This is the golden oracle for the parallel runtime: same shard
     construction (:func:`~repro.controller.sharded.build_shard_backend`),
-    same per-shard request sub-streams, same snapshot/merge path -- just no
+    same per-shard request sub-streams, same per-access health step under
+    the same *health_policy*, same snapshot/merge path -- just no
     processes.  ``ParallelShardRuntime.run`` must match its return value
-    exactly, and so must a serving front end whose ``issued`` schedule is
-    passed as *requests*.
+    exactly (fault-free and kill-free), and so must a serving front end
+    whose ``issued`` schedule is passed as *requests*.
     """
     bank = build_bank(
         scheme,
         footprint_blocks,
         config or SystemConfig(),
         num_shards,
+        health_policy=health_policy,
     )
     results = bank.access_batch(list(requests))
     completions: List[int] = [r.completion_cycle for r in results]

@@ -14,9 +14,9 @@ Commands (front-end -> worker)::
     ("stats", seq)           # sample the backend's counters() walk
     ("fsck", seq)            # audit the shard's ORAM invariants
     ("checkpoint", seq)      # force a checkpoint outside the cadence
-    ("health", None, state)  # the breaker's HealthState value: the executor
-                             # runs degraded iff `throttled`, pads every
-                             # access with a dummy path iff `padded`; no reply
+    ("hard_failure", None, reason)  # the supervisor reopened this shard
+                             # after a death or hang: quarantine its breaker
+                             # and checkpoint at once; no reply
     ("hang", None, seconds)  # chaos hook: stall the command loop; no reply
     ("shutdown",)
 
@@ -26,20 +26,30 @@ Replies (worker -> front-end)::
     ("batch_done", seq, [completion, ...], checkpointed_seq)
     ("heartbeat", seq, done_count)   # mid-batch progress (liveness proof)
     ("drained", seq)
-    ("stats", seq, snapshot_dict)
+    ("stats", seq, snapshot_dict, breaker)   # breaker: the shard's
+                             # CircuitBreaker.state_dict(), None without
+                             # a health policy
     ("fsck_done", seq, ok, summary)
     ("checkpoint_done", seq, checkpointed_seq)
     ("error", seq_or_None, traceback_text)
 
-An executor starts healthy (neither degraded nor padded); a runtime with a
-health plane sends ``health`` on every open and whenever the shard's
-breaker moves -- quarantine, probing and re-admission included, so a sick
-shard stays the same worker process until it dies.
+Health is shard state.  A spec with a ``health_policy`` gives the
+executor its own breaker (a 1-wide
+:class:`~repro.health.HealthControlPlane`), fed once per access by the
+same health step a bank channel runs
+(:func:`repro.controller.sharded.health_access`): padding, probing,
+latency, stash pressure and degraded mode are all decided in the worker.
+The breaker rides in the checkpoint's runtime section beside ``last_seq``
+and the reply window, so a reopened shard resumes its own health, and in
+the run-end ``stats`` reply, from which the front-end assembles its
+report.  The front-end only supervises processes; its one health input is
+``hard_failure``.
 
 The runtime replays the seq-numbered commands (batches and the
 drain/fsck/checkpoint/stats barrier that ends a run) through one
 pending/replay bookkeeping: after a reopen, every command the restored
-checkpoint does not cover is sent again in sequence order.
+checkpoint does not cover is sent again in sequence order, behind the
+``hard_failure``.
 
 Sequence numbers are per-worker and strictly increasing; a worker that
 receives a batch it already applied (a replay after the reply was lost in
@@ -53,6 +63,7 @@ from typing import Optional
 
 from repro.config import SystemConfig
 from repro.faults.injector import FaultConfig
+from repro.health.breaker import HealthPolicy
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,8 @@ class ShardSpec:
         heartbeat_every: completions between mid-batch ``heartbeat``
             replies (0 disables).  Heartbeats let the front-end tell a
             slow worker from a hung one under deadline enforcement.
+        health_policy: optional :class:`~repro.health.HealthPolicy`;
+            the shard then runs its own breaker, per access.
         fault_config: optional in-worker fault injection.  The worker
             salts the config seed with ``(shard_index, rng_restart_salt)``
             so every shard -- and every respawn -- draws an independent,
@@ -103,4 +116,5 @@ class ShardSpec:
     replay_window: int = 8
     rng_restart_salt: int = 0
     heartbeat_every: int = 0
+    health_policy: Optional[HealthPolicy] = None
     fault_config: Optional[FaultConfig] = None

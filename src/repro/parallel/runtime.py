@@ -32,24 +32,22 @@ attributes (``_Worker.COUNTERS``) next to a batch round-trip histogram;
 :meth:`ParallelShardRuntime.metrics` reports it under
 ``parallel.worker<i>.*``.
 
-Health control plane (optional): constructed with a
-:class:`~repro.health.HealthPolicy`, the runtime wraps every worker in a
-:class:`~repro.health.CircuitBreaker` and enforces wall-clock deadlines.
-Workers emit mid-batch ``heartbeat`` replies; a worker whose in-flight
-batches make no progress (no ack, no heartbeat) for ``batch_deadline_s``
-is declared *hung* and terminated.  A dead or hung shard is healed the
-same way with or without a plane -- a fresh worker process reopened from
-its checkpoint, within the restart budget -- and the plane only trips the
-breaker into QUARANTINE.  Quarantine, probing and re-admission are breaker
-moves told to that same process: every open and every move sends the
-executor a ``health`` command, so quarantined and probing batches are
-padded with one dummy path per request (the uniform-leaf access shape)
-and run degraded (super-block merges / prefetcher throttled), like
-DEGRADED ones; the inflight cap is 1 while padded, halved while otherwise
-throttled.  Once the cooldown is served and nothing sent while
-quarantined is still in flight, the breaker half-opens (PROBING), and
-enough successful probe batches re-admit the shard to full pipelining.
-Without a policy, behavior is bit-identical to the pre-health runtime.
+Supervision, not health: constructed with a
+:class:`~repro.health.HealthPolicy`, the runtime hands the policy to every
+worker -- each shard runs its own breaker, per access, with the bank's
+health step (:mod:`repro.parallel.worker`) -- and enforces wall-clock
+deadlines on the processes.  Workers emit mid-batch ``heartbeat`` replies;
+a worker whose in-flight batches make no progress (no ack, no heartbeat)
+for ``batch_deadline_s`` is declared *hung* and terminated.  A dead or
+hung shard is healed the same way with or without a policy -- a fresh
+worker process reopened from its checkpoint, within the restart budget --
+and under a policy the reopened worker is sent one ``hard_failure``
+before anything is replayed, so its breaker quarantines it; padding,
+probing and re-admission then happen inside the worker.  The runtime
+reads no breaker during a run: :attr:`ParallelShardRuntime.health` is
+the report view of the breakers the workers ship in their run-end
+``stats`` replies.  Without a policy, behavior is bit-identical to the
+pre-health runtime.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.faults.injector import FaultConfig
-from repro.health import HealthControlPlane, HealthPolicy, HealthState
+from repro.health import HealthControlPlane, HealthPolicy
 from repro.observability.collect import collect_parallel
 from repro.observability.metrics import CycleHistogram, MetricsRegistry
 from repro.parallel.merge import merge_shard_snapshots
@@ -91,7 +89,7 @@ class _Worker:
 
     #: event counts, one bare attribute each (``restarts`` also salts the
     #: shard's RNG, see :meth:`ParallelShardRuntime._start`)
-    COUNTERS = ("batches", "fallback_batches", "restarts", "hangs")
+    COUNTERS = ("batches", "restarts", "hangs")
 
     def __init__(self, index: int):
         self.index = index
@@ -110,9 +108,6 @@ class _Worker:
         #: last wall-clock instant this worker proved progress (spawn,
         #: send, heartbeat, or any reply) -- the deadline reference point
         self.last_progress = 0.0
-        #: the breaker state the shard's executor was last told (``None``
-        #: until the first ``health`` command of an incarnation)
-        self.told = None
 
     @property
     def inflight(self) -> int:
@@ -150,21 +145,6 @@ def _forget_checkpointed(worker: _Worker, checkpointed_seq: int) -> None:
         del worker.unckpt[covered]
 
 
-def check_health_policy(policy: Optional[HealthPolicy]) -> None:
-    """Refuse a policy whose latency trip the runtime cannot feed.
-
-    A breaker's latency window counts simulated cycles per access; the
-    runtime only has wall-clock round trips, which would make breaker
-    decisions depend on host timing.  It feeds no latency, so a policy
-    with ``degrade_latency_cycles > 0`` could never trip as written.
-    """
-    if policy is not None and policy.degrade_latency_cycles > 0:
-        raise ValueError(
-            "the parallel runtime feeds its breakers no latency: "
-            "degrade_latency_cycles must be 0"
-        )
-
-
 class ParallelShardRuntime:
     """Run each channel of a sharded ORAM bank in its own process.
 
@@ -190,12 +170,12 @@ class ParallelShardRuntime:
             so a lost acknowledgement is always recoverable.
         max_restarts: per-worker respawn budget; a failure past it raises
             :class:`WorkerFailure`, with or without a health plane.
-        health_policy: enable the health control plane (per-worker
-            circuit breakers; quarantined and probing shards padded and
-            throttled in their worker process, half-open probing).
-            Requires ``checkpoint_dir`` -- a quarantined shard is reopened
-            from its checkpoint.  It also
-            sets the enforcement knobs -- ``batch_deadline_s`` (seconds an
+        health_policy: give every worker its own circuit breaker, fed per
+            access in the worker exactly as a bank channel feeds its own
+            (:attr:`health` reports them after each run).  Requires
+            ``checkpoint_dir`` -- the breaker rides in the checkpoint, and a
+            dead or hung shard is reopened from it.  It also
+            sets the supervisor's knobs -- ``batch_deadline_s`` (seconds an
             in-flight worker may go without an ack or heartbeat before it
             is declared hung and terminated), ``heartbeat_every``
             (completions between mid-batch heartbeats) and
@@ -221,7 +201,6 @@ class ParallelShardRuntime:
         health_policy: Optional[HealthPolicy] = None,
         fault_config: Optional[FaultConfig] = None,
     ):
-        check_health_policy(health_policy)
         if num_workers < 1:
             raise ValueError("need at least one worker")
         if scheme == "dram":
@@ -242,6 +221,9 @@ class ParallelShardRuntime:
         self.batch_size = batch_size
         self.max_inflight = max_inflight
         self.max_restarts = max_restarts
+        self.health_policy = health_policy
+        #: report view: the workers' breakers as their last ``stats``
+        #: replies shipped them (``None`` without a policy)
         self.health = (
             HealthControlPlane(num_workers, health_policy)
             if health_policy is not None
@@ -292,6 +274,7 @@ class ParallelShardRuntime:
             replay_window=max(2 * self.max_inflight, 8),
             rng_restart_salt=restart_salt,
             heartbeat_every=self.heartbeat_every,
+            health_policy=self.health_policy,
             fault_config=self.fault_config,
         )
 
@@ -312,8 +295,6 @@ class ParallelShardRuntime:
         )
         worker.process.start()
         worker.last_progress = time.perf_counter()
-        worker.told = None
-        self._tell_health(worker)
 
     def _await_ready(self, worker: _Worker) -> Tuple[int, list]:
         """Block until a started shard announces ``ready``; return its
@@ -463,65 +444,17 @@ class ParallelShardRuntime:
             roundtrip_us = int((time.perf_counter() - sent) * 1e6)
             worker.roundtrip_us.record(roundtrip_us)
             worker.batches += 1
-            self._feed_health_ack(worker, len(positions))
         _forget_checkpointed(worker, checkpointed_seq)
         return newly_recorded
 
-    # --------------------------------------------------------- health feeding
-    def _feed_health_ack(self, worker: _Worker, accesses: int) -> None:
-        """One batch acknowledgement reached the front-end: feed the
-        breaker, then tell the executor if its state moved.  The breaker
-        decides what an outcome counts as; the runtime only picks the
-        unit -- one feed per access while quarantined (the cooldown counts
-        fallback accesses), one per batch otherwise (a probe, or one
-        window event).  It feeds no latency: the only one it has is a
-        wall-clock round trip, and breaker decisions go by event counts
-        (see :func:`check_health_policy`)."""
-        health = self.health
-        if health is None:
-            return
-        feeds = 1
-        if health.state(worker.index) is HealthState.QUARANTINED:
-            feeds = accesses
-            worker.fallback_batches += 1
-        for _ in range(feeds):
-            health.record_access(worker.index, True)
-        self._tell_health(worker)
-
-    def _tell_health(self, worker: _Worker) -> None:
-        """Send the shard's executor its breaker state (``health``
-        command) unless it was the last one sent; no plane, no command."""
-        if self.health is None:
-            return
-        state = self.health.state(worker.index)
-        if state is not worker.told:
-            worker.commands.put(("health", None, state.value))
-            worker.told = state
-
-    def _readmit_if_ready(self, worker: _Worker) -> bool:
-        """Half-open a quarantined shard past its cooldown: a breaker move
-        told to the same process.  Waits until nothing sent while
-        quarantined is still in flight, so every ack of a padded fallback
-        batch is counted as one.  True if the breaker moved."""
-        if (
-            self.health is None
-            or worker.pending
-            or not self.health.begin_probe_if_ready(worker.index)
-        ):
-            return False
-        self._tell_health(worker)
-        return True
-
     # -------------------------------------------------------------- recovery
     def _fail_worker(self, worker: _Worker, reason: str, results) -> int:
-        """Heal one dead/hung worker: trip its breaker (when there is a
-        plane), then reopen the shard as a fresh worker process from its
-        checkpoint, within the restart budget, and replay what the
-        checkpoint lacks (:meth:`_reopen`).  Returns how many batches were
-        newly recorded into *results*.
+        """Heal one dead/hung worker: reopen the shard as a fresh worker
+        process from its checkpoint, within the restart budget, tell it
+        the failure (under a policy) and replay what the checkpoint lacks
+        (:meth:`_reopen`).  Returns how many batches were newly recorded
+        into *results*.
         """
-        if self.health is not None:
-            self.health.record_hard_failure(worker.index, reason)
         if not self.checkpoint_dir:
             raise WorkerFailure(
                 f"worker {worker.index} died (exitcode "
@@ -533,11 +466,12 @@ class ParallelShardRuntime:
                 f"({self.max_restarts})"
             )
         self.kill_worker(worker.index)
-        return self._reopen(worker, results)
+        return self._reopen(worker, reason, results)
 
-    def _reopen(self, worker: _Worker, results) -> int:
-        """Reopen a shard from its checkpoint and replay ``unckpt`` and
-        ``pending``: everything un-acknowledged or un-checkpointed.
+    def _reopen(self, worker: _Worker, reason: str, results) -> int:
+        """Reopen a shard from its checkpoint, send it one ``hard_failure``
+        (*reason*; under a policy), and replay ``unckpt`` and ``pending``:
+        everything un-acknowledged or un-checkpointed.
 
         Batches the restored checkpoint already covers are answered from
         its reply window, here, without re-execution; every other command
@@ -548,6 +482,8 @@ class ParallelShardRuntime:
         # Fresh queues (via _start): the old ones may hold a torn pickle.
         self._start(worker)
         restored_seq, window = self._await_ready(worker)
+        if self.health_policy is not None:
+            worker.commands.put(("hard_failure", None, reason))
         stored = dict(window)
         replay = {**worker.unckpt, **worker.pending}
         worker.unckpt = {}
@@ -565,20 +501,6 @@ class ParallelShardRuntime:
                     f"restored checkpoint but outside its reply window"
                 )
         return recorded
-
-    def _inflight_cap(self, worker: _Worker) -> int:
-        """Pipelining depth by health state: padded shards (quarantined,
-        probing) go one batch at a time (so the other workers' queues are
-        serviced in between), other throttled ones at half rate, healthy
-        ones at full depth."""
-        if self.health is None:
-            return self.max_inflight
-        state = self.health.state(worker.index)
-        if state.padded:
-            return 1
-        if state.throttled:
-            return max(1, self.max_inflight // 2)
-        return self.max_inflight
 
     # ------------------------------------------------------------------- run
     def run(
@@ -628,12 +550,9 @@ class ParallelShardRuntime:
             if unrecorded:
                 for worker in self._workers:
                     chunks = batches[worker.index]
-                    if self._readmit_if_ready(worker):
-                        progressed = True
-                    cap = self._inflight_cap(worker)
                     while (
                         cursors[worker.index] < len(chunks)
-                        and worker.inflight < cap
+                        and worker.inflight < self.max_inflight
                     ):
                         positions, batch = chunks[cursors[worker.index]]
                         cursors[worker.index] += 1
@@ -676,6 +595,8 @@ class ParallelShardRuntime:
                     # has been read, so the whole barrier is answered.
                     worker.pending.clear()
                     snapshots[worker.index] = reply[2]
+                    if self.health is not None:
+                        self.health.breakers[worker.index].load_state_dict(reply[3])
                 elif op == "error":
                     raise WorkerFailure(f"worker {worker.index} failed: {reply[2]}")
                 elif op not in ("heartbeat", "drained"):

@@ -12,17 +12,21 @@ de-duplication, reply window, checkpoint cadence, drain/fsck/stats), and
 pumps a command queue into the executor and its replies onto a reply
 queue, in every health state of the shard.
 
-The transport decides nothing about health: the ``health`` command
-carries the breaker's state and the executor applies what that state
-means (``throttled`` / ``padded``, :class:`~repro.health.HealthState`).
+Health is the shard's own: with a ``health_policy`` in its spec the
+executor holds a 1-wide :class:`~repro.health.HealthControlPlane` and runs
+every demand access through the bank's health step
+(:func:`repro.controller.sharded.health_access`), so a worker and a bank
+channel feed their breakers the same events.  The front-end's one health
+input is ``hard_failure`` (:func:`repro.controller.sharded.quarantine`).
 
 Durability: when the spec carries a checkpoint path, the executor persists
 its entire backend (via :func:`repro.oram.checkpoint.save_backend`) every
 ``checkpoint_every`` batches, *before* acknowledging the batch, and keeps
-a window of recent ``(seq, completions)`` replies inside the checkpoint's
-runtime section.  A reopened shard therefore reports exactly which
-batches survived (``last_seq``) and can re-serve acknowledgements the
-crash swallowed -- the front-end replays only what is genuinely missing.
+a window of recent ``(seq, completions)`` replies and its breaker inside
+the checkpoint's runtime section.  A reopened shard therefore reports
+exactly which batches survived (``last_seq``) and can re-serve
+acknowledgements the crash swallowed -- the front-end replays only what is
+genuinely missing.
 """
 
 from __future__ import annotations
@@ -33,10 +37,15 @@ import traceback
 from dataclasses import replace
 from typing import Iterator
 
-from repro.controller.sharded import build_shard_backend
+from repro.controller.sharded import (
+    build_shard_backend,
+    health_access,
+    pressure_limit,
+    quarantine,
+)
 from repro.faults.fsck import run_fsck
 from repro.faults.injector import FaultInjector
-from repro.health.breaker import HealthState
+from repro.health.plane import HealthControlPlane
 from repro.oram.checkpoint import restore_backend, save_backend
 from repro.parallel.protocol import ShardSpec
 
@@ -69,23 +78,24 @@ class ShardExecutor:
 
     Args:
         spec: how to build the shard and where it checkpoints.  An existing
-            checkpoint is restored (backend, ``last_seq`` and reply
-            window); otherwise a genesis checkpoint is written so a crash
-            before the first periodic one still leaves something to
+            checkpoint is restored (backend, ``last_seq``, reply window
+            and breaker); otherwise a genesis checkpoint is written so a
+            crash before the first periodic one still leaves something to
             restore from.
 
-    What the shard's health state does to its traffic arrives as the
-    ``health`` command and is read off the state itself: the backend runs
-    degraded iff ``state.throttled``, and iff ``state.padded`` every demand
-    access of a batch is followed by one dummy path access, so a sick
-    shard's traffic keeps a fixed two-path shape and the leaves it exposes
-    stay uniform.
+    With a ``health_policy`` the executor owns the shard's breaker
+    (``health``, one wide) and feeds it per access through the bank's
+    health step; without one, ``health`` is ``None`` and accesses go
+    straight to the backend.
     """
 
     def __init__(self, spec: ShardSpec):
         self.spec = spec
-        self.padded = False
         self.backend = build_worker_backend(spec)
+        self.health = None
+        if spec.health_policy is not None:
+            self.health = HealthControlPlane(1, spec.health_policy)
+            self.stash_limit = pressure_limit(self.backend, spec.health_policy)
         self.last_seq = -1
         #: recent [seq, completions] pairs, oldest first
         self.window: list = []
@@ -96,22 +106,29 @@ class ShardExecutor:
             self.last_seq = runtime.get("last_seq", -1)
             self.window = [list(entry) for entry in runtime.get("replies", [])]
             self.checkpointed_seq = self.last_seq
+            if self.health is not None and runtime.get("breaker"):
+                breaker = self.health.breakers[0]
+                breaker.load_state_dict(runtime["breaker"])
+                self.backend.set_degraded(breaker.state.throttled)
         elif spec.checkpoint_path:
             self._checkpoint()
+
+    def breaker_state(self):
+        """The shard's breaker as it crosses a boundary (``None``: no plane)."""
+        return None if self.health is None else self.health.breakers[0].state_dict()
 
     def ready(self) -> tuple:
         """The announcement a transport sends before any command's reply."""
         return ("ready", self.last_seq, [list(entry) for entry in self.window])
 
     def _checkpoint(self) -> None:
-        save_backend(
-            self.backend,
-            self.spec.checkpoint_path,
-            {
-                "last_seq": self.last_seq,
-                "replies": [list(entry) for entry in self.window],
-            },
-        )
+        runtime = {
+            "last_seq": self.last_seq,
+            "replies": [list(entry) for entry in self.window],
+        }
+        if self.health is not None:
+            runtime["breaker"] = self.breaker_state()
+        save_backend(self.backend, self.spec.checkpoint_path, runtime)
         self.checkpointed_seq = self.last_seq
         self.batches_since_checkpoint = 0
 
@@ -130,7 +147,7 @@ class ShardExecutor:
                 backend.finalize(max(command[2], backend.busy_until))
                 yield ("drained", seq)
             elif op == "stats":
-                yield ("stats", seq, backend.counters())
+                yield ("stats", seq, backend.counters(), self.breaker_state())
             elif op == "fsck":
                 report = run_fsck(backend.oram)
                 yield ("fsck_done", seq, report.ok, report.summary())
@@ -138,12 +155,13 @@ class ShardExecutor:
                 if self.spec.checkpoint_path:
                     self._checkpoint()
                 yield ("checkpoint_done", seq, self.checkpointed_seq)
-            elif op == "health":
-                # The front-end's breaker moved: no reply, so it never
-                # perturbs the seq/ack bookkeeping.
-                state = HealthState(command[2])
-                self.padded = state.padded
-                backend.set_degraded(state.throttled)
+            elif op == "hard_failure":
+                # The supervisor reopened this shard after a death or hang.
+                # No reply, so it never perturbs the seq/ack bookkeeping;
+                # checkpointed at once, so a second crash cannot lose it.
+                quarantine(self.health, 0, backend, command[2])
+                if self.spec.checkpoint_path:
+                    self._checkpoint()
             elif op == "hang":
                 # Chaos hook: stall the command loop without dying.  The
                 # batches queued behind this command stop being served,
@@ -172,14 +190,17 @@ class ShardExecutor:
             )
             return
         backend = self.backend
+        health = self.health
         spec = self.spec
         completions = []
         for addr, now, is_write in batch:
-            completion = backend.demand_access(addr, now, is_write).completion_cycle
-            if self.padded:
-                # queued behind the write-back, as in the bank
-                completion = backend.dummy_path_access(backend.busy_until)
-            completions.append(completion)
+            if health is None:
+                result = backend.demand_access(addr, now, is_write)
+            else:
+                result = health_access(
+                    health, 0, backend, addr, now, is_write, self.stash_limit
+                )
+            completions.append(result.completion_cycle)
             # Mid-batch liveness proof: under deadline enforcement the
             # front-end must tell "slow" from "hung", and the only
             # evidence that crosses the process boundary is a reply.  The

@@ -21,9 +21,9 @@ completions, and batch deadline closes -- that applies four policies:
    its deadline budget waiting -- and drains immediately once the source
    is exhausted.
 
-Health integration: DEGRADED shards get half-sized batches (the
-runtime's ``_inflight_cap`` halves the same way); QUARANTINED shards are rerouted at admission onto a serial
-fallback lane whose accesses the bank pads with dummy paths.
+Health integration: DEGRADED shards get half-sized batches; QUARANTINED
+shards are rerouted at admission onto a serial fallback lane whose
+accesses the bank's health step pads with dummy paths.
 
 Everything ties are broken on (cycle, sequence) pairs, so a run is a pure
 function of (source, config, bank seed).  The front end only decides

@@ -49,11 +49,6 @@ class SimResult:
         return self.memory_accesses + self.dummy_accesses
 
     @property
-    def llc_miss_rate(self) -> float:
-        total = self.llc_hits + self.llc_misses
-        return self.llc_misses / total if total else 0.0
-
-    @property
     def prefetch_miss_rate(self) -> float:
         """The Figure 9 metric: unused prefetches over resolved prefetches."""
         resolved = self.prefetch_hits + self.prefetch_misses

@@ -121,9 +121,6 @@ class Trace:
         self._sync_sums()
         return self._write_sum / len(self.entries)
 
-    def distinct_blocks(self) -> int:
-        return len({entry[1] for entry in self.entries})
-
     # ------------------------------------------------------------------- I/O
     def save(self, path: str) -> None:
         """Write a portable text representation."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -153,7 +153,3 @@ class DeterministicRng:
         """Restore a snapshot taken with :meth:`state_snapshot`."""
         self._random.setstate(snapshot)  # type: ignore[arg-type]
 
-
-def make_rng(seed: Optional[int]) -> DeterministicRng:
-    """Create a generator from an optional seed (None means seed 0)."""
-    return DeterministicRng(0 if seed is None else seed)

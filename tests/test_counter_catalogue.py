@@ -52,7 +52,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
-from repro.controller.sharded import build_shard_backend
+from repro.controller.sharded import build_bank, build_shard_backend
 from repro.faults import FaultConfig, FaultInjector
 from repro.health import HealthPolicy
 from repro.memory.backend import BackendStats
@@ -1214,8 +1214,11 @@ def test_every_oram_config_field_is_in_the_checkpoint_document():
 # scenario (``parent_runtime_health_metrics.json``, written at 8a2ee5e by the
 # ``runtime_kill_scenario`` below with that commit's sources on the path; one
 # field, ``parallel.worker0.restarts``, re-pinned 2 -> 1 when re-admission
-# stopped respawning the worker), and the parent plane's event-path mirror
-# kept here as ``MirroredPlane``.
+# stopped respawning the worker; its ``health.*`` entries and
+# ``parallel.worker0.fallback_batches`` deleted when the workers began to
+# run the bank's per-access breaker -- the scenario's ``health.*`` now has
+# to equal the bank's, a structural oracle), and the parent plane's
+# event-path mirror kept here as ``MirroredPlane``.
 from repro.health import HealthControlPlane, HealthState  # noqa: E402
 from repro.health.breaker import CircuitBreaker  # noqa: E402
 from repro.observability import collect_parallel, collect_serve  # noqa: E402
@@ -1449,24 +1452,32 @@ class TestHealthWalk:
 
 
 # ================================================== above the bank: parallel
-def runtime_kill_scenario(checkpoint_dir):
-    """Worker 0 is dead before the first batch: quarantined, reopened as a
-    worker process that serves its cooldown padded, half-opened, probed and
-    re-admitted in that same process.  Returns
-    the collected dump with the wall-clock histograms reduced to their
-    sample counts."""
+KILL_POLICY = HealthPolicy(
+    quarantine_cooldown=8, probe_batch=8, probe_successes=2,
+    heartbeat_every=4, join_timeout_s=2.0,
+)
+
+
+def kill_requests():
+    """The 320 requests of :func:`runtime_kill_scenario`."""
     rng = DeterministicRng(9)
     requests, now = [], 0
     for index in range(320):
         now += rng.randint(1, 40)
         requests.append((rng.randint(0, 127), now, index % 4 == 0))
-    policy = HealthPolicy(
-        quarantine_cooldown=8, probe_batch=8, probe_successes=2,
-        heartbeat_every=4, join_timeout_s=2.0,
-    )
+    return requests
+
+
+def runtime_kill_scenario(checkpoint_dir):
+    """Worker 0 is dead before the first batch: reopened as a worker process
+    told the hard failure, whose breaker quarantines it, serves its cooldown
+    padded, half-opens, probes and re-admits it in that same process.
+    Returns the collected dump with the wall-clock histograms reduced to
+    their sample counts."""
+    requests = kill_requests()
     with ParallelShardRuntime(
         "dyn", 128, num_workers=2, checkpoint_dir=checkpoint_dir, batch_size=16,
-        max_restarts=8, health_policy=policy,
+        max_restarts=8, health_policy=KILL_POLICY,
     ) as runtime:
         runtime.kill_worker(0)
         runtime.run(requests)
@@ -1513,14 +1524,22 @@ class TestParallelWalk:
         assert ints - {"index", "next_seq"} == set(_Worker.COUNTERS)
 
     def test_kill_quarantine_probe_readmit_matches_the_parent_dump(self, tmp_path):
+        """``parallel.*`` against the recording; ``health.*`` against the
+        bank: the same policy, shard 0 quarantined, the same 320 requests."""
         golden = json.loads((DATA / "parent_runtime_health_metrics.json").read_text())
         dump = json.loads(json.dumps(runtime_kill_scenario(str(tmp_path))))
+        health = {name: dump.pop(name) for name in list(dump) if name.startswith("health.")}
         assert dump == golden
+        bank = build_bank("dyn", 128, SystemConfig(), 2, health_policy=KILL_POLICY)
+        bank.quarantine_shard(0, reason="death")
+        bank.access_batch(kill_requests())
+        assert health == bank.health.to_registry().to_dict()
         # the scenario fired what it names.  One restart: the kill.  The
         # recording read 2 while quarantine ran the shard in the front-end
         # process and re-admission respawned a worker from its checkpoint;
-        # re-admission is now a breaker move told to the same process.
+        # re-admission is now a breaker move inside the same process.
         assert golden["parallel.worker0.restarts"]["value"] == 1
-        assert golden["parallel.worker0.fallback_batches"]["value"] > 0
-        assert golden["health.shard0.probes"]["value"] == 2
-        assert golden["health.transitions.probing_to_healthy"]["value"] == 1
+        assert health["health.shard0.fallback_accesses"]["value"] == 8
+        assert health["health.shard0.probes"]["value"] == 2
+        assert health["health.shard0.transitions"]["value"] == 3
+        assert health["health.transitions.probing_to_healthy"]["value"] == 1

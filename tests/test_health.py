@@ -8,20 +8,23 @@ Three layers are covered:
 * the :class:`~repro.health.HealthControlPlane` mirroring into the
   metrics registry;
 * the integrations: the sharded bank's quarantine fallback with dummy
-  padding, and the parallel runtime's deadline enforcement -- including
-  the ISSUE acceptance tests that a no-fault health-supervised run is
-  bit-identical to the serial reference and that a hung worker is
-  detected within the heartbeat deadline.
+  padding, and the parallel runtime -- whose workers run the bank's
+  per-access health step, so a fault-free supervised run returns the
+  bank's SimResult *and* its ``health.*`` registry, breaker trips
+  included -- with its deadline enforcement: a hung worker is detected
+  within the heartbeat deadline.
 """
 
 import dataclasses
 import json
 import multiprocessing
+import os
 import time
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.controller.sharded import build_bank
 from repro.health import (
     CircuitBreaker,
     HealthControlPlane,
@@ -31,7 +34,8 @@ from repro.health import (
 from repro.observability.collect import collect_parallel
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import ParallelShardRuntime, run_serial_reference
-from repro.parallel.worker import ShardExecutor
+from repro.parallel import worker as worker_module
+from repro.parallel.merge import merge_shard_snapshots
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from tests.test_counter_catalogue import runtime_kill_scenario
@@ -58,33 +62,53 @@ def small_stream(accesses=400, footprint=FOOTPRINT, seed=9):
     return requests
 
 
-def log_applied_batches(monkeypatch, path):
-    """Every batch a shard executor applies -- in this process, or in a
-    worker forked after this call -- appends ``[shard, incarnation, seq, padding paths,
-    degraded, size]`` to *path* as one JSON line.  Re-served batches (seq
-    inside the reply window) are not applied, so not logged."""
-    apply_batch = ShardExecutor._apply_batch
+def log_health_steps(monkeypatch, path):
+    """Every health step a shard worker forked after this call runs appends
+    ``[shard, worker pid, state before, padding paths, state after,
+    degraded after]`` to *path* as one JSON line."""
+    health_access = worker_module.health_access
 
-    def logged(executor, seq, batch):
-        backend = executor.backend
-        if seq <= executor.last_seq:
-            yield from apply_batch(executor, seq, batch)
-            return
+    def logged(health, index, shard, local, now, is_write, stash_limit):
         padding = []
-        dummy_path_access = backend.dummy_path_access
-        backend.dummy_path_access = lambda now: padding.append(now) or dummy_path_access(now)
-        degraded = backend.degraded
+        dummy_path_access = shard.dummy_path_access
+        shard.dummy_path_access = lambda at: padding.append(at) or dummy_path_access(at)
+        before = health.state(index).value
         try:
-            replies = list(apply_batch(executor, seq, batch))
+            result = health_access(health, index, shard, local, now, is_write, stash_limit)
         finally:
-            del backend.dummy_path_access
-        spec = executor.spec
-        entry = [spec.shard_index, spec.rng_restart_salt, seq, len(padding), degraded, len(batch)]
+            del shard.dummy_path_access
+        entry = [
+            shard.shard_index, os.getpid(), before, len(padding),
+            health.state(index).value, shard.degraded,
+        ]
         with open(path, "a") as log:
             log.write(json.dumps(entry) + "\n")
-        yield from replies
+        return result
 
-    monkeypatch.setattr(ShardExecutor, "_apply_batch", logged)
+    monkeypatch.setattr(worker_module, "health_access", logged)
+
+
+def bank_replay(requests, num_shards, policy):
+    """``build_bank(..., health_policy=policy)`` replaying *requests*, the
+    way :func:`run_serial_reference` replays them: the merged result and
+    the plane's ``health.*`` registry."""
+    bank = build_bank("dyn", FOOTPRINT, SystemConfig(), num_shards, health_policy=policy)
+    completions = [result.completion_cycle for result in bank.access_batch(requests)]
+    bank.finalize(max(completions))
+    merged = merge_shard_snapshots(
+        bank.snapshot_shards(), completions, workload="parallel", scheme="dyn"
+    )
+    return merged, bank.health.to_registry().to_dict()
+
+
+#: ``(workers, policy, breaker transitions on small_stream())``: each policy
+#: trips at least one breaker at that width -- stash pressure at 2 and 4
+#: shards, the latency window at 2
+TRIPPING = [
+    (2, HealthPolicy(stash_pressure_fraction=0.02), 3),
+    (4, HealthPolicy(stash_pressure_fraction=0.01), 1),
+    (2, HealthPolicy(degrade_latency_cycles=1400), 4),
+]
 
 
 # ------------------------------------------------------------------ policy
@@ -291,6 +315,29 @@ class TestCircuitBreaker:
 
         assert drive() == drive()
 
+    def test_state_dict_resumes_the_machine(self):
+        """A breaker loaded from another's JSON-carried ``state_dict`` (a
+        worker's checkpoint, its ``stats`` reply) walks on exactly as the
+        original does."""
+        rng = DeterministicRng(3)
+        outcomes = [rng.randint(0, 9) >= 2 for _ in range(400)]
+
+        def feed(breaker, stream):
+            for ok in stream:
+                if breaker.ready_to_probe:
+                    breaker.begin_probe()
+                breaker.record(ok, latency_cycles=7)
+
+        original = CircuitBreaker(tight_policy(), name="shard3")
+        feed(original, outcomes[:200])
+        resumed = CircuitBreaker(tight_policy(), name="shard3")
+        resumed.load_state_dict(json.loads(json.dumps(original.state_dict())))
+        assert vars(resumed) == vars(original)
+        feed(original, outcomes[200:])
+        feed(resumed, outcomes[200:])
+        assert vars(resumed) == vars(original)
+        assert len(original.transitions) > 2
+
 
 # ------------------------------------------------------------------- plane
 class TestHealthControlPlane:
@@ -367,40 +414,6 @@ class TestRuntimeHealth:
                 "dyn", FOOTPRINT, num_workers=2, health_policy=HealthPolicy()
             )
 
-    def test_breakers_are_fed_no_latency(self, tmp_path, monkeypatch):
-        """Regression: batch round-trip microseconds reached the breakers
-        as ``latency_cycles``, so with a latency trip set their decisions
-        depended on host timing instead of event counts."""
-        fed = []
-        record_access = HealthControlPlane.record_access
-
-        def spy(self, index, ok, latency_cycles=0):
-            fed.append(latency_cycles)
-            return record_access(self, index, ok, latency_cycles)
-
-        monkeypatch.setattr(HealthControlPlane, "record_access", spy)
-        with ParallelShardRuntime(
-            "dyn",
-            FOOTPRINT,
-            SystemConfig(),
-            2,
-            checkpoint_dir=str(tmp_path),
-            batch_size=16,
-            health_policy=HealthPolicy(),
-        ) as runtime:
-            runtime.run(small_stream())
-        assert fed and set(fed) == {0}
-
-    def test_latency_trip_is_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="feeds its breakers no latency"):
-            ParallelShardRuntime(
-                "dyn",
-                FOOTPRINT,
-                num_workers=2,
-                checkpoint_dir=str(tmp_path),
-                health_policy=HealthPolicy(degrade_latency_cycles=5),
-            )
-
     def test_hung_worker_detected_within_deadline(self, tmp_path):
         """ISSUE acceptance: a worker stuck mid-batch trips the deadline,
         is quarantined, and the run still conserves every access."""
@@ -434,48 +447,71 @@ class TestRuntimeHealth:
             assert elapsed < 60.0
         assert result.demand_requests == len(requests)
 
+    @pytest.mark.parametrize(
+        "workers, policy, transitions", TRIPPING,
+        ids=["pressure-2w", "pressure-4w", "latency-2w"],
+    )
+    def test_workers_run_the_banks_breaker(self, tmp_path, workers, policy, transitions):
+        """A fault-free, kill-free supervised run returns the SimResult and
+        the ``health.*`` registry of the bank with the same policy: each
+        worker feeds its own breaker per access, with the simulated latency
+        and stash pressure the bank feeds.  Every policy here trips."""
+        requests = small_stream()
+        bank_result, bank_health = bank_replay(requests, workers, policy)
+        with ParallelShardRuntime(
+            "dyn",
+            FOOTPRINT,
+            SystemConfig(),
+            workers,
+            checkpoint_dir=str(tmp_path),
+            batch_size=16,
+            health_policy=policy,
+        ) as runtime:
+            result = runtime.run(requests)
+            health = {
+                name: entry
+                for name, entry in collect_parallel(runtime).to_dict().items()
+                if name.startswith("health.")
+            }
+        assert health == bank_health
+        assert sum(
+            entry["value"] for name, entry in health.items()
+            if name.endswith(".transitions")
+        ) == transitions
+        assert dataclasses.asdict(result) == dataclasses.asdict(bank_result)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="the executor log reaches the workers by fork inheritance",
+        reason="the health-step log reaches the workers by fork inheritance",
     )
     def test_sick_batches_are_padded_and_degraded_in_one_incarnation(
         self, tmp_path, monkeypatch
     ):
-        """The runtime obeys the bank's table: in ``runtime_kill_scenario``
+        """The workers obey the bank's table: in ``runtime_kill_scenario``
         worker 0 is reopened once after the kill and stays that process
         while it serves its cooldown (QUARANTINED), probes (PROBING) and is
-        re-admitted (HEALTHY).  Every batch applied while its breaker is
-        padded carries one dummy path per request and runs degraded; every
-        healthy batch does neither."""
-        applied = tmp_path / "applied.jsonl"
-        log_applied_batches(monkeypatch, applied)
-        sent = {}
-        send = ParallelShardRuntime._send
-
-        def logged_send(runtime, worker, seq, positions, command):
-            sent[worker.index, worker.restarts, seq] = runtime.health.state(worker.index)
-            send(runtime, worker, seq, positions, command)
-
-        monkeypatch.setattr(ParallelShardRuntime, "_send", logged_send)
+        re-admitted (HEALTHY).  Every access whose state was padded carries
+        one dummy path and no other does; after every access the backend
+        runs degraded iff the breaker's state is throttled."""
+        steps = tmp_path / "steps.jsonl"
+        log_health_steps(monkeypatch, steps)
         runtime_kill_scenario(str(tmp_path / "ckpt"))
-        incarnations = {state: set() for state in HealthState}
-        for line in applied.read_text().splitlines():
-            shard, incarnation, seq, padding, degraded, size = json.loads(line)
-            state = sent[shard, incarnation, seq]
+        processes = {state: set() for state in HealthState}
+        for line in steps.read_text().splitlines():
+            shard, pid, before, padding, after, degraded = json.loads(line)
             if shard == 0:
-                incarnations[state].add(incarnation)
-            throttled, padded = TRAFFIC[state.value]
-            assert (padding, degraded) == (size if padded else 0, throttled), (
-                state, incarnation
-            )
-        # worker 0 was killed before its first batch: everything it applied
-        # ran in the one process reopened after the kill (salt 1), sick
-        # states and re-admitted traffic alike
-        assert incarnations == {
-            HealthState.HEALTHY: {1},
+                processes[HealthState(before)].add(pid)
+            assert padding == TRAFFIC[before][1], (shard, before)
+            assert degraded == TRAFFIC[after][0], (shard, after)
+        # worker 0 was killed before its first batch: every access it served
+        # ran in the one process reopened after the kill, sick states and
+        # re-admitted traffic alike
+        (reopened,) = processes[HealthState.HEALTHY]
+        assert processes == {
+            HealthState.HEALTHY: {reopened},
             HealthState.DEGRADED: set(),
-            HealthState.QUARANTINED: {1},
-            HealthState.PROBING: {1},
+            HealthState.QUARANTINED: {reopened},
+            HealthState.PROBING: {reopened},
         }
 
     def test_collect_parallel_surfaces_health(self, tmp_path):

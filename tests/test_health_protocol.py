@@ -13,8 +13,9 @@ oracle rather than read from :class:`~repro.health.HealthState`):
 
 Two planted bugs are each caught within hypothesis's default example
 budget and shrink to at most 10 steps: padding only quarantined shards
-(a wrong table), and dropping the bank's throttle sync after the feed (a
-mutant of ``ShardedORAMBank._health_access``).
+(a wrong table), and dropping the throttle sync after the feed (a mutant
+of :func:`repro.controller.sharded.health_access`, the health step a bank
+channel and a shard worker share).
 """
 
 import inspect
@@ -32,7 +33,7 @@ from hypothesis.stateful import (
 
 from repro.config import SystemConfig
 from repro.controller import sharded
-from repro.controller.sharded import ShardedORAMBank, build_bank
+from repro.controller.sharded import build_bank
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.health import HealthPolicy, HealthState
 from tests.test_health import TRAFFIC
@@ -110,8 +111,8 @@ def test_the_bank_obeys_the_table():
 
 
 def without_throttle_sync(monkeypatch):
-    """Plant the mutant: ``_health_access`` minus its post-feed sync."""
-    source = textwrap.dedent(inspect.getsource(ShardedORAMBank._health_access))
+    """Plant the mutant: ``health_access`` minus its post-feed sync."""
+    source = textwrap.dedent(inspect.getsource(sharded.health_access))
     sync = (
         "    if state.throttled != shard.degraded:\n"
         "        shard.set_degraded(state.throttled)\n"
@@ -119,7 +120,7 @@ def without_throttle_sync(monkeypatch):
     assert sync in source
     namespace = {}
     exec(source.replace(sync, ""), vars(sharded), namespace)
-    monkeypatch.setattr(ShardedORAMBank, "_health_access", namespace["_health_access"])
+    monkeypatch.setattr(sharded, "health_access", namespace["health_access"])
 
 
 def pad_only_quarantined(monkeypatch):

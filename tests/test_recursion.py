@@ -27,11 +27,6 @@ class TestWalk:
         # block (covering addresses 0..1023) is cached.
         assert h.lookup(32) == 1
 
-    def test_ids_structure(self):
-        h = make_hierarchy(hierarchies=4, entries=32)
-        ids = h.posmap_block_ids(32 * 32 + 5)
-        assert ids == [(1, 32), (2, 1), (3, 0)]
-
     def test_single_hierarchy_never_walks(self):
         h = make_hierarchy(hierarchies=1)
         assert h.lookup(123) == 0

@@ -34,11 +34,6 @@ class TestDerivedMetrics:
         r = make_result(cycles=2500)
         assert r.normalized_completion_time(base) == pytest.approx(2.5)
 
-    def test_llc_miss_rate(self):
-        r = make_result(llc_hits=30, llc_misses=70)
-        assert r.llc_miss_rate == pytest.approx(0.7)
-        assert make_result().llc_miss_rate == 0.0
-
     def test_prefetch_miss_rate(self):
         r = make_result(prefetch_hits=3, prefetch_misses=1)
         assert r.prefetch_miss_rate == pytest.approx(0.25)

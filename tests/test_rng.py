@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from repro.utils.rng import DeterministicRng, make_rng
+from repro.utils.rng import DeterministicRng
 
 
 class TestDeterminism:
@@ -91,8 +91,3 @@ class TestDistributions:
         rng = DeterministicRng(6)
         perm = rng.permutation(50)
         assert sorted(perm) == list(range(50))
-
-
-def test_make_rng_none_defaults_to_zero():
-    assert make_rng(None).seed == 0
-    assert make_rng(9).seed == 9

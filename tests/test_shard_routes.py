@@ -4,7 +4,8 @@
   driven straight through :meth:`ShardExecutor.handle` in this process
   and through a real worker process (:func:`shard_worker_main`) yields
   identical reply tuples: the process replies exactly what the executor
-  yields, in every health state of the shard.
+  yields, while a ``hard_failure`` and batches walk the shard's own
+  breaker through every health state.
 * **One fold** -- :meth:`SecureSystem.run`, the serial reference and the
   worker runtime all report the same ``extra`` keys in the same order,
   including the interconnect and fault-injection counters the snapshot
@@ -26,7 +27,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.controller.sharded import build_shard_backend
 from repro.faults import FaultConfig, FaultInjector
-from repro.health import HealthPolicy, HealthState
+from repro.health import CircuitBreaker, HealthPolicy, HealthState
 from repro.observability.collect import collect_parallel
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import ParallelShardRuntime, WorkerFailure, run_serial_reference
@@ -58,35 +59,51 @@ def channel_config(channels=4):
 
 
 # ------------------------------------------------------ transport equivalence
-def scripted_commands():
-    """Batches (one replayed, one far outside the reply window), every
-    barrier command, a forced checkpoint, a health state (no reply) and an
-    unknown op."""
+#: the scripted shard's breaker: every 4-access window trips on latency
+#: (any path costs more than a cycle), the cooldown is 3 fallback accesses
+#: and 2 probes re-admit
+ROUTE_POLICY = HealthPolicy(
+    window=4, degrade_latency_cycles=1, quarantine_cooldown=3,
+    probe_batch=4, probe_successes=2,
+)
+
+
+def scripted_batches(count=8):
     rng = DeterministicRng(5)
     now = 0
-    commands = []
-    for seq in range(6):
+    batches = []
+    for seq in range(count):
         batch = []
         for index in range(7):
             now += rng.randint(1, 30)
             batch.append((rng.randint(0, FOOTPRINT // 2 - 1), now, index % 3 == 0))
-        commands.append(("batch", seq, batch))
-    replayed = commands[4]
-    out_of_window = commands[0]
-    commands += [
-        replayed,  # already applied: answered from the window
-        ("health", None, "degraded"),
-        out_of_window,  # replay_window=3 forgot it: an error reply
-        ("checkpoint", 6),
-        ("drain", 7, now + 10_000),
-        ("fsck", 8),
-        ("stats", 9),
-        ("reticulate", 10),
+        batches.append(("batch", seq, batch))
+    return batches
+
+
+def scripted_commands():
+    """Batches (one replayed, one far outside the reply window), a hard
+    failure, every barrier command, a forced checkpoint and an unknown op.
+    Under ``ROUTE_POLICY`` the batches walk the breaker through every
+    state: healthy, degraded by the first window, quarantined by the hard
+    failure, probing after the cooldown, healthy again after two probes."""
+    batches = scripted_batches()
+    now = batches[-1][2][-1][1]
+    return batches[:6] + [
+        batches[4],  # already applied: answered from the window
+        ("hard_failure", None, "death"),
+        batches[6],
+        batches[7],
+        batches[0],  # replay_window=3 forgot it: an error reply
+        ("checkpoint", 8),
+        ("drain", 9, now + 10_000),
+        ("fsck", 10),
+        ("stats", 11),
+        ("reticulate", 12),
     ]
-    return commands
 
 
-def spec_for(path, heartbeat_every=3):
+def spec_for(path, heartbeat_every=3, health_policy=ROUTE_POLICY):
     return ShardSpec(
         base_scheme="dyn",
         footprint_blocks=FOOTPRINT,
@@ -97,6 +114,7 @@ def spec_for(path, heartbeat_every=3):
         checkpoint_every=2,
         replay_window=3,
         heartbeat_every=heartbeat_every,
+        health_policy=health_policy,
     )
 
 
@@ -140,13 +158,24 @@ class TestTransportEquivalence:
         assert process == inline
         ops = [reply[0] for reply in inline]
         assert ops[0] == "ready"
-        assert ops.count("batch_done") == 7  # six applied + one re-served
-        assert ops.count("heartbeat") == 6 * 2
+        assert ops.count("batch_done") == 9  # eight applied + one re-served
+        assert ops.count("heartbeat") == 8 * 2
         assert ops.count("error") == 2  # out-of-window replay, unknown op
         assert {"checkpoint_done", "drained", "fsck_done", "stats"} <= set(ops)
         # the re-served acknowledgement is the stored one, verbatim
         done = [reply for reply in inline if reply[0] == "batch_done"]
-        assert done[-1][1:3] == done[4][1:3]
+        assert done[6][1:3] == done[4][1:3]
+        # the stats reply ships the breaker, which went through every state
+        breaker = CircuitBreaker(ROUTE_POLICY)
+        breaker.load_state_dict(inline[ops.index("stats")][3])
+        assert breaker.transition_pairs() == [
+            ("healthy", "degraded"),
+            ("degraded", "quarantined"),
+            ("quarantined", "probing"),
+            ("probing", "healthy"),
+            ("healthy", "degraded"),
+        ]
+        assert breaker.transitions[1].reason == "death"
 
     def test_reopened_executor_resumes_from_its_checkpoint(self, tmp_path):
         """An executor opened on a worker process's checkpoint announces
@@ -160,12 +189,15 @@ class TestTransportEquivalence:
         assert ready[2][-1][1] == first[-1][2]
 
     def test_padding_is_chosen_by_whoever_opens_the_channel(self, tmp_path):
-        """The opener tells the executor its health state; a padded one
-        adds one dummy path per request and no demand access."""
-        batch = scripted_commands()[0]
-        plain = ShardExecutor(spec_for(tmp_path / "plain.ckpt"))
-        padded = ShardExecutor(spec_for(tmp_path / "padded.ckpt"))
-        apply(padded, ("health", None, "quarantined"))
+        """The supervisor that reopens a shard after a failure tells it so
+        (``hard_failure``); the shard's own breaker then quarantines it, and
+        a padded batch adds one dummy path per request and no demand
+        access."""
+        batch = scripted_batches()[0]
+        policy = HealthPolicy()  # cooldown 32: the whole batch is fallback
+        plain = ShardExecutor(spec_for(tmp_path / "plain.ckpt", health_policy=policy))
+        padded = ShardExecutor(spec_for(tmp_path / "padded.ckpt", health_policy=policy))
+        apply(padded, ("hard_failure", None, "death"))
         plain_stats = apply(plain, batch, ("stats", 1))[-1][2]["stats"]
         padded_stats = apply(padded, batch, ("stats", 1))[-1][2]["stats"]
         assert plain_stats["demand_requests"] == padded_stats["demand_requests"]
@@ -174,21 +206,39 @@ class TestTransportEquivalence:
             >= plain_stats["dummy_accesses"] + len(batch[2])
         )
 
-    @pytest.mark.parametrize("state", list(HealthState), ids=lambda state: state.value)
-    def test_the_health_command_sets_padding_and_degraded_mode(self, tmp_path, state):
-        """After ``("health", None, state)`` a batch carries exactly one
-        dummy path per request iff the state is padded, and the backend
-        runs degraded iff the state is throttled."""
-        executor = ShardExecutor(spec_for(tmp_path / "shard.ckpt"))
-        apply(executor, ("health", None, state.value))
-        backend = executor.backend
+    def test_each_access_pads_and_degrades_by_its_state(self, tmp_path):
+        """Driven one access at a time through the script's states, an
+        access carries exactly one dummy path iff its shard's state before
+        it is padded, and afterwards the backend runs degraded iff the
+        state is throttled; a reopened executor resumes the breaker (and
+        its degraded mode) from its checkpoint."""
+        path = tmp_path / "shard.ckpt"
+        executor = ShardExecutor(spec_for(path, heartbeat_every=0))
+        batches = scripted_batches()
+        accesses = [access for _op, _seq, batch in batches for access in batch]
         padding = []
-        dummy_path_access = backend.dummy_path_access
-        backend.dummy_path_access = lambda now: padding.append(now) or dummy_path_access(now)
-        batch = scripted_commands()[0]
-        assert apply(executor, batch)[-1][0] == "batch_done"
-        assert len(padding) == (len(batch[2]) if state.padded else 0)
-        assert backend.degraded == state.throttled
+        seen = set()
+        for seq, access in enumerate(accesses):
+            if seq == 6 * 7:  # where the script's hard failure arrives
+                apply(executor, ("hard_failure", None, "death"))
+            backend = executor.backend
+            dummy_path_access = backend.dummy_path_access
+            backend.dummy_path_access = (
+                lambda now: padding.append(now) or dummy_path_access(now)
+            )
+            before = executor.health.state(0)
+            padding.clear()
+            assert apply(executor, ("batch", seq, [access]))[-1][0] == "batch_done"
+            del backend.dummy_path_access
+            after = executor.health.state(0)
+            seen.add(before)
+            assert len(padding) == before.padded, (seq, before)
+            assert backend.degraded == after.throttled, (seq, after)
+        assert seen == set(HealthState)
+        apply(executor, ("checkpoint", len(accesses)))
+        reopened = ShardExecutor(spec_for(path, heartbeat_every=0))
+        assert reopened.breaker_state() == executor.breaker_state()
+        assert reopened.backend.degraded == executor.backend.degraded
 
 
 # ------------------------------------------------------------------ one fold
@@ -555,7 +605,6 @@ class TestRuntimeFailureHandling:
             registry = collect_parallel(runtime)
         fallback = registry.counter("health.shard0.fallback_accesses").value
         assert fallback >= policy.quarantine_cooldown
-        assert registry.counter("parallel.worker0.fallback_batches").value >= 1
         assert registry.counter("health.shard1.fallback_accesses").value == 0
         assert result.demand_requests == len(requests)
         assert result.dummy_accesses >= fallback

@@ -54,13 +54,9 @@ class TestStash:
         with pytest.raises(ValueError):
             Stash(capacity=0)
 
-    def test_add_all(self):
-        stash = Stash(capacity=10)
-        stash.add_all([Block(i, 0) for i in range(5)])
-        assert len(stash) == 5
-
     def test_iter_blocks_and_items(self):
         stash = Stash(capacity=10)
-        stash.add_all([Block(i, i) for i in range(3)])
+        for i in range(3):
+            stash.add(Block(i, i))
         assert {b.addr for b in stash.iter_blocks()} == {0, 1, 2}
         assert {addr for addr, _ in stash.items()} == {0, 1, 2}

@@ -34,7 +34,6 @@ class TestTrace:
         trace.extend([(10, 1, 0), (20, 2, 1), (30, 1, 1)])
         assert trace.total_gap_cycles == 60
         assert trace.write_fraction == pytest.approx(2 / 3)
-        assert trace.distinct_blocks() == 2
 
     def test_empty_metrics(self):
         trace = Trace("t", footprint_blocks=8)
