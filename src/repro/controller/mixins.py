@@ -12,11 +12,12 @@ paper's section 6.1 claim on Ring ORAM and the Shi tree (:func:`merge_pairs`).
 
 The hot-path exception: :meth:`PathORAM._evict_path` keeps its
 hand-inlined specialization of :meth:`GreedyWritebackMixin._greedy_writeback`
-(byte-table depth lookup, reused scratch buckets) because it is the single
-hottest loop of the simulator and is pinned bit-identical by the golden
-determinism test.  The mixin documents the reference algorithm the
-specialization must agree with; the cross-scheme parity suite checks that
-agreement.
+(byte-table depth lookup, reused scratch buckets, direct bucket stores)
+because it is the single hottest loop of the simulator and is pinned
+bit-identical by the golden determinism test.  The mixin documents the
+reference algorithm the specialization must agree with; the cross-scheme
+parity suite checks that agreement -- placements, and the blocks left in
+the stash in their order.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ class GreedyWritebackMixin:
     path (the common-prefix length of their mapped leaf and the path
     leaf), buckets are filled deepest first, and ties preserve stash
     insertion order -- exactly the consumption order a stable descending
-    sort produces, computed in one O(S) bucketing pass instead.
+    sort produces, computed in one O(S) bucketing pass instead.  The
+    blocks that do not fit stay in the stash in their insertion order,
+    which is the order the next write-back consumes them in.
     """
 
     def _greedy_writeback(

@@ -26,7 +26,6 @@ references across later accesses.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import ORAMConfig
@@ -43,8 +42,6 @@ from repro.oram.position_map import PositionMap
 from repro.oram.stash import Stash
 from repro.oram.tree import BinaryTree
 from repro.utils.rng import DeterministicRng
-
-_LEAF_OF = attrgetter("leaf")
 
 
 class PathORAM(
@@ -343,71 +340,58 @@ class PathORAM(
         path = tree._path_cache.get(leaf)
         if path is None:
             path = tree.path_indices(leaf)
-        # One pass: bucket stash blocks by common-prefix depth.  The depth
-        # arithmetic is bitops.common_prefix_length inlined (the call
-        # dominated the old profile at ~35 invocations per access), the
-        # depth-bucket lists (and their pre-bound ``append`` methods) are
-        # reused scratch space, and for small trees the xor->depth function
-        # is a precomputed byte table.
+        # One plain loop over the stash buckets every block by its
+        # common-prefix depth with the path: bitops.common_prefix_length
+        # inlined, or for small trees one byte-table load per block.  The
+        # depth-bucket lists and their pre-bound ``append`` methods are
+        # reused scratch space, so each block costs one ``append`` call
+        # (and one ``bit_length`` without the table).  A map/zip chain over
+        # the same view makes no fewer appends and runs slower: its calls
+        # from C cost more than the bytecode they replace (DESIGN section 5).
         by_depth = self._depth_buckets
         appends = self._depth_appends
         table = self._depth_of_xor
         stash_blocks = self.stash._blocks
         if table is not None:
-            # The xor and the table lookup run entirely in C (two map
-            # stages over one pass of the stash, zipped with a second
-            # iterator over the same dict view for the block objects).
-            depths = map(
-                table.__getitem__,
-                map(leaf.__xor__, map(_LEAF_OF, stash_blocks.values())),
-            )
-            for depth, block in zip(depths, stash_blocks.values()):
-                appends[depth](block)
+            for block in stash_blocks.values():
+                appends[table[block.leaf ^ leaf]](block)
         else:
             for block in stash_blocks.values():
-                differing = block.leaf ^ leaf
-                appends[
-                    levels if differing == 0 else levels - differing.bit_length()
-                ](block)
-        # Consume deepest-bucket first.  ``flat`` grows one depth bucket per
-        # level, so before filling level L it holds exactly the blocks with
-        # score >= L in consumption order (score descending, stash insertion
-        # order within a score); each bucket then takes the next <= Z blocks
-        # by slicing -- no per-block Python loop.  Bucket lists are written
-        # into the tree storage directly: ``placed`` never exceeds ``z`` by
-        # construction, so the write_bucket_at overflow check is redundant
-        # here and skipped (this is the single hottest loop of the
-        # simulator).  Every eviction immediately follows a read of the same
-        # path (begin/finish_access and dummy_access both read first), so
-        # the path buckets are empty on entry and levels that place nothing
+                appends[levels - (block.leaf ^ leaf).bit_length()](block)
+        # Consume deepest-bucket first.  Before filling level L, ``pending``
+        # holds the not-yet-placed blocks with score >= L in consumption
+        # order (score descending, stash insertion order within a score);
+        # the bucket takes its first <= Z.  The chunks are written into the
+        # tree storage directly: a chunk never exceeds ``z``, so the
+        # write_bucket_at overflow check is redundant here and skipped.
+        # Every eviction immediately follows a read of the same path
+        # (begin/finish_access and dummy_access both read first), so the
+        # path buckets are empty on entry and levels that place nothing
         # need no write at all.
         buckets = tree._buckets
         split = tree._treetop_levels  # pinned path levels (0 without a treetop)
         treetop = tree.treetop
-        flat: List[Block] = []
-        total = 0  # blocks accumulated into ``flat``
-        pos = 0  # blocks of ``flat`` already placed
+        pending: List[Block] = []
+        placed: List[Block] = []
         for level in range(levels, -1, -1):
             depth_bucket = by_depth[level]
             if depth_bucket:
-                flat.extend(depth_bucket)
-                total += len(depth_bucket)
+                pending += depth_bucket
                 del depth_bucket[:]  # leave the scratch space empty
-            if total > pos:
-                take = total - pos
-                if take > z:
-                    take = z
+            if pending:
+                chunk = pending[:z]
+                del pending[:z]
+                placed += chunk
                 if level < split:
                     # Pinned level: the bucket lives in on-chip SRAM; mark
                     # it dirty so a flush knows the DRAM image is stale.
-                    treetop.store[path[level]] = flat[pos : pos + take]
+                    treetop.store[path[level]] = chunk
                     treetop.dirty[path[level]] = 1
                 else:
-                    buckets[path[level]] = flat[pos : pos + take]
-                pos += take
+                    buckets[path[level]] = chunk
         # Drop the placed blocks from the stash (eviction only places
         # blocks it took from there, so every one is present).
-        for block in flat[:pos]:
+        for block in placed:
             del stash_blocks[block.addr]
 
     # --------------------------------------------------------------- queries

@@ -10,12 +10,9 @@ bucket to ``Z`` ciphertexts so real and dummy blocks are indistinguishable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.oram.block import Block
-
-_ADDR_OF = attrgetter("addr")
 
 
 @dataclass(frozen=True)
@@ -270,49 +267,51 @@ class BinaryTree:
         This is step 2 of the access protocol: all buckets on the path are
         read and their real blocks are keyed by address directly into the
         caller's dict (the stash's backing store).  Returns the number of
-        blocks moved; the path buckets are left empty.
+        blocks moved -- counted here, not read off the dict's growth, so a
+        caller can detect a block that was already in ``store`` -- and
+        leaves the path buckets empty.  One ``store[block.addr] = block``
+        per block: a bulk ``store.update(zip(map(...)))`` runs slower, its
+        method-wrapper calls cost more than this bytecode (DESIGN section 5).
         """
         path = self._path_cache.get(leaf)
         if path is None:
             path = self.path_indices(leaf)
-        moved: List[Block] = []
-        extend = moved.extend
-        if self._treetop_levels:
-            path = self._drain_treetop(path, extend)
-        # The DRAM-resident suffix (the whole path when no treetop is
-        # attached) drains through the original inline loop -- this is the
-        # simulator's hottest read loop, kept frame-free at k=0.
+        split = self._treetop_levels
+        moved = self._drain_treetop(path, store) if split else 0
+        # The DRAM-resident rest of the path (all of it without a treetop).
         buckets = self._buckets
-        for index in path:
+        for index in path[split:]:
             bucket = buckets[index]
             if bucket:
-                extend(bucket)
+                for block in bucket:
+                    store[block.addr] = block
+                    moved += 1
                 buckets[index] = []
-        # One C-level bulk insert for the whole path instead of a per-block
-        # Python loop (zip + attrgetter keep the key extraction in C too).
-        store.update(zip(map(_ADDR_OF, moved), moved))
-        return len(moved)
+        return moved
 
-    def _drain_treetop(self, path: Sequence[int], extend) -> Sequence[int]:
-        """Empty the pinned prefix of ``path``; return the off-chip suffix.
+    def _drain_treetop(self, path: Sequence[int], store: Dict[int, Block]) -> int:
+        """Move the pinned prefix of ``path`` into ``store``; return the count.
 
         The first ``_treetop_levels`` entries of a path vector are exactly
         the pinned levels (heap index ``< 2**k - 1`` iff level ``< k``), so
         the pinned prefix is served from SRAM -- counted as treetop hits --
-        and only the returned suffix touches the DRAM-resident buckets.
+        and only the rest of the path touches the DRAM-resident buckets.
         """
         split = self._treetop_levels
         cache = self.treetop
         sram = cache.store
         dirty = cache.dirty
+        moved = 0
         for index in path[:split]:
             bucket = sram[index]
             if bucket:
-                extend(bucket)
+                for block in bucket:
+                    store[block.addr] = block
+                    moved += 1
                 sram[index] = []
                 dirty[index] = 1
         cache.hits += split
-        return path[split:]
+        return moved
 
     def write_bucket(self, level: int, leaf: int, blocks: List[Block]) -> None:
         """Install ``blocks`` as the content of the bucket at (level, leaf)."""

@@ -6,19 +6,29 @@ duplicated, and nothing is lost.  ``check_invariants`` asserts exactly
 that; the hypothesis test drives random access sequences against it.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ORAMConfig
 from repro.oram.path_oram import PathORAM
+from repro.oram.tree import BinaryTree
 from repro.security.observer import AccessObserver
 from repro.utils.rng import DeterministicRng
 
 
-def make_oram(levels=5, bucket_size=3, stash=30, utilization=0.5, seed=3, observer=None):
+def make_oram(
+    levels=5, bucket_size=3, stash=30, utilization=0.5, seed=3, observer=None, treetop=0
+):
     config = ORAMConfig(
-        levels=levels, bucket_size=bucket_size, stash_blocks=stash, utilization=utilization
+        levels=levels,
+        bucket_size=bucket_size,
+        stash_blocks=stash,
+        utilization=utilization,
+        treetop_levels=treetop,
     )
     return PathORAM(config, DeterministicRng(seed), observer=observer)
 
@@ -130,6 +140,98 @@ class TestDummyAccessAndDrain:
         oram.dummy_access()
         assert oram.real_accesses == 1
         assert oram.dummy_accesses == 1
+
+
+class TestPathStashOverlap:
+    """A block both in the stash and on the read path is refused.
+
+    The path read counts the blocks it moves; the stash's dict grows by
+    one less when one of them was already there, and both entries raise.
+    The duplicate sits in the root bucket, which is on every path: pinned
+    on-chip at treetop 2 (the treetop drain), off-chip at treetop 0 (the
+    DRAM loop).
+    """
+
+    def planted(self, treetop):
+        oram = make_oram(treetop=treetop)
+        addr, index = next(iter(oram.tree.address_index().items()))
+        bucket = oram.tree.bucket(index)
+        block = next(b for b in bucket if b.addr == addr)
+        bucket.remove(block)
+        oram.stash.add(block)
+        oram.tree.bucket(0).append(block)
+        return oram, addr
+
+    @pytest.mark.parametrize("treetop", [0, 2])
+    def test_begin_access_raises(self, treetop):
+        oram, addr = self.planted(treetop)
+        with pytest.raises(ValueError, match="path/stash overlap"):
+            oram.begin_access([addr])
+
+    @pytest.mark.parametrize("treetop", [0, 2])
+    def test_dummy_access_raises(self, treetop):
+        oram, _ = self.planted(treetop)
+        with pytest.raises(ValueError, match="path/stash overlap"):
+            oram.dummy_access()
+
+
+class TestCallShape:
+    """The path read and the write-back are plain bytecode.
+
+    One ``PathORAM.access`` runs under ``sys.setprofile``; every builtin
+    call made directly in ``read_path_into``, ``_drain_treetop`` or
+    ``_evict_path`` is counted by name.  The write-back makes exactly one
+    bound ``list.append`` per block in the stash when it starts (the
+    depth bucketing), and neither function bulk-moves blocks through
+    ``list.extend`` or ``dict.update``.  Calling a type (``map``, ``zip``)
+    raises no profiler event, so those two are held off by name.  A
+    rewrite that moves this work into C-level chains changes these counts
+    and must show its wall-clock pairs (DESIGN section 5).
+    """
+
+    HOT = ("read_path_into", "_drain_treetop", "_evict_path")
+
+    def builtin_calls(self, oram, addr):
+        calls = {name: Counter() for name in self.HOT}
+        stash_at_evict = []
+
+        def hook(frame, event, arg):
+            name = frame.f_code.co_name
+            if name not in calls:
+                return
+            if event == "c_call":
+                calls[name][arg.__qualname__] += 1
+            elif event == "call" and name == "_evict_path":
+                stash_at_evict.append(len(oram.stash))
+
+        sys.setprofile(hook)
+        try:
+            oram.access([addr])
+        finally:
+            sys.setprofile(None)
+        return {name: dict(counts) for name, counts in calls.items()}, stash_at_evict
+
+    @pytest.mark.parametrize("treetop", [0, 2])
+    def test_one_append_per_stash_block(self, treetop):
+        oram = make_oram(bucket_size=2, utilization=0.9, treetop=treetop)
+        for addr in range(30):
+            oram.access([addr])
+        calls, stash_at_evict = self.builtin_calls(oram, 3)
+        [blocks] = stash_at_evict
+        assert blocks > len(oram.stash) > 0  # it placed some and carried some
+        assert calls == {
+            "read_path_into": {"dict.get": 1},  # the memoized path vector
+            "_drain_treetop": {},
+            "_evict_path": {"dict.get": 1, "dict.values": 1, "list.append": blocks},
+        }
+
+    def test_no_map_or_zip(self):
+        for function in (
+            BinaryTree.read_path_into,
+            BinaryTree._drain_treetop,
+            PathORAM._evict_path,
+        ):
+            assert {"map", "zip"}.isdisjoint(function.__code__.co_names)
 
 
 class TestObserver:

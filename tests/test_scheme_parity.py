@@ -155,22 +155,50 @@ class TestLeafSchemes:
 
 class TestMixinAgreement:
     def test_greedy_writeback_matches_path_oram_specialization(self):
+        """The mixin's reference algorithm equals PathORAM._evict_path."""
+        self.check_agreement(seed=7, leaf_choice="last", treetop=0, table=True)
+
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "no_table"])
+    @pytest.mark.parametrize("treetop", [0, 2])
+    @pytest.mark.parametrize("leaf_choice", ["last", 0, 13, 31])
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_agreement_over_seeds_leaves_treetop_and_branch(
+        self, seed, leaf_choice, treetop, table
+    ):
+        self.check_agreement(seed, leaf_choice, treetop, table)
+
+    def check_agreement(self, seed, leaf_choice, treetop, table):
         """The mixin's reference algorithm equals PathORAM._evict_path.
 
         Same stash, same leaf: both must place the same blocks in the same
-        buckets (PathORAM's hot loop is a hand-inlined specialization of
-        the mixin and is pinned by the golden test -- this guards the
-        equivalence claim in both docstrings).
+        buckets and leave the same blocks in the stash, in the same
+        insertion order -- the next eviction consumes that order.
+        PathORAM's hot loop is a hand-inlined specialization of the mixin
+        (byte-table depth lookup, or the bit-length arithmetic when
+        ``_depth_of_xor`` is ``None``; treetop levels written on-chip) and
+        is pinned by the golden test -- this guards the equivalence claim
+        in both docstrings.
         """
         scheme = build_scheme("path", levels=LEVELS, num_blocks=NUM_BLOCKS, seed=SEED)
-        trace = seeded_trace(seed=7, length=200)
+        if treetop:
+            scheme.tree.attach_treetop(treetop)
+        if not table:
+            scheme._depth_of_xor = None
+        trace = seeded_trace(seed=seed, length=200)
         for addr in trace:
             scheme.access([addr])
-        leaf = scheme.position_map.leaf(trace[-1])
+        if leaf_choice == "last":
+            leaf = scheme.position_map.leaf(trace[-1])
+        else:
+            leaf = leaf_choice
         # Read the path into the stash first (as every eviction's caller
         # does): both candidates must see the same stash-plus-path pool.
+        # Two other paths are read before it, so the stash carries blocks
+        # this path cannot take and the leftover order is not vacuous.
         store = scheme.stash._blocks
-        scheme.tree.read_path_into(leaf, store)
+        num_leaves = scheme.config.num_leaves
+        for other in (leaf + 11, leaf + 22, leaf):
+            scheme.tree.read_path_into(other % num_leaves, store)
         # Reference: run the mixin on a snapshot of that pool, recording
         # placements into a scratch tree of empty buckets.
         snapshot = {
@@ -195,3 +223,6 @@ class TestMixinAgreement:
             index = scheme.tree.bucket_index(level, leaf)
             actual = [b.addr for b in scheme.tree.bucket(index)]
             assert actual == scratch.get(level, []), f"level {level} differs"
+        assert store, "nothing left in the stash: the order check is vacuous"
+        assert list(store) == list(snapshot)
+        scheme.check_invariants()
