@@ -251,7 +251,7 @@ def scheme_build_kwargs(scheme, faults, shards, policy) -> dict:
 def cmd_list(args) -> int:
     print(f"Schemes: {SchemeLabel.GRAMMAR}")
     print("  base: " + ", ".join(SchemeLabel.BASES))
-    print("  _pre / _spre / _mpre: + stream / stride / Markov prefetcher")
+    print("  _pre: + stream prefetcher")
     print("  _intvl: periodic accesses (ORAM bases only)")
     print("\nWorkloads:")
     for title, profiles in SUITES:
@@ -472,13 +472,16 @@ def cmd_parity(args) -> int:
     else:
         known = ", ".join(sorted(SCHEME_FACTORIES)) + ", all"
         usage_error(f"unknown ORAM scheme '{args.scheme}' (known: {known})")
+    schemes = [
+        from_options(
+            build_scheme, name, levels=args.levels, num_blocks=args.blocks, seed=args.seed
+        )
+        for name in names
+    ]
     rng = DeterministicRng(args.seed)
     addrs = [rng.randint(0, args.blocks - 1) for _ in range(args.accesses)]
     rows = []
-    for name in names:
-        scheme = build_scheme(
-            name, levels=args.levels, num_blocks=args.blocks, seed=args.seed
-        )
+    for name, scheme in zip(names, schemes):
         max_on_chip = 0
         drains = 0
         for addr in addrs:
@@ -868,7 +871,7 @@ def make_parser() -> argparse.ArgumentParser:
     parity_p.add_argument(
         "--scheme",
         default="all",
-        help="path | ring | tree | sqrt | all (default: all)",
+        help="path | ring | tree | all (default: all)",
     )
     parity_p.add_argument("--accesses", type=int, default=2_000)
     parity_p.add_argument("--blocks", type=int, default=96)

@@ -2,10 +2,9 @@
 
 * :mod:`repro.controller.scheme` -- the :class:`ORAMScheme` protocol
   (begin/finish access, background eviction, stash drain, invariant
-  check) that Path ORAM, Ring ORAM, the Shi et al. tree ORAM, and the
-  square-root ORAM all implement, plus a registry for building any of
-  them by name.  It serves ``repro parity``, the cross-scheme parity
-  suite and ``fsck``;
+  check) that Path ORAM, Ring ORAM and the Shi et al. tree ORAM all
+  implement, plus a registry for building any of them by name.  It
+  serves ``repro parity``, the cross-scheme parity suite and ``fsck``;
 * :mod:`repro.controller.mixins` -- the stash/eviction/placement logic
   the scheme zoo shares, the tree schemes' one invariant audit, and
   ``merge_pairs``;

@@ -1,12 +1,11 @@
 """The ``ORAMScheme`` protocol: what the controller requires of a scheme.
 
 Every oblivious-memory construction in this repository -- Path ORAM, Ring
-ORAM, the Shi et al. binary-tree ORAM, and the Goldreich-Ostrovsky
-square-root ORAM -- implements this protocol, so ``repro parity``, the
-cross-scheme parity suite and ``fsck`` can drive any of them without
-knowing which one they hold.  (:func:`build_scheme` builds such an ORAM
-*construction*; the super block *policy* a controller runs on top of one
-comes from :func:`repro.controller.sharded.make_policy`.)
+ORAM and the Shi et al. binary-tree ORAM -- implements this protocol, so
+``repro parity``, the cross-scheme parity suite and ``fsck`` can drive any
+of them without knowing which one they hold.  (:func:`build_scheme` builds
+such an ORAM *construction*; the super block *policy* a controller runs on
+top of one comes from :func:`repro.controller.sharded.make_policy`.)
 
 The protocol splits one oblivious access into the two halves the paper's
 pipeline needs (everything between them runs with the accessed blocks
@@ -18,7 +17,7 @@ on-chip, which is where merge/break remapping happens):
   scheme-specific maintenance (eviction counters, reshuffles).
 
 plus the background machinery the controller schedules around demand
-accesses: :meth:`dummy_access` (one background eviction / dummy probe),
+accesses: :meth:`dummy_access` (one background eviction),
 :meth:`drain_stash` (bounded eviction loop), and
 :meth:`check_invariants` (structural audit used by tests, ``fsck``, and
 debug builds).
@@ -34,7 +33,7 @@ provides the protocol surface.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 #: Methods and properties every registered scheme must provide.  The
 #: parity suite asserts this surface exists on each implementation.
@@ -66,8 +65,7 @@ class ORAMScheme(ABC):
 
         Between this call and :meth:`finish_access` every member is
         on-chip, so callers may inspect or update the returned handles.
-        ``new_leaf`` overrides the random remap target (tests only);
-        schemes without positions ignore it.
+        ``new_leaf`` overrides the random remap target (tests only).
         """
 
     @abstractmethod
@@ -84,7 +82,7 @@ class ORAMScheme(ABC):
 
     @abstractmethod
     def dummy_access(self, kind: str = "dummy") -> None:
-        """One background eviction (tree schemes) or dummy probe (sqrt)."""
+        """One background eviction."""
 
     @abstractmethod
     def drain_stash(self) -> int:
@@ -114,72 +112,65 @@ class ORAMScheme(ABC):
 
 
 # --------------------------------------------------------------------- registry
-def _make_path(levels: int, num_blocks: int, seed: int, observer=None):
+def _make_path(levels: int, z: int, num_blocks: int, rng, observer=None):
     from repro.config import ORAMConfig
     from repro.oram.path_oram import PathORAM
-    from repro.utils.rng import DeterministicRng
 
-    capacity = ((1 << (levels + 1)) - 1) * 4
-    if num_blocks > capacity:
-        raise ValueError(f"{num_blocks} blocks exceed the Z=4 tree capacity {capacity}")
+    capacity = ((1 << (levels + 1)) - 1) * z
     config = ORAMConfig(
         levels=levels,
-        bucket_size=4,
+        bucket_size=z,
         stash_blocks=max(40, 8 * levels),
-        utilization=(num_blocks + 0.5) / capacity,
+        utilization=min(1.0, (num_blocks + 0.5) / capacity),
     )
     assert config.num_blocks == num_blocks
-    return PathORAM(config, DeterministicRng(seed), observer=observer)
+    return PathORAM(config, rng, observer=observer)
 
 
-def _make_ring(levels: int, num_blocks: int, seed: int, observer=None):
+def _make_ring(levels: int, z: int, num_blocks: int, rng, observer=None):
     from repro.oram.ring_oram import RingORAM
-    from repro.utils.rng import DeterministicRng
 
-    return RingORAM(
-        levels=levels,
-        num_blocks=num_blocks,
-        rng=DeterministicRng(seed),
-        observer=observer,
-    )
+    return RingORAM(levels, num_blocks, z=z, rng=rng, observer=observer)
 
 
-def _make_tree(levels: int, num_blocks: int, seed: int, observer=None):
+def _make_tree(levels: int, z: int, num_blocks: int, rng, observer=None):
     from repro.oram.tree_oram import ShiTreeORAM
-    from repro.utils.rng import DeterministicRng
 
-    return ShiTreeORAM(
-        levels=levels,
-        num_blocks=num_blocks,
-        rng=DeterministicRng(seed),
-        observer=observer,
-    )
+    return ShiTreeORAM(levels, num_blocks, bucket_size=z, rng=rng, observer=observer)
 
 
-def _make_sqrt(levels: int, num_blocks: int, seed: int, observer=None):
-    from repro.oram.square_root import SquareRootORAM
-    from repro.utils.rng import DeterministicRng
-
-    return SquareRootORAM(num_blocks, rng=DeterministicRng(seed), observer=observer)
-
-
-#: name -> factory(levels, num_blocks, seed, observer) for every scheme the
-#: controller can build (the CLI ``parity`` command and the parity suite).
-SCHEME_FACTORIES: Dict[str, Callable[..., "ORAMScheme"]] = {
-    "path": _make_path,
-    "ring": _make_ring,
-    "tree": _make_tree,
-    "sqrt": _make_sqrt,
+#: name -> (bucket size Z at a depth, factory(levels, z, num_blocks, rng,
+#: observer)) for every scheme the controller can build (the CLI ``parity``
+#: command and the parity suite).
+SCHEME_FACTORIES: Dict[str, Tuple[Callable[[int], int], Callable[..., "ORAMScheme"]]] = {
+    "path": (lambda levels: 4, _make_path),
+    "ring": (lambda levels: 8, _make_ring),
+    "tree": (lambda levels: max(4, levels + 1), _make_tree),
 }
 
 
 def build_scheme(
     name: str, levels: int = 6, num_blocks: int = 96, seed: int = 7, observer=None
 ) -> "ORAMScheme":
-    """Build any registered scheme by name at a comparable small geometry."""
+    """Build any registered scheme by name at a comparable small geometry.
+
+    ``ValueError`` (one line) for an unknown name or a tree that cannot
+    hold ``num_blocks`` at the scheme's Z.
+    """
+    from repro.utils.rng import DeterministicRng
+
     try:
-        factory = SCHEME_FACTORIES[name]
+        bucket_size, factory = SCHEME_FACTORIES[name]
     except KeyError:
         known = ", ".join(sorted(SCHEME_FACTORIES))
         raise ValueError(f"unknown ORAM scheme '{name}' (known: {known})") from None
-    return factory(levels, num_blocks, seed, observer)
+    if levels < 1:
+        raise ValueError(f"an ORAM tree needs at least 1 level, not {levels}")
+    z = bucket_size(levels)
+    capacity = ((1 << (levels + 1)) - 1) * z
+    if not 1 <= num_blocks <= capacity:
+        raise ValueError(
+            f"{num_blocks} blocks do not fit the '{name}' scheme: {levels} levels "
+            f"at Z={z} hold 1..{capacity}"
+        )
+    return factory(levels, z, num_blocks, DeterministicRng(seed), observer)

@@ -378,15 +378,14 @@ def quarantine(
 
 
 # ------------------------------------------------------------- construction
-#: Figure 6b variants: dyn_{sm|am}_{nb|ab} selects static/adaptive merge
-#: thresholding and no/adaptive breaking; bare "dyn" is the full PrORAM
-#: (adaptive merge + adaptive break).
+#: Figure 6b variants: dyn_sm_nb, dyn_am_nb and dyn_am_ab select
+#: static/adaptive merge thresholding and no/adaptive breaking; bare "dyn"
+#: is the full PrORAM (adaptive merge + adaptive break).
 _DYN_VARIANTS = {
     "dyn": (AdaptiveThresholdPolicy, True),
     "dyn_am_ab": (AdaptiveThresholdPolicy, True),
     "dyn_sm_nb": (StaticThresholdPolicy, False),
     "dyn_am_nb": (AdaptiveThresholdPolicy, False),
-    "dyn_sm_ab": (StaticThresholdPolicy, True),
 }
 
 #: every base scheme name :func:`make_policy` builds

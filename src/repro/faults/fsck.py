@@ -15,9 +15,7 @@ reconverged rather than merely stopped raising.
 :func:`audit_tree` is the one audit of the three tree schemes (Path ORAM,
 Ring ORAM, the Shi tree ORAM): :func:`run_fsck` reports it, and their
 ``check_invariants`` (:class:`~repro.controller.mixins.TreeAuditMixin`)
-raises its first finding.  The square-root ORAM keeps its own permutation
-audit, folded into the same :class:`FsckReport` by :func:`_fsck_scheme`.
-:func:`run_fsck_bank` audits every channel of a
+raises its first finding.  :func:`run_fsck_bank` audits every channel of a
 :class:`~repro.controller.sharded.ShardedORAMBank`.
 """
 
@@ -26,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, List
-
-from repro.controller.mixins import TreeAuditMixin
 
 
 class FsckError(RuntimeError):
@@ -64,16 +60,9 @@ class FsckReport:
 
 
 def run_fsck(oram, max_errors: int = 16) -> FsckReport:
-    """Audit an oblivious store and report every violation found.
-
-    The tree schemes (Path ORAM, Ring ORAM, the Shi tree) get
-    :func:`audit_tree`; the square-root ORAM, which has no tree, is
-    audited via :func:`_fsck_scheme` (its own permutation audit plus an
-    on-chip census).
-    """
-    if isinstance(oram, TreeAuditMixin):
-        return oram.audit(max_errors)
-    return _fsck_scheme(oram, max_errors)
+    """Audit an oblivious store (a tree scheme: Path ORAM, Ring ORAM, the
+    Shi tree) and report every violation :func:`audit_tree` finds."""
+    return oram.audit(max_errors)
 
 
 def audit_tree(
@@ -178,29 +167,6 @@ def _tree_findings(report: FsckReport, tree, leaf_of, on_chip, merkle) -> Iterat
                 "root hash disagreement: recomputed root does not match the "
                 "trusted on-chip root"
             )
-
-
-def _fsck_scheme(oram, max_errors: int = 16) -> FsckReport:
-    """Audit an ``ORAMScheme`` without a tree (the square-root ORAM).
-
-    Runs the scheme's own :meth:`check_invariants` (permutation
-    bijectivity, block conservation -- whatever the construction
-    guarantees) and folds the first violation into the report, then
-    records the on-chip census.
-    """
-    expected = getattr(oram, "num_blocks", 0)
-    report = FsckReport(expected_blocks=expected)
-    try:
-        oram.check_invariants()
-    except AssertionError as exc:
-        report.errors.append(
-            f"{type(oram).__name__}.check_invariants: {exc or 'invariant violated'}"
-        )
-    on_chip = getattr(oram, "stash_occupancy", 0)
-    report.blocks_in_stash = on_chip
-    if report.ok:
-        report.blocks_in_tree = expected - on_chip
-    return report
 
 
 def run_fsck_bank(bank, max_errors: int = 16) -> FsckReport:

@@ -22,7 +22,6 @@ from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import PositionMap
 from repro.oram.recursion import PosMapHierarchy
 from repro.oram.ring_oram import RingORAM
-from repro.oram.square_root import SquareRootORAM
 from repro.oram.stash import Stash
 from repro.oram.super_block import (
     BaselineScheme,
@@ -45,7 +44,6 @@ __all__ = [
     "PrefetchTracker",
     "RingORAM",
     "ShiTreeORAM",
-    "SquareRootORAM",
     "Stash",
     "StaticSuperBlockScheme",
     "SuperBlockScheme",

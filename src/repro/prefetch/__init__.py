@@ -1,7 +1,5 @@
-"""Traditional hardware prefetchers (the section 3.1 / 5.2 strawmen)."""
+"""The traditional stream prefetcher (the section 3.1 / 5.2 strawman)."""
 
-from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.stream import StreamPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 
-__all__ = ["MarkovPrefetcher", "StreamPrefetcher", "StridePrefetcher"]
+__all__ = ["StreamPrefetcher"]

@@ -53,9 +53,8 @@ class MultiCoreSystem(SecureSystem):
         ``wiring`` any keyword of :func:`~repro.sim.system.build_backend`:
         ``num_shards > 1`` channel-interleaves the ORAM over independent
         controller instances, so misses from different cores to different
-        shards overlap their path accesses; a ``_pre`` / ``_spre`` /
-        ``_mpre`` suffix adds one core-side prefetcher trained on the
-        merged miss stream.
+        shards overlap their path accesses; a ``_pre`` suffix adds one
+        core-side stream prefetcher trained on the merged miss stream.
         """
         config = config or SystemConfig()
         footprint = max(trace.footprint_blocks for trace in traces)

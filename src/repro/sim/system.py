@@ -29,9 +29,7 @@ from repro.memory.dram import DRAMBackend
 from repro.observability.collect import collect_system
 from repro.observability.recorder import attach_recorder
 from repro.parallel.merge import fold_backend
-from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.stream import StreamPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 from repro.sim.results import SimResult
 from repro.sim.trace import Trace, TraceEntry
 
@@ -42,21 +40,16 @@ class SchemeLabel:
 
     ``base`` is ``dram`` or a super-block policy of
     :data:`~repro.controller.sharded.ORAM_SCHEMES`; ``prefetcher`` the
-    core-side prefetcher suffix (a :attr:`PREFETCHERS` key) or ``None``;
+    ``_pre`` suffix (a core-side stream prefetcher, Figure 5);
     ``periodic`` the ``_intvl`` suffix (Figure 15, ORAM only).
     """
 
     base: str
-    prefetcher: Optional[str] = None
+    prefetcher: bool = False
     periodic: bool = False
 
-    GRAMMAR = "<base>[_pre|_spre|_mpre][_intvl]"
+    GRAMMAR = "<base>[_pre][_intvl]"
     BASES = ("dram",) + ORAM_SCHEMES
-    PREFETCHERS = {
-        "_pre": StreamPrefetcher,
-        "_spre": StridePrefetcher,  # the section 6.2 extension
-        "_mpre": MarkovPrefetcher,
-    }
 
     @property
     def is_dram(self) -> bool:
@@ -72,11 +65,8 @@ class SchemeLabel:
         """Read a label; ``ValueError`` (one line) on anything else."""
         periodic = label.endswith("_intvl")
         base = label[: -len("_intvl")] if periodic else label
-        prefetcher = None
-        for suffix in cls.PREFETCHERS:
-            if base.endswith(suffix):
-                base, prefetcher = base[: -len(suffix)], suffix
-                break
+        prefetcher = base.endswith("_pre")
+        base = base[: -len("_pre")] if prefetcher else base
         if base not in cls.BASES:
             raise ValueError(
                 f"unknown scheme '{label}' (grammar: {cls.GRAMMAR}, base one "
@@ -112,11 +102,10 @@ def build_backend(
             * ``oram`` -- baseline Path ORAM (unified recursion);
             * ``stat`` -- static super block scheme;
             * ``dyn`` -- PrORAM (dynamic super blocks), plus the
-              Figure 6b variants ``dyn_{sm|am}_{nb|ab}`` and the
-              strided extension ``dyn_strided``;
-            * any of them suffixed ``_pre`` / ``_spre`` / ``_mpre`` --
-              plus a traditional stream / stride (section 6.2) /
-              Markov prefetcher;
+              Figure 6b variants ``dyn_sm_nb`` / ``dyn_am_nb`` /
+              ``dyn_am_ab`` and the strided extension ``dyn_strided``;
+            * any of them suffixed ``_pre`` -- plus a traditional
+              stream prefetcher (Figure 5);
             * any of the ORAM variants suffixed ``_intvl`` -- wrapped
               in periodic accesses (Figure 15).
         footprint_blocks: workload footprint; the functional tree is
@@ -141,9 +130,7 @@ def build_backend(
     """
     label = SchemeLabel.parse(scheme)
     base_scheme, periodic = label.base, label.periodic
-    prefetcher = None
-    if label.prefetcher:
-        prefetcher = label.PREFETCHERS[label.prefetcher](config.prefetch)
+    prefetcher = StreamPrefetcher(config.prefetch) if label.prefetcher else None
 
     if num_shards < 1:
         raise ValueError("need at least one shard")

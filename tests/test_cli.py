@@ -1,7 +1,9 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import ast
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -128,13 +130,13 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert SchemeLabel.GRAMMAR in out
-        suffixes = ["", *SchemeLabel.PREFETCHERS]
+        suffixes = ["", "_pre"]
         for base in SchemeLabel.BASES:
             assert base in out
             for suffix in suffixes:
                 for periodic in ("", "_intvl") if base != "dram" else ("",):
                     label = SchemeLabel.parse(base + suffix + periodic)
-                    assert (label.base, label.prefetcher or "") == (base, suffix)
+                    assert (label.base, label.prefetcher) == (base, bool(suffix))
                     assert label.periodic == bool(periodic)
                     SecureSystem.build(
                         base + suffix + periodic,
@@ -226,7 +228,7 @@ class TestSchemeLabels:
     failed at the parent (refused, or died with a ``ValueError`` traceback)."""
 
     @pytest.mark.parametrize(
-        "scheme", ["dyn_spre", "oram_mpre", "dyn_strided", "oram_pre_intvl"]
+        "scheme", ["dyn_pre", "oram_pre", "dyn_strided", "oram_pre_intvl"]
     )
     def test_run_and_audit_take_every_buildable_label(self, scheme, capsys):
         sized = ["-w", "locality:80", "-s", scheme, "--accesses", "1200"]
@@ -245,7 +247,9 @@ class TestSchemeLabels:
             ("audit -s dram_pre -w locality:50 --accesses 100", "audit needs an ORAM scheme"),
             ("run -w locality:50 -s dyn,dram_intvl --accesses 100", "only apply to ORAM"),
             ("serve -s stat_intvl", "cannot run on a sharded bank"),
-            ("parallel -s oram_spre", "cannot run on a sharded bank"),
+            ("parallel -s oram_pre", "cannot run on a sharded bank"),
+            ("run -s dyn_spre -w locality:50 --accesses 100", "unknown scheme 'dyn_spre'"),
+            ("run -s dyn_sm_ab -w locality:50 --accesses 100", "unknown scheme 'dyn_sm_ab'"),
         ],
     )
     def test_unrunnable_label_exits_2_with_one_line(self, argv, message, capsys):
@@ -257,15 +261,32 @@ class TestSchemeLabels:
         assert len(err.strip().splitlines()) == 1
 
     def test_parse_rejects_what_is_not_in_the_grammar(self):
-        for label in ("", "dyn_", "pre", "dyn_intvl_pre", "dyn_pre_spre", "DYN"):
+        for label in ("", "dyn_", "pre", "dyn_intvl_pre", "dyn_pre_pre", "DYN"):
             with pytest.raises(ValueError):
                 SchemeLabel.parse(label)
-        assert SchemeLabel.parse("dyn_sm_nb_mpre_intvl") == SchemeLabel(
-            "dyn_sm_nb", "_mpre", True
+        assert SchemeLabel.parse("dyn_sm_nb_pre_intvl") == SchemeLabel(
+            "dyn_sm_nb", True, True
         )
-        assert SchemeLabel.parse("dram_spre").is_dram
+        assert SchemeLabel.parse("dram_pre").is_dram
         assert SchemeLabel.parse("stat").is_base_oram
         assert not SchemeLabel.parse("stat_pre").is_base_oram
+
+    def test_every_base_and_suffix_has_a_benchmark(self):
+        """A label no figure builds cannot be added silently: each base and
+        each suffix of the grammar is in some ``benchmarks/**/*.py`` label."""
+        bases, suffixes = set(), set()
+        for path in sorted((REPO / "benchmarks").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                    continue
+                try:
+                    label = SchemeLabel.parse(node.value)
+                except ValueError:
+                    continue
+                bases.add(label.base)
+                suffixes.update(re.findall(r"_[a-z]+", node.value[len(label.base):]))
+        grammar_suffixes = set(re.findall(r"_[a-z]+", SchemeLabel.GRAMMAR))
+        assert (set(SchemeLabel.BASES) - bases, grammar_suffixes - suffixes) == (set(), set())
 
 
 RUN = "run -w locality:80 -s dyn --accesses 1500 --warmup 0 "
@@ -436,6 +457,11 @@ class TestOneErrorConvention:
             "serve -s dyn --tenants 3 --weights 1,2",
             "serve -s dyn --deadline 0",
             "parity --scheme nope",
+            "parity --scheme path --levels 2 --blocks 1000",
+            "parity --levels 0",
+            "parity --blocks 0",
+            "parity --scheme ring --levels 2 --blocks 1000",
+            "parity --scheme tree --levels 2 --blocks 1000",
             "chaos --ops -5",
             "run -w locality:80 -s dyn --shards 2 --health-policy bogus=1 --accesses 100",
             "trace -w locality:30 --accesses 100",

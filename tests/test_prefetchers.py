@@ -1,15 +1,12 @@
-"""Unit tests for the traditional stream and stride prefetchers.
+"""Unit tests for the traditional stream prefetcher.
 
 These pin the *fixed* training behaviour: a trained stream advances its
 head past the window it just predicted (instead of re-issuing ``depth``
-overlapping prefetches on every subsequent miss), and the stride detector
-treats the first occurrence of a new stride as noise and dedupes its
-strided window against what it already issued.
+overlapping prefetches on every subsequent miss).
 """
 
 from repro.config import PrefetchConfig
 from repro.prefetch.stream import StreamPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 
 
 def make_stream(num_streams=4, depth=2, train=2):
@@ -97,76 +94,3 @@ class TestStreamPrefetcher:
         for addr in (1, 2, 3, 6):
             pf.on_demand_miss(addr)
         assert pf.issued == 4
-
-
-class TestStridePrefetcher:
-    def make(self, depth=2, train=2):
-        return StridePrefetcher(PrefetchConfig(depth=depth, train_threshold=train))
-
-    def test_detects_constant_stride(self):
-        pf = self.make()
-        assert pf.on_demand_miss(0) == []
-        # First delta observation is noise; two confirmations train.
-        assert pf.on_demand_miss(8) == []
-        assert pf.on_demand_miss(16) == []
-        assert pf.on_demand_miss(24) == [32, 40]
-
-    def test_negative_stride(self):
-        pf = self.make()
-        pf.on_demand_miss(100)
-        pf.on_demand_miss(90)
-        pf.on_demand_miss(80)
-        assert pf.on_demand_miss(70) == [60, 50]
-
-    def test_trained_window_advances_without_duplicates(self):
-        pf = self.make()
-        for addr in (0, 8, 16):
-            pf.on_demand_miss(addr)
-        assert pf.on_demand_miss(24) == [32, 40]
-        # The next strided miss only extends the window past what was
-        # already issued -- no overlapping re-issue.
-        assert pf.on_demand_miss(32) == [48]
-        assert pf.on_demand_miss(40) == [56]
-        assert pf.issued == 4
-
-    def test_no_duplicate_in_flight_prefetches(self):
-        pf = self.make()
-        issued = []
-        for addr in range(0, 96, 8):
-            issued.extend(pf.on_demand_miss(addr))
-        assert len(issued) == len(set(issued))
-        assert pf.issued == len(issued)
-
-    def test_stride_change_retrains(self):
-        pf = self.make()
-        for addr in (0, 8, 16, 24):
-            pf.on_demand_miss(addr)
-        # Stride breaks: the single new delta is noise, confidence resets.
-        assert pf.on_demand_miss(25) == []
-        assert pf.on_demand_miss(26) == []
-        # Two confirmations of the new stride re-train the predictor.
-        assert pf.on_demand_miss(27) == [28, 29]
-
-    def test_stride_change_resets_issued_window(self):
-        pf = self.make()
-        for addr in (0, 8, 16, 24):
-            pf.on_demand_miss(addr)  # issued window reaches 40
-        # New stride region overlapping the old window: after retraining,
-        # the old frontier must not suppress the new stream's picks.
-        for addr in (33, 34, 35):
-            pf.on_demand_miss(addr)
-        assert pf.on_demand_miss(36) == [37, 38]
-
-    def test_zero_stride_ignored(self):
-        pf = self.make()
-        pf.on_demand_miss(5)
-        pf.on_demand_miss(5)
-        pf.on_demand_miss(5)
-        assert pf.on_demand_miss(5) == []
-
-    def test_issued_counts_only_returned_picks(self):
-        pf = self.make()
-        total = 0
-        for addr in (0, 8, 16, 24, 32, 33, 34):
-            total += len(pf.on_demand_miss(addr))
-        assert pf.issued == total

@@ -1,7 +1,7 @@
 """Cross-scheme parity: one seeded trace through every ORAMScheme.
 
-The controller layer promises that Path ORAM, Ring ORAM, the Shi tree
-ORAM, and the square-root ORAM are interchangeable behind the
+The controller layer promises that Path ORAM, Ring ORAM and the Shi tree
+ORAM are interchangeable behind the
 :class:`~repro.controller.scheme.ORAMScheme` protocol.  This suite drives
 each implementation with the *same* seeded address trace and asserts the
 protocol-level guarantees every scheme must uphold: the full protocol
@@ -85,7 +85,6 @@ class TestSharedTraceParity:
             "path": scheme.config.stash_blocks if scheme_name == "path" else 0,
             "ring": getattr(scheme, "stash_capacity", 0),
             "tree": getattr(scheme, "overflow_capacity", 0),
-            "sqrt": getattr(scheme, "shelter_size", 0),
         }[scheme_name]
         assert max_on_chip <= bound + scheme.MAX_EVICTIONS_PER_DRAIN if hasattr(
             scheme, "MAX_EVICTIONS_PER_DRAIN"
@@ -95,7 +94,7 @@ class TestSharedTraceParity:
         """After any access, the scheme's position data covers the block.
 
         The position-map representation differs per scheme (PositionMap,
-        leaf arrays, a permutation), but each must locate every block it
+        leaf arrays), but each must locate every block it
         claims to hold: re-accessing immediately must succeed.
         """
         scheme = build_scheme(scheme_name, levels=LEVELS, num_blocks=NUM_BLOCKS, seed=SEED)

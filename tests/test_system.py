@@ -34,9 +34,9 @@ def random_trace(n=2000, footprint=512, gap=10, seed=1):
 
 class TestBuild:
     def test_all_scheme_labels_build(self):
-        for label in ["dram", "dram_pre", "dram_spre", "oram", "oram_pre",
-                      "oram_spre", "stat", "dyn",
-                      "dyn_sm_nb", "dyn_am_nb", "dyn_am_ab", "dyn_sm_ab",
+        for label in ["dram", "dram_pre", "stat_pre", "oram", "oram_pre",
+                      "dyn_pre", "stat", "dyn",
+                      "dyn_sm_nb", "dyn_am_nb", "dyn_am_ab", "dyn_strided",
                       "oram_intvl", "stat_intvl", "dyn_intvl"]:
             system = SecureSystem.build(label, footprint_blocks=256, config=small_config())
             assert system.label == label

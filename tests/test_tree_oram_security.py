@@ -1,13 +1,10 @@
-"""Security tests for the Shi et al. tree ORAM and square-root ORAM.
+"""Security tests for the Shi et al. tree ORAM.
 
-The security arguments differ per construction -- the tree ORAM's leaf
-sequence must be uniform and unlinkable like Path ORAM's; the square-root
-ORAM's probe sequence must consist of never-repeating slots per epoch --
-but the operational standard is the same: the adversary's view carries no
-information about the logical pattern.
+The tree ORAM's leaf sequence must be uniform and unlinkable like Path
+ORAM's: the adversary's view carries no information about the logical
+pattern.
 """
 
-from repro.oram.square_root import SquareRootORAM
 from repro.oram.tree_oram import ShiTreeORAM
 from repro.security.observer import AccessObserver
 from repro.security.statistics import (
@@ -35,19 +32,4 @@ class TestShiTreeORAMSecurity:
         seq = self.run_pattern(lambda i: i % 64, seed=3)
         hammer = self.run_pattern(lambda i: 7, seed=4)
         _, p = sequences_indistinguishable(seq, hammer, 32)
-        assert p > 1e-4
-
-
-class TestSquareRootORAMSecurity:
-    def test_probe_streams_indistinguishable(self):
-        def run(addr_fn, seed):
-            observer = AccessObserver()
-            oram = SquareRootORAM(64, rng=DeterministicRng(seed), observer=observer)
-            for i in range(400):
-                oram.access(addr_fn(i))
-            return observer.leaves(), oram.server_slots
-
-        seq, slots = run(lambda i: i % 64, seed=5)
-        hammer, _ = run(lambda i: 3, seed=6)
-        _, p = sequences_indistinguishable(seq, hammer, slots)
         assert p > 1e-4
