@@ -264,7 +264,7 @@ class ServeConfig:
         coalesce: dedupe concurrent requests for the same super block onto
             one pending ORAM access and fan the completion back out.
         stash_shed_fraction: shed new arrivals for a shard whose stash
-            occupancy exceeds this fraction of capacity -- admission
+            occupancy is at or above this fraction of capacity -- admission
             control firing *before* the stash overflows.  ``0`` disables.
     """
 

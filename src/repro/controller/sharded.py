@@ -184,40 +184,33 @@ class ShardedORAMBank(MemoryBackend):
         both -- they live on the same shard and the shard's scheme currently
         maps them into the same (super) block, so the serving front end can
         dedupe concurrent requests for them onto a single access.  For the
-        baseline scheme the key degenerates to ``(shard, local)``.
+        baseline scheme the key degenerates to ``(shard, local)``.  Every
+        scheme's ``members_for`` is ascending, so the leader is its head.
         """
         shard_index = addr % self.num_shards
         members = self.shards[shard_index].scheme.members_for(
             addr // self.num_shards
         )
-        return (shard_index, min(members))
+        return (shard_index, members[0])
 
-    def stash_fraction(self, shard_index: int) -> float:
-        """A channel's current stash occupancy over its capacity."""
-        stash = self.shards[shard_index].oram.stash
-        return len(stash) / stash.capacity
-
-    def _globalize(self, shard_index: int, result: DemandResult) -> DemandResult:
-        """Translate a shard's local fill addresses back to global ones."""
+    # ----------------------------------------------------------------- access
+    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
         num_shards = self.num_shards
+        shard_index = addr % num_shards
+        shard = self.shards[shard_index]
+        if self.health is None:
+            result = shard.demand_access(addr // num_shards, now, is_write)
+        else:
+            result = health_access(
+                self.health, shard_index, shard, addr // num_shards, now,
+                is_write, self._stash_limits[shard_index],
+            )
+        # The shard filled local addresses: hand global ones back.
         result.filled = [
             (local * num_shards + shard_index, prefetched)
             for local, prefetched in result.filled
         ]
         return result
-
-    # ----------------------------------------------------------------- access
-    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
-        shard_index = addr % self.num_shards
-        shard = self.shards[shard_index]
-        if self.health is None:
-            result = shard.demand_access(addr // self.num_shards, now, is_write)
-        else:
-            result = health_access(
-                self.health, shard_index, shard, addr // self.num_shards, now,
-                is_write, self._stash_limits[shard_index],
-            )
-        return self._globalize(shard_index, result)
 
     def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
         shard_index = addr % self.num_shards
@@ -225,7 +218,11 @@ class ShardedORAMBank(MemoryBackend):
         result = shard.prefetch_access(addr // self.num_shards, now)
         if result is None:
             return None
-        return self._globalize(shard_index, result)
+        result.filled = [
+            (local * self.num_shards + shard_index, prefetched)
+            for local, prefetched in result.filled
+        ]
+        return result
 
     def access_batch(
         self, requests: Sequence[Tuple[int, int, bool]]
@@ -344,14 +341,16 @@ def health_access(
     while unpadded; then the shard's degraded mode follows the state's
     ``throttled``.  Returns the shard's (local) result.
     """
-    padded = health.state(index).padded
+    padded = health.breakers[index].state.padded
     if padded:
         # Half-opening a quarantined shard past its cooldown turns this
         # access into a probe; both states pad.
         health.begin_probe_if_ready(index)
     stats = shard.stats
     faults_before = stats.transient_faults
-    start = max(now, shard.busy_until)
+    start = shard.busy_until
+    if now > start:
+        start = now
     result = shard.demand_access(local, now, is_write)
     # The padding path and the breaker's latency both go by the
     # controller's clock -- the demand path's write-back end -- not by
@@ -361,7 +360,7 @@ def health_access(
     state = health.record_access(
         index, stats.transient_faults == faults_before, shard.busy_until - start
     )
-    if not padded and len(shard.oram.stash) > stash_limit:
+    if not padded and len(shard.oram.stash.blocks) > stash_limit:
         state = health.record_pressure(index)
     if state.throttled != shard.degraded:
         shard.set_degraded(state.throttled)

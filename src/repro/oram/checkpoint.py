@@ -262,7 +262,7 @@ def _install_oram_state(oram: PathORAM, state: dict) -> None:
             f"checkpoint stash holds {len(state['stash'])} blocks, "
             f"configured stash capacity is {oram.config.stash_blocks}"
         )
-    oram.stash._blocks.clear()
+    oram.stash.blocks.clear()
     for raw in state["stash"]:
         oram.stash.add(_decode_block(raw, "stash"))
     load_counters(oram, oram.COUNTERS, state["counters"], "checkpoint counters")

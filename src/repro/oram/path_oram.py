@@ -205,7 +205,7 @@ class PathORAM(
         if self._hooks_active:
             self._before_path_read(leaf)
         stash = self.stash
-        store = stash._blocks
+        store = stash.blocks
         before = len(store)
         moved = self.tree.read_path_into(leaf, store)
         after = len(store)
@@ -279,7 +279,7 @@ class PathORAM(
         # runs before the next occupancy reading -- but the duplicate check
         # is kept: it guards the same invariant.
         stash = self.stash
-        store = stash._blocks
+        store = stash.blocks
         before = len(store)
         moved = self.tree.read_path_into(leaf, store)
         if len(store) != before + moved:
@@ -295,7 +295,7 @@ class PathORAM(
     def _stash_over_limit(self) -> bool:
         # stash.over_capacity() inlined: this check runs before every real
         # request and is almost always False.
-        return len(self.stash._blocks) > self.stash.capacity
+        return len(self.stash.blocks) > self.stash.capacity
 
     def _note_drain_overflow(self) -> None:
         self.stash_soft_overflows += 1
@@ -351,7 +351,7 @@ class PathORAM(
         by_depth = self._depth_buckets
         appends = self._depth_appends
         table = self._depth_of_xor
-        stash_blocks = self.stash._blocks
+        stash_blocks = self.stash.blocks
         if table is not None:
             for block in stash_blocks.values():
                 appends[table[block.leaf ^ leaf]](block)

@@ -22,39 +22,41 @@ class Stash:
         if capacity < 1:
             raise ValueError("stash capacity must be >= 1")
         self.capacity = capacity
-        self._blocks: Dict[int, Block] = {}
+        #: address -> block, in insertion order; public so a hot path can
+        #: walk it or count it (``len``) without a method frame
+        self.blocks: Dict[int, Block] = {}
         self.max_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self.blocks)
 
     def __contains__(self, addr: int) -> bool:
-        return addr in self._blocks
+        return addr in self.blocks
 
     def add(self, block: Block) -> None:
         """Insert a block; addresses must be unique."""
-        if block.addr in self._blocks:
+        if block.addr in self.blocks:
             raise ValueError(f"duplicate block {block.addr} in stash")
-        self._blocks[block.addr] = block
-        if len(self._blocks) > self.max_occupancy:
-            self.max_occupancy = len(self._blocks)
+        self.blocks[block.addr] = block
+        if len(self.blocks) > self.max_occupancy:
+            self.max_occupancy = len(self.blocks)
 
     def pop(self, addr: int) -> Optional[Block]:
         """Remove and return the block with ``addr`` if present."""
-        return self._blocks.pop(addr, None)
+        return self.blocks.pop(addr, None)
 
     def peek(self, addr: int) -> Optional[Block]:
         """Return the block with ``addr`` without removing it."""
-        return self._blocks.get(addr)
+        return self.blocks.get(addr)
 
     def over_capacity(self) -> bool:
         """True when background eviction is required before the next access."""
-        return len(self._blocks) > self.capacity
+        return len(self.blocks) > self.capacity
 
     def iter_blocks(self) -> Iterator[Block]:
         """Iterate blocks in insertion order (no generator frame: the
         write-back path walks this once per access)."""
-        return iter(self._blocks.values())
+        return iter(self.blocks.values())
 
     def items(self):
-        return self._blocks.items()
+        return self.blocks.items()

@@ -35,13 +35,17 @@ the identical SimResult -- the replay contract that pins the front end to
 the raw bank, with every policy on.
 
 Cost of an event: the front end is bookkeeping in front of the scarce
-resource (the ORAM path access), so no event re-scans the open batches.
+resource (the ORAM path access), so no event re-scans the open batches
+and no per-request helper frame does what bytecode can do inline.
 The state each decision reads is maintained where it changes --
 ``_unissued`` (the backlog), ``_close_at`` (per-shard deadline close),
-``_quotas`` (per-shard batch quota), ``_keys`` (coalesce-key memo) and a
-request's ``shard`` stamp -- under the four invariants of DESIGN.md
-section 12, which ``tests/test_serve_incremental.py`` checks against the
-scan-based definitions after every event.
+``_sizes`` / ``_quotas`` (per-shard open-batch size and batch quota),
+``_keys`` (coalesce-key memo), ``queues.queued`` and a request's ``shard``
+stamp -- under the invariants of DESIGN.md section 12, which
+``tests/test_serve_incremental.py`` checks against the scan-based
+definitions after every event.  A placement is inline in :meth:`_pump`;
+the fair pick stays in :meth:`TenantQueues.pop_where`, which is handed no
+predicate while every shard's batch has room (every head is placeable).
 """
 
 from __future__ import annotations
@@ -134,6 +138,8 @@ class ServingFrontEnd:
         num_shards = bank.num_shards
         self.queues: Optional[TenantQueues] = None
         self._open_batches: List[List[_Access]] = [[] for _ in range(num_shards)]
+        #: accesses in each shard's open batch (its ``len``)
+        self._sizes: List[int] = [0] * num_shards
         self._open_groups: Dict[Tuple[int, int], _Access] = {}
         self._inflight_groups: Dict[Tuple[int, int], _Access] = {}
         self._outstanding: List[int] = [0] * num_shards
@@ -145,6 +151,10 @@ class ServingFrontEnd:
         self._close_at: List[Optional[int]] = [None] * num_shards
         #: batch quota per shard, valid between two accesses on the shard
         self._quotas: List[int] = []
+        #: a throttled shard's quota: half the batch size, at least 1
+        self._throttled_quota = max(1, self.config.batch_size // 2)
+        #: each shard's stash, read by the pressure watermark at admission
+        self._stashes = [shard.oram.stash for shard in bank.shards]
         #: addr -> coalesce key, valid between two ORAM accesses
         self._keys: Dict[int, Tuple[int, int]] = {}
         self._comp_heap: List[Tuple[int, int, _Access]] = []
@@ -203,21 +213,32 @@ class ServingFrontEnd:
     def _serve_loop(self, source: LoadSource) -> None:
         now = 0
         heap = self._comp_heap
+        close_at = self._close_at
+        outstanding = self._outstanding
+        feedback = source.feedback
         while True:
-            wake = source.next_arrival_cycle()
+            arrival = wake = source.next_arrival_cycle()
             if heap and (wake is None or heap[0][0] < wake):
                 wake = heap[0][0]
-            close = self._next_close()
-            if close is not None and (wake is None or close < wake):
-                wake = close
+            # The earliest deadline close among shards free to issue.
+            for shard, close in enumerate(close_at):
+                if (
+                    close is not None
+                    and not outstanding[shard]
+                    and (wake is None or close < wake)
+                ):
+                    wake = close
             if wake is None:
                 break
             if wake > now:
                 now = wake
             while heap and heap[0][0] <= now:
                 self._complete(heapq.heappop(heap)[2], source)
-            for request in source.take_arrivals(now):
-                self._admit(request, source, now)
+            # Without feedback, completions schedule nothing: arrivals are
+            # due only if the one peeked above is.
+            if feedback or (arrival is not None and arrival <= now):
+                for request in source.take_arrivals(now):
+                    self._admit(request, source, now)
             self._pump(source, now)
 
     # -------------------------------------------------------------- admission
@@ -226,7 +247,7 @@ class ServingFrontEnd:
         counts = self._tenant_counts[request.tenant]
         self.all_requests.append(request)
         counts.offered += 1
-        shard = request.shard = self.bank.shard_of(request.addr)
+        shard = request.shard = request.addr % self.bank.num_shards
         if self.health is not None and self.health.should_reroute(shard):
             lane = self._fallback[shard]
             if len(lane) >= config.queue_capacity:
@@ -236,9 +257,9 @@ class ServingFrontEnd:
             request.rerouted = True
             lane.append(request)
             self.rerouted += 1
-        elif (
-            config.stash_shed_fraction > 0.0
-            and self.bank.stash_fraction(shard) >= config.stash_shed_fraction
+        elif config.stash_shed_fraction > 0.0 and (
+            len(self._stashes[shard].blocks) / self._stashes[shard].capacity
+            >= config.stash_shed_fraction
         ):
             self.shed_pressure += 1
             self._shed(request, source, now)
@@ -258,75 +279,34 @@ class ServingFrontEnd:
         """Refuse a request (the caller counted its ``shed_<cause>``)."""
         request.status = SHED
         self._tenant_counts[request.tenant].shed += 1
-        source.on_shed(request, now)
+        if source.feedback:
+            source.on_shed(request, now)
 
     # ----------------------------------------------------- batching/coalescing
     def _quota(self, shard: int) -> int:
         """The batch quota; half of it (at least 1) for a throttled shard."""
-        batch_size = self.config.batch_size
         if self.health is not None and self.health.throttled(shard):
-            return max(1, batch_size // 2)
-        return batch_size
-
-    def _next_close(self) -> Optional[int]:
-        """Earliest deadline close among shards free to issue their batch."""
-        earliest = None
-        outstanding = self._outstanding
-        for shard, close in enumerate(self._close_at):
-            if close is not None and not outstanding[shard]:
-                if earliest is None or close < earliest:
-                    earliest = close
-        return earliest
-
-    def _key(self, addr: int) -> Tuple[int, int]:
-        """Memoised ``bank.coalesce_key``; :meth:`_issue_one` invalidates."""
-        key = self._keys.get(addr)
-        if key is None:
-            key = self._keys[addr] = self.bank.coalesce_key(addr)
-        return key
+            return self._throttled_quota
+        return self.config.batch_size
 
     def _placeable(self, request: Request) -> bool:
+        """Can *request* be placed now: its shard's batch has room, or it
+        coalesces onto an open group (or, a read, onto an in-flight one)?"""
+        shard = request.shard
+        if self._sizes[shard] < self._quotas[shard]:
+            return True
         if self.config.coalesce:
-            key = self._key(request.addr)
+            addr = request.addr
+            keys = self._keys
+            if addr in keys:
+                key = keys[addr]
+            else:
+                key = keys[addr] = self.bank.coalesce_key(addr)
             if key in self._open_groups:
                 return True
             if key in self._inflight_groups and not request.is_write:
                 return True
-        shard = request.shard
-        return len(self._open_batches[shard]) < self._quotas[shard]
-
-    def _place(self, request: Request) -> None:
-        shard = request.shard
-        key = self._key(request.addr) if self.config.coalesce else None
-        # ``None`` (coalescing off) is never a group key: both gets miss.
-        access = self._open_groups.get(key)
-        if access is not None:
-            access.requests.append(request)
-            access.is_write = access.is_write or request.is_write
-            self._mark_coalesced(request)
-        else:
-            inflight = self._inflight_groups.get(key)
-            if inflight is not None and not request.is_write:
-                # MSHR-style: the super block is already on its way; ride
-                # the pending access and share its completion.
-                inflight.requests.append(request)
-                self._unissued -= 1
-                self._mark_coalesced(request)
-                return
-            access = _Access(request, key)
-            self._open_batches[shard].append(access)
-            if key is not None:
-                self._open_groups[key] = access
-        # The request joined the shard's open batch: fold its close cycle in.
-        close = request.arrival_cycle + int(
-            request.deadline_cycles * self.config.deadline_close_fraction
-        )
-        if self._close_at[shard] is None or close < self._close_at[shard]:
-            self._close_at[shard] = close
-
-    def _mark_coalesced(self, request: Request) -> None:
-        request.coalesced = True
-        self._tenant_counts[request.tenant].coalesced += 1
+        return False
 
     def _pump(self, source: LoadSource, now: int) -> None:
         """Fill batches from the fair queues and issue every ready one.
@@ -335,29 +315,88 @@ class ServingFrontEnd:
         more queued requests placeable, which may fill another batch.
         """
         queues = self.queues
+        coalesce = self.config.coalesce
+        fraction = self.config.deadline_close_fraction
+        keys = self._keys
+        coalesce_key = self.bank.coalesce_key
+        open_groups = self._open_groups
+        inflight_groups = self._inflight_groups
+        open_batches = self._open_batches
+        sizes = self._sizes
+        quotas = self._quotas
+        close_at = self._close_at
+        outstanding = self._outstanding
+        fallback = self._fallback
+        shards = range(self.bank.num_shards)
         while True:
             progress = False
-            while True:
-                request = queues.pop_where(self._placeable)
-                if request is None:
-                    break
-                self._place(request)
-                progress = True
-            for shard in range(self.bank.num_shards):
-                if self._outstanding[shard]:
+            if queues.queued:
+                # While every shard's batch has room every head is
+                # placeable: pick without a predicate until one fills up.
+                eligible = None
+                for shard in shards:
+                    if sizes[shard] >= quotas[shard]:
+                        eligible = self._placeable
+                        break
+                while queues.queued:
+                    request = queues.pop_where(eligible)
+                    if request is None:
+                        break
+                    progress = True
+                    shard = request.shard
+                    key = None
+                    grouped = False
+                    if coalesce:
+                        addr = request.addr
+                        if addr in keys:
+                            key = keys[addr]
+                        else:
+                            key = keys[addr] = coalesce_key(addr)
+                        if key in open_groups:
+                            access = open_groups[key]
+                            access.requests.append(request)
+                            access.is_write = access.is_write or request.is_write
+                            request.coalesced = True
+                            self._tenant_counts[request.tenant].coalesced += 1
+                            grouped = True
+                        elif key in inflight_groups and not request.is_write:
+                            # MSHR-style: the super block is already on its
+                            # way; ride the pending access and share its
+                            # completion.
+                            inflight_groups[key].requests.append(request)
+                            self._unissued -= 1
+                            request.coalesced = True
+                            self._tenant_counts[request.tenant].coalesced += 1
+                            continue
+                    if not grouped:
+                        access = _Access(request, key)
+                        open_batches[shard].append(access)
+                        if key is not None:
+                            open_groups[key] = access
+                        sizes[shard] += 1
+                        if sizes[shard] >= quotas[shard]:
+                            eligible = self._placeable
+                    # The request joined the shard's open batch: fold its
+                    # close cycle in.
+                    close = request.arrival_cycle + int(
+                        request.deadline_cycles * fraction
+                    )
+                    if close_at[shard] is None or close < close_at[shard]:
+                        close_at[shard] = close
+            for shard in shards:
+                if outstanding[shard]:
                     continue
-                if self._fallback[shard]:
+                if fallback[shard]:
                     self._issue_fallback(shard, now)
                     progress = True
                     continue
-                batch = self._open_batches[shard]
-                if not batch:
+                if not open_batches[shard]:
                     continue
-                if len(batch) >= self._quotas[shard]:
+                if sizes[shard] >= quotas[shard]:
                     self.full_closes += 1
-                elif now >= self._close_at[shard]:
+                elif now >= close_at[shard]:
                     self.deadline_closes += 1
-                elif source.exhausted and not queues:
+                elif not queues.queued and source.exhausted:
                     self.drain_closes += 1
                 else:
                     continue
@@ -373,7 +412,11 @@ class ServingFrontEnd:
         # move during a run: drop the key memo, re-read the shard's quota.
         self._keys.clear()
         if self.health is not None:
-            self._quotas[shard] = self._quota(shard)
+            self._quotas[shard] = (
+                self._throttled_quota
+                if self.health.throttled(shard)
+                else self.config.batch_size
+            )
         access.shard = shard
         completion = access.completion_cycle = result.completion_cycle
         self.issued.append((access.addr, now, access.is_write))
@@ -381,8 +424,9 @@ class ServingFrontEnd:
         self._outstanding[shard] += 1
         self._unissued -= len(access.requests)
         if self.config.coalesce:
-            access.inflight_key = self._key(access.addr)
-            self._inflight_groups[access.inflight_key] = access
+            key = self._keys[access.addr] = self.bank.coalesce_key(access.addr)
+            access.inflight_key = key
+            self._inflight_groups[key] = access
         record_wait = self.queue_wait_cycles.record
         for request in access.requests:
             record_wait(now - request.arrival_cycle)
@@ -399,10 +443,12 @@ class ServingFrontEnd:
         """Issue a shard's open batch (the caller counted its close reason)."""
         batch = self._open_batches[shard]
         self._open_batches[shard] = []
+        self._sizes[shard] = 0
         self._close_at[shard] = None
+        open_groups = self._open_groups
         for access in batch:
             if access.key is not None:
-                self._open_groups.pop(access.key, None)
+                del open_groups[access.key]
         # Super-block membership may have shifted (merges/breaks) since the
         # group formed; requests no longer riding the leader's super block
         # get their own access so nobody is "served" by a path that never
@@ -434,11 +480,11 @@ class ServingFrontEnd:
     def _complete(self, access: _Access, source: LoadSource) -> None:
         shard = access.shard
         self._outstanding[shard] -= 1
-        if (
-            access.inflight_key is not None
-            and self._inflight_groups.get(access.inflight_key) is access
-        ):
-            del self._inflight_groups[access.inflight_key]
+        key = access.inflight_key
+        inflight_groups = self._inflight_groups
+        # (``None``, coalescing off, is never a key.)
+        if key in inflight_groups and inflight_groups[key] is access:
+            del inflight_groups[key]
         cycle = access.completion_cycle
         if cycle > self._makespan:
             self._makespan = cycle
@@ -452,7 +498,8 @@ class ServingFrontEnd:
             self._tenant_counts[request.tenant].served += 1
             if latency > request.deadline_cycles:
                 self.deadline_misses += 1
-            source.on_completion(request, cycle)
+            if source.feedback:
+                source.on_completion(request, cycle)
 
     # --------------------------------------------------------------- report
     def counters(self) -> Dict[str, int]:

@@ -7,7 +7,9 @@ Both sources speak the same protocol the front-end event loop drives:
   cycle, in ``(cycle, req_id)`` order;
 * :meth:`LoadSource.on_completion` / :meth:`LoadSource.on_shed` --
   completion feedback (the closed-loop source schedules each client's next
-  request from it; the open-loop source ignores it);
+  request from it); the front end calls them only on a source whose
+  :attr:`LoadSource.feedback` is set, and otherwise takes arrivals only
+  when one is due;
 * :attr:`LoadSource.exhausted` -- no arrival will *ever* surface again.
 
 Everything draws from forked :class:`~repro.utils.rng.DeterministicRng`
@@ -29,6 +31,10 @@ DEFAULT_DEADLINE = 30_000
 
 class LoadSource:
     """Base: a deterministic time-ordered arrival heap."""
+
+    #: True when completion/shed feedback can schedule new arrivals (the
+    #: hooks below are no-ops otherwise, and the front end skips them)
+    feedback = False
 
     def __init__(self, num_tenants: int, weights: Optional[Sequence[int]] = None):
         if num_tenants < 1:
@@ -196,6 +202,8 @@ class ClosedLoopSource(LoadSource):
     the client, modelling a user retrying later), so offered load adapts
     to service capacity like a real interactive population.
     """
+
+    feedback = True
 
     def __init__(
         self,

@@ -40,6 +40,9 @@ class TenantQueues:
         self._credit: List[int] = [0] * len(self.weights)
         #: high-water mark per tenant (exported as queue-depth gauges)
         self.peak_depth: List[int] = [0] * len(self.weights)
+        #: requests queued over every tenant -- :meth:`total_depth`, kept
+        #: where it changes so a caller can skip an all-empty scan
+        self.queued = 0
 
     # ------------------------------------------------------------------ state
     @property
@@ -52,18 +55,17 @@ class TenantQueues:
     def total_depth(self) -> int:
         return sum(len(q) for q in self._queues)
 
-    def __bool__(self) -> bool:
-        return any(self._queues)
-
     # ------------------------------------------------------------------- push
     def push(self, request: Request) -> bool:
         """Enqueue unless the tenant's bound is hit; False means shed."""
         queue = self._queues[request.tenant]
-        if len(queue) >= self.capacity:
+        depth = len(queue)
+        if depth >= self.capacity:
             return False
         queue.append(request)
-        if len(queue) > self.peak_depth[request.tenant]:
-            self.peak_depth[request.tenant] = len(queue)
+        self.queued += 1
+        if depth >= self.peak_depth[request.tenant]:
+            self.peak_depth[request.tenant] = depth + 1
         return True
 
     # -------------------------------------------------------------------- pop
@@ -78,21 +80,21 @@ class TenantQueues:
         unbounded priority while blocked.  Returns None when no eligible
         head exists.
         """
-        candidates = [
-            tenant
-            for tenant, queue in enumerate(self._queues)
-            if queue and (eligible is None or eligible(queue[0]))
-        ]
-        if not candidates:
-            return None
+        credit = self._credit
+        weights = self.weights
         total = 0
         best = -1
         best_credit = 0
-        for tenant in candidates:
-            self._credit[tenant] += self.weights[tenant]
-            total += self.weights[tenant]
-            if best < 0 or self._credit[tenant] > best_credit:
-                best = tenant
-                best_credit = self._credit[tenant]
-        self._credit[best] -= total
+        for tenant, queue in enumerate(self._queues):
+            if queue and (eligible is None or eligible(queue[0])):
+                weight = weights[tenant]
+                credit[tenant] += weight
+                total += weight
+                if best < 0 or credit[tenant] > best_credit:
+                    best = tenant
+                    best_credit = credit[tenant]
+        if best < 0:
+            return None
+        credit[best] -= total
+        self.queued -= 1
         return self._queues[best].popleft()

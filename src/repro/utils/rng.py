@@ -27,6 +27,9 @@ class DeterministicRng:
         #: ``random_leaf(n)``, minus two wrapper frames and ``randrange``'s
         #: argument checks.  Hot paths that draw a leaf per access use this.
         self.randbelow = self._random._randbelow
+        #: Bound ``Random.random`` -- the float :meth:`random` returns, minus
+        #: its wrapper frame, for generators that draw per trace entry.
+        self.random_unit = self._random.random
 
     @property
     def seed(self) -> int:

@@ -15,6 +15,8 @@ the data is randomly accessed with no spatial locality."
 
 from __future__ import annotations
 
+from math import log
+
 from repro.sim.trace import Trace
 from repro.utils.rng import DeterministicRng
 
@@ -52,18 +54,31 @@ def locality_mix_trace(
         name=f"locality_{int(round(locality * 100))}",
         footprint_blocks=footprint_blocks,
     )
+    # The random region [low, low + width); the Trace refuses an empty
+    # footprint, so width >= 1.
+    if seq_blocks >= footprint_blocks:
+        low, width = 0, footprint_blocks
+    else:
+        low, width = seq_blocks, footprint_blocks - seq_blocks
+    # The draws are those of ``rng.expovariate_int`` / ``rng.random`` /
+    # ``rng.randint`` written out over the bound generator: ``Random.
+    # expovariate(lambd)`` is ``-log(1.0 - random()) / lambd`` and
+    # ``Random.randint(low, high)`` is ``low + _randbelow(high - low + 1)``
+    # (CPython 3.10-3.12), so the trace is bit-identical to the wrapper
+    # calls' without their frames.
+    random = rng.random_unit
+    randbelow = rng.randbelow
+    lambd = 1.0 / gap_mean if gap_mean > 0.0 else 0.0
+    append = trace.entries.append
     pointer = 0
     for _ in range(accesses):
-        gap = rng.expovariate_int(gap_mean)
-        if seq_blocks > 0 and rng.random() < locality:
+        gap = int(-log(1.0 - random()) / lambd) if lambd else 0
+        if seq_blocks > 0 and random() < locality:
             addr = pointer
             pointer = (pointer + 1) % seq_blocks
         else:
-            if seq_blocks >= footprint_blocks:
-                addr = rng.randint(0, footprint_blocks - 1)
-            else:
-                addr = rng.randint(seq_blocks, footprint_blocks - 1)
-        trace.entries.append((gap, addr, 0))
+            addr = low + randbelow(width)
+        append((gap, addr, 0))
     assert len(trace) == accesses
     return trace
 

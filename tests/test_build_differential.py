@@ -159,8 +159,8 @@ def test_path_oram_build_matches_reference(
 
     assert oram.position_map._leaves == leaves
     assert tree_image(oram.tree) == tree_image(tree)
-    assert list(oram.stash._blocks) == list(stash._blocks)
-    assert contents(oram.stash._blocks.values()) == contents(stash._blocks.values())
+    assert list(oram.stash.blocks) == list(stash.blocks)
+    assert contents(oram.stash.blocks.values()) == contents(stash.blocks.values())
     assert oram.stash.max_occupancy == stash.max_occupancy
     if utilization == 1.0 and levels > 1:
         assert len(stash) > 0  # the over-full case really spills

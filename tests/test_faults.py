@@ -283,7 +283,7 @@ def tree_scheme(name):
     if name in ("path", "merkle_path"):
         cls = VerifiedPathORAM if name == "merkle_path" else PathORAM
         oram = cls(small_config(), DeterministicRng(3))
-        on_chip = oram.stash._blocks
+        on_chip = oram.stash.blocks
     elif name == "shi":
         oram = ShiTreeORAM(levels=5, num_blocks=64, rng=DeterministicRng(4))
         on_chip = oram.overflow

@@ -194,7 +194,7 @@ class TestMixinAgreement:
         # does): both candidates must see the same stash-plus-path pool.
         # Two other paths are read before it, so the stash carries blocks
         # this path cannot take and the leftover order is not vacuous.
-        store = scheme.stash._blocks
+        store = scheme.stash.blocks
         num_leaves = scheme.config.num_leaves
         for other in (leaf + 11, leaf + 22, leaf):
             scheme.tree.read_path_into(other % num_leaves, store)

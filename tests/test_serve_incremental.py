@@ -2,9 +2,10 @@
 scan-based definitions it replaced.
 
 ``ServingFrontEnd`` keeps a backlog counter, a per-shard close cycle, a
-per-shard quota, a coalesce-key memo and a shard stamp on each request
-instead of recomputing them on every arrival.  The functions below are the
-pre-refactor definitions, kept here (and only here) as the oracle:
+per-shard open-batch size and quota, a coalesce-key memo, a queued count
+and a shard stamp on each request instead of recomputing them on every
+arrival.  The functions below are the pre-refactor definitions, kept here
+(and only here) as the oracle:
 
 * :func:`reference_backlog` re-sums every queue, every request of every
   open batch and every fallback lane -- the old ``_backlog``;
@@ -13,12 +14,16 @@ pre-refactor definitions, kept here (and only here) as the oracle:
   :func:`reference_next_close` the old ``_next_close`` over it;
 * :func:`reference_quota` asks the health plane afresh;
 * :func:`reference_placeable` is the old ``_placeable``: a fresh
-  ``bank.coalesce_key`` and a live quota for every tenant head;
+  ``bank.coalesce_key``, the open batch's ``len`` and a live quota for
+  every tenant head;
+* :func:`reference_pick` is the old two-pass weighted round-robin over the
+  heads :func:`reference_placeable` admits;
 * :func:`reference_exhausted` is the old closed-loop ``exhausted`` scan.
 
 :class:`CheckedFrontEnd` compares them after every admission, placement,
-issue, completion and pump round of a run, and on every eligibility
-decision.
+issue, completion and pump round of a run, on every eligibility decision
+and on every fair pick, and checks that the event loop wakes at the
+earliest arrival, completion or deadline close the reference sees.
 """
 
 import dataclasses
@@ -87,6 +92,40 @@ def reference_placeable(frontend, request):
     return len(frontend._open_batches[shard]) < reference_quota(frontend, shard)
 
 
+def reference_pick(frontend, predicate):
+    """``(tenant, credits after the pick)`` of the weighted round-robin over
+    the heads passing *predicate*; ``(None, credits)`` when none does."""
+    queues = frontend.queues
+    credit = list(queues._credit)
+    candidates = [
+        tenant
+        for tenant, queue in enumerate(queues._queues)
+        if queue and predicate(queue[0])
+    ]
+    if not candidates:
+        return None, credit
+    total = 0
+    best = -1
+    for tenant in candidates:
+        credit[tenant] += queues.weights[tenant]
+        total += queues.weights[tenant]
+        if best < 0 or credit[tenant] > credit[best]:
+            best = tenant
+    credit[best] -= total
+    return best, credit
+
+
+def reference_wake(frontend):
+    """The cycle the old event loop woke at next: the earliest of the next
+    arrival, the next completion and :func:`reference_next_close`."""
+    cycles = [
+        frontend.source.next_arrival_cycle(),
+        frontend._comp_heap[0][0] if frontend._comp_heap else None,
+        reference_next_close(frontend),
+    ]
+    return min((cycle for cycle in cycles if cycle is not None), default=None)
+
+
 def reference_exhausted(source):
     if isinstance(source, ClosedLoopSource):
         return not source._heap and all(r == 0 for r in source._remaining)
@@ -100,6 +139,10 @@ class CheckedFrontEnd(ServingFrontEnd):
     checks = 0
     #: accesses `_issue_batch` added because a group's members had drifted
     splits = 0
+    #: fair picks made without a predicate (every shard's batch had room)
+    unfiltered_picks = 0
+    #: heads judged by ``_placeable`` (some shard's batch was full)
+    placeable_calls = 0
 
     def run(self, source):
         self.source = source
@@ -111,10 +154,11 @@ class CheckedFrontEnd(ServingFrontEnd):
         self.checks += 1
         bank = self.bank
         assert self._unissued == reference_backlog(self)
-        assert self._next_close() == reference_next_close(self)
+        assert self.queues.queued == self.queues.total_depth()
         for shard in range(bank.num_shards):
             assert self._close_at[shard] == reference_close_cycle(self, shard)
             assert (self._close_at[shard] is None) == (not self._open_batches[shard])
+            assert self._sizes[shard] == len(self._open_batches[shard])
             assert self._quotas[shard] == reference_quota(self, shard)
         for addr, key in self._keys.items():
             assert key == bank.coalesce_key(addr)
@@ -124,16 +168,64 @@ class CheckedFrontEnd(ServingFrontEnd):
         assert self.source.exhausted == reference_exhausted(self.source)
         self.quota_vectors.add(tuple(self._quotas))
 
+    def _serve_loop(self, source):
+        # Placements are inline in ``_pump``: the checks run at every fair
+        # pick, which follows the previous placement (the state it left)
+        # and precedes the next.
+        queues = self.queues
+        pick = queues.pop_where
+
+        def checked_pop_where(eligible=None):
+            self.check()
+            if eligible is None:
+                self.unfiltered_picks += 1
+                assert all(
+                    reference_placeable(self, queue[0])
+                    for queue in queues._queues
+                    if queue
+                )
+            tenant, credit = reference_pick(
+                self, lambda head: reference_placeable(self, head)
+            )
+            heads = [queue[0] if queue else None for queue in queues._queues]
+            request = pick(eligible)
+            if tenant is None:
+                assert request is None
+            else:
+                assert request is heads[tenant]
+            assert queues._credit == credit
+            return request
+
+        queues.pop_where = checked_pop_where
+        self.clock = 0
+        self.wake = reference_wake(self)
+        super()._serve_loop(source)
+        assert self.wake is None
+
     def _placeable(self, request):
+        self.placeable_calls += 1
         answer = super()._placeable(request)
         assert answer == reference_placeable(self, request)
         return answer
 
+    def _pump(self, source, now):
+        assert now == max(self.clock, self.wake)
+        self.clock = now
+        super()._pump(source, now)
+        self.check()
+        self.wake = reference_wake(self)
+
     def _issue_batch(self, shard, now):
+        self.check()
         accesses = len(self._open_batches[shard])
         before = len(self.issued)
         super()._issue_batch(shard, now)
         self.splits += len(self.issued) - before - accesses
+        self.check()
+
+    def _issue_fallback(self, shard, now):
+        self.check()
+        super()._issue_fallback(shard, now)
         self.check()
 
 
@@ -147,7 +239,7 @@ def _checked(name):
     return method
 
 
-for _name in ("_admit", "_place", "_issue_fallback", "_complete", "_pump"):
+for _name in ("_admit", "_complete"):
     setattr(CheckedFrontEnd, _name, _checked(_name))
 
 
@@ -230,6 +322,9 @@ def test_shard_degrades_mid_run():
     run_checked(frontend, source)
     assert frontend.health.total_transitions() > 0
     assert len(frontend.quota_vectors) > 1
+    # both pick paths ran: unfiltered while every batch had room, judged
+    # head by head once one filled
+    assert frontend.unfiltered_picks > 0 and frontend.placeable_calls > 0
 
 
 def test_static_super_blocks_coalesce_and_recheck_members():
@@ -431,3 +526,95 @@ def test_the_only_registry_frames_of_a_served_request_are_histogram_records():
         "__init__": tenants,
         "quantile": 2 + 2 * tenants,
     }
+
+
+def test_a_served_request_enters_only_event_handler_frames():
+    """One frame per serving event: a run of the ``open4_dyn_health`` golden
+    scenario enters ``repro/serve`` and ``controller/sharded.py`` code only
+    in the event handlers and the spec's span boundaries.  Per request:
+    ``_admit`` and ``TenantQueues.push``; per access: ``_Access``, the issue,
+    the bank's ``demand_access`` + health step, the completion; per batch:
+    ``_issue_batch``; per event-loop round: one arrival peek and one
+    ``_pump``, and ``take_arrivals`` only at a cycle with arrivals due.  A
+    fair pick never scans all-empty queues, and ``_placeable`` judges heads
+    only while some shard's batch is full.  No memo, placement, close-scan,
+    interleave, stash-fraction, address-translation, quota or breaker-state
+    helper frames (comprehension frames are left out: 3.12 inlines them)."""
+    import os
+    import sys
+    from collections import Counter
+
+    from tests.test_serve_golden import open4_dyn_health
+
+    frontend, source = open4_dyn_health()
+    arrival_cycles = len({cycle for cycle, _id, _request in source._heap})
+    serve = os.path.join("repro", "serve") + os.sep
+    sharded = os.path.join("repro", "controller", "sharded.py")
+    frames = Counter()
+    empty_scans = 0
+    judged_with_room = 0
+
+    def hook(frame, event, _arg):
+        nonlocal empty_scans, judged_with_room
+        if event != "call":
+            return
+        code = frame.f_code
+        path = code.co_filename
+        if code.co_name.startswith("<") or not (
+            serve in path or path.endswith(sharded)
+        ):
+            return
+        module = os.path.splitext(os.path.basename(path))[0]
+        frames[f"{module}.{code.co_name}"] += 1
+        if code.co_name == "pop_where" and not any(frame.f_locals["self"]._queues):
+            empty_scans += 1
+        if code.co_name == "_placeable" and all(
+            len(batch) < quota
+            for batch, quota in zip(frontend._open_batches, frontend._quotas)
+        ):
+            judged_with_room += 1
+
+    sys.setprofile(hook)
+    try:
+        report = frontend.run(source)
+    finally:
+        sys.setprofile(None)
+    assert report.served > 0 and report.batches > 0 and report.coalesced > 0
+    issued = len(frontend.issued)
+    assert empty_scans == 0 and judged_with_room == 0
+    # per event-loop round and per pick: counted against each other
+    rounds = frames.pop("frontend._pump")
+    assert frames.pop("loadgen.next_arrival_cycle") == rounds + 1
+    picks = frames.pop("queue.pop_where")
+    assert report.admitted - report.rerouted <= picks
+    judged = frames.pop("frontend._placeable")
+    assert judged > 0
+    # a bank key look-up only behind the memo of a judgement, a placement
+    # or an issue
+    assert 0 < frames.pop("sharded.coalesce_key") <= judged + picks + issued
+    assert frames.pop("loadgen.exhausted") > 0
+    expected = {
+        # per run
+        "frontend.run": 1,
+        "frontend._serve_loop": 1,
+        "frontend._quota": frontend.bank.num_shards,
+        "frontend._finish": 1,
+        "frontend.counters": 1,
+        "queue.__init__": 1,
+        "sharded.finalize": 1,
+        "sharded.snapshot_shards": 1,
+        # per arrival cycle / offered request
+        "loadgen.take_arrivals": arrival_cycles,
+        "frontend._admit": report.offered,
+        "frontend._shed": report.shed,
+        "queue.push": report.offered - report.rerouted - frontend.shed_pressure
+        - frontend.shed_backlog,
+        # per batch and per access
+        "frontend._issue_batch": report.batches,
+        "frontend.__init__": issued,
+        "frontend._issue_one": issued,
+        "frontend._complete": issued,
+        "sharded.demand_access": issued,
+        "sharded.health_access": issued,
+    }
+    assert dict(frames) == {name: count for name, count in expected.items() if count}

@@ -1,17 +1,24 @@
 """Unit tests for the workload/trace generators."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.workloads.base import MixtureWorkload, WorkloadProfile, trace_for
 from repro.workloads.dbms import DBMS_PROFILES, dbms_trace, tpcc_trace, ycsb_trace
 from repro.workloads.spec06 import SPEC06_PROFILES
 from repro.workloads.splash2 import SPLASH2_MISS_RATE_SET, SPLASH2_PROFILES
+from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import (
     locality_mix_trace,
     phase_change_trace,
     sequential_trace,
     uniform_random_trace,
 )
+
+INPUTS_LOCK = Path(__file__).parents[1] / "benchmarks" / "perf" / "inputs.lock.json"
 
 
 def sequential_fraction(trace):
@@ -192,6 +199,58 @@ class TestGeneratorContracts:
         trace = locality_mix_trace(1.0, footprint_blocks=1, accesses=50)
         assert len(trace) == 50
         assert all(addr == 0 for _, addr, _ in trace.entries)
+
+
+def wrapper_locality_mix(locality, footprint_blocks, accesses, gap_mean, seed):
+    """``locality_mix_trace``'s entries drawn through the ``DeterministicRng``
+    wrapper calls, one per draw (the generator writes them out inline)."""
+    rng = DeterministicRng(seed)
+    seq_blocks = int(footprint_blocks * locality)
+    if locality > 0.0 and seq_blocks == 0:
+        seq_blocks = 1
+    entries = []
+    pointer = 0
+    for _ in range(accesses):
+        gap = rng.expovariate_int(gap_mean)
+        if seq_blocks > 0 and rng.random() < locality:
+            addr = pointer
+            pointer = (pointer + 1) % seq_blocks
+        elif seq_blocks >= footprint_blocks:
+            addr = rng.randint(0, footprint_blocks - 1)
+        else:
+            addr = rng.randint(seq_blocks, footprint_blocks - 1)
+        entries.append((gap, addr, 0))
+    return entries
+
+
+class TestLocalityMixDraws:
+    """The inline draws of ``locality_mix_trace`` are the wrapper calls'."""
+
+    @pytest.mark.parametrize("locality,footprint,gap_mean,seed", [
+        (0.8, 16_384, 4.0, 1),
+        (0.0, 1_000, 4.0, 2),
+        (1.0, 64, 200.0, 3),
+        (0.05, 10, 2.5, 5),
+        (0.37, 13, 0.0, 7),
+        (1.0, 1, 4.0, 11),
+    ])
+    def test_same_entries_as_the_wrapper_draws(self, locality, footprint, gap_mean, seed):
+        trace = locality_mix_trace(
+            locality, footprint_blocks=footprint, accesses=3_000,
+            gap_mean=gap_mean, seed=seed,
+        )
+        assert trace.entries == wrapper_locality_mix(
+            locality, footprint, 3_000, gap_mean, seed
+        )
+
+    def test_benchmark_trace_matches_the_inputs_lock(self):
+        """``trace_dram_bypass``'s full-length trace at the lock's seed hashes
+        to the digest ``benchmarks/perf/inputs.lock.json`` pins (read only)."""
+        lock = json.loads(INPUTS_LOCK.read_text())
+        assert lock["seed"] == 1
+        trace = locality_mix_trace(0.8, accesses=200_000, seed=1)
+        digest = hashlib.sha256(repr(trace.entries).encode()).hexdigest()
+        assert digest == lock["full"]["trace_dram_bypass"]["trace"]
 
 
 class TestDBMS:
