@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-fast perf perf-smoke perf-exact profile examples gallery audit loc clean
+.PHONY: install test test-report bench bench-fast perf perf-smoke perf-exact perf-calls profile examples gallery audit loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -36,6 +36,13 @@ perf-exact:
 		PYTHONPATH=src $(PYTHON) benchmarks/perf/run.py --workload $$workload --seed $(SEED) \
 			--seconds 1 --trace 0 | grep -E '^(# [a-z0-9_]+ \(|\{)' || exit 1; \
 	done
+
+# Calls per op of every function of one workload at SEED (Python calls by
+# code object, C calls by the function that made them); BASE=<checkout>
+# prints the base -> this table DESIGN.md section 5 quotes.
+W ?= trace_tpcc_write
+perf-calls:
+	$(PYTHON) tools/calls.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
 
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro run -w locality:80 -s dyn --accesses 20000 --warmup 0 --profile

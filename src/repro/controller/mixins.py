@@ -10,14 +10,15 @@ together with the invariant check the three tree schemes share
 (:class:`TreeAuditMixin`) and the static pairing that demonstrates the
 paper's section 6.1 claim on Ring ORAM and the Shi tree (:func:`merge_pairs`).
 
-The hot-path exception: :meth:`PathORAM._evict_path` keeps its
+The hot-path exceptions: :meth:`PathORAM.finish_access` keeps its
 hand-inlined specialization of :meth:`GreedyWritebackMixin._greedy_writeback`
 (byte-table depth lookup, reused scratch buckets, direct bucket stores)
 because it is the single hottest loop of the simulator and is pinned
 bit-identical by the golden determinism test.  The mixin documents the
 reference algorithm the specialization must agree with; the cross-scheme
 parity suite checks that agreement -- placements, and the blocks left in
-the stash in their order.
+the stash in their order.  :meth:`PathORAM.drain_stash` likewise runs
+:meth:`BoundedDrainMixin.drain_stash` with its capacity test inline.
 """
 
 from __future__ import annotations

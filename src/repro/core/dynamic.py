@@ -91,6 +91,11 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         # Direct handles for the width-2 counter fast paths below (none of
         # these arrays is ever reallocated by its owner).
         self._posmap = oram.position_map
+        self._leaves = oram.position_map._leaves
+        self._num_blocks = oram.position_map.num_blocks
+        #: super blocks are at most pairs (Table 1's max size 2, within a
+        #: PosMap block): membership is one compare of the pair's leaves
+        self._pairs = min(self.max_sbsize, oram.position_map.entries_per_block) == 2
         self._merge_bits = oram.position_map._merge_bits
         self._break_bits = oram.position_map._break_bits
         self._pf_bits = self._tracker._prefetch_bits
@@ -98,6 +103,13 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
 
     # ------------------------------------------------------------ membership
     def members_for(self, addr: int) -> List[int]:
+        if self._pairs:
+            # PositionMap.super_block_of at pair granularity, inline.
+            base = addr & ~1
+            leaves = self._leaves
+            if base + 2 <= self._num_blocks and leaves[base] == leaves[base + 1]:
+                return [base, base + 1]
+            return [addr]
         base, size = self._posmap.super_block_of(addr, self.max_sbsize)
         if size == 1:
             return [base]
@@ -115,21 +127,45 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
             coresident[addr] = 0  # fresh LLC residency starts now
         if size > 1:
             broke = self._run_break(demand, base, size, fetched, outcome)
-            if broke:
-                # Hysteresis: a super block broken this access does not
-                # immediately audition for re-merging.
+            # Hysteresis: a super block broken this access does not
+            # immediately audition for re-merging.
+            if not broke and not self._merge_throttled:
+                # group_base(demand, size) inlined: sizes are powers of two.
+                self._run_merge(demand & ~(size - 1), size)
+            return outcome
+        outcome.to_llc.append((demand, False))
+        # A singleton arriving from the ORAM may carry a stale pending
+        # prefetch bit (it was prefetched, evicted unused, and its super
+        # block broke apart since).  Consume it so the bit does not corrupt
+        # a future counter reconstruction (consume_bits inlined: only its
+        # prefetch-bit clear has an effect here).
+        self._pf_bits[demand] = 0
+        if self._merge_throttled or self.max_sbsize < 2:
+            return outcome
+        # Algorithm 1 for a singleton B = {demand} (every merge audition at
+        # the default max_sbsize of 2), inline: the neighbor is one block
+        # and the counter is the two merge bits of the aligned pair, read
+        # and written directly instead of slicing/boxing through the codec.
+        cb = demand & ~1
+        if cb + 2 > self._num_blocks:
+            return outcome
+        neighbor = cb if cb != demand else demand + 1
+        m = self._merge_bits
+        value = (m[cb] << 1) | m[cb + 1]
+        if self.llc_contains(neighbor):
+            coresident[cb] = 1
+            coresident[cb + 1] = 1
+            if value < 3:
+                value += 1
+            if value >= self.policy.merge_threshold(2):
+                self._merge(demand, neighbor, 1, cb, 2)
                 return outcome
-        else:
-            outcome.to_llc.append((demand, False))
-            # A singleton arriving from the ORAM may carry a stale pending
-            # prefetch bit (it was prefetched, evicted unused, and its super
-            # block broke apart since).  Consume it so the bit does not
-            # corrupt a future counter reconstruction (consume_bits inlined:
-            # only its prefetch-bit clear has an effect here).
-            self._pf_bits[demand] = 0
-        # group_base(demand, size) inlined: sizes are validated powers of two.
-        if not self._merge_throttled:
-            self._run_merge(demand & ~(size - 1), size)
+            m[cb] = value >> 1
+            m[cb + 1] = value & 1
+        elif self.literal_merge_decrement and value:
+            value -= 1
+            m[cb] = value >> 1
+            m[cb + 1] = value & 1
         return outcome
 
     # ------------------------------------------------------------- Algorithm 2
@@ -224,38 +260,12 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
 
     # ------------------------------------------------------------- Algorithm 1
     def _run_merge(self, base: int, size: int) -> None:
-        """Merge algorithm for super block B = [base, base+size)."""
+        """Merge algorithm for super block B = [base, base+size), size >= 2
+        (:meth:`process_fetch` runs a singleton's audition inline)."""
         result_size = size * 2
         if result_size > self.max_sbsize:
             return
         posmap = self._posmap
-        if size == 1:
-            # Singleton fast path (every merge audition at the default
-            # max_sbsize of 2): the neighbor is one block, the counter is the
-            # two merge bits of the aligned pair -- read and write them
-            # directly instead of slicing/boxing through the codec.
-            cb = base & ~1
-            if cb + 2 > posmap.num_blocks:
-                return
-            neighbor = cb if cb != base else base + 1
-            m = self._merge_bits
-            value = (m[cb] << 1) | m[cb + 1]
-            if self.llc_contains(neighbor):
-                coresident = self._coresident
-                coresident[cb] = 1
-                coresident[cb + 1] = 1
-                if value < 3:
-                    value += 1
-                if value >= self.policy.merge_threshold(2):
-                    self._merge(base, neighbor, 1, cb, 2)
-                    return
-                m[cb] = value >> 1
-                m[cb + 1] = value & 1
-            elif self.literal_merge_decrement and value:
-                value -= 1
-                m[cb] = value >> 1
-                m[cb + 1] = value & 1
-            return
         combined_base = base & ~(result_size - 1)  # group_base inlined
         if combined_base + result_size > posmap.num_blocks:
             return  # neighbor group extends past the address space
@@ -265,7 +275,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         # since that would have made B part of it) but it may be internally
         # unmerged -- merging then adopts one common leaf for all members.
         neighbor = range(neighbor_base, neighbor_base + size)
-        if size > 1 and not posmap.group_is_super_block(neighbor_base, size):
+        if not posmap.group_is_super_block(neighbor_base, size):
             # The neighbor group is not itself a super block (its members
             # map to different leaves), so "changing the position map of B
             # to the position map of B'" is not well defined -- and would
@@ -318,7 +328,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         if combined_base + result_size > posmap.num_blocks:
             return
         if size == 1:
-            # Mirror of the singleton fast path in :meth:`_run_merge`: the
+            # Mirror of the singleton audition in :meth:`process_fetch`: the
             # pair counter is the two merge bits at the aligned base, and a
             # counter already at zero saturates in place.
             m = self._merge_bits

@@ -122,6 +122,11 @@ class ORAMBackend(MemoryBackend):
         #: the access function every request runs (PosMap walk -> path read
         #: -> remap -> write-back) with per-phase accounting
         self.pipeline = AccessPipeline(self)
+        entry_owner = next(cls for cls in type(self).__mro__ if "_issue" in vars(cls))
+        if entry_owner is ORAMBackend:
+            # No subclass wraps the entry: requests call the pipeline with
+            # no forwarding frame (whoever replaces the pipeline rebinds it).
+            self._issue = self.pipeline.execute
         #: optional callback(occupancy) sampled after every demand access
         #: (the stash-occupancy study hooks in here)
         self.stash_sampler: Optional[Callable[[int], None]] = None
@@ -383,6 +388,11 @@ class ORAMBackend(MemoryBackend):
         Returns (completion_cycle, ready_cycle, FetchOutcome-or-None): the
         controller is busy until the first, the fetched blocks are on chip
         at the second (early data return; equal on the flat model).
+
+        This method is the override seam: a subclass that schedules
+        requests (the periodic backend) overrides it.  Where nothing does,
+        the constructor binds ``self._issue`` to ``pipeline.execute`` and
+        this body never runs.
         """
         return self.pipeline.execute(addr, now, run_scheme, kind)
 

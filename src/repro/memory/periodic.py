@@ -88,7 +88,7 @@ class PeriodicORAMBackend(ORAMBackend):
             # Identical no-op path read/write; charge and count only.
             self.oram.dummy_accesses += 1
         self.stats.dummy_accesses += 1
-        self.interconnect.note_untracked(1)
+        self.interconnect.note_slot_dummy(self._next_slot)
         recorder = self.recorder
         if recorder is not None:
             recorder.record_event(
@@ -157,7 +157,7 @@ class PeriodicORAMBackend(ORAMBackend):
         train starts before the slot.  The grid resumes after the
         controller's completion, never after the early data return."""
         slot = self._claim_slot(now)
-        issued = super()._issue(addr, slot, run_scheme, kind)
+        issued = self.pipeline.execute(addr, slot, run_scheme, kind)
         self._schedule_after(slot, issued[0])
         return issued
 

@@ -149,6 +149,9 @@ def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -
         state["hidden_latency_cycles"]
     )
     registry.counter(f"{prefix}.early_return_cycles").set(state["early_return_cycles"])
+    # Every charged path's burst is on the numerator (``busy_cycles``), so
+    # the horizon is the end of the last charged path -- streamed, in a
+    # train, or a trailing periodic slot dummy -- not the last streamed one.
     horizon = state["last_completion"]
     for index, channel in enumerate(channels):
         name = f"{prefix}.channel{index}"

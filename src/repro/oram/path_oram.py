@@ -55,9 +55,9 @@ class PathORAM(
 
     Implements the :class:`~repro.controller.scheme.ORAMScheme` protocol;
     the shared stash/eviction/placement machinery lives in the
-    :mod:`repro.controller.mixins` (``_evict_path`` below keeps a
+    :mod:`repro.controller.mixins` (``finish_access`` below keeps a
     hand-inlined specialization of the greedy write-back, pinned by the
-    golden determinism test).
+    golden determinism test, and ``drain_stash`` one of the bounded drain).
 
     Args:
         config: geometry and capacity parameters.
@@ -95,7 +95,7 @@ class PathORAM(
         #: the leaf begin_access read, parked for finish_access's write-back
         #: (``None`` between accesses); the timing pipeline streams it
         self.pending_leaf: Optional[int] = None
-        # Scratch depth buckets reused by every _evict_path call (allocating
+        # Scratch depth buckets reused by every write-back (allocating
         # levels+1 lists per access showed up in profiles).  Entries are
         # always left empty between calls.
         self._depth_buckets: List[List[Block]] = [
@@ -189,11 +189,13 @@ class PathORAM(
             owned by the ORAM.
         """
         posmap = self.position_map
+        leaves = posmap._leaves
         if len(addrs) == 1:
-            # Singleton fast path (most accesses): skip the mixin frame.
-            leaf = posmap.leaf(addrs[0])
+            # Singleton fast path (most accesses): the leaf straight from
+            # the map's array, no mixin or accessor frame.
+            leaf = leaves[addrs[0]]
         else:
-            leaf = self._validated_shared_leaf(addrs, posmap.leaf)
+            leaf = self._validated_shared_leaf(addrs, leaves.__getitem__)
         if self.pending_leaf is not None:
             raise RuntimeError("previous access not finished")
         self.real_accesses += 1
@@ -229,12 +231,88 @@ class PathORAM(
         return fetched
 
     def finish_access(self) -> None:
-        """Protocol step 5: write the accessed path back from the stash."""
-        if self.pending_leaf is None:
-            raise RuntimeError("no access in progress")
+        """Protocol step 5: write the accessed path back from the stash.
+
+        The greedy write-back: every stash block is scored by the deepest
+        level it may occupy on this path -- the length of the common prefix
+        of its mapped leaf and the path's leaf.  Buckets are filled
+        deepest-first; blocks that do not fit remain in the stash.  This is
+        the one home of the write-back: :meth:`dummy_access` parks its
+        path here too.
+
+        Implementation: blocks are bucketed by eligible depth in one O(S)
+        pass (replacing an O(S log S) sort) and consumed deepest-bucket
+        first, preserving stash insertion order within each depth -- the
+        exact consumption order the previous stable sort produced, so the
+        resulting tree state is bit-identical.  This is a hand-inlined
+        specialization of
+        :meth:`~repro.controller.mixins.GreedyWritebackMixin._greedy_writeback`
+        (byte-table depth lookup, reused scratch buckets, direct bucket
+        stores); the parity suite checks the two agree.
+        """
         leaf = self.pending_leaf
+        if leaf is None:
+            raise RuntimeError("no access in progress")
         self.pending_leaf = None
-        self._evict_path(leaf)
+        levels = self.config.levels
+        z = self.config.bucket_size
+        tree = self.tree
+        path = tree._path_cache.get(leaf)
+        if path is None:
+            path = tree.path_indices(leaf)
+        # One plain loop over the stash buckets every block by its
+        # common-prefix depth with the path: bitops.common_prefix_length
+        # inlined, or for small trees one byte-table load per block.  The
+        # depth-bucket lists and their pre-bound ``append`` methods are
+        # reused scratch space, so each block costs one ``append`` call
+        # (and one ``bit_length`` without the table).  A map/zip chain over
+        # the same view makes no fewer appends and runs slower: its calls
+        # from C cost more than the bytecode they replace (DESIGN section 5).
+        by_depth = self._depth_buckets
+        appends = self._depth_appends
+        table = self._depth_of_xor
+        stash_blocks = self.stash.blocks
+        if table is not None:
+            for block in stash_blocks.values():
+                appends[table[block.leaf ^ leaf]](block)
+        else:
+            for block in stash_blocks.values():
+                appends[levels - (block.leaf ^ leaf).bit_length()](block)
+        # Consume deepest-bucket first.  Before filling level L, ``pending``
+        # holds the not-yet-placed blocks with score >= L in consumption
+        # order (score descending, stash insertion order within a score);
+        # the bucket takes its first <= Z.  The chunks are written into the
+        # tree storage directly: a chunk never exceeds ``z``, so the
+        # write_bucket_at overflow check is redundant here and skipped.
+        # Every write-back immediately follows a read of the same path
+        # (begin_access and dummy_access both read first), so the path
+        # buckets are empty on entry and levels that place nothing need no
+        # write at all.
+        buckets = tree._buckets
+        split = tree._treetop_levels  # pinned path levels (0 without a treetop)
+        treetop = tree.treetop
+        pending: List[Block] = []
+        placed: List[Block] = []
+        for level in range(levels, -1, -1):
+            depth_bucket = by_depth[level]
+            if depth_bucket:
+                pending += depth_bucket
+                del depth_bucket[:]  # leave the scratch space empty
+            if pending:
+                chunk = pending[:z]
+                del pending[:z]
+                placed += chunk
+                if level < split:
+                    # Pinned level: the bucket lives in on-chip SRAM; mark
+                    # it dirty so a flush knows the DRAM image is stale.
+                    treetop.store[path[level]] = chunk
+                    treetop.dirty[path[level]] = 1
+                else:
+                    buckets[path[level]] = chunk
+        # Drop the placed blocks from the stash (the write-back only places
+        # blocks it took from there, so every one is present).
+        for block in placed:
+            del stash_blocks[block.addr]
         if self._hooks_active:
             self._after_path_write(leaf)
 
@@ -266,8 +344,11 @@ class PathORAM(
         Reads and writes one uniformly random path without remapping any
         block: everything just read can at least return to where it was, so
         stash occupancy cannot increase, and blocks already in the stash
-        may find room on the path.
+        may find room on the path.  The write-back is
+        :meth:`finish_access`'s, on the parked dummy leaf.
         """
+        if self.pending_leaf is not None:
+            raise RuntimeError("previous access not finished")
         leaf = self.rng.randbelow(self.config.num_leaves)
         self.dummy_accesses += 1
         if self.observer is not None:
@@ -275,7 +356,7 @@ class PathORAM(
         if self._hooks_active:
             self._before_path_read(leaf)
         # Same path read as begin_access.  The watermark cannot rise here
-        # -- a dummy access never adds net blocks, and the eviction below
+        # -- a dummy access never adds net blocks, and the write-back below
         # runs before the next occupancy reading -- but the duplicate check
         # is kept: it guards the same invariant.
         stash = self.stash
@@ -286,19 +367,27 @@ class PathORAM(
             raise ValueError("duplicate block in stash (path/stash overlap)")
         if len(store) > stash.max_occupancy:
             stash.max_occupancy = len(store)
-        self._evict_path(leaf)
-        if self._hooks_active:
-            self._after_path_write(leaf)
+        self.pending_leaf = leaf
+        self.finish_access()
 
-    # drain_stash comes from BoundedDrainMixin; these two hooks bind it to
-    # the stash capacity and the soft-overflow counter.
-    def _stash_over_limit(self) -> bool:
-        # stash.over_capacity() inlined: this check runs before every real
-        # request and is almost always False.
-        return len(self.stash.blocks) > self.stash.capacity
+    def drain_stash(self) -> int:
+        """Issue background evictions until the stash is within capacity;
+        return the count.
 
-    def _note_drain_overflow(self) -> None:
-        self.stash_soft_overflows += 1
+        :meth:`BoundedDrainMixin.drain_stash` with the capacity test and the
+        give-up count inline: this runs before every real request and
+        almost always finds the stash within capacity.
+        """
+        stash = self.stash
+        blocks = stash.blocks
+        evictions = 0
+        while len(blocks) > stash.capacity:
+            if evictions >= self.MAX_EVICTIONS_PER_DRAIN:
+                self.stash_soft_overflows += 1
+                break
+            self.dummy_access()
+            evictions += 1
+        return evictions
 
     # ----------------------------------------------------------------- hooks
     def _before_path_read(self, leaf: int) -> None:
@@ -314,85 +403,6 @@ class PathORAM(
         in place.  The base ORAM derives nothing from its contents; the
         Merkle-verified subclass rebuilds its hash tree here.
         """
-
-    # -------------------------------------------------------------- eviction
-    def _evict_path(self, leaf: int) -> None:
-        """Greedy write-back of the stash onto path ``leaf`` (protocol step 5).
-
-        Every stash block is scored by the deepest level it may occupy on
-        this path -- the length of the common prefix of its mapped leaf and
-        ``leaf``.  Buckets are filled deepest-first; blocks that do not fit
-        remain in the stash.
-
-        Implementation: blocks are bucketed by eligible depth in one O(S)
-        pass (replacing an O(S log S) sort) and consumed deepest-bucket
-        first, preserving stash insertion order within each depth -- the
-        exact consumption order the previous stable sort produced, so the
-        resulting tree state is bit-identical.  This is a hand-inlined
-        specialization of
-        :meth:`~repro.controller.mixins.GreedyWritebackMixin._greedy_writeback`
-        (byte-table depth lookup, reused scratch buckets, direct bucket
-        stores); the parity suite checks the two agree.
-        """
-        levels = self.config.levels
-        z = self.config.bucket_size
-        tree = self.tree
-        path = tree._path_cache.get(leaf)
-        if path is None:
-            path = tree.path_indices(leaf)
-        # One plain loop over the stash buckets every block by its
-        # common-prefix depth with the path: bitops.common_prefix_length
-        # inlined, or for small trees one byte-table load per block.  The
-        # depth-bucket lists and their pre-bound ``append`` methods are
-        # reused scratch space, so each block costs one ``append`` call
-        # (and one ``bit_length`` without the table).  A map/zip chain over
-        # the same view makes no fewer appends and runs slower: its calls
-        # from C cost more than the bytecode they replace (DESIGN section 5).
-        by_depth = self._depth_buckets
-        appends = self._depth_appends
-        table = self._depth_of_xor
-        stash_blocks = self.stash.blocks
-        if table is not None:
-            for block in stash_blocks.values():
-                appends[table[block.leaf ^ leaf]](block)
-        else:
-            for block in stash_blocks.values():
-                appends[levels - (block.leaf ^ leaf).bit_length()](block)
-        # Consume deepest-bucket first.  Before filling level L, ``pending``
-        # holds the not-yet-placed blocks with score >= L in consumption
-        # order (score descending, stash insertion order within a score);
-        # the bucket takes its first <= Z.  The chunks are written into the
-        # tree storage directly: a chunk never exceeds ``z``, so the
-        # write_bucket_at overflow check is redundant here and skipped.
-        # Every eviction immediately follows a read of the same path
-        # (begin/finish_access and dummy_access both read first), so the
-        # path buckets are empty on entry and levels that place nothing
-        # need no write at all.
-        buckets = tree._buckets
-        split = tree._treetop_levels  # pinned path levels (0 without a treetop)
-        treetop = tree.treetop
-        pending: List[Block] = []
-        placed: List[Block] = []
-        for level in range(levels, -1, -1):
-            depth_bucket = by_depth[level]
-            if depth_bucket:
-                pending += depth_bucket
-                del depth_bucket[:]  # leave the scratch space empty
-            if pending:
-                chunk = pending[:z]
-                del pending[:z]
-                placed += chunk
-                if level < split:
-                    # Pinned level: the bucket lives in on-chip SRAM; mark
-                    # it dirty so a flush knows the DRAM image is stale.
-                    treetop.store[path[level]] = chunk
-                    treetop.dirty[path[level]] = 1
-                else:
-                    buckets[path[level]] = chunk
-        # Drop the placed blocks from the stash (eviction only places
-        # blocks it took from there, so every one is present).
-        for block in placed:
-            del stash_blocks[block.addr]
 
     # --------------------------------------------------------------- queries
     def _audit_view(self):

@@ -63,7 +63,9 @@ class PositionMap:
         self.num_leaves = num_leaves
         self.entries_per_block = entries_per_block
         self._rng = rng
-        self._randbelow = rng.randbelow  # flattened leaf draw (hot path)
+        # The leaf draw of remap (hot path): getrandbits of this width.
+        self._getrandbits = rng.getrandbits
+        self._leaf_bits = num_leaves.bit_length()
         # Compact typed storage: one machine word per entry instead of a
         # list of boxed ints, and C-speed slice comparisons for the leaf
         # equality scans below.
@@ -86,11 +88,21 @@ class PositionMap:
         Used both by the normal access path (remap the whole super block
         together, section 3.2) and by merging (all members adopt one leaf).
         Returns the leaf used.
+
+        This is the one leaf draw of an access.  It is ``Random._randbelow``
+        inline: ``getrandbits(num_leaves.bit_length())``, redrawn while the
+        value is ``>= num_leaves`` -- the same values, and the generator
+        left in the same state, without the wrapper's frame.
         """
         if leaf is None:
-            leaf = self._randbelow(self.num_leaves)
+            getrandbits = self._getrandbits
+            bits = self._leaf_bits
+            leaf = getrandbits(bits)
+            while leaf >= self.num_leaves:
+                leaf = getrandbits(bits)
+        leaves = self._leaves
         for addr in addrs:
-            self._leaves[addr] = leaf
+            leaves[addr] = leaf
         return leaf
 
     # ------------------------------------------------------------- bit fields

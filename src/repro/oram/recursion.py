@@ -62,14 +62,22 @@ class PosMapHierarchy:
         All PosMap blocks touched by the walk become cached.
         """
         self.lookups += 1
+        if self.num_hierarchies == 1:
+            return 0  # the whole position map is on-chip
         cache = self._cache
         shift = self._shift
-        block_id = addr
-        missed = []
-        for hierarchy in range(1, self.num_hierarchies):
+        block_id = addr >> shift
+        # Cache keys pack (hierarchy, block id) into one int: int keys
+        # hash/compare faster than tuples and this runs per request.
+        key = (1 << 56) | block_id
+        if key in cache:
+            # Level-1 hit (most walks): nothing missed, nothing to install.
+            cache.move_to_end(key)
+            self.cache_hits += 1
+            return 0
+        missed = [key]
+        for hierarchy in range(2, self.num_hierarchies):
             block_id >>= shift
-            # Cache keys pack (hierarchy, block id) into one int: int keys
-            # hash/compare faster than tuples and this runs per request.
             key = (hierarchy << 56) | block_id
             if key in cache:
                 cache.move_to_end(key)

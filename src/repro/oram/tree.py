@@ -60,16 +60,19 @@ class PhysicalLayout:
         self.levels = levels
         self.num_banks = num_banks
         self.subtree_levels = subtree_levels
-        # Per tier t (roots at level t * h, 2**(t*h) of them):
-        # (t, shift, first_row).  ``leaf >> shift`` is the within-tier
-        # index of the tile a path crosses; first_row[t] = rows handed out
-        # to tiers < t, each rounded up to a whole number of rows.
         tiers: List[Tuple[int, int, int]] = []
         rows = 0
         for tier, root_level in enumerate(range(0, levels + 1, subtree_levels)):
             tiers.append((tier, levels - root_level, rows))
             rows += -(-(1 << root_level) // num_banks)
-        self._tiers = tuple(tiers)
+        #: per tier t (roots at level t * h, 2**(t*h) of them), root-most
+        #: first: ``(t, shift, first_row)``.  ``leaf >> shift`` is the
+        #: within-tier index of the tile a path crosses; ``first_row`` is
+        #: the rows handed out to tiers < t, each rounded up to whole rows.
+        #: The placement rule is these three numbers: a path's tile in tier
+        #: t is ``((x + t) % num_banks, first_row + x // num_banks)`` with
+        #: ``x = leaf >> shift``.
+        self.tiers: Tuple[Tuple[int, int, int], ...] = tuple(tiers)
 
     def path_tiles(self, leaf: int, first_level: int = 0) -> List[Tuple[int, int]]:
         """The placement rule: one ``(bank, row)`` per tier, root-most first.
@@ -87,7 +90,7 @@ class PhysicalLayout:
         # ``index`` is the tile's within-tier index.
         return [
             (((index := leaf >> shift) + tier) % banks, first_row + index // banks)
-            for tier, shift, first_row in self._tiers[first_level // self.subtree_levels:]
+            for tier, shift, first_row in self.tiers[first_level // self.subtree_levels:]
         ]
 
     def address_of(self, level: int, leaf: int) -> PhysicalAddress:
@@ -276,8 +279,25 @@ class BinaryTree:
         path = self._path_cache.get(leaf)
         if path is None:
             path = self.path_indices(leaf)
+        moved = 0
         split = self._treetop_levels
-        moved = self._drain_treetop(path, store) if split else 0
+        if split:
+            # The first ``split`` entries of a path vector are exactly the
+            # pinned levels (heap index ``< 2**k - 1`` iff level ``< k``):
+            # they are served from SRAM, counted as treetop hits and marked
+            # dirty, and only the rest of the path touches DRAM buckets.
+            cache = self.treetop
+            sram = cache.store
+            dirty = cache.dirty
+            for index in path[:split]:
+                bucket = sram[index]
+                if bucket:
+                    for block in bucket:
+                        store[block.addr] = block
+                        moved += 1
+                    sram[index] = []
+                    dirty[index] = 1
+            cache.hits += split
         # The DRAM-resident rest of the path (all of it without a treetop).
         buckets = self._buckets
         for index in path[split:]:
@@ -287,30 +307,6 @@ class BinaryTree:
                     store[block.addr] = block
                     moved += 1
                 buckets[index] = []
-        return moved
-
-    def _drain_treetop(self, path: Sequence[int], store: Dict[int, Block]) -> int:
-        """Move the pinned prefix of ``path`` into ``store``; return the count.
-
-        The first ``_treetop_levels`` entries of a path vector are exactly
-        the pinned levels (heap index ``< 2**k - 1`` iff level ``< k``), so
-        the pinned prefix is served from SRAM -- counted as treetop hits --
-        and only the rest of the path touches the DRAM-resident buckets.
-        """
-        split = self._treetop_levels
-        cache = self.treetop
-        sram = cache.store
-        dirty = cache.dirty
-        moved = 0
-        for index in path[:split]:
-            bucket = sram[index]
-            if bucket:
-                for block in bucket:
-                    store[block.addr] = block
-                    moved += 1
-                sram[index] = []
-                dirty[index] = 1
-        cache.hits += split
         return moved
 
     def write_bucket(self, level: int, leaf: int, blocks: List[Block]) -> None:

@@ -30,6 +30,11 @@ class DeterministicRng:
         #: Bound ``Random.random`` -- the float :meth:`random` returns, minus
         #: its wrapper frame, for generators that draw per trace entry.
         self.random_unit = self._random.random
+        #: Bound ``Random.getrandbits``: a uniform integer with the given
+        #: number of random bits.  ``_randbelow(n)`` is ``getrandbits(k)``
+        #: with ``k = n.bit_length()``, redrawn while ``>= n``; a hot path
+        #: may run that loop itself and consume the generator identically.
+        self.getrandbits = self._random.getrandbits
 
     @property
     def seed(self) -> int:
@@ -133,10 +138,6 @@ class DeterministicRng:
         import bisect
 
         return bisect.bisect_left(cdf, self._random.random())
-
-    def getrandbits(self, bits: int) -> int:
-        """Uniform integer with the given number of random bits."""
-        return self._random.getrandbits(bits)
 
     def sample(self, population: Sequence[T], k: int) -> list:
         """Sample ``k`` distinct elements."""

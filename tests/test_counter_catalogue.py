@@ -264,6 +264,9 @@ def oracle_interconnect_to_registry(interconnect, registry, prefix):
     registry.counter(f"{prefix}.early_return_cycles").set(
         interconnect.early_return_cycles
     )
+    # The occupancy horizon is the end of the last *charged* path (streamed,
+    # untracked in a train, or a periodic slot dummy), because every charged
+    # path's burst is in busy_cycles.
     horizon = interconnect.last_completion
     for index, channel in enumerate(oracle_channel_reports(interconnect)):
         name = f"{prefix}.channel{index}"

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.experiments import experiment_config
 from repro.config import DRAMConfig, ORAMConfig
 from repro.controller.sharded import build_shard_backend, make_policy
@@ -22,7 +26,7 @@ from repro.parallel.merge import fold_backend
 from repro.sim.results import SimResult
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
-from repro.workloads.synthetic import sequential_trace
+from repro.workloads.synthetic import locality_mix_trace, sequential_trace
 
 
 def make_backend(scheme=None, levels=7, stash=50, bucket_size=4, utilization=0.5):
@@ -225,3 +229,156 @@ class TestPosMapCacheCheckpoint:
         document["posmap_cache"] = bad
         with pytest.raises(CheckpointError, match="posmap_cache"):
             restore_backend_state(self.build(), json.dumps(document))
+
+
+#: the ORAM access path: the backend, the pipeline, the ORAM scheme and tree,
+#: the super block policy (the cache and the sim loop above are not counted)
+ACCESS_PATH = tuple(
+    str(Path(repro.__file__).parent / package) + "/"
+    for package in ("memory", "controller", "oram", "core")
+)
+
+
+class TestOneFramePerAccess:
+    """Each ORAM access crosses one frame per layer boundary.
+
+    Four accesses run under ``sys.setprofile`` on the flat model and on four
+    channels with a 4-level treetop (the benchmark's ``trace_tpcc_write``
+    geometry); every Python frame whose code lives under
+    ``repro/{memory,controller,oram,core}`` is counted by function name.
+    The trees' path vectors are memoized beforehand and the PosMap block is
+    cached, so the counts are the steady state.  The two models cross the
+    same frames: the channel plan and the treetop levels are walked inline.
+    A deliberate new frame on the access path means editing these dicts.
+    """
+
+    #: a singleton demand miss: one frame per layer, no forwarding frame
+    MISS = dict.fromkeys(
+        (
+            "demand_access", "execute", "drain_stash", "lookup", "members_for",
+            "begin_access", "read_path_into", "remap", "train", "path_completion",
+            "process_fetch", "finish_access", "on_request",
+        ),
+        1,
+    )
+    #: a merged pair adds the shared-leaf check, the fetched-member filter,
+    #: Algorithm 2 (kept: the neighbor is marked prefetched) and the group
+    #: merge audition
+    PAIR = {
+        **MISS,
+        "_validated_shared_leaf": 1, "<dictcomp>": 1, "_run_break": 1,
+        "break_threshold": 1, "_base_threshold": 1, "tracker": 1,
+        "mark_prefetched": 1, "_run_merge": 1,
+    }
+    #: a dirty write-back: the eviction hooks, then the access minus the
+    #: super block policy
+    WRITEBACK = {
+        **{name: 1 for name in MISS if name not in ("demand_access", "process_fetch")},
+        "evict_line": 1, "on_llc_evict": 2, "super_block_of": 1, "_check_addr": 1,
+    }
+
+    @staticmethod
+    def system(model):
+        if model == "flat":
+            config = experiment_config()
+        else:
+            config = experiment_config(treetop_levels=4)
+            config = dataclasses.replace(
+                config, dram=dataclasses.replace(config.dram, model="channel", num_channels=4)
+            )
+        system = SecureSystem.build("dyn", 4096, config)
+        tree = system.backend.oram.tree
+        for leaf in range(tree.num_leaves):
+            tree.path_indices(leaf)
+        return system
+
+    @staticmethod
+    def frames(call):
+        frames = Counter()
+
+        def hook(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(ACCESS_PATH):
+                frames[frame.f_code.co_name] += 1
+
+        sys.setprofile(hook)
+        try:
+            result = call()
+        finally:
+            sys.setprofile(None)
+        return dict(frames), result
+
+    @pytest.fixture(params=["flat", "channel4_treetop4"])
+    def backend(self, request):
+        backend = self.system(request.param).backend
+        backend.demand_access(40, 0, False)  # caches the PosMap block of 32..63
+        return backend
+
+    @staticmethod
+    def singleton(backend):
+        leaves = backend.oram.position_map._leaves
+        return next(addr for addr in range(32, 40) if leaves[addr] != leaves[addr ^ 1])
+
+    def test_singleton_demand_miss(self, backend):
+        addr = self.singleton(backend)
+        assert backend.scheme.members_for(addr) == [addr]
+        frames, _ = self.frames(lambda: backend.demand_access(addr, backend.busy_until, False))
+        assert frames == self.MISS
+
+    def test_merged_pair_miss(self, backend):
+        oram = backend.oram
+        leaves = oram.position_map._leaves
+        oram.access([44])  # merge (44, 45): both in the stash, one leaf
+        oram.begin_access([45])
+        oram.remap_group([44, 45], leaves[44])
+        oram.finish_access()
+        assert backend.scheme.members_for(44) == [44, 45]
+        frames, _ = self.frames(lambda: backend.demand_access(44, backend.busy_until, False))
+        assert frames == self.PAIR
+
+    def test_dirty_writeback(self, backend):
+        addr = self.singleton(backend)
+        frames, _ = self.frames(lambda: backend.evict_line(addr, True, backend.busy_until))
+        assert frames == self.WRITEBACK
+
+    def test_drain_of_k_evictions(self, backend):
+        oram = backend.oram
+        store = oram.stash.blocks
+        leaf = 0
+        while len(store) <= oram.stash.capacity + 20:  # the stash overflows
+            oram.tree.read_path_into(leaf, store)
+            leaf += 7
+        frames, k = self.frames(oram.drain_stash)
+        assert k > 1
+        assert frames == {
+            "drain_stash": 1, "dummy_access": k, "read_path_into": k, "finish_access": k,
+        }
+
+
+class TestRemapIsTheDraw:
+    """``PositionMap.remap`` is the one leaf draw of a real access.
+
+    The audit's planted leak (``tests/test_cli.py::TestAuditVerdict``)
+    patches it on the class; an access path that drew its leaf anywhere
+    else -- say, a remap inlined into ``begin_access`` -- would slip past
+    that oracle silently.  So every real access must call it exactly once,
+    and the only other caller is the merge/break regrouping.
+    """
+
+    def test_one_remap_per_real_access(self, monkeypatch):
+        from repro.oram.position_map import PositionMap
+
+        remap = PositionMap.remap
+        callers = Counter()
+
+        def counting_remap(self, addrs, leaf=None):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return remap(self, addrs, leaf)
+
+        monkeypatch.setattr(PositionMap, "remap", counting_remap)
+        trace = locality_mix_trace(0.8, footprint_blocks=8192, accesses=6000, seed=3)
+        system = SecureSystem.build("dyn", trace.footprint_blocks, experiment_config())
+        result = system.run(trace)
+        oram = system.backend.oram
+        assert callers["begin_access"] == oram.real_accesses > 0
+        assert result.merges > 0 and callers["remap_group"] > 0
+        assert set(callers) == {"begin_access", "remap_group"}

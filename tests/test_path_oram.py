@@ -179,21 +179,22 @@ class TestCallShape:
     """The path read and the write-back are plain bytecode.
 
     One ``PathORAM.access`` runs under ``sys.setprofile``; every builtin
-    call made directly in ``read_path_into``, ``_drain_treetop`` or
-    ``_evict_path`` is counted by name.  The write-back makes exactly one
-    bound ``list.append`` per block in the stash when it starts (the
-    depth bucketing), and neither function bulk-moves blocks through
-    ``list.extend`` or ``dict.update``.  Calling a type (``map``, ``zip``)
-    raises no profiler event, so those two are held off by name.  A
-    rewrite that moves this work into C-level chains changes these counts
-    and must show its wall-clock pairs (DESIGN section 5).
+    call made directly in ``read_path_into`` (the treetop levels included)
+    or in ``finish_access`` (the home of the write-back) is counted by
+    name.  The write-back makes exactly one bound ``list.append`` per block
+    in the stash when it starts (the depth bucketing), and neither
+    function bulk-moves blocks through ``list.extend`` or ``dict.update``.
+    Calling a type (``map``, ``zip``) raises no profiler event, so those
+    two are held off by name.  A rewrite that moves this work into C-level
+    chains changes these counts and must show its wall-clock pairs (DESIGN
+    section 5).
     """
 
-    HOT = ("read_path_into", "_drain_treetop", "_evict_path")
+    HOT = ("read_path_into", "finish_access")
 
     def builtin_calls(self, oram, addr):
         calls = {name: Counter() for name in self.HOT}
-        stash_at_evict = []
+        stash_at_writeback = []
 
         def hook(frame, event, arg):
             name = frame.f_code.co_name
@@ -201,38 +202,33 @@ class TestCallShape:
                 return
             if event == "c_call":
                 calls[name][arg.__qualname__] += 1
-            elif event == "call" and name == "_evict_path":
-                stash_at_evict.append(len(oram.stash))
+            elif event == "call" and name == "finish_access":
+                stash_at_writeback.append(len(oram.stash))
 
         sys.setprofile(hook)
         try:
             oram.access([addr])
         finally:
             sys.setprofile(None)
-        return {name: dict(counts) for name, counts in calls.items()}, stash_at_evict
+        return {name: dict(counts) for name, counts in calls.items()}, stash_at_writeback
 
     @pytest.mark.parametrize("treetop", [0, 2])
     def test_one_append_per_stash_block(self, treetop):
         oram = make_oram(bucket_size=2, utilization=0.9, treetop=treetop)
         for addr in range(30):
             oram.access([addr])
-        calls, stash_at_evict = self.builtin_calls(oram, 3)
-        [blocks] = stash_at_evict
+        calls, stash_at_writeback = self.builtin_calls(oram, 3)
+        [blocks] = stash_at_writeback
         assert blocks > len(oram.stash) > 0  # it placed some and carried some
         assert calls == {
             "read_path_into": {"dict.get": 1},  # the memoized path vector
-            "_drain_treetop": {},
-            "_evict_path": {"dict.get": 1, "dict.values": 1, "list.append": blocks},
+            "finish_access": {"dict.get": 1, "dict.values": 1, "list.append": blocks},
         }
 
     def test_no_map_or_zip(self):
-        for function in (
-            BinaryTree.read_path_into,
-            BinaryTree._drain_treetop,
-            PathORAM._evict_path,
-        ):
-            assert {"map", "zip"}.isdisjoint(function.__code__.co_names)
-
+        for function in (BinaryTree.read_path_into, PathORAM.finish_access):
+            names = function.__code__.co_names
+            assert {"map", "zip", "extend", "update"}.isdisjoint(names)
 
 class TestObserver:
     def test_observer_sees_mapped_leaf(self):

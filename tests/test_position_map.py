@@ -31,6 +31,19 @@ class TestLeafMapping:
         assert pm.remap([0, 1], leaf=9) == 9
         assert pm.leaf(0) == 9 and pm.leaf(1) == 9
 
+    @pytest.mark.parametrize("num_leaves", [1, 2, 3, 5, 64, 65])
+    def test_remap_draws_exactly_what_randbelow_draws(self, num_leaves):
+        """``remap`` runs ``Random._randbelow`` inline: the same leaves, in
+        order, and the generator left in the same state -- for 2**k leaves
+        (every tree), for 2**k + 1 (the longest redraw runs) and the small
+        cases."""
+        pm = PositionMap(16, num_leaves, 8, DeterministicRng(9))
+        twin = DeterministicRng(9)  # the same draws up to here: the initial leaves
+        assert list(twin.random_leaves(num_leaves, 16)) == list(pm._leaves)
+        drawn = [pm.remap([addr % 16]) for addr in range(500)]
+        assert drawn == [twin._random._randbelow(num_leaves) for _ in range(500)]
+        assert pm._rng.state_snapshot() == twin.state_snapshot()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PositionMap(0, 32, 8, DeterministicRng(1))

@@ -154,7 +154,7 @@ class TestLeafSchemes:
 
 class TestMixinAgreement:
     def test_greedy_writeback_matches_path_oram_specialization(self):
-        """The mixin's reference algorithm equals PathORAM._evict_path."""
+        """The mixin's reference algorithm equals PathORAM's write-back."""
         self.check_agreement(seed=7, leaf_choice="last", treetop=0, table=True)
 
     @pytest.mark.parametrize("table", [True, False], ids=["table", "no_table"])
@@ -167,7 +167,7 @@ class TestMixinAgreement:
         self.check_agreement(seed, leaf_choice, treetop, table)
 
     def check_agreement(self, seed, leaf_choice, treetop, table):
-        """The mixin's reference algorithm equals PathORAM._evict_path.
+        """The mixin's reference algorithm equals PathORAM's write-back.
 
         Same stash, same leaf: both must place the same blocks in the same
         buckets and leave the same blocks in the stash, in the same
@@ -216,8 +216,10 @@ class TestMixinAgreement:
             snapshot,
             lambda level, blocks: scratch.__setitem__(level, [b.addr for b in blocks]),
         )
-        # Specialized: evict the real stash onto the real tree.
-        scheme._evict_path(leaf)
+        # Specialized: evict the real stash onto the real tree, through
+        # the one write-back body (finish_access on the parked leaf).
+        scheme.pending_leaf = leaf
+        scheme.finish_access()
         for level in range(scheme.config.levels + 1):
             index = scheme.tree.bucket_index(level, leaf)
             actual = [b.addr for b in scheme.tree.bucket(index)]
