@@ -26,6 +26,7 @@ import functools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,16 @@ def reference_plan(layout, leaf, k, bucket_bytes, dram):
     return tuple(
         (channel, tuple(accesses[channel]), cycles, path_bytes[channel])
         for channel in range(channels)
+    )
+
+
+def offchip_plan(interconnect, leaf):
+    """The ``(bank, row)`` list the gang activates for the path to a
+    functional ``leaf``: one per off-chip tier, read from
+    :meth:`PhysicalLayout.path_tiles`, the placement rule
+    :meth:`ChannelInterconnect.path_completion` runs inline."""
+    return interconnect.layout.path_tiles(
+        leaf << interconnect._leaf_shift, interconnect.treetop_levels
     )
 
 
@@ -252,7 +263,7 @@ class TestAgainstTheOldPlanner:
             )
             assert len(reference) == dram.num_channels
             for channel, requests, cycles, nbytes in reference:
-                assert list(requests) == fused._plan(leaf)
+                assert list(requests) == offchip_plan(fused, leaf)
                 assert cycles == fused._burst_cycles
                 assert nbytes == fused._stripe_bytes[channel]
             assert sum(nbytes for *_, nbytes in reference) == fused.bytes_per_path
@@ -282,6 +293,29 @@ class TestAgainstTheOldPlanner:
         first = reference.channels[0].state_dict()
         for channel in reference.channels[1:]:
             assert {**channel.state_dict(), "bytes_moved": 0} == {**first, "bytes_moved": 0}
+
+    @pytest.mark.parametrize("treetop", [0, 4])
+    def test_path_completion_activates_the_layouts_tiles(self, treetop):
+        """``path_completion`` runs the placement rule inline; for every
+        leaf the ``(bank, row)`` sequence it activates is ``path_tiles``'s
+        off-chip suffix, in order, and an out-of-range leaf is refused."""
+        oram, dram = configs(6, 4, 20, 4, 8, 3, treetop, "open")
+        fused = ChannelInterconnect(oram, dram)
+        assert fused.treetop_levels == treetop
+
+        class Recording(dict):
+            def __setitem__(self, bank, row):
+                activated.append((bank, row))
+                super().__setitem__(bank, row)
+
+        fused.gang.open_row = Recording()
+        now = 0
+        for leaf in range(1 << oram.levels):
+            activated = []
+            now = fused.path_completion(leaf, now)
+            assert activated == offchip_plan(fused, leaf)
+        with pytest.raises(ValueError):
+            fused.path_completion(1 << oram.levels, now)
 
     def test_layout_addresses_match_the_counted_reference(self):
         """``address_of`` / ``path_addresses`` are views of the same rule."""
@@ -367,7 +401,7 @@ class TestStripedLayout:
         leaf = rng.randrange(1 << oram.levels)
         start = rng.randrange(10_000)
         per_bank = {}
-        for bank, _row in fused._plan(leaf):
+        for bank, _row in offchip_plan(fused, leaf):
             per_bank[bank] = per_bank.get(bank, 0) + 1
         latency = dram.latency_cycles
         fits = (fused.path_cycles - latency) // latency + 1

@@ -45,6 +45,7 @@ from repro.faults.fsck import run_fsck
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
+from tests.test_interconnect_differential import offchip_plan
 
 SMALL_CAPACITY = 1 << 20
 
@@ -488,7 +489,7 @@ class TestTreetopProperties:
         leaf = random.Random(seed).randrange(1 << levels)
         nominal_leaf = leaf << interconnect._leaf_shift
         offchip = {(a.bank, a.row) for a in layout.path_addresses(nominal_leaf)[k:]}
-        assert set(interconnect._plan(leaf)) == offchip
+        assert set(offchip_plan(interconnect, leaf)) == offchip
         interconnect.path_completion(leaf, 0)
         reports = interconnect.state_dict()["channels"]
         assert [report["requests"] for report in reports] == [len(offchip)] * channels
