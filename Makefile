@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-fast perf perf-smoke perf-exact perf-calls profile examples gallery audit loc clean
+.PHONY: install test test-report bench bench-fast perf perf-smoke perf-exact perf-calls perf-footprint profile examples gallery audit loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,6 +43,11 @@ perf-exact:
 W ?= trace_tpcc_write
 perf-calls:
 	$(PYTHON) tools/calls.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
+
+# What one build of workload W at SEED leaves alive: GC-tracked objects,
+# tracemalloc MB and the top allocation sites (tools/footprint.py).
+perf-footprint:
+	$(PYTHON) tools/footprint.py --workload $(W) --seed $(SEED)
 
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro run -w locality:80 -s dyn --accesses 20000 --warmup 0 --profile

@@ -23,12 +23,9 @@ the stash in their order.  :meth:`PathORAM.drain_stash` likewise runs
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.utils.bitops import is_power_of_two
-
-if TYPE_CHECKING:  # imported lazily: repro.oram modules import these mixins
-    from repro.oram.block import Block
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK, is_power_of_two
 
 
 class SharedLeafMixin:
@@ -54,32 +51,30 @@ class DeepestPlacementMixin:
         self,
         leaves: Sequence[int],
         capacity: int,
-        buckets: Sequence[List[Block]],
-    ) -> List[Block]:
+        buckets: Sequence[List[int]],
+    ) -> List[int]:
         """Build the working set: block ``addr`` is mapped to ``leaves[addr]``.
 
-        Blocks are placed in address order, each appended to the deepest
-        bucket on its path that holds fewer than ``capacity`` blocks.
+        Blocks are placed in address order, each block's word appended to
+        the deepest bucket on its path that holds fewer than ``capacity``.
         ``buckets`` holds the tree's live bucket lists in heap order (root
         at 0, leaf ``s`` at ``len(buckets) // 2 + s``), so the walk up a
-        path is one shift per level.  Returns the blocks whose whole path
+        path is one shift per level.  Returns the words whose whole path
         was full, in address order -- the caller sends them to its
         stash/overflow area.
         """
-        from repro.oram.block import Block
-
         first_leaf_bucket = len(buckets) >> 1
-        spilled: List[Block] = []
+        spilled: List[int] = []
         for addr, leaf in enumerate(leaves):
-            block = Block(addr, leaf)
+            word = addr << LEAF_BITS | leaf
             index = first_leaf_bucket + leaf
             while len(buckets[index]) >= capacity:
                 if not index:
-                    spilled.append(block)
+                    spilled.append(word)
                     break
                 index = (index - 1) >> 1
             else:
-                buckets[index].append(block)
+                buckets[index].append(word)
         return spilled
 
 
@@ -100,31 +95,31 @@ class GreedyWritebackMixin:
         leaf: int,
         levels: int,
         capacity: int,
-        stash: Dict[int, Block],
-        write_bucket: Callable[[int, List[Block]], None],
+        stash: Dict[int, int],
+        write_bucket: Callable[[int, List[int]], None],
     ) -> int:
         """Write ``stash`` back onto the path to ``leaf``; return blocks placed.
 
-        ``write_bucket(level, blocks)`` installs the chosen blocks as the
-        new content of the bucket at ``level`` on the path (and may charge
-        whatever per-bucket cost the scheme meters).  Placed blocks are
-        removed from ``stash``.
+        ``stash`` maps addresses to block words.  ``write_bucket(level,
+        words)`` installs the chosen words as the new content of the bucket
+        at ``level`` on the path (and may charge whatever per-bucket cost
+        the scheme meters).  Placed blocks are removed from ``stash``.
         """
-        by_depth: List[List[Block]] = [[] for _ in range(levels + 1)]
-        for block in stash.values():
-            differing = block.leaf ^ leaf
+        by_depth: List[List[int]] = [[] for _ in range(levels + 1)]
+        for word in stash.values():
+            differing = (word & LEAF_MASK) ^ leaf
             by_depth[
                 levels if differing == 0 else levels - differing.bit_length()
-            ].append(block)
-        flat: List[Block] = []
+            ].append(word)
+        flat: List[int] = []
         pos = 0
         for level in range(levels, -1, -1):
             flat.extend(by_depth[level])
             take = min(capacity, len(flat) - pos)
             write_bucket(level, flat[pos : pos + take])
             pos += take
-        for block in flat[:pos]:
-            del stash[block.addr]
+        for word in flat[:pos]:
+            del stash[word >> LEAF_BITS]
         return pos
 
 
@@ -174,8 +169,8 @@ class TreeAuditMixin:
     and provide :meth:`_audit_view`.
     """
 
-    def _audit_view(self) -> Tuple[Callable[[int], int], Mapping[int, Block]]:
-        """``(mapped leaf of an address, on-chip blocks by address)``."""
+    def _audit_view(self) -> Tuple[Callable[[int], int], Mapping[int, int]]:
+        """``(mapped leaf of an address, on-chip block words by address)``."""
         raise NotImplementedError
 
     def audit(self, max_errors: int = 16):

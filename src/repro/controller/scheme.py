@@ -33,7 +33,7 @@ provides the protocol surface.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 #: Methods and properties every registered scheme must provide.  The
 #: parity suite asserts this surface exists on each implementation.
@@ -53,18 +53,20 @@ class ORAMScheme(ABC):
     """Interface between an oblivious-memory construction and the controller.
 
     Addresses are logical block numbers in ``[0, num_blocks)``.  A scheme
-    owns all of its server-side state; the controller only ever sees
-    block handles returned by :meth:`begin_access`.
+    owns all of its server-side state; the controller only ever sees the
+    block words :meth:`begin_access` returns (``addr << 32 | leaf``, the
+    header a bucket stores; :mod:`repro.oram.tree`).
     """
 
     @abstractmethod
     def begin_access(
         self, addrs: Sequence[int], new_leaf: Optional[int] = None
-    ) -> Mapping[int, Any]:
+    ) -> Mapping[int, int]:
         """Fetch the (super) block ``addrs`` and remap its members.
 
-        Between this call and :meth:`finish_access` every member is
-        on-chip, so callers may inspect or update the returned handles.
+        Returns each member's block word after the remap.  Between this
+        call and :meth:`finish_access` every member is on-chip, so a
+        caller may update its payload (``tree.payloads[addr]``).
         ``new_leaf`` overrides the random remap target (tests only).
         """
 
@@ -74,7 +76,7 @@ class ORAMScheme(ABC):
 
     def access(
         self, addrs: Sequence[int], new_leaf: Optional[int] = None
-    ) -> Mapping[int, Any]:
+    ) -> Mapping[int, int]:
         """One complete access: :meth:`begin_access` + :meth:`finish_access`."""
         fetched = self.begin_access(addrs, new_leaf)
         self.finish_access()

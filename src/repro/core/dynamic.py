@@ -44,7 +44,6 @@ from typing import Dict, List, Optional
 
 from repro.core import counters
 from repro.core.thresholds import StaticThresholdPolicy, ThresholdPolicy
-from repro.oram.block import Block
 from repro.oram.super_block import FetchOutcome, SuperBlockScheme
 from repro.utils.bitops import is_power_of_two
 
@@ -117,7 +116,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
 
     # ------------------------------------------------------------- main hook
     def process_fetch(
-        self, demand: int, members: List[int], fetched: Dict[int, Block]
+        self, demand: int, members: List[int], fetched: Dict[int, int]
     ) -> FetchOutcome:
         outcome = FetchOutcome()
         base = members[0]
@@ -174,7 +173,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         demand: int,
         base: int,
         size: int,
-        fetched: Dict[int, Block],
+        fetched: Dict[int, int],
         outcome: FetchOutcome,
     ) -> bool:
         """Break algorithm; returns True if the super block was broken."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.thresholds import StaticThresholdPolicy, ThresholdPolicy
-from repro.oram.block import Block
 from repro.oram.super_block import FetchOutcome, SuperBlockScheme
 
 #: candidate strides, probed in order; all fit in one 32-entry PosMap block
@@ -74,7 +73,7 @@ class StridedDynamicScheme(SuperBlockScheme):
 
     # -------------------------------------------------------------- main hook
     def process_fetch(
-        self, demand: int, members: List[int], fetched: Dict[int, Block]
+        self, demand: int, members: List[int], fetched: Dict[int, int]
     ) -> FetchOutcome:
         outcome = FetchOutcome()
         for addr in fetched:

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, List
 
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
+
 
 class FsckError(RuntimeError):
     """The post-recovery audit found the store inconsistent."""
@@ -72,14 +74,15 @@ def audit_tree(
 
     ``tree`` is the scheme's :class:`~repro.oram.tree.BinaryTree`,
     ``leaf_of(addr)`` the mapped leaf of an address, ``on_chip`` the
-    blocks held on-chip by address (stash or overflow area), and
+    block words held on-chip by address (stash or overflow area), and
     ``merkle`` the trusted hash tree of a Merkle-verified ORAM.  Checks:
 
     * every bucket holds at most ``Z`` blocks;
     * every block address is in ``[0, num_blocks)``;
     * every block appears exactly once across tree and on-chip blocks;
-    * every block's own leaf equals its mapped leaf (eviction routes a
-      block by the former, placement is judged by the latter);
+    * every block's own leaf (the low bits of its word) equals its mapped
+      leaf (eviction routes a block by the former, placement is judged by
+      the latter);
     * every tree block sits on the path of its mapped leaf;
     * every address is present -- a missing one is reported by name --
       and the census adds up;
@@ -112,9 +115,9 @@ def _tree_findings(report: FsckReport, tree, leaf_of, on_chip, merkle) -> Iterat
             bucket = tree.bucket(index)
             if len(bucket) > z:
                 yield f"bucket {index} holds {len(bucket)} blocks > Z={z}"
-            for block in bucket:
+            for word in bucket:
                 report.blocks_in_tree += 1
-                addr = block.addr
+                addr = word >> LEAF_BITS
                 if not 0 <= addr < num_blocks:
                     yield f"bucket {index}: block address {addr} out of range"
                     continue
@@ -126,14 +129,14 @@ def _tree_findings(report: FsckReport, tree, leaf_of, on_chip, merkle) -> Iterat
                     continue
                 present[addr] = 1
                 mapped = leaf_of(addr)
-                if block.leaf != mapped:
+                if word & LEAF_MASK != mapped:
                     yield (
                         f"block {addr} (tree bucket {index}): copy leaf "
-                        f"{block.leaf} != mapped leaf {mapped}"
+                        f"{word & LEAF_MASK} != mapped leaf {mapped}"
                     )
                 if first + (mapped >> shift) != index:
                     yield f"block {addr} (leaf {mapped}) off-path at bucket {index}"
-    for addr, block in on_chip.items():
+    for addr, word in on_chip.items():
         report.blocks_in_stash += 1
         if not 0 <= addr < num_blocks:
             yield f"stash: block address {addr} out of range"
@@ -143,8 +146,8 @@ def _tree_findings(report: FsckReport, tree, leaf_of, on_chip, merkle) -> Iterat
             continue
         present[addr] = 1
         mapped = leaf_of(addr)
-        if block.leaf != mapped:
-            yield f"block {addr} (stash): copy leaf {block.leaf} != mapped leaf {mapped}"
+        if word & LEAF_MASK != mapped:
+            yield f"block {addr} (stash): copy leaf {word & LEAF_MASK} != mapped leaf {mapped}"
     missing = present.find(0)
     while missing >= 0:
         yield f"block {missing} missing from both tree and stash"

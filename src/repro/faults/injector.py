@@ -10,11 +10,14 @@ bucket array for the functional store, the abstract memory channel for the
 timing backends) and injects four fault classes at configured rates:
 
 * **bucket bit-flips** -- one bit of one real block on the accessed path is
-  flipped (payload if present, else the leaf label).  Detected by the
-  Merkle layer on the very next path verification.
+  flipped: a bit of its payload if it has one, else the low bit of its
+  word (the leaf label).  Detected by the Merkle layer on the very next
+  path verification.
 * **stale-bucket replay** -- a previously snapshotted bucket image is
-  written back over the live bucket (the classic rollback adversary).
-  Also caught by the Merkle layer: the stored hashes have moved on.
+  written back over the live bucket (the classic rollback adversary): its
+  stale words, and the stale payloads of the addresses whose live block is
+  in that bucket.  Also caught by the Merkle layer: the stored hashes have
+  moved on.
 * **transient read failures** -- the read raises
   :class:`TransientReadError` without corrupting anything (a timed-out
   DRAM burst / link CRC error).  The resilient access path retries these.
@@ -33,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from repro.oram.block import Block
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
 
 
@@ -116,8 +119,10 @@ class FaultStats:
 _BucketImage = Tuple[Tuple[int, int, bytes], ...]
 
 
-def _bucket_image(bucket: List[Block]) -> _BucketImage:
-    return tuple((b.addr, b.leaf, b.data or b"") for b in bucket)
+def _bucket_image(bucket: List[int], payloads: Dict[int, bytes]) -> _BucketImage:
+    return tuple(
+        (addr := word >> LEAF_BITS, word & LEAF_MASK, payloads.get(addr) or b"") for word in bucket
+    )
 
 
 class FaultInjector:
@@ -229,39 +234,45 @@ class FaultInjector:
             return  # path holds only dummies; a flip there is unobservable
         rng = self.rng
         bucket = buckets[candidates[rng.randbelow(len(candidates))]]
-        block = bucket[rng.randbelow(len(bucket))]
-        if block.data:
-            data = block.data
+        slot = rng.randbelow(len(bucket))
+        addr = bucket[slot] >> LEAF_BITS
+        data = tree.payloads.get(addr)
+        if data:
             byte_index = rng.randbelow(len(data))
             bit = 1 << rng.randbelow(8)
-            block.data = (
+            tree.payloads[addr] = (
                 data[:byte_index]
                 + bytes([data[byte_index] ^ bit])
                 + data[byte_index + 1 :]
             )
         else:
-            # Payload-less block: corrupt its leaf label instead (the low
-            # bit keeps the label in range; the Merkle serialization covers
-            # it either way).
-            block.leaf ^= 1
+            # Payload-less block: corrupt its leaf label instead, the
+            # word's low bit (it keeps the label in range; the Merkle
+            # serialization covers it either way).
+            bucket[slot] ^= 1
         self.stats.bitflips += 1
 
     def _inject_replay(self, tree, path) -> None:
         """Rewind the first path bucket whose snapshot differs from now."""
         buckets = tree._buckets
+        payloads = tree.payloads
         for index in path:
             stale = self._snapshots.get(index)
-            if stale is None or _bucket_image(buckets[index]) == stale:
+            if stale is None or _bucket_image(buckets[index], payloads) == stale:
                 continue
-            buckets[index] = [
-                Block(addr, stale_leaf, data or None)
-                for addr, stale_leaf, data in stale
-            ]
+            # A payload is one entry per address: the blocks this bucket
+            # holds now take their stale bytes (or none) with them, and a
+            # block that lives elsewhere keeps its own.
+            live = {word >> LEAF_BITS for word in buckets[index]}
+            for addr in live:
+                payloads.pop(addr, None)
+            payloads.update((addr, data) for addr, _, data in stale if data and addr in live)
+            buckets[index] = [addr << LEAF_BITS | leaf for addr, leaf, _ in stale]
             self.stats.replays += 1
             return
 
     def _take_snapshot(self, tree, path) -> None:
         """Record one random path bucket for a future replay."""
         index = path[self.rng.randbelow(len(path))]
-        self._snapshots[index] = _bucket_image(tree._buckets[index])
+        self._snapshots[index] = _bucket_image(tree._buckets[index], tree.payloads)
         self.stats.snapshots += 1

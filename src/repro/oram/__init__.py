@@ -2,8 +2,9 @@
 
 This package implements the functional Path ORAM the paper builds on:
 
-* :mod:`repro.oram.block` / :mod:`repro.oram.tree` / :mod:`repro.oram.stash`
-  -- the binary-tree storage, buckets of ``Z`` blocks, and the on-chip stash.
+* :mod:`repro.oram.tree` / :mod:`repro.oram.stash` -- the binary-tree
+  storage, buckets of ``Z`` block words (``addr << 32 | leaf``), and the
+  on-chip stash.
 * :mod:`repro.oram.position_map` -- the position map, including the PosMap
   block layout that carries the merge/break/prefetch bits used by PrORAM.
 * :mod:`repro.oram.path_oram` -- the five-step access protocol plus
@@ -16,7 +17,6 @@ This package implements the functional Path ORAM the paper builds on:
   encryption and a functional oblivious key-value store built on the tree.
 """
 
-from repro.oram.block import Block
 from repro.oram.integrity import IntegrityViolationError, MerkleTree, VerifiedPathORAM
 from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import PositionMap
@@ -35,7 +35,6 @@ from repro.oram.tree_oram import ShiTreeORAM
 __all__ = [
     "BaselineScheme",
     "BinaryTree",
-    "Block",
     "IntegrityViolationError",
     "MerkleTree",
     "PathORAM",

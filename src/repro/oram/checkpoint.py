@@ -35,8 +35,8 @@ import tempfile
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.config import ORAMConfig
-from repro.oram.block import Block
 from repro.oram.path_oram import PathORAM
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
 
 FORMAT_VERSION = 1
@@ -78,18 +78,26 @@ def load_counters(owner, names: Iterable[str], saved, where: str) -> None:
         setattr(owner, name, value)
 
 
-def _encode_block(block: Block) -> dict:
-    out = {"a": block.addr, "l": block.leaf}
-    if block.data is not None:
-        out["d"] = base64.b64encode(block.data).decode("ascii")
+def _encode_block(word: int, payloads: Dict[int, bytes]) -> dict:
+    """The ``{"a", "l"[, "d"]}`` record of one block word and its payload."""
+    addr = word >> LEAF_BITS
+    out = {"a": addr, "l": word & LEAF_MASK}
+    data = payloads.get(addr)
+    if data is not None:
+        out["d"] = base64.b64encode(data).decode("ascii")
     return out
 
 
-def _decode_block(raw: dict, where: str) -> Block:
+def _decode_block(raw: dict, where: str, payloads: Dict[int, bytes]) -> int:
+    """The word of one block record; its payload, if any, goes to ``payloads``."""
     try:
-        data = base64.b64decode(raw["d"]) if "d" in raw else None
-        return Block(raw["a"], raw["l"], data)
-    except (KeyError, TypeError, binascii.Error) as exc:
+        addr, leaf = raw["a"], raw["l"]
+        if not 0 <= leaf <= LEAF_MASK:
+            raise ValueError(f"leaf {leaf} does not fit the block word")
+        if "d" in raw:
+            payloads[addr] = base64.b64decode(raw["d"])
+        return addr << LEAF_BITS | leaf
+    except (KeyError, TypeError, ValueError, binascii.Error) as exc:
         raise CheckpointError(f"malformed block record in {where}: {exc!r}") from exc
 
 
@@ -109,10 +117,12 @@ def _oram_state_dict(oram: PathORAM) -> dict:
         "break_bits": [posmap.break_bit(a) for a in range(n)],
         "prefetch_bits": [posmap.prefetch_bit(a) for a in range(n)],
         "buckets": [
-            [_encode_block(b) for b in oram.tree.bucket(i)]
+            [_encode_block(word, oram.tree.payloads) for word in oram.tree.bucket(i)]
             for i in range(oram.tree.num_buckets)
         ],
-        "stash": [_encode_block(b) for b in oram.stash.iter_blocks()],
+        "stash": [
+            _encode_block(word, oram.tree.payloads) for word in oram.stash.blocks.values()
+        ],
         "counters": {name: getattr(oram, name) for name in oram.COUNTERS},
     }
     cache = oram.tree.treetop
@@ -125,7 +135,7 @@ def _oram_state_dict(oram: PathORAM) -> dict:
             "levels": cache.levels,
             "dirty": [i for i in range(cache.num_buckets) if cache.dirty[i]],
             "image": [
-                [_encode_block(b) for b in oram.tree._buckets[i]]
+                [_encode_block(word, oram.tree.payloads) for word in oram.tree._buckets[i]]
                 for i in range(cache.num_buckets)
             ],
             **{name: getattr(cache, name) for name in cache.COUNTERS},
@@ -247,8 +257,10 @@ def _install_oram_state(oram: PathORAM, state: dict) -> None:
             f"checkpoint holds {len(state['buckets'])} buckets, "
             f"tree geometry implies {oram.tree.num_buckets}"
         )
+    payloads = oram.tree.payloads
+    payloads.clear()
     for index, raw_bucket in enumerate(state["buckets"]):
-        blocks = [_decode_block(raw, f"bucket {index}") for raw in raw_bucket]
+        blocks = [_decode_block(raw, f"bucket {index}", payloads) for raw in raw_bucket]
         try:
             # Routed through the tree so pinned indices land in the
             # treetop store (and are marked dirty -- conservative for
@@ -264,7 +276,7 @@ def _install_oram_state(oram: PathORAM, state: dict) -> None:
         )
     oram.stash.blocks.clear()
     for raw in state["stash"]:
-        oram.stash.add(_decode_block(raw, "stash"))
+        oram.stash.add(_decode_block(raw, "stash", payloads))
     load_counters(oram, oram.COUNTERS, state["counters"], "checkpoint counters")
     oram.rebuild_auxiliary()
     try:
@@ -297,9 +309,12 @@ def _install_treetop_state(oram: PathORAM, state: dict) -> None:
                 f"checkpoint treetop image holds {len(image)} buckets, "
                 f"geometry implies {cache.num_buckets}"
             )
+        # A block's payload is one entry per address (the live one, read
+        # from "buckets" and "stash"), so the image's "d" fields are
+        # checked but not installed.
         for index, raw_bucket in enumerate(image):
             oram.tree._buckets[index] = [
-                _decode_block(raw, f"treetop image bucket {index}")
+                _decode_block(raw, f"treetop image bucket {index}", {})
                 for raw in raw_bucket
             ]
         dirty = bytearray(cache.num_buckets)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
 
 NONCE_BYTES = 16
@@ -99,20 +100,25 @@ def open_block(
 
 def seal_bucket(
     cipher: ProbabilisticCipher,
-    blocks,
+    words: Sequence[int],
+    payloads: Mapping[int, bytes],
     bucket_size: int,
     block_bytes: int,
 ) -> list:
     """Adversary-visible image of one bucket: always ``Z`` ciphertexts.
 
-    Buckets with fewer than ``Z`` real blocks are padded with encrypted
-    dummies (section 2.2), so the slot count leaks nothing.
+    ``words`` are the bucket's block words, ``payloads`` the tree's bytes
+    by address.  Buckets with fewer than ``Z`` real blocks are padded with
+    encrypted dummies (section 2.2), so the slot count leaks nothing.
     """
-    if len(blocks) > bucket_size:
+    if len(words) > bucket_size:
         raise ValueError("too many real blocks for bucket")
     image = [
-        seal_block(cipher, block.addr, block.leaf, block.data or b"", block_bytes)
-        for block in blocks
+        seal_block(
+            cipher, (addr := word >> LEAF_BITS), word & LEAF_MASK,
+            payloads.get(addr) or b"", block_bytes,
+        )
+        for word in words
     ]
     while len(image) < bucket_size:
         image.append(seal_dummy(cipher, block_bytes))

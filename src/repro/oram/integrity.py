@@ -23,6 +23,7 @@ from typing import List
 
 from repro.oram.path_oram import PathORAM
 from repro.oram.tree import BinaryTree
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 
 
 class IntegrityViolationError(RuntimeError):
@@ -57,16 +58,19 @@ class MerkleTree:
         """Deterministic digest input for one bucket's logical content.
 
         Hardware hashes the ciphertexts it wrote; the simulator's buckets
-        hold plaintext block objects, so we hash their canonical
-        serialization instead (addr, leaf, payload), which detects exactly
-        the same substitutions.
+        hold plaintext block words, so we hash their canonical
+        serialization instead (addr, leaf, payload), in address order
+        (``sorted`` on the words), which detects exactly the same
+        substitutions.
         """
+        payloads = self._tree.payloads
         parts = []
-        for block in sorted(self._tree.bucket(index), key=lambda b: b.addr):
+        for word in sorted(self._tree.bucket(index)):
+            addr = word >> LEAF_BITS
             parts.append(
-                block.addr.to_bytes(8, "little", signed=True)
-                + block.leaf.to_bytes(8, "little")
-                + (block.data or b"")
+                addr.to_bytes(8, "little", signed=True)
+                + (word & LEAF_MASK).to_bytes(8, "little")
+                + (payloads.get(addr) or b"")
             )
         return b"|".join(parts)
 

@@ -1,8 +1,10 @@
 """A functional oblivious key-value store built on the Path ORAM.
 
 This exercises the *data path* of the substrate end to end: values are
-encrypted with the probabilistic cipher, stored in tree blocks, moved by
-real path accesses, and survive background evictions.  The timing simulator
+encrypted with the probabilistic cipher and stored as the tree's payload
+bytes of their block (``tree.payloads``, by address), updated only while
+a real path access holds that block on-chip, and survive background
+evictions.  The timing simulator
 never carries payloads; this store proves the functional machinery is a
 real ORAM and powers the ``oblivious_kv_store`` example.
 
@@ -88,15 +90,16 @@ class ObliviousKVStore:
         (Merkle hashes ride the path write-back) therefore always hashes
         what was actually stored.
         """
-        block = self._oram.begin_access([key])[key]
-        old = None
-        if block.data is not None:
-            old = self._cipher.decrypt(block.data)
+        self._oram.begin_access([key])
+        payloads = self._oram.tree.payloads
+        old = payloads.get(key)
+        if old is not None:
+            old = self._cipher.decrypt(old)
         if new_value is not None:
-            block.data = self._cipher.encrypt(new_value)
-        elif block.data is not None:
+            payloads[key] = self._cipher.encrypt(new_value)
+        elif old is not None:
             # Re-encrypt on reads too, so ciphertexts never repeat.
-            block.data = self._cipher.encrypt(old)
+            payloads[key] = self._cipher.encrypt(old)
         self._oram.finish_access()
         self._oram.drain_stash()
         return old
@@ -119,7 +122,8 @@ class ObliviousKVStore:
         self._erase(key)
 
     def _erase(self, key: int) -> None:
-        self._oram.begin_access([key])[key].data = None
+        self._oram.begin_access([key])
+        self._oram.tree.payloads.pop(key, None)
         self._oram.finish_access()
         self._oram.drain_stash()
 

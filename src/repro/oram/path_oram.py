@@ -1,9 +1,9 @@
 """The Path ORAM protocol (paper section 2.2) with background eviction (2.4).
 
-This is the *functional* ORAM: it moves real :class:`~repro.oram.block.Block`
-objects between the binary tree and the stash.  Timing is charged separately
-by :mod:`repro.memory.interconnect`; obliviousness can be audited by attaching an
-:class:`~repro.security.observer.AccessObserver`.
+This is the *functional* ORAM: it moves block words (``addr << 32 | leaf``,
+:mod:`repro.oram.tree`) between the binary tree and the stash.  Timing is
+charged separately by :mod:`repro.memory.interconnect`; obliviousness can be
+audited by attaching an :class:`~repro.security.observer.AccessObserver`.
 
 Domain model
 ------------
@@ -19,9 +19,10 @@ processor literature the paper builds on (Ren et al., ISCA'13):
   :meth:`PathORAM.access`, data updated in place);
 * clean evictions just drop the copy.
 
-The :class:`Block` objects returned by :meth:`access` remain owned by the
-ORAM; callers may read or update ``.data`` in place but must not hold
-references across later accesses.
+:meth:`access` returns the members' words after the remap.  A block's
+payload, if it has one, is ``tree.payloads[addr]``: a caller updates it
+between :meth:`begin_access` and :meth:`finish_access`, while the block is
+on-chip.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from repro.controller.mixins import (
     TreeAuditMixin,
 )
 from repro.controller.scheme import ORAMScheme
-from repro.oram.block import Block
 from repro.oram.position_map import PositionMap
 from repro.oram.stash import Stash
 from repro.oram.tree import BinaryTree
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
 
 
@@ -98,15 +99,10 @@ class PathORAM(
         # Scratch depth buckets reused by every write-back (allocating
         # levels+1 lists per access showed up in profiles).  Entries are
         # always left empty between calls.
-        self._depth_buckets: List[List[Block]] = [
+        self._depth_buckets: List[List[int]] = [
             [] for _ in range(config.levels + 1)
         ]
         self._depth_appends = [bucket.append for bucket in self._depth_buckets]
-        # Depth of a block on the path to leaf s is a pure function of
-        # (block.leaf XOR s): levels minus the xor's bit length.  For trees
-        # up to 2**20 leaves (1 MB) the whole function is precomputed as a
-        # byte table, turning the per-block arithmetic of the eviction inner
-        # loop into one indexed load.
         # Skip the per-access calls to the (empty) path hooks unless a
         # subclass actually overrides them (the integrity ORAM does).
         cls = type(self)
@@ -114,12 +110,19 @@ class PathORAM(
             cls._before_path_read is not PathORAM._before_path_read
             or cls._after_path_write is not PathORAM._after_path_write
         )
+        # Depth of a block on the path to leaf s is a pure function of
+        # (its leaf XOR s): levels minus the xor's bit length.  For trees
+        # up to 2**20 leaves the whole function is precomputed as a table,
+        # turning the per-block arithmetic of the eviction inner loop into
+        # one indexed load.  The table is a list (8 MB at 2**20 leaves), not
+        # bytes: a list subscript is a specialized instruction, a bytes one
+        # a generic call, and it pays for the mask the block word needs.
         if config.num_leaves <= (1 << 20):
             levels = config.levels
-            self._depth_of_xor: Optional[bytes] = bytes(
+            self._depth_of_xor: Optional[List[int]] = [
                 levels if d == 0 else levels - d.bit_length()
                 for d in range(config.num_leaves)
-            )
+            ]
         else:
             self._depth_of_xor = None
         if populate:
@@ -148,12 +151,12 @@ class PathORAM(
         if self._populated:
             raise RuntimeError("ORAM already populated")
         self._populated = True
-        for block in self._place_all_deepest(
+        for word in self._place_all_deepest(
             self.position_map._leaves,
             self.config.bucket_size,
             self.tree.live_buckets(),
         ):
-            self.stash.add(block)
+            self.stash.add(word)
         cache = self.tree.treetop
         if cache is not None:
             # Deferred population (populate=False at construction, scheme
@@ -169,7 +172,7 @@ class PathORAM(
     # ----------------------------------------------------------------- access
     def begin_access(
         self, addrs: Sequence[int], new_leaf: Optional[int] = None
-    ) -> Dict[int, Block]:
+    ) -> Dict[int, int]:
         """Protocol steps 1-4 of one ORAM access on a (super) block.
 
         All of ``addrs`` must share a mapped leaf (the super block
@@ -185,8 +188,7 @@ class PathORAM(
             new_leaf: override the random remap leaf (tests only).
 
         Returns:
-            Mapping of address -> block for every member.  The blocks stay
-            owned by the ORAM.
+            Mapping of address -> remapped block word for every member.
         """
         posmap = self.position_map
         leaves = posmap._leaves
@@ -215,18 +217,16 @@ class PathORAM(
             raise ValueError("duplicate block in stash (path/stash overlap)")
         if after > stash.max_occupancy:
             stash.max_occupancy = after
-        # Step 4: remap every member to one fresh random leaf.  (Step 3,
-        # returning the block, happens below -- the order does not matter
-        # functionally and the remap must cover members still in the stash.)
+        # Step 4: remap every member to one fresh random leaf, rewriting its
+        # word in place (a dict keeps a key's position).  (Step 3, returning
+        # the block, happens below -- the order does not matter functionally
+        # and the remap must cover members still in the stash.)
         assigned = posmap.remap(addrs, new_leaf)
-        peek = store.get
-        fetched: Dict[int, Block] = {}
+        fetched: Dict[int, int] = {}
         for addr in addrs:
-            block = peek(addr)
-            if block is None:
+            if addr not in store:
                 raise KeyError(f"block {addr} in neither tree nor stash")
-            block.leaf = assigned
-            fetched[addr] = block
+            fetched[addr] = store[addr] = addr << 32 | assigned
         self.pending_leaf = leaf
         return fetched
 
@@ -272,12 +272,13 @@ class PathORAM(
         appends = self._depth_appends
         table = self._depth_of_xor
         stash_blocks = self.stash.blocks
+        mask = LEAF_MASK
         if table is not None:
-            for block in stash_blocks.values():
-                appends[table[block.leaf ^ leaf]](block)
+            for word in stash_blocks.values():
+                appends[table[(word & mask) ^ leaf]](word)
         else:
-            for block in stash_blocks.values():
-                appends[levels - (block.leaf ^ leaf).bit_length()](block)
+            for word in stash_blocks.values():
+                appends[levels - ((word & mask) ^ leaf).bit_length()](word)
         # Consume deepest-bucket first.  Before filling level L, ``pending``
         # holds the not-yet-placed blocks with score >= L in consumption
         # order (score descending, stash insertion order within a score);
@@ -291,8 +292,8 @@ class PathORAM(
         buckets = tree._buckets
         split = tree._treetop_levels  # pinned path levels (0 without a treetop)
         treetop = tree.treetop
-        pending: List[Block] = []
-        placed: List[Block] = []
+        pending: List[int] = []
+        placed: List[int] = []
         for level in range(levels, -1, -1):
             depth_bucket = by_depth[level]
             if depth_bucket:
@@ -311,12 +312,12 @@ class PathORAM(
                     buckets[path[level]] = chunk
         # Drop the placed blocks from the stash (the write-back only places
         # blocks it took from there, so every one is present).
-        for block in placed:
-            del stash_blocks[block.addr]
+        for word in placed:
+            del stash_blocks[word >> 32]
         if self._hooks_active:
             self._after_path_write(leaf)
 
-    def access(self, addrs: Sequence[int], new_leaf: Optional[int] = None) -> Dict[int, Block]:
+    def access(self, addrs: Sequence[int], new_leaf: Optional[int] = None) -> Dict[int, int]:
         """One complete ORAM access (begin + finish, no scheme hook)."""
         fetched = self.begin_access(addrs, new_leaf)
         self.finish_access()
@@ -325,17 +326,17 @@ class PathORAM(
     def remap_group(self, addrs, leaf: Optional[int] = None) -> int:
         """Remap a group whose members are all on-chip (stash) or cached.
 
-        Used by merge/break: updates the position map and keeps the leaf
-        field of stash-resident blocks in sync.  Callers must only pass
+        Used by merge/break: updates the position map and rewrites the
+        words of stash-resident members to match.  Callers must only pass
         groups with no stale *tree*-resident member (guaranteed between
         ``begin_access`` and ``finish_access`` for the accessed super
         block, and for merge targets that already share one leaf).
         """
         assigned = self.position_map.remap(addrs, leaf)
+        blocks = self.stash.blocks
         for addr in addrs:
-            block = self.stash.peek(addr)
-            if block is not None:
-                block.leaf = assigned
+            if addr in blocks:
+                blocks[addr] = addr << LEAF_BITS | assigned
         return assigned
 
     def dummy_access(self, kind: str = "dummy") -> None:
@@ -406,7 +407,7 @@ class PathORAM(
 
     # --------------------------------------------------------------- queries
     def _audit_view(self):
-        return self.position_map.leaf, self.stash
+        return self.position_map.leaf, self.stash.blocks
 
     @property
     def num_blocks(self) -> int:

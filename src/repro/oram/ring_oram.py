@@ -40,8 +40,8 @@ from repro.controller.mixins import (
     TreeAuditMixin,
 )
 from repro.controller.scheme import ORAMScheme
-from repro.oram.block import Block
 from repro.oram.tree import BinaryTree
+from repro.utils.bitops import LEAF_BITS
 from repro.utils.rng import DeterministicRng
 
 
@@ -113,7 +113,8 @@ class RingORAM(
         #: slots touched per bucket since its last rewrite (the budget S caps)
         self._budget = [0] * self.tree.num_buckets
         self._leaves = self.rng.random_leaves(self.tree.num_leaves, num_blocks)
-        self.stash: Dict[int, Block] = {}
+        #: address -> block word of every on-chip block
+        self.stash: Dict[int, int] = {}
         self.stash_capacity = (
             stash_capacity if stash_capacity is not None else max(32, 4 * levels)
         )
@@ -126,8 +127,8 @@ class RingORAM(
         self.stash_soft_overflows = 0
         self._evict_counter = 0
         self._pending_path: Optional[Sequence[int]] = None
-        for block in self._place_all_deepest(self._leaves, z, self.tree.live_buckets()):
-            self.stash[block.addr] = block
+        for word in self._place_all_deepest(self._leaves, z, self.tree.live_buckets()):
+            self.stash[word >> LEAF_BITS] = word
 
     # ------------------------------------------------------------- plumbing
     def leaf_of(self, addr: int) -> int:
@@ -139,7 +140,7 @@ class RingORAM(
     # ----------------------------------------------------------------- access
     def begin_access(
         self, addrs: Sequence[int], new_leaf: Optional[int] = None
-    ) -> Dict[int, Block]:
+    ) -> Dict[int, int]:
         """ReadPath for a (super) block: fetch, remap, park in the stash.
 
         All of ``addrs`` must share a leaf.  One slot is touched per bucket
@@ -155,33 +156,32 @@ class RingORAM(
         if self.observer is not None:
             self.observer.on_path_access(leaf, "real")
         wanted = set(addrs)
-        found: Dict[int, Block] = {}
+        found = set()
         path = self.tree.path_indices(leaf)
         for index in path:
             bucket = self.tree.bucket(index)
-            hits = [b for b in bucket if b.addr in wanted]
+            hits = [word for word in bucket if word >> LEAF_BITS in wanted]
             # One touch minimum (dummy if no member here); one per member
             # beyond the first costs an extra touch of this bucket.
             touches = max(1, len(hits))
             self._budget[index] += touches
             self.blocks_transferred += touches
-            for block in hits:
-                bucket.remove(block)
-                found[block.addr] = block
-        for addr in wanted - set(found):
-            if addr in self.stash:
-                found[addr] = self.stash.pop(addr)
-        missing = wanted - set(found)
+            for word in hits:
+                bucket.remove(word)
+                found.add(word >> LEAF_BITS)
+        for addr in wanted - found:
+            if self.stash.pop(addr, None) is not None:
+                found.add(addr)
+        missing = wanted - found
         if missing:
             raise KeyError(f"blocks {sorted(missing)} not on their path")
         assigned = new_leaf if new_leaf is not None else self.rng.random_leaf(self.tree.num_leaves)
+        fetched: Dict[int, int] = {}
         for addr in addrs:
-            block = found[addr]
-            block.leaf = assigned
             self._leaves[addr] = assigned
-            self.stash[addr] = block
+            fetched[addr] = self.stash[addr] = addr << LEAF_BITS | assigned
         self._pending_path = path
-        return found
+        return fetched
 
     def finish_access(self) -> None:
         """Periodic maintenance: counted EvictPath + EarlyReshuffle."""
@@ -195,7 +195,7 @@ class RingORAM(
             self._evict_path()
         self._early_reshuffle(pending)
 
-    def access(self, addrs: Sequence[int], new_leaf: Optional[int] = None) -> Dict[int, Block]:
+    def access(self, addrs: Sequence[int], new_leaf: Optional[int] = None) -> Dict[int, int]:
         """One complete access: ReadPath plus the periodic maintenance."""
         found = self.begin_access(addrs, new_leaf)
         self.finish_access()
@@ -206,9 +206,8 @@ class RingORAM(
         assigned = leaf if leaf is not None else self.rng.random_leaf(self.tree.num_leaves)
         for addr in addrs:
             self._leaves[addr] = assigned
-            block = self.stash.get(addr)
-            if block is not None:
-                block.leaf = assigned
+            if addr in self.stash:
+                self.stash[addr] = addr << LEAF_BITS | assigned
         return assigned
 
     # --------------------------------------------------------------- eviction
@@ -227,7 +226,7 @@ class RingORAM(
         self.blocks_transferred += (self.levels + 1) * (self.z + self.s)
 
         # Greedy write-back, deepest first (the shared mixin algorithm).
-        def write_bucket(level: int, blocks: List[Block]) -> None:
+        def write_bucket(level: int, blocks: List[int]) -> None:
             self.tree.write_bucket(level, leaf, blocks)
             self.blocks_transferred += self.z + self.s  # full bucket write
 

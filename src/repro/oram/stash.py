@@ -10,21 +10,21 @@ next real request when the stash is over capacity, section 2.4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
-from repro.oram.block import Block
+from repro.utils.bitops import LEAF_BITS
 
 
 class Stash:
-    """Address-indexed block store with occupancy statistics."""
+    """Address-indexed store of block words with an occupancy watermark."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("stash capacity must be >= 1")
         self.capacity = capacity
-        #: address -> block, in insertion order; public so a hot path can
-        #: walk it or count it (``len``) without a method frame
-        self.blocks: Dict[int, Block] = {}
+        #: address -> block word (``addr << 32 | leaf``), in insertion
+        #: order; the access path reads, writes and deletes it directly
+        self.blocks: Dict[int, int] = {}
         self.max_occupancy = 0
 
     def __len__(self) -> int:
@@ -33,30 +33,11 @@ class Stash:
     def __contains__(self, addr: int) -> bool:
         return addr in self.blocks
 
-    def add(self, block: Block) -> None:
-        """Insert a block; addresses must be unique."""
-        if block.addr in self.blocks:
-            raise ValueError(f"duplicate block {block.addr} in stash")
-        self.blocks[block.addr] = block
+    def add(self, word: int) -> None:
+        """Insert a block word; addresses must be unique."""
+        addr = word >> LEAF_BITS
+        if addr in self.blocks:
+            raise ValueError(f"duplicate block {addr} in stash")
+        self.blocks[addr] = word
         if len(self.blocks) > self.max_occupancy:
             self.max_occupancy = len(self.blocks)
-
-    def pop(self, addr: int) -> Optional[Block]:
-        """Remove and return the block with ``addr`` if present."""
-        return self.blocks.pop(addr, None)
-
-    def peek(self, addr: int) -> Optional[Block]:
-        """Return the block with ``addr`` without removing it."""
-        return self.blocks.get(addr)
-
-    def over_capacity(self) -> bool:
-        """True when background eviction is required before the next access."""
-        return len(self.blocks) > self.capacity
-
-    def iter_blocks(self) -> Iterator[Block]:
-        """Iterate blocks in insertion order (no generator frame: the
-        write-back path walks this once per access)."""
-        return iter(self.blocks.values())
-
-    def items(self):
-        return self.blocks.items()

@@ -22,7 +22,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.oram.block import Block
 from repro.oram.path_oram import PathORAM
 from repro.utils.bitops import group_base
 
@@ -77,6 +76,10 @@ class PrefetchTracker:
     next time the super block is loaded); the *statistics* count each
     prefetched LLC residency exactly once, as a hit on first use or a miss
     on unused eviction.
+
+    Hardware stores the hit bit with the data block, in the ORAM and the
+    LLC (section 4.5.1: the PosMap block may not be on-chip at an LLC hit);
+    here it is ``_hit_bits``, one byte per address, which behaves the same.
     """
 
     def __init__(self, oram: PathORAM, stats: SchemeStats, listener=None):
@@ -184,7 +187,7 @@ class SuperBlockScheme(ABC):
 
     @abstractmethod
     def process_fetch(
-        self, demand: int, members: List[int], fetched: Dict[int, Block]
+        self, demand: int, members: List[int], fetched: Dict[int, int]
     ) -> FetchOutcome:
         """Post-fetch decisions (prefetch marking, merge/break).
 
@@ -231,7 +234,7 @@ class BaselineScheme(SuperBlockScheme):
         return [addr]
 
     def process_fetch(
-        self, demand: int, members: List[int], fetched: Dict[int, Block]
+        self, demand: int, members: List[int], fetched: Dict[int, int]
     ) -> FetchOutcome:
         return FetchOutcome(to_llc=[(demand, False)])
 
@@ -264,7 +267,7 @@ class StaticSuperBlockScheme(SuperBlockScheme):
         return self._clip_group(group_base(addr, self.sbsize), self.sbsize)
 
     def process_fetch(
-        self, demand: int, members: List[int], fetched: Dict[int, Block]
+        self, demand: int, members: List[int], fetched: Dict[int, int]
     ) -> FetchOutcome:
         outcome = FetchOutcome()
         for addr in fetched:

@@ -5,6 +5,17 @@ root; level ``L`` holds the ``2**L`` leaves.  Each bucket holds up to ``Z``
 real blocks; slots not occupied by real blocks are implicitly dummy blocks
 (the adversary-visible serialization in :mod:`repro.oram.crypto` pads every
 bucket to ``Z`` ciphertexts so real and dummy blocks are indistinguishable).
+
+A block is one int, its header: ``word = addr << LEAF_BITS | leaf`` -- the
+program address and the leaf label the controller stores next to the data
+(``LEAF_BITS = 32``, :mod:`repro.utils.bitops`).  Buckets, the treetop store
+and the stash hold these words, so ``sorted(bucket)`` is the bucket in
+address order, ``word >> LEAF_BITS`` is the address and ``word & LEAF_MASK``
+the leaf.  The few blocks that carry bytes (the key-value store, the fault
+model's payload flips) keep them in :attr:`BinaryTree.payloads`, by
+address: the untrusted storage beside the headers.  The access path's hot
+loops spell ``LEAF_BITS`` as the literal ``32`` (a constant, not a global
+load per block).
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.oram.block import Block
+from repro.utils.bitops import LEAF_BITS
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ class TreetopCache:
             raise ValueError("a treetop cache needs at least 1 pinned level")
         self.levels = levels
         self.num_buckets = (1 << levels) - 1
-        self.store: List[List[Block]] = [[] for _ in range(self.num_buckets)]
+        self.store: List[List[int]] = [[] for _ in range(self.num_buckets)]
         self.dirty = bytearray(self.num_buckets)
         for name in self.COUNTERS:
             setattr(self, name, 0)
@@ -158,15 +169,19 @@ class BinaryTree:
     """
 
     def __init__(self, levels: int, bucket_size: int):
-        if levels < 1:
-            raise ValueError("tree must have at least 1 level below the root")
+        if not 1 <= levels < LEAF_BITS:  # the leaf label must fit the word
+            raise ValueError(f"tree levels must be in [1, {LEAF_BITS}), not {levels}")
         if bucket_size < 1:
             raise ValueError("bucket size must be >= 1")
         self.levels = levels
         self.bucket_size = bucket_size
         self.num_leaves = 1 << levels
         self.num_buckets = (1 << (levels + 1)) - 1
-        self._buckets: List[List[Block]] = [[] for _ in range(self.num_buckets)]
+        self._buckets: List[List[int]] = [[] for _ in range(self.num_buckets)]
+        #: address -> payload bytes, for the blocks that carry any (the
+        #: timing simulator's carry none); a block's bytes stay here
+        #: wherever its word is, tree or stash
+        self.payloads: Dict[int, bytes] = {}
         self._path_cache: Dict[int, Tuple[int, ...]] = {}
         self.treetop: "TreetopCache | None" = None
         #: pinned path levels (0 when no treetop is attached)
@@ -243,8 +258,8 @@ class BinaryTree:
             self._path_cache[leaf] = path
         return path
 
-    def bucket(self, index: int) -> List[Block]:
-        """The (mutable) list of real blocks in bucket ``index``.
+    def bucket(self, index: int) -> List[int]:
+        """The (mutable) list of block words in bucket ``index``.
 
         Pinned indices read through to the on-chip store -- callers always
         see the live contents, never the stale DRAM image.
@@ -253,8 +268,8 @@ class BinaryTree:
             return self.treetop.store[index]
         return self._buckets[index]
 
-    def live_buckets(self) -> List[List[Block]]:
-        """Every bucket's live block list, in heap order (build-time view).
+    def live_buckets(self) -> List[List[int]]:
+        """Every bucket's live word list, in heap order (build-time view).
 
         Pinned indices come from the on-chip store, the rest from the
         off-chip array; the lists are the tree's own, so appending to one
@@ -264,15 +279,15 @@ class BinaryTree:
             return self._buckets
         return self.treetop.store + self._buckets[self._treetop_buckets:]
 
-    def read_path_into(self, leaf: int, store: Dict[int, Block]) -> int:
-        """Move every real block on the path to ``leaf`` into ``store``.
+    def read_path_into(self, leaf: int, store: Dict[int, int]) -> int:
+        """Move every block word on the path to ``leaf`` into ``store``.
 
         This is step 2 of the access protocol: all buckets on the path are
-        read and their real blocks are keyed by address directly into the
+        read and their words are keyed by address directly into the
         caller's dict (the stash's backing store).  Returns the number of
         blocks moved -- counted here, not read off the dict's growth, so a
         caller can detect a block that was already in ``store`` -- and
-        leaves the path buckets empty.  One ``store[block.addr] = block``
+        leaves the path buckets empty.  One ``store[word >> 32] = word``
         per block: a bulk ``store.update(zip(map(...)))`` runs slower, its
         method-wrapper calls cost more than this bytecode (DESIGN section 5).
         """
@@ -292,8 +307,8 @@ class BinaryTree:
             for index in path[:split]:
                 bucket = sram[index]
                 if bucket:
-                    for block in bucket:
-                        store[block.addr] = block
+                    for word in bucket:
+                        store[word >> 32] = word
                         moved += 1
                     sram[index] = []
                     dirty[index] = 1
@@ -303,17 +318,17 @@ class BinaryTree:
         for index in path[split:]:
             bucket = buckets[index]
             if bucket:
-                for block in bucket:
-                    store[block.addr] = block
+                for word in bucket:
+                    store[word >> 32] = word
                     moved += 1
                 buckets[index] = []
         return moved
 
-    def write_bucket(self, level: int, leaf: int, blocks: List[Block]) -> None:
-        """Install ``blocks`` as the content of the bucket at (level, leaf)."""
+    def write_bucket(self, level: int, leaf: int, blocks: List[int]) -> None:
+        """Install the words ``blocks`` as the bucket at (level, leaf)."""
         self.write_bucket_at(self.bucket_index(level, leaf), blocks)
 
-    def write_bucket_at(self, index: int, blocks: List[Block]) -> None:
+    def write_bucket_at(self, index: int, blocks: List[int]) -> None:
         """Install ``blocks`` at a precomputed heap index (hot write-back path).
 
         The tree takes ownership of the list.  Callers that already hold a
@@ -338,8 +353,8 @@ class BinaryTree:
             total += sum(len(bucket) for bucket in self.treetop.store)
         return total
 
-    def iter_blocks(self) -> Iterator[Block]:
-        """Iterate over every real block in the tree (for invariant checks).
+    def iter_blocks(self) -> Iterator[int]:
+        """Iterate over every block word in the tree (for invariant checks).
 
         Pinned buckets yield their *live* on-chip contents; the stale DRAM
         image of the treetop region is never visible here.
@@ -356,7 +371,7 @@ class BinaryTree:
         Linear scan -- used only by tests and invariant checkers, never on
         the simulation hot path.
         """
-        return any(block.addr == addr for block in self.iter_blocks())
+        return any(word >> LEAF_BITS == addr for word in self.iter_blocks())
 
     def address_index(self) -> Dict[int, int]:
         """One-pass address -> heap-index map over the live tree contents.
@@ -368,6 +383,6 @@ class BinaryTree:
         """
         index_of: Dict[int, int] = {}
         for index in range(self.num_buckets):
-            for block in self.bucket(index):
-                index_of.setdefault(block.addr, index)
+            for word in self.bucket(index):
+                index_of.setdefault(word >> LEAF_BITS, index)
         return index_of

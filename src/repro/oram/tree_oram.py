@@ -31,8 +31,8 @@ from repro.controller.mixins import (
     TreeAuditMixin,
 )
 from repro.controller.scheme import ORAMScheme
-from repro.oram.block import Block
 from repro.oram.tree import BinaryTree
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
 
 
@@ -79,8 +79,9 @@ class ShiTreeORAM(
         self.rng = rng or DeterministicRng(17)
         self.observer = observer
         self._leaves = self.rng.random_leaves(self.tree.num_leaves, num_blocks)
-        #: overflow area for blocks that find no room (counted, bounded)
-        self.overflow: Dict[int, Block] = {}
+        #: overflow area for blocks that find no room (counted, bounded):
+        #: address -> block word
+        self.overflow: Dict[int, int] = {}
         #: soft overflow bound used by ``drain_stash``
         self.overflow_capacity = max(8, 2 * self.bucket_size)
         # Statistics
@@ -92,10 +93,10 @@ class ShiTreeORAM(
         self._pending_access = False
         # Populate: every block starts at the leaf bucket of its leaf (or
         # the closest ancestor with room).
-        for block in self._place_all_deepest(
+        for word in self._place_all_deepest(
             self._leaves, self.bucket_size, self.tree.live_buckets()
         ):
-            self.overflow[block.addr] = block
+            self.overflow[word >> LEAF_BITS] = word
 
     # ------------------------------------------------------------- plumbing
     def leaf_of(self, addr: int) -> int:
@@ -107,7 +108,7 @@ class ShiTreeORAM(
     # ---------------------------------------------------------------- access
     def begin_access(
         self, addrs: Sequence[int], new_leaf: Optional[int] = None
-    ) -> Dict[int, Block]:
+    ) -> Dict[int, int]:
         """Fetch a (super) block: one path read + root re-insertion.
 
         All of ``addrs`` must share a leaf.  The path is scanned bucket by
@@ -122,36 +123,36 @@ class ShiTreeORAM(
         if self.observer is not None:
             self.observer.on_path_access(leaf, "real")
         wanted = set(addrs)
-        found: Dict[int, Block] = {}
+        found = set()
         for index in self.tree.path_indices(leaf):
             self.bucket_touches += 1
             bucket = self.tree.bucket(index)
             keep = []
-            for block in bucket:
-                if block.addr in wanted:
-                    found[block.addr] = block
+            for word in bucket:
+                if word >> LEAF_BITS in wanted:
+                    found.add(word >> LEAF_BITS)
                 else:
-                    keep.append(block)
+                    keep.append(word)
             self.tree._buckets[index] = keep
         for addr in list(wanted):
-            if addr in self.overflow:
-                found[addr] = self.overflow.pop(addr)
-        missing = wanted - set(found)
+            if self.overflow.pop(addr, None) is not None:
+                found.add(addr)
+        missing = wanted - found
         if missing:
             raise KeyError(f"blocks {sorted(missing)} not found on their path")
         # Remap the whole group and re-insert at the root.
         assigned = new_leaf if new_leaf is not None else self.rng.random_leaf(self.tree.num_leaves)
         root = self.tree.bucket(0)
+        fetched: Dict[int, int] = {}
         for addr in addrs:
-            block = found[addr]
-            block.leaf = assigned
+            fetched[addr] = word = addr << LEAF_BITS | assigned
             self._leaves[addr] = assigned
             if len(root) < self.bucket_size:
-                root.append(block)
+                root.append(word)
             else:
-                self.overflow[addr] = block
+                self.overflow[addr] = word
         self._pending_access = True
-        return found
+        return fetched
 
     def finish_access(self) -> None:
         """Run the randomized eviction committing the access."""
@@ -160,7 +161,7 @@ class ShiTreeORAM(
         self._pending_access = False
         self._evict()
 
-    def access(self, addrs: Sequence[int], new_leaf: Optional[int] = None) -> Dict[int, Block]:
+    def access(self, addrs: Sequence[int], new_leaf: Optional[int] = None) -> Dict[int, int]:
         """One complete access: path read + root insertion + eviction."""
         found = self.begin_access(addrs, new_leaf)
         self.finish_access()
@@ -170,12 +171,13 @@ class ShiTreeORAM(
         """Re-point a group whose members are all root/overflow-resident."""
         assigned = leaf if leaf is not None else self.rng.random_leaf(self.tree.num_leaves)
         root = self.tree.bucket(0)
-        on_chip = {block.addr: block for block in root}
         for addr in addrs:
             self._leaves[addr] = assigned
-            block = self.overflow.get(addr) or on_chip.get(addr)
-            if block is not None:
-                block.leaf = assigned
+            word = addr << LEAF_BITS | assigned
+            if addr in self.overflow:
+                self.overflow[addr] = word
+            else:
+                root[:] = [word if held >> LEAF_BITS == addr else held for held in root]
         return assigned
 
     def dummy_access(self, kind: str = "dummy") -> None:
@@ -212,21 +214,21 @@ class ShiTreeORAM(
                 self.bucket_touches += 3  # parent + both children (oblivious)
                 if not bucket:
                     continue
-                block = bucket.pop(0)
+                word = bucket.pop(0)
                 # The child on the block's path receives it.
                 child_level = level + 1
-                child_index = self.tree.bucket_index(child_level, block.leaf)
+                child_index = self.tree.bucket_index(child_level, word & LEAF_MASK)
                 child = self.tree.bucket(child_index)
                 if len(child) < self.bucket_size:
-                    child.append(block)
+                    child.append(word)
                     self.evicted_blocks += 1
                 else:
-                    bucket.append(block)  # no room: stays put this round
+                    bucket.append(word)  # no room: stays put this round
         # Drain overflow opportunistically through the root.
         root = self.tree.bucket(0)
         while self.overflow and len(root) < self.bucket_size:
-            _, block = self.overflow.popitem()
-            root.append(block)
+            _, word = self.overflow.popitem()
+            root.append(word)
 
 
 ORAMScheme.register(ShiTreeORAM)

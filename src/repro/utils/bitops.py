@@ -9,6 +9,11 @@ stash blocks onto a path of the binary tree.
 
 from __future__ import annotations
 
+#: A block word is ``addr << LEAF_BITS | leaf`` (:mod:`repro.oram.tree`):
+#: the leaf label is its low ``LEAF_BITS`` bits, the address the rest.
+LEAF_BITS = 32
+LEAF_MASK = (1 << LEAF_BITS) - 1
+
 
 def is_power_of_two(value: int) -> bool:
     """Return True if ``value`` is a positive power of two."""

@@ -24,7 +24,6 @@ from array import array
 import pytest
 
 from repro.config import ORAMConfig
-from repro.oram.block import Block
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.oram.stash import Stash
@@ -40,11 +39,11 @@ def reference_leaves(rng, num_leaves, count):
     return array("q", (rng.random_leaf(num_leaves) for _ in range(count)))
 
 
-def reference_place_deepest(block, levels, capacity, bucket_for):
+def reference_place_deepest(addr, leaf, levels, capacity, bucket_for):
     for level in range(levels, -1, -1):
-        bucket = bucket_for(level, block.leaf)
+        bucket = bucket_for(level, leaf)
         if len(bucket) < capacity:
-            bucket.append(block)
+            bucket.append(addr << 32 | leaf)
             return True
     return False
 
@@ -62,11 +61,10 @@ def reference_populate(config, leaves, treetop_first):
         return tree.bucket(tree.bucket_index(level, leaf))
 
     for addr, leaf in enumerate(leaves):
-        block = Block(addr, leaf)
         if not reference_place_deepest(
-            block, config.levels, config.bucket_size, bucket_for
+            addr, leaf, config.levels, config.bucket_size, bucket_for
         ):
-            stash.add(block)
+            stash.add(addr << 32 | leaf)
     cache = tree.treetop
     if cache is not None:
         for index, bucket in enumerate(cache.store):
@@ -87,14 +85,14 @@ def reference_heap(leaves, levels, capacity):
 
     spilled = []
     for addr, leaf in enumerate(leaves):
-        if not reference_place_deepest(Block(addr, leaf), levels, capacity, bucket_for):
+        if not reference_place_deepest(addr, leaf, levels, capacity, bucket_for):
             spilled.append(addr)
     return buckets, spilled
 
 
 # ------------------------------------------------------------------ helpers
 def contents(bucket):
-    return [(block.addr, block.leaf) for block in bucket]
+    return [(word >> 32, word & 0xFFFFFFFF) for word in bucket]
 
 
 def tree_image(tree):

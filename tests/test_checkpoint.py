@@ -35,8 +35,8 @@ class TestRoundtrip:
     def test_used_oram_roundtrips(self):
         oram = make_oram()
         for addr in range(30):
-            block = oram.access([addr])[addr]
-            block.data = bytes([addr]) * 4
+            oram.access([addr])
+            oram.tree.payloads[addr] = bytes([addr]) * 4
         oram.position_map.set_merge_bit(5, 1)
         oram.position_map.set_break_bit(6, 1)
         oram.position_map.set_prefetch_bit(7, 1)
@@ -47,8 +47,10 @@ class TestRoundtrip:
         assert restored.position_map.prefetch_bit(7) == 1
         assert restored.real_accesses == oram.real_accesses
         # Payloads survive.
+        assert restored.tree.payloads == oram.tree.payloads
         for addr in range(30):
-            assert restored.access([addr])[addr].data == bytes([addr]) * 4
+            restored.access([addr])
+            assert restored.tree.payloads[addr] == bytes([addr]) * 4
 
     def test_restored_oram_keeps_working(self):
         oram = make_oram()

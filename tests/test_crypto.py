@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.oram.block import Block
 from repro.oram.crypto import (
     ProbabilisticCipher,
     open_block,
@@ -78,16 +77,18 @@ class TestBucketSealing:
         # Section 2.2: buckets with fewer than Z blocks are padded with
         # indistinguishable dummies.
         cipher = make_cipher()
-        image = seal_bucket(cipher, [Block(1, 0, b"a")], bucket_size=4, block_bytes=16)
+        image = seal_bucket(cipher, [1 << 32 | 5], {1: b"a"}, bucket_size=4, block_bytes=16)
         assert len(image) == 4
+        addr, leaf, data = open_block(cipher, image[0], block_bytes=16)
+        assert (addr, leaf, data.rstrip(b"\0")) == (1, 5, b"a")
         lengths = {len(slot) for slot in image}
         assert len(lengths) == 1  # identical ciphertext sizes
 
     def test_bucket_overflow_rejected(self):
         cipher = make_cipher()
-        blocks = [Block(i, 0, b"") for i in range(3)]
+        blocks = [i << 32 | 0 for i in range(3)]
         with pytest.raises(ValueError):
-            seal_bucket(cipher, blocks, bucket_size=2, block_bytes=16)
+            seal_bucket(cipher, blocks, {}, bucket_size=2, block_bytes=16)
 
     def test_real_and_dummy_indistinguishable_without_key(self):
         # Identical sizes and fresh nonces: the serialized images carry no

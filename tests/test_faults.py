@@ -23,7 +23,6 @@ from repro.faults import (
     assert_consistent,
     run_fsck,
 )
-from repro.oram.block import Block
 from repro.oram.integrity import IntegrityViolationError, VerifiedPathORAM
 from repro.oram.kv_store import ObliviousKVStore
 from repro.oram.path_oram import PathORAM
@@ -165,7 +164,7 @@ class TestFsck:
         oram = self.make_oram()
         for bucket in oram.tree._buckets:
             if bucket:
-                bucket[0].leaf ^= 1
+                bucket[0] ^= 1  # the word's low bit: its leaf
                 break
         report = run_fsck(oram)
         assert not report.ok
@@ -174,7 +173,7 @@ class TestFsck:
     def test_duplicate_block_detected(self):
         oram = self.make_oram()
         donor = next(b for b in oram.tree._buckets if b)
-        oram.stash.add(Block(donor[0].addr, donor[0].leaf))
+        oram.stash.add(donor[0])
         report = run_fsck(oram)
         assert not report.ok
         assert any("stash" in error for error in report.errors)
@@ -191,13 +190,13 @@ class TestFsck:
         donor = next(b for b in oram.tree._buckets if b)
         # Payload-only mutation: census and placement stay legal, so only
         # the root-hash recomputation can catch it.
-        donor[0].data = b"tampered"
+        oram.tree.payloads[donor[0] >> 32] = b"tampered"
         report = run_fsck(oram)
         assert any("root hash" in error for error in report.errors)
 
     def test_assert_consistent_raises(self):
         oram = self.make_oram()
-        next(b for b in oram.tree._buckets if b)[0].leaf ^= 1
+        next(b for b in oram.tree._buckets if b)[0] ^= 1
         with pytest.raises(FsckError) as excinfo:
             assert_consistent(oram)
         assert excinfo.value.report.errors
@@ -205,46 +204,47 @@ class TestFsck:
     def test_error_accumulation_capped(self):
         oram = self.make_oram()
         for bucket in oram.tree._buckets:
-            for block in bucket:
-                block.leaf ^= 1
+            bucket[:] = [word ^ 1 for word in bucket]
         report = run_fsck(oram, max_errors=4)
         assert len(report.errors) == 4
 
 
 def tree_blocks(tree):
-    """``(bucket index, block)`` for every block in the tree, heap order."""
+    """``(bucket index, block word)`` for every block in the tree, heap order."""
     return [
-        (index, block)
+        (index, word)
         for index in range(tree.num_buckets)
-        for block in tree.bucket(index)
+        for word in tree.bucket(index)
     ]
 
 
 def plant_duplicate(oram, on_chip):
-    _index, block = tree_blocks(oram.tree)[-1]
-    on_chip[block.addr] = Block(block.addr, block.leaf)
+    _index, word = tree_blocks(oram.tree)[-1]
+    on_chip[word >> 32] = word
 
 
 def plant_dropped(oram, on_chip):
-    index, block = tree_blocks(oram.tree)[-1]
-    oram.tree.bucket(index).remove(block)
+    index, word = tree_blocks(oram.tree)[-1]
+    oram.tree.bucket(index).remove(word)
 
 
 def plant_off_path(oram, on_chip):
     # The sibling's subtree is disjoint from the block's path.
     tree = oram.tree
-    for index, block in tree_blocks(tree):
+    for index, word in tree_blocks(tree):
         sibling = index + 1 if index % 2 else index - 1
         if index and len(tree.bucket(sibling)) < tree.bucket_size:
-            tree.bucket(index).remove(block)
-            tree.bucket(sibling).append(block)
+            tree.bucket(index).remove(word)
+            tree.bucket(sibling).append(word)
             return
     raise AssertionError("no block with room beside it")
 
 
 def plant_leaf_mismatch(oram, on_chip):
-    _index, block = tree_blocks(oram.tree)[-1]
-    block.leaf ^= 1  # the copy is rerouted; its mapping and bucket are not
+    index, word = tree_blocks(oram.tree)[-1]
+    bucket = oram.tree.bucket(index)
+    # the copy is rerouted (its word's leaf bit); its mapping and bucket are not
+    bucket[bucket.index(word)] = word ^ 1
 
 
 def plant_over_z(oram, on_chip):
@@ -252,11 +252,11 @@ def plant_over_z(oram, on_chip):
     # on its own path and overfills nothing but the root.
     tree = oram.tree
     root = tree.bucket(0)
-    for index, block in tree_blocks(tree)[::-1]:
+    for index, word in tree_blocks(tree)[::-1]:
         if len(root) > tree.bucket_size:
             return
-        tree.bucket(index).remove(block)
-        root.append(block)
+        tree.bucket(index).remove(word)
+        root.append(word)
 
 
 def plant_out_of_range(oram, on_chip):
@@ -264,7 +264,7 @@ def plant_out_of_range(oram, on_chip):
     room = next(
         i for i in range(tree.num_buckets) if len(tree.bucket(i)) < tree.bucket_size
     )
-    tree.bucket(room).append(Block(oram.num_blocks, 0))
+    tree.bucket(room).append(oram.num_blocks << 32 | 0)
 
 
 #: damage -> (planter, what the report and the raised assertion say)

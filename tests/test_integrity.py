@@ -3,20 +3,25 @@
 import pytest
 
 from repro.config import ORAMConfig
-from repro.oram.block import Block
 from repro.oram.integrity import (
     IntegrityViolationError,
     MerkleTree,
     VerifiedPathORAM,
 )
 from repro.oram.tree import BinaryTree
+from repro.utils.bitops import LEAF_BITS
 from repro.utils.rng import DeterministicRng
+
+
+def word(addr, leaf):
+    return addr << LEAF_BITS | leaf
 
 
 def make_tree(levels=3, bucket_size=2):
     tree = BinaryTree(levels=levels, bucket_size=bucket_size)
-    tree.write_bucket(0, 0, [Block(1, 3)])
-    tree.write_bucket(3, 5, [Block(2, 5, b"payload")])
+    tree.write_bucket(0, 0, [word(1, 3)])
+    tree.write_bucket(3, 5, [word(2, 5)])
+    tree.payloads[2] = b"payload"
     return tree
 
 
@@ -32,7 +37,7 @@ class TestMerkleTree:
         tree = make_tree()
         merkle = MerkleTree(tree)
         before = merkle.root
-        tree.write_bucket(2, 7, [Block(9, 7)])
+        tree.write_bucket(2, 7, [word(9, 7)])
         merkle.update_path(7)
         assert merkle.root != before
         merkle.verify_all()
@@ -41,14 +46,16 @@ class TestMerkleTree:
         # An adversary swaps a bucket without fixing the hashes.
         tree = make_tree()
         merkle = MerkleTree(tree)
-        tree.write_bucket(3, 5, [Block(666, 5, b"forged")])
+        tree.write_bucket(3, 5, [word(666, 5)])
+        tree.payloads[666] = b"forged"
         with pytest.raises(IntegrityViolationError):
             merkle.verify_path(5)
 
     def test_tampered_payload_detected(self):
         tree = make_tree()
         merkle = MerkleTree(tree)
-        tree.bucket(tree.bucket_index(3, 5))[0].data = b"evil"
+        assert tree.bucket(tree.bucket_index(3, 5)) == [word(2, 5)]
+        tree.payloads[2] = b"evil"
         with pytest.raises(IntegrityViolationError):
             merkle.verify_path(5)
 
@@ -66,7 +73,7 @@ class TestMerkleTree:
         tree = make_tree()
         merkle = MerkleTree(tree)
         far_index = tree.bucket_index(3, 7)
-        tree.bucket(far_index).append(Block(99, 7))
+        tree.bucket(far_index).append(word(99, 7))
         merkle.verify_path(0)  # unaffected path still verifies
         with pytest.raises(IntegrityViolationError):
             merkle.verify_all()
@@ -94,9 +101,9 @@ class TestVerifiedPathORAM:
         # The adversary injects a forged block into the leaf bucket.
         bucket = oram.tree.bucket(index)
         if len(bucket) < oram.config.bucket_size:
-            bucket.append(Block(12345 % oram.position_map.num_blocks, target))
+            bucket.append(word(12345 % oram.position_map.num_blocks, target))
         else:
-            bucket[0].data = b"forged"
+            oram.tree.payloads[bucket[0] >> LEAF_BITS] = b"forged"
         with pytest.raises(IntegrityViolationError):
             oram.access([5])
 
@@ -127,8 +134,8 @@ class TestSingleBitflipProperty:
         config = ORAMConfig(levels=5, bucket_size=3, stash_blocks=40, utilization=0.5)
         oram = VerifiedPathORAM(config, DeterministicRng(17))
         for addr in range(min(24, oram.position_map.num_blocks)):
-            block = oram.begin_access([addr])[addr]
-            block.data = bytes([addr & 0xFF, 0xA5, addr ^ 0x3C, 0x7E])
+            oram.begin_access([addr])
+            oram.tree.payloads[addr] = bytes([addr & 0xFF, 0xA5, addr ^ 0x3C, 0x7E])
             oram.finish_access()
         oram.drain_stash()
         oram.merkle.verify_all()
@@ -149,16 +156,17 @@ class TestSingleBitflipProperty:
         checked = 0
         for leaf in leaves:
             for index in oram.tree.path_indices(leaf):
-                for block in oram.tree._buckets[index]:
-                    if not block.data:
+                for held in oram.tree._buckets[index]:
+                    addr = held >> LEAF_BITS
+                    original = oram.tree.payloads.get(addr)
+                    if not original:
                         continue
-                    for byte_index in range(len(block.data)):
+                    for byte_index in range(len(original)):
                         bit = 1 << rng.randbelow(8)
-                        original = block.data
-                        block.data = self._flip(original, byte_index, bit)
+                        oram.tree.payloads[addr] = self._flip(original, byte_index, bit)
                         with pytest.raises(IntegrityViolationError):
                             oram.merkle.verify_path(leaf)
-                        block.data = original
+                        oram.tree.payloads[addr] = original
                         checked += 1
             # Restoration left the path pristine.
             oram.merkle.verify_path(leaf)
@@ -171,14 +179,14 @@ class TestSingleBitflipProperty:
         rng = DeterministicRng(29)
         leaf = oram.tree.num_leaves // 2
         for index in oram.tree.path_indices(leaf):
-            for block in oram.tree._buckets[index]:
-                for attr in ("addr", "leaf"):
+            bucket = oram.tree._buckets[index]
+            for slot, original in enumerate(bucket):
+                for shift in (LEAF_BITS, 0):  # the address, then the leaf
                     bit = 1 << rng.randbelow(8)
-                    original = getattr(block, attr)
-                    setattr(block, attr, original ^ bit)
+                    bucket[slot] = original ^ (bit << shift)
                     with pytest.raises(IntegrityViolationError):
                         oram.merkle.verify_path(leaf)
-                    setattr(block, attr, original)
+                    bucket[slot] = original
         oram.merkle.verify_path(leaf)
 
     def test_every_stored_hash_byte_flip_detected(self):

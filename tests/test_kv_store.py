@@ -130,8 +130,10 @@ class TestObliviousness:
         # different block payloads in the tree.
         store = make_store()
         store.put(1, b"same")
-        first = store.oram.access([1])[1].data
+        store.oram.access([1])
+        first = store.oram.tree.payloads[1]
         store.oram.drain_stash()
         store.put(1, b"same")
-        second = store.oram.access([1])[1].data
+        store.oram.access([1])
+        second = store.oram.tree.payloads[1]
         assert first != second

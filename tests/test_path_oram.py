@@ -55,8 +55,9 @@ class TestAccess:
     def test_access_returns_block_and_remaps(self):
         oram = make_oram()
         before = oram.position_map.leaf(7)
-        blocks = oram.access([7], new_leaf=(before + 1) % oram.config.num_leaves)
-        assert blocks[7].addr == 7
+        new_leaf = (before + 1) % oram.config.num_leaves
+        blocks = oram.access([7], new_leaf=new_leaf)
+        assert blocks == {7: 7 << 32 | new_leaf}
         assert oram.position_map.leaf(7) != before
         oram.check_invariants()
 
@@ -110,7 +111,7 @@ class TestAccess:
         oram.begin_access([3])
         new_leaf = oram.remap_group([3])
         assert oram.position_map.leaf(3) == new_leaf
-        assert oram.stash.peek(3).leaf == new_leaf
+        assert oram.stash.blocks[3] == 3 << 32 | new_leaf
         oram.finish_access()
         oram.check_invariants()
 
@@ -156,10 +157,10 @@ class TestPathStashOverlap:
         oram = make_oram(treetop=treetop)
         addr, index = next(iter(oram.tree.address_index().items()))
         bucket = oram.tree.bucket(index)
-        block = next(b for b in bucket if b.addr == addr)
-        bucket.remove(block)
-        oram.stash.add(block)
-        oram.tree.bucket(0).append(block)
+        word = next(w for w in bucket if w >> 32 == addr)
+        bucket.remove(word)
+        oram.stash.add(word)
+        oram.tree.bucket(0).append(word)
         return oram, addr
 
     @pytest.mark.parametrize("treetop", [0, 2])

@@ -516,7 +516,7 @@ def observable_state(backend, recorder):
             [(k, list(v.items()) if k == "phases" else v) for k, v in record.items()]
             for record in recorder.records
         ],
-        "stash": [(block.addr, block.leaf) for block in backend.oram.stash.iter_blocks()],
+        "stash": list(backend.oram.stash.blocks.values()),
         "stash_max": backend.oram.stash.max_occupancy,
         "oram_counts": (backend.oram.real_accesses, backend.oram.dummy_accesses),
         "rng_draws": [[rng.randbelow(1 << 30) for _ in range(3)] for rng in rngs_of(backend)],

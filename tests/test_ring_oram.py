@@ -38,8 +38,9 @@ class TestBasics:
     def test_access_returns_and_remaps(self):
         oram = make_oram()
         before = oram.leaf_of(7)
-        blocks = oram.access([7], new_leaf=(before + 1) % oram.tree.num_leaves)
-        assert blocks[7].addr == 7
+        new_leaf = (before + 1) % oram.tree.num_leaves
+        blocks = oram.access([7], new_leaf=new_leaf)
+        assert blocks == {7: 7 << 32 | new_leaf}
         assert oram.leaf_of(7) != before
         oram.check_invariants()
 

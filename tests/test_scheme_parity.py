@@ -200,10 +200,7 @@ class TestMixinAgreement:
             scheme.tree.read_path_into(other % num_leaves, store)
         # Reference: run the mixin on a snapshot of that pool, recording
         # placements into a scratch tree of empty buckets.
-        snapshot = {
-            addr: type(block)(block.addr, block.leaf)
-            for addr, block in scheme.stash.items()
-        }
+        snapshot = dict(store)
         scratch = {}
 
         class Ref(GreedyWritebackMixin):
@@ -214,7 +211,7 @@ class TestMixinAgreement:
             scheme.config.levels,
             scheme.config.bucket_size,
             snapshot,
-            lambda level, blocks: scratch.__setitem__(level, [b.addr for b in blocks]),
+            lambda level, words: scratch.__setitem__(level, list(words)),
         )
         # Specialized: evict the real stash onto the real tree, through
         # the one write-back body (finish_access on the parked leaf).
@@ -222,7 +219,7 @@ class TestMixinAgreement:
         scheme.finish_access()
         for level in range(scheme.config.levels + 1):
             index = scheme.tree.bucket_index(level, leaf)
-            actual = [b.addr for b in scheme.tree.bucket(index)]
+            actual = scheme.tree.bucket(index)
             assert actual == scratch.get(level, []), f"level {level} differs"
         assert store, "nothing left in the stash: the order check is vacuous"
         assert list(store) == list(snapshot)

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.oram.block import Block
 from repro.oram.tree import BinaryTree
+from repro.utils.bitops import LEAF_BITS, LEAF_MASK
+
+
+def word(addr, leaf):
+    return addr << LEAF_BITS | leaf
 
 
 class TestGeometry:
@@ -62,16 +66,16 @@ class TestGeometry:
 class TestStorage:
     def test_read_path_empties_buckets(self):
         tree = BinaryTree(levels=3, bucket_size=2)
-        tree.write_bucket(0, 0, [Block(1, 0)])
-        tree.write_bucket(3, 5, [Block(2, 5), Block(3, 5)])
+        tree.write_bucket(0, 0, [word(1, 0)])
+        tree.write_bucket(3, 5, [word(2, 5), word(3, 5)])
         blocks = {}
         assert tree.read_path_into(5, blocks) == 3
-        assert set(blocks) == {1, 2, 3}
+        assert blocks == {1: word(1, 0), 2: word(2, 5), 3: word(3, 5)}
         assert tree.occupancy() == 0
 
     def test_read_path_leaves_other_paths(self):
         tree = BinaryTree(levels=3, bucket_size=2)
-        tree.write_bucket(3, 0, [Block(9, 0)])
+        tree.write_bucket(3, 0, [word(9, 0)])
         blocks = {}
         assert tree.read_path_into(7, blocks) == 0
         assert blocks == {}
@@ -80,16 +84,43 @@ class TestStorage:
     def test_write_bucket_overflow(self):
         tree = BinaryTree(levels=2, bucket_size=2)
         with pytest.raises(ValueError):
-            tree.write_bucket(0, 0, [Block(i, 0) for i in range(3)])
+            tree.write_bucket(0, 0, [word(i, 0) for i in range(3)])
 
     def test_find(self):
         tree = BinaryTree(levels=2, bucket_size=2)
-        tree.write_bucket(1, 2, [Block(42, 2)])
+        tree.write_bucket(1, 2, [word(42, 2)])
         assert tree.find(42)
         assert not tree.find(43)
 
     def test_iter_blocks(self):
         tree = BinaryTree(levels=2, bucket_size=2)
-        tree.write_bucket(0, 0, [Block(1, 0)])
-        tree.write_bucket(2, 3, [Block(2, 3)])
-        assert {b.addr for b in tree.iter_blocks()} == {1, 2}
+        tree.write_bucket(0, 0, [word(1, 0)])
+        tree.write_bucket(2, 3, [word(2, 3)])
+        assert {w >> LEAF_BITS for w in tree.iter_blocks()} == {1, 2}
+
+
+class TestBlockWords:
+    """A block is one int, ``addr << 32 | leaf``: the header hardware stores."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**40),
+                st.integers(min_value=0, max_value=LEAF_MASK),
+            ),
+            unique_by=lambda block: block[0],
+            max_size=8,
+        )
+    )
+    def test_sorted_bucket_is_address_order(self, blocks):
+        bucket = [word(addr, leaf) for addr, leaf in blocks]
+        assert sorted(bucket) == [word(addr, leaf) for addr, leaf in sorted(blocks)]
+        assert [(w >> LEAF_BITS, w & LEAF_MASK) for w in bucket] == blocks
+
+    def test_the_leaf_must_fit_the_word(self):
+        # Refused before anything is allocated (a 31-level tree would hold
+        # 2**32 - 1 buckets, so the largest legal height goes untested).
+        with pytest.raises(ValueError, match=r"levels must be in \[1, 32\), not 32"):
+            BinaryTree(levels=32, bucket_size=1)
+        with pytest.raises(ValueError, match=r"not 40"):
+            BinaryTree(levels=40, bucket_size=1)

@@ -25,7 +25,7 @@ class TestBasics:
         oram = make_oram()
         before = oram.leaf_of(7)
         blocks = oram.access([7], new_leaf=(before + 1) % 32)
-        assert blocks[7].addr == 7
+        assert blocks == {7: 7 << 32 | (before + 1) % 32}
         assert oram.leaf_of(7) != before
         oram.check_invariants()
 

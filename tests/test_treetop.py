@@ -95,13 +95,12 @@ class TestConfigValidation:
 class TestTreetopCacheTree:
     def build(self, treetop=3, levels=5, z=4):
         tree = BinaryTree(levels=levels, bucket_size=z)
-        from repro.oram.block import Block
-
-        # Spread a few blocks over the top and bottom of the tree.
-        tree.write_bucket_at(0, [Block(addr=0, leaf=0)])
-        tree.write_bucket_at(1, [Block(addr=1, leaf=0)])
+        # Spread a few blocks (words ``addr << 32 | leaf``) over the top
+        # and bottom of the tree.
+        tree.write_bucket_at(0, [0 << 32 | 0])
+        tree.write_bucket_at(1, [1 << 32 | 0])
         bottom = tree.bucket_index(levels, 3)
-        tree.write_bucket_at(bottom, [Block(addr=2, leaf=3)])
+        tree.write_bucket_at(bottom, [2 << 32 | 3])
         if treetop:
             tree.attach_treetop(treetop)
         return tree
@@ -120,23 +119,21 @@ class TestTreetopCacheTree:
         tree = self.build()
         assert tree.bucket(0) is tree.treetop.store[0]
         assert tree.occupancy() == 3
-        assert sorted(b.addr for b in tree.iter_blocks()) == [0, 1, 2]
+        assert sorted(tree.iter_blocks()) == [0 << 32 | 0, 1 << 32 | 0, 2 << 32 | 3]
         assert tree.find(0) and tree.find(2) and not tree.find(99)
         index = tree.address_index()
         assert index[0] == 0 and index[1] == 1
         assert index[2] == tree.bucket_index(tree.levels, 3)
 
     def test_write_marks_dirty_and_flush_syncs_image(self):
-        from repro.oram.block import Block
-
         tree = self.build()
-        tree.write_bucket_at(2, [Block(addr=9, leaf=2)])
+        tree.write_bucket_at(2, [9 << 32 | 2])
         assert tree.treetop.dirty[2] == 1
         # The DRAM image still holds the pre-write (empty) bucket.
         assert tree._buckets[2] == []
         written = tree.flush_treetop()
         assert written >= 1
-        assert [b.addr for b in tree._buckets[2]] == [9]
+        assert tree._buckets[2] == [9 << 32 | 2]
         assert not any(tree.treetop.dirty)
         assert tree.treetop.flushes == 1
         assert tree.treetop.flushed_buckets == written
@@ -169,13 +166,11 @@ class TestFunctionalEquivalence:
         base = self.drive(0)
         pinned = self.drive(4)
         assert [
-            sorted(b.addr for b in base.tree.bucket(i))
-            for i in range(base.tree.num_buckets)
+            sorted(base.tree.bucket(i)) for i in range(base.tree.num_buckets)
         ] == [
-            sorted(b.addr for b in pinned.tree.bucket(i))
-            for i in range(pinned.tree.num_buckets)
+            sorted(pinned.tree.bucket(i)) for i in range(pinned.tree.num_buckets)
         ]
-        assert sorted(base.stash.items()) == sorted(pinned.stash.items())
+        assert sorted(base.stash.blocks.items()) == sorted(pinned.stash.blocks.items())
         assert [
             base.position_map.leaf(a)
             for a in range(base.position_map.num_blocks)
@@ -555,11 +550,9 @@ class TestTreetopCheckpoint:
         restored.tree.flush_treetop()
         boundary = oram.tree._treetop_buckets
         assert [
-            sorted(b.addr for b in bucket)
-            for bucket in restored.tree._buckets[:boundary]
+            sorted(bucket) for bucket in restored.tree._buckets[:boundary]
         ] == [
-            sorted(b.addr for b in bucket)
-            for bucket in oram.tree._buckets[:boundary]
+            sorted(bucket) for bucket in oram.tree._buckets[:boundary]
         ]
 
     def test_pre_treetop_documents_still_load(self):
@@ -646,7 +639,7 @@ class TestFsckIndexedAudit:
         victim = next(iter(sorted(index)))
         bucket = oram.tree.bucket(index[victim])
         oram.tree.write_bucket_at(
-            index[victim], [b for b in bucket if b.addr != victim]
+            index[victim], [word for word in bucket if word >> 32 != victim]
         )
         report = run_fsck(oram)
         assert not report.ok
