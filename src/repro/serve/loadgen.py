@@ -12,6 +12,11 @@ Both sources speak the same protocol the front-end event loop drives:
   when one is due;
 * :attr:`LoadSource.exhausted` -- no arrival will *ever* surface again.
 
+An open loop's arrivals are fixed up front, so it is a stream: it holds
+them in arrival order and builds each :class:`Request` only when
+:meth:`LoadSource.take_arrivals` reaches it.  Only the closed loop, whose
+completions create arrivals, keeps a heap.
+
 Everything draws from forked :class:`~repro.utils.rng.DeterministicRng`
 streams, so a (source seed, front-end config, bank seed) triple replays
 bit-identically.
@@ -20,6 +25,9 @@ bit-identically.
 from __future__ import annotations
 
 import heapq
+import math
+from itertools import pairwise
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.serve.request import Request
@@ -28,15 +36,37 @@ from repro.utils.rng import DeterministicRng
 
 DEFAULT_DEADLINE = 30_000
 
+#: An arrival fixed up front: ``(cycle, tenant, addr, is_write)``.
+Arrival = Tuple[int, int, int, bool]
+
 
 class LoadSource:
-    """Base: a deterministic time-ordered arrival heap."""
+    """Base: a deterministic stream of arrivals fixed up front.
+
+    The arrivals are held in ``(cycle, tenant)`` order and walked by index;
+    a request's ``req_id`` is its position in that order.  They are either
+    :data:`Arrival` tuples, or a trace's ``(gap, addr, is_write)`` entries
+    offered round-robin across the tenants, whose cycles a float clock
+    (``clock += gap / load_scale``) carries forward one entry at a time.
+    :class:`ClosedLoopSource` replaces the stream with a heap.  The walk
+    lives here rather than on :class:`OpenLoopSource` because the
+    ``serve.take_arrivals`` span boundary of ``benchmarks/perf`` patches
+    ``LoadSource.take_arrivals``.
+    """
 
     #: True when completion/shed feedback can schedule new arrivals (the
     #: hooks below are no-ops otherwise, and the front end skips them)
     feedback = False
 
-    def __init__(self, num_tenants: int, weights: Optional[Sequence[int]] = None):
+    def __init__(
+        self,
+        num_tenants: int,
+        weights: Optional[Sequence[int]] = None,
+        arrivals: Sequence = (),
+        *,
+        deadline_cycles: int = DEFAULT_DEADLINE,
+        load_scale: Optional[float] = None,
+    ):
         if num_tenants < 1:
             raise ValueError("need at least one tenant")
         self.num_tenants = num_tenants
@@ -46,44 +76,60 @@ class LoadSource:
                 f"one weight per tenant ({len(self.weights)} weights, "
                 f"{num_tenants} tenants)"
             )
-        self._heap: List[Tuple[int, int, Request]] = []
-        self._next_id = 0
-        self._max_addr = -1
-
-    # -------------------------------------------------------------- scheduling
-    def _schedule(
-        self,
-        cycle: int,
-        tenant: int,
-        addr: int,
-        is_write: bool,
-        deadline: int,
-        client: int = -1,
-    ) -> Request:
-        request = Request(
-            req_id=self._next_id,
-            tenant=tenant,
-            addr=addr,
-            is_write=is_write,
-            arrival_cycle=cycle,
-            deadline_cycles=deadline,
-            client=client,
-        )
-        heapq.heappush(self._heap, (cycle, request.req_id, request))
-        self._next_id += 1
-        if addr > self._max_addr:
-            self._max_addr = addr
-        return request
+        if load_scale is None and any(a[0] > b[0] for a, b in pairwise(arrivals)):
+            raise ValueError("arrivals must be in cycle order")
+        self._arrivals = arrivals
+        #: kept so the walk makes no call but each request's ``__init__``
+        #: and ``append`` (the ``heappop`` + ``append`` the heap made)
+        self._end = len(arrivals)
+        self._deadline = deadline_cycles
+        #: a trace stream's load scale; None for :data:`Arrival` tuples
+        self._scale = load_scale
+        self._index = 0
+        self._clock = 0.0
+        self._next_cycle: Optional[int] = None
+        if arrivals and load_scale is None:
+            self._next_cycle = arrivals[0][0]
+        elif arrivals:
+            self._clock += arrivals[0][0] / load_scale
+            self._next_cycle = int(self._clock)
 
     # ---------------------------------------------------------------- protocol
     def next_arrival_cycle(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
+        return self._next_cycle
 
     def take_arrivals(self, now: int) -> List[Request]:
-        """Pop every request with ``arrival_cycle <= now``."""
+        """Build and return every request with ``arrival_cycle <= now``."""
         due: List[Request] = []
-        while self._heap and self._heap[0][0] <= now:
-            due.append(heapq.heappop(self._heap)[2])
+        cycle = self._next_cycle
+        arrivals = self._arrivals
+        index = self._index
+        end = self._end
+        deadline = self._deadline
+        scale = self._scale
+        if scale is None:
+            while cycle is not None and cycle <= now:
+                _cycle, tenant, addr, is_write = arrivals[index]
+                due.append(Request(index, tenant, addr, is_write, cycle, deadline))
+                index += 1
+                cycle = arrivals[index][0] if index < end else None
+        else:
+            tenants = self.num_tenants
+            clock = self._clock
+            while cycle is not None and cycle <= now:
+                _gap, addr, is_write = arrivals[index]
+                due.append(
+                    Request(index, index % tenants, addr, bool(is_write), cycle, deadline)
+                )
+                index += 1
+                if index < end:
+                    clock += arrivals[index][0] / scale
+                    cycle = int(clock)
+                else:
+                    cycle = None
+            self._clock = clock
+        self._index = index
+        self._next_cycle = cycle
         return due
 
     def on_completion(self, request: Request, cycle: int) -> None:
@@ -94,7 +140,17 @@ class LoadSource:
 
     @property
     def exhausted(self) -> bool:
-        return not self._heap
+        return self._next_cycle is None
+
+    @property
+    def footprint_blocks(self) -> int:
+        """Smallest footprint covering every address the stream offers.
+
+        Read off the whole arrival list, which the stream keeps, so the
+        value survives the run draining the arrivals.
+        """
+        field = 2 if self._scale is None else 1
+        return 1 + max((arrival[field] for arrival in self._arrivals), default=-1)
 
 
 class OpenLoopSource(LoadSource):
@@ -113,20 +169,19 @@ class OpenLoopSource(LoadSource):
         """Offer a :class:`Trace` round-robin across ``num_tenants``.
 
         Arrival times are the trace's cumulative compute gaps divided by
-        ``load_scale`` (2.0 = offer twice as fast).  The trace's incremental
-        ``write_fraction`` / ``total_gap_cycles`` feed the CLI banner.
+        ``load_scale`` (2.0 = offer twice as fast).  The source walks the
+        trace's entries in place, so it must not be appended to while the
+        source runs.  The trace's incremental ``write_fraction`` /
+        ``total_gap_cycles`` feed the CLI banner.
         """
-        if load_scale <= 0.0:
-            raise ValueError("load scale must be positive")
-        source = cls(num_tenants, weights)
-        now = 0.0
-        for index, (gap, addr, is_write) in enumerate(trace.entries):
-            now += gap / load_scale
-            source._schedule(
-                int(now), index % num_tenants, addr, bool(is_write),
-                deadline_cycles,
+        if not 0.0 < load_scale < math.inf:
+            raise ValueError(
+                f"load_scale must be positive and finite, not {load_scale!r}"
             )
-        return source
+        return cls(
+            num_tenants, weights, trace.entries,
+            deadline_cycles=deadline_cycles, load_scale=load_scale,
+        )
 
     @classmethod
     def synthetic(
@@ -155,12 +210,11 @@ class OpenLoopSource(LoadSource):
             raise ValueError("tenant regions need at least one block")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be within [0, 1]")
-        source = cls(num_tenants, weights)
         root = DeterministicRng(seed)
         seq_blocks = int(footprint_per_tenant * locality)
         if locality > 0.0 and seq_blocks == 0:
             seq_blocks = 1
-        arrivals: List[Tuple[int, int, int, bool]] = []
+        arrivals: List[Arrival] = []
         for tenant in range(num_tenants):
             rng = root.fork(17 + tenant)
             base = tenant * footprint_per_tenant
@@ -179,19 +233,8 @@ class OpenLoopSource(LoadSource):
                 arrivals.append((now, tenant, base + offset, is_write))
         # Global arrival order: by cycle, ties by tenant -- req_ids are
         # assigned in that order so every downstream tie-break is stable.
-        arrivals.sort(key=lambda item: (item[0], item[1]))
-        for cycle, tenant, addr, is_write in arrivals:
-            source._schedule(cycle, tenant, addr, is_write, deadline_cycles)
-        return source
-
-    @property
-    def footprint_blocks(self) -> int:
-        """Smallest footprint covering every address ever scheduled.
-
-        Tracked at scheduling time (not read off the live heap), so the
-        value survives the run draining the arrivals.
-        """
-        return self._max_addr + 1
+        arrivals.sort(key=itemgetter(0, 1))
+        return cls(num_tenants, weights, arrivals, deadline_cycles=deadline_cycles)
 
 
 class ClosedLoopSource(LoadSource):
@@ -228,6 +271,8 @@ class ClosedLoopSource(LoadSource):
         self.footprint_per_tenant = footprint_per_tenant
         root = DeterministicRng(seed)
         self.think_mean = think_mean
+        self._heap: List[Tuple[int, int, Request]] = []
+        self._next_id = 0
         self._rngs: List[DeterministicRng] = []
         self._remaining: List[int] = []
         self._tenant_of: List[int] = []
@@ -254,14 +299,27 @@ class ClosedLoopSource(LoadSource):
         self._remaining[client] -= 1
         if not self._remaining[client]:
             self._with_credit -= 1
-        self._schedule(
-            cycle, tenant, addr, is_write, self.deadline_cycles, client=client
+        request = Request(
+            self._next_id, tenant, addr, is_write, cycle, self.deadline_cycles,
+            client,
         )
+        heapq.heappush(self._heap, (cycle, request.req_id, request))
+        self._next_id += 1
 
     def _advance(self, request: Request, cycle: int) -> None:
         client = request.client
         if client >= 0 and self._remaining[client] > 0:
             self._issue_next(client, cycle)
+
+    def next_arrival_cycle(self) -> Optional[int]:
+        return self._heap[0][0] if self._heap else None
+
+    def take_arrivals(self, now: int) -> List[Request]:
+        """Pop every request with ``arrival_cycle <= now``."""
+        due: List[Request] = []
+        while self._heap and self._heap[0][0] <= now:
+            due.append(heapq.heappop(self._heap)[2])
+        return due
 
     def on_completion(self, request: Request, cycle: int) -> None:
         self._advance(request, cycle)

@@ -9,11 +9,32 @@ explicit wrapper around :class:`random.Random`; we avoid the module-level
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
-from typing import Sequence, TypeVar
+from bisect import bisect_left
+from functools import lru_cache
+from typing import Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+
+@lru_cache(maxsize=None)
+def zipf_cdf(n: int, theta: float) -> Tuple[float, ...]:
+    """Cumulative Zipf(``theta``) weights over ``[0, n)``, built once per pair.
+
+    ``bisect_left(zipf_cdf(n, theta), u)`` for a uniform ``u`` in [0, 1) is
+    the inverse-CDF Zipf draw :meth:`DeterministicRng.zipf` makes; the DBMS
+    generators that draw per operation bisect the cached table themselves.
+    """
+    weights = [1.0 / (i + 1) ** theta for i in range(n)]
+    total = sum(weights)
+    acc = 0.0
+    cdf = []
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    return tuple(cdf)
 
 
 class DeterministicRng:
@@ -107,8 +128,6 @@ class DeterministicRng:
         p = 1.0 / mean
         u = self._random.random()
         # Inverse CDF of the geometric distribution.
-        import math
-
         return max(1, int(math.ceil(math.log(1.0 - u) / math.log(1.0 - p))))
 
     def expovariate_int(self, mean: float) -> int:
@@ -117,27 +136,15 @@ class DeterministicRng:
             return 0
         return int(self._random.expovariate(1.0 / mean))
 
-    def zipf(self, n: int, theta: float, *, _cache={}) -> int:
+    def zipf(self, n: int, theta: float) -> int:
         """Zipfian draw over [0, n) with skew ``theta`` (YCSB-style).
 
         theta = 0 is uniform; YCSB's default is 0.99.  Uses the standard
-        inverse-CDF construction over precomputed harmonic weights (cached
-        per (n, theta) since the DBMS generators draw millions of times).
+        inverse-CDF construction over precomputed harmonic weights
+        (:func:`zipf_cdf`, cached per (n, theta) since the DBMS generators
+        draw millions of times).
         """
-        key = (n, theta)
-        cdf = _cache.get(key)
-        if cdf is None:
-            weights = [1.0 / (i + 1) ** theta for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            cdf = []
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
-            _cache[key] = cdf
-        import bisect
-
-        return bisect.bisect_left(cdf, self._random.random())
+        return bisect_left(zipf_cdf(n, theta), self._random.random())
 
     def sample(self, population: Sequence[T], k: int) -> list:
         """Sample ``k`` distinct elements."""

@@ -19,10 +19,12 @@ structure (row alignment, table interleaving) is faithful.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import log
 from typing import Dict, List
 
 from repro.sim.trace import Trace
-from repro.utils.rng import DeterministicRng
+from repro.utils.rng import DeterministicRng, zipf_cdf
 from repro.workloads.base import WorkloadProfile
 
 #: 1 KB rows = 8 x 128 B blocks, aligned (YCSB's default row size).
@@ -52,18 +54,33 @@ def ycsb_trace(
     index_blocks = max(2, num_records * 2)
     footprint = data_blocks + index_blocks
     trace = Trace(name="YCSB", footprint_blocks=footprint)
+    # The draws are those of ``rng.zipf`` / ``rng.random`` / ``rng.randint``
+    # / ``rng.expovariate_int`` written out over the bound generator, as in
+    # ``locality_mix_trace``: ``zipf`` bisects the cached CDF with one
+    # ``random()``, ``randint(0, n - 1)`` is ``_randbelow(n)`` and
+    # ``Random.expovariate(lambd)`` is ``-log(1.0 - random()) / lambd``, so
+    # the trace is bit-identical to the wrapper calls' without their frames.
+    random = rng.random_unit
+    randbelow = rng.randbelow
+    cdf = zipf_cdf(num_records, zipf_theta)
+    lambd = 1.0 / gap_mean if gap_mean > 0.0 else 0.0
+    lookup_lambd = 1.0 / (gap_mean * 3) if gap_mean > 0.0 else 0.0
+    append = trace.entries.append
     for _ in range(operations):
-        record = rng.zipf(num_records, zipf_theta)
-        is_write = 0 if rng.random() < read_fraction else 1
+        record = bisect_left(cdf, random())
+        is_write = 0 if random() < read_fraction else 1
         # Index walk: leaf-level blocks are scattered across the index.
         for _level in range(index_touches):
-            index_block = data_blocks + rng.randint(0, index_blocks - 1)
-            trace.entries.append((rng.expovariate_int(gap_mean), index_block, 0))
+            index_block = data_blocks + randbelow(index_blocks)
+            gap = int(-log(1.0 - random()) / lambd) if lambd else 0
+            append((gap, index_block, 0))
         # Row scan: the first touch pays the lookup, the rest stream.
         base = record * row_blocks
-        trace.entries.append((rng.expovariate_int(gap_mean * 3), base, is_write))
+        gap = int(-log(1.0 - random()) / lookup_lambd) if lookup_lambd else 0
+        append((gap, base, is_write))
         for offset in range(1, row_blocks):
-            trace.entries.append((rng.expovariate_int(gap_mean), base + offset, is_write))
+            gap = int(-log(1.0 - random()) / lambd) if lambd else 0
+            append((gap, base + offset, is_write))
     return trace
 
 

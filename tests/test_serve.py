@@ -1,5 +1,7 @@
 """Tests for the deadline-aware request-serving front end."""
 
+from operator import itemgetter
+
 import pytest
 
 from repro.analysis.experiments import experiment_config
@@ -18,11 +20,12 @@ from repro.workloads.synthetic import locality_mix_trace
 
 
 def make_source(entries, num_tenants=1, weights=None, deadline=30_000):
-    """Hand-crafted arrival schedule: (cycle, tenant, addr, is_write)."""
-    source = OpenLoopSource(num_tenants, weights)
-    for cycle, tenant, addr, is_write in entries:
-        source._schedule(cycle, tenant, addr, is_write, deadline)
-    return source
+    """Hand-crafted arrival schedule: (cycle, tenant, addr, is_write),
+    offered in a stable sort by cycle."""
+    return OpenLoopSource(
+        num_tenants, weights, sorted(entries, key=itemgetter(0)),
+        deadline_cycles=deadline,
+    )
 
 
 def build_frontend(scheme="dyn", footprint=64, shards=1, serve_config=None,

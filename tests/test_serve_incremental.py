@@ -129,7 +129,7 @@ def reference_wake(frontend):
 def reference_exhausted(source):
     if isinstance(source, ClosedLoopSource):
         return not source._heap and all(r == 0 for r in source._remaining)
-    return not source._heap
+    return source._index == len(source._arrivals)
 
 
 # ---------------------------------------------------------- the checked run
@@ -547,7 +547,7 @@ def test_a_served_request_enters_only_event_handler_frames():
     from tests.test_serve_golden import open4_dyn_health
 
     frontend, source = open4_dyn_health()
-    arrival_cycles = len({cycle for cycle, _id, _request in source._heap})
+    arrival_cycles = len({arrival[0] for arrival in source._arrivals})
     serve = os.path.join("repro", "serve") + os.sep
     sharded = os.path.join("repro", "controller", "sharded.py")
     frames = Counter()
