@@ -38,6 +38,7 @@ from repro.controller.scheme import SCHEME_FACTORIES, build_scheme
 from repro.faults import FaultConfig, FaultInjector
 from repro.faults.chaos import ChaosScenario, chaos_policy, check_chaos_layers, run_chaos
 from repro.faults.fsck import run_fsck
+from repro.faults.resilient import refuse_endless_retries
 from repro.health import HealthPolicy
 from repro.observability import (
     InMemoryRecorder,
@@ -222,16 +223,22 @@ def bank_scheme(args) -> str:
 
 
 def fault_config(args) -> Optional[FaultConfig]:
-    """The ``--fault-*`` flags as one config; None when injection is off."""
+    """The ``--fault-*`` flags as one config; None when injection is off.
+
+    A config the timing backends refuse (``--fault-transient 1``: every
+    access would retry forever) is a usage error before anything is built.
+    """
     if not args.fault_transient and not args.fault_delay:
         return None
-    return from_options(
+    config = from_options(
         FaultConfig,
         seed=args.fault_seed,
         transient_rate=args.fault_transient,
         delay_rate=args.fault_delay,
         delay_cycles=args.fault_delay_cycles,
     )
+    from_options(refuse_endless_retries, config)
+    return config
 
 
 def scheme_build_kwargs(scheme, faults, shards, policy) -> dict:

@@ -431,7 +431,6 @@ def build_shard_backend(
     periodic: bool = False,
     observer=None,
     fault_injector=None,
-    resilience=None,
     rng_restart_salt: int = 0,
 ) -> ORAMBackend:
     """Build channel ``shard_index`` of an ``num_shards``-way ORAM bank.
@@ -471,13 +470,13 @@ def build_shard_backend(
     oram_config = config.oram.scaled_to_footprint(per_shard_blocks)
     oram = PathORAM(oram_config, rng, observer=observer, populate=False)
     scheme = make_policy(base_scheme, config, policy)
-    wiring = dict(fault_injector=fault_injector, resilience=resilience)
     if periodic:
         backend: ORAMBackend = PeriodicORAMBackend(
-            oram, config.dram, scheme, config.timing_protection, **wiring
+            oram, config.dram, scheme, config.timing_protection,
+            fault_injector=fault_injector,
         )
     else:
-        backend = ORAMBackend(oram, config.dram, scheme, **wiring)
+        backend = ORAMBackend(oram, config.dram, scheme, fault_injector=fault_injector)
     backend.shard_index = shard_index
     backend.addr_stride = num_shards
     return backend
@@ -492,7 +491,6 @@ def build_bank(
     health_policy=None,
     observer=None,
     fault_injector=None,
-    resilience=None,
 ) -> ShardedORAMBank:
     """Assemble an ``num_shards``-way bank (the only place one is made).
 
@@ -512,7 +510,6 @@ def build_bank(
                 num_shards,
                 observer=observer,
                 fault_injector=fault_injector,
-                resilience=resilience,
             )
             for index in range(num_shards)
         ]

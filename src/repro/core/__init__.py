@@ -6,7 +6,7 @@
   Equation 1) thresholding policies;
 * :mod:`repro.core.dynamic` -- the dynamic super block scheme: the merge
   algorithm (Algorithm 1) and the break algorithm (Algorithm 2);
-* :mod:`repro.core.hardware` -- storage/computation overhead accounting
+* :mod:`repro.core.hardware` -- storage overhead accounting
   (section 4.5).
 """
 

@@ -5,7 +5,7 @@ The paper argues PrORAM is cheap: four extra bits per 128-byte block
 block) -- under 0.4% storage -- plus a handful of LLC tag probes and small
 arithmetic per ORAM access, all off the critical path.  This module
 computes those overheads for arbitrary configurations so the claim can be
-checked, and tallies the runtime operation counts the simulator observes.
+checked.
 """
 
 from __future__ import annotations
@@ -73,24 +73,3 @@ def max_super_block_size_supported(config: ORAMConfig) -> int:
     """
     return config.posmap_entries_per_block // 2
 
-
-@dataclass
-class OperationCounts:
-    """Runtime operation tally (computation cost, section 4.5.2)."""
-
-    llc_tag_probes: int = 0
-    counter_updates: int = 0
-    posmap_bit_writes: int = 0
-
-    def record_merge_check(self, neighbor_size: int) -> None:
-        """One Algorithm-1 evaluation probes the neighbor's tags and updates
-        one counter."""
-        self.llc_tag_probes += neighbor_size
-        self.counter_updates += 1
-        self.posmap_bit_writes += 2 * neighbor_size
-
-    def record_break_check(self, sbsize: int) -> None:
-        """One Algorithm-2 evaluation reads each member's bits and updates
-        one counter."""
-        self.counter_updates += 1
-        self.posmap_bit_writes += sbsize

@@ -12,8 +12,9 @@ Entry points:
 
 * :class:`FaultConfig` / :class:`FaultInjector` -- the fault source
   (:mod:`repro.faults.injector`);
-* :class:`ResilientKVStore` / :class:`ResilienceConfig` -- the
-  self-healing store (:mod:`repro.faults.resilient`);
+* :class:`ResilientKVStore` -- the self-healing store, and the ladder
+  constants and rungs the timing backends share with it
+  (:mod:`repro.faults.resilient`);
 * :func:`run_fsck` / :func:`run_fsck_bank` / :func:`assert_consistent` --
   the invariant auditor (:mod:`repro.faults.fsck`), covering every
   ``ORAMScheme`` implementation and sharded banks.
@@ -42,7 +43,6 @@ from repro.faults.injector import (
 from repro.faults.resilient import (
     RecoveryError,
     RecoveryStats,
-    ResilienceConfig,
     ResilientKVStore,
 )
 
@@ -63,6 +63,5 @@ __all__ = [
     "run_fsck_bank",
     "RecoveryError",
     "RecoveryStats",
-    "ResilienceConfig",
     "ResilientKVStore",
 ]

@@ -22,6 +22,11 @@ into ``stash_soft_overflows``: when occupancy crosses a soft watermark the
 store forces extra background evictions (counted, bounded) before the hard
 capacity is ever at risk.
 
+The ladder's numbers are the module constants below, and the rungs a timing
+backend shares with the store -- :func:`backoff_cycles`,
+:func:`stash_soft_limit`, :func:`force_evictions` -- are defined here once
+(:class:`~repro.memory.oram_backend.ORAMBackend` calls them too).
+
 Durability invariant: a ``put``/``delete`` is journaled *before* its ORAM
 access runs (write-ahead), and the journal is only truncated when a fresh
 checkpoint captures its effects -- so at any instant every acknowledged
@@ -51,64 +56,67 @@ class RecoveryError(RuntimeError):
     """The escalation ladder is exhausted; the store cannot self-heal."""
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs of the retry / restore / degrade ladder.
+#: transient-failure retries per KV operation before the failure is treated
+#: as persistent and escalated to a restore; also the step at which the
+#: backoff stops doubling
+MAX_RETRIES = 4
+#: base of the exponential backoff, and the range of its jitter draw
+BACKOFF_BASE_CYCLES = 16
+#: checkpoint restores one KV operation may trigger before RecoveryError
+MAX_RECOVERIES_PER_OP = 3
+#: acknowledged writes between checkpoint captures (the journal-replay bound)
+CHECKPOINT_INTERVAL = 128
+#: stash occupancy fraction above which stash relief runs
+STASH_SOFT_FRACTION = 0.8
+#: forced background evictions per relief episode
+MAX_FORCED_EVICTIONS = 8
 
-    Attributes:
-        max_retries: transient-failure retries per operation before the
-            failure is treated as persistent and escalated to recovery.
-        backoff_base_cycles: base of the exponential backoff; retry ``k``
-            waits ``base * 2**k`` cycles plus deterministic jitter.
-        backoff_max_cycles: ceiling on the exponential term.  The shift
-            is otherwise unbounded in the attempt number, so a generous
-            retry budget could charge astronomically large (even
-            multi-gigacycle) waits; the cap turns deep retry ladders
-            into a plateau instead.
-        max_recoveries_per_op: checkpoint recoveries one operation may
-            trigger before :class:`RecoveryError` is raised.
-        checkpoint_interval: acknowledged writes between checkpoint
-            captures (the journal-replay bound after a restore).
-        stash_soft_fraction: stash occupancy fraction above which the
-            store enters degraded mode and forces background evictions.
-        max_forced_evictions: forced evictions per degraded episode.
+
+def backoff_cycles(attempt: int, rng: DeterministicRng) -> int:
+    """Cycles to wait before retry ``attempt`` (0-based).
+
+    The exponential term stops doubling after ``MAX_RETRIES`` steps (so it
+    tops out at ``16 << 4`` = 256); one jitter draw from ``rng`` keeps
+    repeated runs replaying exactly.  The KV store's retry ladder and the
+    timing backend's in-place retries both charge this.
     """
+    term = BACKOFF_BASE_CYCLES << min(attempt, MAX_RETRIES)
+    return term + rng.randbelow(BACKOFF_BASE_CYCLES)
 
-    max_retries: int = 4
-    backoff_base_cycles: int = 16
-    backoff_max_cycles: int = 1 << 16
-    max_recoveries_per_op: int = 3
-    checkpoint_interval: int = 128
-    stash_soft_fraction: float = 0.8
-    max_forced_evictions: int = 8
 
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        if self.backoff_max_cycles < self.backoff_base_cycles:
-            raise ValueError(
-                "backoff_max_cycles must be >= backoff_base_cycles"
-            )
-        if not 0.0 < self.stash_soft_fraction <= 1.0:
-            raise ValueError("stash_soft_fraction must be in (0, 1]")
+def stash_soft_limit(capacity: int) -> int:
+    """The soft watermark of a stash of ``capacity`` blocks."""
+    return max(1, int(capacity * STASH_SOFT_FRACTION))
 
-    def backoff_cycles(self, attempt: int, rng: DeterministicRng) -> int:
-        """Cycles to wait before retry ``attempt`` (0-based).
 
-        The exponential term stops doubling after ``max_retries`` steps
-        and saturates at ``backoff_max_cycles``; one jitter draw from
-        ``rng`` keeps repeated runs replaying exactly.  The KV store's
-        retry ladder and the timing backend's in-place retries both charge
-        this.
-        """
-        base = self.backoff_base_cycles
-        ceiling = self.backoff_max_cycles
-        # Clamp the shift as well: ``base << attempt`` materializes a huge
-        # integer before min() could discard it.
-        shift = min(attempt, self.max_retries, ceiling.bit_length())
-        return min(base << shift, ceiling) + rng.randbelow(max(1, base))
+def force_evictions(owner, limit: int, evict: Callable[[], object]) -> int:
+    """The stash-relief rung: ``evict()`` while ``owner.oram``'s stash holds
+    more than ``limit`` blocks, at most ``MAX_FORCED_EVICTIONS`` times;
+    returns how many ran.
+
+    The stash is looked up through ``owner`` on every step: an eviction
+    that escalates to a checkpoint restore replaces the owner's ORAM, and
+    relief must judge the restored stash, not the one it started on.
+    """
+    forced = 0
+    while forced < MAX_FORCED_EVICTIONS and len(owner.oram.stash) > limit:
+        evict()
+        forced += 1
+    return forced
+
+
+def refuse_endless_retries(config: FaultConfig) -> None:
+    """Reject a fault config a timing backend could never finish under.
+
+    A timing backend retries a transient failure in place until the
+    storage answers; at ``transient_rate`` 1 it never does.  (The KV
+    store's bounded ladder ends in :class:`RecoveryError` instead.)
+    """
+    if config.transient_rate >= 1:
+        raise ValueError(
+            f"transient_rate {config.transient_rate} fails every access; a "
+            "timing backend retries in place and would never complete"
+        )
 
 
 @dataclass
@@ -146,15 +154,11 @@ class ResilientKVStore(ObliviousKVStore):
         fault_config: fault classes to inject; ``None`` runs fault-free
             (the injector stays attached but inert, so the access path is
             identical either way).
-        resilience: ladder parameters (defaults are sensible).
+
+    The ladder's numbers are this module's constants.
     """
 
-    def _configure(
-        self,
-        fault_config: Optional[FaultConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
-    ) -> None:
-        self.resilience = resilience or ResilienceConfig()
+    def _configure(self, fault_config: Optional[FaultConfig] = None) -> None:
         self.injector = FaultInjector(fault_config or FaultConfig())
         self.recovery = RecoveryStats()
 
@@ -171,9 +175,7 @@ class ResilientKVStore(ObliviousKVStore):
         self._recovery_forks = 0
         self._journal: List[Tuple[str, int, Optional[bytes]]] = []
         self._writes_since_checkpoint = 0
-        self._stash_soft_limit = max(
-            1, int(self._oram.stash.capacity * self.resilience.stash_soft_fraction)
-        )
+        self._stash_soft_limit = stash_soft_limit(self._oram.stash.capacity)
         # Genesis checkpoint: the freshly built (or just restored) store is
         # known good, so recovery always has somewhere to fall back to.
         with self.injector.paused():
@@ -208,13 +210,12 @@ class ResilientKVStore(ObliviousKVStore):
     def _note_write(self) -> None:
         self._writes_since_checkpoint += 1
         self._relieve_stash()
-        if self._writes_since_checkpoint >= self.resilience.checkpoint_interval:
+        if self._writes_since_checkpoint >= CHECKPOINT_INTERVAL:
             self._take_checkpoint()
 
     # ------------------------------------------------------ escalation ladder
     def _guarded(self, op: Callable[[], T]) -> T:
         """Run one storage operation under the retry -> restore ladder."""
-        resilience = self.resilience
         stats = self.recovery
         retries = 0
         recoveries = 0
@@ -223,16 +224,14 @@ class ResilientKVStore(ObliviousKVStore):
                 return op()
             except TransientReadError:
                 stats.transient_faults += 1
-                if retries < resilience.max_retries:
+                if retries < MAX_RETRIES:
                     stats.retries += 1
-                    stats.backoff_cycles += resilience.backoff_cycles(
-                        retries, self._backoff_rng
-                    )
+                    stats.backoff_cycles += backoff_cycles(retries, self._backoff_rng)
                     retries += 1
                     continue
                 # Retries exhausted: the "transient" fault is persistent.
                 recoveries += 1
-                if recoveries > resilience.max_recoveries_per_op:
+                if recoveries > MAX_RECOVERIES_PER_OP:
                     raise RecoveryError(
                         "persistent transient failures survived "
                         f"{recoveries - 1} recoveries"
@@ -242,7 +241,7 @@ class ResilientKVStore(ObliviousKVStore):
             except IntegrityViolationError as exc:
                 stats.integrity_violations += 1
                 recoveries += 1
-                if recoveries > resilience.max_recoveries_per_op:
+                if recoveries > MAX_RECOVERIES_PER_OP:
                     raise RecoveryError(
                         f"integrity violations survived {recoveries - 1} "
                         f"recoveries (last: {exc})"
@@ -301,21 +300,17 @@ class ResilientKVStore(ObliviousKVStore):
     def _relieve_stash(self) -> None:
         """Graceful degradation under sustained stash pressure.
 
-        Forces bounded background evictions once occupancy crosses the soft
+        Runs :func:`force_evictions` once occupancy crosses the soft
         watermark, well before ``drain_stash`` would give up and record a
-        ``stash_soft_overflow``."""
-        stash = self._oram.stash
-        if len(stash) <= self._stash_soft_limit:
+        ``stash_soft_overflow``; each forced eviction runs under the ladder,
+        so one may restore a checkpoint mid-episode."""
+        limit = self._stash_soft_limit
+        if len(self._oram.stash) <= limit:
             return
         self.recovery.degraded_events += 1
-        forced = 0
-        while (
-            len(stash) > self._stash_soft_limit
-            and forced < self.resilience.max_forced_evictions
-        ):
-            self._guarded(lambda: self._oram.dummy_access("forced"))
-            forced += 1
-        self.recovery.forced_evictions += forced
+        self.recovery.forced_evictions += force_evictions(
+            self, limit, lambda: self._guarded(lambda: self._oram.dummy_access("forced"))
+        )
 
     # ------------------------------------------------------------------ misc
     def checkpoint_now(self) -> None:

@@ -41,6 +41,12 @@ from typing import Callable, List, Optional, Tuple
 from repro.config import DRAMConfig
 from repro.controller.pipeline import AccessPipeline
 from repro.faults.injector import TransientReadError
+from repro.faults.resilient import (
+    backoff_cycles,
+    force_evictions,
+    refuse_endless_retries,
+    stash_soft_limit,
+)
 from repro.memory.backend import DemandResult, MemoryBackend
 from repro.memory.interconnect import build_interconnect
 from repro.oram.checkpoint import checked_counters, load_counters
@@ -77,10 +83,10 @@ class ORAMBackend(MemoryBackend):
             ``on_memory_access`` hook runs once per ORAM access and may
             raise transient failures or add response delay.  ``None`` (the
             default) keeps the access path bit-identical to the fault-free
-            build.
-        resilience: :class:`repro.faults.ResilienceConfig` tuning the
-            retry backoff and the stash-pressure degradation watermark;
-            defaults apply when a ``fault_injector`` is given without one.
+            build.  Attaching one wires the retry/degradation ladder
+            (:mod:`repro.faults.resilient`); an injector whose
+            ``transient_rate`` is 1 is refused (``ValueError``), since
+            in-place retries would never end.
     """
 
     def __init__(
@@ -89,8 +95,9 @@ class ORAMBackend(MemoryBackend):
         dram_config: DRAMConfig,
         scheme: SuperBlockScheme,
         fault_injector=None,
-        resilience=None,
     ):
+        if fault_injector is not None:
+            refuse_endless_retries(fault_injector.config)
         super().__init__()
         self.oram = oram
         self.config = config = oram.config
@@ -132,18 +139,11 @@ class ORAMBackend(MemoryBackend):
         self.stash_sampler: Optional[Callable[[int], None]] = None
         # ----------------------------------------------- fault resilience
         self.injector = fault_injector
-        self.resilience = resilience
         #: stash occupancy above which relieve_stash runs (``None``: no
-        #: resilience ladder wired, and the pipeline skips the rung)
+        #: injector, so no ladder, and the pipeline skips the rung)
         self.stash_soft_limit: Optional[int] = None
-        if fault_injector is not None or resilience is not None:
-            from repro.faults.resilient import ResilienceConfig
-
-            self.resilience = resilience or ResilienceConfig()
-            self.stash_soft_limit = max(
-                1,
-                int(oram.stash.capacity * self.resilience.stash_soft_fraction),
-            )
+        if fault_injector is not None:
+            self.stash_soft_limit = stash_soft_limit(oram.stash.capacity)
             self._backoff_rng = oram.rng.fork(0xBACF)
 
     # ------------------------------------------------------------ bank of one
@@ -201,7 +201,7 @@ class ORAMBackend(MemoryBackend):
         walk["phase_cycles"] = dict(self.pipeline.phase_cycles)
         walk["pipeline_requests"] = self.pipeline.requests
         walk["interconnect"] = self.interconnect.state_dict()
-        walk["fault_model"] = self.resilience is not None
+        walk["fault_model"] = self.injector is not None
         walk["injector"] = self.injector and self.injector.stats.as_dict()
         return walk
 
@@ -321,14 +321,15 @@ class ORAMBackend(MemoryBackend):
 
         Transient read failures are retried in place -- the timing backend
         carries no payloads, so a retry is purely a latency event: each
-        attempt charges :meth:`ResilienceConfig.backoff_cycles` (capped
-        exponential, deterministic jitter) until the storage responds.
+        attempt charges :func:`~repro.faults.resilient.backoff_cycles`
+        (capped exponential, deterministic jitter) until the storage
+        responds -- it always does, as the constructor refused a
+        ``transient_rate`` of 1.
         Delayed responses simply add their cycles.  Returns the total
         extra latency.
         """
         injector = self.injector
         stats = self.stats
-        backoff_cycles = self.resilience.backoff_cycles
         delay = 0
         attempt = 0
         while True:
@@ -348,9 +349,10 @@ class ORAMBackend(MemoryBackend):
 
         Called after the regular ``drain_stash`` pass.  While occupancy
         sits above the soft watermark, super-block merges are suspended
-        (they amplify stash pressure) and up to ``max_forced_evictions``
-        extra background evictions run; both are counted, and the forced
-        evictions are charged as ordinary path accesses by the caller.
+        (they amplify stash pressure) and
+        :func:`~repro.faults.resilient.force_evictions` runs extra
+        background evictions; both are counted, and the forced evictions
+        are charged as ordinary path accesses by the caller.
         """
         oram = self.oram
         limit = self.stash_soft_limit
@@ -358,10 +360,7 @@ class ORAMBackend(MemoryBackend):
         self.scheme.set_merge_throttled(throttled or self.degraded)
         if not throttled:
             return 0
-        forced = 0
-        while len(oram.stash) > limit and forced < self.resilience.max_forced_evictions:
-            oram.dummy_access(kind="forced")
-            forced += 1
+        forced = force_evictions(self, limit, lambda: oram.dummy_access(kind="forced"))
         self.stats.forced_evictions += forced
         if len(oram.stash) <= limit:
             self.scheme.set_merge_throttled(self.degraded)

@@ -159,7 +159,7 @@ class ObliviousKVStore:
         """Reopen a checkpointed store with the original cipher key.
 
         ``options`` are the extra constructor arguments of a subclass (the
-        resilient store's ``fault_config`` / ``resilience``).
+        resilient store's ``fault_config``).
         """
         from repro.oram.checkpoint import restore_oram
 

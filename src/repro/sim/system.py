@@ -85,7 +85,6 @@ def build_backend(
     policy: Optional[ThresholdPolicy] = None,
     observer=None,
     fault_injector=None,
-    resilience=None,
     num_shards: int = 1,
     health_policy=None,
 ) -> Tuple[MemoryBackend, Optional[StreamPrefetcher]]:
@@ -116,8 +115,6 @@ def build_backend(
         fault_injector: optional :class:`repro.faults.FaultInjector`
             attached to ORAM backends (storage fault modelling);
             rejected for ``dram``.
-        resilience: optional :class:`repro.faults.ResilienceConfig`
-            for the backend's retry/degradation ladder.
         num_shards: channel-interleave the ORAM over this many
             independent controller instances
             (:class:`~repro.controller.sharded.ShardedORAMBank`).
@@ -140,14 +137,10 @@ def build_backend(
             "num_shards > 1 (a single controller has no quarantine "
             "fallback to route through)"
         )
-    wiring = dict(
-        observer=observer,
-        fault_injector=fault_injector,
-        resilience=resilience,
-    )
+    wiring = dict(observer=observer, fault_injector=fault_injector)
     backend: MemoryBackend
     if label.is_dram:
-        if fault_injector is not None or resilience is not None:
+        if fault_injector is not None:
             raise ValueError("fault injection models ORAM storage, not DRAM")
         if num_shards != 1:
             raise ValueError("sharded banks model ORAM channels, not DRAM")

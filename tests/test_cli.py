@@ -467,6 +467,8 @@ class TestOneErrorConvention:
             "trace -w locality:30 --accesses 100",
             # a library ValueError (a traceback before) reaches the same path
             "run -w locality:80 -s dyn --accesses 100 --fault-transient 2",
+            # every access would retry in place forever (this never ended)
+            "run -w locality:80 -s dyn --accesses 200 --fault-transient 1.0",
             "serve -s dyn --batch 0",
             "serve -s dyn --requests 0",
             "serve -s dyn --tenants 2 --weights 1,x",

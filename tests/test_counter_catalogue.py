@@ -321,7 +321,7 @@ def oracle_snapshot(shard):
         "posmap_cache_hits": hierarchy.cache_hits,
         "phase_cycles": dict(shard.pipeline.phase_cycles),
         "busy_until": shard.busy_until,
-        "fault_model": shard.resilience is not None,
+        "fault_model": shard.injector is not None,
         "injected": (
             oracle_fault_stats(shard.injector.stats)
             if shard.injector is not None

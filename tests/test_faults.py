@@ -7,27 +7,30 @@ escalation, checkpoint durability), and the timing backend's retry /
 degradation wiring (including bit-identical behaviour with faults off).
 """
 
+import dataclasses
 import re
 
 import pytest
 
-from repro.config import ORAMConfig
+from repro.config import ORAMConfig, SystemConfig
 from repro.faults import (
     FaultConfig,
     FaultInjector,
     FsckError,
     RecoveryError,
-    ResilienceConfig,
     ResilientKVStore,
     TransientReadError,
     assert_consistent,
     run_fsck,
 )
+from repro.faults.resilient import MAX_RETRIES, backoff_cycles
 from repro.oram.integrity import IntegrityViolationError, VerifiedPathORAM
 from repro.oram.kv_store import ObliviousKVStore
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.oram.tree_oram import ShiTreeORAM
+from repro.parallel.protocol import ShardSpec
+from repro.parallel.worker import build_worker_backend
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
@@ -320,11 +323,8 @@ class TestPlantedDamageMatrix:
 
 # ==================================================== resilient store
 class TestResilientKVStore:
-    def make_store(self, fault_config=MIXED_FAULTS, **resilience_overrides):
-        resilience = ResilienceConfig(checkpoint_interval=32, **resilience_overrides)
-        return ResilientKVStore(
-            small_config(), fault_config=fault_config, resilience=resilience, seed=5
-        )
+    def make_store(self, fault_config=MIXED_FAULTS):
+        return ResilientKVStore(small_config(), fault_config=fault_config, seed=5)
 
     def test_mini_soak_no_lost_writes(self):
         store = self.make_store()
@@ -373,9 +373,7 @@ class TestResilientKVStore:
         assert one_run(11) != one_run(12)
 
     def test_persistent_failure_escalates_to_recovery_error(self):
-        store = self.make_store(
-            fault_config=FaultConfig(transient_rate=1.0), max_retries=2
-        )
+        store = self.make_store(fault_config=FaultConfig(transient_rate=1.0))
         with pytest.raises(RecoveryError):
             store.put(1, b"x")
 
@@ -386,24 +384,18 @@ class TestResilientKVStore:
         path = str(tmp_path / "store.ckpt")
         with store.injector.paused():
             store.save(path)
-        reopened = ResilientKVStore.open(
-            path, seed=5, fault_config=FaultConfig(), resilience=ResilienceConfig()
-        )
+        reopened = ResilientKVStore.open(path, seed=5, fault_config=FaultConfig())
         for key, value in shadow.items():
             assert reopened.get(key) == value
         assert_consistent(reopened.oram)
 
     def test_forced_evictions_relieve_stash(self):
         # High utilization + Z=2 keeps residual stash occupancy above a
-        # tight soft watermark, so the degradation rung must kick in.
+        # tight soft watermark (a five-block stash: 4 blocks), so the
+        # degradation rung must kick in.
         store = ResilientKVStore(
-            small_config(bucket_size=2, utilization=0.9),
+            small_config(bucket_size=2, utilization=0.9, stash_blocks=5),
             fault_config=FaultConfig(),
-            resilience=ResilienceConfig(
-                checkpoint_interval=32,
-                stash_soft_fraction=0.1,
-                max_forced_evictions=4,
-            ),
             seed=5,
         )
         run_workload(store, 200)
@@ -411,44 +403,79 @@ class TestResilientKVStore:
         assert store.recovery.forced_evictions > 0
         assert len(store.oram.stash) <= store.oram.stash.capacity
 
+    def test_relief_judges_the_restored_stash(self):
+        """Regression: stash relief bound the stash before its loop, so a
+        forced eviction that escalated to a restore left it testing the
+        dead ORAM's stash and running all eight forced evictions."""
+
+        class FailsArmed(FaultInjector):
+            armed = 0
+
+            def on_path_read(self, tree, leaf):
+                self.stats.path_reads += 1
+                if self.enabled and self.armed:
+                    self.armed -= 1
+                    raise TransientReadError("scripted")
+                return 0
+
+        class ScriptedStore(ResilientKVStore):
+            def _configure(self, fault_config=None):
+                super()._configure(fault_config)
+                self.injector = FailsArmed(FaultConfig())
+
+        # A five-block stash: the soft watermark is 4 blocks.
+        store = ScriptedStore(
+            small_config(bucket_size=2, utilization=0.9, stash_blocks=5), seed=5
+        )
+        limit = store._stash_soft_limit
+        # Reads (unjournaled, no relief) until the stash is at or under the
+        # watermark: checkpoint there; then on until it is over.  A restore
+        # returns exactly the checkpointed stash.
+        checkpointed = None
+        for key in range(store.capacity):
+            occupancy = len(store.oram.stash)
+            if checkpointed is None and occupancy <= limit:
+                store.checkpoint_now()
+                checkpointed = len(store.oram.stash)
+            elif checkpointed is not None and occupancy > limit:
+                break
+            store._access(key, None)
+        assert checkpointed is not None and checkpointed <= limit
+        assert len(store.oram.stash) > limit
+        # The first forced eviction fails its try and every retry, so the
+        # ladder restores that checkpoint.
+        store.injector.armed = MAX_RETRIES + 1
+        store._relieve_stash()
+        assert store.recovery.recoveries == 1
+        assert store.recovery.degraded_events == 1
+        assert store.recovery.forced_evictions == 1
+        assert len(store.oram.stash) <= limit
+
 
 def store_values(store, shadow):
     return {key: store.get(key) for key in sorted(shadow)}
 
 
 class TestBackoffCycles:
-    """The one formula behind the KV store's ladder and the backend's
-    in-place retries: exponent stops at ``max_retries``, term at the
-    ceiling, jitter below one base period."""
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ResilienceConfig(),
-            ResilienceConfig(max_retries=2),
-            ResilienceConfig(max_retries=20, backoff_max_cycles=1 << 10),
-            ResilienceConfig(max_retries=10**6, backoff_base_cycles=1),
-        ],
-    )
-    def test_capped_exponential_plus_jitter(self, config):
+    def test_capped_exponential_plus_jitter(self):
+        """The one formula behind the KV store's ladder and the backend's
+        in-place retries: base 16, exponent stops at 4 (256 cycles),
+        jitter below one base period."""
         rng = DeterministicRng(1)
-        base = config.backoff_base_cycles
-        for attempt in (0, 1, 2, 5, 19, 64, 10**5):
-            term = min(
-                base << min(attempt, config.max_retries), config.backoff_max_cycles
-            )
-            assert 0 <= config.backoff_cycles(attempt, rng) - term < base
+        for attempt in (0, 1, 2, 3, 4, 5, 19, 64, 10**5):
+            term = 16 << min(attempt, 4)
+            assert 0 <= backoff_cycles(attempt, rng) - term < 16
 
 
 # ==================================================== timing backend
 class TestBackendFaults:
-    def run_system(self, fault_injector=None, resilience=None, scheme="dyn"):
+    def run_system(self, fault_injector=None, scheme="dyn", config=None):
         trace = locality_mix_trace(0.8, accesses=4000)
         system = SecureSystem.build(
             scheme,
             footprint_blocks=trace.footprint_blocks,
+            config=config,
             fault_injector=fault_injector,
-            resilience=resilience,
         )
         return system.run(trace)
 
@@ -488,14 +515,20 @@ class TestBackendFaults:
         assert "transient_faults" not in clean.extra  # faults off: no noise
 
     def test_degradation_forces_evictions(self):
+        # A five-block stash puts the soft watermark at 4 blocks; a silent
+        # injector wires the ladder without injecting anything.
+        config = SystemConfig()
+        config = dataclasses.replace(
+            config, oram=dataclasses.replace(config.oram, stash_blocks=5)
+        )
         result = self.run_system(
-            resilience=ResilienceConfig(stash_soft_fraction=0.02, max_forced_evictions=4)
+            fault_injector=FaultInjector(FaultConfig()), config=config
         )
         assert result.extra["forced_evictions"] > 0
 
     def test_retry_backoff_honours_the_ceiling(self):
         """Regression: the backend charged ``base << attempt`` with no
-        ceiling, the runaway ``backoff_max_cycles`` exists to stop."""
+        ceiling; the shift now stops at ``MAX_RETRIES`` (256 cycles)."""
 
         class FailsFirst(FaultInjector):
             left = 12
@@ -506,17 +539,35 @@ class TestBackendFaults:
                     raise TransientReadError("scripted")
                 return 0
 
-        resilience = ResilienceConfig(max_retries=20, backoff_max_cycles=256)
         backend = SecureSystem.build(
-            "oram",
-            footprint_blocks=256,
-            fault_injector=FailsFirst(FaultConfig()),
-            resilience=resilience,
+            "oram", footprint_blocks=256, fault_injector=FailsFirst(FaultConfig())
         ).backend
         backend.demand_access(0, 0, False)
         assert backend.stats.fault_retries == 12
         capped = sum(min(16 << attempt, 256) for attempt in range(12))
         assert capped <= backend.stats.fault_delay_cycles < capped + 12 * 16
+
+    @pytest.mark.parametrize(
+        "scheme, shards", [("oram", 1), ("dyn_intvl", 1), ("dyn", 2)]
+    )
+    def test_endless_transient_rate_is_refused_at_build(self, scheme, shards):
+        """Regression: at ``transient_rate`` 1 the in-place retry loop never
+        ended; a controller, a periodic one and a bank all refuse it."""
+        with pytest.raises(ValueError, match="transient_rate 1.0"):
+            SecureSystem.build(
+                scheme,
+                footprint_blocks=256,
+                fault_injector=FaultInjector(FaultConfig(transient_rate=1.0)),
+                num_shards=shards,
+            )
+
+    def test_a_worker_refuses_the_endless_rate_too(self):
+        spec = ShardSpec(
+            "oram", 256, 2, 1, SystemConfig(),
+            fault_config=FaultConfig(transient_rate=1.0),
+        )
+        with pytest.raises(ValueError, match="transient_rate 1.0"):
+            build_worker_backend(spec)
 
     def test_dram_rejects_faults(self):
         with pytest.raises(ValueError, match="DRAM"):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import ORAMConfig
 from repro.core.hardware import (
-    OperationCounts,
     leaf_label_bits,
     max_super_block_size_supported,
     posmap_block_fits,
@@ -38,17 +37,3 @@ class TestStorage:
     def test_max_super_block_size(self):
         assert max_super_block_size_supported(ORAMConfig()) == 16
 
-
-class TestOperationCounts:
-    def test_merge_check_costs(self):
-        counts = OperationCounts()
-        counts.record_merge_check(neighbor_size=2)
-        assert counts.llc_tag_probes == 2
-        assert counts.counter_updates == 1
-        assert counts.posmap_bit_writes == 4
-
-    def test_break_check_costs(self):
-        counts = OperationCounts()
-        counts.record_break_check(sbsize=4)
-        assert counts.counter_updates == 1
-        assert counts.posmap_bit_writes == 4

@@ -49,7 +49,7 @@ from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.controller.sharded import make_policy
-from repro.faults import FaultConfig, FaultInjector, ResilienceConfig
+from repro.faults import FaultConfig, FaultInjector
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.observability import InMemoryRecorder
@@ -418,7 +418,11 @@ def build_backend(
         wiring["fault_injector"] = FaultInjector(
             FaultConfig(seed=5, transient_rate=0.1, delay_rate=0.1, delay_cycles=77)
         )
-        wiring["resilience"] = ResilienceConfig(stash_soft_fraction=0.5)
+        # A two-block stash puts the soft watermark at one block, so stash
+        # relief fires within the driven mix.
+        config = dataclasses.replace(
+            config, oram=dataclasses.replace(config.oram, stash_blocks=2)
+        )
     rng = DeterministicRng(config.seed).fork(11)
     args = (
         PathORAM(config.oram.scaled_to_footprint(FOOTPRINT), rng, populate=False),
