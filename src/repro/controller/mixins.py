@@ -57,7 +57,7 @@ class DeepestPlacementMixin:
 
         Blocks are placed in address order, each block's word appended to
         the deepest bucket on its path that holds fewer than ``capacity``.
-        ``buckets`` holds the tree's live bucket lists in heap order (root
+        ``buckets`` holds the tree's bucket lists in heap order (root
         at 0, leaf ``s`` at ``len(buckets) // 2 + s``), so the walk up a
         path is one shift per level.  Returns the words whose whole path
         was full, in address order -- the caller sends them to its

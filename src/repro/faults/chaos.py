@@ -24,7 +24,8 @@ the ROADMAP's production target promises:
   accesses instead of changing shape.
 
 Scenario grammar (DESIGN.md section 10): a :class:`ChaosScenario` is a
-frozen value -- per-layer op counts and fault rates; its storm is
+frozen value -- per-layer op counts, width and footprint; the fault rates,
+write mix and batching are this module's constants; its storm is
 :func:`default_storm`'s :class:`ChaosEvent` marks ``(at_op, action,
 shard)`` with actions ``kill`` / ``hang``, scaled onto each layer's
 stream.  Everything downstream of the seed
@@ -48,21 +49,37 @@ from repro.utils.rng import DeterministicRng
 
 _ACTIONS = ("kill", "hang")
 
+#: percent of each parallel/bank request stream that are writes
+WRITE_PERCENT = 50
+#: per-access fault rates (the bank storm quadruples the transient rate,
+#: capped at 0.2) and the cycles a delayed response costs
+TRANSIENT_RATE = 0.02
+DELAY_RATE = 0.01
+BITFLIP_RATE = 0.004
+REPLAY_RATE = 0.002
+DELAY_CYCLES = 200
+#: leading accesses every injector lets through fault-free (warm-up)
+START_AFTER = 64
+#: the parallel storm's batching
+BATCH_SIZE = 16
+MAX_INFLIGHT = 2
+#: how long a ``hang`` stalls a worker's command loop
+HANG_SECONDS = 30.0
+
 
 @dataclass(frozen=True)
 class ChaosEvent:
     """One scheduled disturbance inside a storm.
 
     ``kill`` terminates a worker process, ``hang`` stalls its command
-    loop (detectable only through deadline enforcement).  The bank storm
-    maps every action onto an operator quarantine, since banks have no
-    processes to kill.
+    loop for :data:`HANG_SECONDS` (detectable only through deadline
+    enforcement).  The bank storm maps every action onto an operator
+    quarantine, since banks have no processes to kill.
     """
 
     at_op: int
     action: str
     shard: int
-    seconds: float = 30.0
 
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:
@@ -107,15 +124,6 @@ class ChaosScenario:
     parallel_ops: int = 8_000
     kv_ops: int = 4_000
     bank_ops: int = 8_000
-    write_percent: int = 50
-    transient_rate: float = 0.02
-    delay_rate: float = 0.01
-    bitflip_rate: float = 0.004
-    replay_rate: float = 0.002
-    delay_cycles: int = 200
-    start_after: int = 64
-    batch_size: int = 16
-    max_inflight: int = 2
 
     def __post_init__(self) -> None:
         if min(self.parallel_ops, self.kv_ops, self.bank_ops) < 0:
@@ -136,7 +144,6 @@ class ChaosScenario:
                 min(event.at_op * ops // reference, max(ops - 1, 0)),
                 event.action,
                 event.shard % self.num_shards,
-                event.seconds,
             )
             for event in events
             if ops > 0
@@ -149,7 +156,7 @@ class ChaosScenario:
             (
                 rng.randbelow(self.footprint_blocks),
                 index * 3,
-                rng.randbelow(100) < self.write_percent,
+                rng.randbelow(100) < WRITE_PERCENT,
             )
             for index in range(ops)
         ]
@@ -169,12 +176,12 @@ def run_kv_storm(scenario: ChaosScenario) -> Dict:
         config,
         fault_config=FaultConfig(
             seed=scenario.seed + 1,
-            bitflip_rate=scenario.bitflip_rate,
-            replay_rate=scenario.replay_rate,
-            transient_rate=scenario.transient_rate,
-            delay_rate=scenario.delay_rate,
-            delay_cycles=scenario.delay_cycles,
-            start_after=scenario.start_after,
+            bitflip_rate=BITFLIP_RATE,
+            replay_rate=REPLAY_RATE,
+            transient_rate=TRANSIENT_RATE,
+            delay_rate=DELAY_RATE,
+            delay_cycles=DELAY_CYCLES,
+            start_after=START_AFTER,
         ),
         seed=scenario.seed,
     )
@@ -245,16 +252,16 @@ def run_parallel_storm(
             SystemConfig(seed=scenario.seed),
             scenario.num_shards,
             checkpoint_dir=checkpoint_dir or scratch,
-            batch_size=scenario.batch_size,
-            max_inflight=scenario.max_inflight,
+            batch_size=BATCH_SIZE,
+            max_inflight=MAX_INFLIGHT,
             max_restarts=4 * max(len(events), 1) + 2,
             health_policy=policy,
             fault_config=FaultConfig(
                 seed=scenario.seed + 2,
-                transient_rate=scenario.transient_rate,
-                delay_rate=scenario.delay_rate,
-                delay_cycles=scenario.delay_cycles,
-                start_after=scenario.start_after,
+                transient_rate=TRANSIENT_RATE,
+                delay_rate=DELAY_RATE,
+                delay_cycles=DELAY_CYCLES,
+                start_after=START_AFTER,
             ),
         ) as runtime:
             result = None
@@ -266,7 +273,7 @@ def run_parallel_storm(
                     if event.action == "kill":
                         runtime.kill_worker(event.shard)
                     else:
-                        runtime.hang_worker(event.shard, event.seconds)
+                        runtime.hang_worker(event.shard, HANG_SECONDS)
                         segment_hangs = True
                     fired.append(f"{event.action}@{start}:shard{event.shard}")
                 final = end == len(requests)
@@ -336,10 +343,10 @@ def run_bank_storm(
         fault_injector=FaultInjector(
             FaultConfig(
                 seed=scenario.seed + 3,
-                transient_rate=min(4 * scenario.transient_rate, 0.2),
-                delay_rate=scenario.delay_rate,
-                delay_cycles=scenario.delay_cycles,
-                start_after=scenario.start_after,
+                transient_rate=min(4 * TRANSIENT_RATE, 0.2),
+                delay_rate=DELAY_RATE,
+                delay_cycles=DELAY_CYCLES,
+                start_after=START_AFTER,
             )
         ),
         num_shards=scenario.num_shards,

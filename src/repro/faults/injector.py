@@ -24,6 +24,10 @@ timing backends) and injects four fault classes at configured rates:
 * **delayed responses** -- the read completes but late; the injector
   returns the extra cycles so timing backends can charge them.
 
+The trust boundary is the chip's pins: the top ``treetop_levels`` of the
+tree sit in on-chip SRAM (DESIGN.md section 13), so the bucket classes
+draw only from the off-chip suffix of the accessed path.
+
 Every decision is drawn from a private :class:`DeterministicRng`, so the
 same :class:`FaultConfig` against the same access sequence produces the
 same fault schedule, byte for byte -- the soak benchmark and the recovery
@@ -132,7 +136,7 @@ class FaultInjector:
 
     * :meth:`on_path_read` -- called by the Merkle-verified functional ORAM
       immediately *before* a path is verified and read into the stash.  It
-      may corrupt accessed-path buckets (bit-flip, replay), raise a
+      may corrupt off-chip accessed-path buckets (bit-flip, replay), raise a
       transient failure, or report a delay.  Corruptions are restricted to
       the path about to be verified, so detection is immediate -- exactly
       the adversary the Merkle layer is built to catch.
@@ -164,8 +168,9 @@ class FaultInjector:
             self.enabled = previous
 
     # ------------------------------------------------------------- entries
-    def on_path_read(self, tree, leaf: int) -> int:
-        """Possibly perturb the path about to be read; return delay cycles.
+    def on_path_read(self, oram, leaf: int) -> int:
+        """Possibly perturb the off-chip part of the path ``oram`` is about
+        to read; return delay cycles.
 
         Raises:
             TransientReadError: when the transient class fires (nothing is
@@ -191,7 +196,9 @@ class FaultInjector:
             raise TransientReadError(
                 f"injected transient read failure on path to leaf {leaf}"
             )
-        path = tree.path_indices(leaf)
+        tree = oram.tree
+        # The pinned levels are on-chip, inside the trust boundary.
+        path = tree.path_indices(leaf)[min(oram.config.treetop_levels, tree.levels):]
         if u_bitflip < config.bitflip_rate:
             self._inject_bitflip(tree, path)
         if config.replay_rate:

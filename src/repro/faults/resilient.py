@@ -179,7 +179,7 @@ class ResilientKVStore(ObliviousKVStore):
         # Genesis checkpoint: the freshly built (or just restored) store is
         # known good, so recovery always has somewhere to fall back to.
         with self.injector.paused():
-            self._last_checkpoint = dump_oram(self._oram)
+            self._seal()
         self.recovery.checkpoints += 1
 
     # ------------------------------------------------------------ operations
@@ -290,11 +290,16 @@ class ResilientKVStore(ObliviousKVStore):
         with self.injector.paused():
             if not self._audit().ok:
                 self._recover()
-            self._oram.drain_stash()
-            self._last_checkpoint = dump_oram(self._oram)
+            self._seal()
         self._journal.clear()
         self._writes_since_checkpoint = 0
         self.recovery.checkpoints += 1
+
+    def _seal(self) -> None:
+        """Drain the stash, then capture the last-good checkpoint: the one
+        capture both the genesis and every later checkpoint go through."""
+        self._oram.drain_stash()
+        self._last_checkpoint = dump_oram(self._oram)
 
     # ------------------------------------------------------------ degradation
     def _relieve_stash(self) -> None:

@@ -52,7 +52,6 @@ from repro.memory.interconnect import build_interconnect
 from repro.oram.checkpoint import checked_counters, load_counters
 from repro.oram.recursion import PosMapHierarchy
 from repro.oram.super_block import SuperBlockScheme
-from repro.oram.tree import TreetopCache
 
 
 def _field_names(stats) -> List[str]:
@@ -169,7 +168,6 @@ class ORAMBackend(MemoryBackend):
             ("scheme_stats", self.scheme.stats, _field_names(self.scheme.stats)),
             ("posmap_hierarchy", hierarchy, hierarchy.COUNTERS),
             ("oram", oram, oram.COUNTERS),
-            ("treetop", oram.tree.treetop, TreetopCache.COUNTERS),
         )
 
     def counters(self) -> dict:
@@ -189,14 +187,11 @@ class ORAMBackend(MemoryBackend):
         Plain data (picklable, JSON-able).  ``interconnect`` is the
         interconnect's full ``state_dict()``; ``fault_model`` says whether
         the retry/degradation ladder is wired at all; ``injector`` is the
-        fault injector's own counters; it and ``treetop`` are ``None``
-        without one.
+        fault injector's own counters, ``None`` without one.
         """
         walk: dict = {"busy_until": self.busy_until}
         for section, part, names in self._counted():
-            walk[section] = (
-                None if part is None else {name: getattr(part, name) for name in names}
-            )
+            walk[section] = {name: getattr(part, name) for name in names}
         walk["stash_max_occupancy"] = self.oram.stash.max_occupancy
         walk["phase_cycles"] = dict(self.pipeline.phase_cycles)
         walk["pipeline_requests"] = self.pipeline.requests
@@ -211,9 +206,9 @@ class ORAMBackend(MemoryBackend):
         Only declared names are read and written -- a key the document
         carries beyond them is ignored, never ``setattr``'d -- and a
         missing or non-integer counter raises
-        :class:`~repro.oram.checkpoint.CheckpointError`.  The ``oram`` and
-        ``treetop`` sections are not read: those counters are the ORAM's,
-        and its own document (restored first) is their one source.
+        :class:`~repro.oram.checkpoint.CheckpointError`.  The ``oram``
+        section is not read: those counters are the ORAM's, and its own
+        document (restored first) is their one source.
         Sections older documents lack are optional: without
         ``interconnect`` the scheduler state resets, without ``injector``
         a fresh injector restarts at zero (its ``injected_*`` totals would
@@ -233,7 +228,7 @@ class ORAMBackend(MemoryBackend):
             pipeline.phase_cycles, saved["phase_cycles"], "phase_cycles"
         )
         for section, owner, names in self._counted():
-            if section not in ("oram", "treetop"):  # the ORAM document's
+            if section != "oram":  # the ORAM document's
                 load_counters(owner, names, saved[section], section)
         self.busy_until = pipeline.last_request_cycle = top["busy_until"]
         self.oram.stash.max_occupancy = top["stash_max_occupancy"]
@@ -454,13 +449,7 @@ class ORAMBackend(MemoryBackend):
         self._issue(addr, now, False, "writeback")
 
     def finalize(self, now: int) -> None:
-        """End-of-run housekeeping: drain the treetop write-back queue.
-
-        Dirty treetop buckets are written back to the DRAM image here
-        (and opportunistically whenever the tree flushes between runs).
-        The write-back is charged off the critical path -- it drains in
-        idle bus cycles the serialized-access model already leaves free
-        (DESIGN.md section 13) -- so no cycles are added to ``now``.
-        Windowed statistics roll on request boundaries as before.
-        """
+        """End-of-run housekeeping.  The tree keeps one copy of every
+        bucket, pinned or not, so its treetop flush has nothing to write
+        (DESIGN.md section 13) and no cycles are added to ``now``."""
         self.oram.tree.flush_treetop()

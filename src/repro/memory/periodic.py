@@ -170,7 +170,7 @@ class PeriodicORAMBackend(ORAMBackend):
         return super().prefetch_access(addr, self._claim_slot(now))
 
     def finalize(self, now: int) -> None:
-        """Account the dummy slots up to the end of the run, then let the
-        base backend drain the treetop write-back queue."""
+        """Account the dummy slots up to the end of the run, then the base
+        backend's housekeeping."""
         self._advance_to(now)
         super().finalize(now)

@@ -94,21 +94,12 @@ def collect_controllers(
     scheme_stats = sum_counters(snap["scheme_stats"] for snap in snapshots)
     registry.absorb(scheme_stats, "scheme.")
 
-    # Memory-interconnect occupancy, one prefix per controller.  The
-    # treetop flush counters live on the functional tree (write-back is a
-    # tree-side event) but are exported next to their hit/bytes-saved
-    # siblings.
+    # Memory-interconnect occupancy, one prefix per controller.
     for index, snap in enumerate(snapshots):
         prefix = "interconnect"
         if bank_width is not None:
             prefix += f".shard{index}"
         register_interconnect(snap["interconnect"], registry, prefix)
-        treetop = snap["treetop"]
-        if treetop is not None:
-            registry.counter(f"{prefix}.treetop_flushes").set(treetop["flushes"])
-            registry.counter(f"{prefix}.treetop_flushed_buckets").set(
-                treetop["flushed_buckets"]
-            )
     if bank_width is not None:
         registry.gauge("bank.num_shards").set(bank_width)
 

@@ -10,7 +10,9 @@ Serialized state: geometry, position map (leaves + merge/break/prefetch
 bits), every bucket's blocks (address, leaf, optional payload), the stash,
 and access counters.  RNG state is intentionally *not* captured -- a
 restored ORAM continues with fresh randomness, exactly like a rebooted
-device, and stays oblivious.
+device, and stays oblivious.  Pinned treetop buckets travel in the bucket
+list like any other; an older document's ``treetop`` section (an off-chip
+image and dirty set of a second copy the tree no longer keeps) is ignored.
 
 Robustness guarantees (the recovery subsystem depends on both):
 
@@ -108,7 +110,7 @@ def _oram_state_dict(oram: PathORAM) -> dict:
     config = oram.config
     posmap = oram.position_map
     n = posmap.num_blocks
-    state = {
+    return {
         "version": FORMAT_VERSION,
         # every ORAMConfig field, so a new one cannot be dropped on the way
         "config": dataclasses.asdict(config),
@@ -125,22 +127,6 @@ def _oram_state_dict(oram: PathORAM) -> dict:
         ],
         "counters": {name: getattr(oram, name) for name in oram.COUNTERS},
     }
-    cache = oram.tree.treetop
-    if cache is not None:
-        # "buckets" above already carries the *live* contents (bucket()
-        # reads through the on-chip store); this section additionally
-        # captures the stale off-chip image and the dirty set so a restore
-        # reproduces the exact write-back state.
-        state["treetop"] = {
-            "levels": cache.levels,
-            "dirty": [i for i in range(cache.num_buckets) if cache.dirty[i]],
-            "image": [
-                [_encode_block(word, oram.tree.payloads) for word in oram.tree._buckets[i]]
-                for i in range(cache.num_buckets)
-            ],
-            **{name: getattr(cache, name) for name in cache.COUNTERS},
-        }
-    return state
 
 
 def dump_oram(oram: PathORAM) -> str:
@@ -262,73 +248,29 @@ def _install_oram_state(oram: PathORAM, state: dict) -> None:
     for index, raw_bucket in enumerate(state["buckets"]):
         blocks = [_decode_block(raw, f"bucket {index}", payloads) for raw in raw_bucket]
         try:
-            # Routed through the tree so pinned indices land in the
-            # treetop store (and are marked dirty -- conservative for
-            # documents predating the treetop section).
             oram.tree.write_bucket_at(index, blocks)
         except ValueError as exc:
             raise CheckpointError(f"bucket {index}: {exc}") from exc
-    _install_treetop_state(oram, state)
-    if len(state["stash"]) > oram.config.stash_blocks:
+    # The configured capacity is soft (a drain that gives up leaves more,
+    # and counts a stash_soft_overflow), so the bound is what can exist;
+    # check_invariants below refuses duplicate or misplaced blocks.
+    if len(state["stash"]) > n:
         raise CheckpointError(
             f"checkpoint stash holds {len(state['stash'])} blocks, "
-            f"configured stash capacity is {oram.config.stash_blocks}"
+            f"the address space has {n}"
         )
     oram.stash.blocks.clear()
     for raw in state["stash"]:
-        oram.stash.add(_decode_block(raw, "stash", payloads))
+        try:
+            oram.stash.add(_decode_block(raw, "stash", payloads))
+        except ValueError as exc:  # a duplicate address
+            raise CheckpointError(f"stash: {exc}") from exc
     load_counters(oram, oram.COUNTERS, state["counters"], "checkpoint counters")
     oram.rebuild_auxiliary()
     try:
         oram.check_invariants()
     except AssertionError as exc:
         raise CheckpointError(f"checkpoint violates ORAM invariants: {exc}") from exc
-
-
-def _install_treetop_state(oram: PathORAM, state: dict) -> None:
-    """Restore the treetop's off-chip image, dirty set, and counters.
-
-    Documents without a ``treetop`` section (pre-treetop captures, or
-    captures taken at ``treetop_levels=0``) leave the conservative state
-    the bucket install produced: every pinned bucket dirty, counters
-    zero -- a later flush reconverges the image.
-    """
-    cache = oram.tree.treetop
-    saved = state.get("treetop")
-    if cache is None or saved is None:
-        return
-    try:
-        if saved["levels"] != cache.levels:
-            raise CheckpointError(
-                f"checkpoint treetop pins {saved['levels']} levels, "
-                f"config implies {cache.levels}"
-            )
-        image = saved["image"]
-        if len(image) != cache.num_buckets:
-            raise CheckpointError(
-                f"checkpoint treetop image holds {len(image)} buckets, "
-                f"geometry implies {cache.num_buckets}"
-            )
-        # A block's payload is one entry per address (the live one, read
-        # from "buckets" and "stash"), so the image's "d" fields are
-        # checked but not installed.
-        for index, raw_bucket in enumerate(image):
-            oram.tree._buckets[index] = [
-                _decode_block(raw, f"treetop image bucket {index}", {})
-                for raw in raw_bucket
-            ]
-        dirty = bytearray(cache.num_buckets)
-        for index in saved["dirty"]:
-            if not 0 <= index < cache.num_buckets:
-                raise CheckpointError(
-                    f"treetop dirty index {index} out of range "
-                    f"[0, {cache.num_buckets})"
-                )
-            dirty[index] = 1
-        cache.dirty = dirty
-        load_counters(cache, cache.COUNTERS, saved, "treetop section")
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed treetop section: {exc!r}") from exc
 
 
 def _atomic_write(path: str, payload: str) -> None:

@@ -163,7 +163,7 @@ class VerifiedPathORAM(PathORAM):
 
     def _before_path_read(self, leaf: int) -> None:
         if self.injector is not None:
-            self.injected_delay_cycles += self.injector.on_path_read(self.tree, leaf)
+            self.injected_delay_cycles += self.injector.on_path_read(self, leaf)
         self.merkle.verify_path(leaf)
         self.verified_paths += 1
 

@@ -127,14 +127,6 @@ class PathORAM(
             self._depth_of_xor = None
         if populate:
             self.populate()
-        # Pin the treetop *after* the initial working set is placed so the
-        # cache starts clean (on-chip store == off-chip image).  The config
-        # validates k against the nominal tree; the functional attach point
-        # additionally caps at the functional height so tiny scaled trees
-        # always keep their leaf level off-chip.
-        treetop_levels = min(config.treetop_levels, config.levels)
-        if treetop_levels:
-            self.tree.attach_treetop(treetop_levels)
 
     # ------------------------------------------------------------------ setup
     def populate(self) -> None:
@@ -154,20 +146,9 @@ class PathORAM(
         for word in self._place_all_deepest(
             self.position_map._leaves,
             self.config.bucket_size,
-            self.tree.live_buckets(),
+            self.tree._buckets,
         ):
             self.stash.add(word)
-        cache = self.tree.treetop
-        if cache is not None:
-            # Deferred population (populate=False at construction, scheme
-            # calls populate() later) writes into an already-attached
-            # treetop through the read-through bucket handles; the
-            # off-chip image has none of it, so mark the filled buckets
-            # dirty.  The usual construction order (populate, then attach)
-            # leaves this loop unreached and the cache clean.
-            for index, bucket in enumerate(cache.store):
-                if bucket:
-                    cache.dirty[index] = 1
 
     # ----------------------------------------------------------------- access
     def begin_access(
@@ -290,8 +271,6 @@ class PathORAM(
         # buckets are empty on entry and levels that place nothing need no
         # write at all.
         buckets = tree._buckets
-        split = tree._treetop_levels  # pinned path levels (0 without a treetop)
-        treetop = tree.treetop
         pending: List[int] = []
         placed: List[int] = []
         for level in range(levels, -1, -1):
@@ -303,13 +282,7 @@ class PathORAM(
                 chunk = pending[:z]
                 del pending[:z]
                 placed += chunk
-                if level < split:
-                    # Pinned level: the bucket lives in on-chip SRAM; mark
-                    # it dirty so a flush knows the DRAM image is stale.
-                    treetop.store[path[level]] = chunk
-                    treetop.dirty[path[level]] = 1
-                else:
-                    buckets[path[level]] = chunk
+                buckets[path[level]] = chunk
         # Drop the placed blocks from the stash (the write-back only places
         # blocks it took from there, so every one is present).
         for word in placed:

@@ -127,7 +127,7 @@ class RingORAM(
         self.stash_soft_overflows = 0
         self._evict_counter = 0
         self._pending_path: Optional[Sequence[int]] = None
-        for word in self._place_all_deepest(self._leaves, z, self.tree.live_buckets()):
+        for word in self._place_all_deepest(self._leaves, z, self.tree._buckets):
             self.stash[word >> LEAF_BITS] = word
 
     # ------------------------------------------------------------- plumbing

@@ -8,8 +8,8 @@ bucket to ``Z`` ciphertexts so real and dummy blocks are indistinguishable).
 
 A block is one int, its header: ``word = addr << LEAF_BITS | leaf`` -- the
 program address and the leaf label the controller stores next to the data
-(``LEAF_BITS = 32``, :mod:`repro.utils.bitops`).  Buckets, the treetop store
-and the stash hold these words, so ``sorted(bucket)`` is the bucket in
+(``LEAF_BITS = 32``, :mod:`repro.utils.bitops`).  Buckets and the stash
+hold these words, so ``sorted(bucket)`` is the bucket in
 address order, ``word >> LEAF_BITS`` is the address and ``word & LEAF_MASK``
 the leaf.  The few blocks that carry bytes (the key-value store, the fault
 model's payload flips) keep them in :attr:`BinaryTree.payloads`, by
@@ -117,37 +117,6 @@ class PhysicalLayout:
         return tuple(self.address_of(level, leaf) for level in range(self.levels + 1))
 
 
-class TreetopCache:
-    """On-chip SRAM pinning the top ``levels`` of the tree (DESIGN.md §13).
-
-    Holds the ``2**levels - 1`` hottest buckets -- the ones every path
-    access touches -- so path reads/writes for those levels never go over
-    the interconnect.  ``store`` is indexed by *heap index* (the pinned
-    region is exactly the heap prefix ``[0, 2**levels - 1)``), ``dirty``
-    marks buckets whose on-chip content diverges from the off-chip DRAM
-    image, and :meth:`BinaryTree.flush_treetop` writes the dirty set back.
-
-    Security: the treetop is touched identically by every access (real or
-    dummy), so which buckets are pinned -- and that they are served
-    on-chip -- is public information; hiding them leaks nothing.
-    """
-
-    #: ``hits``: buckets served from SRAM instead of DRAM (one per pinned
-    #: level per path read); the other two count write-backs of the dirty set
-    COUNTERS = ("hits", "flushes", "flushed_buckets")
-    __slots__ = ("levels", "num_buckets", "store", "dirty") + COUNTERS
-
-    def __init__(self, levels: int):
-        if levels < 1:
-            raise ValueError("a treetop cache needs at least 1 pinned level")
-        self.levels = levels
-        self.num_buckets = (1 << levels) - 1
-        self.store: List[List[int]] = [[] for _ in range(self.num_buckets)]
-        self.dirty = bytearray(self.num_buckets)
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-
-
 class BinaryTree:
     """Bucketed binary tree with arithmetic path indexing.
 
@@ -157,15 +126,9 @@ class BinaryTree:
     memoized per leaf (the geometry never changes after construction), so
     the per-access ``read_path_into``/write-back pair never recomputes them.
 
-    With a :class:`TreetopCache` attached (:meth:`attach_treetop`), the
-    heap prefix ``[0, 2**k - 1)`` -- equivalently every bucket at a level
-    ``< k`` -- lives in the cache's on-chip store; ``_buckets`` keeps the
-    (possibly stale) off-chip DRAM image for those indices.  All content
-    accessors (:meth:`bucket`, :meth:`read_path_into`,
-    :meth:`write_bucket_at`, :meth:`occupancy`, :meth:`iter_blocks`)
-    consult the store for pinned indices, so the *functional* block
-    movement is identical with and without the cache -- only where the
-    bytes live (and therefore what the interconnect streams) changes.
+    A pinned treetop (DESIGN.md section 13) is not the tree's business: it
+    changes which levels the interconnect streams, not where a bucket's
+    words are kept, so every bucket lives in the one list ``_buckets``.
     """
 
     def __init__(self, levels: int, bucket_size: int):
@@ -183,58 +146,15 @@ class BinaryTree:
         #: wherever its word is, tree or stash
         self.payloads: Dict[int, bytes] = {}
         self._path_cache: Dict[int, Tuple[int, ...]] = {}
-        self.treetop: "TreetopCache | None" = None
-        #: pinned path levels (0 when no treetop is attached)
-        self._treetop_levels = 0
-        #: heap indices below this boundary are served on-chip
-        self._treetop_buckets = 0
-
-    def attach_treetop(self, levels: int) -> TreetopCache:
-        """Pin the top ``levels`` of this tree in an on-chip store.
-
-        The current contents of the pinned buckets move into the store;
-        ``_buckets`` keeps a snapshot as the off-chip DRAM image, so the
-        cache starts clean (image == store).  Must be attached at most
-        once, and ``levels`` must leave the leaf level off-chip.
-        """
-        if self.treetop is not None:
-            raise RuntimeError("treetop cache already attached")
-        if not 1 <= levels <= self.levels:
-            raise ValueError(
-                f"treetop must pin between 1 and {self.levels} levels, got {levels}"
-            )
-        cache = TreetopCache(levels)
-        for index in range(cache.num_buckets):
-            cache.store[index] = self._buckets[index]
-            self._buckets[index] = list(cache.store[index])
-        self.treetop = cache
-        self._treetop_levels = levels
-        self._treetop_buckets = cache.num_buckets
-        return cache
 
     def flush_treetop(self) -> int:
-        """Write every dirty pinned bucket back to the off-chip image.
+        """Write pinned buckets back to DRAM: there are none, so 0.
 
-        Returns the number of buckets written.  The write-back is modeled
-        off the critical path (DESIGN.md §13): dirty treetop buckets drain
-        opportunistically in idle bus cycles, so no access latency is
-        charged here -- the counter exists so the traffic is observable.
+        The tree keeps one copy of every bucket, so a treetop leaves nothing
+        to write back.  Kept because the end of a run
+        (``ORAMBackend.finalize``) still calls it once.
         """
-        cache = self.treetop
-        if cache is None:
-            return 0
-        written = 0
-        dirty = cache.dirty
-        store = cache.store
-        buckets = self._buckets
-        for index in range(cache.num_buckets):
-            if dirty[index]:
-                buckets[index] = list(store[index])
-                dirty[index] = 0
-                written += 1
-        cache.flushes += 1
-        cache.flushed_buckets += written
-        return written
+        return 0
 
     def bucket_index(self, level: int, leaf: int) -> int:
         """Heap index of the bucket at ``level`` on the path to ``leaf``."""
@@ -259,25 +179,8 @@ class BinaryTree:
         return path
 
     def bucket(self, index: int) -> List[int]:
-        """The (mutable) list of block words in bucket ``index``.
-
-        Pinned indices read through to the on-chip store -- callers always
-        see the live contents, never the stale DRAM image.
-        """
-        if index < self._treetop_buckets:
-            return self.treetop.store[index]
+        """The (mutable) list of block words in bucket ``index``."""
         return self._buckets[index]
-
-    def live_buckets(self) -> List[List[int]]:
-        """Every bucket's live word list, in heap order (build-time view).
-
-        Pinned indices come from the on-chip store, the rest from the
-        off-chip array; the lists are the tree's own, so appending to one
-        places a block.
-        """
-        if self.treetop is None:
-            return self._buckets
-        return self.treetop.store + self._buckets[self._treetop_buckets:]
 
     def read_path_into(self, leaf: int, store: Dict[int, int]) -> int:
         """Move every block word on the path to ``leaf`` into ``store``.
@@ -295,27 +198,8 @@ class BinaryTree:
         if path is None:
             path = self.path_indices(leaf)
         moved = 0
-        split = self._treetop_levels
-        if split:
-            # The first ``split`` entries of a path vector are exactly the
-            # pinned levels (heap index ``< 2**k - 1`` iff level ``< k``):
-            # they are served from SRAM, counted as treetop hits and marked
-            # dirty, and only the rest of the path touches DRAM buckets.
-            cache = self.treetop
-            sram = cache.store
-            dirty = cache.dirty
-            for index in path[:split]:
-                bucket = sram[index]
-                if bucket:
-                    for word in bucket:
-                        store[word >> 32] = word
-                        moved += 1
-                    sram[index] = []
-                    dirty[index] = 1
-            cache.hits += split
-        # The DRAM-resident rest of the path (all of it without a treetop).
         buckets = self._buckets
-        for index in path[split:]:
+        for index in path:
             bucket = buckets[index]
             if bucket:
                 for word in bucket:
@@ -339,30 +223,15 @@ class BinaryTree:
             raise ValueError(
                 f"bucket overflow: {len(blocks)} blocks into a Z={self.bucket_size} bucket"
             )
-        if index < self._treetop_buckets:
-            cache = self.treetop
-            cache.store[index] = blocks
-            cache.dirty[index] = 1
-        else:
-            self._buckets[index] = blocks
+        self._buckets[index] = blocks
 
     def occupancy(self) -> int:
         """Total number of real blocks currently stored in the tree."""
-        total = sum(len(bucket) for bucket in self._buckets[self._treetop_buckets:])
-        if self.treetop is not None:
-            total += sum(len(bucket) for bucket in self.treetop.store)
-        return total
+        return sum(len(bucket) for bucket in self._buckets)
 
     def iter_blocks(self) -> Iterator[int]:
-        """Iterate over every block word in the tree (for invariant checks).
-
-        Pinned buckets yield their *live* on-chip contents; the stale DRAM
-        image of the treetop region is never visible here.
-        """
-        if self.treetop is not None:
-            for bucket in self.treetop.store:
-                yield from bucket
-        for bucket in self._buckets[self._treetop_buckets:]:
+        """Iterate over every block word in the tree (for invariant checks)."""
+        for bucket in self._buckets:
             yield from bucket
 
     def find(self, addr: int) -> bool:
@@ -382,7 +251,7 @@ class BinaryTree:
         duplicates).
         """
         index_of: Dict[int, int] = {}
-        for index in range(self.num_buckets):
-            for word in self.bucket(index):
+        for index, bucket in enumerate(self._buckets):
+            for word in bucket:
                 index_of.setdefault(word >> LEAF_BITS, index)
         return index_of

@@ -94,7 +94,7 @@ class ShiTreeORAM(
         # Populate: every block starts at the leaf bucket of its leaf (or
         # the closest ancestor with room).
         for word in self._place_all_deepest(
-            self._leaves, self.bucket_size, self.tree.live_buckets()
+            self._leaves, self.bucket_size, self.tree._buckets
         ):
             self.overflow[word >> LEAF_BITS] = word
 

@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.faults.injector import FaultConfig
+from repro.faults.resilient import refuse_endless_retries
 from repro.health import HealthControlPlane, HealthPolicy
 from repro.observability.collect import collect_parallel
 from repro.observability.metrics import CycleHistogram, MetricsRegistry
@@ -207,6 +208,8 @@ class ParallelShardRuntime:
             raise ValueError("sharded banks model ORAM channels, not DRAM")
         if batch_size < 1 or max_inflight < 1:
             raise ValueError("batch_size and max_inflight must be positive")
+        if fault_config is not None:
+            refuse_endless_retries(fault_config)  # before any worker starts
         if health_policy is not None and not checkpoint_dir:
             raise ValueError(
                 "the health control plane needs checkpoint_dir: a quarantined "

@@ -11,12 +11,11 @@ here) as an oracle:
   ``DeepestPlacementMixin._place_deepest``: one ``bucket_for(level, leaf)``
   closure call per level, deepest first;
 * :func:`reference_populate` is the old ``PathORAM.populate`` body over a
-  fresh ``BinaryTree`` / ``Stash``, including the dirty marking a
-  deferred populate into an attached treetop needs.
+  fresh ``BinaryTree`` / ``Stash``.
 
 A build must match the oracle in posmap leaves, bucket contents in list
-order, stash order, ``max_occupancy``, treetop dirty bits and the state
-every RNG involved is left in.
+order, stash order, ``max_occupancy`` and the state every RNG involved is
+left in, with and without a pinned treetop and a deferred populate.
 """
 
 from array import array
@@ -48,14 +47,11 @@ def reference_place_deepest(addr, leaf, levels, capacity, bucket_for):
     return False
 
 
-def reference_populate(config, leaves, treetop_first):
-    """Old ``PathORAM.populate`` (+ the constructor's treetop attach, before
-    or after it) into a fresh tree and stash."""
+def reference_populate(config, leaves):
+    """Old ``PathORAM.populate`` into a fresh tree and stash.  A treetop
+    does not enter: the tree keeps one store whatever is pinned."""
     tree = BinaryTree(config.levels, config.bucket_size)
     stash = Stash(config.stash_blocks)
-    pinned = min(config.treetop_levels, config.levels)
-    if pinned and treetop_first:
-        tree.attach_treetop(pinned)
 
     def bucket_for(level, leaf):
         return tree.bucket(tree.bucket_index(level, leaf))
@@ -65,13 +61,6 @@ def reference_populate(config, leaves, treetop_first):
             addr, leaf, config.levels, config.bucket_size, bucket_for
         ):
             stash.add(addr << 32 | leaf)
-    cache = tree.treetop
-    if cache is not None:
-        for index, bucket in enumerate(cache.store):
-            if bucket:
-                cache.dirty[index] = 1
-    if pinned and not treetop_first:
-        tree.attach_treetop(pinned)
     return tree, stash
 
 
@@ -96,13 +85,8 @@ def contents(bucket):
 
 
 def tree_image(tree):
-    """Live contents, the off-chip image under the treetop, and dirty bits."""
-    cache = tree.treetop
-    return (
-        [contents(tree.bucket(index)) for index in range(tree.num_buckets)],
-        [contents(bucket) for bucket in tree._buckets[: tree._treetop_buckets]],
-        bytes(cache.dirty) if cache is not None else None,
-    )
+    """Every bucket's contents, in heap order."""
+    return [contents(tree.bucket(index)) for index in range(tree.num_buckets)]
 
 
 def next_draws(rng):
@@ -153,7 +137,7 @@ def test_path_oram_build_matches_reference(
     leaves = reference_leaves(
         twin_posmap, config.num_leaves, max(1, config.num_blocks)
     )
-    tree, stash = reference_populate(config, leaves, treetop_first=deferred)
+    tree, stash = reference_populate(config, leaves)
 
     assert oram.position_map._leaves == leaves
     assert tree_image(oram.tree) == tree_image(tree)
@@ -162,8 +146,6 @@ def test_path_oram_build_matches_reference(
     assert oram.stash.max_occupancy == stash.max_occupancy
     if utilization == 1.0 and levels > 1:
         assert len(stash) > 0  # the over-full case really spills
-        if treetop and deferred:
-            assert any(tree.treetop.dirty)  # pinned buckets were marked
     assert next_draws(oram.position_map._rng) == next_draws(twin_posmap)
     assert next_draws(rng) == next_draws(twin)
 
@@ -177,7 +159,7 @@ def test_ring_oram_build_matches_reference(levels, z, num_blocks):
     leaves = reference_leaves(twin, 1 << levels, num_blocks)
     buckets, spilled = reference_heap(leaves, levels, z)
     assert ring._leaves == leaves
-    assert tree_image(ring.tree)[0] == [contents(b) for b in buckets]
+    assert tree_image(ring.tree) == [contents(b) for b in buckets]
     assert list(ring.stash) == spilled
     assert contents(ring.stash.values()) == [(a, leaves[a]) for a in spilled]
     assert next_draws(rng) == next_draws(twin)
@@ -192,7 +174,7 @@ def test_shi_tree_oram_build_matches_reference(levels, bucket_size, num_blocks):
     leaves = reference_leaves(twin, 1 << levels, num_blocks)
     buckets, spilled = reference_heap(leaves, levels, bucket_size)
     assert shi._leaves == leaves
-    assert tree_image(shi.tree)[0] == [contents(b) for b in buckets]
+    assert tree_image(shi.tree) == [contents(b) for b in buckets]
     assert list(shi.overflow) == spilled
     assert contents(shi.overflow.values()) == [(a, leaves[a]) for a in spilled]
     assert next_draws(rng) == next_draws(twin)

@@ -28,8 +28,6 @@ SMALL = ChaosScenario(
     parallel_ops=600,
     kv_ops=400,
     bank_ops=1200,
-    batch_size=16,
-    max_inflight=2,
 )
 
 

@@ -172,6 +172,21 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="stash"):
             load_oram(json.dumps(state))
 
+    def test_stash_beyond_the_address_space_rejected(self):
+        """The stash capacity is soft (a drain that gives up leaves more),
+        so a restore bounds the stash by what can exist: one block per
+        address, none duplicated."""
+        oram = make_oram()
+        state = json.loads(dump_oram(oram))
+        n = oram.position_map.num_blocks
+        state["stash"] = [{"a": addr % n, "l": 0} for addr in range(n + 1)]
+        with pytest.raises(CheckpointError, match=f"the address space has {n}"):
+            load_oram(json.dumps(state))
+        state["stash"] = state["stash"][: oram.config.stash_blocks + 1]
+        state["stash"][1] = dict(state["stash"][0])
+        with pytest.raises(CheckpointError, match="duplicate block"):
+            load_oram(json.dumps(state))
+
     def test_malformed_counters_reported(self):
         state = json.loads(dump_oram(make_oram()))
         del state["counters"]["real_accesses"]

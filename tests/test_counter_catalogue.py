@@ -459,12 +459,6 @@ def oracle_collect_system(system):
     for index, shard in enumerate(shards):
         prefix = "interconnect" if width is None else f"interconnect.shard{index}"
         oracle_interconnect_to_registry(shard.interconnect, registry, prefix)
-        cache = shard.oram.tree.treetop
-        if cache is not None:
-            registry.counter(f"{prefix}.treetop_flushes").set(cache.flushes)
-            registry.counter(f"{prefix}.treetop_flushed_buckets").set(
-                cache.flushed_buckets
-            )
     if width is not None:
         registry.gauge("bank.num_shards").set(width)
         if backend.health is not None:
@@ -569,14 +563,12 @@ class TestRoundTrip:
         clone = build_controller(*cell)
         assert restore_backend_state(clone, payload) == {"last_seq": 3}
         assert clone.counters() == walk
-        # load_counters alone restores every section but the two the ORAM
+        # load_counters alone restores every section but the one the ORAM
         # document owns (one source of truth for those counters)
         other = build_controller(*cell)
         fresh = other.counters()
         other.load_counters(copy.deepcopy(walk))
-        assert other.counters() == {
-            **walk, "oram": fresh["oram"], "treetop": fresh["treetop"]
-        }
+        assert other.counters() == {**walk, "oram": fresh["oram"]}
         # ... and the restored controller keeps working
         clone.demand_access(1, clone.busy_until, False)
         clone.oram.check_invariants()
@@ -645,11 +637,6 @@ def _components(backend):
         ),
         "interconnect": (backend.interconnect, lambda: walk()["interconnect"]),
     }
-    if backend.oram.tree.treetop is not None:
-        parts["oram.tree.treetop"] = (
-            backend.oram.tree.treetop,
-            lambda: walk()["treetop"],
-        )
     if backend.injector is not None:
         parts["injector.stats"] = (backend.injector.stats, lambda: walk()["injector"])
     if backend.interconnect.model == "channel":  # one state, reported C times
@@ -708,7 +695,8 @@ class TestCompleteness:
         assert walk["oram"]["real_accesses"] > 0
         assert walk["interconnect"]["untracked_paths"] > 0
         if cell[1]:
-            assert walk["treetop"]["hits"] > 0 and walk["treetop"]["flushes"] > 0
+            assert walk["interconnect"]["treetop_hits"] > 0
+        assert "treetop" not in walk  # one bucket store: no treetop section
         if cell[2]:
             assert walk["injector"]["memory_accesses"] > 0
             assert walk["stats"]["fault_delay_cycles"] > 0
@@ -937,13 +925,12 @@ class TestCheckpointCompatibility:
                 build_controller("channel", 4, faults=True), json.dumps(document)
             )
 
-    @pytest.mark.parametrize(
-        "section, key", [("counters", "stash_soft_overflows"), ("treetop", "flushes")]
-    )
+    @pytest.mark.parametrize("section, key", [("counters", "stash_soft_overflows")])
     def test_oram_counters_have_one_source_the_oram_document(self, section, key):
-        """``oram`` / ``treetop`` ride in the backend section for the fold
-        and the registry, but a restore reads them from the ORAM document
-        only: that copy is validated, the other cannot override it."""
+        """``oram`` rides in the backend section for the fold and the
+        registry, but a restore reads it from the ORAM document only: that
+        copy is validated, the other cannot override it (and an older
+        document's ``treetop`` section is not read at all)."""
         source, document = self._document()
         document["backend"]["oram"]["stash_soft_overflows"] += 1_000
         document["backend"]["treetop"] = {"flushes": "many"}
@@ -1001,7 +988,7 @@ class TestCheckpointCompatibility:
         saved["interconnect"]["planted"] = 5
         saved["interconnect"]["channels"][0]["planted"] = 5
         saved["oram"]["rng"] = 3
-        saved["treetop"]["levels"] = 1
+        saved["treetop"] = {"levels": 1}  # an older document's section
         backend = build_controller("channel", 4, faults=True)
         restore_backend_state(backend, json.dumps(document))
         assert backend.counters() == source.counters()
@@ -1013,7 +1000,7 @@ class TestCheckpointCompatibility:
         assert backend.interconnect.path_cycles == source.interconnect.path_cycles
         assert not hasattr(backend.interconnect, "planted")
         assert backend.oram.rng is not None and backend.oram.rng != 3
-        assert backend.oram.tree.treetop.levels == 4
+        assert backend.oram.config.treetop_levels == 4
 
     def test_wrong_geometry_leaves_the_interconnect_untouched(self):
         source, document = self._document()

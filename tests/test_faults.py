@@ -24,6 +24,7 @@ from repro.faults import (
     run_fsck,
 )
 from repro.faults.resilient import MAX_RETRIES, backoff_cycles
+from repro.oram.checkpoint import load_oram
 from repro.oram.integrity import IntegrityViolationError, VerifiedPathORAM
 from repro.oram.kv_store import ObliviousKVStore
 from repro.oram.path_oram import PathORAM
@@ -388,6 +389,26 @@ class TestResilientKVStore:
         for key, value in shadow.items():
             assert reopened.get(key) == value
         assert_consistent(reopened.oram)
+
+    @pytest.mark.parametrize("levels, seed", [(7, 0), (7, 3), (8, 0)])
+    def test_genesis_checkpoint_restores(self, levels, seed):
+        """Regression: a stash past its (soft) capacity at build time was
+        sealed into the genesis checkpoint, and ``load_oram`` refused any
+        stash larger than the capacity, so the store's first recovery
+        could not restore.  Genesis now goes through the checkpoint drain,
+        and a restore bounds the stash by the address space."""
+        store = ResilientKVStore(
+            small_config(levels=levels, bucket_size=2, utilization=0.9, stash_blocks=5),
+            seed=seed,
+        )
+        genesis = load_oram(store._last_checkpoint)
+        assert len(genesis.stash) > genesis.stash.capacity  # the soft case
+        genesis.check_invariants()
+        store.put(1, b"kept")
+        store._recover()  # back to genesis, then the journal
+        assert store.recovery.recoveries == 1
+        assert store.get(1) == b"kept"
+        assert_consistent(store.oram)
 
     def test_forced_evictions_relieve_stash(self):
         # High utilization + Z=2 keeps residual stash occupancy above a

@@ -21,6 +21,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.controller.sharded import build_shard_backend
+from repro.faults import FaultConfig
 from repro.health import HealthPolicy
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.parallel import (
@@ -204,7 +205,7 @@ class TestParallelRecovery:
         reply, like batches until their ack: a worker that answers
         ``drain`` and dies before ``stats`` is reopened from its pre-drain
         checkpoint and drained again, so the snapshot it ships equals the
-        uninterrupted one (the treetop flush counters tell)."""
+        uninterrupted one."""
         base = SystemConfig()
         config = dataclasses.replace(
             base, oram=dataclasses.replace(base.oram, treetop_levels=4)
@@ -240,7 +241,6 @@ class TestParallelRecovery:
         killed, killed_restarts = run(tmp_path / "killed")
         assert (clean_restarts, killed_restarts) == (0, 1)
         assert shipped[1] == shipped[0]
-        assert shipped[0][0]["treetop"]["flushes"] == 1
         assert dataclasses.asdict(killed) == dataclasses.asdict(clean)
 
     def test_death_without_checkpointing_is_fatal(self):
@@ -274,6 +274,25 @@ class TestParallelRecovery:
             runtime.kill_worker(0)
             with pytest.raises(WorkerFailure, match="restart budget"):
                 runtime.run(requests)
+
+    def test_endless_retries_refused_before_any_worker_starts(self, monkeypatch):
+        """A fault config no timing backend can finish under is refused in
+        the caller's process, as a serial build refuses it -- not by a
+        worker's traceback after the process was spawned."""
+        started = []
+
+        def start(runtime, worker):
+            started.append(worker.index)
+            raise RuntimeError("a worker process was started")
+
+        monkeypatch.setattr(ParallelShardRuntime, "_start", start)
+        children = multiprocessing.active_children()
+        with pytest.raises(ValueError, match="transient_rate"):
+            ParallelShardRuntime(
+                "oram", 512, num_workers=1, fault_config=FaultConfig(transient_rate=1.0)
+            )
+        assert started == []
+        assert multiprocessing.active_children() == children
 
 
 # ----------------------------------------------------------- observability

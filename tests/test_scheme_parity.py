@@ -10,6 +10,8 @@ remapped positions are tracked consistently, and the shared mixin
 write-back agrees with Path ORAM's hand-inlined specialization.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.controller.mixins import GreedyWritebackMixin
@@ -174,13 +176,13 @@ class TestMixinAgreement:
         insertion order -- the next eviction consumes that order.
         PathORAM's hot loop is a hand-inlined specialization of the mixin
         (byte-table depth lookup, or the bit-length arithmetic when
-        ``_depth_of_xor`` is ``None``; treetop levels written on-chip) and
-        is pinned by the golden test -- this guards the equivalence claim
-        in both docstrings.
+        ``_depth_of_xor`` is ``None``) and is pinned by the golden test --
+        this guards the equivalence claim in both docstrings.  A pinned
+        treetop leaves the write-back alone (one bucket store), which the
+        ``treetop`` cells hold.
         """
         scheme = build_scheme("path", levels=LEVELS, num_blocks=NUM_BLOCKS, seed=SEED)
-        if treetop:
-            scheme.tree.attach_treetop(treetop)
+        scheme.config = dataclasses.replace(scheme.config, treetop_levels=treetop)
         if not table:
             scheme._depth_of_xor = None
         trace = seeded_trace(seed=seed, length=200)

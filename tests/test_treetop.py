@@ -1,18 +1,18 @@
 """Treetop cache: pinned tree-top levels and truncated path streaming.
 
-Covers the on-chip treetop store (DESIGN.md section 13) end to end:
+Covers the pinned treetop (DESIGN.md section 13) end to end:
 
 * config validation and footprint rescaling;
-* the tree-level cache itself (read-through, dirty tracking, write-back
-  flush, census helpers);
-* functional equivalence -- a treetop changes *where* buckets live, never
-  what the ORAM computes;
+* the one bucket store (census helpers over the would-be pinned levels);
+* functional equivalence -- a treetop changes which levels cross the pins,
+  never what the ORAM computes;
 * truncated public timing on both interconnect models, including the
   periodic grid and the cross-runtime bit-identity contracts at ``k > 0``;
 * hypothesis properties: ``k = 0`` is cycle-identical to the untruncated
   model, and ``k >= 1`` never issues a bank request that only pinned
   levels need;
-* checkpoint round-trips (dirty state included), metrics export, and the
+* checkpoint round-trips (pinned buckets travel with the rest; an older
+  document's ``treetop`` section is ignored), metrics export, and the
   physical-layout partial-bottom-tier regression that rides along.
 """
 
@@ -37,10 +37,11 @@ from repro.memory.periodic import PeriodicORAMBackend
 from repro.memory.timing import transfer_cycles
 from repro.observability.collect import collect_system
 from repro.observability.recorder import InMemoryRecorder
-from repro.oram.checkpoint import CheckpointError, dump_oram, load_oram
+from repro.oram.checkpoint import dump_oram, load_oram
 from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme
 from repro.oram.tree import BinaryTree, PhysicalLayout
+from repro.faults import FaultConfig, FaultInjector, ResilientKVStore
 from repro.faults.fsck import run_fsck
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
@@ -93,63 +94,27 @@ class TestConfigValidation:
 
 # ----------------------------------------------------------------- the tree
 class TestTreetopCacheTree:
-    def build(self, treetop=3, levels=5, z=4):
+    def build(self, levels=5, z=4):
         tree = BinaryTree(levels=levels, bucket_size=z)
         # Spread a few blocks (words ``addr << 32 | leaf``) over the top
-        # and bottom of the tree.
+        # (the levels a treetop would pin) and the bottom of the tree.
         tree.write_bucket_at(0, [0 << 32 | 0])
         tree.write_bucket_at(1, [1 << 32 | 0])
         bottom = tree.bucket_index(levels, 3)
         tree.write_bucket_at(bottom, [2 << 32 | 3])
-        if treetop:
-            tree.attach_treetop(treetop)
         return tree
 
-    def test_attach_validates(self):
-        tree = BinaryTree(levels=4, bucket_size=2)
-        with pytest.raises(ValueError):
-            tree.attach_treetop(0)
-        with pytest.raises(ValueError):
-            tree.attach_treetop(5)
-        tree.attach_treetop(2)
-        with pytest.raises(RuntimeError):
-            tree.attach_treetop(2)  # double attach
-
     def test_read_through_and_census(self):
+        """One store: the top buckets are the tree's own lists, and the
+        census helpers see them like any other."""
         tree = self.build()
-        assert tree.bucket(0) is tree.treetop.store[0]
+        assert tree.bucket(0) is tree._buckets[0]
         assert tree.occupancy() == 3
         assert sorted(tree.iter_blocks()) == [0 << 32 | 0, 1 << 32 | 0, 2 << 32 | 3]
         assert tree.find(0) and tree.find(2) and not tree.find(99)
         index = tree.address_index()
         assert index[0] == 0 and index[1] == 1
         assert index[2] == tree.bucket_index(tree.levels, 3)
-
-    def test_write_marks_dirty_and_flush_syncs_image(self):
-        tree = self.build()
-        tree.write_bucket_at(2, [9 << 32 | 2])
-        assert tree.treetop.dirty[2] == 1
-        # The DRAM image still holds the pre-write (empty) bucket.
-        assert tree._buckets[2] == []
-        written = tree.flush_treetop()
-        assert written >= 1
-        assert tree._buckets[2] == [9 << 32 | 2]
-        assert not any(tree.treetop.dirty)
-        assert tree.treetop.flushes == 1
-        assert tree.treetop.flushed_buckets == written
-        # A clean flush writes nothing but still counts a pass.
-        assert tree.flush_treetop() == 0
-        assert tree.treetop.flushes == 2
-
-    def test_read_path_drains_treetop_and_dirties_emptied_buckets(self):
-        tree = self.build(treetop=3)
-        blocks = {}
-        tree.read_path_into(0, blocks)
-        assert sorted(blocks) == [0, 1]
-        # Draining a pinned non-empty bucket dirties it (its on-chip copy
-        # became empty while the image still holds the block).
-        assert tree.treetop.dirty[0] == 1 and tree.treetop.dirty[1] == 1
-        assert tree.treetop.hits >= 3
 
 
 # ------------------------------------------------- functional equivalence
@@ -181,11 +146,10 @@ class TestFunctionalEquivalence:
         assert run_fsck(pinned).ok
 
     def test_functional_attach_is_capped_at_tree_height(self):
-        """A nominal-height treetop still attaches to the small functional
-        tree (capped), and the ORAM stays consistent."""
+        """A nominal-height treetop on a small functional tree (taller
+        than it) leaves the ORAM consistent."""
         config = dataclasses.replace(small_config(0), treetop_levels=20)
         oram = PathORAM(config, DeterministicRng(5))
-        assert oram.tree.treetop.levels == config.levels
         for addr in range(50):
             oram.access([addr % oram.position_map.num_blocks])
         assert run_fsck(oram).ok
@@ -336,8 +300,6 @@ class TestPeriodicGridWithTreetop:
         ]
         assert dummy_slots
         assert all(slot % period == 0 for slot in dummy_slots)
-        # finalize drained the treetop write-back queue.
-        assert backend.oram.tree.treetop.flushes >= 1
 
 
 # -------------------------------------------------- bit-identity contracts
@@ -530,30 +492,18 @@ class TestTreetopCheckpoint:
             oram.access([rng.randrange(oram.position_map.num_blocks)])
         return oram
 
-    def test_round_trip_preserves_dirty_state(self):
+    def test_round_trip_carries_pinned_buckets(self):
+        """Pinned buckets are in ``buckets`` like any other: the document
+        has no ``treetop`` section and a restore gives the same tree."""
         oram = self.checkpointed()
-        assert any(oram.tree.treetop.dirty)  # the interesting case
+        pinned = (1 << 4) - 1
+        assert any(oram.tree.bucket(i) for i in range(pinned))  # not vacuous
         payload = dump_oram(oram)
+        assert "treetop" not in json.loads(payload)
         restored = load_oram(payload, DeterministicRng(1))
-        assert restored.tree.treetop is not None
-        assert bytes(restored.tree.treetop.dirty) == bytes(oram.tree.treetop.dirty)
-        assert restored.tree._buckets[: restored.tree._treetop_buckets] == [
-            bucket for bucket in oram.tree._buckets[: oram.tree._treetop_buckets]
-        ]
+        assert restored.tree._buckets == oram.tree._buckets
         assert dump_oram(restored) == payload
         assert run_fsck(restored).ok
-
-    def test_flush_after_restore_converges_images(self):
-        oram = self.checkpointed()
-        restored = load_oram(dump_oram(oram), DeterministicRng(1))
-        oram.tree.flush_treetop()
-        restored.tree.flush_treetop()
-        boundary = oram.tree._treetop_buckets
-        assert [
-            sorted(bucket) for bucket in restored.tree._buckets[:boundary]
-        ] == [
-            sorted(bucket) for bucket in oram.tree._buckets[:boundary]
-        ]
 
     def test_pre_treetop_documents_still_load(self):
         oram = PathORAM(small_config(0), DeterministicRng(3))
@@ -564,19 +514,23 @@ class TestTreetopCheckpoint:
         del state["config"]["treetop_levels"]  # a pre-treetop document
         restored = load_oram(json.dumps(state), DeterministicRng(4))
         assert restored.config.treetop_levels == 0
-        assert restored.tree.treetop is None
         assert run_fsck(restored).ok
 
-    def test_malformed_treetop_section_rejected(self):
+    def test_obsolete_treetop_section_is_ignored(self):
+        """Documents written while the tree kept a second copy of the
+        pinned buckets carry a ``treetop`` section (stale image, dirty set,
+        flush counters).  The live contents are in ``buckets``, so the
+        section is ignored, however it reads."""
         oram = self.checkpointed()
         state = json.loads(dump_oram(oram))
-        state["treetop"]["levels"] = 99
-        with pytest.raises(CheckpointError):
-            load_oram(json.dumps(state), DeterministicRng(1))
-        state = json.loads(dump_oram(oram))
-        state["treetop"]["dirty"] = "oops"
-        with pytest.raises(CheckpointError):
-            load_oram(json.dumps(state), DeterministicRng(1))
+        for section in (
+            {"levels": 4, "dirty": [0, 2], "image": [[]] * 15, "hits": 9,
+             "flushes": 1, "flushed_buckets": 2},
+            {"levels": 99, "dirty": "oops"},
+        ):
+            state["treetop"] = section
+            restored = load_oram(json.dumps(state), DeterministicRng(1))
+            assert dump_oram(restored) == dump_oram(oram)
 
 
 # ---------------------------------------------------------------- metrics
@@ -597,10 +551,10 @@ class TestTreetopMetrics:
         names = {instrument.name for instrument in registry}
         assert "interconnect.treetop_hits" in names
         assert "interconnect.treetop_bytes_saved" in names
-        assert "interconnect.treetop_flushes" in names
         assert registry.counter("interconnect.treetop_hits").value > 0
         assert registry.counter("interconnect.treetop_bytes_saved").value > 0
-        assert registry.counter("interconnect.treetop_flushes").value > 0
+        # one bucket store: nothing is ever flushed, so nothing to count
+        assert not [name for name in names if "treetop_flush" in name]
         assert result.extra["interconnect_treetop_hits"] > 0
 
     def test_sharded_bank_exports_per_shard_treetop(self):
@@ -619,7 +573,7 @@ class TestTreetopMetrics:
         names = {instrument.name for instrument in registry}
         for shard in range(2):
             assert f"interconnect.shard{shard}.treetop_hits" in names
-            assert f"interconnect.shard{shard}.treetop_flushes" in names
+        assert not [name for name in names if "treetop_flush" in name]
 
     def test_flat_model_counts_saved_bytes_too(self):
         config = small_config(4)
@@ -654,3 +608,65 @@ class TestFsckIndexedAudit:
         for _ in range(150):
             oram.access([rng.randrange(oram.position_map.num_blocks)])
         assert run_fsck(oram).ok
+
+
+# ---------------------------------------------------------- trust boundary
+class TestTrustBoundary:
+    """The pinned levels are on-chip SRAM, inside the trust boundary: the
+    fault model draws its bit-flips and replays from the off-chip suffix
+    of each path only.  With one bucket store there is no stale image for
+    a fault to land on harmlessly, so a fault that reached a pinned bucket
+    would show here as a changed bucket."""
+
+    K = 3
+
+    def test_faults_never_touch_a_pinned_bucket(self):
+        pinned = (1 << self.K) - 1
+        seen = {"reads": 0, "faults": 0}
+
+        def image(oram):
+            tree = oram.tree
+            return [
+                [(word, tree.payloads.get(word >> 32)) for word in tree.bucket(i)]
+                for i in range(pinned)
+            ]
+
+        class Watched(FaultInjector):
+            def on_path_read(self, oram, leaf):
+                before = image(oram)
+                faults = self.stats.bitflips + self.stats.replays
+                try:
+                    return super().on_path_read(oram, leaf)
+                finally:
+                    assert image(oram) == before, "a fault reached a pinned bucket"
+                    seen["reads"] += 1
+                    seen["faults"] += self.stats.bitflips + self.stats.replays - faults
+
+        class Store(ResilientKVStore):
+            def _configure(self, fault_config=None):
+                super()._configure(fault_config)
+                self.injector = Watched(self.injector.config)
+
+        config = ORAMConfig(
+            levels=6, bucket_size=4, stash_blocks=60, utilization=0.5,
+            treetop_levels=self.K,
+        )
+        store = Store(
+            config,
+            fault_config=FaultConfig(seed=4, bitflip_rate=0.01, replay_rate=0.01),
+            seed=9,
+        )
+        rng = random.Random(17)
+        shadow = {}
+        for index in range(600):
+            key = rng.randrange(store.capacity)
+            if rng.random() < 0.6:
+                value = bytes([index % 251]) * (1 + rng.randrange(8))
+                store.put(key, value)
+                shadow[key] = value
+            else:
+                assert store.get(key) == shadow.get(key)
+        assert all(store.get(key) == value for key, value in shadow.items())
+        assert seen["faults"] > 0 and store.recovery.recoveries > 0  # not vacuous
+        assert seen["reads"] > 600
+        assert run_fsck(store.oram).ok
