@@ -71,7 +71,7 @@ def run_fig6b():
         "static": "stat",
         "sm_nb": "dyn_sm_nb",
         "am_nb": "dyn_am_nb",
-        "am_ab": "dyn_am_ab",
+        "am_ab": "dyn",  # the full PrORAM: adaptive merge, adaptive break
     }
     res = run_schemes(trace, list(labels.values()) + ["oram"], config=config, warmup_fraction=0.3)
     rows = []

@@ -107,6 +107,12 @@ def add_shards_option(parser, default: int, help: Optional[str] = None):
     parser.add_argument("--shards", type=int, default=default, metavar="N", help=help)
 
 
+def shard_count(args) -> int:
+    if args.shards < 1:
+        usage_error("--shards must be at least 1")
+    return args.shards
+
+
 def add_workload_options(parser, *, required: bool = True, accesses: int = 60_000):
     parser.add_argument("-w", "--workload", required=required, default="ocean_c")
     parser.add_argument("--accesses", type=int, default=accesses)
@@ -119,10 +125,21 @@ def add_workload_options(parser, *, required: bool = True, accesses: int = 60_00
 def workload_trace(args, name: Optional[str] = None) -> Trace:
     """The ``name`` (default ``--workload``) trace at ``--accesses``/``--seed``."""
     name = name or args.workload
+    if args.accesses < 1:
+        usage_error("--accesses must be at least 1")
     try:
         return named_trace(name, args.accesses, seed=args.seed)
     except KeyError:
         usage_error(f"unknown workload '{name}' (see `repro list`)")
+    except ValueError as error:  # a parameter out of range (locality:150)
+        usage_error(f"workload '{name}': {error}")
+
+
+def warmup_fraction(args) -> float:
+    """``--warmup``: the leading share of the trace that is not measured."""
+    if not 0.0 <= args.warmup < 1.0:
+        usage_error(f"--warmup must be in [0, 1), not {args.warmup:g}")
+    return args.warmup
 
 
 def add_memory_options(parser, *, interconnect: bool = True):
@@ -321,16 +338,18 @@ def _table(ran, columns) -> str:
 
 def cmd_run(args) -> int:
     trace = workload_trace(args)
+    warmup = warmup_fraction(args)
     schemes = _parse_schemes(args.schemes)
     config = memory_config(args)
-    if args.health_policy is not None and args.shards == 1:
+    shards = shard_count(args)
+    if args.health_policy is not None and shards == 1:
         usage_error("--health-policy needs a sharded bank (--shards > 1)")
     policy = health_policy(args)
     faults = fault_config(args)
     print(
         f"{trace.name}: {len(trace)} references over {trace.footprint_blocks} "
         f"blocks ({trace.write_fraction:.0%} writes)"
-        + (f", {args.shards}-shard ORAM bank" if args.shards != 1 else "")
+        + (f", {shards}-shard ORAM bank" if shards != 1 else "")
         + channel_banner(config)
     )
     profiles = {}
@@ -348,11 +367,9 @@ def cmd_run(args) -> int:
         trace,
         schemes,
         config=config,
-        warmup_fraction=args.warmup,
+        warmup_fraction=warmup,
         system_hook=system_hook,
-        build_kwargs=lambda scheme: scheme_build_kwargs(
-            scheme, faults, args.shards, policy
-        ),
+        build_kwargs=lambda scheme: scheme_build_kwargs(scheme, faults, shards, policy),
     )
     baseline = results.get("oram") or next(iter(results.values()))
     ran = [(scheme, results[scheme]) for scheme in schemes]
@@ -388,6 +405,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes)
+    warmup = warmup_fraction(args)
     if args.parameter == "locality":
         header, points = "locality", (
             (f"{pct}%", workload_trace(args, f"locality:{pct}"), experiment_config())
@@ -407,7 +425,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for label, trace, config in points:
         res = run_schemes(
-            trace, ["oram"] + schemes, config=config, warmup_fraction=args.warmup
+            trace, ["oram"] + schemes, config=config, warmup_fraction=warmup
         )
         rows.append([label] + [res[s].speedup_over(res["oram"]) for s in schemes])
     print(format_table([header] + schemes, rows))
@@ -479,6 +497,8 @@ def cmd_parity(args) -> int:
     else:
         known = ", ".join(sorted(SCHEME_FACTORIES)) + ", all"
         usage_error(f"unknown ORAM scheme '{args.scheme}' (known: {known})")
+    if args.accesses < 1:
+        usage_error("--accesses must be at least 1")
     schemes = [
         from_options(
             build_scheme, name, levels=args.levels, num_blocks=args.blocks, seed=args.seed
@@ -518,24 +538,11 @@ def cmd_parallel(args) -> int:
     requests = requests_from_trace(trace)
     config = memory_config(args)
     workers = args.parallel_workers
-    print(
-        f"{trace.name}: {len(requests)} demand requests over "
-        f"{trace.footprint_blocks} blocks, {workers}-worker parallel bank"
-        + channel_banner(config)
-    )
-    begin = time.perf_counter()
-    serial = run_serial_reference(
-        scheme,
-        trace.footprint_blocks,
-        requests,
-        config,
-        num_shards=workers,
-        workload=trace.name,
-        health_policy=policy,
-    )
-    serial_s = time.perf_counter() - begin
     with tempfile.TemporaryDirectory(prefix="repro-parallel-") as checkpoint_dir:
-        with ParallelShardRuntime(
+        # Opened first, so the runtime refuses a bad worker count, batch
+        # size or checkpoint cadence before the serial reference runs.
+        with from_options(
+            ParallelShardRuntime,
             scheme,
             trace.footprint_blocks,
             config,
@@ -545,6 +552,22 @@ def cmd_parallel(args) -> int:
             batch_size=args.batch,
             health_policy=policy,
         ) as runtime:
+            print(
+                f"{trace.name}: {len(requests)} demand requests over "
+                f"{trace.footprint_blocks} blocks, {workers}-worker parallel bank"
+                + channel_banner(config)
+            )
+            begin = time.perf_counter()
+            serial = run_serial_reference(
+                scheme,
+                trace.footprint_blocks,
+                requests,
+                config,
+                num_shards=workers,
+                workload=trace.name,
+                health_policy=policy,
+            )
+            serial_s = time.perf_counter() - begin
             begin = time.perf_counter()
             parallel = runtime.run(requests, workload=trace.name, fsck=args.fsck)
             parallel_s = time.perf_counter() - begin
@@ -572,6 +595,7 @@ def cmd_serve(args) -> int:
         weights = [from_options(int, w) for w in args.weights.split(",") if w.strip()]
     if args.deadline < 1:
         usage_error("--deadline must be at least 1 cycle")
+    shards = shard_count(args)
     policy = health_policy(args)
     load = dict(
         footprint_per_tenant=args.footprint,
@@ -604,13 +628,13 @@ def cmd_serve(args) -> int:
         scheme,
         source.footprint_blocks,
         memory_config(args),
-        args.shards,
+        shards,
         serve_config=serve_config,
         health_policy=policy,
         workload=workload,
     )
     print(
-        f"{workload}: {args.tenants} tenants over a {args.shards}-shard "
+        f"{workload}: {args.tenants} tenants over a {shards}-shard "
         f"'{scheme}' bank ({mode_desc}, deadline {args.deadline:,})"
     )
     report = frontend.run(source)

@@ -64,7 +64,6 @@ class AccessPipeline:
             "writeback": 0,
             "fault": 0,
         }
-        self.requests = 0
         #: completion cycle of the previous request: Equation 1's elapsed
         #: time is measured from here (the backend's load_counters restarts
         #: it at the restored busy_until)
@@ -149,7 +148,6 @@ class AccessPipeline:
         phase_cycles["path_read"] += streamed
         phase_cycles["writeback"] += evict_cycles
         phase_cycles["fault"] += fault_delay
-        self.requests += 1
         backend.busy_until = completion
         stats.memory_accesses += extra + 1
         stats.busy_cycles += latency

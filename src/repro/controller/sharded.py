@@ -377,12 +377,11 @@ def quarantine(
 
 
 # ------------------------------------------------------------- construction
-#: Figure 6b variants: dyn_sm_nb, dyn_am_nb and dyn_am_ab select
-#: static/adaptive merge thresholding and no/adaptive breaking; bare "dyn"
-#: is the full PrORAM (adaptive merge + adaptive break).
+#: Figure 6b variants: dyn_sm_nb and dyn_am_nb select static/adaptive merge
+#: thresholding without breaking; bare "dyn" is the full PrORAM (adaptive
+#: merge + adaptive break, the figure's am_ab).
 _DYN_VARIANTS = {
     "dyn": (AdaptiveThresholdPolicy, True),
-    "dyn_am_ab": (AdaptiveThresholdPolicy, True),
     "dyn_sm_nb": (StaticThresholdPolicy, False),
     "dyn_am_nb": (AdaptiveThresholdPolicy, False),
 }

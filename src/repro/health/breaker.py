@@ -226,8 +226,6 @@ class CircuitBreaker:
         self.hard_failures = 0
         self.fallbacks_total = 0
         self.probes_total = 0
-        self.quarantines = 0
-        self.readmissions = 0
 
     # ------------------------------------------------------------ transitions
     def _transition(self, state: HealthState, reason: str) -> None:
@@ -238,13 +236,10 @@ class CircuitBreaker:
         )
         self.state = state
         if state is HealthState.QUARANTINED:
-            self.quarantines += 1
             self._fallback_served = 0
         elif state is HealthState.PROBING:
             self._probes = 0
             self._probe_streak = 0
-        elif state is HealthState.HEALTHY and self.transitions[-1].previous.padded:
-            self.readmissions += 1
         self._reset_window()
 
     def _reset_window(self) -> None:
@@ -382,6 +377,19 @@ class CircuitBreaker:
         ]
 
     # ---------------------------------------------------------------- queries
+    @property
+    def quarantines(self) -> int:
+        """Entries into QUARANTINED."""
+        return sum(t.state is HealthState.QUARANTINED for t in self.transitions)
+
+    @property
+    def readmissions(self) -> int:
+        """Entries into HEALTHY from a padded state."""
+        return sum(
+            t.state is HealthState.HEALTHY and t.previous.padded
+            for t in self.transitions
+        )
+
     def transition_pairs(self) -> List[Tuple[str, str]]:
         return [(t.previous.value, t.state.value) for t in self.transitions]
 

@@ -91,13 +91,11 @@ class MemoryInterconnect:
 
     model = "abstract"
 
-    #: counted by both models (and exported under ``interconnect.*``)
-    COUNTERS: Tuple[str, ...] = (
-        "streamed_paths",
-        "untracked_paths",
-        "treetop_hits",
-        "treetop_bytes_saved",
-    )
+    #: counted by both models
+    COUNTERS: Tuple[str, ...] = ("streamed_paths", "untracked_paths")
+    #: reported by both models (and exported under ``interconnect.*``): the
+    #: two treetop names follow from the path count (:meth:`state_dict`)
+    REPORTED = COUNTERS + ("treetop_hits", "treetop_bytes_saved")
 
     def __init__(self, oram: ORAMConfig, dram: DRAMConfig, channels: int = 1):
         self.dram = dram
@@ -163,8 +161,6 @@ class MemoryInterconnect:
         the leaf-aware scheduler (PosMap walk, evictions, dummies: their
         leaves are the recursion's or uniform draws)."""
         self.untracked_paths += count
-        self.treetop_hits += self.treetop_levels * count
-        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes * count
 
     def note_slot_dummy(self, slot: int) -> None:
         """Record one periodic slot dummy issued at ``slot``: an untracked
@@ -181,17 +177,22 @@ class MemoryInterconnect:
         (:func:`repro.observability.collect.register_interconnect`) are views
         of it.  ``model`` and ``path_cycles`` are configuration, carried so
         those views need nothing but the dict; a restore ignores them.
+        Every charged path -- streamed or untracked -- skips the pinned
+        levels, which is all ``treetop_hits`` and ``treetop_bytes_saved``
+        count: they are derived here, and a restore ignores them too.
         """
         state = {"model": self.model, "path_cycles": self.path_cycles}
         state.update((name, getattr(self, name)) for name in self.COUNTERS)
+        hits = self.treetop_levels * (self.streamed_paths + self.untracked_paths)
+        state["treetop_hits"] = hits
+        state["treetop_bytes_saved"] = hits * self.bucket_bytes
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore what :meth:`state_dict` captured (declared names only).
 
         A document older than one of the shared counters restarts it at
-        zero: flat-model documents used to carry none, channel-model ones
-        predating the treetop lack its two.
+        zero: flat-model documents used to carry none.
         """
         defaults = dict.fromkeys(MemoryInterconnect.COUNTERS, 0)
         load_counters(self, self.COUNTERS, {**defaults, **state}, "interconnect")
@@ -261,8 +262,6 @@ class FlatInterconnect(MemoryInterconnect):
 
     def path_completion(self, leaf: int, start: int) -> int:
         self.streamed_paths += 1
-        self.treetop_hits += self.treetop_levels
-        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes
         return start + self.path_cycles
 
     def train(self, arrival, busy_until, evictions, extra, leaf):
@@ -303,10 +302,12 @@ class ChannelState:
     """
 
     #: the event counts; with the scheduler state they are the ``__slots__``
-    COUNTERS = ("requests", "row_hits", "row_misses", "bank_wait_cycles")
-    #: what one channel reports: the two extra names follow from the path
-    #: count (:meth:`ChannelInterconnect.state_dict`), nothing counts them
-    REPORTED = COUNTERS + ("bytes_moved", "busy_cycles")
+    COUNTERS = ("row_hits", "row_misses", "bank_wait_cycles")
+    #: what one channel reports: ``requests`` is ``row_hits + row_misses``
+    #: (every array access is one or the other), the last two follow from
+    #: the path count (:meth:`ChannelInterconnect.state_dict`); nothing
+    #: counts them
+    REPORTED = ("requests",) + COUNTERS + ("bytes_moved", "busy_cycles")
     #: the integer slots (``bank_free`` / ``open_row`` are per-bank dicts)
     INT_SLOTS = ("bus_free",) + COUNTERS
     __slots__ = ("bank_free", "open_row") + INT_SLOTS
@@ -481,7 +482,6 @@ class ChannelInterconnect(MemoryInterconnect):
             ready = last_ready
         self.ready = ready
         self.early_return_cycles += completion - ready
-        gang.requests += hits + misses
         gang.row_hits += hits
         gang.row_misses += misses
         gang.bank_wait_cycles += wait
@@ -489,8 +489,6 @@ class ChannelInterconnect(MemoryInterconnect):
         self.streamed_cycles_total += completion - start
         # of the first access's array latency, what ran ahead of the turn
         self.hidden_latency_cycles += head if first_ready > start else first_ready - activate
-        self.treetop_hits += self.treetop_levels
-        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes
         if completion > self.last_completion:
             self.last_completion = completion
         return completion
@@ -557,7 +555,8 @@ class ChannelInterconnect(MemoryInterconnect):
         }
 
     def state_dict(self) -> Dict[str, object]:
-        """The gang is reported once per channel.  What a channel's bus
+        """The gang is reported once per channel.  Its requests are its
+        array accesses, each a row hit or a miss.  What a channel's bus
         carried follows from the path count: every path the controller
         charges -- streamed, or untracked at the public cost -- occupies
         each bus for the one burst and crosses it with that channel's
@@ -565,6 +564,7 @@ class ChannelInterconnect(MemoryInterconnect):
         state = super().state_dict()
         state["geometry"] = self._geometry()
         gang = self.gang.state_dict()
+        gang["requests"] = gang["row_hits"] + gang["row_misses"]
         paths = self.streamed_paths + self.untracked_paths
         gang["busy_cycles"] = paths * self._burst_cycles
         state["channels"] = [

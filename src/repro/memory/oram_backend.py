@@ -194,7 +194,6 @@ class ORAMBackend(MemoryBackend):
             walk[section] = {name: getattr(part, name) for name in names}
         walk["stash_max_occupancy"] = self.oram.stash.max_occupancy
         walk["phase_cycles"] = dict(self.pipeline.phase_cycles)
-        walk["pipeline_requests"] = self.pipeline.requests
         walk["interconnect"] = self.interconnect.state_dict()
         walk["fault_model"] = self.injector is not None
         walk["injector"] = self.injector and self.injector.stats.as_dict()
@@ -221,9 +220,7 @@ class ORAMBackend(MemoryBackend):
         simulated history as idle time.
         """
         pipeline = self.pipeline
-        top = checked_counters(
-            ("busy_until", "stash_max_occupancy", "pipeline_requests"), saved, "backend"
-        )
+        top = checked_counters(("busy_until", "stash_max_occupancy"), saved, "backend")
         phases = checked_counters(
             pipeline.phase_cycles, saved["phase_cycles"], "phase_cycles"
         )
@@ -232,7 +229,6 @@ class ORAMBackend(MemoryBackend):
                 load_counters(owner, names, saved[section], section)
         self.busy_until = pipeline.last_request_cycle = top["busy_until"]
         self.oram.stash.max_occupancy = top["stash_max_occupancy"]
-        pipeline.requests = top["pipeline_requests"]
         pipeline.phase_cycles.update(phases)
         if saved.get("interconnect"):
             self.interconnect.load_state_dict(saved["interconnect"])

@@ -122,7 +122,7 @@ def register_interconnect(state: dict, registry: MetricsRegistry, prefix: str) -
     plus its bus occupancy."""
     registry.gauge(f"{prefix}.path_cycles").set(state["path_cycles"])
     registry.absorb(
-        {name: state[name] for name in MemoryInterconnect.COUNTERS}, f"{prefix}."
+        {name: state[name] for name in MemoryInterconnect.REPORTED}, f"{prefix}."
     )
     channels = state.get("channels")
     if channels is None:

@@ -62,7 +62,6 @@ class LeafUniformityMonitor:
         self.forward_to = forward_to
         self.checks: List[UniformityCheck] = []
         self._buffer: List[int] = []
-        self._windows_seen = 0
 
     # ------------------------------------------------------ observer protocol
     def on_path_access(self, leaf: int, kind: str = "real") -> None:
@@ -77,13 +76,12 @@ class LeafUniformityMonitor:
         statistic, p_value = chi_square_uniformity(self._buffer, self.num_leaves)
         self.checks.append(
             UniformityCheck(
-                window_index=self._windows_seen,
+                window_index=len(self.checks),
                 samples=len(self._buffer),
                 statistic=statistic,
                 p_value=p_value,
             )
         )
-        self._windows_seen += 1
         self._buffer.clear()
 
     def flush(self) -> Optional[UniformityCheck]:

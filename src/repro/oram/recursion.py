@@ -39,7 +39,7 @@ class PosMapHierarchy:
 
     #: the integer attributes the walk counts in (checkpointed and reported
     #: through the owning controller's ``counters()`` walk)
-    COUNTERS = ("lookups", "posmap_block_accesses", "cache_hits")
+    COUNTERS = ("lookups", "cache_hits")
 
     def __init__(self, num_hierarchies: int, entries_per_block: int, cache_entries: int):
         if num_hierarchies < 1:
@@ -87,9 +87,7 @@ class PosMapHierarchy:
         # Install every block on the walk (they were all brought on-chip).
         for key in missed:
             self._insert(key)
-        extra = len(missed)
-        self.posmap_block_accesses += extra
-        return extra
+        return len(missed)
 
     def _insert(self, key: int) -> None:
         if self.cache_entries <= 0:
@@ -121,9 +119,3 @@ class PosMapHierarchy:
         if self.lookups == 0:
             return 0.0
         return self.cache_hits / self.lookups
-
-    def average_extra_accesses(self) -> float:
-        """Mean extra path accesses per request so far."""
-        if self.lookups == 0:
-            return 0.0
-        return self.posmap_block_accesses / self.lookups

@@ -89,8 +89,9 @@ class _Worker:
     """Front-end bookkeeping for one shard worker process."""
 
     #: event counts, one bare attribute each (``restarts`` also salts the
-    #: shard's RNG, see :meth:`ParallelShardRuntime._start`)
-    COUNTERS = ("batches", "restarts", "hangs")
+    #: shard's RNG, see :meth:`ParallelShardRuntime._start`); the batches
+    #: acknowledged are :attr:`roundtrip_us`'s sample count
+    COUNTERS = ("restarts", "hangs")
 
     def __init__(self, index: int):
         self.index = index
@@ -208,6 +209,11 @@ class ParallelShardRuntime:
             raise ValueError("sharded banks model ORAM channels, not DRAM")
         if batch_size < 1 or max_inflight < 1:
             raise ValueError("batch_size and max_inflight must be positive")
+        if checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0 (0: none inside a run), not "
+                f"{checkpoint_every}"
+            )
         if fault_config is not None:
             refuse_endless_retries(fault_config)  # before any worker starts
         if health_policy is not None and not checkpoint_dir:
@@ -446,7 +452,6 @@ class ParallelShardRuntime:
                 worker.unckpt[seq] = entry
             roundtrip_us = int((time.perf_counter() - sent) * 1e6)
             worker.roundtrip_us.record(roundtrip_us)
-            worker.batches += 1
         _forget_checkpointed(worker, checkpointed_seq)
         return newly_recorded
 
@@ -622,12 +627,15 @@ class ParallelShardRuntime:
 
     # ------------------------------------------------------------ inspection
     def worker_snapshots(self) -> List[dict]:
-        """The one walk over the workers' telemetry: per worker, its
-        ``_Worker.COUNTERS`` by name, the batches in flight right now
-        (``queue_depth``) and the round-trip histogram."""
+        """The one walk over the workers' telemetry: per worker, the batches
+        acknowledged and its ``_Worker.COUNTERS`` by name, the batches in
+        flight right now (``queue_depth``) and the round-trip histogram."""
         return [
             {
-                "counters": {name: getattr(worker, name) for name in _Worker.COUNTERS},
+                "counters": {
+                    "batches": worker.roundtrip_us.total,
+                    **{name: getattr(worker, name) for name in _Worker.COUNTERS},
+                },
                 "queue_depth": worker.inflight,
                 "batch_roundtrip_us": worker.roundtrip_us,
             }

@@ -103,13 +103,25 @@ class ServingFrontEnd:
     per tenant in a :class:`TenantReport`, front-end wide in the
     :attr:`COUNTERS` attributes -- and the three :class:`CycleHistogram`
     attributes record on the event path.  :meth:`counters` is the one walk
-    over them; the report and ``collect_serve`` both read it.
+    over them; the report and ``collect_serve`` both read it.  A fact is
+    counted once: what follows from other counts (offered, served,
+    batches, the latency sum, the makespan) is derived where it is read.
     """
 
     #: per-tenant counts (``TenantReport`` fields), summed by the walk
-    TENANT_COUNTERS = ("offered", "admitted", "shed", "served", "coalesced")
+    TENANT_COUNTERS = ("admitted", "shed", "coalesced")
     #: front-end-wide counts, one bare attribute each
     COUNTERS = (
+        "shed_queue_full", "shed_backlog", "shed_pressure", "rerouted",
+        "fallback_issues", "full_closes", "deadline_closes", "drain_closes",
+        "deadline_misses",
+    )
+    #: the fifteen ``serve.*`` names :meth:`counters` reports, in order; the
+    #: three no attribute counts are derived there: ``offered = admitted +
+    #: shed``, ``served`` is the latency histogram's sample count and
+    #: ``batches`` the batch-occupancy histogram's
+    REPORTED = (
+        "offered", "admitted", "shed", "served", "coalesced",
         "shed_queue_full", "shed_backlog", "shed_pressure", "rerouted",
         "fallback_issues", "batches", "full_closes", "deadline_closes",
         "drain_closes", "deadline_misses",
@@ -165,8 +177,6 @@ class ServingFrontEnd:
         #: completion cycle per issued access, in issue order
         self.access_completions: List[int] = []
         self.all_requests: List[Request] = []
-        self._makespan = 0
-        self._sum_latency = 0
         self._ran = False
 
     # -------------------------------------------------------------- factories
@@ -246,7 +256,6 @@ class ServingFrontEnd:
         config = self.config
         counts = self._tenant_counts[request.tenant]
         self.all_requests.append(request)
-        counts.offered += 1
         shard = request.shard = request.addr % self.bank.num_shards
         if self.health is not None and self.health.should_reroute(shard):
             lane = self._fallback[shard]
@@ -471,7 +480,6 @@ class ServingFrontEnd:
             if len(keep) != len(access.requests):
                 access.requests = keep
                 access.is_write = any(r.is_write for r in keep)
-        self.batches += 1
         self.batch_occupancy.record(len(final))
         for access in final:
             self._issue_one(access, shard, now)
@@ -486,16 +494,12 @@ class ServingFrontEnd:
         if key in inflight_groups and inflight_groups[key] is access:
             del inflight_groups[key]
         cycle = access.completion_cycle
-        if cycle > self._makespan:
-            self._makespan = cycle
         for request in access.requests:
             request.status = SERVED
             request.completion_cycle = cycle
             latency = cycle - request.arrival_cycle
-            self._sum_latency += latency
             self.latency_cycles.record(latency)
             self._tenant_latency[request.tenant].record(latency)
-            self._tenant_counts[request.tenant].served += 1
             if latency > request.deadline_cycles:
                 self.deadline_misses += 1
             if source.feedback:
@@ -503,14 +507,18 @@ class ServingFrontEnd:
 
     # --------------------------------------------------------------- report
     def counters(self) -> Dict[str, int]:
-        """The one walk: every ``serve.*`` count by its bare name -- the
-        :attr:`TENANT_COUNTERS` summed over tenants, then :attr:`COUNTERS`."""
+        """The one walk: every ``serve.*`` count by its bare name, in
+        :attr:`REPORTED` order -- the :attr:`TENANT_COUNTERS` summed over
+        tenants, the :attr:`COUNTERS` and the three derived totals."""
         counts = {
             name: sum(getattr(tenant, name) for tenant in self._tenant_counts)
             for name in self.TENANT_COUNTERS
         }
         counts.update((name, getattr(self, name)) for name in self.COUNTERS)
-        return counts
+        counts["offered"] = counts["admitted"] + counts["shed"]
+        counts["served"] = self.latency_cycles.total
+        counts["batches"] = self.batch_occupancy.total
+        return {name: counts[name] for name in self.REPORTED}
 
     def histograms(self) -> List[CycleHistogram]:
         """The distributions beside :meth:`counters`: request latency (whole
@@ -530,13 +538,14 @@ class ServingFrontEnd:
 
     def _finish(self) -> ServeReport:
         bank = self.bank
-        bank.finalize(self._makespan)
+        makespan = max(self.access_completions, default=0)
+        bank.finalize(makespan)
         totals = self.counters()
         report = ServeReport(
             workload=self.workload,
             scheme=self.scheme,
             num_shards=bank.num_shards,
-            makespan_cycles=self._makespan,
+            makespan_cycles=makespan,
             **{
                 field.name: totals[field.name]
                 for field in fields(ServeReport)
@@ -544,11 +553,13 @@ class ServingFrontEnd:
             },
         )
         for counts, hist in zip(self._tenant_counts, self._tenant_latency):
+            counts.offered = counts.admitted + counts.shed
+            counts.served = hist.total
             counts.p50_latency = hist.quantile(0.5)
             counts.p99_latency = hist.quantile(0.99)
             report.tenants.append(counts)
         if report.served:
-            report.mean_latency = self._sum_latency / report.served
+            report.mean_latency = self.latency_cycles.sum / report.served
         report.p50_latency = self.latency_cycles.quantile(0.5)
         report.p99_latency = self.latency_cycles.quantile(0.99)
         # Deliberately no serve-specific keys in sim.extra: replaying

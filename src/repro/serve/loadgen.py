@@ -171,8 +171,7 @@ class OpenLoopSource(LoadSource):
         Arrival times are the trace's cumulative compute gaps divided by
         ``load_scale`` (2.0 = offer twice as fast).  The source walks the
         trace's entries in place, so it must not be appended to while the
-        source runs.  The trace's incremental ``write_fraction`` /
-        ``total_gap_cycles`` feed the CLI banner.
+        source runs.
         """
         if not 0.0 < load_scale < math.inf:
             raise ValueError(
@@ -210,6 +209,10 @@ class OpenLoopSource(LoadSource):
             raise ValueError("tenant regions need at least one block")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be within [0, 1]")
+        if gap_mean < 0:
+            raise ValueError(f"gap_mean must be >= 0 cycles, not {gap_mean:g}")
+        if not 0.0 <= write_fraction <= 1.0:
+            raise ValueError("write_fraction must be within [0, 1]")
         root = DeterministicRng(seed)
         seq_blocks = int(footprint_per_tenant * locality)
         if locality > 0.0 and seq_blocks == 0:
@@ -266,6 +269,10 @@ class ClosedLoopSource(LoadSource):
             raise ValueError("need at least one client and one request each")
         if footprint_per_tenant < 1:
             raise ValueError("tenant regions need at least one block")
+        if think_mean < 0:
+            raise ValueError(f"think_mean must be >= 0 cycles, not {think_mean:g}")
+        if not 0.0 <= write_fraction <= 1.0:
+            raise ValueError("write_fraction must be within [0, 1]")
         self.deadline_cycles = deadline_cycles
         self.write_fraction = write_fraction
         self.footprint_per_tenant = footprint_per_tenant

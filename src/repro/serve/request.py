@@ -62,7 +62,12 @@ class Request:
 
 @dataclass
 class TenantReport:
-    """Per-tenant serving outcome."""
+    """Per-tenant serving outcome.
+
+    A run counts ``admitted``, ``shed`` and ``coalesced`` here as they
+    happen; the report fills in ``offered`` (``admitted + shed``), ``served``
+    (the tenant's latency samples) and the two quantiles.
+    """
 
     tenant: int
     offered: int = 0

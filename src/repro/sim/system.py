@@ -100,9 +100,9 @@ def build_backend(
             * ``dram`` -- insecure DRAM baseline;
             * ``oram`` -- baseline Path ORAM (unified recursion);
             * ``stat`` -- static super block scheme;
-            * ``dyn`` -- PrORAM (dynamic super blocks), plus the
-              Figure 6b variants ``dyn_sm_nb`` / ``dyn_am_nb`` /
-              ``dyn_am_ab`` and the strided extension ``dyn_strided``;
+            * ``dyn`` -- PrORAM (dynamic super blocks, Figure 6b's
+              ``am_ab``), plus the Figure 6b variants ``dyn_sm_nb`` /
+              ``dyn_am_nb`` and the strided extension ``dyn_strided``;
             * any of them suffixed ``_pre`` -- plus a traditional
               stream prefetcher (Figure 5);
             * any of the ORAM variants suffixed ``_intvl`` -- wrapped

@@ -23,12 +23,10 @@ TraceEntry = Tuple[int, int, int]
 class Trace:
     """A named memory trace plus the metadata the harness needs.
 
-    ``total_gap_cycles`` and ``write_fraction`` are maintained
-    incrementally: the serving loop and CLI reporting read them per batch,
-    and recomputing O(n) sums on every property read made those reads the
-    dominant cost on long traces.  Code that appends raw tuples straight to
-    :attr:`entries` (the generators' hot loops do) is still correct -- the
-    sums lazily absorb the suffix added since the last read.
+    ``total_gap_cycles`` and ``write_fraction`` are summed over
+    :attr:`entries` when read (the run banner and the examples read them
+    once), so code that appends raw tuples straight to :attr:`entries` --
+    the generators' hot loops do -- needs no bookkeeping.
     """
 
     name: str
@@ -38,9 +36,6 @@ class Trace:
     def __post_init__(self) -> None:
         if self.footprint_blocks < 1:
             raise ValueError("footprint must be at least one block")
-        self._gap_sum = 0
-        self._write_sum = 0
-        self._summed_len = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -54,24 +49,13 @@ class Trace:
                 f"address {addr} outside the declared footprint "
                 f"[0, {self.footprint_blocks})"
             )
-        write = 1 if is_write else 0
-        if self._summed_len == len(self.entries):
-            self._gap_sum += gap
-            self._write_sum += write
-            self._summed_len += 1
-        self.entries.append((gap, addr, write))
+        self.entries.append((gap, addr, 1 if is_write else 0))
 
     def extend(self, entries: Iterable[TraceEntry]) -> None:
-        """Append many entries atomically, validating each exactly once.
-
-        The batch is staged and summed in a single pass; a bad entry
-        raises before anything is appended, so a failed extend leaves the
-        trace untouched.
-        """
+        """Append many entries atomically, validating each exactly once:
+        a bad entry raises before anything is appended, so a failed extend
+        leaves the trace untouched."""
         footprint = self.footprint_blocks
-        synced = self._summed_len == len(self.entries)
-        gap_sum = 0
-        write_sum = 0
         staged: List[TraceEntry] = []
         for gap, addr, is_write in entries:
             if not 0 <= addr < footprint:
@@ -79,47 +63,19 @@ class Trace:
                     f"address {addr} outside the declared footprint "
                     f"[0, {footprint})"
                 )
-            write = 1 if is_write else 0
-            staged.append((gap, addr, write))
-            gap_sum += gap
-            write_sum += write
+            staged.append((gap, addr, 1 if is_write else 0))
         self.entries.extend(staged)
-        if synced:
-            self._gap_sum += gap_sum
-            self._write_sum += write_sum
-            self._summed_len += len(staged)
-
-    def _sync_sums(self) -> None:
-        """Absorb entries appended directly to :attr:`entries` (or a
-        wholesale ``entries`` replacement) into the running sums."""
-        n = len(self.entries)
-        if self._summed_len > n:
-            # entries were truncated or replaced: recompute from scratch
-            self._gap_sum = 0
-            self._write_sum = 0
-            self._summed_len = 0
-        if self._summed_len < n:
-            gap_sum = 0
-            write_sum = 0
-            for entry in self.entries[self._summed_len:]:
-                gap_sum += entry[0]
-                write_sum += entry[2]
-            self._gap_sum += gap_sum
-            self._write_sum += write_sum
-            self._summed_len = n
 
     # ------------------------------------------------------------ properties
     @property
     def total_gap_cycles(self) -> int:
-        self._sync_sums()
-        return self._gap_sum
+        return sum(entry[0] for entry in self.entries)
 
     @property
     def write_fraction(self) -> float:
         if not self.entries:
             return 0.0
-        self._sync_sums()
-        return self._write_sum / len(self.entries)
+        return sum(entry[2] for entry in self.entries) / len(self.entries)
 
     # ------------------------------------------------------------------- I/O
     def save(self, path: str) -> None:

@@ -118,5 +118,5 @@ class TestRunSchemesPolicyFactory:
             l1=CacheConfig(capacity_bytes=4 * 1024, associativity=4),
             llc=CacheConfig(capacity_bytes=8 * 1024, associativity=8),
         )
-        run_schemes(trace, ["dyn", "dyn_am_ab"], config=config, policy_factory=factory)
+        run_schemes(trace, ["dyn", "dyn_am_nb"], config=config, policy_factory=factory)
         assert len(created) == 2

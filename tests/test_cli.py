@@ -475,6 +475,22 @@ class TestOneErrorConvention:
             "chaos --shards 1 --ops 10",
             "chaos --layers bogus",
             "audit -w locality:50 --accesses 100 --window 0",
+            # each of these printed a traceback and exited 1 ...
+            "serve -s dyn --shards 0 --requests 20",
+            "parallel -w locality:80 -s dyn --parallel-workers 0 --accesses 100",
+            "parallel -w locality:80 -s dyn --batch 0 --accesses 100",
+            "run -w locality:80 -s dyn --shards 0 --accesses 100",
+            "run -w locality:80 -s dyn --warmup 1.5 --accesses 100",
+            "run -w locality:80 -s dyn --accesses 0",
+            "sweep z -w ocean_c -s dyn --accesses 0",
+            "run -w locality:150 -s dyn --accesses 100",
+            "trace -w locality:150 --accesses 100 -o /dev/null",
+            # ... and each of these ran, meaning something else
+            "serve -s dyn --gap -5 --requests 20",
+            "serve -s dyn --mode closed --think -1 --requests 20",
+            "serve -s dyn --write-frac 2 --requests 20",
+            "parallel -w locality:80 -s dyn --checkpoint-every -1 --accesses 100",
+            "parity --accesses -1",
         ],
     )
     def test_bad_value_exits_2_with_one_repro_line(self, argv, capsys):

@@ -196,7 +196,7 @@ def oracle_channel_reports(interconnect):
             "bus_free": gang.bus_free,
             "bank_free": {str(k): v for k, v in gang.bank_free.items()},
             "open_row": {str(k): v for k, v in gang.open_row.items()},
-            "requests": gang.requests,
+            "requests": gang.row_hits + gang.row_misses,  # one per array access
             "row_hits": gang.row_hits,
             "row_misses": gang.row_misses,
             "bytes_moved": paths * interconnect.offchip_levels * (whole + (index < spare)),
@@ -207,14 +207,24 @@ def oracle_channel_reports(interconnect):
     ]
 
 
+def oracle_treetop(interconnect):
+    """``(treetop_hits, treetop_bytes_saved)``: every charged path --
+    streamed or untracked -- skips the ``k`` pinned bucket-levels."""
+    hits = interconnect.treetop_levels * (
+        interconnect.streamed_paths + interconnect.untracked_paths
+    )
+    return hits, hits * interconnect.bucket_bytes
+
+
 def oracle_interconnect_summary(interconnect):
+    treetop_hits, treetop_bytes_saved = oracle_treetop(interconnect)
     if interconnect.model == "flat":
         return {
             "channels": 1,
             "streamed_paths": interconnect.streamed_paths,
             "untracked_paths": interconnect.untracked_paths,
-            "treetop_hits": interconnect.treetop_hits,
-            "treetop_bytes_saved": interconnect.treetop_bytes_saved,
+            "treetop_hits": treetop_hits,
+            "treetop_bytes_saved": treetop_bytes_saved,
         }
     reports = oracle_channel_reports(interconnect)
     streamed = interconnect.streamed_cycles_total
@@ -228,8 +238,8 @@ def oracle_interconnect_summary(interconnect):
         "bank_wait_cycles": sum(c["bank_wait_cycles"] for c in reports),
         "hidden_latency_cycles": interconnect.hidden_latency_cycles,
         "early_return_cycles": interconnect.early_return_cycles,
-        "treetop_hits": interconnect.treetop_hits,
-        "treetop_bytes_saved": interconnect.treetop_bytes_saved,
+        "treetop_hits": treetop_hits,
+        "treetop_bytes_saved": treetop_bytes_saved,
         "path_cycles": interconnect.path_cycles,
         "stream_efficiency": (
             interconnect.streamed_paths * interconnect.path_cycles / streamed
@@ -245,10 +255,9 @@ def oracle_interconnect_to_registry(interconnect, registry, prefix):
         registry.gauge(f"{prefix}.num_channels").set(interconnect.num_channels)
     registry.counter(f"{prefix}.streamed_paths").set(interconnect.streamed_paths)
     registry.counter(f"{prefix}.untracked_paths").set(interconnect.untracked_paths)
-    registry.counter(f"{prefix}.treetop_hits").set(interconnect.treetop_hits)
-    registry.counter(f"{prefix}.treetop_bytes_saved").set(
-        interconnect.treetop_bytes_saved
-    )
+    treetop_hits, treetop_bytes_saved = oracle_treetop(interconnect)
+    registry.counter(f"{prefix}.treetop_hits").set(treetop_hits)
+    registry.counter(f"{prefix}.treetop_bytes_saved").set(treetop_bytes_saved)
     if interconnect.model == "flat":
         return
     if interconnect.streamed_paths:
@@ -284,6 +293,7 @@ def oracle_interconnect_state(interconnect):
     if interconnect.model == "flat":
         return {}
     layout = interconnect.layout
+    treetop_hits, treetop_bytes_saved = oracle_treetop(interconnect)
     return {
         "geometry": {
             "layout": "striped",
@@ -300,8 +310,8 @@ def oracle_interconnect_state(interconnect):
         "last_completion": interconnect.last_completion,
         "hidden_latency_cycles": interconnect.hidden_latency_cycles,
         "early_return_cycles": interconnect.early_return_cycles,
-        "treetop_hits": interconnect.treetop_hits,
-        "treetop_bytes_saved": interconnect.treetop_bytes_saved,
+        "treetop_hits": treetop_hits,
+        "treetop_bytes_saved": treetop_bytes_saved,
         "channels": oracle_channel_reports(interconnect),
     }
 
@@ -489,7 +499,10 @@ def oracle_collect_system(system):
 
 
 def oracle_backend_section(backend):
-    """The parent's hand-written ``"backend"`` checkpoint section."""
+    """The parent's hand-written ``"backend"`` checkpoint section.  Its two
+    shadow counters read the primary ones they always equalled: a pipeline
+    request is one real path access, a PosMap block access one PosMap path
+    the backend counted."""
     hierarchy = backend.posmap_hierarchy
     injector = backend.injector
     return {
@@ -500,12 +513,12 @@ def oracle_backend_section(backend):
         },
         "posmap_hierarchy": {
             "lookups": hierarchy.lookups,
-            "posmap_block_accesses": hierarchy.posmap_block_accesses,
+            "posmap_block_accesses": backend.stats.posmap_accesses,
             "cache_hits": hierarchy.cache_hits,
         },
         "stash_max_occupancy": backend.oram.stash.max_occupancy,
         "phase_cycles": dict(backend.pipeline.phase_cycles),
-        "pipeline_requests": backend.pipeline.requests,
+        "pipeline_requests": backend.oram.real_accesses,
         "interconnect": oracle_interconnect_state(backend.interconnect),
         "injector": oracle_fault_stats(injector.stats) if injector is not None else None,
     }
@@ -631,10 +644,7 @@ def _components(backend):
             backend.oram.stash,
             lambda: {"max_occupancy": walk()["stash_max_occupancy"]},
         ),
-        "pipeline": (
-            backend.pipeline,
-            lambda: {"requests": walk()["pipeline_requests"]},
-        ),
+        "pipeline": (backend.pipeline, lambda: {}),  # counts nothing itself
         "interconnect": (backend.interconnect, lambda: walk()["interconnect"]),
     }
     if backend.injector is not None:
@@ -691,7 +701,7 @@ class TestCompleteness:
         assert walk["stats"]["demand_requests"] > 0
         assert walk["stats"]["prefetch_requests"] > 0
         assert walk["stats"]["write_accesses"] > 0
-        assert walk["posmap_hierarchy"]["posmap_block_accesses"] > 0
+        assert walk["stats"]["posmap_accesses"] > 0
         assert walk["oram"]["real_accesses"] > 0
         assert walk["interconnect"]["untracked_paths"] > 0
         if cell[1]:
@@ -819,12 +829,21 @@ def test_one_walk_reports_what_nine_enumerations_did(cell):
         assert walk["scheme_stats"] == old["scheme_stats"]
         assert walk["phase_cycles"] == old["phase_cycles"]
         assert walk["injector"] == old["injected"]
-        # ... and the checkpoint section is a superset of the hand-written
-        # one (which is what lets the parent read our documents)
+        # ... and the checkpoint section is the hand-written one less its
+        # two shadow counters, whose values the section still carries
         section = json.loads(dump_backend_state(shard))["backend"]
         for key, expected in oracle_backend_section(shard).items():
             if key == "interconnect":
                 assert {name: section[key][name] for name in expected} == expected
+            elif key == "pipeline_requests":
+                assert key not in section
+                assert section["oram"]["real_accesses"] == expected
+            elif key == "posmap_hierarchy":
+                assert "posmap_block_accesses" not in section[key]
+                assert {
+                    **section[key],
+                    "posmap_block_accesses": section["stats"]["posmap_accesses"],
+                } == expected
             else:
                 assert section[key] == expected
 
@@ -906,13 +925,12 @@ class TestCheckpointCompatibility:
             ("stats", "demand_requests"),
             ("stats", "forced_evictions"),
             ("scheme_stats", "merges"),
-            ("posmap_hierarchy", "posmap_block_accesses"),
+            ("posmap_hierarchy", "cache_hits"),
             ("phase_cycles", "path_read"),
             ("injector", "transients"),
             ("interconnect", "streamed_cycles_total"),
             (None, "busy_until"),
             (None, "stash_max_occupancy"),
-            (None, "pipeline_requests"),
             (None, "stats"),
         ],
     )
@@ -924,6 +942,22 @@ class TestCheckpointCompatibility:
             restore_backend_state(
                 build_controller("channel", 4, faults=True), json.dumps(document)
             )
+
+    def test_derived_values_are_not_restored(self):
+        """The treetop counts and each channel's requests are derived from
+        the paths and the row hits and misses: a document's copies -- here
+        tampered identically on every channel, so the lockstep check passes
+        -- are not read back."""
+        source, document = self._document()
+        saved = document["backend"]["interconnect"]
+        saved["treetop_hits"] += 1_000
+        saved["treetop_bytes_saved"] += 64_000
+        for channel in saved["channels"]:
+            channel["requests"] += 1_000
+        backend = build_controller("channel", 4, faults=True)
+        restore_backend_state(backend, json.dumps(document))
+        assert backend.interconnect.state_dict() == source.interconnect.state_dict()
+        assert backend.counters() == source.counters()
 
     @pytest.mark.parametrize("section, key", [("counters", "stash_soft_overflows")])
     def test_oram_counters_have_one_source_the_oram_document(self, section, key):
@@ -1219,13 +1253,18 @@ from repro.utils.rng import DeterministicRng  # noqa: E402
 from tests.test_serve_golden import SCENARIOS  # noqa: E402
 
 #: front-end integers that move but are event-loop state, not counts
-SERVE_SCRATCH = {"_unissued", "_event_seq", "_makespan", "_sum_latency"}
+SERVE_SCRATCH = {"_unissued", "_event_seq"}
 
 
 class TestServeWalk:
     def test_fifteen_counters_declared_once(self):
-        declared = ServingFrontEnd.TENANT_COUNTERS + ServingFrontEnd.COUNTERS
+        declared = ServingFrontEnd.REPORTED
         assert len(declared) == len(set(declared)) == 15
+        counted = ServingFrontEnd.TENANT_COUNTERS + ServingFrontEnd.COUNTERS
+        assert len(counted) == len(set(counted))
+        # offered = admitted + shed; served and batches are histogram totals
+        assert set(declared) - set(counted) == {"offered", "served", "batches"}
+        assert set(counted) <= set(declared)
         tenant_fields = {f.name for f in dataclasses.fields(TenantReport)}
         assert set(ServingFrontEnd.TENANT_COUNTERS) <= tenant_fields
         # every total the report prints is one of them
@@ -1247,7 +1286,14 @@ class TestServeWalk:
         for index, name in enumerate(ServingFrontEnd.COUNTERS):
             setattr(frontend, name, 7 + 3 * index)
             planted[name] = 7 + 3 * index
+        for value in (40, 900, 12):
+            frontend.latency_cycles.record(value)
+        frontend.batch_occupancy.record(2)
+        planted["offered"] = planted["admitted"] + planted["shed"]
+        planted["served"] = 3
+        planted["batches"] = 1
         assert frontend.counters() == planted
+        assert list(frontend.counters()) == list(ServingFrontEnd.REPORTED)
         dump = collect_serve(frontend).to_dict()
         for name, value in planted.items():
             assert dump[f"serve.{name}"] == {"kind": "counter", "value": value}
@@ -1284,10 +1330,7 @@ class TestServeWalk:
         for field in dataclasses.fields(ServeReport):
             if field.name in totals:
                 assert getattr(report, field.name) == totals[field.name]
-        declared = {
-            f"serve.{counter}"
-            for counter in ServingFrontEnd.TENANT_COUNTERS + ServingFrontEnd.COUNTERS
-        }
+        declared = {f"serve.{counter}" for counter in ServingFrontEnd.REPORTED}
         assert declared == {
             key for key, entry in dump.items()
             if key.startswith("serve.") and entry["kind"] == "counter"
@@ -1414,10 +1457,8 @@ class TestHealthWalk:
             }
         public = {name for name in moved if not name.startswith("_")}
         # ``events`` is the transition clock; quarantines / readmissions are
-        # reported by ``total_*`` and ``summary()``, never were registry names
-        assert public - {"events", "quarantines", "readmissions"} == set(
-            CircuitBreaker.COUNTERS
-        )
+        # counts over ``transitions``, read by ``total_*`` and ``summary()``
+        assert public - {"events"} == set(CircuitBreaker.COUNTERS)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_walk_reports_what_the_event_path_mirror_held(self, seed):
@@ -1499,6 +1540,8 @@ class TestParallelWalk:
         dump = collect_parallel(self.stub_runtime(workers)).to_dict()
         for index, name in enumerate(_Worker.COUNTERS):
             assert dump[f"parallel.worker1.{name}"] == {"kind": "counter", "value": 5 + index}
+        # one acknowledged batch per round trip
+        assert dump["parallel.worker1.batches"] == {"kind": "counter", "value": 1}
         assert dump["parallel.worker1.queue_depth"] == {"kind": "gauge", "value": 2}
         assert dump["parallel.worker1.batch_roundtrip_us"]["total"] == 1
         assert dump["parallel.num_workers"] == {"kind": "gauge", "value": 2}

@@ -84,7 +84,7 @@ class TestVariantMatrix:
     @pytest.mark.parametrize(
         "scheme",
         ["dram", "dram_pre", "oram", "oram_pre", "stat", "dyn",
-         "dyn_sm_nb", "dyn_am_nb", "dyn_am_ab", "oram_intvl", "dyn_intvl"],
+         "dyn_sm_nb", "dyn_am_nb", "dyn_pre", "oram_intvl", "dyn_intvl"],
     )
     def test_variant_completes(self, mini_config, scheme):
         trace = locality_mix_trace(

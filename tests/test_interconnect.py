@@ -323,11 +323,11 @@ class TestChannelSpeedup:
         assert fast_result.extra["interconnect_channels"] == 4
         assert fast_result.extra["interconnect_streamed_paths"] > 0
         # The layer's acceptance gate: >= 1.3x mean demand-path read
-        # latency (streamed path_read cycles per pipeline request) at 4
-        # channels over the flat model.  The cell is pinned so a
-        # simulated-cycle drift fails here with a number.
+        # latency (streamed path_read cycles per pipeline request, one per
+        # real path access) at 4 channels over the flat model.  The cell is
+        # pinned so a simulated-cycle drift fails here with a number.
         for system in (flat_system, fast_system):
-            assert system.backend.pipeline.requests == 2_956
+            assert system.backend.oram.real_accesses == 2_956
         flat_read = flat_result.extra["phase_path_read_cycles"]
         fast_read = fast_result.extra["phase_path_read_cycles"]
         assert (flat_read, fast_read) == (5_214_384, 1_231_490)

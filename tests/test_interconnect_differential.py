@@ -104,18 +104,23 @@ def offchip_plan(interconnect, leaf):
 
 
 class CountingChannel(ChannelState):
-    """A channel that counts what its bus carried event by event (the
-    production gang derives both from the path count)."""
+    """A channel that counts its array accesses and what its bus carried
+    event by event (the production gang derives the first from its row hits
+    and misses, the other two from the path count)."""
 
-    __slots__ = ("busy_cycles", "bytes_moved")
+    __slots__ = ("requests", "busy_cycles", "bytes_moved")
 
     def __init__(self):
         super().__init__()
-        self.busy_cycles = self.bytes_moved = 0
+        self.requests = self.busy_cycles = self.bytes_moved = 0
 
     def state_dict(self):
         state = super().state_dict()
-        state.update(busy_cycles=self.busy_cycles, bytes_moved=self.bytes_moved)
+        state.update(
+            requests=self.requests,
+            busy_cycles=self.busy_cycles,
+            bytes_moved=self.bytes_moved,
+        )
         return state
 
 
@@ -188,8 +193,6 @@ class ReferenceInterconnect(ChannelInterconnect):
         self.early_return_cycles += completion - read_done
         self.streamed_paths += 1
         self.streamed_cycles_total += completion - start
-        self.treetop_hits += self.treetop_levels
-        self.treetop_bytes_saved += self.treetop_levels * self.bucket_bytes
         if completion > self.last_completion:
             self.last_completion = completion
         return completion
@@ -477,7 +480,7 @@ class TestEveryChargedPathReachesTheInterconnect:
         charged = stats.memory_accesses + stats.dummy_accesses
         assert periodic is False or stats.dummy_accesses > 0
         assert interconnect.streamed_paths + interconnect.untracked_paths == charged
-        assert interconnect.treetop_hits == k * charged
+        assert interconnect.state_dict()["treetop_hits"] == k * charged
         if model == "channel":
             reports = interconnect.state_dict()["channels"]
             assert sum(r["bytes_moved"] for r in reports) == (

@@ -320,7 +320,8 @@ class TestEveryPathIsCountedOnce:
                     untracked += evictions + extra
             assert interconnect.streamed_paths == streamed
             assert interconnect.untracked_paths == untracked
-            assert interconnect.treetop_hits == geometry["k"] * (streamed + untracked)
+            treetop_hits = interconnect.state_dict()["treetop_hits"]
+            assert treetop_hits == geometry["k"] * (streamed + untracked)
             if interconnect.model == "channel":
                 reports = interconnect.state_dict()["channels"]
                 assert sum(r["bytes_moved"] for r in reports) == (

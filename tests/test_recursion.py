@@ -30,7 +30,7 @@ class TestWalk:
     def test_single_hierarchy_never_walks(self):
         h = make_hierarchy(hierarchies=1)
         assert h.lookup(123) == 0
-        assert h.posmap_block_accesses == 0
+        assert h.cached_keys() == []  # no PosMap block was brought on chip
 
     def test_rejects_zero_hierarchies(self):
         with pytest.raises(ValueError):
@@ -64,14 +64,13 @@ class TestCache:
 class TestStats:
     def test_hit_rate_and_average(self):
         h = make_hierarchy()
-        h.lookup(0)          # 3 extra
-        h.lookup(1)          # 0 extra
+        extras = [h.lookup(0), h.lookup(1)]
+        assert extras == [3, 0]
         assert h.lookups == 2
-        assert h.posmap_block_accesses == 3
         assert h.hit_rate() == pytest.approx(0.5)
-        assert h.average_extra_accesses() == pytest.approx(1.5)
+        assert sum(extras) / h.lookups == pytest.approx(1.5)
 
     def test_empty_stats(self):
         h = make_hierarchy()
         assert h.hit_rate() == 0.0
-        assert h.average_extra_accesses() == 0.0
+        assert h.lookups == h.cache_hits == 0

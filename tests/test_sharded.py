@@ -324,7 +324,7 @@ class TestPosmapRateRegression:
     def test_fresh_hierarchy_rates_are_zero(self):
         backend = SecureSystem.build("dyn", footprint_blocks=FOOTPRINT).backend
         assert backend.posmap_hierarchy.hit_rate() == 0.0
-        assert backend.posmap_hierarchy.average_extra_accesses() == 0.0
+        assert backend.stats.posmap_accesses == 0
 
     def test_fresh_bank_aggregate_rate_is_zero(self):
         """A bank that never saw a lookup folds to 0.0, not a

@@ -36,7 +36,7 @@ class TestBuild:
     def test_all_scheme_labels_build(self):
         for label in ["dram", "dram_pre", "stat_pre", "oram", "oram_pre",
                       "dyn_pre", "stat", "dyn",
-                      "dyn_sm_nb", "dyn_am_nb", "dyn_am_ab", "dyn_strided",
+                      "dyn_sm_nb", "dyn_am_nb", "dyn_strided",
                       "oram_intvl", "stat_intvl", "dyn_intvl"]:
             system = SecureSystem.build(label, footprint_blocks=256, config=small_config())
             assert system.label == label

@@ -42,7 +42,8 @@ class TestTrace:
 
 
 class TestIncrementalSums:
-    """total_gap_cycles / write_fraction stay O(1) yet always correct."""
+    """total_gap_cycles / write_fraction are always correct, however the
+    entries got there."""
 
     @staticmethod
     def recomputed(trace):
@@ -75,8 +76,8 @@ class TestIncrementalSums:
         assert trace.total_gap_cycles == 0
 
     def test_direct_entries_append_lazily_absorbed(self):
-        # Generators push raw tuples straight onto trace.entries; the
-        # cached sums must absorb that suffix on the next property read.
+        # Generators push raw tuples straight onto trace.entries; the next
+        # property read must count them.
         trace = Trace("t", footprint_blocks=16)
         trace.append(5, 1)
         assert trace.total_gap_cycles == 5

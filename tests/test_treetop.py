@@ -258,7 +258,7 @@ class TestTruncatedTiming:
             )
             system = SecureSystem.build("dyn", trace.footprint_blocks, config)
             result = system.run(trace)
-            assert system.backend.pipeline.requests == 1_982
+            assert system.backend.oram.real_accesses == 1_982
             path_read[k] = result.extra["phase_path_read_cycles"]
         assert path_read == {0: 1_982 * 1_152, 4: 1_982 * 896}
         # 1152.0 -> 896.0 = 1.286x, between the floor and B(0) / B(4)
