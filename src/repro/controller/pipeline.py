@@ -95,7 +95,6 @@ class AccessPipeline:
         evictions = oram.drain_stash()
         if backend.stash_soft_limit is not None:
             evictions += backend.relieve_stash()
-        stats.dummy_accesses += evictions
         extra = backend.posmap_hierarchy.lookup(addr)
         stats.posmap_accesses += extra
 
@@ -149,7 +148,6 @@ class AccessPipeline:
         phase_cycles["writeback"] += evict_cycles
         phase_cycles["fault"] += fault_delay
         backend.busy_until = completion
-        stats.memory_accesses += extra + 1
         stats.busy_cycles += latency
         policy = scheme.listener
         if policy is not None:

@@ -76,6 +76,8 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         if not is_power_of_two(max_sbsize):
             raise ValueError("max super block size must be a power of two")
         self.max_sbsize = max_sbsize
+        #: merges, breaks and remaps stay inside the largest super block
+        self.membership_span = max_sbsize
         self.policy = policy if policy is not None else StaticThresholdPolicy()
         self.listener = self.policy
         self.break_enabled = break_enabled

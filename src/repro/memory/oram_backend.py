@@ -47,9 +47,9 @@ from repro.faults.resilient import (
     refuse_endless_retries,
     stash_soft_limit,
 )
-from repro.memory.backend import DemandResult, MemoryBackend
+from repro.memory.backend import BackendStats, DemandResult, MemoryBackend
 from repro.memory.interconnect import build_interconnect
-from repro.oram.checkpoint import checked_counters, load_counters
+from repro.oram.checkpoint import CheckpointError, checked_counters, load_counters
 from repro.oram.recursion import PosMapHierarchy
 from repro.oram.super_block import SuperBlockScheme
 
@@ -57,6 +57,43 @@ from repro.oram.super_block import SuperBlockScheme
 def _field_names(stats) -> List[str]:
     """The counters a stats dataclass declares: its fields."""
     return [f.name for f in fields(stats)]
+
+
+class ControllerStats(BackendStats):
+    """An ORAM controller's :class:`BackendStats`, which counts each fact
+    once: two of its totals are derived from counters other parts hold.
+    The others start at their dataclass defaults (class attributes, 0)
+    and become instance attributes when first counted.
+
+    ``dummy_accesses`` is the ORAM's own dummy count (background, forced
+    and periodic evictions and health padding alike).  ``memory_accesses``
+    -- the path accesses that are not evictions -- is the PosMap walks'
+    paths plus the ORAM's real accesses plus the health plane's padding
+    dummies (``ORAMBackend.padding_accesses``, the one part no other counter
+    holds; a padding path counts in both totals, as it always did).  Both
+    stay fields, so every walk of the fields reports them; neither is
+    assigned, so nothing on the access path keeps them.
+    """
+
+    #: the fields derived here rather than counted
+    DERIVED = ("memory_accesses", "dummy_accesses")
+
+    def __init__(self, backend: "ORAMBackend") -> None:
+        self._backend = backend
+
+    # (``ORAMBackend.counters`` sums the same two totals inline.)
+    @property
+    def memory_accesses(self) -> int:
+        backend = self._backend
+        return (
+            self.posmap_accesses
+            + backend.oram.real_accesses
+            + backend.padding_accesses
+        )
+
+    @property
+    def dummy_accesses(self) -> int:
+        return self._backend.oram.dummy_accesses
 
 
 class ORAMBackend(MemoryBackend):
@@ -98,6 +135,9 @@ class ORAMBackend(MemoryBackend):
         if fault_injector is not None:
             refuse_endless_retries(fault_injector.config)
         super().__init__()
+        self.stats = ControllerStats(self)
+        #: health-plane padding dummies (:meth:`dummy_path_access`)
+        self.padding_accesses = 0
         self.oram = oram
         self.config = config = oram.config
         #: pluggable memory interconnect: the flat default is the paper's
@@ -189,10 +229,29 @@ class ORAMBackend(MemoryBackend):
         the retry/degradation ladder is wired at all; ``injector`` is the
         fault injector's own counters, ``None`` without one.
         """
-        walk: dict = {"busy_until": self.busy_until}
+        oram = self.oram
+        stats = self.stats
+        walk: dict = {
+            "busy_until": self.busy_until,
+            "padding_accesses": self.padding_accesses,
+        }
         for section, part, names in self._counted():
-            walk[section] = {name: getattr(part, name) for name in names}
-        walk["stash_max_occupancy"] = self.oram.stash.max_occupancy
+            if part is stats:
+                # ControllerStats' two derived totals, summed here rather
+                # than through its properties (no frame per walk)
+                derived = {
+                    "memory_accesses": stats.posmap_accesses
+                    + oram.real_accesses
+                    + self.padding_accesses,
+                    "dummy_accesses": oram.dummy_accesses,
+                }
+                walk[section] = {
+                    name: derived[name] if name in derived else getattr(stats, name)
+                    for name in names
+                }
+            else:
+                walk[section] = {name: getattr(part, name) for name in names}
+        walk["stash_max_occupancy"] = oram.stash.max_occupancy
         walk["phase_cycles"] = dict(self.pipeline.phase_cycles)
         walk["interconnect"] = self.interconnect.state_dict()
         walk["fault_model"] = self.injector is not None
@@ -224,9 +283,32 @@ class ORAMBackend(MemoryBackend):
         phases = checked_counters(
             pipeline.phase_cycles, saved["phase_cycles"], "phase_cycles"
         )
+        stats = checked_counters(
+            ("memory_accesses", "posmap_accesses"), saved["stats"], "stats"
+        )
+        if "padding_accesses" in saved:
+            padding = checked_counters(("padding_accesses",), saved, "backend")[
+                "padding_accesses"
+            ]
+        else:
+            # Written before padding was counted apart: it is the part of
+            # the stored memory_accesses the other counters do not hold.
+            padding = (
+                stats["memory_accesses"]
+                - stats["posmap_accesses"]
+                - self.oram.real_accesses
+            )
+        if padding < 0:
+            raise CheckpointError(
+                f"backend: {padding} padding accesses (memory_accesses is "
+                "below the PosMap and real path accesses)"
+            )
         for section, owner, names in self._counted():
+            if section == "stats":
+                names = [n for n in names if n not in ControllerStats.DERIVED]
             if section != "oram":  # the ORAM document's
                 load_counters(owner, names, saved[section], section)
+        self.padding_accesses = padding
         self.busy_until = pipeline.last_request_cycle = top["busy_until"]
         self.oram.stash.max_occupancy = top["stash_max_occupancy"]
         pipeline.phase_cycles.update(phases)
@@ -293,8 +375,7 @@ class ORAMBackend(MemoryBackend):
         completion cycle.
         """
         self.oram.dummy_access(kind="padding")
-        self.stats.dummy_accesses += 1
-        self.stats.memory_accesses += 1
+        self.padding_accesses += 1
         # Padding must look identical to every other dummy: a train of one
         # eviction, charged by the interconnect's rule for untracked paths
         # and never streamed through the leaf-aware scheduler (its leaf is

@@ -87,7 +87,6 @@ class PeriodicORAMBackend(ORAMBackend):
         else:
             # Identical no-op path read/write; charge and count only.
             self.oram.dummy_accesses += 1
-        self.stats.dummy_accesses += 1
         self.interconnect.note_slot_dummy(self._next_slot)
         recorder = self.recorder
         if recorder is not None:

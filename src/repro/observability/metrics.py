@@ -24,8 +24,12 @@ name, which keeps exports deterministic for a fixed run.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 Number = Union[int, float]
 
@@ -101,6 +105,49 @@ class CycleHistogram:
         self.counts[index] += 1
         self.total += 1
         self.sum += value
+
+    def fold(
+        self,
+        samples: Sequence[int],
+        lo: int = 0,
+        hi: Optional[int] = None,
+        base: int = 0,
+    ) -> None:
+        """Add ``samples[lo:hi]``, each less ``base``, as :meth:`record`
+        one sample at a time would.
+
+        The run must be sorted ascending: a bucket's count is then the
+        distance between two bisections, so a fold makes O(buckets) calls
+        however many samples it adds.  ``base`` lets a caller pack a key
+        above the value (``(key << shift) + value``) and fold one key's
+        slice of a single sorted list.
+        """
+        if hi is None:
+            hi = len(samples)
+        if lo >= hi:
+            return
+        if samples[lo] < base:
+            raise ValueError("cycle samples are non-negative")
+        counts = self.counts
+        top = self.NUM_BUCKETS - 1
+        start = lo
+        for index in range(top):
+            if start == hi:
+                break
+            end = bisect_right(samples, base + (1 << index), start, hi)
+            counts[index] += end - start
+            start = end
+        counts[top] += hi - start
+        self.total += hi - lo
+        self.sum += sum(islice(samples, lo, hi)) - base * (hi - lo)
+
+    def merge(self, other: "CycleHistogram") -> None:
+        """Add every sample *other* holds."""
+        counts = self.counts
+        for index, count in enumerate(other.counts):
+            counts[index] += count
+        self.total += other.total
+        self.sum += other.sum
 
     @property
     def mean(self) -> float:

@@ -146,6 +146,13 @@ class SuperBlockScheme(ABC):
 
     name: str = "abstract"
 
+    #: How far one access can move super-block membership: only among the
+    #: addresses of the accessed block's aligned group of this many blocks
+    #: (its remap, a merge, a break or a leaf collision stays inside it).
+    #: 0 -- membership is fixed once :meth:`initialize` ran; ``None`` -- no
+    #: aligned bound (an access may move any address's membership).
+    membership_span: Optional[int] = None
+
     def __init__(self) -> None:
         self.stats = SchemeStats()
         self._oram: Optional[PathORAM] = None
@@ -229,6 +236,7 @@ class BaselineScheme(SuperBlockScheme):
     """Plain Path ORAM: every access fetches exactly the demand block."""
 
     name = "oram"
+    membership_span = 0
 
     def members_for(self, addr: int) -> List[int]:
         return [addr]
@@ -250,6 +258,7 @@ class StaticSuperBlockScheme(SuperBlockScheme):
     """
 
     name = "stat"
+    membership_span = 0
 
     def __init__(self, sbsize: int):
         super().__init__()

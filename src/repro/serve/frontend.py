@@ -35,22 +35,29 @@ the identical SimResult -- the replay contract that pins the front end to
 the raw bank, with every policy on.
 
 Cost of an event: the front end is bookkeeping in front of the scarce
-resource (the ORAM path access), so no event re-scans the open batches
-and no per-request helper frame does what bytecode can do inline.
-The state each decision reads is maintained where it changes --
-``_unissued`` (the backlog), ``_close_at`` (per-shard deadline close),
-``_sizes`` / ``_quotas`` (per-shard open-batch size and batch quota),
-``_keys`` (coalesce-key memo), ``queues.queued`` and a request's ``shard``
-stamp -- under the invariants of DESIGN.md section 12, which
+resource (the ORAM path access), so no event re-scans the open batches or
+the shards, and no per-request helper frame does what bytecode can do
+inline.  The state each decision reads is maintained where it changes --
+``_unissued`` (the backlog), ``_close_at`` (per-shard deadline close) and
+the ``_closes`` heap of free shards' closes, ``_sizes`` / ``_quotas``
+(per-shard open-batch size and batch quota), ``_ready`` (the shards whose
+issue condition may have turned true), ``_keys`` (coalesce-key memo),
+``_shedding`` (stash watermark), the source's ``next_arrival_cycle`` /
+``exhausted``, ``queues.queued`` and a request's ``shard`` stamp -- under
+the invariants of DESIGN.md section 12, which
 ``tests/test_serve_incremental.py`` checks against the scan-based
 definitions after every event.  A placement is inline in :meth:`_pump`;
-the fair pick stays in :meth:`TenantQueues.pop_where`, which is handed no
-predicate while every shard's batch has room (every head is placeable).
+the fair pick stays in :meth:`TenantQueues.pop_where`, which calls the
+:meth:`_placeable` predicate only for a head whose shard's batch is full.
+The distributions are not recorded per request: a request carries its
+arrival, issue and completion cycles, and :meth:`_finish` folds them into
+the histograms once per run.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from dataclasses import fields
 from typing import Deque, Dict, List, Optional, Tuple
@@ -101,11 +108,14 @@ class ServingFrontEnd:
 
     Counting: every event is a bare-attribute increment where it happens --
     per tenant in a :class:`TenantReport`, front-end wide in the
-    :attr:`COUNTERS` attributes -- and the three :class:`CycleHistogram`
-    attributes record on the event path.  :meth:`counters` is the one walk
-    over them; the report and ``collect_serve`` both read it.  A fact is
-    counted once: what follows from other counts (offered, served,
-    batches, the latency sum, the makespan) is derived where it is read.
+    :attr:`COUNTERS` attributes.  Of the :class:`CycleHistogram`
+    attributes only the batch occupancy records on the event path (once
+    per batch); latency, per-tenant latency and queue wait are folded from
+    the requests' cycle stamps when the run ends, so they are complete
+    once :meth:`run` returns.  :meth:`counters` is the one walk over them;
+    the report and ``collect_serve`` both read it.  A fact is counted once:
+    what follows from other counts (offered, served, batches, the latency
+    sum, the makespan) is derived where it is read.
     """
 
     #: per-tenant counts (``TenantReport`` fields), summed by the walk
@@ -161,14 +171,33 @@ class ServingFrontEnd:
         #: deadline-close cycle of each shard's open batch (min over its
         #: member requests); ``None`` iff the batch is empty
         self._close_at: List[Optional[int]] = [None] * num_shards
+        #: ``(close cycle, shard)`` heap holding every free shard's open
+        #: batch close; an entry whose shard's close moved on, or whose
+        #: shard is busy, is stale and dropped when it surfaces
+        self._closes: List[Tuple[int, int]] = []
+        #: bitmask of the shards whose issue condition may have turned true
+        #: since the pump last looked (completion, fallback admission,
+        #: placement, a close falling due); the pump examines only these
+        self._ready = 0
+        #: requests left queued when the pump last reached its fixpoint:
+        #: heads it could not place, which stay unplaceable until a push
+        #: or a mark
+        self._settled = 0
         #: batch quota per shard, valid between two accesses on the shard
         self._quotas: List[int] = []
         #: a throttled shard's quota: half the batch size, at least 1
         self._throttled_quota = max(1, self.config.batch_size // 2)
-        #: each shard's stash, read by the pressure watermark at admission
+        #: each shard's stash, read by the pressure watermark
         self._stashes = [shard.oram.stash for shard in bank.shards]
-        #: addr -> coalesce key, valid between two ORAM accesses
+        #: per shard: is the stash at the shedding watermark?  A stash moves
+        #: only inside an access, so this is re-read after each one
+        self._shedding: List[bool] = []
+        #: addr -> coalesce key, valid until an access on the key's shard
+        #: moves its aligned group (see ``_spans``)
         self._keys: Dict[int, Tuple[int, int]] = {}
+        #: per shard, the scheme's ``membership_span``: the memo entries an
+        #: access invalidates (0 none, None all)
+        self._spans: List[Optional[int]] = []
         self._comp_heap: List[Tuple[int, int, _Access]] = []
         self._event_seq = 0
         #: (addr, issue_cycle, is_write) in issue order -- replayable
@@ -215,7 +244,13 @@ class ServingFrontEnd:
             CycleHistogram(f"serve.tenant{t}.latency_cycles")
             for t in range(source.num_tenants)
         ]
-        self._quotas = [self._quota(s) for s in range(self.bank.num_shards)]
+        shards = range(self.bank.num_shards)
+        self._quotas = [self._quota(s) for s in shards]
+        self._shedding = [self._at_watermark(s) for s in shards]
+        self._spans = [
+            shard.scheme.membership_span if self.config.coalesce else 0
+            for shard in self.bank.shards
+        ]
         self._serve_loop(source)
         return self._finish()
 
@@ -223,27 +258,34 @@ class ServingFrontEnd:
     def _serve_loop(self, source: LoadSource) -> None:
         now = 0
         heap = self._comp_heap
+        closes = self._closes
         close_at = self._close_at
         outstanding = self._outstanding
         feedback = source.feedback
         while True:
-            arrival = wake = source.next_arrival_cycle()
+            arrival = wake = source.next_arrival_cycle
             if heap and (wake is None or heap[0][0] < wake):
                 wake = heap[0][0]
-            # The earliest deadline close among shards free to issue.
-            for shard, close in enumerate(close_at):
-                if (
-                    close is not None
-                    and not outstanding[shard]
-                    and (wake is None or close < wake)
-                ):
-                    wake = close
+            # The earliest deadline close among shards free to issue: the
+            # first live entry of the close heap.
+            while closes:
+                close, shard = closes[0]
+                if close == close_at[shard] and not outstanding[shard]:
+                    if wake is None or close < wake:
+                        wake = close
+                    break
+                heapq.heappop(closes)
             if wake is None:
                 break
             if wake > now:
                 now = wake
             while heap and heap[0][0] <= now:
                 self._complete(heapq.heappop(heap)[2], source)
+            # A close falling due marks its shard for the pump.
+            while closes and closes[0][0] <= now:
+                close, shard = heapq.heappop(closes)
+                if close == close_at[shard] and not outstanding[shard]:
+                    self._ready |= 1 << shard
             # Without feedback, completions schedule nothing: arrivals are
             # due only if the one peeked above is.
             if feedback or (arrival is not None and arrival <= now):
@@ -265,11 +307,9 @@ class ServingFrontEnd:
                 return
             request.rerouted = True
             lane.append(request)
+            self._ready |= 1 << shard
             self.rerouted += 1
-        elif config.stash_shed_fraction > 0.0 and (
-            len(self._stashes[shard].blocks) / self._stashes[shard].capacity
-            >= config.stash_shed_fraction
-        ):
+        elif self._shedding[shard]:
             self.shed_pressure += 1
             self._shed(request, source, now)
             return
@@ -291,6 +331,12 @@ class ServingFrontEnd:
         if source.feedback:
             source.on_shed(request, now)
 
+    def _at_watermark(self, shard: int) -> bool:
+        """Is the shard's stash at or above the shedding watermark?"""
+        fraction = self.config.stash_shed_fraction
+        stash = self._stashes[shard]
+        return fraction > 0.0 and len(stash.blocks) / stash.capacity >= fraction
+
     # ----------------------------------------------------- batching/coalescing
     def _quota(self, shard: int) -> int:
         """The batch quota; half of it (at least 1) for a throttled shard."""
@@ -299,11 +345,9 @@ class ServingFrontEnd:
         return self.config.batch_size
 
     def _placeable(self, request: Request) -> bool:
-        """Can *request* be placed now: its shard's batch has room, or it
-        coalesces onto an open group (or, a read, onto an in-flight one)?"""
-        shard = request.shard
-        if self._sizes[shard] < self._quotas[shard]:
-            return True
+        """Can *request*, whose shard's batch is full, still be placed: does
+        it coalesce onto an open group (or, a read, onto an in-flight one)?
+        :meth:`TenantQueues.pop_where` asks only about such heads."""
         if self.config.coalesce:
             addr = request.addr
             keys = self._keys
@@ -321,9 +365,19 @@ class ServingFrontEnd:
         """Fill batches from the fair queues and issue every ready one.
 
         Runs to a fixpoint: closing a batch frees quota, which may make
-        more queued requests placeable, which may fill another batch.
+        more queued requests placeable, which may fill another batch.  Only
+        the shards marked in ``_ready`` or placed into are examined, in
+        shard order (the order a scan of every shard would issue them in).
         """
         queues = self.queues
+        ready = self._ready
+        if not ready and queues.queued == self._settled and not source.exhausted:
+            # Nothing was marked or queued since the last fixpoint, and a
+            # completion only frees a shard (which marks it) or retires an
+            # in-flight group (which places nothing): no head can be placed
+            # and no batch issued.
+            return
+        self._ready = 0
         coalesce = self.config.coalesce
         fraction = self.config.deadline_close_fraction
         keys = self._keys
@@ -334,66 +388,68 @@ class ServingFrontEnd:
         sizes = self._sizes
         quotas = self._quotas
         close_at = self._close_at
+        closes = self._closes
         outstanding = self._outstanding
         fallback = self._fallback
-        shards = range(self.bank.num_shards)
+        placeable = self._placeable
         while True:
             progress = False
-            if queues.queued:
-                # While every shard's batch has room every head is
-                # placeable: pick without a predicate until one fills up.
-                eligible = None
-                for shard in shards:
-                    if sizes[shard] >= quotas[shard]:
-                        eligible = self._placeable
-                        break
-                while queues.queued:
-                    request = queues.pop_where(eligible)
-                    if request is None:
-                        break
-                    progress = True
-                    shard = request.shard
-                    key = None
-                    grouped = False
-                    if coalesce:
-                        addr = request.addr
-                        if addr in keys:
-                            key = keys[addr]
-                        else:
-                            key = keys[addr] = coalesce_key(addr)
-                        if key in open_groups:
-                            access = open_groups[key]
-                            access.requests.append(request)
-                            access.is_write = access.is_write or request.is_write
-                            request.coalesced = True
-                            self._tenant_counts[request.tenant].coalesced += 1
-                            grouped = True
-                        elif key in inflight_groups and not request.is_write:
-                            # MSHR-style: the super block is already on its
-                            # way; ride the pending access and share its
-                            # completion.
-                            inflight_groups[key].requests.append(request)
-                            self._unissued -= 1
-                            request.coalesced = True
-                            self._tenant_counts[request.tenant].coalesced += 1
-                            continue
-                    if not grouped:
-                        access = _Access(request, key)
-                        open_batches[shard].append(access)
-                        if key is not None:
-                            open_groups[key] = access
-                        sizes[shard] += 1
-                        if sizes[shard] >= quotas[shard]:
-                            eligible = self._placeable
-                    # The request joined the shard's open batch: fold its
-                    # close cycle in.
-                    close = request.arrival_cycle + int(
-                        request.deadline_cycles * fraction
-                    )
-                    if close_at[shard] is None or close < close_at[shard]:
-                        close_at[shard] = close
-            for shard in shards:
-                if outstanding[shard]:
+            while queues.queued:
+                request = queues.pop_where(placeable, sizes, quotas)
+                if request is None:
+                    break
+                progress = True
+                shard = request.shard
+                key = None
+                grouped = False
+                if coalesce:
+                    addr = request.addr
+                    if addr in keys:
+                        key = keys[addr]
+                    else:
+                        key = keys[addr] = coalesce_key(addr)
+                    if key in open_groups:
+                        access = open_groups[key]
+                        access.requests.append(request)
+                        access.is_write = access.is_write or request.is_write
+                        request.coalesced = True
+                        self._tenant_counts[request.tenant].coalesced += 1
+                        grouped = True
+                    elif key in inflight_groups and not request.is_write:
+                        # MSHR-style: the super block is already on its
+                        # way; ride the pending access and share its
+                        # completion.
+                        inflight_groups[key].requests.append(request)
+                        self._unissued -= 1
+                        request.coalesced = True
+                        self._tenant_counts[request.tenant].coalesced += 1
+                        continue
+                if not grouped:
+                    access = _Access(request, key)
+                    open_batches[shard].append(access)
+                    if key is not None:
+                        open_groups[key] = access
+                    sizes[shard] += 1
+                # The request joined the shard's open batch: fold its
+                # close cycle in, and look at the shard this round.
+                close = request.arrival_cycle + int(
+                    request.deadline_cycles * fraction
+                )
+                if close_at[shard] is None or close < close_at[shard]:
+                    close_at[shard] = close
+                    if not outstanding[shard]:
+                        heapq.heappush(closes, (close, shard))
+                ready |= 1 << shard
+            # Once nothing is queued or will arrive, every open batch drains.
+            draining = not queues.queued and source.exhausted
+            if draining:
+                ready = (1 << len(sizes)) - 1
+            shard = -1
+            while ready:
+                shard += 1
+                marked = ready & 1
+                ready >>= 1
+                if not marked or outstanding[shard]:
                     continue
                 if fallback[shard]:
                     self._issue_fallback(shard, now)
@@ -405,7 +461,7 @@ class ServingFrontEnd:
                     self.full_closes += 1
                 elif now >= close_at[shard]:
                     self.deadline_closes += 1
-                elif not queues.queued and source.exhausted:
+                elif draining:
                     self.drain_closes += 1
                 else:
                     continue
@@ -413,13 +469,33 @@ class ServingFrontEnd:
                 progress = True
             if not progress:
                 break
+        self._settled = queues.queued
 
     # ---------------------------------------------------------------- issuing
     def _issue_one(self, access: _Access, shard: int, now: int) -> None:
-        result = self.bank.demand_access(access.addr, now, access.is_write)
-        # The only place super-block membership and the shard's breaker
-        # move during a run: drop the key memo, re-read the shard's quota.
-        self._keys.clear()
+        addr = access.addr
+        result = self.bank.demand_access(addr, now, access.is_write)
+        # The only place super-block membership, the stash and the shard's
+        # breaker move during a run.  An access moves membership only
+        # inside its aligned group of ``span`` blocks on the shard: drop
+        # those memo entries (every entry for a scheme with no aligned
+        # bound), re-read the stash watermark and the shard's quota.
+        keys = self._keys
+        span = self._spans[shard]
+        if span is None:
+            keys.clear()
+        elif span:
+            stride = self.bank.num_shards
+            member = ((addr // stride) & ~(span - 1)) * stride + shard
+            end = member + span * stride
+            while member < end:
+                if member in keys:
+                    del keys[member]
+                member += stride
+        fraction = self.config.stash_shed_fraction
+        if fraction > 0.0:  # _at_watermark, inline
+            stash = self._stashes[shard]
+            self._shedding[shard] = len(stash.blocks) / stash.capacity >= fraction
         if self.health is not None:
             self._quotas[shard] = (
                 self._throttled_quota
@@ -428,17 +504,21 @@ class ServingFrontEnd:
             )
         access.shard = shard
         completion = access.completion_cycle = result.completion_cycle
-        self.issued.append((access.addr, now, access.is_write))
+        self.issued.append((addr, now, access.is_write))
         self.access_completions.append(completion)
         self._outstanding[shard] += 1
-        self._unissued -= len(access.requests)
+        unissued = self._unissued
+        for request in access.requests:
+            request.issue_cycle = now
+            unissued -= 1
+        self._unissued = unissued
         if self.config.coalesce:
-            key = self._keys[access.addr] = self.bank.coalesce_key(access.addr)
+            if addr in keys:
+                key = keys[addr]
+            else:
+                key = keys[addr] = self.bank.coalesce_key(addr)
             access.inflight_key = key
             self._inflight_groups[key] = access
-        record_wait = self.queue_wait_cycles.record
-        for request in access.requests:
-            record_wait(now - request.arrival_cycle)
         heapq.heappush(self._comp_heap, (completion, self._event_seq, access))
         self._event_seq += 1
 
@@ -460,24 +540,27 @@ class ServingFrontEnd:
                 del open_groups[access.key]
         # Super-block membership may have shifted (merges/breaks) since the
         # group formed; requests no longer riding the leader's super block
-        # get their own access so nobody is "served" by a path that never
-        # touched their block.
-        final: List[_Access] = []
+        # get their own access, issued right after it, so nobody is
+        # "served" by a path that never touched their block.
+        final = batch  # copied only once a member has drifted
         stride = self.bank.num_shards
         scheme = self.bank.shards[shard].scheme
-        for access in batch:
-            final.append(access)
-            if len(access.requests) <= 1:
-                continue
+        for index, access in enumerate(batch):
+            if final is not batch:
+                final.append(access)
+            requests = access.requests
+            if requests[-1] is requests[0]:
+                continue  # a lone request cannot drift
             members = set(scheme.members_for(access.addr // stride))
-            keep = [access.requests[0]]
-            for request in access.requests[1:]:
+            keep = [requests[0]]
+            for request in requests[1:]:
                 if request.addr // stride in members:
                     keep.append(request)
                 else:
-                    split = _Access(request, None)
-                    final.append(split)
-            if len(keep) != len(access.requests):
+                    if final is batch:
+                        final = batch[: index + 1]
+                    final.append(_Access(request, None))
+            if len(keep) != len(requests):
                 access.requests = keep
                 access.is_write = any(r.is_write for r in keep)
         self.batch_occupancy.record(len(final))
@@ -487,7 +570,15 @@ class ServingFrontEnd:
     # ------------------------------------------------------------- completion
     def _complete(self, access: _Access, source: LoadSource) -> None:
         shard = access.shard
-        self._outstanding[shard] -= 1
+        outstanding = self._outstanding
+        outstanding[shard] -= 1
+        if not outstanding[shard]:
+            # The shard is free again: look at it, and let its open batch's
+            # close wake the loop.
+            self._ready |= 1 << shard
+            close = self._close_at[shard]
+            if close is not None:
+                heapq.heappush(self._closes, (close, shard))
         key = access.inflight_key
         inflight_groups = self._inflight_groups
         # (``None``, coalescing off, is never a key.)
@@ -497,10 +588,7 @@ class ServingFrontEnd:
         for request in access.requests:
             request.status = SERVED
             request.completion_cycle = cycle
-            latency = cycle - request.arrival_cycle
-            self.latency_cycles.record(latency)
-            self._tenant_latency[request.tenant].record(latency)
-            if latency > request.deadline_cycles:
+            if cycle - request.arrival_cycle > request.deadline_cycles:
                 self.deadline_misses += 1
             if source.feedback:
                 source.on_completion(request, cycle)
@@ -536,10 +624,49 @@ class ServingFrontEnd:
         """Read view: a fresh ``collect_serve`` walk."""
         return collect_serve(self)
 
+    def _fold_histograms(self, makespan: int) -> None:
+        """Fold every request's cycle stamps into the latency (whole run
+        and per tenant) and queue-wait histograms: one sort and O(buckets)
+        bisections per histogram, no call per sample."""
+        requests = self.all_requests
+        # Arrivals and completions are cycles in [0, bound], so a latency
+        # lies in [-bound, bound].  Packed as ``(tenant << shift) +
+        # latency`` the samples sort by tenant, then latency, each tenant
+        # within its own window of the one list (a negative latency stays
+        # in its tenant's window, where the fold refuses it).
+        bound = max(makespan, requests[-1].arrival_cycle if requests else 0)
+        shift = bound.bit_length() + 1
+        half = 1 << (shift - 1)
+        samples = [
+            (request.tenant << shift) + request.completion_cycle
+            - request.arrival_cycle
+            for request in requests
+            if request.status == SERVED
+        ]
+        samples.sort()
+        lo = 0
+        for tenant, hist in enumerate(self._tenant_latency):
+            base = tenant << shift
+            hi = bisect_left(samples, base + half, lo)
+            hist.fold(samples, lo, hi, base)
+            self.latency_cycles.merge(hist)
+            lo = hi
+        del samples  # one sample list alive at a time
+        # A read that latched onto an in-flight access never waited.
+        samples = [
+            request.issue_cycle - request.arrival_cycle
+            for request in requests
+            if request.issue_cycle >= 0
+        ]
+        samples.sort()
+        self.queue_wait_cycles.fold(samples)
+
     def _finish(self) -> ServeReport:
         bank = self.bank
         makespan = max(self.access_completions, default=0)
         bank.finalize(makespan)
+        self._keys.clear()  # it serves the run; keep no address it saw
+        self._fold_histograms(makespan)
         totals = self.counters()
         report = ServeReport(
             workload=self.workload,

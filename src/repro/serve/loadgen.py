@@ -2,7 +2,8 @@
 
 Both sources speak the same protocol the front-end event loop drives:
 
-* :meth:`LoadSource.next_arrival_cycle` -- peek the next arrival time;
+* :attr:`LoadSource.next_arrival_cycle` -- the next arrival time (``None``
+  when none is scheduled), an attribute the source keeps where it changes;
 * :meth:`LoadSource.take_arrivals` -- pop every request due at/before a
   cycle, in ``(cycle, req_id)`` order;
 * :meth:`LoadSource.on_completion` / :meth:`LoadSource.on_shed` --
@@ -10,7 +11,8 @@ Both sources speak the same protocol the front-end event loop drives:
   request from it); the front end calls them only on a source whose
   :attr:`LoadSource.feedback` is set, and otherwise takes arrivals only
   when one is due;
-* :attr:`LoadSource.exhausted` -- no arrival will *ever* surface again.
+* :attr:`LoadSource.exhausted` -- no arrival will *ever* surface again,
+  likewise an attribute.
 
 An open loop's arrivals are fixed up front, so it is a stream: it holds
 them in arrival order and builds each :class:`Request` only when
@@ -87,21 +89,21 @@ class LoadSource:
         self._scale = load_scale
         self._index = 0
         self._clock = 0.0
-        self._next_cycle: Optional[int] = None
+        #: cycle of the next arrival; None once none is scheduled
+        self.next_arrival_cycle: Optional[int] = None
         if arrivals and load_scale is None:
-            self._next_cycle = arrivals[0][0]
+            self.next_arrival_cycle = arrivals[0][0]
         elif arrivals:
             self._clock += arrivals[0][0] / load_scale
-            self._next_cycle = int(self._clock)
+            self.next_arrival_cycle = int(self._clock)
+        #: no arrival will ever surface again
+        self.exhausted = self.next_arrival_cycle is None
 
     # ---------------------------------------------------------------- protocol
-    def next_arrival_cycle(self) -> Optional[int]:
-        return self._next_cycle
-
     def take_arrivals(self, now: int) -> List[Request]:
         """Build and return every request with ``arrival_cycle <= now``."""
         due: List[Request] = []
-        cycle = self._next_cycle
+        cycle = self.next_arrival_cycle
         arrivals = self._arrivals
         index = self._index
         end = self._end
@@ -129,7 +131,8 @@ class LoadSource:
                     cycle = None
             self._clock = clock
         self._index = index
-        self._next_cycle = cycle
+        self.next_arrival_cycle = cycle
+        self.exhausted = cycle is None
         return due
 
     def on_completion(self, request: Request, cycle: int) -> None:
@@ -137,10 +140,6 @@ class LoadSource:
 
     def on_shed(self, request: Request, cycle: int) -> None:
         """A request was shed at admission (default: nothing to do)."""
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next_cycle is None
 
     @property
     def footprint_blocks(self) -> int:
@@ -294,6 +293,9 @@ class ClosedLoopSource(LoadSource):
                 self._tenant_of.append(tenant)
                 self._issue_next(client, 0)
                 client += 1
+        # Every client holds a request in the heap; the heap drains for
+        # good only in take_arrivals, once no client holds credit.
+        self.exhausted = False
 
     def _issue_next(self, client: int, after_cycle: int) -> None:
         rng = self._rngs[client]
@@ -311,6 +313,7 @@ class ClosedLoopSource(LoadSource):
             client,
         )
         heapq.heappush(self._heap, (cycle, request.req_id, request))
+        self.next_arrival_cycle = self._heap[0][0]
         self._next_id += 1
 
     def _advance(self, request: Request, cycle: int) -> None:
@@ -318,14 +321,20 @@ class ClosedLoopSource(LoadSource):
         if client >= 0 and self._remaining[client] > 0:
             self._issue_next(client, cycle)
 
-    def next_arrival_cycle(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
     def take_arrivals(self, now: int) -> List[Request]:
         """Pop every request with ``arrival_cycle <= now``."""
         due: List[Request] = []
-        while self._heap and self._heap[0][0] <= now:
-            due.append(heapq.heappop(self._heap)[2])
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[2])
+        if heap:
+            self.next_arrival_cycle = heap[0][0]
+        else:
+            # Clients blocked on an in-flight request will schedule again
+            # from completion feedback; only a drained heap with no
+            # credits left is truly done.
+            self.next_arrival_cycle = None
+            self.exhausted = not self._with_credit
         return due
 
     def on_completion(self, request: Request, cycle: int) -> None:
@@ -333,13 +342,6 @@ class ClosedLoopSource(LoadSource):
 
     def on_shed(self, request: Request, cycle: int) -> None:
         self._advance(request, cycle)
-
-    @property
-    def exhausted(self) -> bool:
-        # Clients blocked on an in-flight request will schedule again from
-        # completion feedback; only a drained heap with no credits left is
-        # truly done.
-        return not self._heap and not self._with_credit
 
     @property
     def footprint_blocks(self) -> int:

@@ -37,6 +37,8 @@ class TenantQueues:
         self.weights: List[int] = list(weights)
         self.capacity = capacity
         self._queues: List[deque] = [deque() for _ in weights]
+        #: each queue's length, kept where it changes (no ``len`` per push)
+        self._depths: List[int] = [0] * len(self.weights)
         self._credit: List[int] = [0] * len(self.weights)
         #: high-water mark per tenant (exported as queue-depth gauges)
         self.peak_depth: List[int] = [0] * len(self.weights)
@@ -50,7 +52,7 @@ class TenantQueues:
         return len(self._queues)
 
     def depth(self, tenant: int) -> int:
-        return len(self._queues[tenant])
+        return self._depths[tenant]
 
     def total_depth(self) -> int:
         return sum(len(q) for q in self._queues)
@@ -58,19 +60,23 @@ class TenantQueues:
     # ------------------------------------------------------------------- push
     def push(self, request: Request) -> bool:
         """Enqueue unless the tenant's bound is hit; False means shed."""
-        queue = self._queues[request.tenant]
-        depth = len(queue)
+        tenant = request.tenant
+        depth = self._depths[tenant]
         if depth >= self.capacity:
             return False
-        queue.append(request)
+        self._queues[tenant].append(request)
+        self._depths[tenant] = depth + 1
         self.queued += 1
-        if depth >= self.peak_depth[request.tenant]:
-            self.peak_depth[request.tenant] = depth + 1
+        if depth >= self.peak_depth[tenant]:
+            self.peak_depth[tenant] = depth + 1
         return True
 
     # -------------------------------------------------------------------- pop
     def pop_where(
-        self, eligible: Optional[Callable[[Request], bool]] = None
+        self,
+        eligible: Optional[Callable[[Request], bool]] = None,
+        sizes: Optional[Sequence[int]] = None,
+        quotas: Optional[Sequence[int]] = None,
     ) -> Optional[Request]:
         """Weighted-fair pop of the next head request passing ``eligible``.
 
@@ -79,6 +85,10 @@ class TenantQueues:
         the pick, so a blocked tenant neither starves the others nor banks
         unbounded priority while blocked.  Returns None when no eligible
         head exists.
+
+        Given ``sizes`` and ``quotas`` (each shard's open-batch size and
+        batch quota), a head whose shard's batch has room is eligible
+        outright: ``eligible`` is called only for the others.
         """
         credit = self._credit
         weights = self.weights
@@ -86,15 +96,22 @@ class TenantQueues:
         best = -1
         best_credit = 0
         for tenant, queue in enumerate(self._queues):
-            if queue and (eligible is None or eligible(queue[0])):
-                weight = weights[tenant]
-                credit[tenant] += weight
-                total += weight
-                if best < 0 or credit[tenant] > best_credit:
-                    best = tenant
-                    best_credit = credit[tenant]
+            if not queue:
+                continue
+            if eligible is not None:
+                head = queue[0]
+                if sizes is None or sizes[head.shard] >= quotas[head.shard]:
+                    if not eligible(head):
+                        continue
+            weight = weights[tenant]
+            credit[tenant] += weight
+            total += weight
+            if best < 0 or credit[tenant] > best_credit:
+                best = tenant
+                best_credit = credit[tenant]
         if best < 0:
             return None
         credit[best] -= total
+        self._depths[best] -= 1
         self.queued -= 1
         return self._queues[best].popleft()

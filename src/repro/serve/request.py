@@ -34,6 +34,9 @@ class Request:
         deadline_cycles: admission->completion budget; batch formation
             closes a batch once the oldest member has spent half of it.
         client: closed-loop client index (``-1`` for open-loop sources).
+        issue_cycle: stamped when the request's ORAM access is issued
+            (``-1`` for a read that latched onto an access already in
+            flight: it never waited for an issue).
         completion_cycle: stamped when the backing ORAM access completes.
         status: one of ``pending`` / ``served`` / ``shed``.
         coalesced: served by attaching to another request's ORAM access.
@@ -48,6 +51,7 @@ class Request:
     arrival_cycle: int
     deadline_cycles: int
     client: int = -1
+    issue_cycle: int = -1
     completion_cycle: int = -1
     status: str = PENDING
     coalesced: bool = False

@@ -578,10 +578,17 @@ class TestRoundTrip:
         assert clone.counters() == walk
         # load_counters alone restores every section but the one the ORAM
         # document owns (one source of truth for those counters)
+        # -- and the two stats totals derived from the ORAM's counters
+        # follow that document too
         other = build_controller(*cell)
         fresh = other.counters()
         other.load_counters(copy.deepcopy(walk))
-        assert other.counters() == {**walk, "oram": fresh["oram"]}
+        stats = dict(walk["stats"])
+        stats["dummy_accesses"] = fresh["oram"]["dummy_accesses"]
+        stats["memory_accesses"] += (
+            fresh["oram"]["real_accesses"] - walk["oram"]["real_accesses"]
+        )
+        assert other.counters() == {**walk, "stats": stats, "oram": fresh["oram"]}
         # ... and the restored controller keeps working
         clone.demand_access(1, clone.busy_until, False)
         clone.oram.check_invariants()
@@ -958,6 +965,40 @@ class TestCheckpointCompatibility:
         restore_backend_state(backend, json.dumps(document))
         assert backend.interconnect.state_dict() == source.interconnect.state_dict()
         assert backend.counters() == source.counters()
+
+    def test_path_access_totals_are_derived_not_restored(self):
+        """``stats.dummy_accesses`` is the ORAM's dummy count and
+        ``stats.memory_accesses`` the PosMap, real and padding paths: a
+        document's copies of the two are not read back.  A document written
+        before padding was counted apart (no ``padding_accesses``) yields
+        the padding from its ``memory_accesses``."""
+        source, document = self._document()
+        for _ in range(3):
+            source.dummy_path_access(source.busy_until)
+        stats = source.stats
+        assert stats.dummy_accesses == source.oram.dummy_accesses >= 3
+        assert stats.memory_accesses == (
+            stats.posmap_accesses + source.oram.real_accesses + 3
+        )
+        document = json.loads(dump_backend_state(source))
+        saved = document["backend"]
+        assert saved["padding_accesses"] == 3
+        saved["stats"]["dummy_accesses"] += 1_000
+        saved["stats"]["memory_accesses"] += 1_000
+        backend = build_controller("channel", 4, faults=True)
+        restore_backend_state(backend, json.dumps(document))
+        assert backend.counters() == source.counters()
+        # the parent's shape: memory_accesses held the padding
+        del saved["padding_accesses"]
+        saved["stats"]["memory_accesses"] -= 1_000
+        older = build_controller("channel", 4, faults=True)
+        restore_backend_state(older, json.dumps(document))
+        assert older.counters() == source.counters()
+        saved["stats"]["memory_accesses"] = 0
+        with pytest.raises(CheckpointError, match="padding"):
+            restore_backend_state(
+                build_controller("channel", 4, faults=True), json.dumps(document)
+            )
 
     @pytest.mark.parametrize("section, key", [("counters", "stash_soft_overflows")])
     def test_oram_counters_have_one_source_the_oram_document(self, section, key):

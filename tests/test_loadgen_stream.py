@@ -107,14 +107,14 @@ def fields(requests):
 def assert_same_stream(stream, oracle, nows):
     """Drain both at each ``now`` in turn; compare after every step."""
     assert stream.footprint_blocks == oracle.footprint_blocks
-    assert stream.next_arrival_cycle() == oracle.next_arrival_cycle()
+    assert stream.next_arrival_cycle == oracle.next_arrival_cycle()
     assert stream.exhausted == oracle.exhausted
     taken = 0
     for now in nows:
         got = stream.take_arrivals(now)
         assert fields(got) == fields(oracle.take_arrivals(now))
         taken += len(got)
-        assert stream.next_arrival_cycle() == oracle.next_arrival_cycle()
+        assert stream.next_arrival_cycle == oracle.next_arrival_cycle()
         assert stream.exhausted == oracle.exhausted
     assert stream.exhausted and taken > 0
     assert stream.take_arrivals(1 << 62) == []
@@ -153,13 +153,13 @@ class TestFromTrace:
             trace.append(0 if index % 10 else 7, index, index % 3 == 0)
         stream = OpenLoopSource.from_trace(trace, 4, load_scale=1.0)
         oracle = HeapSource.from_trace(trace, 4)
-        assert stream.next_arrival_cycle() == 7
+        assert stream.next_arrival_cycle == 7
         assert len(stream.take_arrivals(7)) == len(oracle.take_arrivals(7)) == 10
         assert_same_stream(stream, oracle, [13, 14, 21, 28])
 
     def test_empty_trace_is_exhausted(self):
         source = OpenLoopSource.from_trace(Trace(name="none", footprint_blocks=1))
-        assert source.exhausted and source.next_arrival_cycle() is None
+        assert source.exhausted and source.next_arrival_cycle is None
         assert source.take_arrivals(1 << 62) == [] and source.footprint_blocks == 0
 
     @pytest.mark.parametrize("load_scale", [math.inf, math.nan, 0.0, -1.0])
@@ -218,7 +218,7 @@ class TestArrivalTuples:
         assert fields(source.take_arrivals(0)) == [
             (0, 1, 9, True, 0, 77, -1), (1, 0, 3, False, 0, 77, -1),
         ]
-        assert source.next_arrival_cycle() == 6 and not source.exhausted
+        assert source.next_arrival_cycle == 6 and not source.exhausted
         assert fields(source.take_arrivals(6)) == [(2, 1, 4, False, 6, 77, -1)]
         assert source.exhausted and source.footprint_blocks == 10
 

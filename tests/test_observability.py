@@ -16,6 +16,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import experiment_config
 from repro.faults import FaultConfig, FaultInjector
@@ -91,6 +93,72 @@ class TestInstruments:
         assert histogram.quantile(1.0) == 2048  # 1348 rounds up to 2^11
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 2]),
+                # powers of two and their neighbours, past the saturating
+                # top bucket (2**46 and up)
+                st.builds(
+                    lambda exponent, delta: max(0, (1 << exponent) + delta),
+                    st.integers(0, 60),
+                    st.integers(-1, 1),
+                ),
+                st.integers(0, 1 << 50),
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 3),
+        st.integers(0, 70),
+    )
+    def test_fold_equals_recording_each_sample(self, samples, key, shift):
+        """A fold of the sorted samples -- alone, or one key's window of a
+        list packed as ``(key << shift) + value`` -- leaves the buckets,
+        total and sum that recording them one by one leaves."""
+        recorded = CycleHistogram("h")
+        for value in samples:
+            recorded.record(value)
+        folded = CycleHistogram("h")
+        folded.fold(sorted(samples))
+        assert (folded.counts, folded.total, folded.sum) == (
+            recorded.counts, recorded.total, recorded.sum,
+        )
+        shift = max(shift, max(samples, default=0).bit_length())
+        base = key << shift
+        packed = sorted(
+            [base + value for value in samples]
+            + [((key + 1) << shift) + 5, base - 1]
+        )
+        windowed = CycleHistogram("h")
+        windowed.fold(packed, 1, len(packed) - 1, base)
+        assert (windowed.counts, windowed.total, windowed.sum) == (
+            recorded.counts, recorded.total, recorded.sum,
+        )
+
+    def test_fold_refuses_a_negative_sample(self):
+        histogram = CycleHistogram("h")
+        with pytest.raises(ValueError):
+            histogram.fold([-1, 0, 5])
+        with pytest.raises(ValueError):
+            histogram.fold([6, 7, 9], base=7)
+        assert histogram.total == 0 and histogram.sum == 0
+        histogram.fold([3, 4], 2, 2)  # an empty window adds nothing
+        assert histogram.total == 0
+
+    def test_merge_adds_every_sample(self):
+        left, right, both = (CycleHistogram(name) for name in "lrb")
+        for value in (0, 5, 1 << 47):
+            left.record(value)
+            both.record(value)
+        for value in (2, 5):
+            right.record(value)
+            both.record(value)
+        left.merge(right)
+        assert (left.counts, left.total, left.sum) == (
+            both.counts, both.total, both.sum,
+        )
 
     def test_registry_kind_conflict(self):
         registry = MetricsRegistry()

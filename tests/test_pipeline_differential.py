@@ -94,7 +94,8 @@ class PosMapPhase:
         if backend.stash_soft_limit is not None:
             evictions += backend.relieve_stash()
         ctx.evictions = evictions
-        stats.dummy_accesses += evictions
+        # (``stats.dummy_accesses += evictions`` here: the total is derived
+        # from the ORAM's dummy count now)
         ctx.extra = backend.posmap_hierarchy.lookup(ctx.addr)
         stats.posmap_accesses += ctx.extra
 
@@ -318,7 +319,8 @@ class ReferencePipeline:
         else:
             ready = ctx.events[-1].read_done + ctx.fault_delay
         backend.busy_until = completion
-        stats.memory_accesses += ctx.extra + 1
+        # (``stats.memory_accesses += ctx.extra + 1`` here: the total is
+        # derived from the PosMap and real path counts now)
         stats.busy_cycles += latency
         policy = backend.scheme.listener
         if policy is not None:

@@ -138,7 +138,7 @@ class TestLoadGenerators:
         )
         first = source.take_arrivals(10**9)[0]
         source.on_shed(first, 50)
-        assert source.next_arrival_cycle() is not None
+        assert source.next_arrival_cycle is not None
         assert not source.exhausted
 
 

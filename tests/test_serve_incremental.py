@@ -18,16 +18,20 @@ arrival.  The functions below are the pre-refactor definitions, kept here
   every tenant head;
 * :func:`reference_pick` is the old two-pass weighted round-robin over the
   heads :func:`reference_placeable` admits;
-* :func:`reference_exhausted` is the old closed-loop ``exhausted`` scan.
+* :func:`reference_exhausted` is the old closed-loop ``exhausted`` scan;
+* :func:`reference_can_issue` is the old per-shard test of the pump's
+  issue scan, which looked at every shard on every pass.
 
 :class:`CheckedFrontEnd` compares them after every admission, placement,
 issue, completion and pump round of a run, on every eligibility decision
 and on every fair pick, and checks that the event loop wakes at the
-earliest arrival, completion or deadline close the reference sees.
+earliest arrival, completion or deadline close the reference sees, that a
+pump is handed every shard that may issue and leaves none that could.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,7 +123,7 @@ def reference_wake(frontend):
     """The cycle the old event loop woke at next: the earliest of the next
     arrival, the next completion and :func:`reference_next_close`."""
     cycles = [
-        frontend.source.next_arrival_cycle(),
+        frontend.source.next_arrival_cycle,
         frontend._comp_heap[0][0] if frontend._comp_heap else None,
         reference_next_close(frontend),
     ]
@@ -132,6 +136,31 @@ def reference_exhausted(source):
     return source._index == len(source._arrivals)
 
 
+def reference_shedding(frontend, shard):
+    """The old admission-time stash watermark test."""
+    fraction = frontend.config.stash_shed_fraction
+    stash = frontend.bank.shards[shard].oram.stash
+    return fraction > 0.0 and len(stash.blocks) / stash.capacity >= fraction
+
+
+def reference_can_issue(frontend, shard, now):
+    """Would the old scan over every shard issue *shard* at *now*?"""
+    if frontend._outstanding[shard]:
+        return False
+    if frontend._fallback[shard]:
+        return True
+    if not frontend._open_batches[shard]:
+        return False
+    return (
+        len(frontend._open_batches[shard]) >= reference_quota(frontend, shard)
+        or now >= reference_close_cycle(frontend, shard)
+        or (
+            frontend.queues.total_depth() == 0
+            and reference_exhausted(frontend.source)
+        )
+    )
+
+
 # ---------------------------------------------------------- the checked run
 class CheckedFrontEnd(ServingFrontEnd):
     """A front end that audits its incremental state as it runs."""
@@ -139,9 +168,9 @@ class CheckedFrontEnd(ServingFrontEnd):
     checks = 0
     #: accesses `_issue_batch` added because a group's members had drifted
     splits = 0
-    #: fair picks made without a predicate (every shard's batch had room)
-    unfiltered_picks = 0
-    #: heads judged by ``_placeable`` (some shard's batch was full)
+    #: heads a fair pick found on a shard with room (eligible, no call)
+    heads_with_room = 0
+    #: heads judged by ``_placeable`` (their shard's batch was full)
     placeable_calls = 0
 
     def run(self, source):
@@ -160,9 +189,11 @@ class CheckedFrontEnd(ServingFrontEnd):
             assert (self._close_at[shard] is None) == (not self._open_batches[shard])
             assert self._sizes[shard] == len(self._open_batches[shard])
             assert self._quotas[shard] == reference_quota(self, shard)
+            assert self._shedding[shard] == reference_shedding(self, shard)
         for addr, key in self._keys.items():
             assert key == bank.coalesce_key(addr)
-        for queue in self.queues._queues:
+        for tenant, queue in enumerate(self.queues._queues):
+            assert self.queues.depth(tenant) == len(queue)
             for request in queue:
                 assert request.shard == bank.shard_of(request.addr)
         assert self.source.exhausted == reference_exhausted(self.source)
@@ -175,20 +206,20 @@ class CheckedFrontEnd(ServingFrontEnd):
         queues = self.queues
         pick = queues.pop_where
 
-        def checked_pop_where(eligible=None):
+        def checked_pop_where(eligible=None, sizes=None, quotas=None):
             self.check()
-            if eligible is None:
-                self.unfiltered_picks += 1
-                assert all(
-                    reference_placeable(self, queue[0])
-                    for queue in queues._queues
-                    if queue
-                )
+            heads = [queue[0] if queue else None for queue in queues._queues]
+            self.heads_with_room += sum(
+                1
+                for head in heads
+                if head is not None
+                and len(self._open_batches[head.shard])
+                < reference_quota(self, head.shard)
+            )
             tenant, credit = reference_pick(
                 self, lambda head: reference_placeable(self, head)
             )
-            heads = [queue[0] if queue else None for queue in queues._queues]
-            request = pick(eligible)
+            request = pick(eligible, sizes, quotas)
             if tenant is None:
                 assert request is None
             else:
@@ -204,6 +235,9 @@ class CheckedFrontEnd(ServingFrontEnd):
 
     def _placeable(self, request):
         self.placeable_calls += 1
+        # asked only about a head whose shard's batch is full
+        shard = request.shard
+        assert len(self._open_batches[shard]) >= reference_quota(self, shard)
         answer = super()._placeable(request)
         assert answer == reference_placeable(self, request)
         return answer
@@ -211,8 +245,20 @@ class CheckedFrontEnd(ServingFrontEnd):
     def _pump(self, source, now):
         assert now == max(self.clock, self.wake)
         self.clock = now
+        shards = range(self.bank.num_shards)
+        # Every shard the old scan would issue is handed to the pump, which
+        # then issues them in the scan's shard order (once nothing is
+        # queued or will arrive, the pump hands itself every shard) ...
+        draining = (
+            self.queues.total_depth() == 0 and reference_exhausted(source)
+        )
+        for shard in shards:
+            if reference_can_issue(self, shard, now) and not draining:
+                assert self._ready >> shard & 1, shard
         super()._pump(source, now)
         self.check()
+        # ... and the pump leaves none that the scan would still issue.
+        assert not any(reference_can_issue(self, shard, now) for shard in shards)
         self.wake = reference_wake(self)
 
     def _issue_batch(self, shard, now):
@@ -322,9 +368,43 @@ def test_shard_degrades_mid_run():
     run_checked(frontend, source)
     assert frontend.health.total_transitions() > 0
     assert len(frontend.quota_vectors) > 1
-    # both pick paths ran: unfiltered while every batch had room, judged
-    # head by head once one filled
-    assert frontend.unfiltered_picks > 0 and frontend.placeable_calls > 0
+    # both kinds of head came up: on a shard with room (eligible without a
+    # call) and on a full shard (judged by ``_placeable``)
+    assert frontend.heads_with_room > 0 and frontend.placeable_calls > 0
+
+
+def always_resident(addr):
+    """Every neighbour is "in the LLC": merge auditions pass, pairs merge."""
+    return True
+
+
+def half_resident(addr):
+    """Half the addresses are "in the LLC": pairs merge, and the prefetched
+    halves, which nothing ever hits, break them again."""
+    return bool((addr * 2654435761) >> 5 & 1)
+
+
+@pytest.mark.parametrize(
+    "probe, breaks", [(always_resident, False), (half_resident, True)]
+)
+def test_membership_moves_mid_run(probe, breaks):
+    """A serving bank has no LLC, so its ``dyn`` pairs form only from leaf
+    collisions.  With an LLC probe installed, merges (and breaks) move
+    membership during the run; the key memo keeps only what an access could
+    not have moved -- it drops the accessed pair's entries, not the whole
+    memo -- and the check after every pick compares each memo entry with a
+    fresh ``bank.coalesce_key``."""
+    source = OpenLoopSource.synthetic(
+        2, 150, footprint_per_tenant=16, gap_mean=300.0, locality=0.9, seed=1
+    )
+    frontend = build(source, shards=2)
+    for shard in frontend.bank.shards:
+        shard.set_llc_probe(probe)
+    report = run_checked(frontend, source)
+    stats = [shard.scheme.stats for shard in frontend.bank.shards]
+    assert sum(stat.merges for stat in stats) > 0
+    assert (sum(stat.breaks for stat in stats) > 0) == breaks
+    assert report.coalesced > 100
 
 
 def test_static_super_blocks_coalesce_and_recheck_members():
@@ -407,7 +487,7 @@ def scenarios(draw):
         coalesce=draw(st.booleans()),
         stash_shed_fraction=draw(st.sampled_from([0.0, 0.02, 0.9])),
     )
-    scheme = draw(st.sampled_from(["dyn", "stat", "oram"]))
+    scheme = draw(st.sampled_from(["dyn", "stat", "oram", "dyn_strided"]))
     shards = draw(st.sampled_from([1, 2, 4]))
     health = draw(st.sampled_from(["none", "default", "jumpy"]))
     policy = {
@@ -483,12 +563,16 @@ def test_event_cost_does_not_grow_with_the_open_batch():
 
 
 def test_the_only_registry_frames_of_a_served_request_are_histogram_records():
-    """Counting is a bare-attribute increment where the event happens, so a
-    run of the ``open4_dyn_health`` golden scenario enters
-    ``observability/metrics.py`` for one thing only: ``CycleHistogram.record``
-    (a distribution is state, not derivable afterwards).  With
-    the live-registry mirror ``Counter.inc`` fired per event here too, and
-    the health plane's ``_sync`` per access."""
+    """Counting is a bare-attribute increment where the event happens, and a
+    distribution is folded from the requests' cycle stamps once the run
+    ends: a request carries its arrival, issue and completion cycles, so
+    its latency and queue wait need no frame while it is served.  A run of
+    the ``open4_dyn_health`` golden scenario therefore enters
+    ``observability/metrics.py`` per batch (one ``CycleHistogram.record`` of
+    its occupancy) and otherwise only per run.  With the live-registry
+    mirror ``Counter.inc`` fired per event here too, the health plane's
+    ``_sync`` per access, and (before the fold) three ``record`` frames per
+    served request."""
     import os
     import sys
     from collections import Counter
@@ -515,15 +599,15 @@ def test_the_only_registry_frames_of_a_served_request_are_histogram_records():
     assert report.served > 0 and report.batches > 0
     tenants = source.num_tenants
     assert frames == {
-        # latency + tenant latency per served request, queue wait per request
-        # that waited for an issue (an MSHR-latched one did not), one
-        # occupancy sample per batch
-        "record": 2 * report.served
-        + frontend.queue_wait_cycles.total
-        + report.batches,
-        # per run, not per request: the tenant histograms made at the start,
-        # the report's p50/p99 (whole run + each tenant) read at the end
+        # one occupancy sample per batch, none per request
+        "record": report.batches,
+        # per run: the tenant histograms made at the start; at the end a
+        # fold per tenant's latencies and one of the queue waits, each
+        # tenant merged into the whole-run latency, the report's p50/p99
+        # (whole run + each tenant)
         "__init__": tenants,
+        "fold": tenants + 1,
+        "merge": tenants,
         "quantile": 2 + 2 * tenants,
     }
 
@@ -534,12 +618,16 @@ def test_a_served_request_enters_only_event_handler_frames():
     in the event handlers and the spec's span boundaries.  Per request:
     ``_admit`` and ``TenantQueues.push``; per access: ``_Access``, the issue,
     the bank's ``demand_access`` + health step, the completion; per batch:
-    ``_issue_batch``; per event-loop round: one arrival peek and one
-    ``_pump``, and ``take_arrivals`` only at a cycle with arrivals due.  A
-    fair pick never scans all-empty queues, and ``_placeable`` judges heads
-    only while some shard's batch is full.  No memo, placement, close-scan,
-    interleave, stash-fraction, address-translation, quota or breaker-state
-    helper frames (comprehension frames are left out: 3.12 inlines them)."""
+    ``_issue_batch``; per event-loop round: one ``_pump``, and
+    ``take_arrivals`` only at a cycle with arrivals due (the arrival peek
+    and ``exhausted`` are attributes, no frame).  A fair pick never scans
+    all-empty queues, and ``_placeable`` judges only a head whose own
+    shard's batch is full.  A bank key look-up is a memo miss: an
+    address's first, the accessed address's re-key at each issue, and its
+    pair partner's after that access dropped it.  No memo, placement,
+    close-scan, interleave, stash-fraction, address-translation, quota or
+    breaker-state helper frames (comprehension frames are left out: 3.12
+    inlines them)."""
     import os
     import sys
     from collections import Counter
@@ -568,11 +656,10 @@ def test_a_served_request_enters_only_event_handler_frames():
         frames[f"{module}.{code.co_name}"] += 1
         if code.co_name == "pop_where" and not any(frame.f_locals["self"]._queues):
             empty_scans += 1
-        if code.co_name == "_placeable" and all(
-            len(batch) < quota
-            for batch, quota in zip(frontend._open_batches, frontend._quotas)
-        ):
-            judged_with_room += 1
+        if code.co_name == "_placeable":
+            shard = frame.f_locals["request"].shard
+            if len(frontend._open_batches[shard]) < frontend._quotas[shard]:
+                judged_with_room += 1
 
     sys.setprofile(hook)
     try:
@@ -582,23 +669,31 @@ def test_a_served_request_enters_only_event_handler_frames():
     assert report.served > 0 and report.batches > 0 and report.coalesced > 0
     issued = len(frontend.issued)
     assert empty_scans == 0 and judged_with_room == 0
-    # per event-loop round and per pick: counted against each other
-    rounds = frames.pop("frontend._pump")
-    assert frames.pop("loadgen.next_arrival_cycle") == rounds + 1
+    # per event-loop round and per pick
+    assert frames.pop("frontend._pump") > 0
     picks = frames.pop("queue.pop_where")
     assert report.admitted - report.rerouted <= picks
-    judged = frames.pop("frontend._placeable")
-    assert judged > 0
-    # a bank key look-up only behind the memo of a judgement, a placement
-    # or an issue
-    assert 0 < frames.pop("sharded.coalesce_key") <= judged + picks + issued
-    assert frames.pop("loadgen.exhausted") > 0
+    assert frames.pop("frontend._placeable") > 0
+    # a bank key look-up only on a memo miss (see above); dyn's aligned
+    # group is the pair, whose other member is the partner
+    shards = frontend.bank.num_shards
+    requested = {request.addr for request in frontend.all_requests}
+    partners = sum(
+        1
+        for addr, _now, _write in frontend.issued
+        if (addr // shards ^ 1) * shards + addr % shards in requested
+    )
+    assert 0 < frames.pop("sharded.coalesce_key") <= (
+        len(requested) + issued + partners
+    )
     expected = {
         # per run
         "frontend.run": 1,
         "frontend._serve_loop": 1,
         "frontend._quota": frontend.bank.num_shards,
+        "frontend._at_watermark": frontend.bank.num_shards,
         "frontend._finish": 1,
+        "frontend._fold_histograms": 1,
         "frontend.counters": 1,
         "queue.__init__": 1,
         "sharded.finalize": 1,
