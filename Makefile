@@ -44,8 +44,9 @@ W ?= trace_tpcc_write
 perf-calls:
 	$(PYTHON) tools/calls.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
 
-# What one build of workload W at SEED leaves alive: GC-tracked objects,
-# tracemalloc MB and the top allocation sites (tools/footprint.py).
+# What the inputs and one build of workload W at SEED leave alive: GC-tracked
+# objects, tracemalloc MB (and bytes per trace entry of the inputs) and the
+# top allocation sites of each (tools/footprint.py).
 perf-footprint:
 	$(PYTHON) tools/footprint.py --workload $(W) --seed $(SEED)
 

@@ -122,12 +122,18 @@ class AccessPipeline:
         outcome = None
         if run_scheme:
             # Members whose copies are already LLC-resident are not "coming
-            # from ORAM" for the scheme's purposes (Algorithm 2).  The
-            # singleton case (most accesses) skips the comprehension frame.
+            # from ORAM" for the scheme's purposes (Algorithm 2); with no
+            # LLC (no probe) every member is.  The singleton case (most
+            # accesses) skips the comprehension frame.
             llc_contains = scheme.llc_contains
             if len(members) == 1:
                 member = members[0]
-                fetched = {} if llc_contains(member) else {member: blocks[member]}
+                if llc_contains is not None and llc_contains(member):
+                    fetched = {}
+                else:
+                    fetched = {member: blocks[member]}
+            elif llc_contains is None:
+                fetched = {member: blocks[member] for member in members}
             else:
                 fetched = {
                     member: blocks[member]

@@ -153,7 +153,8 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         neighbor = cb if cb != demand else demand + 1
         m = self._merge_bits
         value = (m[cb] << 1) | m[cb + 1]
-        if self.llc_contains(neighbor):
+        llc_contains = self.llc_contains
+        if llc_contains is not None and llc_contains(neighbor):
             coresident[cb] = 1
             coresident[cb + 1] = 1
             if value < 3:
@@ -288,11 +289,12 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
             posmap.merge_bits_raw(combined_base, result_size)
         )
         llc_contains = self.llc_contains
-        coresident = True
-        for addr in neighbor:
-            if not llc_contains(addr):
-                coresident = False
-                break
+        coresident = llc_contains is not None
+        if coresident:
+            for addr in neighbor:
+                if not llc_contains(addr):
+                    coresident = False
+                    break
         if coresident:
             # Locality observed: B and B' are co-resident.  Flag every
             # member of both groups so their evictions do not count against

@@ -123,6 +123,9 @@ class StridedDynamicScheme(SuperBlockScheme):
 
     # --------------------------------------------------------------- merging
     def _run_merge(self, addr: int) -> None:
+        llc_contains = self.llc_contains
+        if llc_contains is None:
+            return  # no LLC: no partner is ever co-resident
         n = self.oram.position_map.num_blocks
         for stride in self.strides:
             for partner in (addr - stride, addr + stride):
@@ -130,7 +133,7 @@ class StridedDynamicScheme(SuperBlockScheme):
                     continue
                 if partner in self._partner or addr in self._partner:
                     continue
-                if not self.llc_contains(partner):
+                if not llc_contains(partner):
                     continue
                 low = min(addr, partner)
                 key = (low, stride)

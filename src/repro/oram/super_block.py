@@ -140,7 +140,9 @@ class SuperBlockScheme(ABC):
     Two plain attributes are the policy's wiring, read by the merge
     algorithm and the access pipeline on every access (an attribute read,
     never a call): ``llc_contains`` is the LLC tag probe (the backend's
-    ``set_llc_probe`` installs the system's), and ``listener`` the
+    ``set_llc_probe`` installs the system's), or ``None`` for a bank with
+    no LLC in front of it -- nothing is ever on chip, so the readers skip
+    the probe rather than call one that answers no -- and ``listener`` the
     adaptive-threshold policy fed prefetch and request events, or ``None``.
     """
 
@@ -156,12 +158,14 @@ class SuperBlockScheme(ABC):
     def __init__(self) -> None:
         self.stats = SchemeStats()
         self._oram: Optional[PathORAM] = None
-        self.llc_contains: Callable[[int], bool] = lambda addr: False
+        self.llc_contains: Optional[Callable[[int], bool]] = None
         self.listener = None
         self._tracker: Optional[PrefetchTracker] = None
         self._merge_throttled = False
 
-    def attach(self, oram: PathORAM, llc_contains: Callable[[int], bool]) -> None:
+    def attach(
+        self, oram: PathORAM, llc_contains: Optional[Callable[[int], bool]]
+    ) -> None:
         self._oram = oram
         self.llc_contains = llc_contains
         self._tracker = PrefetchTracker(oram, self.stats, listener=self.listener)

@@ -38,7 +38,7 @@ def requests_from_trace(trace) -> List[Tuple[int, int, bool]]:
     """
     requests: List[Tuple[int, int, bool]] = []
     now = 0
-    for gap, addr, is_write in trace.entries:
+    for gap, addr, is_write in zip(trace.gaps, trace.addrs, trace.writes):
         now += gap
         requests.append((addr, now, bool(is_write)))
     return requests

@@ -47,9 +47,10 @@ class LoadSource:
 
     The arrivals are held in ``(cycle, tenant)`` order and walked by index;
     a request's ``req_id`` is its position in that order.  They are either
-    :data:`Arrival` tuples, or a trace's ``(gap, addr, is_write)`` entries
-    offered round-robin across the tenants, whose cycles a float clock
-    (``clock += gap / load_scale``) carries forward one entry at a time.
+    :data:`Arrival` tuples, or a trace's entries offered round-robin across
+    the tenants -- indexed in the trace's ``gaps`` / ``addrs`` / ``writes``
+    columns -- whose cycles a float clock (``clock += gap / load_scale``)
+    carries forward one entry at a time.
     :class:`ClosedLoopSource` replaces the stream with a heap.  The walk
     lives here rather than on :class:`OpenLoopSource` because the
     ``serve.take_arrivals`` span boundary of ``benchmarks/perf`` patches
@@ -91,11 +92,18 @@ class LoadSource:
         self._clock = 0.0
         #: cycle of the next arrival; None once none is scheduled
         self.next_arrival_cycle: Optional[int] = None
-        if arrivals and load_scale is None:
-            self.next_arrival_cycle = arrivals[0][0]
-        elif arrivals:
-            self._clock += arrivals[0][0] / load_scale
-            self.next_arrival_cycle = int(self._clock)
+        if load_scale is None:
+            if arrivals:
+                self.next_arrival_cycle = arrivals[0][0]
+        else:
+            # a trace's entries (:class:`~repro.sim.trace.TraceEntries`):
+            # the walk indexes their columns
+            self._gaps = arrivals.gaps
+            self._addrs = arrivals.addrs
+            self._writes = arrivals.writes
+            if self._gaps:
+                self._clock += self._gaps[0] / load_scale
+                self.next_arrival_cycle = int(self._clock)
         #: no arrival will ever surface again
         self.exhausted = self.next_arrival_cycle is None
 
@@ -118,14 +126,19 @@ class LoadSource:
         else:
             tenants = self.num_tenants
             clock = self._clock
+            gaps = self._gaps
+            addrs = self._addrs
+            writes = self._writes
             while cycle is not None and cycle <= now:
-                _gap, addr, is_write = arrivals[index]
                 due.append(
-                    Request(index, index % tenants, addr, bool(is_write), cycle, deadline)
+                    Request(
+                        index, index % tenants, addrs[index], bool(writes[index]),
+                        cycle, deadline,
+                    )
                 )
                 index += 1
                 if index < end:
-                    clock += arrivals[index][0] / scale
+                    clock += gaps[index] / scale
                     cycle = int(clock)
                 else:
                     cycle = None
@@ -169,7 +182,7 @@ class OpenLoopSource(LoadSource):
 
         Arrival times are the trace's cumulative compute gaps divided by
         ``load_scale`` (2.0 = offer twice as fast).  The source walks the
-        trace's entries in place, so it must not be appended to while the
+        trace's columns in place, so it must not be appended to while the
         source runs.
         """
         if not 0.0 < load_scale < math.inf:

@@ -31,7 +31,7 @@ from repro.observability.recorder import attach_recorder
 from repro.parallel.merge import fold_backend
 from repro.prefetch.stream import StreamPrefetcher
 from repro.sim.results import SimResult
-from repro.sim.trace import Trace, TraceEntry
+from repro.sim.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ def build_backend(
     return backend, prefetcher
 
 
-def _interleave(traces: Sequence[Trace], clocks: List[int]) -> Iterator[Tuple[int, TraceEntry]]:
-    """``(core, entry)`` pairs of N traces in simulated-time order.
+def _interleave(traces: Sequence[Trace], clocks: List[int]) -> Iterator[Tuple[int, int, int, int]]:
+    """``(core, gap, addr, is_write)`` of N traces in simulated-time order.
 
     At every step the core whose next reference issues earliest goes next
     (ties to the lower core), so memory-bound cores queue behind each other
@@ -177,7 +177,7 @@ def _interleave(traces: Sequence[Trace], clocks: List[int]) -> Iterator[Tuple[in
     plus the entry's gap, read when the generator resumes -- by then the
     consuming loop has written the clock of the reference just yielded.
     """
-    streams = [iter(trace.entries) for trace in traces]
+    streams = [zip(trace.gaps, trace.addrs, trace.writes) for trace in traces]
     heap = []
     for core, stream in enumerate(streams):
         head = next(stream, None)
@@ -185,8 +185,8 @@ def _interleave(traces: Sequence[Trace], clocks: List[int]) -> Iterator[Tuple[in
             heap.append((clocks[core] + head[0], core, head))
     heapq.heapify(heap)
     while heap:
-        _, core, head = heapq.heappop(heap)
-        yield core, head
+        _, core, (gap, addr, is_write) = heapq.heappop(heap)
+        yield core, gap, addr, is_write
         head = next(streams[core], None)
         if head is not None:
             heapq.heappush(heap, (clocks[core] + head[0], core, head))
@@ -284,9 +284,10 @@ class SecureSystem:
         """The one reference loop: trace ``i`` runs on core ``i``; one
         result per core, each reporting the shared backend's totals.
 
-        The loop walks ``(core, entry)`` pairs with per-core clocks and hit
-        counts in lists, every core starting at the tile clock.  One core
-        is fed by ``zip(repeat(0), entries)`` -- C iterators, so the body
+        The loop walks ``(core, gap, addr, is_write)`` with per-core clocks
+        and hit counts in lists, every core starting at the tile clock.
+        One core is fed by ``zip(repeat(0), gaps, addrs, writes)`` over the
+        trace's columns -- C iterators, so the body
         runs with no call per reference beyond the hierarchy and backend
         entry points (bound to locals here; the benchmark traces miss the
         LLC on most references).  N cores are fed by :func:`_interleave`.
@@ -301,7 +302,7 @@ class SecureSystem:
                 "run_start",
                 workload="+".join(trace.name for trace in traces),
                 scheme=self.label,
-                entries=sum(len(trace.entries) for trace in traces),
+                entries=sum(len(trace) for trace in traces),
                 start_cycle=self._now,
             )
         hierarchy_access = hierarchy.access
@@ -317,10 +318,14 @@ class SecureSystem:
         l1_hits = [0] * cores
         llc_hits = [0] * cores
         misses = [0] * cores
-        refs = zip(repeat(0), traces[0].entries) if cores == 1 else _interleave(traces, clocks)
+        if cores == 1:
+            trace = traces[0]
+            refs = zip(repeat(0), trace.gaps, trace.addrs, trace.writes)
+        else:
+            refs = _interleave(traces, clocks)
         warmup_snapshot = None
         index = 0
-        for core, (gap, addr, is_write) in refs:
+        for core, gap, addr, is_write in refs:
             if warmup_entries and index == warmup_entries:
                 warmup_snapshot = self._collect_cores(traces, clocks, l1_hits, llc_hits, misses)
             index += 1

@@ -74,7 +74,7 @@ class MixtureWorkload:
         rng = self._rng
         n = accesses if accesses is not None else profile.accesses
         trace = Trace(name=profile.name, footprint_blocks=profile.footprint_blocks)
-        entries = trace.entries
+        gaps, addrs, writes = trace.gaps, trace.addrs, trace.writes
         footprint = profile.footprint_blocks
         scan_pointer = 0
         run_remaining = 0
@@ -94,8 +94,9 @@ class MixtureWorkload:
                     addr = rng.zipf(footprint, profile.zipf_theta)
                 else:
                     addr = rng.randint(0, footprint - 1)
-            is_write = 1 if rng.random() < profile.write_fraction else 0
-            entries.append((gap, addr, is_write))
+            gaps.append(gap)
+            addrs.append(addr)
+            writes.append(1 if rng.random() < profile.write_fraction else 0)
         return trace
 
 

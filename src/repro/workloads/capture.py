@@ -22,6 +22,7 @@ recorded.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, List, Optional
 
 from repro.sim.trace import Trace
@@ -82,7 +83,10 @@ class TraceRecorder:
         self.name = name
         self.block_bytes = block_bytes
         self.gap_cycles = gap_cycles
-        self._entries: List[tuple] = []
+        #: the recorded entries, as the columns of a :class:`Trace`
+        self._gaps = array("q")
+        self._addrs = array("q")
+        self._writes = bytearray()
         self._next_block = 0
         self._pending_gap = 0
         self._arrays: List[InstrumentedArray] = []
@@ -104,7 +108,9 @@ class TraceRecorder:
     def _record(self, block: int, is_write: bool) -> None:
         gap = self.gap_cycles + self._pending_gap
         self._pending_gap = 0
-        self._entries.append((gap, block, 1 if is_write else 0))
+        self._gaps.append(gap)
+        self._addrs.append(block)
+        self._writes.append(1 if is_write else 0)
 
     def compute(self, cycles: int) -> None:
         """Charge explicit compute work before the next memory touch."""
@@ -120,11 +126,13 @@ class TraceRecorder:
     def trace(self) -> Trace:
         """The captured trace (a snapshot; recording may continue)."""
         out = Trace(name=self.name, footprint_blocks=self.footprint_blocks)
-        out.entries = list(self._entries)
+        out.gaps = self._gaps[:]
+        out.addrs = self._addrs[:]
+        out.writes = self._writes[:]
         return out
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._gaps)
 
 
 # --------------------------------------------------------------- programs

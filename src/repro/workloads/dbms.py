@@ -65,22 +65,26 @@ def ycsb_trace(
     cdf = zipf_cdf(num_records, zipf_theta)
     lambd = 1.0 / gap_mean if gap_mean > 0.0 else 0.0
     lookup_lambd = 1.0 / (gap_mean * 3) if gap_mean > 0.0 else 0.0
-    append = trace.entries.append
+    gaps_append = trace.gaps.append
+    addrs_append = trace.addrs.append
+    writes_append = trace.writes.append
     for _ in range(operations):
         record = bisect_left(cdf, random())
         is_write = 0 if random() < read_fraction else 1
         # Index walk: leaf-level blocks are scattered across the index.
         for _level in range(index_touches):
-            index_block = data_blocks + randbelow(index_blocks)
-            gap = int(-log(1.0 - random()) / lambd) if lambd else 0
-            append((gap, index_block, 0))
+            addrs_append(data_blocks + randbelow(index_blocks))
+            gaps_append(int(-log(1.0 - random()) / lambd) if lambd else 0)
+            writes_append(0)
         # Row scan: the first touch pays the lookup, the rest stream.
         base = record * row_blocks
-        gap = int(-log(1.0 - random()) / lookup_lambd) if lookup_lambd else 0
-        append((gap, base, is_write))
+        gaps_append(int(-log(1.0 - random()) / lookup_lambd) if lookup_lambd else 0)
+        addrs_append(base)
+        writes_append(is_write)
         for offset in range(1, row_blocks):
-            gap = int(-log(1.0 - random()) / lambd) if lambd else 0
-            append((gap, base + offset, is_write))
+            gaps_append(int(-log(1.0 - random()) / lambd) if lambd else 0)
+            addrs_append(base + offset)
+            writes_append(is_write)
     return trace
 
 
@@ -123,14 +127,18 @@ def tpcc_trace(
     footprint = cursor
     trace = Trace(name="TPCC", footprint_blocks=footprint)
 
+    gaps_append = trace.gaps.append
+    addrs_append = trace.addrs.append
+    writes_append = trace.writes.append
+
     def touch(table: str, row: int, write: bool, first_blocks: int = 0) -> None:
         blocks, rows = _TPCC_TABLES[table]
         start = base[table] + (row % rows) * blocks
         count = first_blocks if first_blocks else blocks
         for offset in range(min(count, blocks)):
-            trace.entries.append(
-                (rng.expovariate_int(gap_mean), start + offset, 1 if write else 0)
-            )
+            gaps_append(rng.expovariate_int(gap_mean))
+            addrs_append(start + offset)
+            writes_append(1 if write else 0)
 
     for _ in range(transactions):
         if rng.random() < 0.5:

@@ -69,16 +69,17 @@ def locality_mix_trace(
     random = rng.random_unit
     randbelow = rng.randbelow
     lambd = 1.0 / gap_mean if gap_mean > 0.0 else 0.0
-    append = trace.entries.append
+    gaps_append = trace.gaps.append
+    addrs_append = trace.addrs.append
     pointer = 0
     for _ in range(accesses):
-        gap = int(-log(1.0 - random()) / lambd) if lambd else 0
+        gaps_append(int(-log(1.0 - random()) / lambd) if lambd else 0)
         if seq_blocks > 0 and random() < locality:
-            addr = pointer
+            addrs_append(pointer)
             pointer = (pointer + 1) % seq_blocks
         else:
-            addr = low + randbelow(width)
-        append((gap, addr, 0))
+            addrs_append(low + randbelow(width))
+    trace.writes.extend(bytes(accesses))  # every access is a read
     assert len(trace) == accesses
     return trace
 
@@ -117,7 +118,9 @@ def phase_change_trace(
                 pointer = (pointer + 1) % half
             else:
                 addr = rand_base + rng.randint(0, half - 1)
-            trace.entries.append((gap, addr, 0))
+            trace.gaps.append(gap)
+            trace.addrs.append(addr)
+    trace.writes.extend(bytes(accesses))  # every access is a read
     assert len(trace) == accesses
     return trace
 
@@ -132,8 +135,9 @@ def sequential_trace(
     rng = DeterministicRng(seed)
     trace = Trace(name="sequential", footprint_blocks=footprint_blocks)
     for i in range(accesses):
-        gap = rng.expovariate_int(gap_mean)
-        trace.entries.append((gap, i % footprint_blocks, 0))
+        trace.gaps.append(rng.expovariate_int(gap_mean))
+        trace.addrs.append(i % footprint_blocks)
+    trace.writes.extend(bytes(accesses))  # every access is a read
     assert len(trace) == accesses
     return trace
 
@@ -148,7 +152,8 @@ def uniform_random_trace(
     rng = DeterministicRng(seed)
     trace = Trace(name="random", footprint_blocks=footprint_blocks)
     for _ in range(accesses):
-        gap = rng.expovariate_int(gap_mean)
-        trace.entries.append((gap, rng.randint(0, footprint_blocks - 1), 0))
+        trace.gaps.append(rng.expovariate_int(gap_mean))
+        trace.addrs.append(rng.randint(0, footprint_blocks - 1))
+    trace.writes.extend(bytes(accesses))  # every access is a read
     assert len(trace) == accesses
     return trace

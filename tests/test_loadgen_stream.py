@@ -226,22 +226,23 @@ class TestArrivalTuples:
 def reference_ycsb_trace(num_records=4096, operations=8_000, read_fraction=0.9,
                          zipf_theta=0.6, gap_mean=60.0, row_blocks=8,
                          index_touches=1, seed=21):
-    """``ycsb_trace`` as it drew through the ``DeterministicRng`` wrappers."""
+    """``ycsb_trace``'s entries as it drew them through the
+    ``DeterministicRng`` wrappers."""
     rng = DeterministicRng(seed)
     data_blocks = num_records * row_blocks
     index_blocks = max(2, num_records * 2)
-    trace = Trace(name="YCSB", footprint_blocks=data_blocks + index_blocks)
+    entries = []
     for _ in range(operations):
         record = rng.zipf(num_records, zipf_theta)
         is_write = 0 if rng.random() < read_fraction else 1
         for _level in range(index_touches):
             index_block = data_blocks + rng.randint(0, index_blocks - 1)
-            trace.entries.append((rng.expovariate_int(gap_mean), index_block, 0))
+            entries.append((rng.expovariate_int(gap_mean), index_block, 0))
         base = record * row_blocks
-        trace.entries.append((rng.expovariate_int(gap_mean * 3), base, is_write))
+        entries.append((rng.expovariate_int(gap_mean * 3), base, is_write))
         for offset in range(1, row_blocks):
-            trace.entries.append((rng.expovariate_int(gap_mean), base + offset, is_write))
-    return trace
+            entries.append((rng.expovariate_int(gap_mean), base + offset, is_write))
+    return entries
 
 
 class TestYcsbDraws:
@@ -251,7 +252,7 @@ class TestYcsbDraws:
         dict(num_records=32, operations=50, gap_mean=0.0, seed=2),
     ])
     def test_inlined_draws_match_the_wrapper_calls(self, kwargs):
-        assert ycsb_trace(**kwargs).entries == reference_ycsb_trace(**kwargs).entries
+        assert ycsb_trace(**kwargs).entries == reference_ycsb_trace(**kwargs)
 
     def test_zipf_bisects_the_shared_cdf(self):
         cdf = zipf_cdf(100, 0.99)

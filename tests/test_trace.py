@@ -1,5 +1,7 @@
 """Unit tests for the trace container and its file format."""
 
+from array import array
+
 import pytest
 
 from repro.sim.trace import Trace
@@ -75,14 +77,20 @@ class TestIncrementalSums:
         assert len(trace) == 0
         assert trace.total_gap_cycles == 0
 
+    @staticmethod
+    def push(trace, gap, addr, is_write):
+        trace.gaps.append(gap)
+        trace.addrs.append(addr)
+        trace.writes.append(is_write)
+
     def test_direct_entries_append_lazily_absorbed(self):
-        # Generators push raw tuples straight onto trace.entries; the next
+        # Generators append straight to the trace's columns; the next
         # property read must count them.
         trace = Trace("t", footprint_blocks=16)
         trace.append(5, 1)
         assert trace.total_gap_cycles == 5
-        trace.entries.append((7, 2, 1))
-        trace.entries.append((9, 3, 0))
+        self.push(trace, 7, 2, 1)
+        self.push(trace, 9, 3, 0)
         assert trace.total_gap_cycles == 21
         assert trace.write_fraction == pytest.approx(1 / 3)
         trace.append(4, 4, is_write=True)
@@ -93,7 +101,8 @@ class TestIncrementalSums:
         trace = Trace("t", footprint_blocks=16)
         trace.extend([(10, 1, 1), (20, 2, 0), (30, 3, 1)])
         assert trace.total_gap_cycles == 60
-        del trace.entries[1:]
+        for column in (trace.gaps, trace.addrs, trace.writes):
+            del column[1:]
         assert trace.total_gap_cycles == 10
         assert trace.write_fraction == pytest.approx(1.0)
 
@@ -101,7 +110,7 @@ class TestIncrementalSums:
         trace = Trace("t", footprint_blocks=16)
         trace.extend([(10, 1, 1), (20, 2, 0)])
         assert trace.total_gap_cycles == 30
-        trace.entries = [(1, 1, 0)]
+        trace.gaps, trace.addrs, trace.writes = array("q", [1]), array("q", [1]), bytearray([0])
         assert trace.total_gap_cycles == 1
         assert trace.write_fraction == pytest.approx(0.0)
 

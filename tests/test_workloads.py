@@ -17,6 +17,7 @@ from repro.workloads.synthetic import (
     sequential_trace,
     uniform_random_trace,
 )
+from tests.test_multicore import load_perf_workloads
 
 INPUTS_LOCK = Path(__file__).parents[1] / "benchmarks" / "perf" / "inputs.lock.json"
 
@@ -243,14 +244,24 @@ class TestLocalityMixDraws:
             locality, footprint, 3_000, gap_mean, seed
         )
 
-    def test_benchmark_trace_matches_the_inputs_lock(self):
-        """``trace_dram_bypass``'s full-length trace at the lock's seed hashes
-        to the digest ``benchmarks/perf/inputs.lock.json`` pins (read only)."""
+    def test_benchmark_trace_matches_the_inputs_lock(self, monkeypatch, tmp_path):
+        """Every full-length input digest ``benchmarks/perf/inputs.lock.json``
+        pins (read only) at its seed: ``trace_dram_bypass``'s trace hashed
+        here, then each workload's ``input_digests(make_inputs(seed))`` --
+        the three trace workloads' traces, ``serve_zipf_open``'s trace and
+        arrival schedule, ``parallel_durable_2w``'s traces and request
+        stream.  A drift in ``repr(trace.entries)`` fails here before the
+        benchmark's seed-1 run exits on it."""
         lock = json.loads(INPUTS_LOCK.read_text())
         assert lock["seed"] == 1
         trace = locality_mix_trace(0.8, accesses=200_000, seed=1)
         digest = hashlib.sha256(repr(trace.entries).encode()).hexdigest()
         assert digest == lock["full"]["trace_dram_bypass"]["trace"]
+        workloads = load_perf_workloads(monkeypatch).build_workloads(str(tmp_path))
+        assert set(workloads) == set(lock["full"])
+        for name, workload in workloads.items():
+            inputs = workload.make_inputs(lock["seed"], False)
+            assert workload.input_digests(inputs) == lock["full"][name], name
 
 
 class TestDBMS:
