@@ -73,8 +73,11 @@ class AccessPipeline:
         self, addr: int, now: int, run_scheme: bool, kind: str = "demand"
     ) -> tuple:
         """One full oblivious access of the request that arrived at ``now``;
-        returns (completion_cycle, ready_cycle, outcome): when the
-        controller is done, when the demand block is on chip.
+        returns ``(ready_cycle, fills)``: when the demand block is on chip,
+        and the addresses the scheme sends to the LLC
+        (:meth:`~repro.oram.super_block.SuperBlockScheme.process_fetch`;
+        ``None`` when ``run_scheme`` is false).  The controller is done at
+        ``backend.busy_until``, which this call has just set.
 
         ``kind`` labels the request for tracing ("demand" / "prefetch" /
         "writeback"); it has no effect on the access itself.
@@ -119,7 +122,7 @@ class AccessPipeline:
         streamed = done - walked
 
         # ---------------------------------------------------------- 3. remap
-        outcome = None
+        fills = None
         if run_scheme:
             # Members whose copies are already LLC-resident are not "coming
             # from ORAM" for the scheme's purposes (Algorithm 2); with no
@@ -140,7 +143,7 @@ class AccessPipeline:
                     for member in members
                     if not llc_contains(member)
                 }
-            outcome = scheme.process_fetch(addr, members, fetched)
+            fills = scheme.process_fetch(addr, members, fetched)
 
         # ----------------------------------------------------- 4. write-back
         oram.finish_access()
@@ -190,4 +193,4 @@ class AccessPipeline:
                     "breaks": scheme_stats.breaks - breaks_before,
                 }
             )
-        return completion, ready + fault_delay, outcome
+        return ready + fault_delay, fills

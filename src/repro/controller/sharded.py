@@ -72,7 +72,7 @@ from repro.core.thresholds import (
 )
 from repro.health.breaker import HealthPolicy
 from repro.health.plane import HealthControlPlane
-from repro.memory.backend import BackendStats, DemandResult, MemoryBackend, sum_counters
+from repro.memory.backend import Answer, BackendStats, MemoryBackend, sum_counters
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.oram.path_oram import PathORAM
@@ -106,10 +106,13 @@ class ShardedORAMBank(MemoryBackend):
         self.num_blocks = self.num_shards * min(
             shard.oram.position_map.num_blocks for shard in self.shards
         )
-        #: optional :class:`~repro.health.HealthControlPlane`; ``None``
-        #: keeps the access path bit-identical to the pre-health bank
+        #: optional :class:`~repro.health.HealthControlPlane`, as wide as
+        #: the bank (:func:`build_bank` installs it); ``None`` keeps the
+        #: access path bit-identical to the pre-health bank
         self.health = None
-        self._stash_limits: List[int] = []
+        #: per shard, the stash occupancy above which the plane counts
+        #: pressure (:func:`pressure_limit`; set with ``health``)
+        self.stash_limits: List[int] = []
 
     # ----------------------------------------------------------------- wiring
     def set_recorder(self, recorder) -> None:
@@ -136,33 +139,6 @@ class ShardedORAMBank(MemoryBackend):
             shard.set_llc_probe(
                 lambda local, _i=index: probe(local * num_shards + _i)
             )
-
-    def attach_health(self, plane) -> None:
-        """Install a :class:`~repro.health.HealthControlPlane`.
-
-        The plane must be as wide as the bank.  Once attached, every
-        demand access feeds its shard's breaker (fault outcome +
-        latency), the breaker state's ``padded`` / ``throttled`` drive
-        per-shard mitigation (dummy-path padding, degraded mode), a
-        quarantined shard past its cooldown is half-opened, and stash
-        occupancy above the policy's pressure watermark degrades the
-        shard immediately.  Detach with ``None`` (mitigations are
-        lifted).
-        """
-        if plane is not None and plane.num_shards != self.num_shards:
-            raise ValueError(
-                f"health plane is {plane.num_shards} wide, bank is "
-                f"{self.num_shards}"
-            )
-        self.health = plane
-        if plane is None:
-            self._stash_limits = []
-            for shard in self.shards:
-                shard.set_degraded(False)
-            return
-        self._stash_limits = [
-            pressure_limit(shard, plane.policy) for shard in self.shards
-        ]
 
     def quarantine_shard(self, index: int, reason: str = "operator") -> None:
         """Hard-quarantine one channel (chaos/fault hook; needs a plane)."""
@@ -194,39 +170,32 @@ class ShardedORAMBank(MemoryBackend):
         return (shard_index, members[0])
 
     # ----------------------------------------------------------------- access
-    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
+    def demand_access(self, addr: int, now: int, is_write: bool) -> Answer:
         num_shards = self.num_shards
         shard_index = addr % num_shards
         shard = self.shards[shard_index]
         if self.health is None:
-            result = shard.demand_access(addr // num_shards, now, is_write)
+            completion, fills = shard.demand_access(addr // num_shards, now, is_write)
         else:
-            result = health_access(
+            completion, fills = health_access(
                 self.health, shard_index, shard, addr // num_shards, now,
-                is_write, self._stash_limits[shard_index],
+                is_write, self.stash_limits[shard_index],
             )
         # The shard filled local addresses: hand global ones back.
-        result.filled = [
-            (local * num_shards + shard_index, prefetched)
-            for local, prefetched in result.filled
-        ]
-        return result
+        return completion, [local * num_shards + shard_index for local in fills]
 
-    def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
-        shard_index = addr % self.num_shards
-        shard = self.shards[shard_index]
-        result = shard.prefetch_access(addr // self.num_shards, now)
-        if result is None:
+    def prefetch_access(self, addr: int, now: int) -> Optional[Answer]:
+        num_shards = self.num_shards
+        shard_index = addr % num_shards
+        issued = self.shards[shard_index].prefetch_access(addr // num_shards, now)
+        if issued is None:
             return None
-        result.filled = [
-            (local * self.num_shards + shard_index, prefetched)
-            for local, prefetched in result.filled
-        ]
-        return result
+        completion, fills = issued
+        return completion, [local * num_shards + shard_index for local in fills]
 
     def access_batch(
         self, requests: Sequence[Tuple[int, int, bool]]
-    ) -> List[DemandResult]:
+    ) -> List[Answer]:
         """Serve a batch of ``(addr, now, is_write)`` concurrently in-flight.
 
         Requests are partitioned by shard (preserving arrival order within
@@ -238,7 +207,7 @@ class ShardedORAMBank(MemoryBackend):
         per_shard: List[List[int]] = [[] for _ in range(self.num_shards)]
         for position, (addr, _now, _w) in enumerate(requests):
             per_shard[addr % self.num_shards].append(position)
-        results: List[Optional[DemandResult]] = [None] * len(requests)
+        results: List[Optional[Answer]] = [None] * len(requests)
         round_index = 0
         remaining = len(requests)
         while remaining:
@@ -325,7 +294,7 @@ def pressure_limit(shard: ORAMBackend, policy: HealthPolicy) -> int:
 def health_access(
     health: HealthControlPlane, index: int, shard: ORAMBackend, local: int,
     now: int, is_write: bool, stash_limit: int,
-) -> DemandResult:
+) -> Answer:
     """One demand access of *shard* under breaker ``health.breakers[index]``.
 
     A sick shard (quarantined fallback or half-open probe: the state is
@@ -339,7 +308,8 @@ def health_access(
     its simulated latency are fed to the breaker whatever the state; stash
     pressure (occupancy above *stash_limit*, :func:`pressure_limit`) only
     while unpadded; then the shard's degraded mode follows the state's
-    ``throttled``.  Returns the shard's (local) result.
+    ``throttled``.  Returns the shard's (local) ``(completion_cycle,
+    fills)``; a padded access completes when its padding path does.
     """
     padded = health.breakers[index].state.padded
     if padded:
@@ -351,12 +321,12 @@ def health_access(
     start = shard.busy_until
     if now > start:
         start = now
-    result = shard.demand_access(local, now, is_write)
+    completion, fills = shard.demand_access(local, now, is_write)
     # The padding path and the breaker's latency both go by the
     # controller's clock -- the demand path's write-back end -- not by
     # when its block came back to the core.
     if padded:
-        result.completion_cycle = shard.dummy_path_access(shard.busy_until)
+        completion = shard.dummy_path_access(shard.busy_until)
     state = health.record_access(
         index, stats.transient_faults == faults_before, shard.busy_until - start
     )
@@ -364,7 +334,7 @@ def health_access(
         state = health.record_pressure(index)
     if state.throttled != shard.degraded:
         shard.set_degraded(state.throttled)
-    return result
+    return completion, fills
 
 
 def quarantine(
@@ -514,5 +484,14 @@ def build_bank(
         ]
     )
     if health_policy is not None:
-        bank.attach_health(HealthControlPlane(num_shards, health_policy))
+        # Every demand access then feeds its shard's breaker (fault outcome
+        # + latency) through health_access: the breaker state's ``padded``
+        # / ``throttled`` drive per-shard mitigation (dummy-path padding,
+        # degraded mode), a quarantined shard past its cooldown is
+        # half-opened, and stash occupancy above the policy's pressure
+        # watermark degrades the shard immediately.
+        bank.health = HealthControlPlane(num_shards, health_policy)
+        bank.stash_limits = [
+            pressure_limit(shard, health_policy) for shard in bank.shards
+        ]
     return bank

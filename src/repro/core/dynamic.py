@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.core import counters
 from repro.core.thresholds import StaticThresholdPolicy, ThresholdPolicy
-from repro.oram.super_block import FetchOutcome, SuperBlockScheme
+from repro.oram.super_block import SuperBlockScheme
 from repro.utils.bitops import is_power_of_two
 
 
@@ -119,22 +119,22 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
     # ------------------------------------------------------------- main hook
     def process_fetch(
         self, demand: int, members: List[int], fetched: Dict[int, int]
-    ) -> FetchOutcome:
-        outcome = FetchOutcome()
+    ) -> List[int]:
         base = members[0]
         size = len(members)
         coresident = self._coresident
         for addr in fetched:
             coresident[addr] = 0  # fresh LLC residency starts now
         if size > 1:
-            broke = self._run_break(demand, base, size, fetched, outcome)
+            fills: List[int] = []
+            broke = self._run_break(demand, base, size, fetched, fills)
             # Hysteresis: a super block broken this access does not
             # immediately audition for re-merging.
             if not broke and not self._merge_throttled:
                 # group_base(demand, size) inlined: sizes are powers of two.
                 self._run_merge(demand & ~(size - 1), size)
-            return outcome
-        outcome.to_llc.append((demand, False))
+            return fills
+        fills = [demand]
         # A singleton arriving from the ORAM may carry a stale pending
         # prefetch bit (it was prefetched, evicted unused, and its super
         # block broke apart since).  Consume it so the bit does not corrupt
@@ -142,14 +142,14 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         # prefetch-bit clear has an effect here).
         self._pf_bits[demand] = 0
         if self._merge_throttled or self.max_sbsize < 2:
-            return outcome
+            return fills
         # Algorithm 1 for a singleton B = {demand} (every merge audition at
         # the default max_sbsize of 2), inline: the neighbor is one block
         # and the counter is the two merge bits of the aligned pair, read
         # and written directly instead of slicing/boxing through the codec.
         cb = demand & ~1
         if cb + 2 > self._num_blocks:
-            return outcome
+            return fills
         neighbor = cb if cb != demand else demand + 1
         m = self._merge_bits
         value = (m[cb] << 1) | m[cb + 1]
@@ -161,14 +161,14 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
                 value += 1
             if value >= self.policy.merge_threshold(2):
                 self._merge(demand, neighbor, 1, cb, 2)
-                return outcome
+                return fills
             m[cb] = value >> 1
             m[cb + 1] = value & 1
         elif self.literal_merge_decrement and value:
             value -= 1
             m[cb] = value >> 1
             m[cb + 1] = value & 1
-        return outcome
+        return fills
 
     # ------------------------------------------------------------- Algorithm 2
     def _run_break(
@@ -177,9 +177,10 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         base: int,
         size: int,
         fetched: Dict[int, int],
-        outcome: FetchOutcome,
+        fills: List[int],
     ) -> bool:
-        """Break algorithm; returns True if the super block was broken."""
+        """Break algorithm; returns True if the super block was broken.
+        Appends the members that enter the LLC to ``fills``."""
         posmap = self._posmap
         # Reconstruct the break counter from the super block's break bits,
         # then update it with the prefetch/hit evidence of blocks coming
@@ -232,11 +233,9 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
             # prefetches relative to the demand block.
             for addr in keep:
                 if addr in fetched:
-                    if addr == demand:
-                        outcome.to_llc.append((addr, False))
-                    else:
+                    if addr != demand:
                         self.tracker.mark_prefetched(addr)
-                        outcome.to_llc.append((addr, True))
+                    fills.append(addr)
             # B2 is "written back to ORAM": its blocks simply stay in the
             # tree/stash under their fresh independent leaf -- no copies
             # enter the LLC.
@@ -253,11 +252,9 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         for addr in range(base, base + size):
             if addr not in fetched:
                 continue
-            if addr == demand:
-                outcome.to_llc.append((addr, False))
-            else:
+            if addr != demand:
                 self.tracker.mark_prefetched(addr)
-                outcome.to_llc.append((addr, True))
+            fills.append(addr)
         return False
 
     # ------------------------------------------------------------- Algorithm 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.thresholds import StaticThresholdPolicy, ThresholdPolicy
-from repro.oram.super_block import FetchOutcome, SuperBlockScheme
+from repro.oram.super_block import SuperBlockScheme
 
 #: candidate strides, probed in order; all fit in one 32-entry PosMap block
 DEFAULT_STRIDES: Tuple[int, ...] = (1, 2, 4, 8)
@@ -74,29 +74,23 @@ class StridedDynamicScheme(SuperBlockScheme):
     # -------------------------------------------------------------- main hook
     def process_fetch(
         self, demand: int, members: List[int], fetched: Dict[int, int]
-    ) -> FetchOutcome:
-        outcome = FetchOutcome()
+    ) -> List[int]:
         for addr in fetched:
             self._coresident[addr] = False
-        if len(members) == 2:
-            if not self._run_break(demand, members, fetched, outcome):
-                self._mark_prefetches(demand, fetched, outcome)
-        else:
-            outcome.to_llc.append((demand, False))
+        if len(members) != 2:
             self.tracker.consume_bits(demand)
             self._run_merge(demand)
-        return outcome
-
-    def _mark_prefetches(self, demand, fetched, outcome):
+            return [demand]
+        if self._run_break(demand, members, fetched):
+            # only the demand goes to the LLC; the other half stays in the ORAM
+            return [demand]
         for addr in fetched:
-            if addr == demand:
-                outcome.to_llc.append((addr, False))
-            else:
+            if addr != demand:
                 self.tracker.mark_prefetched(addr)
-                outcome.to_llc.append((addr, True))
+        return list(fetched)
 
     # -------------------------------------------------------------- breaking
-    def _run_break(self, demand, members, fetched, outcome) -> bool:
+    def _run_break(self, demand, members, fetched) -> bool:
         low = members[0]
         counter = self._break_counters.get(low, INITIAL_BREAK)
         for addr in fetched:
@@ -115,8 +109,6 @@ class StridedDynamicScheme(SuperBlockScheme):
             self._partner.pop(b, None)
             self._break_counters.pop(low, None)
             self.stats.breaks += 1
-            # only the demand goes to the LLC; the other half stays in the ORAM
-            outcome.to_llc.append((demand, False))
             return True
         self._break_counters[low] = max(0, counter)
         return False

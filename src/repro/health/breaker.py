@@ -140,8 +140,10 @@ class HealthPolicy:
             raise ValueError("probe_successes must be <= probe_batch")
         if min(self.probe_batch, self.probe_successes, self.recover_windows) < 1:
             raise ValueError("probe/recover budgets must be >= 1")
-        if self.quarantine_cooldown < 0:
-            raise ValueError("quarantine_cooldown must be >= 0")
+        for name in ("quarantine_cooldown", "degrade_latency_cycles", "heartbeat_every"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.batch_deadline_s < 0 or self.join_timeout_s <= 0:
             raise ValueError("deadlines must be positive (batch deadline may be 0)")
 
@@ -392,10 +394,3 @@ class CircuitBreaker:
 
     def transition_pairs(self) -> List[Tuple[str, str]]:
         return [(t.previous.value, t.state.value) for t in self.transitions]
-
-    def summary(self) -> str:
-        return (
-            f"{self.name}: {self.state.value} after {self.events} events, "
-            f"{len(self.transitions)} transitions, "
-            f"{self.quarantines} quarantines, {self.readmissions} re-admissions"
-        )

@@ -83,10 +83,6 @@ class HealthControlPlane:
     def num_shards(self) -> int:
         return len(self.breakers)
 
-    @property
-    def all_healthy(self) -> bool:
-        return all(b.state is HealthState.HEALTHY for b in self.breakers)
-
     def should_reroute(self, index: int) -> bool:
         """Admission-time routing query: send this shard's *new* arrivals
         down the serial fallback lane instead of batching them?  True only
@@ -97,13 +93,6 @@ class HealthControlPlane:
     def throttled(self, index: int) -> bool:
         """Should this shard's batch quota be reduced (degraded/probing)?"""
         return self.breakers[index].state.throttled
-
-    def quarantined(self) -> List[int]:
-        return [
-            index
-            for index, breaker in enumerate(self.breakers)
-            if breaker.state is HealthState.QUARANTINED
-        ]
 
     def total_transitions(self) -> int:
         return sum(len(b.transitions) for b in self.breakers)
@@ -145,15 +134,3 @@ class HealthControlPlane:
     def registry(self) -> MetricsRegistry:
         """Read view: a fresh :meth:`to_registry` walk."""
         return self.to_registry()
-
-    def render(self) -> str:
-        lines = [f"health plane: {self.num_shards} shards"]
-        for breaker in self.breakers:
-            lines.append("  " + breaker.summary())
-            for transition in breaker.transitions:
-                lines.append(
-                    f"    @{transition.event_index}: "
-                    f"{transition.previous.value} -> {transition.state.value} "
-                    f"({transition.reason})"
-                )
-        return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Memory subsystem: DRAM model, ORAM timing/backend, timing protection."""
 
-from repro.memory.backend import BackendStats, DemandResult, MemoryBackend
+from repro.memory.backend import BackendStats, MemoryBackend
 from repro.memory.dram import DRAMBackend
 from repro.memory.interconnect import (
     ChannelInterconnect,
@@ -15,7 +15,6 @@ __all__ = [
     "BackendStats",
     "ChannelInterconnect",
     "DRAMBackend",
-    "DemandResult",
     "FlatInterconnect",
     "MemoryBackend",
     "MemoryInterconnect",

@@ -1,10 +1,18 @@
 """The memory-backend interface the secure-processor simulator drives.
 
 A backend owns all timing below the LLC.  The in-order core calls
-:meth:`MemoryBackend.demand_access` on every LLC miss and stalls until the
-returned completion cycle; the cache hierarchy reports LLC victims through
-:meth:`MemoryBackend.evict_line`; the optional traditional prefetcher asks
-for :meth:`MemoryBackend.prefetch_access`.
+:meth:`MemoryBackend.demand_access` on every LLC miss; the cache hierarchy
+reports LLC victims through :meth:`MemoryBackend.evict_line`; the optional
+traditional prefetcher asks for :meth:`MemoryBackend.prefetch_access`.
+
+An access answers with one shape on every backend: the pair
+``(completion_cycle, fills)`` -- when the demand block is available to the
+core (the core stalls until then), and the addresses whose lines enter the
+LLC, in fill order: the demand line plus any super block members fetched
+with it.  Which fills are prefetches is not part of the answer: on an ORAM
+backend the scheme's :class:`~repro.oram.super_block.PrefetchTracker`
+holds each line's prefetch bit, and the core tells the demand line by its
+address.
 
 Implementations: :class:`repro.memory.dram.DRAMBackend` (insecure
 baseline), :class:`repro.memory.oram_backend.ORAMBackend` (Path ORAM with a
@@ -22,22 +30,13 @@ and the simulators, collectors and studies iterate that.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
-@dataclass(slots=True)
-class DemandResult:
-    """Outcome of a demand miss.
-
-    Attributes:
-        completion_cycle: when the demand block is available to the core.
-        filled: (addr, prefetched) lines to install in the LLC -- the
-            demand line plus any super block members fetched with it.
-    """
-
-    completion_cycle: int
-    filled: List[Tuple[int, bool]] = field(default_factory=list)
+#: what :meth:`MemoryBackend.demand_access` / ``prefetch_access`` answer:
+#: ``(completion_cycle, fills)`` (module docstring)
+Answer = Tuple[int, List[int]]
 
 
 @dataclass
@@ -117,11 +116,15 @@ class MemoryBackend(ABC):
         return []
 
     @abstractmethod
-    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
-        """Serve an LLC demand miss issued at cycle ``now``."""
+    def demand_access(self, addr: int, now: int, is_write: bool) -> Answer:
+        """Serve an LLC demand miss issued at cycle ``now``; returns
+        ``(completion_cycle, fills)`` (module docstring), ``addr`` among
+        the fills."""
 
-    def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
-        """Serve a prefetch request; None when the backend declines.
+    def prefetch_access(self, addr: int, now: int) -> Optional[Answer]:
+        """Serve a prefetch request: ``(completion_cycle, fills)`` as
+        :meth:`demand_access`, every fill a prefetched line, or ``None``
+        when the backend declines.
 
         Default: backends do not support traditional prefetching.
         """

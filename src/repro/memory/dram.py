@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import DRAMConfig
-from repro.memory.backend import DemandResult, MemoryBackend
+from repro.memory.backend import Answer, MemoryBackend
 from repro.memory.timing import transfer_cycles
 
 
@@ -55,18 +55,16 @@ class DRAMBackend(MemoryBackend):
         stats.busy_cycles += self.transfer_cycles
         return completion
 
-    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
+    def demand_access(self, addr: int, now: int, is_write: bool) -> Answer:
         self.stats.demand_requests += 1
-        completion = self._schedule(addr, now)
-        return DemandResult(completion_cycle=completion, filled=[(addr, False)])
+        return self._schedule(addr, now), [addr]
 
-    def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
+    def prefetch_access(self, addr: int, now: int) -> Optional[Answer]:
         """Prefetches ride the bus slack; declined when the bus is backlogged."""
         if self._bus_free > now + self.config.latency_cycles:
             return None
         self.stats.prefetch_requests += 1
-        completion = self._schedule(addr, now)
-        return DemandResult(completion_cycle=completion, filled=[(addr, True)])
+        return self._schedule(addr, now), [addr]
 
     def evict_line(self, addr: int, dirty: bool, now: int) -> None:
         """Dirty write-backs consume bandwidth but never stall the core.

@@ -47,7 +47,7 @@ from repro.faults.resilient import (
     refuse_endless_retries,
     stash_soft_limit,
 )
-from repro.memory.backend import BackendStats, DemandResult, MemoryBackend
+from repro.memory.backend import Answer, BackendStats, MemoryBackend
 from repro.memory.interconnect import build_interconnect
 from repro.oram.checkpoint import CheckpointError, checked_counters, load_counters
 from repro.oram.recursion import PosMapHierarchy
@@ -456,9 +456,11 @@ class ORAMBackend(MemoryBackend):
         ``run_scheme`` is false for write-backs (Algorithms 1 and 2 only
         run on fetches); ``kind`` only labels the span when tracing is on.
 
-        Returns (completion_cycle, ready_cycle, FetchOutcome-or-None): the
-        controller is busy until the first, the fetched blocks are on chip
-        at the second (early data return; equal on the flat model).
+        Returns ``(ready_cycle, fills)``: the fetched blocks are on chip
+        at the first (early data return), the second is the LLC fill list
+        of the scheme (``None`` for a write-back).  The controller is busy
+        until ``self.busy_until``, which the access has just set (the same
+        cycle as ``ready_cycle`` on the flat model).
 
         This method is the override seam: a subclass that schedules
         requests (the periodic backend) overrides it.  Where nothing does,
@@ -468,7 +470,7 @@ class ORAMBackend(MemoryBackend):
         return self.pipeline.execute(addr, now, run_scheme, kind)
 
     # ----------------------------------------------------------------- access
-    def demand_access(self, addr: int, now: int, is_write: bool) -> DemandResult:
+    def demand_access(self, addr: int, now: int, is_write: bool) -> Answer:
         # _check_addr inlined (one call per LLC miss).
         if not 0 <= addr < self.oram.position_map.num_blocks:
             raise ValueError(
@@ -478,12 +480,12 @@ class ORAMBackend(MemoryBackend):
         self.stats.demand_requests += 1
         # The core resumes when the block is on chip; the next request
         # still queues behind busy_until, the write-back's end.
-        _, ready, outcome = self._issue(addr, now, True, "demand")
+        issued = self._issue(addr, now, True, "demand")
         if self.stash_sampler is not None:
             self.stash_sampler(len(self.oram.stash))
-        return DemandResult(ready, outcome.to_llc)
+        return issued
 
-    def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
+    def prefetch_access(self, addr: int, now: int) -> Optional[Answer]:
         """Traditional prefetching on ORAM (the section 5.2 experiment).
 
         A prefetch is a full, blocking path access.  The controller enqueues
@@ -502,13 +504,13 @@ class ORAMBackend(MemoryBackend):
         if not 0 <= addr < self.oram.position_map.num_blocks:
             return None
         self.stats.prefetch_requests += 1
-        _, ready, outcome = self._issue(addr, now, True, "prefetch")
+        issued = self._issue(addr, now, True, "prefetch")
         # Every line a prefetch brings in is a prefetched line, including
         # the nominal "demand" member.
-        for member_addr, _ in outcome.to_llc:
-            self.scheme.tracker.mark_prefetched(member_addr)
-        filled = [(member_addr, True) for member_addr, _ in outcome.to_llc]
-        return DemandResult(ready, filled)
+        mark_prefetched = self.scheme.tracker.mark_prefetched
+        for member_addr in issued[1]:
+            mark_prefetched(member_addr)
+        return issued
 
     # ----------------------------------------------------------- cache events
     def evict_line(self, addr: int, dirty: bool, now: int) -> None:

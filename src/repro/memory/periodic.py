@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import DRAMConfig, TimingProtectionConfig
-from repro.memory.backend import DemandResult
+from repro.memory.backend import Answer
 from repro.memory.oram_backend import ORAMBackend
 from repro.oram.super_block import SuperBlockScheme
 
@@ -157,10 +157,10 @@ class PeriodicORAMBackend(ORAMBackend):
         controller's completion, never after the early data return."""
         slot = self._claim_slot(now)
         issued = self.pipeline.execute(addr, slot, run_scheme, kind)
-        self._schedule_after(slot, issued[0])
+        self._schedule_after(slot, self.busy_until)
         return issued
 
-    def prefetch_access(self, addr: int, now: int) -> Optional[DemandResult]:
+    def prefetch_access(self, addr: int, now: int) -> Optional[Answer]:
         # The slot is claimed *before* the base class decides whether to
         # decline: its backlog check must see the grid slot, not the
         # arrival cycle, and the slots that elapsed before the arrival

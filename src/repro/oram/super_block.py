@@ -19,7 +19,7 @@ The dynamic scheme (PrORAM itself) lives in :mod:`repro.core.dynamic`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.oram.path_oram import PathORAM
@@ -50,20 +50,6 @@ class SchemeStats:
         if resolved == 0:
             return 0.0
         return self.prefetch_hits / resolved
-
-
-@dataclass(slots=True)
-class FetchOutcome:
-    """What the scheme decided after one ORAM fetch.
-
-    Attributes:
-        to_llc: (addr, prefetched) pairs whose copies enter the LLC; the
-            demand block is always present with ``prefetched=False``.
-            Members the scheme leaves out (the written-back half of a broken
-            super block) simply stay in the ORAM.
-    """
-
-    to_llc: List[Tuple[int, bool]] = field(default_factory=list)
 
 
 class PrefetchTracker:
@@ -199,8 +185,15 @@ class SuperBlockScheme(ABC):
     @abstractmethod
     def process_fetch(
         self, demand: int, members: List[int], fetched: Dict[int, int]
-    ) -> FetchOutcome:
+    ) -> List[int]:
         """Post-fetch decisions (prefetch marking, merge/break).
+
+        Returns the addresses whose copies enter the LLC, in fill order
+        (the LLC's LRU state follows it).  The demand block is always
+        among them; every other one is a prefetch, and the scheme has set
+        its prefetch bit (:meth:`PrefetchTracker.mark_prefetched`), the
+        one record of that fact.  Members the scheme leaves out (the
+        written-back half of a broken super block) simply stay in the ORAM.
 
         Args:
             demand: the missed address that triggered the access.
@@ -247,8 +240,8 @@ class BaselineScheme(SuperBlockScheme):
 
     def process_fetch(
         self, demand: int, members: List[int], fetched: Dict[int, int]
-    ) -> FetchOutcome:
-        return FetchOutcome(to_llc=[(demand, False)])
+    ) -> List[int]:
+        return [demand]
 
 
 class StaticSuperBlockScheme(SuperBlockScheme):
@@ -281,13 +274,9 @@ class StaticSuperBlockScheme(SuperBlockScheme):
 
     def process_fetch(
         self, demand: int, members: List[int], fetched: Dict[int, int]
-    ) -> FetchOutcome:
-        outcome = FetchOutcome()
+    ) -> List[int]:
         for addr in fetched:
-            if addr == demand:
-                outcome.to_llc.append((addr, False))
-            else:
+            if addr != demand:
                 self.tracker.consume_bits(addr)  # refresh any stale pending bit
                 self.tracker.mark_prefetched(addr)
-                outcome.to_llc.append((addr, True))
-        return outcome
+        return list(fetched)

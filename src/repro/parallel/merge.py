@@ -190,8 +190,9 @@ def run_serial_reference(
         num_shards,
         health_policy=health_policy,
     )
-    results = bank.access_batch(list(requests))
-    completions: List[int] = [r.completion_cycle for r in results]
+    completions: List[int] = [
+        completion for completion, _ in bank.access_batch(list(requests))
+    ]
     bank.finalize(max(completions, default=0))
     if fsck:
         report = run_fsck_bank(bank)

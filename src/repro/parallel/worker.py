@@ -195,12 +195,12 @@ class ShardExecutor:
         completions = []
         for addr, now, is_write in batch:
             if health is None:
-                result = backend.demand_access(addr, now, is_write)
+                completion, _ = backend.demand_access(addr, now, is_write)
             else:
-                result = health_access(
+                completion, _ = health_access(
                     health, 0, backend, addr, now, is_write, self.stash_limit
                 )
-            completions.append(result.completion_cycle)
+            completions.append(completion)
             # Mid-batch liveness proof: under deadline enforcement the
             # front-end must tell "slow" from "hung", and the only
             # evidence that crosses the process boundary is a reply.  The

@@ -474,7 +474,7 @@ class ServingFrontEnd:
     # ---------------------------------------------------------------- issuing
     def _issue_one(self, access: _Access, shard: int, now: int) -> None:
         addr = access.addr
-        result = self.bank.demand_access(addr, now, access.is_write)
+        completion, _ = self.bank.demand_access(addr, now, access.is_write)
         # The only place super-block membership, the stash and the shard's
         # breaker move during a run.  An access moves membership only
         # inside its aligned group of ``span`` blocks on the shard: drop
@@ -503,7 +503,7 @@ class ServingFrontEnd:
                 else self.config.batch_size
             )
         access.shard = shard
-        completion = access.completion_cycle = result.completion_cycle
+        access.completion_cycle = completion
         self.issued.append((addr, now, access.is_write))
         self.access_completions.append(completion)
         self._outstanding[shard] += 1

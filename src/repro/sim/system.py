@@ -353,13 +353,13 @@ class SecureSystem:
             self._now = now  # visible to the victim callback
             if capture is not None:
                 capture.append((addr, now, is_write))
-            result = demand_access(addr, now, is_write)
-            for fill_addr, _prefetched in result.filled:
+            completion, fills = demand_access(addr, now, is_write)
+            for fill_addr in fills:
                 if fill_addr == addr:
                     fill_demand(addr, is_write, core)
                 else:
                     fill_prefetch(fill_addr)
-            self._now = now = clocks[core] = result.completion_cycle + l1_hit_latency
+            self._now = now = clocks[core] = completion + l1_hit_latency
             if prefetcher is not None:
                 # Prefetches never stall the core; they only occupy the
                 # backend (and their fills become usable at completion).
@@ -387,12 +387,13 @@ class SecureSystem:
                 continue
             if self.hierarchy.contains(candidate):
                 continue
-            result = self.backend.prefetch_access(candidate, now)
-            if result is None:
+            issued = self.backend.prefetch_access(candidate, now)
+            if issued is None:
                 continue
-            for fill_addr, _ in result.filled:
+            completion, fills = issued
+            for fill_addr in fills:
                 self.hierarchy.fill_prefetch(fill_addr)
-                self._pending_fills[fill_addr] = result.completion_cycle
+                self._pending_fills[fill_addr] = completion
 
     # --------------------------------------------------------------- plumbing
     def _on_llc_victim(self, addr: int, dirty: bool) -> None:

@@ -464,6 +464,9 @@ class TestOneErrorConvention:
             "parity --scheme tree --levels 2 --blocks 1000",
             "chaos --ops -5",
             "run -w locality:80 -s dyn --shards 2 --health-policy bogus=1 --accesses 100",
+            # "0 disables" knobs took a negative value silently
+            "run -w locality:80 -s dyn --shards 2 --health-policy degrade_latency_cycles=-5 --accesses 100",
+            "parallel -w locality:80 -s dyn --parallel-workers 2 --health-policy heartbeat_every=-3 --accesses 100",
             "trace -w locality:30 --accesses 100",
             # a library ValueError (a traceback before) reaches the same path
             "run -w locality:80 -s dyn --accesses 100 --fault-transient 2",

@@ -110,8 +110,8 @@ def drive(backend, seed, steps=240):
         addr = (addr + 1) % blocks if rng.random() < 0.6 else rng.randrange(blocks)
         kind = rng.random()
         if kind < 0.6:
-            done = backend.demand_access(addr, now, rng.random() < 0.3)
-            now = max(now, done.completion_cycle)
+            done, _ = backend.demand_access(addr, now, rng.random() < 0.3)
+            now = max(now, done)
         elif kind < 0.8:
             backend.prefetch_access(addr, now)
         else:

@@ -187,10 +187,9 @@ class TestSchemeCounterSaturation:
         members = scheme.members_for(addr)
         blocks = oram.begin_access(members)
         fetched = {m: blocks[m] for m in members if m not in llc}
-        outcome = scheme.process_fetch(addr, members, fetched)
+        fills = scheme.process_fetch(addr, members, fetched)
         oram.finish_access()
-        for filled, _ in outcome.to_llc:
-            llc.add(filled)
+        llc.update(fills)
 
     def _pair_counter(self, scheme):
         return (scheme._merge_bits[0] << 1) | scheme._merge_bits[1]

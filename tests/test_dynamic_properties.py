@@ -50,9 +50,9 @@ class Driver:
         members = self.scheme.members_for(addr)
         blocks = self.oram.begin_access(members)
         fetched = {m: blocks[m] for m in members if m not in self.llc}
-        outcome = self.scheme.process_fetch(addr, members, fetched)
+        fills = self.scheme.process_fetch(addr, members, fetched)
         self.oram.finish_access()
-        for fill, _ in outcome.to_llc:
+        for fill in fills:
             if fill not in self.llc:
                 self.llc.append(fill)
         while len(self.llc) > self.llc_lines:

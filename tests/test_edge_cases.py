@@ -60,9 +60,9 @@ class TestTinyGeometries:
 class TestBackendEdges:
     def test_single_bank_dram_serializes_fully(self):
         dram = DRAMBackend(DRAMConfig(num_banks=1), block_bytes=128)
-        first = dram.demand_access(0, 0, False)
-        second = dram.demand_access(1, 0, False)
-        assert second.completion_cycle >= first.completion_cycle + 100
+        first, _ = dram.demand_access(0, 0, False)
+        second, _ = dram.demand_access(1, 0, False)
+        assert second >= first + 100
 
     def test_periodic_with_zero_interval_is_back_to_back(self):
         config = ORAMConfig(levels=6, bucket_size=4, stash_blocks=30, utilization=0.5)
@@ -72,9 +72,9 @@ class TestBackendEdges:
             BaselineScheme(),
             TimingProtectionConfig(interval_cycles=0),
         )
-        first = backend.demand_access(1, 0, False)
-        second = backend.demand_access(2, first.completion_cycle, False)
-        assert second.completion_cycle == first.completion_cycle + backend.interconnect.path_cycles
+        first, _ = backend.demand_access(1, 0, False)
+        second, _ = backend.demand_access(2, first, False)
+        assert second == first + backend.interconnect.path_cycles
 
     def test_builder_honours_an_explicit_zero_interval(self):
         """Regression: the builder turned ``interval_cycles=0`` into 100."""

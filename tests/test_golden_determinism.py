@@ -189,10 +189,9 @@ class ChurnDriver:
         members = self.scheme.members_for(addr)
         blocks = self.oram.begin_access(members)
         fetched = {m: blocks[m] for m in members if m not in self.llc}
-        outcome = self.scheme.process_fetch(addr, members, fetched)
+        fills = self.scheme.process_fetch(addr, members, fetched)
         self.oram.finish_access()
-        for fill, _ in outcome.to_llc:
-            self.llc.add(fill)
+        self.llc.update(fills)
         self.oram.drain_stash()
 
     def touch(self, addr):

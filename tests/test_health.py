@@ -93,7 +93,7 @@ def bank_replay(requests, num_shards, policy):
     way :func:`run_serial_reference` replays them: the merged result and
     the plane's ``health.*`` registry."""
     bank = build_bank("dyn", FOOTPRINT, SystemConfig(), num_shards, health_policy=policy)
-    completions = [result.completion_cycle for result in bank.access_batch(requests)]
+    completions = [completion for completion, _ in bank.access_batch(requests)]
     bank.finalize(max(completions))
     merged = merge_shard_snapshots(
         bank.snapshot_shards(), completions, workload="parallel", scheme="dyn"
@@ -149,6 +149,18 @@ class TestHealthPolicy:
     def test_invalid_policies_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HealthPolicy(**kwargs)
+
+    @pytest.mark.parametrize("name", ["degrade_latency_cycles", "heartbeat_every"])
+    def test_negative_off_switch_refused_by_name(self, name):
+        """``0`` disables either knob; a negative value is no setting.
+        ``degrade_latency_cycles=-5`` was accepted and tripped ``slow`` on
+        every window (both shards of a 2-shard bank degraded at event 64),
+        ``heartbeat_every=-3`` was accepted too."""
+        with pytest.raises(ValueError, match=name):
+            HealthPolicy(**{name: -5})
+        with pytest.raises(ValueError, match=name):
+            HealthPolicy.parse(f"window=32,{name}=-3")
+        assert getattr(HealthPolicy.parse(f"{name}=0"), name) == 0
 
 
 # ----------------------------------------------------------------- breaker
@@ -352,8 +364,10 @@ class TestHealthControlPlane:
             ).value
             == 1
         )
-        assert plane.quarantined() == [1]
-        assert not plane.all_healthy
+        assert [breaker.state for breaker in plane.breakers] == [
+            HealthState.HEALTHY,
+            HealthState.QUARANTINED,
+        ]
 
     def test_readmission_counted(self):
         plane = HealthControlPlane(1, tight_policy())
@@ -405,7 +419,10 @@ class TestRuntimeHealth:
             health_policy=HealthPolicy(heartbeat_every=4),
         ) as runtime:
             parallel = runtime.run(requests, fsck=True)
-            assert runtime.health.all_healthy
+            assert all(
+                breaker.state is HealthState.HEALTHY
+                for breaker in runtime.health.breakers
+            )
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
     def test_health_policy_requires_checkpoint_dir(self):
@@ -569,8 +586,8 @@ class TestBankQuarantine:
         # addresses congruent 0 mod 2 route to the quarantined shard
         for index in range(8):
             now += 50
-            result = bank.demand_access(2 * index % FOOTPRINT, now, False)
-            assert result.completion_cycle > now
+            completion, _ = bank.demand_access(2 * index % FOOTPRINT, now, False)
+            assert completion > now
         breaker = bank.health.breakers[0]
         assert breaker._fallback_served == 8
         # every fallback access carries a dummy-path padding access so the

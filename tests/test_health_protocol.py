@@ -99,7 +99,7 @@ class HealthProtocolMachine(RuleBasedStateMachine):
     def degraded_iff_throttled(self):
         for shard, breaker in zip(self.bank.shards, self.bank.health.breakers):
             throttled, _padded = TRAFFIC[breaker.state.value]
-            assert shard.degraded == throttled, breaker.summary()
+            assert shard.degraded == throttled, breaker.transitions
 
     @invariant()
     def audit_clean(self):

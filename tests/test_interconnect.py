@@ -80,8 +80,8 @@ class TestSharedLatencyHelper:
     def test_transfer_cycles_matches_dram_backend(self):
         dram = DRAMConfig()
         assert transfer_cycles(dram, 128) == 8
-        fill = DRAMBackend(dram, 128).demand_access(0, 0, False)
-        assert fill.completion_cycle == dram.latency_cycles + 8 == 108
+        completion, _ = DRAMBackend(dram, 128).demand_access(0, 0, False)
+        assert completion == dram.latency_cycles + 8 == 108
 
     def test_transfer_cycles_floor(self):
         assert transfer_cycles(DRAMConfig(bandwidth_gbps=1000.0), 1) == 1
@@ -405,7 +405,7 @@ class TestEarlyDataReturn:
             now = 150 * index
             shard = bank.shards[index % 2]
             start = max(now, shard.busy_until)
-            completions.append(bank.demand_access(index % 64, now, False).completion_cycle)
+            completions.append(bank.demand_access(index % 64, now, False)[0])
             controller_latency.append(shard.busy_until - start)
         assert bank.health.state(1).padded
         assert queued_at_clock == [True] * 20
@@ -433,8 +433,7 @@ class TestPeriodicGridWithChannels:
         for i in range(60):
             choice = rng.randbelow(3)
             if choice == 0:
-                result = backend.demand_access(1 + (i % 32), now=now, is_write=bool(i % 2))
-                now = result.completion_cycle
+                now, _ = backend.demand_access(1 + (i % 32), now=now, is_write=bool(i % 2))
             elif choice == 1:
                 backend.evict_line(1 + (i % 32), dirty=True, now=now)
                 now = backend.busy_until
@@ -606,7 +605,7 @@ class TestMetricsExport:
         )
         now = 0
         for addr in range(20):
-            now = backend.demand_access(addr, now, False).completion_cycle
+            now = backend.demand_access(addr, now, False)[0]
         backend.finalize(now + 200 * backend._period)  # idle: the slots fire as dummies
         interconnect = backend.interconnect
         last_slot = backend._next_slot - backend._period
@@ -633,7 +632,7 @@ class TestMetricsExport:
         )
         now = 0
         for addr in range(20):
-            now = backend.demand_access(addr, now, False).completion_cycle
+            now = backend.demand_access(addr, now, False)[0]
         interconnect = backend.interconnect
         streamed_end = interconnect.last_completion
         for _ in range(200):

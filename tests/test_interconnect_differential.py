@@ -447,7 +447,7 @@ class TestEveryChargedPathReachesTheInterconnect:
             choice = rng.randrange(4)
             addr = 1 + rng.randrange(64)
             if choice == 0:
-                now = backend.demand_access(addr, now, bool(step % 2)).completion_cycle
+                now, _ = backend.demand_access(addr, now, bool(step % 2))
             elif choice == 1:
                 backend.evict_line(addr, dirty=True, now=now)
             elif choice == 2:

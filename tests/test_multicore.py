@@ -169,7 +169,7 @@ class TestMultiCore:
 
             def spy(addr, now):
                 result = issue(addr, now)
-                prefetches.append((addr, now, result.completion_cycle))
+                prefetches.append((addr, now, result[0]))
                 return result
 
             system.backend.prefetch_access = spy

@@ -39,22 +39,23 @@ def make_backend(scheme=None, levels=7, stash=50, bucket_size=4, utilization=0.5
 class TestDemand:
     def test_serialized_latency(self):
         backend = make_backend()
-        first = backend.demand_access(1, now=0, is_write=False)
-        second = backend.demand_access(2, now=0, is_write=False)
+        first, _ = backend.demand_access(1, now=0, is_write=False)
+        second, _ = backend.demand_access(2, now=0, is_write=False)
         # A single ORAM access saturates the channel: no overlap.
-        assert second.completion_cycle >= first.completion_cycle + backend.interconnect.path_cycles
+        assert second >= first + backend.interconnect.path_cycles
 
     def test_latency_includes_posmap_walk(self):
         backend = make_backend()
-        cold = backend.demand_access(1, now=0, is_write=False)
+        cold, _ = backend.demand_access(1, now=0, is_write=False)
         # The cold access paid extra path accesses for the PosMap walk.
-        assert cold.completion_cycle >= 2 * backend.interconnect.path_cycles
+        assert cold >= 2 * backend.interconnect.path_cycles
         assert backend.stats.posmap_accesses > 0
 
     def test_fill_contains_demand(self):
         backend = make_backend()
-        result = backend.demand_access(7, now=0, is_write=False)
-        assert (7, False) in result.filled
+        _, fills = backend.demand_access(7, now=0, is_write=False)
+        assert fills == [7]
+        assert backend.oram.position_map.prefetch_bit(7) == 0
 
     def test_rejects_out_of_range(self):
         backend = make_backend()
@@ -72,18 +73,19 @@ class TestDemand:
 class TestSuperBlockFill:
     def test_static_scheme_fills_pair(self):
         backend = make_backend(scheme=StaticSuperBlockScheme(2))
-        result = backend.demand_access(6, now=0, is_write=False)
-        fills = dict(result.filled)
-        assert fills[6] is False
-        assert fills[7] is True  # the prefetched partner
+        _, fills = backend.demand_access(6, now=0, is_write=False)
+        assert fills == [6, 7]
+        prefetch_bit = backend.oram.position_map.prefetch_bit
+        assert prefetch_bit(6) == 0
+        assert prefetch_bit(7) == 1  # the prefetched partner
 
     def test_llc_resident_member_not_refilled(self):
         backend = make_backend(scheme=StaticSuperBlockScheme(2))
         resident = {7}
         backend.set_llc_probe(lambda addr: addr in resident)
-        result = backend.demand_access(6, now=0, is_write=False)
-        fills = dict(result.filled)
-        assert 7 not in fills  # already cached: not "coming from ORAM"
+        _, fills = backend.demand_access(6, now=0, is_write=False)
+        assert fills == [6]  # 7 is already cached: not "coming from ORAM"
+        assert backend.oram.position_map.prefetch_bit(7) == 0
 
 
 class TestWriteback:
@@ -104,8 +106,8 @@ class TestWriteback:
     def test_writeback_occupies_controller(self):
         backend = make_backend()
         backend.evict_line(3, dirty=True, now=0)
-        blocked = backend.demand_access(4, now=0, is_write=False)
-        assert blocked.completion_cycle >= 2 * backend.interconnect.path_cycles
+        blocked, _ = backend.demand_access(4, now=0, is_write=False)
+        assert blocked >= 2 * backend.interconnect.path_cycles
 
 
 class TestPrefetch:
@@ -118,7 +120,7 @@ class TestPrefetch:
         backend = make_backend()
         result = backend.prefetch_access(2, now=0)
         assert result is not None
-        assert result.filled == [(2, True)]
+        assert result[1] == [2]
         # The prefetched line carries the pending-prefetch bit.
         assert backend.oram.position_map.prefetch_bit(2) == 1
 
@@ -136,9 +138,8 @@ class TestDynamicIntegration:
         # Streaming passes over a small region to trigger merging.
         for _ in range(4):
             for addr in range(0, 32):
-                result = backend.demand_access(addr, now=0, is_write=False)
-                for a, _pf in result.filled:
-                    resident.add(a)
+                _, fills = backend.demand_access(addr, now=0, is_write=False)
+                resident.update(fills)
             for addr in list(resident):
                 resident.discard(addr)
                 backend.evict_line(addr, dirty=False, now=0)

@@ -31,26 +31,26 @@ def make_backend(interval=100, observer=None, oram=None, dram=None):
 class TestSchedule:
     def test_consecutive_accesses_spaced_by_interval(self):
         backend = make_backend(interval=100)
-        first = backend.demand_access(1, now=0, is_write=False)
-        second = backend.demand_access(2, now=first.completion_cycle, is_write=False)
+        first, _ = backend.demand_access(1, now=0, is_write=False)
+        second, _ = backend.demand_access(2, now=first, is_write=False)
         # The second access starts exactly Oint after the first finishes.
-        gap = second.completion_cycle - first.completion_cycle
+        gap = second - first
         assert gap >= 100 + backend.interconnect.path_cycles
 
     def test_idle_periods_filled_with_dummies(self):
         backend = make_backend(interval=100)
-        first = backend.demand_access(1, now=0, is_write=False)
+        first, _ = backend.demand_access(1, now=0, is_write=False)
         # Arrive a long time later: slots in between must have fired.
         idle = 20 * (backend.interconnect.path_cycles + 100)
-        backend.demand_access(2, now=first.completion_cycle + idle, is_write=False)
+        backend.demand_access(2, now=first + idle, is_write=False)
         assert backend.stats.dummy_accesses >= 18
 
     def test_request_waits_for_next_slot(self):
         backend = make_backend(interval=1000)
-        first = backend.demand_access(1, now=0, is_write=False)
+        first, _ = backend.demand_access(1, now=0, is_write=False)
         # A request arriving mid-interval is delayed to the slot.
-        second = backend.demand_access(2, now=first.completion_cycle + 1, is_write=False)
-        assert second.completion_cycle >= first.completion_cycle + 1000
+        second, _ = backend.demand_access(2, now=first + 1, is_write=False)
+        assert second >= first + 1000
 
     def test_finalize_accounts_trailing_dummies(self):
         backend = make_backend(interval=100)
@@ -83,17 +83,16 @@ class TestSlotGridInvariant:
         for i in range(60):
             choice = rng.randbelow(4)
             if choice == 0:
-                result = backend.demand_access(
+                now, _ = backend.demand_access(
                     1 + (i % 32), now=now, is_write=bool(i % 2)
                 )
-                now = result.completion_cycle
             elif choice == 1:
                 backend.evict_line(1 + (i % 32), dirty=True, now=now)
                 now = backend.busy_until
             elif choice == 2:
                 result = backend.prefetch_access(33 + (i % 16), now=now)
                 if result is not None:
-                    now = result.completion_cycle
+                    now, _ = result
             else:
                 now += 1 + rng.randbelow(3 * period)
         backend.finalize(now + 5 * period)
@@ -174,8 +173,7 @@ class TestObliviousSchedule:
         busy = make_backend(interval=100, observer=obs_busy)
         now = 0
         for i in range(10):
-            result = busy.demand_access(i + 1, now=now, is_write=False)
-            now = result.completion_cycle
+            now, _ = busy.demand_access(i + 1, now=now, is_write=False)
         busy.finalize(horizon)
 
         obs_idle = AccessObserver()
@@ -206,9 +204,9 @@ class TestRestoreKeepsTheGrid:
     def drive(backend, start, count):
         completion = None
         for index in range(start, start + count):
-            completion = backend.demand_access(
+            completion, _ = backend.demand_access(
                 (index * 7) % backend.num_blocks, backend.busy_until + 40, index % 4 == 0
-            ).completion_cycle
+            )
         return completion
 
     def test_source_and_clone_agree_after_a_restore(self):

@@ -64,7 +64,7 @@ FOOTPRINT = 192
 class AccessContext:
     __slots__ = (
         "addr", "start", "run_scheme", "evictions", "extra", "fault_delay",
-        "members", "blocks", "outcome", "leaf", "streamed_cycles",
+        "members", "blocks", "fills", "leaf", "streamed_cycles",
         "arrival", "busy_until", "events",
     )
 
@@ -77,7 +77,7 @@ class AccessContext:
         self.fault_delay = 0
         self.members = ()
         self.blocks = None
-        self.outcome = None
+        self.fills = None
         self.leaf = 0
         self.streamed_cycles = 0
 
@@ -136,7 +136,7 @@ class RemapPhase:
                 for member in members
                 if not llc_contains(member)
             }
-        ctx.outcome = backend.scheme.process_fetch(ctx.addr, members, fetched)
+        ctx.fills = backend.scheme.process_fetch(ctx.addr, members, fetched)
 
     def cycles(self, backend, ctx):
         return 0
@@ -350,7 +350,7 @@ class ReferencePipeline:
                     "breaks": scheme_stats.breaks - breaks_before,
                 }
             )
-        return completion, ready, ctx.outcome
+        return ready, ctx.fills
 
     def breakdown(self):
         return dict(self.phase_cycles)
@@ -383,8 +383,8 @@ class ReferencePeriodicBackend(PeriodicORAMBackend):
         self._check_addr(addr)
         self.stats.write_accesses += 1
         slot = self._claim_slot(now)
-        completion, _, _ = self.pipeline.execute(addr, slot, False, "writeback")
-        self._schedule_after(slot, completion)
+        self.pipeline.execute(addr, slot, False, "writeback")
+        self._schedule_after(slot, self.busy_until)
 
 
 # ------------------------------------------------------------------ building
@@ -453,6 +453,8 @@ def drive(backend, ops, seed=17):
     rng = DeterministicRng(seed)
     resident = {}
     backend.set_llc_probe(resident.__contains__)
+    # Which fill is a prefetch is the tracker's prefetch bit, read per fill.
+    prefetch_bit = backend.oram.position_map.prefetch_bit
     seen = []
     now = 0
     cursor = 0
@@ -467,15 +469,20 @@ def drive(backend, ops, seed=17):
         else:
             cursor = rng.randint(0, FOOTPRINT - 1)
         if roll < 0.55:
-            result = backend.demand_access(cursor, now, is_write=roll < 0.2)
-            seen.append(("demand", result.completion_cycle, result.filled))
-            resident.update(result.filled)
-            now = max(now, result.completion_cycle - rng.randint(0, 2_000))
+            completion, fills = backend.demand_access(cursor, now, is_write=roll < 0.2)
+            seen.append(("demand", completion, fills, [prefetch_bit(a) for a in fills]))
+            resident.update(dict.fromkeys(fills))
+            now = max(now, completion - rng.randint(0, 2_000))
         elif roll < 0.70:
             result = backend.prefetch_access(cursor, now)
-            seen.append(("prefetch", result and (result.completion_cycle, result.filled)))
-            if result is not None:
-                resident.update(result.filled)
+            if result is None:
+                seen.append(("prefetch", None))
+            else:
+                completion, fills = result
+                seen.append(
+                    ("prefetch", completion, fills, [prefetch_bit(a) for a in fills])
+                )
+                resident.update(dict.fromkeys(fills))
         elif roll < 0.90 and resident:
             victim = list(resident)[rng.randint(0, len(resident) - 1)]
             del resident[victim]

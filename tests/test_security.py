@@ -49,10 +49,9 @@ def run_pattern(addr_fn, accesses=3000, seed=7, scheme_factory=None):
             members = scheme.members_for(addr)
             blocks = oram.begin_access(members)
             fetched = {m: blocks[m] for m in members if m not in llc}
-            outcome = scheme.process_fetch(addr, members, fetched)
+            fills = scheme.process_fetch(addr, members, fetched)
             oram.finish_access()
-            for a, _ in outcome.to_llc:
-                llc.add(a)
+            llc.update(fills)
             if len(llc) > 64:  # small LLC: evict oldest-ish arbitrarily
                 victim = min(llc)
                 llc.discard(victim)

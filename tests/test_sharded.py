@@ -248,8 +248,7 @@ class TestAddressInterleaving:
     def test_demand_fills_come_back_global(self):
         bank = build_sharded(num_shards=4).backend
         for addr in [0, 1, 2, 3, 17, 42, 255]:
-            result = bank.demand_access(addr, now=0, is_write=False)
-            filled = [a for a, _ in result.filled]
+            _, filled = bank.demand_access(addr, now=0, is_write=False)
             assert addr in filled
             # Every fill from this channel carries the channel's congruence
             # class: interleaving is addr % num_shards.
@@ -270,8 +269,8 @@ class TestBatchedAccess:
         bank = build_sharded(num_shards=4).backend
         results = bank.access_batch(self.REQUESTS)
         assert len(results) == len(self.REQUESTS)
-        for (addr, _, _), result in zip(self.REQUESTS, results):
-            assert addr in [a for a, _ in result.filled]
+        for (addr, _, _), (_, fills) in zip(self.REQUESTS, results):
+            assert addr in fills
 
     def test_batch_deterministic_across_fresh_banks(self):
         def one_batch():

@@ -24,11 +24,10 @@ class Harness:
         members = self.scheme.members_for(addr)
         blocks = self.oram.begin_access(members)
         fetched = {m: blocks[m] for m in members if m not in self.llc}
-        outcome = self.scheme.process_fetch(addr, members, fetched)
+        fills = self.scheme.process_fetch(addr, members, fetched)
         self.oram.finish_access()
-        for fill, _ in outcome.to_llc:
-            self.llc.add(fill)
-        return outcome
+        self.llc.update(fills)
+        return fills
 
     def evict(self, addr):
         self.llc.discard(addr)

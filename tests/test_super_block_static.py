@@ -40,8 +40,9 @@ class TestBaselineScheme:
         scheme.initialize()
         oram.populate()
         blocks = oram.access([17])
-        outcome = scheme.process_fetch(17, [17], blocks)
-        assert outcome.to_llc == [(17, False)]
+        fills = scheme.process_fetch(17, [17], blocks)
+        assert fills == [17]
+        assert oram.position_map.prefetch_bit(17) == 0
         assert scheme.stats.prefetched_blocks == 0
 
 
@@ -90,11 +91,12 @@ class TestStaticScheme:
         oram.populate()
         members = scheme.members_for(10)
         blocks = oram.access(members)
-        outcome = scheme.process_fetch(10, members, blocks)
-        assert (10, False) in outcome.to_llc
-        assert (11, True) in outcome.to_llc
-        assert scheme.stats.prefetched_blocks == 1
+        fills = scheme.process_fetch(10, members, blocks)
+        assert fills == [10, 11]
+        # The prefetch bit is the one record of which fill is a prefetch.
+        assert oram.position_map.prefetch_bit(10) == 0
         assert oram.position_map.prefetch_bit(11) == 1
+        assert scheme.stats.prefetched_blocks == 1
 
     def test_super_block_survives_accesses(self):
         oram = make_oram()

@@ -167,9 +167,9 @@ class TestZeroElapsedBoundary:
         backend = system.backend
         policy = backend.scheme.policy
         assert isinstance(policy, AdaptiveThresholdPolicy)
-        first = backend.demand_access(0, now=0, is_write=False)
+        first, _ = backend.demand_access(0, now=0, is_write=False)
         elapsed_first = policy._window.elapsed_cycles
-        assert elapsed_first == first.completion_cycle
+        assert elapsed_first == first
         backend.pipeline.last_request_cycle = backend.busy_until + 10 ** 9
         backend.demand_access(1, now=backend.busy_until, is_write=False)
         assert policy._window.elapsed_cycles == elapsed_first

@@ -57,7 +57,7 @@ class TestDRAMTiming:
     @staticmethod
     def line_fill(dram: DRAMConfig) -> int:
         """An idle DRAM's demand fill: flat latency + line transfer time."""
-        return DRAMBackend(dram, 128).demand_access(0, 0, False).completion_cycle
+        return DRAMBackend(dram, 128).demand_access(0, 0, False)[0]
 
     def test_line_fill(self):
         # 100-cycle latency + 128 B over 16 B/cycle = 108.

@@ -282,10 +282,9 @@ class TestPeriodicGridWithTreetop:
         for i in range(60):
             choice = rng.randbelow(3)
             if choice == 0:
-                result = backend.demand_access(
+                now, _ = backend.demand_access(
                     1 + (i % 32), now=now, is_write=bool(i % 2)
                 )
-                now = result.completion_cycle
             elif choice == 1:
                 backend.evict_line(1 + (i % 32), dirty=True, now=now)
                 now = backend.busy_until
