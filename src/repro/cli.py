@@ -342,8 +342,6 @@ def cmd_run(args) -> int:
     schemes = _parse_schemes(args.schemes)
     config = memory_config(args)
     shards = shard_count(args)
-    if args.health_policy is not None and shards == 1:
-        usage_error("--health-policy needs a sharded bank (--shards > 1)")
     policy = health_policy(args)
     faults = fault_config(args)
     print(
@@ -729,8 +727,8 @@ def make_parser() -> argparse.ArgumentParser:
     add_health_option(
         run_p,
         "attach a per-shard circuit-breaker control plane to the "
-        "sharded bank (requires --shards > 1); keys are HealthPolicy "
-        "fields, e.g. window=32,quarantine_cooldown=16",
+        "ORAM bank (a lone controller runs as a bank of one); keys are "
+        "HealthPolicy fields, e.g. window=32,quarantine_cooldown=16",
     )
     run_p.add_argument(
         "--trace-out",

@@ -32,16 +32,16 @@ lone :class:`~repro.memory.oram_backend.ORAMBackend` already answers
 ``shards``/``num_blocks``/``snapshot_shards()`` itself, so ``num_shards ==
 1`` builds exactly that object (:func:`build_shard_backend` with index 0 of
 1) and nothing is added to its access path; a :class:`ShardedORAMBank` is
-only assembled for real interleaving (or by callers that want the bank's
-batch API at width 1).
+only assembled for real interleaving, for a health plane (a supervised
+lone controller is a bank of one) and by a shard worker, whose one channel
+runs the bank's access path.
 
 Construction: this module is the one place ORAM controllers are made.
 :func:`build_shard_backend` is the only constructor call of
 ``ORAMBackend``/``PeriodicORAMBackend`` (and of the ORAM each one is
-handed) and :func:`build_bank` the only
-assembly of a bank and its health plane; the system builder, the serving
-front end, the serial reference and the shard workers all import them from
-here.
+handed), :func:`build_bank` assembles an in-process bank, and the bank
+constructor wires its health plane; the system builder, the serving front
+end, the serial reference and the shard workers all import them from here.
 
 Results: the bank keeps no aggregate accounting of its own beyond the
 ``stats``/``busy_until`` views.
@@ -86,9 +86,19 @@ class ShardedORAMBank(MemoryBackend):
     Args:
         shards: the per-channel backends, already built and sized; shard
             ``i`` owns every global address congruent to ``i`` mod ``N``.
+            Each keeps the channel index and address stride
+            :func:`build_shard_backend` gave it, so a shard worker's bank of
+            one still reports its channel ``i`` of ``N``.
+        health_policy: optional :class:`~repro.health.HealthPolicy`; the
+            bank then holds a control plane as wide as itself and runs
+            every demand access through :func:`health_access`.
     """
 
-    def __init__(self, shards: Sequence[ORAMBackend]):
+    def __init__(
+        self,
+        shards: Sequence[ORAMBackend],
+        health_policy: Optional[HealthPolicy] = None,
+    ):
         # MemoryBackend.__init__ is skipped deliberately: ``stats`` and
         # ``busy_until`` are aggregate *views* over the shards (properties
         # below), not own state.
@@ -96,23 +106,29 @@ class ShardedORAMBank(MemoryBackend):
             raise ValueError("need at least one shard")
         self.shards: List[ORAMBackend] = list(shards)
         self.num_shards = self.bank_width = len(self.shards)
-        for index, shard in enumerate(self.shards):
-            # Spans emitted by a channel's pipeline carry the channel index
-            # and the *global* address (local * stride + index).
-            shard.shard_index = index
-            shard.addr_stride = self.num_shards
         #: valid global addresses: every (shard, local) pair must exist in
         #: its shard, so the bank exposes the smallest shard rounded down.
         self.num_blocks = self.num_shards * min(
             shard.oram.position_map.num_blocks for shard in self.shards
         )
-        #: optional :class:`~repro.health.HealthControlPlane`, as wide as
-        #: the bank (:func:`build_bank` installs it); ``None`` keeps the
-        #: access path bit-identical to the pre-health bank
+        #: the :class:`~repro.health.HealthControlPlane`, as wide as the
+        #: bank, under a *health_policy*; ``None`` keeps the access path
+        #: bit-identical to the pre-health bank
         self.health = None
         #: per shard, the stash occupancy above which the plane counts
         #: pressure (:func:`pressure_limit`; set with ``health``)
         self.stash_limits: List[int] = []
+        if health_policy is not None:
+            # Every demand access then feeds its shard's breaker (fault
+            # outcome + latency) through health_access: the breaker state's
+            # ``padded`` / ``throttled`` drive per-shard mitigation
+            # (dummy-path padding, degraded mode), a quarantined shard past
+            # its cooldown is half-opened, and stash occupancy above the
+            # policy's pressure watermark degrades the shard immediately.
+            self.health = HealthControlPlane(self.num_shards, health_policy)
+            self.stash_limits = [
+                pressure_limit(shard, health_policy) for shard in self.shards
+            ]
 
     # ----------------------------------------------------------------- wiring
     def set_recorder(self, recorder) -> None:
@@ -281,10 +297,9 @@ class ShardedORAMBank(MemoryBackend):
 
 
 # ------------------------------------------------------------ health step
-# One shard's health protocol, whoever holds the shard: a bank channel
-# (``index`` = the channel) and a shard worker (a 1-wide plane, index 0) call
-# the same functions, so a breaker is fed the same events per access
-# in-process and in a worker.
+# One shard's health protocol, run by the bank for its channel ``index``.  A
+# shard worker holds a bank of one, so a breaker is fed the same events per
+# access in-process and in a worker.
 
 def pressure_limit(shard: ORAMBackend, policy: HealthPolicy) -> int:
     """Stash occupancy above which *policy* counts a pressure signal."""
@@ -446,6 +461,8 @@ def build_shard_backend(
         )
     else:
         backend = ORAMBackend(oram, config.dram, scheme, fault_injector=fault_injector)
+    # Spans emitted by a channel's pipeline carry the channel index and the
+    # *global* address (local * stride + index).
     backend.shard_index = shard_index
     backend.addr_stride = num_shards
     return backend
@@ -467,9 +484,9 @@ def build_bank(
     to its slice of the footprint, a distinct RNG fork -- from
     :func:`build_shard_backend`; ``health_policy`` (a
     :class:`~repro.health.HealthPolicy`) attaches a control plane as wide
-    as the bank.
+    as the bank (one wide included: a health-supervised lone controller).
     """
-    bank = ShardedORAMBank(
+    return ShardedORAMBank(
         [
             build_shard_backend(
                 base_scheme,
@@ -481,17 +498,6 @@ def build_bank(
                 fault_injector=fault_injector,
             )
             for index in range(num_shards)
-        ]
+        ],
+        health_policy,
     )
-    if health_policy is not None:
-        # Every demand access then feeds its shard's breaker (fault outcome
-        # + latency) through health_access: the breaker state's ``padded``
-        # / ``throttled`` drive per-shard mitigation (dummy-path padding,
-        # degraded mode), a quarantined shard past its cooldown is
-        # half-opened, and stash occupancy above the policy's pressure
-        # watermark degrades the shard immediately.
-        bank.health = HealthControlPlane(num_shards, health_policy)
-        bank.stash_limits = [
-            pressure_limit(shard, health_policy) for shard in bank.shards
-        ]
-    return bank

@@ -223,7 +223,6 @@ def run_kv_storm(scenario: ChaosScenario) -> Dict:
 def run_parallel_storm(
     scenario: ChaosScenario,
     policy: Optional[HealthPolicy] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> Dict:
     """Kill + hang + transient/delay storm on the process-parallel runtime.
 
@@ -251,7 +250,7 @@ def run_parallel_storm(
             scenario.footprint_blocks,
             SystemConfig(seed=scenario.seed),
             scenario.num_shards,
-            checkpoint_dir=checkpoint_dir or scratch,
+            checkpoint_dir=scratch,
             batch_size=BATCH_SIZE,
             max_inflight=MAX_INFLIGHT,
             max_restarts=4 * max(len(events), 1) + 2,

@@ -15,7 +15,8 @@ sustained stash pressure.  This package supplies the decision layer
   by one health step (:func:`repro.controller.sharded.health_access`)
   whether the shard is a channel of an in-process
   :class:`~repro.controller.sharded.ShardedORAMBank` or a worker of a
-  :class:`~repro.parallel.runtime.ParallelShardRuntime`.
+  :class:`~repro.parallel.runtime.ParallelShardRuntime` (which runs its
+  channel as a bank of one).
 
 The protocol lives here: a state's ``throttled`` (merges and prefetches
 throttled, reduced quota) and ``padded`` (one dummy path per access) are

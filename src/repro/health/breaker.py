@@ -21,8 +21,8 @@ What a state does to traffic is answered here, once, by
 :attr:`HealthState.throttled` and :attr:`HealthState.padded`; what an
 access outcome counts as is answered by the breaker's one feed,
 :meth:`CircuitBreaker.record`.  The one owner, the shard's health step
-(:func:`repro.controller.sharded.health_access`, run by a bank channel and
-a shard worker alike), reads both and spells out no state switch of its
+(:func:`repro.controller.sharded.health_access`, run by the bank for each
+channel, a shard worker's bank of one included), reads both and spells out no state switch of its
 own.
 
 Every decision is driven by *event counts* (windows of recorded
@@ -353,7 +353,7 @@ class CircuitBreaker:
     # ------------------------------------------------------------ persistence
     def state_dict(self) -> dict:
         """Everything the breaker has counted, JSON-ready: a shard worker's
-        checkpoint carries it, and so does its run-end ``stats`` reply."""
+        checkpoint carries it, and so does its ``finished`` reply."""
         state = {
             name: value
             for name, value in vars(self).items()

@@ -9,8 +9,8 @@ back a :class:`~repro.health.breaker.HealthState` whose ``throttled`` /
 asks its two admission queries (:meth:`~HealthControlPlane.should_reroute`,
 :meth:`~HealthControlPlane.throttled`).  The plane never touches a shard
 itself -- the shard's health step
-(:func:`repro.controller.sharded.health_access`) is the one actor, in a bank
-channel and in a shard worker (which holds a 1-wide plane) alike -- so it
+(:func:`repro.controller.sharded.health_access`) is the one actor, run by
+the bank for each channel (a shard worker holds a bank of one) -- so it
 stays a pure, deterministic decision layer.  A parallel runtime's plane is
 a report view: its breakers are loaded from the ones the workers ship.  The breakers count their own
 events in bare attributes;

@@ -10,10 +10,9 @@ pickle and the protocol is trivially versionable by shape.
 Commands (front-end -> worker)::
 
     ("batch", seq, [(local_addr, now, is_write), ...])
-    ("drain", seq, now)      # barrier: finalize the backend at `now`
-    ("stats", seq)           # sample the backend's counters() walk
-    ("fsck", seq)            # audit the shard's ORAM invariants
-    ("checkpoint", seq)      # force a checkpoint outside the cadence
+    ("finish", seq, horizon, fsck)  # end a run: finalize at `horizon`,
+                             # audit the ORAM if `fsck`, checkpoint what
+                             # no checkpoint covers yet, ship the counters
     ("hard_failure", None, reason)  # the supervisor reopened this shard
                              # after a death or hang: quarantine its breaker
                              # and checkpoint at once; no reply
@@ -25,31 +24,29 @@ Replies (worker -> front-end)::
     ("ready", last_seq, [[seq, completions], ...])   # after (re)spawn
     ("batch_done", seq, [completion, ...], checkpointed_seq)
     ("heartbeat", seq, done_count)   # mid-batch progress (liveness proof)
-    ("drained", seq)
-    ("stats", seq, snapshot_dict, breaker)   # breaker: the shard's
-                             # CircuitBreaker.state_dict(), None without
-                             # a health policy
-    ("fsck_done", seq, ok, summary)
-    ("checkpoint_done", seq, checkpointed_seq)
+    ("finished", seq, snapshot_dict, breaker, fsck_failure, checkpointed_seq)
+                             # snapshot_dict: the backend's counters() walk;
+                             # breaker: the shard's CircuitBreaker.state_dict(),
+                             # None without a health policy; fsck_failure: the
+                             # audit's summary if it found anything, else None
     ("error", seq_or_None, traceback_text)
 
-Health is shard state.  A spec with a ``health_policy`` gives the
-executor its own breaker (a 1-wide
-:class:`~repro.health.HealthControlPlane`), fed once per access by the
-same health step a bank channel runs
-(:func:`repro.controller.sharded.health_access`): padding, probing,
-latency, stash pressure and degraded mode are all decided in the worker.
-The breaker rides in the checkpoint's runtime section beside ``last_seq``
-and the reply window, so a reopened shard resumes its own health, and in
-the run-end ``stats`` reply, from which the front-end assembles its
-report.  The front-end only supervises processes; its one health input is
-``hard_failure``.
+Health is shard state.  The executor runs its channel as a bank of one
+(:class:`~repro.controller.sharded.ShardedORAMBank`), so a spec with a
+``health_policy`` gives the shard the bank's own breaker and health step
+(:func:`repro.controller.sharded.health_access`), fed once per access:
+padding, probing, latency, stash pressure and degraded mode are all
+decided in the worker.  The breaker rides in the checkpoint's runtime
+section beside ``last_seq`` and the reply window, so a reopened shard
+resumes its own health, and in the ``finished`` reply, from which the
+front-end assembles its report.  The front-end only supervises processes;
+its one health input is ``hard_failure``.
 
-The runtime replays the seq-numbered commands (batches and the
-drain/fsck/checkpoint/stats barrier that ends a run) through one
-pending/replay bookkeeping: after a reopen, every command the restored
-checkpoint does not cover is sent again in sequence order, behind the
-``hard_failure``.
+The runtime replays the seq-numbered commands (a run's batches and the
+``finish`` that ends it) through one pending/replay bookkeeping: after a
+reopen, every command the restored checkpoint does not cover is sent again
+in sequence order, behind the ``hard_failure``.  A ``run()`` of k batches
+to a worker is k + 1 seq-numbered commands.
 
 Sequence numbers are per-worker and strictly increasing; a worker that
 receives a batch it already applied (a replay after the reply was lost in
@@ -82,12 +79,12 @@ class ShardSpec:
         footprint_blocks: the *global* workload footprint.
         num_shards: bank width; this worker owns global addresses
             congruent to ``shard_index`` mod ``num_shards``.
-        checkpoint_path: where this worker persists its backend state
-            (``None`` disables checkpointing -- a death is then fatal).
+        checkpoint_path: where this worker persists its backend state (a
+            reopened worker restores it).
         checkpoint_every: batches between periodic checkpoints; ``0``
-            leaves only the genesis checkpoint and the ones the front-end
-            commands (one per finished ``run()``), so recovery replays the
-            whole current run.
+            leaves only the genesis checkpoint and the ones ``finish``
+            takes (one per ``run()``), so recovery replays the whole
+            current run.
         replay_window: how many recent batch replies the worker stores
             inside its checkpoint; must cover the front-end's maximum
             in-flight batches or a reply lost in a crash is unrecoverable.
@@ -99,7 +96,7 @@ class ShardSpec:
             replies (0 disables).  Heartbeats let the front-end tell a
             slow worker from a hung one under deadline enforcement.
         health_policy: optional :class:`~repro.health.HealthPolicy`;
-            the shard then runs its own breaker, per access.
+            the shard's bank of one then runs its own breaker, per access.
         fault_config: optional in-worker fault injection.  The worker
             salts the config seed with ``(shard_index, rng_restart_salt)``
             so every shard -- and every respawn -- draws an independent,
@@ -111,7 +108,7 @@ class ShardSpec:
     num_shards: int
     shard_index: int
     config: SystemConfig
-    checkpoint_path: Optional[str] = None
+    checkpoint_path: str
     checkpoint_every: int = 1
     replay_window: int = 8
     rng_restart_salt: int = 0

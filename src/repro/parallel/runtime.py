@@ -17,10 +17,10 @@ Failure model: workers checkpoint their whole backend after every
 (liveness poll while waiting on its reply queue), respawns it from the
 latest checkpoint, re-serves acknowledgements the crash swallowed out of
 the checkpoint's reply window, and replays every command the checkpoint
-had not yet captured -- batches and the barrier commands that end a run
-alike, through one pending/replay bookkeeping and one reply dispatch --
-always commands of the current ``run()``, because each run's closing
-barrier checkpoints the rest.  Every demand access is therefore
+had not yet captured -- batches and the ``finish`` that ends a run alike,
+through one pending/replay bookkeeping and one reply dispatch -- always
+commands of the current ``run()``, because each run's ``finish``
+checkpoints the rest.  Every demand access is therefore
 applied and counted exactly once -- "zero lost writes" in a timing
 simulator means the merged accounting is indistinguishable from a run
 that never crashed (completions of replayed batches may differ, since a
@@ -34,9 +34,9 @@ attributes (``_Worker.COUNTERS``) next to a batch round-trip histogram;
 
 Supervision, not health: constructed with a
 :class:`~repro.health.HealthPolicy`, the runtime hands the policy to every
-worker -- each shard runs its own breaker, per access, with the bank's
-health step (:mod:`repro.parallel.worker`) -- and enforces wall-clock
-deadlines on the processes.  Workers emit mid-batch ``heartbeat`` replies;
+worker -- each shard is a bank of one and runs its own breaker, per
+access, on the bank's access path (:mod:`repro.parallel.worker`) -- and
+enforces wall-clock deadlines on the processes.  Workers emit mid-batch ``heartbeat`` replies;
 a worker whose in-flight batches make no progress (no ack, no heartbeat)
 for ``batch_deadline_s`` is declared *hung* and terminated.  A dead or
 hung shard is healed the same way with or without a policy -- a fresh
@@ -45,9 +45,9 @@ and under a policy the reopened worker is sent one ``hard_failure``
 before anything is replayed, so its breaker quarantines it; padding,
 probing and re-admission then happen inside the worker.  The runtime
 reads no breaker during a run: :attr:`ParallelShardRuntime.health` is
-the report view of the breakers the workers ship in their run-end
-``stats`` replies.  Without a policy, behavior is bit-identical to the
-pre-health runtime.
+the report view of the breakers the workers ship in their ``finished``
+replies.  Without a policy, behavior is bit-identical to the pre-health
+runtime.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class _Worker:
         self.replies = None
         self.next_seq = 0
         #: sent, not yet answered: seq -> (positions, command, sent at);
-        #: positions is ``None`` for the barrier commands that end a run
+        #: positions is ``None`` for the ``finish`` that ends a run
         self.pending: Dict[int, Tuple[Optional[List[int]], tuple, float]] = {}
         #: acknowledged batches no checkpoint covers yet (replay fodder)
         self.unckpt: Dict[int, Tuple[Optional[List[int]], tuple, float]] = {}
@@ -157,14 +157,14 @@ class ParallelShardRuntime:
         footprint_blocks: global workload footprint (shards are scaled to
             their slice exactly as :meth:`SecureSystem.build` does).
         num_workers: bank width; one worker process per shard.
-        checkpoint_dir: directory for per-worker checkpoints (stale files
-            from a previous runtime are removed at startup -- the runtime
-            owns the directory).  ``None`` disables durability: a worker
-            death becomes fatal.
+        checkpoint_dir: directory for per-worker checkpoints, required:
+            a dead or hung worker is reopened from its checkpoint (stale
+            files from a previous runtime are removed at startup -- the
+            runtime owns the directory).
         checkpoint_every: batches between worker checkpoints (1 = durable
             after every batch; 0 = none inside a run, recovery then replays
-            the run so far).  Whatever the cadence, the barrier that ends a
-            ``run()`` checkpoints what is still uncovered, so replay never
+            the run so far).  Whatever the cadence, the ``finish`` that ends
+            a ``run()`` checkpoints what is still uncovered, so replay never
             reaches back into an earlier run.
         batch_size: requests per shipped batch.
         max_inflight: per-worker cap on unacknowledged batches; bounded by
@@ -174,13 +174,12 @@ class ParallelShardRuntime:
             :class:`WorkerFailure`, with or without a health plane.
         health_policy: give every worker its own circuit breaker, fed per
             access in the worker exactly as a bank channel feeds its own
-            (:attr:`health` reports them after each run).  Requires
-            ``checkpoint_dir`` -- the breaker rides in the checkpoint, and a
-            dead or hung shard is reopened from it.  It also
-            sets the supervisor's knobs -- ``batch_deadline_s`` (seconds an
-            in-flight worker may go without an ack or heartbeat before it
-            is declared hung and terminated), ``heartbeat_every``
-            (completions between mid-batch heartbeats) and
+            (:attr:`health` reports them after each run; the breaker rides
+            in the checkpoint).  It also sets the supervisor's knobs --
+            ``batch_deadline_s`` (seconds an in-flight worker may go
+            without an ack or heartbeat before it is declared hung and
+            terminated), ``heartbeat_every`` (completions between
+            mid-batch heartbeats) and
             ``join_timeout_s`` (the ``Process.join`` timeout of every
             lifecycle path); without a policy they are 0 (no hang
             detection), 0 (no heartbeats) and 5 s.
@@ -195,7 +194,7 @@ class ParallelShardRuntime:
         config: Optional[SystemConfig] = None,
         num_workers: int = 2,
         *,
-        checkpoint_dir: Optional[str] = None,
+        checkpoint_dir: str,
         checkpoint_every: int = 1,
         batch_size: int = 64,
         max_inflight: int = 4,
@@ -216,11 +215,6 @@ class ParallelShardRuntime:
             )
         if fault_config is not None:
             refuse_endless_retries(fault_config)  # before any worker starts
-        if health_policy is not None and not checkpoint_dir:
-            raise ValueError(
-                "the health control plane needs checkpoint_dir: a quarantined "
-                "shard is reopened from its worker's checkpoint"
-            )
         self.scheme = scheme
         self.footprint_blocks = footprint_blocks
         self.config = config or SystemConfig()
@@ -231,7 +225,7 @@ class ParallelShardRuntime:
         self.max_inflight = max_inflight
         self.max_restarts = max_restarts
         self.health_policy = health_policy
-        #: report view: the workers' breakers as their last ``stats``
+        #: report view: the workers' breakers as their last ``finished``
         #: replies shipped them (``None`` without a policy)
         self.health = (
             HealthControlPlane(num_workers, health_policy)
@@ -244,12 +238,11 @@ class ParallelShardRuntime:
         self.fault_config = fault_config
         self._ctx = multiprocessing.get_context()
         self._workers = [_Worker(index) for index in range(num_workers)]
-        if checkpoint_dir:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            for worker in self._workers:
-                path = self._checkpoint_path(worker.index)
-                if os.path.exists(path):
-                    os.remove(path)
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        for worker in self._workers:
+            path = self._checkpoint_path(worker.index)
+            if os.path.exists(path):
+                os.remove(path)
         self._closed = False
         try:
             # Start them all, then wait: the builds (and genesis
@@ -276,9 +269,7 @@ class ParallelShardRuntime:
             num_shards=self.num_workers,
             shard_index=index,
             config=self.config,
-            checkpoint_path=(
-                self._checkpoint_path(index) if self.checkpoint_dir else None
-            ),
+            checkpoint_path=self._checkpoint_path(index),
             checkpoint_every=self.checkpoint_every,
             replay_window=max(2 * self.max_inflight, 8),
             rng_restart_salt=restart_salt,
@@ -412,23 +403,6 @@ class ParallelShardRuntime:
         worker.last_progress = sent
         worker.commands.put(command)
 
-    def _issue_run_end(self, worker: _Worker, horizon: int, fsck: bool) -> None:
-        """The commands that end a run: drain at *horizon*, (optionally)
-        fsck, checkpoint what no checkpoint covers yet, snapshot.  They are
-        pending like batches until the ``stats`` reply, so a reopen
-        replays them like anything else."""
-        # Acknowledged batches no checkpoint covers yet (cadence != 1)
-        # carry positions into *this* run's results list: make the
-        # finished run durable so a crash in the next run() never replays
-        # them into that run's list.  Judged before the drain joins pending.
-        durable = bool(self.checkpoint_dir and (worker.unckpt or worker.pending))
-        self._issue(worker, "drain", horizon)
-        if fsck:
-            self._issue(worker, "fsck")
-        if durable:
-            self._issue(worker, "checkpoint")
-        self._issue(worker, "stats")
-
     def _record_ack(
         self,
         worker: _Worker,
@@ -463,11 +437,6 @@ class ParallelShardRuntime:
         (:meth:`_reopen`).  Returns how many batches were newly recorded
         into *results*.
         """
-        if not self.checkpoint_dir:
-            raise WorkerFailure(
-                f"worker {worker.index} died (exitcode "
-                f"{worker.process.exitcode}) and checkpointing is disabled"
-            )
         if worker.restarts >= self.max_restarts:
             raise WorkerFailure(
                 f"worker {worker.index} exceeded its restart budget "
@@ -482,10 +451,10 @@ class ParallelShardRuntime:
         everything un-acknowledged or un-checkpointed.
 
         Batches the restored checkpoint already covers are answered from
-        its reply window, here, without re-execution; every other command
-        (later batches, barrier commands) goes back to the new process and
-        re-runs from the checkpointed state, so no completion is ever
-        lost.  Returns the number of batches newly recorded.
+        its reply window, here, without re-execution (an acknowledged one
+        needs no answer); every other command (later batches, the
+        ``finish``) goes back to the new process and re-runs from the
+        checkpointed state, so no completion is ever lost.  Returns the number of batches newly recorded.
         """
         # Fresh queues (via _start): the old ones may hold a torn pickle.
         self._start(worker)
@@ -493,7 +462,8 @@ class ParallelShardRuntime:
         if self.health_policy is not None:
             worker.commands.put(("hard_failure", None, reason))
         stored = dict(window)
-        replay = {**worker.unckpt, **worker.pending}
+        pending = worker.pending
+        replay = {**worker.unckpt, **pending}
         worker.unckpt = {}
         worker.pending = {}
         recorded = 0
@@ -503,7 +473,9 @@ class ParallelShardRuntime:
                 self._send(worker, seq, positions, command)
             elif seq in stored:
                 recorded += _record(results, positions, stored[seq])
-            else:
+            elif seq in pending:
+                # An acknowledged batch the checkpoint covers needs nothing;
+                # an unacknowledged one needs its stored reply.
                 raise WorkerFailure(
                     f"worker {worker.index}: batch {seq} is inside the "
                     f"restored checkpoint but outside its reply window"
@@ -567,12 +539,13 @@ class ParallelShardRuntime:
                         self._issue(worker, "batch", batch, positions=positions)
                         progressed = True
             elif not barrier:
-                # Barrier: drain every worker at the globally last
+                # Barrier: finish every worker at the globally last
                 # completion so finalize semantics match the serial
-                # reference, then snapshot.
+                # reference.  The finish is pending like a batch until its
+                # reply, so a reopen replays it like anything else.
                 horizon = max((c for c in results if c is not None), default=0)
                 for worker in self._workers:
-                    self._issue_run_end(worker, horizon, fsck)
+                    self._issue(worker, "finish", horizon, fsck)
                 barrier = progressed = True
             for worker in self._workers:
                 if not worker.pending:
@@ -593,27 +566,26 @@ class ParallelShardRuntime:
                         worker, seq, completions, checkpointed_seq, results
                     ):
                         unrecorded -= 1
-                elif op == "checkpoint_done":
-                    _forget_checkpointed(worker, reply[2])
-                elif op == "fsck_done":
-                    if not reply[2]:
-                        fsck_failures.append(reply[3])
-                elif op == "stats":
-                    # The barrier's last command: every reply before it
-                    # has been read, so the whole barrier is answered.
+                elif op == "finished":
+                    # The run's last command: every reply before it has
+                    # been read, so the whole run is answered.
+                    _op, _seq, snapshot, breaker, failure, checkpointed_seq = reply
                     worker.pending.clear()
-                    snapshots[worker.index] = reply[2]
+                    _forget_checkpointed(worker, checkpointed_seq)
+                    snapshots[worker.index] = snapshot
+                    if failure is not None:
+                        fsck_failures.append(failure)
                     if self.health is not None:
-                        self.health.breakers[worker.index].load_state_dict(reply[3])
+                        self.health.breakers[worker.index].load_state_dict(breaker)
                 elif op == "error":
                     raise WorkerFailure(f"worker {worker.index} failed: {reply[2]}")
-                elif op not in ("heartbeat", "drained"):
+                elif op != "heartbeat":
                     raise WorkerFailure(
                         f"worker {worker.index} sent unexpected {op!r} during a run"
                     )
             if not progressed:
                 time.sleep(0.001)
-        if fsck and fsck_failures:
+        if fsck_failures:
             raise WorkerFailure("parallel fsck failed: " + "; ".join(fsck_failures))
         completions_final = [c for c in results if c is not None]
         if len(completions_final) != len(requests):

@@ -1,4 +1,4 @@
-"""The shard executor: one ORAM controller, one command loop, one transport.
+"""The shard executor: one channel of the bank, one command loop, one transport.
 
 A :class:`ShardExecutor` owns exactly one channel of the bank -- a complete
 :class:`~repro.memory.oram_backend.ORAMBackend` with its own tree, stash,
@@ -7,26 +7,26 @@ position-map hierarchy, and access pipeline -- rebuilt from the
 never cross a process boundary).  It turns one command tuple into its
 reply tuples; the shapes are documented in :mod:`repro.parallel.protocol`.
 The executor is the only implementation of a shard's state machine (seq
-de-duplication, reply window, checkpoint cadence, drain/fsck/stats), and
-:func:`shard_worker_main` is its one transport: a worker process that
+de-duplication, reply window, checkpoint cadence, the run-end ``finish``),
+and :func:`shard_worker_main` is its one transport: a worker process that
 pumps a command queue into the executor and its replies onto a reply
 queue, in every health state of the shard.
 
-Health is the shard's own: with a ``health_policy`` in its spec the
-executor holds a 1-wide :class:`~repro.health.HealthControlPlane` and runs
-every demand access through the bank's health step
-(:func:`repro.controller.sharded.health_access`), so a worker and a bank
-channel feed their breakers the same events.  The front-end's one health
-input is ``hard_failure`` (:func:`repro.controller.sharded.quarantine`).
+The executor is a bank of one: it wraps its channel in a
+:class:`~repro.controller.sharded.ShardedORAMBank` of width one (under the
+spec's ``health_policy``, if any) and sends every demand access through
+the bank's ``demand_access``, so a worker and a bank channel share one
+access path -- health step included -- by construction.  The front-end's
+one health input is ``hard_failure``, the bank's ``quarantine_shard``.
 
-Durability: when the spec carries a checkpoint path, the executor persists
-its entire backend (via :func:`repro.oram.checkpoint.save_backend`) every
-``checkpoint_every`` batches, *before* acknowledging the batch, and keeps
-a window of recent ``(seq, completions)`` replies and its breaker inside
-the checkpoint's runtime section.  A reopened shard therefore reports
-exactly which batches survived (``last_seq``) and can re-serve
-acknowledgements the crash swallowed -- the front-end replays only what is
-genuinely missing.
+Durability: the executor persists its entire backend (via
+:func:`repro.oram.checkpoint.save_backend`) at open, every
+``checkpoint_every`` batches *before* acknowledging the batch, and at
+``finish`` when a batch is still uncovered, keeping a window of recent
+``(seq, completions)`` replies and its breaker inside the checkpoint's
+runtime section.  A reopened shard therefore reports exactly which batches
+survived (``last_seq``) and can re-serve acknowledgements the crash
+swallowed -- the front-end replays only what is genuinely missing.
 """
 
 from __future__ import annotations
@@ -37,15 +37,9 @@ import traceback
 from dataclasses import replace
 from typing import Iterator
 
-from repro.controller.sharded import (
-    build_shard_backend,
-    health_access,
-    pressure_limit,
-    quarantine,
-)
+from repro.controller.sharded import ShardedORAMBank, build_shard_backend
 from repro.faults.fsck import run_fsck
 from repro.faults.injector import FaultInjector
-from repro.health.plane import HealthControlPlane
 from repro.oram.checkpoint import restore_backend, save_backend
 from repro.parallel.protocol import ShardSpec
 
@@ -74,7 +68,8 @@ def build_worker_backend(spec: ShardSpec):
 
 
 class ShardExecutor:
-    """One shard's backend plus the state machine that applies commands.
+    """One shard's backend, as a bank of one, plus the state machine that
+    applies commands.
 
     Args:
         spec: how to build the shard and where it checkpoints.  An existing
@@ -83,39 +78,36 @@ class ShardExecutor:
             crash before the first periodic one still leaves something to
             restore from.
 
-    With a ``health_policy`` the executor owns the shard's breaker
-    (``health``, one wide) and feeds it per access through the bank's
-    health step; without one, ``health`` is ``None`` and accesses go
-    straight to the backend.
+    ``bank`` is ``ShardedORAMBank([backend], spec.health_policy)``: under a
+    policy its 1-wide plane is the shard's breaker, fed per access by the
+    bank's health step.
     """
 
     def __init__(self, spec: ShardSpec):
         self.spec = spec
         self.backend = build_worker_backend(spec)
-        self.health = None
-        if spec.health_policy is not None:
-            self.health = HealthControlPlane(1, spec.health_policy)
-            self.stash_limit = pressure_limit(self.backend, spec.health_policy)
+        self.bank = ShardedORAMBank([self.backend], spec.health_policy)
         self.last_seq = -1
         #: recent [seq, completions] pairs, oldest first
         self.window: list = []
         self.checkpointed_seq = -1
         self.batches_since_checkpoint = 0
-        if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
+        if os.path.exists(spec.checkpoint_path):
             runtime = restore_backend(self.backend, spec.checkpoint_path)
             self.last_seq = runtime.get("last_seq", -1)
             self.window = [list(entry) for entry in runtime.get("replies", [])]
             self.checkpointed_seq = self.last_seq
-            if self.health is not None and runtime.get("breaker"):
-                breaker = self.health.breakers[0]
+            if runtime.get("breaker"):
+                breaker = self.bank.health.breakers[0]
                 breaker.load_state_dict(runtime["breaker"])
                 self.backend.set_degraded(breaker.state.throttled)
-        elif spec.checkpoint_path:
+        else:
             self._checkpoint()
 
     def breaker_state(self):
         """The shard's breaker as it crosses a boundary (``None``: no plane)."""
-        return None if self.health is None else self.health.breakers[0].state_dict()
+        health = self.bank.health
+        return health.breakers[0].state_dict() if health else None
 
     def ready(self) -> tuple:
         """The announcement a transport sends before any command's reply."""
@@ -126,7 +118,7 @@ class ShardExecutor:
             "last_seq": self.last_seq,
             "replies": [list(entry) for entry in self.window],
         }
-        if self.health is not None:
+        if self.bank.health:
             runtime["breaker"] = self.breaker_state()
         save_backend(self.backend, self.spec.checkpoint_path, runtime)
         self.checkpointed_seq = self.last_seq
@@ -139,29 +131,17 @@ class ShardExecutor:
         the front-end decides what a broken shard means."""
         op = command[0]
         seq = command[1] if len(command) > 1 else None
-        backend = self.backend
         try:
             if op == "batch":
                 yield from self._apply_batch(seq, command[2])
-            elif op == "drain":
-                backend.finalize(max(command[2], backend.busy_until))
-                yield ("drained", seq)
-            elif op == "stats":
-                yield ("stats", seq, backend.counters(), self.breaker_state())
-            elif op == "fsck":
-                report = run_fsck(backend.oram)
-                yield ("fsck_done", seq, report.ok, report.summary())
-            elif op == "checkpoint":
-                if self.spec.checkpoint_path:
-                    self._checkpoint()
-                yield ("checkpoint_done", seq, self.checkpointed_seq)
+            elif op == "finish":
+                yield self._finish(seq, command[2], command[3])
             elif op == "hard_failure":
                 # The supervisor reopened this shard after a death or hang.
                 # No reply, so it never perturbs the seq/ack bookkeeping;
                 # checkpointed at once, so a second crash cannot lose it.
-                quarantine(self.health, 0, backend, command[2])
-                if self.spec.checkpoint_path:
-                    self._checkpoint()
+                self.bank.quarantine_shard(0, command[2])
+                self._checkpoint()
             elif op == "hang":
                 # Chaos hook: stall the command loop without dying.  The
                 # batches queued behind this command stop being served,
@@ -172,6 +152,25 @@ class ShardExecutor:
                 yield ("error", seq, f"unknown command {op!r}")
         except Exception:
             yield ("error", seq, traceback.format_exc())
+
+    def _finish(self, seq: int, horizon: int, fsck: bool) -> tuple:
+        """End a run: finalize at *horizon*, audit when *fsck* asks,
+        checkpoint the batches no checkpoint covers yet -- so a crash in
+        the next run never replays them into that run -- and ship the
+        counters and the breaker."""
+        backend = self.backend
+        backend.finalize(max(horizon, backend.busy_until))
+        failure = None
+        if fsck:
+            report = run_fsck(backend.oram)
+            if not report.ok:
+                failure = report.summary()
+        if self.last_seq > self.checkpointed_seq:
+            self._checkpoint()
+        return (
+            "finished", seq, backend.counters(), self.breaker_state(), failure,
+            self.checkpointed_seq,
+        )
 
     def _apply_batch(self, seq: int, batch: list) -> Iterator[tuple]:
         if seq <= self.last_seq:
@@ -189,18 +188,11 @@ class ShardExecutor:
                 f"(last_seq={self.last_seq})",
             )
             return
-        backend = self.backend
-        health = self.health
+        demand_access = self.bank.demand_access
         spec = self.spec
         completions = []
         for addr, now, is_write in batch:
-            if health is None:
-                completion, _ = backend.demand_access(addr, now, is_write)
-            else:
-                completion, _ = health_access(
-                    health, 0, backend, addr, now, is_write, self.stash_limit
-                )
-            completions.append(completion)
+            completions.append(demand_access(addr, now, is_write)[0])
             # Mid-batch liveness proof: under deadline enforcement the
             # front-end must tell "slow" from "hung", and the only
             # evidence that crosses the process boundary is a reply.  The
@@ -217,8 +209,7 @@ class ShardExecutor:
         del self.window[: -max(spec.replay_window, 1)]
         self.batches_since_checkpoint += 1
         if (
-            spec.checkpoint_path
-            and spec.checkpoint_every
+            spec.checkpoint_every
             and self.batches_since_checkpoint >= spec.checkpoint_every
         ):
             self._checkpoint()

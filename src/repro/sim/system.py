@@ -122,8 +122,9 @@ def build_backend(
             backend -- bit-identical to the pre-sharding simulator.
         health_policy: optional :class:`repro.health.HealthPolicy`;
             attaches a per-shard circuit-breaker control plane to the
-            sharded bank (requires ``num_shards > 1``).  ``None``
-            (the default) leaves the access path untouched.
+            bank (at ``num_shards == 1`` the lone controller is built as a
+            bank of one, as a shard worker runs it).  ``None`` (the
+            default) leaves the access path untouched.
     """
     label = SchemeLabel.parse(scheme)
     base_scheme, periodic = label.base, label.periodic
@@ -131,21 +132,18 @@ def build_backend(
 
     if num_shards < 1:
         raise ValueError("need at least one shard")
-    if health_policy is not None and num_shards == 1:
-        raise ValueError(
-            "the health control plane wraps sharded banks; use "
-            "num_shards > 1 (a single controller has no quarantine "
-            "fallback to route through)"
-        )
     wiring = dict(observer=observer, fault_injector=fault_injector)
     backend: MemoryBackend
     if label.is_dram:
         if fault_injector is not None:
             raise ValueError("fault injection models ORAM storage, not DRAM")
-        if num_shards != 1:
-            raise ValueError("sharded banks model ORAM channels, not DRAM")
+        if num_shards != 1 or health_policy is not None:
+            raise ValueError(
+                "sharded banks and their health plane model ORAM channels, "
+                "not DRAM"
+            )
         backend = DRAMBackend(config.dram, config.oram.block_bytes)
-    elif num_shards > 1:
+    elif num_shards > 1 or health_policy is not None:
         if periodic:
             raise ValueError(
                 "periodic accesses are not supported on sharded banks"

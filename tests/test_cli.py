@@ -451,7 +451,6 @@ class TestOneErrorConvention:
     @pytest.mark.parametrize(
         "argv",
         [
-            "run -w locality:80 -s dyn --shards 1 --health-policy window=32 --accesses 100",
             "run -w nonexistent --accesses 100",
             "run -w locality:80 -s dyn --treetop 99 --accesses 100",
             "serve -s dyn --tenants 3 --weights 1,2",

@@ -582,9 +582,9 @@ class TestBackendFaults:
                 num_shards=shards,
             )
 
-    def test_a_worker_refuses_the_endless_rate_too(self):
+    def test_a_worker_refuses_the_endless_rate_too(self, tmp_path):
         spec = ShardSpec(
-            "oram", 256, 2, 1, SystemConfig(),
+            "oram", 256, 2, 1, SystemConfig(), str(tmp_path / "shard.ckpt"),
             fault_config=FaultConfig(transient_rate=1.0),
         )
         with pytest.raises(ValueError, match="transient_rate 1.0"):

@@ -23,7 +23,9 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.config import SystemConfig
+from repro.controller import sharded
 from repro.controller.sharded import build_bank
 from repro.health import (
     CircuitBreaker,
@@ -34,7 +36,6 @@ from repro.health import (
 from repro.observability.collect import collect_parallel
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import ParallelShardRuntime, run_serial_reference
-from repro.parallel import worker as worker_module
 from repro.parallel.merge import merge_shard_snapshots
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
@@ -63,10 +64,11 @@ def small_stream(accesses=400, footprint=FOOTPRINT, seed=9):
 
 
 def log_health_steps(monkeypatch, path):
-    """Every health step a shard worker forked after this call runs appends
+    """Every health step a shard worker forked after this call runs (its
+    bank of one's :func:`~repro.controller.sharded.health_access`) appends
     ``[shard, worker pid, state before, padding paths, state after,
     degraded after]`` to *path* as one JSON line."""
-    health_access = worker_module.health_access
+    health_access = sharded.health_access
 
     def logged(health, index, shard, local, now, is_write, stash_limit):
         padding = []
@@ -85,7 +87,7 @@ def log_health_steps(monkeypatch, path):
             log.write(json.dumps(entry) + "\n")
         return result
 
-    monkeypatch.setattr(worker_module, "health_access", logged)
+    monkeypatch.setattr(sharded, "health_access", logged)
 
 
 def bank_replay(requests, num_shards, policy):
@@ -425,12 +427,6 @@ class TestRuntimeHealth:
             )
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
-    def test_health_policy_requires_checkpoint_dir(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            ParallelShardRuntime(
-                "dyn", FOOTPRINT, num_workers=2, health_policy=HealthPolicy()
-            )
-
     def test_hung_worker_detected_within_deadline(self, tmp_path):
         """ISSUE acceptance: a worker stuck mid-batch trips the deadline,
         is quarantined, and the run still conserves every access."""
@@ -563,7 +559,7 @@ class TestRuntimeHealth:
 
 # -------------------------------------------------------- bank integration
 class TestBankQuarantine:
-    def build(self, **overrides):
+    def build(self, num_shards=2, **overrides):
         policy = HealthPolicy(
             window=16,
             quarantine_cooldown=8,
@@ -572,7 +568,7 @@ class TestBankQuarantine:
             **overrides,
         )
         system = SecureSystem.build(
-            "dyn", footprint_blocks=FOOTPRINT, num_shards=2,
+            "dyn", footprint_blocks=FOOTPRINT, num_shards=num_shards,
             health_policy=policy,
         )
         return system, system.backend
@@ -629,11 +625,31 @@ class TestBankQuarantine:
         with pytest.raises(ValueError, match="health plane"):
             system.backend.quarantine_shard(0)
 
-    def test_health_policy_single_shard_rejected(self):
-        with pytest.raises(ValueError):
-            SecureSystem.build(
-                "dyn",
-                footprint_blocks=FOOTPRINT,
-                num_shards=1,
-                health_policy=HealthPolicy(),
-            )
+    def test_one_shard_plane_quarantines_pads_and_readmits(self):
+        """A health policy on a lone controller builds a bank of one -- what
+        every supervised shard worker runs: quarantined, each access is
+        dummy-padded, and after the cooldown two probes re-admit it.  The
+        CLI runs it too (``--health-policy`` without ``--shards``)."""
+        system, bank = self.build(num_shards=1)
+        assert bank.bank_width == 1 and bank.health is not None
+        bank.quarantine_shard(0, reason="chaos")
+        before = bank.stats.dummy_accesses
+        padded = 0
+        now = 0
+        for addr in range(32):
+            now += 50
+            padded += bank.health.state(0).padded
+            bank.demand_access(addr, now, False)
+            if bank.health.state(0) is HealthState.HEALTHY:
+                break
+        assert bank.health.breakers[0].transition_pairs() == [
+            ("healthy", "quarantined"),
+            ("quarantined", "probing"),
+            ("probing", "healthy"),
+        ]
+        assert padded >= 8  # the cooldown, then the probes
+        assert bank.stats.dummy_accesses >= before + padded
+        assert main(
+            "run -w locality:80 -s dyn --health-policy window=32 "
+            "--accesses 200 --warmup 0".split()
+        ) == 0

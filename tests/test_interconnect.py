@@ -665,7 +665,7 @@ class TestMetricsExport:
 
 # --------------------------------------------- parallel runtime composition
 class TestParallelRuntimeWithChannels:
-    def test_worker_processes_honor_the_channel_model(self):
+    def test_worker_processes_honor_the_channel_model(self, tmp_path):
         """The channel interconnect plumbs through ShardSpec pickling:
         worker processes rebuild it from the config alone and the merged
         result stays bit-identical to the serial sharded bank."""
@@ -684,7 +684,9 @@ class TestParallelRuntimeWithChannels:
             dram=dataclasses.replace(config.dram, model="channel", num_channels=4),
         )
         serial = run_serial_reference("dyn", 128, requests, config, num_shards=2)
-        with ParallelShardRuntime("dyn", 128, config, 2, batch_size=23) as runtime:
+        with ParallelShardRuntime(
+            "dyn", 128, config, 2, checkpoint_dir=str(tmp_path), batch_size=23
+        ) as runtime:
             parallel = runtime.run(requests)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
         # ... which now includes the interconnect's own counters, folded

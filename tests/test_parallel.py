@@ -57,19 +57,20 @@ def small_stream(accesses=400, footprint=FOOTPRINT, seed=9):
 # ------------------------------------------------------------- determinism
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_merged_result_bit_identical_to_serial(self, workers):
+    def test_merged_result_bit_identical_to_serial(self, tmp_path, workers):
         requests = small_stream()
         config = SystemConfig()
         serial = run_serial_reference(
             "dyn", FOOTPRINT, requests, config, num_shards=workers
         )
         with ParallelShardRuntime(
-            "dyn", FOOTPRINT, config, workers, batch_size=23
+            "dyn", FOOTPRINT, config, workers,
+            checkpoint_dir=str(tmp_path), batch_size=23,
         ) as runtime:
             parallel = runtime.run(requests)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
-    def test_identical_across_schemes(self):
+    def test_identical_across_schemes(self, tmp_path):
         requests = small_stream(accesses=200)
         config = SystemConfig()
         for scheme in ("oram", "stat"):
@@ -77,18 +78,20 @@ class TestParallelDeterminism:
                 scheme, FOOTPRINT, requests, config, num_shards=2
             )
             with ParallelShardRuntime(
-                scheme, FOOTPRINT, config, 2, batch_size=16
+                scheme, FOOTPRINT, config, 2,
+                checkpoint_dir=str(tmp_path / scheme), batch_size=16,
             ) as runtime:
                 parallel = runtime.run(requests)
             assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
-    def test_repeat_runs_are_reproducible(self):
+    def test_repeat_runs_are_reproducible(self, tmp_path):
         requests = small_stream(accesses=150)
         config = SystemConfig()
 
         def once():
             with ParallelShardRuntime(
-                "dyn", FOOTPRINT, config, 2, batch_size=11
+                "dyn", FOOTPRINT, config, 2,
+                checkpoint_dir=str(tmp_path), batch_size=11,
             ) as runtime:
                 return runtime.run(requests)
 
@@ -194,6 +197,71 @@ class TestParallelRecovery:
         # both runs applied exactly once, none of the first run's twice.
         assert result.demand_requests == len(first) + len(second)
 
+    def test_a_run_of_k_batches_is_k_plus_one_commands(self, tmp_path, monkeypatch):
+        """One ``finish`` ends a run, with or without an audit and
+        whatever the checkpoint cadence: a ``run()`` of k batches sends a
+        worker k + 1 seq-numbered commands, numbered consecutively."""
+        sent = {0: [], 1: []}
+        send = ParallelShardRuntime._send
+
+        def logged(runtime, worker, seq, positions, command):
+            sent[worker.index].append((seq, command[0]))
+            send(runtime, worker, seq, positions, command)
+
+        monkeypatch.setattr(ParallelShardRuntime, "_send", logged)
+        requests = small_stream(accesses=200)
+        with ParallelShardRuntime(
+            "dyn", FOOTPRINT, SystemConfig(), 2,
+            checkpoint_dir=str(tmp_path), checkpoint_every=0, batch_size=16,
+        ) as runtime:
+            runtime.run(requests)
+            runtime.run(requests, fsck=True)
+        for index, commands in sent.items():
+            batches = -(-sum(addr % 2 == index for addr, _, _ in requests) // 16)
+            run = ["batch"] * batches + ["finish"]
+            assert [op for _seq, op in commands] == run + run
+            assert [seq for seq, _op in commands] == list(range(2 * (batches + 1)))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the planted corruption reaches the workers by fork inheritance",
+    )
+    def test_fsck_failure_carries_the_summary_finish_shipped(
+        self, tmp_path, monkeypatch
+    ):
+        """A shard whose ORAM lost a block fails the audit inside its
+        ``finish``; ``run(fsck=True)`` raises with the summary that the
+        ``finished`` reply shipped."""
+        finish = ShardExecutor._finish
+
+        def loses_a_block(executor, seq, horizon, fsck):
+            if executor.spec.shard_index == 1:
+                next(b for b in executor.backend.oram.tree._buckets if b).pop()
+            return finish(executor, seq, horizon, fsck)
+
+        monkeypatch.setattr(ShardExecutor, "_finish", loses_a_block)
+        finished = []
+        poll = ParallelShardRuntime._poll
+
+        def watched(runtime, worker, **kwargs):
+            reply = poll(runtime, worker, **kwargs)
+            if reply is not None and reply[0] == "finished":
+                finished.append(reply)
+            return reply
+
+        monkeypatch.setattr(ParallelShardRuntime, "_poll", watched)
+        with ParallelShardRuntime(
+            "dyn", FOOTPRINT, SystemConfig(), 2,
+            checkpoint_dir=str(tmp_path), batch_size=16,
+        ) as runtime:
+            with pytest.raises(WorkerFailure) as failed:
+                runtime.run(small_stream(accesses=200), fsck=True)
+        summaries = [reply[4] for reply in finished]
+        assert summaries.count(None) == 1
+        (summary,) = [text for text in summaries if text is not None]
+        assert "census" in summary
+        assert str(failed.value) == "parallel fsck failed: " + summary
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the planted death reaches the workers by fork inheritance",
@@ -201,10 +269,11 @@ class TestParallelRecovery:
     def test_death_inside_the_barrier_replays_the_barrier(
         self, tmp_path, monkeypatch
     ):
-        """The commands that end a run stay pending until its ``stats``
-        reply, like batches until their ack: a worker that answers
-        ``drain`` and dies before ``stats`` is reopened from its pre-drain
-        checkpoint and drained again, so the snapshot it ships equals the
+        """The ``finish`` that ends a run stays pending until its reply,
+        like a batch until its ack: a worker that dies inside ``finish``,
+        after the finalize (and, at cadence 0, after the checkpoint of the
+        run's batches) and before the reply, is reopened from its
+        checkpoint and finished again, so the snapshot it ships equals the
         uninterrupted one."""
         base = SystemConfig()
         config = dataclasses.replace(
@@ -220,37 +289,36 @@ class TestParallelRecovery:
             or merge(snapshots, *args, **kwargs),
         )
 
-        def run(checkpoint_dir):
+        def run(checkpoint_dir, checkpoint_every):
             with ParallelShardRuntime(
                 "dyn", FOOTPRINT, config, 2,
-                checkpoint_dir=str(checkpoint_dir), batch_size=16,
+                checkpoint_dir=str(checkpoint_dir),
+                checkpoint_every=checkpoint_every, batch_size=16,
             ) as runtime:
                 return runtime.run(requests), runtime.total_restarts()
 
-        clean, clean_restarts = run(tmp_path / "clean")
-        handle = ShardExecutor.handle
+        finish = ShardExecutor._finish
 
-        def dies_at_first_stats(executor, command):
+        def dies_before_replying(executor, *args):
+            reply = finish(executor, *args)
             spec = executor.spec
-            if command[0] == "stats" and (spec.shard_index, spec.rng_restart_salt) == (0, 0):
-                time.sleep(0.3)  # let the queue's feeder ship "drained"
+            if (spec.shard_index, spec.rng_restart_salt) == (0, 0):
                 os._exit(1)
-            return handle(executor, command)
+            return reply
 
-        monkeypatch.setattr(ShardExecutor, "handle", dies_at_first_stats)
-        killed, killed_restarts = run(tmp_path / "killed")
-        assert (clean_restarts, killed_restarts) == (0, 1)
-        assert shipped[1] == shipped[0]
-        assert dataclasses.asdict(killed) == dataclasses.asdict(clean)
-
-    def test_death_without_checkpointing_is_fatal(self):
-        requests = small_stream(accesses=600)
-        with ParallelShardRuntime(
-            "dyn", FOOTPRINT, SystemConfig(), 2, batch_size=8
-        ) as runtime:
-            runtime.kill_worker(1)
-            with pytest.raises(WorkerFailure):
-                runtime.run(requests)
+        for checkpoint_every in (1, 0):
+            shipped.clear()
+            monkeypatch.setattr(ShardExecutor, "_finish", finish)
+            clean, clean_restarts = run(
+                tmp_path / f"clean{checkpoint_every}", checkpoint_every
+            )
+            monkeypatch.setattr(ShardExecutor, "_finish", dies_before_replying)
+            killed, killed_restarts = run(
+                tmp_path / f"killed{checkpoint_every}", checkpoint_every
+            )
+            assert (clean_restarts, killed_restarts) == (0, 1), checkpoint_every
+            assert shipped[1] == shipped[0], checkpoint_every
+            assert dataclasses.asdict(killed) == dataclasses.asdict(clean)
 
     @pytest.mark.parametrize(
         "policy",
@@ -275,7 +343,9 @@ class TestParallelRecovery:
             with pytest.raises(WorkerFailure, match="restart budget"):
                 runtime.run(requests)
 
-    def test_endless_retries_refused_before_any_worker_starts(self, monkeypatch):
+    def test_endless_retries_refused_before_any_worker_starts(
+        self, tmp_path, monkeypatch
+    ):
         """A fault config no timing backend can finish under is refused in
         the caller's process, as a serial build refuses it -- not by a
         worker's traceback after the process was spawned."""
@@ -289,7 +359,8 @@ class TestParallelRecovery:
         children = multiprocessing.active_children()
         with pytest.raises(ValueError, match="transient_rate"):
             ParallelShardRuntime(
-                "oram", 512, num_workers=1, fault_config=FaultConfig(transient_rate=1.0)
+                "oram", 512, num_workers=1, checkpoint_dir=str(tmp_path),
+                fault_config=FaultConfig(transient_rate=1.0),
             )
         assert started == []
         assert multiprocessing.active_children() == children
@@ -297,10 +368,11 @@ class TestParallelRecovery:
 
 # ----------------------------------------------------------- observability
 class TestParallelMetrics:
-    def test_worker_gauges_populated(self):
+    def test_worker_gauges_populated(self, tmp_path):
         requests = small_stream(accesses=200)
         with ParallelShardRuntime(
-            "dyn", FOOTPRINT, SystemConfig(), 2, batch_size=16
+            "dyn", FOOTPRINT, SystemConfig(), 2,
+            checkpoint_dir=str(tmp_path), batch_size=16,
         ) as runtime:
             runtime.run(requests)
             registry = runtime.metrics()
@@ -319,12 +391,13 @@ class TestParallelMetrics:
             # Queue depth gauge reads zero once everything is acknowledged.
             assert registry.gauge("parallel.worker0.queue_depth").value == 0
 
-    def test_collect_parallel_merges_into_registry(self):
+    def test_collect_parallel_merges_into_registry(self, tmp_path):
         from repro.observability import MetricsRegistry, collect_parallel
 
         requests = small_stream(accesses=120)
         with ParallelShardRuntime(
-            "dyn", FOOTPRINT, SystemConfig(), 2, batch_size=16
+            "dyn", FOOTPRINT, SystemConfig(), 2,
+            checkpoint_dir=str(tmp_path), batch_size=16,
         ) as runtime:
             runtime.run(requests)
             shared = MetricsRegistry()

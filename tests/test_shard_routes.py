@@ -5,7 +5,8 @@
   and through a real worker process (:func:`shard_worker_main`) yields
   identical reply tuples: the process replies exactly what the executor
   yields, while a ``hard_failure`` and batches walk the shard's own
-  breaker through every health state.
+  breaker through every health state.  The executor is a bank of one:
+  every access is the bank's ``demand_access``.
 * **One fold** -- :meth:`SecureSystem.run`, the serial reference and the
   worker runtime all report the same ``extra`` keys in the same order,
   including the interconnect and fault-injection counters the snapshot
@@ -25,7 +26,7 @@ import time
 import pytest
 
 from repro.config import SystemConfig
-from repro.controller.sharded import build_shard_backend
+from repro.controller.sharded import ShardedORAMBank, build_shard_backend
 from repro.faults import FaultConfig, FaultInjector
 from repro.health import CircuitBreaker, HealthPolicy, HealthState
 from repro.observability.collect import collect_parallel
@@ -83,7 +84,8 @@ def scripted_batches(count=8):
 
 def scripted_commands():
     """Batches (one replayed, one far outside the reply window), a hard
-    failure, every barrier command, a forced checkpoint and an unknown op.
+    failure, the ``finish`` that ends a run (fsck included) and an unknown
+    op.
     Under ``ROUTE_POLICY`` the batches walk the breaker through every
     state: healthy, degraded by the first window, quarantined by the hard
     failure, probing after the cooldown, healthy again after two probes."""
@@ -95,11 +97,8 @@ def scripted_commands():
         batches[6],
         batches[7],
         batches[0],  # replay_window=3 forgot it: an error reply
-        ("checkpoint", 8),
-        ("drain", 9, now + 10_000),
-        ("fsck", 10),
-        ("stats", 11),
-        ("reticulate", 12),
+        ("finish", 8, now + 10_000, True),
+        ("reticulate", 9),
     ]
 
 
@@ -161,13 +160,17 @@ class TestTransportEquivalence:
         assert ops.count("batch_done") == 9  # eight applied + one re-served
         assert ops.count("heartbeat") == 8 * 2
         assert ops.count("error") == 2  # out-of-window replay, unknown op
-        assert {"checkpoint_done", "drained", "fsck_done", "stats"} <= set(ops)
+        # one reply ends the run: the audit found nothing, and the cadence
+        # had already checkpointed the last batch (seq 7)
+        finished = inline[ops.index("finished")]
+        assert ops.count("finished") == 1 and finished[1] == 8
+        assert finished[4:] == (None, 7)
         # the re-served acknowledgement is the stored one, verbatim
         done = [reply for reply in inline if reply[0] == "batch_done"]
         assert done[6][1:3] == done[4][1:3]
-        # the stats reply ships the breaker, which went through every state
+        # the finished reply ships the breaker, which went through every state
         breaker = CircuitBreaker(ROUTE_POLICY)
-        breaker.load_state_dict(inline[ops.index("stats")][3])
+        breaker.load_state_dict(finished[3])
         assert breaker.transition_pairs() == [
             ("healthy", "degraded"),
             ("degraded", "quarantined"),
@@ -176,6 +179,26 @@ class TestTransportEquivalence:
             ("healthy", "degraded"),
         ]
         assert breaker.transitions[1].reason == "death"
+
+    @pytest.mark.parametrize("policy", [ROUTE_POLICY, None], ids=["plane", "no_plane"])
+    def test_the_executor_is_a_bank_of_one(self, tmp_path, monkeypatch, policy):
+        """Every access of a batch is one call of the bank's
+        ``demand_access``, on a bank whose one channel is the executor's
+        backend -- still channel 1 of 2, as the shard was built."""
+        calls = []
+        demand_access = ShardedORAMBank.demand_access
+
+        def counted(bank, *args):
+            calls.append(bank)
+            return demand_access(bank, *args)
+
+        monkeypatch.setattr(ShardedORAMBank, "demand_access", counted)
+        executor = ShardExecutor(spec_for(tmp_path / "bank.ckpt", health_policy=policy))
+        assert executor.bank.shards == [executor.backend]
+        assert (executor.backend.shard_index, executor.backend.addr_stride) == (1, 2)
+        batch = scripted_batches()[0]
+        assert apply(executor, batch)[-1][0] == "batch_done"
+        assert calls == [executor.bank] * len(batch[2])
 
     def test_reopened_executor_resumes_from_its_checkpoint(self, tmp_path):
         """An executor opened on a worker process's checkpoint announces
@@ -198,8 +221,8 @@ class TestTransportEquivalence:
         plain = ShardExecutor(spec_for(tmp_path / "plain.ckpt", health_policy=policy))
         padded = ShardExecutor(spec_for(tmp_path / "padded.ckpt", health_policy=policy))
         apply(padded, ("hard_failure", None, "death"))
-        plain_stats = apply(plain, batch, ("stats", 1))[-1][2]["stats"]
-        padded_stats = apply(padded, batch, ("stats", 1))[-1][2]["stats"]
+        plain_stats = apply(plain, batch, ("finish", 1, 0, False))[-1][2]["stats"]
+        padded_stats = apply(padded, batch, ("finish", 1, 0, False))[-1][2]["stats"]
         assert plain_stats["demand_requests"] == padded_stats["demand_requests"]
         assert (
             padded_stats["dummy_accesses"]
@@ -226,16 +249,16 @@ class TestTransportEquivalence:
             backend.dummy_path_access = (
                 lambda now: padding.append(now) or dummy_path_access(now)
             )
-            before = executor.health.state(0)
+            before = executor.bank.health.state(0)
             padding.clear()
             assert apply(executor, ("batch", seq, [access]))[-1][0] == "batch_done"
             del backend.dummy_path_access
-            after = executor.health.state(0)
+            after = executor.bank.health.state(0)
             seen.add(before)
             assert len(padding) == before.padded, (seq, before)
             assert backend.degraded == after.throttled, (seq, after)
         assert seen == set(HealthState)
-        apply(executor, ("checkpoint", len(accesses)))
+        apply(executor, ("finish", len(accesses), 0, False))
         reopened = ShardExecutor(spec_for(path, heartbeat_every=0))
         assert reopened.breaker_state() == executor.breaker_state()
         assert reopened.backend.degraded == executor.backend.degraded
@@ -243,7 +266,7 @@ class TestTransportEquivalence:
 
 # ------------------------------------------------------------------ one fold
 class TestFoldedExtras:
-    def test_interconnect_extras_on_every_route(self):
+    def test_interconnect_extras_on_every_route(self, tmp_path):
         """Regression: the snapshot route dropped ``interconnect_*``."""
         config = channel_config()
         requests = small_stream(accesses=200)
@@ -251,7 +274,9 @@ class TestFoldedExtras:
         bank = SecureSystem.build("dyn", FOOTPRINT, config, num_shards=2)
         system = bank.run(trace)
         serial = run_serial_reference("dyn", FOOTPRINT, requests, config, num_shards=2)
-        with ParallelShardRuntime("dyn", FOOTPRINT, config, 2, batch_size=23) as runtime:
+        with ParallelShardRuntime(
+            "dyn", FOOTPRINT, config, 2, checkpoint_dir=str(tmp_path), batch_size=23
+        ) as runtime:
             parallel = runtime.run(requests)
         assert list(serial.extra) == list(system.extra)
         assert list(parallel.extra) == list(system.extra)
@@ -293,7 +318,7 @@ class TestFoldedExtras:
             for key in serial.extra
         )
 
-    def test_fault_extras_on_the_worker_route(self):
+    def test_fault_extras_on_the_worker_route(self, tmp_path):
         """Regression: the snapshot route dropped the fault counters the
         snapshot carried; workers' injector counters are summed."""
         fault_config = FaultConfig(seed=3, transient_rate=0.05, delay_rate=0.05)
@@ -303,7 +328,8 @@ class TestFoldedExtras:
         )
         bank_result = system.run(trace)
         with ParallelShardRuntime(
-            "dyn", FOOTPRINT, None, 2, batch_size=23, fault_config=fault_config
+            "dyn", FOOTPRINT, None, 2, checkpoint_dir=str(tmp_path), batch_size=23,
+            fault_config=fault_config,
         ) as runtime:
             parallel = runtime.run(small_stream(accesses=300))
         assert list(parallel.extra) == list(bank_result.extra)
@@ -466,6 +492,7 @@ def slow_builds(monkeypatch, seconds):
 
 SPAWN_SCRIPT = """
 import multiprocessing
+import tempfile
 
 from repro.parallel import ParallelShardRuntime, run_serial_reference
 from repro.utils.rng import DeterministicRng
@@ -478,7 +505,9 @@ if __name__ == "__main__":
         now += rng.randint(1, 40)
         requests.append((rng.randint(0, 127), now, index % 4 == 0))
     serial = run_serial_reference("dyn", 128, requests, num_shards=2)
-    with ParallelShardRuntime("dyn", 128, None, 2, batch_size=23) as runtime:
+    with tempfile.TemporaryDirectory() as checkpoint_dir, ParallelShardRuntime(
+        "dyn", 128, None, 2, checkpoint_dir=checkpoint_dir, batch_size=23
+    ) as runtime:
         parallel = runtime.run(requests)
     assert parallel == serial, (parallel, serial)
     print("spawn bit-identical")

@@ -324,13 +324,15 @@ def _treetop_system_config(k=4, channels=4) -> SystemConfig:
 
 
 class TestBitIdentityAtK:
-    def test_parallel_runtime_matches_serial_bank(self):
+    def test_parallel_runtime_matches_serial_bank(self, tmp_path):
         from repro.parallel import ParallelShardRuntime, run_serial_reference
 
         requests = _request_stream()
         config = _treetop_system_config()
         serial = run_serial_reference("dyn", 128, requests, config, num_shards=2)
-        with ParallelShardRuntime("dyn", 128, config, 2, batch_size=23) as runtime:
+        with ParallelShardRuntime(
+            "dyn", 128, config, 2, checkpoint_dir=str(tmp_path), batch_size=23
+        ) as runtime:
             parallel = runtime.run(requests)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
         # ... which now includes the interconnect's own counters, folded
@@ -351,7 +353,7 @@ class TestBitIdentityAtK:
             )
             assert shard.interconnect.treetop_levels == 4
 
-    def test_serve_replay_contract_with_treetop(self):
+    def test_serve_replay_contract_with_treetop(self, tmp_path):
         from repro.parallel import ParallelShardRuntime
         from repro.serve import OpenLoopSource, ServingFrontEnd
 
@@ -364,7 +366,8 @@ class TestBitIdentityAtK:
             )
             report = frontend.run(OpenLoopSource.from_trace(trace, num_tenants=2))
             with ParallelShardRuntime(
-                "dyn", trace.footprint_blocks, config, shards
+                "dyn", trace.footprint_blocks, config, shards,
+                checkpoint_dir=str(tmp_path / str(shards)),
             ) as runtime:
                 replayed = runtime.run(frontend.issued, workload="serve_open")
             assert dataclasses.asdict(replayed) == dataclasses.asdict(
