@@ -44,9 +44,10 @@ W ?= trace_tpcc_write
 perf-calls:
 	$(PYTHON) tools/calls.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
 
-# What the inputs and one build of workload W at SEED leave alive: GC-tracked
-# objects, tracemalloc MB (and bytes per trace entry of the inputs) and the
-# top allocation sites of each (tools/footprint.py).
+# What the inputs, one build and one run of workload W at SEED leave alive,
+# each on top of the step before: GC-tracked objects, tracemalloc MB (and
+# bytes per trace entry of the inputs) and the allocation sites that grew
+# most (tools/footprint.py).
 perf-footprint:
 	$(PYTHON) tools/footprint.py --workload $(W) --seed $(SEED)
 

@@ -337,12 +337,21 @@ def _table(ran, columns) -> str:
 
 
 def cmd_run(args) -> int:
-    trace = workload_trace(args)
-    warmup = warmup_fraction(args)
     schemes = _parse_schemes(args.schemes)
-    config = memory_config(args)
     shards = shard_count(args)
     policy = health_policy(args)
+    if shards != 1 or policy is not None:
+        # Either builds every ORAM scheme as a bank, which runs no
+        # periodic grid: refused here, before the trace is made.
+        for scheme in schemes:
+            if scheme_label(scheme).periodic:
+                usage_error(
+                    f"scheme '{scheme}': periodic accesses do not run on a "
+                    "sharded bank (--shards > 1) or under --health-policy"
+                )
+    trace = workload_trace(args)
+    warmup = warmup_fraction(args)
+    config = memory_config(args)
     faults = fault_config(args)
     print(
         f"{trace.name}: {len(trace)} references over {trace.footprint_blocks} "

@@ -103,6 +103,14 @@ class PathORAM(
             [] for _ in range(config.levels + 1)
         ]
         self._depth_appends = [bucket.append for bucket in self._depth_buckets]
+        # The write-back's walk, deepest level first: each level with the
+        # tree's ``(first heap index, leaf shift)`` for it, so a placed
+        # chunk's bucket is one shift and add.  Ints only, so the plan is
+        # nothing the cyclic collector walks (tests/test_footprint.py).
+        level_plan = self.tree.level_plan
+        self._writeback_plan = tuple(
+            (level, *level_plan[level]) for level in range(config.levels, -1, -1)
+        )
         # Skip the per-access calls to the (empty) path hooks unless a
         # subclass actually overrides them (the integrity ORAM does).
         cls = type(self)
@@ -235,12 +243,7 @@ class PathORAM(
         if leaf is None:
             raise RuntimeError("no access in progress")
         self.pending_leaf = None
-        levels = self.config.levels
         z = self.config.bucket_size
-        tree = self.tree
-        path = tree._path_cache.get(leaf)
-        if path is None:
-            path = tree.path_indices(leaf)
         # One plain loop over the stash buckets every block by its
         # common-prefix depth with the path: bitops.common_prefix_length
         # inlined, or for small trees one byte-table load per block.  The
@@ -258,6 +261,7 @@ class PathORAM(
             for word in stash_blocks.values():
                 appends[table[(word & mask) ^ leaf]](word)
         else:
+            levels = self.config.levels
             for word in stash_blocks.values():
                 appends[levels - ((word & mask) ^ leaf).bit_length()](word)
         # Consume deepest-bucket first.  Before filling level L, ``pending``
@@ -269,11 +273,12 @@ class PathORAM(
         # Every write-back immediately follows a read of the same path
         # (begin_access and dummy_access both read first), so the path
         # buckets are empty on entry and levels that place nothing need no
-        # write at all.
-        buckets = tree._buckets
+        # write at all -- nor a heap index: one is computed only for a
+        # level that takes a chunk.
+        buckets = self.tree._buckets
         pending: List[int] = []
         placed: List[int] = []
-        for level in range(levels, -1, -1):
+        for level, first, shift in self._writeback_plan:
             depth_bucket = by_depth[level]
             if depth_bucket:
                 pending += depth_bucket
@@ -282,7 +287,7 @@ class PathORAM(
                 chunk = pending[:z]
                 del pending[:z]
                 placed += chunk
-                buckets[path[level]] = chunk
+                buckets[first + (leaf >> shift)] = chunk
         # Drop the placed blocks from the stash (the write-back only places
         # blocks it took from there, so every one is present).
         for word in placed:

@@ -122,9 +122,11 @@ class BinaryTree:
 
     The bucket at level ``l`` on the path to leaf ``s`` has heap index
     ``(1 << l) - 1 + (s >> (levels - l))``: the high ``l`` bits of the leaf
-    label select the node within the level.  Path index vectors are
-    memoized per leaf (the geometry never changes after construction), so
-    the per-access ``read_path_into``/write-back pair never recomputes them.
+    label select the node within the level.  A path is that arithmetic and
+    nothing stored: :attr:`level_plan` holds each level's two constants,
+    and ``read_path_into`` and the write-back compute one index per level
+    they touch.  No per-leaf vector is kept: a memo of one would grow by
+    about 420 bytes per leaf ever visited (DESIGN.md section 5).
 
     A pinned treetop (DESIGN.md section 13) is not the tree's business: it
     changes which levels the interconnect streams, not where a bucket's
@@ -145,7 +147,12 @@ class BinaryTree:
         #: timing simulator's carry none); a block's bytes stay here
         #: wherever its word is, tree or stash
         self.payloads: Dict[int, bytes] = {}
-        self._path_cache: Dict[int, Tuple[int, ...]] = {}
+        #: per level, root first: ``(first heap index, leaf shift)``; the
+        #: bucket at that level on the path to ``leaf`` is
+        #: ``first + (leaf >> shift)``
+        self.level_plan: Tuple[Tuple[int, int], ...] = tuple(
+            ((1 << level) - 1, levels - level) for level in range(levels + 1)
+        )
 
     def flush_treetop(self) -> int:
         """Write pinned buckets back to DRAM: there are none, so 0.
@@ -161,22 +168,14 @@ class BinaryTree:
         return (1 << level) - 1 + (leaf >> (self.levels - level))
 
     def path_indices(self, leaf: int) -> Sequence[int]:
-        """Heap indices of the root-to-leaf path, root first (memoized)."""
-        path = self._path_cache.get(leaf)
-        if path is None:
-            if not 0 <= leaf < self.num_leaves:
-                raise ValueError(f"leaf {leaf} out of range [0, {self.num_leaves})")
-            levels = self.levels
-            # A list comprehension, not a generator: one frame per path
-            # instead of one resume per level.
-            path = tuple(
-                [
-                    (1 << level) - 1 + (leaf >> (levels - level))
-                    for level in range(levels + 1)
-                ]
-            )
-            self._path_cache[leaf] = path
-        return path
+        """Heap indices of the root-to-leaf path, root first.
+
+        Computed on every call (nothing is memoized): the Ring and Shi
+        ORAMs, the Merkle layer, the fault injector and tests read it.
+        """
+        if not 0 <= leaf < self.num_leaves:
+            raise ValueError(f"leaf {leaf} out of range [0, {self.num_leaves})")
+        return [first + (leaf >> shift) for first, shift in self.level_plan]
 
     def bucket(self, index: int) -> List[int]:
         """The (mutable) list of block words in bucket ``index``."""
@@ -193,13 +192,14 @@ class BinaryTree:
         leaves the path buckets empty.  One ``store[word >> 32] = word``
         per block: a bulk ``store.update(zip(map(...)))`` runs slower, its
         method-wrapper calls cost more than this bytecode (DESIGN section 5).
+        Each bucket's index is computed from :attr:`level_plan`; ``leaf``
+        must be a leaf of this tree (the position map and the RNG only
+        hand out those).
         """
-        path = self._path_cache.get(leaf)
-        if path is None:
-            path = self.path_indices(leaf)
         moved = 0
         buckets = self._buckets
-        for index in path:
+        for first, shift in self.level_plan:
+            index = first + (leaf >> shift)
             bucket = buckets[index]
             if bucket:
                 for word in bucket:
@@ -216,8 +216,8 @@ class BinaryTree:
         """Install ``blocks`` at a precomputed heap index (hot write-back path).
 
         The tree takes ownership of the list.  Callers that already hold a
-        :meth:`path_indices` vector use this to skip the per-level geometry
-        arithmetic of :meth:`write_bucket`.
+        heap index (a :meth:`path_indices` entry) use this to skip the
+        per-level geometry arithmetic of :meth:`write_bucket`.
         """
         if len(blocks) > self.bucket_size:
             raise ValueError(

@@ -48,7 +48,8 @@ the invariants of DESIGN.md section 12, which
 ``tests/test_serve_incremental.py`` checks against the scan-based
 definitions after every event.  A placement is inline in :meth:`_pump`;
 the fair pick stays in :meth:`TenantQueues.pop_where`, which calls the
-:meth:`_placeable` predicate only for a head whose shard's batch is full.
+:meth:`_placeable` predicate only for a head whose shard's batch is full,
+once per round of picks.
 The distributions are not recorded per request: a request carries its
 arrival, issue and completion cycles, and :meth:`_finish` folds them into
 the histograms once per run.
@@ -392,10 +393,17 @@ class ServingFrontEnd:
         outstanding = self._outstanding
         fallback = self._fallback
         placeable = self._placeable
+        tenants = queues.num_tenants
         while True:
             progress = False
+            # The tenants whose head was judged unplaceable in this round of
+            # picks.  Until the issue pass below, such a head stays
+            # unplaceable: its shard's batch only fills, no group opens on
+            # a full shard, no in-flight group starts or retires, and an
+            # unpopped tenant keeps its head -- so it is judged once.
+            blocked = [False] * tenants
             while queues.queued:
-                request = queues.pop_where(placeable, sizes, quotas)
+                request = queues.pop_where(placeable, sizes, quotas, blocked)
                 if request is None:
                     break
                 progress = True

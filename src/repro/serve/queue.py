@@ -35,22 +35,19 @@ class TenantQueues:
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
         self.weights: List[int] = list(weights)
+        self.num_tenants = len(self.weights)
         self.capacity = capacity
         self._queues: List[deque] = [deque() for _ in weights]
         #: each queue's length, kept where it changes (no ``len`` per push)
-        self._depths: List[int] = [0] * len(self.weights)
-        self._credit: List[int] = [0] * len(self.weights)
+        self._depths: List[int] = [0] * self.num_tenants
+        self._credit: List[int] = [0] * self.num_tenants
         #: high-water mark per tenant (exported as queue-depth gauges)
-        self.peak_depth: List[int] = [0] * len(self.weights)
+        self.peak_depth: List[int] = [0] * self.num_tenants
         #: requests queued over every tenant -- :meth:`total_depth`, kept
         #: where it changes so a caller can skip an all-empty scan
         self.queued = 0
 
     # ------------------------------------------------------------------ state
-    @property
-    def num_tenants(self) -> int:
-        return len(self._queues)
-
     def depth(self, tenant: int) -> int:
         return self._depths[tenant]
 
@@ -77,6 +74,7 @@ class TenantQueues:
         eligible: Optional[Callable[[Request], bool]] = None,
         sizes: Optional[Sequence[int]] = None,
         quotas: Optional[Sequence[int]] = None,
+        blocked: Optional[List[bool]] = None,
     ) -> Optional[Request]:
         """Weighted-fair pop of the next head request passing ``eligible``.
 
@@ -89,6 +87,13 @@ class TenantQueues:
         Given ``sizes`` and ``quotas`` (each shard's open-batch size and
         batch quota), a head whose shard's batch has room is eligible
         outright: ``eligible`` is called only for the others.
+
+        Given ``blocked`` (one flag per tenant, owned by the caller), a
+        tenant flagged there is skipped unjudged, and a tenant whose head
+        fails ``eligible`` is flagged.  The caller keeps the list only
+        while a failed head cannot turn eligible: it keeps its head (it is
+        not popped and nothing is pushed), and its shard neither gains
+        room nor opens a group the head could join.
         """
         credit = self._credit
         weights = self.weights
@@ -99,9 +104,13 @@ class TenantQueues:
             if not queue:
                 continue
             if eligible is not None:
+                if blocked is not None and blocked[tenant]:
+                    continue
                 head = queue[0]
                 if sizes is None or sizes[head.shard] >= quotas[head.shard]:
                     if not eligible(head):
+                        if blocked is not None:
+                            blocked[tenant] = True
                         continue
             weight = weights[tenant]
             credit[tenant] += weight

@@ -493,6 +493,9 @@ class TestOneErrorConvention:
             "serve -s dyn --write-frac 2 --requests 20",
             "parallel -w locality:80 -s dyn --checkpoint-every -1 --accesses 100",
             "parity --accesses -1",
+            # a bank runs no periodic grid (this raised inside the run)
+            "run -w locality:80 -s dyn_intvl --shards 2 --accesses 100",
+            "run -w locality:80 -s dyn_intvl --health-policy window=32 --accesses 100",
         ],
     )
     def test_bad_value_exits_2_with_one_repro_line(self, argv, capsys):
@@ -502,6 +505,19 @@ class TestOneErrorConvention:
         err = capsys.readouterr().err
         assert err.startswith("repro: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("bank", ["--shards 2", "--health-policy window=32"])
+    def test_periodic_on_a_bank_is_refused_before_the_trace(
+        self, bank, monkeypatch, capsys
+    ):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("the trace was built")
+
+        monkeypatch.setattr("repro.cli.named_trace", no_trace)
+        with pytest.raises(SystemExit) as exit_info:
+            main(f"run -w locality:80 -s oram,dyn_intvl {bank}".split())
+        assert exit_info.value.code == 2
+        assert "'dyn_intvl'" in capsys.readouterr().err
 
 
 class TestSweepSeed:

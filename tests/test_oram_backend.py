@@ -247,9 +247,10 @@ class TestOneFramePerAccess:
     channels with a 4-level treetop (the benchmark's ``trace_tpcc_write``
     geometry); every Python frame whose code lives under
     ``repro/{memory,controller,oram,core}`` is counted by function name.
-    The trees' path vectors are memoized beforehand and the PosMap block is
-    cached, so the counts are the steady state.  The two models cross the
-    same frames: the channel plan and the treetop levels are walked inline.
+    The PosMap block is cached beforehand, so the counts are the steady
+    state (a path is arithmetic: there is no path vector to warm).  The
+    two models cross the same frames: the channel plan and the treetop
+    levels are walked inline.
     A deliberate new frame on the access path means editing these dicts.
     """
 
@@ -287,11 +288,7 @@ class TestOneFramePerAccess:
             config = dataclasses.replace(
                 config, dram=dataclasses.replace(config.dram, model="channel", num_channels=4)
             )
-        system = SecureSystem.build("dyn", 4096, config)
-        tree = system.backend.oram.tree
-        for leaf in range(tree.num_leaves):
-            tree.path_indices(leaf)
-        return system
+        return SecureSystem.build("dyn", 4096, config)
 
     @staticmethod
     def frames(call):

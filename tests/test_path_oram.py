@@ -183,8 +183,10 @@ class TestCallShape:
     call made directly in ``read_path_into`` (the treetop levels included)
     or in ``finish_access`` (the home of the write-back) is counted by
     name.  The write-back makes exactly one bound ``list.append`` per block
-    in the stash when it starts (the depth bucketing), and neither
-    function bulk-moves blocks through ``list.extend`` or ``dict.update``.
+    in the stash when it starts (the depth bucketing) plus the one
+    ``dict.values`` view it loops over; the path is arithmetic, so neither
+    function looks a path vector up (no ``dict.get``), and neither
+    bulk-moves blocks through ``list.extend`` or ``dict.update``.
     Calling a type (``map``, ``zip``) raises no profiler event, so those
     two are held off by name.  A rewrite that moves this work into C-level
     chains changes these counts and must show its wall-clock pairs (DESIGN
@@ -222,8 +224,8 @@ class TestCallShape:
         [blocks] = stash_at_writeback
         assert blocks > len(oram.stash) > 0  # it placed some and carried some
         assert calls == {
-            "read_path_into": {"dict.get": 1},  # the memoized path vector
-            "finish_access": {"dict.get": 1, "dict.values": 1, "list.append": blocks},
+            "read_path_into": {},
+            "finish_access": {"dict.values": 1, "list.append": blocks},
         }
 
     def test_no_map_or_zip(self):

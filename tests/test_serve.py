@@ -70,6 +70,27 @@ class TestTenantQueues:
         assert queues.pop_where(lambda r: r.addr != 7) is None
         assert queues.depth(0) == 1
 
+    def test_a_blocked_tenant_is_judged_once(self):
+        queues = TenantQueues([1, 1], capacity=8)
+        queues.push(Request(0, 0, 7, False, 0, 10))
+        for addr in (8, 9):
+            queues.push(Request(addr, 1, addr, False, 0, 10))
+        judged = []
+
+        def eligible(request):
+            judged.append(request.addr)
+            return request.addr != 7
+
+        blocked = [False, False]
+        assert queues.pop_where(eligible, blocked=blocked).addr == 8
+        assert blocked == [True, False]
+        assert queues.pop_where(eligible, blocked=blocked).addr == 9
+        assert queues.pop_where(eligible, blocked=blocked) is None
+        assert judged == [7, 8, 9]  # the blocked head once, not per pick
+        # a fresh list judges it again
+        assert queues.pop_where(eligible, blocked=[False, False]) is None
+        assert judged == [7, 8, 9, 7]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TenantQueues([], capacity=4)

@@ -172,6 +172,8 @@ class CheckedFrontEnd(ServingFrontEnd):
     heads_with_room = 0
     #: heads judged by ``_placeable`` (their shard's batch was full)
     placeable_calls = 0
+    #: heads a fair pick skipped unjudged (blocked earlier in the round)
+    blocked_skips = 0
 
     def run(self, source):
         self.source = source
@@ -206,7 +208,7 @@ class CheckedFrontEnd(ServingFrontEnd):
         queues = self.queues
         pick = queues.pop_where
 
-        def checked_pop_where(eligible=None, sizes=None, quotas=None):
+        def checked_pop_where(eligible=None, sizes=None, quotas=None, blocked=None):
             self.check()
             heads = [queue[0] if queue else None for queue in queues._queues]
             self.heads_with_room += sum(
@@ -216,10 +218,16 @@ class CheckedFrontEnd(ServingFrontEnd):
                 and len(self._open_batches[head.shard])
                 < reference_quota(self, head.shard)
             )
+            # a tenant the pump remembers as blocked this round has a head
+            # that still cannot be placed
+            for head, flagged in zip(heads, blocked or ()):
+                if flagged:
+                    self.blocked_skips += 1
+                    assert not reference_placeable(self, head)
             tenant, credit = reference_pick(
                 self, lambda head: reference_placeable(self, head)
             )
-            request = pick(eligible, sizes, quotas)
+            request = pick(eligible, sizes, quotas, blocked)
             if tenant is None:
                 assert request is None
             else:
@@ -369,8 +377,10 @@ def test_shard_degrades_mid_run():
     assert frontend.health.total_transitions() > 0
     assert len(frontend.quota_vectors) > 1
     # both kinds of head came up: on a shard with room (eligible without a
-    # call) and on a full shard (judged by ``_placeable``)
+    # call) and on a full shard (judged by ``_placeable``), and a head
+    # judged unplaceable was skipped unjudged later in the same round
     assert frontend.heads_with_room > 0 and frontend.placeable_calls > 0
+    assert frontend.blocked_skips > 0
 
 
 def always_resident(addr):
