@@ -5,8 +5,8 @@
   check) that Path ORAM, Ring ORAM and the Shi et al. tree ORAM all
   implement, plus a registry for building any of them by name.  It
   serves ``repro parity``, the cross-scheme parity suite and ``fsck``;
-* :mod:`repro.controller.mixins` -- the stash/eviction/placement logic
-  the scheme zoo shares, the tree schemes' one invariant audit, and
+* :mod:`repro.controller.mixins` -- the stash/eviction logic the scheme
+  zoo shares, the tree schemes' one invariant audit, and
   ``merge_pairs``;
 * :mod:`repro.controller.pipeline` -- :class:`AccessPipeline`, the one
   function every ``ORAMBackend`` request runs (PosMap walk -> path read ->
@@ -20,7 +20,6 @@
 
 from repro.controller.mixins import (
     BoundedDrainMixin,
-    DeepestPlacementMixin,
     GreedyWritebackMixin,
     SharedLeafMixin,
 )
@@ -30,7 +29,6 @@ from repro.controller.scheme import ORAMScheme, SCHEME_FACTORIES, build_scheme
 __all__ = [
     "AccessPipeline",
     "BoundedDrainMixin",
-    "DeepestPlacementMixin",
     "GreedyWritebackMixin",
     "ORAMScheme",
     "SCHEME_FACTORIES",

@@ -1,14 +1,16 @@
 """Shared scheme machinery hoisted out of the ORAM zoo.
 
 Before the controller layer existed, Path ORAM, Ring ORAM, and the Shi
-et al. tree ORAM each carried private copies of the same four routines:
-validating that super-block members share a leaf, placing a block as deep
-as possible on its path at population time, writing the stash back onto a
-path greedily (deepest level first), and draining the stash with bounded
-background evictions.  These mixins are the single home of that logic,
-together with the invariant check the three tree schemes share
+et al. tree ORAM each carried private copies of the same three routines:
+validating that super-block members share a leaf, writing the stash back
+onto a path greedily (deepest level first), and draining the stash with
+bounded background evictions.  These mixins are the single home of that
+logic, together with the invariant check the three tree schemes share
 (:class:`TreeAuditMixin`) and the static pairing that demonstrates the
 paper's section 6.1 claim on Ring ORAM and the Shi tree (:func:`merge_pairs`).
+The fourth shared routine, the initial deepest-first placement, is the
+tree's own: :meth:`repro.oram.tree.BinaryTree.populate` writes it straight
+into the tree's DRAM image.
 
 The hot-path exceptions: :meth:`PathORAM.finish_access` keeps its
 hand-inlined specialization of :meth:`GreedyWritebackMixin._greedy_writeback`
@@ -42,40 +44,6 @@ class SharedLeafMixin:
             if leaf_of(addr) != leaf:
                 raise ValueError("super block members must share a leaf")
         return leaf
-
-
-class DeepestPlacementMixin:
-    """Initial placement: a block goes as deep on its path as room allows."""
-
-    def _place_all_deepest(
-        self,
-        leaves: Sequence[int],
-        capacity: int,
-        buckets: Sequence[List[int]],
-    ) -> List[int]:
-        """Build the working set: block ``addr`` is mapped to ``leaves[addr]``.
-
-        Blocks are placed in address order, each block's word appended to
-        the deepest bucket on its path that holds fewer than ``capacity``.
-        ``buckets`` holds the tree's bucket lists in heap order (root
-        at 0, leaf ``s`` at ``len(buckets) // 2 + s``), so the walk up a
-        path is one shift per level.  Returns the words whose whole path
-        was full, in address order -- the caller sends them to its
-        stash/overflow area.
-        """
-        first_leaf_bucket = len(buckets) >> 1
-        spilled: List[int] = []
-        for addr, leaf in enumerate(leaves):
-            word = addr << LEAF_BITS | leaf
-            index = first_leaf_bucket + leaf
-            while len(buckets[index]) >= capacity:
-                if not index:
-                    spilled.append(word)
-                    break
-                index = (index - 1) >> 1
-            else:
-                buckets[index].append(word)
-        return spilled
 
 
 class GreedyWritebackMixin:

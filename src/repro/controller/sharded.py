@@ -129,6 +129,11 @@ class ShardedORAMBank(MemoryBackend):
             self.stash_limits = [
                 pressure_limit(shard, health_policy) for shard in self.shards
             ]
+        elif self.num_shards == 1:
+            # A bank of one with no plane: the interleave is the identity,
+            # so requests call the shard with no forwarding frame.
+            self.demand_access = self.shards[0].demand_access
+            self.prefetch_access = self.shards[0].prefetch_access
 
     # ----------------------------------------------------------------- wiring
     def set_recorder(self, recorder) -> None:
@@ -197,6 +202,8 @@ class ShardedORAMBank(MemoryBackend):
                 self.health, shard_index, shard, addr // num_shards, now,
                 is_write, self.stash_limits[shard_index],
             )
+        if num_shards == 1:  # the interleave is the identity
+            return completion, fills
         # The shard filled local addresses: hand global ones back.
         return completion, [local * num_shards + shard_index for local in fills]
 
@@ -204,8 +211,8 @@ class ShardedORAMBank(MemoryBackend):
         num_shards = self.num_shards
         shard_index = addr % num_shards
         issued = self.shards[shard_index].prefetch_access(addr // num_shards, now)
-        if issued is None:
-            return None
+        if issued is None or num_shards == 1:
+            return issued
         completion, fills = issued
         return completion, [local * num_shards + shard_index for local in fills]
 

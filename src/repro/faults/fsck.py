@@ -112,7 +112,7 @@ def _tree_findings(report: FsckReport, tree, leaf_of, on_chip, merkle) -> Iterat
         # ``first + (leaf >> shift) == index``.
         first, shift = (1 << level) - 1, tree.levels - level
         for index in range(first, 2 * first + 1):
-            bucket = tree.bucket(index)
+            bucket = tree.words(index)
             if len(bucket) > z:
                 yield f"bucket {index} holds {len(bucket)} blocks > Z={z}"
             for word in bucket:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
@@ -123,7 +123,7 @@ class FaultStats:
 _BucketImage = Tuple[Tuple[int, int, bytes], ...]
 
 
-def _bucket_image(bucket: List[int], payloads: Dict[int, bytes]) -> _BucketImage:
+def _bucket_image(bucket: Sequence[int], payloads: Dict[int, bytes]) -> _BucketImage:
     return tuple(
         (addr := word >> LEAF_BITS, word & LEAF_MASK, payloads.get(addr) or b"") for word in bucket
     )
@@ -235,12 +235,11 @@ class FaultInjector:
     # ----------------------------------------------------------- internals
     def _inject_bitflip(self, tree, path) -> None:
         """Flip one bit of one real block on the path (if any exists)."""
-        buckets = tree._buckets
-        candidates = [index for index in path if buckets[index]]
+        candidates = [index for index in path if tree.words(index)]
         if not candidates:
             return  # path holds only dummies; a flip there is unobservable
         rng = self.rng
-        bucket = buckets[candidates[rng.randbelow(len(candidates))]]
+        bucket = tree.bucket(candidates[rng.randbelow(len(candidates))])
         slot = rng.randbelow(len(bucket))
         addr = bucket[slot] >> LEAF_BITS
         data = tree.payloads.get(addr)
@@ -261,25 +260,25 @@ class FaultInjector:
 
     def _inject_replay(self, tree, path) -> None:
         """Rewind the first path bucket whose snapshot differs from now."""
-        buckets = tree._buckets
         payloads = tree.payloads
         for index in path:
             stale = self._snapshots.get(index)
-            if stale is None or _bucket_image(buckets[index], payloads) == stale:
+            if stale is None or _bucket_image(tree.words(index), payloads) == stale:
                 continue
             # A payload is one entry per address: the blocks this bucket
             # holds now take their stale bytes (or none) with them, and a
             # block that lives elsewhere keeps its own.
-            live = {word >> LEAF_BITS for word in buckets[index]}
+            bucket = tree.bucket(index)
+            live = {word >> LEAF_BITS for word in bucket}
             for addr in live:
                 payloads.pop(addr, None)
             payloads.update((addr, data) for addr, _, data in stale if data and addr in live)
-            buckets[index] = [addr << LEAF_BITS | leaf for addr, leaf, _ in stale]
+            bucket[:] = [addr << LEAF_BITS | leaf for addr, leaf, _ in stale]
             self.stats.replays += 1
             return
 
     def _take_snapshot(self, tree, path) -> None:
         """Record one random path bucket for a future replay."""
         index = path[self.rng.randbelow(len(path))]
-        self._snapshots[index] = _bucket_image(tree._buckets[index], tree.payloads)
+        self._snapshots[index] = _bucket_image(tree.words(index), tree.payloads)
         self.stats.snapshots += 1

@@ -119,7 +119,7 @@ def _oram_state_dict(oram: PathORAM) -> dict:
         "break_bits": [posmap.break_bit(a) for a in range(n)],
         "prefetch_bits": [posmap.prefetch_bit(a) for a in range(n)],
         "buckets": [
-            [_encode_block(word, oram.tree.payloads) for word in oram.tree.bucket(i)]
+            [_encode_block(word, oram.tree.payloads) for word in oram.tree.words(i)]
             for i in range(oram.tree.num_buckets)
         ],
         "stash": [

@@ -65,7 +65,7 @@ class MerkleTree:
         """
         payloads = self._tree.payloads
         parts = []
-        for word in sorted(self._tree.bucket(index)):
+        for word in sorted(self._tree.words(index)):
             addr = word >> LEAF_BITS
             parts.append(
                 addr.to_bytes(8, "little", signed=True)

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import ORAMConfig
 from repro.controller.mixins import (
     BoundedDrainMixin,
-    DeepestPlacementMixin,
     GreedyWritebackMixin,
     SharedLeafMixin,
     TreeAuditMixin,
@@ -47,7 +46,6 @@ from repro.utils.rng import DeterministicRng
 
 class PathORAM(
     SharedLeafMixin,
-    DeepestPlacementMixin,
     GreedyWritebackMixin,
     BoundedDrainMixin,
     TreeAuditMixin,
@@ -55,8 +53,9 @@ class PathORAM(
     """Functional Path ORAM over a binary tree with a stash and position map.
 
     Implements the :class:`~repro.controller.scheme.ORAMScheme` protocol;
-    the shared stash/eviction/placement machinery lives in the
-    :mod:`repro.controller.mixins` (``finish_access`` below keeps a
+    the shared stash/eviction machinery lives in the
+    :mod:`repro.controller.mixins` and the initial placement in
+    :meth:`BinaryTree.populate` (``finish_access`` below keeps a
     hand-inlined specialization of the greedy write-back, pinned by the
     golden determinism test, and ``drain_stash`` one of the bounded drain).
 
@@ -125,12 +124,14 @@ class PathORAM(
         # one indexed load.  The table is a list (8 MB at 2**20 leaves), not
         # bytes: a list subscript is a specialized instruction, a bytes one
         # a generic call, and it pays for the mask the block word needs.
+        # Built by doubling, one list repeat per bit length (the xors of
+        # bit length b + 1 are [2**b, 2**(b+1)): depth levels - b - 1), so a
+        # build does no Python work per leaf.
         if config.num_leaves <= (1 << 20):
             levels = config.levels
-            self._depth_of_xor: Optional[List[int]] = [
-                levels if d == 0 else levels - d.bit_length()
-                for d in range(config.num_leaves)
-            ]
+            self._depth_of_xor: Optional[List[int]] = [levels]
+            for bits in range(levels):
+                self._depth_of_xor += [levels - 1 - bits] * (1 << bits)
         else:
             self._depth_of_xor = None
         if populate:
@@ -151,11 +152,7 @@ class PathORAM(
         if self._populated:
             raise RuntimeError("ORAM already populated")
         self._populated = True
-        for word in self._place_all_deepest(
-            self.position_map._leaves,
-            self.config.bucket_size,
-            self.tree._buckets,
-        ):
+        for word in self.tree.populate(self.position_map._leaves):
             self.stash.add(word)
 
     # ----------------------------------------------------------------- access

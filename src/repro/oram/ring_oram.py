@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.controller.mixins import (
     BoundedDrainMixin,
-    DeepestPlacementMixin,
     GreedyWritebackMixin,
     SharedLeafMixin,
     TreeAuditMixin,
@@ -56,7 +55,6 @@ def reverse_bits(value: int, width: int) -> int:
 
 class RingORAM(
     SharedLeafMixin,
-    DeepestPlacementMixin,
     GreedyWritebackMixin,
     BoundedDrainMixin,
     TreeAuditMixin,
@@ -127,7 +125,7 @@ class RingORAM(
         self.stash_soft_overflows = 0
         self._evict_counter = 0
         self._pending_path: Optional[Sequence[int]] = None
-        for word in self._place_all_deepest(self._leaves, z, self.tree._buckets):
+        for word in self.tree.populate(self._leaves):
             self.stash[word >> LEAF_BITS] = word
 
     # ------------------------------------------------------------- plumbing

@@ -1,10 +1,15 @@
 """The Path ORAM binary tree (paper section 2.2, Figure 1).
 
-The tree is stored heap-style in a flat list of buckets.  Level 0 is the
-root; level ``L`` holds the ``2**L`` leaves.  Each bucket holds up to ``Z``
-real blocks; slots not occupied by real blocks are implicitly dummy blocks
+The tree is stored heap-style: bucket ``i`` is heap index ``i``.  Level 0
+is the root; level ``L`` holds the ``2**L`` leaves.  Each bucket holds up
+to ``Z`` real blocks; slots not occupied by real blocks are dummy blocks
 (the adversary-visible serialization in :mod:`repro.oram.crypto` pads every
 bucket to ``Z`` ciphertexts so real and dummy blocks are indistinguishable).
+
+A tree starts as its DRAM image: one flat ``array('q')`` of ``Z`` slots
+per bucket, ``-1`` in a dummy slot, which the initial placement
+(:meth:`BinaryTree.populate`) fills.  A bucket becomes a Python list only
+when an access writes it; until then its words are read from the image.
 
 A block is one int, its header: ``word = addr << LEAF_BITS | leaf`` -- the
 program address and the leaf label the controller stores next to the data
@@ -20,8 +25,9 @@ load per block).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.utils.bitops import LEAF_BITS
 
@@ -128,9 +134,17 @@ class BinaryTree:
     they touch.  No per-leaf vector is kept: a memo of one would grow by
     about 420 bytes per leaf ever visited (DESIGN.md section 5).
 
+    A bucket's words live in one of two places.  ``_buckets[i]`` is
+    ``None`` while bucket ``i`` is untouched: its words are then the image
+    slots ``_image[i*Z : (i+1)*Z]`` up to the first ``-1``.  Otherwise it
+    is the bucket itself: a list once written, or the shared empty ``()``
+    a path read leaves.  :meth:`bucket` hands out the mutable list
+    (materialising it); :meth:`words` reads either place and materialises
+    nothing, and every read-only walk goes through it.
+
     A pinned treetop (DESIGN.md section 13) is not the tree's business: it
     changes which levels the interconnect streams, not where a bucket's
-    words are kept, so every bucket lives in the one list ``_buckets``.
+    words are kept, so every bucket has the one store above.
     """
 
     def __init__(self, levels: int, bucket_size: int):
@@ -142,7 +156,14 @@ class BinaryTree:
         self.bucket_size = bucket_size
         self.num_leaves = 1 << levels
         self.num_buckets = (1 << (levels + 1)) - 1
-        self._buckets: List[List[int]] = [[] for _ in range(self.num_buckets)]
+        #: the DRAM image: ``Z`` slots per bucket in heap order, ``-1`` a
+        #: dummy; what :meth:`populate` places, read while a bucket is
+        #: untouched
+        self._image: Optional[array] = array("q", [-1]) * (self.num_buckets * bucket_size)
+        self._buckets: List[Optional[Sequence[int]]] = [None] * self.num_buckets
+        #: buckets still ``None``; when the last one is touched the image
+        #: is dropped, so a tree every access has reached holds no image
+        self._untouched = self.num_buckets
         #: address -> payload bytes, for the blocks that carry any (the
         #: timing simulator's carry none); a block's bytes stay here
         #: wherever its word is, tree or stash
@@ -153,6 +174,44 @@ class BinaryTree:
         self.level_plan: Tuple[Tuple[int, int], ...] = tuple(
             ((1 << level) - 1, levels - level) for level in range(levels + 1)
         )
+
+    def populate(self, leaves: Sequence[int]) -> List[int]:
+        """Initial placement: block ``addr`` is mapped to ``leaves[addr]``.
+
+        Blocks are placed in address order, each block's word into the
+        free slot of the deepest bucket on its path that has one -- in
+        the image, so a build makes no list per bucket.  The walk up a
+        path is one shift per level (root at heap index 0, leaf ``s`` at
+        ``num_buckets // 2 + s``).  Returns the words whose whole path was
+        full, in address order: the caller sends them to its
+        stash/overflow area.  Only a fresh tree is populated.
+
+        Per block this is the bytecode of the list walk it replaced,
+        without its ``len`` and ``append`` calls.  The filled-slot counts
+        are a list while the build runs (a ``bytearray`` would be an
+        eighth of its size, but its subscripts are not specialized), the
+        slots are stored through a ``memoryview`` (the array's own item
+        store parses each int with a format string), and ``addr << 32``
+        comes from a ``range`` (one int fewer allocated per block).
+        """
+        z = self.bucket_size
+        filled = [0] * self.num_buckets
+        first_leaf_bucket = self.num_buckets >> 1
+        spilled: List[int] = []
+        with memoryview(self._image) as slots:
+            for high, leaf in zip(range(0, len(leaves) << 32, 1 << 32), leaves):
+                index = first_leaf_bucket + leaf
+                count = filled[index]
+                while count == z:
+                    if not index:
+                        spilled.append(high | leaf)
+                        break
+                    index = (index - 1) >> 1
+                    count = filled[index]
+                else:
+                    slots[index * z + count] = high | leaf
+                    filled[index] = count + 1
+        return spilled
 
     def flush_treetop(self) -> int:
         """Write pinned buckets back to DRAM: there are none, so 0.
@@ -177,9 +236,31 @@ class BinaryTree:
             raise ValueError(f"leaf {leaf} out of range [0, {self.num_leaves})")
         return [first + (leaf >> shift) for first, shift in self.level_plan]
 
+    def words(self, index: int) -> Sequence[int]:
+        """The block words of bucket ``index``, read-only, in slot order.
+
+        The bucket itself once touched, else its image slots up to the
+        first dummy; nothing is materialised, so a walk over every bucket
+        (the audit, a checkpoint, the Merkle build) leaves the tree as it
+        found it.
+        """
+        bucket = self._buckets[index]
+        if bucket is not None:
+            return bucket
+        z = self.bucket_size
+        slots = self._image[index * z : index * z + z]
+        return slots[: slots.index(-1)] if -1 in slots else slots
+
     def bucket(self, index: int) -> List[int]:
-        """The (mutable) list of block words in bucket ``index``."""
-        return self._buckets[index]
+        """The (mutable) list of block words in bucket ``index``.
+
+        An untouched or read-empty bucket becomes a list here, and stays one.
+        """
+        bucket = self._buckets[index]
+        if bucket.__class__ is not list:
+            bucket = list(self.words(index))
+            self.write_bucket_at(index, bucket)
+        return bucket
 
     def read_path_into(self, leaf: int, store: Dict[int, int]) -> int:
         """Move every block word on the path to ``leaf`` into ``store``.
@@ -189,9 +270,11 @@ class BinaryTree:
         caller's dict (the stash's backing store).  Returns the number of
         blocks moved -- counted here, not read off the dict's growth, so a
         caller can detect a block that was already in ``store`` -- and
-        leaves the path buckets empty.  One ``store[word >> 32] = word``
-        per block: a bulk ``store.update(zip(map(...)))`` runs slower, its
-        method-wrapper calls cost more than this bytecode (DESIGN section 5).
+        leaves the path buckets empty (the shared ``()``: a read allocates
+        no bucket).  One ``store[word >> 32] = word`` per block: a bulk
+        ``store.update(zip(map(...)))`` runs slower, its method-wrapper
+        calls cost more than this bytecode (DESIGN section 5).  An
+        untouched bucket is read once from its image slots, in slot order.
         Each bucket's index is computed from :attr:`level_plan`; ``leaf``
         must be a leaf of this tree (the position map and the RNG only
         hand out those).
@@ -205,7 +288,18 @@ class BinaryTree:
                 for word in bucket:
                     store[word >> 32] = word
                     moved += 1
-                buckets[index] = []
+                buckets[index] = ()
+            elif bucket is None:
+                z = self.bucket_size
+                for word in self._image[index * z : index * z + z]:
+                    if word < 0:
+                        break
+                    store[word >> 32] = word
+                    moved += 1
+                buckets[index] = ()
+                self._untouched -= 1
+                if not self._untouched:
+                    self._image = None
         return moved
 
     def write_bucket(self, level: int, leaf: int, blocks: List[int]) -> None:
@@ -223,16 +317,21 @@ class BinaryTree:
             raise ValueError(
                 f"bucket overflow: {len(blocks)} blocks into a Z={self.bucket_size} bucket"
             )
-        self._buckets[index] = blocks
+        buckets = self._buckets
+        if buckets[index] is None:
+            self._untouched -= 1
+            if not self._untouched:
+                self._image = None
+        buckets[index] = blocks
 
     def occupancy(self) -> int:
         """Total number of real blocks currently stored in the tree."""
-        return sum(len(bucket) for bucket in self._buckets)
+        return sum(len(self.words(index)) for index in range(self.num_buckets))
 
     def iter_blocks(self) -> Iterator[int]:
         """Iterate over every block word in the tree (for invariant checks)."""
-        for bucket in self._buckets:
-            yield from bucket
+        for index in range(self.num_buckets):
+            yield from self.words(index)
 
     def find(self, addr: int) -> bool:
         """Whether a block with the given address exists anywhere in the tree.
@@ -251,7 +350,7 @@ class BinaryTree:
         duplicates).
         """
         index_of: Dict[int, int] = {}
-        for index, bucket in enumerate(self._buckets):
-            for word in bucket:
+        for index in range(self.num_buckets):
+            for word in self.words(index):
                 index_of.setdefault(word >> LEAF_BITS, index)
         return index_of

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.controller.mixins import (
     BoundedDrainMixin,
-    DeepestPlacementMixin,
     SharedLeafMixin,
     TreeAuditMixin,
 )
@@ -36,9 +35,7 @@ from repro.utils.bitops import LEAF_BITS, LEAF_MASK
 from repro.utils.rng import DeterministicRng
 
 
-class ShiTreeORAM(
-    SharedLeafMixin, DeepestPlacementMixin, BoundedDrainMixin, TreeAuditMixin
-):
+class ShiTreeORAM(SharedLeafMixin, BoundedDrainMixin, TreeAuditMixin):
     """Functional binary-tree ORAM with root insertion and random eviction.
 
     Implements the :class:`~repro.controller.scheme.ORAMScheme` protocol:
@@ -93,9 +90,7 @@ class ShiTreeORAM(
         self._pending_access = False
         # Populate: every block starts at the leaf bucket of its leaf (or
         # the closest ancestor with room).
-        for word in self._place_all_deepest(
-            self._leaves, self.bucket_size, self.tree._buckets
-        ):
+        for word in self.tree.populate(self._leaves):
             self.overflow[word >> LEAF_BITS] = word
 
     # ------------------------------------------------------------- plumbing
@@ -126,14 +121,13 @@ class ShiTreeORAM(
         found = set()
         for index in self.tree.path_indices(leaf):
             self.bucket_touches += 1
-            bucket = self.tree.bucket(index)
             keep = []
-            for word in bucket:
+            for word in self.tree.words(index):
                 if word >> LEAF_BITS in wanted:
                     found.add(word >> LEAF_BITS)
                 else:
                     keep.append(word)
-            self.tree._buckets[index] = keep
+            self.tree.write_bucket_at(index, keep)
         for addr in list(wanted):
             if self.overflow.pop(addr, None) is not None:
                 found.add(addr)

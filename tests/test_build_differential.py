@@ -1,28 +1,37 @@
-"""Differential test: bulk leaf draw + flat deepest placement vs the
-per-block build they replaced.
+"""Differential tests: the tree's image-backed build and its reads vs
+the builds and the all-lists tree they replaced.
 
-The reference below is the pre-refactor build path, kept here (and only
-here) as an oracle:
+The references below are earlier build paths, kept here (and only here)
+as oracles:
 
 * :func:`reference_leaves` draws one ``random_leaf`` per block through a
   generator -- the old ``PositionMap`` / ``RingORAM`` / ``ShiTreeORAM``
   constructor loops;
-* :func:`reference_place_deepest` is the old
-  ``DeepestPlacementMixin._place_deepest``: one ``bucket_for(level, leaf)``
-  closure call per level, deepest first;
+* :func:`reference_place_deepest` is the old per-block placement: one
+  ``bucket_for(level, leaf)`` closure call per level, deepest first;
 * :func:`reference_populate` is the old ``PathORAM.populate`` body over a
-  fresh ``BinaryTree`` / ``Stash``.
+  fresh ``BinaryTree`` / ``Stash``;
+* :func:`reference_list_heap` is the all-lists placement the image
+  replaced: one list per bucket, each block appended to the deepest one
+  on its path with room, walking up one shift per level.
 
 A build must match the oracle in posmap leaves, bucket contents in list
 order, stash order, ``max_occupancy`` and the state every RNG involved is
-left in, with and without a pinned treetop and a deferred populate.
+left in, with and without a pinned treetop and a deferred populate.  A run
+must too: an image-backed Path, Ring or Shi tree, driven through random
+accesses, dummy accesses and stash drains, stays bucket for bucket and
+stash entry for stash entry equal to its twin whose every bucket started
+as a list -- and so does a fault injector's bit-flip and replay schedule.
 """
 
+import random
 from array import array
 
 import pytest
 
 from repro.config import ORAMConfig
+from repro.controller.scheme import build_scheme
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.oram.stash import Stash
@@ -76,6 +85,24 @@ def reference_heap(leaves, levels, capacity):
     for addr, leaf in enumerate(leaves):
         if not reference_place_deepest(addr, leaf, levels, capacity, bucket_for):
             spilled.append(addr)
+    return buckets, spilled
+
+
+def reference_list_heap(leaves, levels, capacity):
+    """The all-lists placement: ``(bucket lists, spilled words in order)``."""
+    buckets = [[] for _ in range((1 << (levels + 1)) - 1)]
+    first_leaf_bucket = len(buckets) >> 1
+    spilled = []
+    for addr, leaf in enumerate(leaves):
+        word = addr << 32 | leaf
+        index = first_leaf_bucket + leaf
+        while len(buckets[index]) >= capacity:
+            if not index:
+                spilled.append(word)
+                break
+            index = (index - 1) >> 1
+        else:
+            buckets[index].append(word)
     return buckets, spilled
 
 
@@ -178,3 +205,101 @@ def test_shi_tree_oram_build_matches_reference(levels, bucket_size, num_blocks):
     assert list(shi.overflow) == spilled
     assert contents(shi.overflow.values()) == [(a, leaves[a]) for a in spilled]
     assert next_draws(rng) == next_draws(twin)
+
+
+# ------------------------------------------------------- image vs all lists
+def on_chip(scheme):
+    """The scheme's stash (Ring) or overflow area (Shi), or the Path
+    ORAM's stash dict: address -> word, in insertion order."""
+    held = getattr(scheme, "overflow", None)
+    if held is None:
+        held = scheme.stash
+    return getattr(held, "blocks", held)
+
+
+def all_lists_twin(name, levels, num_blocks, seed):
+    """The scheme built as before the image: every bucket a list from the
+    start, placed by :func:`reference_list_heap`.  Its tree never reads
+    an image slot (no bucket is untouched)."""
+    twin = build_scheme(name, levels=levels, num_blocks=num_blocks, seed=seed)
+    tree = twin.tree
+    leaves = twin.position_map._leaves if name == "path" else twin._leaves
+    buckets, spilled = reference_list_heap(leaves, tree.levels, tree.bucket_size)
+    assert list(on_chip(twin).values()) == spilled
+    tree._buckets = buckets
+    return twin
+
+
+def stored(tree):
+    """Every bucket's words in heap order, read without materialising."""
+    return [list(tree.words(index)) for index in range(tree.num_buckets)]
+
+
+@pytest.mark.parametrize(
+    "name, levels, num_blocks", [("path", 8, 600), ("ring", 7, 500), ("tree", 7, 300)]
+)
+def test_an_image_backed_run_matches_the_all_lists_tree(name, levels, num_blocks):
+    seed = 11
+    fresh = build_scheme(name, levels=levels, num_blocks=num_blocks, seed=seed)
+    twin = all_lists_twin(name, levels, num_blocks, seed)
+    assert None in fresh.tree._buckets and None not in twin.tree._buckets
+    assert stored(fresh.tree) == stored(twin.tree)
+    driver = random.Random(5)
+    for step in range(400):
+        roll = driver.random()
+        for scheme in (fresh, twin):
+            if roll < 0.7:
+                scheme.access([int(roll * 1e6) % num_blocks])
+            elif roll < 0.85:
+                scheme.dummy_access()
+            else:
+                scheme.drain_stash()
+        if step % 50 == 49:
+            assert stored(fresh.tree) == stored(twin.tree)
+            assert list(on_chip(fresh).items()) == list(on_chip(twin).items())
+    assert stored(fresh.tree) == stored(twin.tree)
+    assert list(on_chip(fresh).items()) == list(on_chip(twin).items())
+    # Not vacuous: the run read image slots and left some untouched.
+    assert None in fresh.tree._buckets
+    assert fresh.tree._buckets.count(None) < fresh.tree.num_buckets // 2
+    fresh.check_invariants()
+
+
+def test_a_fault_schedule_draws_the_same_words_on_a_fresh_tree():
+    """Bit-flips and replays pick buckets and slots by what the path holds:
+    reading an untouched bucket from its image must present the same
+    words, in the same slots, as its materialised list."""
+    config = ORAMConfig(levels=7, bucket_size=4, utilization=0.5)
+    fresh = PathORAM(config, DeterministicRng(13))
+    materialised = PathORAM(config, DeterministicRng(13))
+    for index in range(materialised.tree.num_buckets):
+        materialised.tree.bucket(index)
+    for oram in (fresh, materialised):
+        for addr in range(0, config.num_blocks, 3):
+            oram.tree.payloads[addr] = bytes([addr % 251]) * 4
+        for addr in range(40):
+            oram.access([addr])
+    faults = FaultConfig(seed=2, bitflip_rate=0.5, replay_rate=0.5)
+    injectors = [FaultInjector(faults), FaultInjector(faults)]
+    driver = random.Random(3)
+    for _ in range(300):
+        leaf = driver.randrange(config.num_leaves)
+        for oram, injector in zip((fresh, materialised), injectors):
+            injector.on_path_read(oram, leaf)
+    first, second = injectors
+    assert first.stats.bitflips > 20 and first.stats.replays > 5
+    assert first.stats.as_dict() == second.stats.as_dict()
+    assert first._snapshots == second._snapshots
+    assert stored(fresh.tree) == stored(materialised.tree)
+    assert fresh.tree.payloads == materialised.tree.payloads
+    assert None in fresh.tree._buckets
+
+
+@pytest.mark.parametrize("levels", [1, 2, 11])
+def test_the_depth_table_is_the_per_leaf_formula(levels):
+    """The write-back's xor -> depth table, built by doubling, is the
+    per-leaf ``bit_length`` formula it replaced."""
+    oram = PathORAM(ORAMConfig(levels=levels), DeterministicRng(1))
+    assert oram._depth_of_xor == [
+        levels if d == 0 else levels - d.bit_length() for d in range(1 << levels)
+    ]

@@ -166,7 +166,7 @@ class TestFsck:
 
     def test_wrong_leaf_detected(self):
         oram = self.make_oram()
-        for bucket in oram.tree._buckets:
+        for bucket in bucket_lists(oram.tree):
             if bucket:
                 bucket[0] ^= 1  # the word's low bit: its leaf
                 break
@@ -176,7 +176,7 @@ class TestFsck:
 
     def test_duplicate_block_detected(self):
         oram = self.make_oram()
-        donor = next(b for b in oram.tree._buckets if b)
+        donor = next(b for b in bucket_lists(oram.tree) if b)
         oram.stash.add(donor[0])
         report = run_fsck(oram)
         assert not report.ok
@@ -184,14 +184,14 @@ class TestFsck:
 
     def test_lost_block_detected(self):
         oram = self.make_oram()
-        donor = next(b for b in oram.tree._buckets if b)
+        donor = next(b for b in bucket_lists(oram.tree) if b)
         donor.pop()
         report = run_fsck(oram)
         assert any("census" in error for error in report.errors)
 
     def test_root_hash_disagreement_detected(self):
         oram = self.make_oram()
-        donor = next(b for b in oram.tree._buckets if b)
+        donor = next(b for b in bucket_lists(oram.tree) if b)
         # Payload-only mutation: census and placement stay legal, so only
         # the root-hash recomputation can catch it.
         oram.tree.payloads[donor[0] >> 32] = b"tampered"
@@ -200,17 +200,22 @@ class TestFsck:
 
     def test_assert_consistent_raises(self):
         oram = self.make_oram()
-        next(b for b in oram.tree._buckets if b)[0] ^= 1
+        next(b for b in bucket_lists(oram.tree) if b)[0] ^= 1
         with pytest.raises(FsckError) as excinfo:
             assert_consistent(oram)
         assert excinfo.value.report.errors
 
     def test_error_accumulation_capped(self):
         oram = self.make_oram()
-        for bucket in oram.tree._buckets:
+        for bucket in bucket_lists(oram.tree):
             bucket[:] = [word ^ 1 for word in bucket]
         report = run_fsck(oram, max_errors=4)
         assert len(report.errors) == 4
+
+
+def bucket_lists(tree):
+    """Every bucket's mutable list, heap order (each materialised as reached)."""
+    return map(tree.bucket, range(tree.num_buckets))
 
 
 def tree_blocks(tree):

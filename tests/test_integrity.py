@@ -115,7 +115,7 @@ class TestVerifiedPathORAM:
         stale = list(oram.tree.bucket(index))
         for addr in range(10):
             oram.access([addr])
-        oram.tree._buckets[index] = stale  # adversary rewinds the root bucket
+        oram.tree.bucket(index)[:] = stale  # adversary rewinds the root bucket
         with pytest.raises(IntegrityViolationError):
             oram.access([7])
 
@@ -156,7 +156,7 @@ class TestSingleBitflipProperty:
         checked = 0
         for leaf in leaves:
             for index in oram.tree.path_indices(leaf):
-                for held in oram.tree._buckets[index]:
+                for held in oram.tree.bucket(index):
                     addr = held >> LEAF_BITS
                     original = oram.tree.payloads.get(addr)
                     if not original:
@@ -179,7 +179,7 @@ class TestSingleBitflipProperty:
         rng = DeterministicRng(29)
         leaf = oram.tree.num_leaves // 2
         for index in oram.tree.path_indices(leaf):
-            bucket = oram.tree._buckets[index]
+            bucket = oram.tree.bucket(index)
             for slot, original in enumerate(bucket):
                 for shift in (LEAF_BITS, 0):  # the address, then the leaf
                     bit = 1 << rng.randbelow(8)

@@ -236,7 +236,8 @@ class TestParallelRecovery:
 
         def loses_a_block(executor, seq, horizon, fsck):
             if executor.spec.shard_index == 1:
-                next(b for b in executor.backend.oram.tree._buckets if b).pop()
+                tree = executor.backend.oram.tree
+                next(b for b in map(tree.bucket, range(tree.num_buckets)) if b).pop()
             return finish(executor, seq, horizon, fsck)
 
         monkeypatch.setattr(ShardExecutor, "_finish", loses_a_block)

@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.config import SystemConfig
-from repro.controller.sharded import ShardedORAMBank, build_shard_backend
+from repro.controller.sharded import build_shard_backend
 from repro.faults import FaultConfig, FaultInjector
 from repro.health import CircuitBreaker, HealthPolicy, HealthState
 from repro.observability.collect import collect_parallel
@@ -184,16 +184,20 @@ class TestTransportEquivalence:
     def test_the_executor_is_a_bank_of_one(self, tmp_path, monkeypatch, policy):
         """Every access of a batch is one call of the bank's
         ``demand_access``, on a bank whose one channel is the executor's
-        backend -- still channel 1 of 2, as the shard was built."""
+        backend -- still channel 1 of 2, as the shard was built.  With no
+        plane that entry is the backend's own, bound by the bank."""
         calls = []
-        demand_access = ShardedORAMBank.demand_access
-
-        def counted(bank, *args):
-            calls.append(bank)
-            return demand_access(bank, *args)
-
-        monkeypatch.setattr(ShardedORAMBank, "demand_access", counted)
         executor = ShardExecutor(spec_for(tmp_path / "bank.ckpt", health_policy=policy))
+        bank = executor.bank
+        if policy is None:
+            assert bank.demand_access == executor.backend.demand_access
+        demand_access = bank.demand_access
+
+        def counted(*args):
+            calls.append(bank)
+            return demand_access(*args)
+
+        monkeypatch.setattr(bank, "demand_access", counted)
         assert executor.bank.shards == [executor.backend]
         assert (executor.backend.shard_index, executor.backend.addr_stride) == (1, 2)
         batch = scripted_batches()[0]

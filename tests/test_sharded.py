@@ -8,12 +8,19 @@ statistics views, the merged ``fsck`` audit, fault injection through a
 bank, and the divide-by-zero regression on aggregate posmap rates.
 """
 
+import sys
+
 import pytest
 
 from repro.analysis.experiments import experiment_config
 from repro.config import SystemConfig
-from repro.controller.sharded import ShardedORAMBank, build_bank
+from repro.controller.sharded import (
+    ShardedORAMBank,
+    build_bank,
+    build_shard_backend,
+)
 from repro.faults import FaultConfig, FaultInjector, run_fsck_bank
+from repro.health.breaker import HealthPolicy
 from repro.memory.oram_backend import ORAMBackend
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.parallel.merge import merge_shard_snapshots
@@ -175,6 +182,61 @@ class TestOneShardEquivalence:
         assert explicit.total_memory_accesses == baseline.total_memory_accesses
         assert explicit.demand_requests == baseline.demand_requests
         assert explicit.dummy_accesses == baseline.dummy_accesses
+
+
+class TestBankOfOne:
+    """A bank of one pays no translation: with one shard the interleave is
+    the identity, so the bank hands back the shard's own answer and builds
+    no global-fill list; with no health plane its entry points are the
+    shard's, bound at construction."""
+
+    @staticmethod
+    def recorded_bank(health_policy):
+        """A width-1 bank over a shard whose answers are recorded."""
+        shard = build_shard_backend("dyn", FOOTPRINT, SystemConfig(), 0, 1)
+        answers = []
+        for name in ("demand_access", "prefetch_access"):
+            entry = getattr(shard, name)
+
+            def recording(*args, _entry=entry):
+                answers.append(answer := _entry(*args))
+                return answer
+
+            setattr(shard, name, recording)
+        return ShardedORAMBank([shard], health_policy), answers
+
+    @pytest.mark.parametrize("health", [False, True], ids=["bare", "health"])
+    def test_answers_are_the_shards(self, health):
+        bank, answers = self.recorded_bank(HealthPolicy() if health else None)
+        if not health:
+            assert bank.demand_access is bank.shards[0].demand_access
+            assert bank.prefetch_access is bank.shards[0].prefetch_access
+        comprehensions = []
+
+        def hook(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename == sharded_file:
+                comprehensions.append(frame.f_code.co_name)
+
+        sharded_file = ShardedORAMBank.demand_access.__code__.co_filename
+        now = 0
+        bank_answers = []
+        for step in range(200):
+            addr = step * 37 % bank.num_blocks
+            sys.setprofile(hook)
+            try:
+                answer = bank.demand_access(addr, now, step % 3 == 0)
+                prefetched = bank.prefetch_access((addr + 1) % bank.num_blocks, now)
+            finally:
+                sys.setprofile(None)
+            bank_answers += [answer, prefetched]
+            now = answer[0]
+        assert "<listcomp>" not in comprehensions
+        assert bank_answers == answers
+        assert any(answer is not None for answer in answers[1::2])
+        assert all(
+            mine is None or mine[1] is theirs[1]
+            for mine, theirs in zip(bank_answers, answers)
+        )
 
 
 class TestShardedRuns:

@@ -99,6 +99,58 @@ class TestStorage:
         assert {w >> LEAF_BITS for w in tree.iter_blocks()} == {1, 2}
 
 
+class TestImage:
+    """A tree starts as its DRAM image: ``populate`` fills slots, an
+    untouched bucket is read from them, and a tree every access has
+    reached drops the image."""
+
+    def populated(self):
+        tree = BinaryTree(levels=2, bucket_size=2)
+        # Leaf 1's third block climbs one level; leaf 0's six fill their
+        # path, and the last one spills.
+        spilled = tree.populate([1, 1, 3, 1, 0, 0, 0, 0, 0, 0])
+        return tree, spilled
+
+    def test_populate_places_deepest_first_in_address_order(self):
+        tree, spilled = self.populated()
+        assert list(tree.words(4)) == [word(0, 1), word(1, 1)]
+        assert list(tree.words(6)) == [word(2, 3)]
+        assert list(tree.words(1)) == [word(3, 1), word(6, 0)]
+        assert list(tree.words(3)) == [word(4, 0), word(5, 0)]
+        assert list(tree.words(0)) == [word(7, 0), word(8, 0)]
+        assert list(tree.words(2)) == list(tree.words(5)) == []
+        assert spilled == [word(9, 0)]
+        assert tree.occupancy() == 9
+        assert tree._buckets == [None] * tree.num_buckets  # nothing materialised
+
+    def test_bucket_materialises_and_read_leaves_the_shared_empty(self):
+        tree, _ = self.populated()
+        assert tree.bucket(6) == [word(2, 3)] and tree.bucket(6) is tree.bucket(6)
+        blocks = {}
+        assert tree.read_path_into(1, blocks) == 6
+        assert list(blocks) == [7, 8, 3, 6, 0, 1]
+        assert all(tree._buckets[index] == () for index in tree.path_indices(1))
+        assert tree.bucket(4) == []
+
+    def test_a_tree_every_access_reached_drops_its_image(self):
+        tree, _ = self.populated()
+        blocks = {}
+        for leaf in range(tree.num_leaves):
+            assert tree._image is not None
+            tree.read_path_into(leaf, blocks)
+        assert tree._image is None
+        assert len(blocks) == 9 and tree.occupancy() == 0
+
+    def test_writes_and_materialisation_count_as_touches(self):
+        tree, _ = self.populated()
+        tree.write_bucket_at(0, [])
+        for index in range(1, tree.num_buckets):
+            assert tree._image is not None
+            tree.bucket(index)
+        assert tree._image is None
+        assert tree.occupancy() == 7  # the root's two blocks were overwritten
+
+
 class TestBlockWords:
     """A block is one int, ``addr << 32 | leaf``: the header hardware stores."""
 

@@ -503,7 +503,9 @@ class TestTreetopCheckpoint:
         payload = dump_oram(oram)
         assert "treetop" not in json.loads(payload)
         restored = load_oram(payload, DeterministicRng(1))
-        assert restored.tree._buckets == oram.tree._buckets
+        assert [restored.tree.bucket(i) for i in range(restored.tree.num_buckets)] == [
+            oram.tree.bucket(i) for i in range(oram.tree.num_buckets)
+        ]
         assert dump_oram(restored) == payload
         assert run_fsck(restored).ok
 
