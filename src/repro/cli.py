@@ -230,11 +230,12 @@ def oram_scheme(args, command: str) -> str:
 
 
 def bank_scheme(args) -> str:
-    """``--scheme`` for commands that build a sharded bank themselves."""
+    """``--scheme`` for serve, parallel and chaos, whose banks run on shard
+    workers: a worker runs a base ORAM scheme, with no periodic grid."""
     if not scheme_label(args.scheme).is_base_oram:
         usage_error(
-            f"scheme '{args.scheme}' cannot run on a sharded bank "
-            "(base ORAM schemes only; no prefetch/periodic suffixes)"
+            f"{args.command} can only run a base ORAM scheme, not "
+            f"'{args.scheme}' (no prefetch/periodic suffixes)"
         )
     return args.scheme
 
@@ -340,15 +341,6 @@ def cmd_run(args) -> int:
     schemes = _parse_schemes(args.schemes)
     shards = shard_count(args)
     policy = health_policy(args)
-    if shards != 1 or policy is not None:
-        # Either builds every ORAM scheme as a bank, which runs no
-        # periodic grid: refused here, before the trace is made.
-        for scheme in schemes:
-            if scheme_label(scheme).periodic:
-                usage_error(
-                    f"scheme '{scheme}': periodic accesses do not run on a "
-                    "sharded bank (--shards > 1) or under --health-policy"
-                )
     trace = workload_trace(args)
     warmup = warmup_fraction(args)
     config = memory_config(args)

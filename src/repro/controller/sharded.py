@@ -27,21 +27,22 @@ Determinism: shard construction order, the round-robin order of
 :meth:`ShardedORAMBank.access_batch`, and each shard's forked RNG are all
 fixed, so a run is bit-reproducible for any shard count.
 
-One controller is a bank of one, by protocol rather than by wrapping: a
-lone :class:`~repro.memory.oram_backend.ORAMBackend` already answers
-``shards``/``num_blocks``/``snapshot_shards()`` itself, so ``num_shards ==
-1`` builds exactly that object (:func:`build_shard_backend` with index 0 of
-1) and nothing is added to its access path; a :class:`ShardedORAMBank` is
-only assembled for real interleaving, for a health plane (a supervised
-lone controller is a bank of one) and by a shard worker, whose one channel
-runs the bank's access path.
+Every controller is built as a bank: :func:`build_bank` is the one
+builder, and each shard it makes carries its own super-block policy and,
+for a periodic label, its own ``Oint`` grid.  A lone
+:class:`~repro.memory.oram_backend.ORAMBackend` answers
+``shards``/``num_blocks``/``snapshot_shards()`` itself, so the system
+builder hands a bank one wide with no health plane back as its one shard
+and nothing is added to the paper's access path; a supervised lone
+controller and a shard worker keep the bank of one.
 
 Construction: this module is the one place ORAM controllers are made.
 :func:`build_shard_backend` is the only constructor call of
 ``ORAMBackend``/``PeriodicORAMBackend`` (and of the ORAM each one is
-handed), :func:`build_bank` assembles an in-process bank, and the bank
-constructor wires its health plane; the system builder, the serving front
-end, the serial reference and the shard workers all import them from here.
+handed), :func:`build_bank` assembles an in-process bank from it, and the
+bank constructor wires its health plane; the system builder, the serving
+front end and the serial reference call :func:`build_bank`, and a shard
+worker builds its one channel with :func:`build_shard_backend`.
 
 Results: the bank keeps no aggregate accounting of its own beyond the
 ``stats``/``busy_until`` views.
@@ -426,10 +427,10 @@ def build_shard_backend(
 ) -> ORAMBackend:
     """Build channel ``shard_index`` of an ``num_shards``-way ORAM bank.
 
-    This is the single construction path for ORAM controllers: index 0 of
-    1 is the paper's lone controller (:meth:`SecureSystem.build`),
-    :func:`build_bank` loops over it, and a :mod:`repro.parallel` worker
-    calls it for just its own index.  The RNG derivation is pure in
+    This is the single construction path for ORAM controllers:
+    :func:`build_bank` loops over it (index 0 of 1 is the paper's lone
+    controller) and a :mod:`repro.parallel` worker calls it for just its
+    own index.  The RNG derivation is pure in
     ``(config.seed, shard_index)`` -- ``fork`` hashes an integer tuple,
     untouched by hash randomization -- so a worker process rebuilds shard
     ``i`` bit-identically to the serial bank without ever seeing the other
@@ -446,7 +447,8 @@ def build_shard_backend(
         policy: threshold policy for a ``dyn`` controller (stateful, so
             only a lone controller may be handed one).
         periodic: wrap the controller in periodic accesses (Figure 15)
-            at ``config.timing_protection.interval_cycles`` (``Oint``).
+            at ``config.timing_protection.interval_cycles`` (``Oint``), on
+            a grid of its own: every channel starts its slots at cycle 0.
         rng_restart_salt: 0 for a first boot (bit-identical to the serial
             bank); a respawned worker passes its restart attempt number so
             the recovered shard draws a fresh, still-deterministic leaf
@@ -481,6 +483,8 @@ def build_bank(
     config: SystemConfig,
     num_shards: int,
     *,
+    policy: Optional[ThresholdPolicy] = None,
+    periodic: bool = False,
     health_policy=None,
     observer=None,
     fault_injector=None,
@@ -488,20 +492,22 @@ def build_bank(
     """Assemble an ``num_shards``-way bank (the only place one is made).
 
     Each channel gets its own controller -- scheme instance, tree scaled
-    to its slice of the footprint, a distinct RNG fork -- from
-    :func:`build_shard_backend`; ``health_policy`` (a
-    :class:`~repro.health.HealthPolicy`) attaches a control plane as wide
-    as the bank (one wide included: a health-supervised lone controller).
+    to its slice of the footprint, a distinct RNG fork and, when
+    *periodic*, its own ``Oint`` grid -- from :func:`build_shard_backend`;
+    ``health_policy`` (a :class:`~repro.health.HealthPolicy`) attaches a
+    control plane as wide as the bank.  A threshold *policy* is stateful,
+    so only a bank one wide may be handed one.
     """
+    if policy is not None and num_shards != 1:
+        raise ValueError(
+            "a threshold policy is stateful and cannot be shared "
+            "across shards; let each shard build its own default"
+        )
     return ShardedORAMBank(
         [
             build_shard_backend(
-                base_scheme,
-                footprint_blocks,
-                config,
-                index,
-                num_shards,
-                observer=observer,
+                base_scheme, footprint_blocks, config, index, num_shards,
+                policy=policy, periodic=periodic, observer=observer,
                 fault_injector=fault_injector,
             )
             for index in range(num_shards)

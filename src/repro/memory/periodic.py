@@ -168,6 +168,13 @@ class PeriodicORAMBackend(ORAMBackend):
         # (_issue's own claim, at the slot it is handed, is a no-op.)
         return super().prefetch_access(addr, self._claim_slot(now))
 
+    def dummy_path_access(self, now: int) -> int:
+        """Health-plane padding takes the next grid slot, like a request."""
+        slot = self._claim_slot(now)
+        completion = super().dummy_path_access(slot)
+        self._schedule_after(slot, completion)
+        return completion
+
     def finalize(self, now: int) -> None:
         """Account the dummy slots up to the end of the run, then the base
         backend's housekeeping."""

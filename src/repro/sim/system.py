@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
-from repro.controller.sharded import ORAM_SCHEMES, build_bank, build_shard_backend
+from repro.controller.sharded import ORAM_SCHEMES, build_bank
 from repro.core.thresholds import ThresholdPolicy
 from repro.memory.backend import MemoryBackend
 from repro.memory.dram import DRAMBackend
@@ -57,7 +57,7 @@ class SchemeLabel:
 
     @property
     def is_base_oram(self) -> bool:
-        """No suffix, not DRAM: what a sharded bank or worker runs."""
+        """No suffix, not DRAM: what the serving tier and a shard worker run."""
         return not (self.is_dram or self.prefetcher or self.periodic)
 
     @classmethod
@@ -90,9 +90,11 @@ def build_backend(
 ) -> Tuple[MemoryBackend, Optional[StreamPrefetcher]]:
     """Build the memory side of one of the paper's configurations.
 
-    The one label -> {DRAM, lone controller, sharded bank} + core-side
-    prefetcher dispatch; returns ``(backend, prefetcher)`` for a tile
-    (:class:`SecureSystem` or a subclass) to be wired around.
+    The one label -> {DRAM, ORAM bank} + core-side prefetcher dispatch;
+    returns ``(backend, prefetcher)`` for a tile (:class:`SecureSystem` or
+    a subclass) to be wired around.  Every ORAM label is built by
+    :func:`~repro.controller.sharded.build_bank`; a bank one wide with no
+    health plane is handed back as its one controller.
 
     Args:
         scheme: a :class:`SchemeLabel` label --
@@ -106,11 +108,13 @@ def build_backend(
             * any of them suffixed ``_pre`` -- plus a traditional
               stream prefetcher (Figure 5);
             * any of the ORAM variants suffixed ``_intvl`` -- wrapped
-              in periodic accesses (Figure 15).
+              in periodic accesses (Figure 15), one ``Oint`` grid per
+              shard.
         footprint_blocks: workload footprint; the functional tree is
             scaled to hold it at the configured utilization.
         config: system configuration.
-        policy: threshold policy for ``dyn`` (default: adaptive, C=1).
+        policy: threshold policy for ``dyn`` (default: adaptive, C=1);
+            stateful, so refused on a bank wider than one.
         observer: optional adversary observer for ORAM variants.
         fault_injector: optional :class:`repro.faults.FaultInjector`
             attached to ORAM backends (storage fault modelling);
@@ -118,22 +122,15 @@ def build_backend(
         num_shards: channel-interleave the ORAM over this many
             independent controller instances
             (:class:`~repro.controller.sharded.ShardedORAMBank`).
-            The default ``1`` builds the plain single-controller
-            backend -- bit-identical to the pre-sharding simulator.
+            The default ``1`` is the paper's lone controller.
         health_policy: optional :class:`repro.health.HealthPolicy`;
             attaches a per-shard circuit-breaker control plane to the
-            bank (at ``num_shards == 1`` the lone controller is built as a
-            bank of one, as a shard worker runs it).  ``None`` (the
-            default) leaves the access path untouched.
+            bank (at ``num_shards == 1`` the bank of one is kept, as a
+            shard worker runs it).  ``None`` (the default) leaves the
+            access path untouched.
     """
     label = SchemeLabel.parse(scheme)
-    base_scheme, periodic = label.base, label.periodic
     prefetcher = StreamPrefetcher(config.prefetch) if label.prefetcher else None
-
-    if num_shards < 1:
-        raise ValueError("need at least one shard")
-    wiring = dict(observer=observer, fault_injector=fault_injector)
-    backend: MemoryBackend
     if label.is_dram:
         if fault_injector is not None:
             raise ValueError("fault injection models ORAM storage, not DRAM")
@@ -142,28 +139,17 @@ def build_backend(
                 "sharded banks and their health plane model ORAM channels, "
                 "not DRAM"
             )
-        backend = DRAMBackend(config.dram, config.oram.block_bytes)
-    elif num_shards > 1 or health_policy is not None:
-        if periodic:
-            raise ValueError(
-                "periodic accesses are not supported on sharded banks"
-            )
-        if policy is not None:
-            raise ValueError(
-                "a threshold policy is stateful and cannot be shared "
-                "across shards; let each shard build its own default"
-            )
-        backend = build_bank(
-            base_scheme, footprint_blocks, config, num_shards,
-            health_policy=health_policy, **wiring,
-        )
-    else:
-        # The paper's machine: one serialized controller, a bank of one.
-        backend = build_shard_backend(
-            base_scheme, footprint_blocks, config, 0, 1,
-            policy=policy, periodic=periodic, **wiring,
-        )
-    return backend, prefetcher
+        return DRAMBackend(config.dram, config.oram.block_bytes), prefetcher
+    bank = build_bank(
+        label.base, footprint_blocks, config, num_shards, policy=policy,
+        periodic=label.periodic, health_policy=health_policy,
+        observer=observer, fault_injector=fault_injector,
+    )
+    if bank.num_shards == 1 and bank.health is None:
+        # A bank of one with no plane is its controller: the interleave
+        # is the identity, so the paper's machine drives the shard itself.
+        return bank.shards[0], prefetcher
+    return bank, prefetcher
 
 
 def _interleave(traces: Sequence[Trace], clocks: List[int]) -> Iterator[Tuple[int, int, int, int]]:

@@ -241,13 +241,13 @@ class TestSchemeLabels:
         "argv, message",
         [
             ("audit -w locality:50 -s nonsense --accesses 100", "unknown scheme 'nonsense'"),
-            ("chaos -s dram --ops 100", "cannot run on a sharded bank"),
-            ("chaos -s dyn_pre --ops 100", "cannot run on a sharded bank"),
+            ("chaos -s dram --ops 100", "can only run a base ORAM scheme"),
+            ("chaos -s dyn_pre --ops 100", "can only run a base ORAM scheme"),
             ("audit -w locality:50 -s dram --accesses 100", "audit needs an ORAM scheme"),
             ("audit -s dram_pre -w locality:50 --accesses 100", "audit needs an ORAM scheme"),
             ("run -w locality:50 -s dyn,dram_intvl --accesses 100", "only apply to ORAM"),
-            ("serve -s stat_intvl", "cannot run on a sharded bank"),
-            ("parallel -s oram_pre", "cannot run on a sharded bank"),
+            ("serve -s stat_intvl", "can only run a base ORAM scheme"),
+            ("parallel -s oram_pre", "can only run a base ORAM scheme"),
             ("run -s dyn_spre -w locality:50 --accesses 100", "unknown scheme 'dyn_spre'"),
             ("run -s dyn_sm_ab -w locality:50 --accesses 100", "unknown scheme 'dyn_sm_ab'"),
         ],
@@ -493,9 +493,6 @@ class TestOneErrorConvention:
             "serve -s dyn --write-frac 2 --requests 20",
             "parallel -w locality:80 -s dyn --checkpoint-every -1 --accesses 100",
             "parity --accesses -1",
-            # a bank runs no periodic grid (this raised inside the run)
-            "run -w locality:80 -s dyn_intvl --shards 2 --accesses 100",
-            "run -w locality:80 -s dyn_intvl --health-policy window=32 --accesses 100",
         ],
     )
     def test_bad_value_exits_2_with_one_repro_line(self, argv, capsys):
@@ -507,17 +504,12 @@ class TestOneErrorConvention:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("bank", ["--shards 2", "--health-policy window=32"])
-    def test_periodic_on_a_bank_is_refused_before_the_trace(
-        self, bank, monkeypatch, capsys
-    ):
-        def no_trace(*args, **kwargs):
-            raise AssertionError("the trace was built")
-
-        monkeypatch.setattr("repro.cli.named_trace", no_trace)
-        with pytest.raises(SystemExit) as exit_info:
-            main(f"run -w locality:80 -s oram,dyn_intvl {bank}".split())
-        assert exit_info.value.code == 2
-        assert "'dyn_intvl'" in capsys.readouterr().err
+    def test_periodic_schemes_run_on_a_bank(self, bank, capsys):
+        """Each shard of a bank runs its own periodic grid."""
+        argv = f"run -w locality:80 -s oram,dyn_intvl {bank} --accesses 1200 --warmup 0"
+        assert main(argv.split()) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert rows.count("oram") == rows.count("dyn_intvl") == 1
 
 
 class TestSweepSeed:

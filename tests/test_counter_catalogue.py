@@ -16,7 +16,7 @@ dict.  These tests make the property durable:
   walk of the live component graph, the interconnects' ``summary`` /
   ``to_registry`` / ``state_dict`` bodies, the hand-written checkpoint
   section, ``SimResult.delta``'s name list) live on below as the oracle and
-  an 81-cell matrix compares ``repr(SimResult)``, ``metrics().to_dict()``,
+  a 97-cell matrix compares ``repr(SimResult)``, ``metrics().to_dict()``,
   ``interconnect.summary()`` and the checkpoint section against them;
 * **compatibility** -- the two flat-model backend checkpoints written at
   the parent commit (``tests/data/parent_backend_checkpoint_*.json``) restore
@@ -777,8 +777,6 @@ def matrix_cells():
     cells = [("dram", 1, "flat", 0, False, False)]
     for scheme in ("oram", "dyn", "dyn_intvl", "oram_pre"):
         for shards in (1, 4):
-            if shards > 1 and scheme.endswith("_intvl"):
-                continue  # periodic accesses are not supported on banks
             for model in ("flat", "channel"):
                 for treetop in (0, 4):
                     for faults in (False, True):
@@ -800,8 +798,8 @@ def matrix_id(cell):
     )
 
 
-def test_the_matrix_has_81_valid_cells():
-    assert len(MATRIX) == 81 and len(set(MATRIX)) == 81
+def test_the_matrix_has_97_valid_cells():
+    assert len(MATRIX) == 97 and len(set(MATRIX)) == 97
 
 
 @pytest.mark.parametrize("cell", MATRIX, ids=matrix_id)

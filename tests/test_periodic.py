@@ -7,6 +7,7 @@ import pytest
 
 import repro.controller.sharded as sharded
 from repro.config import DRAMConfig, ORAMConfig, SystemConfig, TimingProtectionConfig
+from repro.health.breaker import HealthPolicy
 from repro.memory.periodic import PeriodicORAMBackend
 from repro.observability import InMemoryRecorder
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
@@ -74,10 +75,14 @@ class TestSlotGridInvariant:
     @staticmethod
     def drive_bursty_mix(backend):
         """Back-to-back demands, dirty write-backs, prefetches, and idle
-        stretches that land arrivals mid-slot; returns the recorder."""
+        stretches that land arrivals mid-slot; returns the recorder.
+
+        *backend* is a lone controller or a bank: every span and every
+        slot dummy must lie on the grid of the shard it names."""
         recorder = InMemoryRecorder()
         backend.set_recorder(recorder)
-        period = backend.interconnect.path_cycles + backend.interval
+        periods = {shard.shard_index: shard._period for shard in backend.shards}
+        period = max(periods.values())
         rng = DeterministicRng(9)
         now = 0
         for i in range(60):
@@ -96,15 +101,14 @@ class TestSlotGridInvariant:
             else:
                 now += 1 + rng.randbelow(3 * period)
         backend.finalize(now + 5 * period)
-        starts = [r["start"] for r in recorder.records if "event" not in r]
-        assert len(starts) >= 20
-        assert all(start % period == 0 for start in starts)
+        spans = [r for r in recorder.records if "event" not in r]
+        assert len(spans) >= 20
+        assert all(r["start"] % periods[r["shard"]] == 0 for r in spans)
         # The dummies covering unused/expired slots are on the grid too.
-        dummy_slots = [
-            r["slot"] for r in recorder.records if r.get("event") == "periodic_dummy"
-        ]
-        assert dummy_slots
-        assert all(slot % period == 0 for slot in dummy_slots)
+        dummies = [r for r in recorder.records if r.get("event") == "periodic_dummy"]
+        assert dummies
+        assert all(r["slot"] % periods[r["shard"]] == 0 for r in dummies)
+        assert {r["shard"] for r in spans + dummies} == set(periods)
         return recorder
 
     def test_issue_times_congruent_mod_period(self):
@@ -150,6 +154,12 @@ class TestSlotGridInvariant:
         if model == "channel":  # the demand path did run ahead of its turn
             assert interconnect.hidden_latency_cycles > 0
 
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_every_shard_of_a_periodic_bank_keeps_its_own_grid(self, width):
+        bank = sharded.build_bank("oram", 64, SystemConfig(), width, periodic=True)
+        assert all(isinstance(s, PeriodicORAMBackend) for s in bank.shards)
+        self.drive_bursty_mix(bank)
+
     def test_mid_slot_arrival_burns_open_slot_as_dummy(self):
         backend = make_backend(interval=100)
         period = backend.interconnect.path_cycles + backend.interval
@@ -162,6 +172,44 @@ class TestSlotGridInvariant:
         backend.demand_access(2, now=open_slot + 7, is_write=False)
         assert backend.stats.dummy_accesses == before + 1
         assert backend._next_slot % period == 0
+
+
+class TestPaddingOnTheGrid:
+    """A health plane on a periodic bank: a quarantined shard pads each
+    access with a dummy path, and that padding path takes the shard's next
+    grid slot, like a request.  (Issued at the demand's completion, it
+    would fall off the grid: a second, data-dependent cadence.)"""
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_padding_trains_arrive_at_grid_points(self, width):
+        bank = sharded.build_bank(
+            "oram", 256, SystemConfig(), width, periodic=True,
+            health_policy=HealthPolicy(),
+        )
+        padding = {shard.shard_index: [] for shard in bank.shards}
+        for shard in bank.shards:
+
+            def spy(arrival, busy_until, evictions, extra, leaf,
+                    _train=shard.interconnect.train, _log=padding[shard.shard_index]):
+                if leaf is None:  # only dummy_path_access trains carry no leaf
+                    _log.append((arrival, busy_until))
+                return _train(arrival, busy_until, evictions, extra, leaf)
+
+            shard.interconnect.train = spy
+        bank.quarantine_shard(0)
+        rng = DeterministicRng(3)
+        now = 0
+        for _ in range(400):
+            now += rng.randbelow(2_000)
+            done, _ = bank.demand_access(rng.randbelow(bank.num_blocks), now, False)
+            now = max(now, done)
+        shard = bank.shards[0]
+        trains = padding[0]
+        assert trains and len(trains) == shard.padding_accesses
+        assert not any(padding[index] for index in range(1, width))
+        for slot, busy_until in trains:
+            assert slot % shard._period == 0
+            assert busy_until + shard.interval <= slot
 
 
 class TestObliviousSchedule:

@@ -54,14 +54,24 @@ class TestBuildGuards:
         with pytest.raises(ValueError, match="DRAM"):
             build_sharded(scheme="dram", num_shards=2)
 
-    def test_periodic_shards_rejected(self):
-        with pytest.raises(ValueError):
-            build_sharded(scheme="dyn_intvl", num_shards=2)
+    def test_periodic_shards_each_run_their_own_grid(self):
+        bank = build_sharded(scheme="dyn_intvl", num_shards=2).backend
+        assert isinstance(bank, ShardedORAMBank)
+        first, second = bank.shards
+        assert isinstance(first, PeriodicORAMBackend)
+        assert isinstance(second, PeriodicORAMBackend)
+        period = first._period
+        # A demand on shard 1 moves shard 1's cursor only.
+        bank.demand_access(1, 0, False)
+        assert first._next_slot == 0
+        assert second._next_slot > 0 and second._next_slot % period == 0
 
     def test_explicit_policy_shards_rejected(self):
         from repro.core.thresholds import AdaptiveThresholdPolicy
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="threshold policy"):
+            build_bank("dyn", FOOTPRINT, SystemConfig(), 2, policy=AdaptiveThresholdPolicy())
+        with pytest.raises(ValueError, match="threshold policy"):
             build_sharded(num_shards=2, policy=AdaptiveThresholdPolicy())
 
     def test_one_shard_builds_plain_controller(self):
