@@ -26,19 +26,20 @@ The LRU rules live here and nowhere else:
 * *fill with victim* -- a fill into a full set pops the LRU line as the
   ``(addr, dirty)`` pair ``popitem`` returns.  An L1 victim is dropped
   silently (its data and dirtiness are in the LLC); an LLC victim is
-  back-invalidated from every L1 and reported to the victim callback;
+  back-invalidated from every L1 and returned by the fill;
 * *dirty OR on refill* -- filling a line already present keeps its dirty
   bit, OR-ed with the fill's, and moves it to the MRU end;
 * *back-invalidate* -- part of the LLC fill: the victim leaves every L1.
 
 A prefetch fill (:meth:`CacheHierarchy.fill_prefetch`) is the LLC half of
-a demand fill, so it reaches the same rules through ``fill_demand``.
+a demand fill, so it reaches the same rules through ``fill_demand`` and
+returns what it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cache.set_associative import SetAssociativeCache
 from repro.config import CacheConfig
@@ -59,7 +60,6 @@ class CacheHierarchy:
         self,
         l1_config: CacheConfig,
         llc_config: CacheConfig,
-        victim_callback: Optional[Callable[[int, bool], None]] = None,
         num_cores: int = 1,
     ):
         self.l1s = [
@@ -69,8 +69,6 @@ class CacheHierarchy:
         #: core 0's L1 (the whole L1 side of a single-core tile)
         self.l1 = self.l1s[0]
         self.llc = SetAssociativeCache(llc_config, name="llc")
-        #: called as (addr, dirty) for every line leaving the LLC
-        self.victim_callback = victim_callback
         # Geometry and set lists read by every event (none of them is
         # ever reassigned by a level).
         self._l1_num_sets = l1_config.num_sets
@@ -126,33 +124,37 @@ class CacheHierarchy:
         return self._miss_outcome
 
     # ------------------------------------------------------------------ fills
-    def fill_demand(self, addr: int, is_write: bool, core: Optional[int] = 0) -> None:
+    def fill_demand(
+        self, addr: int, is_write: bool, core: Optional[int] = 0
+    ) -> Optional[Tuple[int, bool]]:
         """Install a fetched line in the LLC and, unless ``core`` is None,
-        in ``core``'s L1 (a demand fill; ``None`` is a prefetch fill)."""
+        in ``core``'s L1 (a demand fill; ``None`` is a prefetch fill).
+
+        Returns the line the fill pushed out of the LLC as the ``(addr,
+        dirty)`` pair, or ``None`` when it evicted nothing.
+        """
         llc_set = self._llc_sets[addr % self._llc_num_sets]
+        victim = None
         if addr in llc_set:
             if is_write:
                 llc_set[addr] = True
             llc_set.move_to_end(addr)
         else:
-            victim = None
             if len(llc_set) >= self._llc_ways:
-                victim, victim_dirty = llc_set.popitem(last=False)
+                victim = llc_set.popitem(last=False)
                 self.llc.evictions += 1
-            llc_set[addr] = is_write
-            if victim is not None:
                 # Inclusive: pull the victim out of every L1 as well; an L1
                 # copy's dirtiness is already in the LLC (write-through of
                 # the dirty bit in :meth:`access`).
-                index = victim % self._l1_num_sets
+                line = victim[0]
+                index = line % self._l1_num_sets
                 for sets in self._l1_sets:
                     l1_set = sets[index]
-                    if victim in l1_set:
-                        del l1_set[victim]
-                if self.victim_callback is not None:
-                    self.victim_callback(victim, victim_dirty)
+                    if line in l1_set:
+                        del l1_set[line]
+            llc_set[addr] = is_write
         if core is None:
-            return
+            return victim
         l1_set = self._l1_sets[core][addr % self._l1_num_sets]
         if addr in l1_set:
             l1_set.move_to_end(addr)
@@ -161,10 +163,12 @@ class CacheHierarchy:
                 l1_set.popitem(last=False)
                 self.l1s[core].evictions += 1
             l1_set[addr] = False
+        return victim
 
-    def fill_prefetch(self, addr: int) -> None:
-        """Install a prefetched line in the LLC only."""
-        self.fill_demand(addr, False, None)
+    def fill_prefetch(self, addr: int) -> Optional[Tuple[int, bool]]:
+        """Install a prefetched line in the LLC only; returns its LLC
+        victim as :meth:`fill_demand` does."""
+        return self.fill_demand(addr, False, None)
 
     # ------------------------------------------------------------------- misc
     def contains(self, addr: int) -> bool:

@@ -99,8 +99,6 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         self._pairs = min(self.max_sbsize, oram.position_map.entries_per_block) == 2
         self._merge_bits = oram.position_map._merge_bits
         self._break_bits = oram.position_map._break_bits
-        self._pf_bits = self._tracker._prefetch_bits
-        self._hit_bits = self._tracker._hit_bits
 
     # ------------------------------------------------------------ membership
     def members_for(self, addr: int) -> List[int]:
@@ -312,7 +310,8 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         # this residency is final.
 
     def on_llc_evict(self, addr: int) -> None:
-        self._tracker.on_llc_evict(addr)  # prefetch-miss statistics
+        if self._pf_bits[addr] and not self._hit_bits[addr]:
+            self._tracker.on_llc_evict(addr)  # an unused prefetch: a miss
         if self.literal_merge_decrement:
             return  # ablation mode: no eviction-time decrement
         if self._coresident[addr]:

@@ -1,9 +1,10 @@
 """The memory-backend interface the secure-processor simulator drives.
 
 A backend owns all timing below the LLC.  The in-order core calls
-:meth:`MemoryBackend.demand_access` on every LLC miss; the cache hierarchy
-reports LLC victims through :meth:`MemoryBackend.evict_line`; the optional
-traditional prefetcher asks for :meth:`MemoryBackend.prefetch_access`.
+:meth:`MemoryBackend.demand_access` on every LLC miss; every LLC victim, clean
+or dirty, reaches :meth:`MemoryBackend.evict_line` (a cache fill returns it
+and the tile's reference loop hands it on); the optional traditional
+prefetcher asks for :meth:`MemoryBackend.prefetch_access`.
 
 An access answers with one shape on every backend: the pair
 ``(completion_cycle, fills)`` -- when the demand block is available to the

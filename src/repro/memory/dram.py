@@ -33,9 +33,13 @@ class DRAMBackend(MemoryBackend):
         self._bank_free: List[int] = [0] * config.num_banks
         self._bus_free = 0
 
-    def _schedule(self, addr: int, now: int) -> int:
-        """The one bank/bus schedule of any line transfer; returns its
-        completion cycle.  Line ``addr`` lives in bank ``addr % num_banks``."""
+    def demand_access(self, addr: int, now: int, is_write: bool) -> Answer:
+        """Fetch line ``addr`` (it lives in bank ``addr % num_banks``).
+
+        This is the one bank/bus schedule of any line transfer: a prefetch
+        and a write-back are scheduled by calling it too, and move the one
+        transfer they make from ``demand_requests`` to their own counter.
+        """
         bank_free = self._bank_free
         bank = addr % self._num_banks
         start = bank_free[bank]
@@ -51,30 +55,30 @@ class DRAMBackend(MemoryBackend):
         if completion > self.busy_until:
             self.busy_until = completion
         stats = self.stats
+        stats.demand_requests += 1
         stats.memory_accesses += 1
         stats.busy_cycles += self.transfer_cycles
-        return completion
-
-    def demand_access(self, addr: int, now: int, is_write: bool) -> Answer:
-        self.stats.demand_requests += 1
-        return self._schedule(addr, now), [addr]
+        return completion, [addr]
 
     def prefetch_access(self, addr: int, now: int) -> Optional[Answer]:
         """Prefetches ride the bus slack; declined when the bus is backlogged."""
         if self._bus_free > now + self.config.latency_cycles:
             return None
-        self.stats.prefetch_requests += 1
-        return self._schedule(addr, now), [addr]
+        stats = self.stats
+        stats.prefetch_requests += 1
+        stats.demand_requests -= 1  # the transfer below is not a demand
+        return self.demand_access(addr, now, False)
 
     def evict_line(self, addr: int, dirty: bool, now: int) -> None:
         """Dirty write-backs consume bandwidth but never stall the core.
 
-        The write-back goes through the same bank/bus scheduler as demand
+        The write-back goes through the same bank/bus schedule as demand
         and prefetch traffic -- it occupies the victim line's bank for an
-        array access and the pins for one line transfer.  (It used to bump
-        only ``_bus_free``, so bank-occupancy accounting disagreed with
-        the demand path's.)
+        array access and the pins for one line transfer.  A clean victim
+        costs nothing.
         """
         if dirty:
-            self.stats.write_accesses += 1
-            self._schedule(addr, now)
+            stats = self.stats
+            stats.write_accesses += 1
+            stats.demand_requests -= 1  # the transfer below is not a demand
+            self.demand_access(addr, now, False)

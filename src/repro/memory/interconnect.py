@@ -16,10 +16,11 @@ into a subsystem:
   :class:`~repro.oram.tree.PhysicalLayout` splits every bucket evenly
   over all of them, so the channels see identical request streams and
   run in lockstep.  One small bank/row scheduler (a generalization of
-  ``DRAMBackend._schedule``) therefore stands for all ``C``: array
-  accesses serialize per bank, open rows discount repeat hits, and each
-  data bus carries exactly ``1/C`` of the path, so aggregate bandwidth
-  -- and therefore path latency -- scales with channel count.
+  the schedule in ``DRAMBackend.demand_access``) therefore stands for all
+  ``C``: array accesses serialize per bank, open rows discount repeat
+  hits, and each data bus carries exactly ``1/C`` of the path, so
+  aggregate bandwidth -- and therefore path latency -- scales with
+  channel count.
 
 Both models schedule a whole request -- background evictions, PosMap
 paths, the demand path -- through one entry, :meth:`MemoryInterconnect.
@@ -285,7 +286,7 @@ class ChannelState:
 
     The scheduling rules (applied by
     :meth:`ChannelInterconnect.path_completion`) generalize
-    ``DRAMBackend._schedule``:
+    the schedule in ``DRAMBackend.demand_access``:
 
     * an array access to a bank must wait for that bank's previous access
       (``bank_free``), then occupies the bank for the access latency --

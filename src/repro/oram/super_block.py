@@ -164,6 +164,11 @@ class SuperBlockScheme(ABC):
         self.on_llc_hit = self._tracker.on_use
         if type(self).on_llc_evict is SuperBlockScheme.on_llc_evict:
             self.on_llc_evict = self._tracker.on_llc_evict
+        # The tracker's bit arrays (never reallocated), for overrides that
+        # test them inline: an extended on_llc_evict reaches the tracker
+        # only for an unused prefetch, the one eviction it counts.
+        self._pf_bits = self._tracker._prefetch_bits
+        self._hit_bits = self._tracker._hit_bits
 
     def set_merge_throttled(self, throttled: bool) -> None:
         """Graceful degradation under stash pressure.

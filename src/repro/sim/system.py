@@ -180,9 +180,10 @@ class SecureSystem:
     """One tile: cores + private L1s + shared LLC + memory backend.
 
     The tile is built once, here: this constructor is the only place the
-    LLC tag probe (Algorithm 1) and the LLC victim callback (Algorithm 2,
-    dirty write-backs) are wired to a backend.  It is driven by one
-    reference loop, :meth:`_replay`: :meth:`run` feeds it one core, and
+    LLC tag probe (Algorithm 1) is wired to a backend.  It is driven by one
+    reference loop, :meth:`_replay`, which is also where every LLC victim
+    a fill returns reaches the backend (Algorithm 2, dirty write-backs):
+    :meth:`run` feeds it one core, and
     :class:`~repro.sim.multicore.MultiCoreSystem` feeds it ``num_cores``
     interleaved ones.
     """
@@ -199,9 +200,7 @@ class SecureSystem:
         self.backend = backend
         self.label = label
         self.prefetcher = prefetcher
-        self.hierarchy = CacheHierarchy(
-            config.l1, config.llc, self._on_llc_victim, num_cores
-        )
+        self.hierarchy = CacheHierarchy(config.l1, config.llc, num_cores)
         # hierarchy.contains is a pure delegation to llc.contains; hand the
         # backend the LLC's bound method directly (the merge algorithm
         # probes it on every miss).  A sharded bank wraps the probe with
@@ -293,8 +292,9 @@ class SecureSystem:
         fill_demand = hierarchy.fill_demand
         fill_prefetch = hierarchy.fill_prefetch
         demand_access = backend.demand_access
+        evict_line = backend.evict_line
         on_llc_hit = backend.on_llc_hit
-        pop_pending = self._pending_fills.pop
+        pending = self._pending_fills
         l1_hit_latency = self.config.l1.hit_latency
         capture = self.request_capture
         cores = len(traces)
@@ -321,10 +321,12 @@ class SecureSystem:
                 # A hit on a still-in-flight prefetched line -- whichever
                 # core's prefetch brought it in -- waits for the fill to
                 # actually arrive (MSHR-hit semantics): prefetched data is
-                # not usable before its access completes.
-                pending = pop_pending(addr, None)
-                if pending is not None and pending > now:
-                    now = pending
+                # not usable before its access completes.  Only a
+                # traditional prefetcher records such fills.
+                if pending:
+                    ready = pending.pop(addr, None)
+                    if ready is not None and ready > now:
+                        now = ready
                 clocks[core] = now + outcome.latency
                 if level == "l1":
                     l1_hits[core] += 1
@@ -334,20 +336,34 @@ class SecureSystem:
                 continue
             # ----- full miss: the in-order core stalls on the shared backend.
             misses[core] += 1
-            self._now = now  # visible to the victim callback
             if capture is not None:
                 capture.append((addr, now, is_write))
             completion, fills = demand_access(addr, now, is_write)
-            for fill_addr in fills:
-                if fill_addr == addr:
-                    fill_demand(addr, is_write, core)
-                else:
-                    fill_prefetch(fill_addr)
-            self._now = now = clocks[core] = completion + l1_hit_latency
-            if prefetcher is not None:
-                # Prefetches never stall the core; they only occupy the
-                # backend (and their fills become usable at completion).
-                self._issue_prefetches(addr, now)
+            # One pass over the demand's fills and, with a traditional
+            # prefetcher, one over the lines its prefetches bring in
+            # (issued once the demand completes, evicting then too):
+            # prefetches never stall the core, they only occupy the backend.
+            demand, at = addr, now
+            while True:
+                for fill_addr in fills:
+                    if fill_addr == demand:
+                        victim = fill_demand(demand, is_write, core)
+                    else:
+                        victim = fill_prefetch(fill_addr)
+                    if victim is not None:
+                        # The line left the LLC: an in-flight fill of it is
+                        # dead (a re-fetch must not wait on its cycle, and
+                        # the dict stays bounded by the LLC), and the
+                        # backend takes it back, clean or dirty.
+                        victim, dirty = victim
+                        if victim in pending:
+                            del pending[victim]
+                        evict_line(victim, dirty, at)
+                if prefetcher is None or demand is None:
+                    break
+                demand, at = None, completion + l1_hit_latency
+                fills = self._issue_prefetches(addr, at)
+            now = clocks[core] = completion + l1_hit_latency
         self._now = now = max(clocks)
         backend.finalize(now)
         if recorder is not None:
@@ -363,8 +379,15 @@ class SecureSystem:
             final = [SimResult.delta(*pair) for pair in zip(final, warmup_snapshot)]
         return final
 
-    def _issue_prefetches(self, miss_addr: int, now: int) -> None:
-        """Feed the traditional prefetcher and issue its predictions."""
+    def _issue_prefetches(self, miss_addr: int, now: int) -> Iterator[int]:
+        """Feed the traditional prefetcher and issue its predictions at
+        ``now``; yields each line a prefetch brings in, for :meth:`_replay`
+        to fill.
+
+        The generator resumes only once the tile has filled that line, so
+        the next candidate's LLC probe sees it, and only then records the
+        fill as in flight until its prefetch completes.
+        """
         assert self.prefetcher is not None
         for candidate in self.prefetcher.on_demand_miss(miss_addr):
             if not 0 <= candidate < self.backend.num_blocks:
@@ -376,21 +399,8 @@ class SecureSystem:
                 continue
             completion, fills = issued
             for fill_addr in fills:
-                self.hierarchy.fill_prefetch(fill_addr)
+                yield fill_addr
                 self._pending_fills[fill_addr] = completion
-
-    # --------------------------------------------------------------- plumbing
-    def _on_llc_victim(self, addr: int, dirty: bool) -> None:
-        # A prefetched line evicted (or invalidated) before its fill
-        # completes no longer has an in-flight fill to wait for: drop the
-        # pending completion cycle so a later re-fetch of the same address
-        # cannot stall on the stale cycle, and the dict stays bounded by
-        # LLC capacity on long traces.  The membership test makes no call,
-        # and the dict is empty unless a prefetcher is wired.
-        pending = self._pending_fills
-        if addr in pending:
-            del pending[addr]
-        self.backend.evict_line(addr, dirty, self._now)
 
     def _collect_cores(self, traces, clocks, l1_hits, llc_hits, misses) -> List[SimResult]:
         return [

@@ -14,9 +14,7 @@ import random
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import Tuple
 
 
 @lru_cache(maxsize=None)
@@ -56,11 +54,6 @@ class DeterministicRng:
         #: with ``k = n.bit_length()``, redrawn while ``>= n``; a hot path
         #: may run that loop itself and consume the generator identically.
         self.getrandbits = self._random.getrandbits
-
-    @property
-    def seed(self) -> int:
-        """Seed this generator was created with."""
-        return self._seed
 
     def fork(self, salt: int) -> "DeterministicRng":
         """Derive an independent child generator.
@@ -108,14 +101,6 @@ class DeterministicRng:
         """Uniform float in [0, 1)."""
         return self._random.random()
 
-    def choice(self, seq: Sequence[T]) -> T:
-        """Uniform choice from a non-empty sequence."""
-        return self._random.choice(seq)
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._random.shuffle(seq)
-
     def geometric(self, mean: float) -> int:
         """Geometric draw with the given mean (support {1, 2, ...}).
 
@@ -145,10 +130,6 @@ class DeterministicRng:
         draw millions of times).
         """
         return bisect_left(zipf_cdf(n, theta), self._random.random())
-
-    def sample(self, population: Sequence[T], k: int) -> list:
-        """Sample ``k`` distinct elements."""
-        return self._random.sample(population, k)
 
     def permutation(self, n: int) -> list:
         """Random permutation of range(n)."""

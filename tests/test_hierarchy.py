@@ -21,20 +21,21 @@ from repro.sim.trace import Trace
 CORES = [(2, 1), (4, 2)]
 
 
-def make_hierarchy(callback=None, l1_kb=2, llc_kb=8, num_cores=1):
+def make_hierarchy(l1_kb=2, llc_kb=8, num_cores=1):
     return CacheHierarchy(
         CacheConfig(l1_kb * 1024, 2, 128),
         CacheConfig(llc_kb * 1024, 4, 128, hit_latency=8),
-        victim_callback=callback,
         num_cores=num_cores,
     )
 
 
 def evict(h, addr):
     """Push ``addr`` out of the LLC (and so every L1) with conflicting
-    prefetch fills into its set; the set must hold nothing else."""
-    for k in range(1, h.llc.associativity + 1):
-        h.fill_prefetch(addr + k * h.llc.num_sets)
+    prefetch fills into its set; the set must hold nothing else.  Returns
+    the LLC victims the fills returned."""
+    ways = range(1, h.llc.associativity + 1)
+    fills = [h.fill_prefetch(addr + k * h.llc.num_sets) for k in ways]
+    return [victim for victim in fills if victim is not None]
 
 
 class TestAccessPath:
@@ -68,12 +69,11 @@ class TestAccessPath:
 
 class TestInclusion:
     def test_llc_eviction_back_invalidates_l1(self):
-        victims = []
-        h = make_hierarchy(callback=lambda a, d: victims.append((a, d)))
+        h = make_hierarchy()
         # Fill one LLC set (4 ways) with conflicting lines; LLC has 16 sets.
         addrs = [0, 16, 32, 48, 64]
-        for addr in addrs:
-            h.fill_demand(addr, False)
+        fills = [h.fill_demand(addr, False) for addr in addrs]
+        victims = [victim for victim in fills if victim is not None]
         # One LLC victim must have been evicted and removed from L1 too.
         assert len(victims) == 1
         evicted = victims[0][0]
@@ -82,71 +82,54 @@ class TestInclusion:
 
     def test_llc_eviction_back_invalidates_every_l1(self):
         for num_cores, core in CORES:
-            victims = []
-            h = make_hierarchy(
-                callback=lambda a, d: victims.append((a, d)), num_cores=num_cores
-            )
+            h = make_hierarchy(num_cores=num_cores)
             assert h.l1 is h.l1s[0] and len(h.l1s) == num_cores
             # Every core holds line 0; one core then overfills its LLC set.
             h.fill_prefetch(0)
             for each in range(num_cores):
                 assert h.access(0, False, each).level == "llc"
             assert all(l1.contains(0) for l1 in h.l1s)
-            for addr in [16, 32, 48, 64]:
-                h.fill_demand(addr, False, core)
-            assert victims == [(0, False)]
+            fills = [h.fill_demand(addr, False, core) for addr in [16, 32, 48, 64]]
+            assert fills == [None, None, None, (0, False)]
             assert not any(l1.contains(0) for l1 in h.l1s)
             assert not h.llc.contains(0)
 
     def test_every_llc_line_reported_once_on_eviction(self):
-        victims = []
-        h = make_hierarchy(callback=lambda a, d: victims.append(a))
-        for addr in range(0, 2048, 16):  # conflicting set-0 lines
-            h.fill_demand(addr, False)
+        h = make_hierarchy()
+        # conflicting set-0 lines
+        fills = [h.fill_demand(addr, False) for addr in range(0, 2048, 16)]
+        victims = [victim[0] for victim in fills if victim is not None]
         inserted = len(range(0, 2048, 16))
         assert len(victims) == inserted - 4  # 4 ways survive
+        assert victims == list(range(0, 2048 - 4 * 16, 16))  # each once, LRU first
 
 
 class TestDirtyPropagation:
     def test_write_marks_llc_dirty_through_l1(self):
-        dirty_flags = []
-        h = make_hierarchy(callback=lambda a, d: dirty_flags.append((a, d)))
+        h = make_hierarchy()
         h.fill_demand(3, False)
         assert h.access(3, True).level == "l1"  # write hits the L1
-        evict(h, 3)
-        assert dirty_flags == [(3, True)]
+        assert evict(h, 3) == [(3, True)]
         for num_cores, core in CORES:
-            del dirty_flags[:]
-            h = make_hierarchy(
-                callback=lambda a, d: dirty_flags.append((a, d)), num_cores=num_cores
-            )
+            h = make_hierarchy(num_cores=num_cores)
             h.fill_demand(3, False, core)
             assert h.access(3, True, core).level == "l1"  # that core's L1
-            evict(h, 3)
-            assert dirty_flags == [(3, True)]
+            assert evict(h, 3) == [(3, True)]
             assert not any(l1.contains(3) for l1 in h.l1s)
 
     def test_demand_write_fill_is_dirty(self):
-        flags = []
-        h = make_hierarchy(callback=lambda a, d: flags.append((a, d)))
+        h = make_hierarchy()
         h.fill_demand(4, True)
-        evict(h, 4)
-        assert flags == [(4, True)]
+        assert evict(h, 4) == [(4, True)]
         for num_cores, core in CORES:
-            del flags[:]
-            h = make_hierarchy(
-                callback=lambda a, d: flags.append((a, d)), num_cores=num_cores
-            )
+            h = make_hierarchy(num_cores=num_cores)
             h.fill_demand(4, True, core)
-            evict(h, 4)
-            assert flags == [(4, True)]
+            assert evict(h, 4) == [(4, True)]
 
     def test_clean_line_reported_clean(self):
-        flags = []
-        h = make_hierarchy(callback=lambda a, d: flags.append((a, d)))
+        h = make_hierarchy()
         h.fill_demand(4, False)
-        evict(h, 4)
-        assert flags == [(4, False)]
+        assert evict(h, 4) == [(4, False)]
 
 
 class TestProbe:
@@ -169,11 +152,12 @@ class TestOneFramePerEvent:
     under ``sys.setprofile``; every Python frame whose code lives under
     ``repro/cache/`` or in ``repro/memory/dram.py`` is counted by function
     name.  A hit is one ``access``; a miss adds one ``fill_demand`` and the
-    DRAM schedule of the fetch, plus, when the LLC victim is dirty, the
-    write-back's ``evict_line`` and schedule.
+    DRAM fetch, ``demand_access``, whose body is the bank/bus schedule.  An
+    LLC victim, clean or dirty, is the fill's return value, handed to
+    ``evict_line``; a dirty one's write-back is one more schedule.
     """
 
-    MISS = {"access": 1, "fill_demand": 1, "demand_access": 1, "_schedule": 1}
+    MISS = {"access": 1, "fill_demand": 1, "demand_access": 1}
 
     def system(self):
         config = SystemConfig(
@@ -224,7 +208,7 @@ class TestOneFramePerEvent:
         system.hierarchy.fill_demand(1, True)  # dirty, and in the L1 too
         for addr in (5, 9, 13):
             system.hierarchy.fill_prefetch(addr)
-        assert self.frames(system, 17) == {**self.MISS, "evict_line": 1, "_schedule": 2}
+        assert self.frames(system, 17) == {**self.MISS, "evict_line": 1, "demand_access": 2}
         assert not system.hierarchy.contains(1)
         assert not system.hierarchy.l1.contains(1)
         assert system.backend.stats.write_accesses == 1
@@ -315,20 +299,19 @@ class TestAgainstLruModel:
 
     def check(self, references, cores):
         victims = []
-        h = CacheHierarchy(
-            self.L1, self.LLC, lambda a, d: victims.append((a, d)), num_cores=cores
-        )
+        h = CacheHierarchy(self.L1, self.LLC, num_cores=cores)
         model = LruModel(self.L1, self.LLC, cores)
         for core, addr, is_write, prefetch in references:
             core %= cores
             level = h.access(addr, is_write, core).level
             assert level == model.access(addr, is_write, core)
             if level == "miss":
-                h.fill_demand(addr, is_write, core)
+                victims.append(h.fill_demand(addr, is_write, core))
                 model.fill(addr, is_write, core)
                 if prefetch:
-                    h.fill_prefetch(addr + 1)
+                    victims.append(h.fill_prefetch(addr + 1))
                     model.fill(addr + 1, False, None)
+        victims = [victim for victim in victims if victim is not None]
         assert victims == model.victims
         assert h.resident_addresses() == [a for lines in model.llc for a in lines]
         for core, l1 in enumerate(h.l1s):

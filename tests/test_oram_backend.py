@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.analysis.experiments import experiment_config
-from repro.config import DRAMConfig, ORAMConfig
+from repro.config import CacheConfig, DRAMConfig, ORAMConfig
 from repro.controller.sharded import build_shard_backend, make_policy
 from repro.core.dynamic import DynamicSuperBlockScheme
 from repro.memory.oram_backend import ORAMBackend
@@ -25,6 +25,7 @@ from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme
 from repro.parallel.merge import fold_backend
 from repro.sim.results import SimResult
 from repro.sim.system import SecureSystem
+from repro.sim.trace import Trace
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace, sequential_trace
 
@@ -272,11 +273,12 @@ class TestOneFramePerAccess:
         "break_threshold": 1, "_base_threshold": 1, "tracker": 1,
         "mark_prefetched": 1, "_run_merge": 1,
     }
-    #: a dirty write-back: the eviction hooks, then the access minus the
+    #: a dirty write-back: the eviction hooks (the policy's; its prefetch
+    #: tracker only for an unused prefetch), then the access minus the
     #: super block policy
     WRITEBACK = {
         **{name: 1 for name in MISS if name not in ("demand_access", "process_fetch")},
-        "evict_line": 1, "on_llc_evict": 2, "super_block_of": 1, "_check_addr": 1,
+        "evict_line": 1, "on_llc_evict": 1, "super_block_of": 1, "_check_addr": 1,
     }
 
     @staticmethod
@@ -350,6 +352,99 @@ class TestOneFramePerAccess:
         assert frames == {
             "drain_stash": 1, "dummy_access": k, "read_path_into": k, "finish_access": k,
         }
+
+
+class TestOneFramePerVictim:
+    """An LLC victim crosses one frame per layer on a ``dyn`` tile.
+
+    The fill returns the victim and the reference loop hands it to
+    ``ORAMBackend.evict_line`` (no callback frame), whose policy hook
+    ``DynamicSuperBlockScheme.on_llc_evict`` reaches the prefetch tracker
+    only for an unused prefetch -- the one eviction the tracker counts, as
+    a prefetch miss (which the adaptive threshold policy hears of).  The
+    victim was fetched while its pair neighbor sat in the LLC, so its
+    eviction is no evidence against the pair and reads no super block.
+    Frames under ``repro/{memory,controller,oram,core}`` are counted while
+    ``evict_line`` runs.
+    """
+
+    LLC_SETS = 4
+
+    def system(self):
+        config = dataclasses.replace(
+            experiment_config(),
+            l1=CacheConfig(512, 2, 128),  # 2 sets x 2 ways
+            llc=CacheConfig(self.LLC_SETS * 4 * 128, 4, 128, hit_latency=8),
+        )
+        return SecureSystem.build("dyn", 4096, config)
+
+    @staticmethod
+    def run(system, addr):
+        trace = Trace("one", footprint_blocks=4096)
+        trace.append(10, addr)
+        system.run(trace)
+
+    @staticmethod
+    def frames_under_evict_line(call):
+        frames = Counter()
+        active = []
+
+        def hook(frame, event, _arg):
+            code = frame.f_code
+            if not code.co_filename.startswith(ACCESS_PATH):
+                return
+            if event == "call":
+                if code.co_name == "evict_line":
+                    active.append(frame)
+                if active:
+                    frames[code.co_name] += 1
+            elif event == "return" and active and frame is active[-1]:
+                active.pop()
+
+        sys.setprofile(hook)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return dict(frames)
+
+    def evict(self, prefetched):
+        """Bring a singleton line in (as a demand, or as a prefetch), make it
+        its LLC set's LRU line and evict it with a demand miss; returns the
+        frames of the eviction and the prefetch misses it counted."""
+        system = self.system()
+        leaves = system.backend.oram.position_map._leaves
+        singletons = [a for a in range(64, 256) if leaves[a] != leaves[a ^ 1]]
+        victim = singletons[0]
+        same_set = [a for a in singletons if a % self.LLC_SETS == victim % self.LLC_SETS]
+        evictor = same_set[1]
+        hierarchy = system.hierarchy
+        hierarchy.fill_prefetch(victim ^ 1)  # the pair neighbor is resident
+        if prefetched:
+            backend = system.backend
+            _, fills = backend.prefetch_access(victim, backend.busy_until)
+            assert fills == [victim]
+            hierarchy.fill_prefetch(victim)
+        else:
+            self.run(system, victim)
+        for k in (1, 2, 3):  # fill the set: the victim is its LRU line
+            assert hierarchy.fill_prefetch(victim + 64 * k * self.LLC_SETS) is None
+        stats = system.backend.scheme.stats
+        misses = stats.prefetch_misses
+        frames = self.frames_under_evict_line(lambda: self.run(system, evictor))
+        assert not hierarchy.contains(victim) and hierarchy.contains(evictor)
+        return frames, stats.prefetch_misses - misses
+
+    def test_clean_victim(self):
+        frames, prefetch_misses = self.evict(prefetched=False)
+        assert frames == {"evict_line": 1, "on_llc_evict": 1}
+        assert prefetch_misses == 0
+
+    def test_unused_prefetch_reaches_the_tracker(self):
+        frames, prefetch_misses = self.evict(prefetched=True)
+        # the tracker's hook, and the adaptive threshold hears of the miss
+        assert frames == {"evict_line": 1, "on_llc_evict": 2, "on_prefetch_miss": 1}
+        assert prefetch_misses == 1
 
 
 class TestRemapIsTheDraw:

@@ -1,5 +1,7 @@
 """Integration tests for the full secure-processor system."""
 
+import inspect
+
 import pytest
 
 from repro.analysis.experiments import run_schemes
@@ -146,10 +148,13 @@ class TestSchemeComparisons:
 
 
 def evict_from_llc(system, addr):
-    """Push ``addr`` out of the LLC with conflicting prefetch fills."""
+    """Push ``addr`` out of the LLC through the tile: a run of demand misses
+    on conflicting lines, whose fills return it as their victim."""
     llc = system.hierarchy.llc
+    trace = Trace("evict", footprint_blocks=256)
     for k in range(1, llc.associativity + 1):
-        system.hierarchy.fill_prefetch(addr + k * llc.num_sets)
+        trace.append(10, addr + k * llc.num_sets)
+    system.run(trace)
     assert not llc.contains(addr)
 
 
@@ -164,6 +169,31 @@ class TestPendingFills:
         system._pending_fills[7] = 10**15  # fill still "in flight"
         evict_from_llc(system, 7)  # line leaves the LLC before use
         assert 7 not in system._pending_fills
+
+    def test_prefetch_fill_victim_purges_pending_fill(self):
+        # The victim of a fill the traditional prefetcher brings in takes
+        # the same route as a demand fill's: purged and handed to the
+        # backend, at the cycle the prefetch is issued.
+        system = SecureSystem.build("dram_pre", footprint_blocks=256, config=small_config())
+        llc = system.hierarchy.llc
+        victim = 3 + 6 * llc.num_sets  # LLC set 3, like the prefetch of line 3
+        system.hierarchy.fill_demand(victim, True, None)  # dirty, LRU of set 3
+        for k in range(1, llc.associativity):
+            system.hierarchy.fill_prefetch(victim + k * llc.num_sets)
+        system._pending_fills[victim] = 10**15
+        trace = Trace("stream", footprint_blocks=256)
+        # The third miss trains the stream: it predicts 3 and 4, and the
+        # bus, backlogged by the prefetch of 3, declines 4.
+        for addr in (0, 1, 2):
+            trace.append(10, addr)
+        system.run(trace)
+        assert not llc.contains(victim) and llc.contains(3)
+        assert victim not in system._pending_fills
+        assert set(system._pending_fills) == {3}
+        assert system.backend.stats.write_accesses == 1
+        assert system.backend.stats.prefetch_requests == 1
+        source = inspect.getsource(SecureSystem._issue_prefetches)
+        assert "evict_line" not in source and "del " not in source
 
     def test_pending_fills_bounded_by_llc_capacity(self):
         # Footprint far beyond the LLC: every prefetched line is eventually
