@@ -3,25 +3,27 @@
 
 Demonstrates the *data path* of the Path ORAM substrate: values are stored
 with probabilistic encryption, moved by real path accesses, and survive
-background evictions -- while an attached observer records exactly what an
-adversary on the memory bus would see, and statistical tests confirm the
-access pattern leaks nothing.
+background evictions -- while an attached trace recorder receives every
+path access, ``adversary_view`` projects out exactly what an adversary on
+the memory bus would see, and statistical tests confirm the access pattern
+leaks nothing.
 
 Run:
     python examples/oblivious_kv_store.py
 """
 
-from repro import AccessObserver, ObliviousKVStore
+from repro import ObliviousKVStore
 from repro.config import ORAMConfig
-from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
+from repro.observability import InMemoryRecorder
+from repro.security import adversary_view, chi_square_uniformity, lag_autocorrelation
 from repro.utils.rng import DeterministicRng
 
 
 def main() -> None:
-    observer = AccessObserver()
+    recorder = InMemoryRecorder()
     store = ObliviousKVStore(
         config=ORAMConfig(levels=8, bucket_size=4, stash_blocks=60, utilization=0.5),
-        observer=observer,
+        recorder=recorder,
     )
     print(f"store capacity: {store.capacity} keys x {store.payload_bytes} B values")
 
@@ -47,7 +49,7 @@ def main() -> None:
     print(f"500 random writes verified; {store.access_count()} total path accesses")
 
     # ---- what the adversary saw -----------------------------------------
-    leaves = observer.leaves()
+    leaves = [leaf for _, leaf in adversary_view(recorder.records)]
     print(f"\nadversary observed {len(leaves)} path accesses")
     num_leaves = store.config.num_leaves
     _, p_uniform = chi_square_uniformity(leaves, num_leaves)
@@ -60,10 +62,10 @@ def main() -> None:
         print("=> WARNING: access pattern shows structure!")
 
     # The same key accessed twice touches unrelated paths.
-    before = len(observer)
+    before = len(recorder.records)
     store.get(42)
     store.get(42)
-    first, second = observer.leaves()[before], observer.leaves()[before + 1]
+    (_, first), (_, second) = adversary_view(recorder.records[before:])[:2]
     print(f"\nsame key, two reads -> paths {first} and {second} (unlinkable)")
 
 

@@ -39,7 +39,6 @@ from repro.core.thresholds import AdaptiveThresholdPolicy, StaticThresholdPolicy
 from repro.oram.kv_store import ObliviousKVStore
 from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme, StaticSuperBlockScheme
-from repro.security.observer import AccessObserver
 from repro.sim.results import SimResult
 from repro.sim.system import SecureSystem
 from repro.sim.trace import Trace
@@ -53,7 +52,6 @@ from repro.workloads.synthetic import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccessObserver",
     "AdaptiveThresholdPolicy",
     "BaselineScheme",
     "CacheConfig",

@@ -43,7 +43,6 @@ from repro.health import HealthPolicy
 from repro.observability import (
     InMemoryRecorder,
     JsonlTraceRecorder,
-    LeafUniformityMonitor,
     collect_serve,
     collect_trace,
     read_jsonl_trace,
@@ -52,8 +51,12 @@ from repro.observability import (
 )
 from repro.parallel import ParallelShardRuntime, run_serial_reference
 from repro.parallel.merge import requests_from_trace
-from repro.security.observer import AccessObserver
-from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
+from repro.security.statistics import (
+    adversary_view,
+    chi_square_uniformity,
+    lag_autocorrelation,
+    windowed_uniformity,
+)
 from repro.serve import ClosedLoopSource, OpenLoopSource, ServingFrontEnd
 from repro.serve.loadgen import DEFAULT_DEADLINE
 from repro.sim.system import SchemeLabel, SecureSystem
@@ -462,16 +465,14 @@ def cmd_audit(args) -> int:
     scheme = oram_scheme(args, "audit")
     trace = workload_trace(args)
     config = experiment_config()
-    # The monitor needs the scaled tree's leaf count before the build.
     num_leaves = config.oram.scaled_to_footprint(trace.footprint_blocks).num_leaves
-    observer = AccessObserver()
-    monitor = from_options(
-        LeafUniformityMonitor, num_leaves, window=args.window, forward_to=observer
-    )
-    SecureSystem.build(
-        scheme, trace.footprint_blocks, config, observer=monitor
-    ).run(trace)
-    leaves = observer.leaves()
+    # A bad --window is refused before the run, not after it.
+    from_options(windowed_uniformity, [], num_leaves, window=args.window)
+    system = SecureSystem.build(scheme, trace.footprint_blocks, config)
+    recorder = system.attach_recorder(InMemoryRecorder())
+    system.run(trace)
+    leaves = [leaf for _, leaf in adversary_view(recorder.records)]
+    windows = windowed_uniformity(leaves, num_leaves, window=args.window)
     if len(leaves) <= 2:  # lag-1 autocorrelation needs three samples
         print(f"too few path accesses to audit ({len(leaves)})")
         return 2
@@ -480,9 +481,8 @@ def cmd_audit(args) -> int:
     print(f"{len(leaves)} path accesses over {num_leaves} leaves")
     print(f"uniformity chi^2 p-value: {p:.4f}")
     print(f"lag-1 autocorrelation:    {corr:+.4f}")
-    monitor.flush()
-    print(monitor.render())
-    oblivious = p > 1e-3 and abs(corr) < 0.05 and monitor.healthy
+    print(windows.render())
+    oblivious = p > 1e-3 and abs(corr) < 0.05 and windows.healthy
     print(f"verdict: {'OBLIVIOUS' if oblivious else 'SUSPECT'}")
     return 0 if oblivious else 1
 

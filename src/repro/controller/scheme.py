@@ -114,7 +114,7 @@ class ORAMScheme(ABC):
 
 
 # --------------------------------------------------------------------- registry
-def _make_path(levels: int, z: int, num_blocks: int, rng, observer=None):
+def _make_path(levels: int, z: int, num_blocks: int, rng):
     from repro.config import ORAMConfig
     from repro.oram.path_oram import PathORAM
 
@@ -126,24 +126,24 @@ def _make_path(levels: int, z: int, num_blocks: int, rng, observer=None):
         utilization=min(1.0, (num_blocks + 0.5) / capacity),
     )
     assert config.num_blocks == num_blocks
-    return PathORAM(config, rng, observer=observer)
+    return PathORAM(config, rng)
 
 
-def _make_ring(levels: int, z: int, num_blocks: int, rng, observer=None):
+def _make_ring(levels: int, z: int, num_blocks: int, rng):
     from repro.oram.ring_oram import RingORAM
 
-    return RingORAM(levels, num_blocks, z=z, rng=rng, observer=observer)
+    return RingORAM(levels, num_blocks, z=z, rng=rng)
 
 
-def _make_tree(levels: int, z: int, num_blocks: int, rng, observer=None):
+def _make_tree(levels: int, z: int, num_blocks: int, rng):
     from repro.oram.tree_oram import ShiTreeORAM
 
-    return ShiTreeORAM(levels, num_blocks, bucket_size=z, rng=rng, observer=observer)
+    return ShiTreeORAM(levels, num_blocks, bucket_size=z, rng=rng)
 
 
-#: name -> (bucket size Z at a depth, factory(levels, z, num_blocks, rng,
-#: observer)) for every scheme the controller can build (the CLI ``parity``
-#: command and the parity suite).
+#: name -> (bucket size Z at a depth, factory(levels, z, num_blocks, rng))
+#: for every scheme the controller can build (the CLI ``parity`` command
+#: and the parity suite).
 SCHEME_FACTORIES: Dict[str, Tuple[Callable[[int], int], Callable[..., "ORAMScheme"]]] = {
     "path": (lambda levels: 4, _make_path),
     "ring": (lambda levels: 8, _make_ring),
@@ -152,7 +152,7 @@ SCHEME_FACTORIES: Dict[str, Tuple[Callable[[int], int], Callable[..., "ORAMSchem
 
 
 def build_scheme(
-    name: str, levels: int = 6, num_blocks: int = 96, seed: int = 7, observer=None
+    name: str, levels: int = 6, num_blocks: int = 96, seed: int = 7
 ) -> "ORAMScheme":
     """Build any registered scheme by name at a comparable small geometry.
 
@@ -175,4 +175,4 @@ def build_scheme(
             f"{num_blocks} blocks do not fit the '{name}' scheme: {levels} levels "
             f"at Z={z} hold 1..{capacity}"
         )
-    return factory(levels, z, num_blocks, DeterministicRng(seed), observer)
+    return factory(levels, z, num_blocks, DeterministicRng(seed))

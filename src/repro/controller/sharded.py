@@ -17,11 +17,16 @@ their path accesses -- the inter-tree parallelism Palermo exploits --
 while two misses to the same shard still queue, preserving the paper's
 intra-channel model.
 
-Security note: the interleaving function is public (as is standard for
-multi-channel memory), each shard's access sequence is independently
-oblivious, and the shard selector depends only on the (already leaked)
-block address stream shape -- so the bank leaks nothing beyond N public
-channel choices.
+Security note: the bank is oblivious per channel only.  Each shard's leaf
+sequence is independently uniform, but which channel a path goes down is
+visible on that channel's pins, and the channel is ``addr % N``: every
+demand shows its address modulo N.  ``tests/test_bank_leak.py`` measures
+it from the adversary's view alone (a sequential scan against a uniform
+stream, 4,000 demands each): PASS at N = 1, 1.000 bits per request at
+N = 2 and 1.999 at N = 4.  The threat-model boundary: a bank wider than
+one meets the paper's definition (section 2.1) only for an adversary who
+cannot tell channels apart, or for a program whose low address bits are
+public.
 
 Determinism: shard construction order, the round-robin order of
 :meth:`ShardedORAMBank.access_batch`, and each shard's forked RNG are all
@@ -326,8 +331,8 @@ def health_access(
     a dummy path access, so every request presents the same two-path shape
     to the storage adversary.  Both paths draw uniformly random leaves, so
     the access sequence stays indistinguishable from the healthy one (the
-    chaos harness gates this with the
-    :class:`~repro.observability.LeafUniformityMonitor`).  The outcome and
+    chaos harness gates this with
+    :func:`~repro.security.statistics.windowed_uniformity`).  The outcome and
     its simulated latency are fed to the breaker whatever the state; stash
     pressure (occupancy above *stash_limit*, :func:`pressure_limit`) only
     while unpadded; then the shard's degraded mode follows the state's
@@ -421,7 +426,6 @@ def build_shard_backend(
     *,
     policy: Optional[ThresholdPolicy] = None,
     periodic: bool = False,
-    observer=None,
     fault_injector=None,
     rng_restart_salt: int = 0,
 ) -> ORAMBackend:
@@ -434,7 +438,7 @@ def build_shard_backend(
     ``(config.seed, shard_index)`` -- ``fork`` hashes an integer tuple,
     untouched by hash randomization -- so a worker process rebuilds shard
     ``i`` bit-identically to the serial bank without ever seeing the other
-    shards.  The ORAM (built unpopulated, with the observer) and the super
+    shards.  The ORAM (built unpopulated) and the super
     block policy are made here and handed to the backend, which attaches
     the one to the other and populates.
 
@@ -461,7 +465,7 @@ def build_shard_backend(
     if rng_restart_salt:
         rng = rng.fork(0x5EC0 + rng_restart_salt)
     oram_config = config.oram.scaled_to_footprint(per_shard_blocks)
-    oram = PathORAM(oram_config, rng, observer=observer, populate=False)
+    oram = PathORAM(oram_config, rng, populate=False)
     scheme = make_policy(base_scheme, config, policy)
     if periodic:
         backend: ORAMBackend = PeriodicORAMBackend(
@@ -471,7 +475,8 @@ def build_shard_backend(
     else:
         backend = ORAMBackend(oram, config.dram, scheme, fault_injector=fault_injector)
     # Spans emitted by a channel's pipeline carry the channel index and the
-    # *global* address (local * stride + index).
+    # *global* address (local * stride + index); its ORAM's path events
+    # carry the index (set_recorder stamps it).
     backend.shard_index = shard_index
     backend.addr_stride = num_shards
     return backend
@@ -486,7 +491,6 @@ def build_bank(
     policy: Optional[ThresholdPolicy] = None,
     periodic: bool = False,
     health_policy=None,
-    observer=None,
     fault_injector=None,
 ) -> ShardedORAMBank:
     """Assemble an ``num_shards``-way bank (the only place one is made).
@@ -507,8 +511,7 @@ def build_bank(
         [
             build_shard_backend(
                 base_scheme, footprint_blocks, config, index, num_shards,
-                policy=policy, periodic=periodic, observer=observer,
-                fault_injector=fault_injector,
+                policy=policy, periodic=periodic, fault_injector=fault_injector,
             )
             for index in range(num_shards)
         ],

@@ -311,7 +311,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
 
     def on_llc_evict(self, addr: int) -> None:
         if self._pf_bits[addr] and not self._hit_bits[addr]:
-            self._tracker.on_llc_evict(addr)  # an unused prefetch: a miss
+            self.tracker.on_llc_evict(addr)  # an unused prefetch: a miss
         if self.literal_merge_decrement:
             return  # ablation mode: no eviction-time decrement
         if self._coresident[addr]:
@@ -319,7 +319,17 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
             self._coresident[addr] = 0
             return
         posmap = self._posmap
-        base, size = posmap.super_block_of(addr, self.max_sbsize)
+        if self._pairs:
+            # PositionMap.super_block_of at pair granularity, inline (as in
+            # members_for).
+            base = addr & ~1
+            leaves = self._leaves
+            if base + 2 <= self._num_blocks and leaves[base] == leaves[base + 1]:
+                size = 2
+            else:
+                base, size = addr, 1
+        else:
+            base, size = posmap.super_block_of(addr, self.max_sbsize)
         result_size = size * 2
         if result_size > self.max_sbsize:
             return  # already at the maximum size; no next-level counter
@@ -360,7 +370,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         re-pointing them is safe; B' already shares the target leaf, so its
         mapping is unchanged.  No extra path access is needed.
         """
-        posmap = self.oram.position_map
+        posmap = self._posmap
         target_leaf = posmap.leaf(neighbor_base)
         self.oram.remap_group(
             range(combined_base, combined_base + result_size), target_leaf
@@ -384,7 +394,7 @@ class DynamicSuperBlockScheme(SuperBlockScheme):
         sizes." -- resetting avoids stale bits leaking into the counters of
         the new granularity.
         """
-        posmap = self.oram.position_map
+        posmap = self._posmap
         zeros = [0] * size
         posmap.set_merge_bits(base, zeros)
         posmap.set_break_bits(base, zeros)

@@ -152,7 +152,7 @@ class StridedDynamicScheme(SuperBlockScheme):
     # ---------------------------------------------------------------- events
     def on_llc_evict(self, addr: int) -> None:
         if self._pf_bits[addr] and not self._hit_bits[addr]:
-            self._tracker.on_llc_evict(addr)  # an unused prefetch: a miss
+            self.tracker.on_llc_evict(addr)  # an unused prefetch: a miss
         if self._coresident.pop(addr, False):
             return
         # Decay merge evidence for this block's candidate pairs.

@@ -316,11 +316,13 @@ def run_bank_storm(
 ) -> Dict:
     """Transient/delay storm + forced quarantines on the in-process bank.
 
-    A :class:`~repro.observability.LeafUniformityMonitor` watches every
-    path access the whole time: the chi-squared gate must hold through
-    DEGRADED throttling, quarantine fallback padding, and probing.
+    A trace recorder sees every path access the whole time, and each
+    window of the adversary's leaf sequence must pass the chi-squared
+    gate through DEGRADED throttling, quarantine fallback padding, and
+    probing.
     """
-    from repro.observability import LeafUniformityMonitor
+    from repro.observability import InMemoryRecorder
+    from repro.security.statistics import adversary_view, windowed_uniformity
     from repro.sim.system import SecureSystem
 
     policy = policy or chaos_policy()
@@ -328,9 +330,6 @@ def run_bank_storm(
     per_shard = (
         scenario.footprint_blocks + scenario.num_shards - 1
     ) // scenario.num_shards
-    monitor = LeafUniformityMonitor(
-        config.oram.scaled_to_footprint(per_shard).num_leaves, window=1024
-    )
     # Storm-level transient rate: high enough to trip DEGRADED windows
     # (rate > degrade_failure_rate) without reaching the quarantine storm
     # threshold -- forced quarantines come from the events instead.
@@ -338,7 +337,6 @@ def run_bank_storm(
         scenario.scheme,
         scenario.footprint_blocks,
         config,
-        observer=monitor,
         fault_injector=FaultInjector(
             FaultConfig(
                 seed=scenario.seed + 3,
@@ -352,6 +350,7 @@ def run_bank_storm(
         health_policy=policy,
     )
     bank = system.backend
+    recorder = system.attach_recorder(InMemoryRecorder())
     requests = scenario.requests(scenario.bank_ops, salt=0xBA0C)
     trips = {
         event.at_op: event.shard for event in scenario.storm_events(len(requests))
@@ -362,10 +361,14 @@ def run_bank_storm(
         if shard is not None and not bank.health.state(shard).padded:
             bank.quarantine_shard(shard, reason="chaos")
         bank.demand_access(addr, now, is_write)
-    monitor.flush()
+    windows = windowed_uniformity(
+        [leaf for _, leaf in adversary_view(recorder.records)],
+        config.oram.scaled_to_footprint(per_shard).num_leaves,
+        window=1024,
+    )
     health = bank.health
     states = [health.state(i) for i in range(scenario.num_shards)]
-    flagged = len(monitor.flagged)
+    flagged = len(windows.flagged)
     return {
         "ops": len(requests),
         "elapsed_s": time.perf_counter() - begin,
@@ -374,9 +377,9 @@ def run_bank_storm(
         "transitions": health.total_transitions(),
         "final_states": [state.value for state in states],
         "all_readmitted": not any(state.padded for state in states),
-        "uniformity_windows": len(monitor.checks),
+        "uniformity_windows": len(windows.checks),
         "uniformity_flagged": flagged,
-        "leaf_uniform": monitor.healthy,
+        "leaf_uniform": windows.healthy,
     }
 
 

@@ -150,7 +150,8 @@ class ResilientKVStore(ObliviousKVStore):
         key: symmetric key for the probabilistic cipher.
         seed: determinism seed (store randomness, backoff jitter, and the
             recovery RNG forks all derive from it).
-        observer: optional adversary observer.
+        recorder: optional trace recorder for the ORAM's ``path`` events
+            (kept across recoveries: a replay's paths are observed too).
         fault_config: fault classes to inject; ``None`` runs fault-free
             (the injector stays attached but inert, so the access path is
             identical either way).
@@ -162,13 +163,11 @@ class ResilientKVStore(ObliviousKVStore):
         self.injector = FaultInjector(fault_config or FaultConfig())
         self.recovery = RecoveryStats()
 
-    def _make_oram(self, config, rng, observer=None, populate=True) -> PathORAM:
-        return VerifiedPathORAM(
-            config, rng, observer=observer, populate=populate, injector=self.injector
-        )
+    def _make_oram(self, config, rng, populate=True) -> PathORAM:
+        return VerifiedPathORAM(config, rng, populate=populate, injector=self.injector)
 
-    def _attach(self, oram, key, seed, observer) -> None:
-        super()._attach(oram, key, seed, observer)
+    def _attach(self, oram, key, seed, recorder) -> None:
+        super()._attach(oram, key, seed, recorder)
         self._seed = seed
         rng = DeterministicRng(seed)
         self._backoff_rng = rng.fork(0xBACF)
@@ -261,11 +260,9 @@ class ResilientKVStore(ObliviousKVStore):
         # operation, so injection pauses for the duration.
         with self.injector.paused():
             self._oram = load_oram(
-                self._last_checkpoint,
-                rng=rng,
-                observer=self.observer,
-                oram_factory=self._make_oram,
+                self._last_checkpoint, rng=rng, oram_factory=self._make_oram
             )
+            self._oram.recorder = self.recorder
             for op, key, value in self._journal:
                 if op == "put":
                     self._access(key, value)

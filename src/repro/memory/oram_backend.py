@@ -108,10 +108,9 @@ class ORAMBackend(MemoryBackend):
 
     Args:
         oram: the functional ORAM, built but not yet populated (its config
-            already scaled to the workload footprint; its observer, if
-            any, already attached).  The constructor populates it after the
-            policy's ``initialize`` had its chance to rewrite the position
-            map.
+            already scaled to the workload footprint).  The constructor
+            populates it after the policy's ``initialize`` had its chance
+            to rewrite the position map.
         dram_config: the physical channel the tree lives on (bandwidth and
             flat latency feed the path-access cost).
         scheme: super block policy (baseline / static / dynamic).
@@ -322,13 +321,16 @@ class ORAMBackend(MemoryBackend):
     def set_recorder(self, recorder) -> None:
         """Install (or remove, with ``None``) a span recorder.
 
+        The ORAM gets it too, stamped with ``shard_index``: its ``path``
+        events are the adversary's view (:func:`repro.security.adversary_view`).
         Disabled recorders (``enabled`` false, e.g. ``NullRecorder``) are
         normalized to ``None`` so the pipeline only ever tests
         ``is None``.
         """
         if recorder is not None and not getattr(recorder, "enabled", True):
             recorder = None
-        self.recorder = recorder
+        self.recorder = self.oram.recorder = recorder
+        self.oram.shard = self.shard_index
 
     def set_llc_probe(self, probe: Callable[[int], bool]) -> None:
         """Install the LLC tag-probe callback (the system wires this after

@@ -1,12 +1,14 @@
 """Structured tracing and metrics for the PrORAM simulator.
 
-The subsystem has four parts (see DESIGN.md section 8):
+The subsystem has three parts (see DESIGN.md section 8):
 
 * **Spans** (:mod:`.spans`) -- the per-access record schema: one span per
   trip through the access pipeline, carrying cycle timestamps, per-phase
   attribution, stash occupancy, super-block merge/break counts, and
   fault/retry outcomes.
-* **Recorders** (:mod:`.recorder`) -- span sinks.  ``None`` /
+* **Recorders** (:mod:`.recorder`) -- span and event sinks, the one
+  event stream (an ORAM's ``path`` events are the adversary's view,
+  :func:`repro.security.adversary_view`).  ``None`` /
   :class:`NullRecorder` is the zero-cost disabled state (the golden
   ``SimResult`` is bit-identical); :class:`InMemoryRecorder` backs tests
   and CLI reports; :class:`JsonlTraceRecorder` writes deterministic
@@ -16,8 +18,6 @@ The subsystem has four parts (see DESIGN.md section 8):
   :class:`MetricsRegistry`, populated by snapshot collectors that replace
   the ad-hoc stats dicts (and by :func:`time_system` for the host-time
   profile of a run).
-* **Uniformity** (:mod:`.uniformity`) -- a live leaf-histogram
-  chi-squared monitor built on :mod:`repro.security.statistics`.
 """
 
 from .collect import (
@@ -39,7 +39,6 @@ from .recorder import (
     read_jsonl_trace,
 )
 from .spans import SPAN_FIELDS, Span, is_span
-from .uniformity import LeafUniformityMonitor, UniformityCheck
 
 __all__ = [
     "Counter",
@@ -47,14 +46,12 @@ __all__ = [
     "Gauge",
     "InMemoryRecorder",
     "JsonlTraceRecorder",
-    "LeafUniformityMonitor",
     "MetricsRegistry",
     "NullRecorder",
     "SPAN_FIELDS",
     "Span",
     "Timer",
     "TraceRecorder",
-    "UniformityCheck",
     "attach_recorder",
     "collect_controllers",
     "collect_parallel",

@@ -149,7 +149,6 @@ _REQUIRED_KEYS = (
 def load_oram(
     payload: str,
     rng: Optional[DeterministicRng] = None,
-    observer=None,
     oram_factory: Optional[Callable[..., PathORAM]] = None,
 ) -> PathORAM:
     """Restore a Path ORAM from :func:`dump_oram` output.
@@ -158,9 +157,8 @@ def load_oram(
         payload: the JSON document.
         rng: fresh randomness for the restored instance (a new seed is
             fine -- and preferable, see the module docstring).
-        observer: optional adversary observer to attach.
         oram_factory: optional constructor with the :class:`PathORAM`
-            signature ``factory(config, rng, observer=..., populate=...)``;
+            signature ``factory(config, rng, populate=...)``;
             lets callers restore into a subclass (the Merkle-verified ORAM
             of the recovery path).  Derived structures are rebuilt via
             :meth:`PathORAM.rebuild_auxiliary` after the state is
@@ -173,7 +171,7 @@ def load_oram(
     state = _parse_oram_state(payload)
     config = _checkpoint_config(state)
     factory = oram_factory or PathORAM
-    oram = factory(config, rng or DeterministicRng(0xC8C8), observer=observer, populate=False)
+    oram = factory(config, rng or DeterministicRng(0xC8C8), populate=False)
     _install_oram_state(oram, state)
     return oram
 
@@ -306,14 +304,11 @@ def save_oram(oram: PathORAM, path: str) -> None:
 def restore_oram(
     path: str,
     rng: Optional[DeterministicRng] = None,
-    observer=None,
     oram_factory: Optional[Callable[..., PathORAM]] = None,
 ) -> PathORAM:
     """Read a checkpoint file."""
     with open(path) as handle:
-        return load_oram(
-            handle.read(), rng=rng, observer=observer, oram_factory=oram_factory
-        )
+        return load_oram(handle.read(), rng=rng, oram_factory=oram_factory)
 
 
 # --------------------------------------------------------------------------

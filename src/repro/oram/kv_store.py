@@ -20,7 +20,6 @@ from typing import Optional
 from repro.config import ORAMConfig
 from repro.oram.crypto import ProbabilisticCipher
 from repro.oram.path_oram import PathORAM
-from repro.security.observer import AccessObserver
 from repro.utils.rng import DeterministicRng
 
 
@@ -34,8 +33,9 @@ class ObliviousKVStore:
         config: ORAM geometry; the store holds ``config.num_blocks`` keys.
         key: symmetric key for the probabilistic cipher.
         seed: determinism seed.
-        observer: optional :class:`AccessObserver` recording the
-            adversary-visible access sequence (for the security tests).
+        recorder: optional trace recorder receiving the ORAM's ``path``
+            events, the adversary-visible access sequence
+            (:func:`repro.security.adversary_view`).
     """
 
     def __init__(
@@ -43,32 +43,31 @@ class ObliviousKVStore:
         config: Optional[ORAMConfig] = None,
         key: bytes = b"\x13" * 16,
         seed: int = 7,
-        observer: Optional[AccessObserver] = None,
+        recorder=None,
         **options,
     ):
         self._configure(**options)
-        oram = self._make_oram(
-            config or ORAMConfig(levels=8), DeterministicRng(seed).fork(1), observer
-        )
-        self._attach(oram, key, seed, observer)
+        config = config or ORAMConfig(levels=8)
+        oram = self._make_oram(config, DeterministicRng(seed).fork(1))
+        self._attach(oram, key, seed, recorder)
 
     def _configure(self) -> None:
         """Take a subclass's extra constructor ``options`` (both construction
         paths run it before :meth:`_make_oram`); the plain store has none."""
 
     def _make_oram(
-        self, config: ORAMConfig, rng: DeterministicRng, observer=None, populate=True
+        self, config: ORAMConfig, rng: DeterministicRng, populate=True
     ) -> PathORAM:
         """The ORAM constructor hook (the :func:`~repro.oram.checkpoint.load_oram`
         factory signature); the resilient store swaps in the Merkle-verified
         variant with a fault injector attached."""
-        return PathORAM(config, rng, observer=observer, populate=populate)
+        return PathORAM(config, rng, populate=populate)
 
-    def _attach(self, oram: PathORAM, key: bytes, seed: int, observer) -> None:
+    def _attach(self, oram: PathORAM, key: bytes, seed: int, recorder) -> None:
         """Adopt a built or restored ORAM (shared tail of both construction paths)."""
         self._oram = oram
         self.config = oram.config
-        self.observer = oram.observer = observer
+        self.recorder = oram.recorder = recorder
         self._cipher = ProbabilisticCipher(key, DeterministicRng(seed).fork(2))
         self.capacity = oram.position_map.num_blocks
         self.payload_bytes = self.config.block_bytes
@@ -153,7 +152,7 @@ class ObliviousKVStore:
         path: str,
         key: bytes = b"\x13" * 16,
         seed: int = 7,
-        observer: Optional[AccessObserver] = None,
+        recorder=None,
         **options,
     ) -> "ObliviousKVStore":
         """Reopen a checkpointed store with the original cipher key.
@@ -168,5 +167,5 @@ class ObliviousKVStore:
         oram = restore_oram(
             path, rng=DeterministicRng(seed).fork(1), oram_factory=store._make_oram
         )
-        store._attach(oram, key, seed, observer)
+        store._attach(oram, key, seed, recorder)
         return store

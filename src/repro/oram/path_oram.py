@@ -2,8 +2,9 @@
 
 This is the *functional* ORAM: it moves block words (``addr << 32 | leaf``,
 :mod:`repro.oram.tree`) between the binary tree and the stash.  Timing is
-charged separately by :mod:`repro.memory.interconnect`; obliviousness can be
-audited by attaching an :class:`~repro.security.observer.AccessObserver`.
+charged separately by :mod:`repro.memory.interconnect`; obliviousness is
+audited from the ``path`` events an attached trace recorder receives
+(:func:`repro.security.adversary_view`).
 
 Domain model
 ------------
@@ -62,9 +63,12 @@ class PathORAM(
     Args:
         config: geometry and capacity parameters.
         rng: deterministic randomness (leaf assignment, eviction paths).
-        observer: optional callback object with ``on_path_access(leaf, kind)``
-            recording the adversary-visible access sequence.
         populate: install ``config.num_blocks`` blocks at construction.
+
+    ``recorder`` (``None`` until an owner installs one) receives one
+    ``path`` event per path access carrying ``shard`` (this tree's
+    channel, 0 for a lone ORAM), ``leaf`` and ``kind``: the
+    adversary-visible sequence.
     """
 
     #: the integer attributes this ORAM counts in: what a checkpoint's
@@ -75,12 +79,12 @@ class PathORAM(
         self,
         config: ORAMConfig,
         rng: DeterministicRng,
-        observer=None,
         populate: bool = True,
     ):
         self.config = config
         self.rng = rng
-        self.observer = observer
+        self.recorder = None
+        self.shard = 0
         self.tree = BinaryTree(config.levels, config.bucket_size)
         self.stash = Stash(config.stash_blocks)
         self.position_map = PositionMap(
@@ -187,8 +191,8 @@ class PathORAM(
         if self.pending_leaf is not None:
             raise RuntimeError("previous access not finished")
         self.real_accesses += 1
-        if self.observer is not None:
-            self.observer.on_path_access(leaf, "real")
+        if self.recorder is not None:
+            self.recorder.record_event("path", shard=self.shard, leaf=leaf, kind="real")
         # Step 2: read the whole path straight into the stash's backing
         # dict (no intermediate list), with one amortized duplicate check
         # and one watermark update.
@@ -327,8 +331,8 @@ class PathORAM(
             raise RuntimeError("previous access not finished")
         leaf = self.rng.randbelow(self.config.num_leaves)
         self.dummy_accesses += 1
-        if self.observer is not None:
-            self.observer.on_path_access(leaf, kind)
+        if self.recorder is not None:
+            self.recorder.record_event("path", shard=self.shard, leaf=leaf, kind=kind)
         if self._hooks_active:
             self._before_path_read(leaf)
         # Same path read as begin_access.  The watermark cannot rise here

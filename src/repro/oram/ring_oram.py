@@ -82,7 +82,8 @@ class RingORAM(
         a: accesses between EvictPath operations.
         stash_capacity: soft stash bound used by ``drain_stash``.
         rng: deterministic randomness.
-        observer: optional adversary observer (accessed leaves).
+
+    ``recorder``/``shard`` are :class:`~repro.oram.path_oram.PathORAM`'s.
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class RingORAM(
         a: int = 8,
         stash_capacity: Optional[int] = None,
         rng: Optional[DeterministicRng] = None,
-        observer=None,
     ):
         if levels < 1 or num_blocks < 1:
             raise ValueError("need at least one level and one block")
@@ -105,7 +105,8 @@ class RingORAM(
         self.s = s
         self.a = a
         self.rng = rng or DeterministicRng(31)
-        self.observer = observer
+        self.recorder = None
+        self.shard = 0
         self.num_blocks = num_blocks
         self.tree = BinaryTree(levels, z)
         #: slots touched per bucket since its last rewrite (the budget S caps)
@@ -151,8 +152,8 @@ class RingORAM(
         if self._pending_path is not None:
             raise RuntimeError("previous access not finished")
         self.accesses += 1
-        if self.observer is not None:
-            self.observer.on_path_access(leaf, "real")
+        if self.recorder is not None:
+            self.recorder.record_event("path", shard=self.shard, leaf=leaf, kind="real")
         wanted = set(addrs)
         found = set()
         path = self.tree.path_indices(leaf)
@@ -237,8 +238,10 @@ class RingORAM(
         the adversary learns nothing beyond the (public) eviction count.
         """
         self.dummy_accesses += 1
-        if self.observer is not None:
-            self.observer.on_path_access(self._next_evict_leaf(), kind)
+        if self.recorder is not None:
+            self.recorder.record_event(
+                "path", shard=self.shard, leaf=self._next_evict_leaf(), kind=kind
+            )
         self._evict_path()
 
     # drain_stash comes from BoundedDrainMixin.

@@ -143,32 +143,34 @@ class SuperBlockScheme(ABC):
 
     def __init__(self) -> None:
         self.stats = SchemeStats()
-        self._oram: Optional[PathORAM] = None
+        #: the ORAM and prefetch tracker :meth:`attach` binds (plain
+        #: attributes: the dynamic scheme reads them on every access)
+        self.oram: Optional[PathORAM] = None
+        self.tracker: Optional[PrefetchTracker] = None
         self.llc_contains: Optional[Callable[[int], bool]] = None
         self.listener = None
-        self._tracker: Optional[PrefetchTracker] = None
         self._merge_throttled = False
 
     def attach(
         self, oram: PathORAM, llc_contains: Optional[Callable[[int], bool]]
     ) -> None:
-        self._oram = oram
+        self.oram = oram
         self.llc_contains = llc_contains
-        self._tracker = PrefetchTracker(oram, self.stats, listener=self.listener)
+        self.tracker = PrefetchTracker(oram, self.stats, listener=self.listener)
         # Flatten the per-LLC-event delegation: no scheme overrides
         # on_llc_hit, so the instance attribute routes hits straight to the
         # tracker (the backend re-exports this bound method in turn).  An
         # eviction goes straight to the tracker too, unless the scheme
         # extends on_llc_evict -- its override then calls the tracker
         # itself, with no hop through this class.
-        self.on_llc_hit = self._tracker.on_use
+        self.on_llc_hit = self.tracker.on_use
         if type(self).on_llc_evict is SuperBlockScheme.on_llc_evict:
-            self.on_llc_evict = self._tracker.on_llc_evict
+            self.on_llc_evict = self.tracker.on_llc_evict
         # The tracker's bit arrays (never reallocated), for overrides that
         # test them inline: an extended on_llc_evict reaches the tracker
         # only for an unused prefetch, the one eviction it counts.
-        self._pf_bits = self._tracker._prefetch_bits
-        self._hit_bits = self._tracker._hit_bits
+        self._pf_bits = self.tracker._prefetch_bits
+        self._hit_bits = self.tracker._hit_bits
 
     def set_merge_throttled(self, throttled: bool) -> None:
         """Graceful degradation under stash pressure.
@@ -210,24 +212,14 @@ class SuperBlockScheme(ABC):
 
     def on_llc_hit(self, addr: int) -> None:
         """Processor used the block in the LLC ("when block b is accessed: b.hit = true")."""
-        if self._tracker is not None:
-            self._tracker.on_use(addr)
+        if self.tracker is not None:
+            self.tracker.on_use(addr)
 
     def on_llc_evict(self, addr: int) -> None:
-        if self._tracker is not None:
-            self._tracker.on_llc_evict(addr)
+        if self.tracker is not None:
+            self.tracker.on_llc_evict(addr)
 
     # --------------------------------------------------------------- helpers
-    @property
-    def oram(self) -> PathORAM:
-        assert self._oram is not None, "scheme not attached"
-        return self._oram
-
-    @property
-    def tracker(self) -> PrefetchTracker:
-        assert self._tracker is not None, "scheme not attached"
-        return self._tracker
-
     def _clip_group(self, base: int, size: int) -> List[int]:
         """Members of the aligned group, clipped to the address space."""
         top = min(base + size, self.oram.position_map.num_blocks)

@@ -52,7 +52,8 @@ class ShiTreeORAM(SharedLeafMixin, BoundedDrainMixin, TreeAuditMixin):
         evictions_per_level: buckets randomly evicted per level per access
             (the scheme's ``nu``; 2 in the original paper).
         rng: deterministic randomness.
-        observer: optional adversary observer (records the accessed leaf).
+
+    ``recorder``/``shard`` are :class:`~repro.oram.path_oram.PathORAM`'s.
     """
 
     def __init__(
@@ -62,7 +63,6 @@ class ShiTreeORAM(SharedLeafMixin, BoundedDrainMixin, TreeAuditMixin):
         bucket_size: Optional[int] = None,
         evictions_per_level: int = 2,
         rng: Optional[DeterministicRng] = None,
-        observer=None,
     ):
         if levels < 1:
             raise ValueError("need at least one level")
@@ -74,7 +74,8 @@ class ShiTreeORAM(SharedLeafMixin, BoundedDrainMixin, TreeAuditMixin):
         self.num_blocks = num_blocks
         self.evictions_per_level = evictions_per_level
         self.rng = rng or DeterministicRng(17)
-        self.observer = observer
+        self.recorder = None
+        self.shard = 0
         self._leaves = self.rng.random_leaves(self.tree.num_leaves, num_blocks)
         #: overflow area for blocks that find no room (counted, bounded):
         #: address -> block word
@@ -115,8 +116,8 @@ class ShiTreeORAM(SharedLeafMixin, BoundedDrainMixin, TreeAuditMixin):
         if self._pending_access:
             raise RuntimeError("previous access not finished")
         self.accesses += 1
-        if self.observer is not None:
-            self.observer.on_path_access(leaf, "real")
+        if self.recorder is not None:
+            self.recorder.record_event("path", shard=self.shard, leaf=leaf, kind="real")
         wanted = set(addrs)
         found = set()
         for index in self.tree.path_indices(leaf):
@@ -177,10 +178,10 @@ class ShiTreeORAM(SharedLeafMixin, BoundedDrainMixin, TreeAuditMixin):
     def dummy_access(self, kind: str = "dummy") -> None:
         """One extra eviction round: background overflow relief."""
         self.dummy_accesses += 1
-        if self.observer is not None:
+        if self.recorder is not None:
             # The eviction touches random buckets, not a single path; what
             # the adversary sees is one more (public) eviction round.
-            self.observer.on_path_access(0, kind)
+            self.recorder.record_event("path", shard=self.shard, leaf=0, kind=kind)
         self._evict()
 
     # drain_stash comes from BoundedDrainMixin (overflow is this scheme's

@@ -11,6 +11,12 @@ Shards share nothing by construction (own tree, stash, RNG fork), so the
 cross-process cut is free of coherence traffic and the merged result is
 bit-identical to serial for any worker count.
 
+Security: the route ``addr % num_workers`` is the bank's interleave, with
+the bank's leak -- every demand shows its address modulo the worker count
+to an adversary who can tell the channels apart (1.000 bits per request
+at two workers, ``tests/test_bank_leak.py``; the security note of
+:mod:`repro.controller.sharded`).
+
 Failure model: workers checkpoint their whole backend after every
 ``checkpoint_every`` batches *before* acknowledging (see
 :mod:`repro.parallel.worker`).  The front-end detects a dead worker

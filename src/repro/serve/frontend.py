@@ -25,6 +25,11 @@ Health integration: DEGRADED shards get half-sized batches; QUARANTINED
 shards are rerouted at admission onto a serial fallback lane whose
 accesses the bank's health step pads with dummy paths.
 
+Security: a request's home shard is ``addr % N``, the bank's interleave,
+with the bank's leak -- the channel each access goes down shows the
+address modulo N (the security note of :mod:`repro.controller.sharded`;
+``tests/test_bank_leak.py`` measures 1.999 bits per request at N = 4).
+
 Everything ties are broken on (cycle, sequence) pairs, so a run is a pure
 function of (source, config, bank seed).  The front end only decides
 *when* to call ``bank.demand_access``; :attr:`ServingFrontEnd.issued`

@@ -83,7 +83,6 @@ def build_backend(
     config: SystemConfig,
     *,
     policy: Optional[ThresholdPolicy] = None,
-    observer=None,
     fault_injector=None,
     num_shards: int = 1,
     health_policy=None,
@@ -115,7 +114,6 @@ def build_backend(
         config: system configuration.
         policy: threshold policy for ``dyn`` (default: adaptive, C=1);
             stateful, so refused on a bank wider than one.
-        observer: optional adversary observer for ORAM variants.
         fault_injector: optional :class:`repro.faults.FaultInjector`
             attached to ORAM backends (storage fault modelling);
             rejected for ``dram``.
@@ -143,7 +141,7 @@ def build_backend(
     bank = build_bank(
         label.base, footprint_blocks, config, num_shards, policy=policy,
         periodic=label.periodic, health_policy=health_policy,
-        observer=observer, fault_injector=fault_injector,
+        fault_injector=fault_injector,
     )
     if bank.num_shards == 1 and bank.health is None:
         # A bank of one with no plane is its controller: the interleave

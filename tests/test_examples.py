@@ -3,7 +3,8 @@
 The examples run multi-minute simulations at their default sizes, so the
 tests exercise their *plumbing* (imports, argument handling, helper
 functions) rather than full executions; the heavy paths they call are
-covered by the integration tests and the benchmark suite.
+covered by the integration tests and the benchmark suite.  The key-value
+store example takes about a second and runs whole.
 """
 
 import importlib.util
@@ -56,3 +57,13 @@ def test_timing_channel_demo_traces():
     hungry, idle = module.make_traces(footprint=256, horizon_refs=100)
     assert len(hungry) == len(idle) == 100
     assert hungry.total_gap_cycles < idle.total_gap_cycles
+
+
+def test_oblivious_kv_store_runs(capsys):
+    """The one example fast enough to run whole: its ``main()`` audits the
+    store's adversary view and must still call it oblivious."""
+    module = load(next(p for p in EXAMPLES if p.stem == "oblivious_kv_store"))
+    module.main()
+    out = capsys.readouterr().out
+    assert "adversary observed 900 path accesses" in out
+    assert "=> the access pattern is indistinguishable from random: oblivious." in out

@@ -1,10 +1,9 @@
 """Import budget: scipy/numpy are loaded by the statistical audit only.
 
-Every ``repro`` process (CLI line, benchmark child, shard worker) imports
-``repro.security.statistics`` through the live uniformity monitor; only
-``repro audit`` / the chaos uniformity gate ever
-compute a p-value.  Each case runs in a fresh interpreter so modules an
-earlier test loaded cannot hide a top-level import.
+Every ``repro`` CLI process imports ``repro.security.statistics``; only
+``repro audit`` / the chaos uniformity gate ever compute a p-value.  Each
+case runs in a fresh interpreter so modules an earlier test loaded cannot
+hide a top-level import.
 """
 
 from __future__ import annotations
@@ -68,15 +67,13 @@ def test_run_completes_with_both_unimportable_and_the_audit_says_so():
 
 def test_insufficient_data_answers_without_scipy():
     out = run_fresh(
-        "from repro.observability.uniformity import LeafUniformityMonitor\n"
         "from repro.security.statistics import (\n"
-        "    INSUFFICIENT_DATA, chi_square_uniformity, sequences_indistinguishable)\n"
+        "    INSUFFICIENT_DATA, chi_square_uniformity, sequences_indistinguishable,\n"
+        "    windowed_uniformity)\n"
         "assert chi_square_uniformity([], 8) == INSUFFICIENT_DATA\n"
         "assert chi_square_uniformity([3, 1], 8) == INSUFFICIENT_DATA\n"
         "assert sequences_indistinguishable([1], [], 8) == INSUFFICIENT_DATA\n"
-        "monitor = LeafUniformityMonitor(64)\n"
-        "monitor.on_path_access(5)\n"
-        "assert monitor.flush().p_value == 1.0\n"
+        "assert windowed_uniformity([5], 64).checks[0].p_value == 1.0\n"
         f"print({HEAVY})"
     )
     assert out.strip() == "[]"
@@ -87,16 +84,14 @@ def test_live_monitor_window_prints_the_recorded_p_values():
     moved inside the functions (4 significant digits are all that is ever
     printed)."""
     out = run_fresh(
-        "from repro.observability.uniformity import LeafUniformityMonitor\n"
+        "from repro.security.statistics import windowed_uniformity\n"
         "from repro.utils.rng import DeterministicRng\n"
         "rng = DeterministicRng(11)\n"
-        "monitor = LeafUniformityMonitor(256, window=1024)\n"
-        "for _ in range(2500):\n"
-        "    monitor.on_path_access(rng.random_leaf(256))\n"
-        "monitor.flush()\n"
-        "for c in monitor.checks:\n"
+        "leaves = [rng.random_leaf(256) for _ in range(2500)]\n"
+        "windows = windowed_uniformity(leaves, 256, window=1024)\n"
+        "for c in windows.checks:\n"
         "    print(c.samples, f'{c.statistic:.4g}', f'{c.p_value:.4g}')\n"
-        "print(monitor.render().splitlines()[1].strip())\n"
+        "print(windows.render().splitlines()[1].strip())\n"
     )
     assert out.splitlines() == [
         "1024 130.2 0.4036",

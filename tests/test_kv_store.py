@@ -3,16 +3,16 @@
 import pytest
 
 from repro.config import ORAMConfig
+from repro.observability import InMemoryRecorder
 from repro.oram.kv_store import ObliviousKVStore
-from repro.security.observer import AccessObserver
-from repro.security.statistics import chi_square_uniformity
+from repro.security.statistics import adversary_view, chi_square_uniformity
 from repro.utils.rng import DeterministicRng
 
 
-def make_store(levels=6, observer=None):
+def make_store(levels=6, recorder=None):
     return ObliviousKVStore(
         config=ORAMConfig(levels=levels, bucket_size=4, stash_blocks=40, utilization=0.5),
-        observer=observer,
+        recorder=recorder,
     )
 
 
@@ -105,24 +105,29 @@ class TestPersistence:
 class TestObliviousness:
     def test_reads_and_writes_look_identical(self):
         # One path access per operation regardless of read/write/size.
-        observer = AccessObserver()
-        store = make_store(observer=observer)
+        recorder = InMemoryRecorder()
+        store = make_store(recorder=recorder)
+
+        def paths():
+            return len(adversary_view(recorder.records))
+
         store.put(1, b"x")
-        reads_start = len(observer)
+        reads_start = paths()
         store.get(1)
-        read_cost = len(observer) - reads_start
-        writes_start = len(observer)
+        read_cost = paths() - reads_start
+        writes_start = paths()
         store.put(2, b"y" * 64)
-        write_cost = len(observer) - writes_start
+        write_cost = paths() - writes_start
         # Identical modulo background evictions (rare at this scale).
         assert abs(read_cost - write_cost) <= 1
 
     def test_repeated_key_uniform_paths(self):
-        observer = AccessObserver()
-        store = make_store(observer=observer)
+        recorder = InMemoryRecorder()
+        store = make_store(recorder=recorder)
         for _ in range(1500):
             store.get(7)
-        _, p = chi_square_uniformity(observer.leaves(), 64)
+        leaves = [leaf for _, leaf in adversary_view(recorder.records)]
+        _, p = chi_square_uniformity(leaves, 64)
         assert p > 1e-4
 
     def test_ciphertexts_never_repeat(self):

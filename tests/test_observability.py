@@ -2,8 +2,8 @@
 
 Three layers are covered:
 
-* unit: instruments, registry, recorders, JSONL round-trip, the live
-  leaf-uniformity monitor;
+* unit: instruments, registry, recorders, JSONL round-trip, the
+  windowed leaf-uniformity check;
 * integration: spans emitted by real runs reconcile exactly with the
   pinned ``SimResult`` accounting (per-phase cycles, request counts,
   latency arithmetic), on single controllers, sharded banks, periodic
@@ -25,7 +25,6 @@ from repro.observability import (
     CycleHistogram,
     InMemoryRecorder,
     JsonlTraceRecorder,
-    LeafUniformityMonitor,
     MetricsRegistry,
     NullRecorder,
     Span,
@@ -38,7 +37,7 @@ from repro.observability.collect import (
     render_profile,
     time_system,
 )
-from repro.security.observer import AccessObserver
+from repro.security.statistics import windowed_uniformity
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
@@ -385,42 +384,29 @@ class TestCollection:
 
 # ------------------------------------------------------------------ uniformity
 class TestLeafUniformityMonitor:
+    """:func:`windowed_uniformity` over a leaf sequence."""
+
     def test_rejects_degenerate_leaf_space(self):
         with pytest.raises(ValueError):
-            LeafUniformityMonitor(num_leaves=1)
+            windowed_uniformity([], num_leaves=1)
 
     def test_uniform_stream_healthy(self):
-        monitor = LeafUniformityMonitor(num_leaves=16, window=512)
         rng = DeterministicRng(2)
-        for _ in range(2048):
-            monitor.on_path_access(rng.randbelow(16))
-        assert len(monitor.checks) == 4
-        assert monitor.healthy
-        assert "healthy" in monitor.render()
+        leaves = [rng.randbelow(16) for _ in range(2048)]
+        windows = windowed_uniformity(leaves, num_leaves=16, window=512)
+        assert len(windows.checks) == 4
+        assert windows.healthy
+        assert "healthy" in windows.render()
 
     def test_skewed_window_flagged(self):
-        monitor = LeafUniformityMonitor(num_leaves=16, window=512)
-        for _ in range(512):
-            monitor.on_path_access(0)
-        assert not monitor.healthy
-        assert monitor.flagged[0].p_value < monitor.alpha
-        assert "FLAGGED" in monitor.render()
+        windows = windowed_uniformity([0] * 512, num_leaves=16, window=512)
+        assert not windows.healthy
+        assert windows.flagged[0].p_value < windows.alpha
+        assert "FLAGGED" in windows.render()
 
     def test_short_tail_flush_is_insufficient_not_fatal(self):
-        monitor = LeafUniformityMonitor(num_leaves=64, window=4096)
-        for leaf in range(5):
-            monitor.on_path_access(leaf)
-        check = monitor.flush()
-        assert check is not None
+        windows = windowed_uniformity(range(5), num_leaves=64, window=4096)
+        (check,) = windows.checks
         assert check.p_value == 1.0  # the statistics guard, not a crash
-        assert monitor.healthy
-        assert monitor.flush() is None  # buffer drained
-
-    def test_forwards_to_downstream_observer(self):
-        downstream = AccessObserver()
-        monitor = LeafUniformityMonitor(
-            num_leaves=8, window=4, forward_to=downstream
-        )
-        for leaf in (1, 2, 3, 4, 5):
-            monitor.on_path_access(leaf)
-        assert downstream.leaves() == [1, 2, 3, 4, 5]
+        assert windows.healthy
+        assert windowed_uniformity([], num_leaves=64).checks == []  # nothing to test

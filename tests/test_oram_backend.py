@@ -265,20 +265,20 @@ class TestOneFramePerAccess:
         1,
     )
     #: a merged pair adds the shared-leaf check, the fetched-member filter,
-    #: Algorithm 2 (kept: the neighbor is marked prefetched) and the group
-    #: merge audition
+    #: Algorithm 2 (kept: the neighbor is marked prefetched, through the
+    #: scheme's plain ``tracker`` attribute) and the group merge audition
     PAIR = {
         **MISS,
         "_validated_shared_leaf": 1, "<dictcomp>": 1, "_run_break": 1,
-        "break_threshold": 1, "_base_threshold": 1, "tracker": 1,
+        "break_threshold": 1, "_base_threshold": 1,
         "mark_prefetched": 1, "_run_merge": 1,
     }
-    #: a dirty write-back: the eviction hooks (the policy's; its prefetch
-    #: tracker only for an unused prefetch), then the access minus the
-    #: super block policy
+    #: a dirty write-back: the eviction hooks (the policy's, which reads
+    #: pair membership inline; its prefetch tracker only for an unused
+    #: prefetch), then the access minus the super block policy
     WRITEBACK = {
         **{name: 1 for name in MISS if name not in ("demand_access", "process_fetch")},
-        "evict_line": 1, "on_llc_evict": 1, "super_block_of": 1, "_check_addr": 1,
+        "evict_line": 1, "on_llc_evict": 1, "_check_addr": 1,
     }
 
     @staticmethod

@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ORAMConfig
+from repro.observability import InMemoryRecorder
 from repro.oram.path_oram import PathORAM
 from repro.oram.tree import BinaryTree
-from repro.security.observer import AccessObserver
+from repro.security.statistics import adversary_view
 from repro.utils.rng import DeterministicRng
 
 
 def make_oram(
-    levels=5, bucket_size=3, stash=30, utilization=0.5, seed=3, observer=None, treetop=0
+    levels=5, bucket_size=3, stash=30, utilization=0.5, seed=3, treetop=0
 ):
     config = ORAMConfig(
         levels=levels,
@@ -30,7 +31,7 @@ def make_oram(
         utilization=utilization,
         treetop_levels=treetop,
     )
-    return PathORAM(config, DeterministicRng(seed), observer=observer)
+    return PathORAM(config, DeterministicRng(seed))
 
 
 class TestConstruction:
@@ -235,18 +236,18 @@ class TestCallShape:
 
 class TestObserver:
     def test_observer_sees_mapped_leaf(self):
-        observer = AccessObserver()
-        oram = make_oram(observer=observer)
+        oram = make_oram()
+        oram.recorder = recorder = InMemoryRecorder()
         target = oram.position_map.leaf(5)
         oram.access([5])
-        assert observer.accesses[-1].leaf == target
-        assert observer.accesses[-1].kind == "real"
+        assert adversary_view(recorder.records)[-1] == (0, target)
+        assert recorder.records[-1]["kind"] == "real"
 
     def test_observer_sees_dummies(self):
-        observer = AccessObserver()
-        oram = make_oram(observer=observer)
+        oram = make_oram()
+        oram.recorder = recorder = InMemoryRecorder()
         oram.dummy_access()
-        assert observer.accesses[-1].kind == "dummy"
+        assert recorder.records[-1]["kind"] == "dummy"
 
 
 class TestInvariantProperty:

@@ -13,16 +13,15 @@ from repro.observability import InMemoryRecorder
 from repro.oram.checkpoint import dump_backend_state, restore_backend_state
 from repro.oram.path_oram import PathORAM
 from repro.oram.super_block import BaselineScheme
-from repro.security.observer import AccessObserver
 from repro.sim.system import SecureSystem
 from repro.utils.rng import DeterministicRng
 from repro.workloads.synthetic import locality_mix_trace
 
 
-def make_backend(interval=100, observer=None, oram=None, dram=None):
+def make_backend(interval=100, oram=None, dram=None):
     config = oram or ORAMConfig(levels=7, bucket_size=4, stash_blocks=50, utilization=0.5)
     return PeriodicORAMBackend(
-        PathORAM(config, DeterministicRng(4), observer=observer, populate=False),
+        PathORAM(config, DeterministicRng(4), populate=False),
         dram or DRAMConfig(),
         BaselineScheme(),
         TimingProtectionConfig(interval_cycles=interval),
@@ -217,15 +216,13 @@ class TestObliviousSchedule:
         """The access *count* over a horizon is determined by Oint alone."""
         horizon = 40 * 1448  # ~40 slots
 
-        obs_busy = AccessObserver()
-        busy = make_backend(interval=100, observer=obs_busy)
+        busy = make_backend(interval=100)
         now = 0
         for i in range(10):
             now, _ = busy.demand_access(i + 1, now=now, is_write=False)
         busy.finalize(horizon)
 
-        obs_idle = AccessObserver()
-        idle = make_backend(interval=100, observer=obs_idle)
+        idle = make_backend(interval=100)
         idle.demand_access(1, now=0, is_write=False)
         idle.finalize(horizon)
 

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.mixins import merge_pairs
+from repro.observability import InMemoryRecorder
 from repro.oram.ring_oram import RingORAM, reverse_bits
-from repro.security.observer import AccessObserver
-from repro.security.statistics import chi_square_uniformity, lag_autocorrelation
+from repro.security.statistics import (
+    adversary_view,
+    chi_square_uniformity,
+    lag_autocorrelation,
+)
 from repro.utils.rng import DeterministicRng
 
 
@@ -110,13 +114,11 @@ class TestBandwidth:
 
 class TestSecurity:
     def test_read_leaf_sequence_uniform_and_unlinkable(self):
-        observer = AccessObserver()
-        oram = RingORAM(
-            levels=5, num_blocks=96, rng=DeterministicRng(6), observer=observer
-        )
+        oram = RingORAM(levels=5, num_blocks=96, rng=DeterministicRng(6))
+        oram.recorder = recorder = InMemoryRecorder()
         for i in range(2500):
             oram.access([i % 96])
-        leaves = observer.leaves()
+        leaves = [leaf for _, leaf in adversary_view(recorder.records)]
         _, p = chi_square_uniformity(leaves, oram.tree.num_leaves)
         assert p > 1e-4
         assert abs(lag_autocorrelation(leaves, lag=1)) < 0.07

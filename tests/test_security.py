@@ -10,10 +10,11 @@ import pytest
 
 from repro.config import ORAMConfig
 from repro.core.dynamic import DynamicSuperBlockScheme
+from repro.observability import InMemoryRecorder
 from repro.oram.path_oram import PathORAM
-from repro.security.observer import AccessObserver
 from repro.security.statistics import (
     INSUFFICIENT_DATA,
+    adversary_view,
     chi_square_uniformity,
     lag_autocorrelation,
     leaf_histogram,
@@ -28,9 +29,9 @@ P_FLOOR = 1e-4  # tests pass unless wildly non-uniform
 
 def run_pattern(addr_fn, accesses=3000, seed=7, scheme_factory=None):
     """Drive an ORAM (optionally with a scheme) and return observed leaves."""
-    observer = AccessObserver()
     config = ORAMConfig(levels=LEVELS, bucket_size=4, stash_blocks=60, utilization=0.5)
-    oram = PathORAM(config, DeterministicRng(seed), observer=observer, populate=False)
+    oram = PathORAM(config, DeterministicRng(seed), populate=False)
+    oram.recorder = recorder = InMemoryRecorder()
     llc = set()
     scheme = scheme_factory() if scheme_factory else None
     if scheme is not None:
@@ -57,7 +58,7 @@ def run_pattern(addr_fn, accesses=3000, seed=7, scheme_factory=None):
                 llc.discard(victim)
                 scheme.on_llc_evict(victim)
         oram.drain_stash()
-    return observer.leaves()
+    return [leaf for _, leaf in adversary_view(recorder.records)]
 
 
 class TestBaselineObliviousness:

@@ -11,8 +11,9 @@ still look like noise.
 import pytest
 
 from repro.config import CacheConfig, ORAMConfig, SystemConfig
-from repro.security.observer import AccessObserver
+from repro.observability import InMemoryRecorder
 from repro.security.statistics import (
+    adversary_view,
     chi_square_uniformity,
     lag_autocorrelation,
     sequences_indistinguishable,
@@ -33,12 +34,11 @@ def small_config():
 
 
 def observed_leaves(trace, scheme="dyn"):
-    observer = AccessObserver()
-    system = SecureSystem.build(
-        scheme, trace.footprint_blocks, small_config(), observer=observer
-    )
+    system = SecureSystem.build(scheme, trace.footprint_blocks, small_config())
+    recorder = system.attach_recorder(InMemoryRecorder())
     system.run(trace)
-    return observer.leaves(), system.backend.oram.config.num_leaves
+    leaves = [leaf for _, leaf in adversary_view(recorder.records)]
+    return leaves, system.backend.oram.config.num_leaves
 
 
 def streaming_trace(writes=0.3, n=6000, footprint=1024, seed=2):

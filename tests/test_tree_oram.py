@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.mixins import merge_pairs
+from repro.observability import InMemoryRecorder
 from repro.oram.tree_oram import ShiTreeORAM
-from repro.security.observer import AccessObserver
-from repro.security.statistics import chi_square_uniformity
+from repro.security.statistics import adversary_view, chi_square_uniformity
 from repro.utils.rng import DeterministicRng
 
 
@@ -72,13 +72,12 @@ class TestBasics:
 
 class TestObliviousness:
     def test_leaf_sequence_uniform(self):
-        observer = AccessObserver()
-        oram = ShiTreeORAM(
-            levels=5, num_blocks=64, rng=DeterministicRng(6), observer=observer
-        )
+        oram = ShiTreeORAM(levels=5, num_blocks=64, rng=DeterministicRng(6))
+        oram.recorder = recorder = InMemoryRecorder()
         for i in range(3000):
             oram.access([i % 64])
-        _, p = chi_square_uniformity(observer.leaves(), 32)
+        leaves = [leaf for _, leaf in adversary_view(recorder.records)]
+        _, p = chi_square_uniformity(leaves, 32)
         assert p > 1e-4
 
 

@@ -5,9 +5,10 @@ ORAM's: the adversary's view carries no information about the logical
 pattern.
 """
 
+from repro.observability import InMemoryRecorder
 from repro.oram.tree_oram import ShiTreeORAM
-from repro.security.observer import AccessObserver
 from repro.security.statistics import (
+    adversary_view,
     lag_autocorrelation,
     sequences_indistinguishable,
 )
@@ -16,13 +17,11 @@ from repro.utils.rng import DeterministicRng
 
 class TestShiTreeORAMSecurity:
     def run_pattern(self, addr_fn, seed):
-        observer = AccessObserver()
-        oram = ShiTreeORAM(
-            levels=5, num_blocks=64, rng=DeterministicRng(seed), observer=observer
-        )
+        oram = ShiTreeORAM(levels=5, num_blocks=64, rng=DeterministicRng(seed))
+        oram.recorder = recorder = InMemoryRecorder()
         for i in range(2500):
             oram.access([addr_fn(i)])
-        return observer.leaves()
+        return [leaf for _, leaf in adversary_view(recorder.records)]
 
     def test_unlinkability(self):
         leaves = self.run_pattern(lambda i: i % 64, seed=3)
